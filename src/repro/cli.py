@@ -58,32 +58,70 @@ def _build_system(args: argparse.Namespace) -> tuple:
     config = SystemConfig(
         top_k=args.top_k,
         retrieval_mode=getattr(args, "mode", "full").replace("-", "_"),
-        candidates=getattr(args, "candidates", 200),
-        fusion=getattr(args, "fusion", "weighted"),
-        fusion_weight=getattr(args, "fusion_weight", 1.0),
-        rerank_horizon=getattr(args, "horizon", 2),
-        rerank_expand_cap=getattr(args, "expand_cap", None),
-        rerank_node_budget=getattr(args, "node_budget", None),
-        rerank_max_horizon=getattr(args, "max_horizon", None),
+        **_two_stage_config(args),
     )
     system = ObjectRankSystem(dataset.data_graph, dataset.transfer_schema, config)
     return dataset, system
 
 
-def _caption(dataset, node_id: str) -> str:
-    node = dataset.data_graph.node(node_id)
-    name = (
-        node.attributes.get("title")
-        or node.attributes.get("name")
-        or node.attributes.get("symbol")
-        or node_id
+def _add_two_stage_flags(
+    parser: argparse.ArgumentParser, rerank: str, when: str
+) -> None:
+    """The two-stage flags of ``repro search`` and ``repro serve``.
+
+    ``rerank`` prefixes the neighborhood flags (``repro serve`` spells them
+    ``--rerank-horizon`` ...); ``when`` opens every help line.  No flag
+    carries a default: an unset one keeps the config's (see
+    :func:`_two_stage_config`), so the defaults live in one place.
+    """
+    parser.add_argument(
+        "--candidates", type=int, metavar="N",
+        help=f"{when}: stage-1 candidate-set size",
     )
-    return f"{node.label}: {name[:70]}"
+    parser.add_argument(
+        "--fusion", choices=["weighted", "multiplicative", "rrf"],
+        help=f"{when}: IR/authority score fusion",
+    )
+    parser.add_argument(
+        "--fusion-weight", type=float,
+        help=f"{when}, --fusion weighted: authority share in [0, 1] "
+        "(1.0 = authority only)",
+    )
+    parser.add_argument(
+        f"--{rerank}horizon", type=int,
+        help=f"{when}: rerank neighborhood hops",
+    )
+    parser.add_argument(
+        f"--{rerank}expand-cap", type=int, metavar="D",
+        help=f"{when}: include but do not expand through nodes with "
+        "transfer-edge degree above D (default: expand all)",
+    )
+    parser.add_argument(
+        f"--{rerank}node-budget", type=int, metavar="B",
+        help=f"{when}: keep deepening past the horizon (up to "
+        f"--{rerank}max-horizon hops) while the neighborhood holds fewer "
+        "than B nodes",
+    )
+    parser.add_argument(
+        f"--{rerank}max-horizon", type=int,
+        help=f"{when}: hop ceiling for node-budget deepening",
+    )
+
+
+def _two_stage_config(args: argparse.Namespace, rerank: str = "") -> dict:
+    """The two-stage config fields the command line set, by field name."""
+    fields = {
+        name: getattr(args, name, None)
+        for name in ("candidates", "fusion", "fusion_weight")
+    }
+    for name in ("horizon", "expand_cap", "node_budget", "max_horizon"):
+        fields[f"rerank_{name}"] = getattr(args, rerank + name, None)
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def _print_results(dataset, result) -> None:
     for rank, (node_id, score) in enumerate(result.top, start=1):
-        print(f"{rank:3d}. [{score:.5f}] {_caption(dataset, node_id)}")
+        print(f"{rank:3d}. [{score:.5f}] {dataset.data_graph.caption(node_id)}")
     print(f"({result.iterations} ObjectRank2 iterations)")
 
 
@@ -131,7 +169,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return (
             needle == "all"
             or needle in node_id.lower()
-            or needle in _caption(dataset, node_id).lower()
+            or needle in dataset.data_graph.caption(node_id).lower()
         )
 
     if args.batch:
@@ -146,7 +184,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         # per target the output is identical to a serial `repro explain`.
         explanations = system.explain_many(targets, workers=args.workers)
         for node_id, explanation in zip(targets, explanations):
-            print(f"=== {_caption(dataset, node_id)}")
+            print(f"=== {dataset.data_graph.caption(node_id)}")
             print(to_text(explanation, max_paths=args.paths))
         return 0
 
@@ -185,6 +223,33 @@ def cmd_feedback(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_engine(args: argparse.Namespace) -> tuple:
+    """``(dataset, search engine)`` for the offline build commands."""
+    from repro.datasets import load_dataset
+    from repro.query.engine import SearchEngine
+
+    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    return dataset, SearchEngine(dataset.data_graph, dataset.transfer_schema)
+
+
+def _timed_precompute(args: argparse.Namespace, graph, index) -> tuple:
+    """``(ranker, seconds)``: one [BHP04] build under ``--min-df``,
+    ``--workers`` and (where the command has it) ``--keywords``."""
+    import time
+
+    from repro.ranking.precompute import PrecomputedRanker
+
+    start = time.perf_counter()
+    ranker = PrecomputedRanker(
+        graph,
+        index,
+        keywords=getattr(args, "keywords", None) or None,
+        min_document_frequency=args.min_df,
+        workers=args.workers,
+    )
+    return ranker, time.perf_counter() - start
+
+
 def cmd_precompute(args: argparse.Namespace) -> int:
     """The ``repro precompute`` subcommand: offline per-keyword vector build.
 
@@ -193,28 +258,9 @@ def cmd_precompute(args: argparse.Namespace) -> int:
     processes, and reports build statistics.  This is the offline half of the
     serving layer's precomputed fast path.
     """
-    import time
-
-    from repro.datasets import load_dataset
-    from repro.query.engine import SearchEngine
-    from repro.ranking.precompute import PrecomputedRanker
-
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
-    vocabulary = [
-        term
-        for term in engine.index.vocabulary()
-        if engine.index.document_frequency(term) >= args.min_df
-    ]
-    start = time.perf_counter()
-    ranker = PrecomputedRanker(
-        engine.graph,
-        engine.index,
-        keywords=args.keywords or None,
-        min_document_frequency=args.min_df,
-        workers=args.workers,
-    )
-    elapsed = time.perf_counter() - start
+    dataset, engine = _load_engine(args)
+    vocabulary = engine.index.vocabulary(args.min_df)
+    ranker, elapsed = _timed_precompute(args, engine.graph, engine.index)
     built = len(ranker.keywords)
     print(f"dataset: {args.dataset} ({dataset.num_nodes} nodes, {dataset.num_edges} edges)")
     print(f"vocabulary terms with df >= {args.min_df}: {len(vocabulary)}")
@@ -239,13 +285,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     pick it up.
     """
     import json
-    import time
     from pathlib import Path
 
-    from repro.datasets import load_dataset
     from repro.ingest import IngestEngine, mutation_from_json
-    from repro.query.engine import SearchEngine
-    from repro.ranking.precompute import PrecomputedRanker
 
     with open(args.mutations, encoding="utf-8") as handle:
         raw = json.load(handle)
@@ -253,16 +295,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"error: {args.mutations} must hold a JSON list", file=sys.stderr)
         return 2
 
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
-    start = time.perf_counter()
-    previous = PrecomputedRanker(
-        engine.graph,
-        engine.index,
-        min_document_frequency=args.min_df,
-        workers=args.workers,
-    )
-    base_built = time.perf_counter() - start
+    dataset, engine = _load_engine(args)
+    previous, base_built = _timed_precompute(args, engine.graph, engine.index)
     print(
         f"dataset: {args.dataset} ({dataset.num_nodes} nodes, "
         f"{dataset.num_edges} edges); baseline precompute "
@@ -299,14 +333,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
 
     if args.compare_full:
-        start = time.perf_counter()
-        full = PrecomputedRanker(
-            result.graph,
-            result.index,
-            min_document_frequency=args.min_df,
-            workers=args.workers,
-        )
-        full_built = time.perf_counter() - start
+        full, full_built = _timed_precompute(args, result.graph, result.index)
         mismatched = _compare_rankers(result.ranker, full)
         print(
             f"full rebuild: {len(full.keywords)} columns in {full_built:.2f}s"
@@ -503,13 +530,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ingest=args.ingest,
         ingest_staleness_bound=args.staleness_bound,
         ingest_refresh_mode=args.refresh_mode,
-        candidates=args.candidates,
-        fusion=args.fusion,
-        fusion_weight=args.fusion_weight,
-        rerank_horizon=args.rerank_horizon,
-        rerank_expand_cap=args.rerank_expand_cap,
-        rerank_node_budget=args.rerank_node_budget,
-        rerank_max_horizon=args.rerank_max_horizon,
+        **_two_stage_config(args, rerank="rerank_"),
     )
 
     if args.workers and args.workers > 1:
@@ -599,25 +620,12 @@ def cmd_store_build(args: argparse.Namespace) -> int:
     ``CURRENT`` manifest — live workers of ``repro serve --workers N`` pick
     the new generation up between requests, without a restart.
     """
-    import time
     from pathlib import Path
 
-    from repro.datasets import load_dataset
-    from repro.query.engine import SearchEngine
-    from repro.ranking.precompute import PrecomputedRanker
     from repro.store import build_and_publish, store_path
 
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
-    start = time.perf_counter()
-    ranker = PrecomputedRanker(
-        engine.graph,
-        engine.index,
-        keywords=args.keywords or None,
-        min_document_frequency=args.min_df,
-        workers=args.workers,
-    )
-    built = time.perf_counter() - start
+    _dataset, engine = _load_engine(args)
+    ranker, built = _timed_precompute(args, engine.graph, engine.index)
     root = Path(args.store) / args.dataset
     manifest = build_and_publish(root, ranker, args.dataset, keep=args.keep)
     size = store_path(root, manifest.generation).stat().st_size
@@ -673,11 +681,32 @@ def build_parser() -> argparse.ArgumentParser:
     datasets.add_argument("--seed", type=int, default=7)
     datasets.set_defaults(func=cmd_datasets)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def generated(p: argparse.ArgumentParser) -> None:
         p.add_argument("dataset", help="a name from `repro datasets`")
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=7)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        generated(p)
         p.add_argument("--top-k", type=int, default=10)
+
+    def offline_build(p: argparse.ArgumentParser, keywords: bool) -> None:
+        """The dataset + [BHP04] build flags of precompute/ingest/store build."""
+        generated(p)
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes for the blocked build (default: in-process)",
+        )
+        p.add_argument(
+            "--min-df", type=int, default=2,
+            help="precompute only terms with document frequency >= N",
+        )
+        if keywords:
+            p.add_argument(
+                "--keywords", nargs="*", default=None,
+                help="explicit keyword list (default: the whole filtered "
+                "vocabulary)",
+            )
 
     search = sub.add_parser("search", help="run an ObjectRank2 query")
     common(search)
@@ -687,38 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="full runs ObjectRank2 over the whole graph; two-stage runs "
         "pruned BM25 candidate generation + focused authority reranking",
     )
-    search.add_argument(
-        "--candidates", type=int, default=200, metavar="N",
-        help="with --mode two-stage: stage-1 candidate-set size",
-    )
-    search.add_argument(
-        "--fusion", choices=["weighted", "multiplicative", "rrf"],
-        default="weighted",
-        help="with --mode two-stage: IR/authority score fusion",
-    )
-    search.add_argument(
-        "--fusion-weight", type=float, default=1.0,
-        help="with --fusion weighted: authority share in [0, 1] "
-        "(1.0 = authority only)",
-    )
-    search.add_argument(
-        "--horizon", type=int, default=2,
-        help="with --mode two-stage: rerank neighborhood hops",
-    )
-    search.add_argument(
-        "--expand-cap", type=int, default=None, metavar="D",
-        help="with --mode two-stage: include but do not expand through "
-        "nodes with transfer-edge degree above D (None = expand all)",
-    )
-    search.add_argument(
-        "--node-budget", type=int, default=None, metavar="B",
-        help="with --mode two-stage: keep deepening past --horizon (up to "
-        "--max-horizon hops) while the neighborhood holds fewer than B nodes",
-    )
-    search.add_argument(
-        "--max-horizon", type=int, default=None,
-        help="with --mode two-stage: hop ceiling for --node-budget deepening",
-    )
+    _add_two_stage_flags(search, rerank="", when="with --mode two-stage")
     search.set_defaults(func=cmd_search)
 
     explain = sub.add_parser("explain", help="explain one result of a query")
@@ -754,48 +752,24 @@ def build_parser() -> argparse.ArgumentParser:
     precompute = sub.add_parser(
         "precompute", help="build per-keyword vectors offline (blocked engine)"
     )
-    precompute.add_argument("dataset", help="a name from `repro datasets`")
-    precompute.add_argument("--scale", type=float, default=1.0)
-    precompute.add_argument("--seed", type=int, default=7)
-    precompute.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the blocked build (default: in-process)",
-    )
-    precompute.add_argument(
-        "--min-df", type=int, default=2,
-        help="precompute only terms with document frequency >= N",
-    )
-    precompute.add_argument(
-        "--keywords", nargs="*", default=None,
-        help="explicit keyword list (default: the whole filtered vocabulary)",
-    )
+    offline_build(precompute, keywords=True)
     precompute.set_defaults(func=cmd_precompute)
 
     ingest = sub.add_parser(
         "ingest",
         help="apply a mutation batch and refresh only the dirty columns",
     )
-    ingest.add_argument("dataset", help="a name from `repro datasets`")
+    offline_build(ingest, keywords=False)
     ingest.add_argument(
         "--mutations", required=True, metavar="FILE",
         help="JSON file holding a list of mutation objects "
         "({\"op\": \"add_node\" | \"remove_node\" | \"update_node\" | "
         "\"add_edge\" | \"remove_edge\", ...})",
     )
-    ingest.add_argument("--scale", type=float, default=1.0)
-    ingest.add_argument("--seed", type=int, default=7)
     ingest.add_argument(
         "--mode", choices=["exact", "warm"], default="exact",
         help="exact recomputes dirty columns cold (bit-identical to a full "
         "rebuild); warm restarts them from the previous fixpoints",
-    )
-    ingest.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the blocked refresh (default: in-process)",
-    )
-    ingest.add_argument(
-        "--min-df", type=int, default=2,
-        help="precompute only terms with document frequency >= N",
     )
     ingest.add_argument(
         "--compare-full", action="store_true",
@@ -875,37 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --ingest: dirty-column refresh mode (exact is "
         "bit-identical to a full rebuild; warm reuses previous fixpoints)",
     )
-    serve.add_argument(
-        "--candidates", type=int, default=200, metavar="N",
-        help="mode=two_stage default: stage-1 candidate-set size",
-    )
-    serve.add_argument(
-        "--fusion", choices=["weighted", "multiplicative", "rrf"],
-        default="weighted",
-        help="mode=two_stage default: IR/authority score fusion",
-    )
-    serve.add_argument(
-        "--fusion-weight", type=float, default=1.0,
-        help="mode=two_stage default: authority share in [0, 1]",
-    )
-    serve.add_argument(
-        "--rerank-horizon", type=int, default=2,
-        help="mode=two_stage default: rerank neighborhood hops",
-    )
-    serve.add_argument(
-        "--rerank-expand-cap", type=int, default=None, metavar="D",
-        help="mode=two_stage default: include but do not expand through "
-        "nodes with transfer-edge degree above D",
-    )
-    serve.add_argument(
-        "--rerank-node-budget", type=int, default=None, metavar="B",
-        help="mode=two_stage default: deepen past the horizon (up to "
-        "--rerank-max-horizon) while the neighborhood has fewer than B nodes",
-    )
-    serve.add_argument(
-        "--rerank-max-horizon", type=int, default=None,
-        help="mode=two_stage default: hop ceiling for node-budget deepening",
-    )
+    _add_two_stage_flags(serve, rerank="rerank-", when="mode=two_stage default")
     serve.set_defaults(func=cmd_serve)
 
     store = sub.add_parser(
@@ -915,24 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_build = store_sub.add_parser(
         "build", help="precompute and publish the next store generation"
     )
-    store_build.add_argument("dataset", help="a name from `repro datasets`")
+    offline_build(store_build, keywords=True)
     store_build.add_argument(
         "--store", required=True, metavar="DIR",
         help="store root; the slab goes to DIR/<dataset>/store.gen-K.slab",
-    )
-    store_build.add_argument("--scale", type=float, default=1.0)
-    store_build.add_argument("--seed", type=int, default=7)
-    store_build.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the blocked precompute (default: in-process)",
-    )
-    store_build.add_argument(
-        "--min-df", type=int, default=2,
-        help="precompute only terms with document frequency >= N",
-    )
-    store_build.add_argument(
-        "--keywords", nargs="*", default=None,
-        help="explicit keyword list (default: the whole filtered vocabulary)",
     )
     store_build.add_argument(
         "--keep", type=int, default=2,

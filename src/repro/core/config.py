@@ -15,6 +15,12 @@ from repro.reformulate.content import (
     DEFAULT_NUM_TERMS,
 )
 from repro.reformulate.structure import DEFAULT_ADJUSTMENT_FACTOR
+from repro.retrieval.engine import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_FUSION,
+    DEFAULT_FUSION_WEIGHT,
+    DEFAULT_RERANK_HORIZON,
+)
 
 DEFAULT_RADIUS = 3  # L; "a relatively small L (e.g., L=3) is adequate" (Section 4)
 
@@ -53,13 +59,13 @@ class SystemConfig:
     #: (:mod:`repro.retrieval`), whose cost scales with the result page.
     retrieval_mode: str = "full"
     #: Two-stage stage-1 candidate-set size N.
-    candidates: int = 200
+    candidates: int = DEFAULT_CANDIDATES
     #: Two-stage fusion mode ("weighted", "multiplicative" or "rrf") and the
     #: authority share of the weighted combination (1.0 = authority only).
-    fusion: str = "weighted"
-    fusion_weight: float = 1.0
+    fusion: str = DEFAULT_FUSION
+    fusion_weight: float = DEFAULT_FUSION_WEIGHT
     #: Hops of neighborhood expanded around the candidates for reranking.
-    rerank_horizon: int = 2
+    rerank_horizon: int = DEFAULT_RERANK_HORIZON
     #: Stop the rerank fixpoint once the top-k sequence is stable (None =
     #: iterate to tolerance; required for exact focused equivalence).
     rerank_early_k: int | None = None

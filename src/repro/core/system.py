@@ -31,12 +31,11 @@ from repro.bench.timing import (
 )
 from repro.core.config import RETRIEVAL_MODES, SystemConfig
 from repro.errors import ReproError
-from repro.explain.adjustment import FlowExplanation, adjust_flows
+from repro.explain.adjustment import FlowExplanation
 from repro.explain.batch import (
     batched_adjust_flows,
     batched_build_explaining_subgraphs,
 )
-from repro.explain.subgraph import build_explaining_subgraph
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.query.engine import SearchEngine, SearchResult
@@ -167,17 +166,7 @@ class ObjectRankSystem:
     def two_stage_engine(self) -> TwoStageEngine:
         """The session's two-stage engine (built lazily from the config)."""
         if self._two_stage is None:
-            self._two_stage = TwoStageEngine(
-                self.engine,
-                candidates=self.config.candidates,
-                fusion=self.config.fusion,
-                fusion_weight=self.config.fusion_weight,
-                horizon=self.config.rerank_horizon,
-                early_k=self.config.rerank_early_k,
-                expand_cap=self.config.rerank_expand_cap,
-                node_budget=self.config.rerank_node_budget,
-                max_horizon=self.config.rerank_max_horizon,
-            )
+            self._two_stage = TwoStageEngine.from_config(self.engine, self.config)
         return self._two_stage
 
     def _explain_within(self) -> np.ndarray | None:
@@ -246,68 +235,36 @@ class ObjectRankSystem:
 
     def explain(self, node_id: str) -> FlowExplanation:
         """Build and adjust the explaining subgraph for one result object."""
-        if self.last_result is None:
-            raise ReproError("query before explaining a result")
-        base_ids = list(self.last_result.ranked.base_weights)
-        subgraph = build_explaining_subgraph(
-            self._session_graph(),
-            base_ids,
-            node_id,
-            self.config.radius,
-            within=self._explain_within(),
-        )
-        return adjust_flows(
-            subgraph,
-            self.last_result.scores,
-            self.config.damping,
-            self.config.tolerance,
-        )
+        return self.explain_many([node_id])[0]
 
     def explain_many(
         self, node_ids: list[str], workers: int | None = None
     ) -> list[FlowExplanation]:
-        """Explain several results in one batched pass (bit-identical to
-        calling :meth:`explain` per id, see :mod:`repro.explain.batch`)."""
+        """Explain several results in one batched pass (per id bit-identical
+        to the serial :func:`repro.explain.explain`, see
+        :mod:`repro.explain.batch`)."""
         if self.last_result is None:
             raise ReproError("query before explaining a result")
-        base_ids = list(self.last_result.ranked.base_weights)
-        subgraphs = self._build_subgraphs(
-            base_ids,
-            node_ids,
-            workers if workers is not None else self.config.explain_workers,
-        )
         return batched_adjust_flows(
-            subgraphs,
+            self._build_subgraphs(
+                node_ids,
+                workers if workers is not None else self.config.explain_workers,
+            ),
             self.last_result.scores,
             self.config.damping,
             self.config.tolerance,
         )
 
-    def _build_subgraphs(
-        self, base_ids: list[str], node_ids: list[str], workers: int | None
-    ):
-        """Explaining subgraphs for many targets, honoring two-stage scope.
-
-        A two-stage result's explanations are confined to the candidate
-        neighborhood; the restricted extraction runs per target (the batched
-        frontier engine has no node filter), which is fine because the
-        neighborhood keeps each subgraph small.
-        """
-        within = self._explain_within()
-        if within is not None:
-            graph = self._session_graph()
-            return [
-                build_explaining_subgraph(
-                    graph, base_ids, node_id, self.config.radius, within=within
-                )
-                for node_id in node_ids
-            ]
+    def _build_subgraphs(self, node_ids: list[str], workers: int | None):
+        """Explaining subgraphs of the last result, honoring two-stage scope
+        (a two-stage result explains within its candidate neighborhood)."""
         return batched_build_explaining_subgraphs(
             self._session_graph(),
-            base_ids,
+            list(self.last_result.ranked.base_weights),
             node_ids,
             self.config.radius,
             workers=workers,
+            within=self._explain_within(),
         )
 
     # -- feedback loop ------------------------------------------------------------
@@ -323,7 +280,6 @@ class ObjectRankSystem:
         if self.last_result is None or self.current_vector is None:
             raise ReproError("query before giving feedback")
         clock = StageClock()
-        base_ids = list(self.last_result.ranked.base_weights)
         scores = self.last_result.scores
 
         # One batched pass over all feedback objects: shared positive-rate
@@ -331,7 +287,7 @@ class ObjectRankSystem:
         # adjustment — per object bit-identical to the serial loop.
         with clock.stage(STAGE_SUBGRAPH):
             subgraphs = self._build_subgraphs(
-                base_ids, relevant_ids, self.config.explain_workers
+                relevant_ids, self.config.explain_workers
             )
         with clock.stage(STAGE_ADJUST):
             explanations = batched_adjust_flows(

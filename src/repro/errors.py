@@ -56,6 +56,15 @@ class RateError(ReproError):
     """Invalid authority transfer rates (negative, or unknown edge type)."""
 
 
+class ParameterError(ReproError, ValueError):
+    """A retrieval parameter outside its valid range.
+
+    Both a :class:`ReproError` (the serve tier maps it to HTTP 400) and a
+    :class:`ValueError` (what library callers of the ranking functions
+    expect for a bad argument), so one validator serves every entry point.
+    """
+
+
 class IngestError(ReproError):
     """A malformed or inapplicable ingest mutation."""
 

@@ -61,7 +61,7 @@ from repro.explain.adjustment import (
     FlowExplanation,
 )
 from repro.explain.flows import original_edge_flows
-from repro.explain.subgraph import ExplainingSubgraph
+from repro.explain.subgraph import ExplainingSubgraph, build_explaining_subgraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
@@ -256,6 +256,7 @@ def batched_build_explaining_subgraphs(
     workers: int | None = None,
     pool: str = "thread",
     extractor: SubgraphExtractor | None = None,
+    within: np.ndarray | None = None,
 ) -> list[ExplainingSubgraph]:
     """``G_v^Q`` for every target, sharing one positive-rate adjacency.
 
@@ -265,11 +266,23 @@ def batched_build_explaining_subgraphs(
     a pool that cannot start degrades to the in-process loop.  Pass a
     prebuilt ``extractor`` to reuse the filtered adjacency across batches
     under an unchanged rate setting.
+
+    ``within`` (node indices) confines every subgraph to those nodes — a
+    two-stage result explains within its candidate neighborhood only.  The
+    frontier engine has no node filter, so restricted targets go through the
+    serial builder one by one; the neighborhood keeps each subgraph small.
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
     if pool not in ("thread", "process"):
         raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
+    if within is not None:
+        return [
+            build_explaining_subgraph(
+                graph, list(base_node_ids), target_id, radius, within=within
+            )
+            for target_id in target_ids
+        ]
     targets = [graph.index_of(t) for t in target_ids]
     base_indices = graph.indices_of(list(base_node_ids))
     if not targets:

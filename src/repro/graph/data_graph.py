@@ -180,6 +180,24 @@ class DataGraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
+    def caption(self, node_id: str) -> str:
+        """A short human-readable line for a node: ``Label: title-or-name``.
+
+        An id the graph does not hold captions as itself — a cluster worker
+        serving a builder-published store generation can rank nodes that
+        ingest added after the worker loaded its dataset.
+        """
+        node = self._nodes.get(node_id)
+        if node is None:
+            return node_id
+        name = (
+            node.attributes.get("title")
+            or node.attributes.get("name")
+            or node.attributes.get("symbol")
+            or node_id
+        )
+        return f"{node.label}: {name[:70]}"
+
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
 

@@ -41,7 +41,7 @@ from repro.ranking.pagerank import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
 )
-from repro.ranking.precompute import PrecomputedRanker
+from repro.ranking.precompute import KeywordVectors, PrecomputedRanker
 
 
 @dataclass(frozen=True)
@@ -223,18 +223,11 @@ class IngestEngine:
         with self._lock:
             dirty, topology, pending = self._tracker.snapshot()
             if topology:
-                columns = sum(
-                    1
-                    for term in self._index.vocabulary()
-                    if self._index.document_frequency(term)
-                    >= self.min_document_frequency
-                )
+                columns = len(self._index.vocabulary(self.min_document_frequency))
             else:
                 columns = sum(
-                    1
+                    self._index.document_frequency(term) >= self.min_document_frequency
                     for term in dirty
-                    if self._index.document_frequency(term)
-                    >= self.min_document_frequency
                 )
             return IngestStaleness(pending, columns, topology)
 
@@ -286,13 +279,12 @@ class IngestEngine:
                     workers=workers,
                     mode=mode,
                 )
-                ranker = PrecomputedRanker.from_vectors(
-                    graph,
-                    index,
-                    outcome.vectors,
-                    damping=self.damping,
-                    min_coverage=self.min_coverage,
-                    build_iterations=outcome.iterations,
+                ranker = PrecomputedRanker.over(
+                    KeywordVectors(
+                        graph, index, outcome.vectors, self.damping,
+                        outcome.iterations,
+                    ),
+                    self.min_coverage,
                 )
                 recomputed, carried = outcome.recomputed, outcome.carried
                 iterations, full = outcome.iterations, outcome.full_rebuild

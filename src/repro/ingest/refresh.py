@@ -69,8 +69,10 @@ def _warm_start_inits(
     """Previous fixpoints mapped onto the new node set, renormalized.
 
     Surviving nodes keep their score, new nodes get the uniform prior, and
-    each seed is rescaled to unit mass (same discipline as
-    :meth:`repro.query.live.LiveSearchEngine.carry_over_scores`).
+    each seed is rescaled to unit mass — mixing carried scores (which sum
+    to ~1) with uniform-prior seeds would otherwise inflate the vector's
+    mass and distort the first post-mutation iteration.  This is the one
+    place a score vector is carried across a node-set change.
     """
     old_ids = previous.node_ids
     new_ids = graph.node_ids
@@ -125,14 +127,9 @@ def refreshed_keyword_vectors(
     if keywords is not None:
         vocabulary = list(dict.fromkeys(keywords))
     else:
-        vocabulary = [
-            term
-            for term in index.vocabulary()
-            if index.document_frequency(term) >= min_document_frequency
-        ]
-    rates_changed = (
-        previous is not None
-        and previous.rates_snapshot != graph.transfer_schema
+        vocabulary = index.vocabulary(min_document_frequency)
+    rates_changed = previous is not None and not previous.source.matches_rates(
+        graph.transfer_schema
     )
     full_rebuild = previous is None or rates_changed
     carry = not full_rebuild and not topology_dirty

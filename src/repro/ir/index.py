@@ -175,8 +175,16 @@ class InvertedIndex:
                 seen.setdefault(doc_id)
         return list(seen)
 
-    def vocabulary(self) -> list[str]:
-        return list(self._postings)
+    def vocabulary(self, min_document_frequency: int = 0) -> list[str]:
+        """Index terms in insertion order, optionally only the frequent ones
+        (the precompute vocabulary: rare terms are cheap to rank on the fly)."""
+        if min_document_frequency <= 0:
+            return list(self._postings)
+        return [
+            term
+            for term, postings in self._postings.items()
+            if len(postings) >= min_document_frequency
+        ]
 
     # -- impact bounds -------------------------------------------------------
 

@@ -62,7 +62,9 @@ def select_top(
     """The top-``top_k`` hits of ``ranked``, optionally label-filtered.
 
     With ``labels``, hits are restricted to nodes of the given types —
-    authority hubs of other types still influence scores but are not shown.
+    authority hubs of other types still influence scores but are not shown
+    (nor are ids ``data_graph`` does not hold: a ranking served from a newer
+    store generation can name nodes this process's graph predates).
     """
     if labels is None:
         return ranked.top_k(top_k)
@@ -70,7 +72,7 @@ def select_top(
     index_of = {node_id: i for i, node_id in enumerate(ranked.node_ids)}
     top: list[tuple[str, float]] = []
     for node_id in ranked.ranking():
-        if data_graph.node(node_id).label in wanted:
+        if data_graph.has_node(node_id) and data_graph.node(node_id).label in wanted:
             top.append((node_id, float(ranked.scores[index_of[node_id]])))
             if len(top) == top_k:
                 break

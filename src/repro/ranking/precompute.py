@@ -24,6 +24,8 @@ invalidates the cache — :meth:`PrecomputedRanker.is_stale` detects that).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import EmptyBaseSetError, PrecomputedCoverageError
@@ -40,9 +42,81 @@ from repro.ranking.pagerank import (
     DEFAULT_TOLERANCE,
 )
 
+if TYPE_CHECKING:
+    from repro.store.format import ScoreStore
+
+
+def _valid_coverage(min_coverage: float) -> float:
+    if not 0.0 <= min_coverage <= 1.0:
+        raise ValueError(f"min_coverage must be in [0, 1], got {min_coverage}")
+    return min_coverage
+
+
+class KeywordVectors:
+    """In-memory per-keyword vectors: the provider a fresh build serves from.
+
+    The counterpart of :class:`repro.store.format.ScoreStore` — both expose
+    the surface :class:`PrecomputedRanker` reads (``keywords``, ``node_ids``,
+    ``graph_version``, ``damping``, ``build_iterations``, ``graph``,
+    ``has_keyword``, ``vector``, ``idf_of``, ``matches_rates``).  This one
+    keeps the graph it was built over and a scorer on its index, so idf is
+    computed live and staleness can consult the graph's mutation counter; the
+    rates and the graph version are snapshotted at construction.
+    ``vectors`` insertion order becomes ``keywords`` order, so callers must
+    supply it in the vocabulary order a full build would use for the two to
+    be interchangeable.
+    """
+
+    def __init__(
+        self,
+        graph: AuthorityTransferDataGraph,
+        index: InvertedIndex,
+        vectors: dict[str, np.ndarray],
+        damping: float = DEFAULT_DAMPING,
+        build_iterations: int = 0,
+    ) -> None:
+        self.graph = graph
+        self.damping = damping
+        self.build_iterations = int(build_iterations)
+        self.node_ids = graph.node_ids
+        self.graph_version = graph.data_graph.version
+        self.rates_snapshot = graph.transfer_schema.copy()
+        self._scorer = BM25Scorer(index)
+        self._vectors = dict(vectors)
+
+    @property
+    def keywords(self) -> list[str]:
+        return list(self._vectors)
+
+    def has_keyword(self, keyword: str) -> bool:
+        return keyword in self._vectors
+
+    def vector(self, keyword: str) -> np.ndarray:
+        """The precomputed authority vector of one cached keyword."""
+        return self._vectors[keyword]
+
+    def idf_of(self, keyword: str) -> float:
+        """The raw BM25 idf :meth:`PrecomputedRanker.rank` blends with.
+
+        Exported into score stores (before the blend's 1e-6 floor) so the
+        mapped provider hands back the exact same float.
+        """
+        return self._scorer.idf(keyword)
+
+    def matches_rates(self, rates: AuthorityTransferSchemaGraph) -> bool:
+        """Whether ``rates`` equal the rates the vectors were built under."""
+        return rates == self.rates_snapshot
+
 
 class PrecomputedRanker:
     """Per-keyword ObjectRank vectors with query-time linear blending.
+
+    The only ranker over precomputed vectors: the constructor runs the
+    offline build and serves it from memory (a :class:`KeywordVectors`),
+    :meth:`over` serves vectors that already exist — an incremental refresh's
+    :class:`KeywordVectors` or a mapped
+    :class:`~repro.store.format.ScoreStore` — through the same ``coverage`` /
+    ``is_stale`` / ``rank``, so every provider answers with identical floats.
 
     ``keywords=None`` precomputes every index term whose document frequency
     is at least ``min_document_frequency`` (rare terms are cheap to run
@@ -51,6 +125,10 @@ class PrecomputedRanker:
     positive term weight that must be cached for :meth:`rank` to answer —
     below it the ranker raises instead of silently dropping the uncached
     terms (the default ``1.0`` answers only fully covered queries).
+
+    Instances are immutable after construction and safe to share across
+    threads; one over a store pins the store's mapping, so an in-flight
+    request keeps its generation while a swap publishes the next one.
     """
 
     def __init__(
@@ -65,100 +143,67 @@ class PrecomputedRanker:
         workers: int | None = None,
         min_coverage: float = 1.0,
     ) -> None:
-        if not 0.0 <= min_coverage <= 1.0:
-            raise ValueError(f"min_coverage must be in [0, 1], got {min_coverage}")
-        self.graph = graph
-        self.index = index
-        self.damping = damping
-        self.min_coverage = min_coverage
-        self._scorer = BM25Scorer(index)
-        self._rates_snapshot = graph.transfer_schema.copy()
-        self._graph_version = graph.data_graph.version
+        _valid_coverage(min_coverage)  # fail before the build, not after it
         if keywords is None:
-            keywords = [
-                term
-                for term in index.vocabulary()
-                if index.document_frequency(term) >= min_document_frequency
-            ]
+            keywords = index.vocabulary(min_document_frequency)
         built = batched_keyword_vectors(
             graph, index, keywords, damping, tolerance, max_iterations,
             workers=workers,
         )
-        self._vectors: dict[str, np.ndarray] = {
-            keyword: result.scores for keyword, result in built.items()
-        }
-        self.build_iterations = int(
-            sum(result.iterations for result in built.values())
+        self._serve(
+            KeywordVectors(
+                graph,
+                index,
+                {keyword: result.scores for keyword, result in built.items()},
+                damping,
+                sum(result.iterations for result in built.values()),
+            ),
+            min_coverage,
         )
 
     @classmethod
-    def from_vectors(
-        cls,
-        graph: AuthorityTransferDataGraph,
-        index: InvertedIndex,
-        vectors: dict[str, np.ndarray],
-        damping: float = DEFAULT_DAMPING,
-        min_coverage: float = 1.0,
-        build_iterations: int = 0,
+    def over(
+        cls, source: "KeywordVectors | ScoreStore", min_coverage: float = 1.0
     ) -> "PrecomputedRanker":
-        """Assemble a ranker from already-computed per-keyword vectors.
-
-        The incremental-refresh entry point (:mod:`repro.ingest`): carried
-        and re-converged columns are combined outside and handed over here,
-        skipping the constructor's full-vocabulary build.  ``vectors``
-        insertion order becomes :attr:`keywords` order, so callers must
-        supply it in the same vocabulary order a full rebuild would use for
-        the two to be interchangeable.
-        """
-        if not 0.0 <= min_coverage <= 1.0:
-            raise ValueError(f"min_coverage must be in [0, 1], got {min_coverage}")
-        ranker = object.__new__(cls)
-        ranker.graph = graph
-        ranker.index = index
-        ranker.damping = damping
-        ranker.min_coverage = min_coverage
-        ranker._scorer = BM25Scorer(index)
-        ranker._rates_snapshot = graph.transfer_schema.copy()
-        ranker._graph_version = graph.data_graph.version
-        ranker._vectors = dict(vectors)
-        ranker.build_iterations = int(build_iterations)
+        """A ranker over already-computed vectors, skipping the build."""
+        ranker = cls.__new__(cls)
+        ranker._serve(source, min_coverage)
         return ranker
+
+    def _serve(
+        self, source: "KeywordVectors | ScoreStore", min_coverage: float
+    ) -> None:
+        #: Where the vectors, idf weights and fingerprints are read from.
+        self.source = source
+        self.min_coverage = _valid_coverage(min_coverage)
 
     # -- cache inspection ------------------------------------------------------
 
     @property
     def keywords(self) -> list[str]:
-        return list(self._vectors)
+        return list(self.source.keywords)
 
     @property
     def node_ids(self) -> list[str]:
         """Node ids the vectors are indexed by (graph row order)."""
-        return self.graph.node_ids
+        return self.source.node_ids
 
     @property
     def graph_version(self) -> int:
         """The data-graph version the vectors were computed at."""
-        return self._graph_version
+        return self.source.graph_version
 
     @property
-    def rates_snapshot(self) -> AuthorityTransferSchemaGraph:
-        """The transfer rates the vectors were computed under (a copy)."""
-        return self._rates_snapshot
+    def build_iterations(self) -> int:
+        """Power-iteration steps the offline build (or refresh) spent."""
+        return self.source.build_iterations
 
     def has_keyword(self, keyword: str) -> bool:
-        return keyword in self._vectors
+        return self.source.has_keyword(keyword)
 
     def vector(self, keyword: str) -> np.ndarray:
         """The precomputed authority vector of one cached keyword."""
-        return self._vectors[keyword]
-
-    def keyword_idf(self, keyword: str) -> float:
-        """The raw BM25 idf :meth:`rank` blends with (before its 1e-6 floor).
-
-        Exported into score stores so the mmap serving path can blend with
-        the exact same float and stay bit-identical to this ranker.
-        """
-        return self._scorer.idf(keyword)
+        return self.source.vector(keyword)
 
     def coverage(self, query_vector: QueryVector) -> float:
         """Fraction of the query's positive term weight that is cached."""
@@ -171,7 +216,7 @@ class PrecomputedRanker:
         if total <= 0:
             return 0.0
         cached = sum(
-            weight for term, weight in considered if term in self._vectors
+            weight for term, weight in considered if self.source.has_keyword(term)
         )
         return cached / total
 
@@ -190,13 +235,29 @@ class PrecomputedRanker:
         version snapshotted at build time — rates alone used to be checked
         here, which let serve keep answering from vectors of a graph that no
         longer existed.
+
+        Over a mapped store there is no live graph to fall back on (a
+        cluster worker has no local mutation counter — mutations happen on
+        the builder side and arrive as whole generations): ``rates`` is
+        required and the graph check runs only when a caller that *knows*
+        the current data-graph version passes one.
         """
-        current = rates if rates is not None else self.graph.transfer_schema
-        if current != self._rates_snapshot:
+        graph = self.source.graph
+        if rates is None:
+            if graph is None:
+                raise ValueError(
+                    "a store-backed ranker has no live graph; pass the "
+                    "serving rates to is_stale()"
+                )
+            rates = graph.transfer_schema
+        if not self.source.matches_rates(rates):
             return True
-        if graph_version is None:
-            graph_version = self.graph.data_graph.version
-        return graph_version != self._graph_version
+        if graph_version is None and graph is not None:
+            graph_version = graph.data_graph.version
+        return (
+            graph_version is not None
+            and graph_version != self.source.graph_version
+        )
 
     # -- query answering ---------------------------------------------------------
 
@@ -211,8 +272,15 @@ class PrecomputedRanker:
         is raised instead of silently ignoring the uncached terms.  Callers
         fall back to on-the-fly ObjectRank2 in both cases.  The achieved
         coverage fraction is reported on the result.
+
+        The blend iterates the query terms in their canonical order,
+        multiplies by the provider's idf (a store freezes the exact float
+        the live scorer computes) and normalizes in one accumulation order,
+        so a mapped store returns byte-identical scores to the in-memory
+        ranker it was exported from.
         """
-        blended = np.zeros(self.graph.num_nodes)
+        source = self.source
+        blended = np.zeros(len(source.node_ids))
         total_weight = 0.0
         matched: dict[str, float] = {}
         missing: list[str] = []
@@ -223,12 +291,12 @@ class PrecomputedRanker:
             if weight <= 0:
                 continue
             considered_weight += weight
-            if term not in self._vectors:
+            if not source.has_keyword(term):
                 missing.append(term)
                 continue
             covered_weight += weight
-            blend_weight = weight * max(self._scorer.idf(term), 1e-6)
-            blended += blend_weight * self._vectors[term]
+            blend_weight = weight * max(source.idf_of(term), 1e-6)
+            blended += blend_weight * source.vector(term)
             total_weight += blend_weight
             matched[term] = blend_weight
         # total_weight accumulates strictly positive blend weights, so "no
@@ -247,7 +315,7 @@ class PrecomputedRanker:
             )
         blended /= total_weight
         return RankedResult(
-            node_ids=self.graph.node_ids,
+            node_ids=source.node_ids,
             scores=blended,
             iterations=0,  # query time does no power iteration
             converged=True,

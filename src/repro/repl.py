@@ -62,20 +62,10 @@ class ReplSession:
         except ReproError as error:
             return [f"error: {error}"]
 
-    def _caption(self, node_id: str) -> str:
-        node = self.dataset.data_graph.node(node_id)
-        name = (
-            node.attributes.get("title")
-            or node.attributes.get("name")
-            or node.attributes.get("symbol")
-            or node_id
-        )
-        return f"{node.label}: {name[:64]}"
-
     def _format_results(self, result) -> list[str]:
         self._last_top = [node_id for node_id, _ in result.top]
         lines = [
-            f"{rank:3d}. [{score:.5f}] {self._caption(node_id)}"
+            f"{rank:3d}. [{score:.5f}] {self.dataset.data_graph.caption(node_id)}"
             for rank, (node_id, score) in enumerate(result.top, start=1)
         ]
         lines.append(f"({result.iterations} ObjectRank2 iterations)")

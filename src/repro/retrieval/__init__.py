@@ -10,10 +10,13 @@ ObjectRank2 over the candidate neighborhood and pluggable score fusion
 from repro.retrieval.engine import (
     DEFAULT_CANDIDATES,
     DEFAULT_FUSION,
+    DEFAULT_FUSION_WEIGHT,
     DEFAULT_RERANK_HORIZON,
+    TWO_STAGE_PARAMETERS,
     TwoStageEngine,
     TwoStageResult,
     TwoStageSearchResult,
+    check_two_stage_parameters,
     restricted_base_set,
     two_stage_rank,
 )
@@ -31,12 +34,15 @@ __all__ = [
     "CandidateSet",
     "DEFAULT_CANDIDATES",
     "DEFAULT_FUSION",
+    "DEFAULT_FUSION_WEIGHT",
     "DEFAULT_RERANK_HORIZON",
     "DEFAULT_RRF_K",
     "FUSION_MODES",
+    "TWO_STAGE_PARAMETERS",
     "TwoStageEngine",
     "TwoStageResult",
     "TwoStageSearchResult",
+    "check_two_stage_parameters",
     "exhaustive_top_n",
     "fuse_scores",
     "positive_query_weights",

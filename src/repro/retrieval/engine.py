@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.scoring import Scorer
@@ -44,7 +45,47 @@ from repro.retrieval.wand import CandidateSet, pruned_top_n
 
 DEFAULT_CANDIDATES = 200
 DEFAULT_FUSION = "weighted"
+DEFAULT_FUSION_WEIGHT = 1.0
 DEFAULT_RERANK_HORIZON = 2
+
+#: The per-request two-stage knobs, in wire/CLI order: stage-1 candidate-set
+#: size, fusion mode and authority share, rerank horizon, top-k early exit,
+#: hub-expansion cap and the adaptive-deepening budget with its hop ceiling.
+TWO_STAGE_PARAMETERS = (
+    "candidates", "fusion", "fusion_weight", "horizon", "early_k",
+    "expand_cap", "node_budget", "max_horizon",
+)
+
+
+def check_two_stage_parameters(
+    candidates: int,
+    fusion: str,
+    fusion_weight: float,
+    horizon: int,
+    early_k: int | None = None,
+    expand_cap: int | None = None,
+    node_budget: int | None = None,
+    max_horizon: int | None = None,
+) -> None:
+    """Reject out-of-range two-stage parameters (the one validator)."""
+    if fusion not in FUSION_MODES:
+        raise ParameterError(
+            f"unknown fusion mode {fusion!r}; expected one of {FUSION_MODES}"
+        )
+    if not 0.0 <= fusion_weight <= 1.0:
+        raise ParameterError(f"fusion_weight must be in [0, 1], got {fusion_weight}")
+    if candidates < 1:
+        raise ParameterError(f"candidates must be positive, got {candidates}")
+    if horizon < 0:
+        raise ParameterError(f"horizon must be non-negative, got {horizon}")
+    for name, value in (
+        ("early_k", early_k),
+        ("expand_cap", expand_cap),
+        ("node_budget", node_budget),
+        ("max_horizon", max_horizon),
+    ):
+        if value is not None and value < 1:
+            raise ParameterError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -105,7 +146,7 @@ def two_stage_rank(
     query_vector: QueryVector,
     candidates: int = DEFAULT_CANDIDATES,
     fusion: str = DEFAULT_FUSION,
-    fusion_weight: float = 1.0,
+    fusion_weight: float = DEFAULT_FUSION_WEIGHT,
     horizon: int = DEFAULT_RERANK_HORIZON,
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -133,10 +174,10 @@ def two_stage_rank(
     bit-identity with focused ObjectRank2 assumes the uncapped, fixed-horizon
     expansion.
     """
-    if fusion not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode: {fusion!r} (choose from {FUSION_MODES})")
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    check_two_stage_parameters(
+        candidates, fusion, fusion_weight, horizon, early_k, expand_cap,
+        node_budget, max_horizon,
+    )
 
     start = time.perf_counter()
     candidate_set = pruned_top_n(scorer, query_vector, candidates)
@@ -223,13 +264,14 @@ class TwoStageEngine:
     Mirrors :meth:`SearchEngine.search` (same query forms, per-call learned
     rates via shared transfer views, label filtering) so callers can switch
     retrieval modes without changing anything else.  The constructor fields
-    are per-engine defaults; every ``search`` call may override them.
+    are per-engine defaults; every ``search`` call may override the
+    :data:`TWO_STAGE_PARAMETERS` among them.
     """
 
     engine: SearchEngine
     candidates: int = DEFAULT_CANDIDATES
     fusion: str = DEFAULT_FUSION
-    fusion_weight: float = 1.0
+    fusion_weight: float = DEFAULT_FUSION_WEIGHT
     horizon: int = DEFAULT_RERANK_HORIZON
     early_k: int | None = None
     rrf_k: float = field(default=DEFAULT_RRF_K)
@@ -237,21 +279,54 @@ class TwoStageEngine:
     node_budget: int | None = None
     max_horizon: int | None = None
 
+    @classmethod
+    def from_config(cls, engine: SearchEngine, config) -> "TwoStageEngine":
+        """An engine with a config's two-stage defaults.
+
+        ``config`` is a :class:`repro.core.config.SystemConfig` or a
+        :class:`repro.serve.service.ServeConfig` — both spell the rerank
+        knobs with a ``rerank_`` prefix.
+        """
+        return cls(
+            engine,
+            candidates=config.candidates,
+            fusion=config.fusion,
+            fusion_weight=config.fusion_weight,
+            horizon=config.rerank_horizon,
+            early_k=config.rerank_early_k,
+            expand_cap=config.rerank_expand_cap,
+            node_budget=config.rerank_node_budget,
+            max_horizon=config.rerank_max_horizon,
+        )
+
+    def resolve(self, **overrides) -> dict:
+        """Per-call overrides over the engine defaults, validated.
+
+        ``overrides`` may name any of :data:`TWO_STAGE_PARAMETERS` (``None``
+        keeps the engine's default).  Returns the value of every one of them
+        a search with these overrides runs under — what the serve tier keys
+        its two-stage cache cohorts on.
+        """
+        unknown = sorted(set(overrides).difference(TWO_STAGE_PARAMETERS))
+        if unknown:
+            raise TypeError(f"unknown two-stage parameters: {unknown}")
+        resolved = {}
+        for name in TWO_STAGE_PARAMETERS:
+            value = overrides.get(name)
+            resolved[name] = value if value is not None else getattr(self, name)
+        check_two_stage_parameters(**resolved)
+        return resolved
+
     def search(
         self,
         query: KeywordQuery | QueryVector | str,
         top_k: int = 10,
         rates: AuthorityTransferSchemaGraph | None = None,
         labels: tuple[str, ...] | None = None,
-        candidates: int | None = None,
-        fusion: str | None = None,
-        fusion_weight: float | None = None,
-        horizon: int | None = None,
-        early_k: int | None = None,
-        expand_cap: int | None = None,
-        node_budget: int | None = None,
-        max_horizon: int | None = None,
+        **overrides,
     ) -> TwoStageSearchResult:
+        """Two-stage search; ``overrides`` are :meth:`resolve`'s arguments."""
+        parameters = self.resolve(**overrides)
         vector = self.engine.query_vector(query)
         graph = self.engine.transfer_view(rates)
         start = time.perf_counter()
@@ -259,20 +334,11 @@ class TwoStageEngine:
             graph,
             self.engine.scorer,
             vector,
-            candidates=candidates if candidates is not None else self.candidates,
-            fusion=fusion if fusion is not None else self.fusion,
-            fusion_weight=(
-                fusion_weight if fusion_weight is not None else self.fusion_weight
-            ),
-            horizon=horizon if horizon is not None else self.horizon,
             damping=self.engine.damping,
             tolerance=self.engine.tolerance,
             max_iterations=self.engine.max_iterations,
-            early_k=early_k if early_k is not None else self.early_k,
             rrf_k=self.rrf_k,
-            expand_cap=expand_cap if expand_cap is not None else self.expand_cap,
-            node_budget=node_budget if node_budget is not None else self.node_budget,
-            max_horizon=max_horizon if max_horizon is not None else self.max_horizon,
+            **parameters,
         )
         elapsed = time.perf_counter() - start
         top = select_top(self.engine.data_graph, stages.ranked, top_k, labels)

@@ -195,7 +195,10 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": error, "message": message}, headers)
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise _BadRequest("Content-Length must be an integer") from None
         if length <= 0:
             raise _BadRequest("a JSON request body is required")
         if length > MAX_BODY_BYTES:
@@ -203,7 +206,7 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise _BadRequest(f"invalid JSON body: {error}") from None
         if not isinstance(body, dict):
             raise _BadRequest("JSON body must be an object")
@@ -327,14 +330,7 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
             mode=one("mode", "auto"),
             labels=tuple(labels.split(",")) if labels else None,
             deadline=deadline,
-            candidates=_optional_int(one("candidates"), "candidates"),
-            fusion=one("fusion"),
-            fusion_weight=_optional_float(one("fusion_weight"), "fusion_weight"),
-            horizon=_optional_int(one("horizon"), "horizon", minimum=0),
-            early_k=_optional_int(one("early_k"), "early_k"),
-            expand_cap=_optional_int(one("expand_cap"), "expand_cap"),
-            node_budget=_optional_int(one("node_budget"), "node_budget"),
-            max_horizon=_optional_int(one("max_horizon"), "max_horizon"),
+            **_two_stage_overrides(one),
         )
 
     def _search_from_body(self, deadline: Deadline) -> dict:
@@ -353,16 +349,7 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
             mode=body.get("mode", "auto"),
             labels=tuple(labels) if labels else None,
             deadline=deadline,
-            candidates=_optional_int(body.get("candidates"), "candidates"),
-            fusion=body.get("fusion"),
-            fusion_weight=_optional_float(
-                body.get("fusion_weight"), "fusion_weight"
-            ),
-            horizon=_optional_int(body.get("horizon"), "horizon", minimum=0),
-            early_k=_optional_int(body.get("early_k"), "early_k"),
-            expand_cap=_optional_int(body.get("expand_cap"), "expand_cap"),
-            node_budget=_optional_int(body.get("node_budget"), "node_budget"),
-            max_horizon=_optional_int(body.get("max_horizon"), "max_horizon"),
+            **_two_stage_overrides(body.get),
         )
 
     def _explain_from_body(self, deadline: Deadline) -> dict:
@@ -439,6 +426,35 @@ def _optional_float(raw, name: str) -> float | None:
         return float(raw)
     except (TypeError, ValueError):
         raise _BadRequest(f"'{name}' must be a number, got {raw!r}") from None
+
+
+def _verbatim(raw, name: str):
+    """A parameter the service validates itself (``fusion``: a mode name)."""
+    return raw
+
+
+#: ``/search``'s two-stage parameters (the names of
+#: :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS`) and how each is read
+#: off the wire — the one table both the GET and the POST form parse with.
+_TWO_STAGE_WIRE = {
+    "candidates": _optional_int,
+    "fusion": _verbatim,
+    "fusion_weight": _optional_float,
+    "horizon": lambda raw, name: _optional_int(raw, name, minimum=0),
+    "early_k": _optional_int,
+    "expand_cap": _optional_int,
+    "node_budget": _optional_int,
+    "max_horizon": _optional_int,
+}
+
+
+def _two_stage_overrides(get) -> dict:
+    """The typed two-stage overrides of one request.
+
+    ``get`` looks a raw parameter up by name (``None`` when absent): the
+    query-string accessor for GET, ``body.get`` for POST.
+    """
+    return {name: parse(get(name), name) for name, parse in _TWO_STAGE_WIRE.items()}
 
 
 def _query_from_json(query):

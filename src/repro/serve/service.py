@@ -34,17 +34,23 @@ from repro.explain.batch import (
     batched_adjust_flows,
     batched_build_explaining_subgraphs,
 )
-from repro.explain.subgraph import build_explaining_subgraph
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.ingest.engine import IngestEngine
 from repro.ingest.mutations import Mutation, mutation_from_json
-from repro.query.engine import SearchEngine
+from repro.query.engine import SearchEngine, select_top
 from repro.query.query import KeywordQuery, QueryVector
 from repro.ranking.convergence import RankedResult
 from repro.ranking.precompute import PrecomputedRanker
 from repro.reformulate.combined import Reformulator
-from repro.retrieval.engine import TwoStageEngine
+from repro.retrieval.engine import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_FUSION,
+    DEFAULT_FUSION_WEIGHT,
+    DEFAULT_RERANK_HORIZON,
+    TwoStageEngine,
+    TwoStageResult,
+)
 from repro.retrieval.fusion import FUSION_MODES
 from repro.serve.cache import (
     ResultCache,
@@ -54,7 +60,6 @@ from repro.serve.cache import (
 )
 from repro.serve.metrics import MetricsRegistry
 from repro.store.generations import StoreManager
-from repro.store.ranker import MmapScoreRanker
 
 SERVE_MODES = ("auto", "live", "precomputed", "two_stage")
 
@@ -111,10 +116,10 @@ class ServeConfig:
     #: overridable per request): stage-1 candidate-set size, fusion mode and
     #: authority weight, rerank neighborhood horizon and the optional top-k
     #: early exit of the rerank fixpoint (see :mod:`repro.retrieval`).
-    candidates: int = 200
-    fusion: str = "weighted"
-    fusion_weight: float = 1.0
-    rerank_horizon: int = 2
+    candidates: int = DEFAULT_CANDIDATES
+    fusion: str = DEFAULT_FUSION
+    fusion_weight: float = DEFAULT_FUSION_WEIGHT
+    rerank_horizon: int = DEFAULT_RERANK_HORIZON
     rerank_early_k: int | None = None
     #: Hub-expansion cap and adaptive-deepening budget of the rerank
     #: neighborhood (see :func:`repro.ranking.focused.focused_neighborhood`);
@@ -325,17 +330,7 @@ class DatasetRuntime:
         swaps the engine's internals, not the engine object).
         """
         if self._two_stage is None:
-            self._two_stage = TwoStageEngine(
-                self.engine,
-                candidates=self.config.candidates,
-                fusion=self.config.fusion,
-                fusion_weight=self.config.fusion_weight,
-                horizon=self.config.rerank_horizon,
-                early_k=self.config.rerank_early_k,
-                expand_cap=self.config.rerank_expand_cap,
-                node_budget=self.config.rerank_node_budget,
-                max_horizon=self.config.rerank_max_horizon,
-            )
+            self._two_stage = TwoStageEngine.from_config(self.engine, self.config)
         return self._two_stage
 
     @property
@@ -349,11 +344,11 @@ class DatasetRuntime:
             self.current_rates = rates
             self.reformulations_applied += 1
 
-    def precomputed_ranker(self) -> PrecomputedRanker | MmapScoreRanker | None:
+    def precomputed_ranker(self) -> PrecomputedRanker | None:
         """The precomputed fast-path ranker; ``None`` if unavailable.
 
-        Store-backed runtimes return the mmap ranker of the currently
-        published generation (refreshing the manifest first, so a
+        Store-backed runtimes return the ranker over the currently
+        published generation's mapped store (refreshing the manifest first, so a
         generation swap is picked up here, between requests) and never
         build vectors in-process — an empty store directory simply routes
         to live ObjectRank2 until a builder publishes.
@@ -374,7 +369,7 @@ class DatasetRuntime:
             return None
         return self.store.generation
 
-    def rebuild_precomputed(self) -> PrecomputedRanker | MmapScoreRanker | None:
+    def rebuild_precomputed(self) -> PrecomputedRanker | None:
         """Rebuild the per-keyword vectors under the current serving rates.
 
         A structure-based reformulation leaves the precomputed cache stale;
@@ -389,15 +384,12 @@ class DatasetRuntime:
         manifest, and every worker process of the cluster picks the new
         generation up between requests — serving never blocks on a rebuild.
         """
+        if self.store is None and not self.config.precompute:
+            return None
+        ranker = self._build_precomputed(self.engine.transfer_view(self.rates))
         if self.store is not None:
-            graph = self.engine.transfer_view(self.rates)
-            ranker = self._build_precomputed(graph)
             self.store.publish(ranker, self.name)
             return self.store.ranker()
-        if not self.config.precompute:
-            return None
-        graph = self.engine.transfer_view(self.rates)
-        ranker = self._build_precomputed(graph)
         with self._precompute_lock:
             self._precomputed = ranker
             self._precompute_built = True
@@ -577,7 +569,43 @@ class QueryService:
         for name in self.config.datasets:
             self.runtime(name)
 
-    # -- search ------------------------------------------------------------
+    # -- the read path: plan -> execute -> render --------------------------
+
+    def _begin(
+        self, dataset: str, query: str | KeywordQuery | QueryVector
+    ) -> tuple:
+        """The prologue every read endpoint shares.
+
+        Counts the request, brings the runtime within the ingest staleness
+        bound (a synchronous refresh when too many mutations are pending),
+        and only then reads what the answer depends on: ``(runtime, query
+        vector, serving rates, staleness block)``.
+        """
+        self._requests.inc()
+        runtime = self.runtime(dataset)
+        self._ingest_maybe_refresh(runtime)
+        vector = runtime.engine.query_vector(query)
+        return runtime, vector, runtime.rates, runtime.staleness_info()
+
+    def _respond(
+        self,
+        payload: dict,
+        start: float,
+        served_from: str | None = None,
+        staleness: dict | None = None,
+    ) -> dict:
+        """Stamp a copy of ``payload`` (the caches hold the original)."""
+        elapsed = time.perf_counter() - start
+        self._latency.observe(elapsed)
+        response = dict(payload)
+        if served_from is not None:
+            response["served_from"] = served_from
+        response["elapsed_seconds"] = elapsed
+        if staleness is not None:
+            # Recomputed per response (never from the cached payload): the
+            # bound a client observes must describe *now*, not cache time.
+            response["staleness"] = staleness
+        return response
 
     def search(
         self,
@@ -587,14 +615,7 @@ class QueryService:
         mode: str = "auto",
         labels: tuple[str, ...] | None = None,
         deadline: Deadline | None = None,
-        candidates: int | None = None,
-        fusion: str | None = None,
-        fusion_weight: float | None = None,
-        horizon: int | None = None,
-        early_k: int | None = None,
-        expand_cap: int | None = None,
-        node_budget: int | None = None,
-        max_horizon: int | None = None,
+        **two_stage,
     ) -> dict:
         """Answer one search request, routed cache -> precomputed -> live.
 
@@ -605,238 +626,145 @@ class QueryService:
         ``"two_stage"`` runs pruned candidate generation + focused authority
         reranking (:mod:`repro.retrieval`), consulting the cache under a key
         extended with the candidate/fusion parameters.  All modes still
-        populate the cache.  ``candidates``, ``fusion``, ``fusion_weight``,
-        ``horizon``, ``early_k``, ``expand_cap``, ``node_budget`` and
-        ``max_horizon`` override the configured two-stage defaults per
-        request and are rejected outside ``mode="two_stage"``.
+        populate the cache.  ``two_stage`` may name any of
+        :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS` to override the
+        configured defaults per request; they are rejected outside
+        ``mode="two_stage"``.
         """
+        start = time.perf_counter()
+        plan = self._plan(dataset, query, top_k, mode, labels, two_stage)
+        # Built here, next to the cache calls it feeds, from a function
+        # whose return the lint's cache-key rule (RL012) can follow.
+        key = _result_key(plan)
+        cached = None
+        if mode in ("auto", "two_stage"):
+            cached = self.cache.get(key)
+            if cached is None:
+                self._cache_misses.inc()
+        if cached is not None:
+            self._cache_hits.inc()
+            payload, served_from = cached, "cache"
+        else:
+            if deadline is not None:
+                deadline.check("ranking")
+            ranked, top, stages, served_from = self._execute(plan)
+            payload = _render_search(plan, ranked, top, stages)
+            # A forced-precomputed request the ranker could not answer yields
+            # an empty payload auto traffic would answer live: never cache it.
+            if ranked.node_ids or served_from not in ("precomputed", "store"):
+                self.cache.put(key, payload)
+        response = self._respond(payload, start, served_from, plan.staleness)
+        self._search_latency.observe(response["elapsed_seconds"])
+        return response
+
+    def _plan(
+        self,
+        dataset: str,
+        query: str | KeywordQuery | QueryVector,
+        top_k: int | None,
+        mode: str,
+        labels: tuple[str, ...] | None,
+        overrides: dict,
+    ) -> "_SearchPlan":
+        """Decide everything about a search before any ranking runs."""
         if mode not in SERVE_MODES:
             raise ReproError(f"unknown mode {mode!r}; expected one of {SERVE_MODES}")
-        overrides = (
-            candidates, fusion, fusion_weight, horizon, early_k,
-            expand_cap, node_budget, max_horizon,
-        )
-        if mode != "two_stage" and any(value is not None for value in overrides):
+        if mode != "two_stage" and any(v is not None for v in overrides.values()):
             raise ReproError(
                 "candidate/fusion parameters require mode='two_stage'"
             )
-        two_stage: dict | None = None
-        if mode == "two_stage":
-            two_stage = {
-                "candidates": (
-                    candidates if candidates is not None else self.config.candidates
-                ),
-                "fusion": fusion if fusion is not None else self.config.fusion,
-                "fusion_weight": (
-                    fusion_weight
-                    if fusion_weight is not None
-                    else self.config.fusion_weight
-                ),
-                "horizon": horizon if horizon is not None else self.config.rerank_horizon,
-                "early_k": early_k if early_k is not None else self.config.rerank_early_k,
-                "expand_cap": (
-                    expand_cap
-                    if expand_cap is not None
-                    else self.config.rerank_expand_cap
-                ),
-                "node_budget": (
-                    node_budget
-                    if node_budget is not None
-                    else self.config.rerank_node_budget
-                ),
-                "max_horizon": (
-                    max_horizon
-                    if max_horizon is not None
-                    else self.config.rerank_max_horizon
-                ),
-            }
-            if two_stage["fusion"] not in FUSION_MODES:
-                raise ReproError(
-                    f"unknown fusion mode {two_stage['fusion']!r}; "
-                    f"expected one of {FUSION_MODES}"
-                )
-            if not 0.0 <= two_stage["fusion_weight"] <= 1.0:
-                raise ReproError(
-                    "fusion_weight must be in [0, 1], got "
-                    f"{two_stage['fusion_weight']}"
-                )
-            if two_stage["candidates"] < 1:
-                raise ReproError(
-                    f"candidates must be positive, got {two_stage['candidates']}"
-                )
-            if two_stage["horizon"] < 0:
-                raise ReproError(
-                    f"horizon must be non-negative, got {two_stage['horizon']}"
-                )
-            for name in ("expand_cap", "node_budget", "max_horizon"):
-                value = two_stage[name]
-                if value is not None and value < 1:
-                    raise ReproError(f"{name} must be positive, got {value}")
-        start = time.perf_counter()
-        self._requests.inc()
-        runtime = self.runtime(dataset)
-        self._ingest_maybe_refresh(runtime)
-        vector = runtime.engine.query_vector(query)
-        rates = runtime.rates
-        k = top_k if top_k is not None else self.config.default_top_k
+        runtime, vector, rates, staleness = self._begin(dataset, query)
+        # Resolved before the cache key is built: for store-backed runtimes
+        # this refreshes the generation, and the key carries the generation
+        # number so a swap starts a fresh cache cohort (the old cohort ages
+        # out of the LRU instead of being trusted across a rebuild).
+        ranker = (
+            runtime.precomputed_ranker() if mode in ("auto", "precomputed") else None
+        )
+        return _SearchPlan(
+            runtime=runtime,
+            vector=vector,
+            rates=rates,
+            k=top_k if top_k is not None else self.config.default_top_k,
+            mode=mode,
+            labels=labels or None,
+            ranker=ranker,
+            generation=runtime.store_generation(),
+            two_stage=(
+                runtime.two_stage.resolve(**overrides) if mode == "two_stage" else None
+            ),
+            staleness=staleness,
+        )
 
-        served_from = "live"
-        ranked: RankedResult | None = None
-        ranker = None
-        if mode in ("auto", "precomputed"):
-            # Resolved before the cache key is built: for store-backed
-            # runtimes this refreshes the generation, and the key carries
-            # the generation number so a swap starts a fresh cache cohort
-            # (the old cohort ages out of the LRU instead of being trusted
-            # across a rebuild).
-            ranker = runtime.precomputed_ranker()
-        generation = runtime.store_generation()
-        key = make_key(dataset, vector, rates, k) + ((labels,) if labels else ())
-        if two_stage is not None:
-            # Two-stage answers depend on every candidate/fusion parameter,
-            # so the key carries them all — a different candidate budget or
-            # fusion must never be answered from another cohort's entry.
-            key += (("two_stage", tuple(sorted(two_stage.items()))),)
-        if generation is not None:
-            key += (("gen", generation),)
-        staleness = None
-        if runtime.ingest is not None:
-            # The adopted-snapshot epoch keys the cache alongside the rate
-            # fingerprint: an ingest refresh starts a fresh cohort, so a
-            # pre-mutation entry can never answer a post-mutation request.
-            staleness = runtime.staleness_info()
-            key += (("epoch", staleness["epoch"]),)
+    def _execute(self, plan: "_SearchPlan") -> tuple:
+        """Run the planned path: ``(ranked, top, stages, served_from)``."""
+        runtime = plan.runtime
+        ranked = self._rank_precomputed(plan)
+        if ranked is not None:
+            top = select_top(runtime.data_graph, ranked, plan.k, plan.labels)
+            if runtime.store is not None:
+                self._served_store.inc()
+                return ranked, top, None, "store"
+            self._served_precomputed.inc()
+            return ranked, top, None, "precomputed"
+        stages = None
+        try:
+            if plan.two_stage is not None:
+                result = runtime.two_stage.search(
+                    plan.vector, top_k=plan.k, rates=plan.rates,
+                    labels=plan.labels, **plan.two_stage,
+                )
+                stages = result.stages
+            else:
+                result = runtime.engine.search(
+                    plan.vector, top_k=plan.k, rates=plan.rates, labels=plan.labels
+                )
+            ranked, top = result.ranked, result.top
+        except EmptyBaseSetError:
+            ranked, top = _empty_ranking(), []
+        self._or_iterations.inc(ranked.iterations)
+        if plan.two_stage is None:
+            self._served_live.inc()
+            return ranked, top, None, "live"
+        self._served_two_stage.inc()
+        if stages is not None:
+            self._two_stage_candidates.observe(stages.num_candidates)
+            self._stage1_latency.observe(stages.stage1_seconds)
+            self._stage2_latency.observe(stages.stage2_seconds)
+            self._fusion_served[stages.fusion].inc()
+        return ranked, top, stages, "two_stage"
 
-        if mode in ("auto", "two_stage"):
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._cache_hits.inc()
-                return self._finish(cached, "cache", start, staleness)
-            self._cache_misses.inc()
+    def _rank_precomputed(self, plan: "_SearchPlan") -> RankedResult | None:
+        """The precomputed blend, or ``None`` when live must answer.
 
-        if deadline is not None:
-            deadline.check("ranking")
-
-        if mode in ("auto", "precomputed"):
-            store_backed = isinstance(ranker, MmapScoreRanker)
-            fresh = ranker is not None and not ranker.is_stale(rates)
-            if mode == "precomputed" and not fresh:
+        ``mode="precomputed"`` never falls back: an unavailable, stale or
+        under-covering ranker is an error, an unmatched query an empty
+        ranking.
+        """
+        if plan.mode not in ("auto", "precomputed"):
+            return None
+        forced = plan.mode == "precomputed"
+        ranker = plan.ranker
+        fresh = ranker is not None and not ranker.is_stale(plan.rates)
+        if not fresh:
+            if forced:
                 raise ReproError(
                     "precomputed mode unavailable: "
                     + ("ranker disabled" if ranker is None else "ranker is stale")
                 )
-            if fresh:
-                try:
-                    ranked = ranker.rank(vector)
-                    served_from = "store" if store_backed else "precomputed"
-                except PrecomputedCoverageError as error:
-                    if mode == "precomputed":
-                        raise ReproError(
-                            f"precomputed mode unavailable: {error}"
-                        ) from error
-                    # auto: partial coverage falls back to live ObjectRank2,
-                    # which ranks with *every* query term.
-                except EmptyBaseSetError:
-                    if mode == "precomputed":
-                        ranked = RankedResult([], _EMPTY_SCORES, 0, True)
-                        served_from = "store" if store_backed else "precomputed"
-                    # auto: fall through to live, which may still match
-                    # (or raise the same error, mapped to an empty payload).
-
-        stages = None
-        if two_stage is not None:
-            served_from = "two_stage"
-            try:
-                result = runtime.two_stage.search(
-                    vector, top_k=k, rates=rates, labels=labels, **two_stage
-                )
-                ranked, top, stages = result.ranked, result.top, result.stages
-            except EmptyBaseSetError:
-                ranked, top = RankedResult([], _EMPTY_SCORES, 0, True), []
-            self._served_two_stage.inc()
-            self._or_iterations.inc(ranked.iterations)
-            if stages is not None:
-                self._two_stage_candidates.observe(stages.num_candidates)
-                self._stage1_latency.observe(stages.stage1_seconds)
-                self._stage2_latency.observe(stages.stage2_seconds)
-                self._fusion_served[stages.fusion].inc()
-        elif served_from == "live":
-            try:
-                result = runtime.engine.search(
-                    vector, top_k=k, rates=rates, labels=labels
-                )
-                ranked, top = result.ranked, result.top
-            except EmptyBaseSetError:
-                ranked, top = RankedResult([], _EMPTY_SCORES, 0, True), []
-            self._served_live.inc()
-            self._or_iterations.inc(ranked.iterations)
-        else:
-            top = _top_k(ranked, k, labels, runtime)
-            if served_from == "store":
-                self._served_store.inc()
-            else:
-                self._served_precomputed.inc()
-
-        payload = {
-            "dataset": dataset,
-            "query": dict(vector.weights),
-            "top_k": k,
-            "results": [
-                {
-                    "rank": rank,
-                    "id": node_id,
-                    "label": _label(runtime.data_graph, node_id),
-                    "caption": _caption(runtime.data_graph, node_id),
-                    "score": score,
-                }
-                for rank, (node_id, score) in enumerate(top, start=1)
-            ],
-            "iterations": ranked.iterations,
-            "converged": ranked.converged,
-            "coverage": ranked.coverage,
-        }
-        if generation is not None:
-            payload["store_generation"] = generation
-        if stages is not None:
-            payload["two_stage"] = {
-                "requested_candidates": two_stage["candidates"],
-                "candidates": stages.num_candidates,
-                "fusion": stages.fusion,
-                "fusion_weight": stages.fusion_weight,
-                "horizon": stages.horizon,
-                "expand_cap": two_stage["expand_cap"],
-                "node_budget": two_stage["node_budget"],
-                "max_horizon": two_stage["max_horizon"],
-                "subgraph_nodes": stages.subgraph_nodes,
-                "subgraph_edges": stages.subgraph_edges,
-                "stage1_seconds": stages.stage1_seconds,
-                "stage2_seconds": stages.stage2_seconds,
-            }
-        # A forced-precomputed request the ranker could not answer yields an
-        # empty payload that auto traffic would answer live — never cache it.
-        unanswerable = served_from in ("precomputed", "store") and not ranked.node_ids
-        if not unanswerable:
-            self.cache.put(key, payload)
-        return self._finish(payload, served_from, start, staleness)
-
-    def _finish(
-        self,
-        payload: dict,
-        served_from: str,
-        start: float,
-        staleness: dict | None = None,
-    ) -> dict:
-        elapsed = time.perf_counter() - start
-        self._latency.observe(elapsed)
-        self._search_latency.observe(elapsed)
-        response = dict(payload)
-        response["served_from"] = served_from
-        response["elapsed_seconds"] = elapsed
-        if staleness is not None:
-            # Recomputed per response (never from the cached payload): the
-            # bound a client observes must describe *now*, not cache time.
-            response["staleness"] = staleness
-        return response
+            return None
+        try:
+            return ranker.rank(plan.vector)
+        except PrecomputedCoverageError as error:
+            if forced:
+                raise ReproError(f"precomputed mode unavailable: {error}") from error
+            # auto: partial coverage falls back to live ObjectRank2, which
+            # ranks with *every* query term.
+            return None
+        except EmptyBaseSetError:
+            # auto: fall through to live, which may still match (or raise
+            # the same error, mapped to an empty payload).
+            return _empty_ranking() if forced else None
 
     # -- explanation -------------------------------------------------------
 
@@ -874,11 +802,7 @@ class QueryService:
                 f"unknown mode {mode!r}; expected one of {EXPLAIN_MODES}"
             )
         start = time.perf_counter()
-        self._requests.inc()
-        runtime = self.runtime(dataset)
-        self._ingest_maybe_refresh(runtime)
-        vector = runtime.engine.query_vector(query)
-        rates = runtime.rates
+        runtime, vector, rates, staleness = self._begin(dataset, query)
         key = (
             dataset,
             query_fingerprint(vector),
@@ -889,33 +813,44 @@ class QueryService:
         if mode == "two_stage":
             # Two-stage explanations are a separate cohort: same query, same
             # rates, different scores and a restricted subgraph.
-            key += (
-                (
-                    "two_stage",
-                    self.config.candidates,
-                    self.config.fusion,
-                    self.config.fusion_weight,
-                    self.config.rerank_horizon,
-                    self.config.rerank_early_k,
-                ),
-            )
-        if runtime.ingest is not None:
+            key += ("two_stage",)
+        if staleness is not None:
             # Same epoch cohorting as the result cache: an explanation's
             # subgraph references topology, so it must never outlive the
             # snapshot it was extracted from.
-            key += (("epoch", runtime.ingest_epoch),)
-        cached = self.explain_cache.get(key)
-        if cached is not None:
+            key += (("epoch", staleness["epoch"]),)
+        stored = self.explain_cache.get(key)
+        if stored is not None:
             self._explain_cache_hits.inc()
-            return self._finish_explain(cached, max_edges, "cache", start)
-        self._explain_cache_misses.inc()
+            served_from = "cache"
+        else:
+            self._explain_cache_misses.inc()
+            if deadline is not None:
+                deadline.check("explanation")
+            stored = self._explain(runtime, dataset, vector, rates, target, mode)
+            self.explain_cache.put(key, stored)
+            served_from = "live"
+        payload = dict(stored)
+        payload["edges"] = stored["edges"][:max_edges]
+        return self._respond(payload, start, served_from, staleness)
 
-        if deadline is not None:
-            deadline.check("explanation")
+    def _explain(
+        self,
+        runtime: DatasetRuntime,
+        dataset: str,
+        vector: QueryVector,
+        rates: AuthorityTransferSchemaGraph,
+        target: str,
+        mode: str,
+    ) -> dict:
+        """Compute one full (untrimmed, cacheable) explanation payload."""
+        within = None
         if mode == "two_stage":
             result = runtime.two_stage.search(
                 vector, top_k=self.config.default_top_k, rates=rates
             )
+            if result.stages is not None:
+                within = result.stages.neighborhood
         else:
             result = runtime.engine.search(
                 vector, top_k=self.config.default_top_k, rates=rates
@@ -923,33 +858,26 @@ class QueryService:
         self._or_iterations.inc(result.iterations)
         graph = runtime.engine.transfer_view(rates)
         graph.index_of(target)  # raises UnknownNodeError early
-        base_ids = list(result.ranked.base_weights)
-        within = None
-        if mode == "two_stage" and result.stages is not None:
-            within = result.stages.neighborhood
-        if within is not None:
-            # Restricted extraction runs serially (the batched engine has no
-            # node filter); the neighborhood keeps the subgraph small.
-            subgraphs = [
-                build_explaining_subgraph(
-                    graph, base_ids, target, self.config.radius, within=within
-                )
-            ]
-        else:
-            subgraphs = batched_build_explaining_subgraphs(
-                graph, base_ids, [target], self.config.radius
-            )
-        explanation = batched_adjust_flows(subgraphs, result.ranked.scores)[0]
+        explanation = batched_adjust_flows(
+            batched_build_explaining_subgraphs(
+                graph,
+                list(result.ranked.base_weights),
+                [target],
+                self.config.radius,
+                within=within,
+            ),
+            result.ranked.scores,
+        )[0]
         subgraph = explanation.subgraph
         edges = sorted(
             explanation.edge_flow_items(), key=lambda item: item[2], reverse=True
         )
-        stored = {
+        return {
             "dataset": dataset,
             "query": dict(vector.weights),
             "target": target,
             "mode": mode,
-            "target_caption": _caption(runtime.data_graph, target),
+            "target_caption": runtime.data_graph.caption(target),
             "target_inflow": explanation.target_inflow(),
             "adjustment_iterations": explanation.iterations,
             "converged": explanation.converged,
@@ -960,20 +888,6 @@ class QueryService:
                 for source, edge_target, flow in edges
             ],
         }
-        self.explain_cache.put(key, stored)
-        return self._finish_explain(stored, max_edges, "live", start)
-
-    def _finish_explain(
-        self, stored: dict, max_edges: int, served_from: str, start: float
-    ) -> dict:
-        """Trim a (cached) full explanation payload into one response."""
-        payload = dict(stored)
-        payload["edges"] = stored["edges"][:max_edges]
-        payload["served_from"] = served_from
-        elapsed = time.perf_counter() - start
-        self._latency.observe(elapsed)
-        payload["elapsed_seconds"] = elapsed
-        return payload
 
     # -- ingest ------------------------------------------------------------
 
@@ -1047,10 +961,7 @@ class QueryService:
             "graph_version": runtime.ingest.graph_version,
             "refresh": refreshed,  # None when this batch only buffered
         }
-        elapsed = time.perf_counter() - start
-        self._latency.observe(elapsed)
-        payload["elapsed_seconds"] = elapsed
-        return payload
+        return self._respond(payload, start)
 
     def _ingest_maybe_refresh(self, runtime: DatasetRuntime) -> dict | None:
         """Refresh iff pending mutations exceed the staleness bound."""
@@ -1100,10 +1011,7 @@ class QueryService:
         serving state is untouched.
         """
         start = time.perf_counter()
-        self._requests.inc()
-        runtime = self.runtime(dataset)
-        vector = runtime.engine.query_vector(query)
-        rates = runtime.rates
+        runtime, vector, rates, staleness = self._begin(dataset, query)
         if deadline is not None:
             deadline.check("feedback search")
         result = runtime.engine.search(
@@ -1168,22 +1076,10 @@ class QueryService:
                 str(edge_type): reformulated.transfer_schema.rate(edge_type)
                 for edge_type in reformulated.transfer_schema.edge_types()
             },
-            "results": [
-                {
-                    "rank": rank,
-                    "id": node_id,
-                    "label": _label(runtime.data_graph, node_id),
-                    "caption": _caption(runtime.data_graph, node_id),
-                    "score": score,
-                }
-                for rank, (node_id, score) in enumerate(rerun.top, start=1)
-            ],
+            "results": _result_rows(runtime.data_graph, rerun.top),
             "iterations": rerun.iterations,
         }
-        elapsed = time.perf_counter() - start
-        self._latency.observe(elapsed)
-        payload["elapsed_seconds"] = elapsed
-        return payload
+        return self._respond(payload, start, staleness=staleness)
 
     # -- introspection -----------------------------------------------------
 
@@ -1258,54 +1154,105 @@ class QueryService:
         return self.metrics.render()
 
 
-# -- serialization helpers -------------------------------------------------
-
-_EMPTY_SCORES = np.zeros(0)
+# -- planning and serialization helpers ------------------------------------
 
 
-def _label(data_graph: DataGraph, node_id: str) -> str | None:
-    """The node's label, or ``None`` for ids this process's graph predates.
+@dataclass
+class _SearchPlan:
+    """Everything one ``/search`` request decided before ranking."""
 
-    A cluster worker serving a builder-published store generation can rank
-    nodes that ingest added after the worker loaded its dataset — payloads
-    degrade to id-only entries for those instead of failing the request.
-    """
-    if not data_graph.has_node(node_id):
-        return None
-    return data_graph.node(node_id).label
-
-
-def _caption(data_graph: DataGraph, node_id: str) -> str:
-    """A short human-readable label for a node (mirrors the CLI's)."""
-    if not data_graph.has_node(node_id):
-        return node_id
-    node = data_graph.node(node_id)
-    name = (
-        node.attributes.get("title")
-        or node.attributes.get("name")
-        or node.attributes.get("symbol")
-        or node_id
-    )
-    return f"{node.label}: {name[:70]}"
+    runtime: DatasetRuntime
+    vector: QueryVector
+    rates: AuthorityTransferSchemaGraph
+    k: int
+    mode: str
+    labels: tuple[str, ...] | None
+    #: Resolved under ``auto``/``precomputed`` only; ``None`` elsewhere.
+    ranker: PrecomputedRanker | None
+    generation: int | None
+    #: The resolved two-stage parameters; ``None`` outside ``two_stage``.
+    two_stage: dict | None
+    staleness: dict | None
 
 
-def _top_k(
+def _result_key(plan: _SearchPlan) -> tuple:
+    """The result-cache key: everything a planned answer depends on."""
+    key = make_key(plan.runtime.name, plan.vector, plan.rates, plan.k)
+    if plan.labels:
+        key += (plan.labels,)
+    if plan.two_stage is not None:
+        # Two-stage answers depend on every candidate/fusion parameter,
+        # so the key carries them all — a different candidate budget or
+        # fusion must never be answered from another cohort's entry.
+        key += (("two_stage", tuple(sorted(plan.two_stage.items()))),)
+    if plan.generation is not None:
+        key += (("gen", plan.generation),)
+    if plan.staleness is not None:
+        # The adopted-snapshot epoch keys the cache alongside the rate
+        # fingerprint: an ingest refresh starts a fresh cohort, so a
+        # pre-mutation entry can never answer a post-mutation request.
+        key += (("epoch", plan.staleness["epoch"]),)
+    return key
+
+
+def _render_search(
+    plan: _SearchPlan,
     ranked: RankedResult,
-    k: int,
-    labels: tuple[str, ...] | None,
-    runtime: DatasetRuntime,
-) -> list[tuple[str, float]]:
-    """Top-k extraction with the engine's label-filter semantics."""
-    if not ranked.node_ids:
-        return []
-    if not labels:
-        return ranked.top_k(k)
-    wanted = set(labels)
-    index_of = {node_id: i for i, node_id in enumerate(ranked.node_ids)}
-    top: list[tuple[str, float]] = []
-    for node_id in ranked.ranking():
-        if _label(runtime.data_graph, node_id) in wanted:
-            top.append((node_id, float(ranked.scores[index_of[node_id]])))
-            if len(top) == k:
-                break
-    return top
+    top: list[tuple[str, float]],
+    stages: TwoStageResult | None,
+) -> dict:
+    """The cacheable ``/search`` payload of one executed plan."""
+    payload = {
+        "dataset": plan.runtime.name,
+        "query": dict(plan.vector.weights),
+        "top_k": plan.k,
+        "results": _result_rows(plan.runtime.data_graph, top),
+        "iterations": ranked.iterations,
+        "converged": ranked.converged,
+        "coverage": ranked.coverage,
+    }
+    if plan.generation is not None:
+        payload["store_generation"] = plan.generation
+    if stages is not None:
+        payload["two_stage"] = {
+            "requested_candidates": plan.two_stage["candidates"],
+            "candidates": stages.num_candidates,
+            "fusion": stages.fusion,
+            "fusion_weight": stages.fusion_weight,
+            "horizon": stages.horizon,
+            "expand_cap": plan.two_stage["expand_cap"],
+            "node_budget": plan.two_stage["node_budget"],
+            "max_horizon": plan.two_stage["max_horizon"],
+            "subgraph_nodes": stages.subgraph_nodes,
+            "subgraph_edges": stages.subgraph_edges,
+            "stage1_seconds": stages.stage1_seconds,
+            "stage2_seconds": stages.stage2_seconds,
+        }
+    return payload
+
+
+def _result_rows(data_graph: DataGraph, top: list[tuple[str, float]]) -> list[dict]:
+    """Ranked hits as response rows.
+
+    ``label`` is ``None`` for ids this process's graph predates: a cluster
+    worker serving a builder-published store generation can rank nodes that
+    ingest added after the worker loaded its dataset — rows degrade to
+    id-only entries for those instead of failing the request.
+    """
+    return [
+        {
+            "rank": rank,
+            "id": node_id,
+            "label": (
+                data_graph.node(node_id).label if data_graph.has_node(node_id) else None
+            ),
+            "caption": data_graph.caption(node_id),
+            "score": score,
+        }
+        for rank, (node_id, score) in enumerate(top, start=1)
+    ]
+
+
+def _empty_ranking() -> RankedResult:
+    """What a query that matches nothing ranks: no nodes, trivially converged."""
+    return RankedResult([], np.zeros(0), 0, True)

@@ -13,8 +13,8 @@ Typical flow::
     build_and_publish(store_root, precomputed_ranker, dataset="dblp_complete")
 
     manager = StoreManager(store_root)
-    ranker = manager.ranker()        # MmapScoreRanker over the current gen
-    result = ranker.rank(query_vector)   # bit-identical to PrecomputedRanker
+    ranker = manager.ranker()        # PrecomputedRanker over the current gen
+    result = ranker.rank(query_vector)   # bit-identical to the in-memory build
 
 See :mod:`repro.storage.slab` for the container format and
 :mod:`repro.serve.cluster` for the prefork tier built on top.
@@ -33,13 +33,11 @@ from repro.store.generations import (
     read_manifest,
     store_path,
 )
-from repro.store.ranker import MmapScoreRanker
 
 __all__ = [
     "KIND",
     "MANIFEST_NAME",
     "Manifest",
-    "MmapScoreRanker",
     "ScoreStore",
     "StoreManager",
     "build_and_publish",

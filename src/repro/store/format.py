@@ -70,36 +70,37 @@ def write_score_store(
     generation: int,
     fsync: bool = True,
 ) -> int:
-    """Export a built :class:`PrecomputedRanker` as one slab file.
+    """Export a built (in-memory) :class:`PrecomputedRanker` as one slab file.
 
     The exported vectors, idf weights and rate vector are byte-exact copies
-    of the ranker's in-memory state, so a query answered from the mmap store
-    is bit-identical to one answered by the ranker itself (see
-    :class:`repro.store.ranker.MmapScoreRanker`).  Returns the file size.
+    of the ranker's in-memory state, so ``PrecomputedRanker.over`` the mapped
+    store answers bit-identically to the ranker itself.  Returns the file
+    size.
     """
-    keywords = ranker.keywords
-    num_nodes = ranker.graph.num_nodes
+    source = ranker.source
+    keywords = source.keywords
+    num_nodes = len(source.node_ids)
     # Hugepage-backed assembly slab: the write streams it once, and builds
     # at paper scale (1e6 nodes x 1e4 keywords) touch it row-by-row first.
     scores = slab_empty((len(keywords), num_nodes))
     idf = np.empty(len(keywords))
     for row, keyword in enumerate(keywords):
-        scores[row] = ranker.vector(keyword)
-        idf[row] = ranker.keyword_idf(keyword)
+        scores[row] = source.vector(keyword)
+        idf[row] = source.idf_of(keyword)
     keyword_blob, keyword_offsets = _pack_strings(keywords)
-    node_blob, node_offsets = _pack_strings(list(ranker.graph.node_ids))
-    snapshot = ranker.rates_snapshot
+    node_blob, node_offsets = _pack_strings(list(source.node_ids))
+    snapshot = source.rates_snapshot
     rates = np.asarray(snapshot.as_vector(), dtype=np.float64)
     meta = {
         "kind": KIND,
         "dataset": dataset,
         "generation": int(generation),
-        "damping": ranker.damping,
+        "damping": source.damping,
         "num_keywords": len(keywords),
         "num_nodes": num_nodes,
         "edge_types": [str(edge_type) for edge_type in snapshot.edge_types()],
-        "build_iterations": ranker.build_iterations,
-        "graph_version": ranker.graph_version,
+        "build_iterations": source.build_iterations,
+        "graph_version": source.graph_version,
     }
     return write_slab(
         path,
@@ -124,7 +125,14 @@ class ScoreStore:
     threads.  It pins the underlying mapping, so it keeps serving consistent
     data even after a generation swap replaces (or deletes) the file on disk
     — a reader is only ever entirely on one generation.
+
+    Serves as a :class:`PrecomputedRanker` provider, the mapped counterpart
+    of :class:`repro.ranking.precompute.KeywordVectors`.
     """
+
+    #: A mapped store carries no live graph: staleness against a data-graph
+    #: version is opt-in (see :meth:`PrecomputedRanker.is_stale`).
+    graph = None
 
     _REQUIRED = (
         "scores", "idf", "keyword_blob", "keyword_offsets",
@@ -202,8 +210,8 @@ class ScoreStore:
         """Whether ``rates`` equal the rates the store was built under.
 
         Compared on the canonical edge-type names and the exact rate floats
-        — the same discriminator :meth:`PrecomputedRanker.is_stale` uses, so
-        store-backed and in-memory serving route identically.
+        — the same discriminator the in-memory provider's schema equality
+        applies, so store-backed and in-memory serving route identically.
         """
         names = [str(edge_type) for edge_type in rates.edge_types()]
         if names != self.edge_types:

@@ -33,7 +33,6 @@ from pathlib import Path
 from repro.errors import StoreError
 from repro.ranking.precompute import PrecomputedRanker
 from repro.store.format import ScoreStore, write_score_store
-from repro.store.ranker import MmapScoreRanker
 
 MANIFEST_NAME = "CURRENT"
 _STORE_FILE = re.compile(r"^store\.gen-(\d+)\.slab$")
@@ -160,8 +159,8 @@ def build_and_publish(
 class StoreManager:
     """One dataset's view of its store directory, with generation refresh.
 
-    ``ranker()`` returns the :class:`MmapScoreRanker` of the currently
-    published generation, re-reading the manifest at most every
+    ``ranker()`` returns a :class:`PrecomputedRanker` over the currently
+    published generation's mapped store, re-reading the manifest at most every
     ``refresh_seconds`` (0 checks on every call — a manifest read is a few
     microseconds and the open only happens on an actual flip).  A failed
     open of a *new* generation keeps the old ranker serving and counts an
@@ -185,7 +184,7 @@ class StoreManager:
         self._clock = clock
         self._lock = threading.Lock()
         #: guarded by self._lock
-        self._ranker: MmapScoreRanker | None = None
+        self._ranker: PrecomputedRanker | None = None
         #: guarded by self._lock
         self._generation: int | None = None
         #: guarded by self._lock
@@ -197,7 +196,7 @@ class StoreManager:
 
     # -- read side -----------------------------------------------------------
 
-    def ranker(self) -> MmapScoreRanker | None:
+    def ranker(self) -> PrecomputedRanker | None:
         """The current generation's ranker (refreshing first); ``None`` when
         nothing is published."""
         self.refresh()
@@ -249,7 +248,7 @@ class StoreManager:
             return False
         try:
             store = ScoreStore(self.root / manifest.filename)
-            ranker = MmapScoreRanker(store, min_coverage=self.min_coverage)
+            ranker = PrecomputedRanker.over(store, self.min_coverage)
         except StoreError:
             with self._lock:
                 self._load_errors += 1

@@ -379,14 +379,18 @@ class TestRL012CacheKeyFencing:
 class TestRL012Corpus:
     """The acceptance criterion: seeded epoch removal in the real service."""
 
+    # Both appends live in ``_result_key`` (the search plan's key builder);
+    # the sink they protect is ``self.cache.get(key)`` in ``search``, which
+    # sees the key only through that helper's summary.  The epoch append is
+    # the whole body of its ``if``, so "removing" it leaves a ``pass``.
     EPOCH_LINE = re.compile(
-        r"^\s*key \+= \(\("  # the epoch append, single line
-        r'"epoch", staleness\["epoch"\]\),\)\n',
+        r"^(\s*)key \+= \(\("  # the epoch append, single line
+        r'"epoch", plan\.staleness\["epoch"\]\),\)\n',
         re.MULTILINE,
     )
     TWO_STAGE_LINE = re.compile(
         r"^\s*key \+= \(\("  # the candidate/fusion cohort append
-        r'"two_stage", tuple\(sorted\(two_stage\.items\(\)\)\)\),\)\n',
+        r'"two_stage", tuple\(sorted\(plan\.two_stage\.items\(\)\)\)\),\)\n',
         re.MULTILINE,
     )
 
@@ -404,7 +408,7 @@ class TestRL012Corpus:
 
     def test_seeded_epoch_removal_flagged_at_the_cache_sink(self):
         text = SERVICE_PY.read_text(encoding="utf-8")
-        mutated, count = self.EPOCH_LINE.subn("", text)
+        mutated, count = self.EPOCH_LINE.subn(r"\1pass\n", text)
         assert count == 1, "the epoch append the rule protects has moved"
         (checker,) = all_checkers(["RL012"])
         project = Project(
@@ -429,7 +433,7 @@ class TestRL012Corpus:
         assert len(self.TWO_STAGE_LINE.findall(text)) == 1, (
             "the two-stage cache-key cohort append has moved"
         )
-        mutated, count = self.EPOCH_LINE.subn("", text)
+        mutated, count = self.EPOCH_LINE.subn(r"\1pass\n", text)
         assert count == 1
         assert self.TWO_STAGE_LINE.search(mutated) is not None
         (checker,) = all_checkers(["RL012"])

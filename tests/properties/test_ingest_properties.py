@@ -3,9 +3,9 @@
 The load-bearing invariant of ``repro.ingest``: an incremental refresh in
 ``"exact"`` mode is *bit-identical* to a from-scratch full precompute over
 the same mutated graph, while re-converging strictly fewer columns than the
-vocabulary on localized (content-only) mutations.  Also covers the live
-engine's warm-start soundness: warm and cold searches run to the attractor
-reach bit-identical fixpoints.
+vocabulary on localized (content-only) mutations.  Also covers the
+warm-start carry's soundness: warm and cold refreshes run to the attractor
+reach the same fixpoints to machine precision.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.datasets import dblp_transfer_schema
 from repro.ingest import IngestEngine
-from repro.query.live import LiveSearchEngine
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 from repro.ranking.precompute import PrecomputedRanker
 
@@ -154,22 +153,30 @@ class TestLiveWarmStartFixpoint:
         # bit back and forth), and warm and cold runs may stop on adjacent
         # floats of that cycle — so the assertion is agreement to a few ulps,
         # far below any tolerance-driven deviation warm-starting could cause.
-        engine = LiveSearchEngine(
-            graph,
-            dblp_transfer_schema(),
-            tolerance=0.0,
-            max_iterations=2000,
-        )
-        query = graph.node("paper:0").attributes["title"].split()[0]
-        first = engine.search(query)
-        engine.add_node("paper:new", "Paper", {"title": " ".join(words)})
-        engine.add_edge("year:0", "paper:new", "contains")
-        engine.add_edge("paper:new", "author:0", "by")
-        cold = engine.search(query)
-        warm = engine.search(query, previous=first)
-        np.testing.assert_allclose(
-            np.asarray(cold.ranked.scores),
-            np.asarray(warm.ranked.scores),
-            rtol=1e-13,
-            atol=0.0,
-        )
+        def engine(mutated: bool) -> IngestEngine:
+            engine = IngestEngine(
+                graph,
+                dblp_transfer_schema(),
+                tolerance=0.0,
+                max_iterations=2000,
+                min_document_frequency=1,
+            )
+            if mutated:
+                engine.add_node("paper:new", "Paper", {"title": " ".join(words)})
+                engine.add_edge("year:0", "paper:new", "contains")
+                engine.add_edge("paper:new", "author:0", "by")
+            return engine
+
+        first = engine(mutated=False).refresh()
+        cold = engine(mutated=True).refresh(previous=first.ranker, mode="exact")
+        warm = engine(mutated=True).refresh(previous=first.ranker, mode="warm")
+        assert warm.ranker.keywords == cold.ranker.keywords
+        carried = set(first.ranker.keywords) & set(warm.ranker.keywords)
+        assert carried, "the mutation must leave columns to warm-start"
+        for keyword in cold.ranker.keywords:
+            np.testing.assert_allclose(
+                cold.ranker.vector(keyword),
+                warm.ranker.vector(keyword),
+                rtol=1e-13,
+                atol=0.0,
+            )

@@ -170,7 +170,7 @@ class TestBatchedBuild:
         assert serial.keywords == pooled.keywords
         for keyword in serial.keywords:
             assert np.abs(
-                serial._vectors[keyword] - pooled._vectors[keyword]
+                serial.vector(keyword) - pooled.vector(keyword)
             ).max() <= 1e-12
         assert serial.build_iterations == pooled.build_iterations
 

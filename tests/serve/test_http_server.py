@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -157,6 +158,34 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    def test_post_non_utf8_body_is_400(self, url):
+        # Regression: the UnicodeDecodeError escaped as 500 internal_error.
+        request = urllib.request.Request(
+            f"{url}/search",
+            data=b"\xff\xfe{",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == "bad_request"
+
+    def test_non_integer_content_length_is_400(self, server):
+        # Regression: int("abc") escaped as 500 internal_error.
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.putrequest("POST", "/search")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert (response.status, payload["error"]) == (400, "bad_request")
+        assert "Content-Length" in payload["message"]
 
 
 class TestAdmissionControl:

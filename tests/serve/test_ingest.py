@@ -53,6 +53,10 @@ class TestDisabled:
             datasets={"fig1": figure1},
         )
         assert "staleness" not in service.search("fig1", "OLAP")
+        assert "staleness" not in service.explain("fig1", "OLAP", target="v7")
+        assert "staleness" not in service.feedback_reformulate(
+            "fig1", "OLAP", ["v7"], apply=False
+        )
 
 
 class TestStalenessBound:
@@ -87,6 +91,39 @@ class TestStalenessBound:
         beyond = service.search("fig1", "OLAP", top_k=8)
         assert beyond["staleness"]["pending_mutations"] == 0
         assert "p_new" in [r["id"] for r in beyond["results"]]
+
+    def test_feedback_refreshes_before_serving_like_search(self, figure1):
+        # Regression: /feedback/reformulate skipped the staleness prologue,
+        # answered from the pre-mutation snapshot and left the batch pending.
+        service = _service(figure1)  # bound 0: never serve stale
+        service.ingest("fig1", ADD_PAPER, refresh="none")
+        response = service.feedback_reformulate(
+            "fig1", "OLAP", ["p_new"], apply=False
+        )
+        assert response["staleness"]["pending_mutations"] == 0
+        assert service.runtime("fig1").ingest.pending_mutations == 0
+        assert response["relevant_ids"] == ["p_new"]
+
+    @pytest.mark.parametrize("bound, pending", [(0, 0), (10, 2)])
+    def test_every_read_endpoint_carries_the_staleness_block(
+        self, figure1, bound, pending
+    ):
+        # Regression: only /search responses carried the documented block.
+        service = _service(figure1, ingest_staleness_bound=bound)
+        service.ingest("fig1", ADD_PAPER, refresh="none")
+        responses = {
+            "search": service.search("fig1", "OLAP"),
+            "explain": service.explain("fig1", "OLAP", target="v7"),
+            "explain (cached)": service.explain("fig1", "OLAP", target="v7"),
+            "feedback": service.feedback_reformulate(
+                "fig1", "OLAP", ["v7"], apply=False
+            ),
+        }
+        assert responses["explain (cached)"]["served_from"] == "cache"
+        for endpoint, response in responses.items():
+            staleness = response["staleness"]
+            assert staleness["pending_mutations"] == pending, endpoint
+            assert staleness["epoch"] == (1 if pending == 0 else 0), endpoint
 
     def test_auto_refresh_policy_respects_bound(self, figure1):
         service = _service(figure1, ingest_staleness_bound=5)

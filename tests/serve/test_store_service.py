@@ -106,7 +106,7 @@ class TestRebuild:
         assert runtime.precomputed_ranker() is not None
         assert runtime.store_generation() == 1
         rebuilt = runtime.rebuild_precomputed()
-        assert rebuilt is not None and rebuilt.generation == 2
+        assert rebuilt is not None and rebuilt.source.generation == 2
         assert runtime.store_generation() == 2
 
     def test_reformulation_with_rebuild_stays_on_store_path(

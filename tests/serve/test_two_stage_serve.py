@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ReproError
+from repro.retrieval.engine import TwoStageEngine
 from repro.serve import QueryService, ServeConfig, create_server
 
 QUERY = "improved study"
@@ -123,6 +124,35 @@ class TestServiceTwoStage:
     def test_bad_parameters_rejected(self, service, overrides, message):
         with pytest.raises(ReproError, match=message):
             service.search("tiny", QUERY, mode="two_stage", **overrides)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"fusion": "bogus"},
+            {"fusion_weight": -0.1},
+            {"candidates": 0},
+            {"horizon": -1},
+            {"early_k": 0},
+            {"expand_cap": 0},
+            {"node_budget": -2},
+            {"max_horizon": 0},
+        ],
+    )
+    def test_service_and_engine_reject_with_the_same_message(self, service, bad):
+        # One validator behind both entry points: the serve tier (HTTP 400
+        # via ReproError) and the library engine (a ValueError to callers)
+        # cannot drift apart in what they accept or how they say no.
+        engine = TwoStageEngine(service.runtime("tiny").engine)
+        with pytest.raises(ValueError) as from_engine:
+            engine.search(QUERY, **bad)
+        with pytest.raises(ReproError) as from_service:
+            service.search("tiny", QUERY, mode="two_stage", **bad)
+        assert str(from_service.value) == str(from_engine.value)
+        assert type(from_service.value) is type(from_engine.value)
+
+    def test_unknown_override_name_is_a_type_error(self, service):
+        with pytest.raises(TypeError, match="candidate_count"):
+            service.search("tiny", QUERY, mode="two_stage", candidate_count=5)
 
     def test_no_match_yields_empty_results(self, service):
         payload = service.search("tiny", "zzzmissing", mode="two_stage")

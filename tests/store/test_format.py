@@ -31,23 +31,23 @@ class TestExport:
         assert store.keywords == ranker.keywords
         for keyword in ranker.keywords:
             assert store.vector(keyword).tobytes() == ranker.vector(keyword).tobytes()
-            assert store.idf_of(keyword) == ranker.keyword_idf(keyword)
+            assert store.idf_of(keyword) == ranker.source.idf_of(keyword)
 
     def test_node_table_matches_graph(self, store_file, ranker):
         store = ScoreStore(store_file)
-        assert store.node_ids == list(ranker.graph.node_ids)
-        assert store.num_nodes == ranker.graph.num_nodes
+        assert store.node_ids == list(ranker.node_ids)
+        assert store.num_nodes == len(ranker.node_ids)
 
     def test_meta_fields(self, store_file, ranker):
         store = ScoreStore(store_file)
         assert store.dataset == "fig1"
         assert store.generation == 1
-        assert store.damping == ranker.damping
+        assert store.damping == ranker.source.damping
         assert store.build_iterations == ranker.build_iterations
 
     def test_rates_fingerprint_matches_build_snapshot(self, store_file, ranker):
         store = ScoreStore(store_file)
-        assert store.matches_rates(ranker.rates_snapshot)
+        assert store.matches_rates(ranker.source.rates_snapshot)
 
     def test_changed_rates_do_not_match(self, store_file, figure1):
         store = ScoreStore(store_file)

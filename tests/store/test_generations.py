@@ -93,17 +93,17 @@ class TestStoreManager:
         manager = StoreManager(tmp_path)
         build_and_publish(tmp_path, ranker, "fig1")
         first = manager.ranker()
-        assert first is not None and first.generation == 1
+        assert first is not None and first.source.generation == 1
         assert manager.swaps == 0  # initial load is not a swap
         build_and_publish(tmp_path, ranker, "fig1")
         second = manager.ranker()
-        assert second.generation == 2
+        assert second.source.generation == 2
         assert manager.swaps == 1
 
     def test_corrupt_new_generation_keeps_serving_old(self, tmp_path, ranker):
         manager = StoreManager(tmp_path)
         build_and_publish(tmp_path, ranker, "fig1")
-        assert manager.ranker().generation == 1
+        assert manager.ranker().source.generation == 1
         # Publish a garbage generation file by hand.
         bad = store_path(tmp_path, 2)
         bad.write_bytes(b"REPROSLB" + b"\x00" * 64)
@@ -111,7 +111,7 @@ class TestStoreManager:
             json.dumps({"generation": 2, "filename": bad.name}) + "\n",
             encoding="utf-8",
         )
-        assert manager.ranker().generation == 1  # old one still serves
+        assert manager.ranker().source.generation == 1  # old one still serves
         assert manager.load_errors == 1
 
     def test_refresh_is_throttled(self, tmp_path, ranker):
@@ -120,11 +120,11 @@ class TestStoreManager:
             tmp_path, refresh_seconds=5.0, clock=lambda: clock[0]
         )
         build_and_publish(tmp_path, ranker, "fig1")
-        assert manager.ranker().generation == 1
+        assert manager.ranker().source.generation == 1
         build_and_publish(tmp_path, ranker, "fig1")
-        assert manager.ranker().generation == 1  # inside the throttle window
+        assert manager.ranker().source.generation == 1  # inside the throttle window
         clock[0] += 6.0
-        assert manager.ranker().generation == 2
+        assert manager.ranker().source.generation == 2
         assert manager.refresh(force=True) is False  # already current
 
     def test_publish_helper_swaps_local_view(self, tmp_path, ranker):
@@ -149,7 +149,7 @@ def _reader(root, expected_by_bytes, terms, queue):
         if generation is None:
             queue.put(("torn", sorted(seen)))
             return
-        if ranker.generation != generation:
+        if ranker.source.generation != generation:
             queue.put(("mislabelled", sorted(seen)))
             return
         seen.add(generation)

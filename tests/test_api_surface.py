@@ -28,6 +28,7 @@ PACKAGES = [
     "repro.reformulate",
     "repro.retrieval",
     "repro.search",
+    "repro.serve",
     "repro.storage",
     "repro.store",
 ]
