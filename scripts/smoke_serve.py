@@ -1,13 +1,19 @@
 #!/usr/bin/env python
-"""CI smoke test: boot the HTTP query service and hit it for real.
+"""CI smoke test: boot ``repro serve`` as a subprocess and hit it for real.
 
-Starts ``QueryHTTPServer`` on an ephemeral port over ``dblp_tiny`` (the same
-configuration ``repro serve dblp_tiny`` uses), then asserts:
+Starts ``python -m repro.cli serve dblp_tiny --no-precompute`` on an
+ephemeral port, then asserts over HTTP:
 
 - ``/healthz`` answers 200 with ``status: ok``;
 - ``/search`` answers 200 with a non-empty ranked result list;
 - a repeated identical query is served from the cache, and the ``/metrics``
-  hit counter proves it.
+  hit counter proves it;
+- ``POST /explain`` for the top hit answers 200 with flows sorted descending
+  and a positive ``target_inflow``;
+- ``POST /feedback/reformulate`` answers 200 with a non-empty re-ranked page
+  under ``apply=false`` (serving state untouched: the next search is still
+  a cache hit) and under ``apply=true`` (``applied`` flips and the next
+  identical search is no longer served from the cache).
 
 Exits non-zero on any failure, so a workflow can gate on it directly:
 
@@ -17,53 +23,97 @@ Exits non-zero on any failure, so a workflow can gate on it directly:
 from __future__ import annotations
 
 import json
+import select
+import subprocess
 import sys
-import threading
 import urllib.request
 
-from repro.serve import QueryService, ServeConfig, create_server
+DATASET = "dblp_tiny"
+SEARCH = f"/search?dataset={DATASET}&q=olap&top_k=5"
+START_TIMEOUT = 120.0
 
 
-def fetch(url: str) -> tuple[int, bytes]:
-    with urllib.request.urlopen(url, timeout=60) as response:
+def call(base: str, path: str, body: dict | None = None) -> tuple[int, bytes]:
+    """GET ``path``, or POST ``body`` to it as JSON."""
+    request = urllib.request.Request(
+        base + path,
+        data=None if body is None else json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
         return response.status, response.read()
 
 
+def call_json(base: str, path: str, body: dict | None = None) -> dict:
+    status, raw = call(base, path, body)
+    assert status == 200, f"{path} returned {status}"
+    return json.loads(raw)
+
+
+def exercise(base: str) -> None:
+    assert call_json(base, "/healthz")["status"] == "ok"
+
+    first = call_json(base, SEARCH)
+    assert first["results"], "search returned no results"
+    top = first["results"][0]["id"]
+    print(f"smoke: /search 200, top hit {top} (served {first['served_from']})")
+
+    repeat = call_json(base, SEARCH)
+    assert repeat["served_from"] == "cache", repeat["served_from"]
+    assert repeat["results"] == first["results"]
+    status, metrics = call(base, "/metrics")
+    assert status == 200, f"/metrics returned {status}"
+    assert b"repro_cache_hits_total 1" in metrics, "cache hit not counted"
+    print("smoke: repeat query served from cache, hit counted in /metrics")
+
+    query = {"dataset": DATASET, "query": "olap"}
+    explanation = call_json(base, "/explain", {**query, "target": top})
+    flows = [edge["flow"] for edge in explanation["edges"]]
+    assert flows and flows == sorted(flows, reverse=True), "flows not descending"
+    assert explanation["target_inflow"] > 0, explanation["target_inflow"]
+    print(f"smoke: /explain 200, {len(flows)} flow edges into {top}")
+
+    feedback = {**query, "relevant_ids": [top]}
+    what_if = call_json(base, "/feedback/reformulate", {**feedback, "apply": False})
+    assert what_if["results"], "what-if reformulation returned no results"
+    assert what_if["applied"] is False
+    assert call_json(base, SEARCH)["served_from"] == "cache"
+
+    applied = call_json(base, "/feedback/reformulate", {**feedback, "apply": True})
+    assert applied["results"], "applied reformulation returned no results"
+    assert applied["applied"] is True
+    after = call_json(base, SEARCH)
+    assert after["served_from"] != "cache", "stale cache entry survived apply"
+    print(
+        "smoke: /feedback/reformulate 200, apply=false left the cache alone, "
+        f"apply=true invalidated it (next search served {after['served_from']})"
+    )
+
+
 def main() -> int:
-    service = QueryService(ServeConfig(datasets=("dblp_tiny",), precompute=False))
-    service.preload()
-    server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = server.url
-    print(f"smoke: serving on {base}")
+    server = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.cli", "serve", DATASET,
+            "--port", "0", "--no-precompute", "--quiet",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
     try:
-        status, body = fetch(f"{base}/healthz")
-        assert status == 200, f"/healthz returned {status}"
-        health = json.loads(body)
-        assert health["status"] == "ok", health
-
-        status, body = fetch(f"{base}/search?dataset=dblp_tiny&q=olap&top_k=5")
-        assert status == 200, f"/search returned {status}"
-        first = json.loads(body)
-        assert first["results"], "search returned no results"
-        print(f"smoke: /search 200, top hit {first['results'][0]['id']} "
-              f"(served {first['served_from']})")
-
-        status, body = fetch(f"{base}/search?dataset=dblp_tiny&q=olap&top_k=5")
-        assert status == 200
-        repeat = json.loads(body)
-        assert repeat["served_from"] == "cache", repeat["served_from"]
-        assert repeat["results"] == first["results"]
-
-        status, body = fetch(f"{base}/metrics")
-        assert status == 200, f"/metrics returned {status}"
-        assert b"repro_cache_hits_total 1" in body, "cache hit not counted"
-        print("smoke: repeat query served from cache, hit counted in /metrics")
+        ready, _, _ = select.select([server.stdout], [], [], START_TIMEOUT)
+        line = server.stdout.readline() if ready else ""
+        assert "listening on http://" in line, f"server did not start: {line!r}"
+        base = line.split("listening on ")[1].split()[0]
+        print(f"smoke: serving on {base}")
+        exercise(base)
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server.terminate()
+        try:
+            server.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
+    assert server.returncode == 0, f"repro serve exited {server.returncode}"
     print("smoke: OK")
     return 0
 

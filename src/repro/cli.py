@@ -23,9 +23,10 @@ equivalent surface.  Subcommands:
   (``repro.ingest``); ``--store DIR`` publishes the refreshed matrix as the
   next store generation, ``--compare-full`` verifies bit-identity against a
   from-scratch rebuild;
-* ``repro lint [paths...]`` — the project's invariant linter (RL001–RL013:
-  six AST rules, the flow-sensitive RL007–RL009 and the interprocedural
-  RL010–RL013 over the project call graph, see ``repro.analysis``) with
+* ``repro lint [paths...]`` — the project's invariant linter (RL001–RL017:
+  six AST rules, the flow-sensitive RL007–RL009, the interprocedural
+  RL010–RL013 over the project call graph and the abstract-interpretation
+  RL014–RL017, see ``repro.analysis``) with
   text/JSON/GitHub/SARIF output, ``--jobs N`` process-pool parallelism,
   ``--changed`` git-scoped runs and baseline support.
 
@@ -120,9 +121,9 @@ def _two_stage_config(args: argparse.Namespace, rerank: str = "") -> dict:
 
 
 def _print_results(dataset, result) -> None:
-    for rank, (node_id, score) in enumerate(result.top, start=1):
-        print(f"{rank:3d}. [{score:.5f}] {dataset.data_graph.caption(node_id)}")
-    print(f"({result.iterations} ObjectRank2 iterations)")
+    from repro.repl import format_results
+
+    print("\n".join(format_results(dataset.data_graph, result)))
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
@@ -172,28 +173,21 @@ def cmd_explain(args: argparse.Namespace) -> int:
             or needle in dataset.data_graph.caption(node_id).lower()
         )
 
-    if args.batch:
-        targets = [nid for nid, _ in result.top[: args.batch] if matches(nid)]
-        if not targets:
-            print(
-                f"no top-{args.batch} result matches {args.target!r}",
-                file=sys.stderr,
-            )
-            return 1
-        # One batched pass over every matching result (repro.explain.batch);
-        # per target the output is identical to a serial `repro explain`.
-        explanations = system.explain_many(targets, workers=args.workers)
-        for node_id, explanation in zip(targets, explanations):
-            print(f"=== {dataset.data_graph.caption(node_id)}")
-            print(to_text(explanation, max_paths=args.paths))
-        return 0
-
-    target = next((nid for nid, _score in result.top if matches(nid)), None)
-    if target is None:
-        print(f"no top-{args.top_k} result matches {args.target!r}", file=sys.stderr)
+    # One batched pass over every matching result (repro.explain.batch); per
+    # target the output is identical with and without --batch, which only
+    # widens "the first match" to "every match among the top K".
+    limit = args.batch or args.top_k
+    targets = [nid for nid, _ in result.top[:limit] if matches(nid)]
+    if not targets:
+        print(f"no top-{limit} result matches {args.target!r}", file=sys.stderr)
         return 1
-    explanation = system.explain(target)
-    print(to_text(explanation, max_paths=args.paths))
+    if not args.batch:
+        targets = targets[:1]
+    explanations = system.explain_many(targets, workers=args.workers)
+    for node_id, explanation in zip(targets, explanations):
+        if args.batch:
+            print(f"=== {dataset.data_graph.caption(node_id)}")
+        print(to_text(explanation, max_paths=args.paths))
     return 0
 
 
@@ -287,7 +281,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.ingest import IngestEngine, mutation_from_json
+    from repro.ingest import IngestEngine
 
     with open(args.mutations, encoding="utf-8") as handle:
         raw = json.load(handle)
@@ -308,16 +302,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         dataset.transfer_schema,
         min_document_frequency=args.min_df,
     )
-    failures = 0
-    for position, entry in enumerate(raw):
-        try:
-            ingest.apply(mutation_from_json(entry))
-        except ReproError as error:
-            failures += 1
-            print(f"mutation {position} rejected: {error}", file=sys.stderr)
+    applied, errors = ingest.apply_batch(raw)
+    for error in errors:
+        print(
+            f"mutation {error['position']} rejected: {error['error']}",
+            file=sys.stderr,
+        )
     staleness = ingest.staleness()
     print(
-        f"applied {len(raw) - failures}/{len(raw)} mutations: "
+        f"applied {applied}/{len(raw)} mutations: "
         f"{staleness.dirty_columns} dirty columns"
         + (" (topology change: all columns dirty)" if staleness.topology_dirty else "")
     )
@@ -361,7 +354,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             f"published {root}/{manifest.filename} "
             f"(generation {manifest.generation})"
         )
-    return 1 if failures else 0
+    return 1 if errors else 0
 
 
 def _compare_rankers(incremental, full) -> list[str]:
@@ -382,14 +375,10 @@ def _compare_rankers(incremental, full) -> list[str]:
 
 def cmd_repl(args: argparse.Namespace) -> int:
     """The ``repro repl`` subcommand."""
-    import sys as _sys
-
-    from repro.core.config import SystemConfig
-    from repro.datasets import load_dataset
     from repro.repl import run_repl
 
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    return run_repl(dataset, _sys.stdin, config=SystemConfig(top_k=args.top_k))
+    dataset, system = _build_system(args)
+    return run_repl(dataset, system, sys.stdin)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -879,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect.set_defaults(func=cmd_store_inspect)
 
     lint = sub.add_parser(
-        "lint", help="run the invariant checkers (RL001-RL013)"
+        "lint", help="run the invariant checkers (RL001-RL017)"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"

@@ -7,9 +7,13 @@ loop of Section 5's "Overview of process":
 2. :meth:`explain` builds the explaining subgraph of any result and runs the
    flow-adjustment fixpoint;
 3. :meth:`feedback` takes the objects the user marked relevant, reformulates
-   the query (content and/or structure) from their explanations, and re-runs
-   the reformulated query — warm-started from the previous scores, the
-   Section 6.2 optimization.
+   the query (content and/or structure) from their explanations
+   (:meth:`reformulate`), and re-runs the reformulated query — warm-started
+   from the previous scores, the Section 6.2 optimization (:meth:`rerun`).
+
+Every front end drives this one loop: the CLI and REPL hold a session for
+their lifetime, the serve tier a short-lived one per request over its shared
+engine (``engine=``; sessions never mutate the engine).
 
 The system records per-stage timings (:class:`repro.bench.IterationTiming`)
 for every iteration, which is exactly what Figures 14-17 plot.
@@ -17,7 +21,7 @@ for every iteration, which is exactly what Figures 14-17 plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +99,9 @@ class ObjectRankSystem:
         self.last_result: SearchResult | None = None
         self.timings: list[IterationTiming] = []
         self._iteration = 0
+        #: Stage totals of the iteration in progress (one bar group of
+        #: Figures 14-17); restarted by ``query`` and ``reformulate``.
+        self._clock = StageClock()
         self._explaining_iterations: list[int] = []
         self._global_scores: np.ndarray | None = None
         self._two_stage: TwoStageEngine | None = None
@@ -105,12 +112,7 @@ class ObjectRankSystem:
         self, query: KeywordQuery | QueryVector | str, rates=None
     ) -> SearchResult:
         """Run a fresh query; resets session state (rates, warm start)."""
-        self.current_rates = rates if rates is not None else self._initial_schema
-        self.current_vector = self.engine.query_vector(query)
-        self.last_result = None
-        self.timings = []
-        self._iteration = 0
-        self._explaining_iterations = []
+        self._reset(query, rates)
         return self._run(label="initial")
 
     def adopt_initial(
@@ -126,10 +128,9 @@ class ObjectRankSystem:
         exactly as if :meth:`query` had produced it — feedback iterations and
         warm starts continue from it unchanged.
         """
-        self.current_rates = rates if rates is not None else self._initial_schema
-        self.current_vector = self.engine.query_vector(query)
+        self._reset(query, rates)
         self.last_result = result
-        self.timings = [
+        self.timings.append(
             IterationTiming(
                 label="initial",
                 search_seconds=result.elapsed_seconds,
@@ -138,10 +139,17 @@ class ObjectRankSystem:
                 reformulate_seconds=0.0,
                 objectrank_iterations=result.iterations,
             )
-        ]
-        self._iteration = 0
-        self._explaining_iterations = []
+        )
         return result
+
+    def _reset(self, query: KeywordQuery | QueryVector | str, rates) -> None:
+        self.current_rates = rates if rates is not None else self._initial_schema
+        self.current_vector = self.engine.query_vector(query)
+        self.last_result = None
+        self.timings = []
+        self._iteration = 0
+        self._clock = StageClock()
+        self._explaining_iterations = []
 
     def _search(self, init: np.ndarray | None) -> SearchResult:
         """One retrieval run under the session's configured mode.
@@ -178,9 +186,11 @@ class ObjectRankSystem:
         return None
 
     def _run(self, label: str) -> SearchResult:
+        """Search under the current vector and rates; close the iteration's
+        timing row with whatever stages ran since the clock restarted."""
         if self.current_vector is None:
             raise ReproError("no query has been issued yet")
-        clock = StageClock()
+        clock = self._clock
         init = self._warm_start()
         with clock.stage(STAGE_SEARCH):
             result = self._search(init)
@@ -189,9 +199,9 @@ class ObjectRankSystem:
             IterationTiming(
                 label=label,
                 search_seconds=clock.total(STAGE_SEARCH),
-                subgraph_seconds=0.0,
-                adjust_seconds=0.0,
-                reformulate_seconds=0.0,
+                subgraph_seconds=clock.total(STAGE_SUBGRAPH),
+                adjust_seconds=clock.total(STAGE_ADJUST),
+                reformulate_seconds=clock.total(STAGE_REFORMULATE),
                 objectrank_iterations=result.iterations,
             )
         )
@@ -213,14 +223,6 @@ class ObjectRankSystem:
             return self._global_warm_start()
         return None
 
-    def _session_graph(self):
-        """The transfer graph under this session's (possibly learned) rates.
-
-        A shared, cached view from the engine — never a mutation of the
-        engine's graph, so concurrent sessions over one engine stay isolated.
-        """
-        return self.engine.transfer_view(self.current_rates)
-
     def _global_warm_start(self) -> np.ndarray:
         if self._global_scores is None:
             self._global_scores = global_objectrank(
@@ -240,85 +242,79 @@ class ObjectRankSystem:
     def explain_many(
         self, node_ids: list[str], workers: int | None = None
     ) -> list[FlowExplanation]:
-        """Explain several results in one batched pass (per id bit-identical
-        to the serial :func:`repro.explain.explain`, see
-        :mod:`repro.explain.batch`)."""
+        """Explain several results in one batched pass: shared positive-rate
+        adjacency for the subgraphs, one multi-target fixpoint for the
+        adjustment (per id bit-identical to the serial
+        :func:`repro.explain.explain`, see :mod:`repro.explain.batch`)."""
         if self.last_result is None:
             raise ReproError("query before explaining a result")
-        return batched_adjust_flows(
-            self._build_subgraphs(
+        if workers is None:
+            workers = self.config.explain_workers
+        with self._clock.stage(STAGE_SUBGRAPH):
+            subgraphs = batched_build_explaining_subgraphs(
+                # A shared, cached view under the session's (possibly learned)
+                # rates — never a mutation of the engine's graph, so
+                # concurrent sessions over one engine stay isolated.
+                self.engine.transfer_view(self.current_rates),
+                list(self.last_result.ranked.base_weights),
                 node_ids,
-                workers if workers is not None else self.config.explain_workers,
-            ),
-            self.last_result.scores,
-            self.config.damping,
-            self.config.tolerance,
-        )
-
-    def _build_subgraphs(self, node_ids: list[str], workers: int | None):
-        """Explaining subgraphs of the last result, honoring two-stage scope
-        (a two-stage result explains within its candidate neighborhood)."""
-        return batched_build_explaining_subgraphs(
-            self._session_graph(),
-            list(self.last_result.ranked.base_weights),
-            node_ids,
-            self.config.radius,
-            workers=workers,
-            within=self._explain_within(),
-        )
+                self.config.radius,
+                workers=workers,
+                within=self._explain_within(),
+            )
+        with self._clock.stage(STAGE_ADJUST):
+            return batched_adjust_flows(
+                subgraphs,
+                self.last_result.scores,
+                self.config.damping,
+                self.config.tolerance,
+            )
 
     # -- feedback loop ------------------------------------------------------------
 
     def feedback(self, relevant_ids: list[str]) -> FeedbackOutcome:
         """Reformulate from the user's marked-relevant objects and re-run.
 
-        Implements the full loop: explain each feedback object, reformulate
-        query vector and transfer rates from the explanations (Section 5.3
-        aggregation for multiple objects), then execute the reformulated
-        query warm-started from the previous scores.
+        The full loop, as its two public steps: :meth:`reformulate` explains
+        each feedback object and rewrites query vector and transfer rates
+        from the explanations, :meth:`rerun` executes the reformulated query
+        warm-started from the previous scores.  Callers with work to do
+        between the two (the serve tier publishes the learned rates and
+        checks its deadline there) call the steps themselves.
+        """
+        explanations, reformulated = self.reformulate(relevant_ids)
+        result = self.rerun()
+        return FeedbackOutcome(explanations, reformulated, result, self.timings[-1])
+
+    def reformulate(
+        self, relevant_ids: list[str]
+    ) -> tuple[list[FlowExplanation], ReformulatedQuery]:
+        """Step 1: explain the feedback objects and reformulate from them.
+
+        Installs the reformulated vector and rates as the session's current
+        ones (Section 5.3 aggregation for multiple objects); the previous
+        result stays in place as the warm start of :meth:`rerun`.
         """
         if self.last_result is None or self.current_vector is None:
             raise ReproError("query before giving feedback")
-        clock = StageClock()
-        scores = self.last_result.scores
-
-        # One batched pass over all feedback objects: shared positive-rate
-        # adjacency for the subgraphs, one multi-target fixpoint for the
-        # adjustment — per object bit-identical to the serial loop.
-        with clock.stage(STAGE_SUBGRAPH):
-            subgraphs = self._build_subgraphs(
-                relevant_ids, self.config.explain_workers
-            )
-        with clock.stage(STAGE_ADJUST):
-            explanations = batched_adjust_flows(
-                subgraphs, scores, self.config.damping, self.config.tolerance
-            )
+        self._clock = StageClock()
+        explanations = self.explain_many(relevant_ids)
         for explanation in explanations:
             self._explaining_iterations.append(explanation.iterations)
 
-        with clock.stage(STAGE_REFORMULATE):
+        with self._clock.stage(STAGE_REFORMULATE):
             reformulated = self.reformulator.reformulate(
                 self.current_vector, self.current_rates, explanations
             )
         self.current_vector = reformulated.query_vector
         self.current_rates = reformulated.transfer_schema
-
         self._iteration += 1
-        init = self._warm_start()
-        with clock.stage(STAGE_SEARCH):
-            result = self._search(init)
-        self.last_result = result
+        return explanations, reformulated
 
-        timing = IterationTiming(
-            label=f"reformulated-{self._iteration}",
-            search_seconds=clock.total(STAGE_SEARCH),
-            subgraph_seconds=clock.total(STAGE_SUBGRAPH),
-            adjust_seconds=clock.total(STAGE_ADJUST),
-            reformulate_seconds=clock.total(STAGE_REFORMULATE),
-            objectrank_iterations=result.iterations,
-        )
-        self.timings.append(timing)
-        return FeedbackOutcome(explanations, reformulated, result, timing)
+    def rerun(self) -> SearchResult:
+        """Step 2: run the current (reformulated or restored) query,
+        warm-started from the previous scores."""
+        return self._run(label=f"reformulated-{self._iteration}")
 
     # -- accounting ----------------------------------------------------------------
 

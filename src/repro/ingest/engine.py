@@ -20,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import IngestError
+from repro.errors import IngestError, ReproError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph, DataNode
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
@@ -31,6 +31,7 @@ from repro.ingest.mutations import (
     RemoveEdge,
     RemoveNode,
     UpdateNode,
+    mutation_from_json,
 )
 from repro.ingest.refresh import refreshed_keyword_vectors
 from repro.ingest.tracker import DirtyKeywordTracker
@@ -180,6 +181,28 @@ class IngestEngine:
             self.update_node(mutation.node_id, mutation.attributes)
         else:
             raise IngestError(f"unknown mutation type: {type(mutation).__name__}")
+
+    def apply_batch(self, entries: list) -> tuple[int, list[dict]]:
+        """Apply typed records and wire-format dicts: ``(applied, errors)``.
+
+        Failures are per entry: one that does not parse or that the working
+        graph refuses becomes a ``{position, op, error}`` record while the
+        rest of the batch applies.
+        """
+        applied = 0
+        errors: list[dict] = []
+        for position, entry in enumerate(entries):
+            typed = isinstance(entry, Mutation)
+            try:
+                self.apply(entry if typed else mutation_from_json(entry))
+                applied += 1
+            except ReproError as error:
+                if typed:
+                    op = entry.op
+                else:
+                    op = entry.get("op") if isinstance(entry, dict) else None
+                errors.append({"position": position, "op": op, "error": str(error)})
+        return applied, errors
 
     # -- state -------------------------------------------------------------
 

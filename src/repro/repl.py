@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.core.config import SystemConfig
 from repro.core.system import ObjectRankSystem
 from repro.datasets.base import Dataset
+from repro.graph.data_graph import DataGraph
 from repro.errors import ReproError
 from repro.explain.render import to_text
 from repro.ranking.compare import ranking_delta
@@ -28,14 +28,21 @@ from repro.ranking.compare import ranking_delta
 PROMPT = "repro> "
 
 
-class ReplSession:
-    """One interactive session over a dataset."""
+def format_results(data_graph: DataGraph, result) -> list[str]:
+    """A result page as the CLI and the shell print it, one hit per line."""
+    lines = [
+        f"{rank:3d}. [{score:.5f}] {data_graph.caption(node_id)}"
+        for rank, (node_id, score) in enumerate(result.top, start=1)
+    ]
+    lines.append(f"({result.iterations} ObjectRank2 iterations)")
+    return lines
 
-    def __init__(self, dataset: Dataset, config: SystemConfig | None = None):
-        self.dataset = dataset
-        self.system = ObjectRankSystem(
-            dataset.data_graph, dataset.transfer_schema, config or SystemConfig()
-        )
+
+class ReplSession:
+    """The interactive shell over one :class:`ObjectRankSystem` session."""
+
+    def __init__(self, system: ObjectRankSystem):
+        self.system = system
         self._last_top: list[str] = []
 
     # -- command handlers -----------------------------------------------------
@@ -64,12 +71,7 @@ class ReplSession:
 
     def _format_results(self, result) -> list[str]:
         self._last_top = [node_id for node_id, _ in result.top]
-        lines = [
-            f"{rank:3d}. [{score:.5f}] {self.dataset.data_graph.caption(node_id)}"
-            for rank, (node_id, score) in enumerate(result.top, start=1)
-        ]
-        lines.append(f"({result.iterations} ObjectRank2 iterations)")
-        return lines
+        return format_results(self.system.engine.data_graph, result)
 
     def _resolve_ranks(self, arguments: list[str]) -> list[str]:
         if not self._last_top:
@@ -131,12 +133,13 @@ class ReplSession:
 
 def run_repl(
     dataset: Dataset,
+    system: ObjectRankSystem,
     lines: Iterable[str],
     write: Callable[[str], None] = print,
-    config: SystemConfig | None = None,
 ) -> int:
-    """Drive a session from an iterable of input lines (stdin, a list, ...)."""
-    session = ReplSession(dataset, config)
+    """Drive a shell over ``system`` (a session on ``dataset``) from an
+    iterable of input lines (stdin, a list, ...)."""
+    session = ReplSession(system)
     write(f"dataset {dataset.name}: {dataset.num_nodes} nodes, "
           f"{dataset.num_edges} edges.  'help' lists commands.")
     for line in lines:

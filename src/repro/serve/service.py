@@ -26,18 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import DEFAULT_RADIUS
+from repro.core.config import DEFAULT_RADIUS, SystemConfig
+from repro.core.system import ObjectRankSystem
 from repro.datasets import load_dataset
 from repro.datasets.base import Dataset
 from repro.errors import EmptyBaseSetError, PrecomputedCoverageError, ReproError
-from repro.explain.batch import (
-    batched_adjust_flows,
-    batched_build_explaining_subgraphs,
-)
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.ingest.engine import IngestEngine
-from repro.ingest.mutations import Mutation, mutation_from_json
 from repro.query.engine import SearchEngine, select_top
 from repro.query.query import KeywordQuery, QueryVector
 from repro.ranking.convergence import RankedResult
@@ -167,6 +163,27 @@ class ServeConfig:
     #: their previous fixpoints (fewer iterations, tolerance-equal scores).
     ingest_refresh_mode: str = "exact"
 
+    def session_config(self, retrieval_mode: str) -> SystemConfig:
+        """The config of a request's :class:`ObjectRankSystem` session: the
+        service's page size, radius and two-stage knobs over the paper's
+        calibration defaults, without the global warm start (one whole
+        global ObjectRank per request to save a few iterations)."""
+        return SystemConfig(
+            top_k=self.default_top_k,
+            radius=self.radius,
+            explain_workers=self.explain_workers,
+            global_warm_start=False,
+            retrieval_mode=retrieval_mode,
+            candidates=self.candidates,
+            fusion=self.fusion,
+            fusion_weight=self.fusion_weight,
+            rerank_horizon=self.rerank_horizon,
+            rerank_early_k=self.rerank_early_k,
+            rerank_expand_cap=self.rerank_expand_cap,
+            rerank_node_budget=self.rerank_node_budget,
+            rerank_max_horizon=self.rerank_max_horizon,
+        )
+
 
 class DatasetRuntime:
     """Everything the service holds per dataset: engine, rates, precompute.
@@ -197,7 +214,6 @@ class DatasetRuntime:
         self._precompute_lock = threading.Lock()
         self._two_stage: TwoStageEngine | None = None
         self._precomputed: PrecomputedRanker | None = None
-        self._precompute_built = False
         # Store-backed serving: the manager polls the dataset's CURRENT
         # manifest and swaps generations between requests; ``None`` keeps
         # the classic in-process precompute behaviour.
@@ -305,7 +321,6 @@ class DatasetRuntime:
                 else:
                     with self._precompute_lock:
                         self._precomputed = result.ranker
-                        self._precompute_built = True
             self._ingest_ranker = result.ranker
             self._ingest_epoch += 1
             epoch = self._ingest_epoch
@@ -358,9 +373,16 @@ class DatasetRuntime:
         if not self.config.precompute:
             return None
         with self._precompute_lock:
-            if not self._precompute_built:
+            if self._precomputed is None:
                 self._precomputed = self._build_precomputed(self.engine.graph)
-                self._precompute_built = True
+            return self._precomputed
+
+    def built_ranker(self) -> PrecomputedRanker | None:
+        """The ranker if one is store-published or already built, else
+        ``None`` — unlike :meth:`precomputed_ranker` this never builds."""
+        if self.store is not None:
+            return self.store.ranker()
+        with self._precompute_lock:
             return self._precomputed
 
     def store_generation(self) -> int | None:
@@ -392,7 +414,6 @@ class DatasetRuntime:
             return self.store.ranker()
         with self._precompute_lock:
             self._precomputed = ranker
-            self._precompute_built = True
         return ranker
 
     def _build_precomputed(self, graph) -> PrecomputedRanker:
@@ -783,19 +804,16 @@ class QueryService:
         dataset, the canonical query fingerprint, the serving-rate
         fingerprint and the target, so a repeat request skips the live
         ObjectRank2 run entirely and a reformulation that changes the rates
-        can never be answered stale.  On a miss, runs live ObjectRank2
-        (explanations need the full converged score vector, which cached
-        top-k payloads do not carry), builds the explaining subgraph under
-        the dataset's serving rates through the batched engine's shared
-        positive-rate adjacency, and runs the Section 4 flow-adjustment
-        fixpoint.  The full sorted edge list is cached; ``max_edges`` only
-        trims the response.
+        can never be answered stale.  On a miss a request session
+        (:meth:`_session`) searches and explains: explanations need the full
+        converged score vector, which cached top-k payloads do not carry.
+        The full sorted edge list is cached; ``max_edges`` only trims the
+        response.
 
         ``mode="two_stage"`` explains a *two-stage* result instead: the
-        scores come from the configured two-stage retrieval and the
-        explaining subgraph is restricted to the candidates' rerank
-        neighborhood — flow a two-stage score never saw cannot appear in
-        its explanation.
+        session retrieves two-stage and confines the explaining subgraph to
+        the candidates' rerank neighborhood — flow a two-stage score never
+        saw cannot appear in its explanation.
         """
         if mode not in EXPLAIN_MODES:
             raise ReproError(
@@ -827,53 +845,57 @@ class QueryService:
             self._explain_cache_misses.inc()
             if deadline is not None:
                 deadline.check("explanation")
-            stored = self._explain(runtime, dataset, vector, rates, target, mode)
+            stored = self._explain(runtime, vector, rates, target, mode)
             self.explain_cache.put(key, stored)
             served_from = "live"
         payload = dict(stored)
         payload["edges"] = stored["edges"][:max_edges]
         return self._respond(payload, start, served_from, staleness)
 
+    def _session(
+        self,
+        runtime: DatasetRuntime,
+        vector: QueryVector,
+        rates: AuthorityTransferSchemaGraph,
+        mode: str = "live",
+    ) -> ObjectRankSystem:
+        """A request's short-lived loop session, its initial search run.
+
+        :class:`ObjectRankSystem` owns search -> explain -> reformulate ->
+        re-run, including whether an explanation spans the full graph or a
+        two-stage result's neighborhood; the endpoints around it are
+        transport.  It works over the runtime's shared engine under the
+        request's serving ``rates`` and mutates neither, so concurrent
+        requests stay isolated.
+        """
+        session = ObjectRankSystem(
+            runtime.data_graph,
+            rates,
+            self.config.session_config("two_stage" if mode == "two_stage" else "full"),
+            engine=runtime.engine,
+        )
+        # One reformulator for every session: ``service.reformulator`` stays
+        # what feedback requests reformulate with.
+        session.reformulator = self.reformulator
+        self._or_iterations.inc(session.query(vector).iterations)
+        return session
+
     def _explain(
         self,
         runtime: DatasetRuntime,
-        dataset: str,
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
         target: str,
         mode: str,
     ) -> dict:
         """Compute one full (untrimmed, cacheable) explanation payload."""
-        within = None
-        if mode == "two_stage":
-            result = runtime.two_stage.search(
-                vector, top_k=self.config.default_top_k, rates=rates
-            )
-            if result.stages is not None:
-                within = result.stages.neighborhood
-        else:
-            result = runtime.engine.search(
-                vector, top_k=self.config.default_top_k, rates=rates
-            )
-        self._or_iterations.inc(result.iterations)
-        graph = runtime.engine.transfer_view(rates)
-        graph.index_of(target)  # raises UnknownNodeError early
-        explanation = batched_adjust_flows(
-            batched_build_explaining_subgraphs(
-                graph,
-                list(result.ranked.base_weights),
-                [target],
-                self.config.radius,
-                within=within,
-            ),
-            result.ranked.scores,
-        )[0]
+        explanation = self._session(runtime, vector, rates, mode).explain(target)
         subgraph = explanation.subgraph
         edges = sorted(
             explanation.edge_flow_items(), key=lambda item: item[2], reverse=True
         )
         return {
-            "dataset": dataset,
+            "dataset": runtime.name,
             "query": dict(vector.weights),
             "target": target,
             "mode": mode,
@@ -902,11 +924,12 @@ class QueryService:
     ) -> dict:
         """Apply a mutation batch; refresh per policy; report staleness.
 
-        ``mutations`` mixes typed records and wire-format dicts (parsed via
-        :func:`repro.ingest.mutations.mutation_from_json`).  Failures are
-        per-mutation: a rejected entry lands in the response's ``errors``
-        list (with its position and reason) while the rest of the batch
-        applies — the working state never half-applies a single mutation.
+        ``mutations`` mixes typed records and wire-format dicts, applied
+        through :meth:`repro.ingest.engine.IngestEngine.apply_batch`.
+        Failures are per-mutation: a rejected entry lands in the response's
+        ``errors`` list (with its position and reason) while the rest of the
+        batch applies — the working state never half-applies a single
+        mutation.
 
         ``refresh`` picks the policy: ``"auto"`` refreshes only when the
         staleness bound is exceeded (the same trigger serving uses),
@@ -926,24 +949,7 @@ class QueryService:
                 "ingest is disabled; start the service with ingest=True "
                 "(repro serve --ingest)"
             )
-        applied = 0
-        errors: list[dict] = []
-        for position, entry in enumerate(mutations):
-            try:
-                mutation: Mutation = (
-                    mutation_from_json(entry) if isinstance(entry, dict) else entry
-                )
-                runtime.ingest.apply(mutation)
-                applied += 1
-            except ReproError as error:
-                errors.append(
-                    {
-                        "position": position,
-                        "op": entry.get("op") if isinstance(entry, dict)
-                        else getattr(entry, "op", None),
-                        "error": str(error),
-                    }
-                )
+        applied, errors = runtime.ingest.apply_batch(mutations)
         self._ingest_mutations.inc(applied)
         if deadline is not None:
             deadline.check("ingest refresh")
@@ -985,10 +991,15 @@ class QueryService:
         self._ingest_refreshes.inc()
         self._ingest_recomputed.inc(summary["recomputed_columns"])
         self._ingest_carried.inc(summary["carried_columns"])
-        invalidated = self.cache.invalidate(runtime.name)
-        invalidated += self.explain_cache.invalidate(runtime.name)
-        self._invalidations.inc(invalidated)
+        self._invalidate(runtime.name)
         return summary
+
+    def _invalidate(self, dataset: str) -> int:
+        """Drop a dataset's result and explanation cache entries."""
+        invalidated = self.cache.invalidate(dataset)
+        invalidated += self.explain_cache.invalidate(dataset)
+        self._invalidations.inc(invalidated)
+        return invalidated
 
     # -- feedback / reformulation ------------------------------------------
 
@@ -1014,38 +1025,16 @@ class QueryService:
         runtime, vector, rates, staleness = self._begin(dataset, query)
         if deadline is not None:
             deadline.check("feedback search")
-        result = runtime.engine.search(
-            vector, top_k=self.config.default_top_k, rates=rates
-        )
-        self._or_iterations.inc(result.iterations)
-
-        graph = runtime.engine.transfer_view(rates)
-        base_ids = list(result.ranked.base_weights)
-        for node_id in relevant_ids:
-            graph.index_of(node_id)  # raises UnknownNodeError early
+        session = self._session(runtime, vector, rates)
         if deadline is not None:
             deadline.check("feedback explanations")
-        # All feedback objects are explained in one batched pass — shared
-        # subgraph adjacency, one multi-target fixpoint — bit-identical per
-        # object to the serial loop it replaced.
-        explanations = batched_adjust_flows(
-            batched_build_explaining_subgraphs(
-                graph,
-                base_ids,
-                relevant_ids,
-                self.config.radius,
-                workers=self.config.explain_workers,
-            ),
-            result.ranked.scores,
-        )
+        explanations, reformulated = session.reformulate(relevant_ids)
 
-        reformulated = self.reformulator.reformulate(vector, rates, explanations)
+        applied = bool(apply and explanations)
         invalidated = 0
-        if apply and explanations:
+        if applied:
             runtime.apply_rates(reformulated.transfer_schema)
-            invalidated = self.cache.invalidate(dataset)
-            invalidated += self.explain_cache.invalidate(dataset)
-            self._invalidations.inc(invalidated)
+            invalidated = self._invalidate(dataset)
             if self.config.precompute_rebuild:
                 # One blocked run over the vocabulary restores the
                 # precomputed fast path under the learned rates.
@@ -1053,20 +1042,17 @@ class QueryService:
 
         if deadline is not None:
             deadline.check("reformulated search")
-        rerun = runtime.engine.search(
-            reformulated.query_vector,
-            top_k=self.config.default_top_k,
-            rates=reformulated.transfer_schema,
-            init=result.ranked.scores,
-        )
+        rerun = session.rerun()
         self._or_iterations.inc(rerun.iterations)
 
-        ranker = runtime.precomputed_ranker()
+        # Reported, never paid for: a ranker nobody built yet is not built
+        # here (that would be a whole precompute inside a feedback request).
+        ranker = runtime.built_ranker()
         payload = {
             "dataset": dataset,
             "query": dict(vector.weights),
             "relevant_ids": list(relevant_ids),
-            "applied": bool(apply and explanations),
+            "applied": applied,
             "invalidated_cache_entries": invalidated,
             "precomputed_stale": (
                 ranker.is_stale(runtime.rates) if ranker is not None else None

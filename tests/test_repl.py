@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.core import ObjectRankSystem, SystemConfig
 from repro.repl import ReplSession, run_repl
 
 
 @pytest.fixture
-def session(figure1):
-    return ReplSession(figure1, SystemConfig(top_k=7, radius=None))
+def system(figure1):
+    return ObjectRankSystem(
+        figure1.data_graph,
+        figure1.transfer_schema,
+        SystemConfig(top_k=7, radius=None),
+    )
+
+
+@pytest.fixture
+def session(system):
+    return ReplSession(system)
 
 
 class TestCommands:
@@ -66,13 +75,13 @@ class TestCommands:
 
 
 class TestRunRepl:
-    def test_scripted_session(self, figure1):
+    def test_scripted_session(self, figure1, system):
         written = []
         code = run_repl(
             figure1,
+            system,
             ["query olap", "explain 1", "mark 1", "quit", "query never-reached"],
             write=written.append,
-            config=SystemConfig(top_k=7, radius=None),
         )
         assert code == 0
         text = "\n".join(written)
