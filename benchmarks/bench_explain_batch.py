@@ -21,7 +21,12 @@ Run under pytest (``pytest benchmarks/bench_explain_batch.py
     PYTHONPATH=src python benchmarks/bench_explain_batch.py --smoke   # CI quick mode
 
 Smoke mode uses the tiny dataset and checks only the identity guarantees
-(small graphs are overhead-dominated, so no speedup is asserted there).
+(small graphs are overhead-dominated, so no speedup is asserted there), then
+guards the feedback loop's *shape* on ``dblp_top``: the array-native
+reformulation (Equations 11-15) must equal the reference loops kept in
+``tests/reformulate/reference.py``, and — read off the session's own
+``IterationTiming`` rows — reformulating must cost less than explaining
+(Figures 14-17(a): reformulation is the cheap stage).
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-if __name__ == "__main__":  # script mode: make `benchmarks.` importable
+if __name__ == "__main__":  # script mode: make `benchmarks.`/`tests.` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, write_result
+from tests.reformulate.reference import reference_reformulate
 
+from repro.core import ObjectRankSystem
 from repro.datasets import load_dataset
 from repro.explain import (
     SubgraphExtractor,
@@ -55,6 +62,7 @@ NUM_TARGETS = 16
 RADIUS = 3
 TOLERANCE = 1e-8
 REQUIRED_SPEEDUP = 2.0
+FEEDBACK_ITERATIONS = 5
 
 
 @dataclass
@@ -185,6 +193,47 @@ def run_comparison(dataset, workers: int | None = None) -> ExplainReport:
     )
 
 
+def check_feedback_shape(dataset) -> list[str]:
+    """Problems with the feedback loop on ``dataset`` (empty = none).
+
+    One session, one warm-up iteration (the node-term table is built on first
+    use), then ``FEEDBACK_ITERATIONS`` iterations marking the top result:
+    every reformulation must ``==`` the reference loops on the same
+    explanations, and over those iterations the session's recorded
+    ``reformulate_seconds`` must stay below ``subgraph_seconds +
+    adjust_seconds``.
+    """
+    system = ObjectRankSystem(dataset.data_graph, dataset.transfer_schema)
+    result = system.query(QUERY)
+    problems: list[str] = []
+    timings = []
+    for iteration in range(FEEDBACK_ITERATIONS + 1):
+        vector, rates = system.current_vector, system.current_rates
+        outcome = system.feedback(result.hit_ids()[:1])
+        expected = reference_reformulate(
+            system.reformulator, vector, rates, outcome.explanations
+        )
+        if outcome.reformulated != expected:
+            problems.append(
+                f"iteration {iteration}: reformulation differs from the reference loops"
+            )
+        if iteration:
+            timings.append(outcome.timing)
+        result = outcome.result
+    reformulate = sum(t.reformulate_seconds for t in timings)
+    explain = sum(t.subgraph_seconds + t.adjust_seconds for t in timings)
+    print(
+        f"feedback shape — dataset={dataset.name}, {len(timings)} iterations: "
+        f"reformulate {1000 * reformulate:.1f} ms vs explain {1000 * explain:.1f} ms"
+    )
+    if not reformulate < explain:
+        problems.append(
+            f"reformulation ({1000 * reformulate:.1f} ms) costs as much as "
+            f"explanation ({1000 * explain:.1f} ms)"
+        )
+    return problems
+
+
 def test_batched_explain_identical_and_faster(benchmark, dblp_complete):
     report = benchmark.pedantic(
         run_comparison, args=(dblp_complete,), rounds=1, iterations=1
@@ -211,6 +260,12 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: batched explanations diverge from the serial engine")
             return 1
         print("smoke OK: batched == serial for every target")
+        problems = check_feedback_shape(load_dataset("dblp_top"))
+        for problem in problems:
+            print(f"FAIL: {problem}")
+        if problems:
+            return 1
+        print("smoke OK: reformulation == reference loops, cheaper than explanation")
         return 0
 
     dataset = load_dataset("dblp_complete", scale=BENCH_SCALE, seed=BENCH_SEED)

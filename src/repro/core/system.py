@@ -293,12 +293,14 @@ class ObjectRankSystem:
 
         Installs the reformulated vector and rates as the session's current
         ones (Section 5.3 aggregation for multiple objects); the previous
-        result stays in place as the warm start of :meth:`rerun`.
+        result stays in place as the warm start of :meth:`rerun`.  An object
+        marked more than once counts once: the aggregation is over feedback
+        *objects*, and a repeat would double its weight under sum.
         """
         if self.last_result is None or self.current_vector is None:
             raise ReproError("query before giving feedback")
         self._clock = StageClock()
-        explanations = self.explain_many(relevant_ids)
+        explanations = self.explain_many(list(dict.fromkeys(relevant_ids)))
         for explanation in explanations:
             self._explaining_iterations.append(explanation.iterations)
 

@@ -9,6 +9,7 @@ from repro.explain.batch import (
     batched_explain,
 )
 from repro.explain.flows import (
+    grouped_flow_totals,
     local_node_incoming_flow,
     local_node_outgoing_flow,
     node_incoming_flow,
@@ -18,18 +19,24 @@ from repro.explain.flows import (
 from repro.explain.paths import FlowPath, top_paths
 from repro.explain.render import to_dot, to_text
 from repro.explain.svg import to_svg
-from repro.explain.subgraph import ExplainingSubgraph, build_explaining_subgraph
+from repro.explain.subgraph import (
+    ExplainingSubgraph,
+    NodeValueView,
+    build_explaining_subgraph,
+)
 
 __all__ = [
     "ExplainingSubgraph",
     "FlowExplanation",
     "FlowPath",
+    "NodeValueView",
     "SubgraphExtractor",
     "adjust_flows",
     "batched_adjust_flows",
     "batched_build_explaining_subgraphs",
     "batched_explain",
     "build_explaining_subgraph",
+    "grouped_flow_totals",
     "local_node_incoming_flow",
     "local_node_outgoing_flow",
     "node_incoming_flow",

@@ -20,13 +20,18 @@ compute ``h``; they only enter through ``Flow_0``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.explain.flows import local_node_outgoing_flow, original_edge_flows
-from repro.explain.subgraph import ExplainingSubgraph
+from repro.explain.flows import (
+    grouped_flow_totals,
+    local_node_outgoing_flow,
+    original_edge_flows,
+)
+from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
 from repro.graph.authority import EdgeType
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
@@ -39,14 +44,16 @@ class FlowExplanation:
 
     ``edge_ids`` are ids into the underlying transfer graph's edge arrays;
     ``flows`` / ``original_flows`` are aligned with them.  ``reduction`` holds
-    the converged ``h`` factors for every graph node in the subgraph.
+    the converged ``h`` factors for every graph node in the subgraph (a
+    :class:`~repro.explain.subgraph.NodeValueView` over the fixpoint's
+    array unless the subgraph is empty).
     """
 
     subgraph: ExplainingSubgraph
     damping: float
     original_flows: np.ndarray
     flows: np.ndarray
-    reduction: dict[int, float]
+    reduction: Mapping[int, float]
     iterations: int
     converged: bool
     residuals: list[float] = field(default_factory=list)
@@ -102,23 +109,39 @@ class FlowExplanation:
         return scores
 
     def flow_by_edge_type(self) -> dict[EdgeType, float]:
-        """``F(e_S)``: total adjusted flow per edge type (Section 5.2)."""
-        totals: dict[EdgeType, float] = {}
-        for edge_id, flow in zip(self.edge_ids, self.flows):
-            edge_type = self.graph.edge_type_of(int(edge_id))
-            totals[edge_type] = totals.get(edge_type, 0.0) + float(flow)
-        return totals
+        """``F(e_S)``: total adjusted flow per edge type (Section 5.2).
 
-    def edge_flow_items(self) -> list[tuple[str, str, float]]:
-        """Adjusted flows as ``(source_id, target_id, flow)`` triples."""
-        return [
-            (
-                self.graph.node_id_of(int(self.graph.edge_source[e])),
-                self.graph.node_id_of(int(self.graph.edge_target[e])),
-                float(f),
+        Holds the types present in the subgraph, in first-seen edge order,
+        each total accumulated in edge order.
+        """
+        edge_types = self.graph.edge_types
+        present, totals = grouped_flow_totals(
+            self.graph.edge_type_index[self.edge_ids], self.flows, len(edge_types)
+        )
+        return {
+            edge_types[index]: total
+            for index, total in zip(present.tolist(), totals.tolist())
+        }
+
+    def edge_flow_items(self, by_flow: bool = False) -> list[tuple[str, str, float]]:
+        """Adjusted flows as ``(source_id, target_id, flow)`` triples.
+
+        In subgraph edge order, or with ``by_flow`` by descending flow —
+        one stable argsort, so tied flows keep their edge order exactly as
+        ``sorted(..., key=flow, reverse=True)`` would leave them.
+        """
+        edge_ids, flows = self.edge_ids, self.flows
+        if by_flow:
+            order = np.argsort(-flows, kind="stable")
+            edge_ids, flows = edge_ids[order], flows[order]
+        node_id = self.graph.node_ids.__getitem__
+        return list(
+            zip(
+                map(node_id, self.graph.edge_source[edge_ids].tolist()),
+                map(node_id, self.graph.edge_target[edge_ids].tolist()),
+                flows.tolist(),
             )
-            for e, f in zip(self.edge_ids, self.flows)
-        ]
+        )
 
 
 def adjust_flows(
@@ -172,7 +195,7 @@ def adjust_flows(
         raise ConvergenceError("explaining flow adjustment", iterations, residuals[-1])
 
     flows = h[edge_dst_local] * flow0  # Equation 7
-    reduction = {node: float(h[i]) for i, node in enumerate(subgraph.nodes)}
+    reduction = NodeValueView(subgraph.nodes_array, h)
     return FlowExplanation(
         subgraph, damping, flow0, flows, reduction, iterations, converged, residuals
     )

@@ -10,11 +10,11 @@ numpy-dispatch overhead dominates the arithmetic.
 This module amortizes that overhead across a batch of targets:
 
 * **Shared positive-rate adjacency.**  Subgraph construction only ever
-  traverses edges with a strictly positive transfer rate.
-  :class:`SubgraphExtractor` filters the graph's in/out incidence indices
-  down to those edges once per rate setting, so every target's two BFS
-  passes skip the rate test entirely and the mask is shared by the whole
-  batch.
+  traverses edges with a strictly positive transfer rate.  The graph keeps
+  its in/out incidence filtered down to those edges per rate setting
+  (:meth:`AuthorityTransferDataGraph.positive_incidence`), so every
+  target's two BFS passes skip the rate test entirely and the filtered
+  index is shared by every batch — and every request — under those rates.
 
 * **Vectorized frontier expansion.**  Each BFS processes whole frontiers as
   index arrays — one ragged CSR gather per level instead of one Python loop
@@ -61,50 +61,18 @@ from repro.explain.adjustment import (
     FlowExplanation,
 )
 from repro.explain.flows import original_edge_flows
-from repro.explain.subgraph import ExplainingSubgraph, build_explaining_subgraph
-from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.explain.subgraph import (
+    ExplainingSubgraph,
+    NodeValueView,
+    build_explaining_subgraph,
+)
+from repro.graph.transfer_graph import AuthorityTransferDataGraph, gather_rows
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
 #: Compaction threshold: rebuild the shared edge list once this fraction of
 #: the still-packed targets has converged.  Rebuilding is O(remaining edges);
 #: amortizing it keeps total compaction cost linear in the batch size.
 _COMPACT_FRACTION = 4
-
-
-def _positive_incidence(
-    endpoint: np.ndarray, positive: np.ndarray, num_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (indptr, edge_ids) over positive-rate edges only."""
-    edge_ids = np.flatnonzero(positive)
-    endpoints = endpoint[edge_ids]
-    order = np.argsort(endpoints, kind="stable")
-    counts = (
-        np.bincount(endpoints, minlength=num_nodes)
-        if edge_ids.size
-        else np.zeros(num_nodes, dtype=np.int64)
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, edge_ids[order]
-
-
-def _gather_ragged(
-    indptr: np.ndarray, data: np.ndarray, nodes: np.ndarray
-) -> np.ndarray:
-    """Concatenation of ``data[indptr[v]:indptr[v+1]]`` for every frontier node.
-
-    The vectorized equivalent of the serial BFS's per-node adjacency loop:
-    one fancy-indexing pass gathers every frontier node's edge ids at once.
-    """
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    boundaries = np.cumsum(counts)
-    index = np.arange(total, dtype=np.int64)
-    index += np.repeat(starts - boundaries + counts, counts)
-    return data[index]
 
 
 class _WorkArrays:
@@ -126,22 +94,16 @@ class _WorkArrays:
 class SubgraphExtractor:
     """Vectorized explaining-subgraph construction over one rate setting.
 
-    Holds the positive-rate in/out incidence shared by every extraction;
-    build one per (graph, rates) and reuse it for the whole batch.  The
-    extractor itself is immutable after construction, so concurrent threads
-    may extract through it as long as each brings its own work arrays (the
-    public entry point :func:`batched_build_explaining_subgraphs` does).
+    Reads the graph's positive-rate in/out incidence, shared by every
+    extraction under the graph's current rates.  The extractor itself is
+    immutable after construction, so concurrent threads may extract through
+    it as long as each brings its own work arrays (the public entry point
+    :func:`batched_build_explaining_subgraphs` does).
     """
 
     def __init__(self, graph: AuthorityTransferDataGraph) -> None:
         self.graph = graph
-        positive = graph.edge_rate > 0.0
-        self._in_indptr, self._in_edges = _positive_incidence(
-            graph.edge_target, positive, graph.num_nodes
-        )
-        self._out_indptr, self._out_edges = _positive_incidence(
-            graph.edge_source, positive, graph.num_nodes
-        )
+        self._in_index, self._out_index = graph.positive_incidence()
 
     def extract(
         self,
@@ -163,9 +125,7 @@ class SubgraphExtractor:
         frontier = np.asarray([target], dtype=np.int64)
         level = 0
         while frontier.size and (radius is None or level < radius):
-            sources = graph.edge_source[
-                _gather_ragged(self._in_indptr, self._in_edges, frontier)
-            ]
+            sources = graph.edge_source[gather_rows(*self._in_index, frontier)]
             fresh = np.unique(sources[tag[sources] != epoch])
             if fresh.size == 0:
                 break
@@ -188,7 +148,7 @@ class SubgraphExtractor:
         reached: list[np.ndarray] = [np.unique(roots)]
         frontier = roots
         while frontier.size:
-            eids = _gather_ragged(self._out_indptr, self._out_edges, frontier)
+            eids = gather_rows(*self._out_index, frontier)
             dests = graph.edge_target[eids]
             inside = tag[dests] == epoch
             eids, dests = eids[inside], dests[inside]
@@ -202,16 +162,17 @@ class SubgraphExtractor:
         reached.append(np.asarray([target], dtype=np.int64))
         nodes_array = np.unique(np.concatenate(reached))
         edge_ids = np.sort(np.concatenate(kept)) if kept else np.empty(0, np.int64)
-        nodes = [int(n) for n in nodes_array]
+        depth_array = depth[nodes_array]
         return ExplainingSubgraph(
             graph=graph,
             target=target,
-            nodes=nodes,
+            nodes=nodes_array.tolist(),
             edge_ids=edge_ids.astype(np.int64, copy=False),
-            base_nodes=[int(b) for b in roots],
-            depth_to_target={n: int(depth[n]) for n in nodes},
+            base_nodes=roots.tolist(),
+            depth_to_target=NodeValueView(nodes_array, depth_array),
             radius=radius,
             _nodes_array=nodes_array,
+            _depth_array=depth_array,
         )
 
     def extract_many(
@@ -454,16 +415,12 @@ def batched_adjust_flows(
                 segment.residuals[-1],
             )
         flows = segment.h[segment.dst_local] * segment.flow0  # Equation 7
-        reduction = {
-            node: float(segment.h[i])
-            for i, node in enumerate(segment.subgraph.nodes)
-        }
         explanations[segment.position] = FlowExplanation(
             segment.subgraph,
             damping,
             segment.flow0,
             flows,
-            reduction,
+            NodeValueView(segment.subgraph.nodes_array, segment.h),
             segment.iterations,
             segment.converged,
             segment.residuals,

@@ -20,6 +20,7 @@ edges (e.g. DBLP's "cited" direction with rate 0.0) carry no authority.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,51 @@ from repro.errors import ExplanationError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 
 
+class NodeValueView(Mapping):
+    """A read-only ``node index -> value`` mapping over two aligned arrays.
+
+    The batched explain engine produces per-node values (depths, reduction
+    factors) as arrays; most requests never look one up by node.  The view
+    compares equal to the ``dict`` it stands for and builds that dict only
+    on first keyed access, so array consumers pay nothing for it.
+    """
+
+    __slots__ = ("nodes", "values_array", "_dict")
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray) -> None:
+        self.nodes = nodes
+        self.values_array = values
+        self._dict: dict | None = None
+
+    def _materialized(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.nodes.tolist(), self.values_array.tolist()))
+        return self._dict
+
+    def __getitem__(self, node: int):
+        return self._materialized()[node]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._materialized())
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __repr__(self) -> str:
+        return f"NodeValueView({self._materialized()!r})"
+
+
 @dataclass
 class ExplainingSubgraph:
     """The explaining subgraph ``G_v^Q`` over dense node indices.
 
     ``depth_to_target`` maps each node to its shortest-path distance (in
     edges) to the target inside the subgraph — the ``D(v_k)`` of the
-    content-based reformulation (Equation 11).
+    content-based reformulation (Equation 11); :attr:`depth_array` is the
+    same aligned with ``nodes``.  The batched engine passes arrays
+    (``_nodes_array``, ``_depth_array``) and a :class:`NodeValueView` over
+    them; the serial builder passes a plain dict and the arrays are derived
+    on demand.
     """
 
     graph: AuthorityTransferDataGraph
@@ -42,12 +81,13 @@ class ExplainingSubgraph:
     nodes: list[int]
     edge_ids: np.ndarray
     base_nodes: list[int]
-    depth_to_target: dict[int, int]
+    depth_to_target: Mapping[int, int]
     radius: int | None = None
     _node_set: set[int] = field(default_factory=set, repr=False)
     _nodes_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_src_local: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_dst_local: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _depth_array: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._node_set = set(self.nodes)
@@ -74,6 +114,19 @@ class ExplainingSubgraph:
         if self._nodes_array is None:
             self._nodes_array = np.asarray(self.nodes, dtype=np.int64)
         return self._nodes_array
+
+    @property
+    def depth_array(self) -> np.ndarray:
+        """``D(v_k)`` for every subgraph node, aligned with ``nodes`` (cached).
+
+        A node missing from ``depth_to_target`` counts as depth 0.
+        """
+        if self._depth_array is None:
+            depths = self.depth_to_target
+            self._depth_array = np.asarray(
+                [depths.get(node, 0) for node in self.nodes], dtype=np.int64
+            )
+        return self._depth_array
 
     def local_indices_of(self, global_indices: np.ndarray) -> np.ndarray:
         """Positions of graph node indices inside the sorted ``nodes`` array.

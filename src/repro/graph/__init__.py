@@ -2,6 +2,7 @@
 graphs (Section 2 of the paper)."""
 
 from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
+from repro.graph.build_cache import BuildCache
 from repro.graph.conformance import check_conformance, conforms, find_violations
 from repro.graph.data_graph import DataEdge, DataGraph, DataNode
 from repro.graph.nx_interop import from_networkx, to_networkx, transfer_graph_to_networkx
@@ -12,6 +13,7 @@ from repro.graph.transfer_graph import AuthorityTransferDataGraph
 __all__ = [
     "AuthorityTransferDataGraph",
     "AuthorityTransferSchemaGraph",
+    "BuildCache",
     "DataEdge",
     "DataGraph",
     "DataNode",

@@ -21,13 +21,21 @@ numpy edge arrays, so that:
 
 from __future__ import annotations
 
+from typing import Callable, Hashable, TypeVar
+
 import numpy as np
 from scipy import sparse
 
 from repro.errors import GraphError, UnknownNodeError
 from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
+from repro.graph.build_cache import BuildCache
 from repro.graph.conformance import check_conformance, resolve_schema_edge
 from repro.graph.data_graph import DataGraph
+
+T = TypeVar("T")
+
+#: CSR-style ``(indptr, edge_ids)`` index grouping edge ids by one endpoint.
+Incidence = tuple[np.ndarray, np.ndarray]
 
 
 class AuthorityTransferDataGraph:
@@ -39,6 +47,10 @@ class AuthorityTransferDataGraph:
     of the data graph produces transfer edges ``2k`` (forward) and ``2k + 1``
     (backward).
     """
+
+    #: Rate-independent derived structures kept per topology
+    #: (:meth:`derived`); entries of older data-graph versions age out.
+    DERIVED_CACHE_SIZE = 4
 
     def __init__(
         self,
@@ -87,9 +99,11 @@ class AuthorityTransferDataGraph:
         self._transfer_schema = transfer_schema
         self.edge_rate = np.zeros(self.num_edges, dtype=np.float64)
         self._matrix: sparse.csr_matrix | None = None
+        self._positive_incidence: tuple[Incidence, Incidence] | None = None
         self._out_index = _build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = _build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         self._node_degrees: np.ndarray | None = None
+        self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
         self._recompute_rates()
 
     # -- node id <-> dense index ------------------------------------------
@@ -134,6 +148,7 @@ class AuthorityTransferDataGraph:
         if self.num_edges:
             self.edge_rate = alphas[self.edge_type_index] / self._edge_out_degree
         self._matrix = None
+        self._positive_incidence = None
 
     def with_rates(
         self, transfer_schema: AuthorityTransferSchemaGraph
@@ -141,10 +156,11 @@ class AuthorityTransferDataGraph:
         """A lightweight view of this graph under different schema-level rates.
 
         The view shares every topology structure (node index, edge arrays,
-        out-degree counts, incidence indices) with this graph but carries its
-        own ``edge_rate`` array and transition matrix, so concurrent sessions
-        with different learned rates can rank against one materialized graph
-        without mutating it.  Construction costs O(edges) — the same price as
+        out-degree counts, incidence indices, the :meth:`derived` cache) with
+        this graph but carries its own ``edge_rate`` array, transition matrix
+        and positive-rate incidence, so concurrent sessions with different
+        learned rates can rank against one materialized graph without
+        mutating it.  Construction costs O(edges) — the same price as
         :meth:`set_transfer_rates` — and nothing else is copied.
         """
         if transfer_schema.edge_types() != self.edge_types:
@@ -163,9 +179,11 @@ class AuthorityTransferDataGraph:
         view._out_index = self._out_index
         view._in_index = self._in_index
         view._node_degrees = self._node_degrees
+        view._derived = self._derived
         view._transfer_schema = transfer_schema
         view.edge_rate = np.zeros(self.num_edges, dtype=np.float64)
         view._matrix = None
+        view._positive_incidence = None
         view._recompute_rates()
         return view
 
@@ -185,6 +203,37 @@ class AuthorityTransferDataGraph:
             )
         return self._matrix
 
+    def positive_incidence(self) -> tuple[Incidence, Incidence]:
+        """``(in, out)`` incidence over strictly positive-rate edges only.
+
+        Explaining-subgraph construction traverses nothing else (a zero-rate
+        edge carries no authority), so its BFS passes skip the rate test.
+        Built lazily per rate setting — the full incidence filtered by the
+        rate mask, which keeps each node's edges in ascending edge-id order —
+        and dropped whenever the rates change, like :meth:`matrix`.
+        """
+        if self._positive_incidence is None:
+            positive = self.edge_rate > 0.0
+            self._positive_incidence = (
+                _filter_incidence(self._in_index, positive),
+                _filter_incidence(self._out_index, positive),
+            )
+        return self._positive_incidence
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per data-graph version and ``key``.
+
+        For index-time structures over node text or topology that request
+        paths would otherwise redo per call (the reformulator's node-term
+        table).  The cache is shared by every :meth:`with_rates` view, so
+        ``build`` must not depend on the rates; keying on
+        ``data_graph.version`` means any mutation of the data graph is a
+        miss, and an ingest refresh builds a new transfer graph with a cold
+        cache.  Concurrent first uses build once
+        (:class:`~repro.graph.build_cache.BuildCache`).
+        """
+        return self._derived.get((self.data_graph.version, key), build)
+
     def out_edge_ids(self, index: int) -> np.ndarray:
         """Ids of transfer edges leaving node ``index``."""
         start, end = self._out_index[0][index], self._out_index[0][index + 1]
@@ -203,11 +252,11 @@ class AuthorityTransferDataGraph:
         cost is proportional to the touched edges, not the graph.  Within each
         node the edge ids keep their :meth:`out_edge_ids` order.
         """
-        return _gather_rows(self._out_index, indices)
+        return gather_rows(*self._out_index, indices)
 
     def in_edge_ids_many(self, indices: np.ndarray) -> np.ndarray:
         """Ids of transfer edges entering any of ``indices``, concatenated."""
-        return _gather_rows(self._in_index, indices)
+        return gather_rows(*self._in_index, indices)
 
     def node_degrees(self) -> np.ndarray:
         """Transfer-edge degree per node index (computed once, then cached).
@@ -232,25 +281,35 @@ class AuthorityTransferDataGraph:
         )
 
 
-def _gather_rows(
-    incidence: tuple[np.ndarray, np.ndarray], indices: np.ndarray
-) -> np.ndarray:
-    """Concatenate the CSR rows of ``incidence`` selected by ``indices``."""
-    indptr, order = incidence
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = indptr[indices]
-    lengths = indptr[indices + 1] - starts
+def gather_rows(indptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenation of ``data[indptr[r]:indptr[r + 1]]`` for every row ``r``.
+
+    The vectorized multi-slice gather behind every ragged (CSR-style) lookup:
+    frontier expansion over an incidence index, a node-term table.  Cost is
+    proportional to the gathered entries; within a row ``data`` keeps its
+    order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=data.dtype)
     # Row-start offset of each output position: repeat(starts - cum, lengths)
     # + arange recovers the classic vectorized multi-slice gather.
-    offsets = np.zeros(indices.size, dtype=np.int64)
+    offsets = np.zeros(rows.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=offsets[1:])
     positions = np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
-    return order[positions]
+    return data[positions]
+
+
+def _filter_incidence(incidence: Incidence, keep: np.ndarray) -> Incidence:
+    """``incidence`` restricted to the edges whose ``keep`` flag is set."""
+    indptr, order = incidence
+    kept = keep[order]
+    kept_before = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    return kept_before[indptr], order[kept]
 
 
 def _build_incidence(

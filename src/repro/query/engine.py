@@ -9,14 +9,13 @@ learned rates, warm-start scores) lives in
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.graph.authority import AuthorityTransferSchemaGraph
+from repro.graph.build_cache import BuildCache
 from repro.graph.data_graph import DataGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
@@ -79,16 +78,6 @@ def select_top(
     return top
 
 
-class _ViewBuild:
-    """Latch for one in-flight ``with_rates`` build (``transfer_view``)."""
-
-    __slots__ = ("done", "view")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.view: AuthorityTransferDataGraph | None = None
-
-
 @dataclass
 class SearchEngine:
     """ObjectRank2 search over one data graph.
@@ -118,9 +107,9 @@ class SearchEngine:
         )
         self.index = InvertedIndex.from_graph(self.data_graph, self.analyzer)
         self.scorer: Scorer = BM25Scorer(self.index)
-        self._view_lock = threading.Lock()
-        self._views: OrderedDict[tuple, AuthorityTransferDataGraph] = OrderedDict()
-        self._view_builds: dict[tuple, _ViewBuild] = {}
+        self._views: BuildCache[AuthorityTransferDataGraph] = BuildCache(
+            self.VIEW_CACHE_SIZE
+        )
 
     def adopt(
         self,
@@ -138,18 +127,17 @@ class SearchEngine:
         topology.  An in-flight request that already resolved the old graph
         keeps using it coherently (the old objects stay alive and
         internally consistent), exactly like a store generation swap; only
-        *new* lookups see the adopted snapshot.  In-flight ``_view_builds``
-        latches are left alone: a build that races the swap caches a view
+        *new* lookups see the adopted snapshot.  In-flight view builds
+        are left alone: a build that races the swap caches a view
         of the old topology under a rate key, which the next miss on that
         key simply rebuilds — stale entries age out of the small LRU.
         """
-        with self._view_lock:
-            self.data_graph = data_graph
-            self.transfer_schema = transfer_schema
-            self.graph = graph
-            self.index = index
-            self.scorer = BM25Scorer(index)
-            self._views.clear()
+        self.data_graph = data_graph
+        self.transfer_schema = transfer_schema
+        self.graph = graph
+        self.index = index
+        self.scorer = BM25Scorer(index)
+        self._views.clear()
 
     def transfer_view(
         self, rates: AuthorityTransferSchemaGraph | None = None
@@ -163,52 +151,18 @@ class SearchEngine:
         small LRU so repeated queries of the same feedback session (or the
         same cached serving session) reuse one transition matrix.
 
-        Concurrent misses on the same key are deduplicated by a per-key
-        build latch: exactly one thread materializes the O(edges) view (its
-        rate array and CSR matrix) outside the lock, everyone else waits on
-        the latch and shares the built view instead of clobbering it.
+        Concurrent misses on the same key are deduplicated by the cache's
+        per-key build latch (:class:`~repro.graph.build_cache.BuildCache`):
+        exactly one thread materializes the O(edges) view (its rate array
+        and CSR matrix), everyone else waits and shares the built view
+        instead of clobbering it.
         """
-        if rates is None or rates == self.graph.transfer_schema:
-            return self.graph
-        key = tuple(rates.as_vector())
-        with self._view_lock:
-            view = self._views.get(key)
-            if view is not None:
-                self._views.move_to_end(key)
-                return view
-            build = self._view_builds.get(key)
-            if build is None:
-                build = _ViewBuild()
-                self._view_builds[key] = build
-                builder = True
-            else:
-                builder = False
-
-        if not builder:
-            build.done.wait()
-            if build.view is not None:
-                return build.view
-            # The builder failed; retry (and possibly become the builder).
-            return self.transfer_view(rates)
-
-        try:
-            view = self.graph.with_rates(rates)
-        except BaseException:
-            with self._view_lock:
-                self._view_builds.pop(key, None)
-            build.done.set()
-            raise
-        with self._view_lock:
-            self._views[key] = view
-            self._views.move_to_end(key)
-            while len(self._views) > self.VIEW_CACHE_SIZE:
-                self._views.popitem(last=False)
-            self._view_builds.pop(key, None)
-        # Waiters read the view off the latch, not the LRU — the entry may
-        # already have been evicted by other keys by the time they wake.
-        build.view = view
-        build.done.set()
-        return view
+        graph = self.graph
+        if rates is None or rates == graph.transfer_schema:
+            return graph
+        return self._views.get(
+            tuple(rates.as_vector()), lambda: graph.with_rates(rates)
+        )
 
     def query_vector(self, query: KeywordQuery | QueryVector | str) -> QueryVector:
         """Normalize any accepted query form into a weighted query vector."""

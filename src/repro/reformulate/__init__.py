@@ -9,6 +9,7 @@ from repro.reformulate.content import (
     ContentReformulator,
 )
 from repro.reformulate.structure import DEFAULT_ADJUSTMENT_FACTOR, StructureReformulator
+from repro.reformulate.terms import NodeTermTable, node_term_table
 
 __all__ = [
     "AGGREGATORS",
@@ -17,8 +18,10 @@ __all__ = [
     "DEFAULT_DECAY",
     "DEFAULT_EXPANSION_FACTOR",
     "DEFAULT_NUM_TERMS",
+    "NodeTermTable",
     "ReformulatedQuery",
     "Reformulator",
     "StructureReformulator",
     "aggregate_maps",
+    "node_term_table",
 ]

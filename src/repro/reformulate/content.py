@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.explain.adjustment import FlowExplanation
-from repro.ir.tokenize import DEFAULT_ANALYZER, Analyzer
+from repro.explain.flows import grouped_flow_totals, local_node_outgoing_flow
+from repro.ir.tokenize import Analyzer
 from repro.query.query import QueryVector
 from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
+from repro.reformulate.terms import node_term_table
 
 DEFAULT_DECAY = 0.5  # C_d, "typically set to 0.5" (Section 5.1)
 DEFAULT_EXPANSION_FACTOR = 0.5  # C_e
@@ -63,28 +67,41 @@ class ContentReformulator:
     def term_weights(self, explanation: FlowExplanation) -> dict[str, float]:
         """Raw expansion-term weights for one feedback object's explanation.
 
-        Stopwords are ignored, as Section 5.1 prescribes.
+        Stopwords are ignored, as Section 5.1 prescribes.  One reduction
+        over the cached node-term table (:mod:`repro.reformulate.terms`):
+        each node's contribution ``C_d^D(v_k) * outflow`` is added to its
+        terms in node order, so every weight is bit-identical to a per-node
+        accumulation loop over the tokenised node text.
         """
         subgraph = explanation.subgraph
-        graph = explanation.graph
-        outflow = explanation.outgoing_flow_by_node()
+        outflow = local_node_outgoing_flow(subgraph, explanation.flows)
         # The target's "outgoing flow is not specified in G_v^Q": use
         # d * (incoming flow) instead.
-        outflow[subgraph.target] = explanation.damping * explanation.target_inflow()
+        outflow[subgraph.local_indices_of(subgraph.target)] = (
+            explanation.damping * explanation.target_inflow()
+        )
+        contributing = np.flatnonzero(outflow > 0.0)
+        if contributing.size == 0:
+            return {}
+        depths = subgraph.depth_array[contributing]
+        # One Python ``float ** int`` per distinct depth: numpy's vectorised
+        # pow may round the last bit differently, and the weights are pinned
+        # bit for bit to the per-node reference loop.
+        decay_powers = np.asarray(
+            [self.decay**depth for depth in range(int(depths.max()) + 1)]
+        )
+        contributions = decay_powers[depths] * outflow[contributing]
 
-        weights: dict[str, float] = {}
-        for node_index in subgraph.nodes:
-            flow = outflow.get(node_index, 0.0)
-            if flow <= 0.0:
-                continue
-            depth = subgraph.depth_to_target.get(node_index, 0)
-            contribution = (self.decay**depth) * flow
-            node = graph.data_graph.node(graph.node_id_of(node_index))
-            for term in self.analyzer.unique_terms(node.text()):
-                if self.analyzer.is_stopword(term):
-                    continue
-                weights[term] = weights.get(term, 0.0) + contribution
-        return weights
+        table = node_term_table(explanation.graph, self.analyzer)
+        term_ids, counts = table.gather(subgraph.nodes_array[contributing])
+        terms, weights = grouped_flow_totals(
+            term_ids, np.repeat(contributions, counts), len(table.vocabulary)
+        )
+        vocabulary = table.vocabulary
+        return {
+            vocabulary[term]: weight
+            for term, weight in zip(terms.tolist(), weights.tolist())
+        }
 
     def aggregate_term_weights(
         self, explanations: list[FlowExplanation]

@@ -891,9 +891,7 @@ class QueryService:
         """Compute one full (untrimmed, cacheable) explanation payload."""
         explanation = self._session(runtime, vector, rates, mode).explain(target)
         subgraph = explanation.subgraph
-        edges = sorted(
-            explanation.edge_flow_items(), key=lambda item: item[2], reverse=True
-        )
+        edges = explanation.edge_flow_items(by_flow=True)
         return {
             "dataset": runtime.name,
             "query": dict(vector.weights),

@@ -86,6 +86,25 @@ class TestFeedback:
         outcome = system.feedback(["v4", "v7"])
         assert len(outcome.explanations) == 2
 
+    def test_duplicate_feedback_ids_count_once(self, figure1):
+        """Regression: ``["v4", "v4", "v7"]`` used to explain v4 twice and
+        double its weight under Eq. 14/15 sum aggregation."""
+
+        def session():
+            system = ObjectRankSystem(
+                figure1.data_graph,
+                figure1.transfer_schema,
+                SystemConfig(top_k=7, tolerance=1e-8, radius=None),
+            )
+            system.query("OLAP")
+            return system
+
+        once = session().feedback(["v4", "v7"])
+        twice = session().feedback(["v4", "v4", "v7", "v4"])
+        assert len(twice.explanations) == 2
+        assert twice.reformulated == once.reformulated
+        assert twice.result.top == once.result.top
+
     def test_empty_feedback_is_noop_reformulation(self, system, figure1):
         system.query("OLAP")
         before_vector = system.current_vector.copy()

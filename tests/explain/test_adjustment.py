@@ -1,5 +1,7 @@
 """Unit tests for the flow-adjustment fixpoint (Section 4, Equations 5-10)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,16 @@ class TestAggregates:
         items = explanation.edge_flow_items()
         assert len(items) == explanation.subgraph.num_edges
         assert all(isinstance(s, str) and isinstance(t, str) for s, t, _ in items)
+
+    def test_edge_flow_items_by_flow_is_the_stable_descending_sort(self, explanation):
+        """``by_flow`` == ``sorted(..., reverse=True)`` of the edge-order
+        triples, also when flows tie (ties keep their edge order)."""
+        tied = dataclasses.replace(explanation, flows=np.round(explanation.flows, 2))
+        assert len(set(tied.flows.tolist())) < len(tied.flows)  # really ties
+        for case in (explanation, tied):
+            assert case.edge_flow_items(by_flow=True) == sorted(
+                case.edge_flow_items(), key=lambda item: item[2], reverse=True
+            )
 
 
 class TestConvenienceWrapper:

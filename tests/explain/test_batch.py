@@ -15,6 +15,7 @@ from repro.explain import (
     build_explaining_subgraph,
 )
 from repro.explain.adjustment import FlowExplanation
+from repro.graph import AuthorityTransferDataGraph
 
 
 def assert_same_subgraph(serial, batched):
@@ -103,6 +104,48 @@ class TestBatchedSubgraphs:
         for target, subgraph in zip(ALL_TARGETS, batched):
             serial = build_explaining_subgraph(figure1_graph, olap_base, target, 3)
             assert_same_subgraph(serial, subgraph)
+
+
+class TestPositiveRateIncidence:
+    """The extractor reads the graph's incidence, so it follows the rates."""
+
+    def test_zeroed_edge_type_leaves_the_next_explaining_subgraph(
+        self, figure1, olap_base
+    ):
+        graph = AuthorityTransferDataGraph(figure1.data_graph, figure1.transfer_schema)
+        (before,) = batched_build_explaining_subgraphs(graph, olap_base, ["v4"])
+        zeroed_type = graph.edge_type_of(int(before.edge_ids[0]))
+        zeroed_index = graph.edge_types.index(zeroed_type)
+        rates = [
+            0.0 if t == zeroed_type else figure1.transfer_schema.rate(t)
+            for t in graph.edge_types
+        ]
+        graph.set_transfer_rates(
+            figure1.transfer_schema.with_vector(rates, graph.edge_types)
+        )
+        (after,) = batched_build_explaining_subgraphs(graph, olap_base, ["v4"])
+        assert zeroed_index in graph.edge_type_index[before.edge_ids]
+        assert zeroed_index not in graph.edge_type_index[after.edge_ids]
+        assert_same_subgraph(
+            build_explaining_subgraph(graph, olap_base, "v4"), after
+        )
+
+    def test_view_extracts_under_its_own_rates(self, figure1_graph, figure1, olap_base):
+        """A ``with_rates`` view must not reuse the parent's filtered index."""
+        SubgraphExtractor(figure1_graph)  # parent's incidence is warm
+        graph = figure1_graph
+        rates = [0.0] + [
+            figure1.transfer_schema.rate(t) for t in graph.edge_types[1:]
+        ]
+        view = graph.with_rates(
+            figure1.transfer_schema.with_vector(rates, graph.edge_types)
+        )
+        for target in ALL_TARGETS:
+            (batched,) = batched_build_explaining_subgraphs(view, olap_base, [target])
+            assert_same_subgraph(
+                build_explaining_subgraph(view, olap_base, target), batched
+            )
+            assert 0 not in view.edge_type_index[batched.edge_ids]
 
 
 class TestBatchedAdjustment:

@@ -153,3 +153,66 @@ class TestEdgeCases:
         graph.add_node("x", "B")
         with pytest.raises(Exception):
             AuthorityTransferDataGraph(graph, AuthorityTransferSchemaGraph(schema))
+
+
+def _positive_rows(graph, incidence):
+    """Per node: the positive-rate edge ids an incidence lists for it."""
+    indptr, edge_ids = incidence
+    return [edge_ids[indptr[i] : indptr[i + 1]].tolist() for i in range(graph.num_nodes)]
+
+
+class TestPositiveIncidence:
+    def test_lists_exactly_the_positive_rate_edges_in_edge_order(self, figure1_atdg):
+        graph = figure1_atdg
+        incoming, outgoing = graph.positive_incidence()
+        for node in range(graph.num_nodes):
+            assert _positive_rows(graph, incoming)[node] == [
+                int(e) for e in graph.in_edge_ids(node) if graph.edge_rate[e] > 0.0
+            ]
+            assert _positive_rows(graph, outgoing)[node] == [
+                int(e) for e in graph.out_edge_ids(node) if graph.edge_rate[e] > 0.0
+            ]
+
+    def test_cached_until_the_rates_change(self, figure1_atdg):
+        first = figure1_atdg.positive_incidence()
+        assert figure1_atdg.positive_incidence() is first
+        figure1_atdg.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
+        rebuilt = figure1_atdg.positive_incidence()
+        assert rebuilt is not first
+        # The default rates zero the "cited" direction; 0.1 everywhere does not.
+        assert len(rebuilt[0][1]) == figure1_atdg.num_edges > len(first[0][1])
+
+    def test_view_never_shares_the_parents_incidence(self, figure1_atdg):
+        parent = figure1_atdg.positive_incidence()
+        view = figure1_atdg.with_rates(dblp_transfer_schema([0.1] * 8))
+        assert view._positive_incidence is None  # starts cold, not inherited
+        assert len(view.positive_incidence()[0][1]) == view.num_edges
+        assert figure1_atdg.positive_incidence() is parent
+
+
+class TestDerived:
+    def test_built_once_per_key_and_shared_with_views(self, figure1_atdg):
+        builds = []
+
+        def build():
+            builds.append("built")
+            return object()
+
+        first = figure1_atdg.derived("k", build)
+        view = figure1_atdg.with_rates(dblp_transfer_schema([0.1] * 8))
+        assert view.derived("k", build) is first
+        assert figure1_atdg.derived("other", build) is not first
+        assert len(builds) == 2
+
+    def test_data_graph_mutation_is_a_miss(self, figure1_atdg):
+        first = figure1_atdg.derived("k", object)
+        figure1_atdg.data_graph.update_attributes("v6", {"name": "R. Agrawal"})
+        assert figure1_atdg.derived("k", object) is not first
+
+    def test_graph_with_a_warm_cache_still_pickles(self, figure1_atdg):
+        import pickle
+
+        figure1_atdg.derived("k", object)
+        clone = pickle.loads(pickle.dumps(figure1_atdg))
+        assert np.array_equal(clone.edge_rate, figure1_atdg.edge_rate)
+        assert clone.derived("k", lambda: "rebuilt") == "rebuilt"

@@ -19,7 +19,7 @@ _WORDS = (
 
 
 @st.composite
-def dblp_graphs(draw, min_papers: int = 2, max_papers: int = 8):
+def dblp_graphs(draw, min_papers: int = 2, max_papers: int = 8, words=_WORDS):
     """A random conforming DBLP data graph with at least one word per paper."""
     num_papers = draw(st.integers(min_papers, max_papers))
     num_authors = draw(st.integers(1, 4))
@@ -30,10 +30,8 @@ def dblp_graphs(draw, min_papers: int = 2, max_papers: int = 8):
     for a in range(num_authors):
         graph.add_node(f"author:{a}", "Author", {"name": f"author{a}"})
     for p in range(num_papers):
-        words = draw(
-            st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4)
-        )
-        graph.add_node(f"paper:{p}", "Paper", {"title": " ".join(words)})
+        title = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+        graph.add_node(f"paper:{p}", "Paper", {"title": " ".join(title)})
         graph.add_edge("year:0", f"paper:{p}", "contains")
         author = draw(st.integers(0, num_authors - 1))
         graph.add_edge(f"paper:{p}", f"author:{author}", "by")
@@ -48,9 +46,9 @@ def dblp_graphs(draw, min_papers: int = 2, max_papers: int = 8):
 
 
 @st.composite
-def dblp_transfer_graphs(draw, epsilon: float = 0.0):
+def dblp_transfer_graphs(draw, epsilon: float = 0.0, words=_WORDS):
     """A materialized transfer graph over a random DBLP data graph."""
-    graph = draw(dblp_graphs())
+    graph = draw(dblp_graphs(words=words))
     rates = dblp_transfer_schema(epsilon=epsilon)
     return AuthorityTransferDataGraph(graph, rates)
 

@@ -125,6 +125,72 @@ class TestEndpoints:
         assert payload["learned_rates"]
 
 
+    def test_duplicate_relevant_ids_count_once(self, url):
+        """``["v4", "v4", "v7"]`` reformulates like ``["v4", "v7"]``; the
+        echoed ``relevant_ids`` stays what the client sent."""
+
+        def reformulate(relevant_ids):
+            status, payload = _request(
+                f"{url}/feedback/reformulate",
+                {
+                    "dataset": "fig1",
+                    "query": "OLAP",
+                    "relevant_ids": relevant_ids,
+                    "apply": False,
+                },
+            )
+            assert status == 200
+            return payload
+
+        once = reformulate(["v4", "v7"])
+        twice = reformulate(["v4", "v4", "v7"])
+        assert twice["relevant_ids"] == ["v4", "v4", "v7"]
+        for key in ("reformulated_query", "learned_rates", "results", "iterations"):
+            assert twice[key] == once[key]
+
+
+def test_concurrent_first_reformulations_build_one_term_table(figure1, monkeypatch):
+    """8 requests race to the cold node-term table: one builds it (slowly,
+    so the others really wait on the latch) and all 8 answers agree."""
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.reformulate import terms
+
+    builds = []
+    real = terms.build_node_term_table
+
+    def slow_build(graph, analyzer):
+        builds.append(analyzer)
+        time.sleep(0.2)
+        return real(graph, analyzer)
+
+    monkeypatch.setattr(terms, "build_node_term_table", slow_build)
+    service = QueryService(
+        ServeConfig(datasets=("fig1",), precompute=False), datasets={"fig1": figure1}
+    )
+    service.runtime("fig1")  # the race under test is the table, not the engine
+    server, thread = _boot(service)
+    body = {"dataset": "fig1", "query": "OLAP", "relevant_ids": ["v4"], "apply": False}
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(_request, f"{server.url}/feedback/reformulate", body)
+                for _ in range(8)
+            ]
+            replies = [future.result(timeout=30) for future in futures]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [status for status, _ in replies] == [200] * 8
+    assert len(builds) == 1
+    for _, payload in replies:
+        payload.pop("elapsed_seconds")
+    assert all(payload == replies[0][1] for _, payload in replies)
+
+
 class TestErrorMapping:
     def test_missing_query_is_400(self, url):
         status, payload = _request(f"{url}/search?dataset=fig1")

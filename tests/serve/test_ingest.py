@@ -182,6 +182,22 @@ class TestCacheEpochs:
         assert snapshot["repro_cache_invalidations_total"] >= 2
 
 
+    def test_reformulation_draws_terms_from_the_refreshed_text(self, figure1):
+        """The node-term table is built over one snapshot's node text; a
+        refresh that absorbed an ``update_node`` must not reuse it."""
+        service = _service(figure1)
+        before = service.feedback_reformulate("fig1", "OLAP", ["v4"], apply=False)
+        assert "zebrafish" not in before["reformulated_query"]
+        service.ingest(
+            "fig1",
+            [{"op": "update_node", "node_id": "v4",
+              "attributes": {"title": "OLAP zebrafish"}}],
+            refresh="force",
+        )
+        after = service.feedback_reformulate("fig1", "OLAP", ["v4"], apply=False)
+        assert "zebrafish" in after["reformulated_query"]
+
+
 class TestMutationErrors:
     def test_bad_mutations_reported_not_fatal(self, figure1):
         service = _service(figure1, ingest_staleness_bound=10)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import ObjectRankSystem
 from repro.errors import ReproError
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 
@@ -135,6 +136,38 @@ class TestExplain:
         assert explanation["edges"]
         flows = [edge["flow"] for edge in explanation["edges"]]
         assert flows == sorted(flows, reverse=True)
+
+
+    @pytest.mark.parametrize(
+        "fixture, query", [("figure1", "OLAP"), ("dblp_tiny", "improved study")]
+    )
+    def test_edge_order_is_the_stable_descending_flow_sort(
+        self, request, fixture, query
+    ):
+        """The payload's edges == ``sorted(triples, key=flow, reverse=True)``
+        over the subgraph-order triples: equal flows keep their edge order."""
+        dataset = request.getfixturevalue(fixture)
+        service = QueryService(
+            ServeConfig(datasets=("ds",), precompute=False), datasets={"ds": dataset}
+        )
+        system = ObjectRankSystem(
+            dataset.data_graph,
+            dataset.transfer_schema,
+            ServeConfig().session_config("full"),
+        )
+        target = system.query(query).top[0][0]
+        expected = sorted(
+            system.explain(target).edge_flow_items(),
+            key=lambda item: item[2],
+            reverse=True,
+        )
+        served = service.explain("ds", query, target, max_edges=len(expected))
+        assert [
+            (e["source"], e["target"], e["flow"]) for e in served["edges"]
+        ] == expected
+        if fixture == "dblp_tiny":  # the tie order is really exercised
+            flows = [flow for _, _, flow in expected]
+            assert len(set(flows)) < len(flows)
 
 
 class TestReformulationInvalidation:
