@@ -8,11 +8,10 @@ matrix and amortizes every sparse pass across all still-active columns, so
 the matrix's nonzeros are streamed once per iteration instead of once per
 keyword per iteration.
 
-This benchmark times three builds of the full DBLPcomplete vocabulary —
-serial loop, blocked in-process, blocked over a process pool — and verifies
-the tentpole claim: blocking is a pure performance change.  Per keyword, the
-blocked scores match the serial engine to ≤1e-12 with identical iteration
-counts.
+This benchmark times two builds of the full DBLPcomplete vocabulary —
+serial loop and blocked — and verifies the tentpole claim: blocking is a
+pure performance change.  Per keyword, the blocked scores match the serial
+engine to ≤1e-12 with identical iteration counts.
 
 Run under pytest (``pytest benchmarks/bench_batch.py --benchmark-only -s``)
 or directly as a script::
@@ -27,7 +26,6 @@ Smoke mode uses the tiny dataset and checks only the identity guarantees
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -56,20 +54,14 @@ class BatchReport:
     dataset: str
     num_nodes: int
     num_keywords: int
-    workers: int
     serial_seconds: float
     blocked_seconds: float
-    pooled_seconds: float
     max_abs_diff: float
     iterations_identical: bool
 
     @property
     def blocked_speedup(self) -> float:
         return self.serial_seconds / self.blocked_seconds
-
-    @property
-    def pooled_speedup(self) -> float:
-        return self.serial_seconds / self.pooled_seconds
 
     @property
     def identical(self) -> bool:
@@ -83,8 +75,6 @@ class BatchReport:
             f"  serial (keyword_objectrank loop)   : {self.serial_seconds:8.2f} s",
             f"  blocked (batched, in-process)      : {self.blocked_seconds:8.2f} s"
             f"   {self.blocked_speedup:5.1f}x",
-            f"  blocked + {self.workers} process workers        : "
-            f"{self.pooled_seconds:8.2f} s   {self.pooled_speedup:5.1f}x",
             f"verification: per-column |Δscore|max = {self.max_abs_diff:.2e} "
             f"(bound {IDENTITY_BOUND:.0e}), iteration counts "
             + ("identical" if self.iterations_identical else "DIFFER"),
@@ -100,12 +90,12 @@ def vocabulary_keywords(engine: SearchEngine) -> list[str]:
     ]
 
 
-def run_comparison(dataset, workers: int | None = None) -> BatchReport:
+def run_comparison(dataset) -> BatchReport:
     """Time serial vs blocked precomputation, interleaved per segment.
 
     The vocabulary is split into segments (multiples of the blocked engine's
-    chunk width) and each segment is timed serial-then-blocked-then-pooled
-    back to back.  On shared machines background load drifts over minutes;
+    chunk width) and each segment is timed serial-then-blocked back to
+    back.  On shared machines background load drifts over minutes;
     interleaving makes both sides see the same conditions so the reported
     ratio reflects the engines, not the neighbours.  The summed work is
     identical to timing each engine over the whole vocabulary at once.
@@ -113,18 +103,15 @@ def run_comparison(dataset, workers: int | None = None) -> BatchReport:
     engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
     graph, index = engine.graph, engine.index
     keywords = vocabulary_keywords(engine)
-    if workers is None:
-        workers = max(2, min(4, os.cpu_count() or 2))
     graph.matrix()  # warm the CSR cache so neither side pays the build
     # Warm the blocked engine's one-time per-process kernel compile too: a
     # serving deployment pays it once per process, not once per precompute.
     batched_keyword_vectors(graph, index, keywords[:1], tolerance=TOLERANCE)
 
     segment_size = 3 * DEFAULT_BLOCK_WIDTH
-    serial_seconds = blocked_seconds = pooled_seconds = 0.0
+    serial_seconds = blocked_seconds = 0.0
     serial: dict = {}
     blocked: dict = {}
-    pooled: dict = {}
     for lo in range(0, len(keywords), segment_size):
         segment = keywords[lo : lo + segment_size]
 
@@ -141,31 +128,20 @@ def run_comparison(dataset, workers: int | None = None) -> BatchReport:
         )
         blocked_seconds += time.perf_counter() - start
 
-        start = time.perf_counter()
-        pooled.update(
-            batched_keyword_vectors(
-                graph, index, segment, tolerance=TOLERANCE, workers=workers
-            )
-        )
-        pooled_seconds += time.perf_counter() - start
-
     max_abs_diff = 0.0
-    iterations_identical = set(serial) == set(blocked) == set(pooled)
+    iterations_identical = set(serial) == set(blocked)
     for keyword, exact in serial.items():
-        for variant in (blocked, pooled):
-            result = variant[keyword]
-            diff = float(np.abs(result.scores - exact.scores).max())
-            max_abs_diff = max(max_abs_diff, diff)
-            iterations_identical &= result.iterations == exact.iterations
+        result = blocked[keyword]
+        diff = float(np.abs(result.scores - exact.scores).max())
+        max_abs_diff = max(max_abs_diff, diff)
+        iterations_identical &= result.iterations == exact.iterations
 
     return BatchReport(
         dataset=dataset.name,
         num_nodes=dataset.num_nodes,
         num_keywords=len(keywords),
-        workers=workers,
         serial_seconds=serial_seconds,
         blocked_seconds=blocked_seconds,
-        pooled_seconds=pooled_seconds,
         max_abs_diff=max_abs_diff,
         iterations_identical=iterations_identical,
     )
@@ -191,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.smoke:
         dataset = load_dataset("dblp_tiny")
-        report = run_comparison(dataset, workers=2)
+        report = run_comparison(dataset)
         print(report.table())
         if not report.identical:
             print("FAIL: blocked results diverge from the serial engine")

@@ -8,11 +8,10 @@ multi-column fixpoint over the concatenated subgraph edge lists, with
 per-target convergence freezing — so every numpy pass is amortized across
 all still-active targets.
 
-This benchmark explains the top targets of one DBLPcomplete query three
-ways — serial loop, batched in-process, batched with a thread pool — and
-verifies the tentpole claim: batching is a pure performance change.  Per
-target, flows, node reduction factors and iteration counts are bit-identical
-(exact float equality, not a tolerance).
+This benchmark explains the top targets of one DBLPcomplete query two
+ways — serial loop and batched — and verifies the tentpole claim: batching
+is a pure performance change.  Per target, flows, node reduction factors and
+iteration counts are bit-identical (exact float equality, not a tolerance).
 
 Run under pytest (``pytest benchmarks/bench_explain_batch.py
 --benchmark-only -s``) or directly as a script::
@@ -32,7 +31,6 @@ reformulation (Equations 11-15) must equal the reference loops kept in
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -71,24 +69,17 @@ class ExplainReport:
     num_nodes: int
     num_targets: int
     radius: int
-    workers: int
     serial_seconds: float
     batched_seconds: float
-    pooled_seconds: float
     bit_identical: bool
 
     @property
     def batched_speedup(self) -> float:
         return self.serial_seconds / self.batched_seconds
 
-    @property
-    def pooled_speedup(self) -> float:
-        return self.serial_seconds / self.pooled_seconds
-
     def table(self) -> str:
         per_target = 1000.0 * self.serial_seconds / self.num_targets
         per_batched = 1000.0 * self.batched_seconds / self.num_targets
-        per_pooled = 1000.0 * self.pooled_seconds / self.num_targets
         lines = [
             f"Batched explanations — dataset={self.dataset}, "
             f"{self.num_targets} targets, radius={self.radius}, "
@@ -97,9 +88,6 @@ class ExplainReport:
             f"   ({per_target:7.1f} ms/target)",
             f"  batched (in-process)              : {self.batched_seconds:8.2f} s"
             f"   ({per_batched:7.1f} ms/target)   {self.batched_speedup:5.1f}x",
-            f"  batched + {self.workers} thread workers      : "
-            f"{self.pooled_seconds:8.2f} s   ({per_pooled:7.1f} ms/target)"
-            f"   {self.pooled_speedup:5.1f}x",
             "verification: flows, reductions and iteration counts "
             + ("bit-identical" if self.bit_identical else "DIFFER"),
         ]
@@ -126,11 +114,11 @@ def _explanations_identical(serial, batched) -> bool:
     return len(serial) == len(batched)
 
 
-def run_comparison(dataset, workers: int | None = None) -> ExplainReport:
+def run_comparison(dataset) -> ExplainReport:
     """Time serial vs batched explanation of one query's top targets.
 
     One live ObjectRank2 run fixes the base set, scores and targets; the
-    three explanation engines then run back to back over identical inputs.
+    two explanation engines then run back to back over identical inputs.
     The batched side pre-warms the shared positive-rate incidence (a serving
     process builds it once per rate vector, not once per request).
     """
@@ -140,8 +128,6 @@ def run_comparison(dataset, workers: int | None = None) -> ExplainReport:
     targets = [node_id for node_id, _ in result.top]
     scores = result.ranked.scores
     graph = engine.graph
-    if workers is None:
-        workers = max(2, min(4, os.cpu_count() or 2))
 
     extractor = SubgraphExtractor(graph)  # warm the shared incidence once
 
@@ -166,29 +152,15 @@ def run_comparison(dataset, workers: int | None = None) -> ExplainReport:
     )
     batched_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    pooled = batched_adjust_flows(
-        batched_build_explaining_subgraphs(
-            graph, base_ids, targets, RADIUS, workers=workers, extractor=extractor
-        ),
-        scores,
-        tolerance=TOLERANCE,
-    )
-    pooled_seconds = time.perf_counter() - start
-
-    bit_identical = _explanations_identical(
-        serial, batched
-    ) and _explanations_identical(serial, pooled)
+    bit_identical = _explanations_identical(serial, batched)
 
     return ExplainReport(
         dataset=dataset.name,
         num_nodes=dataset.num_nodes,
         num_targets=len(targets),
         radius=RADIUS,
-        workers=workers,
         serial_seconds=serial_seconds,
         batched_seconds=batched_seconds,
-        pooled_seconds=pooled_seconds,
         bit_identical=bit_identical,
     )
 
@@ -254,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.smoke:
         dataset = load_dataset("dblp_tiny")
-        report = run_comparison(dataset, workers=2)
+        report = run_comparison(dataset)
         print(report.table())
         if not report.bit_identical:
             print("FAIL: batched explanations diverge from the serial engine")

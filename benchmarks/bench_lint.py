@@ -2,9 +2,9 @@
 
 The lint CI job carries a hard budget — no caching, well under ten seconds —
 so this benchmark records what the analyzer actually costs on the current
-tree (files scanned, findings kept/baselined/suppressed, wall time serial
-and with ``--jobs`` process-pool parallelism, and a per-checker breakdown)
-in ``benchmarks/results/lint.txt``.  Future PRs that add checkers or grow
+tree (files scanned, findings kept/baselined/suppressed, wall time, the
+runner's per-phase split and a per-checker breakdown) in
+``benchmarks/results/lint.txt``.  Future PRs that add checkers or grow
 the tree can see at a glance whether checker cost regressed.
 
 Run directly, as the CI smoke hook, or under pytest::
@@ -14,8 +14,8 @@ Run directly, as the CI smoke hook, or under pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_lint.py -s
 
 ``--smoke`` skips the timing repetitions and only verifies the contract CI
-cares about: the parallel runner produces a byte-identical report to the
-serial one, inside the budget.
+cares about: one pass stays inside the budget and under twice the recorded
+wall time.
 
 Unlike the ranking benchmarks this one needs no numpy and no dataset — the
 analyzer is stdlib-only by design.
@@ -23,7 +23,6 @@ analyzer is stdlib-only by design.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,17 +39,20 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BUDGET_SECONDS = 10.0
 #: Timed repetitions; the reported wall time is the best of these.
 REPEATS = 3
-#: Worker count for the parallel runs; floored at 2 so the process-pool
-#: path is exercised even on single-CPU runners (where the speedup line
-#: will honestly read < 1x).
-JOBS = max(2, min(4, os.cpu_count() or 1))
-#: A serial smoke run slower than this factor times the recorded wall
+#: A smoke run slower than this factor times the recorded wall
 #: time in ``benchmarks/results/lint.txt`` fails CI — a checker that
 #: quietly went quadratic shows up here, not in a user's pre-commit hook.
 REGRESSION_FACTOR = 2.0
 #: Never fail the regression gate under this floor — recorded times from a
 #: fast machine must not make a slow-but-fine CI runner red.
 REGRESSION_FLOOR_SECONDS = 3.0
+
+#: ``LintReport.phase_seconds`` keys in run order, with their table labels.
+_PHASE_LABELS = [
+    ("files", "read + parse + per-file rules"),
+    ("project-build", "call graph + summaries"),
+    ("project-check", "project rules"),
+]
 
 #: The abstract-interpretation rule groups, timed separately so the
 #: results file shows what each *domain* costs on top of parse + graph.
@@ -60,41 +62,13 @@ _DOMAIN_GROUPS = [
 ]
 
 
-def _same_report(serial, parallel) -> bool:
-    return (
-        serial.findings == parallel.findings
-        and serial.baselined == parallel.baselined
-        and serial.suppressed == parallel.suppressed
-        and serial.parse_errors == parallel.parse_errors
-        and serial.files_scanned == parallel.files_scanned
-    )
-
-
 def run_benchmark() -> str:
     baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
     src = REPO_ROOT / "src"
 
-    best_serial = None
-    report = None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        report = run_lint([src], baseline=baseline, root=REPO_ROOT)
-        elapsed = time.perf_counter() - started
-        best_serial = elapsed if best_serial is None else min(best_serial, elapsed)
-
-    best_parallel = None
-    parallel_report = None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        parallel_report = run_lint(
-            [src], baseline=baseline, root=REPO_ROOT, jobs=JOBS
-        )
-        elapsed = time.perf_counter() - started
-        best_parallel = (
-            elapsed if best_parallel is None else min(best_parallel, elapsed)
-        )
-    assert _same_report(report, parallel_report), (
-        "parallel lint diverged from serial"
+    report = min(
+        (run_lint([src], baseline=baseline, root=REPO_ROOT) for _ in range(REPEATS)),
+        key=lambda run: run.elapsed_seconds,
     )
 
     per_checker: list[tuple[str, float, int]] = []
@@ -118,23 +92,20 @@ def run_benchmark() -> str:
             (label, time.perf_counter() - started, len(only.findings))
         )
 
-    phases = _phase_breakdown(src)
-
     lines = [
         f"repro lint over src/ — {report.files_scanned} files, "
         f"{len(report.checker_codes)} checkers (best of {REPEATS})",
-        f"  wall time (serial)   : {best_serial * 1000:8.1f} ms   "
+        f"  wall time            : {report.elapsed_seconds * 1000:8.1f} ms   "
         f"(CI budget {BUDGET_SECONDS:.0f} s)",
-        f"  wall time (--jobs {JOBS}) : {best_parallel * 1000:8.1f} ms   "
-        f"(speedup {best_serial / best_parallel:.2f}x, report identical)",
         f"  new findings         : {len(report.findings):5d}",
         f"  baselined            : {len(report.baselined):5d}",
         f"  pragma-suppressed    : {len(report.suppressed):5d}",
         f"  parse errors         : {len(report.parse_errors):5d}",
-        "  per-phase:",
+        "  per-phase (of the best run; every file is read and parsed once):",
     ]
-    for label, seconds in phases:
-        lines.append(f"    {label:<22}: {seconds * 1000:7.1f} ms")
+    for phase, label in _PHASE_LABELS:
+        seconds = report.phase_seconds.get(phase, 0.0)
+        lines.append(f"    {label:<30}: {seconds * 1000:7.1f} ms")
     lines.append("  per-domain (full pass with only that domain's rules):")
     for label, seconds, raw_findings in per_domain:
         lines.append(
@@ -150,41 +121,12 @@ def run_benchmark() -> str:
     return "\n".join(lines)
 
 
-def _phase_breakdown(src: Path) -> list[tuple[str, float]]:
-    """Where a full serial run spends its time, one level deeper than the
-    report's ``phase_seconds``: the project-build phase is split into
-    parse + call-graph construction vs the summary fixpoint."""
-    from repro.analysis.callgraph import Project
-    from repro.analysis.runner import discover_files
-
-    baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-    report = run_lint([src], baseline=baseline, root=REPO_ROOT)
-
-    files = [
-        (str(path), path.relative_to(REPO_ROOT).as_posix())
-        for path in discover_files([src])
-    ]
-    started = time.perf_counter()
-    project = Project.from_paths(files)
-    graph_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    project.summaries()
-    summary_seconds = time.perf_counter() - started
-
-    return [
-        ("per-file checkers", report.phase_seconds.get("files", 0.0)),
-        ("parse + call graph", graph_seconds),
-        ("function summaries", summary_seconds),
-        ("project checkers", report.phase_seconds.get("project-check", 0.0)),
-    ]
-
-
-def _recorded_serial_seconds() -> float | None:
-    """The serial wall time recorded in ``benchmarks/results/lint.txt``."""
+def _recorded_seconds() -> float | None:
+    """The wall time recorded in ``benchmarks/results/lint.txt``."""
     results = REPO_ROOT / "benchmarks" / "results" / "lint.txt"
     try:
         for line in results.read_text().splitlines():
-            if "wall time (serial)" in line:
+            if "wall time" in line:
                 return float(line.split(":")[1].split("ms")[0]) / 1000.0
     except (OSError, ValueError, IndexError):
         return None
@@ -192,50 +134,30 @@ def _recorded_serial_seconds() -> float | None:
 
 
 def run_smoke() -> str:
-    """One serial + one parallel pass; assert byte-identical, within budget.
+    """One pass, within budget and within reach of the recorded result.
 
-    The identity check renders both reports to SARIF (the format CI
-    uploads, and the only one carrying no wall-clock timings) and compares
-    the strings — covering the summary-dependent RL010–RL017 results and
-    their ``codeFlows``, not just the finding lists.  The serial pass is
-    also held against the *recorded* benchmark result: slower than
-    ``REGRESSION_FACTOR`` times ``benchmarks/results/lint.txt`` fails, so
-    a checker that quietly regressed the runtime budget turns CI red
-    before it lands.
+    Slower than ``REGRESSION_FACTOR`` times ``benchmarks/results/lint.txt``
+    fails, so a checker that quietly regressed the runtime budget turns CI
+    red before it lands.
     """
-    from repro.analysis import render
-
     baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-    src = REPO_ROOT / "src"
-    started = time.perf_counter()
-    serial = run_lint([src], baseline=baseline, root=REPO_ROOT)
-    serial_elapsed = time.perf_counter() - started
-    parallel = run_lint([src], baseline=baseline, root=REPO_ROOT, jobs=JOBS)
-    elapsed = time.perf_counter() - started
-    assert _same_report(serial, parallel), "parallel lint diverged from serial"
-    assert render(serial, "sarif") == render(parallel, "sarif"), (
-        "parallel SARIF log is not byte-identical to serial"
-    )
-    assert elapsed < 2 * BUDGET_SECONDS, f"smoke pass took {elapsed:.1f}s"
-    recorded = _recorded_serial_seconds()
+    report = run_lint([REPO_ROOT / "src"], baseline=baseline, root=REPO_ROOT)
+    elapsed = report.elapsed_seconds
+    assert elapsed < BUDGET_SECONDS, f"smoke pass took {elapsed:.1f}s"
+    recorded = _recorded_seconds()
     budget_note = ""
     if recorded is not None:
-        allowed = max(
-            REGRESSION_FACTOR * recorded, REGRESSION_FLOOR_SECONDS
-        )
-        assert serial_elapsed < allowed, (
-            f"serial lint took {serial_elapsed:.2f}s — more than "
+        allowed = max(REGRESSION_FACTOR * recorded, REGRESSION_FLOOR_SECONDS)
+        assert elapsed < allowed, (
+            f"lint took {elapsed:.2f}s — more than "
             f"{REGRESSION_FACTOR:.0f}x the recorded {recorded:.2f}s "
             "(benchmarks/results/lint.txt); rerun the benchmark if the "
             "slowdown is intentional"
         )
-        budget_note = (
-            f", serial {serial_elapsed:.2f}s within {allowed:.1f}s budget"
-        )
+        budget_note = f" within {allowed:.1f}s budget"
     return (
-        f"lint smoke OK: {serial.files_scanned} files, "
-        f"{len(serial.findings)} new finding(s), serial == --jobs {JOBS} "
-        f"byte-identical, {elapsed:.2f}s total{budget_note}"
+        f"lint smoke OK: {report.files_scanned} files, "
+        f"{len(report.findings)} new finding(s), {elapsed:.2f}s{budget_note}"
     )
 
 

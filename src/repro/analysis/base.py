@@ -37,6 +37,10 @@ class SourceFile:
     #: Per-domain dataflow solution caches (same lifetime/idiom as ``_cfgs``)
     #: so RL015 and RL017 share one value-domain solve per function.
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
+    #: :func:`repro.analysis.checkers.lock_discipline.lock_attributes`, which
+    #: the summaries and lock checkers ask about once per *method*.
+    _class_locks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def parse(cls, path: str, text: str) -> "SourceFile":
@@ -108,17 +112,13 @@ class Checker:
 class ProjectChecker(Checker):
     """Base class for interprocedural rules needing whole-project context.
 
-    The runner collects every parseable file first, builds one
+    The runner parses every file once, runs the per-file phase, builds one
     :class:`~repro.analysis.callgraph.Project` (call graph + function
-    summaries) and then calls :meth:`check_project` once — always in the
-    main process, after the per-file phase, so ``--jobs`` stays
-    byte-identical.  :meth:`Checker.check` is a no-op so a project checker
-    accidentally run per-file yields nothing rather than crashing.
+    summaries) from the same parsed files and then calls
+    :meth:`check_project` once.  :meth:`Checker.check` is a no-op so a
+    project checker accidentally run per-file yields nothing rather than
+    crashing.
     """
-
-    #: Lets the runner split the registry without isinstance gymnastics
-    #: across pickled worker boundaries.
-    interprocedural: bool = True
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         return iter(())

@@ -114,7 +114,7 @@ class BlockingUnderLockChecker(ProjectChecker):
     def _check_fixpoint_regions(self, project, info) -> Iterator[Finding]:
         if info.class_node is None:
             return
-        locks = lock_attributes(info.class_node)
+        locks = lock_attributes(info.source, info.class_node)
         if not locks:
             return
         model = analyze_method_locksets(info.cfg(), locks, info.name)

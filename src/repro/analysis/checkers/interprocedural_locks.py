@@ -70,7 +70,7 @@ class InterproceduralLockChecker(ProjectChecker):
             info = graph.functions[function_id]
             if info.class_node is None:
                 continue
-            locks = lock_attributes(info.class_node)
+            locks = lock_attributes(info.source, info.class_node)
             if not locks:
                 continue
             qualify = _qualifier(info)
@@ -173,7 +173,7 @@ class InterproceduralLockChecker(ProjectChecker):
             summary = summaries.get(function_id)
             if summary is None or info.class_node is None:
                 continue
-            plain = _non_reentrant_locks(info.class_node)
+            plain = _non_reentrant_locks(info.source, info.class_node)
             if not plain:
                 continue
             qualify = _qualifier(info)
@@ -279,7 +279,7 @@ def _same_class(graph, caller_id: str, callee_id: str) -> bool:
 _PLAIN_LOCK_FACTORIES = {"threading.Lock", "Lock"}
 
 
-def _non_reentrant_locks(class_node: ast.ClassDef) -> set:
+def _non_reentrant_locks(source, class_node: ast.ClassDef) -> set:
     """Lock attributes assigned from plain ``threading.Lock()`` factories."""
     from repro.analysis.base import call_name, is_self_attribute
 
@@ -299,4 +299,4 @@ def _non_reentrant_locks(class_node: ast.ClassDef) -> set:
             for target in node.targets:
                 if is_self_attribute(target):
                     plain.add(target.attr)
-    return plain & lock_attributes(class_node)
+    return plain & lock_attributes(source, class_node)

@@ -65,7 +65,7 @@ class LockDisciplineChecker(Checker):
     def _check_class(
         self, source: SourceFile, class_def: ast.ClassDef
     ) -> Iterator[Finding]:
-        locks = lock_attributes(class_def)
+        locks = lock_attributes(source, class_def)
         if not locks:
             return
         guarded = guarded_attributes(source, class_def, locks)
@@ -134,20 +134,27 @@ def _walk_with_locks(
         yield from _walk_with_locks(child, held)
 
 
-def lock_attributes(class_def: ast.ClassDef) -> set[str]:
-    """Attributes assigned from a lock factory anywhere in the class."""
-    locks: set[str] = set()
-    for node in ast.walk(class_def):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if call_name(node.value) in _LOCK_FACTORIES:
-                for target in node.targets:
-                    if is_self_attribute(target):
-                        locks.add(target.attr)  # type: ignore[union-attr]
+def lock_attributes(source: SourceFile, class_def: ast.ClassDef) -> frozenset[str]:
+    """Attributes assigned from a lock factory anywhere in the class.
+
+    One walk of the class per ``source`` (cached on it): the summaries and
+    the lock checkers ask once per method.
+    """
+    locks = source._class_locks.get(id(class_def))
+    if locks is None:
+        found: set[str] = set()
+        for node in ast.walk(class_def):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if call_name(node.value) in _LOCK_FACTORIES:
+                    for target in node.targets:
+                        if is_self_attribute(target):
+                            found.add(target.attr)  # type: ignore[union-attr]
+        locks = source._class_locks[id(class_def)] = frozenset(found)
     return locks
 
 
 def guarded_attributes(
-    source: SourceFile, class_def: ast.ClassDef, locks: set[str]
+    source: SourceFile, class_def: ast.ClassDef, locks: frozenset[str]
 ) -> dict[str, str]:
     """attribute name -> lock name, from naming convention + annotations."""
     guarded: dict[str, str] = {}

@@ -63,7 +63,7 @@ class LocksetDisciplineChecker(Checker):
     def _check_class(
         self, source: SourceFile, class_def: ast.ClassDef
     ) -> Iterator[Finding]:
-        locks = lock_attributes(class_def)
+        locks = lock_attributes(source, class_def)
         if not locks:
             return
         guarded = guarded_attributes(source, class_def, locks)

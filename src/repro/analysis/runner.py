@@ -10,11 +10,10 @@ cannot audit is a suppression you cannot trust.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.base import Checker, SourceFile, all_checkers
+from repro.analysis.base import Checker, ProjectChecker, SourceFile, all_checkers
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import parse_pragmas
@@ -34,9 +33,9 @@ class LintReport:
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     checker_codes: list[str] = field(default_factory=list)
-    #: Wall time per phase: ``files`` (per-file checkers, parallelizable),
-    #: ``project-build`` (parse-all + call graph + summaries) and
-    #: ``project-check`` (interprocedural checkers) when any ran.
+    #: Wall time per phase: ``files`` (read + parse + per-file checkers),
+    #: ``project-build`` (call graph + summaries over the same parsed
+    #: files) and ``project-check`` (interprocedural checkers) when any ran.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: SCC fixpoint rounds the project phase ran *this* run.  Zero when the
     #: summary cache hit (or no project checker ran) — the acceptance
@@ -58,7 +57,12 @@ class LintReport:
 
 
 def discover_files(paths: list[str | Path]) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated ``.py`` list."""
+    """Expand files/directories into a sorted, de-duplicated ``.py`` list.
+
+    De-duplicated on the *resolved* path, so a file reached through two
+    spellings (relative and absolute, or a directory and a file inside it)
+    is listed once, under the spelling seen first.
+    """
     seen: set[Path] = set()
     result: list[Path] = []
     for raw in paths:
@@ -74,8 +78,9 @@ def discover_files(paths: list[str | Path]) -> list[Path]:
         else:
             candidates = []
         for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
+            resolved = candidate.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
                 result.append(candidate)
     return result
 
@@ -96,28 +101,12 @@ def lint_source(
     return kept, suppressed
 
 
-#: (display name, kept findings, pragma-suppressed findings, parse error).
-_FileResult = tuple[str, list[Finding], list[Finding], "str | None"]
-
-
-def _lint_one_file(file_path: str, display: str, codes: list[str] | None) -> _FileResult:
-    """Lint one file from scratch — the unit of work for worker processes.
-
-    Module-level (not a closure) and fed plain strings so it pickles;
-    checker *codes* cross the process boundary, instances are rebuilt from
-    the registry on the worker side.
-    """
+def _parse(path: Path, display: str) -> tuple[SourceFile | None, str]:
+    """Read and parse one file -> (source, "") or (None, error message)."""
     try:
-        text = Path(file_path).read_text(encoding="utf-8")
-        source = SourceFile.parse(display, text)
+        return SourceFile.parse(display, path.read_text(encoding="utf-8")), ""
     except (OSError, SyntaxError, ValueError) as error:
-        return display, [], [], str(error)
-    kept, suppressed = lint_source(source, all_checkers(codes))
-    return display, kept, suppressed, None
-
-
-def _lint_one_file_job(job: tuple[str, str, list[str] | None]) -> _FileResult:
-    return _lint_one_file(*job)
+        return None, str(error)
 
 
 def run_lint(
@@ -125,7 +114,6 @@ def run_lint(
     checkers: list[Checker] | None = None,
     baseline: Baseline | None = None,
     root: str | Path | None = None,
-    jobs: int | None = None,
     scope: set[str] | None = None,
     cache: str | Path | None = None,
 ) -> LintReport:
@@ -136,18 +124,13 @@ def run_lint(
     given) — baselines store those names, so runs from the repo root and
     runs from elsewhere agree as long as ``root`` points at the repo.
 
-    ``jobs`` > 1 fans the per-file analysis out over that many worker
-    processes (files are independent, so the report is byte-identical to a
-    serial run); ``None``/``0``/``1`` stay in-process.  The parallel path
-    rebuilds checkers from the registry by code, so explicitly passed
-    *unregistered* checker instances fall back to serial.
-
-    Interprocedural checkers (:class:`~repro.analysis.base.ProjectChecker`)
-    run in a second phase, always serially in this process: every parseable
-    file is parsed into one :class:`~repro.analysis.callgraph.Project`,
-    summaries are computed bottom-up, then each project checker runs once.
-    Because that phase never fans out, serial and ``--jobs N`` reports stay
-    byte-identical.
+    Every file is read and parsed once.  The per-file checkers run on that
+    :class:`~repro.analysis.base.SourceFile`; interprocedural checkers
+    (:class:`~repro.analysis.base.ProjectChecker`) then run in a second
+    phase over one :class:`~repro.analysis.callgraph.Project` built from the
+    *same* objects, so the CFGs and abstract-domain solutions the first
+    phase cached on them are reused: summaries are computed bottom-up, then
+    each project checker runs once.
 
     ``scope`` (display names, as findings carry them) restricts which files
     are *linted and reported* — ``repro lint --changed`` uses it — while the
@@ -162,16 +145,8 @@ def run_lint(
     """
     started = time.perf_counter()
     active = checkers if checkers is not None else all_checkers()
-    file_checkers = [
-        checker
-        for checker in active
-        if not getattr(checker, "interprocedural", False)
-    ]
-    project_checkers = [
-        checker
-        for checker in active
-        if getattr(checker, "interprocedural", False)
-    ]
+    file_checkers = [c for c in active if not isinstance(c, ProjectChecker)]
+    project_checkers = [c for c in active if isinstance(c, ProjectChecker)]
     accepted = baseline if baseline is not None else Baseline()
     report = LintReport(checker_codes=[checker.code for checker in active])
 
@@ -180,11 +155,6 @@ def run_lint(
         (file_path, _display_name(file_path, root_path))
         for file_path in discover_files(paths)
     ]
-    scoped = (
-        files
-        if scope is None
-        else [(path, display) for path, display in files if display in scope]
-    )
 
     def keep(finding: Finding) -> None:
         if accepted.contains(finding):
@@ -193,13 +163,17 @@ def run_lint(
             report.findings.append(finding)
 
     phase_started = time.perf_counter()
-    for display, kept, suppressed, error in _file_results(
-        scoped, file_checkers, jobs
-    ):
-        if error is not None:
+    parsed: dict[Path, SourceFile | None] = {}
+    for path, display in files:
+        if scope is not None and display not in scope:
+            continue
+        source, error = _parse(path, display)
+        parsed[path] = source
+        if source is None:
             report.parse_errors.append((display, error))
             continue
         report.files_scanned += 1
+        kept, suppressed = lint_source(source, file_checkers)
         report.suppressed.extend(suppressed)
         for finding in kept:
             keep(finding)
@@ -207,7 +181,7 @@ def run_lint(
 
     if project_checkers:
         _run_project_phase(
-            report, files, scope, project_checkers, keep, cache
+            report, files, parsed, scope, project_checkers, keep, cache
         )
 
     report.findings.sort()
@@ -220,6 +194,7 @@ def run_lint(
 def _run_project_phase(
     report: LintReport,
     files: list[tuple[Path, str]],
+    parsed: dict[Path, SourceFile | None],
     scope: set[str] | None,
     project_checkers: list[Checker],
     keep,
@@ -227,11 +202,13 @@ def _run_project_phase(
 ) -> None:
     """Build the whole-program context and run the interprocedural checkers.
 
-    Pragmas and the baseline apply exactly as in the per-file phase;
-    findings outside ``scope`` are dropped (their files were not asked
-    about), and files whose first lines carry ``skip-file`` contribute no
-    findings (their *definitions* still feed the call graph — a skip-file
-    pragma silences findings in that file, it does not falsify summaries).
+    The project is every parseable file: the ones the file phase already
+    ``parsed`` as they are, the out-of-scope rest parsed here.  Pragmas and
+    the baseline apply exactly as in the per-file phase; findings outside
+    ``scope`` are dropped (their files were not asked about), and files
+    whose first lines carry ``skip-file`` contribute no findings (their
+    *definitions* still feed the call graph — a skip-file pragma silences
+    findings in that file, it does not falsify summaries).
     """
     from repro.analysis.callgraph import Project
     from repro.analysis.summaries import SummaryIndex
@@ -242,10 +219,12 @@ def _run_project_phase(
     )
 
     phase_started = time.perf_counter()
-    hashes = file_hashes(files) if cache is not None else {}
-    project = Project.from_paths(
-        [(str(path), display) for path, display in files]
-    )
+    sources = [
+        parsed[path] if path in parsed else _parse(path, display)[0]
+        for path, display in files
+    ]
+    project = Project([source for source in sources if source is not None])
+    hashes = file_hashes(project.sources) if cache is not None else {}
     cached = load_summaries(cache, hashes) if cache is not None else None
     if cached is not None:
         index = SummaryIndex(project)
@@ -280,36 +259,6 @@ def _run_project_phase(
     report.phase_seconds["project-check"] = (
         time.perf_counter() - phase_started
     )
-
-
-def _file_results(
-    files: list[tuple[Path, str]],
-    active: list[Checker],
-    jobs: int | None,
-) -> list[_FileResult]:
-    if jobs is not None and jobs > 1 and len(files) > 1:
-        codes = [checker.code for checker in active]
-        try:
-            rebuilt = all_checkers(codes)
-        except ValueError:
-            rebuilt = None  # unregistered checker instance: cannot ship codes
-        if rebuilt is not None and len(rebuilt) == len(active):
-            work = [(str(path), display, codes) for path, display in files]
-            chunksize = max(1, len(work) // (jobs * 4))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(
-                    pool.map(_lint_one_file_job, work, chunksize=chunksize)
-                )
-    results: list[_FileResult] = []
-    for path, display in files:
-        try:
-            source = SourceFile.parse(display, path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError) as error:
-            results.append((display, [], [], str(error)))
-            continue
-        kept, suppressed = lint_source(source, active)
-        results.append((display, kept, suppressed, None))
-    return results
 
 
 def _display_name(file_path: Path, root: Path | None) -> str:

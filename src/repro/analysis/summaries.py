@@ -262,7 +262,11 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
 
     node = info.node
     site_by_call = {id(site.node): site for site in sites}
-    locks = lock_attributes(info.class_node) if info.class_node is not None else set()
+    locks = (
+        lock_attributes(info.source, info.class_node)
+        if info.class_node is not None
+        else frozenset()
+    )
     guarded = (
         guarded_attributes(info.source, info.class_node, locks)
         if locks

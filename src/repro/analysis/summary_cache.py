@@ -36,21 +36,18 @@ CACHE_VERSION = 1
 CACHE_FILENAME = ".repro-lint-cache"
 
 
-def file_hashes(files: list[tuple[Path, str]]) -> dict[str, str]:
-    """``display name -> sha256(content)`` for every readable file.
+def file_hashes(sources) -> dict[str, str]:
+    """``display name -> sha256(text)`` over the project's parsed sources.
 
-    Unreadable files are skipped, matching what ``Project.from_paths``
-    feeds the fixpoint; a file that *becomes* readable changes the map and
-    invalidates the cache, which is the conservative direction.
+    Hashes the text the run already read rather than re-reading the files.
+    Unparseable files are not in the project, so not in the map; a file that
+    *becomes* parseable changes the map and invalidates the cache, which is
+    the conservative direction.
     """
-    hashes: dict[str, str] = {}
-    for path, display in files:
-        try:
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except OSError:
-            continue
-        hashes[display] = digest
-    return hashes
+    return {
+        source.path: hashlib.sha256(source.text.encode("utf-8")).hexdigest()
+        for source in sources
+    }
 
 
 def load_summaries(

@@ -7,12 +7,12 @@ equivalent surface.  Subcommands:
 * ``repro search <dataset> <keywords...>`` — top-k ObjectRank2 results;
 * ``repro explain <dataset> <target-substring> <keywords...>`` — explaining
   subgraph of the first result whose id or title matches the substring;
-  ``--batch K [--workers N]`` explains every matching top-K result in one
+  ``--batch K`` explains every matching top-K result in one
   batched pass through ``repro.explain.batch`` (target ``all`` matches all);
 * ``repro feedback <dataset> <keywords...> --mark N [N...]`` — mark results
   by rank, reformulate, and show the reformulated ranking and learned rates;
 * ``repro repl <dataset>`` — interactive search/explain/feedback shell;
-* ``repro precompute <dataset> [--workers N]`` — offline per-keyword vector
+* ``repro precompute <dataset>`` — offline per-keyword vector
   build through the blocked multi-restart engine (``repro.ranking.batch``);
 * ``repro serve [datasets...]`` — concurrent HTTP query service with result
   caching, admission control and Prometheus metrics (see ``repro.serve``);
@@ -27,8 +27,8 @@ equivalent surface.  Subcommands:
   six AST rules, the flow-sensitive RL007–RL009, the interprocedural
   RL010–RL013 over the project call graph and the abstract-interpretation
   RL014–RL017, see ``repro.analysis``) with
-  text/JSON/GitHub/SARIF output, ``--jobs N`` process-pool parallelism,
-  ``--changed`` git-scoped runs and baseline support.
+  text/JSON/GitHub/SARIF output, ``--changed`` git-scoped runs and baseline
+  support.
 
 All subcommands accept ``--scale`` and ``--seed`` for the dataset generator
 and ``--top-k`` for the result-list length.
@@ -37,7 +37,6 @@ and ``--top-k`` for the result-list length.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -183,7 +182,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 1
     if not args.batch:
         targets = targets[:1]
-    explanations = system.explain_many(targets, workers=args.workers)
+    explanations = system.explain_many(targets)
     for node_id, explanation in zip(targets, explanations):
         if args.batch:
             print(f"=== {dataset.data_graph.caption(node_id)}")
@@ -227,8 +226,8 @@ def _load_engine(args: argparse.Namespace) -> tuple:
 
 
 def _timed_precompute(args: argparse.Namespace, graph, index) -> tuple:
-    """``(ranker, seconds)``: one [BHP04] build under ``--min-df``,
-    ``--workers`` and (where the command has it) ``--keywords``."""
+    """``(ranker, seconds)``: one [BHP04] build under ``--min-df`` and
+    (where the command has it) ``--keywords``."""
     import time
 
     from repro.ranking.precompute import PrecomputedRanker
@@ -239,7 +238,6 @@ def _timed_precompute(args: argparse.Namespace, graph, index) -> tuple:
         index,
         keywords=getattr(args, "keywords", None) or None,
         min_document_frequency=args.min_df,
-        workers=args.workers,
     )
     return ranker, time.perf_counter() - start
 
@@ -248,9 +246,8 @@ def cmd_precompute(args: argparse.Namespace) -> int:
     """The ``repro precompute`` subcommand: offline per-keyword vector build.
 
     Runs the [BHP04] precomputation (one authority vector per index keyword)
-    through the blocked multi-restart engine, optionally across ``--workers``
-    processes, and reports build statistics.  This is the offline half of the
-    serving layer's precomputed fast path.
+    through the blocked multi-restart engine and reports build statistics.
+    This is the offline half of the serving layer's precomputed fast path.
     """
     dataset, engine = _load_engine(args)
     vocabulary = engine.index.vocabulary(args.min_df)
@@ -260,8 +257,7 @@ def cmd_precompute(args: argparse.Namespace) -> int:
     print(f"vocabulary terms with df >= {args.min_df}: {len(vocabulary)}")
     print(
         f"precomputed {built} keyword vectors in {elapsed:.2f}s "
-        f"({ranker.build_iterations} power-iteration steps, "
-        f"workers={args.workers or 1})"
+        f"({ranker.build_iterations} power-iteration steps)"
     )
     return 0
 
@@ -315,9 +311,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         + (" (topology change: all columns dirty)" if staleness.topology_dirty else "")
     )
 
-    result = ingest.refresh(
-        previous=previous, mode=args.mode, workers=args.workers
-    )
+    result = ingest.refresh(previous=previous, mode=args.mode)
     print(
         f"incremental refresh ({result.mode}): recomputed "
         f"{len(result.recomputed)} columns, carried {len(result.carried)}, "
@@ -402,9 +396,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     baseline = Baseline() if args.no_baseline else load_baseline(args.baseline)
-    jobs = args.jobs
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
     scope = None
     cache = None
     if args.changed:
@@ -423,8 +414,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
             cache = checkout_root / CACHE_FILENAME
     report = run_lint(
-        args.paths, checkers=checkers, baseline=baseline, jobs=jobs,
-        scope=scope, cache=cache,
+        args.paths, checkers=checkers, baseline=baseline, scope=scope, cache=cache
     )
 
     if args.write_baseline:
@@ -683,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         """The dataset + [BHP04] build flags of precompute/ingest/store build."""
         generated(p)
         p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker processes for the blocked build (default: in-process)",
-        )
-        p.add_argument(
             "--min-df", type=int, default=2,
             help="precompute only terms with document frequency >= N",
         )
@@ -719,10 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=None, metavar="K",
         help="explain every matching result among the top K in one batched "
         "pass (repro.explain.batch) instead of the first match",
-    )
-    explain.add_argument(
-        "--workers", type=int, default=None,
-        help="threads for batched subgraph extraction (with --batch)",
     )
     explain.set_defaults(func=cmd_explain)
 
@@ -877,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json", "github", "sarif"], default="text",
         help="report format (github emits workflow-command annotations; "
         "sarif emits a SARIF 2.1.0 log for code-scanning uploads)",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="lint files in N worker processes (default: in-process; "
-        "0 = one per CPU)",
     )
     lint.add_argument(
         "--baseline", default=".repro-lint-baseline.json",

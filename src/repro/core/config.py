@@ -51,9 +51,6 @@ class SystemConfig:
     # Section 6.2: "for the initial user query, we initialize every node in
     # D^A with their global ObjectRank values, to achieve faster convergence."
     global_warm_start: bool = True
-    #: Threads for batched explaining-subgraph extraction (None = in-process);
-    #: feedback rounds and ``explain_many`` batch their targets either way.
-    explain_workers: int | None = None
     #: "full" runs ObjectRank2 over the whole graph; "two_stage" runs pruned
     #: BM25 candidate generation + focused authority reranking
     #: (:mod:`repro.retrieval`), whose cost scales with the result page.

@@ -239,17 +239,13 @@ class ObjectRankSystem:
         """Build and adjust the explaining subgraph for one result object."""
         return self.explain_many([node_id])[0]
 
-    def explain_many(
-        self, node_ids: list[str], workers: int | None = None
-    ) -> list[FlowExplanation]:
+    def explain_many(self, node_ids: list[str]) -> list[FlowExplanation]:
         """Explain several results in one batched pass: shared positive-rate
         adjacency for the subgraphs, one multi-target fixpoint for the
         adjustment (per id bit-identical to the serial
         :func:`repro.explain.explain`, see :mod:`repro.explain.batch`)."""
         if self.last_result is None:
             raise ReproError("query before explaining a result")
-        if workers is None:
-            workers = self.config.explain_workers
         with self._clock.stage(STAGE_SUBGRAPH):
             subgraphs = batched_build_explaining_subgraphs(
                 # A shared, cached view under the session's (possibly learned)
@@ -259,7 +255,6 @@ class ObjectRankSystem:
                 list(self.last_result.ranked.base_weights),
                 node_ids,
                 self.config.radius,
-                workers=workers,
                 within=self._explain_within(),
             )
         with self._clock.stage(STAGE_ADJUST):

@@ -40,16 +40,10 @@ scatter accumulates bit-for-bit the same sums as the serial fixpoint, and
 the per-segment residual is an exact max — flows, node reduction factors,
 iteration counts (Table 3) and residual traces are all identical to
 :func:`repro.explain.adjust_flows` per target.
-
-``workers`` optionally spreads subgraph extraction over a thread pool
-(default — extraction is numpy-bound and the results alias the shared
-graph) or a process pool (each chunk re-pickles the graph; only worth it
-for very large graphs with many targets).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,8 +74,8 @@ class _WorkArrays:
 
     ``tag[v] == epoch`` marks membership of the current target's backward
     set, ``reach[v] == epoch`` of its forward set; bumping the epoch resets
-    both in O(1).  One instance per worker thread — instances are never
-    shared concurrently.
+    both in O(1).  One instance per :meth:`SubgraphExtractor.extract_many`
+    call — instances are never shared concurrently.
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -96,9 +90,9 @@ class SubgraphExtractor:
 
     Reads the graph's positive-rate in/out incidence, shared by every
     extraction under the graph's current rates.  The extractor itself is
-    immutable after construction, so concurrent threads may extract through
-    it as long as each brings its own work arrays (the public entry point
-    :func:`batched_build_explaining_subgraphs` does).
+    immutable after construction; the per-call scratch lives in the work
+    arrays :meth:`extract_many` allocates, so concurrent requests may share
+    one extractor.
     """
 
     def __init__(self, graph: AuthorityTransferDataGraph) -> None:
@@ -180,33 +174,10 @@ class SubgraphExtractor:
         base_indices: np.ndarray,
         targets: Sequence[int],
         radius: int | None,
-        work: _WorkArrays | None = None,
     ) -> list[ExplainingSubgraph]:
         """Extract a run of targets sequentially with shared work arrays."""
-        work = work or _WorkArrays(self.graph.num_nodes)
+        work = _WorkArrays(self.graph.num_nodes)
         return [self.extract(base_indices, t, radius, work) for t in targets]
-
-
-def _extract_parts(
-    graph: AuthorityTransferDataGraph,
-    base_node_ids: list[str],
-    target_ids: list[str],
-    radius: int | None,
-) -> list[tuple]:
-    """Process-pool task: extract a chunk, return graph-free subgraph parts.
-
-    Shipping :class:`ExplainingSubgraph` back would re-pickle the graph once
-    per subgraph; the parent reattaches its own graph reference instead.
-    """
-    extractor = SubgraphExtractor(graph)
-    base_indices = graph.indices_of(base_node_ids)
-    subgraphs = extractor.extract_many(
-        base_indices, [graph.index_of(t) for t in target_ids], radius
-    )
-    return [
-        (sg.target, sg.nodes, sg.edge_ids, sg.base_nodes, sg.depth_to_target)
-        for sg in subgraphs
-    ]
 
 
 def batched_build_explaining_subgraphs(
@@ -214,17 +185,13 @@ def batched_build_explaining_subgraphs(
     base_node_ids: list[str],
     target_ids: Sequence[str],
     radius: int | None = None,
-    workers: int | None = None,
-    pool: str = "thread",
     extractor: SubgraphExtractor | None = None,
     within: np.ndarray | None = None,
 ) -> list[ExplainingSubgraph]:
     """``G_v^Q`` for every target, sharing one positive-rate adjacency.
 
     Field-for-field identical to calling
-    :func:`repro.explain.build_explaining_subgraph` per target.  ``workers``
-    splits the targets across a ``pool`` of threads (default) or processes;
-    a pool that cannot start degrades to the in-process loop.  Pass a
+    :func:`repro.explain.build_explaining_subgraph` per target.  Pass a
     prebuilt ``extractor`` to reuse the filtered adjacency across batches
     under an unchanged rate setting.
 
@@ -235,8 +202,6 @@ def batched_build_explaining_subgraphs(
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
-    if pool not in ("thread", "process"):
-        raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
     if within is not None:
         return [
             build_explaining_subgraph(
@@ -249,54 +214,8 @@ def batched_build_explaining_subgraphs(
     if not targets:
         return []
 
-    chunk_count = min(workers, len(targets)) if workers and workers > 1 else 1
-    if chunk_count <= 1:
-        extractor = extractor or SubgraphExtractor(graph)
-        return extractor.extract_many(base_indices, targets, radius)
-
-    bounds = np.linspace(0, len(targets), chunk_count + 1).astype(int)
-    chunks = [
-        (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    if pool == "process":
-        tasks = [
-            (graph, list(base_node_ids), list(target_ids[lo:hi]), radius)
-            for lo, hi in chunks
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=len(tasks)) as executor:
-                futures = [executor.submit(_extract_parts, *task) for task in tasks]
-                parts = [p for future in futures for p in future.result()]
-            return [
-                ExplainingSubgraph(
-                    graph=graph,
-                    target=target,
-                    nodes=nodes,
-                    edge_ids=edge_ids,
-                    base_nodes=base_nodes,
-                    depth_to_target=depths,
-                    radius=radius,
-                )
-                for target, nodes, edge_ids, base_nodes, depths in parts
-            ]
-        except (OSError, PermissionError, RuntimeError):
-            pass  # restricted environments forbid fork/spawn; run with threads
-
     extractor = extractor or SubgraphExtractor(graph)
-
-    def run_chunk(lo: int, hi: int) -> list[ExplainingSubgraph]:
-        # One work-array set per chunk: extractor state is shared read-only,
-        # the epoch-tagged scratch is what must stay thread-private.
-        return extractor.extract_many(
-            base_indices, targets[lo:hi], radius, _WorkArrays(graph.num_nodes)
-        )
-
-    try:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as executor:
-            futures = [executor.submit(run_chunk, lo, hi) for lo, hi in chunks]
-            return [sg for future in futures for sg in future.result()]
-    except (OSError, PermissionError, RuntimeError):
-        return extractor.extract_many(base_indices, targets, radius)
+    return extractor.extract_many(base_indices, targets, radius)
 
 
 # -- multi-target flow adjustment -------------------------------------------
@@ -357,7 +276,6 @@ def batched_adjust_flows(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_ADJUSTMENT_MAX_ITERATIONS,
     raise_on_divergence: bool = False,
-    compact: bool = True,
 ) -> list[FlowExplanation]:
     """Run the Equation 10 fixpoint for every subgraph in one shared iteration.
 
@@ -366,8 +284,8 @@ def batched_adjust_flows(
     counts, convergence flags and residual traces.  All subgraphs must be
     over the same graph and the same converged ``scores`` vector.
 
-    ``compact`` drops converged segments from the shared edge list (they
-    coast otherwise); ``raise_on_divergence`` raises for the first target
+    Converged segments are dropped from the shared edge list by amortized
+    compaction; ``raise_on_divergence`` raises for the first target
     that fails to converge within ``max_iterations``, like the serial path
     does for its single target.
     """
@@ -405,7 +323,7 @@ def batched_adjust_flows(
         )
 
     if segments:
-        _iterate_segments(segments, tolerance, max_iterations, compact)
+        _iterate_segments(segments, tolerance, max_iterations)
 
     for segment in segments:
         if not segment.converged and raise_on_divergence:
@@ -432,7 +350,6 @@ def _iterate_segments(
     segments: list[_Segment],
     tolerance: float,
     max_iterations: int,
-    compact: bool,
 ) -> None:
     """Advance every segment's fixpoint together until all converge.
 
@@ -473,8 +390,7 @@ def _iterate_segments(
                 live -= 1
                 finished = True
         if (
-            compact
-            and finished
+            finished
             and live
             and _COMPACT_FRACTION * (len(active) - live) >= len(active)
         ):
@@ -505,25 +421,15 @@ def batched_explain(
     radius: int | None = 3,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_ADJUSTMENT_MAX_ITERATIONS,
-    workers: int | None = None,
-    pool: str = "thread",
-    compact: bool = True,
 ) -> list[FlowExplanation]:
     """The full Figure 8 pipeline for many targets in one batched pass.
 
     The batched counterpart of :func:`repro.explain.explain`: one shared
-    subgraph extraction (optionally across ``workers``) followed by one
-    multi-target flow-adjustment fixpoint.  Per target, the result is
-    bit-identical to the serial pipeline.
+    subgraph extraction followed by one multi-target flow-adjustment
+    fixpoint.  Per target, the result is bit-identical to the serial
+    pipeline.
     """
     subgraphs = batched_build_explaining_subgraphs(
-        graph, base_node_ids, target_ids, radius, workers=workers, pool=pool
+        graph, base_node_ids, target_ids, radius
     )
-    return batched_adjust_flows(
-        subgraphs,
-        scores,
-        damping,
-        tolerance,
-        max_iterations,
-        compact=compact,
-    )
+    return batched_adjust_flows(subgraphs, scores, damping, tolerance, max_iterations)

@@ -63,7 +63,6 @@ def train_transfer_rates(
     user_seed: int = 0,
     user_noise: float = 0.0,
     radius: int = 3,
-    workers: int | None = None,
 ) -> TrainingCurve:
     """Run the rate-training experiment for one ``C_f`` value.
 
@@ -76,8 +75,7 @@ def train_transfer_rates(
     all-``initial_rate`` schema), so the per-query fixpoints are computed in
     one blocked run (``repro.ranking.batch``) sharing a single global
     warm-start vector, instead of one serial power iteration — and one
-    global-ObjectRank recomputation — per query.  ``workers`` spreads the
-    blocked run over a process pool.
+    global-ObjectRank recomputation — per query.
     """
     if dataset.ground_truth_rates is None:
         raise ValueError(f"dataset {dataset.name!r} has no ground-truth rates")
@@ -89,14 +87,10 @@ def train_transfer_rates(
         ground_truth.schema, default_rate=initial_rate, epsilon=ground_truth.epsilon
     )
     engine = engine or SearchEngine(dataset.data_graph, initial)
-    # ``workers`` drives both batch engines: the blocked initial fixpoints
-    # below and the batched per-feedback-object explanations inside every
-    # session's reformulation rounds (repro.explain.batch).
     config = SystemConfig.structure_only(
         adjustment_factor=adjustment_factor,
         radius=radius,
         top_k=presented_k,
-        explain_workers=workers,
     )
     user = SimulatedUser(
         engine,
@@ -124,7 +118,6 @@ def train_transfer_rates(
         engine.tolerance,
         engine.max_iterations,
         init=init,
-        workers=workers,
     )
 
     session_vectors: list[list[list[float]]] = []

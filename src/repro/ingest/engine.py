@@ -261,7 +261,6 @@ class IngestEngine:
         previous: PrecomputedRanker | None = None,
         rates: AuthorityTransferSchemaGraph | None = None,
         mode: str = "exact",
-        workers: int | None = None,
         precompute: bool = True,
     ) -> RefreshResult:
         """Produce a fresh serving snapshot from the working state.
@@ -299,7 +298,6 @@ class IngestEngine:
                     damping=self.damping,
                     tolerance=self.tolerance,
                     max_iterations=self.max_iterations,
-                    workers=workers,
                     mode=mode,
                 )
                 ranker = PrecomputedRanker.over(

@@ -110,7 +110,6 @@ def refreshed_keyword_vectors(
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    workers: int | None = None,
     mode: str = "exact",
 ) -> RefreshedVectors:
     """Refresh the keyword→score matrix for a mutated graph.
@@ -147,8 +146,7 @@ def refreshed_keyword_vectors(
     if mode == "warm" and previous is not None and not rates_changed:
         init = _warm_start_inits(graph, previous, recompute)
     built = batched_keyword_vectors(
-        graph, index, recompute, damping, tolerance, max_iterations,
-        workers=workers, init=init,
+        graph, index, recompute, damping, tolerance, max_iterations, init=init
     )
 
     vectors: dict[str, np.ndarray] = {}

@@ -15,10 +15,8 @@ the ``k`` restart vectors into an ``(n, k)`` block ``S`` and iterates
 so one pass over the matrix advances every column at once (the classic
 blocked fixpoint of topic-sensitive PageRank precomputation).  Columns
 converge independently: a converged column is *frozen* (its scores stop
-changing and it leaves the residual check) and, with ``compact=True``,
-dropped from the active block so late stragglers don't pay for finished
-columns.  ``workers`` optionally splits the block across a process (or
-thread) pool for very large vocabularies.
+changing and it leaves the residual check) and dropped from the active
+block so late stragglers don't pay for finished columns.
 
 This is a performance change, not an approximation: per column, the blocked
 engine performs bit-for-bit the same floating-point operations in the same
@@ -33,10 +31,11 @@ sum, or a vectorized axis-0 reduction on the scipy path, instead of the
 serial pairwise sum) and may differ from the serial trace by a few ulps —
 ``O(n · eps)`` relative, far below any tolerance in use.
 
-Columns are processed in cache-sized chunks (``block_width``, default 32)
-rather than one giant block: the CSR matrix and a ~32-column slab stay
-resident in cache while a full-vocabulary block would stream from DRAM every
-iteration and lose to the serial loop outright.  When a C compiler is
+Columns are processed in cache-sized chunks (``DEFAULT_BLOCK_WIDTH`` = 32),
+one after the other in this process, rather than one giant block: the CSR
+matrix and a ~32-column slab stay resident in cache while a full-vocabulary
+block would stream from DRAM every iteration and lose to the serial loop
+outright.  When a C compiler is
 available, each chunk step runs through a width-specialized compiled kernel
 (:mod:`repro.ranking._native`) that keeps the per-row accumulators in
 registers and fuses the residual sums into the matrix pass.
@@ -44,7 +43,6 @@ registers and fuses the residual sums into the matrix pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -166,13 +164,12 @@ def _iterate_block(
     damping: float,
     tolerance: float,
     max_iterations: int,
-    compact: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Run the blocked fixpoint on one ``(n, k)`` block.
 
-    Module-level (not a closure) so a process pool can pickle it.  ``scores``
-    may be ``None`` for the default uniform ``1/n`` start — the chunk fills
-    its own slab instead of the caller materializing a full-width init.
+    ``scores`` may be ``None`` for the default uniform ``1/n`` start — the
+    chunk fills its own slab instead of the caller materializing a
+    full-width init.
     Residuals for all active columns come fused out of the kernel's matrix
     pass (or from one vectorized ``|new - old|`` pass on the scipy
     fallback); a column whose fast residual lands inside
@@ -268,17 +265,16 @@ def _iterate_block(
             iterations[cols] = iteration
             converged[cols] = True
         block = new_block
-        if compact:
-            dead = ~live[active]
-            if dead.any() and 4 * int(dead.sum()) >= active.size:
-                keep = ~dead
-                active = active[keep]
-                narrowed = alloc((n, int(active.size)))
-                narrowed[:] = block[:, keep]
-                block = narrowed
-                block_jump = np.ascontiguousarray(block_jump[:, keep])
-                packed_jump = np.ascontiguousarray(block_jump[jump_rows])
-                spare = None  # width changed; reallocated next step
+        dead = ~live[active]
+        if dead.any() and 4 * int(dead.sum()) >= active.size:
+            keep = ~dead
+            active = active[keep]
+            narrowed = alloc((n, int(active.size)))
+            narrowed[:] = block[:, keep]
+            block = narrowed
+            block_jump = np.ascontiguousarray(block_jump[:, keep])
+            packed_jump = np.ascontiguousarray(block_jump[jump_rows])
+            spare = None  # width changed; reallocated next step
 
     for local, col in enumerate(active):
         if not converged[col]:
@@ -303,21 +299,15 @@ def batched_power_iteration(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     init: np.ndarray | None = None,
-    compact: bool = True,
-    workers: int | None = None,
-    pool: str = "process",
-    block_width: int = DEFAULT_BLOCK_WIDTH,
 ) -> BatchedPowerIterationResult:
     """Iterate ``R <- d A R + (1 - d) S`` with per-column convergence.
 
     ``restarts`` is ``(n, k)`` — one restart distribution per column.
     ``init`` seeds every column (``(n,)`` broadcast, or ``(n, k)`` per
     column); the default is the serial engine's uniform ``1/n`` start.
-    ``compact`` drops converged columns from the active block (they coast
-    otherwise).  Columns are processed in chunks of ``block_width`` so the
-    matrix and the working slab stay cache-resident; ``workers > 1``
-    distributes those chunks over a ``pool`` of processes (default; falls
-    back in-process if the pool cannot start) or threads (``pool="thread"``).
+    Columns are processed in chunks of :data:`DEFAULT_BLOCK_WIDTH` so the
+    matrix and the working slab stay cache-resident; converged columns are
+    dropped from a chunk's active block.
 
     Each column's scores and iteration count are identical to a serial
     :func:`~repro.ranking.pagerank.power_iteration` run with the same
@@ -334,8 +324,6 @@ def batched_power_iteration(
         )
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if pool not in ("process", "thread"):
-        raise ValueError(f"pool must be 'process' or 'thread', got {pool!r}")
     matrix = matrix.tocsr()
     if _native.available():
         # The CSR streams are re-read every iteration of every chunk; one
@@ -364,22 +352,28 @@ def batched_power_iteration(
             residuals=[],
         )
 
-    chunks = _column_chunks(k, workers, block_width)
+    chunks = _column_chunks(k)
     if len(chunks) == 1:
         out, iterations, converged, residuals = _iterate_block(
-            matrix, restarts, scores, damping, tolerance, max_iterations, compact
+            matrix, restarts, scores, damping, tolerance, max_iterations
         )
         return BatchedPowerIterationResult(out, iterations, converged, residuals)
 
-    parts = _run_chunks(
-        matrix, restarts, scores, damping, tolerance, max_iterations, compact,
-        chunks, pool, workers,
-    )
+    # Column independence makes any chunking exact: each chunk runs its own
+    # blocked iteration, one after the other.
     iterations = np.empty(k, dtype=np.int64)
     converged = np.empty(k, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
     score_parts: list[tuple[int, np.ndarray]] = []
-    for columns, (part_scores, part_iters, part_conv, part_res) in zip(chunks, parts):
+    for columns in chunks:
+        part_scores, part_iters, part_conv, part_res = _iterate_block(
+            matrix,
+            np.ascontiguousarray(restarts[:, columns]),
+            None if scores is None else np.ascontiguousarray(scores[:, columns]),
+            damping,
+            tolerance,
+            max_iterations,
+        )
         iterations[columns] = part_iters
         converged[columns] = part_conv
         for local, col in enumerate(columns):
@@ -391,67 +385,17 @@ def batched_power_iteration(
     )
 
 
-def _column_chunks(
-    k: int, workers: int | None, block_width: int = DEFAULT_BLOCK_WIDTH
-) -> list[np.ndarray]:
+def _column_chunks(k: int) -> list[np.ndarray]:
     """Split ``k`` column indices into cache-sized contiguous chunks.
 
-    Every chunk except possibly the last is exactly ``block_width`` wide —
-    full-width chunks hit the compiled kernel's width-specialized fast path,
-    so the remainder is concentrated in one trailing chunk rather than
-    spread across several slightly-narrow ones (``np.array_split`` balance).
-    With ``workers > 1`` the width also shrinks so every worker gets at
-    least one chunk.
+    Every chunk except possibly the last is exactly
+    :data:`DEFAULT_BLOCK_WIDTH` wide — full-width chunks hit the compiled
+    kernel's width-specialized fast path, so the remainder is concentrated
+    in one trailing chunk rather than spread across several slightly-narrow
+    ones (``np.array_split`` balance).
     """
-    if k <= 1:
-        return [np.arange(k)]
-    width = max(1, min(block_width, k))
-    if workers and workers > 1:
-        width = min(width, -(-k // min(workers, k)))
+    width = DEFAULT_BLOCK_WIDTH
     return [np.arange(i, min(i + width, k)) for i in range(0, k, width)]
-
-
-def _run_chunks(
-    matrix: sparse.csr_matrix,
-    restarts: np.ndarray,
-    scores: np.ndarray,
-    damping: float,
-    tolerance: float,
-    max_iterations: int,
-    compact: bool,
-    chunks: list[np.ndarray],
-    pool: str,
-    workers: int | None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]]:
-    """Run each column chunk through its own blocked iteration.
-
-    Column independence makes any chunking exact.  Without workers the
-    chunks run sequentially in-process (still blocked — this is the main
-    single-process fast path); with workers they are distributed over a
-    pool.  A pool that cannot start (restricted environments forbid
-    fork/spawn) degrades to the in-process loop rather than failing.
-    """
-    tasks = [
-        (
-            matrix,
-            np.ascontiguousarray(restarts[:, columns]),
-            None if scores is None else np.ascontiguousarray(scores[:, columns]),
-            damping,
-            tolerance,
-            max_iterations,
-            compact,
-        )
-        for columns in chunks
-    ]
-    if not workers or workers <= 1:
-        return [_iterate_block(*task) for task in tasks]
-    executor_type = ProcessPoolExecutor if pool == "process" else ThreadPoolExecutor
-    try:
-        with executor_type(max_workers=min(workers, len(tasks))) as executor:
-            futures = [executor.submit(_iterate_block, *task) for task in tasks]
-            return [future.result() for future in futures]
-    except (OSError, PermissionError, RuntimeError):
-        return [_iterate_block(*task) for task in tasks]
 
 
 # -- graph-level batched rankers --------------------------------------------
@@ -463,9 +407,6 @@ def batched_objectrank(
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    compact: bool = True,
-    workers: int | None = None,
-    pool: str = "process",
     init: np.ndarray | None = None,
 ) -> list[RankedResult]:
     """One :func:`~repro.ranking.objectrank.objectrank` per base set, blocked.
@@ -488,8 +429,7 @@ def batched_objectrank(
             raise EmptyBaseSetError(())
         transposed[j] = restart_distribution(n, graph.indices_of(list(base_nodes)))
     outcome = batched_power_iteration(
-        graph.matrix(), transposed.T, damping, tolerance, max_iterations,
-        init=init, compact=compact, workers=workers, pool=pool,
+        graph.matrix(), transposed.T, damping, tolerance, max_iterations, init=init
     )
     results = []
     for j, base_nodes in enumerate(base_sets):
@@ -515,8 +455,6 @@ def batched_keyword_vectors(
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    workers: int | None = None,
-    pool: str = "process",
     init: dict[str, np.ndarray] | None = None,
 ) -> dict[str, RankedResult]:
     """Per-keyword ObjectRank for every keyword with a non-empty base set.
@@ -551,8 +489,6 @@ def batched_keyword_vectors(
         damping,
         tolerance,
         max_iterations,
-        workers=workers,
-        pool=pool,
         init=block_init,
     )
     return {keyword: result for (keyword, _), result in zip(matched, results)}
@@ -566,8 +502,6 @@ def batched_objectrank2(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     init: np.ndarray | None = None,
-    workers: int | None = None,
-    pool: str = "process",
 ) -> list[RankedResult]:
     """One :func:`~repro.ranking.objectrank2.objectrank2` per query, blocked.
 
@@ -585,8 +519,7 @@ def batched_objectrank2(
         for node_id, weight in base.items():
             restarts[graph.index_of(node_id), j] = weight
     outcome = batched_power_iteration(
-        graph.matrix(), restarts, damping, tolerance, max_iterations,
-        init=init, workers=workers, pool=pool,
+        graph.matrix(), restarts, damping, tolerance, max_iterations, init=init
     )
     results = []
     for j, base in enumerate(bases):

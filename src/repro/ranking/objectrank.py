@@ -122,7 +122,6 @@ def multi_keyword_objectrank(
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    workers: int | None = None,
 ) -> RankedResult:
     """Modified multi-keyword ObjectRank of Equation 16.
 
@@ -135,8 +134,7 @@ def multi_keyword_objectrank(
     """
     matched = list(
         batched_keyword_vectors(
-            graph, index, keywords, damping, tolerance, max_iterations,
-            workers=workers,
+            graph, index, keywords, damping, tolerance, max_iterations
         ).items()
     )
     if not matched:

@@ -7,9 +7,9 @@ focused subsets.  This module implements the precomputation remedy: one
 authority vector per index keyword, computed offline, combined at query time.
 
 The offline build runs every keyword's fixpoint through the blocked engine of
-:mod:`repro.ranking.batch` — one pass over the CSR matrix advances the whole
-vocabulary at once, and ``workers`` spreads the block over a process pool —
-instead of one serial power iteration per keyword.  Each vector is identical
+:mod:`repro.ranking.batch` — one pass over the CSR matrix advances a whole
+block of the vocabulary at once — instead of one serial power iteration per
+keyword.  Each vector is identical
 to the serial computation.
 
 Combination at query time follows the same weighted-base-set idea as
@@ -120,8 +120,7 @@ class PrecomputedRanker:
 
     ``keywords=None`` precomputes every index term whose document frequency
     is at least ``min_document_frequency`` (rare terms are cheap to run
-    on the fly and bloat the cache).  ``workers`` parallelizes the offline
-    build over a process pool; ``min_coverage`` is the fraction of a query's
+    on the fly and bloat the cache).  ``min_coverage`` is the fraction of a query's
     positive term weight that must be cached for :meth:`rank` to answer —
     below it the ranker raises instead of silently dropping the uncached
     terms (the default ``1.0`` answers only fully covered queries).
@@ -140,15 +139,13 @@ class PrecomputedRanker:
         damping: float = DEFAULT_DAMPING,
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        workers: int | None = None,
         min_coverage: float = 1.0,
     ) -> None:
         _valid_coverage(min_coverage)  # fail before the build, not after it
         if keywords is None:
             keywords = index.vocabulary(min_document_frequency)
         built = batched_keyword_vectors(
-            graph, index, keywords, damping, tolerance, max_iterations,
-            workers=workers,
+            graph, index, keywords, damping, tolerance, max_iterations
         )
         self._serve(
             KeywordVectors(

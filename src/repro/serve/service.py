@@ -126,8 +126,6 @@ class ServeConfig:
     precompute: bool = True
     precompute_min_document_frequency: int = 2
     precompute_keywords: tuple[str, ...] | None = None
-    #: Worker processes for the blocked per-keyword build (None = in-process).
-    precompute_workers: int | None = None
     #: Fraction of a query's term weight the precomputed cache must cover to
     #: answer it; below this the request falls back to live ObjectRank2.
     precompute_min_coverage: float = 1.0
@@ -147,9 +145,6 @@ class ServeConfig:
     #: Entries held by the explanation cache (full adjusted-flow payloads,
     #: keyed on dataset + query + rate fingerprint + target).
     explain_cache_max_entries: int = 256
-    #: Threads for batched explaining-subgraph extraction on the feedback
-    #: path (None = in-process; the batch engine is used either way).
-    explain_workers: int | None = None
     max_concurrency: int = 8
     deadline_seconds: float = 30.0
     #: Accept ``/ingest`` mutations and maintain the precomputed matrix
@@ -171,7 +166,6 @@ class ServeConfig:
         return SystemConfig(
             top_k=self.default_top_k,
             radius=self.radius,
-            explain_workers=self.explain_workers,
             global_warm_start=False,
             retrieval_mode=retrieval_mode,
             candidates=self.candidates,
@@ -268,7 +262,6 @@ class DatasetRuntime:
     def refresh_ingest(
         self,
         mode: str | None = None,
-        workers: int | None = None,
         force: bool = False,
     ) -> dict | None:
         """Synchronously refresh + adopt + publish; ``None`` when a no-op.
@@ -297,11 +290,6 @@ class DatasetRuntime:
                 previous=previous,
                 rates=self.rates,
                 mode=mode if mode is not None else self.config.ingest_refresh_mode,
-                workers=(
-                    workers
-                    if workers is not None
-                    else self.config.precompute_workers
-                ),
                 precompute=self.config.precompute or self.store is not None,
             )
             self.engine.adopt(
@@ -427,7 +415,6 @@ class DatasetRuntime:
             self.engine.index,
             keywords=keywords,
             min_document_frequency=self.config.precompute_min_document_frequency,
-            workers=self.config.precompute_workers,
             min_coverage=self.config.precompute_min_coverage,
         )
 

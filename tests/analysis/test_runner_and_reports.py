@@ -35,6 +35,34 @@ def messy_tree(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def project_tree(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "helper.py").write_text(
+        "import time\n"
+        "\n"
+        "\n"
+        "def slow():\n"
+        "    time.sleep(0.1)\n"
+    )
+    (tmp_path / "pkg" / "locked.py").write_text(
+        "import threading\n"
+        "\n"
+        "from pkg.helper import slow\n"
+        "\n"
+        "\n"
+        "class Service:\n"
+        "    def __init__(self):\n"
+        "        self._state_lock = threading.Lock()\n"
+        "        self._state = {}\n"
+        "\n"
+        "    def refresh(self):\n"
+        "        with self._state_lock:\n"
+        "            slow()\n"
+    )
+    return tmp_path
+
+
 class TestRunner:
     def test_discovers_and_partitions(self, messy_tree):
         report = run_lint([messy_tree / "pkg"], root=messy_tree)
@@ -108,36 +136,10 @@ class TestReporters:
             render(report, "xml")
 
 
-class TestParallelRunner:
-    """``jobs=N`` fans files out over processes; the report must not change."""
+class TestSingleParse:
+    """One process, one parse per file, the parent's reports byte for byte."""
 
-    def test_parallel_report_matches_serial(self, messy_tree):
-        serial = run_lint([messy_tree / "pkg"], root=messy_tree)
-        parallel = run_lint([messy_tree / "pkg"], root=messy_tree, jobs=2)
-        assert parallel.findings == serial.findings
-        assert parallel.baselined == serial.baselined
-        assert parallel.suppressed == serial.suppressed
-        assert parallel.parse_errors == serial.parse_errors
-        assert parallel.files_scanned == serial.files_scanned
-
-    def test_jobs_one_and_none_stay_serial(self, messy_tree):
-        for jobs in (None, 0, 1):
-            report = run_lint([messy_tree / "pkg"], root=messy_tree, jobs=jobs)
-            assert [f.code for f in report.findings] == ["RL004"]
-
-    def test_parallel_applies_the_baseline_in_the_parent(self, messy_tree):
-        first = run_lint([messy_tree / "pkg" / "bad.py"], root=messy_tree)
-        baseline = Baseline.from_findings(first.findings)
-        report = run_lint(
-            [messy_tree / "pkg" / "bad.py"],
-            baseline=baseline,
-            root=messy_tree,
-            jobs=2,
-        )
-        assert report.findings == []
-        assert [f.code for f in report.baselined] == ["RL004"]
-
-    def test_unregistered_checker_falls_back_to_serial(self, messy_tree):
+    def test_unregistered_checker_instance_runs(self, messy_tree):
         from repro.analysis.base import Checker
 
         class Custom(Checker):  # deliberately NOT @register-ed
@@ -149,12 +151,107 @@ class TestParallelRunner:
                 yield self.finding(source, source.tree.body[0], "custom hit", "")
 
         report = run_lint(
-            [messy_tree / "pkg" / "bad.py"],
-            checkers=[Custom()],
-            root=messy_tree,
-            jobs=2,
+            [messy_tree / "pkg" / "bad.py"], checkers=[Custom()], root=messy_tree
         )
         assert [f.code for f in report.findings] == ["ZZ999"]
+
+    @pytest.mark.parametrize("scope", [None, {"pkg/locked.py"}])
+    def test_each_file_is_parsed_exactly_once(
+        self, project_tree, monkeypatch, scope
+    ):
+        """The project phase reuses the file phase's ``SourceFile`` objects;
+        only out-of-scope files are parsed there."""
+        from repro.analysis.base import SourceFile
+
+        parsed = []
+        original = SourceFile.parse.__func__
+
+        def counting(cls, path, text):
+            parsed.append(path)
+            return original(cls, path, text)
+
+        monkeypatch.setattr(SourceFile, "parse", classmethod(counting))
+        (project_tree / "pkg" / "broken.py").write_text("def f(:\n")
+        report = run_lint([project_tree / "pkg"], root=project_tree, scope=scope)
+        assert sorted(parsed) == ["pkg/broken.py", "pkg/helper.py", "pkg/locked.py"]
+        assert [f.code for f in report.findings] == ["RL013"]
+
+    def test_project_phase_reuses_the_file_phase_caches(self, project_tree):
+        """A CFG built by a per-file checker is the one RL010-RL017 see."""
+        from repro.analysis.base import Checker, ProjectChecker
+
+        seen = {}
+
+        class Warm(Checker):
+            code = "ZZ001"
+
+            def check(self, source):
+                seen.update({id(f): source.cfg_for(f) for f in source.functions()})
+                return iter(())
+
+        class Reuse(ProjectChecker):
+            code = "ZZ002"
+
+            def check_project(self, project):
+                for info in project.graph.functions.values():
+                    assert info.cfg() is seen[id(info.node)]
+                return iter(())
+
+        run_lint([project_tree / "pkg"], checkers=[Warm(), Reuse()], root=project_tree)
+        assert len(seen) == 3  # slow, Service.__init__, Service.refresh
+
+    @pytest.mark.parametrize("tree_name", ["messy", "project"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+    def test_reports_equal_the_recorded_ones_byte_for_byte(
+        self, request, tree_name, fmt
+    ):
+        """``golden_reports.json`` was rendered by the last commit that had
+        the per-file process pool and the second parse (timings and the
+        interpreter's syntax-error wording templated out)."""
+        golden = json.loads(
+            (Path(__file__).parent / "golden_reports.json").read_text()
+        )
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        report = run_lint([tree / "pkg"], root=tree)
+        try:
+            compile("def f(:\n", "pkg/broken.py", "exec")
+        except SyntaxError as error:
+            parse_error = str(error)
+        elapsed = (
+            f"{report.elapsed_seconds:.2f}"
+            if fmt == "text"
+            else json.dumps(report.elapsed_seconds)
+        )
+        expected = (
+            golden[f"{tree_name}.{fmt}"]
+            .replace("{parse_error}", parse_error)
+            .replace("{elapsed}", elapsed)
+        )
+        assert render(report, fmt) == expected
+
+
+class TestDiscovery:
+    def test_one_file_through_two_spellings_is_linted_once(
+        self, messy_tree, monkeypatch
+    ):
+        """Regression: de-duplication was on the path as typed, so a relative
+        and an absolute spelling of one directory linted every file twice."""
+        from repro.analysis import discover_files
+
+        monkeypatch.chdir(messy_tree)
+        found = discover_files(["pkg", messy_tree / "pkg", "pkg/bad.py"])
+        assert found == [Path("pkg/bad.py"), Path("pkg/broken.py"), Path("pkg/good.py")]
+        report = run_lint(["pkg", messy_tree / "pkg"], root=messy_tree)
+        assert report.files_scanned == 2
+        assert [f.code for f in report.findings] == ["RL004"]
+        assert len(report.parse_errors) == 1
+
+    def test_duplicate_spellings_do_not_duplicate_definitions(
+        self, project_tree, monkeypatch
+    ):
+        monkeypatch.chdir(project_tree)
+        report = run_lint(["pkg", project_tree / "pkg"], root=project_tree)
+        assert [f.code for f in report.findings] == ["RL013"]
 
 
 class TestSarifReporter:
@@ -248,30 +345,34 @@ class TestBaselineMetadataStability:
         assert baseline.contains(new)  # line drift + new metadata: still known
 
 
+@pytest.fixture(scope="module")
+def src_report():
+    """One full lint of ``src/`` with every rule and an empty baseline — the
+    several-second run both whole-tree gate tests assert over."""
+    return run_lint([REPO_ROOT / "src"], baseline=Baseline(), root=REPO_ROOT)
+
+
 class TestRepositorySelfLint:
     """The analyzer runs clean over its own repository (ISSUE 3 gate)."""
 
-    def test_src_has_zero_non_baselined_findings(self):
+    def test_src_has_zero_non_baselined_findings(self, src_report):
         baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-        report = run_lint([REPO_ROOT / "src"], baseline=baseline, root=REPO_ROOT)
-        assert report.parse_errors == []
-        assert report.findings == [], render(report, "text")
+        assert src_report.parse_errors == []
+        new = [f for f in src_report.findings if not baseline.contains(f)]
+        assert new == [], render(src_report, "text")
 
-    def test_src_is_clean_with_an_empty_baseline_and_all_rules(self):
+    def test_src_is_clean_with_an_empty_baseline_and_all_rules(self, src_report):
         """The self-lint gate: nothing hides behind the baseline — the
         interprocedural RL010–RL013 and the abstract-interpretation
         RL014–RL017 included."""
-        report = run_lint(
-            [REPO_ROOT / "src"], baseline=Baseline(), root=REPO_ROOT
-        )
-        assert len(report.checker_codes) == 17
+        assert len(src_report.checker_codes) == 17
         assert {"RL010", "RL011", "RL012", "RL013"} <= set(
-            report.checker_codes
+            src_report.checker_codes
         )
         assert {"RL014", "RL015", "RL016", "RL017"} <= set(
-            report.checker_codes
+            src_report.checker_codes
         )
-        assert report.findings == [], render(report, "text")
+        assert src_report.findings == [], render(src_report, "text")
 
     def test_serve_package_is_clean_without_any_baseline(self):
         """The RL003 audit target: repro.serve passes with an EMPTY baseline."""
@@ -306,7 +407,7 @@ class TestRepositorySelfLint:
         guarded = {}
         for node in ast.walk(source.tree):
             if isinstance(node, ast.ClassDef):
-                locks = lock_attributes(node)
+                locks = lock_attributes(source, node)
                 if locks:
                     guarded.update(guarded_attributes(source, node, locks))
         assert guarded.get("current_rates") == "_rates_lock"
@@ -316,34 +417,7 @@ class TestRepositorySelfLint:
 
 
 class TestProjectPhase:
-    """The interprocedural phase: cross-file context, scope, pragmas, jobs."""
-
-    @pytest.fixture
-    def project_tree(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "helper.py").write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "def slow():\n"
-            "    time.sleep(0.1)\n"
-        )
-        (tmp_path / "pkg" / "locked.py").write_text(
-            "import threading\n"
-            "\n"
-            "from pkg.helper import slow\n"
-            "\n"
-            "\n"
-            "class Service:\n"
-            "    def __init__(self):\n"
-            "        self._state_lock = threading.Lock()\n"
-            "        self._state = {}\n"
-            "\n"
-            "    def refresh(self):\n"
-            "        with self._state_lock:\n"
-            "            slow()\n"
-        )
-        return tmp_path
+    """The interprocedural phase: cross-file context, scope, pragmas."""
 
     def test_cross_file_finding_with_call_chain(self, project_tree):
         report = run_lint([project_tree / "pkg"], root=project_tree)
@@ -355,20 +429,6 @@ class TestProjectPhase:
             "pkg/locked.py",
             "pkg/helper.py",
         ]
-
-    def test_parallel_run_is_byte_identical_with_project_checkers(
-        self, project_tree
-    ):
-        serial = run_lint([project_tree / "pkg"], root=project_tree)
-        parallel = run_lint([project_tree / "pkg"], root=project_tree, jobs=2)
-        # SARIF carries no timings: the logs must agree byte for byte.
-        assert render(serial, "sarif") == render(parallel, "sarif")
-        serial_json = json.loads(render(serial, "json"))
-        parallel_json = json.loads(render(parallel, "json"))
-        serial_json.pop("elapsed_seconds")
-        parallel_json.pop("elapsed_seconds")
-        assert serial_json == parallel_json
-        assert [f.code for f in serial.findings] == ["RL013"]
 
     def test_scope_keeps_cross_file_context(self, project_tree):
         """Linting only locked.py still sees helper.py's blocking summary."""

@@ -129,11 +129,18 @@ class TestSummaryCache:
 
 class TestCachePrimitives:
     def test_file_hashes_track_content(self, tree):
-        files = [(p, p.name) for p in sorted(tree.glob("*.py"))]
-        before = file_hashes(files)
+        from repro.analysis.base import SourceFile
+
+        def sources():
+            return [
+                SourceFile.parse(p.name, p.read_text())
+                for p in sorted(tree.glob("*.py"))
+            ]
+
+        before = file_hashes(sources())
         assert set(before) == {"handler.py", "helper.py"}
         (tree / "helper.py").write_text("VALUE = 2\n")
-        after = file_hashes(files)
+        after = file_hashes(sources())
         assert before["handler.py"] == after["handler.py"]
         assert before["helper.py"] != after["helper.py"]
 

@@ -79,12 +79,6 @@ class TestBatchedSubgraphs:
         with pytest.raises(UnknownNodeError):
             batched_build_explaining_subgraphs(figure1_graph, olap_base, ["nope"])
 
-    def test_invalid_pool(self, figure1_graph, olap_base):
-        with pytest.raises(ValueError):
-            batched_build_explaining_subgraphs(
-                figure1_graph, olap_base, ["v4"], pool="fiber"
-            )
-
     def test_extractor_reuse(self, figure1_graph, olap_base):
         extractor = SubgraphExtractor(figure1_graph)
         first = batched_build_explaining_subgraphs(
@@ -95,15 +89,6 @@ class TestBatchedSubgraphs:
         )
         for a, b in zip(first, second):
             assert_same_subgraph(a, b)
-
-    @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_worker_pools(self, figure1_graph, olap_base, pool):
-        batched = batched_build_explaining_subgraphs(
-            figure1_graph, olap_base, ALL_TARGETS, 3, workers=3, pool=pool
-        )
-        for target, subgraph in zip(ALL_TARGETS, batched):
-            serial = build_explaining_subgraph(figure1_graph, olap_base, target, 3)
-            assert_same_subgraph(serial, subgraph)
 
 
 class TestPositiveRateIncidence:
@@ -149,13 +134,12 @@ class TestPositiveRateIncidence:
 
 
 class TestBatchedAdjustment:
-    @pytest.mark.parametrize("compact", [True, False])
-    def test_identical_to_serial(self, figure1_graph, olap_base, olap_result, compact):
+    def test_identical_to_serial(self, figure1_graph, olap_base, olap_result):
         subgraphs = batched_build_explaining_subgraphs(
             figure1_graph, olap_base, ALL_TARGETS
         )
         batched = batched_adjust_flows(
-            subgraphs, olap_result.scores, 0.85, 1e-10, compact=compact
+            subgraphs, olap_result.scores, 0.85, 1e-10
         )
         for target, explanation in zip(ALL_TARGETS, batched):
             serial = adjust_flows(
@@ -213,18 +197,6 @@ class TestBatchedExplain:
                 result.ranked.scores,
             )
             assert_same_explanation(serial, explanation)
-
-    def test_workers_match_in_process(self, dblp_tiny_engine):
-        result = dblp_tiny_engine.search("xml query", top_k=8)
-        base = list(result.ranked.base_weights)
-        targets = [node_id for node_id, _ in result.top]
-        graph = dblp_tiny_engine.graph
-        plain = batched_explain(graph, base, targets, result.ranked.scores)
-        pooled = batched_explain(
-            graph, base, targets, result.ranked.scores, workers=3
-        )
-        for a, b in zip(plain, pooled):
-            assert_same_explanation(a, b)
 
 
 class TestSearchsortedLocals:

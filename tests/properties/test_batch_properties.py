@@ -6,7 +6,7 @@ convergence flags all match a serial
 :func:`~repro.ranking.pagerank.power_iteration` run, and residual traces
 match to a few ulps (they are recorded in a vectorized summation order).
 These properties check that over random conforming DBLP graphs and random
-restart blocks, in both compaction modes.
+restart blocks.
 """
 
 import numpy as np
@@ -43,14 +43,12 @@ def graphs_with_restart_blocks(draw):
     return atdg, np.stack(columns, axis=1)
 
 
-@given(graphs_with_restart_blocks(), st.booleans())
+@given(graphs_with_restart_blocks())
 @settings(max_examples=25, deadline=None)
-def test_blocked_matches_serial_column_by_column(graph_and_block, compact):
+def test_blocked_matches_serial_column_by_column(graph_and_block):
     atdg, restarts = graph_and_block
     matrix = atdg.matrix()
-    batch = batched_power_iteration(
-        matrix, restarts, tolerance=1e-8, compact=compact
-    )
+    batch = batched_power_iteration(matrix, restarts, tolerance=1e-8)
     for j in range(restarts.shape[1]):
         serial = power_iteration(matrix, restarts[:, j], tolerance=1e-8)
         column = batch.column(j)

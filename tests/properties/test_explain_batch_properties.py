@@ -88,24 +88,3 @@ def test_batched_equals_serial_empty_base(atdg, radius, seed):
         )
         assert_bit_identical(serial, batched)
         assert batched.subgraph.is_empty
-
-
-@given(dblp_transfer_graphs(), st.integers(0, 100), st.integers(1, 4))
-@settings(max_examples=15, deadline=None)
-def test_batched_equals_serial_with_workers(atdg, seed, workers):
-    """Thread-pooled extraction changes nothing about the output."""
-    papers = [n for n in atdg.node_ids if n.startswith("paper:")]
-    result = objectrank(atdg, papers, damping=0.85, tolerance=1e-10)
-    targets = _targets(atdg, seed)
-    subgraphs = batched_build_explaining_subgraphs(
-        atdg, papers, targets, workers=workers
-    )
-    explanations = batched_adjust_flows(subgraphs, result.scores, 0.85, 1e-10)
-    for target, batched in zip(targets, explanations):
-        serial = adjust_flows(
-            build_explaining_subgraph(atdg, papers, target),
-            result.scores,
-            0.85,
-            1e-10,
-        )
-        assert_bit_identical(serial, batched)

@@ -55,14 +55,6 @@ class TestBlockedEngine:
         batch = batched_power_iteration(matrix, restarts, tolerance=1e-10)
         assert_matches_serial(matrix, restarts, batch, tolerance=1e-10)
 
-    def test_frozen_without_compaction_matches_serial(self):
-        matrix = random_substochastic(40, seed=5)
-        restarts = random_restarts(40, 5, seed=6)
-        batch = batched_power_iteration(
-            matrix, restarts, tolerance=1e-9, compact=False
-        )
-        assert_matches_serial(matrix, restarts, batch, tolerance=1e-9)
-
     def test_columns_converge_independently(self):
         """A one-hot restart takes more iterations than a near-uniform one."""
         matrix = random_substochastic(60, seed=7)
@@ -108,14 +100,17 @@ class TestBlockedEngine:
             assert batch.column(j).iterations == serial.iterations
             assert np.abs(batch.column(j).scores - serial.scores).max() <= 1e-12
 
-    @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_worker_pool_matches_serial(self, pool):
+    def test_more_columns_than_one_chunk_matches_serial(self):
+        """Two full chunks and a tail: columns served from per-chunk slabs."""
+        from repro.ranking.batch import DEFAULT_BLOCK_WIDTH
+
+        k = 2 * DEFAULT_BLOCK_WIDTH + 5
         matrix = random_substochastic(40, seed=15)
-        restarts = random_restarts(40, 5, seed=16)
-        batch = batched_power_iteration(
-            matrix, restarts, tolerance=1e-9, workers=3, pool=pool
-        )
+        restarts = random_restarts(40, k, seed=16)
+        batch = batched_power_iteration(matrix, restarts, tolerance=1e-9)
         assert_matches_serial(matrix, restarts, batch, tolerance=1e-9)
+        assert batch.scores.shape == (40, k)
+        assert np.array_equal(batch.scores[:, k - 1], batch.column(k - 1).scores)
 
     def test_empty_block(self):
         matrix = random_substochastic(10, seed=17)
@@ -131,8 +126,6 @@ class TestBlockedEngine:
             batched_power_iteration(matrix, np.zeros((4, 2)))  # wrong n
         with pytest.raises(ValueError):
             batched_power_iteration(matrix, np.zeros((10, 2)), damping=1.5)
-        with pytest.raises(ValueError):
-            batched_power_iteration(matrix, np.zeros((10, 2)), pool="fiber")
         with pytest.raises(ValueError):
             batched_power_iteration(matrix, np.zeros((10, 2)), init=np.zeros(3))
 

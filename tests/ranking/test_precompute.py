@@ -153,28 +153,6 @@ class TestDegenerateZeroWeight:
         assert mixed.coverage == 1.0  # zero-weight terms are not "considered"
 
 
-class TestBatchedBuild:
-    def test_workers_build_matches_serial_build(self, figure1_graph, figure1_index):
-        import numpy as np
-
-        serial = PrecomputedRanker(
-            figure1_graph, figure1_index, min_document_frequency=1, tolerance=1e-10
-        )
-        pooled = PrecomputedRanker(
-            figure1_graph,
-            figure1_index,
-            min_document_frequency=1,
-            tolerance=1e-10,
-            workers=3,
-        )
-        assert serial.keywords == pooled.keywords
-        for keyword in serial.keywords:
-            assert np.abs(
-                serial.vector(keyword) - pooled.vector(keyword)
-            ).max() <= 1e-12
-        assert serial.build_iterations == pooled.build_iterations
-
-
 class TestStaleness:
     def test_fresh_cache_not_stale(self, ranker):
         assert not ranker.is_stale()

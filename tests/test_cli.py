@@ -24,17 +24,32 @@ class TestParser:
 
     def test_precompute_args(self):
         args = build_parser().parse_args(
-            ["precompute", "dblp_tiny", "--workers", "4", "--min-df", "1"]
+            ["precompute", "dblp_tiny", "--min-df", "1"]
         )
         assert args.dataset == "dblp_tiny"
-        assert args.workers == 4
         assert args.min_df == 1
         assert args.keywords is None
 
     def test_precompute_defaults(self):
         args = build_parser().parse_args(["precompute", "dblp_tiny"])
-        assert args.workers is None
         assert args.min_df == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["precompute", "dblp_tiny", "--workers", "2"],
+            ["ingest", "dblp_tiny", "--mutations", "m.json", "--workers", "2"],
+            ["store", "build", "dblp_tiny", "--store", "s", "--workers", "2"],
+            ["explain", "dblp_tiny", "all", "olap", "--batch", "3", "--workers", "2"],
+            ["lint", "--jobs", "2"],
+        ],
+    )
+    def test_worker_pool_flags_are_gone(self, argv):
+        """``--workers`` means one thing: the size of ``repro serve``'s
+        prefork cluster."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert build_parser().parse_args(["serve", "--workers", "2"]).workers == 2
 
 
 class TestCommands:
@@ -83,12 +98,11 @@ class TestCommands:
         assert code == 1
 
     def test_precompute_builds_vectors(self, capsys):
-        code = main(["precompute", "dblp_tiny", "--min-df", "1", "--workers", "2"])
+        code = main(["precompute", "dblp_tiny", "--min-df", "1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "precomputed" in out
         assert "keyword vectors" in out
-        assert "workers=2" in out
 
     def test_precompute_explicit_keywords(self, capsys):
         code = main(["precompute", "dblp_tiny", "--keywords", "olap"])

@@ -46,3 +46,59 @@ def test_only_the_session_drives_the_batched_explain_engine():
         and any(name in LOOP_PRIMITIVES for _module, name in imports_of(path))
     )
     assert users == ["core/system.py"]
+
+
+# -- one execution mode: batch engines and the lint runner run in-process -------
+
+POOL_PACKAGES = {"concurrent", "multiprocessing"}
+
+#: Names that used to select a worker pool or an execution mode.  A pool, if
+#: one ever measures as a win, comes back as a choice the code makes from an
+#: observable (cpu count, block count) — not as a parameter.
+EXECUTION_MODE_NAMES = {
+    "workers",
+    "pool",
+    "compact",
+    "block_width",
+    "jobs",
+    "precompute_workers",
+    "explain_workers",
+}
+
+
+def test_no_module_imports_a_worker_pool():
+    offenders = sorted(
+        (path.relative_to(SRC).as_posix(), module)
+        for path in SRC.rglob("*.py")
+        for module, _name in imports_of(path)
+        if module.split(".")[0] in POOL_PACKAGES
+    )
+    assert offenders == []
+
+
+def test_no_execution_mode_parameter_or_field_outside_the_cluster():
+    """``workers`` means one thing: the size of the prefork serving cluster."""
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        relative = path.relative_to(SRC).as_posix()
+        if relative == "serve/cluster.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                spec = node.args
+                names = [
+                    a.arg
+                    for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+                ]
+            elif isinstance(node, ast.ClassDef):
+                names = [
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                ]
+            offenders.extend(
+                (relative, name) for name in names if name in EXECUTION_MODE_NAMES
+            )
+    assert offenders == []
