@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import DuplicateNodeError, GraphError, UnknownNodeError
 
 
@@ -70,6 +72,9 @@ class DataGraph:
         self._out: dict[str, list[DataEdge]] = {}
         self._in: dict[str, list[DataEdge]] = {}
         self._version = 0
+        # (version, node_ids, label -> code, codes) of the last
+        # :meth:`label_codes` call; replaced whole, never edited.
+        self._label_codes: tuple | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -232,6 +237,37 @@ class DataGraph:
 
     def nodes_with_label(self, label: str) -> list[DataNode]:
         return [n for n in self._nodes.values() if n.label == label]
+
+    def label_codes(self, node_ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
+        """``(label -> code, code per id)`` for ``node_ids``.
+
+        Ids this graph does not hold get code -1.  Label filtering over a
+        ranking's node order is then a mask over the codes rather than a
+        lookup per node; the answer for the last id list asked about is kept
+        until the graph changes, and rankings of one graph all carry the
+        same list.
+        """
+        cached = self._label_codes
+        if cached is not None:
+            version, cached_ids, code_of, codes = cached
+            if version == self._version and (
+                cached_ids is node_ids or cached_ids == node_ids
+            ):
+                return code_of, codes
+        code_of = {}
+        nodes = self._nodes
+        codes = np.fromiter(
+            (
+                code_of.setdefault(nodes[node_id].label, len(code_of))
+                if node_id in nodes
+                else -1
+                for node_id in node_ids
+            ),
+            dtype=np.int64,
+            count=len(node_ids),
+        )
+        self._label_codes = (self._version, node_ids, code_of, codes)
+        return code_of, codes
 
     @property
     def num_nodes(self) -> int:

@@ -21,7 +21,7 @@ numpy edge arrays, so that:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -117,8 +117,26 @@ class AuthorityTransferDataGraph:
     def node_id_of(self, index: int) -> str:
         return self.node_ids[index]
 
-    def indices_of(self, node_ids: list[str]) -> np.ndarray:
-        return np.asarray([self.index_of(nid) for nid in node_ids], dtype=np.int64)
+    def indices_of(self, node_ids: Iterable[str]) -> np.ndarray:
+        try:
+            return np.fromiter(
+                map(self._node_index.__getitem__, node_ids), dtype=np.int64
+            )
+        except KeyError as error:
+            raise UnknownNodeError(error.args[0]) from None
+
+    def restart_vector(self, weights: Mapping[str, float]) -> np.ndarray:
+        """``weights`` (node id -> value) laid out by dense node index.
+
+        The restart vector ``s`` of Equation 4 from a base set; zeros
+        everywhere else.  The one place a base-set dict becomes an array.
+        """
+        restart = np.zeros(self.num_nodes)
+        # Dict keys are distinct, so are the indices: plain assignment is exact.
+        restart[self.indices_of(weights)] = np.fromiter(
+            weights.values(), dtype=np.float64, count=len(weights)
+        )
+        return restart
 
     def label_of(self, index: int) -> str:
         return self.data_graph.node(self.node_ids[index]).label

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from repro.graph.build_cache import BuildCache
 from repro.graph.data_graph import DataGraph
 from repro.ir.tokenize import DEFAULT_ANALYZER, Analyzer
 
@@ -21,6 +24,52 @@ class Posting:
 
     doc_id: str
     tf: int
+
+
+class PostingColumns:
+    """Columnar view of one index state, for term-at-a-time array scoring.
+
+    Documents get dense *ordinals* — their position in the index's document
+    order — and every array here is aligned with them: ``doc_ids[o]`` and
+    ``doc_lengths[o]`` describe document ``o``, and :meth:`term` returns a
+    term's postings as ``(ordinals, tf)`` arrays in postings order (which is
+    ascending ordinal order: both follow document insertion).  The document
+    table is built with the view, each term's pair on its first use; either
+    is built exactly once under concurrent first use and only ever published
+    complete.  About 16 bytes per posting of the terms actually queried.
+
+    The view describes the index as it was when built:
+    :meth:`InvertedIndex.columns` hands out a fresh one after any mutation.
+    """
+
+    def __init__(
+        self, postings: dict[str, dict[str, int]], doc_length: dict[str, int]
+    ) -> None:
+        self._postings = postings
+        self._ordinal = {doc_id: i for i, doc_id in enumerate(doc_length)}
+        self.doc_ids = np.empty(len(doc_length), dtype=object)
+        self.doc_ids[:] = list(doc_length)
+        self.doc_lengths = np.fromiter(
+            doc_length.values(), dtype=np.float64, count=len(doc_length)
+        )
+        self._terms: BuildCache[tuple[np.ndarray, np.ndarray]] = BuildCache(
+            max(len(postings), 1)
+        )
+
+    def term(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(ordinals, tf)`` of ``term``'s postings; ``None`` if absent."""
+        postings = self._postings.get(term)
+        if not postings:
+            return None
+        return self._terms.get(term, lambda: self._build(postings))
+
+    def _build(self, postings: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        count = len(postings)
+        ordinals = np.fromiter(
+            map(self._ordinal.__getitem__, postings), dtype=np.int64, count=count
+        )
+        tf = np.fromiter(postings.values(), dtype=np.float64, count=count)
+        return ordinals, tf
 
 
 class InvertedIndex:
@@ -42,6 +91,12 @@ class InvertedIndex:
         # bound; removals drop the entry and :meth:`term_bound` rebuilds it
         # lazily from the postings list.
         self._bounds: dict[str, tuple[int, int]] = {}
+        # The columnar view of the current state (:meth:`columns`), keyed by
+        # a counter every mutation bumps: built on first use, and a mutation
+        # retires it whole — ordinals are dense positions, a removal shifts
+        # them all.
+        self._version = 0
+        self._columns: BuildCache[PostingColumns] = BuildCache(1)
 
     # -- construction ------------------------------------------------------
 
@@ -84,6 +139,7 @@ class InvertedIndex:
             bound = self._bounds.get(term)
             if bound is not None:
                 self._bounds[term] = (max(bound[0], tf), min(bound[1], dl))
+        self._version += 1
 
     def copy(self) -> "InvertedIndex":
         """An independent copy with identical statistics and term order.
@@ -91,6 +147,8 @@ class InvertedIndex:
         Term and document iteration order (and therefore everything derived
         from it, e.g. precomputed-vocabulary order) is preserved, so a copy
         can stand in for the original in determinism-sensitive rebuilds.
+        The copy starts with no columnar view (:meth:`columns`) — it is the
+        working copy of a mutation batch, which would drop it anyway.
         """
         clone = InvertedIndex(self.analyzer)
         clone._postings = {
@@ -117,6 +175,7 @@ class InvertedIndex:
             # The removed document may have carried the extreme statistic;
             # drop the bound and let term_bound rebuild it on demand.
             self._bounds.pop(term, None)
+        self._version += 1
 
     # -- statistics ----------------------------------------------------------
 
@@ -153,19 +212,6 @@ class InvertedIndex:
     def documents_with_term(self, term: str) -> list[str]:
         return list(self._postings.get(term, ()))
 
-    def term_frequencies(self, term: str) -> list[int]:
-        """Term frequencies aligned with :meth:`documents_with_term` order.
-
-        Bulk accessor for vectorized scoring: both views iterate the same
-        postings dict, so ``zip(documents_with_term(t), term_frequencies(t))``
-        reconstructs the postings list without per-entry lookups.
-        """
-        return list(self._postings.get(term, {}).values())
-
-    def document_lengths(self, doc_ids: Iterable[str]) -> list[int]:
-        """Document lengths for ``doc_ids`` (0 for unknown documents)."""
-        return [self._doc_length.get(doc_id, 0) for doc_id in doc_ids]
-
     def documents_with_any(self, terms: Iterable[str]) -> list[str]:
         """Documents containing at least one of ``terms`` — the raw base set
         ``S(Q)`` of a keyword query, in deterministic first-hit order."""
@@ -185,6 +231,22 @@ class InvertedIndex:
             for term, postings in self._postings.items()
             if len(postings) >= min_document_frequency
         ]
+
+    # -- columnar view -----------------------------------------------------
+
+    def columns(self) -> PostingColumns:
+        """The columnar view of the current index state.
+
+        What the array scorers read (:func:`repro.ir.accumulate.score_postings`).
+        Built lazily — nothing is paid at construction or by an index that is
+        only ever mutated — and retired by :meth:`add_document` /
+        :meth:`remove_document`; two request threads racing on the first use
+        build it once.  Take it once per query: the view is a consistent
+        snapshot, the index is free to hand out a newer one later.
+        """
+        return self._columns.get(
+            self._version, lambda: PostingColumns(self._postings, self._doc_length)
+        )
 
     # -- impact bounds -------------------------------------------------------
 

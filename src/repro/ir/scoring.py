@@ -8,12 +8,22 @@ where ``v = [W(v, t_1), ..., W(v, t_m)]`` is the document vector over the
 query terms and ``W(v, t)`` is a traditional IR weight such as Okapi/BM25
 (Equation 3).  Scorers here expose both the per-term weight ``W(v, t)`` and
 the full dot-product score.
+
+The scalar ``weight``/``score`` are the definition (and the test oracle);
+what the ranking paths run is the array form, ``contributions`` over one
+term's postings column, accumulated term-at-a-time by
+:func:`repro.ir.accumulate.score_postings`.  The two agree float for float:
+``contributions`` applies the scalar expression's operations in the scalar
+expression's order, and ``score`` is a left-to-right fold over the query
+terms — which is exactly what accumulating one term after another computes.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping, Protocol
+
+import numpy as np
 
 from repro.ir.index import InvertedIndex
 
@@ -44,6 +54,46 @@ class Scorer(Protocol):
         weight ``raw_weight`` (document-side bound times the scorer's
         query-side factor)."""
         ...  # pragma: no cover - protocol
+
+    def contributions(
+        self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
+    ) -> np.ndarray:
+        """``term``'s addend to ``score`` for each posting of its column.
+
+        ``tf`` and ``dl`` are aligned float arrays (term frequency and
+        document length per posting); element ``i`` of the result must equal
+        the scalar ``weight(doc_i, term)`` times the query-side factor of
+        ``raw_weight``, bit for bit.  Optional: a scorer without it is scored
+        through ``weight``, one call per posting.  Addends are merged into a
+        document's score by the scorer's ``merge`` ufunc (``np.add`` unless
+        the scorer says otherwise).
+        """
+        ...  # pragma: no cover - protocol
+
+
+def _fold(addends) -> float:
+    """Left-to-right float sum — ``score``'s summation order, spelled out.
+
+    Builtin ``sum`` compensates float addition from Python 3.12 on; the
+    term-at-a-time accumulator adds plainly, so the definition does too.
+    """
+    total = 0.0
+    for addend in addends:
+        total += addend
+    return total
+
+
+def _log_by_table(values: np.ndarray) -> np.ndarray:
+    """``math.log`` element-wise via a unique-value table.
+
+    Term frequencies take few distinct small values; routing them through
+    CPython's ``math.log`` (instead of ``np.log``'s SIMD path, which may
+    differ in the last ulp) keeps vectorized tf-idf bit-identical to the
+    scalar scorer.
+    """
+    unique, inverse = np.unique(values, return_inverse=True)
+    table = np.array([math.log(value) for value in unique], dtype=np.float64)
+    return table[inverse]
 
 
 class BM25Scorer:
@@ -87,34 +137,44 @@ class BM25Scorer:
             return 0.0
         return max(math.log((n - df + 0.5) / (df + 0.5)), 0.0)
 
+    def _saturation(self, tf, dl):
+        """``(k1 + 1) tf / (k1 ((1 - b) + b dl/avdl) + tf)`` of Equation 3.
+
+        The one BM25 expression: scalars in, scalar out (``weight``,
+        ``max_weight``); postings columns in, column out (``contributions``)
+        — the same IEEE operations in the same order either way.
+        """
+        avdl = self.index.average_document_length or 1.0
+        return ((self.k1 + 1) * tf) / (
+            self.k1 * ((1 - self.b) + self.b * dl / avdl) + tf
+        )
+
     def weight(self, doc_id: str, term: str) -> float:
         tf = self.index.term_frequency(term, doc_id)
         if tf == 0:
             return 0.0
-        dl = self.index.document_length(doc_id)
-        avdl = self.index.average_document_length or 1.0
-        saturation = ((self.k1 + 1) * tf) / (
-            self.k1 * ((1 - self.b) + self.b * dl / avdl) + tf
+        return self.idf(term) * self._saturation(
+            tf, self.index.document_length(doc_id)
         )
-        return self.idf(term) * saturation
+
+    def contributions(
+        self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
+    ) -> np.ndarray:
+        return self.idf(term) * self._saturation(tf, dl) * self.query_weight(raw_weight)
 
     def max_weight(self, term: str) -> float:
         """Upper-bounds :meth:`weight` over all documents containing ``term``.
 
         BM25 saturation is monotone increasing in ``tf`` and decreasing in
         ``dl``, so evaluating Equation 3 at ``(max tf, min dl)`` dominates
-        every posting.  The expression mirrors :meth:`weight` term for term so
-        the bound is exact (bit-identical) at the extreme document itself.
+        every posting — through the expression :meth:`weight` uses, so the
+        bound is exact (bit-identical) at the extreme document itself.
         """
         bound = self.index.term_bound(term)
         if bound is None:
             return 0.0
         max_tf, min_dl = bound
-        avdl = self.index.average_document_length or 1.0
-        saturation = ((self.k1 + 1) * max_tf) / (
-            self.k1 * ((1 - self.b) + self.b * min_dl / avdl) + max_tf
-        )
-        return self.idf(term) * saturation
+        return self.idf(term) * self._saturation(max_tf, min_dl)
 
     def query_weight(self, raw_weight: float) -> float:
         """Query-side saturation ``(k3 + 1) qtf / (k3 + qtf)`` of Equation 3."""
@@ -126,7 +186,7 @@ class BM25Scorer:
         return self.max_weight(term) * self.query_weight(raw_weight)
 
     def score(self, doc_id: str, query_weights: Mapping[str, float]) -> float:
-        return sum(
+        return _fold(
             self.weight(doc_id, term) * self.query_weight(qw)
             for term, qw in query_weights.items()
         )
@@ -138,29 +198,36 @@ class TfIdfScorer:
     def __init__(self, index: InvertedIndex) -> None:
         self.index = index
 
+    def _idf(self, term: str) -> float:
+        """``ln(1 + n / df)`` of a term present in the index."""
+        n = self.index.num_documents
+        return math.log(1.0 + n / self.index.document_frequency(term))
+
     def weight(self, doc_id: str, term: str) -> float:
         tf = self.index.term_frequency(term, doc_id)
         if tf == 0:
             return 0.0
-        n = self.index.num_documents
-        df = self.index.document_frequency(term)
-        return (1.0 + math.log(tf)) * math.log(1.0 + n / df)
+        return (1.0 + math.log(tf)) * self._idf(term)
+
+    def contributions(
+        self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
+    ) -> np.ndarray:
+        return (1.0 + _log_by_table(tf)) * self._idf(term) * raw_weight
 
     def max_weight(self, term: str) -> float:
         """Upper bound from max tf (tf-idf does not depend on ``dl``)."""
         bound = self.index.term_bound(term)
         if bound is None:
             return 0.0
-        max_tf = bound[0]
-        n = self.index.num_documents
-        df = self.index.document_frequency(term)
-        return (1.0 + math.log(max_tf)) * math.log(1.0 + n / df)
+        return (1.0 + math.log(bound[0])) * self._idf(term)
 
     def term_upper_bound(self, term: str, raw_weight: float) -> float:
         return self.max_weight(term) * raw_weight if raw_weight > 0 else 0.0
 
     def score(self, doc_id: str, query_weights: Mapping[str, float]) -> float:
-        return sum(self.weight(doc_id, term) * qw for term, qw in query_weights.items())
+        return _fold(
+            self.weight(doc_id, term) * qw for term, qw in query_weights.items()
+        )
 
 
 class UniformScorer:
@@ -171,11 +238,20 @@ class UniformScorer:
     comparison of Table 2 a one-parameter switch.
     """
 
+    #: The score is "any positive-weight term matches", not a sum: a second
+    #: matching term must leave the 1.0 of the first alone.
+    merge = np.maximum
+
     def __init__(self, index: InvertedIndex) -> None:
         self.index = index
 
     def weight(self, doc_id: str, term: str) -> float:
         return 1.0 if self.index.term_frequency(term, doc_id) > 0 else 0.0
+
+    def contributions(
+        self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
+    ) -> np.ndarray:
+        return np.ones(tf.size)
 
     def max_weight(self, term: str) -> float:
         return 1.0 if term in self.index else 0.0

@@ -67,15 +67,9 @@ def select_top(
     """
     if labels is None:
         return ranked.top_k(top_k)
-    wanted = set(labels)
-    index_of = {node_id: i for i, node_id in enumerate(ranked.node_ids)}
-    top: list[tuple[str, float]] = []
-    for node_id in ranked.ranking():
-        if data_graph.has_node(node_id) and data_graph.node(node_id).label in wanted:
-            top.append((node_id, float(ranked.scores[index_of[node_id]])))
-            if len(top) == top_k:
-                break
-    return top
+    code_of, codes = data_graph.label_codes(ranked.node_ids)
+    wanted = [code_of[label] for label in labels if label in code_of]
+    return ranked.top_k(top_k, within=np.flatnonzero(np.isin(codes, wanted)))
 
 
 @dataclass

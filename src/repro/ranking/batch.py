@@ -516,8 +516,7 @@ def batched_objectrank2(
     n = graph.num_nodes
     restarts = np.zeros((n, len(bases)), dtype=np.float64)
     for j, base in enumerate(bases):
-        for node_id, weight in base.items():
-            restarts[graph.index_of(node_id), j] = weight
+        restarts[:, j] = graph.restart_vector(base)
     outcome = batched_power_iteration(
         graph.matrix(), restarts, damping, tolerance, max_iterations, init=init
     )

@@ -32,6 +32,25 @@ class PowerIterationResult:
         return self.residuals[-1] if self.residuals else 0.0
 
 
+def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores, kind="stable")[:k]`` without sorting the rest.
+
+    ``partition`` finds the ``k``-th largest score; everything at or above it
+    survives — all ties at the boundary included — and only the survivors are
+    stable-sorted.  Survivors are taken in index order, so ties break by
+    index exactly as in the full sort.
+    """
+    n = scores.size
+    k = min(k, n)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    if k < n:
+        survivors = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    else:
+        survivors = np.arange(n)
+    return survivors[np.argsort(-scores[survivors], kind="stable")[:k]]
+
+
 @dataclass
 class RankedResult:
     """A ranking over the nodes of an authority transfer data graph."""
@@ -51,16 +70,19 @@ class RankedResult:
         # O(n) lookup is fine for tests/examples; hot paths use the array.
         return float(self.scores[self.node_ids.index(node_id)])
 
-    def top_k(self, k: int) -> list[tuple[str, float]]:
+    def top_k(
+        self, k: int, within: np.ndarray | None = None
+    ) -> list[tuple[str, float]]:
         """The ``k`` highest-scored nodes as ``(node_id, score)`` pairs.
 
         Ties are broken by node order (deterministic for a fixed graph).
+        ``within`` (ascending node indices) restricts the selection to those
+        nodes — the rows :meth:`ranking` would list, filtered, then cut.
         """
-        k = min(k, len(self.node_ids))
-        if k <= 0:
-            return []
-        # argsort on (-score, index) via stable sort of negated scores.
-        order = np.argsort(-self.scores, kind="stable")[:k]
+        if within is None:
+            order = top_k_order(self.scores, k)
+        else:
+            order = within[top_k_order(self.scores[within], k)]
         return [(self.node_ids[i], float(self.scores[i])) for i in order]
 
     def ranking(self) -> list[str]:

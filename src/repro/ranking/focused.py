@@ -144,15 +144,15 @@ class InducedRun:
 
 def induced_transition_matrix(
     graph: AuthorityTransferDataGraph, nodes: np.ndarray
-) -> tuple[sparse.csr_matrix, int, np.ndarray]:
+) -> tuple[sparse.csr_matrix, int]:
     """Transition submatrix induced by ``nodes`` (sorted node indices).
 
     Sliced out of the cached full transition matrix
     (:meth:`AuthorityTransferDataGraph.matrix`) by row/column selection, so
     the kept entries carry exactly the full matrix's floats (parallel edges
     already merged) and the build cost is C-level row gathering instead of a
-    per-query COO sort.  Returns the matrix, the positive-rate entry count
-    and the full->local index map (-1 outside).
+    per-query COO sort.  Returns the matrix and its positive-rate entry
+    count.
     """
     local = np.full(graph.num_nodes, -1, dtype=np.int64)
     # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
@@ -174,7 +174,7 @@ def induced_transition_matrix(
     matrix = sparse.csr_matrix(
         (values[keep], columns[keep], indptr), shape=(nodes.size, nodes.size)
     )
-    return matrix, int(matrix.nnz), local
+    return matrix, int(matrix.nnz)
 
 
 def induced_objectrank(
@@ -197,10 +197,8 @@ def induced_objectrank(
     top-k-stability early exit of :func:`repro.ranking.topk.topk_power_iteration`.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    matrix, edge_count, local = induced_transition_matrix(graph, nodes)
-    restart = np.zeros(nodes.size)
-    for node_id, weight in base.items():
-        restart[local[graph.index_of(node_id)]] = weight
+    matrix, edge_count = induced_transition_matrix(graph, nodes)
+    restart = graph.restart_vector(base)[nodes]
     if early_k is None:
         outcome = power_iteration(matrix, restart, damping, tolerance, max_iterations)
     else:
@@ -233,8 +231,7 @@ def focused_objectrank2(
     base = weighted_base_set(scorer, query_vector)
     if not base:
         raise EmptyBaseSetError(tuple(query_vector.terms))
-    seeds = [graph.index_of(node_id) for node_id in base]
-    nodes = focused_neighborhood(graph, seeds, horizon)
+    nodes = focused_neighborhood(graph, graph.indices_of(base), horizon)
     run = induced_objectrank(
         graph, np.asarray(nodes, dtype=np.int64), base,
         damping, tolerance, max_iterations,

@@ -10,10 +10,8 @@ first.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import EmptyBaseSetError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
 from repro.query.query import QueryVector
 from repro.ranking.convergence import RankedResult
@@ -31,20 +29,11 @@ def ir_only_rank(
     :class:`EmptyBaseSetError` when no node matches any query term, matching
     the authority-flow rankers' contract.
     """
-    terms = [t for t in query_vector.terms if query_vector.weight(t) > 0]
-    candidates = scorer.index.documents_with_any(terms)
-    if not candidates:
-        raise EmptyBaseSetError(tuple(terms))
-    weights = query_vector.weights
-    scores = np.zeros(graph.num_nodes)
-    base: dict[str, float] = {}
-    for doc_id in candidates:
-        score = scorer.score(doc_id, weights)
-        scores[graph.index_of(doc_id)] = score
-        base[doc_id] = score
+    scored = score_postings(scorer, query_vector.weights)
+    base = dict(zip(scored.doc_ids.tolist(), scored.scores.tolist()))
     return RankedResult(
         node_ids=graph.node_ids,
-        scores=scores,
+        scores=graph.restart_vector(base),
         iterations=0,
         converged=True,
         base_weights=base,

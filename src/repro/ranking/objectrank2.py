@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import EmptyBaseSetError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
 
 if TYPE_CHECKING:  # avoid a circular import: repro.query depends on ranking
@@ -29,33 +30,44 @@ from repro.ranking.pagerank import (
 )
 
 
-def weighted_base_set(scorer: Scorer, query_vector: QueryVector) -> dict[str, float]:
-    """The IR-weighted base set: node id -> normalized jump probability.
+def normalized_base_weights(doc_ids: list[str], raw: np.ndarray) -> dict[str, float]:
+    """Raw IR scores -> jump probabilities, in the order given (Equation 4).
 
-    Nodes enter the base set when they contain at least one positive-weight
-    query term; each node's raw weight is ``IRScore(v, Q)`` (Equation 2) and
-    the weights are normalized to sum to one.  Nodes whose IR score degenerates
-    to zero (e.g. a term present in every document) are kept with a uniform
-    share of the smallest positive score, so the base set never silently
-    shrinks below ``S(Q)``.
+    Scores that degenerate to zero (e.g. a term present in every document)
+    are lifted to the smallest positive score, so the base set never silently
+    shrinks below ``S(Q)``; then everything is divided by the total.  The
+    total is builtin ``sum`` over the adjusted floats in order — the one
+    reduction here whose order and algorithm (compensated from Python 3.12
+    on) the floats depend on.  Returns ``{}`` when there is nothing to
+    normalize.
     """
-    terms = [t for t in query_vector.terms if query_vector.weight(t) > 0]
-    candidates = scorer.index.documents_with_any(terms)
-    if not candidates:
-        raise EmptyBaseSetError(tuple(terms))
-
-    weights = query_vector.weights
-    raw = {doc_id: scorer.score(doc_id, weights) for doc_id in candidates}
-    positive = [w for w in raw.values() if w > 0]
-    floor = min(positive) if positive else 1.0
-    adjusted = {doc_id: (w if w > 0 else floor) for doc_id, w in raw.items()}
-    total = sum(adjusted.values())
+    positive = raw[raw > 0]
+    floor = positive.min() if positive.size else 1.0
+    adjusted = np.where(raw > 0, raw, floor)
+    total = sum(adjusted.tolist())
     # Every adjusted weight is strictly positive, so with a non-empty base
     # set the sum is too; ``<= 0.0`` keeps the (theoretical) subnormal
     # underflow from dividing below, same guard as PrecomputedRanker.
     if total <= 0.0:
-        raise EmptyBaseSetError(tuple(terms))
-    return {doc_id: w / total for doc_id, w in adjusted.items()}
+        return {}
+    return dict(zip(doc_ids, (adjusted / total).tolist()))
+
+
+def weighted_base_set(scorer: Scorer, query_vector: QueryVector) -> dict[str, float]:
+    """The IR-weighted base set: node id -> normalized jump probability.
+
+    Nodes enter the base set when they contain at least one positive-weight
+    query term; each node's raw weight is ``IRScore(v, Q)`` (Equation 2),
+    accumulated term-at-a-time over the index's postings columns
+    (:func:`repro.ir.accumulate.score_postings`), and the weights are
+    normalized to sum to one (:func:`normalized_base_weights`).  Keys are in
+    ``S(Q)`` first-hit order.
+    """
+    scored = score_postings(scorer, query_vector.weights)
+    base = normalized_base_weights(scored.doc_ids.tolist(), scored.scores)
+    if not base:
+        raise EmptyBaseSetError(tuple(query_vector.terms))
+    return base
 
 
 def objectrank2(
@@ -74,12 +86,9 @@ def objectrank2(
     iteration-count drop for reformulated queries.
     """
     base = weighted_base_set(scorer, query_vector)
-    restart = np.zeros(graph.num_nodes)
-    for node_id, weight in base.items():
-        restart[graph.index_of(node_id)] = weight
-
     outcome = power_iteration(
-        graph.matrix(), restart, damping, tolerance, max_iterations, init
+        graph.matrix(), graph.restart_vector(base), damping, tolerance,
+        max_iterations, init,
     )
     return RankedResult(
         node_ids=graph.node_ids,

@@ -111,13 +111,9 @@ def objectrank2_topk(
     ranking but not for flow explanation — explain with exact scores.
     """
     base = weighted_base_set(scorer, query_vector)
-    restart = np.zeros(graph.num_nodes)
-    for node_id, weight in base.items():
-        restart[graph.index_of(node_id)] = weight
-
     outcome = topk_power_iteration(
         graph.matrix(),
-        restart,
+        graph.restart_vector(base),
         k,
         damping,
         stable_iterations,

@@ -35,6 +35,7 @@ from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
 from repro.ranking.convergence import RankedResult
 from repro.ranking.focused import focused_neighborhood, induced_objectrank
+from repro.ranking.objectrank2 import normalized_base_weights
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
@@ -112,32 +113,21 @@ class TwoStageResult:
         return int(self.neighborhood.size)
 
 
-def restricted_base_set(
-    scorer: Scorer, query_vector: QueryVector, candidate_set: CandidateSet
-) -> dict[str, float]:
+def restricted_base_set(candidate_set: CandidateSet) -> dict[str, float]:
     """Base-set weights over the candidates only, in ``S(Q)`` order.
 
-    Mirrors :func:`repro.ranking.objectrank2.weighted_base_set` operation for
-    operation — same document order (``documents_with_any``), same
-    minimum-positive floor for zero scores, same summation order — so that
-    when the candidates cover the whole base set the two are bit-identical.
-    The raw scores are the stage-1 candidates' scores, which equal
-    ``scorer.score`` floats exactly (the WAND invariant), so nothing is
-    re-scored here.
+    :func:`repro.ranking.objectrank2.weighted_base_set` restricted to the
+    candidates: the same documents in the same first-hit order
+    (``candidate_set.first_hit_order``), their stage-1 scores — which are
+    ``scorer.score`` floats, so nothing is re-scored — through the same
+    floor-and-normalize step.  When the candidates cover the whole base set
+    the two are bit-identical.
     """
-    terms = [t for t in query_vector.terms if query_vector.weight(t) > 0]
-    scores = {c.doc_id: c.score for c in candidate_set.candidates}
-    order = scorer.index.documents_with_any(terms)
-    raw = {doc_id: scores[doc_id] for doc_id in order if doc_id in scores}
-    positive = [w for w in raw.values() if w > 0]
-    floor = min(positive) if positive else 1.0
-    adjusted = {doc_id: (w if w > 0 else floor) for doc_id, w in raw.items()}
-    total = sum(adjusted.values())
-    # Adjusted weights are strictly positive, so only an empty candidate
-    # overlap sums to zero — and then there is nothing to normalize.
-    if total <= 0.0:
-        return {}
-    return {doc_id: w / total for doc_id, w in adjusted.items()}
+    ordered = [candidate_set.candidates[i] for i in candidate_set.first_hit_order]
+    return normalized_base_weights(
+        [candidate.doc_id for candidate in ordered],
+        np.array([candidate.score for candidate in ordered], dtype=np.float64),
+    )
 
 
 def two_stage_rank(
@@ -184,19 +174,16 @@ def two_stage_rank(
     stage1_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    seeds = [graph.index_of(doc_id) for doc_id in candidate_set.doc_ids]
-    nodes = np.asarray(
-        focused_neighborhood(
-            graph,
-            seeds,
-            horizon,
-            expand_cap=expand_cap,
-            node_budget=node_budget,
-            max_horizon=max_horizon,
-        ),
-        dtype=np.int64,
+    seeds = graph.indices_of(candidate_set.doc_ids)
+    nodes = focused_neighborhood(
+        graph,
+        seeds,
+        horizon,
+        expand_cap=expand_cap,
+        node_budget=node_budget,
+        max_horizon=max_horizon,
     )
-    base = restricted_base_set(scorer, query_vector, candidate_set)
+    base = restricted_base_set(candidate_set)
     run = induced_objectrank(
         graph,
         nodes,
@@ -213,20 +200,19 @@ def two_stage_rank(
     if authority_only:
         scores = run.scores
     else:
-        candidate_indices = np.asarray(seeds, dtype=np.int64)
         ir_scores = np.asarray(
             [c.score for c in candidate_set.candidates], dtype=np.float64
         )
         fused = fuse_scores(
             fusion,
             ir_scores,
-            run.scores[candidate_indices],
+            run.scores[seeds],
             authority_weight=fusion_weight,
             rrf_k=rrf_k,
         )
         scores = np.zeros(graph.num_nodes)
         # repro-lint: ignore[RL001] candidate doc ids are unique by WAND merge
-        scores[candidate_indices] = fused
+        scores[seeds] = fused
     stage2_seconds = time.perf_counter() - start
 
     ranked = RankedResult(

@@ -2,8 +2,9 @@
 
 The candidate generator answers "which N documents have the highest IR
 score?" without fully scoring every document containing a query term.  It is
-the max-score family [BCH+03] specialized to the in-memory index, evaluated
-term-at-a-time over numpy arrays:
+the max-score family [BCH+03] specialized to the in-memory index: the
+term-at-a-time accumulation of :func:`repro.ir.accumulate.score_postings`
+with its remaining-bound gate switched on —
 
 * every query term carries a precomputed *impact upper bound* — the scorer's
   :meth:`~repro.ir.scoring.Scorer.term_upper_bound`, derived from the index's
@@ -19,27 +20,22 @@ term-at-a-time over numpy arrays:
 Pruning is *safe*, not approximate: a document is dropped only when its
 remaining-bound ceiling is strictly below θ, every contribution is
 non-negative (so partial scores are lower bounds and θ never shrinks), and
-accumulation follows the exact float-addition order of ``scorer.score`` —
-so the pruned top N is identical (same ids, same score floats, same
-document-id tiebreak) to the exhaustive reference.  The property tests in
-``tests/properties/test_retrieval_properties.py`` pin exactly that.
-
-The vectorized scorer kernels in this module mirror the scalar expressions
-of :mod:`repro.ir.scoring` operation for operation (and route ``log`` of
-small integer term frequencies through ``math.log`` lookups), which is what
-keeps the floats bit-identical rather than merely close.
+the gated and the exhaustive pass are the same accumulation — so the pruned
+top N is identical (same ids, same score floats, same document-id tiebreak)
+to the exhaustive one, and both carry ``scorer.score`` floats
+(``tests/ir/reference.py`` is the document-at-a-time oracle).  The property
+tests in ``tests/properties/test_retrieval_properties.py`` pin exactly that.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.errors import EmptyBaseSetError
-from repro.ir.scoring import BM25Scorer, Scorer, TfIdfScorer, UniformScorer
+from repro.ir.accumulate import ScoredPostings, score_postings
+from repro.ir.scoring import Scorer
 from repro.query.query import QueryVector
 
 
@@ -64,6 +60,9 @@ class CandidateSet:
     candidates: list[Candidate]
     evaluated: int
     pruned: int
+    #: Positions into ``candidates`` in ``S(Q)`` first-hit order — the order
+    #: a base set over the candidates lists them in.
+    first_hit_order: list[int]
 
     @property
     def doc_ids(self) -> list[str]:
@@ -77,11 +76,7 @@ class CandidateSet:
 
 
 def positive_query_weights(query_vector: QueryVector) -> dict[str, float]:
-    """The positive-weight query terms, in query-vector order.
-
-    Both the pruned and the exhaustive generator score documents against
-    this same mapping, so their score floats are identical by construction.
-    """
+    """The positive-weight query terms, in query-vector order."""
     return {
         term: query_vector.weight(term)
         for term in query_vector.terms
@@ -89,56 +84,20 @@ def positive_query_weights(query_vector: QueryVector) -> dict[str, float]:
     }
 
 
-def _log_by_table(values: np.ndarray) -> np.ndarray:
-    """``math.log`` element-wise via a unique-value table.
-
-    Term frequencies take few distinct small values; routing them through
-    CPython's ``math.log`` (instead of ``np.log``'s SIMD path, which may
-    differ in the last ulp) keeps vectorized tf-idf bit-identical to the
-    scalar scorer.
-    """
-    unique, inverse = np.unique(values, return_inverse=True)
-    table = np.array([math.log(value) for value in unique], dtype=np.float64)
-    return table[inverse]
-
-
-def _term_contributions(
-    scorer: Scorer, term: str, doc_ids: list[str], raw_weight: float
-) -> np.ndarray:
-    """Vectorized ``scorer.weight(doc, term) * query factor`` over ``doc_ids``.
-
-    Each branch mirrors the scalar expression of its scorer class operation
-    for operation; unknown scorer types fall back to the scalar path.
-    """
-    index = scorer.index
-    if isinstance(scorer, BM25Scorer):
-        tf = np.asarray(index.term_frequencies(term), dtype=np.float64)
-        dl = np.asarray(index.document_lengths(doc_ids), dtype=np.float64)
-        avdl = index.average_document_length or 1.0
-        saturation = ((scorer.k1 + 1) * tf) / (
-            scorer.k1 * ((1 - scorer.b) + scorer.b * dl / avdl) + tf
-        )
-        return scorer.idf(term) * saturation * scorer.query_weight(raw_weight)
-    if isinstance(scorer, TfIdfScorer):
-        tf = np.asarray(index.term_frequencies(term), dtype=np.float64)
-        n = index.num_documents
-        df = index.document_frequency(term)
-        weights = (1.0 + _log_by_table(tf)) * math.log(1.0 + n / df)
-        return weights * raw_weight
-    if isinstance(scorer, UniformScorer):
-        # Uniform score is 0/1 overall, not additive — handled by the caller.
-        return np.ones(len(doc_ids), dtype=np.float64)
-    return np.array(
-        [scorer.weight(doc_id, term) for doc_id in doc_ids], dtype=np.float64
-    ) * (raw_weight if raw_weight > 0 else 0.0)
-
-
-def _top_n_order(
-    doc_ids: np.ndarray, scores: np.ndarray, n: int
-) -> np.ndarray:
-    """Indices of the top ``n`` by (score desc, doc id asc)."""
-    order = np.lexsort((doc_ids, -scores))
-    return order[:n]
+def _top_n(scored: ScoredPostings, n: int) -> CandidateSet:
+    """The best ``n`` of ``scored`` by (score desc, doc id asc)."""
+    keep = np.lexsort((scored.doc_ids, -scored.scores))[:n]
+    return CandidateSet(
+        candidates=[
+            Candidate(doc_id, score)
+            for doc_id, score in zip(
+                scored.doc_ids[keep].tolist(), scored.scores[keep].tolist()
+            )
+        ],
+        evaluated=int(scored.doc_ids.size),
+        pruned=scored.pruned,
+        first_hit_order=np.argsort(keep).tolist(),
+    )
 
 
 def exhaustive_top_n(
@@ -147,19 +106,7 @@ def exhaustive_top_n(
     """Reference top-N: score every document containing any query term."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    weights = positive_query_weights(query_vector)
-    docs = scorer.index.documents_with_any(list(weights))
-    if not docs:
-        raise EmptyBaseSetError(tuple(weights))
-    scored = sorted(
-        ((scorer.score(doc_id, weights), doc_id) for doc_id in docs),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return CandidateSet(
-        candidates=[Candidate(doc_id, score) for score, doc_id in scored[:n]],
-        evaluated=len(docs),
-        pruned=0,
-    )
+    return _top_n(score_postings(scorer, query_vector.weights), n)
 
 
 def pruned_top_n(scorer: Scorer, query_vector: QueryVector, n: int) -> CandidateSet:
@@ -170,67 +117,4 @@ def pruned_top_n(scorer: Scorer, query_vector: QueryVector, n: int) -> Candidate
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    weights = positive_query_weights(query_vector)
-    terms = list(weights)
-    index = scorer.index
-    union = index.documents_with_any(terms)
-    if not union:
-        raise EmptyBaseSetError(tuple(terms))
-
-    if isinstance(scorer, UniformScorer):
-        # Uniform collapses to "any match scores 1.0": nothing to accumulate
-        # (and nothing to prune — every document already has its final score).
-        ids = np.asarray(union)
-        ones = np.ones(len(union), dtype=np.float64)
-        keep = _top_n_order(ids, ones, n)
-        return CandidateSet(
-            candidates=[Candidate(str(ids[i]), 1.0) for i in keep],
-            evaluated=len(union),
-            pruned=0,
-        )
-
-    slot = {doc_id: position for position, doc_id in enumerate(union)}
-    accumulated = np.zeros(len(union), dtype=np.float64)
-    seen = np.zeros(len(union), dtype=bool)
-
-    bounds = [scorer.term_upper_bound(term, weights[term]) for term in terms]
-    # remaining[i]: the best score a document first appearing at term i can
-    # still reach — the sum of bounds from term i onward.
-    remaining = np.cumsum(bounds[::-1])[::-1]
-
-    threshold: float | None = None
-    for position, term in enumerate(terms):
-        doc_ids = index.documents_with_term(term)
-        if not doc_ids:
-            continue
-        slots = np.fromiter(
-            (slot[doc_id] for doc_id in doc_ids),
-            dtype=np.int64,
-            count=len(doc_ids),
-        )
-        contributions = _term_contributions(scorer, term, doc_ids, weights[term])
-        if threshold is not None and remaining[position] < threshold:
-            # Unseen documents can no longer reach the top N; only update
-            # accumulators that already exist.
-            known = seen[slots]
-            slots = slots[known]
-            contributions = contributions[known]
-        # Postings list a document once per term, so the slots are unique
-        # and plain fancy-index addition is exact.
-        # repro-lint: ignore[RL001] one posting per (term, doc): slots unique
-        accumulated[slots] += contributions
-        seen[slots] = True
-        evaluated = int(np.count_nonzero(seen))
-        if evaluated >= n:
-            top = np.partition(accumulated[seen], evaluated - n)
-            threshold = float(top[evaluated - n])
-
-    visible = np.flatnonzero(seen)
-    ids = np.asarray(union)[visible]
-    scores = accumulated[visible]
-    keep = _top_n_order(ids, scores, n)
-    return CandidateSet(
-        candidates=[Candidate(str(ids[i]), float(scores[i])) for i in keep],
-        evaluated=int(visible.size),
-        pruned=len(union) - int(visible.size),
-    )
+    return _top_n(score_postings(scorer, query_vector.weights, top_n=n), n)

@@ -28,13 +28,13 @@ class TestRestrictedBaseSet:
     def test_full_coverage_equals_weighted_base_set(self, tiny_engine):
         """Candidates ⊇ S(Q) ⇒ the restricted base set IS Equation 2's."""
         candidates = pruned_top_n(tiny_engine.scorer, QUERY, EVERYTHING)
-        restricted = restricted_base_set(tiny_engine.scorer, QUERY, candidates)
+        restricted = restricted_base_set(candidates)
         full = weighted_base_set(tiny_engine.scorer, QUERY)
         assert restricted == full  # same keys, same order, same floats
 
     def test_partial_coverage_normalizes_over_candidates_only(self, tiny_engine):
         candidates = pruned_top_n(tiny_engine.scorer, QUERY, 5)
-        base = restricted_base_set(tiny_engine.scorer, QUERY, candidates)
+        base = restricted_base_set(candidates)
         assert set(base) == set(candidates.doc_ids)
         assert sum(base.values()) == pytest.approx(1.0)
         assert all(weight > 0 for weight in base.values())

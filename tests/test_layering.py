@@ -102,3 +102,59 @@ def test_no_execution_mode_parameter_or_field_outside_the_cluster():
                 (relative, name) for name in names if name in EXECUTION_MODE_NAMES
             )
     assert offenders == []
+
+
+# -- IR scores come from postings columns, not one scorer call per document -----
+
+#: Where a per-document scalar-scorer loop would put the interpreter back on
+#: the live read path (``repro.ir.scoring`` itself defines the scalar forms;
+#: ``repro.feedback`` and ``repro.search`` are offline baselines).
+ARRAY_SCORED_PACKAGES = ("ranking", "retrieval", "query", "serve", "core")
+ARRAY_SCORED_FILES = ("ir/accumulate.py",)
+
+#: ``(file, function)`` -> why it may call the scalar scorer.
+SCALAR_SCORER_CALLERS = {
+    ("ir/accumulate.py", "_scalar_contributions"): (
+        "the documented fallback for a Scorer that has no array "
+        "`contributions` method: one `weight` call per posting"
+    ),
+}
+
+
+def _scalar_scorer_calls(function: ast.AST) -> list[str]:
+    """``scorer.score(`` / ``scorer.weight(`` calls (any ``….scorer`` receiver)."""
+    calls = []
+    for node in ast.walk(function):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        receiver = node.func.value
+        name = (
+            receiver.id if isinstance(receiver, ast.Name)
+            else receiver.attr if isinstance(receiver, ast.Attribute)
+            else None
+        )
+        if name == "scorer" and node.func.attr in ("score", "weight"):
+            calls.append(f"scorer.{node.func.attr}")
+    return calls
+
+
+def test_read_path_never_calls_the_scalar_scorer_per_document():
+    paths = [SRC / relative for relative in ARRAY_SCORED_FILES]
+    for package in ARRAY_SCORED_PACKAGES:
+        paths.extend((SRC / package).rglob("*.py"))
+    found = {}
+    for path in paths:
+        relative = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = _scalar_scorer_calls(node)
+                if calls:
+                    found[(relative, node.name)] = calls
+    unexpected = {key: calls for key, calls in found.items()
+                  if key not in SCALAR_SCORER_CALLERS}
+    assert unexpected == {}, (
+        "score IR through repro.ir.accumulate.score_postings (postings "
+        f"columns), not one scalar scorer call per document: {unexpected}"
+    )
+    # The allow-list names real call sites only — no stale entries.
+    assert set(SCALAR_SCORER_CALLERS) == set(found)
