@@ -11,7 +11,6 @@ Not a paper table/figure — these benches probe the knobs the paper fixes:
 
 import pytest
 
-from repro.bench import format_table
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.explain import adjust_flows, build_explaining_subgraph
 from repro.ir import BM25Scorer, TfIdfScorer, UniformScorer
@@ -20,6 +19,7 @@ from repro.ranking import objectrank2
 from repro.reformulate import Reformulator, StructureReformulator
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_table
 
 QUERY = "olap"
 

@@ -20,13 +20,13 @@ improvement of structure-based reformulation over the feedback iterations.
 
 import statistics
 
-from repro.bench import ascii_chart, format_series
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.feedback import SimulatedUser, average_precision_curve, run_feedback_session
 from repro.graph import AuthorityTransferSchemaGraph
 from repro.query import SearchEngine
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import ascii_chart, format_series
 
 QUERIES = ["olap", "xml", "mining", "streams", "ranked search"]
 USER_SEEDS = [0, 1]

@@ -11,11 +11,11 @@ Paper findings to reproduce:
   faster peak, since the adjustment of the rates is less smooth").
 """
 
-from repro.bench import ascii_chart, format_series
 from repro.datasets import dblp_edge_order
 from repro.feedback import train_transfer_rates
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import ascii_chart, format_series
 
 QUERIES = ["olap", "mining", "xml", "streams"]
 ADJUSTMENT_FACTORS = [0.1, 0.3, 0.5, 0.7, 0.9]

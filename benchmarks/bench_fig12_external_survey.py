@@ -13,13 +13,13 @@ the internal "domain expert" oracle does.
 
 import statistics
 
-from repro.bench import format_series
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.feedback import SimulatedUser, average_precision_curve, run_feedback_session
 from repro.graph import AuthorityTransferSchemaGraph
 from repro.query import SearchEngine
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_series
 
 QUERIES = ["olap", "xml", "mining", "distributed"]
 USER_SEEDS = [10, 11, 12, 13, 14]

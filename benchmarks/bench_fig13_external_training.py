@@ -6,11 +6,11 @@ therefore run the same protocol with noisy simulated users (10% judgment
 noise) and check that the Figure 11 shapes survive the noise.
 """
 
-from repro.bench import format_series
 from repro.datasets import dblp_edge_order
 from repro.feedback import train_transfer_rates
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_series
 
 QUERIES = ["olap", "mining", "xml", "distributed"]
 ADJUSTMENT_FACTORS = [0.3, 0.5, 0.9]

@@ -16,11 +16,12 @@ graph but stops the power iteration once the visible ranking is stable.
 
 import time
 
-from repro.bench import WorkloadGenerator, format_table
 from repro.query import KeywordQuery, SearchEngine
 from repro.ranking import focused_objectrank2, objectrank2, objectrank2_topk
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_table
+from benchmarks.workload import WorkloadGenerator
 
 NUM_QUERIES = 8
 TOP_K = 10

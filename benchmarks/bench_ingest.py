@@ -44,7 +44,6 @@ if __name__ == "__main__":  # script mode: make `benchmarks.` importable
 
 import numpy as np
 
-from repro.bench import format_table
 from repro.datasets import load_dataset
 from repro.ingest import IngestEngine
 from repro.ranking.precompute import PrecomputedRanker
@@ -52,6 +51,7 @@ from repro.serve import QueryService, ServeConfig
 from repro.serve.cluster import ClusterConfig, ClusterSupervisor
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, write_result
+from benchmarks.reporting import format_table
 
 DATASET = "dblp_tiny"
 MIN_DF = 2

@@ -16,7 +16,6 @@ strategies drive the same session protocol, judged by the same oracle:
 
 import statistics
 
-from repro.bench import format_series
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.feedback import (
     ResidualCollection,
@@ -28,6 +27,7 @@ from repro.query import SearchEngine
 from repro.ranking import ir_only_rank
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_series
 
 QUERIES = ["olap", "xml", "mining"]
 ITERATIONS = 3

@@ -11,11 +11,11 @@ count is scale-free).
 
 import time
 
-from repro.bench import format_table
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.datasets import DblpConfig, generate_dblp
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_table
 
 SCALES = (0.25, 0.5, 1.0, 2.0)
 BASE_PAPERS = 6000

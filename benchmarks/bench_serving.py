@@ -51,7 +51,6 @@ from pathlib import Path
 if __name__ == "__main__":  # script mode: make `benchmarks.` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.bench import format_table
 from repro.datasets import load_dataset
 from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import QueryService, ServeConfig, create_server
@@ -59,6 +58,7 @@ from repro.serve.cluster import ClusterConfig, ClusterSupervisor
 from repro.store import build_and_publish
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, write_result
+from benchmarks.reporting import format_table
 
 DATASET = "dblp_complete"
 QUERY = "olap"

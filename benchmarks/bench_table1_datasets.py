@@ -13,10 +13,10 @@ subsets stay in the tens-of-thousands-of-edges range where interactive
 ObjectRank2 is feasible (the paper's motivation for DBLPtop/DS7cancer).
 """
 
-from repro.bench import format_table
 from repro.datasets import dataset_statistics
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_table
 
 PAPER_ROWS = [
     ("DBLPcomplete", 876_110, 4_166_626, "3950"),

@@ -15,11 +15,11 @@ multi-keyword queries (the weighted base set balances keywords; the 0/1 one
 cannot).
 """
 
-from repro.bench import format_table
 from repro.query import KeywordQuery
 from repro.ranking import multi_keyword_objectrank, objectrank2
 
 from benchmarks.conftest import write_result
+from benchmarks.reporting import format_table
 
 # (query text, relevant topics, paper's OR2/OR precision out of 10)
 QUERIES = [

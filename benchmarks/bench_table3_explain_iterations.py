@@ -13,10 +13,10 @@ on every dataset (single digits to low teens), making explanation
 interactive-speed even where full ObjectRank2 is not.
 """
 
-from repro.bench import format_table
 
 from benchmarks.conftest import write_result
 from benchmarks.perf_common import FEEDBACK_ITERATIONS, performance_run
+from benchmarks.reporting import format_table
 
 PAPER_ROWS = {
     "dblp_complete": (7.2, 8.4, 7.4, 11.0, 8.4),

@@ -53,13 +53,14 @@ if __name__ == "__main__":  # script mode: make `benchmarks.` importable
 
 import numpy as np
 
-from repro.bench import WorkloadGenerator, format_table
 from repro.datasets import load_dataset
 from repro.query import KeywordQuery, SearchEngine
 from repro.ranking import focused_objectrank2, objectrank2
 from repro.retrieval import TwoStageEngine, exhaustive_top_n, pruned_top_n
 
 from benchmarks.conftest import BENCH_SEED, write_result
+from benchmarks.reporting import format_table
+from benchmarks.workload import WorkloadGenerator
 
 # Script-mode scale (the pytest path uses the shared conftest fixtures).
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "4"))

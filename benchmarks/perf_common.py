@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench import IterationTiming, format_table
 from repro.core import ObjectRankSystem, SystemConfig
+from repro.core.timing import IterationTiming
 from repro.feedback import SimulatedUser
 from repro.query import SearchEngine
+
+from benchmarks.reporting import format_table
 
 FEEDBACK_ITERATIONS = 4
 PRESENTED_K = 10

@@ -1,7 +1,10 @@
-"""Terminal line charts for experiment curves.
+"""Plain-text tables, series and terminal line charts for the benchmark scripts.
 
-The harness runs offline with no plotting stack; these ASCII charts make the
-Figure 10-13 curves readable directly in a terminal or a results file.
+Every benchmark regenerates one table or figure of the paper; these helpers
+print them in a uniform, diff-friendly format so EXPERIMENTS.md can quote the
+output directly.  The scripts run offline with no plotting stack, so the
+Figure 10-13 curves are drawn as ASCII charts readable in a terminal or a
+results file.
 """
 
 from __future__ import annotations
@@ -9,6 +12,31 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 _MARKERS = "ox+*#@%&"
+
+
+def format_table(
+    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
+) -> str:
+    """Render an aligned text table."""
+    cells = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
+    """Render one figure series as ``name: x=y`` pairs."""
+    points = "  ".join(f"{x}={y:.4g}" for x, y in zip(xs, ys))
+    return f"{name}: {points}"
 
 
 def ascii_chart(

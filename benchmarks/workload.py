@@ -1,4 +1,4 @@
-"""Query workload generation for the benchmark harness.
+"""Query workload generation for the benchmark scripts.
 
 The paper evaluates on hand-picked queries ("[olap], [query, optimization],
 ..."); for parameter sweeps and scale studies the harness also needs *many*

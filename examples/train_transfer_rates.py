@@ -12,7 +12,6 @@ overfit shape of Figure 11.
 Usage:  python examples/train_transfer_rates.py
 """
 
-from repro.bench import format_series
 from repro.datasets import dblp_edge_order, load_dataset
 from repro.feedback import train_transfer_rates
 
@@ -35,13 +34,10 @@ def main() -> None:
             edge_order=order,
         )
         curves.append(curve)
+        points = "  ".join(f"{i}={sim:.4g}" for i, sim in enumerate(curve.similarities))
         print(
-            format_series(
-                f"Cf={adjustment_factor}",
-                range(len(curve.similarities)),
-                curve.similarities,
-            )
-            + f"   (peak at iteration {curve.peak_iteration})"
+            f"Cf={adjustment_factor}: {points}"
+            f"   (peak at iteration {curve.peak_iteration})"
         )
 
     best = max(curves, key=lambda c: max(c.similarities))

@@ -2,7 +2,6 @@
 query / explain / reformulate system facade."""
 
 from repro.core.config import DEFAULT_RADIUS, SystemConfig
-from repro.core.session_io import restore_session, save_session, session_state
 from repro.core.system import FeedbackOutcome, ObjectRankSystem
 
 __all__ = [
@@ -10,7 +9,4 @@ __all__ = [
     "FeedbackOutcome",
     "ObjectRankSystem",
     "SystemConfig",
-    "restore_session",
-    "save_session",
-    "session_state",
 ]

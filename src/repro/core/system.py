@@ -15,7 +15,7 @@ Every front end drives this one loop: the CLI and REPL hold a session for
 their lifetime, the serve tier a short-lived one per request over its shared
 engine (``engine=``; sessions never mutate the engine).
 
-The system records per-stage timings (:class:`repro.bench.IterationTiming`)
+The system records per-stage timings (:class:`repro.core.timing.IterationTiming`)
 for every iteration, which is exactly what Figures 14-17 plot.
 """
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.timing import (
+from repro.core.config import RETRIEVAL_MODES, SystemConfig
+from repro.core.timing import (
     STAGE_ADJUST,
     STAGE_REFORMULATE,
     STAGE_SEARCH,
@@ -33,7 +34,6 @@ from repro.bench.timing import (
     IterationTiming,
     StageClock,
 )
-from repro.core.config import RETRIEVAL_MODES, SystemConfig
 from repro.errors import ReproError
 from repro.explain.adjustment import FlowExplanation
 from repro.explain.batch import (

@@ -10,7 +10,6 @@ from repro.explain.batch import (
 )
 from repro.explain.flows import (
     grouped_flow_totals,
-    local_node_incoming_flow,
     local_node_outgoing_flow,
     node_incoming_flow,
     node_outgoing_flow,
@@ -18,7 +17,6 @@ from repro.explain.flows import (
 )
 from repro.explain.paths import FlowPath, top_paths
 from repro.explain.render import to_dot, to_text
-from repro.explain.svg import to_svg
 from repro.explain.subgraph import (
     ExplainingSubgraph,
     NodeValueView,
@@ -37,13 +35,11 @@ __all__ = [
     "batched_explain",
     "build_explaining_subgraph",
     "grouped_flow_totals",
-    "local_node_incoming_flow",
     "local_node_outgoing_flow",
     "node_incoming_flow",
     "node_outgoing_flow",
     "original_edge_flows",
     "to_dot",
-    "to_svg",
     "to_text",
     "top_paths",
 ]

@@ -76,15 +76,6 @@ def local_node_outgoing_flow(
     return totals
 
 
-def local_node_incoming_flow(
-    subgraph: "ExplainingSubgraph", flows: np.ndarray
-) -> np.ndarray:
-    """Per-node incoming flow over *subgraph-local* indices (see above)."""
-    totals = np.zeros(subgraph.num_nodes)
-    np.add.at(totals, subgraph.edge_dst_local, flows)
-    return totals
-
-
 def grouped_flow_totals(
     groups: np.ndarray, flows: np.ndarray, num_groups: int
 ) -> tuple[np.ndarray, np.ndarray]:

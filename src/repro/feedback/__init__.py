@@ -1,14 +1,6 @@
 """Relevance feedback substrate: metrics, residual-collection evaluation,
 Rocchio baseline, simulated survey users and rate training (Section 6.1)."""
 
-from repro.feedback.active import ActiveFeedbackSelector
-from repro.feedback.click import (
-    Click,
-    ClickLog,
-    SimulatedClicker,
-    implicit_feedback,
-    position_weight,
-)
 from repro.feedback.metrics import (
     average_precision,
     cosine_similarity,
@@ -29,21 +21,15 @@ from repro.feedback.survey import (
 from repro.feedback.training import TrainingCurve, train_transfer_rates
 
 __all__ = [
-    "ActiveFeedbackSelector",
-    "Click",
-    "ClickLog",
     "ResidualCollection",
     "RocchioReformulator",
     "SessionTrace",
-    "SimulatedClicker",
     "SimulatedUser",
     "TrainingCurve",
     "average_precision",
     "average_precision_curve",
     "cosine_similarity",
-    "implicit_feedback",
     "kendall_tau",
-    "position_weight",
     "precision_at_k",
     "recall_at_k",
     "reciprocal_rank",

@@ -5,7 +5,6 @@ from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeT
 from repro.graph.build_cache import BuildCache
 from repro.graph.conformance import check_conformance, conforms, find_violations
 from repro.graph.data_graph import DataEdge, DataGraph, DataNode
-from repro.graph.nx_interop import from_networkx, to_networkx, transfer_graph_to_networkx
 from repro.graph.schema import SchemaEdge, SchemaGraph
 from repro.graph.serialization import load_dataset, save_dataset
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
@@ -24,9 +23,6 @@ __all__ = [
     "check_conformance",
     "conforms",
     "find_violations",
-    "from_networkx",
     "load_dataset",
     "save_dataset",
-    "to_networkx",
-    "transfer_graph_to_networkx",
 ]

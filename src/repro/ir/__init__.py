@@ -2,7 +2,6 @@
 (Section 3, Equations 2-3)."""
 
 from repro.ir.index import InvertedIndex, Posting
-from repro.ir.persistence import load_index, save_index
 from repro.ir.scoring import BM25Scorer, Scorer, TfIdfScorer, UniformScorer
 from repro.ir.tokenize import (
     DEFAULT_ANALYZER,
@@ -23,7 +22,5 @@ __all__ = [
     "Scorer",
     "TfIdfScorer",
     "UniformScorer",
-    "load_index",
-    "save_index",
     "tokenize",
 ]

@@ -273,7 +273,7 @@ class InvertedIndex:
         return bound
 
     def term_bounds(self) -> dict[str, tuple[int, int]]:
-        """All per-term bounds, computing any missing ones (for persistence)."""
+        """All per-term bounds, computing any missing ones."""
         return {term: self.term_bound(term) for term in self._postings}
 
     def __contains__(self, term: str) -> bool:

@@ -11,7 +11,6 @@ from repro.ranking.batch import (
 from repro.ranking.compare import RankChange, RankingDelta, ranking_delta
 from repro.ranking.convergence import PowerIterationResult, RankedResult
 from repro.ranking.focused import FocusedResult, focused_neighborhood, focused_objectrank2
-from repro.ranking.hits import HitsResult, hits
 from repro.ranking.ir_only import ir_only_rank
 from repro.ranking.objectrank import (
     base_set,
@@ -33,7 +32,6 @@ from repro.ranking.pagerank import (
 )
 from repro.ranking.precompute import PrecomputedRanker
 from repro.ranking.topk import objectrank2_topk
-from repro.ranking.topic_sensitive import TopicSensitiveRanker
 
 __all__ = [
     "BatchedPowerIterationResult",
@@ -41,13 +39,11 @@ __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "DEFAULT_TOLERANCE",
     "FocusedResult",
-    "HitsResult",
     "PowerIterationResult",
     "PrecomputedRanker",
     "RankChange",
     "RankedResult",
     "RankingDelta",
-    "TopicSensitiveRanker",
     "base_set",
     "batched_keyword_vectors",
     "batched_objectrank",
@@ -56,7 +52,6 @@ __all__ = [
     "focused_neighborhood",
     "focused_objectrank2",
     "global_objectrank",
-    "hits",
     "ir_only_rank",
     "keyword_objectrank",
     "multi_keyword_objectrank",

@@ -22,7 +22,6 @@ from repro.serve.cluster import (
     ClusterConfig,
     ClusterSupervisor,
     WorkerStatus,
-    run_cluster,
 )
 from repro.serve.http_server import (
     QueryHTTPServer,
@@ -35,7 +34,6 @@ from repro.serve.service import (
     Deadline,
     DeadlineExceededError,
     DatasetRuntime,
-    OverloadedError,
     QueryService,
     ServeConfig,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "OverloadedError",
     "QueryHTTPServer",
     "QueryService",
     "ResultCache",
@@ -59,7 +56,6 @@ __all__ = [
     "WorkerStatus",
     "create_server",
     "make_key",
-    "run_cluster",
     "serve_forever",
     "serve_until_shutdown",
 ]

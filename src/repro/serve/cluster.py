@@ -481,23 +481,3 @@ def _wait_for_exit(pid: int, deadline: float) -> bool:
         if time.monotonic() >= deadline:
             return False
         time.sleep(0.02)
-
-
-def run_cluster(config: ClusterConfig) -> int:  # pragma: no cover - CLI loop
-    """Run a cluster in the foreground until SIGTERM/SIGINT, then drain."""
-    supervisor = ClusterSupervisor(config)
-    supervisor.start()
-    stop = threading.Event()
-
-    def _handle(_signum: int, _frame) -> None:
-        stop.set()
-
-    previous = {
-        s: signal.signal(s, _handle) for s in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        stop.wait()
-    finally:
-        for signum, old in previous.items():
-            signal.signal(signum, old)
-    return 0 if supervisor.stop() else 1

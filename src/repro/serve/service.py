@@ -66,10 +66,6 @@ class DeadlineExceededError(ReproError):
     """The request's time budget ran out before the expensive work started."""
 
 
-class OverloadedError(ReproError):
-    """The service refused the request under admission control."""
-
-
 class Deadline:
     """A monotonic per-request time budget, checked before expensive stages.
 

@@ -2,7 +2,6 @@
 
 from repro.storage.relational import Database, ForeignKey, Table, TableSchema
 from repro.storage.slab import SlabFile, SlabFormatError, write_slab
-from repro.storage.xml_shred import XmlShredResult, shred_xml, xml_transfer_schema
 from repro.storage.shred import (
     EdgeFromForeignKey,
     EdgeTable,
@@ -23,10 +22,7 @@ __all__ = [
     "SlabFormatError",
     "Table",
     "TableSchema",
-    "XmlShredResult",
     "node_id",
     "shred_to_graph",
-    "shred_xml",
     "write_slab",
-    "xml_transfer_schema",
 ]

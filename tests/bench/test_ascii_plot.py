@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import ascii_chart
+from benchmarks.reporting import ascii_chart
 
 
 class TestAsciiChart:

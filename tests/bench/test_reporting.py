@@ -1,6 +1,6 @@
 """Unit tests for text-table/series reporting."""
 
-from repro.bench import format_series, format_table, percent
+from benchmarks.reporting import format_series, format_table
 
 
 class TestFormatTable:
@@ -29,8 +29,3 @@ class TestFormatSeries:
         line = format_series("structure-only", [1, 2], [0.25, 0.5])
         assert line == "structure-only: 1=0.25  2=0.5"
 
-
-class TestPercent:
-    def test_format(self):
-        assert percent(0.4567) == "45.67%"
-        assert percent(0.0) == "0.00%"

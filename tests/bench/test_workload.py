@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import WorkloadGenerator
+from benchmarks.workload import WorkloadGenerator
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import (
+from repro.core.timing import (
     ALL_STAGES,
     STAGE_SEARCH,
     STAGE_SUBGRAPH,

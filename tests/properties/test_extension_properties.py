@@ -1,10 +1,9 @@
-"""Property-based tests for the extension modules (focused/topk/click/agg)."""
+"""Property-based tests for the extension modules (focused/topk/agg)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feedback.click import ClickLog, implicit_feedback, position_weight
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import QueryVector
 from repro.ranking import focused_objectrank2, objectrank2, objectrank2_topk
@@ -86,32 +85,6 @@ def test_aggregators_bounded_by_min_max(maps):
     for key, value in summed.items():
         values = [m[key] for m in maps if key in m]
         assert abs(value - sum(values)) < 1e-9
-
-
-@given(st.integers(1, 50), st.floats(0.0, 0.99))
-@settings(max_examples=60)
-def test_position_weight_bounds(rank, bias):
-    weight = position_weight(rank, bias)
-    assert 0.0 < weight <= 1.0
-    assert weight >= 1.0 - bias
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(1, 10)),
-        max_size=20,
-    )
-)
-@settings(max_examples=60)
-def test_implicit_feedback_subset_of_clicked(clicks):
-    log = ClickLog()
-    log.record_presentation(["x", "y", "z"])
-    for node_id, rank in clicks:
-        log.record_click(node_id, rank)
-    selected = implicit_feedback(log, threshold=0.4)
-    clicked = {node_id for node_id, _ in clicks}
-    assert set(selected) <= clicked
-    assert len(selected) == len(set(selected))  # no duplicates
 
 
 def test_aggregators_registry_consistency():

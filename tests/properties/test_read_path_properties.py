@@ -20,8 +20,6 @@ from repro.ir import (
     InvertedIndex,
     TfIdfScorer,
     UniformScorer,
-    load_index,
-    save_index,
 )
 from repro.query import QueryVector
 from repro.query.engine import select_top
@@ -161,24 +159,6 @@ def test_base_set_after_mutating_a_copy(documents, mutations, vector):
             assert_same_base_set(scorer_cls(working), vector)
     for scorer_cls in SCORERS:  # the published index never noticed
         assert_same_base_set(scorer_cls(index), vector)
-
-
-@given(corpora(), query_vectors())
-@settings(max_examples=40, deadline=None)
-def test_base_set_after_load_index(tmp_path_factory, documents, vector):
-    index = InvertedIndex.from_documents(documents)
-    path = tmp_path_factory.mktemp("index") / "index.json"
-    save_index(index, path)
-    loaded = load_index(path)
-    for scorer_cls in SCORERS:
-        assert_same_base_set(scorer_cls(loaded), vector)
-        try:
-            expected = reference_weighted_base_set(scorer_cls(index), vector)
-        except EmptyBaseSetError:
-            continue
-        assert list(weighted_base_set(scorer_cls(loaded), vector).items()) == list(
-            expected.items()
-        )
 
 
 # -- top-k, restart vector, label filter ------------------------------------------

@@ -15,7 +15,6 @@ import repro
 
 PACKAGES = [
     "repro",
-    "repro.bench",
     "repro.core",
     "repro.datasets",
     "repro.explain",
@@ -27,7 +26,6 @@ PACKAGES = [
     "repro.ranking",
     "repro.reformulate",
     "repro.retrieval",
-    "repro.search",
     "repro.serve",
     "repro.storage",
     "repro.store",

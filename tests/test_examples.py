@@ -45,18 +45,12 @@ class TestExamples:
         assert "peak at iteration" in out
         assert "learned | expert" in out
 
-    def test_implicit_feedback(self, monkeypatch, capsys):
-        out = run_example(monkeypatch, capsys, "implicit_feedback.py")
-        assert "implied feedback objects" in out
-        assert "Honest finding" in out
-
     def test_every_example_has_a_test(self):
         tested = {
             "quickstart.py",
             "bibliographic_search.py",
             "biological_discovery.py",
             "train_transfer_rates.py",
-            "implicit_feedback.py",
         }
         on_disk = {p.name for p in EXAMPLES_DIR.glob("*.py")}
         assert on_disk == tested

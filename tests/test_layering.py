@@ -1,11 +1,15 @@
 """Layering guard: the search -> explain -> reformulate -> re-run loop has
-one implementation, :mod:`repro.core.system`; front ends are transport.
+one implementation, :mod:`repro.core.system`; front ends are transport; and
+every module under ``src/repro`` is on that path or named with a reason.
 
 Checked on the AST, not by importing: a lazy import inside a function would
 slip past an ``import``-time check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -108,7 +112,7 @@ def test_no_execution_mode_parameter_or_field_outside_the_cluster():
 
 #: Where a per-document scalar-scorer loop would put the interpreter back on
 #: the live read path (``repro.ir.scoring`` itself defines the scalar forms;
-#: ``repro.feedback`` and ``repro.search`` are offline baselines).
+#: ``repro.feedback`` is the offline evaluation harness).
 ARRAY_SCORED_PACKAGES = ("ranking", "retrieval", "query", "serve", "core")
 ARRAY_SCORED_FILES = ("ir/accumulate.py",)
 
@@ -158,3 +162,107 @@ def test_read_path_never_calls_the_scalar_scorer_per_document():
     )
     # The allow-list names real call sites only — no stale entries.
     assert set(SCALAR_SCORER_CALLERS) == set(found)
+
+
+# -- `import repro` is the paper's system: every module is reached or named -------
+
+#: Import edges are followed from the front ends and the loop they drive.
+ROOT_MODULES = ("repro.cli", "repro.repl")
+ROOT_PACKAGES = ("repro.serve.", "repro.core.")
+
+#: Module -> why it stays in ``src/repro`` although nothing on the serving
+#: path imports it.  A module nothing at all calls is deleted, not listed.
+OFF_PATH_MODULES = {
+    # Section 6 evaluation harness: the Fig. 10-13 and Rocchio-baseline scripts.
+    "repro.feedback.metrics": "Sec. 6: precision / cosine / rank-distance measures",
+    "repro.feedback.residual": "Sec. 6: residual-collection scoring of the surveys",
+    "repro.feedback.simulated_user": "Sec. 6: the oracle standing in for survey users",
+    "repro.feedback.survey": "Sec. 6: the Fig. 10 / Fig. 12 feedback-session driver",
+    "repro.feedback.training": "Sec. 6: the Fig. 11 / Fig. 13 rate-training curves",
+    "repro.feedback.rocchio": "Sec. 6: the baseline of bench_rocchio_baseline.py",
+    "repro.ranking.ir_only": "Sec. 6: the pure-IR row of bench_rocchio_baseline.py",
+    "repro.datasets.figure1": "the paper's running example: quickstart and fixtures",
+    "repro.datasets.analysis": "measures EXPERIMENTS.md's dataset-substitution claim",
+}
+
+
+def unreachable_modules(src: Path) -> list[str]:
+    """Modules of the ``repro`` package under ``src`` that no chain of import
+    edges from the roots reaches.
+
+    ``from pkg import name`` is an edge to the module that *defines* ``name``
+    — a package ``__init__`` is a list of re-exports, so importing one name
+    through it must not make every sibling reachable.  ``__init__`` files are
+    therefore not nodes: they are neither checked nor followed.
+    """
+    files = {}
+    for path in src.rglob("*.py"):
+        parts = ("repro", *path.relative_to(src).with_suffix("").parts)
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    packages = {name for name, path in files.items() if path.name == "__init__.py"}
+    imports = {name: imports_of(path) for name, path in files.items()}
+
+    def defining_module(module, name):
+        if module not in files:
+            return None  # stdlib or third party
+        if name is None:
+            return module
+        if f"{module}.{name}" in files:
+            return f"{module}.{name}"
+        if module in packages:
+            for origin, exported in imports[module]:
+                if exported == name and origin != module:
+                    return defining_module(origin, name)
+        return module
+
+    reached = set()
+    frontier = [
+        name for name in files
+        if name in ROOT_MODULES or name.startswith(ROOT_PACKAGES)
+    ]
+    while frontier:
+        module = frontier.pop()
+        if module is None or module in reached:
+            continue
+        reached.add(module)
+        frontier.extend(defining_module(*edge) for edge in imports[module])
+    return sorted(set(files) - reached - packages)
+
+
+def test_every_module_is_reachable_from_the_front_ends_or_named():
+    assert unreachable_modules(SRC) == sorted(OFF_PATH_MODULES), (
+        "a module nothing on the cli/repl/serve/core path imports must be "
+        "deleted or listed in OFF_PATH_MODULES with its reason; a listed module "
+        "that is reachable again, or gone, must leave the list"
+    )
+    assert all(reason.strip() for reason in OFF_PATH_MODULES.values())
+
+
+def test_reachability_follows_reexports_to_the_defining_module(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "core" / "system.py").write_text("from repro.pkg import used\n")
+    (tmp_path / "pkg" / "__init__.py").write_text(
+        "from repro.pkg.a import used\nfrom repro.pkg.b import unused\n"
+    )
+    (tmp_path / "pkg" / "a.py").write_text("def used(): ...\n")
+    (tmp_path / "pkg" / "b.py").write_text("def unused(): ...\n")
+    (tmp_path / "stray.py").write_text("")
+    assert unreachable_modules(tmp_path) == ["repro.pkg.b", "repro.stray"]
+
+
+def test_importing_the_serve_tier_loads_nothing_off_path():
+    """An eager ``__init__`` re-export would drag a heavy off-path import
+    back into every ``repro serve`` worker."""
+    banned = ("networkx", "repro.bench", "repro.search", "repro.storage.xml_shred")
+    code = (
+        "import sys, repro.serve; "
+        f"print([m for m in {banned!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
