@@ -18,28 +18,30 @@ This module amortizes that overhead across a batch of targets:
 
 * **Vectorized frontier expansion.**  Each BFS processes whole frontiers as
   index arrays — one ragged CSR gather per level instead of one Python loop
-  iteration per node — with epoch-tagged visited/depth stamps reused across
-  targets so per-target cost scales with the subgraph, not the graph.
-  Level-synchronous expansion discovers exactly the FIFO BFS's node set at
-  exactly its depths, so the resulting :class:`ExplainingSubgraph` equals
-  the serial one field for field.
+  iteration per node — over epoch-tagged visited/depth stamps reused across
+  targets; frontiers are deduplicated by marking, and the sorted node and
+  edge lists are read off the marks with ``flatnonzero``, so nothing on
+  the path sorts or searches.  Level-synchronous expansion discovers
+  exactly the FIFO BFS's node set at exactly its depths, so the resulting
+  :class:`ExplainingSubgraph` equals the serial one field for field — and
+  it arrives with its subgraph-local edge endpoints and the Equation 10
+  operator (a CSR triple, rows = source) already filled.
 
 * **Multi-target flow-adjustment fixpoint.**  The per-target iterations of
-  Equation 10 are independent, so their edge lists are concatenated (with
-  per-target local-node offsets) into one shared edge list and advanced
-  together: one ``gather·rates`` + one ``np.add.at`` scatter per iteration
-  for the whole batch, mirroring ``repro.ranking.batch``.  Targets converge
-  independently: a converged target's factors are *frozen* (captured
-  immediately, then the segment coasts harmlessly) and amortized
-  *compaction* rebuilds the shared edge list without finished segments once
-  a quarter of the batch is done.
+  Equation 10 are independent, so their CSR triples are concatenated (with
+  per-target local-node offsets) into one block-diagonal operator and
+  advanced together: one CSR mat-vec per iteration for the whole batch,
+  like ObjectRank2's own step.  Targets converge independently: a converged
+  target's factors are *frozen* (captured immediately, then the segment
+  coasts harmlessly) and amortized *compaction* rebuilds the operator
+  without finished segments once a quarter of the batch is done.
 
-This is a performance change, not an approximation: each target's additions
-occupy a contiguous run of the shared edge list in serial edge order, so the
-scatter accumulates bit-for-bit the same sums as the serial fixpoint, and
-the per-segment residual is an exact max — flows, node reduction factors,
-iteration counts (Table 3) and residual traces are all identical to
-:func:`repro.explain.adjust_flows` per target.
+This is a performance change, not an approximation: a CSR row accumulates
+from 0.0 over its node's out-edges in ascending edge-id order, which is the
+order the serial scatter adds them in, and the per-segment residual is an
+exact max — flows, node reduction factors, iteration counts (Table 3) and
+residual traces are all identical to :func:`repro.explain.adjust_flows` per
+target.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ConvergenceError, ExplanationError
 from repro.explain.adjustment import (
@@ -55,15 +58,11 @@ from repro.explain.adjustment import (
     FlowExplanation,
 )
 from repro.explain.flows import original_edge_flows
-from repro.explain.subgraph import (
-    ExplainingSubgraph,
-    NodeValueView,
-    build_explaining_subgraph,
-)
+from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph, gather_rows
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
-#: Compaction threshold: rebuild the shared edge list once this fraction of
+#: Compaction threshold: rebuild the shared operator once this fraction of
 #: the still-packed targets has converged.  Rebuilding is O(remaining edges);
 #: amortizing it keeps total compaction cost linear in the batch size.
 _COMPACT_FRACTION = 4
@@ -74,15 +73,29 @@ class _WorkArrays:
 
     ``tag[v] == epoch`` marks membership of the current target's backward
     set, ``reach[v] == epoch`` of its forward set; bumping the epoch resets
-    both in O(1).  One instance per :meth:`SubgraphExtractor.extract_many`
-    call — instances are never shared concurrently.
+    both in O(1).  ``allowed`` is the call's ``within`` restriction as a
+    mask, ``local`` where the subgraph's local ids are looked up.  One
+    instance per :meth:`SubgraphExtractor.extract_many` call — instances are
+    never shared concurrently.
     """
 
-    def __init__(self, num_nodes: int) -> None:
+    def __init__(self, num_nodes: int, within: np.ndarray | None) -> None:
         self.tag = np.zeros(num_nodes, dtype=np.int64)
         self.depth = np.zeros(num_nodes, dtype=np.int64)
         self.reach = np.zeros(num_nodes, dtype=np.int64)
+        self.local = np.zeros(num_nodes, dtype=np.int64)
+        self.allowed = np.full(num_nodes, within is None)
+        if within is not None:
+            self.allowed[np.asarray(within, dtype=np.int64)] = True
         self.epoch = 0
+
+
+def _distinct(ids: np.ndarray, universe: int) -> np.ndarray:
+    """``ids`` (all below ``universe``) ascending and without repeats —
+    read off a mask, not sorted."""
+    mark = np.zeros(universe, dtype=bool)
+    mark[ids] = True
+    return np.flatnonzero(mark)
 
 
 class SubgraphExtractor:
@@ -110,63 +123,76 @@ class SubgraphExtractor:
         graph = self.graph
         work.epoch += 1
         epoch = work.epoch
-        tag, depth, reach = work.tag, work.depth, work.reach
+        tag, depth, reach, local = work.tag, work.depth, work.reach, work.local
+        num_nodes = graph.num_nodes
 
         # Backward pass, level-synchronous: frontier ``L`` holds exactly the
         # nodes at BFS depth ``L``, so the depths equal the serial FIFO BFS's.
+        # The target seeds the pass, so a restriction never has to admit it.
         tag[target] = epoch
         depth[target] = 0
         frontier = np.asarray([target], dtype=np.int64)
         level = 0
         while frontier.size and (radius is None or level < radius):
             sources = graph.edge_source[gather_rows(*self._in_index, frontier)]
-            fresh = np.unique(sources[tag[sources] != epoch])
-            if fresh.size == 0:
-                break
+            unseen = (tag[sources] != epoch) & work.allowed[sources]
+            fresh = _distinct(sources[unseen], num_nodes)
             level += 1
             tag[fresh] = epoch
             depth[fresh] = level
             frontier = fresh
 
-        # Forward pass from the base-set nodes inside the backward set.  The
-        # first frontier keeps the base list's order and multiplicity (the
-        # serial pass seeds its queue the same way), later frontiers are the
-        # deduplicated newly-reached nodes.
-        roots = (
-            base_indices[tag[base_indices] == epoch]
-            if base_indices.size
-            else base_indices
-        )
+        # Forward pass from the base-set nodes inside the backward set (in
+        # the base list's order and multiplicity, like the serial queue's
+        # seed), following edges that stay inside it.
+        roots = base_indices[tag[base_indices] == epoch]
         reach[roots] = epoch
-        kept: list[np.ndarray] = []
-        reached: list[np.ndarray] = [np.unique(roots)]
-        frontier = roots
+        frontier = _distinct(roots, num_nodes)
         while frontier.size:
-            eids = gather_rows(*self._out_index, frontier)
-            dests = graph.edge_target[eids]
-            inside = tag[dests] == epoch
-            eids, dests = eids[inside], dests[inside]
-            kept.append(eids)
-            fresh = np.unique(dests[reach[dests] != epoch])
+            dests = graph.edge_target[gather_rows(*self._out_index, frontier)]
+            unseen = (tag[dests] == epoch) & (reach[dests] != epoch)
+            fresh = _distinct(dests[unseen], num_nodes)
             reach[fresh] = epoch
-            reached.append(fresh)
             frontier = fresh
 
-        # The target belongs to the subgraph even when nothing reaches it.
-        reached.append(np.asarray([target], dtype=np.int64))
-        nodes_array = np.unique(np.concatenate(reached))
-        edge_ids = np.sort(np.concatenate(kept)) if kept else np.empty(0, np.int64)
+        # Every root reaches the target, so a forward set that misses it is
+        # empty: the subgraph then names the target alone, with no row.
+        reached = np.flatnonzero(reach == epoch)
+        nodes_array = reached if reached.size else np.asarray([target], np.int64)
+        num_local = nodes_array.size
+        local[nodes_array] = np.arange(num_local, dtype=np.int64)
+
+        # Equation 10's operator, row by row: the out-incidence lists each
+        # node's edges in ascending edge-id order, and gathering it over the
+        # sorted forward set keeps that order inside every row.
+        out_indptr, out_edges = self._out_index
+        eids = gather_rows(out_indptr, out_edges, reached)
+        dests = graph.edge_target[eids]
+        inside = tag[dests] == epoch
+        kept_before = np.zeros(eids.size + 1, dtype=np.int64)
+        np.cumsum(inside, out=kept_before[1:])
+        indptr = np.zeros(num_local + 1, dtype=np.int64)
+        indptr[1 : reached.size + 1] = kept_before[
+            np.cumsum(out_indptr[reached + 1] - out_indptr[reached])
+        ]
+        eids, dests = eids[inside], dests[inside]
+
+        edge_ids = _distinct(eids, graph.num_edges)
         depth_array = depth[nodes_array]
         return ExplainingSubgraph(
             graph=graph,
             target=target,
             nodes=nodes_array.tolist(),
-            edge_ids=edge_ids.astype(np.int64, copy=False),
+            edge_ids=edge_ids,
             base_nodes=roots.tolist(),
             depth_to_target=NodeValueView(nodes_array, depth_array),
             radius=radius,
             _nodes_array=nodes_array,
+            _edge_src_local=local[graph.edge_source[edge_ids]],
+            _edge_dst_local=local[graph.edge_target[edge_ids]],
             _depth_array=depth_array,
+            _flow_operator=(indptr, local[dests], graph.edge_rate[eids]),
+            _target_local=int(local[target]),
         )
 
     def extract_many(
@@ -174,9 +200,10 @@ class SubgraphExtractor:
         base_indices: np.ndarray,
         targets: Sequence[int],
         radius: int | None,
+        within: np.ndarray | None = None,
     ) -> list[ExplainingSubgraph]:
         """Extract a run of targets sequentially with shared work arrays."""
-        work = _WorkArrays(self.graph.num_nodes)
+        work = _WorkArrays(self.graph.num_nodes, within)
         return [self.extract(base_indices, t, radius, work) for t in targets]
 
 
@@ -196,26 +223,16 @@ def batched_build_explaining_subgraphs(
     under an unchanged rate setting.
 
     ``within`` (node indices) confines every subgraph to those nodes — a
-    two-stage result explains within its candidate neighborhood only.  The
-    frontier engine has no node filter, so restricted targets go through the
-    serial builder one by one; the neighborhood keeps each subgraph small.
+    two-stage result explains within its candidate neighborhood only.  It is
+    one more mask beside the backward pass's visited stamp, so restricted
+    and unrestricted targets take the same path.
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
-    if within is not None:
-        return [
-            build_explaining_subgraph(
-                graph, list(base_node_ids), target_id, radius, within=within
-            )
-            for target_id in target_ids
-        ]
     targets = [graph.index_of(t) for t in target_ids]
     base_indices = graph.indices_of(list(base_node_ids))
-    if not targets:
-        return []
-
     extractor = extractor or SubgraphExtractor(graph)
-    return extractor.extract_many(base_indices, targets, radius)
+    return extractor.extract_many(base_indices, targets, radius, within)
 
 
 # -- multi-target flow adjustment -------------------------------------------
@@ -228,11 +245,6 @@ class _Segment:
     position: int  # index into the caller's subgraph list
     subgraph: ExplainingSubgraph
     flow0: np.ndarray
-    src_local: np.ndarray
-    dst_local: np.ndarray
-    rates: np.ndarray
-    num_local: int
-    target_local: int
     residuals: list[float]
     h: np.ndarray | None = None  # captured factors (at convergence or cutoff)
     iterations: int = 0
@@ -241,32 +253,39 @@ class _Segment:
 
 @dataclass
 class _Packed:
-    """The concatenated ("shared") edge list over the still-active segments."""
+    """The block-diagonal Equation 10 operator over the still-active segments."""
 
-    src: np.ndarray
-    dst: np.ndarray
-    rates: np.ndarray
-    node_starts: np.ndarray  # segment boundaries, for per-segment residuals
+    operator: sparse.csr_matrix
+    node_bounds: np.ndarray  # segment ``i`` owns ``[bounds[i], bounds[i + 1])``
     target_pos: np.ndarray
-    total_nodes: int
 
 
 def _pack(segments: list[_Segment]) -> _Packed:
-    """Concatenate segment edge lists with per-segment local-node offsets."""
-    sizes = np.asarray([s.num_local for s in segments], dtype=np.int64)
-    node_starts = np.zeros(len(segments), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=node_starts[1:])
-    src = np.concatenate(
-        [s.src_local + off for s, off in zip(segments, node_starts)]
+    """Concatenate the segments' CSR triples with per-segment offsets.
+
+    Handed to scipy as ``(data, indices, indptr)`` untouched: summing or
+    sorting a row's parallel edges would change the accumulation order.
+    """
+    subgraphs = [s.subgraph for s in segments]
+    indptrs, columns, rates = zip(*(sg.flow_operator for sg in subgraphs))
+    node_bounds = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([sg.num_nodes for sg in subgraphs], out=node_bounds[1:])
+    edge_starts = np.zeros(len(segments), dtype=np.int64)
+    np.cumsum([sg.num_edges for sg in subgraphs[:-1]], out=edge_starts[1:])
+    indptr = np.concatenate(
+        [[0]] + [rows[1:] + start for rows, start in zip(indptrs, edge_starts)]
     )
-    dst = np.concatenate(
-        [s.dst_local + off for s, off in zip(segments, node_starts)]
+    indices = np.concatenate(
+        [local + start for local, start in zip(columns, node_bounds)]
     )
-    rates = np.concatenate([s.rates for s in segments])
-    target_pos = node_starts + np.asarray(
-        [s.target_local for s in segments], dtype=np.int64
+    total = int(node_bounds[-1])
+    target_pos = node_bounds[:-1] + np.asarray(
+        [sg.target_local for sg in subgraphs], dtype=np.int64
     )
-    return _Packed(src, dst, rates, node_starts, target_pos, int(sizes.sum()))
+    operator = sparse.csr_matrix(
+        (np.concatenate(rates), indices, indptr), shape=(total, total)
+    )
+    return _Packed(operator, node_bounds, target_pos)
 
 
 def batched_adjust_flows(
@@ -284,7 +303,7 @@ def batched_adjust_flows(
     counts, convergence flags and residual traces.  All subgraphs must be
     over the same graph and the same converged ``scores`` vector.
 
-    Converged segments are dropped from the shared edge list by amortized
+    Converged segments are dropped from the shared operator by amortized
     compaction; ``raise_on_divergence`` raises for the first target
     that fails to converge within ``max_iterations``, like the serial path
     does for its single target.
@@ -306,21 +325,7 @@ def batched_adjust_flows(
                 True,
             )
             continue
-        segments.append(
-            _Segment(
-                position=position,
-                subgraph=subgraph,
-                flow0=flow0,
-                src_local=subgraph.edge_src_local,
-                dst_local=subgraph.edge_dst_local,
-                rates=subgraph.graph.edge_rate[subgraph.edge_ids],
-                num_local=subgraph.num_nodes,
-                target_local=int(
-                    np.searchsorted(subgraph.nodes_array, subgraph.target)
-                ),
-                residuals=[],
-            )
-        )
+        segments.append(_Segment(position, subgraph, flow0, residuals=[]))
 
     if segments:
         _iterate_segments(segments, tolerance, max_iterations)
@@ -332,7 +337,7 @@ def batched_adjust_flows(
                 segment.iterations,
                 segment.residuals[-1],
             )
-        flows = segment.h[segment.dst_local] * segment.flow0  # Equation 7
+        flows = segment.h[segment.subgraph.edge_dst_local] * segment.flow0  # Eq. 7
         explanations[segment.position] = FlowExplanation(
             segment.subgraph,
             damping,
@@ -353,28 +358,27 @@ def _iterate_segments(
 ) -> None:
     """Advance every segment's fixpoint together until all converge.
 
-    Each segment's edges form a contiguous run of the shared list in serial
-    edge order, so the single ``np.add.at`` scatter performs, per segment,
-    exactly the serial accumulation; the per-segment residual is an exact
-    ``max`` (order-insensitive), so convergence decisions — and therefore
-    iteration counts — match the serial engine bit for bit.  A converged
-    segment's factors are captured immediately; the segment coasts in the
-    shared list until amortized compaction rebuilds it without finished
-    segments (at least a quarter dead), keeping total compaction cost linear.
+    One CSR mat-vec per iteration: row ``u`` of a segment's block starts
+    from 0.0 and adds ``rate * h[v]`` over ``u``'s out-edges in ascending
+    edge-id order — exactly the serial scatter's accumulation; the
+    per-segment residual is an exact ``max`` (order-insensitive), so
+    convergence decisions — and therefore iteration counts — match the
+    serial engine bit for bit.  A converged segment's factors are captured
+    immediately; the segment coasts in the shared operator until amortized
+    compaction rebuilds it without finished segments (at least a quarter
+    dead), keeping total compaction cost linear.
     """
     packed = _pack(segments)
     active = list(segments)
-    h = np.ones(packed.total_nodes)
+    h = np.ones(packed.operator.shape[0])
     live = len(active)
     iteration = 0
     while live and iteration < max_iterations:
         iteration += 1
-        contributions = h[packed.dst] * packed.rates
-        new_h = np.zeros(packed.total_nodes)
-        np.add.at(new_h, packed.src, contributions)
+        new_h = packed.operator @ h
         new_h[packed.target_pos] = 1.0
         diff = np.abs(new_h - h)
-        seg_residuals = np.maximum.reduceat(diff, packed.node_starts)
+        seg_residuals = np.maximum.reduceat(diff, packed.node_bounds[:-1])
         h = new_h
         finished = False
         for local, segment in enumerate(active):
@@ -383,8 +387,8 @@ def _iterate_segments(
             residual = float(seg_residuals[local])
             segment.residuals.append(residual)
             if residual < tolerance:
-                start = packed.node_starts[local]
-                segment.h = h[start : start + segment.num_local].copy()
+                bounds = packed.node_bounds[local : local + 2]
+                segment.h = h[bounds[0] : bounds[1]].copy()
                 segment.iterations = iteration
                 segment.converged = True
                 live -= 1
@@ -394,21 +398,21 @@ def _iterate_segments(
             and live
             and _COMPACT_FRACTION * (len(active) - live) >= len(active)
         ):
-            survivors = [s for s in active if not s.converged]
+            bounds = packed.node_bounds
             h = np.concatenate(
                 [
-                    h[packed.node_starts[i] : packed.node_starts[i] + s.num_local]
+                    h[bounds[i] : bounds[i + 1]]
                     for i, s in enumerate(active)
                     if not s.converged
                 ]
             )
-            active = survivors
+            active = [s for s in active if not s.converged]
             packed = _pack(active)
 
     for local, segment in enumerate(active):
         if not segment.converged:
-            start = packed.node_starts[local]
-            segment.h = h[start : start + segment.num_local].copy()
+            bounds = packed.node_bounds[local : local + 2]
+            segment.h = h[bounds[0] : bounds[1]].copy()
             segment.iterations = iteration
 
 

@@ -68,12 +68,12 @@ def local_node_outgoing_flow(
     Aligned with ``subgraph.nodes``; allocates ``num_local`` floats instead of
     a dense ``graph.num_nodes`` array, which matters when content
     reformulation aggregates a small explanation per feedback object over a
-    large graph.  Accumulation runs in edge order, so totals are bit-identical
-    to a sequential per-edge sum.
+    large graph.  ``np.bincount`` adds each node's flows in edge order from
+    0.0, so totals are bit-identical to a sequential per-edge sum.
     """
-    totals = np.zeros(subgraph.num_nodes)
-    np.add.at(totals, subgraph.edge_src_local, flows)
-    return totals
+    return np.bincount(
+        subgraph.edge_src_local, weights=flows, minlength=subgraph.num_nodes
+    )
 
 
 def grouped_flow_totals(

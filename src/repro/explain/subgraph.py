@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExplanationError
-from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.graph.transfer_graph import AuthorityTransferDataGraph, build_incidence
 
 
 class NodeValueView(Mapping):
@@ -70,10 +70,10 @@ class ExplainingSubgraph:
     ``depth_to_target`` maps each node to its shortest-path distance (in
     edges) to the target inside the subgraph — the ``D(v_k)`` of the
     content-based reformulation (Equation 11); :attr:`depth_array` is the
-    same aligned with ``nodes``.  The batched engine passes arrays
-    (``_nodes_array``, ``_depth_array``) and a :class:`NodeValueView` over
-    them; the serial builder passes a plain dict and the arrays are derived
-    on demand.
+    same aligned with ``nodes``.  The batched engine passes every array
+    form filled — sorted nodes, depths, per-edge local endpoints and the
+    Equation 10 operator, with a :class:`NodeValueView` over the depths; the
+    serial builder passes a plain dict and the arrays are derived on demand.
     """
 
     graph: AuthorityTransferDataGraph
@@ -88,6 +88,8 @@ class ExplainingSubgraph:
     _edge_src_local: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_dst_local: np.ndarray | None = field(default=None, repr=False, compare=False)
     _depth_array: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _flow_operator: tuple | None = field(default=None, repr=False, compare=False)
+    _target_local: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._node_set = set(self.nodes)
@@ -153,6 +155,33 @@ class ExplainingSubgraph:
                 self.graph.edge_target[self.edge_ids]
             )
         return self._edge_dst_local
+
+    @property
+    def target_local(self) -> int:
+        """Position of the target inside ``nodes`` (cached)."""
+        if self._target_local is None:
+            self._target_local = int(self.local_indices_of(self.target))
+        return self._target_local
+
+    @property
+    def flow_operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Equation 10 operator as CSR ``(indptr, indices, rates)`` (cached).
+
+        Row ``u`` holds subgraph node ``u``'s out-edges — target's local index
+        and transfer rate — in ascending edge-id order, parallel edges kept
+        apart, so a mat-vec accumulates ``h(u)`` term by term exactly as a
+        scatter over ``edge_ids`` does.
+        """
+        if self._flow_operator is None:
+            indptr, order = build_incidence(
+                self.edge_src_local, self.num_nodes, self.num_edges
+            )
+            self._flow_operator = (
+                indptr,
+                self.edge_dst_local[order],
+                self.graph.edge_rate[self.edge_ids[order]],
+            )
+        return self._flow_operator
 
     @property
     def target_id(self) -> str:

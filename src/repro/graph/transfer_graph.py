@@ -100,8 +100,8 @@ class AuthorityTransferDataGraph:
         self.edge_rate = np.zeros(self.num_edges, dtype=np.float64)
         self._matrix: sparse.csr_matrix | None = None
         self._positive_incidence: tuple[Incidence, Incidence] | None = None
-        self._out_index = _build_incidence(self.edge_source, self.num_nodes, self.num_edges)
-        self._in_index = _build_incidence(self.edge_target, self.num_nodes, self.num_edges)
+        self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
+        self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         self._node_degrees: np.ndarray | None = None
         self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
         self._recompute_rates()
@@ -330,7 +330,7 @@ def _filter_incidence(incidence: Incidence, keep: np.ndarray) -> Incidence:
     return kept_before[indptr], order[kept]
 
 
-def _build_incidence(
+def build_incidence(
     endpoint: np.ndarray, num_nodes: int, num_edges: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR-style (indptr, edge_ids) index grouping edge ids by one endpoint."""

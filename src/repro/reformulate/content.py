@@ -77,7 +77,7 @@ class ContentReformulator:
         outflow = local_node_outgoing_flow(subgraph, explanation.flows)
         # The target's "outgoing flow is not specified in G_v^Q": use
         # d * (incoming flow) instead.
-        outflow[subgraph.local_indices_of(subgraph.target)] = (
+        outflow[subgraph.target_local] = (
             explanation.damping * explanation.target_inflow()
         )
         contributing = np.flatnonzero(outflow > 0.0)

@@ -164,6 +164,41 @@ def test_read_path_never_calls_the_scalar_scorer_per_document():
     assert set(SCALAR_SCORER_CALLERS) == set(found)
 
 
+# -- the explaining subgraph is a CSR operator: no sort, search or scatter ---------
+
+#: Attribute calls the batched explain engine does without: node and edge lists
+#: come off stamped masks (``flatnonzero``), local ids off a scratch array, and
+#: Equation 10 advances as one CSR mat-vec whose rows scipy must leave as
+#: built (parallel edges apart, edge-id order).  No exemption survives.
+SORT_SEARCH_SCATTER = {
+    "searchsorted", "unique", "sort", "argsort", "at",
+    "sum_duplicates", "sort_indices",
+}
+
+
+def test_batched_explain_engine_neither_sorts_searches_nor_scatters():
+    tree = ast.parse((SRC / "explain" / "batch.py").read_text(encoding="utf-8"))
+    offenders = sorted(
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SORT_SEARCH_SCATTER
+    )
+    assert offenders == []
+    (build,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "batched_build_explaining_subgraphs"
+    ]
+    names = {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
+    assert "build_explaining_subgraph" not in names, (
+        "restricted (`within`) targets go through the extractor's mask, "
+        "not the serial builder"
+    )
+
+
 # -- `import repro` is the paper's system: every module is reached or named -------
 
 #: Import edges are followed from the front ends and the loop they drive.
