@@ -13,7 +13,12 @@ ephemeral port, then asserts over HTTP:
 - ``POST /feedback/reformulate`` answers 200 with a non-empty re-ranked page
   under ``apply=false`` (serving state untouched: the next search is still
   a cache hit) and under ``apply=true`` (``applied`` flips and the next
-  identical search is no longer served from the cache).
+  identical search is no longer served from the cache);
+- over one keep-alive connection, a refused ``POST`` (its body never read) is
+  answered ``Connection: close`` and the ``GET`` after it still succeeds —
+  the body is not parsed as the next request line;
+- a raw-socket ``POST`` with ``Expect: 100-continue`` gets its interim
+  ``100 Continue`` before sending the body, then the answer.
 
 Exits non-zero on any failure, so a workflow can gate on it directly:
 
@@ -22,10 +27,13 @@ Exits non-zero on any failure, so a workflow can gate on it directly:
 
 from __future__ import annotations
 
+import http.client
 import json
 import select
+import socket
 import subprocess
 import sys
+import urllib.parse
 import urllib.request
 
 DATASET = "dblp_tiny"
@@ -90,6 +98,46 @@ def exercise(base: str) -> None:
     )
 
 
+def exercise_wire(base: str) -> None:
+    """The keep-alive and raw-socket cases ``urllib`` (one connection per
+    request, ``Connection: close``) never produces."""
+    address = urllib.parse.urlsplit(base)
+    body = json.dumps({"dataset": DATASET, "query": "olap"}).encode("utf-8")
+
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=60)
+    try:
+        connection.request("GET", SEARCH)
+        kept = connection.getresponse()
+        assert kept.status == 200 and kept.read()
+        assert kept.getheader("Connection") is None, "a served GET keeps the connection"
+        connection.request("POST", "/nope", body=body)
+        refused = connection.getresponse()
+        refused.read()
+        assert refused.status == 404, refused.status
+        assert refused.getheader("Connection") == "close", "unread body must close"
+        connection.request("GET", "/healthz")
+        after = connection.getresponse()
+        assert after.status == 200, f"GET after a refused POST got {after.status}"
+        assert json.loads(after.read())["status"] == "ok"
+    finally:
+        connection.close()
+    print("smoke: refused POST closed its connection, the next GET was answered")
+
+    with socket.create_connection((address.hostname, address.port), timeout=60) as sock:
+        sock.sendall(
+            b"POST /search HTTP/1.1\r\nHost: smoke\r\nExpect: 100-continue\r\n"
+            + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode("ascii")
+        )
+        interim = sock.recv(4096)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n", interim
+        sock.sendall(body)
+        answer = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, payload = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n"), head
+    assert json.loads(payload)["results"], "Expect: 100-continue POST had no results"
+    print("smoke: Expect: 100-continue answered before the body, then 200")
+
+
 def main() -> int:
     server = subprocess.Popen(
         [
@@ -106,6 +154,7 @@ def main() -> int:
         base = line.split("listening on ")[1].split()[0]
         print(f"smoke: serving on {base}")
         exercise(base)
+        exercise_wire(base)
     finally:
         server.terminate()
         try:

@@ -62,8 +62,8 @@ WIRE = "wire"
 WIRE_SOURCE_NAMES = {"parse_qs", "urllib.parse.parse_qs"}
 #: ...by attribute tail (``self._read_json_body()``, ``sock.recv()``).
 WIRE_SOURCE_TAILS = {"_read_json_body", "recv", "recvfrom"}
-#: ...by dotted suffix (``self.rfile.read`` is the HTTP body stream).
-WIRE_SOURCE_SUFFIXES = ("rfile.read",)
+#: ...by dotted suffix (``self.rfile`` is the HTTP request stream).
+WIRE_SOURCE_SUFFIXES = ("rfile.read", "rfile.readline")
 
 #: Typed strict parsers of the serve/ingest tier: their results are clean.
 SANITIZER_TAILS = {

@@ -62,6 +62,10 @@ class EdgeType:
 # backward for each schema edge, schema edges in insertion order.
 _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
+#: Rounding applied to floating-point fingerprint components, so that rates
+#: or weights recomputed through an equivalent arithmetic path still hit.
+FINGERPRINT_DIGITS = 12
+
 
 class AuthorityTransferSchemaGraph:
     """A schema graph whose edges carry per-direction authority transfer rates.
@@ -90,6 +94,7 @@ class AuthorityTransferSchemaGraph:
         """
         self._schema = schema
         self._rates: dict[EdgeType, float] = {}
+        self._fingerprint: tuple | None = None
         self.epsilon = float(epsilon)
         for schema_edge in schema.edges:
             for direction in _DIRECTIONS:
@@ -127,6 +132,14 @@ class AuthorityTransferSchemaGraph:
         if rate < 0 or not math.isfinite(rate):
             raise RateError(f"invalid rate {rate!r} for edge type {edge_type}")
         self._rates[edge_type] = max(float(rate), self.epsilon)
+        self._fingerprint = None
+
+    def fingerprint(self) -> tuple:
+        """The rounded rates in canonical order, memoised until a rate is set."""
+        if self._fingerprint is None:
+            rates = self._rates.values()
+            self._fingerprint = tuple(round(rate, FINGERPRINT_DIGITS) for rate in rates)
+        return self._fingerprint
 
     # -- vector view (for training / cosine similarity) -----------------------
 

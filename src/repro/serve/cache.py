@@ -21,21 +21,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-from repro.graph.authority import AuthorityTransferSchemaGraph
+from repro.graph.authority import FINGERPRINT_DIGITS, AuthorityTransferSchemaGraph
 from repro.query.query import QueryVector
 
 CacheKey = tuple[str, tuple, tuple, int]
-
-#: Rounding applied to floating-point fingerprint components, so that rates
-#: or weights recomputed through an equivalent arithmetic path still hit.
-_FINGERPRINT_DIGITS = 12
 
 
 def query_fingerprint(vector: QueryVector) -> tuple:
     """Canonical, order-insensitive fingerprint of a weighted query vector."""
     return tuple(
         sorted(
-            (term, round(weight, _FINGERPRINT_DIGITS))
+            (term, round(weight, FINGERPRINT_DIGITS))
             for term, weight in vector.weights.items()
             if weight > 0
         )
@@ -44,7 +40,7 @@ def query_fingerprint(vector: QueryVector) -> tuple:
 
 def rates_fingerprint(rates: AuthorityTransferSchemaGraph) -> tuple:
     """Fingerprint of the transfer rates in their canonical edge-type order."""
-    return tuple(round(rate, _FINGERPRINT_DIGITS) for rate in rates.as_vector())
+    return rates.fingerprint()
 
 
 def make_key(

@@ -41,13 +41,16 @@ import threading
 import time
 import urllib.request
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.serve.http_server import (
     DEFAULT_DRAIN_TIMEOUT,
+    METRICS_TYPE,
+    SERVER,
     QueryHTTPServer,
+    WireRequestHandler,
     create_server,
     serve_until_shutdown,
 )
@@ -381,42 +384,22 @@ class ClusterSupervisor:
         ).start()
 
 
-class _AdminHandler(BaseHTTPRequestHandler):
+class _AdminHandler(WireRequestHandler):
     """GET-only supervisor endpoint: aggregated /metrics, /healthz, /workers."""
 
-    server_version = "repro-cluster/1.0"
-    protocol_version = "HTTP/1.1"
+    server_name = SERVER.replace("repro-serve", "repro-cluster")
+    methods = ("GET",)
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def route(self) -> None:
         supervisor: ClusterSupervisor = self.server.supervisor
         if self.path == "/metrics":
-            body = supervisor.aggregate_metrics().encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-            status = 200
+            self.respond(200, METRICS_TYPE, supervisor.aggregate_metrics().encode("utf-8"))
         elif self.path == "/healthz":
-            body = json.dumps(supervisor.cluster_health()).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-            status = 200
+            self.respond_json(200, supervisor.cluster_health())
         elif self.path == "/workers":
-            body = json.dumps(supervisor.cluster_health()["workers"]).encode(
-                "utf-8"
-            )
-            content_type = "application/json; charset=utf-8"
-            status = 200
+            self.respond_json(200, supervisor.cluster_health()["workers"])
         else:
-            body = json.dumps(
-                {"error": "not_found", "message": f"no route for {self.path}"}
-            ).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-            status = 404
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            self.respond_error(404, "not_found", f"no route for {self.path}")
 
 
 # -- helpers -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Threaded JSON HTTP front end for :class:`repro.serve.service.QueryService`.
 
-Stdlib-only (``http.server``), one thread per connection via
-``ThreadingHTTPServer``.  Endpoints:
+Stdlib-only, one thread per connection via ``ThreadingHTTPServer``; the wire
+layer is this module's own (:class:`WireRequestHandler`): one reader of the
+buffered socket file, one writer that sends each response whole.  Endpoints:
 
 ========================  ======  ==============================================
 ``/search``               GET     ``?dataset=&q=&top_k=&mode=&labels=`` plus
@@ -37,6 +38,10 @@ drain (bounded by ``drain_timeout``) before closing the socket — the
 supervisor in :mod:`repro.serve.cluster` relies on this to roll workers
 without dropping answers mid-write.
 
+A request the reader refuses (:data:`WIRE_ERRORS`) is answered in the same
+JSON shape with ``Connection: close``; so is any response sent while declared
+body bytes are still unread, or they would be read as the next request line.
+
 For the prefork tier the server can also adopt a pre-bound, already
 listening socket (``listen_socket=``) inherited from a supervisor across
 ``fork`` — the kernel then load-balances accepts among the worker
@@ -45,17 +50,47 @@ processes with no locks in userspace.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import re
 import signal
 import socket
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+from socketserver import StreamRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ReproError, UnknownNodeError
 from repro.serve.service import Deadline, DeadlineExceededError, QueryService
 
 MAX_BODY_BYTES = 1 << 20  # 1 MiB of JSON is plenty for any query
+MAX_LINE_BYTES = 65536  # the request line and each header line
+MAX_HEADERS = 100
+
+SERVER = f"repro-serve/1.0 Python/{sys.version.split()[0]}"
+JSON_TYPE = "application/json; charset=utf-8"
+METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: Status -> JSON ``error`` code of the requests refused before routing.
+WIRE_ERRORS = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "header_fields_too_large",
+    501: "not_implemented",
+    505: "http_version_not_supported",
+}
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+_VERSION = re.compile(r"HTTP/(\d{1,3})\.(\d{1,3})")
+#: The ``Date`` header of one wall-clock second: formatted at most once per second.
+_http_date = functools.lru_cache(maxsize=1)(functools.partial(formatdate, usegmt=True))
+
+
+class _WireError(Exception):
+    """A request refused before routing: ``(status in WIRE_ERRORS, message)``."""
 
 
 class QueryHTTPServer(ThreadingHTTPServer):
@@ -159,53 +194,135 @@ def create_server(
     return QueryHTTPServer((host, port), service, quiet=quiet, listen_socket=listen_socket)
 
 
-class QueryRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests into the service and speaks JSON both ways."""
+class WireRequestHandler(StreamRequestHandler):
+    """HTTP/1.x over one connection: one request reader, one response writer.
 
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # Headers and body flush as separate small segments; without TCP_NODELAY
-    # that combination stalls ~40ms per request on keep-alive connections
-    # (Nagle waiting out the peer's delayed ACK).
+    A subclass's ``route()`` finds the request in ``method`` / ``path`` /
+    ``headers`` (lower-cased names) and answers through :meth:`respond`.
+    """
+
+    server_name = SERVER
+    methods: tuple[str, ...] = ("GET", "POST")
+    # Small segments on keep-alive connections must not wait out a delayed ACK.
     disable_nagle_algorithm = True
 
-    # -- plumbing ----------------------------------------------------------
+    def handle(self) -> None:
+        """Answer requests until one of them, or the peer, ends the connection."""
+        self.keep_alive = True
+        with contextlib.suppress(ConnectionError):  # a vanished peer needs no answer
+            try:
+                while self.keep_alive and self._read_request():
+                    self.route()
+            except _WireError as error:
+                self.wire_error(*error.args)
+
+    def wire_error(self, status: int, message: str) -> None:
+        self.respond_error(status, WIRE_ERRORS[status], message, close=True)
+
+    def _line(self, too_long: int) -> bytes:
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _WireError(too_long, f"a line exceeds {MAX_LINE_BYTES} bytes")
+        return line
+
+    def _read_request(self) -> bool:
+        """Request line and headers off ``rfile``; ``False`` on a closed peer."""
+        self.request_line, self.unread, self.keep_alive = "", 0, False
+        line = self._line(414)
+        if not line:
+            return False
+        self.request_line = line.decode("iso-8859-1").rstrip("\r\n")
+        parts = self.request_line.split(" ")
+        version = _VERSION.fullmatch(parts[-1])
+        if len(parts) != 3 or not all(parts) or not (version and int(version[1])):
+            raise _WireError(400, f"malformed request line {self.request_line!r}")
+        if int(version[1]) > 1:
+            raise _WireError(505, f"{parts[2]} is not spoken here")
+        self.method, self.path, _ = parts
+        if self.method not in self.methods:
+            raise _WireError(501, f"unsupported method {self.method!r}")
+        headers = self.headers = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self._line(431)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or name.split() != [name]:  # also blank or obs-folded
+                raise _WireError(400, f"malformed header line {name!r}")
+            name, value = name.lower(), value.strip()
+            if headers.setdefault(name, value) != value:
+                if name == "content-length":
+                    raise _WireError(400, "conflicting Content-Length headers")
+                headers[name] += ", " + value
+        else:
+            raise _WireError(431, f"more than {MAX_HEADERS} header lines")
+        if "transfer-encoding" in headers:
+            raise _WireError(501, "Transfer-Encoding is not supported")
+        length = headers.get("content-length", "0")
+        if not (length.isdecimal() and len(length) < 19):
+            raise _WireError(400, "Content-Length must be a non-negative integer")
+        self.unread = int(length)
+        # RFC 7230 6.3: 1.1 persists unless ``close``, 1.0 only on ``keep-alive``.
+        connection = headers.get("connection", "").lower()
+        self.keep_alive = "close" not in connection and (
+            int(version[2]) > 0 or "keep-alive" in connection
+        )
+        return True
+
+    def read_body(self) -> bytes:
+        """The declared body, after answering ``Expect: 100-continue``."""
+        if self.headers.get("expect", "").lower() == "100-continue":
+            self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(self.unread)
+        self.unread -= len(body)
+        return body
+
+    def _write(self, data: bytes) -> None:
+        self.request.sendall(data)
+
+    def respond(
+        self, status: int, content_type: str, body: bytes, headers=(), close=False
+    ) -> None:
+        """The one writer; closes when it leaves declared body bytes unread."""
+        headers = dict(headers)
+        if close or self.unread:
+            self.keep_alive = False
+            headers["Connection"] = "close"
+        head = (
+            f"{_STATUS_LINES[status]}Server: {self.server_name}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        )
+        if not getattr(self.server, "quiet", True):  # pragma: no cover - console
+            print(self.client_address[0], repr(self.request_line), status, file=sys.stderr)
+        self._write(head.encode("iso-8859-1") + b"\r\n" + body)
+
+    def respond_json(self, status: int, payload, **extra) -> None:
+        self.respond(status, JSON_TYPE, json.dumps(payload).encode("utf-8"), **extra)
+
+    def respond_error(self, status: int, error: str, message: str, **extra) -> None:
+        self.respond_json(status, {"error": error, "message": message}, **extra)
+
+
+class QueryRequestHandler(WireRequestHandler):
+    """Routes requests into the service and speaks JSON both ways."""
 
     @property
     def service(self) -> QueryService:
         return self.server.service
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - console logging
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(
-        self, status: int, error: str, message: str, headers: dict | None = None
-    ) -> None:
-        self._send_json(status, {"error": error, "message": message}, headers)
+    def wire_error(self, status: int, message: str) -> None:
+        self.service.note_error()
+        super().wire_error(status, message)
 
     def _read_json_body(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise _BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
+        if not self.unread:
             raise _BadRequest("a JSON request body is required")
-        if length > MAX_BODY_BYTES:
+        if self.unread > MAX_BODY_BYTES:
             raise _BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
         try:
-            body = json.loads(raw)
+            body = json.loads(self.read_body())
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise _BadRequest(f"invalid JSON body: {error}") from None
         if not isinstance(body, dict):
@@ -214,68 +331,48 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
 
     # -- routing -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch(self._route_post)
-
-    def _dispatch(self, route) -> None:
+    def route(self) -> None:
         """Track the request in-flight; refuse new work while draining."""
-        server = self.server
-        if server.draining:
+        if self.server.draining:
             # A kept-alive client racing the shutdown gets an explicit
             # refusal and a closed connection instead of a TCP reset.
-            self.close_connection = True
-            self._send_error_json(
+            self.respond_error(
                 503,
                 "shutting_down",
                 "server is draining; retry against another instance",
-                headers={"Connection": "close"},
+                close=True,
             )
             return
-        server._track_request_start()
-        try:
-            route()
-        finally:
-            server._track_request_end()
-
-    def _route_get(self) -> None:
-        parsed = urlparse(self.path)
-        if parsed.path == "/healthz":
-            self._send_json(200, self.service.health())
-        elif parsed.path == "/metrics":
-            text = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(text)))
-            self.end_headers()
-            self.wfile.write(text)
-        elif parsed.path == "/search":
-            self._guarded(self._search_from_query_string, parsed)
-        else:
-            self._send_error_json(404, "not_found", f"no route for {parsed.path}")
-
-    def _route_post(self) -> None:
-        parsed = urlparse(self.path)
-        routes = {
-            "/search": self._search_from_body,
-            "/explain": self._explain_from_body,
-            "/feedback/reformulate": self._reformulate_from_body,
-            "/ingest": self._ingest_from_body,
+        work = {
+            ("POST", "/search"): self._search_from_body,
+            ("POST", "/explain"): self._explain_from_body,
+            ("POST", "/feedback/reformulate"): self._reformulate_from_body,
+            ("POST", "/ingest"): self._ingest_from_body,
         }
-        handler = routes.get(parsed.path)
-        if handler is None:
-            self._send_error_json(404, "not_found", f"no route for {parsed.path}")
-            return
-        self._guarded(handler)
+        parsed = urlparse(self.path)
+        route = (self.method, parsed.path)
+        self.server._track_request_start()
+        try:
+            if route == ("GET", "/healthz"):
+                self.respond_json(200, self.service.health())
+            elif route == ("GET", "/metrics"):
+                text = self.service.metrics_text()
+                self.respond(200, METRICS_TYPE, text.encode("utf-8"))
+            elif route == ("GET", "/search"):
+                self._guarded(self._search_from_query_string, parsed)
+            elif route in work:
+                self._guarded(work[route])
+            else:
+                self.respond_error(404, "not_found", f"no route for {parsed.path}")
+        finally:
+            self.server._track_request_end()
 
     def _guarded(self, handler, *args) -> None:
         """Run a work endpoint under admission control and error mapping."""
         service = self.service
         if not self.server.admission.acquire(blocking=False):
             service.note_rejected()
-            self._send_error_json(
+            self.respond_error(
                 429,
                 "overloaded",
                 "concurrency limit reached, retry shortly",
@@ -307,7 +404,7 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
             response = (500, {"error": "internal_error", "message": str(error)})
         finally:
             self.server.admission.release()
-        self._send_json(*response)
+        self.respond_json(*response)
 
     # -- endpoint bodies ---------------------------------------------------
 

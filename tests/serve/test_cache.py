@@ -116,6 +116,23 @@ class TestKeying:
             dblp_transfer_schema()
         )
 
+    def test_set_rate_after_a_fingerprint_was_taken_changes_the_key(self):
+        """The fingerprint is memoised per rates *state*, not per object."""
+        vector = QueryVector({"olap": 1.0})
+        rates = dblp_transfer_schema()
+        before = make_key("dblp", vector, rates, 10)
+        assert rates_fingerprint(rates) is rates_fingerprint(rates)  # memoised
+        clone = rates.copy()
+        edge_type = rates.edge_types()[0]
+        rates.set_rate(edge_type, rates.rate(edge_type) / 2)
+        assert make_key("dblp", vector, rates, 10) != before
+        assert rates_fingerprint(rates) == tuple(
+            round(rate, 12) for rate in rates.as_vector()
+        )
+        # A copy taken earlier keeps the state — and the key — it was taken in.
+        assert make_key("dblp", vector, clone, 10) == before
+        assert make_key("dblp", vector, rates.with_vector(clone.as_vector()), 10) == before
+
     def test_top_k_and_dataset_key(self):
         vector = QueryVector({"olap": 1.0})
         rates = dblp_transfer_schema()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -190,6 +191,51 @@ class TestStop:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+class TestAdminEndpoint:
+    def test_admin_routes_answer_through_the_serve_tier_writer(self, figure1, tmp_path):
+        service = QueryService(
+            ServeConfig(datasets=("fig1",), precompute=False),
+            datasets={"fig1": figure1},
+        )
+        service.preload()
+        supervisor = ClusterSupervisor(
+            ClusterConfig(
+                serve=service.config, workers=1, run_dir=str(tmp_path), admin_port=0
+            ),
+            service=service,
+        )
+        supervisor.start()
+        try:
+            _wait_for_workers(supervisor, 1)
+            host, port = supervisor._admin.server_address[:2]
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+
+            def call(method: str, path: str):
+                connection.request(method, path)
+                response = connection.getresponse()
+                return response, response.read()
+
+            response, body = call("GET", "/healthz")
+            assert response.status == 200
+            assert json.loads(body)["configured_workers"] == 1
+            assert response.getheader("Server").startswith("repro-cluster/1.0 Python/")
+            assert [name for name, _ in response.getheaders()] == [
+                "Server", "Date", "Content-Type", "Content-Length",
+            ]
+            response, body = call("GET", "/workers")
+            assert [w["worker_id"] for w in json.loads(body)] == [0]
+            response, body = call("GET", "/metrics")
+            assert response.getheader("Content-Type").startswith("text/plain")
+            assert b"repro_cluster_workers 1" in body
+            response, body = call("GET", "/nope")
+            assert (response.status, json.loads(body)["error"]) == (404, "not_found")
+            response, body = call("POST", "/metrics")  # GET-only, as before
+            assert (response.status, json.loads(body)["error"]) == (501, "not_implemented")
+            connection.close()
+        finally:
+            supervisor.stop()
 
 
 class TestInjectLabels:

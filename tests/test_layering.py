@@ -199,6 +199,55 @@ def test_batched_explain_engine_neither_sorts_searches_nor_scatters():
     )
 
 
+# -- the wire is one reader and one writer: the stdlib's are off the request path ---
+
+WIRE_MODULES = ("http_server.py", "cluster.py")
+
+#: The stdlib handler's parser and writer, none of which the serve tier calls:
+#: a response is built whole and leaves through one ``sendall``.
+STDLIB_WIRE_CALLS = {
+    "parse_request", "parse_headers", "send_response", "send_header",
+    "end_headers", "send_error", "send_response_only",
+}
+
+
+def _attribute_calls(path: Path) -> list[ast.Call]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+
+
+def test_serve_tier_speaks_http_through_one_reader_and_one_writer():
+    for path in sorted((SRC / "serve").glob("*.py")):
+        stdlib = [
+            f"{path.name}:{call.lineno} {call.func.attr}"
+            for call in _attribute_calls(path)
+            if call.func.attr in STDLIB_WIRE_CALLS
+        ]
+        assert stdlib == []
+    sends = []
+    for name in WIRE_MODULES:
+        path = SRC / "serve" / name
+        from_email = [
+            (module, imported)
+            for module, imported in imports_of(path)
+            if module == "email" or module.startswith("email.")
+        ]
+        assert from_email in ([], [("email.utils", "formatdate")]), (
+            f"serve/{name} builds no email.Message per request: {from_email}"
+        )
+        sends += [
+            f"{name}:{call.lineno}"
+            for call in _attribute_calls(path)
+            if call.func.attr in ("send", "sendall")
+            or (call.func.attr == "write" and "wfile" in ast.unparse(call.func))
+        ]
+    assert len(sends) == 1, f"exactly one send call site, found {sends}"
+
+
 # -- `import repro` is the paper's system: every module is reached or named -------
 
 #: Import edges are followed from the front ends and the loop they drive.
