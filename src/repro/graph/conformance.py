@@ -9,41 +9,49 @@ edge's role when one is given).
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from repro.errors import ConformanceError
 from repro.graph.data_graph import DataEdge, DataGraph
-from repro.graph.schema import SchemaEdge, SchemaGraph
+from repro.graph.schema import SchemaGraph
+
+
+def node_violation(schema: SchemaGraph, node_id: str, label: str) -> str | None:
+    """Why a node labelled ``label`` cannot conform, or ``None`` when it can."""
+    if schema.has_label(label):
+        return None
+    return f"node {node_id!r} has unknown label {label!r}"
+
+
+def edge_violation(
+    schema: SchemaGraph, edge: DataEdge, source_label: str, target_label: str
+) -> str | None:
+    """Why ``edge`` between nodes so labelled cannot conform, or ``None``.
+
+    An unknown endpoint label resolves to no schema edge either.
+    """
+    if schema.resolve_edge(source_label, target_label, edge.role) is not None:
+        return None
+    return (
+        f"edge {edge.source!r}->{edge.target!r} (role {edge.role!r}) has no "
+        f"matching schema edge {source_label!r}->{target_label!r}"
+    )
 
 
 def find_violations(data_graph: DataGraph, schema: SchemaGraph, limit: int = 50) -> list[str]:
     """Collect human-readable conformance violations (at most ``limit``)."""
-    violations: list[str] = []
-    for node in data_graph.nodes():
-        if not schema.has_label(node.label):
-            violations.append(f"node {node.node_id!r} has unknown label {node.label!r}")
-            if len(violations) >= limit:
-                return violations
-    for edge in data_graph.edges():
-        if resolve_schema_edge(data_graph, schema, edge) is None:
-            source_label = data_graph.node(edge.source).label
-            target_label = data_graph.node(edge.target).label
-            violations.append(
-                f"edge {edge.source!r}->{edge.target!r} (role {edge.role!r}) has no "
-                f"matching schema edge {source_label!r}->{target_label!r}"
-            )
-            if len(violations) >= limit:
-                return violations
-    return violations
 
+    def label(node_id: str) -> str:
+        return data_graph.node(node_id).label
 
-def resolve_schema_edge(
-    data_graph: DataGraph, schema: SchemaGraph, edge: DataEdge
-) -> SchemaEdge | None:
-    """Map one data edge to its schema edge, or ``None`` when there is none."""
-    source = data_graph.node(edge.source)
-    target = data_graph.node(edge.target)
-    if not schema.has_label(source.label) or not schema.has_label(target.label):
-        return None
-    return schema.resolve_edge(source.label, target.label, edge.role)
+    checks = chain(
+        (node_violation(schema, n.node_id, n.label) for n in data_graph.nodes()),
+        (
+            edge_violation(schema, e, label(e.source), label(e.target))
+            for e in data_graph.edges()
+        ),
+    )
+    return list(islice(filter(None, checks), limit))
 
 
 def check_conformance(data_graph: DataGraph, schema: SchemaGraph) -> None:

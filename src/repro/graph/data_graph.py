@@ -72,6 +72,7 @@ class DataGraph:
         self._out: dict[str, list[DataEdge]] = {}
         self._in: dict[str, list[DataEdge]] = {}
         self._version = 0
+        self._topology_version = 0
         # (version, node_ids, label -> code, codes) of the last
         # :meth:`label_codes` call; replaced whole, never edited.
         self._label_codes: tuple | None = None
@@ -88,6 +89,7 @@ class DataGraph:
         self._out[node_id] = []
         self._in[node_id] = []
         self._version += 1
+        self._topology_version += 1
         return node
 
     def add_edge(self, source: str, target: str, role: str | None = None) -> DataEdge:
@@ -99,6 +101,7 @@ class DataGraph:
         self._out[source].append(edge)
         self._in[target].append(edge)
         self._version += 1
+        self._topology_version += 1
         return edge
 
     # -- mutation ----------------------------------------------------------
@@ -123,16 +126,20 @@ class DataGraph:
         node = self._nodes.pop(node_id, None)
         if node is None:
             raise UnknownNodeError(node_id)
-        del self._out[node_id]
-        del self._in[node_id]
+        # Only the removed node's neighbours can hold one of its edges.
+        targets = {e.target for e in self._out.pop(node_id)}
+        sources = {e.source for e in self._in.pop(node_id)}
         self._edges = [
             e for e in self._edges if e.source != node_id and e.target != node_id
         ]
-        for edges in self._out.values():
+        for source in sources - {node_id}:
+            edges = self._out[source]
             edges[:] = [e for e in edges if e.target != node_id]
-        for edges in self._in.values():
+        for target in targets - {node_id}:
+            edges = self._in[target]
             edges[:] = [e for e in edges if e.source != node_id]
         self._version += 1
+        self._topology_version += 1
         return node
 
     def remove_edge(
@@ -153,6 +160,7 @@ class DataGraph:
                 self._out[source].remove(edge)
                 self._in[target].remove(edge)
                 self._version += 1
+                self._topology_version += 1
                 return edge
         wanted = f" [{role}]" if role is not None else ""
         raise GraphError(f"no edge {source!r} -> {target!r}{wanted} to remove")
@@ -165,6 +173,7 @@ class DataGraph:
         clone._out = {nid: list(edges) for nid, edges in self._out.items()}
         clone._in = {nid: list(edges) for nid, edges in self._in.items()}
         clone._version = self._version
+        clone._topology_version = self._topology_version
         return clone
 
     @property
@@ -176,6 +185,16 @@ class DataGraph:
         version means the graph they derived from no longer exists.
         """
         return self._version
+
+    @property
+    def topology_version(self) -> int:
+        """A counter bumped by every mutation of the node or edge set.
+
+        :meth:`update_attributes` leaves it alone: a copy with an equal
+        ``topology_version`` has the same nodes and edges in the same order,
+        so everything derived from topology alone carries over to it.
+        """
+        return self._topology_version
 
     # -- inspection --------------------------------------------------------
 

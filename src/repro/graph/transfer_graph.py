@@ -21,21 +21,24 @@ numpy edge arrays, so that:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import GraphError, UnknownNodeError
+from repro.errors import ConformanceError, GraphError, UnknownNodeError
 from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
 from repro.graph.build_cache import BuildCache
-from repro.graph.conformance import check_conformance, resolve_schema_edge
+from repro.graph.conformance import find_violations
 from repro.graph.data_graph import DataGraph
 
 T = TypeVar("T")
 
 #: CSR-style ``(indptr, edge_ids)`` index grouping edge ids by one endpoint.
 Incidence = tuple[np.ndarray, np.ndarray]
+
+_SOURCE, _TARGET, _ROLE = attrgetter("source"), attrgetter("target"), attrgetter("role")
 
 
 class AuthorityTransferDataGraph:
@@ -53,39 +56,51 @@ class AuthorityTransferDataGraph:
     DERIVED_CACHE_SIZE = 4
 
     def __init__(
-        self,
-        data_graph: DataGraph,
-        transfer_schema: AuthorityTransferSchemaGraph,
-        validate: bool = True,
+        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
     ) -> None:
-        if validate:
-            check_conformance(data_graph, transfer_schema.schema)
         self.data_graph = data_graph
         self.node_ids: list[str] = data_graph.node_ids()
         self._node_index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         self.num_nodes = len(self.node_ids)
-
         self.edge_types: list[EdgeType] = transfer_schema.edge_types()
-        type_index = {t: i for i, t in enumerate(self.edge_types)}
 
-        sources: list[int] = []
-        targets: list[int] = []
-        types: list[int] = []
+        # One pass over the edges into arrays; the schema is consulted once
+        # per distinct (source label, target label, role) triple, and that
+        # same pass is the conformance check (Section 2).
         schema = transfer_schema.schema
-        for edge in data_graph.edges():
-            schema_edge = resolve_schema_edge(data_graph, schema, edge)
-            if schema_edge is None:  # pragma: no cover - caught by validate
-                raise GraphError(f"edge {edge} has no schema edge")
-            u = self._node_index[edge.source]
-            v = self._node_index[edge.target]
-            sources.extend((u, v))
-            targets.extend((v, u))
-            types.append(type_index[EdgeType(schema_edge, Direction.FORWARD)])
-            types.append(type_index[EdgeType(schema_edge, Direction.BACKWARD)])
+        edges = data_graph.edges()
+        code_of, node_label = data_graph.label_codes(self.node_ids)
+        labels = list(code_of)
+        roles = list(dict.fromkeys(map(_ROLE, edges)))
+        role_code = dict(zip(roles, range(len(roles)))).__getitem__
+        index_of = self._node_index.__getitem__
+        count = len(edges)
+        source = np.fromiter(map(index_of, map(_SOURCE, edges)), np.int64, count)
+        target = np.fromiter(map(index_of, map(_TARGET, edges)), np.int64, count)
+        role = np.fromiter(map(role_code, map(_ROLE, edges)), np.int64, count)
+        triples, triple_of_edge = np.unique(
+            (node_label[source] * len(labels) + node_label[target]) * len(roles) + role,
+            return_inverse=True,
+        )
+        resolved = []
+        for triple in triples.tolist():
+            pair, r = divmod(triple, len(roles))
+            u, v = divmod(pair, len(labels))
+            resolved.append(schema.resolve_edge(labels[u], labels[v], roles[r]))
+        if None in resolved or not all(map(schema.has_label, labels)):
+            # Slow path: the per-edge walk is the message oracle.
+            raise ConformanceError(find_violations(data_graph, schema))
+        type_index = {t: i for i, t in enumerate(self.edge_types)}
+        forward_backward = (Direction.FORWARD, Direction.BACKWARD)
+        types = np.array(
+            [[type_index[EdgeType(e, d)] for d in forward_backward] for e in resolved],
+            dtype=np.int64,
+        ).reshape(-1, 2)
 
-        self.edge_source = np.asarray(sources, dtype=np.int64)
-        self.edge_target = np.asarray(targets, dtype=np.int64)
-        self.edge_type_index = np.asarray(types, dtype=np.int64)
+        # Data edge k -> transfer edges 2k (forward) and 2k + 1 (backward).
+        self.edge_source = np.column_stack((source, target)).ravel()
+        self.edge_target = np.column_stack((target, source)).ravel()
+        self.edge_type_index = types[triple_of_edge].ravel()
         self.num_edges = len(self.edge_source)
 
         # OutDeg(u, edge_type): count transfer edges grouped by (source, type).
@@ -171,37 +186,34 @@ class AuthorityTransferDataGraph:
     def with_rates(
         self, transfer_schema: AuthorityTransferSchemaGraph
     ) -> "AuthorityTransferDataGraph":
-        """A lightweight view of this graph under different schema-level rates.
+        """:meth:`rebound` over this graph's own data graph: new rates only."""
+        return self.rebound(self.data_graph, transfer_schema)
 
-        The view shares every topology structure (node index, edge arrays,
-        out-degree counts, incidence indices, the :meth:`derived` cache) with
-        this graph but carries its own ``edge_rate`` array, transition matrix
-        and positive-rate incidence, so concurrent sessions with different
-        learned rates can rank against one materialized graph without
-        mutating it.  Construction costs O(edges) — the same price as
-        :meth:`set_transfer_rates` — and nothing else is copied.
+    def rebound(
+        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
+    ) -> "AuthorityTransferDataGraph":
+        """A lightweight view of this topology over ``data_graph`` and rates.
+
+        ``data_graph`` must be this graph's data graph or a copy of it with
+        an equal ``topology_version`` (same nodes and edges in the same
+        order; attributes may differ).  The view shares every topology
+        structure (node index, edge arrays, out-degree counts, incidence
+        indices, the :meth:`derived` cache) with this graph but carries its
+        own ``edge_rate`` array, transition matrix and positive-rate
+        incidence, so concurrent sessions with different learned rates can
+        rank against one materialized graph without mutating it, and a
+        content-only ingest refresh rebuilds nothing.  Construction costs
+        O(edges) — the same price as :meth:`set_transfer_rates` — and
+        nothing else is copied.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
+        if data_graph.topology_version != self.data_graph.topology_version:
+            raise GraphError("data graph has a different topology")
         view = object.__new__(AuthorityTransferDataGraph)
-        view.data_graph = self.data_graph
-        view.node_ids = self.node_ids
-        view._node_index = self._node_index
-        view.num_nodes = self.num_nodes
-        view.edge_types = self.edge_types
-        view.edge_source = self.edge_source
-        view.edge_target = self.edge_target
-        view.edge_type_index = self.edge_type_index
-        view.num_edges = self.num_edges
-        view._edge_out_degree = self._edge_out_degree
-        view._out_index = self._out_index
-        view._in_index = self._in_index
-        view._node_degrees = self._node_degrees
-        view._derived = self._derived
+        view.__dict__.update(self.__dict__)
+        view.data_graph = data_graph
         view._transfer_schema = transfer_schema
-        view.edge_rate = np.zeros(self.num_edges, dtype=np.float64)
-        view._matrix = None
-        view._positive_incidence = None
         view._recompute_rates()
         return view
 
@@ -246,8 +258,8 @@ class AuthorityTransferDataGraph:
         table).  The cache is shared by every :meth:`with_rates` view, so
         ``build`` must not depend on the rates; keying on
         ``data_graph.version`` means any mutation of the data graph is a
-        miss, and an ingest refresh builds a new transfer graph with a cold
-        cache.  Concurrent first uses build once
+        miss, so the view a content-only ingest refresh rebinds to new text
+        starts cold for it.  Concurrent first uses build once
         (:class:`~repro.graph.build_cache.BuildCache`).
         """
         return self._derived.get((self.data_graph.version, key), build)

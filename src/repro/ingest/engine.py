@@ -1,8 +1,9 @@
 """The ingest engine: buffered mutations with incremental precompute refresh.
 
 :class:`IngestEngine` owns a *working copy* of a dataset's data graph and
-inverted index.  Mutations apply to the working copy immediately (and are
-classified by :class:`repro.ingest.tracker.DirtyKeywordTracker`), while
+inverted index.  Mutations apply to the working copy immediately (one the
+schema cannot place is refused first; the rest are classified by
+:class:`repro.ingest.tracker.DirtyKeywordTracker`), while
 readers keep using whatever snapshot the last :meth:`IngestEngine.refresh`
 produced — the serve tier swaps that snapshot in atomically and publishes
 its ranker through the generation-swap store protocol.
@@ -20,9 +21,10 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import IngestError, ReproError
+from repro.errors import ConformanceError, IngestError, ReproError
 from repro.graph.authority import AuthorityTransferSchemaGraph
-from repro.graph.data_graph import DataGraph, DataNode
+from repro.graph.conformance import edge_violation, node_violation
+from repro.graph.data_graph import DataEdge, DataGraph, DataNode
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ingest.mutations import (
     AddEdge,
@@ -86,6 +88,12 @@ class RefreshResult:
     elapsed_seconds: float
 
 
+def _refuse(violation: str | None) -> None:
+    """Raise the build's own error for a mutation that could never conform."""
+    if violation is not None:
+        raise ConformanceError([violation])
+
+
 class IngestEngine:
     """Mutation buffer + dirty-keyword tracking + incremental refresh."""
 
@@ -99,7 +107,6 @@ class IngestEngine:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         min_document_frequency: int = 2,
         min_coverage: float = 1.0,
-        validate: bool = True,
     ) -> None:
         self.transfer_schema = transfer_schema
         self.analyzer = analyzer
@@ -108,7 +115,6 @@ class IngestEngine:
         self.max_iterations = max_iterations
         self.min_document_frequency = min_document_frequency
         self.min_coverage = min_coverage
-        self._validate = validate
         self._lock = threading.Lock()
         #: guarded by self._lock
         self._data_graph = data_graph.copy()
@@ -118,13 +124,20 @@ class IngestEngine:
         self._tracker = DirtyKeywordTracker()
         #: guarded by self._lock
         self._epoch = 0
+        #: guarded by self._lock; the last successful refresh's transfer graph
+        self._last_graph: AuthorityTransferDataGraph | None = None
 
     # -- mutations ---------------------------------------------------------
 
     def add_node(
         self, node_id: str, label: str, attributes: dict[str, str] | None = None
     ) -> DataNode:
-        """Insert an object into the working graph (a topology mutation)."""
+        """Insert an object into the working graph (a topology mutation).
+
+        A label the schema does not have is refused here, before the working
+        graph is touched: applied, it would fail every later refresh.
+        """
+        _refuse(node_violation(self.transfer_schema.schema, node_id, label))
         with self._lock:
             node = self._data_graph.add_node(node_id, label, attributes)
             self._index.add_document(node_id, node.text())
@@ -140,9 +153,21 @@ class IngestEngine:
             return node
 
     def add_edge(self, source: str, target: str, role: str | None = None) -> None:
-        """Insert a relationship (a topology mutation)."""
+        """Insert a relationship (a topology mutation).
+
+        Refused, like :meth:`add_node`, when no schema edge matches it.
+        """
         with self._lock:
-            self._data_graph.add_edge(source, target, role)
+            graph = self._data_graph
+            _refuse(
+                edge_violation(
+                    self.transfer_schema.schema,
+                    DataEdge(source, target, role),
+                    graph.node(source).label,
+                    graph.node(target).label,
+                )
+            )
+            graph.add_edge(source, target, role)
             self._tracker.note_topology()
 
     def remove_edge(self, source: str, target: str, role: str | None = None) -> None:
@@ -266,7 +291,9 @@ class IngestEngine:
         """Produce a fresh serving snapshot from the working state.
 
         Freezes the working graph/index and the accumulated dirt under the
-        lock, then re-converges only the dirty columns (relative to
+        lock, rebinds the last snapshot's transfer graph to the frozen copy
+        when their ``topology_version`` agrees (builds one otherwise), then
+        re-converges only the dirty columns (relative to
         ``previous``, which must be the ranker of the *last* refresh — any
         other pairing forces a full rebuild via the rate/graph-version
         staleness check rather than silently carrying wrong columns).
@@ -281,12 +308,19 @@ class IngestEngine:
             # A fresh tracker (not .clear()) so a failed build can merge the
             # frozen dirt into whatever newer mutations accumulated meanwhile.
             self._tracker = DirtyKeywordTracker()
+            last = self._last_graph
+        if rates is None:
+            rates = self.transfer_schema
         try:
-            graph = AuthorityTransferDataGraph(
-                data_graph,
-                rates if rates is not None else self.transfer_schema,
-                validate=self._validate,
-            )
+            # Topology is carried when the frozen copy has the node and edge
+            # set the last snapshot was built over, whatever the tracker says.
+            if (
+                last is not None
+                and last.data_graph.topology_version == data_graph.topology_version
+            ):
+                graph = last.rebound(data_graph, rates)
+            else:
+                graph = AuthorityTransferDataGraph(data_graph, rates)
             if precompute:
                 outcome = refreshed_keyword_vectors(
                     graph,
@@ -320,6 +354,7 @@ class IngestEngine:
         with self._lock:
             self._epoch += 1
             epoch = self._epoch
+            self._last_graph = graph
         return RefreshResult(
             ranker=ranker,
             graph=graph,

@@ -88,7 +88,6 @@ class SearchEngine:
     damping: float = DEFAULT_DAMPING
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    validate: bool = True
 
     #: Distinct learned-rate views kept alive per engine.  Each view shares
     #: the graph topology and only owns an O(edges) rate array plus a sparse
@@ -96,9 +95,7 @@ class SearchEngine:
     VIEW_CACHE_SIZE = 8
 
     def __post_init__(self) -> None:
-        self.graph = AuthorityTransferDataGraph(
-            self.data_graph, self.transfer_schema, validate=self.validate
-        )
+        self.graph = AuthorityTransferDataGraph(self.data_graph, self.transfer_schema)
         self.index = InvertedIndex.from_graph(self.data_graph, self.analyzer)
         self.scorer: Scorer = BM25Scorer(self.index)
         self._views: BuildCache[AuthorityTransferDataGraph] = BuildCache(

@@ -1,9 +1,13 @@
 """Unit tests for labeled data graphs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets import figure1_dataset
 from repro.errors import DuplicateNodeError, UnknownNodeError
 from repro.graph import DataGraph
+from tests.graph.reference import reference_remove_node
 
 
 @pytest.fixture
@@ -92,3 +96,84 @@ class TestEdges:
     def test_counts(self, small):
         assert small.num_nodes == 3
         assert small.num_edges == 2
+
+
+class TestTopologyVersion:
+    """Bumped by every node/edge mutation, left alone by a content rewrite."""
+
+    @pytest.mark.parametrize(
+        ("mutate", "bumps"),
+        [
+            (lambda g: g.add_node("p3", "Paper"), True),
+            (lambda g: g.add_edge("p2", "a1", "by"), True),
+            (lambda g: g.remove_edge("p1", "p2"), True),
+            (lambda g: g.remove_node("p2"), True),
+            (lambda g: g.update_attributes("p1", {"title": "rewritten"}), False),
+        ],
+        ids=["add_node", "add_edge", "remove_edge", "remove_node", "update_attributes"],
+    )
+    def test_each_mutator(self, small, mutate, bumps):
+        topology, version = small.topology_version, small.version
+        mutate(small)
+        assert small.version == version + 1
+        assert small.topology_version == topology + (1 if bumps else 0)
+
+    def test_failed_mutation_bumps_nothing(self, small):
+        topology = small.topology_version
+        with pytest.raises(UnknownNodeError):
+            small.add_edge("p1", "zz")
+        with pytest.raises(UnknownNodeError):
+            small.remove_node("zz")
+        assert small.topology_version == topology
+
+    def test_copy_preserves_it_and_then_diverges(self, small):
+        clone = small.copy()
+        assert clone.topology_version == small.topology_version
+        clone.update_attributes("p1", {"title": "rewritten"})
+        assert clone.topology_version == small.topology_version
+        clone.add_node("p3", "Paper")
+        assert clone.topology_version == small.topology_version + 1
+
+
+def adjacency(graph: DataGraph) -> tuple:
+    return (
+        graph.node_ids(),
+        graph.edges(),
+        {node_id: graph.out_edges(node_id) for node_id in graph.node_ids()},
+        {node_id: graph.in_edges(node_id) for node_id in graph.node_ids()},
+        graph.version,
+        graph.topology_version,
+    )
+
+
+@st.composite
+def graphs_with_removals(draw):
+    """A small multigraph (parallel edges, self-loops) and 3 nodes to remove."""
+    size = draw(st.integers(3, 7))
+    graph = DataGraph()
+    for position in range(size):
+        graph.add_node(f"n{position}", "Paper")
+    node = st.integers(0, size - 1)
+    for source, target in draw(st.lists(st.tuples(node, node), max_size=20)):
+        graph.add_edge(f"n{source}", f"n{target}", draw(st.sampled_from(["cites", None])))
+    removed = draw(st.permutations(graph.node_ids()))[:3]
+    return graph, removed
+
+
+class TestRemoveNodeAgainstReference:
+    """Neighbour-local removal leaves what the whole-graph rewrite left."""
+
+    def assert_same_sequence(self, graph, removed):
+        reference = graph.copy()
+        for node_id in removed:
+            assert graph.remove_node(node_id).node_id == node_id
+            reference_remove_node(reference, node_id)
+            assert adjacency(graph) == adjacency(reference)
+
+    def test_figure1(self):
+        self.assert_same_sequence(figure1_dataset().data_graph, ["v7", "v6", "v1"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_removals())
+    def test_random_multigraphs(self, case):
+        self.assert_same_sequence(*case)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphError, IngestError, UnknownNodeError
+from repro.errors import ConformanceError, GraphError, IngestError, UnknownNodeError
+from repro.graph import AuthorityTransferDataGraph, DataGraph, find_violations
 from repro.ingest import AddNode, IngestEngine, UpdateNode
 from repro.ranking.precompute import PrecomputedRanker
+from tests.graph.reference import tricky_rates
 
 
 @pytest.fixture
@@ -179,3 +181,108 @@ class TestRefresh:
         version = ingest.graph_version
         ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
         assert ingest.graph_version == version + 1
+
+
+class TestNonconformingMutationsAreRefusedAtApply:
+    """Applied, any of these would fail every later refresh of the dataset."""
+
+    def test_unknown_label_unresolvable_role_and_unknown_pair(self, ingest):
+        with pytest.raises(ConformanceError, match="unknown label 'Venue'"):
+            ingest.add_node("weird", "Venue", {"name": "not in schema"})
+        with pytest.raises(ConformanceError, match="no matching schema edge"):
+            ingest.add_edge("v7", "v4", "authored")
+        with pytest.raises(ConformanceError, match="no matching schema edge"):
+            ingest.add_edge("v6", "v6")  # no Author->Author schema edge
+        assert ingest.pending_mutations == 0
+        assert not ingest.topology_dirty
+        assert ingest.refresh().graph.num_nodes == 7
+
+    def test_error_text_is_the_builds_own(self, figure1, ingest):
+        broken = figure1.data_graph.copy()
+        broken.add_node("weird", "Venue")
+        broken.add_edge("v7", "v4", "authored")
+        expected = find_violations(broken, figure1.schema)
+        refused = []
+        for mutate in (
+            lambda: ingest.add_node("weird", "Venue"),
+            lambda: ingest.add_edge("v7", "v4", "authored"),
+        ):
+            with pytest.raises(ConformanceError) as raised:
+                mutate()
+            refused.extend(raised.value.violations)
+        assert refused == expected
+
+    def test_role_less_edge_is_refused_only_when_ambiguous(self):
+        graph = DataGraph()
+        graph.add_node("a", "A")
+        graph.add_node("b", "B")
+        ingest = IngestEngine(graph, tricky_rates(), min_document_frequency=1)
+        with pytest.raises(ConformanceError):
+            ingest.add_edge("a", "b")  # r1 or r2?
+        ingest.add_edge("b", "a")  # the one B->A schema edge
+        ingest.add_edge("a", "b", "r2")
+        assert ingest.refresh(precompute=False).graph.num_edges == 4
+
+    def test_batch_records_the_refusal_and_applies_the_rest(self, ingest):
+        applied, errors = ingest.apply_batch(
+            [
+                {"op": "add_node", "node_id": "weird", "label": "Venue"},
+                {"op": "add_node", "node_id": "p_new", "label": "Paper",
+                 "attributes": {"title": "Streaming OLAP"}},
+                {"op": "add_edge", "source": "p_new", "target": "v7", "role": "by"},
+                {"op": "add_edge", "source": "p_new", "target": "v7", "role": "cites"},
+            ]
+        )
+        assert applied == 2
+        assert [(e["position"], e["op"]) for e in errors] == [
+            (0, "add_node"),
+            (2, "add_edge"),
+        ]
+        assert all("does not conform" in e["error"] for e in errors)
+        assert ingest.refresh().data_graph.has_node("p_new")
+
+
+class TestTopologyIsCarried:
+    """A refresh builds a transfer graph only when the node/edge set moved."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = AuthorityTransferDataGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(AuthorityTransferDataGraph, "__init__", counting)
+        return calls
+
+    def test_content_refresh_builds_nothing_topology_refresh_builds_once(
+        self, ingest, builds
+    ):
+        first = ingest.refresh()
+        assert len(builds) == 1
+        ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
+        second = ingest.refresh(previous=first.ranker)
+        assert len(builds) == 1
+        assert second.graph is not first.graph
+        assert second.graph.data_graph is second.data_graph
+        assert second.graph.edge_source is first.graph.edge_source
+        assert second.data_graph.node("v7").attributes["title"].endswith("Sketch")
+        ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
+        third = ingest.refresh(previous=second.ranker)
+        assert len(builds) == 2
+        assert third.graph.num_nodes == first.graph.num_nodes + 1
+
+    def test_forced_refresh_with_nothing_pending_builds_nothing(self, ingest, builds):
+        ingest.refresh(precompute=False)
+        ingest.refresh(precompute=False)
+        assert len(builds) == 1
+
+    def test_derived_tables_are_cold_for_the_new_text(self, ingest):
+        first = ingest.refresh(precompute=False)
+        assert first.graph.derived("probe", lambda: "first") == "first"
+        ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
+        second = ingest.refresh(precompute=False)
+        assert second.graph.derived("probe", lambda: "second") == "second"
+        assert first.graph.derived("probe", lambda: "rebuilt") == "first"

@@ -54,7 +54,7 @@ def test_rate_swap_equals_fresh_build(graph, vector):
 
     swapped = AuthorityTransferDataGraph(graph, base)
     swapped.set_transfer_rates(new_rates)
-    fresh = AuthorityTransferDataGraph(graph, new_rates, validate=False)
+    fresh = AuthorityTransferDataGraph(graph, new_rates)
     assert np.allclose(swapped.edge_rate, fresh.edge_rate)
     assert (swapped.matrix() != fresh.matrix()).nnz == 0
 

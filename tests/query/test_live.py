@@ -90,12 +90,15 @@ class TestMutation:
         with pytest.raises(UnknownNodeError):
             live.ingest.add_edge("nope", "v7", "cites")
 
-    def test_nonconforming_insert_fails_on_next_search(self, live):
-        live.ingest.add_node("weird", "Venue", {"name": "not in schema"})
+    def test_nonconforming_insert_is_refused_at_apply(self, live):
         with pytest.raises(ConformanceError):
-            live.search("OLAP")
-        # The failed refresh loses no invalidation: the mutation still pends.
-        assert live.ingest.pending_mutations == 1
+            live.ingest.add_node("weird", "Venue", {"name": "not in schema"})
+        with pytest.raises(ConformanceError):
+            live.ingest.add_edge("v7", "v4", "authored")  # no Paper->Paper role
+        # Refused before the working graph was touched: nothing pends, and
+        # the next search answers instead of failing its refresh.
+        assert live.ingest.pending_mutations == 0
+        assert live.search("OLAP").top
 
     def test_update_node_reindexes_document(self, live):
         live.ingest.update_node("v7", {"title": "Incremental Sketches"})

@@ -227,6 +227,31 @@ class TestMutationErrors:
         assert after["graph_version"] == before["graph_version"]
 
 
+NONCONFORMING = [
+    {"op": "add_node", "node_id": "weird", "label": "Venue"},
+    {"op": "add_edge", "source": "v7", "target": "v4", "role": "authored"},
+    {"op": "add_edge", "source": "v6", "target": "v6"},
+]
+
+
+class TestNonconformingMutations:
+    """One bad mutation used to fail every later refresh of the dataset."""
+
+    @pytest.mark.parametrize("mutation", NONCONFORMING, ids=lambda m: m["op"])
+    def test_refused_at_apply_and_the_dataset_keeps_serving(self, figure1, mutation):
+        service = _service(figure1)  # bound 0: every request refreshes first
+        out = service.ingest("fig1", [mutation, *ADD_PAPER])
+        assert out["applied"] == len(ADD_PAPER)
+        assert [(e["position"], e["op"]) for e in out["errors"]] == [(0, mutation["op"])]
+        assert "does not conform" in out["errors"][0]["error"]
+        assert out["staleness"]["pending_mutations"] == 0
+        for mode in ("auto", "live"):
+            hits = service.search("fig1", "OLAP", top_k=8, mode=mode)["results"]
+            assert "p_new" in [r["id"] for r in hits]
+        forced = service.ingest("fig1", [], refresh="force")
+        assert forced["errors"] == [] and forced["refresh"] is not None
+
+
 class TestMetrics:
     def test_ingest_counters(self, figure1):
         service = _service(figure1, ingest_staleness_bound=10)

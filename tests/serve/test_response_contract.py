@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets.figure1 import figure1_dataset
 from repro.serve import QueryService, ServeConfig, create_server
-from tests.serve.test_ingest import ADD_PAPER
+from tests.serve.test_ingest import ADD_PAPER, NONCONFORMING
 
 BASE_HEADERS = ["Server", "Date", "Content-Type", "Content-Length"]
 JSON_TYPE = "application/json; charset=utf-8"
@@ -161,3 +161,19 @@ def test_every_endpoint_keeps_its_headers_and_body_and_sends_once(served):
     # status line, headers and body together.
     assert len(sends) == 10
     assert all(size > 100 for size in sends)
+
+
+def test_a_refused_mutation_is_a_200_with_one_error_entry_and_serving_goes_on(served):
+    """A nonconforming insert, applied, would fail every later refresh."""
+    server, _ = served
+    connection = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+    ingest = {"dataset": "fig1", "mutations": NONCONFORMING[:1]}
+    refused = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
+    assert (refused["applied"], len(refused["errors"])) == (0, 1)
+    assert "does not conform" in refused["errors"][0]["error"]
+    found = _check(*_call(connection, "GET", "/search?dataset=fig1&q=OLAP"), 200, [])
+    assert found["results"]
+    ingest = {"dataset": "fig1", "mutations": ADD_PAPER, "refresh": "force"}
+    forced = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
+    assert forced["errors"] == []
+    assert forced["refresh"]["pending_consumed"] == len(ADD_PAPER)

@@ -80,6 +80,25 @@ def test_no_module_imports_a_worker_pool():
     assert offenders == []
 
 
+def parameter_and_field_names(path: Path) -> list[str]:
+    """Every function parameter and annotated class field named in ``path``."""
+    names: list[str] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            spec = node.args
+            names.extend(
+                a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+            )
+        elif isinstance(node, ast.ClassDef):
+            names.extend(
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            )
+    return names
+
+
 def test_no_execution_mode_parameter_or_field_outside_the_cluster():
     """``workers`` means one thing: the size of the prefork serving cluster."""
     offenders = []
@@ -87,24 +106,23 @@ def test_no_execution_mode_parameter_or_field_outside_the_cluster():
         relative = path.relative_to(SRC).as_posix()
         if relative == "serve/cluster.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = []
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                spec = node.args
-                names = [
-                    a.arg
-                    for a in spec.posonlyargs + spec.args + spec.kwonlyargs
-                ]
-            elif isinstance(node, ast.ClassDef):
-                names = [
-                    item.target.id
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)
-                ]
-            offenders.extend(
-                (relative, name) for name in names if name in EXECUTION_MODE_NAMES
-            )
+        offenders.extend(
+            (relative, name)
+            for name in parameter_and_field_names(path)
+            if name in EXECUTION_MODE_NAMES
+        )
+    assert offenders == []
+
+
+def test_conformance_is_not_optional():
+    """The transfer-graph build *is* the Section 2 conformance check: nothing
+    outside the analyser takes a ``validate`` switch that could skip it."""
+    offenders = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "analysis" not in path.relative_to(SRC).parts
+        and "validate" in parameter_and_field_names(path)
+    )
     assert offenders == []
 
 
