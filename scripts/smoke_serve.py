@@ -86,6 +86,12 @@ def exercise(base: str) -> None:
     assert what_if["results"], "what-if reformulation returned no results"
     assert what_if["applied"] is False
     assert call_json(base, SEARCH)["served_from"] == "cache"
+    # The loop ran on the scores of the first (live) search: explain and
+    # feedback each started from them, neither searched again.
+    _, metrics = call(base, "/metrics")
+    assert b"repro_score_cache_hits_total 2" in metrics, "loop re-ran its search"
+    assert b"repro_score_cache_misses_total 0" in metrics, "loop re-ran its search"
+    print("smoke: explain and feedback reused the live search's scores (2 hits)")
 
     applied = call_json(base, "/feedback/reformulate", {**feedback, "apply": True})
     assert applied["results"], "applied reformulation returned no results"

@@ -123,8 +123,10 @@ class FlowExplanation:
             for index, total in zip(present.tolist(), totals.tolist())
         }
 
-    def edge_flow_items(self, by_flow: bool = False) -> list[tuple[str, str, float]]:
-        """Adjusted flows as ``(source_id, target_id, flow)`` triples.
+    def edge_flow_arrays(
+        self, by_flow: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjusted flows as ``(source index, target index, flow)`` arrays.
 
         In subgraph edge order, or with ``by_flow`` by descending flow —
         one stable argsort, so tied flows keep their edge order exactly as
@@ -134,11 +136,16 @@ class FlowExplanation:
         if by_flow:
             order = np.argsort(-flows, kind="stable")
             edge_ids, flows = edge_ids[order], flows[order]
+        return self.graph.edge_source[edge_ids], self.graph.edge_target[edge_ids], flows
+
+    def edge_flow_items(self, by_flow: bool = False) -> list[tuple[str, str, float]]:
+        """:meth:`edge_flow_arrays` as ``(source_id, target_id, flow)`` triples."""
+        sources, targets, flows = self.edge_flow_arrays(by_flow)
         node_id = self.graph.node_ids.__getitem__
         return list(
             zip(
-                map(node_id, self.graph.edge_source[edge_ids].tolist()),
-                map(node_id, self.graph.edge_target[edge_ids].tolist()),
+                map(node_id, sources.tolist()),
+                map(node_id, targets.tolist()),
                 flows.tolist(),
             )
         )

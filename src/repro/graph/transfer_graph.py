@@ -11,18 +11,24 @@ where ``OutDeg(u, e_G^f)`` is the number of outgoing transfer edges of that
 type at ``u`` (and 0-outdegree means rate 0, vacuously).
 
 This module materializes ``D^A`` with dense integer node indices and flat
-numpy edge arrays, so that:
+numpy edge arrays, and splits what it derives from them by what can change:
 
-* the ObjectRank transition matrix is one ``scipy.sparse`` construction away,
-* transfer rates can be *recomputed in O(edges)* when a structure-based
-  reformulation (Section 5.2) changes the schema-level rates — the topology
-  and out-degree counts never change.
+* **per topology** (computed once by the constructor, shared read-only by
+  every :meth:`~AuthorityTransferDataGraph.with_rates` /
+  :meth:`~AuthorityTransferDataGraph.rebound` view): the node index, the
+  edge arrays, the out-degree counts of Equation 1, the in/out incidence
+  indices and the sparsity pattern of the ObjectRank transition matrix
+  (:class:`CsrPattern` — which edge fills which CSR slot);
+* **per rate setting** (a structure-based reformulation, Section 5.2,
+  changes the schema-level rates and nothing else): ``edge_rate`` — one
+  O(edges) division — and, lazily, the transition matrix — one gather of
+  ``edge_rate`` through the pattern — and the positive-rate incidence.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -39,6 +45,25 @@ T = TypeVar("T")
 Incidence = tuple[np.ndarray, np.ndarray]
 
 _SOURCE, _TARGET, _ROLE = attrgetter("source"), attrgetter("target"), attrgetter("role")
+
+
+class CsrPattern(NamedTuple):
+    """Which transfer edge fills which slot of the CSR transition matrix.
+
+    Rate-independent, so computed once per topology (:func:`csr_pattern`)
+    and shared, read-only, by every view; the matrices of all views are
+    built over these very ``indices`` and ``indptr`` arrays.
+    """
+
+    #: Edge id whose rate opens each CSR slot.
+    slot_edge: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    #: ``(slots, edges)`` per extra parallel edge: level ``k`` adds the rate
+    #: of the ``k + 2``-th edge of every node pair that has that many, in
+    #: the order scipy's own duplicate summation takes them.  Empty when no
+    #: two transfer edges join the same ordered pair.
+    parallel: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 class AuthorityTransferDataGraph:
@@ -117,6 +142,7 @@ class AuthorityTransferDataGraph:
         self._positive_incidence: tuple[Incidence, Incidence] | None = None
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
+        self._csr_pattern = csr_pattern(self.edge_source, self._in_index, self.num_nodes)
         self._node_degrees: np.ndarray | None = None
         self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
         self._recompute_rates()
@@ -196,15 +222,17 @@ class AuthorityTransferDataGraph:
 
         ``data_graph`` must be this graph's data graph or a copy of it with
         an equal ``topology_version`` (same nodes and edges in the same
-        order; attributes may differ).  The view shares every topology
+        order; attributes may differ).  The view shares every per-topology
         structure (node index, edge arrays, out-degree counts, incidence
-        indices, the :meth:`derived` cache) with this graph but carries its
-        own ``edge_rate`` array, transition matrix and positive-rate
-        incidence, so concurrent sessions with different learned rates can
-        rank against one materialized graph without mutating it, and a
-        content-only ingest refresh rebuilds nothing.  Construction costs
-        O(edges) — the same price as :meth:`set_transfer_rates` — and
-        nothing else is copied.
+        indices, the CSR pattern, the :meth:`derived` cache) with this
+        graph, so concurrent sessions with different learned rates can rank
+        against one materialized graph without mutating it.  What it costs
+        depends on the rates alone: under *new* rates the view gets its own
+        ``edge_rate`` (one O(edges) division, the price of
+        :meth:`set_transfer_rates`) and builds its matrix and positive-rate
+        incidence on first use; under *unchanged* rates — every
+        content-only ingest refresh — it keeps this graph's ``edge_rate``,
+        matrix and positive-rate incidence outright and computes nothing.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -213,8 +241,9 @@ class AuthorityTransferDataGraph:
         view = object.__new__(AuthorityTransferDataGraph)
         view.__dict__.update(self.__dict__)
         view.data_graph = data_graph
-        view._transfer_schema = transfer_schema
-        view._recompute_rates()
+        if transfer_schema != self._transfer_schema:
+            view._transfer_schema = transfer_schema
+            view._recompute_rates()
         return view
 
     # -- matrix + adjacency views --------------------------------------------
@@ -224,13 +253,24 @@ class AuthorityTransferDataGraph:
 
         With this orientation one authority-flow step is the matrix-vector
         product ``A @ r`` (Equation 4).  Parallel transfer edges between the
-        same node pair have their rates summed.
+        same node pair have their rates summed.  Built lazily per rate
+        setting by filling the topology's :class:`CsrPattern`: one gather of
+        ``edge_rate``, plus one add per extra parallel edge.  ``indices`` and
+        ``indptr`` are the pattern's own (read-only) arrays.
         """
         if self._matrix is None:
-            self._matrix = sparse.csr_matrix(
-                (self.edge_rate, (self.edge_target, self.edge_source)),
+            pattern = self._csr_pattern
+            data = self.edge_rate[pattern.slot_edge]
+            for slots, edges in pattern.parallel:
+                data[slots] += self.edge_rate[edges]
+            matrix = sparse.csr_matrix(
+                (data, pattern.indices, pattern.indptr),
                 shape=(self.num_nodes, self.num_nodes),
             )
+            # Sorted and duplicate-free by construction: scipy need neither
+            # check nor, on the shared arrays, ever sort in place.
+            matrix.has_canonical_format = True
+            self._matrix = matrix
         return self._matrix
 
     def positive_incidence(self) -> tuple[Incidence, Incidence]:
@@ -331,6 +371,55 @@ def gather_rows(indptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> np.nd
     np.cumsum(lengths[:-1], out=offsets[1:])
     positions = np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
     return data[positions]
+
+
+def csr_pattern(
+    edge_source: np.ndarray, in_index: Incidence, num_nodes: int
+) -> CsrPattern:
+    """The transition matrix's sparsity pattern and the edge behind each slot.
+
+    Reproduces, over edge ids instead of rates, what ``scipy.sparse`` does to
+    the coordinate form ``(rate, (edge_target, edge_source))``: group by row
+    keeping edge order (``in_index`` is that grouping), sort each row by
+    column with scipy's own ``sort_indices`` — not a stable sort, so the
+    order of three or more parallel edges, which float addition is
+    sensitive to, is taken from it rather than assumed — and fold each run
+    of equal columns into its first slot, left to right.
+    """
+    indptr, by_target = in_index
+    ordered = sparse.csr_matrix(
+        (by_target.copy(), edge_source[by_target], indptr),
+        shape=(num_nodes, num_nodes),
+    )
+    ordered.sort_indices()  # in place: reorders the copy, by column only
+    edges, columns = ordered.data, ordered.indices
+    # A slot opens at every row start and at every change of column.
+    opens = np.ones(columns.size, dtype=bool)
+    opens[1:] = columns[1:] != columns[:-1]
+    opens[indptr[:-1][np.diff(indptr) > 0]] = True
+    if opens.all():
+        # No two edges join the same ordered pair: every entry is a slot.
+        pattern = CsrPattern(edges, columns, ordered.indptr, ())
+    else:
+        slots_before = np.zeros(columns.size + 1, dtype=np.int64)
+        np.cumsum(opens, out=slots_before[1:])
+        openers = np.flatnonzero(opens)
+        followers = np.flatnonzero(~opens)
+        slot = slots_before[followers + 1] - 1
+        depth = followers - openers[slot]
+        parallel = tuple(
+            (slot[depth == level], edges[followers[depth == level]])
+            for level in range(1, int(depth.max()) + 1)
+        )
+        pattern = CsrPattern(
+            edges[openers],
+            columns[openers],
+            slots_before[indptr].astype(ordered.indptr.dtype),
+            parallel,
+        )
+    for array in (*pattern[:3], *(a for pair in pattern.parallel for a in pair)):
+        array.setflags(write=False)
+    return pattern
 
 
 def _filter_incidence(incidence: Incidence, keep: np.ndarray) -> Incidence:

@@ -8,9 +8,11 @@ never be answered from a stale entry — but the service still invalidates a
 dataset's entries *explicitly* when it applies a reformulation, both to free
 memory and so operators can see the invalidation in ``/metrics``.
 
-The cache is deliberately value-agnostic: it stores whatever JSON-ready
-payload the service built.  Expiry uses a monotonic clock injected at
-construction time so tests can drive time by hand.
+The cache is deliberately value-agnostic: it stores whatever the service
+built (JSON-ready payloads; for the score cache, converged rankings) and is
+told by the caller what an entry weighs when it is bounded in bytes.  Expiry
+uses a monotonic clock injected at construction time so tests can drive time
+by hand.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class CacheStats:
     expirations: int
     invalidations: int
     size: int
-    max_entries: int
+    max_entries: int | None
 
     @property
     def hit_rate(self) -> float:
@@ -74,27 +76,39 @@ class CacheStats:
 class ResultCache:
     """An LRU cache with optional TTL, safe for concurrent get/put.
 
-    ``max_entries`` bounds memory; the least-recently-*used* entry is evicted
-    on overflow.  ``ttl_seconds=None`` disables expiry.  All operations take
-    one short critical section — the cache never computes under its lock.
+    ``max_entries`` and ``max_bytes`` bound memory (``None`` lifts either;
+    bytes are what callers declare per :meth:`put`); least-recently-*used*
+    entries are evicted on overflow, so an entry heavier than ``max_bytes``
+    is never held.  ``ttl_seconds=None`` disables expiry.  All operations
+    take one short critical section — the cache never computes under its
+    lock.
     """
 
     def __init__(
         self,
-        max_entries: int = 512,
+        max_entries: int | None = 512,
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
+        max_bytes: int | None = None,
     ) -> None:
-        if max_entries <= 0:
+        if max_entries is None and max_bytes is None:
+            raise ValueError("one of max_entries and max_bytes must bound the cache")
+        if max_entries is not None and max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be positive or None, got {ttl_seconds}")
         self.max_entries = max_entries
+        self.max_bytes = max_bytes
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
+        # key -> (value, stored at, declared bytes)
         #: guarded by self._lock
-        self._entries: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[Any, float, int]] = OrderedDict()
+        #: guarded by self._lock
+        self._bytes = 0
         #: guarded by self._lock
         self._hits = 0
         #: guarded by self._lock
@@ -118,9 +132,9 @@ class ResultCache:
             if entry is None:
                 self._misses += 1
                 return None
-            value, stored_at = entry
+            value, stored_at, _ = entry
             if self.ttl_seconds is not None and now - stored_at > self.ttl_seconds:
-                del self._entries[key]
+                self._drop_locked(key)
                 self._expirations += 1
                 self._misses += 1
                 return None
@@ -128,15 +142,27 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries on overflow."""
+    def put(self, key: Hashable, value: Any, nbytes: int = 0) -> None:
+        """Insert (or refresh) an entry, evicting LRU entries on overflow.
+
+        ``nbytes`` is what the entry counts against ``max_bytes``.
+        """
         now = self._clock()
         with self._lock:
-            self._entries[key] = (value, now)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            if key in self._entries:
+                self._drop_locked(key)
+            self._entries[key] = (value, now, nbytes)
+            self._bytes += nbytes
+            while self._entries and (
+                (self.max_entries is not None and len(self._entries) > self.max_entries)
+                or (self.max_bytes is not None and self._bytes > self.max_bytes)
+            ):
+                self._drop_locked(next(iter(self._entries)))
                 self._evictions += 1
+
+    def _drop_locked(self, key: Hashable) -> None:
+        """Remove one entry and its bytes.  Caller holds the lock."""
+        self._bytes -= self._entries.pop(key)[2]
 
     def invalidate(self, dataset: str | None = None) -> int:
         """Drop every entry (or only one dataset's entries); returns the count.
@@ -150,6 +176,7 @@ class ResultCache:
             if dataset is None:
                 dropped = len(self._entries)
                 self._entries.clear()
+                self._bytes = 0
             else:
                 doomed = [
                     k
@@ -157,7 +184,7 @@ class ResultCache:
                     if isinstance(k, tuple) and k and k[0] == dataset
                 ]
                 for key in doomed:
-                    del self._entries[key]
+                    self._drop_locked(key)
                 dropped = len(doomed)
             self._invalidations += dropped
             return dropped

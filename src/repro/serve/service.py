@@ -13,6 +13,13 @@ deployed system answers from the cheapest source that is still correct:
    transfer-rate views of :meth:`repro.query.engine.SearchEngine.search`
    (no shared-graph mutation, so concurrent sessions stay isolated).
 
+The paper's loop (Section 5) is stateful — explain and reformulate *from the
+scores the search already has* — and the endpoints are not, so the service
+keeps what the loop would have kept: the converged ranking of every cold,
+full-graph live ObjectRank2 run goes into the **score cache**, and a later
+``/explain`` or ``/feedback/reformulate`` for the same query under the same
+rates starts its session from it instead of searching again.
+
 All responses are JSON-ready dicts; the HTTP layer in
 :mod:`repro.serve.http_server` only adds transport concerns.
 """
@@ -34,7 +41,7 @@ from repro.errors import EmptyBaseSetError, PrecomputedCoverageError, ReproError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.ingest.engine import IngestEngine
-from repro.query.engine import SearchEngine, select_top
+from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
 from repro.ranking.convergence import RankedResult
 from repro.ranking.precompute import PrecomputedRanker
@@ -60,6 +67,13 @@ from repro.store.generations import StoreManager
 SERVE_MODES = ("auto", "live", "precomputed", "two_stage")
 
 EXPLAIN_MODES = ("live", "two_stage")
+
+#: Memory the score cache may hold, per process: a kept ranking is charged
+#: its score vector (8 bytes per graph node) plus its base-weight map.
+SCORE_CACHE_BYTES = 4 * 2**20
+#: What one base-set node of a kept ranking is charged: a dict slot and a
+#: float (the key is the graph's own id string).
+BASE_WEIGHT_BYTES = 100
 
 
 class DeadlineExceededError(ReproError):
@@ -444,6 +458,16 @@ class QueryService:
             max_entries=self.config.explain_cache_max_entries,
             ttl_seconds=self.config.cache_ttl_seconds,
         )
+        # Converged cold-start, full-graph live rankings, kept so the loop's
+        # later steps reuse the scores of the search before them.  Written
+        # by the live branch of ``_execute`` and by ``_session``; read only
+        # by ``_session``.  Nothing warm-started, two-stage or blended is
+        # admitted, so a hit is bit-for-bit the run it replaces.
+        self.score_cache = ResultCache(
+            max_entries=None,
+            max_bytes=SCORE_CACHE_BYTES,
+            ttl_seconds=self.config.cache_ttl_seconds,
+        )
         self.reformulator = Reformulator()
         self._preloaded = dict(datasets) if datasets else {}
         self._runtimes: dict[str, DatasetRuntime] = {}
@@ -474,6 +498,14 @@ class QueryService:
         self._explain_cache_misses = m.counter(
             "repro_explain_cache_misses_total",
             "Explanation requests not answerable from cache",
+        )
+        self._score_cache_hits = m.counter(
+            "repro_score_cache_hits_total",
+            "Loop sessions started from a kept live ranking instead of a search",
+        )
+        self._score_cache_misses = m.counter(
+            "repro_score_cache_misses_total",
+            "Loop sessions that ran their own initial ObjectRank2",
         )
         self._served_precomputed = m.counter(
             "repro_served_precomputed_total",
@@ -723,6 +755,10 @@ class QueryService:
                 result = runtime.engine.search(
                     plan.vector, top_k=plan.k, rates=plan.rates, labels=plan.labels
                 )
+                # The ranking does not depend on the page (top_k, labels):
+                # whatever this user asks about next starts from it.
+                key = _score_key(runtime.name, plan.vector, plan.rates, plan.staleness)
+                self.score_cache.put(key, *_kept(result.ranked))
             ranked, top = result.ranked, result.top
         except EmptyBaseSetError:
             ranked, top = _empty_ranking(), []
@@ -789,9 +825,11 @@ class QueryService:
         ObjectRank2 run entirely and a reformulation that changes the rates
         can never be answered stale.  On a miss a request session
         (:meth:`_session`) searches and explains: explanations need the full
-        converged score vector, which cached top-k payloads do not carry.
-        The full sorted edge list is cached; ``max_edges`` only trims the
-        response.
+        converged score vector, which cached top-k payloads do not carry
+        (the score cache does: after a live ``/search`` of the same query
+        the session starts from that run).  The flow-sorted edges are cached
+        whole, as arrays; ``max_edges`` decides how many become response
+        rows.
 
         ``mode="two_stage"`` explains a *two-stage* result instead: the
         session retrieves two-stage and confines the explaining subgraph to
@@ -828,11 +866,19 @@ class QueryService:
             self._explain_cache_misses.inc()
             if deadline is not None:
                 deadline.check("explanation")
-            stored = self._explain(runtime, vector, rates, target, mode)
+            stored = self._explain(runtime, vector, rates, staleness, target, mode)
             self.explain_cache.put(key, stored)
             served_from = "live"
-        payload = dict(stored)
-        payload["edges"] = stored["edges"][:max_edges]
+        summary, node_ids, sources, targets, flows = stored
+        payload = dict(summary)
+        payload["edges"] = [
+            {"source": node_ids[source], "target": node_ids[edge_target], "flow": flow}
+            for source, edge_target, flow in zip(
+                sources[:max_edges].tolist(),
+                targets[:max_edges].tolist(),
+                flows[:max_edges].tolist(),
+            )
+        ]
         return self._respond(payload, start, served_from, staleness)
 
     def _session(
@@ -840,9 +886,10 @@ class QueryService:
         runtime: DatasetRuntime,
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
+        staleness: dict | None,
         mode: str = "live",
     ) -> ObjectRankSystem:
-        """A request's short-lived loop session, its initial search run.
+        """A request's short-lived loop session, its initial search done.
 
         :class:`ObjectRankSystem` owns search -> explain -> reformulate ->
         re-run, including whether an explanation spans the full graph or a
@@ -850,6 +897,12 @@ class QueryService:
         transport.  It works over the runtime's shared engine under the
         request's serving ``rates`` and mutates neither, so concurrent
         requests stay isolated.
+
+        A full-graph session whose initial search some request already ran
+        — same dataset, exact query vector, exact rates, ingest epoch —
+        adopts that run from the score cache and iterates nothing; any other
+        runs the search itself and keeps it.  A two-stage session always
+        searches: its scores depend on the candidate set.
         """
         session = ObjectRankSystem(
             runtime.data_graph,
@@ -860,7 +913,22 @@ class QueryService:
         # One reformulator for every session: ``service.reformulator`` stays
         # what feedback requests reformulate with.
         session.reformulator = self.reformulator
-        self._or_iterations.inc(session.query(vector).iterations)
+        if mode == "two_stage":
+            self._or_iterations.inc(session.query(vector).iterations)
+            return session
+        key = _score_key(runtime.name, vector, rates, staleness)
+        ranked = self.score_cache.get(key)
+        # A ranking indexes the node list it was computed over; one kept
+        # across a topology refresh that raced this request is not ours.
+        if ranked is not None and ranked.node_ids is runtime.engine.graph.node_ids:
+            self._score_cache_hits.inc()
+            top = ranked.top_k(self.config.default_top_k)
+            session.adopt_initial(vector, SearchResult(vector, ranked, top, 0.0))
+        else:
+            self._score_cache_misses.inc()
+            ranked = session.query(vector).ranked
+            self._or_iterations.inc(ranked.iterations)
+            self.score_cache.put(key, *_kept(ranked))
         return session
 
     def _explain(
@@ -868,14 +936,18 @@ class QueryService:
         runtime: DatasetRuntime,
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
+        staleness: dict | None,
         target: str,
         mode: str,
-    ) -> dict:
-        """Compute one full (untrimmed, cacheable) explanation payload."""
-        explanation = self._session(runtime, vector, rates, mode).explain(target)
+    ) -> tuple:
+        """Compute one cacheable explanation: ``(summary, node ids, sources,
+        targets, flows)`` — every response field but ``edges``, and the
+        edges by descending flow as node-index and flow arrays (a response
+        row is built only for the edges a request returns)."""
+        session = self._session(runtime, vector, rates, staleness, mode)
+        explanation = session.explain(target)
         subgraph = explanation.subgraph
-        edges = explanation.edge_flow_items(by_flow=True)
-        return {
+        summary = {
             "dataset": runtime.name,
             "query": dict(vector.weights),
             "target": target,
@@ -886,11 +958,8 @@ class QueryService:
             "converged": explanation.converged,
             "subgraph_nodes": len(subgraph.nodes),
             "subgraph_edges": int(len(subgraph.edge_ids)),
-            "edges": [
-                {"source": source, "target": edge_target, "flow": flow}
-                for source, edge_target, flow in edges
-            ],
         }
+        return summary, subgraph.graph.node_ids, *explanation.edge_flow_arrays(by_flow=True)
 
     # -- ingest ------------------------------------------------------------
 
@@ -976,10 +1045,15 @@ class QueryService:
         return summary
 
     def _invalidate(self, dataset: str) -> int:
-        """Drop a dataset's result and explanation cache entries."""
+        """Drop a dataset's result, explanation and score cache entries.
+
+        Returns (and counts) the answers dropped; kept scores are working
+        state of the loop, not answers, and are not in the figure.
+        """
         invalidated = self.cache.invalidate(dataset)
         invalidated += self.explain_cache.invalidate(dataset)
         self._invalidations.inc(invalidated)
+        self.score_cache.invalidate(dataset)
         return invalidated
 
     # -- feedback / reformulation ------------------------------------------
@@ -1006,7 +1080,7 @@ class QueryService:
         runtime, vector, rates, staleness = self._begin(dataset, query)
         if deadline is not None:
             deadline.check("feedback search")
-        session = self._session(runtime, vector, rates)
+        session = self._session(runtime, vector, rates, staleness)
         if deadline is not None:
             deadline.check("feedback explanations")
         explanations, reformulated = session.reformulate(relevant_ids)
@@ -1160,6 +1234,38 @@ def _result_key(plan: _SearchPlan) -> tuple:
         # pre-mutation entry can never answer a post-mutation request.
         key += (("epoch", plan.staleness["epoch"]),)
     return key
+
+
+def _score_key(
+    dataset: str,
+    vector: QueryVector,
+    rates: AuthorityTransferSchemaGraph,
+    staleness: dict | None,
+) -> tuple:
+    """The score-cache key: what a cold full-graph ObjectRank2 run depends on.
+
+    Fenced like every serve-tier key (query and rate fingerprints, ingest
+    epoch), then made exact: a kept ranking stands in for a run bit for
+    bit, so weights or rates that differ past ``FINGERPRINT_DIGITS``, or
+    terms in another order, are another key.
+    """
+    key = (
+        dataset,
+        query_fingerprint(vector),
+        rates_fingerprint(rates),
+        tuple(vector.weights.items()),
+        tuple(rates.as_vector()),
+    )
+    if staleness is not None:
+        key += (("epoch", staleness["epoch"]),)
+    return key
+
+
+def _kept(ranked: RankedResult) -> tuple[RankedResult, int]:
+    """``ranked`` as the score cache holds it — scores frozen, since the
+    requests that share it only ever read — and the bytes it is charged."""
+    ranked.scores.setflags(write=False)
+    return ranked, ranked.scores.nbytes + BASE_WEIGHT_BYTES * len(ranked.base_weights)
 
 
 def _render_search(

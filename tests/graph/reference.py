@@ -1,10 +1,11 @@
 """Reference loops for the transfer-graph build (Eq. 1) — the test oracle.
 
-The per-edge constructor body, the per-edge conformance walk and the
-whole-graph ``remove_node`` that the array-native build and the
-neighbour-local removal replaced, kept verbatim so the new code can be
-checked ``array_equal`` / ``==`` against them
-(tests/graph/test_transfer_build.py, tests/graph/test_data_graph.py).
+The per-edge constructor body, the per-edge conformance walk, the
+whole-graph ``remove_node`` and the coordinate-form transition matrix that
+the array-native build, the neighbour-local removal and the per-topology CSR
+pattern replaced, kept verbatim so the new code can be checked
+``array_equal`` / ``==`` against them (tests/graph/test_transfer_build.py,
+tests/graph/test_data_graph.py, tests/graph/test_transfer_graph.py).
 Nothing in ``src`` calls these.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ConformanceError, UnknownNodeError
 from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
@@ -137,3 +139,14 @@ def tricky_rates() -> AuthorityTransferSchemaGraph:
     schema.add_edge("A", "A", "self")
     schema.add_edge("B", "A", "back")
     return AuthorityTransferSchemaGraph(schema, default_rate=0.3)
+
+
+def reference_matrix(graph) -> sparse.csr_matrix:
+    """``graph.matrix()`` from coordinate form, the construction a per-topology
+    CSR pattern replaced: scipy groups by row, sorts each row by column
+    (``sort_indices``) and sums duplicates (``sum_duplicates``) on every call.
+    """
+    return sparse.csr_matrix(
+        (graph.edge_rate, (graph.edge_target, graph.edge_source)),
+        shape=(graph.num_nodes, graph.num_nodes),
+    )

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from repro.datasets import figure1_dataset, load_dataset
 from repro.errors import ConformanceError
@@ -23,6 +22,7 @@ from repro.graph import (
 )
 from tests.graph.reference import (
     reference_find_violations,
+    reference_matrix,
     reference_transfer_arrays,
     tricky_rates,
 )
@@ -49,14 +49,10 @@ def assert_matches_reference(data_graph, transfer_schema) -> None:
     ):
         assert same_array(built[0], reference[0])
         assert same_array(built[1], reference[1])
-    matrix = graph.matrix()
-    reference_matrix = sparse.csr_matrix(
-        (expected.edge_rate, (expected.edge_target, expected.edge_source)),
-        shape=(graph.num_nodes, graph.num_nodes),
-    )
-    assert same_array(matrix.data, reference_matrix.data)
-    assert same_array(matrix.indices, reference_matrix.indices)
-    assert same_array(matrix.indptr, reference_matrix.indptr)
+    matrix, expected_matrix = graph.matrix(), reference_matrix(graph)
+    assert same_array(matrix.data, expected_matrix.data)
+    assert same_array(matrix.indices, expected_matrix.indices)
+    assert same_array(matrix.indptr, expected_matrix.indptr)
 
 
 def assert_same_violations(data_graph, transfer_schema) -> None:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datasets import dblp_transfer_schema
+from repro.datasets import dblp_transfer_schema, load_dataset
 from repro.datasets.figure1 import figure1_dataset
 from repro.errors import GraphError, UnknownNodeError
 from repro.graph import (
@@ -12,6 +14,7 @@ from repro.graph import (
     DataGraph,
     SchemaGraph,
 )
+from tests.graph.reference import reference_matrix, tricky_rates
 
 
 @pytest.fixture
@@ -216,3 +219,157 @@ class TestDerived:
         clone = pickle.loads(pickle.dumps(figure1_atdg))
         assert np.array_equal(clone.edge_rate, figure1_atdg.edge_rate)
         assert clone.derived("k", lambda: "rebuilt") == "rebuilt"
+
+
+# -- the transition matrix against the coordinate-form construction ------------
+
+#: Data edges every drawn graph holds.  Over ``tricky_rates`` the first three
+#: put three parallel transfer edges of three *different* types on ``a0 -> b0``
+#: (r1 forward, r2 forward, back backward) and three on ``b0 -> a0``, so the
+#: order their rates are added in shows in the floats; the last two are a
+#: mutual citation.
+_ALWAYS = (
+    ("a0", "b0", "r1"),
+    ("a0", "b0", "r2"),
+    ("b0", "a0", "back"),
+    ("a0", "a1", "self"),
+    ("a1", "a0", "self"),
+)
+_ROLES = {("a", "b"): ("r1", "r2"), ("a", "a"): ("self",), ("b", "a"): ("back",)}
+
+#: Zero-rate edge types are drawn as often as positive ones.
+_RATE = st.one_of(st.just(0.0), st.floats(0.01, 0.9, allow_nan=False))
+_RATE_VECTORS = st.lists(_RATE, min_size=8, max_size=8)
+
+
+@st.composite
+def multigraphs(draw):
+    """Small conforming multigraphs, dense enough that rows exceed the sixteen
+    entries below which ``std::sort`` (behind scipy's ``sort_indices``) is an
+    insertion sort and therefore stable."""
+    nodes = ["a0", "a1", "b0"]
+    nodes += [f"a{i}" for i in range(2, 2 + draw(st.integers(0, 2)))]
+    nodes += [f"b{i}" for i in range(1, 1 + draw(st.integers(0, 2)))]
+    isolated = [f"c{i}" for i in range(draw(st.integers(1, 2)))]
+    extras = []
+    for _ in range(draw(st.integers(0, 48))):
+        source, target = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        roles = _ROLES.get((source[0], target[0]))
+        if roles:
+            extras.append((source, target, draw(st.sampled_from(roles))))
+    graph = DataGraph()
+    for node in draw(st.permutations(nodes + isolated)):
+        graph.add_node(node, node[0].upper())
+    for source, target, role in draw(st.permutations(list(_ALWAYS) + extras)):
+        graph.add_edge(source, target, role)
+    return graph
+
+
+def assert_reference_matrix(graph) -> None:
+    """``indptr``, ``indices``, ``data`` (and their dtypes) ``==`` the oracle."""
+    matrix, expected = graph.matrix(), reference_matrix(graph)
+    assert matrix.shape == expected.shape
+    assert matrix.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(matrix, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.tolist() == theirs.tolist(), name
+
+
+class TestMatrixAgainstCoordinateForm:
+    @settings(max_examples=80, deadline=None)
+    @given(multigraphs(), _RATE_VECTORS, _RATE_VECTORS, _RATE_VECTORS)
+    def test_every_way_to_a_matrix(self, data_graph, first, second, third):
+        rates = tricky_rates()
+        graph = AuthorityTransferDataGraph(data_graph, rates.with_vector(first))
+        pattern = graph._csr_pattern
+        assert len(pattern.parallel) >= 2  # a0 -> b0 is at least a triple edge
+        assert_reference_matrix(graph)
+
+        view = graph.with_rates(rates.with_vector(second))
+        assert_reference_matrix(view)
+        assert_reference_matrix(graph)  # untouched by the view
+
+        copy = data_graph.copy()
+        copy.update_attributes("a0", {"title": "rewritten"})
+        rebound = graph.rebound(copy, rates.with_vector(third))
+        assert rebound.data_graph is copy
+        assert_reference_matrix(rebound)
+
+        graph.set_transfer_rates(rates.with_vector(third))
+        assert_reference_matrix(graph)
+        assert graph.matrix().data.tolist() == rebound.matrix().data.tolist()
+
+        # One pattern per topology, by identity, and its very memory under
+        # every matrix built from it.
+        for other in (view, rebound):
+            assert other._csr_pattern is pattern
+        for built in (graph, view, rebound):
+            assert np.shares_memory(built.matrix().indices, pattern.indices)
+            assert np.shares_memory(built.matrix().indptr, pattern.indptr)
+        # ... and rates of its own: matrices under different rates never
+        # alias each other's data (under equal rates a view may keep its
+        # source's matrix outright).
+        if second != third:
+            for other in (graph, rebound):
+                assert not np.shares_memory(view.matrix().data, other.matrix().data)
+
+    @pytest.mark.parametrize("name", ["dblp_tiny", "bio_tiny"])
+    def test_generated_datasets_under_learned_rates(self, name):
+        dataset = load_dataset(name)
+        graph = AuthorityTransferDataGraph(dataset.data_graph, dataset.transfer_schema)
+        count = len(graph.edge_types)
+        learned = dataset.transfer_schema.with_vector(
+            [0.0 if i % 3 == 0 else 0.07 * (i + 1) for i in range(count)]
+        )
+        assert_reference_matrix(graph)
+        assert_reference_matrix(graph.with_rates(learned))
+
+    def test_pattern_is_read_only(self, figure1_atdg):
+        pattern = figure1_atdg._csr_pattern
+        arrays = [pattern.slot_edge, pattern.indices, pattern.indptr]
+        arrays += [array for pair in pattern.parallel for array in pair]
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            figure1_atdg.matrix().indices[0] = 0
+
+    def test_edgeless_graph(self):
+        schema = SchemaGraph()
+        schema.add_label("A")
+        graph = DataGraph()
+        graph.add_node("a", "A")
+        graph.add_node("b", "A")
+        atdg = AuthorityTransferDataGraph(graph, AuthorityTransferSchemaGraph(schema))
+        assert_reference_matrix(atdg)
+        assert atdg.matrix().nnz == 0
+
+
+class TestReboundUnderUnchangedRates:
+    """A content-only ingest refresh: same topology, same rates, new text."""
+
+    def test_keeps_rates_matrix_and_incidence_outright(self, figure1_atdg):
+        graph = figure1_atdg
+        matrix, incidence = graph.matrix(), graph.positive_incidence()
+        copy = graph.data_graph.copy()
+        copy.update_attributes("v7", {"title": "rewritten"})
+        same_rates = graph.transfer_schema.copy()  # equal, not identical
+        view = graph.rebound(copy, same_rates)
+        assert view.data_graph is copy
+        assert view.edge_rate is graph.edge_rate
+        assert view.matrix() is matrix
+        assert view.positive_incidence() is incidence
+
+    def test_a_later_rate_change_on_either_side_stays_private(self, figure1_atdg):
+        graph = figure1_atdg
+        before = graph.matrix().data.tolist()
+        view = graph.rebound(graph.data_graph, graph.transfer_schema)
+        view.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
+        assert view.matrix() is not graph.matrix()
+        assert graph.matrix().data.tolist() == before
+        assert_reference_matrix(view)
+        assert_reference_matrix(graph)
+
+    def test_cold_source_leaves_the_view_to_build_its_own(self, figure1_atdg):
+        view = figure1_atdg.rebound(figure1_atdg.data_graph, figure1_atdg.transfer_schema)
+        assert figure1_atdg._matrix is None and view._matrix is None
+        assert_reference_matrix(view)

@@ -59,6 +59,64 @@ class TestLruEviction:
             ResultCache(max_entries=0)
         with pytest.raises(ValueError):
             ResultCache(ttl_seconds=0)
+        with pytest.raises(ValueError):
+            ResultCache(max_bytes=0)
+        with pytest.raises(ValueError):
+            ResultCache(max_entries=None)  # nothing would bound it
+
+
+class TestByteBound:
+    def test_evicts_least_recently_used_until_the_bytes_fit(self):
+        cache = ResultCache(max_entries=None, max_bytes=100)
+        cache.put("a", "A", nbytes=40)
+        cache.put("b", "B", nbytes=40)
+        cache.get("a")  # touch: "b" is now the LRU entry
+        cache.put("c", "C", nbytes=40)
+        assert cache.get("b") is None
+        assert cache.get("a") == "A" and cache.get("c") == "C"
+        assert cache._bytes == 80
+        assert cache.stats().evictions == 1
+
+    def test_one_heavy_entry_can_push_out_several(self):
+        cache = ResultCache(max_entries=None, max_bytes=100)
+        for key in ("a", "b", "c"):
+            cache.put(key, key, nbytes=30)
+        cache.put("d", "D", nbytes=90)
+        assert len(cache) == 1 and cache.get("d") == "D"
+        assert cache._bytes == 90
+
+    def test_an_entry_heavier_than_the_bound_is_never_held(self):
+        cache = ResultCache(max_entries=None, max_bytes=100)
+        cache.put("a", "A", nbytes=60)
+        cache.put("whale", "W", nbytes=101)
+        assert len(cache) == 0 and cache._bytes == 0
+
+    def test_refreshing_a_key_recounts_it(self):
+        cache = ResultCache(max_entries=None, max_bytes=100)
+        cache.put("a", 1, nbytes=60)
+        cache.put("a", 2, nbytes=30)
+        cache.put("b", 3, nbytes=60)
+        assert cache.get("a") == 2 and cache.get("b") == 3
+        assert cache._bytes == 90
+
+    def test_expiry_and_invalidation_give_the_bytes_back(self):
+        clock = FakeClock()
+        cache = ResultCache(max_entries=None, max_bytes=100, ttl_seconds=10, clock=clock)
+        cache.put(("ds", "a"), 1, nbytes=50)
+        cache.put(("other", "b"), 2, nbytes=30)
+        assert cache.invalidate("ds") == 1
+        assert cache._bytes == 30
+        clock.advance(11)
+        assert cache.get(("other", "b")) is None
+        assert cache._bytes == 0
+        cache.put(("ds", "c"), 3, nbytes=70)
+        assert cache.invalidate() == 1 and cache._bytes == 0
+
+    def test_both_bounds_hold_together(self):
+        cache = ResultCache(max_entries=2, max_bytes=100)
+        for key in ("a", "b", "c"):
+            cache.put(key, key, nbytes=10)
+        assert len(cache) == 2 and cache.get("a") is None
 
 
 class TestTtlExpiry:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.serve import QueryService, ServeConfig
@@ -36,6 +37,22 @@ class TestExplainCache:
         assert trimmed["served_from"] == "cache"
         assert trimmed["edges"] == full["edges"][:1]
         assert trimmed["subgraph_edges"] == full["subgraph_edges"]
+
+    @pytest.mark.parametrize("max_edges", [0, 1, 3, 10**6])
+    def test_rows_are_built_for_the_returned_slice_only(self, service, max_edges):
+        everything = service.explain("fig1", "OLAP", "v7", max_edges=10**6)
+        assert len(everything["edges"]) == everything["subgraph_edges"] > 3
+        served = service.explain("fig1", "OLAP", "v7", max_edges=max_edges)
+        assert served["served_from"] == "cache"
+        assert served["edges"] == everything["edges"][:max_edges]
+        assert list(served) == list(everything)  # same fields, same order
+        # What the cache holds is arrays, not one dict per subgraph edge.
+        ((stored, _, _),) = service.explain_cache._entries.values()
+        summary, node_ids, sources, targets, flows = stored
+        assert "edges" not in summary
+        assert node_ids is service.runtime("fig1").engine.graph.node_ids
+        assert all(isinstance(a, np.ndarray) for a in (sources, targets, flows))
+        assert len(sources) == len(targets) == len(flows) == everything["subgraph_edges"]
 
     def test_distinct_targets_miss_independently(self, service):
         service.explain("fig1", "OLAP", "v7")

@@ -266,6 +266,73 @@ def test_serve_tier_speaks_http_through_one_reader_and_one_writer():
     assert len(sends) == 1, f"exactly one send call site, found {sends}"
 
 
+# -- a feedback op pays for the click: one matrix path, one score-cache reader ----
+
+
+def _functions(path: Path) -> list[ast.FunctionDef]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def _sorts_or_sums_a_sparse_matrix(function: ast.FunctionDef) -> bool:
+    """Does ``function`` pay scipy's per-call canonicalisation: a
+    coordinate-form ``csr_matrix((data, (rows, cols)))``, ``sum_duplicates``
+    or ``sort_indices``?"""
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        if node.func.attr in ("sum_duplicates", "sort_indices", "coo_matrix", "coo_array"):
+            return True
+        if node.func.attr in ("csr_matrix", "csr_array") and node.args:
+            first = node.args[0]
+            if (
+                isinstance(first, ast.Tuple)
+                and len(first.elts) == 2
+                and isinstance(first.elts[1], ast.Tuple)
+            ):
+                return True
+    return False
+
+
+def test_transition_matrix_is_filled_not_rebuilt():
+    """Sorting and duplicate-summing happen once per topology (the pattern),
+    never in ``matrix()``: new rates cost one gather."""
+    functions = _functions(SRC / "graph" / "transfer_graph.py")
+    payers = [f.name for f in functions if _sorts_or_sums_a_sparse_matrix(f)]
+    assert payers == ["csr_pattern"]
+    assert "matrix" in {f.name for f in functions}
+
+
+def test_the_guard_sees_the_construction_it_forbids():
+    source = (
+        "def matrix(self):\n"
+        "    return sparse.csr_matrix((self.rate, (self.target, self.source)), shape=s)\n"
+        "def fill(self):\n"
+        "    return sparse.csr_matrix((data, indices, indptr), shape=s)\n"
+    )
+    matrix, fill = ast.parse(source).body
+    assert _sorts_or_sums_a_sparse_matrix(matrix)
+    assert not _sorts_or_sums_a_sparse_matrix(fill)
+
+
+def test_only_the_session_factory_reads_the_score_cache():
+    """Kept scores stand in for a session's initial search and for nothing
+    else: no endpoint answers from them directly."""
+    readers, writers = [], []
+    for function in _functions(SRC / "serve" / "service.py"):
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and "score_cache" in ast.unparse(node.func.value)
+            ):
+                {"get": readers, "put": writers}.get(node.func.attr, []).append(
+                    function.name
+                )
+    assert readers == ["_session"]
+    assert sorted(writers) == ["_execute", "_session"]
+
+
 # -- `import repro` is the paper's system: every module is reached or named -------
 
 #: Import edges are followed from the front ends and the loop they drive.
