@@ -33,10 +33,13 @@ answers in ~14ms, so there is nothing left to accelerate and the speedup
 bar is meaningless.  The acceptance asserts therefore gate on the measured
 full-graph baseline, not on the nominal scale.
 
-Smoke mode checks the two identities that make the fast path trustworthy on
-the small corpus: pruned == exhaustive top-N, and the degenerate two-stage
+Smoke mode checks the identities that make the fast path trustworthy on the
+small corpus: pruned == exhaustive top-N; the degenerate two-stage
 configuration (candidates >= corpus, authority-only fusion) bit-identical
-to focused ObjectRank2.
+to focused ObjectRank2; and, per query at the tuned operating point, the
+rerank over gathered rows == the rerank over the reference induced matrix
+(``tests/ranking/reference.py``) and the page cut inside the neighbourhood
+== the page cut over the full vector.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from repro.retrieval import TwoStageEngine, exhaustive_top_n, pruned_top_n
 from benchmarks.conftest import BENCH_SEED, write_result
 from benchmarks.reporting import format_table
 from benchmarks.workload import WorkloadGenerator
+from tests.ranking.reference import reference_induced_objectrank
 
 # Script-mode scale (the pytest path uses the shared conftest fixtures).
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "4"))
@@ -302,6 +306,31 @@ def run_two_stage_smoke() -> int:
         )
         assert mine.ranked.iterations == focused.ranked.iterations
     print("smoke: degenerate two-stage bit-identical to focused ObjectRank2")
+
+    tuned = TwoStageEngine(engine, candidates=20, **TUNED)
+    for vector in vectors:
+        mine = tuned.search(vector, top_k=10)
+        stages = mine.stages
+        outcome, edge_count = reference_induced_objectrank(
+            engine.graph, stages.neighborhood, mine.ranked.base_weights,
+            engine.damping, engine.tolerance, engine.max_iterations,
+            early_k=TUNED["early_k"],
+        )
+        assert np.array_equal(
+            mine.ranked.scores[stages.neighborhood], outcome.scores
+        ), "rerank over rows diverged from the induced matrix"
+        assert mine.ranked.residuals == outcome.residuals
+        assert (mine.ranked.iterations, mine.ranked.converged) == (
+            outcome.iterations, outcome.converged,
+        )
+        assert stages.subgraph_edges == edge_count
+        assert mine.top == mine.ranked.top_k(10), (
+            "page within the neighbourhood diverged from the full-vector page"
+        )
+    print(
+        "smoke: rerank over rows == rerank over the induced matrix, "
+        "page within the neighbourhood == page over the full vector"
+    )
     print("smoke OK: two-stage fast paths proven exact on dblp_tiny")
     return 0
 

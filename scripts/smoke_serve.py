@@ -5,6 +5,8 @@ Starts ``python -m repro.cli serve dblp_tiny --no-precompute`` on an
 ephemeral port, then asserts over HTTP:
 
 - ``/healthz`` answers 200 with ``status: ok``;
+- a ``mode=two_stage`` ``/search`` carries ``two_stage.subgraph_nodes`` /
+  ``subgraph_edges`` and a page equal to the in-process engine's;
 - ``/search`` answers 200 with a non-empty ranked result list;
 - a repeated identical query is served from the cache, and the ``/metrics``
   hit counter proves it;
@@ -38,6 +40,12 @@ import urllib.request
 
 DATASET = "dblp_tiny"
 SEARCH = f"/search?dataset={DATASET}&q=olap&top_k=5"
+#: Every two-stage parameter on the wire, so the in-process engine below runs
+#: under exactly the server's.
+TWO_STAGE = {
+    "candidates": 20, "fusion": "weighted", "fusion_weight": 1.0, "horizon": 2,
+    "early_k": 5, "expand_cap": 64, "node_budget": 128, "max_horizon": 4,
+}
 START_TIMEOUT = 120.0
 
 
@@ -56,6 +64,32 @@ def call_json(base: str, path: str, body: dict | None = None) -> dict:
     status, raw = call(base, path, body)
     assert status == 200, f"{path} returned {status}"
     return json.loads(raw)
+
+
+def exercise_two_stage(base: str) -> None:
+    """The rerank's accounting survives the wire: the response reports the
+    neighbourhood the in-process engine reports, and the same page."""
+    from repro.datasets import load_dataset
+    from repro.query import SearchEngine
+    from repro.retrieval import TwoStageEngine
+
+    wire = urllib.parse.urlencode(
+        {"dataset": DATASET, "q": "mining cube", "top_k": 5, "mode": "two_stage", **TWO_STAGE}
+    )
+    served = call_json(base, f"/search?{wire}")
+    dataset = load_dataset(DATASET)
+    engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
+    mine = TwoStageEngine(engine).search("mining cube", top_k=5, **TWO_STAGE)
+    assert served["served_from"] == "two_stage", served["served_from"]
+    stages = served["two_stage"]
+    assert stages["subgraph_nodes"] == mine.stages.subgraph_nodes > 0, stages
+    assert stages["subgraph_edges"] == mine.stages.subgraph_edges > 0, stages
+    page = [(hit["id"], hit["score"]) for hit in served["results"]]
+    assert page == mine.top, "two-stage page differs from the in-process engine's"
+    print(
+        f"smoke: mode=two_stage 200, {stages['subgraph_nodes']} nodes / "
+        f"{stages['subgraph_edges']} edges as the in-process engine reports"
+    )
 
 
 def exercise(base: str) -> None:
@@ -159,6 +193,7 @@ def main() -> int:
         assert "listening on http://" in line, f"server did not start: {line!r}"
         base = line.split("listening on ")[1].split()[0]
         print(f"smoke: serving on {base}")
+        exercise_two_stage(base)
         exercise(base)
         exercise_wire(base)
     finally:

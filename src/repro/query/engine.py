@@ -57,6 +57,7 @@ def select_top(
     ranked: RankedResult,
     top_k: int,
     labels: tuple[str, ...] | None,
+    support: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
     """The top-``top_k`` hits of ``ranked``, optionally label-filtered.
 
@@ -64,11 +65,22 @@ def select_top(
     authority hubs of other types still influence scores but are not shown
     (nor are ids ``data_graph`` does not hold: a ranking served from a newer
     store generation can name nodes this process's graph predates).
+
+    ``support`` (ascending node indices, e.g. a rerank neighborhood) promises
+    every score outside it is exactly 0.0: the page is cut inside it, not by
+    partitioning a mostly-zero vector, whenever it holds ``top_k`` positive
+    scores the filter admits — with fewer, zeros reach the page and tie by
+    global index, so every node is looked at.
     """
+    if labels is not None:
+        code_of, codes = data_graph.label_codes(ranked.node_ids)
+        wanted = [code_of[label] for label in labels if label in code_of]
+    if support is not None:
+        inside = support if labels is None else support[np.isin(codes[support], wanted)]
+        if np.count_nonzero(ranked.scores[inside] > 0) >= top_k:
+            return ranked.top_k(top_k, within=inside)
     if labels is None:
         return ranked.top_k(top_k)
-    code_of, codes = data_graph.label_codes(ranked.node_ids)
-    wanted = [code_of[label] for label in labels if label in code_of]
     return ranked.top_k(top_k, within=np.flatnonzero(np.isin(codes, wanted)))
 
 

@@ -8,13 +8,23 @@ implements that execution mode *per query*, with no offline subsetting:
 
 1. expand the query's base set to its k-hop neighborhood (both edge
    directions, positive-rate edges only);
-2. run the ObjectRank2 power iteration on the induced submatrix;
+2. run the ObjectRank2 power iteration on the subgraph those nodes induce;
 3. report scores for subgraph nodes (everything outside scores 0).
 
 The approximation is good because authority decays geometrically with
 distance from the base set (damping times per-edge rates < 1 per hop), so a
 small horizon captures almost all the mass — the same locality that makes
 the explaining subgraph's radius L=3 adequate.
+
+No induced matrix is built.  What exists per topology is the transition
+matrix (:meth:`AuthorityTransferDataGraph.matrix`); per query there is one
+C-level gather of the neighborhood's rows, columns untouched, and a
+full-length scratch vector that is exactly 0.0 outside the neighborhood
+(:class:`RowOperator`).  A row's running sum then sees the induced
+submatrix's products in the induced submatrix's order, plus ``rate * 0.0``
+terms for the columns outside — and adding 0.0 cannot change a non-negative
+float, so scores, residuals and iteration counts are bit for bit the induced
+submatrix's (kept as the oracle in ``tests/ranking/reference.py``).
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from repro.errors import EmptyBaseSetError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.scoring import Scorer
 from repro.query.query import QueryVector
-from repro.ranking.convergence import PowerIterationResult, RankedResult
+from repro.ranking.convergence import RankedResult
 from repro.ranking.objectrank2 import weighted_base_set
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
@@ -47,9 +58,15 @@ class FocusedResult:
     """A focused-execution ranking plus accounting about the subgraph."""
 
     ranked: RankedResult
-    subgraph_nodes: int
+    #: Sorted node indices of the subgraph; every score outside is exactly
+    #: 0.0, so a page can be cut inside it (``select_top(..., support=)``).
+    neighborhood: np.ndarray
     subgraph_edges: int
     horizon: int
+
+    @property
+    def subgraph_nodes(self) -> int:
+        return int(self.neighborhood.size)
 
     @property
     def coverage(self) -> float:
@@ -129,52 +146,42 @@ def focused_neighborhood(
     return np.flatnonzero(visited)
 
 
-@dataclass
-class InducedRun:
-    """One ObjectRank2 power iteration over an induced subgraph."""
+class RowOperator:
+    """Rows ``nodes`` (sorted) of the square CSR ``matrix`` as an operator on
+    vectors over ``nodes``: the induced submatrix's ``@``, floats included,
+    without the submatrix (module docstring)."""
 
-    outcome: PowerIterationResult
-    #: Full-length score vector (zeros outside the subgraph).
-    scores: np.ndarray
-    #: Sorted node indices of the subgraph.
-    nodes: np.ndarray
-    #: Positive-rate transition entries inside (parallel edges merged).
-    edge_count: int
+    def __init__(self, matrix: sparse.csr_matrix, nodes: np.ndarray) -> None:
+        rows = nodes.astype(matrix.indptr.dtype, copy=False)
+        self.nodes = nodes
+        self.shape = (nodes.size, nodes.size)
+        self.indptr = np.zeros(nodes.size + 1, dtype=rows.dtype)
+        np.cumsum(matrix.indptr[rows + 1] - matrix.indptr[rows], out=self.indptr[1:])
+        self.indices = np.empty(self.indptr[-1], dtype=rows.dtype)
+        self.data = np.empty(self.indptr[-1])
+        csr_row_index(
+            nodes.size, rows, matrix.indptr, matrix.indices, matrix.data,
+            self.indices, self.data,
+        )
+        self._scratch = np.zeros(matrix.shape[1])
 
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
+        self._scratch[self.nodes] = vector
+        product = np.zeros(self.nodes.size)
+        csr_matvec(
+            product.size, self._scratch.size, self.indptr, self.indices,
+            self.data, self._scratch, product,
+        )
+        return product
 
-def induced_transition_matrix(
-    graph: AuthorityTransferDataGraph, nodes: np.ndarray
-) -> tuple[sparse.csr_matrix, int]:
-    """Transition submatrix induced by ``nodes`` (sorted node indices).
-
-    Sliced out of the cached full transition matrix
-    (:meth:`AuthorityTransferDataGraph.matrix`) by row/column selection, so
-    the kept entries carry exactly the full matrix's floats (parallel edges
-    already merged) and the build cost is C-level row gathering instead of a
-    per-query COO sort.  Returns the matrix and its positive-rate entry
-    count.
-    """
-    local = np.full(graph.num_nodes, -1, dtype=np.int64)
-    # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
-    local[nodes] = np.arange(nodes.size, dtype=np.int64)
-    full = graph.matrix()
-    starts = full.indptr[nodes]
-    counts = full.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    # Flat positions of the selected rows' entries: for entry j of row r the
-    # position is starts[r] + j, built without any Python-level loop.
-    row_offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    flat = np.repeat(starts - row_offsets, counts) + np.arange(total)
-    columns = local[full.indices[flat]]
-    values = full.data[flat]
-    keep = (columns >= 0) & (values != 0)
-    rows = np.repeat(np.arange(nodes.size), counts)[keep]
-    row_counts = np.bincount(rows, minlength=nodes.size)
-    indptr = np.concatenate(([0], np.cumsum(row_counts)))
-    matrix = sparse.csr_matrix(
-        (values[keep], columns[keep], indptr), shape=(nodes.size, nodes.size)
-    )
-    return matrix, int(matrix.nnz)
+    def edge_count(self) -> int:
+        """The induced submatrix's ``nnz``: non-zero entries with both ends
+        in ``nodes`` (parallel edges merged), in one mask pass."""
+        inside = np.zeros(self._scratch.size, dtype=bool)
+        # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
+        inside[self.nodes] = True
+        return int(np.count_nonzero(inside.take(self.indices) & (self.data != 0)))
 
 
 def induced_objectrank(
@@ -185,31 +192,38 @@ def induced_objectrank(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     early_k: int | None = None,
-    stable_iterations: int = 3,
-    residual_guard: float = 0.05,
-) -> InducedRun:
-    """Run the ObjectRank2 fixpoint on the subgraph induced by ``nodes``.
+) -> tuple[RankedResult, int]:
+    """Run the ObjectRank2 fixpoint on the subgraph induced by ``nodes``
+    (sorted indices): the ranking — full-length scores, exactly 0.0 outside
+    ``nodes`` — and the subgraph's positive-rate entry count.
 
     ``base`` maps node ids (all inside ``nodes``) to restart weights.  This is
     the shared execution core of :func:`focused_objectrank2` and the two-stage
     engine's rerank stage — sharing it is what makes their degenerate configs
     bit-identical.  ``early_k`` switches the exact power iteration for the
-    top-k-stability early exit of :func:`repro.ranking.topk.topk_power_iteration`.
+    top-k-stability early exit of :func:`repro.ranking.topk.topk_power_iteration`;
+    either loop iterates a :class:`RowOperator`.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    matrix, edge_count = induced_transition_matrix(graph, nodes)
+    operator = RowOperator(graph.matrix(), nodes)
     restart = graph.restart_vector(base)[nodes]
     if early_k is None:
-        outcome = power_iteration(matrix, restart, damping, tolerance, max_iterations)
+        outcome = power_iteration(operator, restart, damping, tolerance, max_iterations)
     else:
         outcome = topk_power_iteration(
-            matrix, restart, early_k, damping,
-            stable_iterations, residual_guard, max_iterations,
+            operator, restart, early_k, damping, max_iterations=max_iterations
         )
     scores = np.zeros(graph.num_nodes)
     # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
     scores[nodes] = outcome.scores
-    return InducedRun(outcome, scores, nodes, edge_count)
+    ranked = RankedResult(
+        node_ids=graph.node_ids,
+        scores=scores,
+        iterations=outcome.iterations,
+        converged=outcome.converged,
+        base_weights=base,
+        residuals=outcome.residuals,
+    )
+    return ranked, operator.edge_count()
 
 
 def focused_objectrank2(
@@ -232,16 +246,7 @@ def focused_objectrank2(
     if not base:
         raise EmptyBaseSetError(tuple(query_vector.terms))
     nodes = focused_neighborhood(graph, graph.indices_of(base), horizon)
-    run = induced_objectrank(
-        graph, np.asarray(nodes, dtype=np.int64), base,
-        damping, tolerance, max_iterations,
+    ranked, edge_count = induced_objectrank(
+        graph, nodes, base, damping, tolerance, max_iterations
     )
-    ranked = RankedResult(
-        node_ids=graph.node_ids,
-        scores=run.scores,
-        iterations=run.outcome.iterations,
-        converged=run.outcome.converged,
-        base_weights=base,
-        residuals=run.outcome.residuals,
-    )
-    return FocusedResult(ranked, len(nodes), run.edge_count, horizon)
+    return FocusedResult(ranked, nodes, edge_count, horizon)

@@ -12,6 +12,8 @@ once; the callers differ only in how they build ``A`` and ``s``.
 
 from __future__ import annotations
 
+from typing import Callable, Protocol
+
 import numpy as np
 from scipy import sparse
 
@@ -22,8 +24,49 @@ DEFAULT_TOLERANCE = 0.0001  # convergence threshold used in Section 6.2
 DEFAULT_MAX_ITERATIONS = 500
 
 
+class TransitionOperator(Protocol):
+    """``A`` as the loop uses it (contract: :func:`iterate`)."""
+
+    shape: tuple[int, int]
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray: ...
+
+
+def iterate(
+    operator: TransitionOperator,
+    restart: np.ndarray,
+    damping: float,
+    max_iterations: int,
+    init: np.ndarray | None,
+    stop: Callable[[np.ndarray, float], bool],
+) -> PowerIterationResult:
+    """``r <- d (A @ r) + (1 - d) restart`` until ``stop(r, L1 change)``.
+
+    The one Equation 4 loop under both stopping rules (:func:`power_iteration`,
+    :func:`repro.ranking.topk.topk_power_iteration`).  All it asks of ``A``
+    is ``shape[0]``, the vector length, and ``A @ x`` on a float64 vector of
+    it: a scipy sparse matrix, or the focused rerank's
+    :class:`repro.ranking.focused.RowOperator`.
+    """
+    n = operator.shape[0]
+    scores = (
+        np.full(n, 1.0 / max(n, 1))
+        if init is None
+        else np.asarray(init, dtype=np.float64).copy()
+    )
+    jump = (1.0 - damping) * restart
+    residuals: list[float] = []
+    converged = False
+    while not converged and len(residuals) < max_iterations:
+        new_scores = damping * (operator @ scores) + jump
+        residuals.append(float(np.abs(new_scores - scores).sum()))
+        scores = new_scores
+        converged = stop(scores, residuals[-1])
+    return PowerIterationResult(scores, len(residuals), converged, residuals)
+
+
 def power_iteration(
-    matrix: sparse.spmatrix,
+    matrix: TransitionOperator,
     restart: np.ndarray,
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -43,23 +86,12 @@ def power_iteration(
         raise ValueError(f"restart vector has shape {restart.shape}, expected ({n},)")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-
-    scores = np.full(n, 1.0 / n) if init is None else np.asarray(init, dtype=np.float64).copy()
-    jump = (1.0 - damping) * restart
-    matrix = matrix.tocsr()
-
-    residuals: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_scores = damping * (matrix @ scores) + jump
-        residual = float(np.abs(new_scores - scores).sum())
-        residuals.append(residual)
-        scores = new_scores
-        if residual < tolerance:
-            converged = True
-            break
-    return PowerIterationResult(scores, iterations, converged, residuals)
+    if sparse.issparse(matrix):
+        matrix = matrix.tocsr()
+    return iterate(
+        matrix, restart, damping, max_iterations, init,
+        lambda _, residual: residual < tolerance,
+    )
 
 
 def pagerank(

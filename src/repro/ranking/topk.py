@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy import sparse
-
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.scoring import Scorer
 from repro.query.query import QueryVector
 from repro.ranking.convergence import PowerIterationResult, RankedResult
 from repro.ranking.objectrank2 import weighted_base_set
-from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_MAX_ITERATIONS
+from repro.ranking.pagerank import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERATIONS,
+    TransitionOperator,
+    iterate,
+)
 
 
 def topk_power_iteration(
-    matrix: sparse.spmatrix,
+    matrix: TransitionOperator,
     restart: np.ndarray,
     k: int,
     damping: float = DEFAULT_DAMPING,
@@ -38,21 +41,13 @@ def topk_power_iteration(
     """Power iteration that stops once the top-``k`` id sequence is stable.
 
     The matrix-agnostic core of :func:`objectrank2_topk`, reused by the
-    two-stage engine's rerank stage on induced submatrices.  ``converged``
-    means "top-k stable", not "residual below tolerance".
+    two-stage engine's rerank stage on the rows of its neighbourhood.
+    ``converged`` means "top-k stable", not "residual below tolerance".
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if stable_iterations < 1:
         raise ValueError(f"stable_iterations must be positive, got {stable_iterations}")
-
-    n = matrix.shape[0]
-    jump = (1.0 - damping) * restart
-    scores = (
-        np.full(n, 1.0 / max(n, 1))
-        if init is None
-        else np.asarray(init, dtype=np.float64).copy()
-    )
 
     def top_ids(vector: np.ndarray) -> tuple[int, ...]:
         head = min(k, len(vector))
@@ -66,31 +61,20 @@ def topk_power_iteration(
 
     previous_top: tuple[int, ...] | None = None
     stable = 0
-    residuals: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_scores = damping * (matrix @ scores) + jump
-        residual = float(np.abs(new_scores - scores).sum())
-        residuals.append(residual)
-        scores = new_scores
+
+    def top_k_is_stable(scores: np.ndarray, residual: float) -> bool:
+        nonlocal previous_top, stable
         if residual >= residual_guard:
             # Stability cannot count yet; skip the top-k extraction entirely
             # so the guard phase costs nothing beyond the matvec.
-            stable = 0
-            previous_top = None
-            continue
+            previous_top, stable = None, 0
+            return False
         current_top = top_ids(scores)
-        if current_top == previous_top:
-            stable += 1
-            if stable >= stable_iterations:
-                converged = True
-                break
-        else:
-            stable = 0
+        stable = stable + 1 if current_top == previous_top else 0
         previous_top = current_top
+        return stable >= stable_iterations
 
-    return PowerIterationResult(scores, iterations, converged, residuals)
+    return iterate(matrix, restart, damping, max_iterations, init, top_k_is_stable)
 
 
 def objectrank2_topk(

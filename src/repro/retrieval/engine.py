@@ -13,6 +13,11 @@ makes the per-query cost scale with that page instead:
    IR scores; then pluggable fusion (:mod:`repro.retrieval.fusion`) of the
    IR and authority signals.
 
+Stage 2 builds no matrix: the transition matrix is per topology; a query
+gathers its neighborhood's rows and iterates them over a scratch vector
+(:mod:`repro.ranking.focused` says why the floats cannot move), then cuts
+its page inside the neighborhood, outside which every score is exactly 0.0.
+
 Degenerate configurations collapse *bit-identically* onto existing paths —
 ``candidates >= |S(Q)|`` with authority-only fusion is exactly
 :func:`repro.ranking.focused.focused_objectrank2` — because both run the
@@ -33,8 +38,11 @@ from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.scoring import Scorer
 from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
-from repro.ranking.convergence import RankedResult
-from repro.ranking.focused import focused_neighborhood, induced_objectrank
+from repro.ranking.focused import (
+    FocusedResult,
+    focused_neighborhood,
+    induced_objectrank,
+)
 from repro.ranking.objectrank2 import normalized_base_weights
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
@@ -90,15 +98,10 @@ def check_two_stage_parameters(
 
 
 @dataclass
-class TwoStageResult:
-    """A two-stage ranking plus per-stage accounting."""
+class TwoStageResult(FocusedResult):
+    """The rerank's :class:`FocusedResult` plus per-stage accounting."""
 
-    ranked: RankedResult
     candidate_set: CandidateSet
-    #: Sorted node indices of the candidates' rerank neighborhood.
-    neighborhood: np.ndarray
-    subgraph_edges: int
-    horizon: int
     fusion: str
     fusion_weight: float
     stage1_seconds: float
@@ -107,10 +110,6 @@ class TwoStageResult:
     @property
     def num_candidates(self) -> int:
         return len(self.candidate_set.candidates)
-
-    @property
-    def subgraph_nodes(self) -> int:
-        return int(self.neighborhood.size)
 
 
 def restricted_base_set(candidate_set: CandidateSet) -> dict[str, float]:
@@ -142,8 +141,6 @@ def two_stage_rank(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     early_k: int | None = None,
-    stable_iterations: int = 3,
-    residual_guard: float = 0.05,
     rrf_k: float = DEFAULT_RRF_K,
     expand_cap: int | None = None,
     node_budget: int | None = None,
@@ -184,7 +181,7 @@ def two_stage_rank(
         max_horizon=max_horizon,
     )
     base = restricted_base_set(candidate_set)
-    run = induced_objectrank(
+    ranked, edge_count = induced_objectrank(
         graph,
         nodes,
         base,
@@ -192,42 +189,30 @@ def two_stage_rank(
         tolerance,
         max_iterations,
         early_k=early_k,
-        stable_iterations=stable_iterations,
-        residual_guard=residual_guard,
     )
     # repro-lint: ignore[RL005] exact endpoint check IS the degenerate config
     authority_only = fusion == "weighted" and fusion_weight == 1.0
-    if authority_only:
-        scores = run.scores
-    else:
+    if not authority_only:
         ir_scores = np.asarray(
             [c.score for c in candidate_set.candidates], dtype=np.float64
         )
         fused = fuse_scores(
             fusion,
             ir_scores,
-            run.scores[seeds],
+            ranked.scores[seeds],
             authority_weight=fusion_weight,
             rrf_k=rrf_k,
         )
-        scores = np.zeros(graph.num_nodes)
+        ranked.scores = np.zeros(graph.num_nodes)
         # repro-lint: ignore[RL001] candidate doc ids are unique by WAND merge
-        scores[seeds] = fused
+        ranked.scores[seeds] = fused
     stage2_seconds = time.perf_counter() - start
 
-    ranked = RankedResult(
-        node_ids=graph.node_ids,
-        scores=scores,
-        iterations=run.outcome.iterations,
-        converged=run.outcome.converged,
-        base_weights=base,
-        residuals=run.outcome.residuals,
-    )
     return TwoStageResult(
         ranked=ranked,
         candidate_set=candidate_set,
-        neighborhood=run.nodes,
-        subgraph_edges=run.edge_count,
+        neighborhood=nodes,
+        subgraph_edges=edge_count,
         horizon=horizon,
         fusion=fusion,
         fusion_weight=fusion_weight,
@@ -327,5 +312,8 @@ class TwoStageEngine:
             **parameters,
         )
         elapsed = time.perf_counter() - start
-        top = select_top(self.engine.data_graph, stages.ranked, top_k, labels)
+        top = select_top(
+            self.engine.data_graph, stages.ranked, top_k, labels,
+            support=stages.neighborhood,
+        )
         return TwoStageSearchResult(vector, stages.ranked, top, elapsed, stages=stages)

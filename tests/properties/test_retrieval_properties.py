@@ -22,6 +22,7 @@ from repro.ranking import focused_objectrank2
 from repro.retrieval import exhaustive_top_n, pruned_top_n, two_stage_rank
 
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.ranking.reference import reference_induced_objectrank
 
 _WORDS = (
     "olap", "cube", "xml", "mining", "query", "index", "stream", "rank",
@@ -76,6 +77,15 @@ def test_degenerate_two_stage_is_bit_identical_to_focused(case, horizon):
     assert two_stage.ranked.iterations == focused.ranked.iterations
     assert two_stage.subgraph_nodes == focused.subgraph_nodes
     assert two_stage.subgraph_edges == focused.subgraph_edges
+    # ... and both are the run over the induced submatrix neither builds.
+    outcome, edge_count = reference_induced_objectrank(
+        atdg, focused.neighborhood, focused.ranked.base_weights
+    )
+    assert np.array_equal(two_stage.neighborhood, focused.neighborhood)
+    assert np.array_equal(focused.ranked.scores[focused.neighborhood], outcome.scores)
+    assert focused.ranked.iterations == outcome.iterations
+    assert focused.ranked.residuals == two_stage.ranked.residuals == outcome.residuals
+    assert focused.subgraph_edges == edge_count
 
 
 @given(graph_and_query())

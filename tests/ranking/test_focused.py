@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets import dblp_transfer_schema
 from repro.errors import EmptyBaseSetError
+from repro.graph import AuthorityTransferDataGraph
 from repro.query import KeywordQuery, QueryVector
+from repro.query.engine import select_top
 from repro.ranking import focused_neighborhood, focused_objectrank2, objectrank2
+from repro.ranking.focused import RowOperator, induced_objectrank
+
+from tests.properties.strategies import dblp_graphs, rate_vectors
+from tests.ranking.reference import reference_induced_objectrank
 
 
 class TestNeighborhood:
@@ -138,3 +147,98 @@ class TestFocusedObjectRank2:
         exact_top = {nid for nid, _ in exact.top_k(10)}
         focused_top = {nid for nid, _ in focused.ranked.top_k(10)}
         assert len(exact_top & focused_top) >= 7
+
+    def test_result_exposes_its_neighbourhood_for_the_page(
+        self, dblp_tiny, dblp_tiny_engine
+    ):
+        """Scores are exactly 0.0 outside ``neighborhood``, so a caller cuts
+        the page inside it and gets the full-vector page."""
+        engine = dblp_tiny_engine
+        focused = focused_objectrank2(
+            engine.graph, engine.scorer, KeywordQuery(["olap"]).vector(), horizon=1
+        )
+        outside = np.ones(engine.graph.num_nodes, dtype=bool)
+        outside[focused.neighborhood] = False
+        assert focused.subgraph_nodes == focused.neighborhood.size
+        assert not focused.ranked.scores[outside].any()
+        for k in (1, 10, focused.subgraph_nodes + 5):
+            assert select_top(
+                dblp_tiny.data_graph, focused.ranked, k, None,
+                support=focused.neighborhood,
+            ) == focused.ranked.top_k(k)
+
+
+# -- the row operator == the induced submatrix it stands in for ---------------------
+
+
+@st.composite
+def multigraph_run(draw):
+    """A transfer multigraph, a node subset and a restart over it.
+
+    On top of :func:`dblp_graphs` (duplicate citations, authors nobody wrote
+    with) every graph gets a mutual citation — parallel transfer edges of
+    *different* types between one ordered pair — a doubled one, and an
+    isolated node; the rate vector may zero whole edge types; and the year
+    node, adjacent to every paper, is a hub above the drawn ``expand_cap``.
+    """
+    data_graph = draw(dblp_graphs(min_papers=3))
+    data_graph.add_edge("paper:0", "paper:1", "cites")
+    data_graph.add_edge("paper:0", "paper:1", "cites")
+    data_graph.add_edge("paper:1", "paper:0", "cites")
+    data_graph.add_node("author:nobody", "Author", {"name": "nobody"})
+    rates = dblp_transfer_schema(vector=draw(rate_vectors())).scaled_to_convergent()
+    graph = AuthorityTransferDataGraph(data_graph, rates)
+    every = np.arange(graph.num_nodes)
+    shape = draw(st.sampled_from(("whole", "one", "subset", "hop", "capped")))
+    if shape == "whole":
+        nodes = every
+    elif shape == "one":
+        nodes = every[draw(st.integers(0, graph.num_nodes - 1))][None]
+    elif shape == "subset":
+        nodes = every[draw(st.lists(st.booleans(), min_size=every.size, max_size=every.size))]
+        if nodes.size == 0:
+            nodes = every[:1]
+    else:
+        seed = draw(st.integers(0, graph.num_nodes - 1))
+        nodes = focused_neighborhood(
+            graph, [seed], draw(st.integers(0, 3)),
+            expand_cap=2 if shape == "capped" else None,
+        )
+    seeds = draw(
+        st.lists(st.sampled_from(nodes.tolist()), min_size=1, max_size=4, unique=True)
+    )
+    weights = [draw(st.floats(0.01, 1.0, allow_nan=False)) for _ in seeds]
+    base = {graph.node_ids[i]: w / sum(weights) for i, w in zip(seeds, weights)}
+    return graph, nodes, base
+
+
+@given(multigraph_run(), st.sampled_from((None, 1, 3, 10)))
+@settings(max_examples=120, deadline=None)
+def test_row_operator_run_equals_reference_induced_matrix_run(case, early_k):
+    graph, nodes, base = case
+    ranked, edge_count = induced_objectrank(graph, nodes, base, early_k=early_k)
+    outcome, reference_edge_count = reference_induced_objectrank(
+        graph, nodes, base, early_k=early_k
+    )
+    assert np.array_equal(ranked.scores[nodes], outcome.scores)
+    assert np.count_nonzero(ranked.scores) == np.count_nonzero(outcome.scores)
+    assert ranked.iterations == outcome.iterations
+    assert ranked.converged == outcome.converged
+    assert ranked.residuals == outcome.residuals
+    assert edge_count == reference_edge_count
+
+
+def test_row_operator_is_scipys_own_row_slice(dblp_tiny_engine):
+    """The private ``_sparsetools`` kernels against the public API they sit
+    under: ``matrix[nodes]`` is the gather, ``@`` the mat-vec."""
+    graph = dblp_tiny_engine.graph
+    nodes = focused_neighborhood(graph, [0, 7], 2)
+    operator = RowOperator(graph.matrix(), nodes)
+    rows = graph.matrix()[nodes]
+    assert np.array_equal(operator.indptr, rows.indptr)
+    assert np.array_equal(operator.indices, rows.indices)
+    assert np.array_equal(operator.data, rows.data)
+    vector = np.random.default_rng(3).random(nodes.size)
+    full = np.zeros(graph.num_nodes)
+    full[nodes] = vector
+    assert np.array_equal(operator @ vector, rows @ full)

@@ -11,6 +11,8 @@ from repro.ranking import (
     restart_distribution,
 )
 
+from tests.ranking.reference import reference_power_iteration
+
 
 def cycle_matrix(n: int) -> sparse.csr_matrix:
     """A directed n-cycle, column-stochastic (each node sends all to next)."""
@@ -134,3 +136,34 @@ class TestPersonalized:
     def test_duplicate_uniform_restarts_accumulate(self):
         distribution = restart_distribution(4, np.asarray([0, 0, 1]))
         assert distribution == pytest.approx(np.asarray([2 / 3, 1 / 3, 0.0, 0.0]))
+
+
+class TestSharedStep:
+    """Both stopping rules run one step; the loops they ran before, kept in
+    ``tests/ranking/reference.py``, give the same floats."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_live_path_equals_the_reference_loop(self, dblp_tiny_engine, warm):
+        graph = dblp_tiny_engine.graph
+        restart = restart_distribution(graph.num_nodes, np.array([3, 40, 41]))
+        init = np.random.default_rng(5).random(graph.num_nodes) if warm else None
+        mine = power_iteration(graph.matrix(), restart, init=init)
+        theirs = reference_power_iteration(graph.matrix(), restart, init=init)
+        assert np.array_equal(mine.scores, theirs.scores)
+        assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)
+        assert mine.residuals == theirs.residuals
+
+    def test_non_scipy_operators_are_not_converted(self):
+        """The contract is ``shape[0]`` and ``@``: no ``tocsr`` on the way in."""
+
+        class Cycle:
+            shape = (4, 4)
+
+            def __matmul__(self, vector):
+                return np.roll(vector, 1)
+
+        restart = np.array([1.0, 0.0, 0.0, 0.0])
+        mine = power_iteration(Cycle(), restart)
+        theirs = power_iteration(cycle_matrix(4), restart)
+        assert np.array_equal(mine.scores, theirs.scores)
+        assert mine.residuals == theirs.residuals

@@ -1,9 +1,13 @@
 """Unit tests for early-terminating top-k ObjectRank2."""
 
+import numpy as np
 import pytest
 
 from repro.query import KeywordQuery
-from repro.ranking import objectrank2, objectrank2_topk
+from repro.ranking import objectrank2, objectrank2_topk, weighted_base_set
+from repro.ranking.topk import topk_power_iteration
+
+from tests.ranking.reference import reference_topk_power_iteration
 
 
 class TestTopK:
@@ -56,3 +60,14 @@ class TestTopK:
             objectrank2_topk(
                 figure1_graph, figure1_scorer, vector, k=3, stable_iterations=0
             )
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_shared_step_equals_the_reference_loop(self, dblp_tiny_engine, k):
+        engine = dblp_tiny_engine
+        base = weighted_base_set(engine.scorer, KeywordQuery(["mining"]).vector())
+        restart = engine.graph.restart_vector(base)
+        mine = topk_power_iteration(engine.graph.matrix(), restart, k)
+        theirs = reference_topk_power_iteration(engine.graph.matrix(), restart, k)
+        assert np.array_equal(mine.scores, theirs.scores)
+        assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)
+        assert mine.residuals == theirs.residuals

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.query import QueryVector, SearchEngine
+from repro.query.engine import select_top
 from repro.ranking import focused_objectrank2, weighted_base_set
 from repro.retrieval import (
     TwoStageEngine,
@@ -122,6 +123,43 @@ class TestTwoStageEngine:
         assert all(
             data_graph.node(node_id).label == "Author" for node_id, _ in result.top
         )
+
+    @pytest.mark.parametrize(
+        "top_k, labels, overrides",
+        [
+            # the usual page: top_k positive scores inside the neighbourhood
+            (5, None, {}),
+            (5, ("Author",), {}),
+            # fewer than top_k positive scores: zeros tie by global index
+            (5, None, {"candidates": 2, "horizon": 0}),
+            (400, None, {}),
+            # a label filter that empties the neighbourhood (papers only)
+            (5, ("Author",), {"candidates": 2, "horizon": 0}),
+            (5, ("NoSuchLabel",), {}),
+            # mixed fusion: scores on the candidates only
+            (5, None, {"fusion": "rrf"}),
+            (40, None, {"fusion": "rrf"}),
+            (5, ("Paper",), {"fusion": "weighted", "fusion_weight": 0.5}),
+        ],
+    )
+    def test_page_is_the_full_vector_page(self, tiny_engine, top_k, labels, overrides):
+        """Cut inside the neighbourhood or over every node, the page is
+        ``select_top`` of the full score vector: ids and floats."""
+        engine = TwoStageEngine(tiny_engine, candidates=15)
+        result = engine.search(QUERY, top_k=top_k, labels=labels, **overrides)
+        assert result.top == select_top(
+            tiny_engine.data_graph, result.ranked, top_k, labels
+        )
+        order = np.argsort(-result.ranked.scores, kind="stable")
+        if labels is not None:
+            label_of = tiny_engine.data_graph.node
+            order = [
+                i for i in order if label_of(result.ranked.node_ids[i]).label in labels
+            ]
+        assert result.top == [
+            (result.ranked.node_ids[i], float(result.ranked.scores[i]))
+            for i in order[:top_k]
+        ]
 
     def test_per_call_overrides_beat_engine_defaults(self, tiny_engine):
         engine = TwoStageEngine(tiny_engine, candidates=15, fusion="weighted")

@@ -266,6 +266,44 @@ def test_serve_tier_speaks_http_through_one_reader_and_one_writer():
     assert len(sends) == 1, f"exactly one send call site, found {sends}"
 
 
+# -- the rerank stage builds no matrix: rows of the per-topology operator ----------
+
+RERANK_MODULES = (("ranking", "focused.py"), ("retrieval", "engine.py"))
+
+#: A sparse-matrix constructor, or the per-entry passes one needs first.
+MATRIX_BUILDING = {
+    "csr_matrix", "csr_array", "coo_matrix", "coo_array", "bincount", "repeat",
+}
+
+
+def _builds_a_matrix(tree: ast.AST) -> list[str]:
+    """Calls in ``tree`` that construct a sparse matrix or expand rows for
+    one, by attribute (``sparse.csr_matrix``) or bare name."""
+    return sorted(
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+        if name in MATRIX_BUILDING
+    )
+
+
+def test_rerank_stage_builds_no_matrix():
+    """Stage 2 gathers rows of ``graph.matrix()`` and iterates them; the
+    induced submatrix lives on only as ``tests/ranking/reference.py``."""
+    for package, name in RERANK_MODULES:
+        tree = ast.parse((SRC / package / name).read_text(encoding="utf-8"))
+        assert _builds_a_matrix(tree) == [], f"{package}/{name}"
+
+
+def test_the_guard_sees_the_matrix_it_forbids():
+    reference = Path(__file__).parent / "ranking" / "reference.py"
+    found = _builds_a_matrix(ast.parse(reference.read_text(encoding="utf-8")))
+    assert {entry.split()[0] for entry in found} == {"csr_matrix", "bincount", "repeat"}
+    assert _builds_a_matrix(ast.parse("from scipy.sparse import coo_matrix\ncoo_matrix(x)"))
+    assert not _builds_a_matrix(ast.parse("rows = matrix[nodes]; rows @ x"))
+
+
 # -- a feedback op pays for the click: one matrix path, one score-cache reader ----
 
 
