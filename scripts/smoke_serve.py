@@ -6,7 +6,8 @@ ephemeral port, then asserts over HTTP:
 
 - ``/healthz`` answers 200 with ``status: ok``;
 - a ``mode=two_stage`` ``/search`` carries ``two_stage.subgraph_nodes`` /
-  ``subgraph_edges`` and a page equal to the in-process engine's;
+  ``subgraph_edges`` and a page equal to the in-process engine's, and one
+  naming the removed ``fusion`` / ``fusion_weight`` gets a 400 naming it;
 - ``/search`` answers 200 with a non-empty ranked result list;
 - a repeated identical query is served from the cache, and the ``/metrics``
   hit counter proves it;
@@ -35,6 +36,7 @@ import select
 import socket
 import subprocess
 import sys
+import urllib.error
 import urllib.parse
 import urllib.request
 
@@ -43,8 +45,8 @@ SEARCH = f"/search?dataset={DATASET}&q=olap&top_k=5"
 #: Every two-stage parameter on the wire, so the in-process engine below runs
 #: under exactly the server's.
 TWO_STAGE = {
-    "candidates": 20, "fusion": "weighted", "fusion_weight": 1.0, "horizon": 2,
-    "early_k": 5, "expand_cap": 64, "node_budget": 128, "max_horizon": 4,
+    "candidates": 20, "horizon": 2, "early_k": 5, "expand_cap": 64,
+    "node_budget": 128, "max_horizon": 4,
 }
 START_TIMEOUT = 120.0
 
@@ -90,6 +92,16 @@ def exercise_two_stage(base: str) -> None:
         f"smoke: mode=two_stage 200, {stages['subgraph_nodes']} nodes / "
         f"{stages['subgraph_edges']} edges as the in-process engine reports"
     )
+
+    for name, value in (("fusion", "weighted"), ("fusion_weight", 1.0)):
+        try:
+            call(base, f"/search?{wire}&{name}={value}")
+        except urllib.error.HTTPError as refused:
+            message = json.loads(refused.read())["message"]
+            assert refused.code == 400 and f"'{name}' was removed" in message, message
+        else:
+            raise AssertionError(f"a /search naming {name} was answered")
+    print("smoke: /search naming fusion or fusion_weight refused with 400")
 
 
 def exercise(base: str) -> None:

@@ -79,15 +79,6 @@ def _add_two_stage_flags(
         help=f"{when}: stage-1 candidate-set size",
     )
     parser.add_argument(
-        "--fusion", choices=["weighted", "multiplicative", "rrf"],
-        help=f"{when}: IR/authority score fusion",
-    )
-    parser.add_argument(
-        "--fusion-weight", type=float,
-        help=f"{when}, --fusion weighted: authority share in [0, 1] "
-        "(1.0 = authority only)",
-    )
-    parser.add_argument(
         f"--{rerank}horizon", type=int,
         help=f"{when}: rerank neighborhood hops",
     )
@@ -110,10 +101,7 @@ def _add_two_stage_flags(
 
 def _two_stage_config(args: argparse.Namespace, rerank: str = "") -> dict:
     """The two-stage config fields the command line set, by field name."""
-    fields = {
-        name: getattr(args, name, None)
-        for name in ("candidates", "fusion", "fusion_weight")
-    }
+    fields = {"candidates": getattr(args, "candidates", None)}
     for name in ("horizon", "expand_cap", "node_budget", "max_horizon"):
         fields[f"rerank_{name}"] = getattr(args, rerank + name, None)
     return {name: value for name, value in fields.items() if value is not None}
@@ -150,8 +138,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(
             f"(two-stage: {stages.num_candidates} candidates -> "
             f"{stages.subgraph_nodes} nodes/{stages.subgraph_edges} edges "
-            f"reranked, fusion={stages.fusion}; "
-            f"stage1 {stages.stage1_seconds * 1000:.1f} ms, "
+            f"reranked; stage1 {stages.stage1_seconds * 1000:.1f} ms, "
             f"stage2 {stages.stage2_seconds * 1000:.1f} ms)"
         )
     return 0
@@ -689,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--mode", choices=["full", "two-stage"], default="full",
         help="full runs ObjectRank2 over the whole graph; two-stage runs "
-        "pruned BM25 candidate generation + focused authority reranking",
+        "top-N BM25 candidate generation + focused authority reranking",
     )
     _add_two_stage_flags(search, rerank="", when="with --mode two-stage")
     search.set_defaults(func=cmd_search)

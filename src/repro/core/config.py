@@ -15,12 +15,7 @@ from repro.reformulate.content import (
     DEFAULT_NUM_TERMS,
 )
 from repro.reformulate.structure import DEFAULT_ADJUSTMENT_FACTOR
-from repro.retrieval.engine import (
-    DEFAULT_CANDIDATES,
-    DEFAULT_FUSION,
-    DEFAULT_FUSION_WEIGHT,
-    DEFAULT_RERANK_HORIZON,
-)
+from repro.retrieval.engine import DEFAULT_CANDIDATES, DEFAULT_RERANK_HORIZON
 
 DEFAULT_RADIUS = 3  # L; "a relatively small L (e.g., L=3) is adequate" (Section 4)
 
@@ -51,21 +46,14 @@ class SystemConfig:
     # Section 6.2: "for the initial user query, we initialize every node in
     # D^A with their global ObjectRank values, to achieve faster convergence."
     global_warm_start: bool = True
-    #: "full" runs ObjectRank2 over the whole graph; "two_stage" runs pruned
+    #: "full" runs ObjectRank2 over the whole graph; "two_stage" runs top-N
     #: BM25 candidate generation + focused authority reranking
     #: (:mod:`repro.retrieval`), whose cost scales with the result page.
     retrieval_mode: str = "full"
     #: Two-stage stage-1 candidate-set size N.
     candidates: int = DEFAULT_CANDIDATES
-    #: Two-stage fusion mode ("weighted", "multiplicative" or "rrf") and the
-    #: authority share of the weighted combination (1.0 = authority only).
-    fusion: str = DEFAULT_FUSION
-    fusion_weight: float = DEFAULT_FUSION_WEIGHT
     #: Hops of neighborhood expanded around the candidates for reranking.
     rerank_horizon: int = DEFAULT_RERANK_HORIZON
-    #: Stop the rerank fixpoint once the top-k sequence is stable (None =
-    #: iterate to tolerance; required for exact focused equivalence).
-    rerank_early_k: int | None = None
     #: Hub-expansion cap and adaptive-deepening budget of the rerank
     #: neighborhood (see :func:`repro.ranking.focused.focused_neighborhood`);
     #: ``None`` keeps the exact uncapped, fixed-horizon expansion.

@@ -14,15 +14,6 @@ so the scores here *are* ``scorer.score`` floats, and documents come back in
 first-hit order, the order :meth:`InvertedIndex.documents_with_any` lists
 ``S(Q)`` in.  ``tests/ir/reference.py`` keeps the document-at-a-time loops
 as the oracle.
-
-With ``top_n`` the pass also applies the max-score gate [BCH+03]: every term
-carries an impact upper bound (``scorer.term_upper_bound``); once the best
-score a *not yet seen* document could still reach — the sum of the remaining
-terms' bounds — is strictly below the running threshold θ (the ``top_n``-th
-best accumulated score), later postings only update documents already in the
-accumulator.  Contributions are non-negative, so partial scores are lower
-bounds, θ never shrinks, and the gate is safe: the top ``top_n`` of the
-gated pass equals the top ``top_n`` of the full one, floats included.
 """
 
 from __future__ import annotations
@@ -38,14 +29,12 @@ from repro.ir.scoring import Scorer
 
 @dataclass(frozen=True)
 class ScoredPostings:
-    """IR scores of the documents one accumulation pass scored."""
+    """IR scores of every document of ``S(Q)``."""
 
     #: Document ids (object array) in first-hit order.
     doc_ids: np.ndarray
     #: ``scorer.score`` of each, aligned with ``doc_ids``.
     scores: np.ndarray
-    #: Documents of ``S(Q)`` the max-score gate kept out (0 without ``top_n``).
-    pruned: int
 
 
 def _scalar_contributions(
@@ -58,50 +47,31 @@ def _scalar_contributions(
 
 
 def score_postings(
-    scorer: Scorer, query_weights: Mapping[str, float], top_n: int | None = None
+    scorer: Scorer, query_weights: Mapping[str, float]
 ) -> ScoredPostings:
     """Score ``S(Q)`` against ``query_weights``, term at a time.
 
     Terms are taken in mapping order; non-positive weights are skipped (they
     neither admit documents nor change a score).  Raises
     :class:`~repro.errors.EmptyBaseSetError` when no document holds any of
-    them.  ``top_n`` enables the max-score gate described in the module
-    docstring: documents it keeps out are not returned, and only the best
-    ``top_n`` of the returned scores are then guaranteed final.
+    them.
     """
     terms = [(term, weight) for term, weight in query_weights.items() if weight > 0]
     columns = scorer.index.columns()
     contributions = getattr(scorer, "contributions", None)
     merge = getattr(scorer, "merge", np.add)
     accumulated = np.zeros(columns.doc_ids.size)
-    matched = np.zeros(columns.doc_ids.size, dtype=bool)
     seen = np.zeros(columns.doc_ids.size, dtype=bool)
     first_hits: list[np.ndarray] = []
-    evaluated = 0
 
-    threshold: float | None = None
-    if top_n is not None:
-        bounds = [scorer.term_upper_bound(term, weight) for term, weight in terms]
-        # remaining[i]: the best score a document first appearing at term i
-        # can still reach — the sum of bounds from term i onward.
-        remaining = np.cumsum(bounds[::-1])[::-1]
-
-    for position, (term, weight) in enumerate(terms):
+    for term, weight in terms:
         column = columns.term(term)
         if column is None:
             continue
         ordinals, tf = column
-        matched[ordinals] = True
-        known = seen[ordinals]
-        if threshold is not None and remaining[position] < threshold:
-            # Unseen documents can no longer reach the top N; only update
-            # accumulators that already exist.
-            ordinals, tf = ordinals[known], tf[known]
-        else:
-            fresh = ordinals[~known]
-            first_hits.append(fresh)
-            seen[fresh] = True
-            evaluated += fresh.size
+        fresh = ordinals[~seen[ordinals]]
+        first_hits.append(fresh)
+        seen[fresh] = True
         if contributions is not None:
             addends = contributions(term, tf, columns.doc_lengths[ordinals], weight)
         else:
@@ -110,15 +80,8 @@ def score_postings(
             )
         # One posting per (term, doc): ordinals are unique, so this is exact.
         accumulated[ordinals] = merge(accumulated[ordinals], addends)
-        if top_n is not None and evaluated >= top_n:
-            top = np.partition(accumulated[seen], evaluated - top_n)
-            threshold = float(top[evaluated - top_n])
 
-    if not evaluated:
+    if not first_hits:
         raise EmptyBaseSetError(tuple(term for term, _ in terms))
     scored = np.concatenate(first_hits)
-    return ScoredPostings(
-        doc_ids=columns.doc_ids[scored],
-        scores=accumulated[scored],
-        pruned=int(np.count_nonzero(matched)) - evaluated,
-    )
+    return ScoredPostings(doc_ids=columns.doc_ids[scored], scores=accumulated[scored])

@@ -86,11 +86,6 @@ class InvertedIndex:
         self._doc_terms: dict[str, dict[str, int]] = {}
         self._doc_length: dict[str, int] = {}
         self._total_length = 0
-        # Per-term impact-bound statistics: term -> (max tf, min dl) over the
-        # documents containing the term.  A present entry is always a valid
-        # bound; removals drop the entry and :meth:`term_bound` rebuilds it
-        # lazily from the postings list.
-        self._bounds: dict[str, tuple[int, int]] = {}
         # The columnar view of the current state (:meth:`columns`), keyed by
         # a counter every mutation bumps: built on first use, and a mutation
         # retires it whole — ordinals are dense positions, a removal shifts
@@ -135,10 +130,6 @@ class InvertedIndex:
             postings[doc_id] = postings.get(doc_id, 0) + 1
             terms[term] = terms.get(term, 0) + 1
         self._doc_terms[doc_id] = terms
-        for term, tf in terms.items():
-            bound = self._bounds.get(term)
-            if bound is not None:
-                self._bounds[term] = (max(bound[0], tf), min(bound[1], dl))
         self._version += 1
 
     def copy(self) -> "InvertedIndex":
@@ -159,7 +150,6 @@ class InvertedIndex:
         }
         clone._doc_length = dict(self._doc_length)
         clone._total_length = self._total_length
-        clone._bounds = dict(self._bounds)
         return clone
 
     def remove_document(self, doc_id: str) -> None:
@@ -172,9 +162,6 @@ class InvertedIndex:
             del postings[doc_id]
             if not postings:
                 del self._postings[term]
-            # The removed document may have carried the extreme statistic;
-            # drop the bound and let term_bound rebuild it on demand.
-            self._bounds.pop(term, None)
         self._version += 1
 
     # -- statistics ----------------------------------------------------------
@@ -247,34 +234,6 @@ class InvertedIndex:
         return self._columns.get(
             self._version, lambda: PostingColumns(self._postings, self._doc_length)
         )
-
-    # -- impact bounds -------------------------------------------------------
-
-    def term_bound(self, term: str) -> tuple[int, int] | None:
-        """``(max tf, min dl)`` over the documents containing ``term``.
-
-        These are the raw statistics from which any monotone scorer can derive
-        a per-term score upper bound (BM25 saturation grows with tf and shrinks
-        with dl), which is what makes WAND/max-score pruning safe.  Bounds are
-        maintained incrementally on :meth:`add_document`, invalidated on
-        :meth:`remove_document` and rebuilt here on demand.  Returns ``None``
-        for terms absent from the index.
-        """
-        postings = self._postings.get(term)
-        if not postings:
-            return None
-        bound = self._bounds.get(term)
-        if bound is None:
-            bound = (
-                max(postings.values()),
-                min(self._doc_length[doc_id] for doc_id in postings),
-            )
-            self._bounds[term] = bound
-        return bound
-
-    def term_bounds(self) -> dict[str, tuple[int, int]]:
-        """All per-term bounds, computing any missing ones."""
-        return {term: self.term_bound(term) for term in self._postings}
 
     def __contains__(self, term: str) -> bool:
         return term in self._postings

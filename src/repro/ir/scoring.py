@@ -41,20 +41,6 @@ class Scorer(Protocol):
         """``IRScore(v, Q)``: dot product of document and query vectors."""
         ...  # pragma: no cover - protocol
 
-    def max_weight(self, term: str) -> float:
-        """An upper bound on ``weight(doc, term)`` over every document.
-
-        Derived from the index's per-term ``(max tf, min dl)`` statistics —
-        the max-score bound that makes WAND pruning safe.
-        """
-        ...  # pragma: no cover - protocol
-
-    def term_upper_bound(self, term: str, raw_weight: float) -> float:
-        """Upper bound on the term's contribution to ``score`` for query
-        weight ``raw_weight`` (document-side bound times the scorer's
-        query-side factor)."""
-        ...  # pragma: no cover - protocol
-
     def contributions(
         self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
     ) -> np.ndarray:
@@ -140,9 +126,9 @@ class BM25Scorer:
     def _saturation(self, tf, dl):
         """``(k1 + 1) tf / (k1 ((1 - b) + b dl/avdl) + tf)`` of Equation 3.
 
-        The one BM25 expression: scalars in, scalar out (``weight``,
-        ``max_weight``); postings columns in, column out (``contributions``)
-        — the same IEEE operations in the same order either way.
+        The one BM25 expression: scalars in, scalar out (``weight``);
+        postings columns in, column out (``contributions``) — the same IEEE
+        operations in the same order either way.
         """
         avdl = self.index.average_document_length or 1.0
         return ((self.k1 + 1) * tf) / (
@@ -162,28 +148,11 @@ class BM25Scorer:
     ) -> np.ndarray:
         return self.idf(term) * self._saturation(tf, dl) * self.query_weight(raw_weight)
 
-    def max_weight(self, term: str) -> float:
-        """Upper-bounds :meth:`weight` over all documents containing ``term``.
-
-        BM25 saturation is monotone increasing in ``tf`` and decreasing in
-        ``dl``, so evaluating Equation 3 at ``(max tf, min dl)`` dominates
-        every posting — through the expression :meth:`weight` uses, so the
-        bound is exact (bit-identical) at the extreme document itself.
-        """
-        bound = self.index.term_bound(term)
-        if bound is None:
-            return 0.0
-        max_tf, min_dl = bound
-        return self.idf(term) * self._saturation(max_tf, min_dl)
-
     def query_weight(self, raw_weight: float) -> float:
         """Query-side saturation ``(k3 + 1) qtf / (k3 + qtf)`` of Equation 3."""
         if raw_weight <= 0:
             return 0.0
         return ((self.k3 + 1) * raw_weight) / (self.k3 + raw_weight)
-
-    def term_upper_bound(self, term: str, raw_weight: float) -> float:
-        return self.max_weight(term) * self.query_weight(raw_weight)
 
     def score(self, doc_id: str, query_weights: Mapping[str, float]) -> float:
         return _fold(
@@ -214,16 +183,6 @@ class TfIdfScorer:
     ) -> np.ndarray:
         return (1.0 + _log_by_table(tf)) * self._idf(term) * raw_weight
 
-    def max_weight(self, term: str) -> float:
-        """Upper bound from max tf (tf-idf does not depend on ``dl``)."""
-        bound = self.index.term_bound(term)
-        if bound is None:
-            return 0.0
-        return (1.0 + math.log(bound[0])) * self._idf(term)
-
-    def term_upper_bound(self, term: str, raw_weight: float) -> float:
-        return self.max_weight(term) * raw_weight if raw_weight > 0 else 0.0
-
     def score(self, doc_id: str, query_weights: Mapping[str, float]) -> float:
         return _fold(
             self.weight(doc_id, term) * qw for term, qw in query_weights.items()
@@ -252,14 +211,6 @@ class UniformScorer:
         self, term: str, tf: np.ndarray, dl: np.ndarray, raw_weight: float
     ) -> np.ndarray:
         return np.ones(tf.size)
-
-    def max_weight(self, term: str) -> float:
-        return 1.0 if term in self.index else 0.0
-
-    def term_upper_bound(self, term: str, raw_weight: float) -> float:
-        # score is 0/1 ("any term matches"), so one matched term's bound of
-        # 1.0 already dominates the whole score.
-        return self.max_weight(term) if raw_weight > 0 else 0.0
 
     def score(self, doc_id: str, query_weights: Mapping[str, float]) -> float:
         return 1.0 if any(

@@ -1,17 +1,17 @@
-"""Stage 1 + stage 2 assembled: the two-stage retrieval engine.
+"""Two-stage retrieval: exact top-N IR candidates, then an authority rerank.
 
 Full ObjectRank2 pays a power iteration over the whole corpus for every
 query, even though the user sees one page of results.  The two-stage engine
 makes the per-query cost scale with that page instead:
 
-1. **Candidate generation** — pruned top-N IR retrieval
-   (:func:`repro.retrieval.wand.pruned_top_n`): exact BM25 top N, touching
-   only postings whose impact bound can reach the running threshold.
+1. **Candidate generation** — :func:`top_n_candidates`: every document of
+   ``S(Q)`` scored term at a time (:func:`repro.ir.accumulate.score_postings`,
+   ``scorer.score`` floats), the best N kept by (score desc, doc id asc).
 2. **Authority reranking** — the focused-subgraph ObjectRank2 fixpoint
    (:func:`repro.ranking.focused.induced_objectrank`) on the candidates'
    ``horizon``-hop neighborhood, restarted from the candidates' normalized
-   IR scores; then pluggable fusion (:mod:`repro.retrieval.fusion`) of the
-   IR and authority signals.
+   IR scores.  Its authority scores are the answer, as in reranking an
+   initially retrieved list by authority over the graph that list induces.
 
 Stage 2 builds no matrix: the transition matrix is per topology; a query
 gathers its neighborhood's rows and iterates them over a scratch vector
@@ -19,7 +19,7 @@ gathers its neighborhood's rows and iterates them over a scratch vector
 its page inside the neighborhood, outside which every score is exactly 0.0.
 
 Degenerate configurations collapse *bit-identically* onto existing paths —
-``candidates >= |S(Q)|`` with authority-only fusion is exactly
+``candidates >= |S(Q)|`` is exactly
 :func:`repro.ranking.focused.focused_objectrank2` — because both run the
 same induced-subgraph core on the same restart vector.  The property tests
 pin this, which is what makes the fast path trustworthy.
@@ -28,13 +28,15 @@ pin this, which is what makes the fast path trustworthy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
 from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
@@ -49,27 +51,20 @@ from repro.ranking.pagerank import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
 )
-from repro.retrieval.fusion import DEFAULT_RRF_K, FUSION_MODES, fuse_scores
-from repro.retrieval.wand import CandidateSet, pruned_top_n
 
 DEFAULT_CANDIDATES = 200
-DEFAULT_FUSION = "weighted"
-DEFAULT_FUSION_WEIGHT = 1.0
 DEFAULT_RERANK_HORIZON = 2
 
 #: The per-request two-stage knobs, in wire/CLI order: stage-1 candidate-set
-#: size, fusion mode and authority share, rerank horizon, top-k early exit,
-#: hub-expansion cap and the adaptive-deepening budget with its hop ceiling.
+#: size, rerank horizon, top-k early exit, hub-expansion cap and the
+#: adaptive-deepening budget with its hop ceiling.
 TWO_STAGE_PARAMETERS = (
-    "candidates", "fusion", "fusion_weight", "horizon", "early_k",
-    "expand_cap", "node_budget", "max_horizon",
+    "candidates", "horizon", "early_k", "expand_cap", "node_budget", "max_horizon",
 )
 
 
 def check_two_stage_parameters(
     candidates: int,
-    fusion: str,
-    fusion_weight: float,
     horizon: int,
     early_k: int | None = None,
     expand_cap: int | None = None,
@@ -77,12 +72,6 @@ def check_two_stage_parameters(
     max_horizon: int | None = None,
 ) -> None:
     """Reject out-of-range two-stage parameters (the one validator)."""
-    if fusion not in FUSION_MODES:
-        raise ParameterError(
-            f"unknown fusion mode {fusion!r}; expected one of {FUSION_MODES}"
-        )
-    if not 0.0 <= fusion_weight <= 1.0:
-        raise ParameterError(f"fusion_weight must be in [0, 1], got {fusion_weight}")
     if candidates < 1:
         raise ParameterError(f"candidates must be positive, got {candidates}")
     if horizon < 0:
@@ -95,6 +84,80 @@ def check_two_stage_parameters(
     ):
         if value is not None and value < 1:
             raise ParameterError(f"{name} must be positive, got {value}")
+    # focused_neighborhood deepens only under both: one alone would be ignored.
+    if (node_budget is None) != (max_horizon is None):
+        raise ParameterError(
+            "node_budget and max_horizon must be set together, got "
+            f"node_budget={node_budget}, max_horizon={max_horizon}"
+        )
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One stage-1 hit: a document and its exact IR score."""
+
+    doc_id: str
+    score: float
+
+
+@dataclass
+class CandidateSet:
+    """Top-N candidates in (score desc, doc id asc) order, plus accounting.
+
+    ``evaluated`` counts the documents scored: every one of ``S(Q)``.
+    """
+
+    candidates: list[Candidate]
+    evaluated: int
+    #: Positions into ``candidates`` in ``S(Q)`` first-hit order — the order
+    #: a base set over the candidates lists them in.
+    first_hit_order: list[int]
+    #: Documents of ``S(Q)`` left unscored: none.
+    pruned: ClassVar[int] = 0
+
+    @property
+    def doc_ids(self) -> list[str]:
+        return [candidate.doc_id for candidate in self.candidates]
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return iter(self.candidates)
+
+
+def positive_query_weights(query_vector: QueryVector) -> dict[str, float]:
+    """The positive-weight query terms, in query-vector order."""
+    return {
+        term: query_vector.weight(term)
+        for term in query_vector.terms
+        if query_vector.weight(term) > 0
+    }
+
+
+def top_n_candidates(
+    scorer: Scorer, query_vector: QueryVector, n: int
+) -> CandidateSet:
+    """The best ``n`` documents of ``S(Q)`` by (score desc, doc id asc).
+
+    Every document holding a positive-weight query term is scored, so the
+    candidates carry ``scorer.score`` floats (``tests/ir/reference.py`` is
+    the document-at-a-time oracle).
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    scored = score_postings(scorer, query_vector.weights)
+    keep = np.lexsort((scored.doc_ids, -scored.scores))[:n]
+    return CandidateSet(
+        candidates=[
+            Candidate(doc_id, score)
+            for doc_id, score in zip(
+                scored.doc_ids[keep].tolist(), scored.scores[keep].tolist()
+            )
+        ],
+        evaluated=int(scored.doc_ids.size),
+        first_hit_order=np.argsort(keep).tolist(),
+    )
 
 
 @dataclass
@@ -102,8 +165,6 @@ class TwoStageResult(FocusedResult):
     """The rerank's :class:`FocusedResult` plus per-stage accounting."""
 
     candidate_set: CandidateSet
-    fusion: str
-    fusion_weight: float
     stage1_seconds: float
     stage2_seconds: float
 
@@ -134,78 +195,53 @@ def two_stage_rank(
     scorer: Scorer,
     query_vector: QueryVector,
     candidates: int = DEFAULT_CANDIDATES,
-    fusion: str = DEFAULT_FUSION,
-    fusion_weight: float = DEFAULT_FUSION_WEIGHT,
     horizon: int = DEFAULT_RERANK_HORIZON,
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     early_k: int | None = None,
-    rrf_k: float = DEFAULT_RRF_K,
     expand_cap: int | None = None,
     node_budget: int | None = None,
     max_horizon: int | None = None,
 ) -> TwoStageResult:
     """Rank ``query_vector`` with candidate generation + authority reranking.
 
-    With authority-only fusion (``weighted`` at weight 1.0) the returned
-    scores are the focused-subgraph authority scores over the whole rerank
-    neighborhood — the focused-ObjectRank2 shape.  With a genuinely mixed
-    fusion the scores are fused values over the candidates only (zeros
-    elsewhere): the result *is* the reranked page.  ``early_k`` stops the
-    rerank fixpoint once the top-``early_k`` sequence is stable instead of
-    iterating to tolerance.  ``expand_cap`` bounds hub expansion;
-    ``node_budget`` with ``max_horizon`` deepens the horizon adaptively for
-    small base sets (see :func:`repro.ranking.focused.focused_neighborhood`);
-    leave all three ``None`` for the exact focused semantics — the degenerate
-    bit-identity with focused ObjectRank2 assumes the uncapped, fixed-horizon
-    expansion.
+    The returned scores are the focused-subgraph authority scores over the
+    whole rerank neighborhood — the focused-ObjectRank2 shape.  ``early_k``
+    stops the rerank fixpoint once the top-``early_k`` sequence is stable
+    instead of iterating to tolerance.  ``expand_cap`` bounds hub expansion;
+    ``node_budget`` with ``max_horizon`` (both or neither) deepens the
+    horizon adaptively for small base sets (see
+    :func:`repro.ranking.focused.focused_neighborhood`); leave all three
+    ``None`` for the exact focused semantics — the degenerate bit-identity
+    with focused ObjectRank2 assumes the uncapped, fixed-horizon expansion.
     """
     check_two_stage_parameters(
-        candidates, fusion, fusion_weight, horizon, early_k, expand_cap,
-        node_budget, max_horizon,
+        candidates, horizon, early_k, expand_cap, node_budget, max_horizon
     )
 
     start = time.perf_counter()
-    candidate_set = pruned_top_n(scorer, query_vector, candidates)
+    candidate_set = top_n_candidates(scorer, query_vector, candidates)
     stage1_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    seeds = graph.indices_of(candidate_set.doc_ids)
     nodes = focused_neighborhood(
         graph,
-        seeds,
+        graph.indices_of(candidate_set.doc_ids),
         horizon,
         expand_cap=expand_cap,
         node_budget=node_budget,
         max_horizon=max_horizon,
     )
-    base = restricted_base_set(candidate_set)
     ranked, edge_count = induced_objectrank(
         graph,
         nodes,
-        base,
+        restricted_base_set(candidate_set),
         damping,
         tolerance,
         max_iterations,
         early_k=early_k,
     )
-    # repro-lint: ignore[RL005] exact endpoint check IS the degenerate config
-    authority_only = fusion == "weighted" and fusion_weight == 1.0
-    if not authority_only:
-        ir_scores = np.asarray(
-            [c.score for c in candidate_set.candidates], dtype=np.float64
-        )
-        fused = fuse_scores(
-            fusion,
-            ir_scores,
-            ranked.scores[seeds],
-            authority_weight=fusion_weight,
-            rrf_k=rrf_k,
-        )
-        ranked.scores = np.zeros(graph.num_nodes)
-        # repro-lint: ignore[RL001] candidate doc ids are unique by WAND merge
-        ranked.scores[seeds] = fused
     stage2_seconds = time.perf_counter() - start
 
     return TwoStageResult(
@@ -214,8 +250,6 @@ def two_stage_rank(
         neighborhood=nodes,
         subgraph_edges=edge_count,
         horizon=horizon,
-        fusion=fusion,
-        fusion_weight=fusion_weight,
         stage1_seconds=stage1_seconds,
         stage2_seconds=stage2_seconds,
     )
@@ -241,11 +275,8 @@ class TwoStageEngine:
 
     engine: SearchEngine
     candidates: int = DEFAULT_CANDIDATES
-    fusion: str = DEFAULT_FUSION
-    fusion_weight: float = DEFAULT_FUSION_WEIGHT
     horizon: int = DEFAULT_RERANK_HORIZON
     early_k: int | None = None
-    rrf_k: float = field(default=DEFAULT_RRF_K)
     expand_cap: int | None = None
     node_budget: int | None = None
     max_horizon: int | None = None
@@ -261,10 +292,7 @@ class TwoStageEngine:
         return cls(
             engine,
             candidates=config.candidates,
-            fusion=config.fusion,
-            fusion_weight=config.fusion_weight,
             horizon=config.rerank_horizon,
-            early_k=config.rerank_early_k,
             expand_cap=config.rerank_expand_cap,
             node_budget=config.rerank_node_budget,
             max_horizon=config.rerank_max_horizon,
@@ -308,7 +336,6 @@ class TwoStageEngine:
             damping=self.engine.damping,
             tolerance=self.engine.tolerance,
             max_iterations=self.engine.max_iterations,
-            rrf_k=self.rrf_k,
             **parameters,
         )
         elapsed = time.perf_counter() - start

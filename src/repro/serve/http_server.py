@@ -6,14 +6,12 @@ buffered socket file, one writer that sends each response whole.  Endpoints:
 
 ========================  ======  ==============================================
 ``/search``               GET     ``?dataset=&q=&top_k=&mode=&labels=`` plus
-                                  ``candidates=&fusion=&fusion_weight=&
-                                  horizon=&early_k=&expand_cap=&
-                                  node_budget=&max_horizon=`` under
-                                  ``mode=two_stage``
+                                  ``candidates=&horizon=&early_k=&
+                                  expand_cap=&node_budget=&max_horizon=``
+                                  under ``mode=two_stage``
 ``/search``               POST    ``{"dataset", "query", "top_k", "mode",
-                                  "labels", "candidates", "fusion",
-                                  "fusion_weight", "horizon", "early_k",
-                                  "expand_cap", "node_budget",
+                                  "labels", "candidates", "horizon",
+                                  "early_k", "expand_cap", "node_budget",
                                   "max_horizon"}``
 ``/explain``              POST    ``{"dataset", "query", "target",
                                   "max_edges", "mode"}``
@@ -516,33 +514,22 @@ def _optional_int(raw, name: str, minimum: int = 1) -> int | None:
     return value
 
 
-def _optional_float(raw, name: str) -> float | None:
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise _BadRequest(f"'{name}' must be a number, got {raw!r}") from None
-
-
-def _verbatim(raw, name: str):
-    """A parameter the service validates itself (``fusion``: a mode name)."""
-    return raw
-
-
 #: ``/search``'s two-stage parameters (the names of
 #: :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS`) and how each is read
 #: off the wire — the one table both the GET and the POST form parse with.
 _TWO_STAGE_WIRE = {
     "candidates": _optional_int,
-    "fusion": _verbatim,
-    "fusion_weight": _optional_float,
     "horizon": lambda raw, name: _optional_int(raw, name, minimum=0),
     "early_k": _optional_int,
     "expand_cap": _optional_int,
     "node_budget": _optional_int,
     "max_horizon": _optional_int,
 }
+
+#: Score-fusion parameters ``/search`` no longer reads: two-stage answers are
+#: authority scores.  A request naming one is refused rather than answered
+#: with something other than what it asked for.
+_REMOVED_WIRE = ("fusion", "fusion_weight")
 
 
 def _two_stage_overrides(get) -> dict:
@@ -551,6 +538,11 @@ def _two_stage_overrides(get) -> dict:
     ``get`` looks a raw parameter up by name (``None`` when absent): the
     query-string accessor for GET, ``body.get`` for POST.
     """
+    for name in _REMOVED_WIRE:
+        if get(name) is not None:
+            raise _BadRequest(
+                f"'{name}' was removed: two-stage ranks by authority alone"
+            )
     return {name: parse(get(name), name) for name, parse in _TWO_STAGE_WIRE.items()}
 
 

@@ -48,13 +48,10 @@ from repro.ranking.precompute import PrecomputedRanker
 from repro.reformulate.combined import Reformulator
 from repro.retrieval.engine import (
     DEFAULT_CANDIDATES,
-    DEFAULT_FUSION,
-    DEFAULT_FUSION_WEIGHT,
     DEFAULT_RERANK_HORIZON,
     TwoStageEngine,
     TwoStageResult,
 )
-from repro.retrieval.fusion import FUSION_MODES
 from repro.serve.cache import (
     ResultCache,
     make_key,
@@ -119,14 +116,10 @@ class ServeConfig:
     cache_max_entries: int = 512
     cache_ttl_seconds: float | None = None
     #: Two-stage retrieval defaults for ``mode=two_stage`` requests (each
-    #: overridable per request): stage-1 candidate-set size, fusion mode and
-    #: authority weight, rerank neighborhood horizon and the optional top-k
-    #: early exit of the rerank fixpoint (see :mod:`repro.retrieval`).
+    #: overridable per request): stage-1 candidate-set size and rerank
+    #: neighborhood horizon (see :mod:`repro.retrieval`).
     candidates: int = DEFAULT_CANDIDATES
-    fusion: str = DEFAULT_FUSION
-    fusion_weight: float = DEFAULT_FUSION_WEIGHT
     rerank_horizon: int = DEFAULT_RERANK_HORIZON
-    rerank_early_k: int | None = None
     #: Hub-expansion cap and adaptive-deepening budget of the rerank
     #: neighborhood (see :func:`repro.ranking.focused.focused_neighborhood`);
     #: ``None`` keeps the exact uncapped, fixed-horizon expansion.
@@ -179,10 +172,7 @@ class ServeConfig:
             global_warm_start=False,
             retrieval_mode=retrieval_mode,
             candidates=self.candidates,
-            fusion=self.fusion,
-            fusion_weight=self.fusion_weight,
             rerank_horizon=self.rerank_horizon,
-            rerank_early_k=self.rerank_early_k,
             rerank_expand_cap=self.rerank_expand_cap,
             rerank_node_budget=self.rerank_node_budget,
             rerank_max_horizon=self.rerank_max_horizon,
@@ -523,15 +513,6 @@ class QueryService:
             "repro_served_two_stage_total",
             "Search responses computed by two-stage retrieval",
         )
-        # The registry has no label support, so the fusion-mode breakdown is
-        # one counter per mode, named like a labelled family would render.
-        self._fusion_served = {
-            fusion_mode: m.counter(
-                f"repro_two_stage_fusion_{fusion_mode}_total",
-                f"Two-stage responses fused with the {fusion_mode} mode",
-            )
-            for fusion_mode in FUSION_MODES
-        }
         self._invalidations = m.counter(
             "repro_cache_invalidations_total",
             "Cache entries dropped by reformulation-driven invalidation",
@@ -568,11 +549,11 @@ class QueryService:
         )
         self._stage1_latency = m.histogram(
             "repro_two_stage_stage1_seconds",
-            "Stage-1 latency (pruned BM25 candidate generation)",
+            "Stage-1 latency (top-N BM25 candidate generation)",
         )
         self._stage2_latency = m.histogram(
             "repro_two_stage_stage2_seconds",
-            "Stage-2 latency (focused authority rerank + fusion)",
+            "Stage-2 latency (focused authority rerank)",
         )
 
     # -- dataset runtimes --------------------------------------------------
@@ -659,9 +640,9 @@ class QueryService:
         cache and the precomputed ranker before falling back to live
         ObjectRank2; ``"precomputed"`` and ``"live"`` bypass the cache read
         and force their path (useful for benchmarking and debugging);
-        ``"two_stage"`` runs pruned candidate generation + focused authority
+        ``"two_stage"`` runs top-N candidate generation + focused authority
         reranking (:mod:`repro.retrieval`), consulting the cache under a key
-        extended with the candidate/fusion parameters.  All modes still
+        extended with the two-stage parameters.  All modes still
         populate the cache.  ``two_stage`` may name any of
         :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS` to override the
         configured defaults per request; they are rejected outside
@@ -707,7 +688,7 @@ class QueryService:
             raise ReproError(f"unknown mode {mode!r}; expected one of {SERVE_MODES}")
         if mode != "two_stage" and any(v is not None for v in overrides.values()):
             raise ReproError(
-                "candidate/fusion parameters require mode='two_stage'"
+                "two-stage parameters require mode='two_stage'"
             )
         runtime, vector, rates, staleness = self._begin(dataset, query)
         # Resolved before the cache key is built: for store-backed runtimes
@@ -771,7 +752,6 @@ class QueryService:
             self._two_stage_candidates.observe(stages.num_candidates)
             self._stage1_latency.observe(stages.stage1_seconds)
             self._stage2_latency.observe(stages.stage2_seconds)
-            self._fusion_served[stages.fusion].inc()
         return ranked, top, stages, "two_stage"
 
     def _rank_precomputed(self, plan: "_SearchPlan") -> RankedResult | None:
@@ -1222,9 +1202,9 @@ def _result_key(plan: _SearchPlan) -> tuple:
     if plan.labels:
         key += (plan.labels,)
     if plan.two_stage is not None:
-        # Two-stage answers depend on every candidate/fusion parameter,
-        # so the key carries them all — a different candidate budget or
-        # fusion must never be answered from another cohort's entry.
+        # Two-stage answers depend on every two-stage parameter, so the key
+        # carries them all — a different candidate budget or horizon must
+        # never be answered from another cohort's entry.
         key += (("two_stage", tuple(sorted(plan.two_stage.items()))),)
     if plan.generation is not None:
         key += (("gen", plan.generation),)
@@ -1290,8 +1270,6 @@ def _render_search(
         payload["two_stage"] = {
             "requested_candidates": plan.two_stage["candidates"],
             "candidates": stages.num_candidates,
-            "fusion": stages.fusion,
-            "fusion_weight": stages.fusion_weight,
             "horizon": stages.horizon,
             "expand_cap": plan.two_stage["expand_cap"],
             "node_budget": plan.two_stage["node_budget"],

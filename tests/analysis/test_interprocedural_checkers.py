@@ -337,11 +337,11 @@ class TestRL012CacheKeyFencing:
         ) == []
 
     def test_two_stage_params_do_not_satisfy_the_epoch_fence(self):
-        """Candidate/fusion cohorting is orthogonal to the ingest fence."""
+        """Two-stage cohorting is orthogonal to the ingest fence."""
         findings = one_module(
             "RL012",
             self.FENCED
-            % 'key += (("two_stage", ("candidates", "fusion")),)',
+            % 'key += (("two_stage", ("candidates", "horizon")),)',
         )
         assert codes_of(findings) == ["RL012"]
         assert findings[0].metadata["missing"] == ["ingest epoch"]
@@ -350,7 +350,7 @@ class TestRL012CacheKeyFencing:
         assert one_module(
             "RL012",
             self.FENCED
-            % """key += (("two_stage", ("candidates", "fusion")),)
+            % """key += (("two_stage", ("candidates", "horizon")),)
                 key += (("epoch", epoch),)""",
         ) == []
 
@@ -389,7 +389,7 @@ class TestRL012Corpus:
         re.MULTILINE,
     )
     TWO_STAGE_LINE = re.compile(
-        r"^\s*key \+= \(\("  # the candidate/fusion cohort append
+        r"^\s*key \+= \(\("  # the two-stage cohort append
         r'"two_stage", tuple\(sorted\(plan\.two_stage\.items\(\)\)\)\),\)\n',
         re.MULTILINE,
     )
@@ -425,7 +425,7 @@ class TestRL012Corpus:
         assert findings[0].metadata["missing"] == ["ingest epoch"]
 
     def test_two_stage_cohort_key_is_present_and_not_a_fence(self):
-        """The search key carries the candidate/fusion cohort component —
+        """The search key carries the two-stage cohort component —
         and removing the epoch append is still flagged with it in place,
         because two-stage parameters never substitute for the ingest fence.
         """

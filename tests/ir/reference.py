@@ -1,7 +1,7 @@
 """Reference loops for the live read path — the test oracle.
 
-The document-at-a-time base set (Equations 2-4), the exhaustive top-N, the
-per-node restart loop, the full-argsort top-k and the ranking-walk label
+The document-at-a-time base set (Equations 2-4), the top-N and its first-hit
+order, the per-node restart loop, the full-argsort top-k and the ranking-walk label
 filter that the array-native read path replaced, kept verbatim so the array
 code can be checked ``==`` against them (``tests/properties/
 test_read_path_properties.py``).  They score through the scalar
@@ -48,6 +48,14 @@ def reference_top_n(scorer, query_vector, n: int) -> list[tuple[str, float]]:
         key=lambda pair: (-pair[0], pair[1]),
     )
     return [(doc_id, score) for score, doc_id in scored[:n]]
+
+
+def reference_first_hit_order(scorer, query_vector, doc_ids) -> list[int]:
+    """Positions into ``doc_ids`` in ``S(Q)`` first-hit order."""
+    terms = [t for t in query_vector.terms if query_vector.weight(t) > 0]
+    base = scorer.index.documents_with_any(terms)
+    rank = {doc_id: i for i, doc_id in enumerate(base)}
+    return sorted(range(len(doc_ids)), key=lambda i: rank[doc_ids[i]])
 
 
 def reference_restart_vector(graph, base: dict[str, float]) -> np.ndarray:

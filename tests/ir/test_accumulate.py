@@ -164,13 +164,6 @@ class WeightOnlyScorer:
             total += self.weight(doc_id, term) * weight
         return total
 
-    def max_weight(self, term):
-        bound = self.index.term_bound(term)
-        return 0.0 if bound is None else bound[0] / 3
-
-    def term_upper_bound(self, term, raw_weight):
-        return self.max_weight(term) * raw_weight
-
 
 class TestScorePostings:
     def test_scorer_without_contributions_goes_through_scalar_weight(self, index):
@@ -196,21 +189,11 @@ class TestScorePostings:
             BM25Scorer(index), {"mining": 1.0, "zzz": 3.0, "cube": 0.0, "olap": 1.0}
         )
         assert scored.doc_ids.tolist() == ["d3", "d1", "d2"]
-        assert scored.pruned == 0
 
     def test_uniform_scorer_merges_by_maximum(self, index):
         scored = score_postings(UniformScorer(index), {"olap": 1.0, "xml": 5.0})
         assert scored.doc_ids.tolist() == ["d1", "d2", "d3"]
         assert scored.scores.tolist() == [1.0, 1.0, 1.0]  # d2 matches both terms
-
-    def test_gate_reports_the_documents_it_kept_out(self, index):
-        scorer = BM25Scorer(index)
-        weights = {"cube": 5.0, "xml": 0.01}
-        gated = score_postings(scorer, weights, top_n=1)
-        full = score_postings(scorer, weights)
-        assert gated.doc_ids.tolist() == ["d1"]
-        assert gated.pruned == 2 and full.pruned == 0
-        assert gated.scores[0] == full.scores[0]
 
     def test_no_matching_document_raises_with_the_positive_terms(self, index):
         with pytest.raises(EmptyBaseSetError) as caught:

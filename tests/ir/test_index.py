@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph import DataGraph
-from repro.ir import Analyzer, BM25Scorer, InvertedIndex, TfIdfScorer, UniformScorer
+from repro.ir import Analyzer, InvertedIndex
 
 
 @pytest.fixture
@@ -120,60 +120,6 @@ class TestMutation:
         assert index.num_documents == 3
         assert clone.num_documents == 4
         assert index.document_frequency("brand") == 0
-
-
-class TestImpactBounds:
-    def test_bound_is_max_tf_and_min_dl(self, index):
-        # "olap": tf 1 in d1 (21 chars), tf 2 in d2 (18 chars).
-        assert index.term_bound("olap") == (2, len("olap olap indexing"))
-
-    def test_unknown_term_has_no_bound(self, index):
-        assert index.term_bound("nope") is None
-
-    def test_add_tightens_an_existing_bound(self, index):
-        index.add_document("d4", "olap olap olap")
-        assert index.term_bound("olap") == (3, len("olap olap olap"))
-
-    def test_remove_invalidates_then_rebuilds_on_demand(self, index):
-        assert index.term_bound("olap") == (2, 18)  # cache the bound
-        index.remove_document("d2")  # d2 carried both extremes
-        assert index.term_bound("olap") == (1, len("olap cube aggregation"))
-
-    def test_readd_cannot_leave_a_stale_extreme(self, index):
-        index.term_bound("olap")
-        index.add_document("d2", "xml only now")  # replaces the tf=2 doc
-        assert index.term_bound("olap") == (1, len("olap cube aggregation"))
-
-    def test_term_bounds_covers_the_whole_vocabulary(self, index):
-        bounds = index.term_bounds()
-        assert set(bounds) == set(index.vocabulary())
-        assert all(tf >= 1 and dl >= 1 for tf, dl in bounds.values())
-
-    def test_copy_carries_bounds(self, index):
-        index.term_bound("olap")
-        clone = index.copy()
-        clone.remove_document("d2")
-        assert index.term_bound("olap") == (2, 18)
-        assert clone.term_bound("olap") == (1, len("olap cube aggregation"))
-
-
-class TestScorerBounds:
-    """max_weight/term_upper_bound must dominate every actual weight."""
-
-    @pytest.mark.parametrize("scorer_cls", [BM25Scorer, TfIdfScorer, UniformScorer])
-    def test_max_weight_dominates_actual_weights(self, index, scorer_cls):
-        scorer = scorer_cls(index)
-        for term in index.vocabulary():
-            ceiling = scorer.max_weight(term)
-            for doc_id in index.documents_with_term(term):
-                assert scorer.weight(doc_id, term) <= ceiling + 1e-12
-
-    def test_term_upper_bound_scales_with_query_weight(self, index):
-        scorer = BM25Scorer(index)
-        bound = scorer.term_upper_bound("olap", 2.0)
-        for doc_id in index.documents_with_term("olap"):
-            assert scorer.score(doc_id, {"olap": 2.0}) <= bound + 1e-12
-        assert scorer.term_upper_bound("olap", 0.0) == 0.0
 
 
 class TestFromGraph:

@@ -24,9 +24,10 @@ from repro.ir import (
 from repro.query import QueryVector
 from repro.query.engine import select_top
 from repro.ranking import RankedResult, weighted_base_set
-from repro.retrieval import exhaustive_top_n, pruned_top_n, restricted_base_set
+from repro.retrieval import restricted_base_set, top_n_candidates
 
 from tests.ir.reference import (
+    reference_first_hit_order,
     reference_restart_vector,
     reference_select_top,
     reference_top_k,
@@ -39,7 +40,10 @@ SCORERS = (BM25Scorer, TfIdfScorer, UniformScorer)
 
 #: ``corpus`` lands in most documents, so its clamped BM25 idf is exactly 0 and
 #: every document it alone admits takes the minimum-positive floor.
-_WORDS = ("olap", "cube", "xml", "mining", "query", "index", "stream", "rank")
+_WORDS = (
+    "olap", "cube", "xml", "mining", "query", "index", "stream", "rank",
+    "graph", "join", "search", "web",
+)
 _COMMON = "corpus"
 _ABSENT = "zzzabsent"
 
@@ -71,6 +75,18 @@ def query_vectors(draw):
     return QueryVector({term: draw(_weights) for term in terms})
 
 
+@st.composite
+def long_query_vectors(draw):
+    """1-12 weighted terms: one dominant term beside light tails included."""
+    terms = draw(
+        st.lists(
+            st.sampled_from(_WORDS + (_COMMON, _ABSENT)),
+            min_size=1, max_size=12, unique=True,
+        )
+    )
+    return QueryVector({term: draw(_weights) for term in terms})
+
+
 def assert_same_base_set(scorer, vector):
     """Array base set == reference loop: key order and floats, or both raise."""
     try:
@@ -90,22 +106,30 @@ def test_base_set_equals_the_document_at_a_time_loop(documents, vector):
         assert_same_base_set(scorer_cls(index), vector)
 
 
-@given(corpora(), query_vectors(), st.integers(1, 15))
+@given(corpora(), long_query_vectors(), st.integers(1, 15))
 @settings(max_examples=100, deadline=None)
 def test_top_n_equals_the_document_at_a_time_loop(documents, vector, n):
+    """Stage-1 candidates == the oracle: ids, score floats, tie order and
+    first-hit order, for budgets below, at and above ``|S(Q)|``."""
     index = InvertedIndex.from_documents(documents)
     for scorer_cls in SCORERS:
         scorer = scorer_cls(index)
         try:
-            expected = reference_top_n(scorer, vector, n)
+            ranked = reference_top_n(scorer, vector, len(documents))
         except EmptyBaseSetError:
             with pytest.raises(EmptyBaseSetError):
-                pruned_top_n(scorer, vector, n)
+                top_n_candidates(scorer, vector, n)
             continue
-        for top in (exhaustive_top_n(scorer, vector, n), pruned_top_n(scorer, vector, n)):
-            assert [(c.doc_id, c.score) for c in top] == expected
+        size = len(ranked)  # |S(Q)|
+        for budget in sorted({n, max(1, size - n), size, size + n}):
+            top = top_n_candidates(scorer, vector, budget)
+            assert [(c.doc_id, c.score) for c in top] == ranked[:budget]
+            assert top.first_hit_order == reference_first_hit_order(
+                scorer, vector, top.doc_ids
+            )
+            assert (top.evaluated, top.pruned) == (size, 0)
         # Candidates covering S(Q): the restricted base set IS the base set.
-        everything = pruned_top_n(scorer, vector, len(documents))
+        everything = top_n_candidates(scorer, vector, size)
         assert list(restricted_base_set(everything).items()) == list(
             reference_weighted_base_set(scorer, vector).items()
         )

@@ -1,13 +1,17 @@
-"""Property tests: two-stage degenerate configs are bit-identical to the
-existing paths.
+"""Property tests: two-stage is bit-identical to the paths it shortcuts.
 
-The acceptance criterion of the two-stage engine: the fast paths earn trust
-by collapsing *exactly* (same floats, not approximately) onto the code they
-shortcut —
+The acceptance criterion of the two-stage engine: the fast path earns trust
+by collapsing *exactly* (same floats, not approximately) onto the code it
+shortcuts —
 
-* pruned top-N BM25 ≡ exhaustive BM25 top-N (same ids, same scores,
-  document-id tiebreak), for every random graph, query and N;
-* candidates ⊇ corpus with authority-only fusion ≡ focused ObjectRank2.
+* the top-N page ≡ the exhaustive document-at-a-time BM25 ranking cut at N
+  (same ids, same scores, document-id tiebreak), for every random graph,
+  query and N;
+* candidates ⊇ corpus ≡ focused ObjectRank2, and both ≡ the run over the
+  induced submatrix neither builds.
+
+The stage-1 property over all three scorers and 1-12 weighted terms is in
+``test_read_path_properties.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from hypothesis import strategies as st
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import QueryVector
 from repro.ranking import focused_objectrank2
-from repro.retrieval import exhaustive_top_n, pruned_top_n, two_stage_rank
+from repro.retrieval import top_n_candidates, two_stage_rank
 
+from tests.ir.reference import reference_top_n
 from tests.properties.strategies import dblp_transfer_graphs
 from tests.ranking.reference import reference_induced_objectrank
 
@@ -50,12 +55,8 @@ def graph_and_query(draw):
 @settings(max_examples=40, deadline=None)
 def test_pruned_top_n_is_bit_identical_to_exhaustive(case, n):
     _, scorer, vector = case
-    exact = exhaustive_top_n(scorer, vector, n)
-    pruned = pruned_top_n(scorer, vector, n)
-    assert pruned.doc_ids == exact.doc_ids
-    assert [c.score for c in pruned.candidates] == [
-        c.score for c in exact.candidates
-    ]
+    top = top_n_candidates(scorer, vector, n)
+    assert [(c.doc_id, c.score) for c in top] == reference_top_n(scorer, vector, n)
 
 
 @given(graph_and_query(), st.integers(0, 3))
@@ -67,8 +68,6 @@ def test_degenerate_two_stage_is_bit_identical_to_focused(case, horizon):
         scorer,
         vector,
         candidates=10_000,  # always covers the whole corpus
-        fusion="weighted",
-        fusion_weight=1.0,
         horizon=horizon,
     )
     focused = focused_objectrank2(atdg, scorer, vector, horizon=horizon)
@@ -87,20 +86,3 @@ def test_degenerate_two_stage_is_bit_identical_to_focused(case, horizon):
     assert focused.ranked.residuals == two_stage.ranked.residuals == outcome.residuals
     assert focused.subgraph_edges == edge_count
 
-
-@given(graph_and_query())
-@settings(max_examples=25, deadline=None)
-def test_ir_only_fusion_ranks_candidates_by_bm25(case):
-    """weighted at weight 0.0 must reproduce the stage-1 BM25 ordering."""
-    atdg, scorer, vector = case
-    result = two_stage_rank(
-        atdg, scorer, vector,
-        candidates=10_000, fusion="weighted", fusion_weight=0.0, horizon=1,
-    )
-    ranking = [
-        node_id
-        for node_id, score in result.ranked.top_k(len(result.candidate_set))
-        if score > 0
-    ]
-    by_bm25 = [c.doc_id for c in result.candidate_set.candidates if c.score > 0]
-    assert ranking == by_bm25

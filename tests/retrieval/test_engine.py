@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.query import QueryVector, SearchEngine
 from repro.query.engine import select_top
 from repro.ranking import focused_objectrank2, weighted_base_set
 from repro.retrieval import (
     TwoStageEngine,
     TwoStageSearchResult,
-    pruned_top_n,
     restricted_base_set,
+    top_n_candidates,
     two_stage_rank,
 )
 
@@ -28,13 +29,13 @@ def tiny_engine(dblp_tiny):
 class TestRestrictedBaseSet:
     def test_full_coverage_equals_weighted_base_set(self, tiny_engine):
         """Candidates ⊇ S(Q) ⇒ the restricted base set IS Equation 2's."""
-        candidates = pruned_top_n(tiny_engine.scorer, QUERY, EVERYTHING)
+        candidates = top_n_candidates(tiny_engine.scorer, QUERY, EVERYTHING)
         restricted = restricted_base_set(candidates)
         full = weighted_base_set(tiny_engine.scorer, QUERY)
         assert restricted == full  # same keys, same order, same floats
 
     def test_partial_coverage_normalizes_over_candidates_only(self, tiny_engine):
-        candidates = pruned_top_n(tiny_engine.scorer, QUERY, 5)
+        candidates = top_n_candidates(tiny_engine.scorer, QUERY, 5)
         base = restricted_base_set(candidates)
         assert set(base) == set(candidates.doc_ids)
         assert sum(base.values()) == pytest.approx(1.0)
@@ -46,7 +47,7 @@ class TestTwoStageRank:
         graph = tiny_engine.transfer_view(None)
         mine = two_stage_rank(
             graph, tiny_engine.scorer, QUERY,
-            candidates=EVERYTHING, fusion="weighted", fusion_weight=1.0, horizon=2,
+            candidates=EVERYTHING, horizon=2,
         )
         focused = focused_objectrank2(
             graph, tiny_engine.scorer, QUERY, horizon=2
@@ -55,18 +56,6 @@ class TestTwoStageRank:
         assert mine.ranked.iterations == focused.ranked.iterations
         assert mine.subgraph_nodes == focused.subgraph_nodes
         assert mine.subgraph_edges == focused.subgraph_edges
-
-    def test_mixed_fusion_scores_live_on_candidates_only(self, tiny_engine):
-        graph = tiny_engine.transfer_view(None)
-        result = two_stage_rank(
-            graph, tiny_engine.scorer, QUERY,
-            candidates=10, fusion="rrf", horizon=2,
-        )
-        candidate_indices = {
-            graph.index_of(doc_id) for doc_id in result.candidate_set.doc_ids
-        }
-        positive = set(np.flatnonzero(result.ranked.scores > 0).tolist())
-        assert positive <= candidate_indices
 
     def test_authority_only_scores_cover_the_neighborhood(self, tiny_engine):
         graph = tiny_engine.transfer_view(None)
@@ -98,8 +87,8 @@ class TestTwoStageRank:
 
     def test_validation(self, tiny_engine):
         graph = tiny_engine.transfer_view(None)
-        with pytest.raises(ValueError, match="fusion"):
-            two_stage_rank(graph, tiny_engine.scorer, QUERY, fusion="bogus")
+        with pytest.raises(ValueError, match="candidates"):
+            two_stage_rank(graph, tiny_engine.scorer, QUERY, candidates=0)
         with pytest.raises(ValueError, match="horizon"):
             two_stage_rank(graph, tiny_engine.scorer, QUERY, horizon=-1)
 
@@ -136,10 +125,11 @@ class TestTwoStageEngine:
             # a label filter that empties the neighbourhood (papers only)
             (5, ("Author",), {"candidates": 2, "horizon": 0}),
             (5, ("NoSuchLabel",), {}),
-            # mixed fusion: scores on the candidates only
-            (5, None, {"fusion": "rrf"}),
-            (40, None, {"fusion": "rrf"}),
-            (5, ("Paper",), {"fusion": "weighted", "fusion_weight": 0.5}),
+            # the top-k early exit; more pages than positive scores; a capped
+            # expansion under a label filter
+            (5, None, {"early_k": 3}),
+            (40, None, {"candidates": 3, "horizon": 1}),
+            (5, ("Paper",), {"expand_cap": 1}),
         ],
     )
     def test_page_is_the_full_vector_page(self, tiny_engine, top_k, labels, overrides):
@@ -162,10 +152,10 @@ class TestTwoStageEngine:
         ]
 
     def test_per_call_overrides_beat_engine_defaults(self, tiny_engine):
-        engine = TwoStageEngine(tiny_engine, candidates=15, fusion="weighted")
-        result = engine.search(QUERY, top_k=3, candidates=5, fusion="rrf")
+        engine = TwoStageEngine(tiny_engine, candidates=15, horizon=2)
+        result = engine.search(QUERY, top_k=3, candidates=5, horizon=0)
         assert result.stages.num_candidates == 5
-        assert result.stages.fusion == "rrf"
+        assert result.stages.horizon == 0
 
     def test_string_queries_accepted(self, tiny_engine):
         engine = TwoStageEngine(tiny_engine, candidates=10)
@@ -190,3 +180,18 @@ class TestTwoStageEngine:
         # A budget the candidates already satisfy never deepens.
         satisfied = engine.search(QUERY, top_k=3, node_budget=1, max_horizon=2)
         assert satisfied.stages.subgraph_nodes == fixed.stages.subgraph_nodes
+
+    @pytest.mark.parametrize(
+        "defaults", [{"node_budget": 256}, {"max_horizon": 4}]
+    )
+    def test_half_set_deepening_default_is_rejected(self, tiny_engine, defaults):
+        """Deepening needs both, checked after the defaults are applied: one
+        alone would run at a fixed horizon."""
+        engine = TwoStageEngine(tiny_engine, candidates=5, **defaults)
+        with pytest.raises(ParameterError, match="node_budget and max_horizon"):
+            engine.search(QUERY, top_k=3, early_k=5)
+
+    def test_an_override_completes_the_pair(self, tiny_engine):
+        engine = TwoStageEngine(tiny_engine, candidates=2, horizon=0, max_horizon=2)
+        deeper = engine.search(QUERY, top_k=3, node_budget=1_000_000)
+        assert deeper.stages.subgraph_nodes > 2

@@ -1,9 +1,11 @@
-"""Unit tests for the pruned (WAND/max-score) top-N candidate generator.
+"""Unit tests for stage-1 candidate generation (:func:`top_n_candidates`).
 
-The load-bearing invariant: :func:`pruned_top_n` is *exact* — same ids,
-same score floats, same document-id tiebreak as :func:`exhaustive_top_n` —
-while evaluating fewer documents.  Everything downstream (restricted base
-sets, degenerate bit-identity with focused ObjectRank2) leans on it.
+The load-bearing invariant: the page of N candidates is the exhaustive
+document-at-a-time ranking (``tests/ir/reference.py``) cut at N — same ids,
+same score floats, same document-id tiebreak.  Everything downstream
+(restricted base sets, degenerate bit-identity with focused ObjectRank2)
+leans on it.  The hypothesis form, with first-hit order and 1-12 weighted
+terms, is in ``tests/properties/test_read_path_properties.py``.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import pytest
 from repro.errors import EmptyBaseSetError
 from repro.ir import BM25Scorer, InvertedIndex, TfIdfScorer, UniformScorer
 from repro.query import QueryVector, SearchEngine
-from repro.retrieval import (
-    exhaustive_top_n,
-    positive_query_weights,
-    pruned_top_n,
-)
+from repro.retrieval import positive_query_weights, top_n_candidates
+
+from tests.ir.reference import reference_top_n
 
 
 @pytest.fixture(scope="module")
@@ -34,79 +34,67 @@ TINY_QUERIES = (
 
 
 class TestPrunedEqualsExhaustive:
+    """The top-N page (the list pruned to N) == the exhaustive ranking's head."""
+
     @pytest.mark.parametrize("weights", TINY_QUERIES)
     @pytest.mark.parametrize("n", [1, 3, 10, 50, 10_000])
     def test_same_ids_and_score_floats(self, tiny_scorer, weights, n):
         vector = QueryVector(dict(weights))
-        exact = exhaustive_top_n(tiny_scorer, vector, n)
-        pruned = pruned_top_n(tiny_scorer, vector, n)
-        assert pruned.doc_ids == exact.doc_ids
-        for mine, theirs in zip(pruned.candidates, exact.candidates):
-            assert mine.score == theirs.score  # bit-identical, not approx
+        top = top_n_candidates(tiny_scorer, vector, n)
+        # bit-identical floats, not approx
+        assert [(c.doc_id, c.score) for c in top] == reference_top_n(
+            tiny_scorer, vector, n
+        )
 
     @pytest.mark.parametrize("scorer_cls", [BM25Scorer, TfIdfScorer, UniformScorer])
     def test_every_scorer_protocol_member(self, figure1_index, scorer_cls):
         scorer = scorer_cls(figure1_index)
         vector = QueryVector({"olap": 1.0, "xml": 0.5})
-        exact = exhaustive_top_n(scorer, vector, 5)
-        pruned = pruned_top_n(scorer, vector, 5)
-        assert pruned.doc_ids == exact.doc_ids
-        assert [c.score for c in pruned.candidates] == [
-            c.score for c in exact.candidates
-        ]
-
-    def test_pruning_skips_evaluations(self, tiny_scorer):
-        """A dominant first term lets the gate drop the tail term's docs.
-
-        After the heavy term's accumulation pass, θ (the N-th best partial
-        score) already exceeds everything the light tail term can contribute
-        on its own, so documents appearing only in the tail postings are
-        never scored — yet the result stays exact (checked above).
-        """
-        vector = QueryVector({"improved": 5.0, "study": 0.05})
-        exact = exhaustive_top_n(tiny_scorer, vector, 1)
-        pruned = pruned_top_n(tiny_scorer, vector, 1)
-        assert pruned.doc_ids == exact.doc_ids
-        assert pruned.evaluated < exact.evaluated
-        assert pruned.pruned > 0
-        assert pruned.evaluated + pruned.pruned == exact.evaluated
+        top = top_n_candidates(scorer, vector, 5)
+        assert [(c.doc_id, c.score) for c in top] == reference_top_n(
+            scorer, vector, 5
+        )
 
     def test_document_id_tiebreak(self):
         index = InvertedIndex.from_documents(
             [("d3", "olap cube"), ("d1", "olap cube"), ("d2", "olap cube")]
         )
-        scorer = BM25Scorer(index)
-        vector = QueryVector({"olap": 1.0})
-        for top in (exhaustive_top_n(scorer, vector, 2), pruned_top_n(scorer, vector, 2)):
-            # Equal scores everywhere: ascending doc id decides.
-            assert top.doc_ids == ["d1", "d2"]
+        scorer, vector = BM25Scorer(index), QueryVector({"olap": 1.0})
+        # Equal scores everywhere: ascending doc id decides.
+        assert top_n_candidates(scorer, vector, 2).doc_ids == ["d1", "d2"]
+        # ... and a base set over them lists them in S(Q) first-hit order.
+        assert top_n_candidates(scorer, vector, 3).first_hit_order == [2, 0, 1]
+
+    def test_every_document_of_the_base_set_is_scored(self, tiny_scorer):
+        vector = QueryVector({"improved": 5.0, "study": 0.05})
+        top = top_n_candidates(tiny_scorer, vector, 1)
+        base = tiny_scorer.index.documents_with_any(["improved", "study"])
+        assert len(top) == 1
+        assert top.evaluated == len(base) > 1
+        assert top.pruned == 0
 
 
 class TestEdgesAndErrors:
     def test_no_matching_document_raises(self, tiny_scorer):
         with pytest.raises(EmptyBaseSetError):
-            pruned_top_n(tiny_scorer, QueryVector({"zzzmissing": 1.0}), 5)
-        with pytest.raises(EmptyBaseSetError):
-            exhaustive_top_n(tiny_scorer, QueryVector({"zzzmissing": 1.0}), 5)
+            top_n_candidates(tiny_scorer, QueryVector({"zzzmissing": 1.0}), 5)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_non_positive_n_rejected(self, tiny_scorer, n):
         with pytest.raises(ValueError):
-            pruned_top_n(tiny_scorer, QueryVector({"improved": 1.0}), n)
-        with pytest.raises(ValueError):
-            exhaustive_top_n(tiny_scorer, QueryVector({"improved": 1.0}), n)
+            top_n_candidates(tiny_scorer, QueryVector({"improved": 1.0}), n)
 
     def test_zero_weight_terms_ignored(self, tiny_scorer):
         with_noise = QueryVector({"improved": 1.0, "study": 0.0})
         clean = QueryVector({"improved": 1.0})
-        noisy = pruned_top_n(tiny_scorer, with_noise, 5)
-        assert noisy.doc_ids == pruned_top_n(tiny_scorer, clean, 5).doc_ids
+        noisy = top_n_candidates(tiny_scorer, with_noise, 5)
+        assert noisy.doc_ids == top_n_candidates(tiny_scorer, clean, 5).doc_ids
 
     def test_positive_query_weights_filters(self):
         vector = QueryVector({"a": 1.0, "b": 0.0})
         assert positive_query_weights(vector) == {"a": 1.0}
 
     def test_candidate_set_container_protocol(self, tiny_scorer):
-        candidates = pruned_top_n(tiny_scorer, QueryVector({"improved": 1.0}), 4)
+        candidates = top_n_candidates(tiny_scorer, QueryVector({"improved": 1.0}), 4)
         assert len(candidates) == len(candidates.doc_ids) == 4
         assert [c.doc_id for c in candidates] == candidates.doc_ids

@@ -2,9 +2,9 @@
 
 Boots the :class:`QueryService` over ``dblp_tiny`` and exercises
 ``mode="two_stage"`` end to end: the payload accounting block, cache
-cohorting by candidate/fusion parameters, the override-rejection contract,
-the new metric families on ``/metrics``, and the restricted two-stage
-explanations.
+cohorting by two-stage parameters, the override-rejection contract (removed
+fusion parameters included), the metric families on ``/metrics``, and the
+restricted two-stage explanations.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class TestServiceTwoStage:
         stages = payload["two_stage"]
         assert stages["requested_candidates"] == 25
         assert stages["candidates"] == 25
-        assert stages["fusion"] == "weighted"
+        assert "fusion" not in stages and "fusion_weight" not in stages
         assert stages["subgraph_nodes"] >= stages["candidates"]
         assert stages["stage1_seconds"] >= 0.0
         assert stages["stage2_seconds"] >= 0.0
@@ -55,14 +55,14 @@ class TestServiceTwoStage:
         smaller = service.search(
             "tiny", QUERY, top_k=3, mode="two_stage", candidates=5
         )
-        refused = service.search(
-            "tiny", QUERY, top_k=3, mode="two_stage", fusion="rrf"
+        shallower = service.search(
+            "tiny", QUERY, top_k=3, mode="two_stage", horizon=1
         )
-        # Different candidate budget / fusion mode: never the cached answer.
+        # Different candidate budget / horizon: never the cached answer.
         assert smaller["served_from"] == "two_stage"
         assert smaller["two_stage"]["candidates"] == 5
-        assert refused["served_from"] == "two_stage"
-        assert refused["two_stage"]["fusion"] == "rrf"
+        assert shallower["served_from"] == "two_stage"
+        assert shallower["two_stage"]["horizon"] == 1
         assert base["served_from"] in ("two_stage", "cache")
 
     def test_degenerate_two_stage_matches_live_ranking(self, service):
@@ -103,7 +103,7 @@ class TestServiceTwoStage:
         with pytest.raises(ReproError, match="two_stage"):
             service.search("tiny", QUERY, mode="live", candidates=10)
         with pytest.raises(ReproError, match="two_stage"):
-            service.search("tiny", QUERY, mode="auto", fusion="rrf")
+            service.search("tiny", QUERY, mode="auto", horizon=1)
         with pytest.raises(ReproError, match="two_stage"):
             service.search("tiny", QUERY, mode="live", expand_cap=8)
         with pytest.raises(ReproError, match="two_stage"):
@@ -112,8 +112,9 @@ class TestServiceTwoStage:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"fusion": "bogus"}, "unknown fusion mode"),
-            ({"fusion_weight": 1.5}, "fusion_weight"),
+            # deepening needs both: one alone would be silently ignored
+            ({"node_budget": 64}, "node_budget and max_horizon"),
+            ({"max_horizon": 4}, "node_budget and max_horizon"),
             ({"candidates": 0}, "candidates"),
             ({"horizon": -1}, "horizon"),
             ({"expand_cap": 0}, "expand_cap"),
@@ -128,8 +129,8 @@ class TestServiceTwoStage:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"fusion": "bogus"},
-            {"fusion_weight": -0.1},
+            {"node_budget": 64},
+            {"max_horizon": 4},
             {"candidates": 0},
             {"horizon": -1},
             {"early_k": 0},
@@ -229,28 +230,27 @@ class TestHTTPTwoStage:
     def test_get_search_with_two_stage_params(self, url):
         status, payload = _request(
             f"{url}/search?dataset=tiny&q=improved+study&top_k=5"
-            "&mode=two_stage&candidates=10&fusion=rrf&horizon=1"
+            "&mode=two_stage&candidates=10&horizon=1"
         )
         assert status == 200
         assert payload["served_from"] == "two_stage"
         assert payload["two_stage"]["candidates"] == 10
-        assert payload["two_stage"]["fusion"] == "rrf"
         assert payload["two_stage"]["horizon"] == 1
 
     def test_post_search_with_fusion_weight(self, url):
+        """A removed parameter is refused by name, never quietly ignored."""
         status, payload = _request(
             f"{url}/search",
             {
                 "dataset": "tiny",
                 "query": QUERY,
                 "mode": "two_stage",
-                "fusion": "weighted",
-                "fusion_weight": 0.5,
+                "fusion_weight": 1.0,
                 "early_k": 5,
             },
         )
-        assert status == 200
-        assert payload["two_stage"]["fusion_weight"] == 0.5
+        assert (status, payload["error"]) == (400, "bad_request")
+        assert "'fusion_weight' was removed" in payload["message"]
 
     def test_metrics_families_present_and_counted(self, url):
         before = _metric(_metrics_text(url), "repro_served_two_stage_total")
@@ -260,18 +260,27 @@ class TestHTTPTwoStage:
         assert status == 200
         text = _metrics_text(url)
         assert _metric(text, "repro_served_two_stage_total") == before + 1
-        assert _metric(text, "repro_two_stage_fusion_weighted_total") >= 1
         assert _metric(text, "repro_two_stage_candidates_count") >= 1
         assert _metric(text, "repro_two_stage_candidates_sum") >= 7
         assert "repro_two_stage_stage1_seconds" in text
         assert "repro_two_stage_stage2_seconds" in text
-        assert "repro_two_stage_fusion_rrf_total" in text
+        assert "repro_two_stage_fusion" not in text
 
     def test_bad_fusion_is_400(self, url):
+        """Any fusion is refused by name, ``weighted`` included, in any mode."""
+        for mode in ("two_stage", "auto"):
+            status, payload = _request(
+                f"{url}/search?dataset=tiny&q=improved&mode={mode}&fusion=weighted"
+            )
+            assert (status, payload["error"]) == (400, "bad_request")
+            assert "'fusion' was removed" in payload["message"]
+
+    def test_half_set_deepening_pair_is_400(self, url):
         status, payload = _request(
-            f"{url}/search?dataset=tiny&q=improved&mode=two_stage&fusion=bogus"
+            f"{url}/search?dataset=tiny&q=improved&mode=two_stage&node_budget=256"
         )
         assert (status, payload["error"]) == (400, "repro_error")
+        assert "node_budget and max_horizon" in payload["message"]
 
     def test_overrides_without_two_stage_mode_are_400(self, url):
         status, payload = _request(

@@ -82,8 +82,13 @@ def test_no_module_imports_a_worker_pool():
 
 def parameter_and_field_names(path: Path) -> list[str]:
     """Every function parameter and annotated class field named in ``path``."""
+    return parameters_and_fields(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def parameters_and_fields(tree: ast.AST) -> list[str]:
+    """Every function parameter and annotated class field named in ``tree``."""
     names: list[str] = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             spec = node.args
             names.extend(
@@ -302,6 +307,79 @@ def test_the_guard_sees_the_matrix_it_forbids():
     assert {entry.split()[0] for entry in found} == {"csr_matrix", "bincount", "repeat"}
     assert _builds_a_matrix(ast.parse("from scipy.sparse import coo_matrix\ncoo_matrix(x)"))
     assert not _builds_a_matrix(ast.parse("rows = matrix[nodes]; rows @ x"))
+
+
+# -- two-stage keeps what its traffic runs: no max-score gate, no fusion knob -----
+
+#: What the max-score gate needed under ``repro/ir``: per-term impact bounds
+#: and the scorer methods that turned them into score ceilings.
+GATE_DEFINITIONS = {"max_weight", "term_upper_bound", "term_bound"}
+
+#: Where a score-fusion parameter or config field would surface.
+FUSION_SCOPES = ("retrieval", "core", "serve")
+
+
+def _gate_leftovers(tree: ast.AST) -> list[str]:
+    """A ``top_n`` parameter on ``score_postings``, or a bound definition."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in GATE_DEFINITIONS:
+            found.append(node.name)
+        spec = node.args
+        if node.name == "score_postings" and "top_n" in {
+            a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+        }:
+            found.append("score_postings(top_n)")
+    return sorted(found)
+
+
+def _fusion_knobs(tree: ast.AST) -> list[str]:
+    return sorted(n for n in parameters_and_fields(tree) if n.startswith("fusion"))
+
+
+def test_two_stage_has_no_max_score_gate_and_no_fusion_knob():
+    """Stage 1 scores every document of S(Q); stage 2's answer is authority."""
+    def parsed(path: Path) -> ast.AST:
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    gate = {
+        path.relative_to(SRC).as_posix(): _gate_leftovers(parsed(path))
+        for path in (SRC / "ir").rglob("*.py")
+    }
+    assert {where: found for where, found in gate.items() if found} == {}
+    paths = [SRC / "cli.py"]
+    for package in FUSION_SCOPES:
+        paths.extend((SRC / package).rglob("*.py"))
+    knobs = {
+        path.relative_to(SRC).as_posix(): _fusion_knobs(parsed(path)) for path in paths
+    }
+    assert {where: found for where, found in knobs.items() if found} == {}
+
+
+def test_the_guard_sees_the_gate_and_the_knob_it_forbids():
+    gated = ast.parse(
+        "def score_postings(scorer, query_weights, top_n=None): ...\n"
+        "class BM25Scorer:\n"
+        "    def max_weight(self, term): ...\n"
+        "    def term_upper_bound(self, term, raw_weight): ...\n"
+        "class InvertedIndex:\n"
+        "    def term_bound(self, term): ...\n"
+    )
+    assert _gate_leftovers(gated) == [
+        "max_weight", "score_postings(top_n)", "term_bound", "term_upper_bound",
+    ]
+    assert _gate_leftovers(ast.parse("def score_postings(scorer, weights): ...")) == []
+    knobs = ast.parse(
+        "class ServeConfig:\n"
+        "    fusion: str = 'weighted'\n"
+        "    fusion_weight: float = 1.0\n"
+        "def two_stage_rank(graph, scorer, *, fusion='weighted'): ...\n"
+    )
+    assert _fusion_knobs(knobs) == ["fusion", "fusion", "fusion_weight"]
+    # Naming a removed parameter in order to refuse it is not a knob.
+    assert _fusion_knobs(ast.parse("_REMOVED_WIRE = ('fusion', 'fusion_weight')")) == []
 
 
 # -- a feedback op pays for the click: one matrix path, one score-cache reader ----
