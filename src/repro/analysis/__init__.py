@@ -4,7 +4,7 @@ Every silent-correctness bug fixed in PR 2 — the last-write-wins fancy
 indexing in ``personalized_pagerank``, the ``transfer_view`` build-once
 latch, the shared-rates mutation in ``SearchEngine`` — belongs to a
 statically detectable pattern class.  This package encodes those classes as
-AST checkers (RL001–RL006) and, since PR 5, *flow-sensitive* checkers
+AST checkers (RL001, RL002, RL004, RL005) and, since PR 5, *flow-sensitive* checkers
 (RL007–RL009, see :mod:`repro.analysis.checkers`) that reason over
 per-function control-flow graphs — so the next occurrence is caught in
 review, not in production rankings.
@@ -16,7 +16,8 @@ Layers:
 * :mod:`repro.analysis.cfg` — intraprocedural CFG construction;
 * :mod:`repro.analysis.dataflow` — the worklist fixpoint solver plus the
   reaching-definitions / live-variables reference instances;
-* :mod:`repro.analysis.lockset` — the must-held-lockset analysis RL007 runs;
+* :mod:`repro.analysis.lockset` — lock-to-attribute binding and the
+  must-held-lockset analysis RL007, RL011 and RL013 run;
 * :mod:`repro.analysis.callgraph` — the module-resolution project call
   graph (PR 8) behind the interprocedural checkers RL010–RL013;
 * :mod:`repro.analysis.summaries` — bottom-up SCC-ordered function
@@ -25,8 +26,7 @@ Layers:
   suppressions;
 * :mod:`repro.analysis.baseline` — the ``.repro-lint-baseline.json``
   accepted-findings file;
-* :mod:`repro.analysis.runner` — file discovery and the (optionally
-  process-parallel) lint driver;
+* :mod:`repro.analysis.runner` — file discovery and the lint driver;
 * :mod:`repro.analysis.reporting` — text / JSON / GitHub-annotation / SARIF
   output.
 """

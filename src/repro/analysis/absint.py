@@ -96,7 +96,7 @@ PROPAGATING_TAILS = {
     "copy",
 }
 
-#: Rate-valued keyword arguments (mirrors RL006's syntactic vocabulary).
+#: Rate-valued keyword arguments.
 RATE_KEYWORDS = {"rates", "default_rate", "epsilon", "rate", "damping"}
 #: Methods whose sole positional argument is a transfer rate.
 SET_RATE_TAILS = {"set_rate", "set_default_rate"}

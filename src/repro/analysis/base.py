@@ -8,8 +8,9 @@ set (optionally filtered by code) for a run.
 
 The framework hands every checker a :class:`SourceFile` — the path, raw
 text, split lines and parsed AST — so checkers can combine tree-level
-analysis with line-level context (e.g. the ``#: guarded by self._lock``
-annotations of RL003 live in comments the AST does not carry).
+analysis with line-level context (e.g. the lock rules read their
+``#: guarded by self._lock`` annotations from comments the AST does not
+carry).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class SourceFile:
     #: so RL015 and RL017 share one value-domain solve per function.
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
-    #: :func:`repro.analysis.checkers.lock_discipline.lock_attributes`, which
-    #: the summaries and lock checkers ask about once per *method*.
+    #: :func:`repro.analysis.lockset.lock_attributes`, which the summaries
+    #: and lock checkers ask about once per *method*.
     _class_locks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod

@@ -3,9 +3,10 @@
 :func:`build_cfg` turns one function body into a :class:`ControlFlowGraph`
 of :class:`BasicBlock`\\ s connected by labeled :class:`Edge`\\ s.  The graph
 is what the flow-sensitive checkers (RL007–RL009) and the generic solver in
-:mod:`repro.analysis.dataflow` consume; the per-node visitors of RL001–RL006
-never need it, which is why :meth:`repro.analysis.base.SourceFile.cfg_for`
-builds CFGs lazily, per function, on first request.
+:mod:`repro.analysis.dataflow` consume; the per-node visitors (RL001, RL002,
+RL004, RL005) never need it, which is why
+:meth:`repro.analysis.base.SourceFile.cfg_for` builds CFGs lazily, per
+function, on first request.
 
 Shape of the graph
 ------------------

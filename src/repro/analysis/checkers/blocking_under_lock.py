@@ -31,12 +31,12 @@ from typing import Iterator
 from repro.analysis.base import ProjectChecker, call_chain_metadata, register
 from repro.analysis.callgraph import Project
 from repro.analysis.cfg import Header
-from repro.analysis.checkers.lock_discipline import (
-    _CONSTRUCTORS,
+from repro.analysis.findings import Finding
+from repro.analysis.lockset import (
+    CONSTRUCTORS,
+    analyze_method_locksets,
     lock_attributes,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.lockset import analyze_method_locksets
 from repro.analysis.summaries import SummaryIndex, is_fixpoint_while
 
 
@@ -54,7 +54,7 @@ class BlockingUnderLockChecker(ProjectChecker):
         graph = project.graph
         for function_id in sorted(graph.functions):
             info = graph.functions[function_id]
-            if info.name in _CONSTRUCTORS:
+            if info.name in CONSTRUCTORS:
                 continue
             summary = summaries.get(function_id)
             if summary is None:
@@ -117,7 +117,7 @@ class BlockingUnderLockChecker(ProjectChecker):
         locks = lock_attributes(info.source, info.class_node)
         if not locks:
             return
-        model = analyze_method_locksets(info.cfg(), locks, info.name)
+        model = analyze_method_locksets(info.cfg(), locks)
         reported: set = set()
         for _block, item, state in model.held_at_items():
             if not state or not isinstance(item, Header):

@@ -1,22 +1,23 @@
-"""RL011 — lock hazards that only appear through call chains.
+"""RL011 — lock ordering and lock hazards that appear through call chains.
 
-RL007 sees one method at a time: its acquisition-order edges and guarded
-accesses stop at the call boundary.  This rule composes the same facts
-along the call graph via function summaries, catching three shapes RL007
-structurally cannot:
+RL007 sees one method at a time: its guarded accesses stop at the call
+boundary.  This rule composes the per-method lockset facts along the call
+graph via function summaries, catching three shapes:
 
-* **call-chain deadlock cycles** — ``A`` acquires ``self._a_lock`` and then
-  calls a helper that (transitively) acquires ``self._b_lock``, while some
-  other path acquires them in the opposite order.  Order edges from *calls
-  under a held lock* are merged with the intra-method edges into one global
-  graph over qualified ``module.Class.lock`` names; only cycles with at
-  least one call-chain edge are reported here (pure intra-method cycles are
-  RL007's).
+* **deadlock cycles** — two methods taking the same two locks in opposite
+  orders, directly (``with self._a_lock: with self._b_lock:``) or because
+  ``A`` acquires ``self._a_lock`` and then calls a helper that
+  (transitively) acquires ``self._b_lock``.  The intra-method order edges
+  and the edges from *calls under a held lock* form one global graph over
+  qualified ``module.Class.lock`` names.  An intra-method edge on a cycle is
+  reported once per (held, acquired) pair, except in a constructor (no
+  second thread can hold an object's locks before it is built); a
+  call-chain edge once per pair of locks.
 * **self-deadlock re-acquisition** — calling a method that acquires a
   non-reentrant ``threading.Lock`` the caller already holds.  The thread
   blocks on itself; no second thread needed.
 * **unheld ``*_locked`` helpers** — the naming convention promises "caller
-  holds the lock", and RL003/RL007 therefore skip those helpers' guarded
+  holds the lock", and RL007 therefore skips those helpers' guarded
   accesses.  This rule closes the loophole: every call site of a
   ``*_locked`` method is checked against the must-lockset actually held
   there, with the requirement propagated through intermediate ``*_locked``
@@ -31,14 +32,20 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ProjectChecker, call_chain_metadata, register
+from repro.analysis.base import (
+    ProjectChecker,
+    call_chain_metadata,
+    call_name,
+    is_self_attribute,
+    register,
+)
 from repro.analysis.callgraph import Project
-from repro.analysis.checkers.lock_discipline import (
-    _CONSTRUCTORS,
+from repro.analysis.findings import Finding
+from repro.analysis.lockset import (
+    CONSTRUCTORS,
+    analyze_method_locksets,
     lock_attributes,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.lockset import analyze_method_locksets
 from repro.analysis.summaries import SummaryIndex
 
 
@@ -47,8 +54,8 @@ class InterproceduralLockChecker(ProjectChecker):
     code = "RL011"
     name = "interprocedural-lock-order"
     summary = (
-        "deadlock cycle or unheld *_locked helper reachable only through "
-        "a call chain"
+        "lock-order deadlock cycle, self-deadlock re-acquisition, or unheld "
+        "*_locked helper"
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -63,7 +70,6 @@ class InterproceduralLockChecker(ProjectChecker):
         self, project: Project, summaries: SummaryIndex
     ) -> Iterator[Finding]:
         graph = project.graph
-        intra_pairs: set[tuple[str, str]] = set()
         edges: list[dict] = []
 
         for function_id in sorted(graph.functions):
@@ -74,18 +80,16 @@ class InterproceduralLockChecker(ProjectChecker):
             if not locks:
                 continue
             qualify = _qualifier(info)
-            model = analyze_method_locksets(info.cfg(), locks, info.name)
+            model = analyze_method_locksets(info.cfg(), locks)
             for order in model.order_edges:
-                pair = (qualify(order.held), qualify(order.acquired))
-                intra_pairs.add(pair)
                 edges.append(
                     {
-                        "held": pair[0],
-                        "acquired": pair[1],
+                        "held": qualify(order.held),
+                        "acquired": qualify(order.acquired),
                         "function": function_id,
                         "node": order.node,
                         "chain": ((function_id, order.node.lineno),),
-                        "inter": False,
+                        "local": order,
                     }
                 )
 
@@ -113,7 +117,7 @@ class InterproceduralLockChecker(ProjectChecker):
                                     "node": site.node,
                                     "chain": ((function_id, site.line),)
                                     + tail,
-                                    "inter": True,
+                                    "local": None,
                                 }
                             )
 
@@ -134,27 +138,51 @@ class InterproceduralLockChecker(ProjectChecker):
                 stack.extend(adjacency.get(node, ()))
             return False
 
-        reported: set[tuple[str, str]] = set()
+        # An intra-method cycle is reported at each of its opposite-order
+        # sites, a call-chain cycle once per lock pair.
+        reported: set[tuple[str, str, bool]] = set()
         for edge in edges:
-            if not edge["inter"]:
-                continue  # pure intra-method edges are RL007's findings
-            pair = (edge["held"], edge["acquired"])
-            if pair in reported or (pair[1], pair[0]) in reported:
+            info = project.graph.functions[edge["function"]]
+            local = edge["local"]
+            if local is not None and info.name in CONSTRUCTORS:
+                continue
+            key = (edge["held"], edge["acquired"], local is None)
+            if key in reported or (
+                local is None and (key[1], key[0], True) in reported
+            ):
                 continue
             if not reaches(edge["acquired"], edge["held"]):
                 continue
-            reported.add(pair)
-            info = project.graph.functions[edge["function"]]
+            reported.add(key)
+            if local is not None:
+                message = (
+                    f"'self.{local.acquired}' is acquired while "
+                    f"'self.{local.held}' is held in '{info.qualname}', but "
+                    "the class also acquires these locks in the opposite "
+                    "order — a lock-ordering cycle that can deadlock."
+                )
+                suggestion = (
+                    "pick one global acquisition order for the class's locks "
+                    "(document it next to their definitions) or merge the "
+                    "critical sections."
+                )
+            else:
+                message = (
+                    f"'{info.qualname}' holds '{edge['held']}' while a call "
+                    f"chain acquires '{edge['acquired']}', but the order "
+                    "graph also lets the locks be taken in the opposite "
+                    "order — a two-thread deadlock."
+                )
+                suggestion = (
+                    "pick one global acquisition order for the two locks and "
+                    "restructure the chain that violates it."
+                )
             yield self.finding_in(
                 project,
                 info,
                 edge["node"],
-                f"'{info.qualname}' holds '{edge['held']}' while a call "
-                f"chain acquires '{edge['acquired']}', but the order graph "
-                "also lets the locks be taken in the opposite order — a "
-                "two-thread deadlock.",
-                "pick one global acquisition order for the two locks and "
-                "restructure the chain that violates it.",
+                message,
+                suggestion,
                 metadata={
                     "held": edge["held"],
                     "acquired": edge["acquired"],
@@ -226,7 +254,7 @@ class InterproceduralLockChecker(ProjectChecker):
             summary = summaries.get(function_id)
             if summary is None:
                 continue
-            if info.name in _CONSTRUCTORS or info.name.endswith("_locked"):
+            if info.name in CONSTRUCTORS or info.name.endswith("_locked"):
                 continue  # exempt callers: summaries propagate through them
             for site in summary.held_calls:
                 for callee_id in site.callees:
@@ -281,13 +309,11 @@ _PLAIN_LOCK_FACTORIES = {"threading.Lock", "Lock"}
 
 def _non_reentrant_locks(source, class_node: ast.ClassDef) -> set:
     """Lock attributes assigned from plain ``threading.Lock()`` factories."""
-    from repro.analysis.base import call_name, is_self_attribute
-
     plain: set = set()
     for method in class_node.body:
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if method.name not in _CONSTRUCTORS:
+        if method.name not in CONSTRUCTORS:
             continue
         for node in ast.walk(method):
             if not isinstance(node, ast.Assign):

@@ -1,28 +1,23 @@
-"""RL007 — flow-sensitive lockset discipline + lock-ordering cycles.
+"""RL007 — flow-sensitive lockset discipline.
 
-RL003 verifies *lexical* containment: a guarded attribute access must sit
-inside a ``with self.<lock>:`` block.  This rule verifies the actual
-concurrency invariant — at every control-flow point that reads or writes a
-guarded attribute, the annotated lock is in the *lockset* (the set of locks
-certainly held there, computed by the must-analysis in
-:mod:`repro.analysis.lockset` over the per-function CFG).  That closes the
-two gaps lexical matching leaves open:
+At every control-flow point that reads or writes a guarded attribute, the
+bound lock must be in the *lockset* (the set of locks certainly held there,
+computed by the must-analysis in :mod:`repro.analysis.lockset` over the
+per-function CFG).  Lexical ``with self.<lock>:`` containment is weaker on
+two counts this rule closes:
 
 * **aliases** — ``lock = self._rates_lock; with lock: ...`` holds the lock
-  (resolved through reaching definitions), where RL003 would flag it;
+  (resolved through reaching definitions);
 * **paths** — an access reachable both under and outside the lock is a race
   on the unlocked path, even when some ``with`` block encloses it lexically
   somewhere else.
 
-On top of the per-method locksets, the rule collects every acquisition of a
-lock while another is held into a per-class *acquisition-order graph* and
-flags edges that participate in a cycle — two methods taking the same two
-locks in opposite orders is the classic deadly-embrace shape, invisible to
-any single-method analysis.
-
-Attribute-to-lock binding, the exemptions (constructors, ``*_locked``
-helpers), and the pragma escape hatch are exactly RL003's.  Each finding
-carries the lock name in ``metadata["lock"]``.
+Attributes bind to locks by naming convention or ``#: guarded by`` annotation
+(:func:`~repro.analysis.lockset.guarded_attributes`).  Constructors and
+``*_locked`` helpers (the "caller holds the lock" convention, checked at
+their call sites by RL011) are exempt; a ``# repro-lint: ignore[RL007]``
+pragma with a rationale is the escape hatch.  Each finding carries the lock
+name in ``metadata["lock"]``.  Lock-*order* cycles are RL011's.
 """
 
 from __future__ import annotations
@@ -31,17 +26,13 @@ import ast
 from typing import Iterator
 
 from repro.analysis.base import Checker, SourceFile, is_self_attribute, register
-from repro.analysis.checkers.lock_discipline import (
-    _CONSTRUCTORS,
-    guarded_attributes,
-    lock_attributes,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.lockset import (
+    CONSTRUCTORS,
     MethodLocksets,
-    OrderEdge,
     analyze_method_locksets,
-    order_cycles,
+    guarded_attributes,
+    lock_attributes,
     self_attribute_accesses,
 )
 
@@ -52,7 +43,7 @@ class LocksetDisciplineChecker(Checker):
     name = "lockset-discipline"
     summary = (
         "guarded attribute accessed at a point whose computed lockset lacks "
-        "its lock, or locks acquired in cycle-forming order"
+        "its lock"
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -67,33 +58,15 @@ class LocksetDisciplineChecker(Checker):
         if not locks:
             return
         guarded = guarded_attributes(source, class_def, locks)
-        order_edges: list[OrderEdge] = []
+        if not guarded:
+            return
         for method in class_def.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if method.name in _CONSTRUCTORS:
-                # Constructors run before concurrent aliases exist: no
-                # races, and their acquisition order cannot deadlock.
+            if method.name in CONSTRUCTORS or method.name.endswith("_locked"):
                 continue
-            model = analyze_method_locksets(
-                source.cfg_for(method), locks, method.name
-            )
-            order_edges.extend(model.order_edges)
-            if guarded and not method.name.endswith("_locked"):
-                yield from self._check_accesses(source, class_def, method, model, guarded)
-        for edge in order_cycles(order_edges):
-            yield self.finding(
-                source,
-                edge.node,
-                f"'self.{edge.acquired}' is acquired while 'self.{edge.held}' "
-                f"is held in '{class_def.name}.{edge.method}', but the class "
-                "also acquires these locks in the opposite order — a "
-                "lock-ordering cycle that can deadlock.",
-                "pick one global acquisition order for the class's locks "
-                "(document it next to their definitions) or merge the "
-                "critical sections.",
-                metadata={"lock": edge.acquired, "held": edge.held},
-            )
+            model = analyze_method_locksets(source.cfg_for(method), locks)
+            yield from self._check_accesses(source, class_def, method, model, guarded)
 
     def _check_accesses(
         self,

@@ -1,6 +1,6 @@
 """Lockset computation over the CFG: which ``self`` locks are held where.
 
-The Eraser-style core of RL007: a forward *must* analysis whose state is the
+The Eraser-style core of the lock rules: a forward *must* analysis whose state is the
 set of instance locks certainly held at a program point — ``None`` stands
 for ⊤ (unreachable-so-far), join is set intersection, and the
 :class:`~repro.analysis.cfg.WithEnter`/:class:`~repro.analysis.cfg.WithExit`
@@ -9,7 +9,7 @@ markers the CFG builder emits are the acquire/release transfer points
 paths that leave a ``with`` early).
 
 Lock expressions are resolved through reaching definitions, so the aliased
-form RL003 cannot see::
+form lexical ``with self.<lock>:`` matching cannot see::
 
     lock = self._rates_lock
     with lock:                 # holds self._rates_lock here
@@ -21,16 +21,30 @@ attribute; a name with mixed reaching definitions resolves to nothing and
 the region conservatively guards nothing.
 
 :func:`analyze_method_locksets` also records the **acquisition order**
-edges (held-lock, acquired-lock) that RL007 feeds into a per-class order
+edges (held-lock, acquired-lock) that RL011 merges into one global order
 graph for deadlock-cycle detection.
+
+Which attribute a lock guards is decided here too, two ways:
+
+* **naming convention** — a lock ``self._<stem>_lock`` (assigned from
+  ``threading.Lock()`` / ``RLock()`` / ``Condition()``) guards every
+  underscore attribute of the class whose name starts with ``_<stem>``
+  (``self._view_lock`` guards ``self._views`` and ``self._view_builds``);
+* **annotation** — a ``#: guarded by self.<lock>`` comment on the attribute's
+  ``__init__`` assignment (same line, or the line directly above) binds it
+  explicitly; this is the only way to bind to a bare ``self._lock``.
+
+Constructors (:data:`CONSTRUCTORS`) run before concurrent aliases exist, so
+every lock rule exempts them.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 
-from repro.analysis.base import is_self_attribute
+from repro.analysis.base import SourceFile, call_name, is_self_attribute
 from repro.analysis.cfg import (
     BasicBlock,
     BlockItem,
@@ -46,6 +60,21 @@ from repro.analysis.dataflow import (
     solve,
 )
 
+CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
+
+_LOCK_FACTORIES = {
+    "threading.Lock",
+    "threading.RLock",
+    "threading.Condition",
+    "Lock",
+    "RLock",
+    "Condition",
+}
+
+_GUARD_COMMENT = re.compile(r"#:\s*guarded by self\.(\w+)")
+
+_NAMED_LOCK = re.compile(r"^_(?P<stem>\w+?)_lock$")
+
 
 @dataclass(frozen=True)
 class OrderEdge:
@@ -53,7 +82,6 @@ class OrderEdge:
 
     held: str
     acquired: str
-    method: str
     node: ast.expr
 
 
@@ -100,7 +128,7 @@ class LocksetProblem(DataflowProblem):
 
 @dataclass
 class MethodLocksets:
-    """Everything RL007 needs about one method's lock behaviour."""
+    """Everything the lock rules need about one method's lock behaviour."""
 
     cfg: ControlFlowGraph
     solution: Solution
@@ -120,7 +148,7 @@ class MethodLocksets:
 
 
 def analyze_method_locksets(
-    cfg: ControlFlowGraph, locks: set[str], method_name: str = ""
+    cfg: ControlFlowGraph, locks: set[str]
 ) -> MethodLocksets:
     """Solve the lockset analysis for one method against ``locks``."""
     resolved = _resolve_with_markers(cfg, locks)
@@ -138,7 +166,6 @@ def analyze_method_locksets(
                 OrderEdge(
                     held=held,
                     acquired=acquired,
-                    method=method_name,
                     node=item.item.context_expr,
                 )
             )
@@ -265,37 +292,71 @@ def self_attribute_accesses(item: BlockItem) -> list[ast.Attribute]:
     return accesses
 
 
-def order_cycles(edges: list[OrderEdge]) -> list[OrderEdge]:
-    """The edges that participate in an acquisition-order cycle.
+def lock_attributes(source: SourceFile, class_def: ast.ClassDef) -> frozenset[str]:
+    """Attributes assigned from a lock factory anywhere in the class.
 
-    An edge ``held -> acquired`` is cyclic when the order graph also lets
-    ``acquired`` (transitively) precede ``held`` — the classic two-thread
-    deadlock shape.  Returned in input order, deduplicated by lock pair.
+    One walk of the class per ``source`` (cached on it): the summaries and
+    the lock checkers ask once per method.
     """
-    graph: dict[str, set[str]] = {}
-    for edge in edges:
-        graph.setdefault(edge.held, set()).add(edge.acquired)
+    locks = source._class_locks.get(id(class_def))
+    if locks is None:
+        found: set[str] = set()
+        for node in ast.walk(class_def):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if call_name(node.value) in _LOCK_FACTORIES:
+                    for target in node.targets:
+                        if is_self_attribute(target):
+                            found.add(target.attr)  # type: ignore[union-attr]
+        locks = source._class_locks[id(class_def)] = frozenset(found)
+    return locks
 
-    def reaches(start: str, goal: str) -> bool:
-        seen = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            if node in seen:
+
+def guarded_attributes(
+    source: SourceFile, class_def: ast.ClassDef, locks: frozenset[str]
+) -> dict[str, str]:
+    """attribute name -> lock name, from naming convention + annotations."""
+    guarded: dict[str, str] = {}
+
+    # Naming convention: self._<stem>_lock guards self._<stem>*.
+    stems = []
+    for lock in locks:
+        match = _NAMED_LOCK.match(lock)
+        if match is not None:
+            stems.append((f"_{match.group('stem')}", lock))
+    if stems:
+        for attr in _all_self_attributes(class_def):
+            if attr in locks:
                 continue
-            seen.add(node)
-            stack.extend(graph.get(node, ()))
-        return False
+            for prefix, lock in stems:
+                if attr.startswith(prefix):
+                    guarded[attr] = lock
+                    break
 
-    cyclic: list[OrderEdge] = []
-    reported: set[tuple[str, str]] = set()
-    for edge in edges:
-        pair = (edge.held, edge.acquired)
-        if pair in reported:
+    # Annotations: "#: guarded by self.<lock>" on or above an assignment.
+    for node in ast.walk(class_def):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
-        if reaches(edge.acquired, edge.held):
-            reported.add(pair)
-            cyclic.append(edge)
-    return cyclic
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if not is_self_attribute(target):
+                continue
+            lock = _annotation_for(source, node.lineno)
+            if lock is not None and lock in locks:
+                guarded[target.attr] = lock  # type: ignore[union-attr]
+    return guarded
+
+
+def _annotation_for(source: SourceFile, lineno: int) -> str | None:
+    for candidate in (lineno, lineno - 1):
+        match = _GUARD_COMMENT.search(source.line_at(candidate))
+        if match is not None:
+            return match.group(1)
+    return None
+
+
+def _all_self_attributes(class_def: ast.ClassDef) -> set[str]:
+    attrs: set[str] = set()
+    for node in ast.walk(class_def):
+        if is_self_attribute(node):
+            attrs.add(node.attr)  # type: ignore[union-attr]
+    return attrs

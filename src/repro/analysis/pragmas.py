@@ -3,7 +3,7 @@
 Grammar (one pragma per comment, anywhere on the line):
 
 * ``# repro-lint: ignore[RL001]`` — suppress RL001 on this line;
-* ``# repro-lint: ignore[RL001,RL003]`` — suppress several codes;
+* ``# repro-lint: ignore[RL001,RL004]`` — suppress several codes;
 * ``# repro-lint: ignore`` — suppress every rule on this line;
 * ``# repro-lint: skip-file`` — suppress the whole file (first 5 lines only,
   so a stray comment deep in a module cannot silently disable analysis).

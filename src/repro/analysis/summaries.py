@@ -57,7 +57,12 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.cfg import Header, WithEnter
 from repro.analysis.dataflow import DataflowProblem, solve
-from repro.analysis.lockset import analyze_method_locksets
+from repro.analysis.lockset import (
+    analyze_method_locksets,
+    guarded_attributes,
+    lock_attributes,
+    self_attribute_accesses,
+)
 
 #: Hard cap on fixpoint rounds inside one SCC — the lattice is finite so
 #: real projects converge in 2–3 rounds; the cap only guards a logic bug.
@@ -252,14 +257,6 @@ def _qualify(info: FunctionInfo, lock: str) -> str:
 
 
 def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
-    # Imported here, not at module level: the checkers package imports the
-    # RL010–RL013 modules, which import this one — a top-level import of
-    # ``repro.analysis.checkers.*`` would close the cycle.
-    from repro.analysis.checkers.lock_discipline import (
-        guarded_attributes,
-        lock_attributes,
-    )
-
     node = info.node
     site_by_call = {id(site.node): site for site in sites}
     locks = (
@@ -277,7 +274,7 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
     direct_required: list[tuple[str, int]] = []
     acquire_lines: dict[str, int] = {}
     if locks:
-        model = analyze_method_locksets(info.cfg(), locks, info.name)
+        model = analyze_method_locksets(info.cfg(), locks)
         for block, item, state in model.held_at_items():
             if isinstance(item, WithEnter):
                 lock = model.resolved.get(id(item))
@@ -435,8 +432,6 @@ def is_blocking_call(call: ast.Call, name: str, held: frozenset) -> bool:
 
 
 def _guarded_accesses_in(item, guarded: dict) -> list[ast.Attribute]:
-    from repro.analysis.lockset import self_attribute_accesses
-
     return [
         access
         for access in self_attribute_accesses(item)

@@ -23,8 +23,8 @@ equivalent surface.  Subcommands:
   (``repro.ingest``); ``--store DIR`` publishes the refreshed matrix as the
   next store generation, ``--compare-full`` verifies bit-identity against a
   from-scratch rebuild;
-* ``repro lint [paths...]`` — the project's invariant linter (RL001–RL017:
-  six AST rules, the flow-sensitive RL007–RL009, the interprocedural
+* ``repro lint [paths...]`` — the project's invariant linter (fifteen
+  rules: four AST rules, the flow-sensitive RL007–RL009, the interprocedural
   RL010–RL013 over the project call graph and the abstract-interpretation
   RL014–RL017, see ``repro.analysis``) with
   text/JSON/GitHub/SARIF output, ``--changed`` git-scoped runs and baseline
@@ -837,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect.set_defaults(func=cmd_store_inspect)
 
     lint = sub.add_parser(
-        "lint", help="run the invariant checkers (RL001-RL017)"
+        "lint", help="run the fifteen invariant checkers"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"

@@ -166,7 +166,6 @@ class RowOperator:
         self._scratch = np.zeros(matrix.shape[1])
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
         self._scratch[self.nodes] = vector
         product = np.zeros(self.nodes.size)
         csr_matvec(
@@ -179,7 +178,6 @@ class RowOperator:
         """The induced submatrix's ``nnz``: non-zero entries with both ends
         in ``nodes`` (parallel edges merged), in one mask pass."""
         inside = np.zeros(self._scratch.size, dtype=bool)
-        # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
         inside[self.nodes] = True
         return int(np.count_nonzero(inside.take(self.indices) & (self.data != 0)))
 

@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 from repro.analysis import SourceFile, all_checkers, checker_codes
+from tests.analysis.test_absint_checkers import one_module
 
 
 def lint_snippet(code: str, snippet: str):
@@ -24,16 +25,21 @@ def codes_of(findings):
 
 
 class TestRegistry:
-    def test_all_seventeen_rules_registered(self):
+    def test_all_fifteen_rules_registered(self):
         assert checker_codes() == [
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
-            "RL013", "RL014", "RL015", "RL016", "RL017",
+            "RL001", "RL002", "RL004", "RL005", "RL007", "RL008",
+            "RL009", "RL010", "RL011", "RL012", "RL013", "RL014",
+            "RL015", "RL016", "RL017",
         ]
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers(["RL999"])
+
+    @pytest.mark.parametrize("retired", ["RL003", "RL006"])
+    def test_retired_code_rejected_like_any_unknown_code(self, retired):
+        with pytest.raises(ValueError, match="unknown rule codes"):
+            all_checkers([retired])
 
 
 class TestRL001DuplicateIndexWrite:
@@ -205,9 +211,11 @@ class TestRL002CacheLatch:
 
 
 class TestRL003LockDiscipline:
+    """The retired RL003's fixtures: RL007 gives each the same verdict."""
+
     def test_detects_naming_convention_violation(self):
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -220,12 +228,12 @@ class TestRL003LockDiscipline:
                     return self._views.get(key)
             """,
         )
-        assert codes_of(findings) == ["RL003"]
+        assert codes_of(findings) == ["RL007"]
         assert "_views_lock" in findings[0].message
 
     def test_detects_annotation_violation(self):
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -239,12 +247,12 @@ class TestRL003LockDiscipline:
                     self._value += 1.0
             """,
         )
-        assert codes_of(findings) == ["RL003"]
+        assert codes_of(findings) == ["RL007"]
         assert "written" in findings[0].message
 
     def test_negative_with_block_access_is_clean(self):
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -263,7 +271,7 @@ class TestRL003LockDiscipline:
     def test_negative_locked_suffix_helper_exempt(self):
         """``*_locked`` names the caller-holds-the-lock convention."""
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -284,7 +292,7 @@ class TestRL003LockDiscipline:
 
     def test_negative_constructor_exempt(self):
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -300,7 +308,7 @@ class TestRL003LockDiscipline:
     def test_negative_unannotated_bare_lock_not_bound(self):
         """A bare ``_lock`` guards nothing without an annotation."""
         findings = lint_snippet(
-            "RL003",
+            "RL007",
             """
             import threading
 
@@ -453,9 +461,11 @@ class TestRL005FloatEquality:
 
 
 class TestRL006RateInvariants:
+    """The retired RL006's fixtures: RL016 gives each the same verdict."""
+
     def test_detects_negative_literal_rate(self):
-        findings = lint_snippet(
-            "RL006",
+        findings = one_module(
+            "RL016",
             """
             from repro.graph.authority import AuthorityTransferSchemaGraph
 
@@ -463,34 +473,49 @@ class TestRL006RateInvariants:
                 return AuthorityTransferSchemaGraph(schema, rates={edge: -0.3})
             """,
         )
-        assert codes_of(findings) == ["RL006"]
-        assert "non-negative" in findings[0].message
+        assert codes_of(findings) == ["RL016"]
+        assert findings[0].line == 5
+        assert "[-0.3, -0.3]" in findings[0].message
+        assert "[0, 1]" in findings[0].message
 
     def test_detects_unnormalized_rate_above_one(self):
-        findings = lint_snippet(
-            "RL006",
+        findings = one_module(
+            "RL016",
             """
             def build(schema, edge):
                 return AuthorityTransferSchemaGraph(schema, rates={edge: 1.5})
             """,
         )
-        assert codes_of(findings) == ["RL006"]
-        assert "convergence" in findings[0].message
+        assert codes_of(findings) == ["RL016"]
+        assert findings[0].line == 3
+        assert "[1.5, 1.5]" in findings[0].message
+        assert "normalize" in findings[0].suggestion
 
     def test_detects_negative_set_rate(self):
-        findings = lint_snippet(
-            "RL006",
+        findings = one_module(
+            "RL016",
             """
             def poke(schema, edge):
                 schema.set_rate(edge, -1.0)
             """,
         )
-        assert codes_of(findings) == ["RL006"]
+        assert codes_of(findings) == ["RL016"]
+
+    def test_detects_negative_vector_element(self):
+        findings = one_module(
+            "RL016",
+            """
+            def retrain(transfer):
+                return transfer.with_vector([0.5, -0.2])
+            """,
+        )
+        assert codes_of(findings) == ["RL016"]
+        assert "with_vector()" in findings[0].message
 
     def test_negative_normalized_scope_allows_above_one(self):
         """A >1 literal on its way into scaled_to_convergent is legitimate."""
-        findings = lint_snippet(
-            "RL006",
+        findings = one_module(
+            "RL016",
             """
             def build(schema, edge):
                 raw = AuthorityTransferSchemaGraph(schema, rates={edge: 1.5})
@@ -499,9 +524,20 @@ class TestRL006RateInvariants:
         )
         assert findings == []
 
+    def test_normalized_scope_still_flags_negative_rate(self):
+        findings = one_module(
+            "RL016",
+            """
+            def build(schema, edge):
+                raw = AuthorityTransferSchemaGraph(schema, {edge: -0.5})
+                return raw.scaled_to_convergent()
+            """,
+        )
+        assert codes_of(findings) == ["RL016"]
+
     def test_negative_valid_rates_are_clean(self):
-        findings = lint_snippet(
-            "RL006",
+        findings = one_module(
+            "RL016",
             """
             def build(schema, forward, backward):
                 return AuthorityTransferSchemaGraph(
@@ -512,9 +548,9 @@ class TestRL006RateInvariants:
         assert findings == []
 
     def test_negative_computed_rates_not_judged(self):
-        """Non-literal rate expressions are out of static reach — no guess."""
-        findings = lint_snippet(
-            "RL006",
+        """An unbounded rate expression is out of static reach — no guess."""
+        findings = one_module(
+            "RL016",
             """
             def build(schema, edge, learned):
                 return AuthorityTransferSchemaGraph(schema, rates={edge: learned})

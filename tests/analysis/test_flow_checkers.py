@@ -57,7 +57,7 @@ class TestRL007Lockset:
         ) == []
 
     def test_alias_through_a_local_still_counts_as_held(self):
-        """The gap RL003's lexical matching cannot close."""
+        """The gap lexical ``with self.<lock>:`` matching cannot close."""
         assert self._lint(
             """peek(self):
                 lock = self._rates_lock
@@ -85,56 +85,6 @@ class TestRL007Lockset:
             """peek_locked(self):
                 return self._rates
             """
-        ) == []
-
-    def test_opposite_acquisition_orders_flag_a_deadlock_cycle(self):
-        findings = lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class TwoLocks:
-                def __init__(self):
-                    self._a_lock = threading.Lock()
-                    self._b_lock = threading.Lock()
-
-                def forward(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-
-                def backward(self):
-                    with self._b_lock:
-                        with self._a_lock:
-                            pass
-            """,
-        )
-        assert codes_of(findings) == ["RL007", "RL007"]
-        assert all("lock-ordering cycle" in f.message for f in findings)
-        held = {(f.metadata["held"], f.metadata["lock"]) for f in findings}
-        assert held == {("_a_lock", "_b_lock"), ("_b_lock", "_a_lock")}
-
-    def test_consistent_acquisition_order_is_clean(self):
-        assert lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class TwoLocks:
-                def __init__(self):
-                    self._a_lock = threading.Lock()
-                    self._b_lock = threading.Lock()
-
-                def one(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-
-                def two(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-            """,
         ) == []
 
 

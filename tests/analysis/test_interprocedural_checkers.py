@@ -258,6 +258,65 @@ class TestRL011InterproceduralLocks:
         assert "RL011" in codes_of(findings)
         assert any("deadlock" in f.message for f in findings)
 
+    def test_opposite_acquisition_orders_flag_a_deadlock_cycle(self):
+        findings = one_module(
+            "RL011",
+            """
+            import threading
+
+            class TwoLocks:
+                def __init__(self):
+                    self._a_lock = threading.Lock()
+                    self._b_lock = threading.Lock()
+
+                def forward(self):
+                    with self._a_lock:
+                        with self._b_lock:
+                            pass
+
+                def backward(self):
+                    with self._b_lock:
+                        with self._a_lock:
+                            pass
+            """,
+        )
+        assert codes_of(findings) == ["RL011", "RL011"]
+        assert [f.line for f in findings] == [11, 16]
+        assert findings[0].message == (
+            "'self._b_lock' is acquired while 'self._a_lock' is held in "
+            "'TwoLocks.forward', but the class also acquires these locks in "
+            "the opposite order — a lock-ordering cycle that can deadlock."
+        )
+        held = {(f.metadata["held"], f.metadata["acquired"]) for f in findings}
+        assert held == {
+            ("repro.m.TwoLocks._a_lock", "repro.m.TwoLocks._b_lock"),
+            ("repro.m.TwoLocks._b_lock", "repro.m.TwoLocks._a_lock"),
+        }
+        assert [len(f.metadata["call_chain"]) for f in findings] == [1, 1]
+
+    def test_consistent_acquisition_order_is_clean(self):
+        assert one_module(
+            "RL011",
+            """
+            import threading
+
+            class TwoLocks:
+                def __init__(self):
+                    self._a_lock = threading.Lock()
+                    self._b_lock = threading.Lock()
+
+                def one(self):
+                    with self._a_lock:
+                        with self._b_lock:
+                            pass
+
+                def two(self):
+                    with self._a_lock:
+                        with self._b_lock:
+                            pass
+            """,
+        ) == []
+
     def test_consistent_order_is_clean(self):
         assert one_module(
             "RL011",

@@ -266,7 +266,9 @@ class TestSarifReporter:
         driver = run["tool"]["driver"]
         assert driver["name"] == "repro-lint"
         codes = [rule["id"] for rule in driver["rules"]]
-        assert codes == [f"RL{i:03d}" for i in range(1, 18)]
+        assert codes == [
+            f"RL{i:03d}" for i in range(1, 18) if i not in (3, 6)
+        ]
         assert all(rule["shortDescription"]["text"] for rule in driver["rules"])
 
     def test_results_carry_location_and_fingerprint(self, sarif):
@@ -277,7 +279,7 @@ class TestSarifReporter:
         assert location["artifactLocation"]["uri"] == "pkg/bad.py"
         assert location["region"]["startLine"] == 2
         assert result["partialFingerprints"]["reproLintFingerprint/v1"]
-        assert result["ruleIndex"] == 3  # RL004 in the registry ordering
+        assert result["ruleIndex"] == 2  # RL004 in the registry ordering
 
     def test_parse_errors_become_notifications(self, sarif):
         (run,) = sarif["runs"]
@@ -365,7 +367,7 @@ class TestRepositorySelfLint:
         """The self-lint gate: nothing hides behind the baseline — the
         interprocedural RL010–RL013 and the abstract-interpretation
         RL014–RL017 included."""
-        assert len(src_report.checker_codes) == 17
+        assert len(src_report.checker_codes) == 15
         assert {"RL010", "RL011", "RL012", "RL013"} <= set(
             src_report.checker_codes
         )
@@ -375,7 +377,7 @@ class TestRepositorySelfLint:
         assert src_report.findings == [], render(src_report, "text")
 
     def test_serve_package_is_clean_without_any_baseline(self):
-        """The RL003 audit target: repro.serve passes with an EMPTY baseline."""
+        """The lock rules' audit target: repro.serve passes with an EMPTY baseline."""
         report = run_lint(
             [REPO_ROOT / "src" / "repro" / "serve"],
             baseline=Baseline(),
@@ -393,14 +395,11 @@ class TestRepositorySelfLint:
         assert report.findings == [], render(report, "text")
 
     def test_lock_discipline_actually_bound_in_serve(self):
-        """Guard against silently losing the RL003 attribute<->lock binding."""
+        """Guard against silently losing the attribute<->lock binding."""
         import ast
 
         from repro.analysis.base import SourceFile
-        from repro.analysis.checkers.lock_discipline import (
-            guarded_attributes,
-            lock_attributes,
-        )
+        from repro.analysis.lockset import guarded_attributes, lock_attributes
 
         path = REPO_ROOT / "src" / "repro" / "serve" / "service.py"
         source = SourceFile.parse(str(path), path.read_text())

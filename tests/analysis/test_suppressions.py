@@ -1,7 +1,10 @@
 """Pragma parsing and baseline-file behaviour."""
 
+import io
 import json
 import textwrap
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +16,11 @@ from repro.analysis import (
     lint_source,
     load_baseline,
     parse_pragmas,
+    run_lint,
     save_baseline,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _source(snippet: str) -> SourceFile:
@@ -118,3 +124,64 @@ class TestBaseline:
             source_line="    if total_weight == 0.0:",  # the line changed
         )
         assert not baseline.contains(moved)
+
+
+def pragma_comments(path: Path) -> list[tuple[int, set[str]]]:
+    """``(line, codes)`` of every ``repro-lint: ignore`` *comment* in ``path``
+    — a pragma quoted in a docstring is a string token and is skipped."""
+    found = []
+    with path.open(encoding="utf-8") as handle:
+        for token in tokenize.generate_tokens(handle.readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            codes = parse_pragmas([token.string]).by_line.get(1)
+            if codes is not None:
+                found.append((token.start[0], codes))
+    return found
+
+
+def dead_pragmas(root: Path, tree: Path, checkers=None) -> list[str]:
+    """Pragma comments under ``tree`` that suppress no finding of the lint."""
+    report = run_lint([tree], checkers=checkers, baseline=Baseline(), root=root)
+    suppressed = {(f.file, f.line, f.code) for f in report.suppressed}
+    dead = []
+    for path in sorted(tree.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for line, codes in pragma_comments(path):
+            live = any(
+                (name, covered, code) in suppressed
+                for covered in (line, line + 1)
+                for code in (codes or report.checker_codes)
+            )
+            if not live:
+                dead.append(f"{name}:{line} ignore[{','.join(sorted(codes))}]")
+    return dead
+
+
+class TestDeadPragmas:
+    def test_every_pragma_in_src_suppresses_a_finding(self):
+        """A pragma that suppresses nothing hides the next real finding on
+        its line: delete it once the code it excused is gone."""
+        assert dead_pragmas(REPO_ROOT, REPO_ROOT / "src") == []
+
+    def test_the_guard_sees_a_dead_pragma(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "m.py").write_text(
+            textwrap.dedent(
+                '''
+                """Quoted, not a pragma: # repro-lint: ignore[RL005]"""
+
+
+                def check(total):
+                    if total == 0.0:  # repro-lint: ignore[RL005] sentinel
+                        return None
+                    # repro-lint: ignore[RL005] covers the next line
+                    if total == 1.0:
+                        return total
+                    return total + 1  # repro-lint: ignore[RL005] stale
+                '''
+            )
+        )
+        assert dead_pragmas(
+            tmp_path, tmp_path / "pkg", all_checkers(["RL005"])
+        ) == ["pkg/m.py:11 ignore[RL005]"]

@@ -551,3 +551,48 @@ def test_importing_the_serve_tier_loads_nothing_off_path():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# -- one rule per hazard: checkers share facts through the analysis core ----------
+
+CHECKERS = "repro.analysis.checkers"
+
+
+def checker_cross_imports(checkers_dir: Path) -> list[str]:
+    """``module -> imported checker module`` for every checker module that
+    imports a sibling; the package ``__init__`` (the registry) is exempt."""
+    modules = {path.stem for path in checkers_dir.glob("*.py")} - {"__init__"}
+    offenders = []
+    for name in sorted(modules):
+        for module, imported in imports_of(checkers_dir / f"{name}.py"):
+            target = (
+                module.removeprefix(f"{CHECKERS}.")
+                if module.startswith(f"{CHECKERS}.")
+                else imported if module == CHECKERS else None
+            )
+            if target in modules and target != name:
+                offenders.append(f"{name} -> {target}")
+    return offenders
+
+
+def test_no_checker_imports_another_checker():
+    """Facts two rules need live in lockset.py, absint.py or summaries.py; a
+    checker importing a sibling is how a retired rule's helpers outlive it."""
+    assert checker_cross_imports(SRC / "analysis" / "checkers") == []
+
+
+def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
+    (tmp_path / "__init__.py").write_text(f"from {CHECKERS}.a import A\n")
+    (tmp_path / "a.py").write_text("from repro.analysis.lockset import CONSTRUCTORS\n")
+    (tmp_path / "b.py").write_text(f"from {CHECKERS}.a import helper\n")
+    (tmp_path / "c.py").write_text(f"from {CHECKERS} import b\n")
+    assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
+
+
+def test_the_registry_holds_fifteen_rules():
+    """RL003 folded into RL007 and RL006 into RL016; their codes stay unknown."""
+    from repro.analysis import checker_codes
+
+    codes = checker_codes()
+    assert len(codes) == 15
+    assert not {"RL003", "RL006"} & set(codes)
