@@ -32,7 +32,7 @@ if __name__ == "__main__":  # script mode: make `benchmarks.` importable
 
 from benchmarks.conftest import write_result
 
-from repro.analysis import all_checkers, load_baseline, run_lint
+from repro_lint import all_checkers, load_baseline, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The CI budget the lint job promises ("must run in <10s", ISSUE 3).

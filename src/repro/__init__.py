@@ -41,11 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time eager imports
 
 __version__ = "1.0.0"
 
-#: Lazy re-exports (PEP 562): attribute name -> defining module.  Keeping the
-#: package root import-light means stdlib-only tooling built on subpackages —
-#: ``repro lint`` in a bare CI job, most prominently — never pays for (or
-#: requires) numpy/scipy, which the ranking stack needs but the analyzer
-#: does not.
+#: Lazy re-exports (PEP 562): attribute name -> defining module.  Importing
+#: any submodule runs this file first, so keeping it import-light means
+#: ``repro.cli`` starts without numpy/scipy, which only the ranking stack
+#: needs — ``repro lint``, which ``repro.cli`` hands to the stdlib-only
+#: :mod:`repro_lint` package, runs in a bare CI job that has neither.
 _LAZY_EXPORTS = {
     "SystemConfig": "repro.core.config",
     "FeedbackOutcome": "repro.core.system",

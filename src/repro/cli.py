@@ -23,15 +23,12 @@ equivalent surface.  Subcommands:
   (``repro.ingest``); ``--store DIR`` publishes the refreshed matrix as the
   next store generation, ``--compare-full`` verifies bit-identity against a
   from-scratch rebuild;
-* ``repro lint [paths...]`` — the project's invariant linter (fifteen
-  rules: four AST rules, the flow-sensitive RL007–RL009, the interprocedural
-  RL010–RL013 over the project call graph and the abstract-interpretation
-  RL014–RL017, see ``repro.analysis``) with
-  text/JSON/GitHub/SARIF output, ``--changed`` git-scoped runs and baseline
-  support.
+* ``repro lint [paths...]`` — the project's invariant linter, which lives
+  in its own package: :func:`main` hands the arguments to
+  :func:`repro_lint.cli.main` (flags, formats and exit codes are there).
 
-All subcommands accept ``--scale`` and ``--seed`` for the dataset generator
-and ``--top-k`` for the result-list length.
+The dataset subcommands accept ``--scale`` and ``--seed`` for the dataset
+generator and ``--top-k`` for the result-list length.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ from typing import Sequence
 from repro.errors import ReproError
 
 # The query/ranking commands need numpy+scipy; ``repro lint`` must not (it
-# runs in bare CI jobs in well under ten seconds).  Heavy imports therefore
-# happen inside the command functions, not at module import time.
+# runs in bare CI jobs).  Heavy imports therefore happen inside the command
+# functions, not at module import time.
 
 
 def _build_system(args: argparse.Namespace) -> tuple:
@@ -360,109 +357,6 @@ def cmd_repl(args: argparse.Namespace) -> int:
 
     dataset, system = _build_system(args)
     return run_repl(dataset, system, sys.stdin)
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """The ``repro lint`` subcommand: run the invariant checkers.
-
-    Exit codes: 0 when no new findings (baselined and pragma-suppressed ones
-    do not count), 1 when findings or parse errors remain, 2 on usage errors.
-    """
-    from repro.analysis import (
-        Baseline,
-        all_checkers,
-        load_baseline,
-        render,
-        run_lint,
-        save_baseline,
-    )
-
-    try:
-        checkers = all_checkers(args.select)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    baseline = Baseline() if args.no_baseline else load_baseline(args.baseline)
-    scope = None
-    cache = None
-    if args.changed:
-        scope, checkout_root = _changed_python_files()
-        if scope is None:
-            print(
-                "repro lint: --changed needs a git checkout; "
-                "linting everything",
-                file=sys.stderr,
-            )
-        else:
-            # A --changed run is the incremental workflow: persist the
-            # interprocedural summary index next to the checkout so a
-            # no-op rerun skips the project-phase fixpoint entirely.
-            from repro.analysis.summary_cache import CACHE_FILENAME
-
-            cache = checkout_root / CACHE_FILENAME
-    report = run_lint(
-        args.paths, checkers=checkers, baseline=baseline, scope=scope, cache=cache
-    )
-
-    if args.write_baseline:
-        accepted = report.findings + report.baselined
-        save_baseline(Baseline.from_findings(accepted, reasons=baseline), args.baseline)
-        print(
-            f"wrote {args.baseline} with {len(accepted)} accepted finding(s)",
-            file=sys.stderr,
-        )
-        return 0
-
-    print(render(report, args.format))
-    return 0 if report.clean else 1
-
-
-def _changed_python_files() -> "tuple[set[str] | None, Path | None]":
-    """``(changed files, checkout root)`` for a ``--changed`` lint run.
-
-    The first element holds cwd-relative names of ``.py`` files with
-    uncommitted changes; the second the git toplevel (where the summary
-    cache lives).  Asks ``git status --porcelain`` (worktree + index vs
-    HEAD, renames resolved to their new name) so a pre-commit
-    ``repro lint --changed`` covers exactly what the commit would ship.
-    ``--untracked-files=all`` expands untracked *directories* into their
-    files — by default git collapses a new package to ``?? pkg/`` and
-    every module inside it would silently escape the lint.  Returns
-    ``(None, None)`` when git is unavailable or the cwd is not inside a
-    work tree — the caller falls back to a full run rather than silently
-    linting nothing.
-    """
-    import subprocess
-    from pathlib import Path
-
-    try:
-        toplevel = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=all"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None, None
-    changed: set[str] = set()
-    root = Path(toplevel)
-    cwd = Path.cwd().resolve()
-    for line in status.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:].strip().strip('"')
-        if " -> " in path:
-            path = path.split(" -> ", 1)[1]
-        if not path.endswith(".py"):
-            continue
-        try:
-            display = (root / path).resolve().relative_to(cwd).as_posix()
-        except ValueError:
-            continue  # changed file outside the directory being linted
-        changed.add(display)
-    return changed, root
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -836,45 +730,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_inspect.set_defaults(func=cmd_store_inspect)
 
-    lint = sub.add_parser(
-        "lint", help="run the fifteen invariant checkers"
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files or directories (default: src)"
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "github", "sarif"], default="text",
-        help="report format (github emits workflow-command annotations; "
-        "sarif emits a SARIF 2.1.0 log for code-scanning uploads)",
-    )
-    lint.add_argument(
-        "--baseline", default=".repro-lint-baseline.json",
-        help="accepted-findings file (missing file = empty baseline)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--select", nargs="*", default=None, metavar="CODE",
-        help="run only these rule codes (default: all registered)",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="lint only files with uncommitted git changes (interprocedural "
-        "rules still see the whole project; outside a git checkout this "
-        "falls back to a full run)",
-    )
-    lint.set_defaults(func=cmd_lint)
+    # Listed for --help only: main() hands `repro lint ...` to repro_lint
+    # before this parser runs, so no other command imports the linter.
+    sub.add_parser("lint", help="run the fifteen invariant checkers")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro_lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -241,8 +241,8 @@ class AuthorityTransferDataGraph:
         view = object.__new__(AuthorityTransferDataGraph)
         view.__dict__.update(self.__dict__)
         view.data_graph = data_graph
+        view._transfer_schema = transfer_schema
         if transfer_schema != self._transfer_schema:
-            view._transfer_schema = transfer_schema
             view._recompute_rates()
         return view
 

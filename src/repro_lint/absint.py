@@ -1,9 +1,9 @@
 """Abstract interpretation over the CFG: value ranges and wire taint.
 
-Two instances of the generic :mod:`repro.analysis.dataflow` solver:
+Two instances of the generic :mod:`repro_lint.dataflow` solver:
 
 * :class:`ValueProblem` — constant propagation + the :class:`Interval`
-  lattice of :mod:`repro.analysis.domains`, with transfer functions for
+  lattice of :mod:`repro_lint.domains`, with transfer functions for
   arithmetic, ``len()`` facts for sequences, and comparison refinement
   through ``refine_edge`` (a ``total > 0`` guard really narrows ``total``
   to ``(0, +inf)`` on the true edge).  RL015/RL016/RL017 read its states.
@@ -14,7 +14,7 @@ Two instances of the generic :mod:`repro.analysis.dataflow` solver:
   the i-th parameter, ``("call", key)`` for a call site's result — and
   :func:`resolve_labels` expands the call labels against function
   summaries, so the interprocedural fixpoint in
-  :mod:`repro.analysis.summaries` only moves small frozensets per round
+  :mod:`repro_lint.summaries` only moves small frozensets per round
   instead of re-running any dataflow.  Unknown callees contribute
   nothing, matching the summary engine's under-approximation discipline:
   absence of a fact keeps checkers quiet, it never invents findings.
@@ -33,18 +33,19 @@ import ast
 import math
 from dataclasses import dataclass, field
 
-from repro.analysis.base import call_name, literal_number
-from repro.analysis.callgraph import CallSite, FunctionInfo, walk_in_scope
-from repro.analysis.cfg import (
+from repro_lint.base import call_name, literal_number
+from repro_lint.callgraph import CallSite, FunctionInfo, calls_in_item
+from repro_lint.cfg import (
     BasicBlock,
     BlockItem,
     Header,
     WithEnter,
     WithExit,
     assigned_names,
+    item_roots,
 )
-from repro.analysis.dataflow import DataflowProblem, Solution, solve
-from repro.analysis.domains import (
+from repro_lint.dataflow import DataflowProblem, Solution, solve
+from repro_lint.domains import (
     NON_NEGATIVE,
     TOP,
     Interval,
@@ -147,7 +148,10 @@ class ValueProblem(DataflowProblem):
 
     direction = "forward"
 
-    def __init__(self, call_ranges=None) -> None:
+    def __init__(self, source=None, call_ranges=None) -> None:
+        #: The file whose CFG is solved: its traversals serve the transfer
+        #: functions (only :meth:`eval` and refinement run without one).
+        self.source = source
         #: optional ``call_ranges(node) -> Interval | None`` hook so the
         #: project phase can evaluate resolved callees' return ranges.
         self.call_ranges = call_ranges
@@ -175,8 +179,9 @@ class ValueProblem(DataflowProblem):
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 return self._transfer_for(stmt, state)
             return state
+        walk = self.source.walk
         if isinstance(item, WithEnter):
-            return self._kill_names(state, assigned_names(item))
+            return self._kill_names(state, assigned_names(item, walk))
         if isinstance(item, WithExit):
             return state
         if isinstance(item, ast.Assign) and len(item.targets) == 1:
@@ -193,11 +198,13 @@ class ValueProblem(DataflowProblem):
             result = _apply_binop(item.op, current, self.eval(item.value, state))
             state = state_kill(state, _len_key(name))
             return state_set(state, name, result)
-        state = self._kill_names(state, assigned_names(item))
+        state = self._kill_names(state, assigned_names(item, walk))
         return self._kill_mutated_lens(state, item)
 
     def _transfer_for(self, stmt, state):
-        state = self._kill_names(state, assigned_names(Header(stmt)))
+        state = self._kill_names(
+            state, assigned_names(Header(stmt), self.source.walk)
+        )
         if isinstance(stmt.target, ast.Name) and isinstance(stmt.iter, ast.Call):
             bound = _range_interval(stmt.iter, lambda e: self.eval(e, state))
             if bound is not None:
@@ -211,7 +218,7 @@ class ValueProblem(DataflowProblem):
         return state
 
     def _kill_mutated_lens(self, state, item):
-        for node in walk_in_scope(item):
+        for node in self.source.walk_in_scope(item):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -510,7 +517,7 @@ def value_solution(source, func) -> Solution:
     cache = source.solution_cache("values")
     solution = cache.get(id(func))
     if solution is None:
-        solution = solve(source.cfg_for(func), ValueProblem())
+        solution = solve(source.cfg_for(func), ValueProblem(source))
         cache[id(func)] = solution
     return solution
 
@@ -541,8 +548,9 @@ class TaintProblem(DataflowProblem):
 
     direction = "forward"
 
-    def __init__(self, boundary: frozenset) -> None:
+    def __init__(self, boundary: frozenset, source) -> None:
         self._boundary = boundary
+        self.walk = source.walk
 
     def initial(self) -> frozenset:
         return frozenset()
@@ -558,12 +566,12 @@ class TaintProblem(DataflowProblem):
             stmt = item.stmt
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 labels = taint_of(stmt.iter, state)
-                for name in assigned_names(item):
+                for name in assigned_names(item, self.walk):
                     state = _retag(state, name, labels)
             return state
         if isinstance(item, WithEnter):
             labels = taint_of(item.item.context_expr, state)
-            for name in assigned_names(item):
+            for name in assigned_names(item, self.walk):
                 state = _retag(state, name, labels)
             return state
         if isinstance(item, WithExit):
@@ -578,7 +586,7 @@ class TaintProblem(DataflowProblem):
         if isinstance(item, ast.AugAssign) and isinstance(item.target, ast.Name):
             extra = taint_of(item.value, state)
             return state | frozenset((item.target.id, label) for label in extra)
-        for name in assigned_names(item):
+        for name in assigned_names(item, self.walk):
             state = _retag(state, name, frozenset())
         return state
 
@@ -768,12 +776,13 @@ def gather_taint_facts(info: FunctionInfo, sites: list[CallSite]) -> TaintFacts:
         (name, ("param", index)) for index, name in enumerate(params)
     )
     cfg = info.cfg()
-    solution = solve(cfg, TaintProblem(boundary))
+    solution = solve(cfg, TaintProblem(boundary, info.source))
     if not solution.converged:
         return TaintFacts(converged=False, param_names=params)
 
+    source = info.source
     assign_calls: dict[str, ast.Call] = {}
-    for inner in walk_in_scope(info.node):
+    for inner in source.walk_in_scope(info.node):
         if (
             isinstance(inner, ast.Assign)
             and len(inner.targets) == 1
@@ -789,11 +798,10 @@ def gather_taint_facts(info: FunctionInfo, sites: list[CallSite]) -> TaintFacts:
     return_labels: set = set()
 
     def record_item(item, state) -> None:
-        from repro.analysis.callgraph import calls_in_item
-
-        for call in calls_in_item(item):
+        for call in calls_in_item(source, item):
             _record_call(call, state, site_by_call, calls, rate_args)
-        _record_sinks(item, state, assign_calls, sinks)
+        for root in item_roots(item):
+            _record_sinks_under(source, root, state, assign_calls, sinks)
         if isinstance(item, ast.Return) and item.value is not None:
             return_labels.update(taint_of(item.value, state))
 
@@ -803,9 +811,7 @@ def gather_taint_facts(info: FunctionInfo, sites: list[CallSite]) -> TaintFacts:
             record_item(item, state)
             state = solution.problem.transfer_item(item, state)
         if block.test is not None:
-            from repro.analysis.callgraph import calls_in_item
-
-            for call in calls_in_item(block.test):
+            for call in calls_in_item(source, block.test):
                 _record_call(call, state, site_by_call, calls, rate_args)
 
     return TaintFacts(
@@ -855,27 +861,8 @@ _OFFSET_ARG_TAILS = {"seek": 0, "unpack_from": 1}
 _ARRAY_CALL_TAILS = {"frombuffer", "zeros", "empty", "ones", "arange", "array"}
 
 
-def _sink_roots(item) -> list:
-    """AST roots of a block item, CFG markers unwrapped (cf. calls_in_item)."""
-    if isinstance(item, Header):
-        stmt = item.stmt
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return [stmt.iter]
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return [with_item.context_expr for with_item in stmt.items]
-        return []
-    if isinstance(item, (WithEnter, WithExit)):
-        return []
-    return [item]
-
-
-def _record_sinks(item, state, assign_calls, sinks) -> None:
-    for root in _sink_roots(item):
-        _record_sinks_under(root, state, assign_calls, sinks)
-
-
-def _record_sinks_under(root, state, assign_calls, sinks) -> None:
-    for node in walk_in_scope(root):
+def _record_sinks_under(source, root, state, assign_calls, sinks) -> None:
+    for node in source.walk_in_scope(root):
         if isinstance(node, ast.Call):
             name = call_name(node)
             tail = name.rsplit(".", 1)[-1] if name else ""

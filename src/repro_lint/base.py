@@ -1,7 +1,7 @@
 """The checker plugin API: :class:`SourceFile`, :class:`Checker`, registry.
 
 A checker is a class with a ``code`` (``RL001``..), a one-line ``summary``
-and a :meth:`Checker.check` that yields :class:`~repro.analysis.findings.Finding`
+and a :meth:`Checker.check` that yields :class:`~repro_lint.findings.Finding`
 objects for one parsed module.  Checkers register themselves with
 :func:`register` at import time; :func:`all_checkers` instantiates the full
 set (optionally filtered by code) for a run.
@@ -10,7 +10,9 @@ The framework hands every checker a :class:`SourceFile` — the path, raw
 text, split lines and parsed AST — so checkers can combine tree-level
 analysis with line-level context (e.g. the lock rules read their
 ``#: guarded by self._lock`` annotations from comments the AST does not
-carry).
+carry).  A rule never walks a tree itself: it reads
+:meth:`SourceFile.walk` / :meth:`SourceFile.walk_in_scope`, which traverse
+each root node once per run and hand every later caller the same tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Type
 
-from repro.analysis.findings import Finding
+from repro_lint.findings import Finding
 
 
 @dataclass
@@ -39,9 +41,15 @@ class SourceFile:
     #: so RL015 and RL017 share one value-domain solve per function.
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
-    #: :func:`repro.analysis.lockset.lock_attributes`, which the summaries
+    #: :func:`repro_lint.lockset.lock_attributes`, which the summaries
     #: and lock checkers ask about once per *method*.
     _class_locks: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Traversals by root node (the key keeps the node alive, so its id is
+    #: never reused for another node): ``ast.walk`` and
+    #: :func:`walk_in_scope` each run once per root per lint run, however
+    #: many rules and fact gatherers ask.
+    _walks: dict = field(default_factory=dict, repr=False, compare=False)
+    _scoped_walks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def parse(cls, path: str, text: str) -> "SourceFile":
@@ -54,15 +62,29 @@ class SourceFile:
             return self.lines[lineno - 1]
         return ""
 
-    def functions(self) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    def walk(self, node: ast.AST | None = None) -> tuple[ast.AST, ...]:
+        """``ast.walk(node)`` (default: the whole module), walked once."""
+        if node is None:
+            node = self.tree
+        walked = self._walks.get(node)
+        if walked is None:
+            walked = self._walks[node] = tuple(ast.walk(node))
+        return walked
+
+    def walk_in_scope(self, node: ast.AST) -> tuple[ast.AST, ...]:
+        """:func:`walk_in_scope` of ``node``, walked once."""
+        walked = self._scoped_walks.get(node)
+        if walked is None:
+            walked = self._scoped_walks[node] = tuple(walk_in_scope(node))
+        return walked
+
+    def functions(self) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
         """Every function/method definition in the module, outermost first."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
+        return [node for node in self.walk() if isinstance(node, _FUNCTION_TYPES)]
 
     def cfg_for(self, func: "ast.FunctionDef | ast.AsyncFunctionDef"):
         """The (cached) control-flow graph of one function in this module."""
-        from repro.analysis.cfg import build_cfg
+        from repro_lint.cfg import build_cfg
 
         cfg = self._cfgs.get(id(func))
         if cfg is None:
@@ -114,7 +136,7 @@ class ProjectChecker(Checker):
     """Base class for interprocedural rules needing whole-project context.
 
     The runner parses every file once, runs the per-file phase, builds one
-    :class:`~repro.analysis.callgraph.Project` (call graph + function
+    :class:`~repro_lint.callgraph.Project` (call graph + function
     summaries) from the same parsed files and then calls
     :meth:`check_project` once.  :meth:`Checker.check` is a no-op so a
     project checker accidentally run per-file yields nothing rather than
@@ -125,7 +147,7 @@ class ProjectChecker(Checker):
         return iter(())
 
     def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings over a :class:`~repro.analysis.callgraph.Project`."""
+        """Yield findings over a :class:`~repro_lint.callgraph.Project`."""
         raise NotImplementedError
 
     def finding_in(
@@ -201,10 +223,52 @@ def all_checkers(select: Iterable[str] | None = None) -> list[Checker]:
 
 def _ensure_builtins() -> None:
     """Import the built-in checker package so registration has happened."""
-    import repro.analysis.checkers  # noqa: F401  (import for side effect)
+    import repro_lint.checkers  # noqa: F401  (import for side effect)
 
 
 # -- shared AST helpers used by several checkers ------------------------------
+
+_FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: AST node types whose bodies belong to a *different* function scope.
+_SCOPE_BOUNDARIES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.ClassDef,
+    ast.Lambda,
+)
+
+
+def walk_in_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` that does not descend into nested def/class/lambda bodies.
+
+    The root itself may be a function definition; only *its* body is walked.
+    Default-value and decorator expressions of nested definitions still
+    belong to the enclosing scope and are walked.  Rules read it through
+    :meth:`SourceFile.walk_in_scope`, which walks each root once.
+    """
+    if isinstance(node, _FUNCTION_TYPES):
+        roots: list[ast.AST] = list(node.body)
+    else:
+        roots = [node]
+    stack = list(reversed(roots))
+    while stack:
+        current = stack.pop()
+        yield current
+        if isinstance(current, _SCOPE_BOUNDARIES):
+            # Visible as a definition, body not entered — whether it arrived
+            # as a child or directly as a body statement of the root.
+            if isinstance(current, _FUNCTION_TYPES):
+                stack.extend(current.decorator_list)
+                stack.extend(current.args.defaults)
+                stack.extend(
+                    default
+                    for default in current.args.kw_defaults
+                    if default is not None
+                )
+            continue
+        stack.extend(ast.iter_child_nodes(current))
+
 
 
 def is_self_attribute(node: ast.AST, attr: str | None = None) -> bool:

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import Finding
+from repro_lint.findings import Finding
 
 BASELINE_VERSION = 1
 DEFAULT_BASELINE_NAME = ".repro-lint-baseline.json"

@@ -6,7 +6,7 @@ serve/cluster/store call chains, resource lifetimes threaded through
 helpers, epoch-fenced cache keys — span them.  :class:`Project` parses the
 whole tree once and :func:`build_call_graph` resolves every call site it
 can prove, so the interprocedural checkers (RL010–RL013) and the summary
-engine in :mod:`repro.analysis.summaries` reason over real callee bodies
+engine in :mod:`repro_lint.summaries` reason over real callee bodies
 instead of guessing.
 
 Resolution is deliberately *name-and-module* based (no type inference):
@@ -38,7 +38,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.base import SourceFile, call_name
+from repro_lint.base import SourceFile, call_name
+from repro_lint.cfg import item_roots
 
 
 def module_name_for(path: str) -> str:
@@ -82,6 +83,7 @@ class ClassInfo:
     module: str
     name: str
     node: ast.ClassDef
+    source: SourceFile
     bases: tuple[str, ...] = ()
     #: method name -> function id.
     methods: dict[str, str] = field(default_factory=dict)
@@ -241,15 +243,10 @@ class Project:
     def summaries(self):
         """The project's function summaries, computed once and shared."""
         if self._summaries is None:
-            from repro.analysis.summaries import compute_summaries
+            from repro_lint.summaries import compute_summaries
 
             self._summaries = compute_summaries(self)
         return self._summaries
-
-    def adopt_summaries(self, index) -> None:
-        """Install a precomputed :class:`SummaryIndex` (the lint cache's
-        fast path), skipping the fixpoint entirely."""
-        self._summaries = index
 
     def source_for(self, path: str) -> SourceFile | None:
         for source in self.sources:
@@ -323,6 +320,7 @@ def _collect_definitions(
                         module=module,
                         name=stmt.name,
                         node=stmt,
+                        source=source,
                         bases=tuple(
                             base_name
                             for base in stmt.bases
@@ -386,7 +384,7 @@ def _collect_field_types(
         for stmt in cls.node.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for node in walk_in_scope(stmt):
+            for node in cls.source.walk_in_scope(stmt):
                 if not isinstance(node, ast.Assign):
                     continue
                 if not isinstance(node.value, ast.Call):
@@ -470,7 +468,7 @@ class _Resolver:
                 for stmt in info.node.body
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            for call in calls_in_function(info.node):
+            for call in calls_in_function(source, info.node):
                 sites.append(self._resolve_call(info, call, nested))
             self.graph.calls[info.id] = sites
 
@@ -617,82 +615,28 @@ class _Resolver:
         return constructor
 
 
-#: AST node types whose bodies belong to a *different* function scope.
-_SCOPE_BOUNDARIES = (
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.ClassDef,
-    ast.Lambda,
-)
-
-
-def walk_in_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested def/class/lambda bodies.
-
-    The root itself may be a function definition; only *its* body is walked.
-    Default-value and decorator expressions of nested definitions still
-    belong to the enclosing scope and are walked.
-    """
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        roots: list[ast.AST] = list(node.body)
-    else:
-        roots = [node]
-    stack = list(reversed(roots))
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(current, _SCOPE_BOUNDARIES):
-            # Visible as a definition, body not entered — whether it arrived
-            # as a child or directly as a body statement of the root.
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                stack.extend(current.decorator_list)
-                stack.extend(current.args.defaults)
-                stack.extend(
-                    default
-                    for default in current.args.kw_defaults
-                    if default is not None
-                )
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
 def calls_in_function(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    source: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
 ) -> list[ast.Call]:
     """Every call expression of one function body, nested scopes excluded."""
     return [
-        node for node in walk_in_scope(func) if isinstance(node, ast.Call)
+        node
+        for node in source.walk_in_scope(func)
+        if isinstance(node, ast.Call)
     ]
 
 
-def calls_in_item(item) -> list[ast.Call]:
+def calls_in_item(source: SourceFile, item) -> list[ast.Call]:
     """Call expressions of one statement/CFG block item, nested scopes excluded.
 
-    CFG marker items are unwrapped the way the lockset analysis unwraps
-    them: a ``with``/``for`` :class:`~repro.analysis.cfg.Header` contributes
-    its header expressions, ``if``/``while`` headers contribute nothing
-    (their tests live on the condition block), and enter/exit markers
-    contribute nothing (the ``with`` header already carried the call).
+    CFG marker items are unwrapped by :func:`~repro_lint.cfg.item_roots`;
+    a nested ``def`` item contributes nothing (its body is its own scope).
     """
-    from repro.analysis.cfg import Header, WithEnter, WithExit
-
     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return []
-    if isinstance(item, Header):
-        stmt = item.stmt
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            roots: list[ast.AST] = [stmt.iter]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            roots = [with_item.context_expr for with_item in stmt.items]
-        else:
-            return []
-    elif isinstance(item, (WithEnter, WithExit)):
-        return []
-    else:
-        roots = [item]
-    calls: list[ast.Call] = []
-    for root in roots:
-        calls.extend(
-            node for node in walk_in_scope(root) if isinstance(node, ast.Call)
-        )
-    return calls
+    return [
+        node
+        for root in item_roots(item)
+        for node in source.walk_in_scope(root)
+        if isinstance(node, ast.Call)
+    ]

@@ -3,9 +3,9 @@
 :func:`build_cfg` turns one function body into a :class:`ControlFlowGraph`
 of :class:`BasicBlock`\\ s connected by labeled :class:`Edge`\\ s.  The graph
 is what the flow-sensitive checkers (RL007–RL009) and the generic solver in
-:mod:`repro.analysis.dataflow` consume; the per-node visitors (RL001, RL002,
+:mod:`repro_lint.dataflow` consume; the per-node visitors (RL001, RL002,
 RL004, RL005) never need it, which is why
-:meth:`repro.analysis.base.SourceFile.cfg_for` builds CFGs lazily, per
+:meth:`repro_lint.base.SourceFile.cfg_for` builds CFGs lazily, per
 function, on first request.
 
 Shape of the graph
@@ -452,25 +452,49 @@ def build_cfg(
     return builder.cfg
 
 
-def assigned_names(item: BlockItem) -> set[str]:
-    """Local names a block item defines (assignments, loop/with targets)."""
+def item_roots(item: BlockItem) -> list[ast.AST]:
+    """The expressions a block item evaluates, as AST roots to walk.
+
+    A statement is its own root; a ``for`` header contributes its iterator
+    and a ``with`` header its context expressions; ``if``/``while``/``try``
+    headers contribute nothing (their tests live on the condition blocks),
+    and neither do enter/exit markers (the ``with`` header carried them).
+    """
+    if isinstance(item, Header):
+        stmt = item.stmt
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            return [stmt.iter]
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            return [with_item.context_expr for with_item in stmt.items]
+        return []
+    if isinstance(item, (WithEnter, WithExit)):
+        return []
+    return [item]
+
+
+def assigned_names(item: BlockItem, walk=ast.walk) -> set[str]:
+    """Local names a block item defines (assignments, loop/with targets).
+
+    ``walk`` traverses a target; the linter passes its source file's
+    memoised :meth:`~repro_lint.base.SourceFile.walk`.
+    """
     names: set[str] = set()
     if isinstance(item, Header):
         stmt = item.stmt
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            names.update(_target_names(stmt.target))
+            names.update(_target_names(stmt.target, walk))
         return names
     if isinstance(item, WithEnter):
         if item.item.optional_vars is not None:
-            names.update(_target_names(item.item.optional_vars))
+            names.update(_target_names(item.item.optional_vars, walk))
         return names
     if isinstance(item, WithExit):
         return names
     if isinstance(item, ast.Assign):
         for target in item.targets:
-            names.update(_target_names(target))
+            names.update(_target_names(target, walk))
     elif isinstance(item, (ast.AugAssign, ast.AnnAssign)):
-        names.update(_target_names(item.target))
+        names.update(_target_names(item.target, walk))
     elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names.add(item.name)
     elif isinstance(item, (ast.Import, ast.ImportFrom)):
@@ -480,10 +504,10 @@ def assigned_names(item: BlockItem) -> set[str]:
     return names
 
 
-def _target_names(target: ast.expr) -> set[str]:
+def _target_names(target: ast.expr, walk) -> set[str]:
     """Plain names bound by an assignment target (no attributes/subscripts)."""
     names: set[str] = set()
-    for node in ast.walk(target):
+    for node in walk(target):
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             names.add(node.id)
     return names

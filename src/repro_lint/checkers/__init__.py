@@ -44,32 +44,32 @@ retired: RL007 and RL016 report their findings.
 
 RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007–RL009 are
 flow-sensitive — they consume the per-function CFGs of
-:mod:`repro.analysis.cfg` through the fixpoint solver of
-:mod:`repro.analysis.dataflow`.  RL010–RL014 and RL016
-are *interprocedural* (:class:`~repro.analysis.base.ProjectChecker`) — the
-runner builds one :class:`~repro.analysis.callgraph.Project` (call graph +
-bottom-up :mod:`~repro.analysis.summaries`) and runs them once over the
+:mod:`repro_lint.cfg` through the fixpoint solver of
+:mod:`repro_lint.dataflow`.  RL010–RL014 and RL016
+are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
+runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
+bottom-up :mod:`~repro_lint.summaries`) and runs them once over the
 whole file set, serially, after the per-file phase.  RL015 and RL017 are
 per-file instances of the abstract interpreter
-(:mod:`repro.analysis.absint`): they share one value-domain solve per
-function through :meth:`~repro.analysis.base.SourceFile.solution_cache`.
+(:mod:`repro_lint.absint`): they share one value-domain solve per
+function through :meth:`~repro_lint.base.SourceFile.solution_cache`.
 """
 
-from repro.analysis.checkers.blocking_under_lock import BlockingUnderLockChecker
-from repro.analysis.checkers.cache_key_fencing import CacheKeyFencingChecker
-from repro.analysis.checkers.cache_latch import CacheLatchChecker
-from repro.analysis.checkers.duplicate_index import DuplicateIndexWriteChecker
-from repro.analysis.checkers.fixpoint_loops import FixpointLoopChecker
-from repro.analysis.checkers.float_equality import FloatEqualityChecker
-from repro.analysis.checkers.index_bounds import IndexBoundsChecker
-from repro.analysis.checkers.interprocedural_locks import InterproceduralLockChecker
-from repro.analysis.checkers.lockset_discipline import LocksetDisciplineChecker
-from repro.analysis.checkers.numeric_ranges import NumericRangeChecker
-from repro.analysis.checkers.param_mutation import ParamMutationChecker
-from repro.analysis.checkers.resource_lifecycle import ResourceLifecycleChecker
-from repro.analysis.checkers.use_after_invalidate import UseAfterInvalidateChecker
-from repro.analysis.checkers.wire_taint import WireTaintChecker
-from repro.analysis.checkers.zero_denominator import ZeroDenominatorChecker
+from repro_lint.checkers.blocking_under_lock import BlockingUnderLockChecker
+from repro_lint.checkers.cache_key_fencing import CacheKeyFencingChecker
+from repro_lint.checkers.cache_latch import CacheLatchChecker
+from repro_lint.checkers.duplicate_index import DuplicateIndexWriteChecker
+from repro_lint.checkers.fixpoint_loops import FixpointLoopChecker
+from repro_lint.checkers.float_equality import FloatEqualityChecker
+from repro_lint.checkers.index_bounds import IndexBoundsChecker
+from repro_lint.checkers.interprocedural_locks import InterproceduralLockChecker
+from repro_lint.checkers.lockset_discipline import LocksetDisciplineChecker
+from repro_lint.checkers.numeric_ranges import NumericRangeChecker
+from repro_lint.checkers.param_mutation import ParamMutationChecker
+from repro_lint.checkers.resource_lifecycle import ResourceLifecycleChecker
+from repro_lint.checkers.use_after_invalidate import UseAfterInvalidateChecker
+from repro_lint.checkers.wire_taint import WireTaintChecker
+from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
 
 __all__ = [
     "BlockingUnderLockChecker",

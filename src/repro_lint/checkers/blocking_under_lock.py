@@ -28,16 +28,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ProjectChecker, call_chain_metadata, register
-from repro.analysis.callgraph import Project
-from repro.analysis.cfg import Header
-from repro.analysis.findings import Finding
-from repro.analysis.lockset import (
+from repro_lint.base import ProjectChecker, call_chain_metadata, register
+from repro_lint.callgraph import Project
+from repro_lint.cfg import Header
+from repro_lint.findings import Finding
+from repro_lint.lockset import (
     CONSTRUCTORS,
     analyze_method_locksets,
     lock_attributes,
 )
-from repro.analysis.summaries import SummaryIndex, is_fixpoint_while
+from repro_lint.summaries import SummaryIndex, is_fixpoint_while
 
 
 @register
@@ -117,13 +117,15 @@ class BlockingUnderLockChecker(ProjectChecker):
         locks = lock_attributes(info.source, info.class_node)
         if not locks:
             return
-        model = analyze_method_locksets(info.cfg(), locks)
+        model = analyze_method_locksets(info.source, info.node, locks)
         reported: set = set()
         for _block, item, state in model.held_at_items():
             if not state or not isinstance(item, Header):
                 continue
             stmt = item.stmt
-            if not isinstance(stmt, ast.While) or not is_fixpoint_while(stmt):
+            if not isinstance(stmt, ast.While):
+                continue
+            if not is_fixpoint_while(info.source, stmt):
                 continue
             if id(stmt) in reported:
                 continue

@@ -26,10 +26,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ProjectChecker, register
-from repro.analysis.callgraph import Project
-from repro.analysis.findings import Finding
-from repro.analysis.summaries import (
+from repro_lint.base import ProjectChecker, register
+from repro_lint.callgraph import Project
+from repro_lint.findings import Finding
+from repro_lint.summaries import (
     expression_tags,
     make_callee_tags,
     solve_key_tags,
@@ -58,7 +58,7 @@ class CacheKeyFencingChecker(ProjectChecker):
         graph = project.graph
         for function_id in sorted(graph.functions):
             info = graph.functions[function_id]
-            sinks = _cache_sinks(info.node)
+            sinks = _cache_sinks(info.source, info.node)
             if not sinks:
                 continue
             site_by_call = {
@@ -76,7 +76,9 @@ class CacheKeyFencingChecker(ProjectChecker):
                 if block.test is not None:
                     pairs.append((block.test, solution.state_out_of(block)))
                 for item, state in pairs:
-                    for call, receiver in _sinks_in_item(item, sink_ids):
+                    for call, receiver in _sinks_in_item(
+                        info.source, item, sink_ids
+                    ):
                         tags = expression_tags(
                             call.args[0], state, callee_tags
                         )
@@ -121,12 +123,10 @@ def _staleness_cause(missing: list) -> str:
     return " or ".join(causes)
 
 
-def _cache_sinks(func_node) -> list:
+def _cache_sinks(source, func_node) -> list:
     """``(call, receiver_name)`` for every cache get/put in the function."""
-    from repro.analysis.callgraph import walk_in_scope
-
     sinks = []
-    for node in walk_in_scope(func_node):
+    for node in source.walk_in_scope(func_node):
         if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
@@ -141,7 +141,7 @@ def _cache_sinks(func_node) -> list:
     return sinks
 
 
-def _sinks_in_item(item, sink_ids: dict):
+def _sinks_in_item(source, item, sink_ids: dict):
     """The registered cache sinks occurring inside one CFG block item."""
     roots: list[ast.AST] = []
     if isinstance(item, (ast.stmt, ast.expr)):
@@ -158,7 +158,7 @@ def _sinks_in_item(item, sink_ids: dict):
             roots = [with_item.context_expr for with_item in stmt.items]
     found = []
     for root in roots:
-        for node in ast.walk(root):
+        for node in source.walk(root):
             entry = sink_ids.get(id(node))
             if entry is not None:
                 found.append(entry)

@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, is_self_attribute, register
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, is_self_attribute, register
+from repro_lint.findings import Finding
 
 _CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
 
@@ -42,7 +42,7 @@ class CacheLatchChecker(Checker):
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(source, node)
 
@@ -55,10 +55,11 @@ class CacheLatchChecker(Checker):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         writes_by_method = {
-            method.name: _attribute_writes(method) for method in methods
+            method.name: _attribute_writes_in(source, method.body)
+            for method in methods
         }
         for method in methods:
-            for latch in _latch_sites(method):
+            for latch in _latch_sites(source, method):
                 inputs = latch.input_reads
                 if not inputs:
                     continue
@@ -94,18 +95,20 @@ class _Latch:
         self.input_reads = input_reads
 
 
-def _latch_sites(method: ast.FunctionDef | ast.AsyncFunctionDef) -> list[_Latch]:
+def _latch_sites(
+    source: SourceFile, method: ast.FunctionDef | ast.AsyncFunctionDef
+) -> list[_Latch]:
     latches: list[_Latch] = []
-    for node in ast.walk(method):
+    for node in source.walk(method):
         if not isinstance(node, ast.If):
             continue
         attr = _latched_attr(node.test)
         if attr is None:
             continue
-        assigned = _attribute_writes_in(node.body)
+        assigned = _attribute_writes_in(source, node.body)
         if attr not in assigned:
             continue
-        reads = _attribute_reads_in(node.body) - {attr}
+        reads = _attribute_reads_in(source, node.body) - {attr}
         latches.append(_Latch(node, attr, reads))
     return latches
 
@@ -132,16 +135,10 @@ def _latched_attr(test: ast.AST) -> str | None:
     return None
 
 
-def _attribute_writes(
-    method: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> set[str]:
-    return _attribute_writes_in(method.body)
-
-
-def _attribute_writes_in(body: list[ast.stmt]) -> set[str]:
+def _attribute_writes_in(source: SourceFile, body: list[ast.stmt]) -> set[str]:
     written: set[str] = set()
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in source.walk(stmt):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -154,10 +151,10 @@ def _attribute_writes_in(body: list[ast.stmt]) -> set[str]:
     return written
 
 
-def _attribute_reads_in(body: list[ast.stmt]) -> set[str]:
+def _attribute_reads_in(source: SourceFile, body: list[ast.stmt]) -> set[str]:
     read: set[str] = set()
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in source.walk(stmt):
             if is_self_attribute(node) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)  # type: ignore[union-attr]
     return read

@@ -28,8 +28,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, call_name, register
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, call_name, register
+from repro_lint.findings import Finding
 
 #: Calls whose result is (or selects) an integer index array.
 _INDEX_PRODUCERS = {
@@ -72,15 +72,15 @@ class DuplicateIndexWriteChecker(Checker):
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for func in _functions(source.tree):
+        for func in source.functions():
             yield from self._check_function(source, func)
 
     def _check_function(
         self, source: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
-        array_names = _array_index_names(func)
-        scalar_names = _scalar_loop_names(func)
-        for node in ast.walk(func):
+        array_names = _array_index_names(source, func)
+        scalar_names = _scalar_loop_names(source, func)
+        for node in source.walk(func):
             if isinstance(node, ast.AugAssign):
                 target, value, op = node.target, node.value, node.op
                 if not isinstance(op, (ast.Add, ast.Sub)):
@@ -136,22 +136,16 @@ class DuplicateIndexWriteChecker(Checker):
         return False
 
 
-def _functions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def _array_index_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _array_index_names(
+    source: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
+) -> set[str]:
     """Names that plausibly hold an integer index *array* in ``func``."""
     names: set[str] = set()
     args = func.args
     for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
         if _INDEX_NAME.search(arg.arg):
             names.add(arg.arg)
-    for node in ast.walk(func):
+    for node in source.walk(func):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             if call_name(node.value) in _INDEX_PRODUCERS:
                 for target in node.targets:
@@ -164,13 +158,15 @@ def _array_index_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]
     return names
 
 
-def _scalar_loop_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _scalar_loop_names(
+    source: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
+) -> set[str]:
     """Loop variables of ``range``/``enumerate`` — scalar, never flagged."""
     names: set[str] = set()
-    for node in ast.walk(func):
+    for node in source.walk(func):
         if isinstance(node, ast.For) and isinstance(node.iter, ast.Call):
             if call_name(node.iter) in {"range", "enumerate"}:
-                for target in ast.walk(node.target):
+                for target in source.walk(node.target):
                     if isinstance(target, ast.Name):
                         names.add(target.id)
     return names

@@ -41,8 +41,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, call_name, literal_number, register
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, call_name, literal_number, register
+from repro_lint.findings import Finding
 
 #: Names that smell like a convergence residual or tolerance.
 _RESIDUAL_NAME = re.compile(
@@ -67,15 +67,15 @@ class FixpointLoopChecker(Checker):
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             if not isinstance(node, ast.While):
                 continue
-            residual_test = _residual_compare_in(node.test)
+            residual_test = _residual_compare_in(source, node.test)
             if residual_test is None and _is_while_true(node.test):
-                residual_test = _residual_break_in(node.body)
+                residual_test = _residual_break_in(source, node.body)
             if residual_test is None:
                 continue
-            if _has_bounded_counter(node):
+            if _has_bounded_counter(source, node):
                 continue
             span = (node.lineno, getattr(node, "end_lineno", node.lineno))
             yield self.finding(
@@ -96,9 +96,11 @@ def _is_while_true(test: ast.expr) -> bool:
     return isinstance(test, ast.Constant) and bool(test.value)
 
 
-def _residual_compare_in(expr: ast.expr) -> ast.Compare | None:
+def _residual_compare_in(
+    source: SourceFile, expr: ast.expr
+) -> ast.Compare | None:
     """The first residual-style ordering comparison inside ``expr``."""
-    for node in ast.walk(expr):
+    for node in source.walk(expr):
         if (
             isinstance(node, ast.Compare)
             and len(node.ops) == 1
@@ -112,19 +114,21 @@ def _residual_compare_in(expr: ast.expr) -> ast.Compare | None:
     return None
 
 
-def _residual_break_in(body: list[ast.stmt]) -> ast.Compare | None:
+def _residual_break_in(
+    source: SourceFile, body: list[ast.stmt]
+) -> ast.Compare | None:
     """A residual comparison guarding a ``break`` in a ``while True`` body."""
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in source.walk(stmt):
             if not isinstance(node, ast.If):
                 continue
-            compare = _residual_compare_in(node.test)
+            compare = _residual_compare_in(source, node.test)
             if compare is None:
                 continue
             if any(
                 isinstance(inner, ast.Break)
                 for branch_stmt in node.body
-                for inner in ast.walk(branch_stmt)
+                for inner in source.walk(branch_stmt)
             ):
                 return compare
     return None
@@ -142,39 +146,39 @@ def _is_residual_operand(node: ast.expr) -> bool:
     return False
 
 
-def _has_bounded_counter(loop: ast.While) -> bool:
+def _has_bounded_counter(source: SourceFile, loop: ast.While) -> bool:
     """Whether some counter increases in the body toward a tested bound."""
-    counters = _incremented_names(loop.body)
+    counters = _incremented_names(source, loop.body)
     if not counters:
         return False
     # Bound in the loop condition itself: `while ... and n < cap:`.
-    for node in ast.walk(loop.test):
+    for node in source.walk(loop.test):
         if _is_counter_bound(node, counters):
             return True
     # Bound guarding an exit in the body: `if n >= cap: break/return/raise`.
     for stmt in loop.body:
-        for node in ast.walk(stmt):
+        for node in source.walk(stmt):
             if not isinstance(node, ast.If):
                 continue
             if not any(
                 _is_counter_bound(test_node, counters)
-                for test_node in ast.walk(node.test)
+                for test_node in source.walk(node.test)
             ):
                 continue
             if any(
                 isinstance(inner, (ast.Break, ast.Return, ast.Raise))
                 for branch_stmt in node.body + node.orelse
-                for inner in ast.walk(branch_stmt)
+                for inner in source.walk(branch_stmt)
             ):
                 return True
     return False
 
 
-def _incremented_names(body: list[ast.stmt]) -> set[str]:
+def _incremented_names(source: SourceFile, body: list[ast.stmt]) -> set[str]:
     """Names assigned a strictly increasing value somewhere in the body."""
     counters: set[str] = set()
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in source.walk(stmt):
             if (
                 isinstance(node, ast.AugAssign)
                 and isinstance(node.op, ast.Add)

@@ -23,8 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, register
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, register
+from repro_lint.findings import Finding
 
 
 @register
@@ -34,7 +34,7 @@ class FloatEqualityChecker(Checker):
     summary = "exact ==/!= comparison against a float literal"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             if not isinstance(node, ast.Compare):
                 continue
             comparators = [node.left, *node.comparators]

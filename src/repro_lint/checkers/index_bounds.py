@@ -8,7 +8,7 @@ buffer corrupts the read, and a numpy fancy index computed one element
 too far throws under load with a traceback pointing far from the bug.
 
 Flagged, using the value instance of the abstract interpreter
-(:mod:`repro.analysis.absint` — constants, arithmetic, ``range`` loop
+(:mod:`repro_lint.absint` — constants, arithmetic, ``range`` loop
 bounds and branch refinement all participate):
 
 * a **computed index into an array-origin name** (assigned from
@@ -32,24 +32,23 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.absint import (
+from repro_lint.absint import (
     _ARRAY_CALL_TAILS,
     _OFFSET_ARG_TAILS,
     _len_key,
-    _sink_roots,
     states_before_items,
     value_solution,
 )
-from repro.analysis.base import (
+from repro_lint.base import (
     Checker,
     SourceFile,
     call_name,
     literal_number,
     register,
 )
-from repro.analysis.callgraph import walk_in_scope
-from repro.analysis.domains import state_get
-from repro.analysis.findings import Finding
+from repro_lint.cfg import item_roots
+from repro_lint.domains import state_get
+from repro_lint.findings import Finding
 
 
 @register
@@ -66,8 +65,8 @@ class IndexBoundsChecker(Checker):
             yield from self._check_function(source, func)
 
     def _check_function(self, source: SourceFile, func) -> Iterator[Finding]:
-        array_names = _array_origin_names(func)
-        if not _worth_solving(func, array_names):
+        array_names = _array_origin_names(source, func)
+        if not _worth_solving(source, func):
             return
         solution = value_solution(source, func)
         if not solution.converged:
@@ -79,14 +78,14 @@ class IndexBoundsChecker(Checker):
             roots = [
                 (root, state)
                 for item, state in pairs
-                for root in _sink_roots(item)
+                for root in item_roots(item)
             ]
             if block.test is not None:
                 roots.append((block.test, test_state))
             for root, state in roots:
                 if state is None:
                     continue  # unreachable program point
-                for node in walk_in_scope(root):
+                for node in source.walk_in_scope(root):
                     if id(node) in seen:
                         continue
                     seen.add(id(node))
@@ -179,10 +178,10 @@ class IndexBoundsChecker(Checker):
                 )
 
 
-def _array_origin_names(func) -> set[str]:
+def _array_origin_names(source: SourceFile, func) -> set[str]:
     """Names first assigned from a numpy-ish array constructor."""
     names: set[str] = set()
-    for node in walk_in_scope(func):
+    for node in source.walk_in_scope(func):
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -194,9 +193,9 @@ def _array_origin_names(func) -> set[str]:
     return names
 
 
-def _worth_solving(func, array_names: set[str]) -> bool:
+def _worth_solving(source: SourceFile, func) -> bool:
     """Cheap gate: any subscript or offset-taking call in the body?"""
-    for node in walk_in_scope(func):
+    for node in source.walk_in_scope(func):
         if isinstance(node, ast.Subscript) and isinstance(
             node.value, ast.Name
         ):

@@ -32,21 +32,21 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import (
+from repro_lint.base import (
     ProjectChecker,
     call_chain_metadata,
     call_name,
     is_self_attribute,
     register,
 )
-from repro.analysis.callgraph import Project
-from repro.analysis.findings import Finding
-from repro.analysis.lockset import (
+from repro_lint.callgraph import Project
+from repro_lint.findings import Finding
+from repro_lint.lockset import (
     CONSTRUCTORS,
     analyze_method_locksets,
     lock_attributes,
 )
-from repro.analysis.summaries import SummaryIndex
+from repro_lint.summaries import SummaryIndex
 
 
 @register
@@ -80,7 +80,7 @@ class InterproceduralLockChecker(ProjectChecker):
             if not locks:
                 continue
             qualify = _qualifier(info)
-            model = analyze_method_locksets(info.cfg(), locks)
+            model = analyze_method_locksets(info.source, info.node, locks)
             for order in model.order_edges:
                 edges.append(
                     {
@@ -315,7 +315,7 @@ def _non_reentrant_locks(source, class_node: ast.ClassDef) -> set:
             continue
         if method.name not in CONSTRUCTORS:
             continue
-        for node in ast.walk(method):
+        for node in source.walk(method):
             if not isinstance(node, ast.Assign):
                 continue
             if not isinstance(node.value, ast.Call):

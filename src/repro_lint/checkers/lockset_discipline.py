@@ -2,7 +2,7 @@
 
 At every control-flow point that reads or writes a guarded attribute, the
 bound lock must be in the *lockset* (the set of locks certainly held there,
-computed by the must-analysis in :mod:`repro.analysis.lockset` over the
+computed by the must-analysis in :mod:`repro_lint.lockset` over the
 per-function CFG).  Lexical ``with self.<lock>:`` containment is weaker on
 two counts this rule closes:
 
@@ -13,7 +13,7 @@ two counts this rule closes:
   somewhere else.
 
 Attributes bind to locks by naming convention or ``#: guarded by`` annotation
-(:func:`~repro.analysis.lockset.guarded_attributes`).  Constructors and
+(:func:`~repro_lint.lockset.guarded_attributes`).  Constructors and
 ``*_locked`` helpers (the "caller holds the lock" convention, checked at
 their call sites by RL011) are exempt; a ``# repro-lint: ignore[RL007]``
 pragma with a rationale is the escape hatch.  Each finding carries the lock
@@ -25,9 +25,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, is_self_attribute, register
-from repro.analysis.findings import Finding
-from repro.analysis.lockset import (
+from repro_lint.base import Checker, SourceFile, is_self_attribute, register
+from repro_lint.findings import Finding
+from repro_lint.lockset import (
     CONSTRUCTORS,
     MethodLocksets,
     analyze_method_locksets,
@@ -47,7 +47,7 @@ class LocksetDisciplineChecker(Checker):
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(source, node)
 
@@ -65,7 +65,7 @@ class LocksetDisciplineChecker(Checker):
                 continue
             if method.name in CONSTRUCTORS or method.name.endswith("_locked"):
                 continue
-            model = analyze_method_locksets(source.cfg_for(method), locks)
+            model = analyze_method_locksets(source, method, locks)
             yield from self._check_accesses(source, class_def, method, model, guarded)
 
     def _check_accesses(
@@ -79,7 +79,7 @@ class LocksetDisciplineChecker(Checker):
         for _block, item, held in model.held_at_items():
             if held is None:  # unreachable: no path, no race
                 continue
-            for access in self_attribute_accesses(item):
+            for access in self_attribute_accesses(source, item):
                 yield from self._check_access(
                     source, class_def, method, access, held, guarded
                 )
@@ -89,7 +89,7 @@ class LocksetDisciplineChecker(Checker):
             held = model.held_at_test(block)
             if held is None:
                 continue
-            for node in ast.walk(block.test):
+            for node in source.walk(block.test):
                 if is_self_attribute(node):
                     yield from self._check_access(
                         source, class_def, method, node, held, guarded

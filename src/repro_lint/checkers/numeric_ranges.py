@@ -38,21 +38,21 @@ import ast
 import math
 from typing import Iterator
 
-from repro.analysis.absint import (
+from repro_lint.absint import (
     RATE_KEYWORDS,
     SET_RATE_TAILS,
     ValueProblem,
     states_before_items,
 )
-from repro.analysis.base import ProjectChecker, call_chain_metadata, register
-from repro.analysis.callgraph import (
+from repro_lint.base import ProjectChecker, call_chain_metadata, register
+from repro_lint.callgraph import (
     FunctionInfo,
     Project,
     calls_in_item,
 )
-from repro.analysis.dataflow import solve
-from repro.analysis.domains import UNIT, Interval
-from repro.analysis.findings import Finding
+from repro_lint.dataflow import solve
+from repro_lint.domains import UNIT, Interval
+from repro_lint.findings import Finding
 
 #: keyword -> the interval a value in that position must stay inside.
 _VALID_RANGES = {
@@ -142,7 +142,7 @@ class NumericRangeChecker(ProjectChecker):
                 )
             return result
 
-        return solve(info.cfg(), ValueProblem(call_ranges=call_ranges))
+        return solve(info.cfg(), ValueProblem(info.source, call_ranges))
 
     def _check_function(
         self, project, info, function_id, solution, site_by_call, summaries,
@@ -157,7 +157,7 @@ class NumericRangeChecker(ProjectChecker):
             for item, state in pairs:
                 if state is None:
                     continue  # unreachable program point
-                for call in calls_in_item(item):
+                for call in calls_in_item(info.source, item):
                     if id(call) in seen:
                         continue
                     seen.add(id(call))

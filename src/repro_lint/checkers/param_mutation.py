@@ -27,8 +27,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, register
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, register
+from repro_lint.findings import Finding
 
 _MUTATORS = {
     "update",
@@ -53,9 +53,8 @@ class ParamMutationChecker(Checker):
     summary = "caller-owned dict/array parameter mutated without copying first"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(source, node)
+        for func in source.functions():
+            yield from self._check_function(source, func)
 
     def _check_function(
         self, source: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
@@ -68,9 +67,9 @@ class ParamMutationChecker(Checker):
         }
         if not params:
             return
-        rebound_at = _rebind_lines(func, params)
+        rebound_at = _rebind_lines(source, func, params)
 
-        for node in _walk_scope(func):
+        for node in source.walk_in_scope(func):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -112,17 +111,6 @@ class ParamMutationChecker(Checker):
                     )
 
 
-def _walk_scope(func: ast.FunctionDef | ast.AsyncFunctionDef):
-    """Walk ``func`` without descending into nested defs (own param scopes)."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _subscript_param(target: ast.AST, params: set[str]) -> str | None:
     if (
         isinstance(target, ast.Subscript)
@@ -146,11 +134,13 @@ def _mutator_call_param(node: ast.Call, params: set[str]) -> str | None:
 
 
 def _rebind_lines(
-    func: ast.FunctionDef | ast.AsyncFunctionDef, params: set[str]
+    source: SourceFile,
+    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    params: set[str],
 ) -> dict[str, int]:
     """First line where each parameter name is rebound (copy idiom)."""
     rebound: dict[str, int] = {}
-    for node in _walk_scope(func):
+    for node in source.walk_in_scope(func):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id in params:

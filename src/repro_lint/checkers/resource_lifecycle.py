@@ -31,11 +31,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ProjectChecker, call_name, register
-from repro.analysis.callgraph import Project
-from repro.analysis.cfg import ControlFlowGraph, Header, WithEnter, WithExit
-from repro.analysis.findings import Finding
-from repro.analysis.summaries import (
+from repro_lint.base import ProjectChecker, SourceFile, call_name, register
+from repro_lint.callgraph import Project
+from repro_lint.cfg import ControlFlowGraph, Header, WithEnter, WithExit
+from repro_lint.findings import Finding
+from repro_lint.summaries import (
     ACQUIRE_CALLS,
     RELEASE_CALLS,
     RELEASE_TAILS,
@@ -58,7 +58,7 @@ class ResourceLifecycleChecker(ProjectChecker):
             info = graph.functions.get(callee_id)
             if info is None:
                 return ()
-            from repro.analysis.summaries import _positional_params
+            from repro_lint.summaries import _positional_params
 
             return tuple(arg.arg for arg in _positional_params(info.node))
 
@@ -76,7 +76,7 @@ class ResourceLifecycleChecker(ProjectChecker):
                         continue
                     var, kind = acquired
                     if _leaks(
-                        cfg, block.index, position + 1, var,
+                        info.source, cfg, block.index, position + 1, var,
                         site_by_call, summaries.by_id, params_of,
                     ):
                         helper = ""
@@ -116,6 +116,7 @@ def _acquisition(item, site_by_call, summaries):
 
 
 def _leaks(
+    source: SourceFile,
     cfg: ControlFlowGraph,
     start_block: int,
     start_position: int,
@@ -132,7 +133,9 @@ def _leaks(
         block = cfg.blocks[block_index]
         status = "live"
         for item in block.body[position:]:
-            status = _transfer(item, var, site_by_call, summaries, params_of)
+            status = _transfer(
+                source, item, var, site_by_call, summaries, params_of
+            )
             if status != "live":
                 break
         if status != "live":
@@ -147,30 +150,35 @@ def _leaks(
 
 
 def _transfer(
-    item, var: str, site_by_call: dict, summaries: dict, params_of
+    source: SourceFile,
+    item,
+    var: str,
+    site_by_call: dict,
+    summaries: dict,
+    params_of,
 ) -> str:
     """``live`` / ``released`` / ``escaped`` for one block item."""
     if isinstance(item, WithEnter):
         expr = item.item.context_expr
         if isinstance(expr, ast.Name) and expr.id == var:
             return "released"  # __exit__ closes files/sockets/mmaps
-        return "escaped" if _mentions(expr, var) else "live"
+        return "escaped" if _mentions(source, expr, var) else "live"
     if isinstance(item, WithExit):
         return "live"
     if isinstance(item, Header):
         stmt = item.stmt
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return "escaped" if _mentions(stmt.iter, var) else "live"
+            return "escaped" if _mentions(source, stmt.iter, var) else "live"
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             return "live"  # its WithEnter items carry the transfer
         return "live"
     if isinstance(item, ast.Return):
-        if item.value is not None and _mentions(item.value, var):
+        if item.value is not None and _mentions(source, item.value, var):
             return "escaped"
         return "live"
     if isinstance(item, ast.Raise):
         mentioned = any(
-            _mentions(part, var)
+            _mentions(source, part, var)
             for part in (item.exc, item.cause)
             if part is not None
         )
@@ -184,10 +192,10 @@ def _transfer(
             for target in targets
         )
         value = item.value
-        if value is not None and _mentions(value, var):
+        if value is not None and _mentions(source, value, var):
             # Resource value stored somewhere else: new owner.
             outcome = _call_transfer(
-                value, var, site_by_call, summaries, params_of
+                source, value, var, site_by_call, summaries, params_of
             )
             if outcome is not None:
                 return outcome if not rebinds else "escaped"
@@ -197,18 +205,23 @@ def _transfer(
         return "live"
     if isinstance(item, ast.Expr):
         outcome = _call_transfer(
-            item.value, var, site_by_call, summaries, params_of
+            source, item.value, var, site_by_call, summaries, params_of
         )
         if outcome is not None:
             return outcome
-        return "escaped" if _mentions(item.value, var) else "live"
+        return "escaped" if _mentions(source, item.value, var) else "live"
     if isinstance(item, ast.stmt):
-        return "escaped" if _mentions(item, var) else "live"
+        return "escaped" if _mentions(source, item, var) else "live"
     return "live"
 
 
 def _call_transfer(
-    expr, var: str, site_by_call: dict, summaries: dict, params_of
+    source: SourceFile,
+    expr,
+    var: str,
+    site_by_call: dict,
+    summaries: dict,
+    params_of,
 ):
     """Classify a call expression w.r.t. ``var``, or ``None`` if not a call."""
     if not isinstance(expr, ast.Call):
@@ -223,9 +236,9 @@ def _call_transfer(
     ):
         if func.attr in RELEASE_TAILS:
             return "released"
-        args_touch = any(_mentions(arg, var) for arg in expr.args) or any(
-            _mentions(kw.value, var) for kw in expr.keywords
-        )
+        args_touch = any(
+            _mentions(source, arg, var) for arg in expr.args
+        ) or any(_mentions(source, kw.value, var) for kw in expr.keywords)
         return "escaped" if args_touch else "live"
     if (
         name in RELEASE_CALLS
@@ -247,13 +260,13 @@ def _call_transfer(
                         and params[position] in summary.releases_params
                     ):
                         return "released"
-    if _mentions(expr, var):
+    if _mentions(source, expr, var):
         return "escaped"
     return "live"
 
 
-def _mentions(node: ast.AST, var: str) -> bool:
+def _mentions(source: SourceFile, node: ast.AST, var: str) -> bool:
     return any(
         isinstance(inner, ast.Name) and inner.id == var
-        for inner in ast.walk(node)
+        for inner in source.walk(node)
     )

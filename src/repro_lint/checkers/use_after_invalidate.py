@@ -31,16 +31,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, SourceFile, is_self_attribute, register
-from repro.analysis.cfg import BasicBlock, BlockItem, Header
-from repro.analysis.dataflow import DataflowProblem, solve
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, is_self_attribute, register
+from repro_lint.cfg import BasicBlock, BlockItem, item_roots
+from repro_lint.dataflow import DataflowProblem, solve
+from repro_lint.findings import Finding
 
 
 class _InvalidationProblem(DataflowProblem):
     """May-analysis: frozenset of ``(attr, invalidation_line)`` facts."""
 
     direction = "forward"
+
+    def __init__(self, source: SourceFile) -> None:
+        self.source = source
 
     def initial(self) -> frozenset:
         return frozenset()
@@ -50,7 +53,7 @@ class _InvalidationProblem(DataflowProblem):
 
     def transfer_item(self, item: BlockItem, state: frozenset) -> frozenset:
         if isinstance(item, ast.stmt):
-            for attr, lineno in _clear_calls(item):
+            for attr, lineno in _clear_calls(self.source, item):
                 state = _kill(state, attr) | {(attr, lineno)}
         if isinstance(item, ast.Assign):
             for target in item.targets:
@@ -96,10 +99,10 @@ def _is_none(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
 
-def _clear_calls(stmt: ast.stmt) -> list[tuple[str, int]]:
+def _clear_calls(source: SourceFile, stmt: ast.stmt) -> list[tuple[str, int]]:
     """``self.<attr>.clear()`` invalidations anywhere in a statement."""
     cleared = []
-    for node in ast.walk(stmt):
+    for node in source.walk(stmt):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -144,10 +147,10 @@ class UseAfterInvalidateChecker(Checker):
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         for func in source.functions():
-            if not _invalidates_anything(func):
+            if not _invalidates_anything(source, func):
                 continue
             cfg = source.cfg_for(func)
-            problem = _InvalidationProblem()
+            problem = _InvalidationProblem(source)
             solution = solve(cfg, problem)
             if not solution.converged:
                 continue
@@ -159,14 +162,15 @@ class UseAfterInvalidateChecker(Checker):
                     # The state *during* the item: facts this very item
                     # introduces do not apply to its own reads (the RHS of
                     # `self._x = None` runs before the store).
-                    for access in _flaggable_reads(item):
+                    reads = _reads_in_roots(source, item_roots(item))
+                    for access in reads:
                         yield from self._flag(source, func, access, state)
                 if block.test is not None and not is_self_attribute(block.test):
                     # Reads inside a branch condition (the bare-truthiness
                     # and is-None guard shapes are exempt recovery idioms).
                     state = solution.state_out_of(block)
                     if state:
-                        for access in _reads_in_roots([block.test]):
+                        for access in _reads_in_roots(source, [block.test]):
                             yield from self._flag(source, func, access, state)
 
     def _flag(
@@ -192,9 +196,9 @@ class UseAfterInvalidateChecker(Checker):
         )
 
 
-def _invalidates_anything(func: ast.AST) -> bool:
+def _invalidates_anything(source: SourceFile, func: ast.AST) -> bool:
     """Cheap pre-scan so clean functions never pay for a CFG + solve."""
-    for node in ast.walk(func):
+    for node in source.walk(func):
         if isinstance(node, ast.Assign) and _is_none(node.value):
             if any(is_self_attribute(target) for target in node.targets):
                 return True
@@ -211,28 +215,14 @@ def _invalidates_anything(func: ast.AST) -> bool:
     return False
 
 
-def _flaggable_reads(item: BlockItem) -> list[ast.Attribute]:
-    """Loads of ``self.<attr>`` in an item, minus None-test operands."""
-    if isinstance(item, Header):
-        stmt = item.stmt
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            roots: list[ast.AST] = [stmt.iter]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            roots = [with_item.context_expr for with_item in stmt.items]
-        else:
-            return []
-    elif not isinstance(item, ast.stmt):
-        return []
-    else:
-        roots = [item]
-    return _reads_in_roots(roots)
-
-
-def _reads_in_roots(roots: list[ast.AST]) -> list[ast.Attribute]:
+def _reads_in_roots(
+    source: SourceFile, roots: list[ast.AST]
+) -> list[ast.Attribute]:
+    """Loads of ``self.<attr>`` under ``roots``, minus None-test operands."""
     exempt: set[int] = set()
     reads: list[ast.Attribute] = []
     for root in roots:
-        for node in ast.walk(root):
+        for node in source.walk(root):
             if (
                 isinstance(node, ast.Compare)
                 and len(node.ops) == 1
@@ -241,7 +231,7 @@ def _reads_in_roots(roots: list[ast.AST]) -> list[ast.Attribute]:
             ):
                 exempt.add(id(node.left))
     for root in roots:
-        for node in ast.walk(root):
+        for node in source.walk(root):
             if (
                 is_self_attribute(node)
                 and isinstance(node.ctx, ast.Load)

@@ -11,8 +11,8 @@ worse: ``seek`` to an attacker offset, a path join outside the data
 directory, a rate that breaks the convergence invariant).
 
 The facts come from the taint instance of the abstract interpreter
-(:mod:`repro.analysis.absint`) propagated through the bottom-up summary
-fixpoint: each :class:`~repro.analysis.summaries.FunctionSummary` records
+(:mod:`repro_lint.absint`) propagated through the bottom-up summary
+fixpoint: each :class:`~repro_lint.summaries.FunctionSummary` records
 the sinks concrete wire data reaches inside the function *or in any
 transitively resolved callee it forwards the data to*, together with the
 witness call chain.  The chain lands in ``metadata["call_chain"]`` and is
@@ -29,9 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import ProjectChecker, call_chain_metadata, register
-from repro.analysis.callgraph import Project
-from repro.analysis.findings import Finding
+from repro_lint.base import ProjectChecker, call_chain_metadata, register
+from repro_lint.callgraph import Project
+from repro_lint.findings import Finding
 
 #: What each sink kind means to an operator, for the message.
 _SINK_RISK = {

@@ -16,7 +16,7 @@ This rule flags a division whose denominator is **provably at risk**:
 * a direct ``len(...)`` denominator with no emptiness guard.
 
 The interval comes from the value instance of the abstract interpreter
-(:mod:`repro.analysis.absint`), whose ``refine_edge`` prunes guarded
+(:mod:`repro_lint.absint`), whose ``refine_edge`` prunes guarded
 branches: after ``if total <= 0.0: return`` the surviving path carries
 ``total ∈ (0, +inf)`` — zero *excluded* via the open bound — and after
 ``if not xs: return`` the ``len`` fact of ``xs`` is at least one.  A
@@ -30,15 +30,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.absint import (
+from repro_lint.absint import (
     _refine_test,
-    _sink_roots,
     states_before_items,
     value_solution,
 )
-from repro.analysis.base import Checker, SourceFile, call_name, register
-from repro.analysis.callgraph import walk_in_scope
-from repro.analysis.findings import Finding
+from repro_lint.base import Checker, SourceFile, call_name, register
+from repro_lint.cfg import item_roots
+from repro_lint.findings import Finding
 
 #: Calls whose result legitimately reaches zero on empty input.
 _ZERO_RISK_CALLS = {"sum", "len", "min"}
@@ -60,18 +59,18 @@ class ZeroDenominatorChecker(Checker):
             yield from self._check_function(source, func)
 
     def _check_function(self, source: SourceFile, func) -> Iterator[Finding]:
-        risky = _zero_risk_names(func)
-        local = _local_names(func)
+        risky = _zero_risk_names(source, func)
+        local = _local_names(source, func)
         divisions = [
             node
-            for node in walk_in_scope(func)
+            for node in source.walk_in_scope(func)
             if isinstance(node, ast.BinOp)
             and isinstance(node.op, _DIV_OPS)
             and _risky_denominator(node.right, risky, local)
         ]
         if not divisions:
             return
-        guards = _ifexp_guards(func)
+        guards = _ifexp_guards(source, func)
         solution = value_solution(source, func)
         if not solution.converged:
             return
@@ -83,14 +82,14 @@ class ZeroDenominatorChecker(Checker):
             roots = [
                 (root, state)
                 for item, state in pairs
-                for root in _sink_roots(item)
+                for root in item_roots(item)
             ]
             if block.test is not None:
                 roots.append((block.test, test_state))
             for root, state in roots:
                 if state is None:
                     continue  # unreachable program point
-                for node in walk_in_scope(root):
+                for node in source.walk_in_scope(root):
                     key = id(node)
                     if key not in wanted or key in seen:
                         continue
@@ -119,10 +118,10 @@ class ZeroDenominatorChecker(Checker):
                     )
 
 
-def _zero_risk_names(func) -> set[str]:
+def _zero_risk_names(source: SourceFile, func) -> set[str]:
     """Names whose producer makes zero a reachable value."""
     risky: set[str] = set()
-    for node in walk_in_scope(func):
+    for node in source.walk_in_scope(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target, value = node.targets[0], node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -160,7 +159,7 @@ def _risky_denominator(
     )
 
 
-def _local_names(func) -> set[str]:
+def _local_names(source: SourceFile, func) -> set[str]:
     """Parameter and locally-bound names of one function."""
     arguments = func.args
     names = {
@@ -175,13 +174,13 @@ def _local_names(func) -> set[str]:
     for extra in (arguments.vararg, arguments.kwarg):
         if extra is not None:
             names.add(extra.arg)
-    for node in walk_in_scope(func):
+    for node in source.walk_in_scope(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
     return names
 
 
-def _ifexp_guards(func) -> dict[int, tuple]:
+def _ifexp_guards(source: SourceFile, func) -> dict[int, tuple]:
     """division id -> ((test, positive), ...) for conditional expressions.
 
     ``x / total if total else 0.0`` never divides on the falsy arm; the
@@ -204,7 +203,7 @@ def _ifexp_guards(func) -> dict[int, tuple]:
         for child in ast.iter_child_nodes(node):
             tag(child, chain)
 
-    for node in walk_in_scope(func):
+    for node in source.walk_in_scope(func):
         # Parents precede children in the walk, so a nested conditional is
         # always reached (and marked) through its outermost ancestor first.
         if isinstance(node, ast.IfExp) and id(node) not in visited:

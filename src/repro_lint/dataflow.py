@@ -1,7 +1,7 @@
 """A generic worklist fixpoint solver over join-semilattices.
 
 :func:`solve` runs any :class:`DataflowProblem` — forward or backward —
-over a :class:`~repro.analysis.cfg.ControlFlowGraph` until the per-block
+over a :class:`~repro_lint.cfg.ControlFlowGraph` until the per-block
 states stop changing, with a hard bound on worklist iterations (the
 "widening cap"): a problem whose lattice has unbounded ascending chains
 still terminates, it just reports ``converged=False`` and checkers treat
@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.analysis.cfg import (
+from repro_lint.cfg import (
     BasicBlock,
     BlockItem,
     ControlFlowGraph,
@@ -229,13 +229,13 @@ class ReachingDefinitions(DataflowProblem):
     #: def_id of every synthetic parameter definition.
     PARAM = -1
 
-    def __init__(self, cfg: ControlFlowGraph) -> None:
+    def __init__(self, cfg: ControlFlowGraph, walk=ast.walk) -> None:
         self.cfg = cfg
         self._definitions: list[BlockItem] = []
         self._ids_by_item: dict[int, list[tuple[str, int]]] = {}
         self._params: frozenset[tuple[str, int]] = frozenset()
         for _block, _position, item in cfg.walk_items():
-            names = assigned_names(item)
+            names = assigned_names(item, walk)
             if not names:
                 continue
             pairs = []

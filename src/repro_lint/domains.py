@@ -1,4 +1,4 @@
-"""Abstract domains for the :mod:`repro.analysis.absint` interpreter.
+"""Abstract domains for the :mod:`repro_lint.absint` interpreter.
 
 Two join-semilattices live here, kept free of any AST knowledge so the
 property suite can exercise them algebraically:

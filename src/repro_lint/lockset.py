@@ -3,7 +3,7 @@
 The Eraser-style core of the lock rules: a forward *must* analysis whose state is the
 set of instance locks certainly held at a program point — ``None`` stands
 for ⊤ (unreachable-so-far), join is set intersection, and the
-:class:`~repro.analysis.cfg.WithEnter`/:class:`~repro.analysis.cfg.WithExit`
+:class:`~repro_lint.cfg.WithEnter`/:class:`~repro_lint.cfg.WithExit`
 markers the CFG builder emits are the acquire/release transfer points
 (including the synthetic releases on ``break``/``continue``/``return``
 paths that leave a ``with`` early).
@@ -44,8 +44,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-from repro.analysis.base import SourceFile, call_name, is_self_attribute
-from repro.analysis.cfg import (
+from repro_lint.base import SourceFile, call_name, is_self_attribute
+from repro_lint.cfg import (
     BasicBlock,
     BlockItem,
     ControlFlowGraph,
@@ -53,7 +53,7 @@ from repro.analysis.cfg import (
     WithEnter,
     WithExit,
 )
-from repro.analysis.dataflow import (
+from repro_lint.dataflow import (
     DataflowProblem,
     ReachingDefinitions,
     Solution,
@@ -148,13 +148,27 @@ class MethodLocksets:
 
 
 def analyze_method_locksets(
-    cfg: ControlFlowGraph, locks: set[str]
+    source: SourceFile,
+    method: ast.FunctionDef | ast.AsyncFunctionDef,
+    locks: set[str],
 ) -> MethodLocksets:
-    """Solve the lockset analysis for one method against ``locks``."""
-    resolved = _resolve_with_markers(cfg, locks)
+    """Solve the lockset analysis for one method against ``locks``.
+
+    Cached on ``source`` like the other solutions: the summaries, RL007,
+    RL011 and RL013 all ask about the same methods with the same locks.
+    """
+    cache = source.solution_cache("locksets")
+    key = (id(method), frozenset(locks))
+    result = cache.get(key)
+    if result is not None:
+        return result
+    cfg = source.cfg_for(method)
+    resolved = _resolve_with_markers(cfg, locks, source.walk)
     problem = LocksetProblem(resolved)
     solution = solve(cfg, problem)
-    result = MethodLocksets(cfg=cfg, solution=solution, resolved=resolved)
+    result = cache[key] = MethodLocksets(
+        cfg=cfg, solution=solution, resolved=resolved
+    )
     for _block, item, state in result.held_at_items():
         if not isinstance(item, WithEnter) or state is None:
             continue
@@ -173,7 +187,7 @@ def analyze_method_locksets(
 
 
 def _resolve_with_markers(
-    cfg: ControlFlowGraph, locks: set[str]
+    cfg: ControlFlowGraph, locks: set[str], walk
 ) -> dict[int, str]:
     """Map every WithEnter/WithExit marker to the lock it manipulates.
 
@@ -191,7 +205,7 @@ def _resolve_with_markers(
         and isinstance(item.item.context_expr, ast.Name)
         for _b, _p, item in cfg.walk_items()
     )
-    reaching = ReachingDefinitions(cfg) if needs_alias else None
+    reaching = ReachingDefinitions(cfg, walk) if needs_alias else None
     rd_solution = solve(cfg, reaching) if reaching is not None else None
 
     for block in cfg.blocks:
@@ -262,7 +276,9 @@ def _assigned_lock_attr(
     return None
 
 
-def self_attribute_accesses(item: BlockItem) -> list[ast.Attribute]:
+def self_attribute_accesses(
+    source: SourceFile, item: BlockItem
+) -> list[ast.Attribute]:
     """``self.<attr>`` accesses an item performs, header-aware.
 
     ``if``/``while`` headers contribute nothing here — their test
@@ -286,7 +302,7 @@ def self_attribute_accesses(item: BlockItem) -> list[ast.Attribute]:
         roots = [item]
     accesses = []
     for root in roots:
-        for node in ast.walk(root):
+        for node in source.walk(root):
             if is_self_attribute(node):
                 accesses.append(node)
     return accesses
@@ -301,7 +317,7 @@ def lock_attributes(source: SourceFile, class_def: ast.ClassDef) -> frozenset[st
     locks = source._class_locks.get(id(class_def))
     if locks is None:
         found: set[str] = set()
-        for node in ast.walk(class_def):
+        for node in source.walk(class_def):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if call_name(node.value) in _LOCK_FACTORIES:
                     for target in node.targets:
@@ -324,7 +340,7 @@ def guarded_attributes(
         if match is not None:
             stems.append((f"_{match.group('stem')}", lock))
     if stems:
-        for attr in _all_self_attributes(class_def):
+        for attr in _all_self_attributes(source, class_def):
             if attr in locks:
                 continue
             for prefix, lock in stems:
@@ -333,7 +349,7 @@ def guarded_attributes(
                     break
 
     # Annotations: "#: guarded by self.<lock>" on or above an assignment.
-    for node in ast.walk(class_def):
+    for node in source.walk(class_def):
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -354,9 +370,11 @@ def _annotation_for(source: SourceFile, lineno: int) -> str | None:
     return None
 
 
-def _all_self_attributes(class_def: ast.ClassDef) -> set[str]:
+def _all_self_attributes(
+    source: SourceFile, class_def: ast.ClassDef
+) -> set[str]:
     attrs: set[str] = set()
-    for node in ast.walk(class_def):
+    for node in source.walk(class_def):
         if is_self_attribute(node):
             attrs.add(node.attr)  # type: ignore[union-attr]
     return attrs

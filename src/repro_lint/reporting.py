@@ -1,6 +1,6 @@
 """Reporters: human text, machine JSON, GitHub annotations, SARIF 2.1.0.
 
-All four render a :class:`~repro.analysis.runner.LintReport`:
+All four render a :class:`~repro_lint.runner.LintReport`:
 
 * ``text`` — one line per finding plus a summary block, for terminals;
 * ``json`` — the full report (findings, baselined, suppressed, stats) for
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.findings import Finding
-from repro.analysis.runner import LintReport
+from repro_lint.findings import Finding
+from repro_lint.runner import LintReport
 
 FORMATS = ("text", "json", "github", "sarif")
 
@@ -49,16 +49,11 @@ def render_text(report: LintReport) -> str:
             lines.append(f"    suggestion: {finding.suggestion}")
     for path, error in report.parse_errors:
         lines.append(f"{path}: parse error: {error}")
-    cache_note = (
-        f", summary cache {report.summary_cache}"
-        if report.summary_cache
-        else ""
-    )
     lines.append(
         f"{len(report.findings)} finding(s) in {report.files_scanned} file(s) "
         f"[{report.elapsed_seconds:.2f}s; "
         f"{len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} pragma-suppressed{cache_note}]"
+        f"{len(report.suppressed)} pragma-suppressed]"
     )
     counts = report.counts_by_code()
     if counts:
@@ -170,7 +165,7 @@ def render_sarif(report: LintReport) -> str:
 
 def _sarif_rules(report: LintReport) -> tuple[list[dict], dict[str, int]]:
     """Rule metadata for the run's checkers, from the live registry."""
-    from repro.analysis.base import all_checkers
+    from repro_lint.base import all_checkers
 
     try:
         checkers = all_checkers(report.checker_codes or None)

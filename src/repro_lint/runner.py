@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.base import Checker, ProjectChecker, SourceFile, all_checkers
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding
-from repro.analysis.pragmas import parse_pragmas
+from repro_lint.base import Checker, ProjectChecker, SourceFile, all_checkers
+from repro_lint.baseline import Baseline
+from repro_lint.findings import Finding
+from repro_lint.pragmas import parse_pragmas
 
 #: Directory names never descended into when expanding path arguments.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
@@ -37,12 +37,6 @@ class LintReport:
     #: ``project-build`` (call graph + summaries over the same parsed
     #: files) and ``project-check`` (interprocedural checkers) when any ran.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: SCC fixpoint rounds the project phase ran *this* run.  Zero when the
-    #: summary cache hit (or no project checker ran) — the acceptance
-    #: criterion for a no-op ``--changed`` run.
-    fixpoint_rounds: int = 0
-    #: ``"hit"``/``"miss"`` when a cache path was given, else ``""``.
-    summary_cache: str = ""
 
     @property
     def clean(self) -> bool:
@@ -115,7 +109,6 @@ def run_lint(
     baseline: Baseline | None = None,
     root: str | Path | None = None,
     scope: set[str] | None = None,
-    cache: str | Path | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) and return the full report.
 
@@ -125,23 +118,18 @@ def run_lint(
     runs from elsewhere agree as long as ``root`` points at the repo.
 
     Every file is read and parsed once.  The per-file checkers run on that
-    :class:`~repro.analysis.base.SourceFile`; interprocedural checkers
-    (:class:`~repro.analysis.base.ProjectChecker`) then run in a second
-    phase over one :class:`~repro.analysis.callgraph.Project` built from the
-    *same* objects, so the CFGs and abstract-domain solutions the first
-    phase cached on them are reused: summaries are computed bottom-up, then
-    each project checker runs once.
+    :class:`~repro_lint.base.SourceFile`; interprocedural checkers
+    (:class:`~repro_lint.base.ProjectChecker`) then run in a second
+    phase over one :class:`~repro_lint.callgraph.Project` built from the
+    *same* objects, so the traversals, CFGs and abstract-domain solutions
+    the first phase cached on them are reused: summaries are computed
+    bottom-up, then each project checker runs once.
 
     ``scope`` (display names, as findings carry them) restricts which files
     are *linted and reported* — ``repro lint --changed`` uses it — while the
     project phase still parses everything, so summaries of unchanged
-    helpers stay visible to the checkers.
-
-    ``cache`` names a file persisting the interprocedural summary index
-    between runs, keyed on per-file content hashes (see
-    :mod:`~repro.analysis.summary_cache`).  On a full match the project
-    phase skips the summary fixpoint entirely (``report.fixpoint_rounds``
-    stays 0); on any mismatch it recomputes and rewrites the cache.
+    helpers stay visible to the checkers.  Nothing is read but the sources:
+    every run recomputes the summaries.
     """
     started = time.perf_counter()
     active = checkers if checkers is not None else all_checkers()
@@ -180,9 +168,7 @@ def run_lint(
     report.phase_seconds["files"] = time.perf_counter() - phase_started
 
     if project_checkers:
-        _run_project_phase(
-            report, files, parsed, scope, project_checkers, keep, cache
-        )
+        _run_project_phase(report, files, parsed, scope, project_checkers, keep)
 
     report.findings.sort()
     report.baselined.sort()
@@ -198,7 +184,6 @@ def _run_project_phase(
     scope: set[str] | None,
     project_checkers: list[Checker],
     keep,
-    cache: str | Path | None = None,
 ) -> None:
     """Build the whole-program context and run the interprocedural checkers.
 
@@ -210,13 +195,7 @@ def _run_project_phase(
     *definitions* still feed the call graph — a skip-file pragma silences
     findings in that file, it does not falsify summaries).
     """
-    from repro.analysis.callgraph import Project
-    from repro.analysis.summaries import SummaryIndex
-    from repro.analysis.summary_cache import (
-        file_hashes,
-        load_summaries,
-        store_summaries,
-    )
+    from repro_lint.callgraph import Project
 
     phase_started = time.perf_counter()
     sources = [
@@ -224,19 +203,7 @@ def _run_project_phase(
         for path, display in files
     ]
     project = Project([source for source in sources if source is not None])
-    hashes = file_hashes(project.sources) if cache is not None else {}
-    cached = load_summaries(cache, hashes) if cache is not None else None
-    if cached is not None:
-        index = SummaryIndex(project)
-        index.by_id = cached["by_id"]
-        index.converged = cached["converged"]
-        project.adopt_summaries(index)
-        report.summary_cache = "hit"
-    summaries = project.summaries()  # builds here unless the cache hit
-    report.fixpoint_rounds = sum(summaries.scc_rounds)
-    if cache is not None and cached is None:
-        store_summaries(cache, hashes, summaries)
-        report.summary_cache = "miss"
+    project.summaries()
     report.phase_seconds["project-build"] = (
         time.perf_counter() - phase_started
     )

@@ -41,23 +41,22 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.absint import (
+from repro_lint.absint import (
     TaintFacts,
     gather_taint_facts,
     resolve_labels,
 )
-from repro.analysis.base import call_name, literal_number
-from repro.analysis.callgraph import (
+from repro_lint.base import call_name, literal_number
+from repro_lint.callgraph import (
     CallSite,
     FunctionInfo,
     Project,
     calls_in_function,
     calls_in_item,
-    walk_in_scope,
 )
-from repro.analysis.cfg import Header, WithEnter
-from repro.analysis.dataflow import DataflowProblem, solve
-from repro.analysis.lockset import (
+from repro_lint.cfg import Header, WithEnter
+from repro_lint.dataflow import DataflowProblem, solve
+from repro_lint.lockset import (
     analyze_method_locksets,
     guarded_attributes,
     lock_attributes,
@@ -258,14 +257,15 @@ def _qualify(info: FunctionInfo, lock: str) -> str:
 
 def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
     node = info.node
+    source = info.source
     site_by_call = {id(site.node): site for site in sites}
     locks = (
-        lock_attributes(info.source, info.class_node)
+        lock_attributes(source, info.class_node)
         if info.class_node is not None
         else frozenset()
     )
     guarded = (
-        guarded_attributes(info.source, info.class_node, locks)
+        guarded_attributes(source, info.class_node, locks)
         if locks
         else {}
     )
@@ -274,7 +274,7 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
     direct_required: list[tuple[str, int]] = []
     acquire_lines: dict[str, int] = {}
     if locks:
-        model = analyze_method_locksets(info.cfg(), locks)
+        model = analyze_method_locksets(source, node, locks)
         for block, item, state in model.held_at_items():
             if isinstance(item, WithEnter):
                 lock = model.resolved.get(id(item))
@@ -282,10 +282,10 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
                     acquire_lines.setdefault(lock, item.item.context_expr.lineno)
             if state is None:
                 continue  # unreachable: the call never executes
-            for call in calls_in_item(item):
+            for call in calls_in_item(source, item):
                 held_calls.append(_held_call(call, site_by_call, state))
             if guarded:
-                for access in _guarded_accesses_in(item, guarded):
+                for access in _guarded_accesses_in(source, item, guarded):
                     lock = guarded[access.attr]
                     if lock not in state:
                         direct_required.append((lock, access.lineno))
@@ -295,22 +295,22 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
             state = model.held_at_test(block)
             if state is None:
                 continue
-            for call in calls_in_item(block.test):
+            for call in calls_in_item(source, block.test):
                 held_calls.append(_held_call(call, site_by_call, state))
     else:
-        for call in calls_in_function(node):
+        for call in calls_in_function(source, node):
             held_calls.append(_held_call(call, site_by_call, frozenset()))
 
-    fixpoint_line = _find_fixpoint_loop(node)
-    raises = frozenset(_raised_names(node))
+    fixpoint_line = _find_fixpoint_loop(source, node)
+    raises = frozenset(_raised_names(source, node))
     param_names = tuple(arg.arg for arg in _positional_params(node))
     direct_releases, release_calls = _param_releases(
-        node, param_names, site_by_call
+        source, node, param_names, site_by_call
     )
 
     assign_calls: dict[str, ast.Call] = {}
     return_stmts: list[ast.Return] = []
-    for inner in walk_in_scope(node):
+    for inner in source.walk_in_scope(node):
         if (
             isinstance(inner, ast.Assign)
             and len(inner.targets) == 1
@@ -323,10 +323,10 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
 
     mentions_key_api = any(
         isinstance(inner, ast.Name) and inner.id in KEY_TAG_FUNCTIONS
-        for inner in walk_in_scope(node)
+        for inner in source.walk_in_scope(node)
     ) or any(
         isinstance(inner, ast.Tuple) and _pair_tags(inner)
-        for inner in walk_in_scope(node)
+        for inner in source.walk_in_scope(node)
     )
 
     return _Facts(
@@ -364,7 +364,7 @@ def _return_range(info: FunctionInfo, return_stmts: list):
     values = [stmt.value for stmt in return_stmts]
     if not values or not all(_numericish(value) for value in values):
         return None
-    from repro.analysis.absint import value_solution
+    from repro_lint.absint import value_solution
 
     solution = value_solution(info.source, info.node)
     if not solution.converged:
@@ -431,39 +431,39 @@ def is_blocking_call(call: ast.Call, name: str, held: frozenset) -> bool:
     return True
 
 
-def _guarded_accesses_in(item, guarded: dict) -> list[ast.Attribute]:
+def _guarded_accesses_in(source, item, guarded: dict) -> list[ast.Attribute]:
     return [
         access
-        for access in self_attribute_accesses(item)
+        for access in self_attribute_accesses(source, item)
         if access.attr in guarded
     ]
 
 
-def is_fixpoint_while(node: ast.While) -> bool:
+def is_fixpoint_while(source, node: ast.While) -> bool:
     """Whether a ``while`` is a residual-testing fixpoint loop (RL008 shape)."""
-    from repro.analysis.checkers.fixpoint_loops import (
+    from repro_lint.checkers.fixpoint_loops import (
         _is_while_true,
         _residual_break_in,
         _residual_compare_in,
     )
 
-    residual = _residual_compare_in(node.test)
+    residual = _residual_compare_in(source, node.test)
     if residual is None and _is_while_true(node.test):
-        residual = _residual_break_in(node.body)
+        residual = _residual_break_in(source, node.body)
     return residual is not None
 
 
-def _find_fixpoint_loop(node) -> int:
+def _find_fixpoint_loop(source, node) -> int:
     """Line of the first residual-testing ``while`` in the body, else 0."""
-    for inner in walk_in_scope(node):
-        if isinstance(inner, ast.While) and is_fixpoint_while(inner):
+    for inner in source.walk_in_scope(node):
+        if isinstance(inner, ast.While) and is_fixpoint_while(source, inner):
             return inner.lineno
     return 0
 
 
-def _raised_names(node) -> list[str]:
+def _raised_names(source, node) -> list[str]:
     names = []
-    for inner in walk_in_scope(node):
+    for inner in source.walk_in_scope(node):
         if not isinstance(inner, ast.Raise) or inner.exc is None:
             continue
         exc = inner.exc
@@ -491,12 +491,12 @@ RELEASE_TAILS = {"close"}
 RELEASE_CALLS = {"os.close"}
 
 
-def _param_releases(node, param_names: tuple, site_by_call: dict):
+def _param_releases(source, node, param_names: tuple, site_by_call: dict):
     """Directly released params + the call sites that may release more."""
     direct: set[str] = set()
     release_calls: list[tuple[tuple, list]] = []
     params = set(param_names)
-    for inner in walk_in_scope(node):
+    for inner in source.walk_in_scope(node):
         if isinstance(inner, (ast.With, ast.AsyncWith)):
             for item in inner.items:
                 expr = item.context_expr

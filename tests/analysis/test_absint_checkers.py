@@ -10,8 +10,8 @@ guards and branch refinement for the value domain.
 import json
 import textwrap
 
-from repro.analysis import Baseline, SourceFile, all_checkers, render, run_lint
-from repro.analysis.callgraph import Project
+from repro_lint import Baseline, SourceFile, all_checkers, render, run_lint
+from repro_lint.callgraph import Project
 
 
 def lint_project(code: str, files: dict):

@@ -8,13 +8,12 @@ sites, and ambiguity drops resolution rather than guessing.
 
 import textwrap
 
-from repro.analysis import SourceFile
-from repro.analysis.callgraph import (
+from repro_lint import SourceFile
+from repro_lint.callgraph import (
     Project,
     build_call_graph,
     calls_in_function,
     module_name_for,
-    walk_in_scope,
 )
 
 
@@ -341,7 +340,7 @@ class TestScopeWalk:
             """,
         )
         (func,) = tree.tree.body
-        names = [call.func.id for call in calls_in_function(func)]
+        names = [call.func.id for call in calls_in_function(tree, func)]
         assert names == ["direct"]
 
     def test_nested_default_exprs_belong_to_enclosing_scope(self):
@@ -355,7 +354,7 @@ class TestScopeWalk:
             """,
         )
         (func,) = tree.tree.body
-        names = [call.func.id for call in calls_in_function(func)]
+        names = [call.func.id for call in calls_in_function(tree, func)]
         assert names == ["default"]
 
     def test_walk_yields_nested_def_without_entering(self):
@@ -371,10 +370,10 @@ class TestScopeWalk:
         import ast
 
         (func,) = tree.tree.body
-        kinds = [type(n).__name__ for n in walk_in_scope(func)]
+        kinds = [type(n).__name__ for n in tree.walk_in_scope(func)]
         assert "FunctionDef" in kinds  # nested def itself is visible
         assert not any(
-            isinstance(n, ast.Call) for n in walk_in_scope(func)
+            isinstance(n, ast.Call) for n in tree.walk_in_scope(func)
         )
 
 
@@ -384,7 +383,7 @@ class TestBuildOverRealTree:
         import ast as ast_mod
         from pathlib import Path
 
-        from repro.analysis.runner import discover_files
+        from repro_lint.runner import discover_files
 
         repo = Path(__file__).resolve().parents[2]
         files = [

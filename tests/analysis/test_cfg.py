@@ -13,7 +13,7 @@ import textwrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cfg import (
+from repro_lint.cfg import (
     Header,
     WithEnter,
     WithExit,

@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import SourceFile, all_checkers, checker_codes
+from repro_lint import SourceFile, all_checkers, checker_codes
 from tests.analysis.test_absint_checkers import one_module
 
 

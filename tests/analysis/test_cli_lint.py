@@ -1,6 +1,8 @@
 """The ``repro lint`` CLI: formats, exit codes, baseline workflow."""
 
 import json
+import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,16 @@ import pytest
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+class _CreatesOnLoad:
+    """Unpickling this creates the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 @pytest.fixture
@@ -176,25 +188,24 @@ class TestChangedScope:
         assert main(["lint", ".", "--changed", "--no-baseline"]) == 0
         assert "0 file(s)" in capsys.readouterr().out
 
-    def test_noop_rerun_skips_the_summary_fixpoint(
+    def test_a_planted_lint_cache_is_never_loaded(
         self, checkout, monkeypatch, capsys
     ):
-        """Acceptance criterion: a no-op ``--changed`` rerun performs zero
-        project-phase fixpoint iterations — the summary index comes off
-        disk, so ``compute_summaries`` must never be called."""
-        import repro.analysis.summaries as summaries_module
-
+        """A ``--changed`` run reads sources and nothing else: a pickle
+        planted where the linter once kept a summary cache does not run,
+        and no cache file is written."""
+        marker = checkout / "marker"
+        planted = checkout / ".repro-lint-cache"
+        payload = pickle.dumps(_CreatesOnLoad(str(marker)))
+        planted.write_bytes(payload)
         monkeypatch.chdir(checkout)
         assert main(["lint", ".", "--changed", "--no-baseline"]) == 0
-        assert "summary cache miss" in capsys.readouterr().out
-        assert (checkout / ".repro-lint-cache").exists()
-
-        def boom(project):
-            raise AssertionError("fixpoint ran on a no-op rerun")
-
-        monkeypatch.setattr(summaries_module, "compute_summaries", boom)
-        assert main(["lint", ".", "--changed", "--no-baseline"]) == 0
-        assert "summary cache hit" in capsys.readouterr().out
+        assert "0 file(s)" in capsys.readouterr().out
+        assert not marker.exists()
+        assert planted.read_bytes() == payload
+        assert sorted(p.name for p in checkout.iterdir() if "lint" in p.name) == [
+            ".repro-lint-cache"
+        ]
 
     def test_outside_a_checkout_falls_back_to_a_full_run(
         self, tmp_path, monkeypatch, capsys

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import (
+from repro_lint.cfg import build_cfg
+from repro_lint.dataflow import (
     DataflowProblem,
     LiveVariables,
     ReachingDefinitions,
@@ -172,7 +172,7 @@ class TestTermination:
 
     def test_solver_terminates_on_every_function_in_src(self):
         """ISSUE acceptance: both reference analyses converge repo-wide."""
-        from repro.analysis.base import SourceFile
+        from repro_lint.base import SourceFile
 
         functions = 0
         for path in sorted((REPO_ROOT / "src").rglob("*.py")):

@@ -16,7 +16,7 @@ SERVICE_PY = REPO_ROOT / "src" / "repro" / "serve" / "service.py"
 
 
 def lint_text(code: str, text: str, name: str = "<snippet>"):
-    from repro.analysis import SourceFile, all_checkers
+    from repro_lint import SourceFile, all_checkers
 
     (checker,) = all_checkers([code])
     return list(checker.check(SourceFile.parse(name, text)))

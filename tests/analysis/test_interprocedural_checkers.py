@@ -10,8 +10,8 @@ import re
 import textwrap
 from pathlib import Path
 
-from repro.analysis import SourceFile, all_checkers
-from repro.analysis.callgraph import Project
+from repro_lint import SourceFile, all_checkers
+from repro_lint.callgraph import Project
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SERVICE_PY = REPO_ROOT / "src" / "repro" / "serve" / "service.py"

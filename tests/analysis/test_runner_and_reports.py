@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro_lint import (
     Baseline,
     all_checkers,
     load_baseline,
@@ -140,7 +140,7 @@ class TestSingleParse:
     """One process, one parse per file, the parent's reports byte for byte."""
 
     def test_unregistered_checker_instance_runs(self, messy_tree):
-        from repro.analysis.base import Checker
+        from repro_lint.base import Checker
 
         class Custom(Checker):  # deliberately NOT @register-ed
             code = "ZZ999"
@@ -161,7 +161,7 @@ class TestSingleParse:
     ):
         """The project phase reuses the file phase's ``SourceFile`` objects;
         only out-of-scope files are parsed there."""
-        from repro.analysis.base import SourceFile
+        from repro_lint.base import SourceFile
 
         parsed = []
         original = SourceFile.parse.__func__
@@ -178,7 +178,7 @@ class TestSingleParse:
 
     def test_project_phase_reuses_the_file_phase_caches(self, project_tree):
         """A CFG built by a per-file checker is the one RL010-RL017 see."""
-        from repro.analysis.base import Checker, ProjectChecker
+        from repro_lint.base import Checker, ProjectChecker
 
         seen = {}
 
@@ -199,6 +199,34 @@ class TestSingleParse:
 
         run_lint([project_tree / "pkg"], checkers=[Warm(), Reuse()], root=project_tree)
         assert len(seen) == 3  # slow, Service.__init__, Service.refresh
+
+    def test_no_root_is_walked_twice(self, monkeypatch):
+        """Traversal is owned by ``SourceFile``: linting the linter runs
+        ``ast.walk`` and ``walk_in_scope`` at most once per root node, however
+        many rules and fact gatherers read that node's subtree."""
+        import ast
+
+        import repro_lint
+        import repro_lint.base as base
+
+        roots = {"ast.walk": [], "walk_in_scope": []}
+
+        def recording(kind, walk):
+            def wrapper(node):
+                roots[kind].append(node)  # held, so no id is reused
+                return walk(node)
+
+            return wrapper
+
+        monkeypatch.setattr(ast, "walk", recording("ast.walk", ast.walk))
+        monkeypatch.setattr(
+            base, "walk_in_scope", recording("walk_in_scope", base.walk_in_scope)
+        )
+        run_lint([Path(repro_lint.__file__).parent])
+        for kind, nodes in roots.items():
+            assert nodes, kind
+            repeats = len(nodes) - len({id(node) for node in nodes})
+            assert repeats == 0, f"{repeats} roots walked again by {kind}"
 
     @pytest.mark.parametrize("tree_name", ["messy", "project"])
     @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
@@ -236,7 +264,7 @@ class TestDiscovery:
     ):
         """Regression: de-duplication was on the path as typed, so a relative
         and an absolute spelling of one directory linted every file twice."""
-        from repro.analysis import discover_files
+        from repro_lint import discover_files
 
         monkeypatch.chdir(messy_tree)
         found = discover_files(["pkg", messy_tree / "pkg", "pkg/bad.py"])
@@ -326,7 +354,7 @@ class TestBaselineMetadataStability:
     """Richer finding metadata must never invalidate a baseline entry."""
 
     def test_fingerprint_ignores_metadata(self):
-        from repro.analysis.findings import Finding
+        from repro_lint.findings import Finding
 
         bare = Finding("f.py", 3, "RL007", "msg", source_line="x = self._rates")
         rich = Finding(
@@ -336,7 +364,7 @@ class TestBaselineMetadataStability:
         assert bare.fingerprint() == rich.fingerprint()
 
     def test_baseline_written_before_metadata_still_matches(self):
-        from repro.analysis.findings import Finding
+        from repro_lint.findings import Finding
 
         old = Finding("f.py", 3, "RL008", "msg", source_line="while r > tol:")
         baseline = Baseline.from_findings([old])
@@ -398,8 +426,8 @@ class TestRepositorySelfLint:
         """Guard against silently losing the attribute<->lock binding."""
         import ast
 
-        from repro.analysis.base import SourceFile
-        from repro.analysis.lockset import guarded_attributes, lock_attributes
+        from repro_lint.base import SourceFile
+        from repro_lint.lockset import guarded_attributes, lock_attributes
 
         path = REPO_ROOT / "src" / "repro" / "serve" / "service.py"
         source = SourceFile.parse(str(path), path.read_text())

@@ -8,9 +8,9 @@ counts stay tiny, and ``converged`` reports it.
 
 import textwrap
 
-from repro.analysis import SourceFile
-from repro.analysis.callgraph import Project
-from repro.analysis.summaries import (
+from repro_lint import SourceFile
+from repro_lint.callgraph import Project
+from repro_lint.summaries import (
     MAX_SCC_ROUNDS,
     compute_summaries,
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro_lint import (
     Baseline,
     Finding,
     SourceFile,

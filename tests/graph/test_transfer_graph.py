@@ -355,6 +355,7 @@ class TestReboundUnderUnchangedRates:
         same_rates = graph.transfer_schema.copy()  # equal, not identical
         view = graph.rebound(copy, same_rates)
         assert view.data_graph is copy
+        assert view.transfer_schema is same_rates  # bound to what was asked
         assert view.edge_rate is graph.edge_rate
         assert view.matrix() is matrix
         assert view.positive_incidence() is incidence

@@ -24,10 +24,10 @@ import ast
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.absint import ValueProblem, _refine_test
-from repro.analysis.dataflow import WIDENING_CAP, solve
-from repro.analysis.cfg import build_cfg
-from repro.analysis.domains import TOP, Interval, state_get
+from repro_lint.absint import ValueProblem, _refine_test
+from repro_lint.base import SourceFile
+from repro_lint.dataflow import WIDENING_CAP, solve
+from repro_lint.domains import TOP, Interval, state_get
 
 NAMES = ("a", "b", "n")
 
@@ -188,10 +188,10 @@ class TestSolverTermination:
     @given(random_functions())
     @settings(max_examples=150, deadline=None)
     def test_value_analysis_terminates_under_the_cap(self, source):
-        module = ast.parse(source)
-        (func,) = module.body
-        cfg = build_cfg(func)
-        solution = solve(cfg, ValueProblem())
+        parsed = SourceFile.parse("<generated>", source)
+        (func,) = parsed.tree.body
+        cfg = parsed.cfg_for(func)
+        solution = solve(cfg, ValueProblem(parsed))
         # Each block is visited at most WIDENING_CAP + 1 times before the
         # solver gives up, so total iterations are hard-bounded.
         assert solution.iterations <= (WIDENING_CAP + 1) * len(cfg.blocks)
@@ -208,10 +208,10 @@ class TestSolverTermination:
         """``converged`` is a promise: transferring any block's input must
         reproduce its recorded output, and every block's input must absorb
         each refined predecessor output (``join`` adds nothing new)."""
-        module = ast.parse(source)
-        (func,) = module.body
-        cfg = build_cfg(func)
-        problem = ValueProblem()
+        parsed = SourceFile.parse("<generated>", source)
+        (func,) = parsed.tree.body
+        cfg = parsed.cfg_for(func)
+        problem = ValueProblem(parsed)
         solution = solve(cfg, problem)
         if not solution.converged:
             return  # the cap fired — termination is covered above

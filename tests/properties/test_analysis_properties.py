@@ -1,6 +1,6 @@
 """Property-based tests for the interprocedural analysis layer.
 
-Two load-bearing guarantees of ``repro.analysis``'s call graph and summary
+Two load-bearing guarantees of ``repro_lint``'s call graph and summary
 engine, exercised over *randomly generated call topologies* (arbitrary
 cycles, self-recursion, mutual recursion across SCC boundaries):
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import SourceFile
-from repro.analysis.callgraph import Project
-from repro.analysis.summaries import MAX_SCC_ROUNDS, compute_summaries
+from repro_lint import SourceFile
+from repro_lint.callgraph import Project
+from repro_lint.summaries import MAX_SCC_ROUNDS, compute_summaries
 
 
 @st.composite

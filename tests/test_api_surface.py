@@ -31,9 +31,13 @@ PACKAGES = [
     "repro.store",
 ]
 
+#: The linter is a sibling of ``repro``; its root module is held to the same
+#: docstrings.
+LINT_PACKAGE = "repro_lint"
+
 
 def all_modules():
-    names = set(PACKAGES)
+    names = set(PACKAGES) | {LINT_PACKAGE}
     for package_name in PACKAGES:
         package = importlib.import_module(package_name)
         if hasattr(package, "__path__"):

@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 import repro
+import repro_lint
 
 SRC = Path(repro.__file__).parent
+LINT = Path(repro_lint.__file__).parent
 
 LOOP_PRIMITIVES = {"batched_adjust_flows", "batched_build_explaining_subgraphs"}
 
@@ -121,12 +123,11 @@ def test_no_execution_mode_parameter_or_field_outside_the_cluster():
 
 def test_conformance_is_not_optional():
     """The transfer-graph build *is* the Section 2 conformance check: nothing
-    outside the analyser takes a ``validate`` switch that could skip it."""
+    takes a ``validate`` switch that could skip it."""
     offenders = sorted(
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
-        if "analysis" not in path.relative_to(SRC).parts
-        and "validate" in parameter_and_field_names(path)
+        if "validate" in parameter_and_field_names(path)
     )
     assert offenders == []
 
@@ -539,7 +540,7 @@ def test_reachability_follows_reexports_to_the_defining_module(tmp_path):
 def test_importing_the_serve_tier_loads_nothing_off_path():
     """An eager ``__init__`` re-export would drag a heavy off-path import
     back into every ``repro serve`` worker."""
-    banned = ("networkx", "repro.bench", "repro.search", "repro.storage.xml_shred")
+    banned = ("networkx", "repro_lint")
     code = (
         "import sys, repro.serve; "
         f"print([m for m in {banned!r} if m in sys.modules])"
@@ -553,9 +554,69 @@ def test_importing_the_serve_tier_loads_nothing_off_path():
     assert result.stdout.strip() == "[]"
 
 
+# -- the linter is a sibling package: `repro lint` is a dispatch into it ----------
+
+
+def lint_imports(tree: ast.AST) -> list[tuple[str, bool]]:
+    """``(module, inside a function)`` for every import of ``repro_lint``."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend(
+                (module, in_function)
+                for module in modules
+                if module.split(".")[0] == "repro_lint"
+            )
+            visit(
+                child,
+                in_function
+                or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)),
+            )
+
+    visit(tree, False)
+    return found
+
+
+def test_the_linter_imports_nothing_from_the_runtime():
+    offenders = sorted(
+        (path.relative_to(LINT).as_posix(), module)
+        for path in LINT.rglob("*.py")
+        for module, _name in imports_of(path)
+        if module.split(".")[0] == "repro"
+    )
+    assert offenders == []
+
+
+def test_only_the_cli_imports_the_linter_and_only_when_asked():
+    """``repro serve`` and every other command run without the linter."""
+    importers = {
+        path.relative_to(SRC).as_posix(): found
+        for path in SRC.rglob("*.py")
+        if (found := lint_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert importers == {"cli.py": [("repro_lint.cli", True)]}
+
+
+def test_the_guard_sees_a_module_level_lint_import():
+    tree = ast.parse(
+        "import repro_lint\n"
+        "def main():\n"
+        "    from repro_lint.cli import main\n"
+        "from repro.lint_helpers import x\n"
+    )
+    assert lint_imports(tree) == [("repro_lint", False), ("repro_lint.cli", True)]
+
+
 # -- one rule per hazard: checkers share facts through the analysis core ----------
 
-CHECKERS = "repro.analysis.checkers"
+CHECKERS = "repro_lint.checkers"
 
 
 def checker_cross_imports(checkers_dir: Path) -> list[str]:
@@ -578,12 +639,12 @@ def checker_cross_imports(checkers_dir: Path) -> list[str]:
 def test_no_checker_imports_another_checker():
     """Facts two rules need live in lockset.py, absint.py or summaries.py; a
     checker importing a sibling is how a retired rule's helpers outlive it."""
-    assert checker_cross_imports(SRC / "analysis" / "checkers") == []
+    assert checker_cross_imports(LINT / "checkers") == []
 
 
 def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     (tmp_path / "__init__.py").write_text(f"from {CHECKERS}.a import A\n")
-    (tmp_path / "a.py").write_text("from repro.analysis.lockset import CONSTRUCTORS\n")
+    (tmp_path / "a.py").write_text("from repro_lint.lockset import CONSTRUCTORS\n")
     (tmp_path / "b.py").write_text(f"from {CHECKERS}.a import helper\n")
     (tmp_path / "c.py").write_text(f"from {CHECKERS} import b\n")
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
@@ -591,7 +652,7 @@ def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
 
 def test_the_registry_holds_fifteen_rules():
     """RL003 folded into RL007 and RL006 into RL016; their codes stay unknown."""
-    from repro.analysis import checker_codes
+    from repro_lint import checker_codes
 
     codes = checker_codes()
     assert len(codes) == 15
