@@ -20,7 +20,10 @@ or directly as a script::
     PYTHONPATH=src python benchmarks/bench_batch.py --smoke   # CI quick mode
 
 Smoke mode uses the tiny dataset and checks only the identity guarantees
-(small graphs are overhead-dominated, so no speedup is asserted there).
+(small graphs are overhead-dominated, so no speedup is asserted there) —
+blocked == serial per keyword, and the live single-vector loop (the compiled
+SELL-4 step when the kernel is available) ``==`` the reference loop of
+``tests/ranking/reference.py`` over 50 queries.
 """
 
 from __future__ import annotations
@@ -39,9 +42,21 @@ if __name__ == "__main__":  # script mode: make `benchmarks.` importable
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, write_result
 
 from repro.datasets import load_dataset
+from repro.graph.transfer_graph import SellMatrix
+from repro.query import QueryVector
 from repro.query.engine import SearchEngine
-from repro.ranking import batched_keyword_vectors, keyword_objectrank
+from repro.ranking import (
+    batched_keyword_vectors,
+    keyword_objectrank,
+    objectrank2,
+    objectrank2_topk,
+)
 from repro.ranking.batch import DEFAULT_BLOCK_WIDTH
+from repro.ranking.pagerank import live_operator
+from tests.ranking.reference import (
+    reference_power_iteration,
+    reference_topk_power_iteration,
+)
 
 MIN_DOCUMENT_FREQUENCY = 2
 TOLERANCE = 1e-8
@@ -147,6 +162,37 @@ def run_comparison(dataset) -> BatchReport:
     )
 
 
+def live_loop_mismatches(dataset, queries: int = 50) -> tuple[list[str], str]:
+    """Two-term queries whose live ObjectRank2 run — exact and top-k, cold
+    and warm-started — differs from the reference loop in scores, residual
+    list, iterations or ``converged``; and which step ran."""
+    engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
+    graph = engine.graph
+    terms = engine.index.vocabulary()
+    rng = np.random.default_rng(BENCH_SEED)
+    warm = None
+    mismatches = []
+    for _ in range(queries):
+        vector = QueryVector(dict.fromkeys(map(str, rng.choice(terms, 2, replace=False)), 1.0))
+        exact = objectrank2(graph, engine.scorer, vector, init=warm)
+        top = objectrank2_topk(graph, engine.scorer, vector, init=warm)
+        restart = graph.restart_vector(exact.base_weights)
+        pairs = (
+            (exact, reference_power_iteration(graph.matrix(), restart, init=warm)),
+            (top, reference_topk_power_iteration(graph.matrix(), restart, 10, init=warm)),
+        )
+        if not all(
+            np.array_equal(mine.scores, theirs.scores)
+            and mine.residuals == theirs.residuals
+            and (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)
+            for mine, theirs in pairs
+        ):
+            mismatches.append(" ".join(vector.terms))
+        warm = exact.scores
+    step = "SELL-4 kernel" if isinstance(live_operator(graph), SellMatrix) else "numpy"
+    return mismatches, step
+
+
 def test_batch_precompute_identical_and_faster(benchmark, dblp_complete):
     report = benchmark.pedantic(
         run_comparison, args=(dblp_complete,), rounds=1, iterations=1
@@ -173,6 +219,11 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: blocked results diverge from the serial engine")
             return 1
         print("smoke OK: blocked == serial for every keyword")
+        mismatches, step = live_loop_mismatches(dataset)
+        if mismatches:
+            print(f"FAIL: live loop ({step}) != reference loop for {mismatches}")
+            return 1
+        print(f"smoke OK: live loop ({step}) == reference loop on 50 queries")
         return 0
 
     dataset = load_dataset("dblp_complete", scale=BENCH_SCALE, seed=BENCH_SEED)

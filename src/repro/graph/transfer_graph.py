@@ -18,11 +18,13 @@ numpy edge arrays, and splits what it derives from them by what can change:
   :meth:`~AuthorityTransferDataGraph.rebound` view): the node index, the
   edge arrays, the out-degree counts of Equation 1, the in/out incidence
   indices and the sparsity pattern of the ObjectRank transition matrix
-  (:class:`CsrPattern` — which edge fills which CSR slot);
+  (:class:`CsrPattern` — which edge fills which CSR slot) — plus, built on
+  the first live run, its row-interleaved copy (:class:`SellLayout`);
 * **per rate setting** (a structure-based reformulation, Section 5.2,
   changes the schema-level rates and nothing else): ``edge_rate`` — one
   O(edges) division — and, lazily, the transition matrix — one gather of
-  ``edge_rate`` through the pattern — and the positive-rate incidence.
+  ``edge_rate`` through the pattern — the same values in the interleaved
+  layout (:class:`SellMatrix`) and the positive-rate incidence.
 """
 
 from __future__ import annotations
@@ -64,6 +66,89 @@ class CsrPattern(NamedTuple):
     #: the order scipy's own duplicate summation takes them.  Empty when no
     #: two transfer edges join the same ordered pair.
     parallel: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+#: Rows interleaved per group of the SELL layout; the compiled step
+#: (:mod:`repro.ranking._native`) runs this many rows' sums side by side.
+SELL_LANES = 4
+
+
+class SellLayout(NamedTuple):
+    """A CSR sparsity pattern in SELL-4 order (Kreutzer et al., "A unified
+    sparse matrix data format for efficient general sparse matrix-vector
+    multiplication on modern processors with wide SIMD units", SIAM J. Sci.
+    Comput. 2014).
+
+    Rows are sorted by length, longest first, and cut into groups of
+    :data:`SELL_LANES`; a group stores its rows' entries interleaved — the
+    ``j``-th entry of each of its rows, then the ``j + 1``-th — padded to its
+    longest row.  Each row keeps its CSR entry order.  Padding reads column
+    ``n``, a slot the caller's vector holds at 0.0, with value 0.0.
+    Rate-independent: computed once per topology (:func:`sell_layout`).
+    """
+
+    #: ``int32`` row of each lane, group by group (``n`` entries).
+    rows: np.ndarray
+    #: ``int64``: group ``g`` fills layout slots ``[offsets[g], offsets[g + 1])``.
+    offsets: np.ndarray
+    #: ``int32`` column read by each layout slot; ``n`` for padding.
+    columns: np.ndarray
+    #: CSR slot behind each layout slot; ``nnz`` for padding.
+    slots: np.ndarray
+    #: The CSR pattern laid out (the caller's arrays, not copies).
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def sell_layout(indptr: np.ndarray, indices: np.ndarray) -> SellLayout:
+    """The :class:`SellLayout` of the square CSR pattern ``(indptr, indices)``."""
+    n = indptr.size - 1
+    lengths = np.diff(indptr)
+    rows = np.argsort(-lengths, kind="stable")
+    groups = -(-n // SELL_LANES)
+    offsets = np.zeros(groups + 1, dtype=np.int64)
+    # Sorted longest first, so a group is as long as its first row.
+    np.cumsum(lengths[rows[::SELL_LANES]] * SELL_LANES, out=offsets[1:])
+    rank = np.argsort(rows)  # position of each row in the layout
+    # Layout slot of every CSR slot: its group's start, plus SELL_LANES per
+    # position within the row, plus its lane.
+    nnz = indices.size
+    row_rank = np.repeat(rank, lengths)
+    position = np.arange(nnz) - np.repeat(indptr[:-1], lengths)
+    target = offsets[row_rank // SELL_LANES] + position * SELL_LANES
+    target += row_rank % SELL_LANES
+    columns = np.full(int(offsets[-1]), n, dtype=np.int32)
+    columns[target] = indices
+    slots = np.full(int(offsets[-1]), nnz, dtype=indptr.dtype)
+    slots[target] = np.arange(nnz)
+    built = (rows.astype(np.int32), offsets, columns, slots)
+    for array in built:
+        array.setflags(write=False)
+    return SellLayout(*built, indptr, indices)
+
+
+class SellMatrix:
+    """A transition matrix as the CSR ``data`` of a :class:`SellLayout`'s
+    pattern, held in layout order: the operator live ObjectRank runs hand
+    :func:`repro.ranking.pagerank.iterate`, which steps it through the
+    compiled kernel.  No CSR matrix is kept; ``@`` rebuilds the CSR one
+    (floats included) for a process stepping it with numpy."""
+
+    def __init__(self, layout: SellLayout, data: np.ndarray) -> None:
+        self.layout = layout
+        self.shape = (layout.indptr.size - 1,) * 2
+        # The extra 0.0 is what padding slots (``slots == nnz``) gather.
+        self.values = np.concatenate((data, [0.0])).take(layout.slots)
+        self.values.setflags(write=False)
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        layout = self.layout
+        data = np.empty(layout.indices.size + 1)  # the last slot takes padding
+        data[layout.slots] = self.values
+        csr = sparse.csr_matrix(
+            (data[:-1], layout.indices, layout.indptr), shape=self.shape
+        )
+        return csr @ vector
 
 
 class AuthorityTransferDataGraph:
@@ -143,6 +228,10 @@ class AuthorityTransferDataGraph:
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         self._csr_pattern = csr_pattern(self.edge_source, self._in_index, self.num_nodes)
+        #: The pattern's :class:`SellLayout`, built by the first
+        #: :meth:`sell_matrix` of any view and shared by all of them.
+        self._sell_layout: BuildCache = BuildCache(1)
+        self._sell_matrix: SellMatrix | None = None
         self._node_degrees: np.ndarray | None = None
         self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
         self._recompute_rates()
@@ -207,6 +296,7 @@ class AuthorityTransferDataGraph:
         if self.num_edges:
             self.edge_rate = alphas[self.edge_type_index] / self._edge_out_degree
         self._matrix = None
+        self._sell_matrix = None
         self._positive_incidence = None
 
     def with_rates(
@@ -224,15 +314,16 @@ class AuthorityTransferDataGraph:
         an equal ``topology_version`` (same nodes and edges in the same
         order; attributes may differ).  The view shares every per-topology
         structure (node index, edge arrays, out-degree counts, incidence
-        indices, the CSR pattern, the :meth:`derived` cache) with this
-        graph, so concurrent sessions with different learned rates can rank
-        against one materialized graph without mutating it.  What it costs
-        depends on the rates alone: under *new* rates the view gets its own
-        ``edge_rate`` (one O(edges) division, the price of
-        :meth:`set_transfer_rates`) and builds its matrix and positive-rate
-        incidence on first use; under *unchanged* rates — every
-        content-only ingest refresh — it keeps this graph's ``edge_rate``,
-        matrix and positive-rate incidence outright and computes nothing.
+        indices, the CSR pattern and its SELL layout, the :meth:`derived`
+        cache) with this graph, so concurrent sessions with different
+        learned rates can rank against one materialized graph without
+        mutating it.  What it costs depends on the rates alone: under *new*
+        rates the view gets its own ``edge_rate`` (one O(edges) division,
+        the price of :meth:`set_transfer_rates`) and builds its matrix, SELL
+        values and positive-rate incidence on first use; under *unchanged*
+        rates — every content-only ingest refresh — it keeps this graph's
+        ``edge_rate``, matrix, SELL values and positive-rate incidence
+        outright and computes nothing.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -260,11 +351,8 @@ class AuthorityTransferDataGraph:
         """
         if self._matrix is None:
             pattern = self._csr_pattern
-            data = self.edge_rate[pattern.slot_edge]
-            for slots, edges in pattern.parallel:
-                data[slots] += self.edge_rate[edges]
             matrix = sparse.csr_matrix(
-                (data, pattern.indices, pattern.indptr),
+                (self._csr_data(), pattern.indices, pattern.indptr),
                 shape=(self.num_nodes, self.num_nodes),
             )
             # Sorted and duplicate-free by construction: scipy need neither
@@ -272,6 +360,32 @@ class AuthorityTransferDataGraph:
             matrix.has_canonical_format = True
             self._matrix = matrix
         return self._matrix
+
+    def _csr_data(self) -> np.ndarray:
+        """The transition matrix's ``data``: one gather of ``edge_rate``
+        through the :class:`CsrPattern`, plus one add per parallel edge."""
+        pattern = self._csr_pattern
+        data = self.edge_rate[pattern.slot_edge]
+        for slots, edges in pattern.parallel:
+            data[slots] += self.edge_rate[edges]
+        return data
+
+    def sell_matrix(self) -> SellMatrix:
+        """:meth:`matrix` in the topology's :class:`SellLayout` (same floats).
+
+        The layout is built by the first call on any view of this topology
+        (≈ 5 ms at 15 531 nodes) and shared; the values are filled per rate
+        setting from ``edge_rate`` exactly as the matrix's are — so a view
+        only ranked live never builds a CSR matrix — and dropped with it
+        when rates change.
+        """
+        if self._sell_matrix is None:
+            pattern = self._csr_pattern
+            layout = self._sell_layout.get(
+                None, lambda: sell_layout(pattern.indptr, pattern.indices)
+            )
+            self._sell_matrix = SellMatrix(layout, self._csr_data())
+        return self._sell_matrix
 
     def positive_incidence(self) -> tuple[Incidence, Incidence]:
         """``(in, out)`` incidence over strictly positive-rate edges only.

@@ -1,10 +1,24 @@
-"""Optional compiled CSR block-step kernel for the blocked engine.
+"""Optional compiled power-iteration steps: a CSR block step for the blocked
+engine and a SELL-4 single-vector step for live runs.
 
-scipy's ``csr_matvecs`` walks the matrix with a scalar inner loop and writes
-every partial sum back to memory, which makes a blocked multiplication cost
-as much per column as ``k`` separate matrix–vector products.  This module
-compiles (once per process, with the system C compiler) a kernel that keeps
-each row's ``k`` accumulators in registers, prefetches the gathered rows of
+**Single-vector step** (:func:`bind_sell_step`, driven only by
+:func:`repro.ranking.pagerank.iterate`).  A row's sum in scipy's
+``csr_matvec`` is one chain of dependent adds, so a live Equation 4 step is
+bound by add latency, not memory.  Over the row-interleaved copy of the
+transition matrix (:class:`~repro.graph.transfer_graph.SellLayout`: rows
+sorted by length, four at a time) the kernel runs four rows' chains side by
+side, each row in its CSR order from 0.0, and writes ``y = damping * (A @ x)
++ jump`` and ``|y - x|`` in one pass; padding adds ``0.0 * 0.0``, which
+cannot change an accumulator that starts at +0.0, so both are bit for bit
+numpy's and the caller's residual is numpy's own sum over them.  A
+:class:`SellStep` binds its buffer addresses once per run.
+
+**Block step** (:func:`blocked_step`).  scipy's ``csr_matvecs`` walks the
+matrix with a scalar inner loop and writes every partial sum back to memory,
+which makes a blocked multiplication cost as much per column as ``k``
+separate matrix–vector products.  This module compiles (once per process,
+with the system C compiler) a kernel that keeps each row's ``k``
+accumulators in registers, prefetches the gathered rows of
 ``X`` (the CSR column indices tell us which rows are needed several nonzeros
 ahead), and fuses the damping/jump update and the per-column residual sums,
 computing
@@ -30,10 +44,11 @@ they agree with the numpy value only to ~n·eps relative; the engine treats
 them as the fast approximate residual and recomputes exactly near the
 tolerance boundary.
 
-The kernel is best-effort: if no C compiler is available, compilation fails,
-or a runtime probe shows the compiled code is *not* bitwise-identical to the
-scipy sequence (an unexpected toolchain quirk), the caller silently falls
-back to the scipy path.  Set ``REPRO_NO_NATIVE=1`` to force the fallback.
+Both kernels are one source, compiled and probed together, and best-effort:
+if no C compiler is available, compilation fails, or a runtime probe shows
+either step is *not* bitwise-identical to the scipy/numpy sequence (an
+unexpected toolchain quirk), every caller silently falls back to the
+scipy/numpy path.  Set ``REPRO_NO_NATIVE=1`` to force the fallback.
 """
 
 from __future__ import annotations
@@ -46,6 +61,8 @@ import threading
 
 import numpy as np
 from scipy import sparse
+
+from repro.graph.transfer_graph import SELL_LANES, SellMatrix, sell_layout
 
 #: Hard cap on the block width the kernel's stack accumulator supports.
 MAX_WIDTH = 512
@@ -177,6 +194,53 @@ void blocked_step(const int64_t n_row,
         step_generic(n_row, width, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid);
     }
 }
+
+/* One step of single-vector power iteration over a SELL matrix:
+ *
+ *     y = damping * (A @ x) + jump,    diff = |y - x|
+ *
+ * Rows come in groups of L = SELL_LANES (rows[L*g .. L*g + L-1]) whose
+ * entries are stored interleaved in [offsets[g], offsets[g+1]): slot
+ * offsets[g] + L*j + l holds the j-th entry of lane l's row.  A row's sum is
+ * one chain of dependent adds, so one row at a time is bound by add latency;
+ * L chains side by side are not.  Each lane starts from 0.0 and adds its
+ * row's products in CSR order, like scipy's csr_matvec; padding adds
+ * 0.0 * x[n_row] = +0.0, which leaves every accumulator unchanged (one that
+ * starts at +0.0 never becomes -0.0).  The update is `multiply then add`
+ * with FMA contraction disabled, so y and diff are bit for bit numpy's.
+ * x (and y) hold n_row + 1 doubles, the last one 0.0; the kernel never
+ * writes y[n_row].
+ */
+void sell_step(const int64_t n_row,
+               const int64_t *offsets,
+               const int32_t *columns,
+               const double *values,
+               const int32_t *rows,
+               const double *x,
+               const double *jump,
+               const double damping,
+               double *y,
+               double *diff)
+{
+    const int64_t n_group = (n_row + SELL_LANES - 1) / SELL_LANES;
+    for (int64_t g = 0; g < n_group; g++) {
+        double acc[SELL_LANES];
+        for (int l = 0; l < SELL_LANES; l++) acc[l] = 0.0;
+        for (int64_t k = offsets[g]; k < offsets[g + 1]; k += SELL_LANES) {
+            for (int l = 0; l < SELL_LANES; l++)
+                acc[l] += values[k + l] * x[columns[k + l]];
+        }
+        const int64_t first = SELL_LANES * g;
+        const int64_t lanes =
+            n_row - first < SELL_LANES ? n_row - first : SELL_LANES;
+        for (int64_t l = 0; l < lanes; l++) {
+            const int32_t r = rows[first + l];
+            const double v = damping * acc[l] + jump[r];
+            y[r] = v;
+            diff[r] = fabs(v - x[r]);
+        }
+    }
+}
 """
 
 _BASE_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-funroll-loops"]
@@ -258,7 +322,7 @@ def _compile() -> ctypes.CDLL | None:
     build_dir = tempfile.mkdtemp(prefix="repro-native-")
     source = os.path.join(build_dir, "blocked_step.c")
     with open(source, "w", encoding="utf-8") as handle:
-        handle.write(_SOURCE)
+        handle.write(f"#define SELL_LANES {SELL_LANES}\n{_SOURCE}")
     for variant, cflags in enumerate(_CFLAG_VARIANTS):
         library = os.path.join(build_dir, f"blocked_step{variant}.so")
         for compiler in ("cc", "gcc"):
@@ -296,6 +360,15 @@ def _load() -> ctypes.CDLL | None:
         ctypes.c_double,
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+    ]
+    # Raw addresses: SellStep checks every buffer and binds them once per run.
+    lib.sell_step.restype = None
+    lib.sell_step.argtypes = [
+        ctypes.c_int64,
+        *[ctypes.c_void_p] * 6,
+        ctypes.c_double,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
     ]
     if not _probe_bitwise(lib):
         return None
@@ -367,7 +440,22 @@ def _probe_bitwise(lib: ctypes.CDLL) -> bool:
                 resid, np.abs(out - block).sum(axis=0), rtol=1e-12, atol=0.0
             ):
                 return False
-    return True
+    # The SELL step against numpy's: signed values with explicit zeros, empty
+    # rows, a hub row, n not a multiple of the group size, zeros in x.
+    rows = rng.integers(0, n, 400)
+    keep = rows % 7 != 1
+    rows = np.concatenate((rows[keep], np.full(n, 3)))
+    columns = np.concatenate((rng.integers(0, n, 400)[keep], np.arange(n)))
+    data = rng.standard_normal(rows.size)
+    data[::9] = 0.0
+    probe = sparse.csr_matrix((data, (rows, columns)), shape=(n, n))
+    x = rng.standard_normal(n)
+    x[::5] = 0.0
+    jump = rng.standard_normal(n)
+    layout = sell_layout(probe.indptr, probe.indices)
+    y, diff = SellStep(lib, SellMatrix(layout, probe.data), jump, damping, x)()
+    expected = damping * (probe @ x) + jump
+    return np.array_equal(y, expected) and np.array_equal(diff, np.abs(expected - x))
 
 
 def _ensure() -> ctypes.CDLL | None:
@@ -453,3 +541,77 @@ def blocked_step(
         resid = np.empty(block.shape[1])
     _call(_kernel, matrix, block, jump_rows, jump, damping, out, resid)
     return out, resid
+
+
+class SellStep:
+    """One power-iteration run bound to the SELL-4 kernel.
+
+    Owns two ``n + 1`` score buffers (the last slot is the 0.0 that padding
+    reads) and a ``diff`` buffer, and binds every address once: each call
+    runs one step from the current buffer into the other and returns
+    ``(scores, |scores - previous|)`` as views of length ``n``, valid until
+    the next call overwrites them.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        matrix: SellMatrix,
+        jump: np.ndarray,
+        damping: float,
+        scores: np.ndarray,
+    ) -> None:
+        n = matrix.shape[0]
+        layout = matrix.layout
+        buffers = (np.zeros(n + 1), np.zeros(n + 1))
+        buffers[0][:n] = scores
+        self._diff = np.empty(n)
+        self._views = tuple(buffer[:n] for buffer in buffers)
+        # The kernel reads these by address: keep them alive with the run.
+        self._arrays = (layout, matrix.values, jump, buffers)
+
+        def address(array: np.ndarray) -> ctypes.c_void_p:
+            return ctypes.c_void_p(array.ctypes.data)
+
+        shared = (
+            ctypes.c_int64(n), address(layout.offsets), address(layout.columns),
+            address(matrix.values), address(layout.rows),
+        )
+        self._calls = [
+            (*shared, address(x), address(jump), ctypes.c_double(damping),
+             address(y), address(self._diff))
+            for x, y in (buffers, buffers[::-1])
+        ]
+        self._function = lib.sell_step
+        self._turn = 0
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        self._function(*self._calls[self._turn])
+        self._turn ^= 1
+        return self._views[self._turn], self._diff
+
+
+def bind_sell_step(
+    matrix: SellMatrix, jump: np.ndarray, damping: float, scores: np.ndarray
+) -> SellStep | None:
+    """The compiled step of ``r <- damping * (matrix @ r) + jump`` from
+    ``scores``, or ``None`` when the kernel is unavailable or an input is
+    not the float64 / int32 vector of the matrix's size it needs (the
+    caller then steps with numpy)."""
+    lib = _ensure()
+    n = matrix.shape[0]
+    layout = matrix.layout
+    if lib is None or not (
+        layout.rows.shape == jump.shape == scores.shape == (n,)
+        and layout.offsets.shape == (-(-n // SELL_LANES) + 1,)
+        and layout.columns.shape == matrix.values.shape == (layout.offsets[-1],)
+        and layout.rows.dtype == layout.columns.dtype == np.int32
+        and layout.offsets.dtype == np.int64
+        and matrix.values.dtype == jump.dtype == np.float64
+        and all(
+            array.flags.c_contiguous
+            for array in (*layout[:3], matrix.values, jump)
+        )
+    ):
+        return None
+    return SellStep(lib, matrix, jump, damping, scores)

@@ -23,6 +23,7 @@ from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    live_operator,
     personalized_pagerank,
     power_iteration,
 )
@@ -46,7 +47,8 @@ def objectrank(
         raise EmptyBaseSetError(())
     indices = graph.indices_of(base_nodes)
     outcome = personalized_pagerank(
-        graph.matrix(), indices, None, damping, tolerance, max_iterations, init
+        live_operator(graph), indices, None, damping, tolerance, max_iterations,
+        init,
     )
     uniform = 1.0 / len(base_nodes)
     return RankedResult(
@@ -88,7 +90,7 @@ def global_objectrank(
     n = graph.num_nodes
     restart = np.full(n, 1.0 / n)
     outcome = power_iteration(
-        graph.matrix(), restart, damping, tolerance, max_iterations
+        live_operator(graph), restart, damping, tolerance, max_iterations
     )
     return RankedResult(
         node_ids=graph.node_ids,

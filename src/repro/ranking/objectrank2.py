@@ -26,6 +26,7 @@ from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    live_operator,
     power_iteration,
 )
 
@@ -87,7 +88,7 @@ def objectrank2(
     """
     base = weighted_base_set(scorer, query_vector)
     outcome = power_iteration(
-        graph.matrix(), graph.restart_vector(base), damping, tolerance,
+        live_operator(graph), graph.restart_vector(base), damping, tolerance,
         max_iterations, init,
     )
     return RankedResult(

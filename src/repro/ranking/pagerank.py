@@ -17,6 +17,8 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy import sparse
 
+from repro.graph.transfer_graph import AuthorityTransferDataGraph, SellMatrix
+from repro.ranking import _native
 from repro.ranking.convergence import PowerIterationResult
 
 DEFAULT_DAMPING = 0.85
@@ -46,23 +48,49 @@ def iterate(
     :func:`repro.ranking.topk.topk_power_iteration`).  All it asks of ``A``
     is ``shape[0]``, the vector length, and ``A @ x`` on a float64 vector of
     it: a scipy sparse matrix, or the focused rerank's
-    :class:`repro.ranking.focused.RowOperator`.
+    :class:`repro.ranking.focused.RowOperator`.  A
+    :class:`~repro.graph.transfer_graph.SellMatrix` (:func:`live_operator`)
+    is stepped by the compiled kernel when the process has it — same
+    floats, and the residual is the same numpy sum over the same
+    differences.  ``stop`` must not keep the vector it is shown: the kernel
+    reuses its buffers.
     """
     n = operator.shape[0]
+    if restart.shape != (n,):
+        raise ValueError(f"restart vector has shape {restart.shape}, expected ({n},)")
+    if init is not None and np.shape(init) != (n,):
+        raise ValueError(f"init has shape {np.shape(init)}, expected ({n},)")
     scores = (
         np.full(n, 1.0 / max(n, 1))
         if init is None
         else np.asarray(init, dtype=np.float64).copy()
     )
     jump = (1.0 - damping) * restart
+    step = (
+        _native.bind_sell_step(operator, jump, damping, scores)
+        if isinstance(operator, SellMatrix)
+        else None
+    )
     residuals: list[float] = []
     converged = False
     while not converged and len(residuals) < max_iterations:
-        new_scores = damping * (operator @ scores) + jump
-        residuals.append(float(np.abs(new_scores - scores).sum()))
+        if step is None:
+            new_scores = damping * (operator @ scores) + jump
+            difference = np.abs(new_scores - scores)
+        else:
+            new_scores, difference = step()
+        residuals.append(float(difference.sum()))
         scores = new_scores
         converged = stop(scores, residuals[-1])
     return PowerIterationResult(scores, len(residuals), converged, residuals)
+
+
+def live_operator(graph: AuthorityTransferDataGraph) -> TransitionOperator:
+    """``graph``'s transition matrix as a full live run should iterate it:
+    its :meth:`~AuthorityTransferDataGraph.sell_matrix` when the compiled
+    kernel is there to step it, else the CSR :meth:`matrix` (a process
+    without the kernel never builds the layout)."""
+    return graph.sell_matrix() if _native.available() else graph.matrix()
 
 
 def power_iteration(
@@ -81,9 +109,6 @@ def power_iteration(
     trick of Section 6.2 ("Manipulating Initial ObjectRank values"), which the
     benchmarks show cuts the iteration count for reformulated queries.
     """
-    n = matrix.shape[0]
-    if restart.shape != (n,):
-        raise ValueError(f"restart vector has shape {restart.shape}, expected ({n},)")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     if sparse.issparse(matrix):

@@ -25,6 +25,7 @@ from repro.ranking.pagerank import (
     DEFAULT_MAX_ITERATIONS,
     TransitionOperator,
     iterate,
+    live_operator,
 )
 
 
@@ -96,7 +97,7 @@ def objectrank2_topk(
     """
     base = weighted_base_set(scorer, query_vector)
     outcome = topk_power_iteration(
-        graph.matrix(),
+        live_operator(graph),
         graph.restart_vector(base),
         k,
         damping,

@@ -13,6 +13,7 @@ from repro.graph import (
     AuthorityTransferSchemaGraph,
     DataGraph,
     SchemaGraph,
+    transfer_graph,
 )
 from tests.graph.reference import reference_matrix, tricky_rates
 
@@ -374,3 +375,65 @@ class TestReboundUnderUnchangedRates:
         view = figure1_atdg.rebound(figure1_atdg.data_graph, figure1_atdg.transfer_schema)
         assert figure1_atdg._matrix is None and view._matrix is None
         assert_reference_matrix(view)
+
+
+class TestSellLayout:
+    """The interleaved copy live runs iterate: layout per topology, values
+    per rate setting, built only when asked for."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        built = []
+        build = transfer_graph.sell_layout
+
+        def counting(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(transfer_graph, "sell_layout", counting)
+        return built
+
+    def test_one_layout_per_topology_shared_by_every_view(self, figure1_atdg, layouts):
+        graph = figure1_atdg
+        view = graph.with_rates(dblp_transfer_schema([0.1] * 8))  # before the build
+        layout = graph.sell_matrix().layout
+        copy = graph.data_graph.copy()
+        copy.update_attributes("v7", {"title": "rewritten"})
+        rebound = graph.rebound(copy, dblp_transfer_schema([0.2] * 8))
+        for other in (view, rebound, graph.with_rates(dblp_transfer_schema([0.3] * 8))):
+            assert other.sell_matrix().layout is layout
+        assert layouts == [layout]
+
+    def test_layout_holds_every_entry_once_in_row_order(self, figure1_atdg):
+        matrix, sell = figure1_atdg.matrix(), figure1_atdg.sell_matrix()
+        layout, n = sell.layout, matrix.shape[0]
+        padding = layout.columns == n
+        assert (layout.slots[padding] == matrix.nnz).all()
+        assert (sell.values[padding] == 0.0).all()
+        assert sorted(layout.slots[~padding].tolist()) == list(range(matrix.nnz))
+        lanes = transfer_graph.SELL_LANES
+        for rank, row in enumerate(layout.rows):
+            group, lane = divmod(rank, lanes)
+            start, end = layout.offsets[group], layout.offsets[group + 1]
+            slots = layout.slots[start + lane : end : lanes]
+            csr = np.arange(matrix.indptr[row], matrix.indptr[row + 1])
+            assert slots.tolist() == csr.tolist() + [matrix.nnz] * (len(slots) - len(csr))
+            assert sell.values[start + lane : end : lanes][: len(csr)].tolist() == (
+                matrix.data[csr].tolist()
+            )
+
+    def test_new_rates_drop_the_values_and_keep_the_layout(self, figure1_atdg):
+        graph = figure1_atdg
+        before = graph.sell_matrix()
+        assert graph.sell_matrix() is before
+        graph.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
+        after = graph.sell_matrix()
+        assert after is not before and after.layout is before.layout
+        assert after.values.tolist() != before.values.tolist()
+
+    def test_rebound_under_equal_rates_keeps_the_values(self, figure1_atdg):
+        graph = figure1_atdg
+        sell = graph.sell_matrix()
+        copy = graph.data_graph.copy()
+        copy.update_attributes("v7", {"title": "rewritten"})
+        assert graph.rebound(copy, graph.transfer_schema.copy()).sell_matrix() is sell

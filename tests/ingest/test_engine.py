@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ConformanceError, GraphError, IngestError, UnknownNodeError
 from repro.graph import AuthorityTransferDataGraph, DataGraph, find_violations
+from repro.graph import transfer_graph
 from repro.ingest import AddNode, IngestEngine, UpdateNode
+from repro.ranking import _native, objectrank
 from repro.ranking.precompute import PrecomputedRanker
 from tests.graph.reference import tricky_rates
 
@@ -273,6 +275,25 @@ class TestTopologyIsCarried:
         third = ingest.refresh(previous=second.ranker)
         assert len(builds) == 2
         assert third.graph.num_nodes == first.graph.num_nodes + 1
+
+    def test_refresh_leaves_the_sell_layout_to_the_first_live_query(
+        self, ingest, monkeypatch
+    ):
+        layouts = []
+        build = transfer_graph.sell_layout
+
+        def counting(*args):
+            layouts.append(build(*args))
+            return layouts[-1]
+
+        monkeypatch.setattr(transfer_graph, "sell_layout", counting)
+        first = ingest.refresh()
+        ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
+        ingest.add_edge("p_new", "v7", "cites")
+        refreshed = ingest.refresh(previous=first.ranker)
+        assert layouts == []
+        objectrank(refreshed.graph, ["p_new"])
+        assert len(layouts) == (1 if _native.available() else 0)
 
     def test_forced_refresh_with_nothing_pending_builds_nothing(self, ingest, builds):
         ingest.refresh(precompute=False)

@@ -10,6 +10,7 @@ from repro.ranking import (
     power_iteration,
     restart_distribution,
 )
+from repro.ranking.topk import topk_power_iteration
 
 from tests.ranking.reference import reference_power_iteration
 
@@ -74,6 +75,21 @@ class TestPowerIteration:
     def test_restart_shape_checked(self):
         with pytest.raises(ValueError):
             power_iteration(cycle_matrix(3), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(50, 1), (1, 50), (49,), (51,), ()])
+    @pytest.mark.parametrize("rule", ["residual", "top-k"])
+    def test_init_must_be_a_vector_of_length_n(self, shape, rule):
+        """Regression: an ``(n, 1)`` init broadcast into an n×n "scores"
+        array; a short one failed inside scipy, and would be read past its
+        end by the compiled step."""
+        matrix = cycle_matrix(50)
+        restart = np.full(50, 1 / 50)
+        init = np.full(shape, 1 / 50)
+        with pytest.raises(ValueError, match=r"init has shape .*, expected \(50,\)"):
+            if rule == "residual":
+                power_iteration(matrix, restart, init=init)
+            else:
+                topk_power_iteration(matrix, restart, 5, init=init)
 
 
 class TestPageRank:

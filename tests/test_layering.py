@@ -657,3 +657,75 @@ def test_the_registry_holds_fifteen_rules():
     codes = checker_codes()
     assert len(codes) == 15
     assert not {"RL003", "RL006"} & set(codes)
+
+
+# -- one Eq. 4 loop: the numpy step and the compiled single-vector step ----------
+
+#: Names through which the compiled single-vector step is reached.  Outside
+#: ``_native`` itself, whose probe checks it against the numpy step, only
+#: ``pagerank.iterate`` may say them.
+SELL_KERNEL_NAMES = {"bind_sell_step", "SellStep", "sell_step"}
+
+
+def _is_numpy_step(node: ast.AST) -> bool:
+    """``d * (A @ r) + jump`` in either operand order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    return any(
+        isinstance(side, ast.BinOp)
+        and isinstance(side.op, ast.Mult)
+        and any(
+            isinstance(factor, ast.BinOp) and isinstance(factor.op, ast.MatMult)
+            for factor in (side.left, side.right)
+        )
+        for side in (node.left, node.right)
+    )
+
+
+def eq4_steps(tree: ast.AST) -> dict[str, list[str]]:
+    """Function -> what it does of the Eq. 4 step: ``numpy`` for an inline
+    ``d * (A @ r) + jump``, or the compiled-step name it mentions."""
+    found: dict[str, list[str]] = {}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if _is_numpy_step(node):
+                found.setdefault(function.name, []).append("numpy")
+            elif isinstance(node, (ast.Name, ast.Attribute)) and name in SELL_KERNEL_NAMES:
+                found.setdefault(function.name, []).append(name)
+    return found
+
+
+def test_iterate_is_the_only_eq4_step():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative == "ranking/_native.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update({
+            f"{relative}:{function}": sorted(set(steps))
+            for function, steps in eq4_steps(tree).items()
+        })
+    assert found == {"ranking/pagerank.py:iterate": ["bind_sell_step", "numpy"]}
+
+
+def test_the_guard_sees_the_steps_it_forbids():
+    reference = Path(__file__).parent / "ranking" / "reference.py"
+    loops = eq4_steps(ast.parse(reference.read_text(encoding="utf-8")))
+    assert loops == {
+        "reference_power_iteration": ["numpy"],
+        "reference_topk_power_iteration": ["numpy"],
+    }
+    tree = ast.parse(
+        "def fast(op, x, jump):\n"
+        "    step = _native.bind_sell_step(op, jump, 0.85, x)\n"
+        "def flipped(op, x, jump, d):\n"
+        "    return jump + (op @ x) * d\n"
+        "def blocked(op, block, d):\n"
+        "    out = op @ block\n"
+        "    out *= d\n"
+    )
+    assert eq4_steps(tree) == {"fast": ["bind_sell_step"], "flipped": ["numpy"]}
