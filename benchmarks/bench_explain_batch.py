@@ -20,7 +20,9 @@ Run under pytest (``pytest benchmarks/bench_explain_batch.py
     PYTHONPATH=src python benchmarks/bench_explain_batch.py --smoke   # CI quick mode
 
 Smoke mode uses the tiny dataset and checks only the identity guarantees
-(small graphs are overhead-dominated, so no speedup is asserted there), then
+(small graphs are overhead-dominated, so no speedup is asserted there) and
+names the path the batched side took (the compiled extraction and Eq. 10
+kernels, or numpy under ``REPRO_NO_NATIVE=1`` or without a C compiler), then
 checks the feedback loop on ``dblp_top``: the array-native reformulation
 (Equations 11-15) must equal the reference loops kept in
 ``tests/reformulate/reference.py``.  What reformulating and explaining cost —
@@ -55,6 +57,7 @@ from repro.explain import (
     build_explaining_subgraph,
 )
 from repro.query.engine import SearchEngine
+from repro.ranking import _native
 
 QUERY = "olap"
 NUM_TARGETS = 16
@@ -110,7 +113,9 @@ def _explanations_identical(serial, batched) -> bool:
             return False
         if a.reduction != b.reduction:
             return False
-        if (a.iterations, a.converged) != (b.iterations, b.converged):
+        if (a.iterations, a.converged, a.residuals) != (
+            b.iterations, b.converged, b.residuals
+        ):
             return False
     return len(serial) == len(batched)
 
@@ -228,6 +233,10 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: batched explanations diverge from the serial engine")
             return 1
         print("smoke OK: batched == serial for every target")
+        print(
+            "explain path: "
+            + ("compiled extraction + Eq. 10 kernels" if _native.available() else "numpy")
+        )
         problems = check_feedback_shape(load_dataset("dblp_top"))
         for problem in problems:
             print(f"FAIL: {problem}")

@@ -57,7 +57,7 @@ class RateError(ReproError):
 
 
 class ParameterError(ReproError, ValueError):
-    """A retrieval parameter outside its valid range.
+    """A retrieval or explanation parameter outside its valid range.
 
     Both a :class:`ReproError` (the serve tier maps it to HTTP 400) and a
     :class:`ValueError` (what library callers of the ranking functions

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ParameterError
 from repro.explain.flows import (
     grouped_flow_totals,
     local_node_outgoing_flow,
@@ -36,6 +36,15 @@ from repro.graph.authority import EdgeType
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
 DEFAULT_ADJUSTMENT_MAX_ITERATIONS = 1000
+
+
+def check_max_iterations(max_iterations: int) -> None:
+    """Refuse a fixpoint cut-off below one iteration: there would be no
+    residual to report and no factors beyond the all-ones start."""
+    if max_iterations < 1:
+        raise ParameterError(
+            f"max_iterations must be at least 1, got {max_iterations}"
+        )
 
 
 @dataclass
@@ -165,6 +174,7 @@ def adjust_flows(
     :class:`FlowExplanation` with the adjusted flows; ``iterations`` is the
     count reported in Table 3 of the paper.
     """
+    check_max_iterations(max_iterations)
     graph = subgraph.graph
     edge_ids = subgraph.edge_ids
     flow0 = original_edge_flows(graph, scores, damping, edge_ids)

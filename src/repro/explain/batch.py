@@ -36,12 +36,25 @@ This module amortizes that overhead across a batch of targets:
   coasts harmlessly) and amortized *compaction* rebuilds the operator
   without finished segments once a quarter of the batch is done.
 
+* **Compiled kernels.**  When the process has :mod:`repro.ranking._native`,
+  both stages run there instead, each chosen in one place:
+  :meth:`SubgraphExtractor.extract_many` binds the extraction kernel once per
+  batch, :func:`batched_adjust_flows` hands every target's operator to the
+  Equation 10 kernel.  Extraction is FIFO BFS over the same incidence and the
+  same stamps, read back in index order; a node set and its shortest depths
+  do not depend on traversal order, and nothing in it is floating point, so
+  every :class:`ExplainingSubgraph` field is ``==`` the numpy extractor's.
+  The fixpoint kernel adds each row's terms from 0.0 in CSR order (four
+  rows side by side, each in its own order) with FMA contraction off and
+  takes an exact max, so each target, iterated alone to its own convergence,
+  needs no freezing or compaction and yields the same floats.
+
 This is a performance change, not an approximation: a CSR row accumulates
 from 0.0 over its node's out-edges in ascending edge-id order, which is the
 order the serial scatter adds them in, and the per-segment residual is an
 exact max — flows, node reduction factors, iteration counts (Table 3) and
 residual traces are all identical to :func:`repro.explain.adjust_flows` per
-target.
+target, on either path.
 """
 
 from __future__ import annotations
@@ -56,10 +69,12 @@ from repro.errors import ConvergenceError, ExplanationError
 from repro.explain.adjustment import (
     DEFAULT_ADJUSTMENT_MAX_ITERATIONS,
     FlowExplanation,
+    check_max_iterations,
 )
 from repro.explain.flows import original_edge_flows
 from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph, gather_rows
+from repro.ranking import _native
 from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
 
 #: Compaction threshold: rebuild the shared operator once this fraction of
@@ -79,15 +94,22 @@ class _WorkArrays:
     never shared concurrently.
     """
 
-    def __init__(self, num_nodes: int, within: np.ndarray | None) -> None:
+    def __init__(self, allowed: np.ndarray) -> None:
+        num_nodes = allowed.size
         self.tag = np.zeros(num_nodes, dtype=np.int64)
         self.depth = np.zeros(num_nodes, dtype=np.int64)
         self.reach = np.zeros(num_nodes, dtype=np.int64)
         self.local = np.zeros(num_nodes, dtype=np.int64)
-        self.allowed = np.full(num_nodes, within is None)
-        if within is not None:
-            self.allowed[np.asarray(within, dtype=np.int64)] = True
+        self.allowed = allowed
         self.epoch = 0
+
+
+def _allowed(num_nodes: int, within: np.ndarray | None) -> np.ndarray:
+    """The ``within`` restriction as a bool mask over all nodes."""
+    allowed = np.full(num_nodes, within is None)
+    if within is not None:
+        allowed[np.asarray(within, dtype=np.int64)] = True
+    return allowed
 
 
 def _distinct(ids: np.ndarray, universe: int) -> np.ndarray:
@@ -178,21 +200,18 @@ class SubgraphExtractor:
         eids, dests = eids[inside], dests[inside]
 
         edge_ids = _distinct(eids, graph.num_edges)
-        depth_array = depth[nodes_array]
-        return ExplainingSubgraph(
-            graph=graph,
-            target=target,
-            nodes=nodes_array.tolist(),
-            edge_ids=edge_ids,
-            base_nodes=roots.tolist(),
-            depth_to_target=NodeValueView(nodes_array, depth_array),
-            radius=radius,
-            _nodes_array=nodes_array,
-            _edge_src_local=local[graph.edge_source[edge_ids]],
-            _edge_dst_local=local[graph.edge_target[edge_ids]],
-            _depth_array=depth_array,
-            _flow_operator=(indptr, local[dests], graph.edge_rate[eids]),
-            _target_local=int(local[target]),
+        return _subgraph(
+            graph,
+            target,
+            radius,
+            nodes_array,
+            depth[nodes_array],
+            roots,
+            (indptr, local[dests], graph.edge_rate[eids]),
+            edge_ids,
+            local[graph.edge_source[edge_ids]],
+            local[graph.edge_target[edge_ids]],
+            int(local[target]),
         )
 
     def extract_many(
@@ -202,9 +221,48 @@ class SubgraphExtractor:
         radius: int | None,
         within: np.ndarray | None = None,
     ) -> list[ExplainingSubgraph]:
-        """Extract a run of targets sequentially with shared work arrays."""
-        work = _WorkArrays(self.graph.num_nodes, within)
-        return [self.extract(base_indices, t, radius, work) for t in targets]
+        """Extract a run of targets sequentially with shared scratch: through
+        the compiled kernel when the process has it (same arrays), else
+        through :meth:`extract`."""
+        allowed = _allowed(self.graph.num_nodes, within)
+        kernel = _native.bind_subgraph_kernel(self.graph, base_indices, allowed)
+        if kernel is None:
+            work = _WorkArrays(allowed)
+            return [self.extract(base_indices, t, radius, work) for t in targets]
+        return [
+            _subgraph(self.graph, t, radius, *kernel(t, radius)) for t in targets
+        ]
+
+
+def _subgraph(
+    graph: AuthorityTransferDataGraph,
+    target: int,
+    radius: int | None,
+    nodes: np.ndarray,
+    depths: np.ndarray,
+    roots: np.ndarray,
+    flow_operator: tuple[np.ndarray, np.ndarray, np.ndarray],
+    edge_ids: np.ndarray,
+    edge_src_local: np.ndarray,
+    edge_dst_local: np.ndarray,
+    target_local: int,
+) -> ExplainingSubgraph:
+    """An extracted ``G_v^Q`` with every array form filled."""
+    return ExplainingSubgraph(
+        graph=graph,
+        target=target,
+        nodes=nodes.tolist(),
+        edge_ids=edge_ids,
+        base_nodes=roots.tolist(),
+        depth_to_target=NodeValueView(nodes, depths),
+        radius=radius,
+        _nodes_array=nodes,
+        _edge_src_local=edge_src_local,
+        _edge_dst_local=edge_dst_local,
+        _depth_array=depths,
+        _flow_operator=flow_operator,
+        _target_local=target_local,
+    )
 
 
 def batched_build_explaining_subgraphs(
@@ -303,11 +361,13 @@ def batched_adjust_flows(
     counts, convergence flags and residual traces.  All subgraphs must be
     over the same graph and the same converged ``scores`` vector.
 
-    Converged segments are dropped from the shared operator by amortized
-    compaction; ``raise_on_divergence`` raises for the first target
-    that fails to converge within ``max_iterations``, like the serial path
-    does for its single target.
+    The compiled kernel, when the process has it, runs each target's
+    fixpoint to its own convergence; otherwise :func:`_iterate_segments`
+    advances them together.  ``raise_on_divergence`` raises for the first
+    target that fails to converge within ``max_iterations``, like the serial
+    path does for its single target.
     """
+    check_max_iterations(max_iterations)
     explanations: list[FlowExplanation | None] = [None] * len(subgraphs)
     segments: list[_Segment] = []
     for position, subgraph in enumerate(subgraphs):
@@ -327,8 +387,17 @@ def batched_adjust_flows(
             continue
         segments.append(_Segment(position, subgraph, flow0, residuals=[]))
 
-    if segments:
+    found = _native.flow_fixpoints(
+        [segment.subgraph.flow_operator for segment in segments],
+        [segment.subgraph.target_local for segment in segments],
+        tolerance,
+        max_iterations,
+    )
+    if found is None and segments:
         _iterate_segments(segments, tolerance, max_iterations)
+    for segment, (h, residuals, iterations, converged) in zip(segments, found or ()):
+        segment.h, segment.residuals = h, residuals
+        segment.iterations, segment.converged = iterations, converged
 
     for segment in segments:
         if not segment.converged and raise_on_divergence:
@@ -433,6 +502,7 @@ def batched_explain(
     fixpoint.  Per target, the result is bit-identical to the serial
     pipeline.
     """
+    check_max_iterations(max_iterations)
     subgraphs = batched_build_explaining_subgraphs(
         graph, base_node_ids, target_ids, radius
     )

@@ -83,16 +83,12 @@ class ExplainingSubgraph:
     base_nodes: list[int]
     depth_to_target: Mapping[int, int]
     radius: int | None = None
-    _node_set: set[int] = field(default_factory=set, repr=False)
     _nodes_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_src_local: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_dst_local: np.ndarray | None = field(default=None, repr=False, compare=False)
     _depth_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _flow_operator: tuple | None = field(default=None, repr=False, compare=False)
     _target_local: int | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._node_set = set(self.nodes)
 
     @property
     def num_nodes(self) -> int:
@@ -108,7 +104,8 @@ class ExplainingSubgraph:
         return self.num_edges == 0
 
     def contains_node(self, index: int) -> bool:
-        return index in self._node_set
+        position = int(self.local_indices_of(index))
+        return position < self.num_nodes and self.nodes[position] == index
 
     @property
     def nodes_array(self) -> np.ndarray:
@@ -234,10 +231,11 @@ def build_explaining_subgraph(
                 frontier.append(source)
 
     # Stage 2: forward BFS from base-set nodes within the temporary subgraph.
+    # A base node listed twice is still expanded once: its edges enter once.
     roots = [b for b in base_indices if b in depth]
     reached: set[int] = set(roots)
     kept_edges: list[int] = []
-    frontier = deque(roots)
+    frontier = deque(dict.fromkeys(roots))
     while frontier:
         node = frontier.popleft()
         for edge_id in graph.out_edge_ids(node):

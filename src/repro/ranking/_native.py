@@ -1,5 +1,7 @@
-"""Optional compiled power-iteration steps: a CSR block step for the blocked
-engine and a SELL-4 single-vector step for live runs.
+"""Optional compiled kernels: two power-iteration steps (a CSR block step for
+the blocked engine, a SELL-4 single-vector step for live runs) and the two
+stages of an explanation (explaining-subgraph extraction and the Equation 10
+fixpoint).
 
 **Single-vector step** (:func:`bind_sell_step`, driven only by
 :func:`repro.ranking.pagerank.iterate`).  A row's sum in scipy's
@@ -44,11 +46,27 @@ they agree with the numpy value only to ~n·eps relative; the engine treats
 them as the fast approximate residual and recomputes exactly near the
 tolerance boundary.
 
-Both kernels are one source, compiled and probed together, and best-effort:
-if no C compiler is available, compilation fails, or a runtime probe shows
-either step is *not* bitwise-identical to the scipy/numpy sequence (an
-unexpected toolchain quirk), every caller silently falls back to the
-scipy/numpy path.  Set ``REPRO_NO_NATIVE=1`` to force the fallback.
+**Explain kernels** (:func:`bind_subgraph_kernel` and :func:`flow_fixpoints`,
+driven only by :mod:`repro.explain.batch`).  Extraction runs the backward BFS
+from the target and the forward BFS from the base roots over the
+positive-rate incidence, then reads the subgraph off the stamps: sorted
+nodes, their depths, the roots, sorted edge ids, local endpoints and the
+Equation 10 operator.  All of it is integers (and rates copied, never
+computed); a node set and shortest depths do not depend on traversal order,
+so the arrays are the numpy extractor's.  The Equation 10 kernel iterates
+each target's operator to its own convergence: a row's sum starts from 0.0
+and adds ``rate * h[column]`` in CSR order, scipy's ``csr_matvec`` sequence
+(four consecutive rows side by side up to the shortest of them, then each
+row's tail), ``h[target] = 1.0``, and the residual is an exact max — floats,
+traces and iteration counts are numpy's.
+
+All four kernels are compiled into one library (the explain kernels as a
+second translation unit, built beside the ranking steps) and probed
+together, and best-effort: if no C compiler is available, compilation
+fails, or a runtime probe shows a kernel is *not* bitwise-identical to the
+scipy/numpy sequence (an unexpected toolchain quirk), every caller silently
+falls back to the scipy/numpy path.  Set ``REPRO_NO_NATIVE=1`` to force the
+fallback.
 """
 
 from __future__ import annotations
@@ -62,7 +80,12 @@ import threading
 import numpy as np
 from scipy import sparse
 
-from repro.graph.transfer_graph import SELL_LANES, SellMatrix, sell_layout
+from repro.graph.transfer_graph import (
+    SELL_LANES,
+    AuthorityTransferDataGraph,
+    SellMatrix,
+    sell_layout,
+)
 
 #: Hard cap on the block width the kernel's stack accumulator supports.
 MAX_WIDTH = 512
@@ -241,9 +264,248 @@ void sell_step(const int64_t n_row,
         }
     }
 }
+
 """
 
-_BASE_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-funroll-loops"]
+#: The explain kernels, a second translation unit (see :func:`_compile`).
+_EXPLAIN_SOURCE = r"""
+#include <stdint.h>
+#include <math.h>
+
+/* Explaining-subgraph extraction over the positive-rate incidence, in two
+ * calls: subgraph_mark stamps the two BFS passes and counts, subgraph_emit
+ * reads the subgraph off the stamps into arrays sized by those counts.
+ *
+ * Backward pass: FIFO BFS from the target over the in-incidence; a source
+ * enters when unstamped and allowed[s], at its parent's depth + 1, and nodes
+ * at depth >= radius are not expanded (radius < 0: no limit).  FIFO order
+ * discovers every node at its shortest distance, so the set and the depths
+ * are the level-synchronous pass's.  Forward pass: FIFO BFS from the base
+ * nodes inside that set, along out-edges whose head is inside it; every
+ * such edge out of a reached node is a subgraph edge.  counts gets
+ * (reached nodes, subgraph edges, roots counted with multiplicity).
+ */
+void subgraph_mark(const int64_t *in_indptr, const int64_t *in_edges,
+                   const int64_t *out_indptr, const int64_t *out_edges,
+                   const int64_t *edge_source, const int64_t *edge_target,
+                   const uint8_t *allowed,
+                   const int64_t n_base, const int64_t *base,
+                   const int64_t target, const int64_t radius,
+                   const int64_t epoch, int64_t *tag, int64_t *depth,
+                   int64_t *reach, int64_t *queue, int64_t *counts)
+{
+    int64_t head = 0, tail = 0;
+    tag[target] = epoch;
+    depth[target] = 0;
+    queue[tail++] = target;
+    while (head < tail) {
+        const int64_t v = queue[head++];
+        const int64_t next = depth[v] + 1;
+        if (radius >= 0 && next > radius) break;  /* FIFO: the rest are as deep */
+        for (int64_t k = in_indptr[v]; k < in_indptr[v + 1]; k++) {
+            const int64_t s = edge_source[in_edges[k]];
+            if (tag[s] != epoch && allowed[s]) {
+                tag[s] = epoch;
+                depth[s] = next;
+                queue[tail++] = s;
+            }
+        }
+    }
+    int64_t roots = 0, edges = 0;
+    head = tail = 0;
+    for (int64_t i = 0; i < n_base; i++) {
+        const int64_t b = base[i];
+        if (tag[b] != epoch) continue;
+        roots++;
+        if (reach[b] != epoch) {
+            reach[b] = epoch;
+            queue[tail++] = b;
+        }
+    }
+    while (head < tail) {
+        const int64_t u = queue[head++];
+        for (int64_t k = out_indptr[u]; k < out_indptr[u + 1]; k++) {
+            const int64_t d = edge_target[out_edges[k]];
+            if (tag[d] != epoch) continue;
+            edges++;
+            if (reach[d] != epoch) {
+                reach[d] = epoch;
+                queue[tail++] = d;
+            }
+        }
+    }
+    counts[0] = tail;
+    counts[1] = edges;
+    counts[2] = roots;
+}
+
+/* The stamped subgraph as arrays.  out (int64) receives, back to back:
+ * nodes[n] (ascending), their depths[n], roots[r] (base order and
+ * multiplicity), the Equation 10 operator's indptr[n + 1] and indices[m]
+ * (rows = nodes, each row's edges in out-incidence order, i.e. ascending
+ * edge id), edge_ids[m] (ascending), their local sources[m] and targets[m],
+ * and the target's local index; rates (float64) gets the operator's m
+ * rates.  Nodes are read off the stamps in index order, edge ids off a byte
+ * mark per edge that the final scan clears again: nothing is sorted.
+ * n_reached == 0 is the target alone, with no edge.  local (per graph
+ * node) is scratch.
+ */
+void subgraph_emit(const int64_t num_nodes, const int64_t num_edges,
+                   const int64_t *out_indptr, const int64_t *out_edges,
+                   const int64_t *edge_source, const int64_t *edge_target,
+                   const double *edge_rate,
+                   const int64_t n_base, const int64_t *base,
+                   const int64_t target, const int64_t epoch,
+                   const int64_t *tag, const int64_t *depth,
+                   const int64_t *reach, int64_t *local, uint8_t *edge_mark,
+                   const int64_t n_reached, const int64_t n_edges,
+                   const int64_t n_roots, int64_t *out, double *rates)
+{
+    const int64_t n = n_reached ? n_reached : 1;
+    int64_t *nodes = out, *depths = nodes + n, *roots = depths + n;
+    int64_t *indptr = roots + n_roots, *indices = indptr + n + 1;
+    int64_t *edge_ids = indices + n_edges, *sources = edge_ids + n_edges;
+    int64_t *targets = sources + n_edges;
+    int64_t count = 0;
+    for (int64_t v = 0; v < num_nodes; v++) {
+        if (reach[v] != epoch) continue;
+        local[v] = count;
+        nodes[count] = v;
+        depths[count] = depth[v];
+        count++;
+    }
+    if (!n_reached) {
+        local[target] = 0;
+        nodes[0] = target;
+        depths[0] = 0;
+    }
+    targets[n_edges] = local[target];
+    count = 0;
+    for (int64_t i = 0; i < n_base; i++)
+        if (tag[base[i]] == epoch) roots[count++] = base[i];
+    count = 0;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < n_reached; i++) {
+        const int64_t u = nodes[i];
+        for (int64_t k = out_indptr[u]; k < out_indptr[u + 1]; k++) {
+            const int64_t e = out_edges[k];
+            const int64_t d = edge_target[e];
+            if (tag[d] != epoch) continue;
+            indices[count] = local[d];
+            rates[count] = edge_rate[e];
+            edge_mark[e] = 1;
+            count++;
+        }
+        indptr[i + 1] = count;
+    }
+    if (!n_reached) indptr[1] = 0;
+    if (!n_edges) return;
+    count = 0;
+    for (int64_t e = 0; e < num_edges; e++) {
+        if (!edge_mark[e]) continue;
+        edge_mark[e] = 0;
+        edge_ids[count] = e;
+        sources[count] = local[edge_source[e]];
+        targets[count] = local[edge_target[e]];
+        count++;
+    }
+}
+
+/* out = A @ h for one Equation 10 operator in CSR form.  Each row's sum
+ * starts from 0.0 and adds rate * h[column] in CSR order, scipy's
+ * csr_matvec sequence.  A row's sum is one chain of dependent adds, so four
+ * consecutive rows run side by side up to the shortest of the four, then
+ * each finishes its own tail: every row keeps its order.
+ */
+static void flow_sweep(const int64_t n, const int64_t *indptr,
+                       const int64_t *indices, const double *rates,
+                       const double *h, double *out)
+{
+    int64_t u = 0;
+    for (; u + 4 <= n; u += 4) {
+        const int64_t s0 = indptr[u], s1 = indptr[u + 1], s2 = indptr[u + 2],
+                      s3 = indptr[u + 3], e3 = indptr[u + 4];
+        int64_t shortest = s1 - s0;
+        if (s2 - s1 < shortest) shortest = s2 - s1;
+        if (s3 - s2 < shortest) shortest = s3 - s2;
+        if (e3 - s3 < shortest) shortest = e3 - s3;
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (int64_t j = 0; j < shortest; j++) {
+            a0 += rates[s0 + j] * h[indices[s0 + j]];
+            a1 += rates[s1 + j] * h[indices[s1 + j]];
+            a2 += rates[s2 + j] * h[indices[s2 + j]];
+            a3 += rates[s3 + j] * h[indices[s3 + j]];
+        }
+        for (int64_t j = s0 + shortest; j < s1; j++) a0 += rates[j] * h[indices[j]];
+        for (int64_t j = s1 + shortest; j < s2; j++) a1 += rates[j] * h[indices[j]];
+        for (int64_t j = s2 + shortest; j < s3; j++) a2 += rates[j] * h[indices[j]];
+        for (int64_t j = s3 + shortest; j < e3; j++) a3 += rates[j] * h[indices[j]];
+        out[u] = a0;
+        out[u + 1] = a1;
+        out[u + 2] = a2;
+        out[u + 3] = a3;
+    }
+    for (; u < n; u++) {
+        double a = 0.0;
+        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) a += rates[j] * h[indices[j]];
+        out[u] = a;
+    }
+}
+
+/* The Equation 10 fixpoint for n_segment independent operators, one after
+ * the other: h = 1, then h' = A @ h, h'[target] = 1.0, residual = max |h' -
+ * h| (an exact max, order-free; a NaN difference makes it NaN, as numpy's
+ * maximum does), until residual < tolerance or max_iterations (>= 1).
+ * Segment s reads its CSR triple from the addresses indptrs[s],
+ * indices[s], rates[s]; its factors land in h at the running offset of
+ * sizes, its residual trace in residuals[s * max_iterations ...], its
+ * count and flag in iterations[s] and converged[s].  scratch holds the
+ * largest segment.
+ */
+void flow_fixpoint(const int64_t n_segment, const int64_t *sizes,
+                   const int64_t *targets, const uintptr_t *indptrs,
+                   const uintptr_t *indices, const uintptr_t *rates,
+                   const double tolerance, const int64_t max_iterations,
+                   double *h, double *scratch, double *residuals,
+                   int64_t *iterations, uint8_t *converged)
+{
+    for (int64_t s = 0; s < n_segment; s++) {
+        const int64_t n = sizes[s];
+        const int64_t *ip = (const int64_t *)indptrs[s];
+        const int64_t *ix = (const int64_t *)indices[s];
+        const double *rt = (const double *)rates[s];
+        double *trace = residuals + s * max_iterations;
+        double *cur = h, *next = scratch;
+        for (int64_t i = 0; i < n; i++) cur[i] = 1.0;
+        int64_t it = 0;
+        int done = 0;
+        while (!done && it < max_iterations) {
+            flow_sweep(n, ip, ix, rt, cur, next);
+            next[targets[s]] = 1.0;
+            double worst = 0.0;
+            int nan = 0;
+            for (int64_t i = 0; i < n; i++) {
+                const double d = fabs(next[i] - cur[i]);
+                if (d != d) nan = 1;
+                else if (d > worst) worst = d;
+            }
+            if (nan) worst = NAN;
+            trace[it++] = worst;
+            double *swap = cur;
+            cur = next;
+            next = swap;
+            done = worst < tolerance;
+        }
+        if (cur != h)
+            for (int64_t i = 0; i < n; i++) h[i] = cur[i];
+        iterations[s] = it;
+        converged[s] = (uint8_t)done;
+        h += n;
+    }
+}
+"""
+
+_BASE_CFLAGS = ["-O3", "-fPIC", "-ffp-contract=off", "-funroll-loops"]
 
 #: Tried in order until one compiles: full tuning, then without the x86-only
 #: vector-width hint, then without -march=native, then a bare portable build.
@@ -251,8 +513,12 @@ _CFLAG_VARIANTS = [
     _BASE_CFLAGS + ["-march=native", "-mprefer-vector-width=512"],
     _BASE_CFLAGS + ["-march=native"],
     _BASE_CFLAGS,
-    ["-O2", "-fPIC", "-shared", "-ffp-contract=off"],
+    ["-O2", "-fPIC", "-ffp-contract=off"],
 ]
+
+#: Appended for the explain kernels: their loops are bound by loads, run as
+#: fast at -O2 without unrolling, and compile in half the time.
+_EXPLAIN_CFLAGS = ["-O2", "-fno-unroll-loops"]
 
 _lock = threading.Lock()
 _kernel = None
@@ -318,28 +584,58 @@ def hugepage_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def _compile() -> ctypes.CDLL | None:
-    """Compile the kernel into a per-process temp dir; None on any failure."""
+    """Compile the kernels into a per-process temp dir; None on any failure.
+
+    The ranking steps and the explain kernels are two translation units,
+    compiled side by side and linked into one library, so on two cores the
+    explain kernels build while the ranking steps do.
+    """
     build_dir = tempfile.mkdtemp(prefix="repro-native-")
-    source = os.path.join(build_dir, "blocked_step.c")
-    with open(source, "w", encoding="utf-8") as handle:
-        handle.write(f"#define SELL_LANES {SELL_LANES}\n{_SOURCE}")
+    units = []
+    for name, source, extra in (
+        ("ranking", f"#define SELL_LANES {SELL_LANES}\n{_SOURCE}", []),
+        ("explain", _EXPLAIN_SOURCE, _EXPLAIN_CFLAGS),
+    ):
+        path = os.path.join(build_dir, f"{name}.c")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        units.append((path, extra))
     for variant, cflags in enumerate(_CFLAG_VARIANTS):
-        library = os.path.join(build_dir, f"blocked_step{variant}.so")
+        library = os.path.join(build_dir, f"kernels{variant}.so")
+        objects = [f"{path[:-2]}{variant}.o" for path, _ in units]
         for compiler in ("cc", "gcc"):
-            try:
-                result = subprocess.run(
-                    [compiler, *cflags, "-o", library, source],
-                    capture_output=True,
-                    timeout=60,
-                )
-            except (OSError, subprocess.TimeoutExpired):
-                continue
-            if result.returncode == 0:
+            compiles = [
+                [compiler, *cflags, *extra, "-c", "-o", obj, path]
+                for (path, extra), obj in zip(units, objects)
+            ]
+            if _side_by_side(compiles) and _side_by_side(
+                [[compiler, "-shared", "-o", library, *objects]]
+            ):
                 try:
                     return ctypes.CDLL(library)
                 except OSError:
                     return None
     return None
+
+
+def _side_by_side(commands: list[list[str]]) -> bool:
+    """Run the commands concurrently; whether each exits 0 within 60 s."""
+    processes = []
+    try:
+        for command in commands:
+            processes.append(
+                subprocess.Popen(
+                    command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+                )
+            )
+        return all([process.wait(timeout=60) == 0 for process in processes])
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    finally:
+        for process in processes:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
 
 
 def _load() -> ctypes.CDLL | None:
@@ -369,6 +665,22 @@ def _load() -> ctypes.CDLL | None:
         ctypes.c_double,
         ctypes.c_void_p,
         ctypes.c_void_p,
+    ]
+    # The explain kernels take raw addresses too: their wrappers check every
+    # buffer first.
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    lib.subgraph_mark.restype = None
+    lib.subgraph_mark.argtypes = [
+        *[pointer] * 7, count, pointer, count, count, count, *[pointer] * 5,
+    ]
+    lib.subgraph_emit.restype = None
+    lib.subgraph_emit.argtypes = [
+        count, count, *[pointer] * 5, count, pointer, count, count,
+        *[pointer] * 5, count, count, count, pointer, pointer,
+    ]
+    lib.flow_fixpoint.restype = None
+    lib.flow_fixpoint.argtypes = [
+        count, *[pointer] * 5, ctypes.c_double, count, *[pointer] * 5,
     ]
     if not _probe_bitwise(lib):
         return None
@@ -455,7 +767,79 @@ def _probe_bitwise(lib: ctypes.CDLL) -> bool:
     layout = sell_layout(probe.indptr, probe.indices)
     y, diff = SellStep(lib, SellMatrix(layout, probe.data), jump, damping, x)()
     expected = damping * (probe @ x) + jump
-    return np.array_equal(y, expected) and np.array_equal(diff, np.abs(expected - x))
+    if not (
+        np.array_equal(y, expected) and np.array_equal(diff, np.abs(expected - x))
+    ):
+        return False
+    return _probe_flow_fixpoint(lib, rng) and _probe_subgraph(lib)
+
+
+def _probe_flow_fixpoint(lib: ctypes.CDLL, rng: np.random.Generator) -> bool:
+    """The Eq. 10 fixpoint against the scipy sequence it replaces: segments
+    of 1, 7 and 23 rows (full groups of four and a tail), repeated columns
+    inside a row, empty rows, and traces that stop at different iterations
+    or run into the cut-off."""
+    operators, targets, expected = [], [], []
+    tolerance, max_iterations = 1e-6, 40
+    for n in (1, 7, 23):
+        rows = np.sort(rng.integers(0, n, 4 * n))
+        rows = rows[rows % 6 != 4]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = rng.integers(0, n, rows.size)
+        rates = rng.uniform(0.0, 0.35, rows.size)
+        target = int(rng.integers(0, n))
+        operators.append((indptr, indices, rates))
+        targets.append(target)
+        matrix = sparse.csr_matrix((rates, indices, indptr), shape=(n, n))
+        h, trace = np.ones(n), []
+        while len(trace) < max_iterations:
+            new_h = matrix @ h
+            new_h[target] = 1.0
+            trace.append(float(np.abs(new_h - h).max()))
+            h = new_h
+            if trace[-1] < tolerance:
+                break
+        expected.append((h, (trace, len(trace), trace[-1] < tolerance)))
+    found = _flow_fixpoints(lib, operators, targets, tolerance, max_iterations)
+    return all(
+        np.array_equal(h, h_expected) and tuple(rest) == rest_expected
+        for (h, *rest), (h_expected, rest_expected) in zip(found, expected)
+    )
+
+
+def _probe_subgraph(lib: ctypes.CDLL) -> bool:
+    """Extraction on a six-node graph whose subgraphs are worked out by hand:
+    a zero-rate edge, a cycle through the target, a base node repeated and
+    one beyond the radius, a backward-set node the roots never reach, and
+    an unreachable target (the target alone)."""
+    #          e0   e1   e2   e3   e4   e5   e6   e7
+    source = [0, 1, 2, 0, 4, 1, 3, 5]
+    target = [1, 2, 3, 3, 3, 0, 1, 0]
+    rate = [0.5, 0.5, 0.5, 0.0, 0.3, 0.2, 0.1, 0.4]
+    edge_source, edge_target = np.asarray(source), np.asarray(target)
+    positive = np.flatnonzero(np.asarray(rate) > 0.0)
+
+    def incidence(endpoint):
+        edges = positive[np.argsort(endpoint[positive], kind="stable")]
+        indptr = np.zeros(7, dtype=np.int64)
+        np.cumsum(np.bincount(endpoint[positive], minlength=6), out=indptr[1:])
+        return indptr, edges
+
+    kernel = SubgraphKernel(
+        lib, incidence(edge_target), incidence(edge_source), edge_source,
+        edge_target, np.asarray(rate), np.asarray([0, 5, 0]), np.ones(6, bool),
+    )
+    def listed(found):
+        nodes, depths, roots, operator, *edges, target_local = found
+        arrays = (nodes, depths, roots, *operator, *edges)
+        return [array.tolist() for array in arrays] + [target_local]
+
+    return listed(kernel(3, 3)) == [
+        [0, 1, 2, 3], [3, 2, 1, 0], [0, 0],  # nodes, depths, roots
+        [0, 1, 3, 4, 5], [1, 2, 0, 3, 1], [0.5, 0.5, 0.2, 0.5, 0.1],  # operator
+        [0, 1, 2, 5, 6], [0, 1, 2, 1, 3], [1, 2, 3, 0, 1], 3,  # edges, target
+    ] and listed(kernel(4, None)) == [[4], [0], [], [0, 0], [], [], [], [], [], 0]
 
 
 def _ensure() -> ctypes.CDLL | None:
@@ -615,3 +999,190 @@ def bind_sell_step(
     ):
         return None
     return SellStep(lib, matrix, jump, damping, scores)
+
+
+def _address(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+class SubgraphKernel:
+    """Explaining-subgraph extraction bound to one graph's positive-rate
+    incidence, one base set and one ``within`` mask.
+
+    Owns the per-node stamps (epoch-tagged, so consecutive targets share
+    them without a reset), the BFS queue and the per-edge mark, and binds
+    every address once.  Each call extracts one target and returns fresh
+    arrays ``(nodes, depths, roots, (indptr, indices, rates), edge_ids,
+    edge_src_local, edge_dst_local)``, views of one int64 and one float64
+    block sized by that target's own counts, and the target's local index.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        in_index: tuple[np.ndarray, np.ndarray],
+        out_index: tuple[np.ndarray, np.ndarray],
+        edge_source: np.ndarray,
+        edge_target: np.ndarray,
+        edge_rate: np.ndarray,
+        base: np.ndarray,
+        allowed: np.ndarray,
+    ) -> None:
+        num_nodes, num_edges = allowed.size, edge_source.size
+        tag, reach = np.zeros((2, num_nodes), dtype=np.int64)
+        depth, local, queue = np.empty((3, num_nodes), dtype=np.int64)
+        edge_mark = np.zeros(num_edges, dtype=np.uint8)
+        allowed = np.ascontiguousarray(allowed, dtype=bool).view(np.uint8)
+        self._counts = np.zeros(3, dtype=np.int64)
+        # The kernel reads these by address: keep them alive with the binding.
+        self._arrays = (
+            in_index, out_index, edge_source, edge_target, edge_rate, base,
+            allowed, tag, reach, depth, local, queue, edge_mark,
+        )
+        edges = (
+            _address(out_index[0]), _address(out_index[1]),
+            _address(edge_source), _address(edge_target),
+        )
+        based = (base.size, _address(base))
+        self._mark_head = (
+            _address(in_index[0]), _address(in_index[1]), *edges,
+            _address(allowed), *based,
+        )
+        self._mark_tail = (
+            _address(tag), _address(depth), _address(reach), _address(queue),
+            _address(self._counts),
+        )
+        self._emit_head = (num_nodes, num_edges, *edges, _address(edge_rate), *based)
+        self._emit_stamps = (
+            _address(tag), _address(depth), _address(reach), _address(local),
+            _address(edge_mark),
+        )
+        self._mark, self._emit = lib.subgraph_mark, lib.subgraph_emit
+        self._num_nodes = num_nodes
+        self._epoch = 0
+
+    def __call__(self, target: int, radius: int | None) -> tuple:
+        if not 0 <= target < self._num_nodes:
+            raise IndexError(f"target {target} outside 0..{self._num_nodes - 1}")
+        self._epoch += 1
+        epoch = self._epoch
+        self._mark(
+            *self._mark_head, target, -1 if radius is None else radius, epoch,
+            *self._mark_tail,
+        )
+        reached, edges, roots = self._counts.tolist()
+        n = reached or 1
+        block = np.empty(3 * n + 2 + roots + 4 * edges, dtype=np.int64)
+        rates = np.empty(edges)
+        self._emit(
+            *self._emit_head, target, epoch, *self._emit_stamps,
+            reached, edges, roots, _address(block), _address(rates),
+        )
+        parts, start = [], 0
+        for size in (n, n, roots, n + 1, edges, edges, edges, edges):
+            parts.append(block[start : start + size])
+            start += size
+        nodes, depths, roots, indptr, indices, edge_ids, sources, targets = parts
+        return (
+            nodes, depths, roots, (indptr, indices, rates), edge_ids, sources,
+            targets, int(block[-1]),
+        )
+
+
+def bind_subgraph_kernel(
+    graph: AuthorityTransferDataGraph, base: np.ndarray, allowed: np.ndarray
+) -> SubgraphKernel | None:
+    """The compiled extraction of ``graph``'s explaining subgraphs from the
+    base-set indices ``base``, confined to the nodes ``allowed`` (a bool mask
+    per node), or ``None`` when the kernel is unavailable or an array is not
+    the int64 / float64 vector of the graph's size it needs (the caller then
+    extracts with numpy)."""
+    lib = _ensure()
+    if lib is None:
+        return None
+    base = np.asarray(base)
+    in_index, out_index = graph.positive_incidence()
+    n, m = graph.num_nodes, graph.num_edges
+    integer = (*in_index, *out_index, graph.edge_source, graph.edge_target, base)
+    if not (
+        in_index[0].shape == out_index[0].shape == (n + 1,)
+        and in_index[1].shape == out_index[1].shape
+        and graph.edge_source.shape == graph.edge_target.shape
+        == graph.edge_rate.shape == (m,)
+        and allowed.shape == (n,)
+        and base.ndim == 1
+        and all(array.dtype == np.int64 for array in integer)
+        and graph.edge_rate.dtype == np.float64
+        and all(array.flags.c_contiguous for array in (*integer, graph.edge_rate))
+        and (base.size == 0 or (0 <= base.min() and base.max() < n))
+    ):
+        return None
+    return SubgraphKernel(
+        lib, in_index, out_index, graph.edge_source, graph.edge_target,
+        graph.edge_rate, base, allowed,
+    )
+
+
+def _flow_fixpoints(
+    lib: ctypes.CDLL,
+    operators: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    targets: list[int],
+    tolerance: float,
+    max_iterations: int,
+) -> list[tuple[np.ndarray, list[float], int, bool]]:
+    count = len(operators)
+    sizes = np.asarray([indptr.size - 1 for indptr, _, _ in operators], dtype=np.int64)
+    local_targets = np.asarray(targets, dtype=np.int64)
+    addresses = np.asarray(
+        [[_address(array) for array in operator] for operator in operators],
+        dtype=np.uintp,
+    ).T.copy()
+    h = np.empty(int(sizes.sum()))
+    scratch = np.empty(int(sizes.max()))
+    residuals = np.empty((count, max_iterations))
+    iterations = np.empty(count, dtype=np.int64)
+    converged = np.empty(count, dtype=np.uint8)
+    lib.flow_fixpoint(
+        count, _address(sizes), _address(local_targets),
+        *(_address(row) for row in addresses), tolerance, max_iterations,
+        _address(h), _address(scratch), _address(residuals),
+        _address(iterations), _address(converged),
+    )
+    found, start = [], 0
+    for trace, size, steps, done in zip(
+        residuals, sizes.tolist(), iterations.tolist(), converged.tolist()
+    ):
+        found.append((h[start : start + size], trace[:steps].tolist(), steps, bool(done)))
+        start += size
+    return found
+
+
+def flow_fixpoints(
+    operators: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    targets: list[int],
+    tolerance: float,
+    max_iterations: int,
+) -> list[tuple[np.ndarray, list[float], int, bool]] | None:
+    """The Equation 10 fixpoint of every ``(indptr, indices, rates)``
+    operator (target row ``targets[i]`` pinned to 1.0) through the compiled
+    kernel: per operator ``(h, residual trace, iterations, converged)``,
+    ``h`` a view of one shared buffer.  ``None`` when the kernel is
+    unavailable, ``max_iterations < 1`` or an operator is not the
+    int64 / int64 / float64 CSR triple it needs (the caller then iterates
+    with numpy)."""
+    lib = _ensure()
+    if lib is None or max_iterations < 1 or not operators:
+        return None
+    for (indptr, indices, rates), target in zip(operators, targets):
+        if not (
+            indptr.ndim == 1
+            and indptr.size >= 2
+            and indptr.dtype == indices.dtype == np.int64
+            and rates.dtype == np.float64
+            and indptr[0] == 0
+            and indices.shape == rates.shape == (indptr[-1],)
+            and 0 <= target < indptr.size - 1
+            and all(a.flags.c_contiguous for a in (indptr, indices, rates))
+        ):
+            return None
+    return _flow_fixpoints(lib, operators, targets, tolerance, max_iterations)

@@ -18,6 +18,7 @@ current query vector's average weight and merged in:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,11 @@ class ContentReformulator:
         raw = self.aggregate_term_weights(explanations)
         if not raw:
             return []
-        top = sorted(raw.items(), key=lambda item: (-item[1], item[0]))[: self.num_terms]
+        # ``nsmallest`` is documented as ``sorted(...)[:n]``: the same terms in
+        # the same order, without sorting the whole aggregated vocabulary.
+        top = heapq.nsmallest(
+            self.num_terms, raw.items(), key=lambda item: (-item[1], item[0])
+        )
         maximum = top[0][1]
         if maximum <= 0.0:
             return []

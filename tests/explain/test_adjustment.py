@@ -154,3 +154,21 @@ class TestConvenienceWrapper:
         )
         assert result.converged
         assert result.target_inflow() > 0
+
+
+class TestIterationBudget:
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    @pytest.mark.parametrize("raise_on_divergence", [False, True])
+    def test_fewer_than_one_iteration_is_refused(
+        self, figure1_graph, olap_base, olap_result, max_iterations, raise_on_divergence
+    ):
+        """No residual to report: a ``ValueError``, not an ``IndexError`` from
+        an empty trace or all-ones factors reported as an explanation."""
+        subgraph = build_explaining_subgraph(figure1_graph, olap_base, "v4")
+        with pytest.raises(ValueError, match="max_iterations"):
+            adjust_flows(
+                subgraph,
+                olap_result.scores,
+                max_iterations=max_iterations,
+                raise_on_divergence=raise_on_divergence,
+            )

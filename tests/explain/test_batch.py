@@ -182,6 +182,22 @@ class TestBatchedAdjustment:
                 assert explanation.iterations == 7
 
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_fewer_than_one_iteration_is_refused(
+        self, figure1_graph, olap_base, olap_result, max_iterations
+    ):
+        subgraphs = batched_build_explaining_subgraphs(
+            figure1_graph, olap_base, ALL_TARGETS
+        )
+        with pytest.raises(ValueError, match="max_iterations"):
+            batched_adjust_flows(
+                subgraphs,
+                olap_result.scores,
+                max_iterations=max_iterations,
+                raise_on_divergence=True,
+            )
+
+
 class TestBatchedExplain:
     def test_one_shot_matches_pipeline(self, dblp_tiny_engine):
         result = dblp_tiny_engine.search("xml query", top_k=8)
@@ -197,6 +213,21 @@ class TestBatchedExplain:
                 result.ranked.scores,
             )
             assert_same_explanation(serial, explanation)
+
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_fewer_than_one_iteration_is_refused_before_extracting(
+        self, figure1_graph, olap_base, olap_result, max_iterations
+    ):
+        """Refused before any work: an unknown target is never looked up."""
+        with pytest.raises(ValueError, match="max_iterations"):
+            batched_explain(
+                figure1_graph,
+                olap_base,
+                ["no such node"],
+                olap_result.scores,
+                max_iterations=max_iterations,
+            )
 
 
 class TestSearchsortedLocals:

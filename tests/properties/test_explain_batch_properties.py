@@ -28,7 +28,7 @@ from repro.explain import (
     build_explaining_subgraph,
 )
 from repro.graph import AuthorityTransferDataGraph, DataGraph
-from repro.ranking import objectrank
+from repro.ranking import _native, objectrank
 
 from tests.properties.strategies import dblp_graphs, dblp_transfer_graphs
 
@@ -213,14 +213,18 @@ def test_batched_equals_serial_within(atdg, radius, seed, kind, rng):
 
 
 def test_freeze_and_compaction_both_run(dblp_tiny_engine):
-    """Targets that converge at different iterations: the early ones freeze,
-    the operator is rebuilt without them, and every trace still matches."""
+    """The numpy fixpoint (the compiled one forced off): targets that converge
+    at different iterations, the early ones freeze, the operator is rebuilt
+    without them, and every trace still matches."""
     result = dblp_tiny_engine.search("xml query", top_k=12)
     graph = dblp_tiny_engine.graph
     base = list(result.ranked.base_weights)
     targets = [node_id for node_id, _ in result.top]
     subgraphs = batched_build_explaining_subgraphs(graph, base, targets, 3)
-    with mock.patch.object(batch, "_pack", wraps=batch._pack) as pack:
+    with (
+        mock.patch.object(_native, "_ensure", lambda: None),
+        mock.patch.object(batch, "_pack", wraps=batch._pack) as pack,
+    ):
         explanations = batched_adjust_flows(subgraphs, result.ranked.scores)
     assert pack.call_count > 1  # compaction rebuilt the operator
     assert len({e.iterations for e in explanations}) > 1  # some froze early

@@ -729,3 +729,89 @@ def test_the_guard_sees_the_steps_it_forbids():
         "    out *= d\n"
     )
     assert eq4_steps(tree) == {"fast": ["bind_sell_step"], "flipped": ["numpy"]}
+
+
+# -- explaining runs compiled: one kernel-or-numpy choice per stage ---------------
+
+#: Stage -> (the names through which its compiled kernel is reached, the numpy
+#: path that runs without it).  Outside ``_native`` itself only
+#: ``explain/batch.py`` may say a kernel name, and there one function per
+#: stage says both: that function is where the choice is made.
+EXPLAIN_STAGES = {
+    "extraction": (
+        {"bind_subgraph_kernel", "SubgraphKernel", "subgraph_mark", "subgraph_emit"},
+        "extract",
+    ),
+    "adjustment": ({"flow_fixpoints", "flow_fixpoint"}, "_iterate_segments"),
+}
+EXPLAIN_KERNEL_NAMES = set().union(*(names for names, _ in EXPLAIN_STAGES.values()))
+
+
+def names_by_function(tree: ast.AST) -> dict[str, set[str]]:
+    """Innermost enclosing function -> every name and attribute it says."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(child.name, set())
+                visit(child, child.name)
+                continue
+            name = getattr(child, "attr", getattr(child, "id", None))
+            if function and isinstance(child, (ast.Name, ast.Attribute)):
+                found[function].add(name)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def explain_choices(tree: ast.AST) -> dict[str, tuple[list[str], list[str]]]:
+    """Stage -> (functions naming its kernel, functions naming its numpy path)."""
+    said = names_by_function(tree)
+    return {
+        stage: (
+            sorted(f for f, names in said.items() if names & kernel),
+            sorted(f for f, names in said.items() if numpy in names),
+        )
+        for stage, (kernel, numpy) in EXPLAIN_STAGES.items()
+    }
+
+
+def test_each_explain_stage_chooses_its_kernel_in_one_function():
+    speakers = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if path.relative_to(SRC).as_posix() != "ranking/_native.py"
+        and any(
+            names & EXPLAIN_KERNEL_NAMES
+            for names in names_by_function(
+                ast.parse(path.read_text(encoding="utf-8"))
+            ).values()
+        )
+    )
+    assert speakers == ["explain/batch.py"]
+    tree = ast.parse((SRC / "explain" / "batch.py").read_text(encoding="utf-8"))
+    assert explain_choices(tree) == {
+        "extraction": (["extract_many"], ["extract_many"]),
+        "adjustment": (["batched_adjust_flows"], ["batched_adjust_flows"]),
+    }
+
+
+def test_the_guard_sees_a_second_chooser_and_a_split_choice():
+    tree = ast.parse(
+        "def extract_many(self, work):\n"
+        "    kernel = _native.bind_subgraph_kernel(self.graph, base, allowed)\n"
+        "    return [self.extract(t, work) for t in targets] if kernel is None else []\n"
+        "def explain_again(graph):\n"
+        "    return _native.bind_subgraph_kernel(graph, base, allowed)\n"
+        "def batched_adjust_flows(segments):\n"
+        "    found = _native.flow_fixpoints(operators, targets, 1e-4, 100)\n"
+        "def fallback(segments):\n"
+        "    def step():\n"
+        "        _iterate_segments(segments, 1e-4, 100)\n"
+    )
+    assert explain_choices(tree) == {
+        "extraction": (["explain_again", "extract_many"], ["extract_many"]),
+        "adjustment": (["batched_adjust_flows"], ["step"]),
+    }
