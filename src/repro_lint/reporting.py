@@ -3,8 +3,8 @@
 All four render a :class:`~repro_lint.runner.LintReport`:
 
 * ``text`` — one line per finding plus a summary block, for terminals;
-* ``json`` — the full report (findings, baselined, suppressed, stats) for
-  tooling and the benchmark harness;
+* ``json`` — the full report (findings, baselined, suppressed, stats and
+  the runner's per-phase wall time) for tooling;
 * ``github`` — ``::error file=...,line=...::...`` workflow commands, so a CI
   ``repro lint --format github`` surfaces findings as PR annotations with no
   extra action or upload step;
@@ -68,6 +68,7 @@ def render_json(report: LintReport) -> str:
     payload = {
         "files_scanned": report.files_scanned,
         "elapsed_seconds": report.elapsed_seconds,
+        "phase_seconds": report.phase_seconds,
         "checkers": report.checker_codes,
         "findings": [finding.as_dict() for finding in report.findings],
         "baselined": [finding.as_dict() for finding in report.baselined],

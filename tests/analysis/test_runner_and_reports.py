@@ -255,6 +255,8 @@ class TestSingleParse:
             .replace("{parse_error}", parse_error)
             .replace("{elapsed}", elapsed)
         )
+        for phase, seconds in report.phase_seconds.items():
+            expected = expected.replace(f"{{{phase}}}", json.dumps(seconds))
         assert render(report, fmt) == expected
 
 
@@ -403,6 +405,10 @@ class TestRepositorySelfLint:
             src_report.checker_codes
         )
         assert src_report.findings == [], render(src_report, "text")
+
+    def test_one_pass_stays_inside_the_ci_budget(self, src_report):
+        """The lint job promises a full pass over ``src/`` in under 10 s."""
+        assert src_report.elapsed_seconds < 10.0, src_report.phase_seconds
 
     def test_serve_package_is_clean_without_any_baseline(self):
         """The lock rules' audit target: repro.serve passes with an EMPTY baseline."""

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import ObjectRankSystem, SystemConfig
+from repro.datasets import load_dataset
 from repro.errors import ReproError
+
+from tests.reformulate.reference import reference_reformulate
 
 
 @pytest.fixture
@@ -142,6 +145,21 @@ class TestFeedback:
         system.feedback(["v4"])
         labels = [t.label for t in system.timings]
         assert labels == ["initial", "reformulated-1", "reformulated-2"]
+
+    def test_dblp_top_session_reformulates_like_the_reference_loops(self):
+        """Six rounds marking the top hit on ``dblp_top``: every step ``==``
+        the Eq. 11 / Eq. 15 loops of ``tests/reformulate/reference.py`` over
+        the same explanations, with and without the compiled explain path."""
+        dataset = load_dataset("dblp_top")
+        system = ObjectRankSystem(dataset.data_graph, dataset.transfer_schema)
+        result = system.query("olap")
+        for _ in range(6):
+            vector, rates = system.current_vector, system.current_rates
+            outcome = system.feedback(result.hit_ids()[:1])
+            assert outcome.reformulated == reference_reformulate(
+                system.reformulator, vector, rates, outcome.explanations
+            )
+            result = outcome.result
 
 
 class TestGlobalWarmStart:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.graph.transfer_graph import SellMatrix, sell_layout
-from repro.ranking import _native, objectrank2
+from repro.ranking import _native, objectrank2, objectrank2_topk
 from repro.ranking.pagerank import live_operator, power_iteration
 from repro.ranking.topk import topk_power_iteration
 
@@ -118,13 +118,17 @@ def test_topk_power_iteration_equals_the_reference_loop(step, case, k):
 
 
 def test_live_ranker_equals_the_reference_loop(step, dblp_tiny_engine):
-    """``objectrank2`` on the live path: its operator, its floats."""
+    """``objectrank2`` and ``objectrank2_topk`` on the live path, cold and
+    warm-started: their operator, their floats."""
     engine = dblp_tiny_engine
     graph = engine.graph
     vector = engine.query_vector("olap cube mining")
-    ranked = objectrank2(graph, engine.scorer, vector)
-    reference = reference_power_iteration(
-        graph.matrix(), graph.restart_vector(ranked.base_weights)
-    )
-    assert_same(ranked, reference)
+    for init in (None, np.random.default_rng(5).random(graph.num_nodes)):
+        ranked = objectrank2(graph, engine.scorer, vector, init=init)
+        restart = graph.restart_vector(ranked.base_weights)
+        assert_same(ranked, reference_power_iteration(graph.matrix(), restart, init=init))
+        assert_same(
+            objectrank2_topk(graph, engine.scorer, vector, init=init),
+            reference_topk_power_iteration(graph.matrix(), restart, 10, init=init),
+        )
     assert isinstance(live_operator(graph), SellMatrix) == (step == "kernel")

@@ -2,10 +2,12 @@
 
 The induced m×m transition submatrix the focused rerank used to build per
 query, and the two power-iteration loops as they stood before they shared
-:func:`repro.ranking.pagerank.authority_step`, kept verbatim so the row
-operator and the shared step can be checked ``==`` against them
+one loop, :func:`repro.ranking.pagerank.iterate`, kept verbatim so the row
+operator and the shared loop can be checked ``==`` against them
 (``tests/ranking/test_focused.py``, ``test_pagerank.py``, ``test_topk.py``,
-``benchmarks/bench_two_stage.py --smoke``).  Nothing in ``src`` calls these.
+``tests/properties/test_sell_properties.py``,
+``tests/properties/test_retrieval_properties.py``).  Nothing in ``src``
+calls these.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The per-node / per-edge Python loops the array-native reformulation
 replaced, kept verbatim so the vectorised code can be checked ``==``
-against them (tests/properties/test_reformulate_properties.py and the
-``bench_explain_batch.py --smoke`` CI guard).  Nothing in ``src`` calls
-these.
+against them (tests/properties/test_reformulate_properties.py, and the
+``dblp_top`` feedback session in tests/core/test_system.py).  Nothing in
+``src`` calls these.
 """
 
 from __future__ import annotations

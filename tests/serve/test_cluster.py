@@ -16,6 +16,8 @@ from repro.serve import QueryService, ServeConfig
 from repro.serve.cluster import ClusterConfig, ClusterSupervisor, inject_labels
 from repro.store import build_and_publish
 
+from tests.serve.test_ingest import ADD_PAPER, NONCONFORMING
+
 
 def _get(url: str, timeout: float = 10.0) -> str:
     with urllib.request.urlopen(url, timeout=timeout) as response:
@@ -26,16 +28,16 @@ def _get_json(url: str) -> dict:
     return json.loads(_get(url))
 
 
-@pytest.fixture(scope="module")
-def cluster(figure1, tmp_path_factory):
-    """A running 2-worker cluster over Figure 1, store-backed."""
-    store_root = tmp_path_factory.mktemp("stores")
+def _store_cluster(figure1, store_root, run_dir, **overrides):
+    """A started 2-worker cluster over Figure 1 serving a published store:
+    ``(parent service, supervisor, the published ranker)``."""
     service = QueryService(
         ServeConfig(
             datasets=("fig1",),
             precompute_min_document_frequency=1,
             store_dir=str(store_root),
             store_refresh_seconds=0.0,
+            **overrides,
         ),
         datasets={"fig1": figure1},
     )
@@ -49,7 +51,7 @@ def cluster(figure1, tmp_path_factory):
         ClusterConfig(
             serve=service.config,
             workers=2,
-            run_dir=str(tmp_path_factory.mktemp("run")),
+            run_dir=str(run_dir),
             monitor_interval=0.05,
             drain_timeout=5.0,
         ),
@@ -57,6 +59,16 @@ def cluster(figure1, tmp_path_factory):
     )
     supervisor.start()
     _wait_for_workers(supervisor, 2)
+    return service, supervisor, ranker
+
+
+@pytest.fixture(scope="module")
+def cluster(figure1, tmp_path_factory):
+    """A running 2-worker cluster over Figure 1, store-backed."""
+    store_root = tmp_path_factory.mktemp("stores")
+    _, supervisor, ranker = _store_cluster(
+        figure1, store_root, tmp_path_factory.mktemp("run")
+    )
     yield supervisor, store_root, ranker
     supervisor.stop()
 
@@ -113,6 +125,53 @@ class TestServing:
                 break
             time.sleep(0.05)
         assert generations == {2}
+
+
+def _scores_at(worker, generation, path, timeout=15.0) -> list:
+    """``(id, score)`` rows of ``worker``'s answer once it serves ``generation``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        payload = _get_json(f"http://127.0.0.1:{worker.control_port}{path}")
+        if payload["store_generation"] == generation or time.monotonic() > deadline:
+            assert payload["store_generation"] == generation, worker.worker_id
+            return [(r["id"], r["score"]) for r in payload["results"]]
+        time.sleep(0.05)
+
+
+class TestIngestPublish:
+    def test_ingest_refresh_reaches_every_worker(self, figure1, tmp_path):
+        """``/ingest`` on the parent -> forced refresh -> the next published
+        generation -> both prefork workers answer it, row for row as the
+        parent; the nonconforming mutations in the batch are refused at
+        apply and do not stop the refresh behind them."""
+        service, supervisor, _ = _store_cluster(
+            figure1, tmp_path / "stores", tmp_path / "run", ingest=True
+        )
+        path = "/search?dataset=fig1&q=OLAP&top_k=8"
+        try:
+            before = service.search("fig1", "OLAP", top_k=8)
+            assert before["served_from"] == "store"
+            rows = [(r["id"], r["score"]) for r in before["results"]]
+            for worker in supervisor.workers():
+                assert _scores_at(worker, 1, path) == rows
+
+            out = service.ingest("fig1", [*NONCONFORMING[:2], *ADD_PAPER], refresh="force")
+            refused = [(e["position"], e["op"]) for e in out["errors"]]
+            assert refused == [(0, "add_node"), (1, "add_edge")]
+            assert all("does not conform" in e["error"] for e in out["errors"])
+            assert out["applied"] == len(ADD_PAPER)
+            assert out["staleness"]["pending_mutations"] == 0
+
+            after = service.search("fig1", "OLAP", top_k=8)
+            assert after["store_generation"] == 2
+            rows = [(r["id"], r["score"]) for r in after["results"]]
+            assert dict(rows).get("p_new", 0.0) > 0.0
+            # The workers' graphs predate the batch; the store rows do not.
+            for worker in supervisor.workers():
+                assert _scores_at(worker, 2, path) == rows
+        finally:
+            clean = supervisor.stop()
+        assert clean
 
 
 class TestAggregation:

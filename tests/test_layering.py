@@ -815,3 +815,36 @@ def test_the_guard_sees_a_second_chooser_and_a_split_choice():
         "extraction": (["explain_again", "extract_many"], ["extract_many"]),
         "adjustment": (["batched_adjust_flows"], ["step"]),
     }
+
+
+# -- one measuring system: only the end-to-end harness reads a clock -------------
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def clock_readers(benchmarks: Path) -> list[str]:
+    """Modules under ``benchmarks`` outside ``e2e/`` that import ``time``."""
+    return sorted(
+        path.relative_to(benchmarks).as_posix()
+        for path in benchmarks.rglob("*.py")
+        if path.relative_to(benchmarks).parts[0] != "e2e"
+        and any(module == "time" for module, _name in imports_of(path))
+    )
+
+
+def test_only_the_end_to_end_harness_times_anything():
+    """The paper's figures read ``IterationTiming``; every other number is the
+    end-to-end harness's.  A stopwatch beside them is a second measuring
+    system."""
+    assert BENCHMARKS.is_dir()
+    assert clock_readers(BENCHMARKS) == []
+
+
+def test_the_guard_sees_a_stopwatch_outside_the_harness(tmp_path):
+    (tmp_path / "e2e").mkdir()
+    (tmp_path / "e2e" / "harness.py").write_text("import time\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "deep.py").write_text("def f():\n    import time\n")
+    (tmp_path / "bench_a.py").write_text("from time import perf_counter\n")
+    (tmp_path / "bench_b.py").write_text("import timeit, datetime\n")
+    assert clock_readers(tmp_path) == ["bench_a.py", "sub/deep.py"]
