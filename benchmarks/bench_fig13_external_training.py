@@ -57,5 +57,6 @@ def test_fig13_external_training(benchmark, dblp_top):
     # untrained vector for every C_f.
     for curve in curves:
         assert max(curve.similarities) > curve.similarities[0] + 0.01
-    # Larger C_f still peaks no later than the smallest C_f tested.
-    assert curves[-1].peak_iteration <= curves[0].peak_iteration
+    # The peak iteration is still non-increasing in C_f.
+    peaks = [curve.peak_iteration for curve in curves]
+    assert peaks == sorted(peaks, reverse=True), peaks
