@@ -44,7 +44,8 @@ from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.query.engine import SearchEngine, SearchResult
 from repro.query.query import KeywordQuery, QueryVector
-from repro.ranking.objectrank import global_objectrank
+from repro.ranking.core import global_restarts, rank
+from repro.ranking.pagerank import Tolerance
 from repro.reformulate.combined import ReformulatedQuery, Reformulator
 from repro.retrieval.engine import TwoStageEngine, TwoStageSearchResult
 
@@ -225,12 +226,15 @@ class ObjectRankSystem:
 
     def _global_warm_start(self) -> np.ndarray:
         if self._global_scores is None:
-            self._global_scores = global_objectrank(
-                self.engine.transfer_view(self._initial_schema),
-                self.config.damping,
-                self.config.tolerance,
-                self.config.max_iterations,
-            ).scores
+            graph = self.engine.transfer_view(self._initial_schema)
+            (ranked,) = rank(
+                graph,
+                global_restarts(graph),
+                Tolerance(self.config.tolerance),
+                damping=self.config.damping,
+                max_iterations=self.config.max_iterations,
+            )
+            self._global_scores = ranked.scores
         return self._global_scores
 
     # -- explanation -----------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ConvergenceError
 from repro.explain.flows import (
     grouped_flow_totals,
     local_node_outgoing_flow,
@@ -33,18 +33,13 @@ from repro.explain.flows import (
 )
 from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
 from repro.graph.authority import EdgeType
-from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
+from repro.ranking.pagerank import (
+    DEFAULT_DAMPING,
+    DEFAULT_TOLERANCE,
+    check_max_iterations,
+)
 
 DEFAULT_ADJUSTMENT_MAX_ITERATIONS = 1000
-
-
-def check_max_iterations(max_iterations: int) -> None:
-    """Refuse a fixpoint cut-off below one iteration: there would be no
-    residual to report and no factors beyond the all-ones start."""
-    if max_iterations < 1:
-        raise ParameterError(
-            f"max_iterations must be at least 1, got {max_iterations}"
-        )
 
 
 @dataclass

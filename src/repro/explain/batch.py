@@ -66,16 +66,16 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ConvergenceError, ExplanationError
-from repro.explain.adjustment import (
-    DEFAULT_ADJUSTMENT_MAX_ITERATIONS,
-    FlowExplanation,
-    check_max_iterations,
-)
+from repro.explain.adjustment import DEFAULT_ADJUSTMENT_MAX_ITERATIONS, FlowExplanation
 from repro.explain.flows import original_edge_flows
 from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph, gather_rows
 from repro.ranking import _native
-from repro.ranking.pagerank import DEFAULT_DAMPING, DEFAULT_TOLERANCE
+from repro.ranking.pagerank import (
+    DEFAULT_DAMPING,
+    DEFAULT_TOLERANCE,
+    check_max_iterations,
+)
 
 #: Compaction threshold: rebuild the shared operator once this fraction of
 #: the still-packed targets has converged.  Rebuilding is O(remaining edges);

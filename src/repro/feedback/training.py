@@ -26,8 +26,9 @@ from repro.feedback.residual import ResidualCollection
 from repro.feedback.simulated_user import SimulatedUser
 from repro.graph.authority import AuthorityTransferSchemaGraph, EdgeType
 from repro.query.engine import SearchEngine, SearchResult
-from repro.ranking.batch import batched_objectrank2
-from repro.ranking.objectrank import global_objectrank
+from repro.ranking.core import global_restarts, rank, weighted_restarts
+from repro.ranking.objectrank2 import weighted_base_set
+from repro.ranking.pagerank import Tolerance
 
 
 @dataclass
@@ -72,10 +73,11 @@ def train_transfer_rates(
     ``dataset.ground_truth_rates``.
 
     Every session's *initial* evaluation runs against the same matrix (the
-    all-``initial_rate`` schema), so the per-query fixpoints are computed in
-    one blocked run (``repro.ranking.batch``) sharing a single global
-    warm-start vector, instead of one serial power iteration — and one
-    global-ObjectRank recomputation — per query.
+    all-``initial_rate`` schema), so the per-query fixpoints are computed by
+    one :func:`repro.ranking.core.rank` call (the blocked engine,
+    ``repro.ranking.batch``) sharing a single global warm-start vector,
+    instead of one serial power iteration — and one global-ObjectRank
+    recomputation — per query.
     """
     if dataset.ground_truth_rates is None:
         raise ValueError(f"dataset {dataset.name!r} has no ground-truth rates")
@@ -107,16 +109,22 @@ def train_transfer_rates(
     graph = engine.transfer_view(initial)
     init = None
     if config.warm_start and config.global_warm_start:
-        init = global_objectrank(
-            graph, config.damping, config.tolerance, config.max_iterations
-        ).scores
-    initial_ranked = batched_objectrank2(
+        (global_ranked,) = rank(
+            graph,
+            global_restarts(graph),
+            Tolerance(config.tolerance),
+            damping=config.damping,
+            max_iterations=config.max_iterations,
+        )
+        init = global_ranked.scores
+    initial_ranked = rank(
         graph,
-        engine.scorer,
-        query_vectors,
-        engine.damping,
-        engine.tolerance,
-        engine.max_iterations,
+        weighted_restarts(
+            graph, [weighted_base_set(engine.scorer, v) for v in query_vectors]
+        ),
+        Tolerance(engine.tolerance),
+        damping=engine.damping,
+        max_iterations=engine.max_iterations,
         init=init,
     )
 

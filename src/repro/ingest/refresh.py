@@ -9,7 +9,7 @@ what a mutation batch actually invalidated:
   engine is deterministic, so a from-scratch rebuild would reproduce exactly
   the same floats;
 * **dirty columns are re-converged** through
-  :func:`repro.ranking.batch.batched_keyword_vectors`.  In ``"exact"`` mode
+  :func:`repro.ranking.objectrank.keyword_objectranks`.  In ``"exact"`` mode
   they start cold (uniform ``1/n``), which makes the refreshed matrix
   *bit-identical* to a full precompute over the mutated graph while running
   strictly fewer fixpoints on localized mutations.  In ``"warm"`` mode they
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
-from repro.ranking.batch import batched_keyword_vectors
+from repro.ranking.objectrank import keyword_objectranks
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
@@ -145,7 +145,7 @@ def refreshed_keyword_vectors(
     init = None
     if mode == "warm" and previous is not None and not rates_changed:
         init = _warm_start_inits(graph, previous, recompute)
-    built = batched_keyword_vectors(
+    built = keyword_objectranks(
         graph, index, recompute, damping, tolerance, max_iterations, init=init
     )
 

@@ -20,7 +20,8 @@ block so late stragglers don't pay for finished columns.
 
 This is a performance change, not an approximation: per column, the blocked
 engine performs bit-for-bit the same floating-point operations in the same
-order as :func:`repro.ranking.pagerank.power_iteration` — same scores, same
+order as the single-vector loop :func:`repro.ranking.pagerank.iterate`
+under a :class:`~repro.ranking.pagerank.Tolerance` stop — same scores, same
 iteration counts.  (A CSR matrix–block product accumulates each output
 column in the same nonzero order as the matrix–vector product, and a
 convergence decision that falls near the tolerance is re-checked with the
@@ -39,30 +40,24 @@ outright.  When a C compiler is
 available, each chunk step runs through a width-specialized compiled kernel
 (:mod:`repro.ranking._native`) that keeps the per-row accumulators in
 registers and fuses the residual sums into the matrix pass.
+
+:func:`repro.ranking.core.rank` is the one caller: it runs a block of two or
+more restart columns here and checks ``damping`` and ``max_iterations``
+first.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 import numpy as np
 from scipy import sparse
 
-from repro.errors import EmptyBaseSetError
-from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ranking import _native
-from repro.ir.scoring import Scorer
-from repro.ranking.convergence import PowerIterationResult, RankedResult
-from repro.ranking.objectrank2 import weighted_base_set
+from repro.ranking.convergence import PowerIterationResult
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    restart_distribution,
 )
-
-if TYPE_CHECKING:  # avoid a circular import: repro.query depends on ranking
-    from repro.query.query import QueryVector
 
 
 class BatchedPowerIterationResult:
@@ -75,8 +70,8 @@ class BatchedPowerIterationResult:
     After a chunked run the scores live in per-chunk slabs; :meth:`column`
     serves a column straight from its owning chunk (one copy) and the full
     ``(n, k)`` matrix is only assembled — once, lazily — if ``scores`` is
-    actually read.  Consumers that fan the block back out into per-column
-    results (every ranker in this module) never pay for the big scatter.
+    actually read.  :func:`repro.ranking.core.rank`, which fans the block
+    back out into per-column results, never pays for the big scatter.
     """
 
     def __init__(
@@ -310,7 +305,7 @@ def batched_power_iteration(
     dropped from a chunk's active block.
 
     Each column's scores and iteration count are identical to a serial
-    :func:`~repro.ranking.pagerank.power_iteration` run with the same
+    :func:`~repro.ranking.pagerank.iterate` run with the same
     restart column and init; the residual trace matches to ``O(n·eps)``
     relative (see :data:`_EXACT_CHECK_BAND`).
     """
@@ -322,8 +317,6 @@ def batched_power_iteration(
         raise ValueError(
             f"matrix has {matrix.shape[0]} rows, restart block has {n}"
         )
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
     matrix = matrix.tocsr()
     if _native.available():
         # The CSR streams are re-read every iteration of every chunk; one
@@ -397,140 +390,3 @@ def _column_chunks(k: int) -> list[np.ndarray]:
     width = DEFAULT_BLOCK_WIDTH
     return [np.arange(i, min(i + width, k)) for i in range(0, k, width)]
 
-
-# -- graph-level batched rankers --------------------------------------------
-
-
-def batched_objectrank(
-    graph: AuthorityTransferDataGraph,
-    base_sets: Sequence[Sequence[str]],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> list[RankedResult]:
-    """One :func:`~repro.ranking.objectrank.objectrank` per base set, blocked.
-
-    All base sets share one CSR matrix and one blocked fixpoint; each
-    returned :class:`RankedResult` is identical to the serial call for its
-    base set (scores, iteration count, residuals, uniform base weights).
-    ``init`` seeds the iteration (``(n,)`` broadcast or ``(n, k)`` per base
-    set) — the Section 6.2 warm start for incremental re-convergence.
-    """
-    if not base_sets:
-        return []
-    n = graph.num_nodes
-    # Built transposed (one contiguous row per base set) so each write is a
-    # contiguous fill; the engine's per-chunk column slices then read
-    # contiguous rows of this F-ordered view.
-    transposed = np.empty((len(base_sets), n), dtype=np.float64)
-    for j, base_nodes in enumerate(base_sets):
-        if not base_nodes:
-            raise EmptyBaseSetError(())
-        transposed[j] = restart_distribution(n, graph.indices_of(list(base_nodes)))
-    outcome = batched_power_iteration(
-        graph.matrix(), transposed.T, damping, tolerance, max_iterations, init=init
-    )
-    results = []
-    for j, base_nodes in enumerate(base_sets):
-        column = outcome.column(j)
-        uniform = 1.0 / len(base_nodes)  # repro-lint: ignore[RL015] every base set was rejected as EmptyBaseSetError in the build loop above
-        results.append(
-            RankedResult(
-                node_ids=graph.node_ids,
-                scores=column.scores,
-                iterations=column.iterations,
-                converged=column.converged,
-                base_weights={node_id: uniform for node_id in base_nodes},
-                residuals=column.residuals,
-            )
-        )
-    return results
-
-
-def batched_keyword_vectors(
-    graph: AuthorityTransferDataGraph,
-    index,
-    keywords: Sequence[str],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: dict[str, np.ndarray] | None = None,
-) -> dict[str, RankedResult]:
-    """Per-keyword ObjectRank for every keyword with a non-empty base set.
-
-    The [BHP04]/[Hav02] precomputation core: one blocked run over the whole
-    keyword family instead of ``|keywords|`` serial fixpoints.  Keywords that
-    match no document are skipped (they have no authority vector).  ``init``
-    optionally maps keywords to ``(n,)`` warm-start vectors (incremental
-    refresh seeds dirty columns with their previous fixpoints); keywords not
-    in the map start at the default uniform ``1/n``, exactly as with no
-    ``init`` at all.
-    """
-    matched = [
-        (keyword, index.documents_with_term(keyword))
-        for keyword in dict.fromkeys(keywords)
-    ]
-    matched = [(keyword, base) for keyword, base in matched if base]
-    block_init: np.ndarray | None = None
-    if init is not None and matched:
-        n = graph.num_nodes
-        # Explicit uniform fill for unmapped columns is bit-identical to the
-        # engine's own default start (`block[:] = scores` writes the same
-        # floats `block.fill(1/n)` would).
-        block_init = np.full((n, len(matched)), 1.0 / n if n else 0.0)
-        for j, (keyword, _) in enumerate(matched):
-            seed = init.get(keyword)
-            if seed is not None:
-                block_init[:, j] = seed
-    results = batched_objectrank(
-        graph,
-        [base for _, base in matched],
-        damping,
-        tolerance,
-        max_iterations,
-        init=block_init,
-    )
-    return {keyword: result for (keyword, _), result in zip(matched, results)}
-
-
-def batched_objectrank2(
-    graph: AuthorityTransferDataGraph,
-    scorer: Scorer,
-    query_vectors: Sequence["QueryVector"],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> list[RankedResult]:
-    """One :func:`~repro.ranking.objectrank2.objectrank2` per query, blocked.
-
-    The repeated-evaluation workhorse: training and benchmarking loops that
-    evaluate many query vectors against one rate setting (one matrix) get all
-    their IR-weighted fixpoints from a single blocked run.  ``init`` is the
-    shared warm-start vector (e.g. global ObjectRank scores, Section 6.2).
-    """
-    if not query_vectors:
-        return []
-    bases = [weighted_base_set(scorer, vector) for vector in query_vectors]
-    n = graph.num_nodes
-    restarts = np.zeros((n, len(bases)), dtype=np.float64)
-    for j, base in enumerate(bases):
-        restarts[:, j] = graph.restart_vector(base)
-    outcome = batched_power_iteration(
-        graph.matrix(), restarts, damping, tolerance, max_iterations, init=init
-    )
-    results = []
-    for j, base in enumerate(bases):
-        column = outcome.column(j)
-        results.append(
-            RankedResult(
-                node_ids=graph.node_ids,
-                scores=column.scores,
-                iterations=column.iterations,
-                converged=column.converged,
-                base_weights=base,
-                residuals=column.residuals,
-            )
-        )
-    return results

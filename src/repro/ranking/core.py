@@ -1,0 +1,181 @@
+"""One ranking core: a restart block, a stop rule and one ``rank`` call.
+
+Section 3 of the paper: ObjectRank [BHP04], global ObjectRank and ObjectRank2
+all compute the Equation 4 fixpoint ``r = d A r + (1 - d) s`` and differ only
+in the base-set vector ``s``.  So every variant here is two steps:
+
+1. a **restart builder** lays out ``s`` for one or more base sets as an
+   ``(n, k)`` block, together with each column's base weights, both read off
+   one accumulation — :func:`uniform_restarts` (0/1 base sets, one per
+   keyword for the precompute), :func:`weighted_restarts` (IR-weighted base
+   sets, :func:`repro.ranking.objectrank2.weighted_base_set`) and
+   :func:`global_restarts` (every node);
+2. :func:`rank` iterates the block under a stop rule — a value,
+   :class:`~repro.ranking.pagerank.Tolerance` or
+   :class:`~repro.ranking.topk.TopKStable` — and is the one place a
+   :class:`RankedResult` is assembled.
+
+``rank`` picks the loop from the block's width, which it can see: one column
+runs the single-vector loop (:func:`repro.ranking.pagerank.iterate`) on the
+live operator, or on the gathered rows of a ``support`` for the two-stage
+rerank; more columns run the blocked engine
+(:func:`repro.ranking.batch.batched_power_iteration`).  Per column both give
+the same scores, iteration counts and convergence flags; only the recorded
+residual traces of the blocked engine are summed in another order (a few
+ulps, :mod:`repro.ranking.batch`).
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.errors import EmptyBaseSetError, ParameterError
+from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ranking.batch import batched_power_iteration
+from repro.ranking.convergence import RankedResult
+from repro.ranking.focused import RowOperator
+from repro.ranking.pagerank import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERATIONS,
+    Tolerance,
+    check_damping,
+    check_max_iterations,
+    iterate,
+    live_operator,
+)
+from repro.ranking.topk import TopKStable
+
+
+class Restarts(NamedTuple):
+    """An ``(n, k)`` restart block and each column's base weights."""
+
+    #: Column ``j`` is the restart distribution ``s`` of base set ``j``.
+    block: np.ndarray
+    #: Column ``j``'s non-zero entries as node id -> weight, in base-set order.
+    base_weights: list[dict[str, float]]
+
+
+def uniform_restarts(
+    graph: AuthorityTransferDataGraph, id_sets: Sequence[Sequence[str]]
+) -> Restarts:
+    """One uniform (0/1, normalized) restart column per set of node ids.
+
+    A node id listed twice accumulates twice the weight (``np.add.at``, not
+    fancy assignment, which would keep one), and its base weight is read
+    back from the same column, so the weights always sum to one.  An empty
+    id set raises :class:`~repro.errors.EmptyBaseSetError`.
+    """
+    # Built transposed (one contiguous row per column) so each write is a
+    # contiguous fill; the blocked engine's per-chunk column slices then read
+    # contiguous rows of this F-ordered view.
+    transposed = np.zeros((len(id_sets), graph.num_nodes))
+    base_weights = []
+    for row, ids in zip(transposed, id_sets):
+        if not ids:
+            raise EmptyBaseSetError(())
+        indices = graph.indices_of(ids)
+        np.add.at(row, indices, 1.0)
+        row /= row.sum()
+        # A repeated id keeps its first position and its (one) column value.
+        base_weights.append(dict(zip(ids, row[indices].tolist())))
+    return Restarts(transposed.T, base_weights)
+
+
+def weighted_restarts(
+    graph: AuthorityTransferDataGraph, bases: Sequence[Mapping[str, float]]
+) -> Restarts:
+    """One restart column per weighted base set (node id -> jump probability,
+    already normalized: :func:`~repro.ranking.objectrank2.weighted_base_set`).
+
+    The columns are the dicts laid out by node index
+    (:meth:`~AuthorityTransferDataGraph.restart_vector`), and the dicts are
+    the base weights.  An empty base set raises
+    :class:`~repro.errors.EmptyBaseSetError`.
+    """
+    transposed = np.zeros((len(bases), graph.num_nodes))
+    for row, base in zip(transposed, bases):
+        if not base:
+            raise EmptyBaseSetError(())
+        row[:] = graph.restart_vector(base)
+    return Restarts(transposed.T, list(bases))
+
+
+def global_restarts(graph: AuthorityTransferDataGraph) -> Restarts:
+    """The global (query-independent) restart: uniform over every node.
+
+    Global ObjectRank is the warm-start seed for the very first user query
+    (Section 6.2).
+    """
+    return uniform_restarts(graph, [graph.node_ids])
+
+
+def rank(
+    graph: AuthorityTransferDataGraph,
+    restarts: Restarts,
+    stop: Tolerance | TopKStable,
+    *,
+    damping: float = DEFAULT_DAMPING,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    init: np.ndarray | None = None,
+    support: np.ndarray | None = None,
+) -> list[RankedResult]:
+    """The Equation 4 fixpoint of every restart column, one result each.
+
+    ``stop`` ends each column's iteration; :class:`TopKStable` needs a
+    single column.  ``damping`` must be in ``(0, 1)`` and ``max_iterations``
+    at least 1 (:class:`~repro.errors.ParameterError` otherwise, under every
+    stop).  ``init`` seeds the iteration — ``(n,)`` shared by every column,
+    or ``(n, k)`` one per column; the previous query's scores are the
+    warm-start trick of Section 6.2, which cuts the iteration count for
+    reformulated queries.
+
+    ``support`` (sorted node indices, single column only) runs the fixpoint
+    on the subgraph those nodes induce, through
+    :class:`~repro.ranking.focused.RowOperator`: ``init`` is then over the
+    support, and every score outside it is exactly 0.0.
+    """
+    check_damping(damping)
+    check_max_iterations(max_iterations)
+    block = restarts.block
+    k = block.shape[1]
+    if k == 1:
+        restart = block[:, 0]
+        if init is not None and np.ndim(init) == 2:
+            init = init[:, 0]
+        if support is None:
+            operator = live_operator(graph)
+        else:
+            operator = RowOperator(graph.matrix(), support)
+            restart = restart[support]
+        outcome = iterate(operator, restart, damping, max_iterations, init, stop.rule())
+        if support is not None:
+            scores = np.zeros(graph.num_nodes)
+            scores[support] = outcome.scores
+            outcome.scores = scores
+        outcomes = [outcome]
+    elif support is not None or not isinstance(stop, Tolerance):
+        raise ParameterError(
+            f"a {type(stop).__name__} stop or a support needs one restart "
+            f"column, got {k}"
+        )
+    elif k == 0:
+        return []
+    else:
+        batch = batched_power_iteration(
+            graph.matrix(), block, damping, stop.tolerance, max_iterations, init
+        )
+        outcomes = [batch.column(j) for j in range(k)]
+    return [
+        RankedResult(
+            node_ids=graph.node_ids,
+            scores=outcome.scores,
+            iterations=outcome.iterations,
+            converged=outcome.converged,
+            base_weights=weights,
+            residuals=outcome.residuals,
+        )
+        for outcome, weights in zip(outcomes, restarts.base_weights)
+    ]
+

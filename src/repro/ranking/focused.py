@@ -8,7 +8,8 @@ implements that execution mode *per query*, with no offline subsetting:
 
 1. expand the query's base set to its k-hop neighborhood (both edge
    directions, positive-rate edges only);
-2. run the ObjectRank2 power iteration on the subgraph those nodes induce;
+2. run the ObjectRank2 power iteration on the subgraph those nodes induce
+   (:func:`repro.ranking.core.rank` with ``support=``);
 3. report scores for subgraph nodes (everything outside scores 0).
 
 The approximation is good because authority decays geometrically with
@@ -36,21 +37,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
-from repro.errors import EmptyBaseSetError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
-from repro.ir.scoring import Scorer
-from repro.query.query import QueryVector
 from repro.ranking.convergence import RankedResult
-from repro.ranking.objectrank2 import weighted_base_set
-from repro.ranking.pagerank import (
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    power_iteration,
-)
-from repro.ranking.topk import topk_power_iteration
-
-DEFAULT_HORIZON = 3
 
 
 @dataclass
@@ -181,70 +169,3 @@ class RowOperator:
         inside[self.nodes] = True
         return int(np.count_nonzero(inside.take(self.indices) & (self.data != 0)))
 
-
-def induced_objectrank(
-    graph: AuthorityTransferDataGraph,
-    nodes: np.ndarray,
-    base: dict[str, float],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    early_k: int | None = None,
-) -> tuple[RankedResult, int]:
-    """Run the ObjectRank2 fixpoint on the subgraph induced by ``nodes``
-    (sorted indices): the ranking — full-length scores, exactly 0.0 outside
-    ``nodes`` — and the subgraph's positive-rate entry count.
-
-    ``base`` maps node ids (all inside ``nodes``) to restart weights.  This is
-    the shared execution core of :func:`focused_objectrank2` and the two-stage
-    engine's rerank stage — sharing it is what makes their degenerate configs
-    bit-identical.  ``early_k`` switches the exact power iteration for the
-    top-k-stability early exit of :func:`repro.ranking.topk.topk_power_iteration`;
-    either loop iterates a :class:`RowOperator`.
-    """
-    operator = RowOperator(graph.matrix(), nodes)
-    restart = graph.restart_vector(base)[nodes]
-    if early_k is None:
-        outcome = power_iteration(operator, restart, damping, tolerance, max_iterations)
-    else:
-        outcome = topk_power_iteration(
-            operator, restart, early_k, damping, max_iterations=max_iterations
-        )
-    scores = np.zeros(graph.num_nodes)
-    # repro-lint: ignore[RL001] nodes is sorted-unique, no duplicate indices
-    scores[nodes] = outcome.scores
-    ranked = RankedResult(
-        node_ids=graph.node_ids,
-        scores=scores,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        base_weights=base,
-        residuals=outcome.residuals,
-    )
-    return ranked, operator.edge_count()
-
-
-def focused_objectrank2(
-    graph: AuthorityTransferDataGraph,
-    scorer: Scorer,
-    query_vector: QueryVector,
-    horizon: int = DEFAULT_HORIZON,
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> FocusedResult:
-    """ObjectRank2 restricted to the base set's ``horizon``-hop neighborhood.
-
-    Returns full-length score vectors (zeros outside the subgraph) so results
-    compose with everything else in the library.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    base = weighted_base_set(scorer, query_vector)
-    if not base:
-        raise EmptyBaseSetError(tuple(query_vector.terms))
-    nodes = focused_neighborhood(graph, graph.indices_of(base), horizon)
-    ranked, edge_count = induced_objectrank(
-        graph, nodes, base, damping, tolerance, max_iterations
-    )
-    return FocusedResult(ranked, nodes, edge_count, horizon)

@@ -5,100 +5,74 @@ least one query keyword; the random surfer jumps back to a *uniformly* chosen
 base-set node with probability ``1 - d``.  Section 6.1.1 of the paper compares
 ObjectRank2 against a "slightly modified" multi-keyword ObjectRank that
 combines per-keyword scores with a normalizing exponent (Equation 16); both
-variants live here.
+the per-keyword vectors and that combination live here.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import EmptyBaseSetError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
-from repro.ranking.batch import batched_keyword_vectors
 from repro.ranking.convergence import RankedResult
+from repro.ranking.core import rank, uniform_restarts
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    live_operator,
-    personalized_pagerank,
-    power_iteration,
+    Tolerance,
 )
 
 
-def base_set(index: InvertedIndex, keywords: tuple[str, ...]) -> list[str]:
-    """``S(Q)``: ids of nodes containing at least one query keyword."""
-    return index.documents_with_any(keywords)
-
-
-def objectrank(
-    graph: AuthorityTransferDataGraph,
-    base_nodes: list[str],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> RankedResult:
-    """Query-specific ObjectRank with a uniform base set [BHP04]."""
-    if not base_nodes:
-        raise EmptyBaseSetError(())
-    indices = graph.indices_of(base_nodes)
-    outcome = personalized_pagerank(
-        live_operator(graph), indices, None, damping, tolerance, max_iterations,
-        init,
-    )
-    uniform = 1.0 / len(base_nodes)
-    return RankedResult(
-        node_ids=graph.node_ids,
-        scores=outcome.scores,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        base_weights={node_id: uniform for node_id in base_nodes},
-        residuals=outcome.residuals,
-    )
-
-
-def keyword_objectrank(
+def keyword_objectranks(
     graph: AuthorityTransferDataGraph,
     index: InvertedIndex,
-    keyword: str,
+    keywords: Sequence[str],
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> RankedResult:
-    """ObjectRank for a single keyword: base set = nodes containing it."""
-    nodes = index.documents_with_term(keyword)
-    if not nodes:
-        raise EmptyBaseSetError((keyword,))
-    return objectrank(graph, nodes, damping, tolerance, max_iterations, init)
+    init: dict[str, np.ndarray] | None = None,
+) -> dict[str, RankedResult]:
+    """Per-keyword ObjectRank for every keyword with a non-empty base set.
 
-
-def global_objectrank(
-    graph: AuthorityTransferDataGraph,
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> RankedResult:
-    """Global (query-independent) ObjectRank: base set = all nodes.
-
-    Used as the warm-start seed for the very first user query (Section 6.2).
+    The [BHP04]/[Hav02] precomputation core: one :func:`rank` call over the
+    whole keyword family, one uniform restart column per keyword (the
+    blocked engine advances them together).  Keywords that match no
+    document are skipped (they have no authority vector), a repeated keyword
+    is ranked once.  ``init`` optionally maps keywords to ``(n,)``
+    warm-start vectors (incremental refresh seeds dirty columns with their
+    previous fixpoints); keywords not in the map start at the default
+    uniform ``1/n``, exactly as with no ``init`` at all.
     """
-    n = graph.num_nodes
-    restart = np.full(n, 1.0 / n)
-    outcome = power_iteration(
-        live_operator(graph), restart, damping, tolerance, max_iterations
+    matched = [
+        (keyword, index.documents_with_term(keyword))
+        for keyword in dict.fromkeys(keywords)
+    ]
+    matched = [(keyword, base) for keyword, base in matched if base]
+    block_init: np.ndarray | None = None
+    if init is not None and matched:
+        n = graph.num_nodes
+        # Explicit uniform fill for unmapped columns is bit-identical to the
+        # engine's own default start (`block[:] = scores` writes the same
+        # floats `block.fill(1/n)` would).
+        block_init = np.full((n, len(matched)), 1.0 / n if n else 0.0)
+        for j, (keyword, _) in enumerate(matched):
+            seed = init.get(keyword)
+            if seed is not None:
+                block_init[:, j] = seed
+    results = rank(
+        graph,
+        uniform_restarts(graph, [base for _, base in matched]),
+        Tolerance(tolerance),
+        damping=damping,
+        max_iterations=max_iterations,
+        init=block_init,
     )
-    return RankedResult(
-        node_ids=graph.node_ids,
-        scores=outcome.scores,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        residuals=outcome.residuals,
-    )
+    return {keyword: result for (keyword, _), result in zip(matched, results)}
 
 
 def normalizing_exponent(base_set_size: int) -> float:
@@ -131,11 +105,10 @@ def multi_keyword_objectrank(
     normalizing exponent ``g(t_i)``; this is the ObjectRank side of the
     Table 2 comparison.  Keywords that match nothing are skipped (matching the
     OR semantics of the base set); if none match, the base set is empty.  The
-    per-keyword fixpoints share one blocked run over the CSR matrix
-    (:mod:`repro.ranking.batch`) instead of one serial iteration each.
+    per-keyword fixpoints come from one :func:`keyword_objectranks` call.
     """
     matched = list(
-        batched_keyword_vectors(
+        keyword_objectranks(
             graph, index, keywords, damping, tolerance, max_iterations
         ).items()
     )

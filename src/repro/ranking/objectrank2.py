@@ -22,12 +22,12 @@ from repro.ir.scoring import Scorer
 if TYPE_CHECKING:  # avoid a circular import: repro.query depends on ranking
     from repro.query.query import QueryVector
 from repro.ranking.convergence import RankedResult
+from repro.ranking.core import rank, weighted_restarts
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    live_operator,
-    power_iteration,
+    Tolerance,
 )
 
 
@@ -87,15 +87,11 @@ def objectrank2(
     iteration-count drop for reformulated queries.
     """
     base = weighted_base_set(scorer, query_vector)
-    outcome = power_iteration(
-        live_operator(graph), graph.restart_vector(base), damping, tolerance,
-        max_iterations, init,
-    )
-    return RankedResult(
-        node_ids=graph.node_ids,
-        scores=outcome.scores,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        base_weights=base,
-        residuals=outcome.residuals,
-    )
+    return rank(
+        graph,
+        weighted_restarts(graph, [base]),
+        Tolerance(tolerance),
+        damping=damping,
+        max_iterations=max_iterations,
+        init=init,
+    )[0]

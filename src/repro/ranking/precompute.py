@@ -6,11 +6,11 @@ faster hardware, *precompute ObjectRank2 values as in [BHP04]*, or define
 focused subsets.  This module implements the precomputation remedy: one
 authority vector per index keyword, computed offline, combined at query time.
 
-The offline build runs every keyword's fixpoint through the blocked engine of
+The offline build is one :func:`repro.ranking.core.rank` call over a uniform
+restart column per keyword, which runs the blocked engine of
 :mod:`repro.ranking.batch` — one pass over the CSR matrix advances a whole
 block of the vocabulary at once — instead of one serial power iteration per
-keyword.  Each vector is identical
-to the serial computation.
+keyword.  Each vector is identical to the serial computation.
 
 Combination at query time follows the same weighted-base-set idea as
 ObjectRank2: per-keyword vectors are blended linearly with weights
@@ -34,8 +34,8 @@ from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
 from repro.ir.scoring import BM25Scorer
 from repro.query.query import QueryVector
-from repro.ranking.batch import batched_keyword_vectors
 from repro.ranking.convergence import RankedResult
+from repro.ranking.objectrank import keyword_objectranks
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
@@ -144,7 +144,7 @@ class PrecomputedRanker:
         _valid_coverage(min_coverage)  # fail before the build, not after it
         if keywords is None:
             keywords = index.vocabulary(min_document_frequency)
-        built = batched_keyword_vectors(
+        built = keyword_objectranks(
             graph, index, keywords, damping, tolerance, max_iterations
         )
         self._serve(

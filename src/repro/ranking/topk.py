@@ -1,4 +1,4 @@
-"""Top-k ObjectRank2 with early termination.
+"""Top-k early termination: the stop rule for a ranking only a page of.
 
 The interactive system only ever shows the user the top-k objects, so the
 power iteration can stop as soon as the *identity and order* of the top-k is
@@ -6,111 +6,69 @@ stable, well before the scores themselves converge to the tolerance — the
 classic iterative-ranking optimization in the ObjectRank family.
 
 The stopping rule: after each iteration, compare the top-k id sequence to the
-previous iteration's; after ``stable_iterations`` consecutive identical
-sequences (and a residual below a loose guard), stop.  The guard prevents
-declaring stability during the first flat iterations of a cold start.
+previous iteration's; after :data:`STABLE_ITERATIONS` consecutive identical
+sequences (and a residual below :data:`RESIDUAL_GUARD`), stop.  The guard
+prevents declaring stability during the first flat iterations of a cold
+start.  ``converged`` then means "top-k stable", not "residual below
+tolerance", and the scores are slightly unconverged iterates: fine for
+ranking, not for flow explanation — explain with exact scores.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from repro.graph.transfer_graph import AuthorityTransferDataGraph
-from repro.ir.scoring import Scorer
-from repro.query.query import QueryVector
-from repro.ranking.convergence import PowerIterationResult, RankedResult
-from repro.ranking.objectrank2 import weighted_base_set
-from repro.ranking.pagerank import (
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_ITERATIONS,
-    TransitionOperator,
-    iterate,
-    live_operator,
-)
+from repro.errors import ParameterError
+
+#: Consecutive iterations the top-k sequence must repeat before stopping.
+STABLE_ITERATIONS = 3
+#: Stability is not counted while an iteration's L1 change is this large.
+RESIDUAL_GUARD = 0.05
 
 
-def topk_power_iteration(
-    matrix: TransitionOperator,
-    restart: np.ndarray,
-    k: int,
-    damping: float = DEFAULT_DAMPING,
-    stable_iterations: int = 3,
-    residual_guard: float = 0.05,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> PowerIterationResult:
-    """Power iteration that stops once the top-``k`` id sequence is stable.
+@dataclass(frozen=True)
+class TopKStable:
+    """Stop once the top-``k`` id sequence has been stable (module docstring).
 
-    The matrix-agnostic core of :func:`objectrank2_topk`, reused by the
-    two-stage engine's rerank stage on the rows of its neighbourhood.
-    ``converged`` means "top-k stable", not "residual below tolerance".
+    A rule over one score vector: :func:`repro.ranking.core.rank` accepts
+    it for a single restart column only.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if stable_iterations < 1:
-        raise ValueError(f"stable_iterations must be positive, got {stable_iterations}")
 
-    def top_ids(vector: np.ndarray) -> tuple[int, ...]:
-        head = min(k, len(vector))
-        if head == len(vector):
-            candidates = np.arange(len(vector))
-        else:
-            # argpartition is O(n); only the k candidates need full sorting.
-            candidates = np.argpartition(-vector, head - 1)[:head]
-        order = candidates[np.argsort(-vector[candidates], kind="stable")]
-        return tuple(int(i) for i in order)
+    k: int
 
-    previous_top: tuple[int, ...] | None = None
-    stable = 0
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ParameterError(f"k must be positive, got {self.k}")
 
-    def top_k_is_stable(scores: np.ndarray, residual: float) -> bool:
-        nonlocal previous_top, stable
-        if residual >= residual_guard:
-            # Stability cannot count yet; skip the top-k extraction entirely
-            # so the guard phase costs nothing beyond the matvec.
-            previous_top, stable = None, 0
-            return False
-        current_top = top_ids(scores)
-        stable = stable + 1 if current_top == previous_top else 0
-        previous_top = current_top
-        return stable >= stable_iterations
+    def rule(self) -> Callable[[np.ndarray, float], bool]:
+        """A fresh stateful stop callable for one :func:`iterate` run."""
+        k = self.k
+        previous_top: tuple[int, ...] | None = None
+        stable = 0
 
-    return iterate(matrix, restart, damping, max_iterations, init, top_k_is_stable)
+        def top_ids(vector: np.ndarray) -> tuple[int, ...]:
+            head = min(k, len(vector))
+            if head == len(vector):
+                candidates = np.arange(len(vector))
+            else:
+                # argpartition is O(n); only the k candidates need full sorting.
+                candidates = np.argpartition(-vector, head - 1)[:head]
+            order = candidates[np.argsort(-vector[candidates], kind="stable")]
+            return tuple(int(i) for i in order)
 
+        def top_k_is_stable(scores: np.ndarray, residual: float) -> bool:
+            nonlocal previous_top, stable
+            if residual >= RESIDUAL_GUARD:
+                # Stability cannot count yet; skip the top-k extraction entirely
+                # so the guard phase costs nothing beyond the matvec.
+                previous_top, stable = None, 0
+                return False
+            current_top = top_ids(scores)
+            stable = stable + 1 if current_top == previous_top else 0
+            previous_top = current_top
+            return stable >= STABLE_ITERATIONS
 
-def objectrank2_topk(
-    graph: AuthorityTransferDataGraph,
-    scorer: Scorer,
-    query_vector: QueryVector,
-    k: int = 10,
-    damping: float = DEFAULT_DAMPING,
-    stable_iterations: int = 3,
-    residual_guard: float = 0.05,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: np.ndarray | None = None,
-) -> RankedResult:
-    """ObjectRank2 that stops once the top-``k`` ranking is stable.
-
-    Returns the same :class:`RankedResult` shape as exact ObjectRank2; the
-    scores are the (slightly unconverged) iterates, which is fine for
-    ranking but not for flow explanation — explain with exact scores.
-    """
-    base = weighted_base_set(scorer, query_vector)
-    outcome = topk_power_iteration(
-        live_operator(graph),
-        graph.restart_vector(base),
-        k,
-        damping,
-        stable_iterations,
-        residual_guard,
-        max_iterations,
-        init,
-    )
-    return RankedResult(
-        node_ids=graph.node_ids,
-        scores=outcome.scores,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        base_weights=base,
-        residuals=outcome.residuals,
-    )
+        return top_k_is_stable

@@ -8,7 +8,7 @@ makes the per-query cost scale with that page instead:
    ``S(Q)`` scored term at a time (:func:`repro.ir.accumulate.score_postings`,
    ``scorer.score`` floats), the best N kept by (score desc, doc id asc).
 2. **Authority reranking** — the focused-subgraph ObjectRank2 fixpoint
-   (:func:`repro.ranking.focused.induced_objectrank`) on the candidates'
+   (:func:`repro.ranking.core.rank` with ``support=``) on the candidates'
    ``horizon``-hop neighborhood, restarted from the candidates' normalized
    IR scores.  Its authority scores are the answer, as in reranking an
    initially retrieved list by authority over the graph that list induces.
@@ -19,10 +19,11 @@ gathers its neighborhood's rows and iterates them over a scratch vector
 its page inside the neighborhood, outside which every score is exactly 0.0.
 
 Degenerate configurations collapse *bit-identically* onto existing paths —
-``candidates >= |S(Q)|`` is exactly
-:func:`repro.ranking.focused.focused_objectrank2` — because both run the
-same induced-subgraph core on the same restart vector.  The property tests
-pin this, which is what makes the fast path trustworthy.
+``candidates >= |S(Q)|`` is exactly focused ObjectRank2 (the IR-weighted
+base set of all of ``S(Q)``, its ``horizon``-hop neighborhood, the same
+``rank`` call; ``tests/ranking/reference.py`` keeps it as the oracle) and
+the run over the induced submatrix.  The property tests pin this, which is
+what makes the fast path trustworthy.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
 from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
-from repro.ranking.focused import (
-    FocusedResult,
-    focused_neighborhood,
-    induced_objectrank,
-)
+from repro.ranking.core import rank, weighted_restarts
+from repro.ranking.focused import FocusedResult, RowOperator, focused_neighborhood
 from repro.ranking.objectrank2 import normalized_base_weights
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    Tolerance,
 )
+from repro.ranking.topk import TopKStable
 
 DEFAULT_CANDIDATES = 200
 DEFAULT_RERANK_HORIZON = 2
@@ -233,15 +233,15 @@ def two_stage_rank(
         node_budget=node_budget,
         max_horizon=max_horizon,
     )
-    ranked, edge_count = induced_objectrank(
+    (ranked,) = rank(
         graph,
-        nodes,
-        restricted_base_set(candidate_set),
-        damping,
-        tolerance,
-        max_iterations,
-        early_k=early_k,
+        weighted_restarts(graph, [restricted_base_set(candidate_set)]),
+        Tolerance(tolerance) if early_k is None else TopKStable(early_k),
+        damping=damping,
+        max_iterations=max_iterations,
+        support=nodes,
     )
+    edge_count = RowOperator(graph.matrix(), nodes).edge_count()
     stage2_seconds = time.perf_counter() - start
 
     return TwoStageResult(

@@ -5,7 +5,7 @@ nothing from ``repro``, and ``repro.cli`` imports it only to hand a
 ``repro lint`` invocation to :func:`repro_lint.cli.main`.
 
 Every silent-correctness bug fixed in PR 2 — the last-write-wins fancy
-indexing in ``personalized_pagerank``, the ``transfer_view`` build-once
+indexing of a restart vector (``uniform_restarts`` builds them now), the ``transfer_view`` build-once
 latch, the shared-rates mutation in ``SearchEngine`` — belongs to a
 statically detectable pattern class.  This package encodes those classes as
 AST checkers (RL001, RL002, RL004, RL005) and, since PR 5, *flow-sensitive* checkers

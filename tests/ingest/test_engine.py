@@ -7,7 +7,9 @@ from repro.errors import ConformanceError, GraphError, IngestError, UnknownNodeE
 from repro.graph import AuthorityTransferDataGraph, DataGraph, find_violations
 from repro.graph import transfer_graph
 from repro.ingest import AddNode, IngestEngine, UpdateNode
-from repro.ranking import _native, objectrank
+from repro.ranking import _native
+
+from tests.ranking.reference import objectrank
 from repro.ranking.precompute import PrecomputedRanker
 from tests.graph.reference import tricky_rates
 

@@ -31,13 +31,12 @@ class TestDivergentRates:
         converged=False rather than looping forever or lying."""
         from scipy import sparse
 
-        from repro.ranking import power_iteration
+        from repro.ranking import Tolerance
+        from repro.ranking.pagerank import iterate
 
         expanding = sparse.csr_matrix(np.full((3, 3), 2.0))
         restart = np.full(3, 1 / 3)
-        result = power_iteration(
-            expanding, restart, tolerance=1e-12, max_iterations=10
-        )
+        result = iterate(expanding, restart, 0.85, 10, None, Tolerance(1e-12).rule())
         assert not result.converged
         assert result.iterations == 10
 

@@ -2,25 +2,23 @@
 
 The tentpole claim of ``repro.ranking.batch`` is that blocking is a pure
 performance change — per column, scores (≤1e-12), iteration counts and
-convergence flags all match a serial
-:func:`~repro.ranking.pagerank.power_iteration` run, and residual traces
-match to a few ulps (they are recorded in a vectorized summation order).
-These properties check that over random conforming DBLP graphs and random
-restart blocks.
+convergence flags all match the serial reference loop
+(``tests/ranking/reference.py``), and residual traces match to a few ulps
+(they are recorded in a vectorized summation order).  ``rank`` hands two or
+more restart columns to the blocked engine and one to the single-vector
+loop, so a base set ranks the same alone or in a block.  These properties
+check that over random conforming DBLP graphs and random restart blocks.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ranking import (
-    batched_objectrank,
-    batched_power_iteration,
-    objectrank,
-    power_iteration,
-)
+from repro.ranking import Tolerance, rank, uniform_restarts
+from repro.ranking.batch import batched_power_iteration
 
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.ranking.reference import objectrank, reference_power_iteration
 
 
 @st.composite
@@ -50,7 +48,7 @@ def test_blocked_matches_serial_column_by_column(graph_and_block):
     matrix = atdg.matrix()
     batch = batched_power_iteration(matrix, restarts, tolerance=1e-8)
     for j in range(restarts.shape[1]):
-        serial = power_iteration(matrix, restarts[:, j], tolerance=1e-8)
+        serial = reference_power_iteration(matrix, restarts[:, j], tolerance=1e-8)
         column = batch.column(j)
         assert column.iterations == serial.iterations
         assert column.converged == serial.converged
@@ -70,7 +68,7 @@ def test_batched_objectrank_matches_serial(atdg, data):
         )
         for _ in range(k)
     ]
-    batched = batched_objectrank(atdg, base_sets, tolerance=1e-9)
+    batched = rank(atdg, uniform_restarts(atdg, base_sets), Tolerance(1e-9))
     for base, result in zip(base_sets, batched):
         serial = objectrank(atdg, base, tolerance=1e-9)
         assert result.iterations == serial.iterations

@@ -28,9 +28,10 @@ from repro.explain import (
     build_explaining_subgraph,
 )
 from repro.graph import AuthorityTransferDataGraph, DataGraph
-from repro.ranking import _native, objectrank
+from repro.ranking import _native
 
 from tests.properties.strategies import dblp_graphs, dblp_transfer_graphs
+from tests.ranking.reference import objectrank
 
 _RADII = st.one_of(st.none(), st.integers(1, 4))
 

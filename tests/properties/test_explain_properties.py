@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.explain import adjust_flows, build_explaining_subgraph
-from repro.ranking import objectrank
-
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.ranking.reference import objectrank
 
 
 def _setup(atdg, target_index):

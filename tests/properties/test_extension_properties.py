@@ -6,10 +6,17 @@ from hypothesis import strategies as st
 
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import QueryVector
-from repro.ranking import focused_objectrank2, objectrank2, objectrank2_topk
+from repro.ranking import (
+    TopKStable,
+    objectrank2,
+    rank,
+    weighted_base_set,
+    weighted_restarts,
+)
 from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
 
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.ranking.reference import focused_objectrank2
 
 
 def _query_for(atdg):
@@ -55,7 +62,8 @@ def test_topk_agrees_with_exact_on_top_set(atdg, k):
     if vector is None:
         return
     exact = objectrank2(atdg, scorer, vector, tolerance=1e-10)
-    fast = objectrank2_topk(atdg, scorer, vector, k=k, stable_iterations=4)
+    base = weighted_base_set(scorer, vector)
+    (fast,) = rank(atdg, weighted_restarts(atdg, [base]), TopKStable(k))
     exact_ids = {i for i, _ in exact.top_k(k)}
     fast_ids = {i for i, _ in fast.top_k(k)}
     # allow one borderline swap on near-ties

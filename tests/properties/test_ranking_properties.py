@@ -5,9 +5,10 @@ from hypothesis import given, settings
 
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import QueryVector
-from repro.ranking import objectrank, objectrank2
+from repro.ranking import objectrank2
 
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.ranking.reference import objectrank
 
 
 def _paper_ids(atdg):

@@ -14,7 +14,6 @@ from repro.explain import (
 )
 from repro.ir.tokenize import Analyzer
 from repro.query import QueryVector
-from repro.ranking import objectrank
 from repro.reformulate import (
     AGGREGATORS,
     ContentReformulator,
@@ -23,6 +22,7 @@ from repro.reformulate import (
 )
 
 from tests.properties.strategies import dblp_transfer_graphs, rate_vectors
+from tests.ranking.reference import objectrank
 from tests.reformulate.reference import (
     reference_flow_by_edge_type,
     reference_reformulate,

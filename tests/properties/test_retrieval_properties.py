@@ -22,12 +22,11 @@ from hypothesis import strategies as st
 
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import QueryVector
-from repro.ranking import focused_objectrank2
 from repro.retrieval import top_n_candidates, two_stage_rank
 
 from tests.ir.reference import reference_top_n
 from tests.properties.strategies import dblp_transfer_graphs
-from tests.ranking.reference import reference_induced_objectrank
+from tests.ranking.reference import focused_objectrank2, reference_induced_objectrank
 
 _WORDS = (
     "olap", "cube", "xml", "mining", "query", "index", "stream", "rank",

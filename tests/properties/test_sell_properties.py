@@ -16,9 +16,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.graph.transfer_graph import SellMatrix, sell_layout
-from repro.ranking import _native, objectrank2, objectrank2_topk
-from repro.ranking.pagerank import live_operator, power_iteration
-from repro.ranking.topk import topk_power_iteration
+from repro.ranking import (
+    Tolerance,
+    TopKStable,
+    _native,
+    objectrank2,
+    rank,
+    weighted_restarts,
+)
+from repro.ranking.pagerank import iterate, live_operator
 
 from tests.ranking.reference import (
     reference_power_iteration,
@@ -102,7 +108,7 @@ def test_power_iteration_equals_the_reference_loop(step, case, tolerance):
     operator = sell(matrix)
     assert_kernel_runs(step, operator, restart)
     assert_same(
-        power_iteration(operator, restart, tolerance=tolerance, max_iterations=60, init=init),
+        iterate(operator, restart, 0.85, 60, init, Tolerance(tolerance).rule()),
         reference_power_iteration(matrix, restart, 0.85, tolerance, 60, init),
     )
 
@@ -112,14 +118,14 @@ def test_power_iteration_equals_the_reference_loop(step, case, tolerance):
 def test_topk_power_iteration_equals_the_reference_loop(step, case, k):
     matrix, restart, init = case
     assert_same(
-        topk_power_iteration(sell(matrix), restart, k, max_iterations=80, init=init),
+        iterate(sell(matrix), restart, 0.85, 80, init, TopKStable(k).rule()),
         reference_topk_power_iteration(matrix, restart, k, max_iterations=80, init=init),
     )
 
 
 def test_live_ranker_equals_the_reference_loop(step, dblp_tiny_engine):
-    """``objectrank2`` and ``objectrank2_topk`` on the live path, cold and
-    warm-started: their operator, their floats."""
+    """``objectrank2`` and its restart under the top-k stop on the live
+    path, cold and warm-started: their operator, their floats."""
     engine = dblp_tiny_engine
     graph = engine.graph
     vector = engine.query_vector("olap cube mining")
@@ -127,8 +133,11 @@ def test_live_ranker_equals_the_reference_loop(step, dblp_tiny_engine):
         ranked = objectrank2(graph, engine.scorer, vector, init=init)
         restart = graph.restart_vector(ranked.base_weights)
         assert_same(ranked, reference_power_iteration(graph.matrix(), restart, init=init))
+        (top,) = rank(
+            graph, weighted_restarts(graph, [ranked.base_weights]), TopKStable(10),
+            init=init,
+        )
         assert_same(
-            objectrank2_topk(graph, engine.scorer, vector, init=init),
-            reference_topk_power_iteration(graph.matrix(), restart, 10, init=init),
+            top, reference_topk_power_iteration(graph.matrix(), restart, 10, init=init)
         )
     assert isinstance(live_operator(graph), SellMatrix) == (step == "kernel")

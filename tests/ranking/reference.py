@@ -6,7 +6,11 @@ one loop, :func:`repro.ranking.pagerank.iterate`, kept verbatim so the row
 operator and the shared loop can be checked ``==`` against them
 (``tests/ranking/test_focused.py``, ``test_pagerank.py``, ``test_topk.py``,
 ``tests/properties/test_sell_properties.py``,
-``tests/properties/test_retrieval_properties.py``).  Nothing in ``src``
+``tests/properties/test_retrieval_properties.py``).  Focused ObjectRank2 —
+the degenerate two-stage configuration, every document of ``S(Q)`` a
+candidate — is kept here as the function the two-stage engine must
+collapse onto, and uniform-base-set ObjectRank as the ranking the
+explanation and reformulation properties start from.  Nothing in ``src``
 calls these.
 """
 
@@ -15,7 +19,16 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from repro.errors import EmptyBaseSetError
+from repro.ranking import (
+    Tolerance,
+    rank,
+    uniform_restarts,
+    weighted_base_set,
+    weighted_restarts,
+)
 from repro.ranking.convergence import PowerIterationResult
+from repro.ranking.focused import FocusedResult, RowOperator, focused_neighborhood
 
 
 def induced_transition_matrix(graph, nodes: np.ndarray) -> tuple[sparse.csr_matrix, int]:
@@ -138,3 +151,32 @@ def reference_induced_objectrank(
             stable_iterations, residual_guard, max_iterations,
         )
     return outcome, edge_count
+
+
+def objectrank(graph, base_nodes, damping=0.85, tolerance=0.0001, init=None):
+    """ObjectRank [BHP04] over a uniform base set: one builder, one ``rank``."""
+    (ranked,) = rank(
+        graph, uniform_restarts(graph, [base_nodes]), Tolerance(tolerance),
+        damping=damping, init=init,
+    )
+    return ranked
+
+
+def focused_objectrank2(
+    graph, scorer, query_vector, horizon=3, damping=0.85, tolerance=0.0001,
+    max_iterations=500,
+) -> FocusedResult:
+    """ObjectRank2 restricted to the base set's ``horizon``-hop neighborhood:
+    full-length scores, exactly 0.0 outside the subgraph."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    base = weighted_base_set(scorer, query_vector)
+    if not base:
+        raise EmptyBaseSetError(tuple(query_vector.terms))
+    nodes = focused_neighborhood(graph, graph.indices_of(base), horizon)
+    (ranked,) = rank(
+        graph, weighted_restarts(graph, [base]), Tolerance(tolerance),
+        damping=damping, max_iterations=max_iterations, support=nodes,
+    )
+    edge_count = RowOperator(graph.matrix(), nodes).edge_count()
+    return FocusedResult(ranked, nodes, edge_count, horizon)

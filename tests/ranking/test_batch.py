@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.errors import EmptyBaseSetError
+from repro.errors import EmptyBaseSetError, ParameterError
 from repro.query import QueryVector
 from repro.ranking import (
-    batched_keyword_vectors,
-    batched_objectrank,
-    batched_objectrank2,
-    batched_power_iteration,
-    keyword_objectrank,
+    Tolerance,
     multi_keyword_objectrank,
-    objectrank,
     objectrank2,
-    power_iteration,
+    rank,
+    uniform_restarts,
+    weighted_base_set,
+    weighted_restarts,
 )
+from repro.ranking.batch import batched_power_iteration
+from repro.ranking.objectrank import keyword_objectranks
+
+from tests.ranking.reference import objectrank, reference_power_iteration
 
 
 def random_substochastic(n: int, seed: int, density: float = 0.25) -> sparse.csr_matrix:
@@ -33,13 +35,13 @@ def random_restarts(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def assert_matches_serial(matrix, restarts, batch, **kwargs):
-    """Column-by-column comparison against the serial engine.
+    """Column-by-column comparison against the serial reference loop.
 
     Scores and iteration counts are exact; the residual trace is recorded
     in a different (vectorized) summation order and matches to a few ulps.
     """
     for j in range(restarts.shape[1]):
-        serial = power_iteration(matrix, restarts[:, j], **kwargs)
+        serial = reference_power_iteration(matrix, restarts[:, j], **kwargs)
         column = batch.column(j)
         assert column.iterations == serial.iterations
         assert column.converged == serial.converged
@@ -84,7 +86,9 @@ class TestBlockedEngine:
         init = np.linspace(0.0, 1.0, 30)
         batch = batched_power_iteration(matrix, restarts, tolerance=1e-9, init=init)
         for j in range(4):
-            serial = power_iteration(matrix, restarts[:, j], tolerance=1e-9, init=init)
+            serial = reference_power_iteration(
+                matrix, restarts[:, j], tolerance=1e-9, init=init
+            )
             assert batch.column(j).iterations == serial.iterations
             assert np.abs(batch.column(j).scores - serial.scores).max() <= 1e-12
 
@@ -94,7 +98,7 @@ class TestBlockedEngine:
         init = random_restarts(20, 2, seed=14)
         batch = batched_power_iteration(matrix, restarts, tolerance=1e-9, init=init)
         for j in range(2):
-            serial = power_iteration(
+            serial = reference_power_iteration(
                 matrix, restarts[:, j], tolerance=1e-9, init=init[:, j]
             )
             assert batch.column(j).iterations == serial.iterations
@@ -118,52 +122,56 @@ class TestBlockedEngine:
         assert batch.num_columns == 0
         assert batch.scores.shape == (10, 0)
 
-    def test_validation_errors(self):
+    def test_validation_errors(self, figure1_graph):
         matrix = random_substochastic(10, seed=18)
         with pytest.raises(ValueError):
             batched_power_iteration(matrix, np.zeros(10))  # 1-D block
         with pytest.raises(ValueError):
             batched_power_iteration(matrix, np.zeros((4, 2)))  # wrong n
         with pytest.raises(ValueError):
-            batched_power_iteration(matrix, np.zeros((10, 2)), damping=1.5)
-        with pytest.raises(ValueError):
             batched_power_iteration(matrix, np.zeros((10, 2)), init=np.zeros(3))
+        # Damping and the iteration cap are checked once, by ``rank``.
+        two = uniform_restarts(figure1_graph, [["v1"], ["v4"]])
+        with pytest.raises(ParameterError):
+            rank(figure1_graph, two, Tolerance(), damping=1.5)
+        with pytest.raises(ParameterError):
+            rank(figure1_graph, two, Tolerance(), max_iterations=0)
 
 
 class TestGraphLevelBatching:
     def test_batched_objectrank_matches_serial(self, figure1_graph):
         base_sets = [["v1", "v4"], ["v5"], ["v1", "v2", "v3"]]
-        batched = batched_objectrank(figure1_graph, base_sets, tolerance=1e-10)
+        batched = rank(figure1_graph, uniform_restarts(figure1_graph, base_sets), Tolerance(1e-10))
         for base, result in zip(base_sets, batched):
             serial = objectrank(figure1_graph, base, tolerance=1e-10)
             assert result.iterations == serial.iterations
             assert result.converged == serial.converged
-            assert np.abs(result.scores - serial.scores).max() <= 1e-12
+            assert np.array_equal(result.scores, serial.scores)
             assert result.base_weights == serial.base_weights
 
     def test_batched_objectrank_empty_base_set_raises(self, figure1_graph):
         with pytest.raises(EmptyBaseSetError):
-            batched_objectrank(figure1_graph, [["v1"], []])
+            uniform_restarts(figure1_graph, [["v1"], []])
 
     def test_batched_keyword_vectors_matches_serial(
         self, figure1_graph, figure1_index
     ):
         keywords = list(figure1_index.vocabulary())
-        batched = batched_keyword_vectors(
+        batched = keyword_objectranks(
             figure1_graph, figure1_index, keywords, tolerance=1e-10
         )
         assert set(batched) == set(keywords)
         for keyword, result in batched.items():
-            serial = keyword_objectrank(
-                figure1_graph, figure1_index, keyword, tolerance=1e-10
-            )
+            (serial,) = keyword_objectranks(
+                figure1_graph, figure1_index, [keyword], tolerance=1e-10
+            ).values()
             assert result.iterations == serial.iterations
-            assert np.abs(result.scores - serial.scores).max() <= 1e-12
+            assert np.array_equal(result.scores, serial.scores)
 
     def test_batched_keyword_vectors_skips_unmatched(
         self, figure1_graph, figure1_index
     ):
-        batched = batched_keyword_vectors(
+        batched = keyword_objectranks(
             figure1_graph, figure1_index, ["olap", "notaword"]
         )
         assert list(batched) == ["olap"]
@@ -177,7 +185,9 @@ class TestGraphLevelBatching:
             tolerance=1e-10,
         )
         serial_parts = [
-            keyword_objectrank(figure1_graph, figure1_index, kw, tolerance=1e-10)
+            objectrank(
+                figure1_graph, figure1_index.documents_with_term(kw), tolerance=1e-10
+            )
             for kw in ("olap", "multidimensional")
         ]
         assert result.iterations == sum(p.iterations for p in serial_parts)
@@ -192,13 +202,15 @@ class TestGraphLevelBatching:
             QueryVector({"cube": 1.0}),
         ]
         init = np.full(figure1_graph.num_nodes, 1.0 / figure1_graph.num_nodes)
-        batched = batched_objectrank2(
-            figure1_graph, figure1_scorer, vectors, tolerance=1e-10, init=init
+        bases = [weighted_base_set(figure1_scorer, vector) for vector in vectors]
+        batched = rank(
+            figure1_graph, weighted_restarts(figure1_graph, bases), Tolerance(1e-10),
+            init=init,
         )
         for vector, result in zip(vectors, batched):
             serial = objectrank2(
                 figure1_graph, figure1_scorer, vector, tolerance=1e-10, init=init
             )
             assert result.iterations == serial.iterations
-            assert np.abs(result.scores - serial.scores).max() <= 1e-12
+            assert np.array_equal(result.scores, serial.scores)
             assert result.base_weights == serial.base_weights

@@ -10,11 +10,11 @@ from repro.errors import EmptyBaseSetError
 from repro.graph import AuthorityTransferDataGraph
 from repro.query import KeywordQuery, QueryVector
 from repro.query.engine import select_top
-from repro.ranking import focused_neighborhood, focused_objectrank2, objectrank2
-from repro.ranking.focused import RowOperator, induced_objectrank
+from repro.ranking import Tolerance, TopKStable, objectrank2, rank, weighted_restarts
+from repro.ranking.focused import RowOperator, focused_neighborhood
 
 from tests.properties.strategies import dblp_graphs, rate_vectors
-from tests.ranking.reference import reference_induced_objectrank
+from tests.ranking.reference import focused_objectrank2, reference_induced_objectrank
 
 
 class TestNeighborhood:
@@ -216,7 +216,9 @@ def multigraph_run(draw):
 @settings(max_examples=120, deadline=None)
 def test_row_operator_run_equals_reference_induced_matrix_run(case, early_k):
     graph, nodes, base = case
-    ranked, edge_count = induced_objectrank(graph, nodes, base, early_k=early_k)
+    stop = Tolerance() if early_k is None else TopKStable(early_k)
+    (ranked,) = rank(graph, weighted_restarts(graph, [base]), stop, support=nodes)
+    edge_count = RowOperator(graph.matrix(), nodes).edge_count()
     outcome, reference_edge_count = reference_induced_objectrank(
         graph, nodes, base, early_k=early_k
     )

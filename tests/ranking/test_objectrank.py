@@ -6,21 +6,23 @@ import pytest
 
 from repro.errors import EmptyBaseSetError
 from repro.ranking import (
-    base_set,
-    global_objectrank,
-    keyword_objectrank,
+    Tolerance,
+    global_restarts,
     multi_keyword_objectrank,
-    normalizing_exponent,
-    objectrank,
+    rank,
+    uniform_restarts,
 )
+from repro.ranking.objectrank import keyword_objectranks, normalizing_exponent
+
+from tests.ranking.reference import objectrank
 
 
 class TestBaseSet:
     def test_base_set_contains_keyword_nodes(self, figure1_index):
-        assert set(base_set(figure1_index, ("olap",))) == {"v1", "v4"}
+        assert set(figure1_index.documents_with_any(("olap",))) == {"v1", "v4"}
 
     def test_base_set_union_over_keywords(self, figure1_index):
-        nodes = set(base_set(figure1_index, ("olap", "multidimensional")))
+        nodes = set(figure1_index.documents_with_any(("olap", "multidimensional")))
         assert nodes == {"v1", "v4", "v5"}
 
 
@@ -31,15 +33,19 @@ class TestObjectRank:
 
     def test_empty_base_set_raises(self, figure1_graph):
         with pytest.raises(EmptyBaseSetError):
-            objectrank(figure1_graph, [])
+            uniform_restarts(figure1_graph, [[]])
 
     def test_data_cube_wins_olap(self, figure1_graph, figure1_index):
-        result = keyword_objectrank(figure1_graph, figure1_index, "olap", tolerance=1e-10)
+        result = keyword_objectranks(
+            figure1_graph, figure1_index, ["olap"], tolerance=1e-10
+        )["olap"]
         assert result.top_k(1)[0][0] == "v7"
 
     def test_unknown_keyword_raises(self, figure1_graph, figure1_index):
+        """A keyword nothing contains has an empty base set: no restart."""
+        assert keyword_objectranks(figure1_graph, figure1_index, ["zzz"]) == {}
         with pytest.raises(EmptyBaseSetError):
-            keyword_objectrank(figure1_graph, figure1_index, "zzz")
+            uniform_restarts(figure1_graph, [figure1_index.documents_with_term("zzz")])
 
     def test_top_k_sorted_descending(self, figure1_graph):
         result = objectrank(figure1_graph, ["v1"], tolerance=1e-10)
@@ -63,12 +69,12 @@ class TestObjectRank:
 
 class TestGlobalObjectRank:
     def test_runs_and_converges(self, figure1_graph):
-        result = global_objectrank(figure1_graph, tolerance=1e-10)
+        (result,) = rank(figure1_graph, global_restarts(figure1_graph), Tolerance(1e-10))
         assert result.converged
         assert (result.scores > 0).all()
 
     def test_cited_paper_has_high_global_rank(self, figure1_graph):
-        result = global_objectrank(figure1_graph, tolerance=1e-10)
+        (result,) = rank(figure1_graph, global_restarts(figure1_graph), Tolerance(1e-10))
         ranking = result.ranking()
         assert ranking.index("v7") < ranking.index("v5")
 

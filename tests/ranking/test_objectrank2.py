@@ -5,7 +5,9 @@ import pytest
 from repro.errors import EmptyBaseSetError
 from repro.ir import UniformScorer
 from repro.query import KeywordQuery, QueryVector
-from repro.ranking import objectrank, objectrank2, weighted_base_set
+from repro.ranking import objectrank2, weighted_base_set
+
+from tests.ranking.reference import objectrank
 
 
 class TestWeightedBaseSet:

@@ -1,16 +1,20 @@
-"""Unit tests for the power-iteration core and PageRank variants."""
+"""Unit tests for the single-vector Eq. 4 loop, its parameters and the
+restart builders."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.errors import EmptyBaseSetError, ParameterError
 from repro.ranking import (
-    pagerank,
-    personalized_pagerank,
-    power_iteration,
-    restart_distribution,
+    Tolerance,
+    TopKStable,
+    global_restarts,
+    rank,
+    uniform_restarts,
+    weighted_restarts,
 )
-from repro.ranking.topk import topk_power_iteration
+from repro.ranking.pagerank import iterate
 
 from tests.ranking.reference import reference_power_iteration
 
@@ -20,6 +24,15 @@ def cycle_matrix(n: int) -> sparse.csr_matrix:
     rows = [(i + 1) % n for i in range(n)]
     cols = list(range(n))
     return sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
+
+
+def power_iteration(
+    matrix, restart, damping=0.85, tolerance=0.0001, max_iterations=500, init=None
+):
+    """The loop under a tolerance stop, on a bare operator."""
+    return iterate(
+        matrix, restart, damping, max_iterations, init, Tolerance(tolerance).rule()
+    )
 
 
 class TestPowerIteration:
@@ -65,12 +78,14 @@ class TestPowerIteration:
         assert warm.iterations < cold.iterations
         assert warm.scores == pytest.approx(cold.scores, abs=1e-8)
 
-    def test_invalid_damping(self):
-        matrix = cycle_matrix(3)
-        restart = np.full(3, 1 / 3)
+    def test_invalid_damping(self, figure1_graph):
+        """Every stop, every block width: ``rank`` refuses the damping."""
+        one = uniform_restarts(figure1_graph, [["v1"]])
+        two = uniform_restarts(figure1_graph, [["v1"], ["v4"]])
         for damping in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                power_iteration(matrix, restart, damping=damping)
+            for restarts, stop in ((one, Tolerance()), (one, TopKStable(3)), (two, Tolerance())):
+                with pytest.raises(ParameterError, match="damping"):
+                    rank(figure1_graph, restarts, stop, damping=damping)
 
     def test_restart_shape_checked(self):
         with pytest.raises(ValueError):
@@ -85,16 +100,14 @@ class TestPowerIteration:
         matrix = cycle_matrix(50)
         restart = np.full(50, 1 / 50)
         init = np.full(shape, 1 / 50)
+        stop = Tolerance() if rule == "residual" else TopKStable(5)
         with pytest.raises(ValueError, match=r"init has shape .*, expected \(50,\)"):
-            if rule == "residual":
-                power_iteration(matrix, restart, init=init)
-            else:
-                topk_power_iteration(matrix, restart, 5, init=init)
+            iterate(matrix, restart, 0.85, 500, init, stop.rule())
 
 
 class TestPageRank:
     def test_sink_free_cycle_is_uniform(self):
-        result = pagerank(cycle_matrix(6), tolerance=1e-12)
+        result = power_iteration(cycle_matrix(6), np.full(6, 1 / 6), tolerance=1e-12)
         assert result.scores == pytest.approx(np.full(6, 1 / 6), abs=1e-8)
 
     def test_hub_attracts_authority(self):
@@ -103,68 +116,83 @@ class TestPageRank:
         rows = [0] * (n - 1)
         cols = list(range(1, n))
         matrix = sparse.csr_matrix((np.ones(n - 1), (rows, cols)), shape=(n, n))
-        result = pagerank(matrix, tolerance=1e-12)
+        result = power_iteration(matrix, np.full(n, 1 / n), tolerance=1e-12)
         assert result.scores[0] == result.scores.max()
 
 
 class TestPersonalized:
     def test_restart_mass_concentrates_near_seeds(self):
-        matrix = cycle_matrix(10)
-        result = personalized_pagerank(matrix, np.asarray([0]), tolerance=1e-12)
+        restart = np.zeros(10)
+        restart[0] = 1.0
+        result = power_iteration(cycle_matrix(10), restart, tolerance=1e-12)
         assert result.scores[0] == result.scores.max()
 
-    def test_weights_normalized(self):
-        matrix = cycle_matrix(4)
-        uniform = personalized_pagerank(
-            matrix, np.asarray([0, 1]), np.asarray([5.0, 5.0]), tolerance=1e-12
-        )
-        explicit = personalized_pagerank(
-            matrix, np.asarray([0, 1]), np.asarray([0.5, 0.5]), tolerance=1e-12
-        )
-        assert uniform.scores == pytest.approx(explicit.scores)
+    def test_weights_normalized(self, figure1_graph):
+        """Every builder's columns are distributions, and its base weights
+        are exactly the columns' non-zero entries."""
+        built = [
+            uniform_restarts(figure1_graph, [["v1", "v4"], ["v5", "v5", "v2"]]),
+            weighted_restarts(figure1_graph, [{"v1": 0.25, "v4": 0.75}]),
+            global_restarts(figure1_graph),
+        ]
+        for restarts in built:
+            for j, weights in enumerate(restarts.base_weights):
+                column = restarts.block[:, j]
+                assert column.sum() == pytest.approx(1.0)
+                assert np.array_equal(figure1_graph.restart_vector(weights), column)
 
-    def test_empty_restart_rejected(self):
-        matrix = cycle_matrix(4)
-        with pytest.raises(ValueError):
-            personalized_pagerank(matrix, np.asarray([0]), np.asarray([0.0]))
+    def test_empty_restart_rejected(self, figure1_graph):
+        with pytest.raises(EmptyBaseSetError):
+            uniform_restarts(figure1_graph, [["v1"], []])
+        with pytest.raises(EmptyBaseSetError):
+            weighted_restarts(figure1_graph, [{}])
 
-    def test_duplicate_restart_nodes_accumulate(self):
+    def test_duplicate_restart_nodes_accumulate(self, figure1_graph):
         """Regression: a node listed twice (e.g. a base-set object matched by
         two keywords) must accumulate both weights, not keep only the last
         one (the old fancy-assignment behavior)."""
-        matrix = cycle_matrix(6)
-        duplicated = personalized_pagerank(
-            matrix,
-            np.asarray([0, 0, 1]),
-            np.asarray([0.3, 0.3, 0.4]),
-            tolerance=1e-12,
+        (duplicated,) = rank(
+            figure1_graph, uniform_restarts(figure1_graph, [["v1", "v1", "v4"]]),
+            Tolerance(1e-12),
         )
-        merged = personalized_pagerank(
-            matrix, np.asarray([0, 1]), np.asarray([0.6, 0.4]), tolerance=1e-12
+        (merged,) = rank(
+            figure1_graph, weighted_restarts(figure1_graph, [{"v1": 2 / 3, "v4": 1 / 3}]),
+            Tolerance(1e-12),
         )
         assert duplicated.scores == pytest.approx(merged.scores, abs=1e-12)
         # The buggy last-write-wins distribution is measurably different.
-        last_write_wins = personalized_pagerank(
-            matrix, np.asarray([0, 1]), np.asarray([0.3, 0.4]), tolerance=1e-12
+        (last_write_wins,) = rank(
+            figure1_graph, uniform_restarts(figure1_graph, [["v1", "v4"]]),
+            Tolerance(1e-12),
         )
         assert np.abs(duplicated.scores - last_write_wins.scores).max() > 1e-3
 
-    def test_duplicate_uniform_restarts_accumulate(self):
-        distribution = restart_distribution(4, np.asarray([0, 0, 1]))
-        assert distribution == pytest.approx(np.asarray([2 / 3, 1 / 3, 0.0, 0.0]))
+    def test_duplicate_uniform_restarts_accumulate(self, figure1_graph):
+        """Regression: uniform base weights gave every listed id 1/len, so
+        ``[a, a, b]`` summed to 2/3 while the restart gave ``a`` 2/3."""
+        restarts = uniform_restarts(figure1_graph, [["v1", "v1", "v4"]])
+        (weights,) = restarts.base_weights
+        assert weights == pytest.approx({"v1": 2 / 3, "v4": 1 / 3})
+        assert list(weights) == ["v1", "v4"]
+        assert sum(weights.values()) == pytest.approx(1.0)
+        assert np.array_equal(
+            figure1_graph.restart_vector(weights), restarts.block[:, 0]
+        )
 
 
 class TestSharedStep:
-    """Both stopping rules run one step; the loops they ran before, kept in
+    """Every stopping rule runs one step; the loops they ran before, kept in
     ``tests/ranking/reference.py``, give the same floats."""
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_live_path_equals_the_reference_loop(self, dblp_tiny_engine, warm):
         graph = dblp_tiny_engine.graph
-        restart = restart_distribution(graph.num_nodes, np.array([3, 40, 41]))
+        restarts = uniform_restarts(graph, [[graph.node_ids[i] for i in (3, 40, 41)]])
         init = np.random.default_rng(5).random(graph.num_nodes) if warm else None
-        mine = power_iteration(graph.matrix(), restart, init=init)
-        theirs = reference_power_iteration(graph.matrix(), restart, init=init)
+        (mine,) = rank(graph, restarts, Tolerance(), init=init)
+        theirs = reference_power_iteration(
+            graph.matrix(), restarts.block[:, 0], init=init
+        )
         assert np.array_equal(mine.scores, theirs.scores)
         assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)
         assert mine.residuals == theirs.residuals

@@ -5,7 +5,8 @@ import pytest
 from repro.datasets import dblp_transfer_schema
 from repro.errors import EmptyBaseSetError, PrecomputedCoverageError
 from repro.query import QueryVector
-from repro.ranking import PrecomputedRanker, keyword_objectrank
+from repro.ranking import PrecomputedRanker
+from repro.ranking.objectrank import keyword_objectranks
 
 
 @pytest.fixture
@@ -44,9 +45,9 @@ class TestQueryAnswering:
     ):
         """One cached keyword = the exact per-keyword ObjectRank vector."""
         cached = ranker.rank(QueryVector({"olap": 1.0}))
-        exact = keyword_objectrank(
-            figure1_graph, figure1_index, "olap", tolerance=1e-10
-        )
+        exact = keyword_objectranks(
+            figure1_graph, figure1_index, ["olap"], tolerance=1e-10
+        )["olap"]
         assert cached.scores == pytest.approx(exact.scores, abs=1e-8)
         assert cached.iterations == 0  # no query-time power iteration
 

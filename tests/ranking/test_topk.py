@@ -1,13 +1,27 @@
-"""Unit tests for early-terminating top-k ObjectRank2."""
+"""Unit tests for the top-k stability stop (early-terminating ObjectRank2)."""
 
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.query import KeywordQuery
-from repro.ranking import objectrank2, objectrank2_topk, weighted_base_set
-from repro.ranking.topk import topk_power_iteration
+from repro.ranking import (
+    TopKStable,
+    objectrank2,
+    rank,
+    weighted_base_set,
+    weighted_restarts,
+)
+from repro.ranking.topk import RESIDUAL_GUARD, STABLE_ITERATIONS
 
 from tests.ranking.reference import reference_topk_power_iteration
+
+
+def objectrank2_topk(graph, scorer, vector, k, init=None):
+    """ObjectRank2's restart under the top-k stop."""
+    base = weighted_base_set(scorer, vector)
+    (result,) = rank(graph, weighted_restarts(graph, [base]), TopKStable(k), init=init)
+    return result
 
 
 class TestTopK:
@@ -42,31 +56,40 @@ class TestTopK:
         )
         assert warm.iterations <= cold.iterations
 
-    def test_stability_window_lengthens_run(self, figure1_graph, figure1_scorer):
+    def test_stability_window_lengthens_run(self, dblp_tiny_engine):
+        """The window is the module's constant, not a knob: the stop ends
+        where the reference loop does with that window, and the reference
+        loop runs no shorter with a longer one."""
+        engine = dblp_tiny_engine
         vector = KeywordQuery(["olap"]).vector()
-        short = objectrank2_topk(
-            figure1_graph, figure1_scorer, vector, k=3, stable_iterations=1
-        )
-        long = objectrank2_topk(
-            figure1_graph, figure1_scorer, vector, k=3, stable_iterations=6
-        )
-        assert long.iterations >= short.iterations
+        restart = engine.graph.restart_vector(weighted_base_set(engine.scorer, vector))
+        matrix = engine.graph.matrix()
+        window = {
+            stable: reference_topk_power_iteration(
+                matrix, restart, 10, stable_iterations=stable,
+                residual_guard=RESIDUAL_GUARD,
+            ).iterations
+            for stable in (1, STABLE_ITERATIONS, 6)
+        }
+        mine = objectrank2_topk(engine.graph, engine.scorer, vector, k=10)
+        assert mine.iterations == window[STABLE_ITERATIONS]
+        assert window[1] <= window[STABLE_ITERATIONS] <= window[6]
 
     def test_validation(self, figure1_graph, figure1_scorer):
-        vector = KeywordQuery(["olap"]).vector()
         with pytest.raises(ValueError):
-            objectrank2_topk(figure1_graph, figure1_scorer, vector, k=0)
-        with pytest.raises(ValueError):
-            objectrank2_topk(
-                figure1_graph, figure1_scorer, vector, k=3, stable_iterations=0
-            )
+            TopKStable(0)
+        with pytest.raises(TypeError):
+            TopKStable(3, stable_iterations=0)  # the window is a constant
+        base = weighted_base_set(figure1_scorer, KeywordQuery(["olap"]).vector())
+        with pytest.raises(ParameterError, match="one restart column"):
+            rank(figure1_graph, weighted_restarts(figure1_graph, [base, base]), TopKStable(3))
 
     @pytest.mark.parametrize("k", [1, 10])
     def test_shared_step_equals_the_reference_loop(self, dblp_tiny_engine, k):
         engine = dblp_tiny_engine
-        base = weighted_base_set(engine.scorer, KeywordQuery(["mining"]).vector())
-        restart = engine.graph.restart_vector(base)
-        mine = topk_power_iteration(engine.graph.matrix(), restart, k)
+        vector = KeywordQuery(["mining"]).vector()
+        restart = engine.graph.restart_vector(weighted_base_set(engine.scorer, vector))
+        mine = objectrank2_topk(engine.graph, engine.scorer, vector, k)
         theirs = reference_topk_power_iteration(engine.graph.matrix(), restart, k)
         assert np.array_equal(mine.scores, theirs.scores)
         assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)

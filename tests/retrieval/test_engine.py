@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.query import QueryVector, SearchEngine
 from repro.query.engine import select_top
-from repro.ranking import focused_objectrank2, weighted_base_set
+from repro.ranking import weighted_base_set
 from repro.retrieval import (
     TwoStageEngine,
     TwoStageSearchResult,
@@ -16,6 +16,8 @@ from repro.retrieval import (
     top_n_candidates,
     two_stage_rank,
 )
+
+from tests.ranking.reference import focused_objectrank2
 
 QUERY = QueryVector({"improved": 1.0, "study": 1.0})
 EVERYTHING = 1_000_000  # candidate budget that always covers S(Q)

@@ -302,10 +302,10 @@ class TestPrecomputeRebuild:
         runtime = rebuild_service.runtime("fig1")
         assert runtime.rates != figure1.transfer_schema
 
-        from repro.ranking import keyword_objectrank
+        from repro.ranking.objectrank import keyword_objectranks
 
         view = runtime.engine.transfer_view(runtime.rates)
-        exact = keyword_objectrank(view, runtime.engine.index, "olap")
+        exact = keyword_objectranks(view, runtime.engine.index, ["olap"])["olap"]
         expected = exact.top_k(len(after["results"]))
         assert [r["id"] for r in after["results"]] == [nid for nid, _ in expected]
         assert [r["score"] for r in after["results"]] == pytest.approx(

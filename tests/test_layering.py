@@ -274,7 +274,9 @@ def test_serve_tier_speaks_http_through_one_reader_and_one_writer():
 
 # -- the rerank stage builds no matrix: rows of the per-topology operator ----------
 
-RERANK_MODULES = (("ranking", "focused.py"), ("retrieval", "engine.py"))
+RERANK_MODULES = (
+    ("ranking", "core.py"), ("ranking", "focused.py"), ("retrieval", "engine.py"),
+)
 
 #: A sparse-matrix constructor, or the per-entry passes one needs first.
 MATRIX_BUILDING = {
@@ -729,6 +731,90 @@ def test_the_guard_sees_the_steps_it_forbids():
         "    out *= d\n"
     )
     assert eq4_steps(tree) == {"fast": ["bind_sell_step"], "flipped": ["numpy"]}
+
+
+# -- one ranking core: a restart block, a stop and one rank() call ---------------
+
+#: The two Eq. 4 loops: the single-vector one and the blocked engine.
+EQ4_LOOPS = {"iterate", "batched_power_iteration"}
+
+#: Where a ``RankedResult`` may be assembled besides ``rank``: rankings that
+#: run no Eq. 4 loop (the store blend, pure IR, the Eq. 16 product of
+#: ``rank`` results) and the serve tier's empty page.
+RESULT_ASSEMBLERS = {
+    "ranking/core.py:rank",
+    "ranking/ir_only.py:ir_only_rank",
+    "ranking/objectrank.py:multi_keyword_objectrank",
+    "ranking/precompute.py:PrecomputedRanker.rank",
+    "serve/service.py:_empty_ranking",
+}
+
+
+def callers(tree: ast.AST, names: set[str]) -> list[str]:
+    """``scope -> callee`` for every call of one of ``names``, by bare name
+    or attribute; ``scope`` is the dotted class/function path around it."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in names:
+                    found.append(f"{scope or '<module>'} -> {name}")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def src_callers(names: set[str]) -> set[str]:
+    return {
+        f"{path.relative_to(SRC).as_posix()}:{caller}"
+        for path in SRC.rglob("*.py")
+        for caller in callers(ast.parse(path.read_text(encoding="utf-8")), names)
+    }
+
+
+def test_rank_is_the_only_caller_of_the_eq4_loops():
+    """Every ObjectRank variant is a restart builder plus ``rank``."""
+    assert src_callers(EQ4_LOOPS) == {
+        "ranking/core.py:rank -> batched_power_iteration",
+        "ranking/core.py:rank -> iterate",
+    }
+
+
+def test_rank_is_the_one_ranked_result_assembly_of_a_fixpoint():
+    assembled = {
+        caller.removesuffix(" -> RankedResult")
+        for caller in src_callers({"RankedResult"})
+    }
+    assert assembled == RESULT_ASSEMBLERS
+
+
+def test_the_guard_sees_a_second_loop_caller_and_a_hand_built_result():
+    tree = ast.parse(
+        "def rank(graph, restarts, stop):\n"
+        "    return iterate(op, s, d, m, None, stop.rule())\n"
+        "def objectrank(graph, ids):\n"
+        "    outcome = pagerank.iterate(op, s, d, m, None, rule)\n"
+        "    return RankedResult(graph.node_ids, outcome.scores, 1, True)\n"
+        "class Ranker:\n"
+        "    def rank(self, q):\n"
+        "        def blend():\n"
+        "            return batched_power_iteration(m, s)\n"
+        "        return blend()\n"
+        "iterate(op, s, d, m, None, rule)\n"
+    )
+    assert callers(tree, EQ4_LOOPS) == [
+        "<module> -> iterate",
+        "Ranker.rank.blend -> batched_power_iteration",
+        "objectrank -> iterate",
+        "rank -> iterate",
+    ]
+    assert callers(tree, {"RankedResult"}) == ["objectrank -> RankedResult"]
 
 
 # -- explaining runs compiled: one kernel-or-numpy choice per stage ---------------
