@@ -17,7 +17,7 @@ prefork tier (``repro serve --workers N --store DIR``) lives in
 same :mod:`repro.store` generation, swapped atomically on rebuilds.
 """
 
-from repro.serve.cache import CacheStats, ResultCache, make_key
+from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.cluster import (
     ClusterConfig,
     ClusterSupervisor,
@@ -55,7 +55,6 @@ __all__ = [
     "ServeConfig",
     "WorkerStatus",
     "create_server",
-    "make_key",
     "serve_forever",
     "serve_until_shutdown",
 ]

@@ -1,12 +1,17 @@
-"""Thread-safe LRU + TTL result cache for the query service.
+"""Thread-safe LRU + TTL caches for the query service, and their one key.
 
-Entries are keyed by everything that determines a serialized answer:
-``(dataset name, canonical query-vector fingerprint, transfer-rate
-fingerprint, top_k)``.  The rate fingerprint makes learned-rate sessions
-self-keying — a structure-based reformulation that changes the rates can
-never be answered from a stale entry — but the service still invalidates a
-dataset's entries *explicitly* when it applies a reformulation, both to free
-memory and so operators can see the invalidation in ``/metrics``.
+A cached answer is valid only under what it was computed under: the
+dataset, the query vector, the transfer rates (the paper's loop changes
+them between searches, Eq. 13), the ingest epoch (ingest changes the
+topology) and the store generation (a rebuild publishes new vectors).  A
+:class:`Fence` holds all of them for one request, read once at its start,
+and :meth:`Fence.key` is the only way to build a cache key: a
+:class:`ResultCache` refuses any other, so no cache can be keyed without
+one of the components.  The rate fingerprint makes learned-rate sessions
+self-keying, but the service still invalidates a dataset's entries
+*explicitly* when it applies a reformulation or adopts an ingest snapshot,
+both to free memory and so operators can see the invalidation in
+``/metrics``.
 
 The cache is deliberately value-agnostic: it stores whatever the service
 built (JSON-ready payloads; for the score cache, converged rankings) and is
@@ -21,12 +26,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from repro.graph.authority import FINGERPRINT_DIGITS, AuthorityTransferSchemaGraph
 from repro.query.query import QueryVector
-
-CacheKey = tuple[str, tuple, tuple, int]
+from repro.ranking.convergence import RankedResult
 
 
 def query_fingerprint(vector: QueryVector) -> tuple:
@@ -45,14 +49,59 @@ def rates_fingerprint(rates: AuthorityTransferSchemaGraph) -> tuple:
     return rates.fingerprint()
 
 
-def make_key(
-    dataset: str,
-    vector: QueryVector,
-    rates: AuthorityTransferSchemaGraph,
-    top_k: int,
-) -> CacheKey:
-    """The full cache key for one search request."""
-    return (dataset, query_fingerprint(vector), rates_fingerprint(rates), int(top_k))
+class FenceKey(tuple):
+    """A cache key built by :meth:`Fence.key`, the only key a
+    :class:`ResultCache` accepts.  A plain tuple underneath, so hashing and
+    equality stay in C on the cache-hit path."""
+
+    __slots__ = ()
+
+    @property
+    def dataset(self) -> str:
+        return self[0]
+
+
+class Fence:
+    """What every cached answer of one request is valid under.
+
+    Built once per request, before any cache is consulted: the dataset, the
+    query and rate fingerprints, the ingest epoch (``None`` with ingest
+    off), the store generation of the ranker that answers (``None`` off the
+    store) and the node list the request serves.  The first five prefix
+    every key; the node list is not hashable state but an identity, which
+    :meth:`indexes` checks against a kept ranking.
+    """
+
+    __slots__ = ("dataset", "query", "rates", "epoch", "generation", "node_ids")
+
+    def __init__(
+        self,
+        dataset: str,
+        vector: QueryVector,
+        rates: AuthorityTransferSchemaGraph,
+        epoch: int | None,
+        generation: int | None,
+        node_ids: list[str],
+    ) -> None:
+        self.dataset = dataset
+        self.query = query_fingerprint(vector)
+        self.rates = rates_fingerprint(rates)
+        self.epoch = epoch
+        self.generation = generation
+        self.node_ids = node_ids
+
+    def key(self, *parts: Any) -> FenceKey:
+        """The fenced key of one cached value: the fence, then ``parts``
+        (what else the value depends on — ``top_k``, a target, ...)."""
+        return FenceKey(
+            (self.dataset, self.query, self.rates, self.epoch, self.generation, *parts)
+        )
+
+    def indexes(self, ranked: RankedResult) -> bool:
+        """Whether ``ranked`` indexes the node list this request serves: a
+        kept ranking is positional, so one computed over a topology this
+        request does not serve cannot stand in for its search."""
+        return ranked.node_ids is self.node_ids
 
 
 @dataclass(frozen=True)
@@ -81,7 +130,8 @@ class ResultCache:
     entries are evicted on overflow, so an entry heavier than ``max_bytes``
     is never held.  ``ttl_seconds=None`` disables expiry.  All operations
     take one short critical section — the cache never computes under its
-    lock.
+    lock.  Keys must come from :meth:`Fence.key`; any other raises
+    ``TypeError``.
     """
 
     def __init__(
@@ -106,7 +156,7 @@ class ResultCache:
         self._lock = threading.Lock()
         # key -> (value, stored at, declared bytes)
         #: guarded by self._lock
-        self._entries: OrderedDict[Hashable, tuple[Any, float, int]] = OrderedDict()
+        self._entries: OrderedDict[FenceKey, tuple[Any, float, int]] = OrderedDict()
         #: guarded by self._lock
         self._bytes = 0
         #: guarded by self._lock
@@ -124,8 +174,9 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: FenceKey) -> Any | None:
         """The cached value, or ``None`` on miss/expiry (which counts a miss)."""
+        _check_key(key)
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
@@ -142,11 +193,12 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def put(self, key: Hashable, value: Any, nbytes: int = 0) -> None:
+    def put(self, key: FenceKey, value: Any, nbytes: int = 0) -> None:
         """Insert (or refresh) an entry, evicting LRU entries on overflow.
 
         ``nbytes`` is what the entry counts against ``max_bytes``.
         """
+        _check_key(key)
         now = self._clock()
         with self._lock:
             if key in self._entries:
@@ -160,7 +212,7 @@ class ResultCache:
                 self._drop_locked(next(iter(self._entries)))
                 self._evictions += 1
 
-    def _drop_locked(self, key: Hashable) -> None:
+    def _drop_locked(self, key: FenceKey) -> None:
         """Remove one entry and its bytes.  Caller holds the lock."""
         self._bytes -= self._entries.pop(key)[2]
 
@@ -168,9 +220,9 @@ class ResultCache:
         """Drop every entry (or only one dataset's entries); returns the count.
 
         The service calls this when a structure-based reformulation changes a
-        dataset's serving rates — the rate fingerprint already keys those
-        entries out, but dropping them reclaims memory immediately and makes
-        the invalidation observable.
+        dataset's serving rates or an ingest refresh adopts a snapshot — the
+        fence already keys those entries out, but dropping them reclaims
+        memory immediately and makes the invalidation observable.
         """
         with self._lock:
             if dataset is None:
@@ -178,11 +230,7 @@ class ResultCache:
                 self._entries.clear()
                 self._bytes = 0
             else:
-                doomed = [
-                    k
-                    for k in self._entries
-                    if isinstance(k, tuple) and k and k[0] == dataset
-                ]
+                doomed = [k for k in self._entries if k.dataset == dataset]
                 for key in doomed:
                     self._drop_locked(key)
                 dropped = len(doomed)
@@ -200,3 +248,10 @@ class ResultCache:
                 size=len(self._entries),
                 max_entries=self.max_entries,
             )
+
+
+def _check_key(key: Any) -> None:
+    if type(key) is not FenceKey:
+        raise TypeError(
+            f"cache keys come from Fence.key(...), got {type(key).__name__}"
+        )

@@ -5,7 +5,8 @@ on-the-fly ObjectRank2 is "clearly too long for exploratory searching", so a
 deployed system answers from the cheapest source that is still correct:
 
 1. the **result cache** (exact answers computed earlier under the same
-   dataset, query vector, transfer rates and ``top_k``);
+   :class:`~repro.serve.cache.Fence` — dataset, query vector, transfer
+   rates, ingest epoch, store generation — and the same ``top_k``);
 2. the **precomputed ranker** (per-keyword [BHP04] vectors blended at query
    time), used only while it is *fresh* — a structure-based reformulation
    that changes the serving rates makes it stale and routes traffic back to
@@ -52,12 +53,7 @@ from repro.retrieval.engine import (
     TwoStageEngine,
     TwoStageResult,
 )
-from repro.serve.cache import (
-    ResultCache,
-    make_key,
-    query_fingerprint,
-    rates_fingerprint,
-)
+from repro.serve.cache import Fence, ResultCache
 from repro.serve.metrics import MetricsRegistry
 from repro.store.generations import StoreManager
 
@@ -65,6 +61,9 @@ SERVE_MODES = ("auto", "live", "precomputed", "two_stage")
 
 EXPLAIN_MODES = ("live", "two_stage")
 
+#: Entries the explanation cache holds (whole adjusted-flow explanations,
+#: one per query, rates and target).
+EXPLAIN_CACHE_ENTRIES = 256
 #: Memory the score cache may hold, per process: a kept ranking is charged
 #: its score vector (8 bytes per graph node) plus its base-weight map.
 SCORE_CACHE_BYTES = 4 * 2**20
@@ -145,9 +144,6 @@ class ServeConfig:
     #: Manifest poll throttle: a runtime re-checks its store's CURRENT
     #: pointer at most this often (0 checks on every request).
     store_refresh_seconds: float = 0.05
-    #: Entries held by the explanation cache (full adjusted-flow payloads,
-    #: keyed on dataset + query + rate fingerprint + target).
-    explain_cache_max_entries: int = 256
     max_concurrency: int = 8
     deadline_seconds: float = 30.0
     #: Accept ``/ingest`` mutations and maintain the precomputed matrix
@@ -443,9 +439,9 @@ class QueryService:
         # Explanations are cached separately from search results: they carry
         # full adjusted-flow edge lists, are keyed per target, and answering
         # one from cache skips an entire live ObjectRank2 run.  The rate
-        # fingerprint in the key makes reformulated sessions self-keying.
+        # fingerprint in the fence makes reformulated sessions self-keying.
         self.explain_cache = ResultCache(
-            max_entries=self.config.explain_cache_max_entries,
+            max_entries=EXPLAIN_CACHE_ENTRIES,
             ttl_seconds=self.config.cache_ttl_seconds,
         )
         # Converged cold-start, full-graph live rankings, kept so the loop's
@@ -595,14 +591,32 @@ class QueryService:
 
         Counts the request, brings the runtime within the ingest staleness
         bound (a synchronous refresh when too many mutations are pending),
-        and only then reads what the answer depends on: ``(runtime, query
-        vector, serving rates, staleness block)``.
+        and only then reads, once, what the answer depends on: ``(runtime,
+        query vector, serving rates, staleness block, store ranker, fence)``.
+        The store ranker is the published generation this request pins
+        (refreshed first; ``None`` off the store or before a publish), and
+        the fence takes its generation from that ranker's own store — a
+        swap can never label one generation's blend with the next one's
+        number.
         """
         self._requests.inc()
         runtime = self.runtime(dataset)
         self._ingest_maybe_refresh(runtime)
         vector = runtime.engine.query_vector(query)
-        return runtime, vector, runtime.rates, runtime.staleness_info()
+        rates = runtime.rates
+        staleness = runtime.staleness_info()
+        store_ranker = runtime.store.ranker() if runtime.store is not None else None
+        fence = Fence(
+            runtime.name,
+            vector,
+            rates,
+            epoch=None if staleness is None else staleness["epoch"],
+            generation=(
+                None if store_ranker is None else store_ranker.source.generation
+            ),
+            node_ids=runtime.engine.graph.node_ids,
+        )
+        return runtime, vector, rates, staleness, store_ranker, fence
 
     def _respond(
         self,
@@ -650,9 +664,13 @@ class QueryService:
         """
         start = time.perf_counter()
         plan = self._plan(dataset, query, top_k, mode, labels, two_stage)
-        # Built here, next to the cache calls it feeds, from a function
-        # whose return the lint's cache-key rule (RL012) can follow.
-        key = _result_key(plan)
+        # Two-stage answers depend on every two-stage parameter: a different
+        # candidate budget or horizon is another entry.
+        key = plan.fence.key(
+            plan.k,
+            plan.labels,
+            None if plan.two_stage is None else tuple(sorted(plan.two_stage.items())),
+        )
         cached = None
         if mode in ("auto", "two_stage"):
             cached = self.cache.get(key)
@@ -690,14 +708,18 @@ class QueryService:
             raise ReproError(
                 "two-stage parameters require mode='two_stage'"
             )
-        runtime, vector, rates, staleness = self._begin(dataset, query)
-        # Resolved before the cache key is built: for store-backed runtimes
-        # this refreshes the generation, and the key carries the generation
-        # number so a swap starts a fresh cache cohort (the old cohort ages
-        # out of the LRU instead of being trusted across a rebuild).
-        ranker = (
-            runtime.precomputed_ranker() if mode in ("auto", "precomputed") else None
+        runtime, vector, rates, staleness, store_ranker, fence = self._begin(
+            dataset, query
         )
+        ranker = None
+        if mode in ("auto", "precomputed"):
+            # A store-backed runtime answers from the generation its fence
+            # names; an in-process one builds its ranker on first use.
+            ranker = (
+                store_ranker
+                if runtime.store is not None
+                else runtime.precomputed_ranker()
+            )
         return _SearchPlan(
             runtime=runtime,
             vector=vector,
@@ -706,11 +728,11 @@ class QueryService:
             mode=mode,
             labels=labels or None,
             ranker=ranker,
-            generation=runtime.store_generation(),
             two_stage=(
                 runtime.two_stage.resolve(**overrides) if mode == "two_stage" else None
             ),
             staleness=staleness,
+            fence=fence,
         )
 
     def _execute(self, plan: "_SearchPlan") -> tuple:
@@ -738,7 +760,7 @@ class QueryService:
                 )
                 # The ranking does not depend on the page (top_k, labels):
                 # whatever this user asks about next starts from it.
-                key = _score_key(runtime.name, plan.vector, plan.rates, plan.staleness)
+                key = plan.fence.key(*_exactly(plan.vector, plan.rates))
                 self.score_cache.put(key, *_kept(result.ranked))
             ranked, top = result.ranked, result.top
         except EmptyBaseSetError:
@@ -800,8 +822,8 @@ class QueryService:
         """Explain why ``target`` ranks for ``query``: adjusted flow edges.
 
         Consults the explanation cache first — entries are keyed on the
-        dataset, the canonical query fingerprint, the serving-rate
-        fingerprint and the target, so a repeat request skips the live
+        request's fence (dataset, query and rate fingerprints, ingest epoch,
+        store generation) and the target, so a repeat request skips the live
         ObjectRank2 run entirely and a reformulation that changes the rates
         can never be answered stale.  On a miss a request session
         (:meth:`_session`) searches and explains: explanations need the full
@@ -821,23 +843,10 @@ class QueryService:
                 f"unknown mode {mode!r}; expected one of {EXPLAIN_MODES}"
             )
         start = time.perf_counter()
-        runtime, vector, rates, staleness = self._begin(dataset, query)
-        key = (
-            dataset,
-            query_fingerprint(vector),
-            rates_fingerprint(rates),
-            target,
-            self.config.radius,
-        )
-        if mode == "two_stage":
-            # Two-stage explanations are a separate cohort: same query, same
-            # rates, different scores and a restricted subgraph.
-            key += ("two_stage",)
-        if staleness is not None:
-            # Same epoch cohorting as the result cache: an explanation's
-            # subgraph references topology, so it must never outlive the
-            # snapshot it was extracted from.
-            key += (("epoch", staleness["epoch"]),)
+        runtime, vector, rates, staleness, _, fence = self._begin(dataset, query)
+        # Two-stage explanations are a separate entry: same query, same
+        # rates, different scores and a restricted subgraph.
+        key = fence.key(target, self.config.radius, mode)
         stored = self.explain_cache.get(key)
         if stored is not None:
             self._explain_cache_hits.inc()
@@ -846,7 +855,7 @@ class QueryService:
             self._explain_cache_misses.inc()
             if deadline is not None:
                 deadline.check("explanation")
-            stored = self._explain(runtime, vector, rates, staleness, target, mode)
+            stored = self._explain(runtime, vector, rates, fence, target, mode)
             self.explain_cache.put(key, stored)
             served_from = "live"
         summary, node_ids, sources, targets, flows = stored
@@ -866,7 +875,7 @@ class QueryService:
         runtime: DatasetRuntime,
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
-        staleness: dict | None,
+        fence: Fence,
         mode: str = "live",
     ) -> ObjectRankSystem:
         """A request's short-lived loop session, its initial search done.
@@ -879,7 +888,7 @@ class QueryService:
         requests stay isolated.
 
         A full-graph session whose initial search some request already ran
-        — same dataset, exact query vector, exact rates, ingest epoch —
+        — same fence, exact query vector, exact rates, served node list —
         adopts that run from the score cache and iterates nothing; any other
         runs the search itself and keeps it.  A two-stage session always
         searches: its scores depend on the candidate set.
@@ -896,11 +905,11 @@ class QueryService:
         if mode == "two_stage":
             self._or_iterations.inc(session.query(vector).iterations)
             return session
-        key = _score_key(runtime.name, vector, rates, staleness)
+        key = fence.key(*_exactly(vector, rates))
         ranked = self.score_cache.get(key)
-        # A ranking indexes the node list it was computed over; one kept
-        # across a topology refresh that raced this request is not ours.
-        if ranked is not None and ranked.node_ids is runtime.engine.graph.node_ids:
+        # One kept across a topology refresh that raced this request is not
+        # over the node list the fence serves.
+        if ranked is not None and fence.indexes(ranked):
             self._score_cache_hits.inc()
             top = ranked.top_k(self.config.default_top_k)
             session.adopt_initial(vector, SearchResult(vector, ranked, top, 0.0))
@@ -916,7 +925,7 @@ class QueryService:
         runtime: DatasetRuntime,
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
-        staleness: dict | None,
+        fence: Fence,
         target: str,
         mode: str,
     ) -> tuple:
@@ -924,7 +933,7 @@ class QueryService:
         targets, flows)`` — every response field but ``edges``, and the
         edges by descending flow as node-index and flow arrays (a response
         row is built only for the edges a request returns)."""
-        session = self._session(runtime, vector, rates, staleness, mode)
+        session = self._session(runtime, vector, rates, fence, mode)
         explanation = session.explain(target)
         subgraph = explanation.subgraph
         summary = {
@@ -1057,10 +1066,10 @@ class QueryService:
         serving state is untouched.
         """
         start = time.perf_counter()
-        runtime, vector, rates, staleness = self._begin(dataset, query)
+        runtime, vector, rates, staleness, _, fence = self._begin(dataset, query)
         if deadline is not None:
             deadline.check("feedback search")
-        session = self._session(runtime, vector, rates, staleness)
+        session = self._session(runtime, vector, rates, fence)
         if deadline is not None:
             deadline.check("feedback explanations")
         explanations, reformulated = session.reformulate(relevant_ids)
@@ -1190,55 +1199,17 @@ class _SearchPlan:
     labels: tuple[str, ...] | None
     #: Resolved under ``auto``/``precomputed`` only; ``None`` elsewhere.
     ranker: PrecomputedRanker | None
-    generation: int | None
     #: The resolved two-stage parameters; ``None`` outside ``two_stage``.
     two_stage: dict | None
     staleness: dict | None
+    fence: Fence
 
 
-def _result_key(plan: _SearchPlan) -> tuple:
-    """The result-cache key: everything a planned answer depends on."""
-    key = make_key(plan.runtime.name, plan.vector, plan.rates, plan.k)
-    if plan.labels:
-        key += (plan.labels,)
-    if plan.two_stage is not None:
-        # Two-stage answers depend on every two-stage parameter, so the key
-        # carries them all — a different candidate budget or horizon must
-        # never be answered from another cohort's entry.
-        key += (("two_stage", tuple(sorted(plan.two_stage.items()))),)
-    if plan.generation is not None:
-        key += (("gen", plan.generation),)
-    if plan.staleness is not None:
-        # The adopted-snapshot epoch keys the cache alongside the rate
-        # fingerprint: an ingest refresh starts a fresh cohort, so a
-        # pre-mutation entry can never answer a post-mutation request.
-        key += (("epoch", plan.staleness["epoch"]),)
-    return key
-
-
-def _score_key(
-    dataset: str,
-    vector: QueryVector,
-    rates: AuthorityTransferSchemaGraph,
-    staleness: dict | None,
-) -> tuple:
-    """The score-cache key: what a cold full-graph ObjectRank2 run depends on.
-
-    Fenced like every serve-tier key (query and rate fingerprints, ingest
-    epoch), then made exact: a kept ranking stands in for a run bit for
-    bit, so weights or rates that differ past ``FINGERPRINT_DIGITS``, or
-    terms in another order, are another key.
-    """
-    key = (
-        dataset,
-        query_fingerprint(vector),
-        rates_fingerprint(rates),
-        tuple(vector.weights.items()),
-        tuple(rates.as_vector()),
-    )
-    if staleness is not None:
-        key += (("epoch", staleness["epoch"]),)
-    return key
+def _exactly(vector: QueryVector, rates: AuthorityTransferSchemaGraph) -> tuple:
+    """What makes a score-cache key exact, past its fence: a kept ranking
+    stands in for a run bit for bit, so weights or rates that differ past
+    ``FINGERPRINT_DIGITS``, or terms in another order, are another key."""
+    return tuple(vector.weights.items()), tuple(rates.as_vector())
 
 
 def _kept(ranked: RankedResult) -> tuple[RankedResult, int]:
@@ -1264,8 +1235,8 @@ def _render_search(
         "converged": ranked.converged,
         "coverage": ranked.coverage,
     }
-    if plan.generation is not None:
-        payload["store_generation"] = plan.generation
+    if plan.fence.generation is not None:
+        payload["store_generation"] = plan.fence.generation
     if stages is not None:
         payload["two_stage"] = {
             "requested_candidates": plan.two_stage["candidates"],

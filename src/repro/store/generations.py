@@ -224,9 +224,11 @@ class StoreManager:
         """Re-read the manifest; swap to a newly published generation.
 
         Returns ``True`` when the swap happened.  The expensive part (mmap +
-        checksum verify) runs outside the lock; concurrent refreshes may
-        both open the new store, in which case the second assignment wins —
-        both objects are equivalent and immutable, so readers cannot tell.
+        checksum verify) runs outside the lock, so concurrent refreshes may
+        each open a store; only one newer than the installed generation is
+        installed (and counted as a swap) — a slow open of generation 2
+        finishing after another refresh installed 3 is dropped, never
+        swapped back to.
         """
         now = self._clock()
         with self._lock:
@@ -244,7 +246,7 @@ class StoreManager:
             manifest = read_manifest(self.root)
         except StoreError:
             manifest = None  # torn/corrupt manifest: keep serving as-is
-        if manifest is None or manifest.generation == current:
+        if manifest is None or (current is not None and manifest.generation <= current):
             return False
         try:
             store = ScoreStore(self.root / manifest.filename)
@@ -254,9 +256,11 @@ class StoreManager:
                 self._load_errors += 1
             return False
         with self._lock:
-            self._ranker = ranker
             if self._generation is not None:
+                if manifest.generation <= self._generation:
+                    return False
                 self._swaps += 1
+            self._ranker = ranker
             self._generation = manifest.generation
         return True
 

@@ -25,9 +25,9 @@ Layers:
 * :mod:`repro_lint.lockset` — lock-to-attribute binding and the
   must-held-lockset analysis RL007, RL011 and RL013 run;
 * :mod:`repro_lint.callgraph` — the module-resolution project call
-  graph (PR 8) behind the interprocedural checkers RL010–RL013;
+  graph behind the interprocedural checkers RL010, RL011 and RL013;
 * :mod:`repro_lint.summaries` — bottom-up SCC-ordered function
-  summaries (locks, blocking, resources, exceptions, cache-key tags);
+  summaries (locks, blocking, resources, exceptions, taint, ranges);
 * :mod:`repro_lint.pragmas` — ``# repro-lint: ignore[RL001]`` inline
   suppressions;
 * :mod:`repro_lint.baseline` — the ``.repro-lint-baseline.json``

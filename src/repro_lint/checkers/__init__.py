@@ -1,4 +1,4 @@
-"""Built-in checkers; importing this package registers the fifteen rules.
+"""Built-in checkers; importing this package registers the fourteen rules.
 
 ============ ========================== =====================================
 Code         Name                       Hazard class
@@ -23,8 +23,6 @@ Code         Name                       Hazard class
                                         a method or across call chains),
                                         self-deadlock re-acquisition and
                                         unheld ``*_locked`` helpers
-``RL012``    cache-key-fencing          serve-tier cache key missing the rate
-                                        fingerprint or ingest-epoch component
 ``RL013``    blocking-under-lock        I/O, subprocess, sleep or fixpoint
                                         solve reachable while a lock is held
 ``RL014``    wire-input-to-sink         wire-parsed input reaching an index/
@@ -40,13 +38,16 @@ Code         Name                       Hazard class
 ============ ========================== =====================================
 
 RL003 (lexical lock discipline) and RL006 (literal transfer rates) are
-retired: RL007 and RL016 report their findings.
+retired: RL007 and RL016 report their findings.  RL012 (cache-key fencing)
+is retired too: every serve cache key is built by
+:meth:`repro.serve.cache.Fence.key`, so a key missing a freshness component
+cannot be written (``tests/test_layering.py`` guards the construction).
 
 RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007–RL009 are
 flow-sensitive — they consume the per-function CFGs of
 :mod:`repro_lint.cfg` through the fixpoint solver of
-:mod:`repro_lint.dataflow`.  RL010–RL014 and RL016
-are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
+:mod:`repro_lint.dataflow`.  RL010, RL011, RL013, RL014 and
+RL016 are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
 runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
 bottom-up :mod:`~repro_lint.summaries`) and runs them once over the
 whole file set, serially, after the per-file phase.  RL015 and RL017 are
@@ -56,7 +57,6 @@ function through :meth:`~repro_lint.base.SourceFile.solution_cache`.
 """
 
 from repro_lint.checkers.blocking_under_lock import BlockingUnderLockChecker
-from repro_lint.checkers.cache_key_fencing import CacheKeyFencingChecker
 from repro_lint.checkers.cache_latch import CacheLatchChecker
 from repro_lint.checkers.duplicate_index import DuplicateIndexWriteChecker
 from repro_lint.checkers.fixpoint_loops import FixpointLoopChecker
@@ -73,7 +73,6 @@ from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
 
 __all__ = [
     "BlockingUnderLockChecker",
-    "CacheKeyFencingChecker",
     "CacheLatchChecker",
     "DuplicateIndexWriteChecker",
     "FixpointLoopChecker",

@@ -9,7 +9,7 @@ processed; members of one SCC (recursion, mutual recursion) iterate to a
 local fixpoint, which terminates because every summary field is a finite
 set growing monotonically.
 
-What a summary carries (the facts RL010–RL013 consume):
+What a summary carries (the facts RL010, RL011 and RL013 consume):
 
 * **locks** — which instance locks the function acquires (directly and
   transitively, qualified ``module.Class.lock``), which locks are *held* at
@@ -25,10 +25,7 @@ What a summary carries (the facts RL010–RL013 consume):
   parameters it reliably releases (so passing a resource to it counts as a
   release, not an escape);
 * **exceptions** — exception names raised directly and the transitive
-  propagated set (an over-approximation: handlers are not subtracted);
-* **cache-key tags** — which fingerprint components (``query``, ``rates``,
-  ``epoch``, ``gen``…) the function's return value may carry, so RL012 can
-  see through key-building helpers.
+  propagated set (an over-approximation: handlers are not subtracted).
 
 Unknown callees contribute nothing: every fact here is a *may* fact whose
 absence keeps a checker quiet, so unresolved calls under-approximate and
@@ -55,7 +52,6 @@ from repro_lint.callgraph import (
     calls_in_item,
 )
 from repro_lint.cfg import Header, WithEnter
-from repro_lint.dataflow import DataflowProblem, solve
 from repro_lint.lockset import (
     analyze_method_locksets,
     guarded_attributes,
@@ -111,14 +107,6 @@ ACQUIRE_CALLS = {
     "tempfile.TemporaryFile": "file",
 }
 
-#: Key-building helpers of the serve tier, by bare name -> tags produced.
-KEY_TAG_FUNCTIONS = {
-    "make_key": frozenset({"query", "rates"}),
-    "query_fingerprint": frozenset({"query"}),
-    "rates_fingerprint": frozenset({"rates"}),
-}
-
-
 @dataclass(frozen=True)
 class HeldCall:
     """One call site with the lockset certainly held when it executes."""
@@ -171,8 +159,6 @@ class FunctionSummary:
     raises: frozenset = frozenset()
     #: Transitive raised set (handlers not subtracted — over-approximate).
     propagates: frozenset = frozenset()
-    #: Fingerprint components the return value may carry (RL012).
-    cache_key_tags: frozenset = frozenset()
     #: Concrete taint the return value may carry (``{"wire"}`` or empty).
     returns_taint: frozenset = frozenset()
     #: Parameter indices whose taint may flow into the return value.
@@ -243,7 +229,6 @@ class _Facts:
     #: var -> first call assigned to it (returns-resource resolution).
     assign_calls: dict
     return_stmts: list
-    mentions_key_api: bool
     #: Frozen intraprocedural taint groundwork (one solve, reused per round).
     taint: TaintFacts
     #: Interval of the return value when provable, else ``None``.
@@ -321,14 +306,6 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
         elif isinstance(inner, ast.Return) and inner.value is not None:
             return_stmts.append(inner)
 
-    mentions_key_api = any(
-        isinstance(inner, ast.Name) and inner.id in KEY_TAG_FUNCTIONS
-        for inner in source.walk_in_scope(node)
-    ) or any(
-        isinstance(inner, ast.Tuple) and _pair_tags(inner)
-        for inner in source.walk_in_scope(node)
-    )
-
     return _Facts(
         info=info,
         locks=locks,
@@ -348,7 +325,6 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
         release_calls=release_calls,
         assign_calls=assign_calls,
         return_stmts=return_stmts,
-        mentions_key_api=mentions_key_api,
         taint=gather_taint_facts(info, sites),
         return_range=_return_range(info, return_stmts),
     )
@@ -539,123 +515,6 @@ def _param_releases(source, node, param_names: tuple, site_by_call: dict):
     return direct, release_calls
 
 
-# -- cache-key tag analysis ----------------------------------------------------
-
-
-def _pair_tags(node: ast.expr) -> frozenset:
-    """Tags of a tuple-of-pairs augmentation: ``(("epoch", e),)`` -> {epoch}."""
-    tags = set()
-    if isinstance(node, (ast.Tuple, ast.List)):
-        for element in node.elts:
-            if (
-                isinstance(element, (ast.Tuple, ast.List))
-                and element.elts
-                and isinstance(element.elts[0], ast.Constant)
-                and isinstance(element.elts[0].value, str)
-            ):
-                tags.add(element.elts[0].value)
-    return frozenset(tags)
-
-
-def expression_tags(
-    expr: ast.expr, state: frozenset, callee_tags
-) -> frozenset:
-    """Fingerprint components an expression's value may carry.
-
-    ``state`` is the key-tag dataflow state (``(name, tag)`` pairs);
-    ``callee_tags(call)`` resolves a call's contribution (registry names
-    like ``make_key`` plus resolved-callee summaries).
-    """
-    if isinstance(expr, ast.Name):
-        return frozenset(tag for name, tag in state if name == expr.id)
-    if isinstance(expr, ast.Call):
-        tags = set(callee_tags(expr))
-        for arg in expr.args:
-            tags |= expression_tags(arg, state, callee_tags)
-        for keyword in expr.keywords:
-            tags |= expression_tags(keyword.value, state, callee_tags)
-        return frozenset(tags)
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        tags = set(_pair_tags(expr))
-        for element in expr.elts:
-            tags |= expression_tags(element, state, callee_tags)
-        return frozenset(tags)
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-        return expression_tags(expr.left, state, callee_tags) | expression_tags(
-            expr.right, state, callee_tags
-        )
-    if isinstance(expr, ast.IfExp):
-        return expression_tags(expr.body, state, callee_tags) | expression_tags(
-            expr.orelse, state, callee_tags
-        )
-    if isinstance(expr, ast.Starred):
-        return expression_tags(expr.value, state, callee_tags)
-    return frozenset()
-
-
-class KeyTagProblem(DataflowProblem):
-    """May-analysis of fingerprint components flowing into key variables.
-
-    States are frozensets of ``(variable, tag)`` pairs; join is union, so a
-    component added on *any* path counts — matching the serve tier's
-    conditional augmentations (the epoch lands on the key only when ingest
-    is enabled, and that is the accepted shape).
-    """
-
-    direction = "forward"
-
-    def __init__(self, callee_tags) -> None:
-        self.callee_tags = callee_tags
-
-    def initial(self) -> frozenset:
-        return frozenset()
-
-    def join(self, left: frozenset, right: frozenset) -> frozenset:
-        return left | right
-
-    def transfer_item(self, item, state: frozenset) -> frozenset:
-        if isinstance(item, ast.Assign) and len(item.targets) == 1:
-            target = item.targets[0]
-            if isinstance(target, ast.Name):
-                tags = expression_tags(item.value, state, self.callee_tags)
-                kept = frozenset(
-                    pair for pair in state if pair[0] != target.id
-                )
-                return kept | frozenset((target.id, tag) for tag in tags)
-        elif (
-            isinstance(item, ast.AugAssign)
-            and isinstance(item.op, ast.Add)
-            and isinstance(item.target, ast.Name)
-        ):
-            tags = expression_tags(item.value, state, self.callee_tags)
-            return state | frozenset(
-                (item.target.id, tag) for tag in tags
-            )
-        return state
-
-
-def solve_key_tags(info: FunctionInfo, callee_tags):
-    """The key-tag dataflow solution over one function's CFG."""
-    return solve(info.cfg(), KeyTagProblem(callee_tags))
-
-
-def make_callee_tags(site_by_call: dict, summaries: dict):
-    """A ``callee_tags(call)`` resolver over registry names + summaries."""
-
-    def callee_tags(call: ast.Call) -> frozenset:
-        name = call_name(call)
-        tags = set(KEY_TAG_FUNCTIONS.get(name.rsplit(".", 1)[-1], frozenset()))
-        site = site_by_call.get(id(call))
-        if site is not None:
-            for callee in site.callees:
-                summary = summaries.get(callee)
-                if summary is not None:
-                    tags |= summary.cache_key_tags
-        return frozenset(tags)
-
-    return callee_tags
-
-
 # -- the bottom-up fixpoint ----------------------------------------------------
 
 
@@ -776,7 +635,6 @@ def _update_summary(
                             ) + tail
 
     returns_resource = _returned_resource(fact, summaries)
-    cache_key_tags = _return_tags(fact, summaries)
     taint_fields = _update_taint_fields(function_id, fact, facts, summaries, old)
 
     new = FunctionSummary(
@@ -797,7 +655,6 @@ def _update_summary(
         releases_params=frozenset(releases),
         raises=fact.raises,
         propagates=frozenset(propagates),
-        cache_key_tags=cache_key_tags,
         return_range=fact.return_range,
         **taint_fields,
     )
@@ -940,7 +797,6 @@ def _fixpoint_fields_equal(
         and left.returns_resource == right.returns_resource
         and left.releases_params == right.releases_params
         and left.propagates == right.propagates
-        and left.cache_key_tags == right.cache_key_tags
         and left.returns_taint == right.returns_taint
         and left.taint_param_to_return == right.taint_param_to_return
         and left.sink_params == right.sink_params
@@ -982,28 +838,3 @@ def _returned_resource(fact: _Facts, summaries: dict) -> str | None:
                 if kind is not None:
                     return kind
     return None
-
-
-def _return_tags(fact: _Facts, summaries: dict) -> frozenset:
-    """Union of key tags over every return expression (with dataflow state)."""
-    has_callee_tags = any(
-        summaries.get(callee_id) is not None
-        and summaries[callee_id].cache_key_tags
-        for site in fact.site_by_call.values()
-        for callee_id in site.callees
-    )
-    if not fact.return_stmts or not (fact.mentions_key_api or has_callee_tags):
-        return frozenset()
-    callee_tags = make_callee_tags(fact.site_by_call, summaries)
-    solution = solve_key_tags(fact.info, callee_tags)
-    tags: set = set()
-    cfg = fact.info.cfg()
-    wanted = {id(stmt) for stmt in fact.return_stmts}
-    for block in cfg.blocks:
-        if not any(id(item) in wanted for item in block.body):
-            continue
-        states = solution.states_through(block)
-        for item, state in zip(block.body, states):
-            if id(item) in wanted and item.value is not None:
-                tags |= expression_tags(item.value, state, callee_tags)
-    return frozenset(tags)

@@ -25,18 +25,18 @@ def codes_of(findings):
 
 
 class TestRegistry:
-    def test_all_fifteen_rules_registered(self):
+    def test_all_fourteen_rules_registered(self):
         assert checker_codes() == [
             "RL001", "RL002", "RL004", "RL005", "RL007", "RL008",
-            "RL009", "RL010", "RL011", "RL012", "RL013", "RL014",
-            "RL015", "RL016", "RL017",
+            "RL009", "RL010", "RL011", "RL013", "RL014", "RL015",
+            "RL016", "RL017",
         ]
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers(["RL999"])
 
-    @pytest.mark.parametrize("retired", ["RL003", "RL006"])
+    @pytest.mark.parametrize("retired", ["RL003", "RL006", "RL012"])
     def test_retired_code_rejected_like_any_unknown_code(self, retired):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers([retired])

@@ -1,20 +1,9 @@
-"""Fixture tests for the interprocedural rules RL010–RL013.
+"""Fixture tests for the interprocedural rules RL010, RL011 and RL013."""
 
-The RL012 corpus test is this PR's acceptance criterion made executable:
-a copy of ``src/repro/serve/service.py`` with the ingest-epoch component
-removed from the serve result-cache key must light up at the cache sink —
-the fencing bug the rule exists to catch, seeded into the real code.
-"""
-
-import re
 import textwrap
-from pathlib import Path
 
 from repro_lint import SourceFile, all_checkers
 from repro_lint.callgraph import Project
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SERVICE_PY = REPO_ROOT / "src" / "repro" / "serve" / "service.py"
 
 
 def lint_project(code: str, files: dict):
@@ -334,174 +323,6 @@ class TestRL011InterproceduralLocks:
                 self.take_extra()
         """,
         ) == []
-
-
-class TestRL012CacheKeyFencing:
-    FENCED = """
-        class Runtime:
-            pass
-
-        def make_key(dataset, vector, rates, k):
-            return (dataset, vector, rates, k)
-
-        class Server:
-            def __init__(self, cache, runtime):
-                self.cache = cache
-                self.runtime = runtime
-
-            def lookup(self, dataset, vector, rates, k, epoch):
-                key = make_key(dataset, vector, rates, k)
-                %s
-                return self.cache.get(key)
-    """
-
-    def test_missing_epoch_flagged_at_the_sink(self):
-        findings = one_module("RL012", self.FENCED % "pass")
-        assert codes_of(findings) == ["RL012"]
-        assert findings[0].metadata["missing"] == ["ingest epoch"]
-        assert "self.cache.get" in findings[0].message
-
-    def test_unconditional_epoch_append_is_clean(self):
-        assert one_module(
-            "RL012", self.FENCED % 'key += (("epoch", epoch),)'
-        ) == []
-
-    def test_conditional_epoch_append_is_clean(self):
-        """May-analysis: one path adding the component satisfies the rule."""
-        assert one_module(
-            "RL012",
-            self.FENCED
-            % """if epoch is not None:
-                    key += (("epoch", epoch),)""",
-        ) == []
-
-    def test_gen_component_does_not_count_as_epoch(self):
-        """The store generation only moves on slab swaps — not a fence."""
-        findings = one_module(
-            "RL012", self.FENCED % 'key += (("gen", epoch),)'
-        )
-        assert codes_of(findings) == ["RL012"]
-
-    def test_non_query_key_is_ignored(self):
-        assert one_module(
-            "RL012",
-            """
-            class Server:
-                def __init__(self, cache):
-                    self.cache = cache
-
-                def lookup(self, name):
-                    return self.cache.get((name,))
-            """,
-        ) == []
-
-    def test_two_stage_params_do_not_satisfy_the_epoch_fence(self):
-        """Two-stage cohorting is orthogonal to the ingest fence."""
-        findings = one_module(
-            "RL012",
-            self.FENCED
-            % 'key += (("two_stage", ("candidates", "horizon")),)',
-        )
-        assert codes_of(findings) == ["RL012"]
-        assert findings[0].metadata["missing"] == ["ingest epoch"]
-
-    def test_two_stage_params_alongside_epoch_are_clean(self):
-        assert one_module(
-            "RL012",
-            self.FENCED
-            % """key += (("two_stage", ("candidates", "horizon")),)
-                key += (("epoch", epoch),)""",
-        ) == []
-
-    def test_key_built_by_helper_still_seen(self):
-        findings = one_module(
-            "RL012",
-            """
-            def make_key(dataset, vector, rates, k):
-                return (dataset, vector, rates, k)
-
-            def build(dataset, vector, rates, k):
-                return make_key(dataset, vector, rates, k)
-
-            class Server:
-                def __init__(self, cache):
-                    self.cache = cache
-
-                def lookup(self, dataset, vector, rates, k):
-                    key = build(dataset, vector, rates, k)
-                    return self.cache.get(key)
-            """,
-        )
-        assert codes_of(findings) == ["RL012"]
-
-
-class TestRL012Corpus:
-    """The acceptance criterion: seeded epoch removal in the real service."""
-
-    # Both appends live in ``_result_key`` (the search plan's key builder);
-    # the sink they protect is ``self.cache.get(key)`` in ``search``, which
-    # sees the key only through that helper's summary.  The epoch append is
-    # the whole body of its ``if``, so "removing" it leaves a ``pass``.
-    EPOCH_LINE = re.compile(
-        r"^(\s*)key \+= \(\("  # the epoch append, single line
-        r'"epoch", plan\.staleness\["epoch"\]\),\)\n',
-        re.MULTILINE,
-    )
-    TWO_STAGE_LINE = re.compile(
-        r"^\s*key \+= \(\("  # the two-stage cohort append
-        r'"two_stage", tuple\(sorted\(plan\.two_stage\.items\(\)\)\)\),\)\n',
-        re.MULTILINE,
-    )
-
-    def test_current_service_is_fenced(self):
-        (checker,) = all_checkers(["RL012"])
-        project = Project(
-            [
-                SourceFile.parse(
-                    "src/repro/serve/service.py",
-                    SERVICE_PY.read_text(encoding="utf-8"),
-                )
-            ]
-        )
-        assert list(checker.check_project(project)) == []
-
-    def test_seeded_epoch_removal_flagged_at_the_cache_sink(self):
-        text = SERVICE_PY.read_text(encoding="utf-8")
-        mutated, count = self.EPOCH_LINE.subn(r"\1pass\n", text)
-        assert count == 1, "the epoch append the rule protects has moved"
-        (checker,) = all_checkers(["RL012"])
-        project = Project(
-            [SourceFile.parse("src/repro/serve/service.py", mutated)]
-        )
-        findings = sorted(checker.check_project(project))
-        assert codes_of(findings) == ["RL012"]
-        sink_line = next(
-            number
-            for number, line in enumerate(mutated.splitlines(), start=1)
-            if "self.cache.get(key)" in line
-        )
-        assert findings[0].line == sink_line
-        assert findings[0].metadata["missing"] == ["ingest epoch"]
-
-    def test_two_stage_cohort_key_is_present_and_not_a_fence(self):
-        """The search key carries the two-stage cohort component —
-        and removing the epoch append is still flagged with it in place,
-        because two-stage parameters never substitute for the ingest fence.
-        """
-        text = SERVICE_PY.read_text(encoding="utf-8")
-        assert len(self.TWO_STAGE_LINE.findall(text)) == 1, (
-            "the two-stage cache-key cohort append has moved"
-        )
-        mutated, count = self.EPOCH_LINE.subn(r"\1pass\n", text)
-        assert count == 1
-        assert self.TWO_STAGE_LINE.search(mutated) is not None
-        (checker,) = all_checkers(["RL012"])
-        project = Project(
-            [SourceFile.parse("src/repro/serve/service.py", mutated)]
-        )
-        findings = sorted(checker.check_project(project))
-        assert codes_of(findings) == ["RL012"]
-        assert findings[0].metadata["missing"] == ["ingest epoch"]
 
 
 class TestRL013BlockingUnderLock:

@@ -297,7 +297,7 @@ class TestSarifReporter:
         assert driver["name"] == "repro-lint"
         codes = [rule["id"] for rule in driver["rules"]]
         assert codes == [
-            f"RL{i:03d}" for i in range(1, 18) if i not in (3, 6)
+            f"RL{i:03d}" for i in range(1, 18) if i not in (3, 6, 12)
         ]
         assert all(rule["shortDescription"]["text"] for rule in driver["rules"])
 
@@ -377,13 +377,6 @@ class TestBaselineMetadataStability:
         assert baseline.contains(new)  # line drift + new metadata: still known
 
 
-@pytest.fixture(scope="module")
-def src_report():
-    """One full lint of ``src/`` with every rule and an empty baseline — the
-    several-second run both whole-tree gate tests assert over."""
-    return run_lint([REPO_ROOT / "src"], baseline=Baseline(), root=REPO_ROOT)
-
-
 class TestRepositorySelfLint:
     """The analyzer runs clean over its own repository (ISSUE 3 gate)."""
 
@@ -395,10 +388,10 @@ class TestRepositorySelfLint:
 
     def test_src_is_clean_with_an_empty_baseline_and_all_rules(self, src_report):
         """The self-lint gate: nothing hides behind the baseline — the
-        interprocedural RL010–RL013 and the abstract-interpretation
-        RL014–RL017 included."""
-        assert len(src_report.checker_codes) == 15
-        assert {"RL010", "RL011", "RL012", "RL013"} <= set(
+        interprocedural RL010, RL011, RL013 and the
+        abstract-interpretation RL014–RL017 included."""
+        assert len(src_report.checker_codes) == 14
+        assert {"RL010", "RL011", "RL013"} <= set(
             src_report.checker_codes
         )
         assert {"RL014", "RL015", "RL016", "RL017"} <= set(

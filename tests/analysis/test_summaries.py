@@ -258,47 +258,6 @@ class TestExceptions:
         assert "ValueError" in index["repro.m:outer"].propagates
 
 
-class TestCacheKeyTags:
-    def test_key_builder_tags_flow_to_return(self):
-        index = one_module(
-            """
-            def build(dataset, vector, rates, k):
-                key = make_key(dataset, vector, rates, k)
-                return key
-            """
-        )
-        assert index["repro.m:build"].cache_key_tags == {"query", "rates"}
-
-    def test_epoch_pair_concatenation_tags(self):
-        index = one_module(
-            """
-            def build(dataset, vector, rates, k, epoch):
-                key = make_key(dataset, vector, rates, k)
-                key += (("epoch", epoch),)
-                return key
-            """
-        )
-        assert index["repro.m:build"].cache_key_tags == {
-            "query",
-            "rates",
-            "epoch",
-        }
-
-    def test_helper_tags_compose(self):
-        """A caller returning a helper-built key inherits the helper's tags."""
-        index = one_module(
-            """
-            def build(dataset, vector, rates, k):
-                return make_key(dataset, vector, rates, k)
-
-            def outer(dataset, vector, rates, k):
-                key = build(dataset, vector, rates, k)
-                return key
-            """
-        )
-        assert index["repro.m:outer"].cache_key_tags == {"query", "rates"}
-
-
 class TestFixpoint:
     def test_direct_recursion_converges(self):
         index = one_module(

@@ -140,9 +140,9 @@ def pragma_comments(path: Path) -> list[tuple[int, set[str]]]:
     return found
 
 
-def dead_pragmas(root: Path, tree: Path, checkers=None) -> list[str]:
-    """Pragma comments under ``tree`` that suppress no finding of the lint."""
-    report = run_lint([tree], checkers=checkers, baseline=Baseline(), root=root)
+def dead_pragmas(report, root: Path, tree: Path) -> list[str]:
+    """Pragma comments under ``tree`` that suppress no finding of ``report``,
+    a lint of ``tree`` rooted at ``root``."""
     suppressed = {(f.file, f.line, f.code) for f in report.suppressed}
     dead = []
     for path in sorted(tree.rglob("*.py")):
@@ -159,10 +159,10 @@ def dead_pragmas(root: Path, tree: Path, checkers=None) -> list[str]:
 
 
 class TestDeadPragmas:
-    def test_every_pragma_in_src_suppresses_a_finding(self):
+    def test_every_pragma_in_src_suppresses_a_finding(self, src_report):
         """A pragma that suppresses nothing hides the next real finding on
         its line: delete it once the code it excused is gone."""
-        assert dead_pragmas(REPO_ROOT, REPO_ROOT / "src") == []
+        assert dead_pragmas(src_report, REPO_ROOT, REPO_ROOT / "src") == []
 
     def test_the_guard_sees_a_dead_pragma(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -182,6 +182,12 @@ class TestDeadPragmas:
                 '''
             )
         )
-        assert dead_pragmas(
-            tmp_path, tmp_path / "pkg", all_checkers(["RL005"])
-        ) == ["pkg/m.py:11 ignore[RL005]"]
+        report = run_lint(
+            [tmp_path / "pkg"],
+            checkers=all_checkers(["RL005"]),
+            baseline=Baseline(),
+            root=tmp_path,
+        )
+        assert dead_pragmas(report, tmp_path, tmp_path / "pkg") == [
+            "pkg/m.py:11 ignore[RL005]"
+        ]

@@ -8,7 +8,23 @@ import pytest
 
 from repro.datasets import dblp_transfer_schema
 from repro.query.query import QueryVector
-from repro.serve.cache import ResultCache, make_key, query_fingerprint, rates_fingerprint
+from repro.serve.cache import Fence, ResultCache, query_fingerprint, rates_fingerprint
+
+
+def fence(dataset="ds", vector=None, rates=None) -> Fence:
+    """A fence over ``dataset`` (ingest and store off, no node list)."""
+    return Fence(
+        dataset,
+        vector if vector is not None else QueryVector({"olap": 1.0}),
+        rates if rates is not None else dblp_transfer_schema(),
+        epoch=None,
+        generation=None,
+        node_ids=[],
+    )
+
+
+#: ``KEY("a")`` is entry ``"a"``'s key under one fixed fence.
+KEY = fence().key
 
 
 class FakeClock:
@@ -28,31 +44,31 @@ class TestLruEviction:
     def test_evicts_least_recently_used_first(self):
         cache = ResultCache(max_entries=3)
         for key in ("a", "b", "c"):
-            cache.put(key, key.upper())
-        cache.put("d", "D")  # overflows: "a" was least recently used
-        assert cache.get("a") is None
-        assert cache.get("b") == "B"
+            cache.put(KEY(key), key.upper())
+        cache.put(KEY("d"), "D")  # overflows: "a" was least recently used
+        assert cache.get(KEY("a")) is None
+        assert cache.get(KEY("b")) == "B"
         assert len(cache) == 3
         assert cache.stats().evictions == 1
 
     def test_get_refreshes_recency(self):
         cache = ResultCache(max_entries=3)
         for key in ("a", "b", "c"):
-            cache.put(key, key.upper())
-        cache.get("a")  # touch: now "b" is the LRU entry
-        cache.put("d", "D")
-        assert cache.get("a") == "A"
-        assert cache.get("b") is None
+            cache.put(KEY(key), key.upper())
+        cache.get(KEY("a"))  # touch: now "b" is the LRU entry
+        cache.put(KEY("d"), "D")
+        assert cache.get(KEY("a")) == "A"
+        assert cache.get(KEY("b")) is None
 
     def test_put_refreshes_recency_and_value(self):
         cache = ResultCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh, does not evict
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
+        cache.put(KEY("a"), 1)
+        cache.put(KEY("b"), 2)
+        cache.put(KEY("a"), 10)  # refresh, does not evict
+        cache.put(KEY("c"), 3)  # evicts "b"
+        assert cache.get(KEY("a")) == 10
+        assert cache.get(KEY("b")) is None
+        assert cache.get(KEY("c")) == 3
 
     def test_rejects_non_positive_bounds(self):
         with pytest.raises(ValueError):
@@ -68,66 +84,66 @@ class TestLruEviction:
 class TestByteBound:
     def test_evicts_least_recently_used_until_the_bytes_fit(self):
         cache = ResultCache(max_entries=None, max_bytes=100)
-        cache.put("a", "A", nbytes=40)
-        cache.put("b", "B", nbytes=40)
-        cache.get("a")  # touch: "b" is now the LRU entry
-        cache.put("c", "C", nbytes=40)
-        assert cache.get("b") is None
-        assert cache.get("a") == "A" and cache.get("c") == "C"
+        cache.put(KEY("a"), "A", nbytes=40)
+        cache.put(KEY("b"), "B", nbytes=40)
+        cache.get(KEY("a"))  # touch: "b" is now the LRU entry
+        cache.put(KEY("c"), "C", nbytes=40)
+        assert cache.get(KEY("b")) is None
+        assert cache.get(KEY("a")) == "A" and cache.get(KEY("c")) == "C"
         assert cache._bytes == 80
         assert cache.stats().evictions == 1
 
     def test_one_heavy_entry_can_push_out_several(self):
         cache = ResultCache(max_entries=None, max_bytes=100)
         for key in ("a", "b", "c"):
-            cache.put(key, key, nbytes=30)
-        cache.put("d", "D", nbytes=90)
-        assert len(cache) == 1 and cache.get("d") == "D"
+            cache.put(KEY(key), key, nbytes=30)
+        cache.put(KEY("d"), "D", nbytes=90)
+        assert len(cache) == 1 and cache.get(KEY("d")) == "D"
         assert cache._bytes == 90
 
     def test_an_entry_heavier_than_the_bound_is_never_held(self):
         cache = ResultCache(max_entries=None, max_bytes=100)
-        cache.put("a", "A", nbytes=60)
-        cache.put("whale", "W", nbytes=101)
+        cache.put(KEY("a"), "A", nbytes=60)
+        cache.put(KEY("whale"), "W", nbytes=101)
         assert len(cache) == 0 and cache._bytes == 0
 
     def test_refreshing_a_key_recounts_it(self):
         cache = ResultCache(max_entries=None, max_bytes=100)
-        cache.put("a", 1, nbytes=60)
-        cache.put("a", 2, nbytes=30)
-        cache.put("b", 3, nbytes=60)
-        assert cache.get("a") == 2 and cache.get("b") == 3
+        cache.put(KEY("a"), 1, nbytes=60)
+        cache.put(KEY("a"), 2, nbytes=30)
+        cache.put(KEY("b"), 3, nbytes=60)
+        assert cache.get(KEY("a")) == 2 and cache.get(KEY("b")) == 3
         assert cache._bytes == 90
 
     def test_expiry_and_invalidation_give_the_bytes_back(self):
         clock = FakeClock()
         cache = ResultCache(max_entries=None, max_bytes=100, ttl_seconds=10, clock=clock)
-        cache.put(("ds", "a"), 1, nbytes=50)
-        cache.put(("other", "b"), 2, nbytes=30)
+        cache.put(fence("ds").key("a"), 1, nbytes=50)
+        cache.put(fence("other").key("b"), 2, nbytes=30)
         assert cache.invalidate("ds") == 1
         assert cache._bytes == 30
         clock.advance(11)
-        assert cache.get(("other", "b")) is None
+        assert cache.get(fence("other").key("b")) is None
         assert cache._bytes == 0
-        cache.put(("ds", "c"), 3, nbytes=70)
+        cache.put(fence("ds").key("c"), 3, nbytes=70)
         assert cache.invalidate() == 1 and cache._bytes == 0
 
     def test_both_bounds_hold_together(self):
         cache = ResultCache(max_entries=2, max_bytes=100)
         for key in ("a", "b", "c"):
-            cache.put(key, key, nbytes=10)
-        assert len(cache) == 2 and cache.get("a") is None
+            cache.put(KEY(key), key, nbytes=10)
+        assert len(cache) == 2 and cache.get(KEY("a")) is None
 
 
 class TestTtlExpiry:
     def test_entry_expires_after_ttl(self):
         clock = FakeClock()
         cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put("a", "A")
+        cache.put(KEY("a"), "A")
         clock.advance(9.9)
-        assert cache.get("a") == "A"
+        assert cache.get(KEY("a")) == "A"
         clock.advance(0.2)
-        assert cache.get("a") is None
+        assert cache.get(KEY("a")) is None
         stats = cache.stats()
         assert stats.expirations == 1
         assert stats.size == 0
@@ -135,25 +151,25 @@ class TestTtlExpiry:
     def test_put_resets_the_clock(self):
         clock = FakeClock()
         cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put("a", "old")
+        cache.put(KEY("a"), "old")
         clock.advance(8.0)
-        cache.put("a", "new")
+        cache.put(KEY("a"), "new")
         clock.advance(8.0)
-        assert cache.get("a") == "new"
+        assert cache.get(KEY("a")) == "new"
 
     def test_no_ttl_means_no_expiry(self):
         clock = FakeClock()
         cache = ResultCache(max_entries=8, ttl_seconds=None, clock=clock)
-        cache.put("a", "A")
+        cache.put(KEY("a"), "A")
         clock.advance(1e9)
-        assert cache.get("a") == "A"
+        assert cache.get(KEY("a")) == "A"
 
 
 class TestKeying:
     def test_same_query_same_key(self):
         rates = dblp_transfer_schema()
-        a = make_key("dblp", QueryVector({"olap": 1.0, "cube": 2.0}), rates, 10)
-        b = make_key("dblp", QueryVector({"cube": 2.0, "olap": 1.0}), rates, 10)
+        a = fence("dblp", QueryVector({"olap": 1.0, "cube": 2.0}), rates).key(10)
+        b = fence("dblp", QueryVector({"cube": 2.0, "olap": 1.0}), rates).key(10)
         assert a == b  # term order is canonicalized
 
     def test_zero_weight_terms_are_ignored(self):
@@ -165,9 +181,9 @@ class TestKeying:
         vector = QueryVector({"olap": 1.0})
         initial = dblp_transfer_schema()
         learned = dblp_transfer_schema([0.5, 0.0, 0.2, 0.2, 0.3, 0.3, 0.3, 0.1])
-        assert make_key("dblp", vector, initial, 10) != make_key(
-            "dblp", vector, learned, 10
-        )
+        assert fence("dblp", vector, initial).key(10) != fence(
+            "dblp", vector, learned
+        ).key(10)
 
     def test_equal_rates_from_different_objects_share_key(self):
         assert rates_fingerprint(dblp_transfer_schema()) == rates_fingerprint(
@@ -178,29 +194,51 @@ class TestKeying:
         """The fingerprint is memoised per rates *state*, not per object."""
         vector = QueryVector({"olap": 1.0})
         rates = dblp_transfer_schema()
-        before = make_key("dblp", vector, rates, 10)
+        before = fence("dblp", vector, rates).key(10)
         assert rates_fingerprint(rates) is rates_fingerprint(rates)  # memoised
         clone = rates.copy()
         edge_type = rates.edge_types()[0]
         rates.set_rate(edge_type, rates.rate(edge_type) / 2)
-        assert make_key("dblp", vector, rates, 10) != before
+        assert fence("dblp", vector, rates).key(10) != before
         assert rates_fingerprint(rates) == tuple(
             round(rate, 12) for rate in rates.as_vector()
         )
         # A copy taken earlier keeps the state — and the key — it was taken in.
-        assert make_key("dblp", vector, clone, 10) == before
-        assert make_key("dblp", vector, rates.with_vector(clone.as_vector()), 10) == before
+        assert fence("dblp", vector, clone).key(10) == before
+        restored = rates.with_vector(clone.as_vector())
+        assert fence("dblp", vector, restored).key(10) == before
 
     def test_top_k_and_dataset_key(self):
         vector = QueryVector({"olap": 1.0})
         rates = dblp_transfer_schema()
-        assert make_key("a", vector, rates, 10) != make_key("a", vector, rates, 20)
-        assert make_key("a", vector, rates, 10) != make_key("b", vector, rates, 10)
+        assert fence("a", vector, rates).key(10) != fence("a", vector, rates).key(20)
+        assert fence("a", vector, rates).key(10) != fence("b", vector, rates).key(10)
+
+
+class TestFence:
+    def test_a_key_not_built_by_a_fence_is_refused(self):
+        cache = ResultCache(max_entries=8)
+        for bare in (("ds", "a"), tuple(KEY("a")), "a"):
+            with pytest.raises(TypeError, match="Fence.key"):
+                cache.put(bare, 1)
+            with pytest.raises(TypeError, match="Fence.key"):
+                cache.get(bare)
+        assert len(cache) == 0 and cache.stats().misses == 0
+
+    def test_every_component_prefixes_the_key(self):
+        vector = QueryVector({"olap": 1.0})
+        rates = dblp_transfer_schema()
+        key = Fence("ds", vector, rates, epoch=3, generation=7, node_ids=[]).key("x")
+        assert key == (
+            "ds", query_fingerprint(vector), rates_fingerprint(rates), 3, 7, "x"
+        )
+        assert isinstance(key, tuple) and key.dataset == "ds"
+        assert hash(key) == hash(tuple(key))
 
 
 class TestInvalidation:
     def _key(self, dataset, term="olap", k=10):
-        return make_key(dataset, QueryVector({term: 1.0}), dblp_transfer_schema(), k)
+        return fence(dataset, QueryVector({term: 1.0})).key(k)
 
     def test_invalidate_one_dataset(self):
         cache = ResultCache(max_entries=8)
@@ -223,10 +261,10 @@ class TestInvalidation:
 class TestStats:
     def test_hit_rate_accounting(self):
         cache = ResultCache(max_entries=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        cache.get("missing")
+        cache.put(KEY("a"), 1)
+        cache.get(KEY("a"))
+        cache.get(KEY("a"))
+        cache.get(KEY("missing"))
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (2, 1)
         assert stats.hit_rate == pytest.approx(2 / 3)
@@ -240,14 +278,14 @@ class TestConcurrency:
         """Concurrent get/put/invalidate never corrupts the cache and the
         size bound holds throughout."""
         cache = ResultCache(max_entries=32)
-        keys = [("ds", ("t", float(i)), (0.5,), 10) for i in range(64)]
+        keys = [KEY(i) for i in range(64)]
 
         def worker(seed: int) -> int:
             hits = 0
             for i in range(400):
                 key = keys[(seed * 7 + i) % len(keys)]
                 if i % 3 == 0:
-                    cache.put(key, (seed, i))
+                    cache.put(KEY(key), (seed, i))
                 else:
                     value = cache.get(key)
                     if value is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -195,6 +196,40 @@ class TestConcurrentSwap:
         for reader in readers:
             reader.join(timeout=10.0)
         assert outcomes == [("ok", [1, 2]), ("ok", [1, 2])]
+
+    def test_a_slow_open_never_swaps_back(self, tmp_path, ranker, monkeypatch):
+        """Generation 2's open is held until a concurrent refresh has
+        installed 3; when it finishes, the manager stays on 3."""
+        manager = StoreManager(tmp_path)
+        build_and_publish(tmp_path, ranker, "fig1")
+        assert manager.ranker().source.generation == 1
+        build_and_publish(tmp_path, ranker, "fig1")
+        opening, release = threading.Event(), threading.Event()
+        over = PrecomputedRanker.over.__func__
+
+        def held_over(cls, source, min_coverage=1.0):
+            if source.generation == 2:
+                opening.set()
+                assert release.wait(10.0)
+            return over(cls, source, min_coverage)
+
+        monkeypatch.setattr(PrecomputedRanker, "over", classmethod(held_over))
+        outcome = []
+        slow = threading.Thread(
+            target=lambda: outcome.append(manager.refresh(force=True))
+        )
+        slow.start()
+        try:
+            assert opening.wait(10.0)
+            build_and_publish(tmp_path, ranker, "fig1")
+            assert manager.refresh(force=True) is True
+        finally:
+            release.set()
+            slow.join(10.0)
+        assert not slow.is_alive() and outcome == [False]
+        assert manager.generation == 3
+        assert manager.ranker().source.generation == 3
+        assert manager.swaps == 1
 
     def test_reader_survives_pruning_of_its_generation(self, tmp_path, ranker, ranker_b):
         """A pinned ScoreStore outlives the unlink of its file (mmap pin)."""

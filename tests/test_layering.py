@@ -452,6 +452,135 @@ def test_only_the_session_factory_reads_the_score_cache():
     assert sorted(writers) == ["_execute", "_session"]
 
 
+# -- one cache fence: every serve cache key comes from Fence.key ----------------
+
+#: The one module that may name (and so construct) the cache key type.
+KEY_TYPE_HOME = "serve/cache.py"
+
+
+def _is_fence_key(node: ast.AST) -> bool:
+    """``fence.key(...)`` or ``<expr>.fence.key(...)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "key"
+    ):
+        return False
+    owner = node.func.value
+    return (isinstance(owner, ast.Name) and owner.id == "fence") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "fence"
+    )
+
+
+def unfenced_cache_calls(serve: Path) -> list[str]:
+    """``.get``/``.put`` calls on a ``*cache`` receiver under ``serve`` whose
+    key is neither ``fence.key(...)`` nor a local assigned only from one."""
+    offenders = []
+    for path in sorted(serve.rglob("*.py")):
+        name = path.relative_to(serve).as_posix()
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assigned: dict[str, list[ast.AST]] = {}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned.setdefault(target.id, []).append(node.value)
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and isinstance(
+                    node.target, ast.Name
+                ):
+                    assigned.setdefault(node.target.id, []).append(node)
+            for node in ast.walk(function):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get", "put")
+                ):
+                    continue
+                receiver = node.func.value
+                receiver_name = (
+                    receiver.id if isinstance(receiver, ast.Name)
+                    else receiver.attr if isinstance(receiver, ast.Attribute)
+                    else ""
+                )
+                if not receiver_name.endswith("cache"):
+                    continue
+                key = node.args[0] if node.args else None
+                fenced = _is_fence_key(key) or (
+                    isinstance(key, ast.Name)
+                    and bool(assigned.get(key.id))
+                    and all(_is_fence_key(value) for value in assigned[key.id])
+                )
+                if not fenced:
+                    offenders.append(f"{name}:{node.lineno}")
+    return offenders
+
+
+def key_type_namers(src: Path) -> list[str]:
+    """Modules other than :data:`KEY_TYPE_HOME` that name ``FenceKey``."""
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        if name == KEY_TYPE_HOME:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "FenceKey")
+                or (isinstance(node, ast.Attribute) and node.attr == "FenceKey")
+                or (
+                    isinstance(node, ast.alias)
+                    and node.name.rsplit(".", 1)[-1] == "FenceKey"
+                )
+            )
+            if named:
+                offenders.append(f"{name}:{getattr(node, 'lineno', 0)}")
+    return offenders
+
+
+def test_every_serve_cache_key_comes_from_the_fence():
+    """A key built by hand can leave out the rates, the epoch or the
+    generation; one from ``Fence.key`` cannot."""
+    assert unfenced_cache_calls(SRC / "serve") == []
+
+
+def test_only_the_cache_module_constructs_the_key_type():
+    assert key_type_namers(SRC) == []
+
+
+def test_the_guards_see_a_hand_built_key_and_a_second_constructor(tmp_path):
+    serve = tmp_path / "serve"
+    serve.mkdir()
+    (serve / "cache.py").write_text(
+        "class FenceKey(tuple):\n"
+        "    pass\n"
+        "def make(prefix):\n"
+        "    return FenceKey(prefix)\n"
+    )
+    (serve / "service.py").write_text(
+        "from repro.serve.cache import FenceKey\n"
+        "class Service:\n"
+        "    def fenced(self, plan, fence):\n"
+        "        key = plan.fence.key(plan.k)\n"
+        "        self.cache.get(key)\n"
+        "        self.cache.put(key, 1)\n"
+        "        self.score_cache.get(fence.key('scores'))\n"
+        "        self.other.get(('ds', 1))\n"
+        "    def by_hand(self, dataset, vector, epoch):\n"
+        "        self.cache.get((dataset, vector))\n"
+        "        key = fence.key(1)\n"
+        "        key += (('epoch', epoch),)\n"
+        "        self.explain_cache.put(key, 2)\n"
+        "        cache = {}\n"
+        "        cache.get(vector)\n"
+        "        self.score_cache.put(FenceKey((dataset,)), 3)\n"
+    )
+    assert unfenced_cache_calls(serve) == [
+        "service.py:10", "service.py:13", "service.py:15", "service.py:16"
+    ]
+    assert key_type_namers(tmp_path) == ["serve/service.py:1", "serve/service.py:16"]
+
+
 # -- `import repro` is the paper's system: every module is reached or named -------
 
 #: Import edges are followed from the front ends and the loop they drive.
@@ -652,13 +781,15 @@ def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
 
 
-def test_the_registry_holds_fifteen_rules():
-    """RL003 folded into RL007 and RL006 into RL016; their codes stay unknown."""
+def test_the_registry_holds_fourteen_rules():
+    """RL003 folded into RL007 and RL006 into RL016, and RL012's hazard is
+    unwritable since every serve cache key comes from ``Fence.key``; the
+    three codes stay unknown."""
     from repro_lint import checker_codes
 
     codes = checker_codes()
-    assert len(codes) == 15
-    assert not {"RL003", "RL006"} & set(codes)
+    assert len(codes) == 14
+    assert not {"RL003", "RL006", "RL012"} & set(codes)
 
 
 # -- one Eq. 4 loop: the numpy step and the compiled single-vector step ----------
