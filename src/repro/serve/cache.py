@@ -30,7 +30,6 @@ from typing import Any, Callable
 
 from repro.graph.authority import FINGERPRINT_DIGITS, AuthorityTransferSchemaGraph
 from repro.query.query import QueryVector
-from repro.ranking.convergence import RankedResult
 
 
 def query_fingerprint(vector: QueryVector) -> tuple:
@@ -66,13 +65,11 @@ class Fence:
 
     Built once per request, before any cache is consulted: the dataset, the
     query and rate fingerprints, the ingest epoch (``None`` with ingest
-    off), the store generation of the ranker that answers (``None`` off the
-    store) and the node list the request serves.  The first five prefix
-    every key; the node list is not hashable state but an identity, which
-    :meth:`indexes` checks against a kept ranking.
+    off) and the store generation of the ranker that answers (``None`` off
+    the store).  Together they prefix every key.
     """
 
-    __slots__ = ("dataset", "query", "rates", "epoch", "generation", "node_ids")
+    __slots__ = ("dataset", "query", "rates", "epoch", "generation")
 
     def __init__(
         self,
@@ -81,14 +78,12 @@ class Fence:
         rates: AuthorityTransferSchemaGraph,
         epoch: int | None,
         generation: int | None,
-        node_ids: list[str],
     ) -> None:
         self.dataset = dataset
         self.query = query_fingerprint(vector)
         self.rates = rates_fingerprint(rates)
         self.epoch = epoch
         self.generation = generation
-        self.node_ids = node_ids
 
     def key(self, *parts: Any) -> FenceKey:
         """The fenced key of one cached value: the fence, then ``parts``
@@ -96,12 +91,6 @@ class Fence:
         return FenceKey(
             (self.dataset, self.query, self.rates, self.epoch, self.generation, *parts)
         )
-
-    def indexes(self, ranked: RankedResult) -> bool:
-        """Whether ``ranked`` indexes the node list this request serves: a
-        kept ranking is positional, so one computed over a topology this
-        request does not serve cannot stand in for its search."""
-        return ranked.node_ids is self.node_ids
 
 
 @dataclass(frozen=True)

@@ -614,7 +614,6 @@ class QueryService:
             generation=(
                 None if store_ranker is None else store_ranker.source.generation
             ),
-            node_ids=runtime.engine.graph.node_ids,
         )
         return runtime, vector, rates, staleness, store_ranker, fence
 
@@ -714,7 +713,10 @@ class QueryService:
         ranker = None
         if mode in ("auto", "precomputed"):
             # A store-backed runtime answers from the generation its fence
-            # names; an in-process one builds its ranker on first use.
+            # names.  An in-process one builds its ranker here, on first
+            # use: ``_begin`` cannot, as explain and feedback requests would
+            # pay one ObjectRank per index keyword for a ranker they never
+            # read.
             ranker = (
                 store_ranker
                 if runtime.store is not None
@@ -888,10 +890,11 @@ class QueryService:
         requests stay isolated.
 
         A full-graph session whose initial search some request already ran
-        — same fence, exact query vector, exact rates, served node list —
-        adopts that run from the score cache and iterates nothing; any other
-        runs the search itself and keeps it.  A two-stage session always
-        searches: its scores depend on the candidate set.
+        — same fence, exact query vector, exact rates, over the node list
+        this session runs on — adopts that run from the score cache and
+        iterates nothing; any other runs the search itself and keeps it.  A
+        two-stage session always searches: its scores depend on the
+        candidate set.
         """
         session = ObjectRankSystem(
             runtime.data_graph,
@@ -907,9 +910,11 @@ class QueryService:
             return session
         key = fence.key(*_exactly(vector, rates))
         ranked = self.score_cache.get(key)
-        # One kept across a topology refresh that raced this request is not
-        # over the node list the fence serves.
-        if ranked is not None and fence.indexes(ranked):
+        # A ranking indexes the node list it was computed over; one kept
+        # across a topology refresh that raced this request is not ours.
+        # Read here, not in the fence: the session runs on the engine as it
+        # is now, which a refresh since ``_begin`` may have moved on.
+        if ranked is not None and ranked.node_ids is runtime.engine.graph.node_ids:
             self._score_cache_hits.inc()
             top = ranked.top_k(self.config.default_top_k)
             session.adopt_initial(vector, SearchResult(vector, ranked, top, 0.0))

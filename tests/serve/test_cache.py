@@ -12,14 +12,13 @@ from repro.serve.cache import Fence, ResultCache, query_fingerprint, rates_finge
 
 
 def fence(dataset="ds", vector=None, rates=None) -> Fence:
-    """A fence over ``dataset`` (ingest and store off, no node list)."""
+    """A fence over ``dataset`` (ingest and store off)."""
     return Fence(
         dataset,
         vector if vector is not None else QueryVector({"olap": 1.0}),
         rates if rates is not None else dblp_transfer_schema(),
         epoch=None,
         generation=None,
-        node_ids=[],
     )
 
 
@@ -228,7 +227,7 @@ class TestFence:
     def test_every_component_prefixes_the_key(self):
         vector = QueryVector({"olap": 1.0})
         rates = dblp_transfer_schema()
-        key = Fence("ds", vector, rates, epoch=3, generation=7, node_ids=[]).key("x")
+        key = Fence("ds", vector, rates, epoch=3, generation=7).key("x")
         assert key == (
             "ds", query_fingerprint(vector), rates_fingerprint(rates), 3, 7, "x"
         )
@@ -285,7 +284,7 @@ class TestConcurrency:
             for i in range(400):
                 key = keys[(seed * 7 + i) % len(keys)]
                 if i % 3 == 0:
-                    cache.put(KEY(key), (seed, i))
+                    cache.put(key, (seed, i))
                 else:
                     value = cache.get(key)
                     if value is not None:
@@ -305,3 +304,4 @@ class TestConcurrency:
         total_gets = sum(1 for seed in range(8) for i in range(400) if i % 3 != 0)
         assert stats.hits + stats.misses == total_gets
         assert stats.hits == sum(results)
+        assert sum(results) > 0  # the gets read the keys the puts wrote

@@ -1,12 +1,12 @@
 """Every serve cache is fenced by what its answers were computed under.
 
 A request's :class:`~repro.serve.cache.Fence` holds the query and rate
-fingerprints, the ingest epoch, the store generation and the served node
-list.  Each test here changes exactly one of them *without* the service's
-explicit invalidation, so the only thing standing between the request and
-a stale answer is that component of the fence.  (The node list has its own
-test in ``test_session_transport.py``: a ranking over another node list is
-never adopted by a session.)
+fingerprints, the ingest epoch and the store generation.  Each test here
+changes exactly one of them *without* the service's explicit invalidation,
+so the only thing standing between the request and a stale answer is that
+component of the fence.  (The node list a kept ranking must index is not in
+the fence but read by the session; ``test_session_transport.py`` tests it,
+including a refresh adopted after the request read its fence.)
 """
 
 from __future__ import annotations

@@ -370,6 +370,35 @@ class TestScoreCacheMisses:
         service.explain("ds", "OLAP", "v7")
         assert counters(service)[:2] == (0, 1)
 
+    def test_a_refresh_racing_the_request_is_not_adopted(self, figure1, monkeypatch):
+        """A snapshot adopted after the request read its fence but before
+        its session looked up the kept ranking: the request's key still
+        names epoch 0, so it finds epoch 0's ranking, whose node list is not
+        the one the session now runs on."""
+        service = QueryService(
+            ServeConfig(datasets=("ds",), precompute=False, ingest=True),
+            datasets={"ds": figure1},
+        )
+        service.search("ds", "OLAP", mode="live")
+        runtime = service.runtime("ds")
+        get = service.score_cache.get
+
+        def refresh_then_get(key):
+            runtime.ingest.apply_batch([
+                {"op": "add_node", "node_id": "p_new", "label": "Paper",
+                 "attributes": {"title": "OLAP cube maintenance revisited"}},
+                {"op": "add_edge", "source": "v7", "target": "p_new", "role": "cites"},
+            ])
+            assert runtime.refresh_ingest(force=True)["epoch"] == 1
+            kept = get(key)
+            assert kept is not None  # the epoch-0 entry the key still names
+            return kept
+
+        monkeypatch.setattr(service.score_cache, "get", refresh_then_get)
+        served = service.explain("ds", "OLAP", "v7")
+        assert served["staleness"]["epoch"] == 0
+        assert counters(service)[:2] == (0, 1)
+
     def test_two_stage_explain_never_touches_the_score_cache(self, dblp_tiny):
         query = CORPORA["dblp_tiny"]
         target = marked(dblp_tiny, query)[0]
