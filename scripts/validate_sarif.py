@@ -5,7 +5,7 @@ upload that the ingestion endpoint rejects fails *silently* (the job step
 succeeds, the findings just never appear).  This validator pins the
 subset of the SARIF 2.1.0 spec the upload actually depends on — schema
 pointer, version, run/tool/rule shape, result locations, rule cross
-references, and the ``codeFlows`` threads RL014 attaches — without any
+references, and the ``codeFlows`` threads RL011 and RL013 attach — without any
 network access or third-party schema library.
 
 Usage::

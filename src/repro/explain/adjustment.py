@@ -36,6 +36,7 @@ from repro.graph.authority import EdgeType
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_TOLERANCE,
+    check_damping,
     check_max_iterations,
 )
 
@@ -169,6 +170,7 @@ def adjust_flows(
     :class:`FlowExplanation` with the adjusted flows; ``iterations`` is the
     count reported in Table 3 of the paper.
     """
+    check_damping(damping)
     check_max_iterations(max_iterations)
     graph = subgraph.graph
     edge_ids = subgraph.edge_ids

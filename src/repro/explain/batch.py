@@ -74,6 +74,7 @@ from repro.ranking import _native
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_TOLERANCE,
+    check_damping,
     check_max_iterations,
 )
 
@@ -367,6 +368,7 @@ def batched_adjust_flows(
     target that fails to converge within ``max_iterations``, like the serial
     path does for its single target.
     """
+    check_damping(damping)
     check_max_iterations(max_iterations)
     explanations: list[FlowExplanation | None] = [None] * len(subgraphs)
     segments: list[_Segment] = []
@@ -502,6 +504,7 @@ def batched_explain(
     fixpoint.  Per target, the result is bit-identical to the serial
     pipeline.
     """
+    check_damping(damping)
     check_max_iterations(max_iterations)
     subgraphs = batched_build_explaining_subgraphs(
         graph, base_node_ids, target_ids, radius

@@ -186,14 +186,38 @@ class AuthorityTransferSchemaGraph:
             self.outgoing_rate_sum(label) <= 1.0 + tolerance for label in self._schema.labels
         )
 
+    def headroom(self, label: str) -> tuple[float, float]:
+        """``(spare, mass)`` of ``label``'s k outgoing types: the outgoing sum
+        the epsilon floor leaves room for, ``1 - k*epsilon`` (never below 0),
+        and the rate mass above the floor, ``sum - k*epsilon``.
+
+        The label is over-full exactly when ``mass > spare``.  Scaling only
+        the mass above the floor by ``spare / mass`` then brings the outgoing
+        sum to 1 with every rate still at or above the floor, whenever
+        ``k*epsilon <= 1`` (:meth:`shrunk_rate`).  At ``epsilon = 0`` that
+        is dividing every rate by the sum.
+        """
+        floor = len(self.outgoing_types(label)) * self.epsilon
+        return max(1.0 - floor, 0.0), self.outgoing_rate_sum(label) - floor
+
+    def shrunk_rate(self, edge_type: EdgeType, spare: float, mass: float) -> float:
+        """``edge_type``'s rate with its mass above the floor scaled by
+        ``spare / mass`` (see :meth:`headroom`)."""
+        epsilon = self.epsilon
+        return epsilon + (self.rate(edge_type) - epsilon) * spare / mass
+
     def scaled_to_convergent(self) -> "AuthorityTransferSchemaGraph":
-        """A copy where labels with outgoing sum > 1 are scaled down to sum 1."""
+        """A copy where labels with outgoing sum > 1 are scaled down to sum 1.
+
+        Only the mass above the epsilon floor is scaled (:meth:`headroom`),
+        so re-flooring cannot lift a sum back above 1.
+        """
         copy = self.copy()
         for label in self._schema.labels:
-            total = copy.outgoing_rate_sum(label)
-            if total > 1.0:
-                for edge_type in copy.outgoing_types(label):
-                    copy.set_rate(edge_type, copy.rate(edge_type) / total)
+            spare, mass = self.headroom(label)
+            if mass > spare:
+                for edge_type in self.outgoing_types(label):
+                    copy.set_rate(edge_type, self.shrunk_rate(edge_type, spare, mass))
         return copy
 
     def __eq__(self, other: object) -> bool:

@@ -225,7 +225,10 @@ class IngestEngine:
                 if typed:
                     op = entry.op
                 else:
+                    # Echo a wire ``op`` only when it is text: a NaN would
+                    # make the response invalid JSON.
                     op = entry.get("op") if isinstance(entry, dict) else None
+                    op = op if isinstance(op, str) else None
                 errors.append({"position": position, "op": op, "error": str(error)})
         return applied, errors
 

@@ -8,8 +8,10 @@ query-expansion stage of Section 5.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping
 
+from repro.errors import ParameterError
 from repro.ir.tokenize import QUERY_ANALYZER, Analyzer
 
 
@@ -95,8 +97,12 @@ class QueryVector:
     # -- mutation ------------------------------------------------------------
 
     def set_weight(self, term: str, weight: float) -> None:
-        if weight < 0:
-            raise ValueError(f"query term weight must be non-negative, got {weight}")
+        # ``ParameterError`` is a ``ValueError``: NaN and infinities are
+        # refused with the negative weights (NaN passes ``weight < 0``).
+        if not 0 <= weight < math.inf:
+            raise ParameterError(
+                f"query term weight must be finite and non-negative, got {weight}"
+            )
         self._weights[term] = float(weight)
 
     def add_weight(self, term: str, delta: float) -> None:

@@ -10,11 +10,12 @@ matches the weighted query vector best — which is also what lets reformulated
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import EmptyBaseSetError
+from repro.errors import EmptyBaseSetError, ParameterError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
@@ -40,12 +41,18 @@ def normalized_base_weights(doc_ids: list[str], raw: np.ndarray) -> dict[str, fl
     total is builtin ``sum`` over the adjusted floats in order — the one
     reduction here whose order and algorithm (compensated from Python 3.12
     on) the floats depend on.  Returns ``{}`` when there is nothing to
-    normalize.
+    normalize, and raises :class:`ParameterError` when the total is not
+    finite (query weights near the float limit overflow it, and every
+    weight would divide to NaN or zero).
     """
     positive = raw[raw > 0]
     floor = positive.min() if positive.size else 1.0
     adjusted = np.where(raw > 0, raw, floor)
     total = sum(adjusted.tolist())
+    if not math.isfinite(total):
+        raise ParameterError(
+            f"the base-set weights sum to {total}: query weights too large"
+        )
     # Every adjusted weight is strictly positive, so with a non-empty base
     # set the sum is too; ``<= 0.0`` keeps the (theoretical) subnormal
     # underflow from dividing below, same guard as PrecomputedRanker.

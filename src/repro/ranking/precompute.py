@@ -24,11 +24,12 @@ invalidates the cache — :meth:`PrecomputedRanker.is_stale` detects that).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import EmptyBaseSetError, PrecomputedCoverageError
+from repro.errors import EmptyBaseSetError, ParameterError, PrecomputedCoverageError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
@@ -305,6 +306,12 @@ class PrecomputedRanker:
         # the coverage division's guard locally checkable.
         if total_weight <= 0.0 or considered_weight <= 0.0:
             raise EmptyBaseSetError(tuple(query_vector.terms))
+        if math.isinf(total_weight) or math.isinf(considered_weight):
+            # Finite weights near the float limit: every blended score
+            # would divide to NaN or zero.
+            raise ParameterError(
+                f"query weights sum to {considered_weight}: too large to blend"
+            )
         coverage = covered_weight / considered_weight
         if coverage < self.min_coverage:
             raise PrecomputedCoverageError(

@@ -18,7 +18,8 @@ rounding):
 3. divide every rate by ``max(a')`` so rates lie in [0, 1] — this is what
    makes *unboosted* types decay relative to boosted ones;
 4. scale all rates by a single global factor so that every schema label's
-   outgoing rate sum is at most 1 (required for ObjectRank2 convergence).
+   outgoing rate sum is at most 1 (required for ObjectRank2 convergence);
+   with an epsilon floor only the mass above it is scaled.
 """
 
 from __future__ import annotations
@@ -84,16 +85,21 @@ class StructureReformulator:
             rates = {t: r / maximum_rate for t, r in rates.items()}
 
         # Step 4: one global factor so every label's outgoing sum is <= 1.
+        # The factor scales the mass above the epsilon floor only, by the
+        # smallest ``spare / mass`` of an over-full label (the largest sum
+        # when epsilon is 0), so re-flooring cannot push a sum back over 1.
         adjusted = transfer_schema.with_vector(
             [rates[t] for t in edge_types], edge_types
         )
-        worst = max(
-            (adjusted.outgoing_rate_sum(label) for label in adjusted.schema.labels),
-            default=0.0,
-        )
-        if worst > 1.0:
-            rates = {t: r / worst for t, r in rates.items()}
+        over = [
+            (spare, mass)
+            for spare, mass in map(adjusted.headroom, adjusted.schema.labels)
+            if mass > spare
+        ]
+        if over:
+            spare, mass = min(over, key=lambda pair: (pair[0] / pair[1], -pair[1]))
             adjusted = transfer_schema.with_vector(
-                [rates[t] for t in edge_types], edge_types
+                [adjusted.shrunk_rate(t, spare, mass) for t in edge_types],
+                edge_types,
             )
         return adjusted

@@ -36,6 +36,12 @@ drain (bounded by ``drain_timeout``) before closing the socket — the
 supervisor in :mod:`repro.serve.cluster` relies on this to roll workers
 without dropping answers mid-write.
 
+Every field a route hands the service comes out of a typed parser (the
+``_text`` / ``_optional_int`` / ``_flag`` / ``_query`` family below the
+handler): a value of the wrong JSON type, ``NaN``, ``Infinity`` or a float
+where an integer belongs is a 400, never a 500.  ``GET /search`` reads its
+query string into the same shape as the POST body and shares its parse.
+
 A request the reader refuses (:data:`WIRE_ERRORS`) is answered in the same
 JSON shape with ``Connection: close``; so is any response sent while declared
 body bytes are still unread, or they would be read as the next request line.
@@ -52,6 +58,7 @@ import contextlib
 import functools
 import json
 import re
+import reprlib
 import signal
 import socket
 import sys
@@ -64,6 +71,8 @@ from socketserver import StreamRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ReproError, UnknownNodeError
+from repro.query.query import QueryVector
+from repro.retrieval.engine import TWO_STAGE_PARAMETERS
 from repro.serve.service import Deadline, DeadlineExceededError, QueryService
 
 MAX_BODY_BYTES = 1 << 20  # 1 MiB of JSON is plenty for any query
@@ -321,7 +330,10 @@ class QueryRequestHandler(WireRequestHandler):
             raise _BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         try:
             body = json.loads(self.read_body())
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers malformed JSON, bad UTF-8 and an integer
+            # literal past the int-from-text digit limit; RecursionError
+            # arrays or objects nested thousands deep.
             raise _BadRequest(f"invalid JSON body: {error}") from None
         if not isinstance(body, dict):
             raise _BadRequest("JSON body must be an object")
@@ -405,96 +417,60 @@ class QueryRequestHandler(WireRequestHandler):
         self.respond_json(*response)
 
     # -- endpoint bodies ---------------------------------------------------
+    #
+    # Every value handed to the service comes out of one of the typed
+    # parsers below the class; ``tests/test_layering.py`` refuses a raw
+    # ``body.get(...)`` / ``body[...]`` argument.
 
     def _search_from_query_string(self, parsed, deadline: Deadline) -> dict:
-        params = parse_qs(parsed.query)
-
-        def one(name: str, default=None):
-            values = params.get(name)
-            return values[0] if values else default
-
-        dataset = one("dataset")
-        query = one("q") or one("query")
-        if not dataset or not query:
-            raise _BadRequest("parameters 'dataset' and 'q' are required")
-        labels = one("labels")
-        return self.service.search(
-            dataset,
-            query,
-            top_k=_optional_int(one("top_k"), "top_k"),
-            mode=one("mode", "auto"),
-            labels=tuple(labels.split(",")) if labels else None,
-            deadline=deadline,
-            **_two_stage_overrides(one),
-        )
+        return self._search(_query_string_body(parsed.query), deadline)
 
     def _search_from_body(self, deadline: Deadline) -> dict:
-        body = self._read_json_body()
-        dataset = body.get("dataset")
-        query = body.get("query") or body.get("q")
-        if not dataset or not query:
-            raise _BadRequest("fields 'dataset' and 'query' are required")
-        labels = body.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise _BadRequest("'labels' must be a list of node labels")
+        return self._search(self._read_json_body(), deadline)
+
+    def _search(self, body: dict, deadline: Deadline) -> dict:
+        labels = _text_list(body, "labels")
         return self.service.search(
-            dataset,
-            _query_from_json(query),
-            top_k=_optional_int(body.get("top_k"), "top_k"),
-            mode=body.get("mode", "auto"),
+            _required_text(body, "dataset"),
+            _query(body, ("query", "q")),
+            top_k=_optional_int(body, "top_k"),
+            mode=_text(body, "mode", "auto"),
             labels=tuple(labels) if labels else None,
             deadline=deadline,
-            **_two_stage_overrides(body.get),
+            **_two_stage_overrides(body),
         )
 
     def _explain_from_body(self, deadline: Deadline) -> dict:
         body = self._read_json_body()
-        dataset, query, target = (
-            body.get("dataset"),
-            body.get("query"),
-            body.get("target"),
-        )
-        if not dataset or not query or not target:
-            raise _BadRequest("fields 'dataset', 'query' and 'target' are required")
         return self.service.explain(
-            dataset,
-            _query_from_json(query),
-            target,
-            max_edges=_optional_int(body.get("max_edges"), "max_edges") or 50,
+            _required_text(body, "dataset"),
+            _query(body),
+            _required_text(body, "target"),
+            max_edges=_optional_int(body, "max_edges") or 50,
             deadline=deadline,
-            mode=body.get("mode", "live"),
+            mode=_text(body, "mode", "live"),
         )
 
     def _reformulate_from_body(self, deadline: Deadline) -> dict:
         body = self._read_json_body()
-        dataset, query = body.get("dataset"), body.get("query")
-        relevant = body.get("relevant_ids")
-        if not dataset or not query or not isinstance(relevant, list) or not relevant:
-            raise _BadRequest(
-                "fields 'dataset', 'query' and a non-empty 'relevant_ids' "
-                "list are required"
-            )
+        relevant = _text_list(body, "relevant_ids")
+        if not relevant:
+            raise _BadRequest("a non-empty 'relevant_ids' list is required")
         return self.service.feedback_reformulate(
-            dataset,
-            _query_from_json(query),
-            [str(node_id) for node_id in relevant],
-            apply=bool(body.get("apply", True)),
+            _required_text(body, "dataset"),
+            _query(body),
+            relevant,
+            apply=_flag(body, "apply", True),
             deadline=deadline,
         )
 
     def _ingest_from_body(self, deadline: Deadline) -> dict:
         body = self._read_json_body()
-        dataset = body.get("dataset")
-        mutations = body.get("mutations")
-        if not dataset or not isinstance(mutations, list) or not mutations:
-            raise _BadRequest(
-                "fields 'dataset' and a non-empty 'mutations' list are required"
-            )
-        refresh = body.get("refresh", "auto")
-        if not isinstance(refresh, str):
-            raise _BadRequest("'refresh' must be one of 'auto', 'force', 'none'")
         return self.service.ingest(
-            dataset, mutations, refresh=refresh, deadline=deadline
+            _required_text(body, "dataset"),
+            _mutations(body),
+            refresh=_text(body, "refresh", "auto"),
+            deadline=deadline,
         )
 
 
@@ -502,29 +478,117 @@ class _BadRequest(Exception):
     """Client-side input error, mapped to HTTP 400."""
 
 
-def _optional_int(raw, name: str, minimum: int = 1) -> int | None:
+# -- the typed wire boundary ---------------------------------------------------
+#
+# A request's fields arrive as JSON values of any type: NaN, Infinity, huge
+# integers, booleans, lists and objects included.  Each parser below returns
+# exactly its declared type or raises ``_BadRequest`` (a 400); ``None`` (a
+# JSON null) reads as an absent field.
+
+#: Fields that hold integers; in a query string they arrive as decimal text.
+_INTEGER_FIELDS = frozenset({"top_k", "max_edges"}) | frozenset(TWO_STAGE_PARAMETERS)
+
+
+def _query_string_body(query: str) -> dict:
+    """A ``GET /search`` query string as the JSON body it abbreviates.
+
+    The first value of each parameter; an integer field's decimal text as an
+    integer (anything else stays text, which :func:`_optional_int` refuses);
+    ``labels`` split on commas.
+    """
+    body = {name: values[0] for name, values in parse_qs(query).items()}
+    for name in _INTEGER_FIELDS.intersection(body):
+        with contextlib.suppress(ValueError):
+            body[name] = int(body[name])
+    if "labels" in body:
+        body["labels"] = body["labels"].split(",")
+    return body
+
+
+def _text(body: dict, name: str, default: str | None = None) -> str | None:
+    raw = body.get(name)
     if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise _BadRequest(f"'{name}' must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise _BadRequest(f"'{name}' must be at least {minimum}, got {value}")
+        return default
+    if not isinstance(raw, str):
+        raise _BadRequest(f"'{name}' must be a string, got {reprlib.repr(raw)}")
+    return raw
+
+
+def _required_text(body: dict, name: str) -> str:
+    value = _text(body, name)
+    if not value:
+        raise _BadRequest(f"a non-empty '{name}' string is required")
     return value
 
 
+def _text_list(body: dict, name: str) -> list[str] | None:
+    raw = body.get(name)
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
+        raise _BadRequest(
+            f"'{name}' must be a list of strings, got {reprlib.repr(raw)}"
+        )
+    return raw
+
+
+def _mutations(body: dict) -> list:
+    """A non-empty list; each entry is parsed by
+    :func:`repro.ingest.mutation_from_json`, which turns a malformed one into
+    a per-mutation error record rather than failing the batch."""
+    raw = body.get("mutations")
+    if not isinstance(raw, list) or not raw:
+        raise _BadRequest("a non-empty 'mutations' list is required")
+    return raw
+
+
+def _flag(body: dict, name: str, default: bool) -> bool:
+    """A JSON boolean: the string ``"false"`` is refused, not truthy."""
+    raw = body.get(name, default)
+    if not isinstance(raw, bool):
+        raise _BadRequest(f"'{name}' must be true or false, got {reprlib.repr(raw)}")
+    return raw
+
+
+def _optional_int(body: dict, name: str, minimum: int = 1) -> int | None:
+    """A JSON integer (not a boolean, not a float) of at least ``minimum``."""
+    raw = body.get(name)
+    if raw is None:
+        return None
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise _BadRequest(f"'{name}' must be an integer, got {reprlib.repr(raw)}")
+    if raw < minimum:
+        raise _BadRequest(f"'{name}' must be at least {minimum}, got {raw}")
+    return raw
+
+
+def _query(body: dict, names: tuple[str, ...] = ("query",)):
+    """The query under the first of ``names`` that holds one: a string, or a
+    {term: weight} object of finite weights."""
+    query = next(filter(None, map(body.get, names)), None)
+    if not query:
+        raise _BadRequest(f"a non-empty {' or '.join(map(repr, names))} is required")
+    if isinstance(query, str):
+        return query
+    if not isinstance(query, dict):
+        raise _BadRequest("'query' must be a string or a term->weight object")
+    weights = {}
+    for term, weight in query.items():
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise _BadRequest(f"query weight of {term!r} must be a number")
+        try:
+            weights[term] = float(weight)
+        except OverflowError:
+            raise _BadRequest(f"query weight of {term!r} is out of range") from None
+    try:
+        return QueryVector(weights)
+    except ValueError as error:
+        raise _BadRequest(f"invalid query vector: {error}") from None
+
+
 #: ``/search``'s two-stage parameters (the names of
-#: :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS`) and how each is read
-#: off the wire — the one table both the GET and the POST form parse with.
-_TWO_STAGE_WIRE = {
-    "candidates": _optional_int,
-    "horizon": lambda raw, name: _optional_int(raw, name, minimum=0),
-    "early_k": _optional_int,
-    "expand_cap": _optional_int,
-    "node_budget": _optional_int,
-    "max_horizon": _optional_int,
-}
+#: :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS`) and their minimums.
+_TWO_STAGE_MINIMUM = {name: 1 for name in TWO_STAGE_PARAMETERS} | {"horizon": 0}
 
 #: Score-fusion parameters ``/search`` no longer reads: two-stage answers are
 #: authority scores.  A request naming one is refused rather than answered
@@ -532,32 +596,17 @@ _TWO_STAGE_WIRE = {
 _REMOVED_WIRE = ("fusion", "fusion_weight")
 
 
-def _two_stage_overrides(get) -> dict:
-    """The typed two-stage overrides of one request.
-
-    ``get`` looks a raw parameter up by name (``None`` when absent): the
-    query-string accessor for GET, ``body.get`` for POST.
-    """
+def _two_stage_overrides(body: dict) -> dict:
+    """The typed two-stage overrides of one request."""
     for name in _REMOVED_WIRE:
-        if get(name) is not None:
+        if body.get(name) is not None:
             raise _BadRequest(
                 f"'{name}' was removed: two-stage ranks by authority alone"
             )
-    return {name: parse(get(name), name) for name, parse in _TWO_STAGE_WIRE.items()}
-
-
-def _query_from_json(query):
-    """Accept either a query string or a {term: weight} object."""
-    if isinstance(query, str):
-        return query
-    if isinstance(query, dict):
-        from repro.query.query import QueryVector
-
-        try:
-            return QueryVector({str(t): float(w) for t, w in query.items()})
-        except (TypeError, ValueError) as error:
-            raise _BadRequest(f"invalid query vector: {error}") from None
-    raise _BadRequest("'query' must be a string or a term->weight object")
+    return {
+        name: _optional_int(body, name, minimum)
+        for name, minimum in _TWO_STAGE_MINIMUM.items()
+    }
 
 
 def serve_forever(server: QueryHTTPServer) -> None:  # pragma: no cover - CLI loop

@@ -27,7 +27,7 @@ Layers:
 * :mod:`repro_lint.callgraph` — the module-resolution project call
   graph behind the interprocedural checkers RL010, RL011 and RL013;
 * :mod:`repro_lint.summaries` — bottom-up SCC-ordered function
-  summaries (locks, blocking, resources, exceptions, taint, ranges);
+  summaries (locks, blocking, resources, exceptions);
 * :mod:`repro_lint.pragmas` — ``# repro-lint: ignore[RL001]`` inline
   suppressions;
 * :mod:`repro_lint.baseline` — the ``.repro-lint-baseline.json``

@@ -1,4 +1,4 @@
-"""Built-in checkers; importing this package registers the fourteen rules.
+"""Built-in checkers; importing this package registers the twelve rules.
 
 ============ ========================== =====================================
 Code         Name                       Hazard class
@@ -25,30 +25,33 @@ Code         Name                       Hazard class
                                         unheld ``*_locked`` helpers
 ``RL013``    blocking-under-lock        I/O, subprocess, sleep or fixpoint
                                         solve reachable while a lock is held
-``RL014``    wire-input-to-sink         wire-parsed input reaching an index/
-                                        offset/path/rate sink unvalidated
 ``RL015``    zero-denominator           division by an accumulated total or
                                         ``len()`` not provably non-zero
-``RL016``    rate-out-of-range          damping/rate/epsilon argument whose
-                                        interval is provably out of range
-                                        (rate > 1 allowed where the scope
-                                        normalizes)
 ``RL017``    index-out-of-bounds        index/offset into slab/array storage
                                         provably negative or past the length
 ============ ========================== =====================================
 
-RL003 (lexical lock discipline) and RL006 (literal transfer rates) are
-retired: RL007 and RL016 report their findings.  RL012 (cache-key fencing)
-is retired too: every serve cache key is built by
-:meth:`repro.serve.cache.Fence.key`, so a key missing a freshness component
-cannot be written (``tests/test_layering.py`` guards the construction).
+RL003 (lexical lock discipline) is retired: RL007 reports its findings.
+Four more are retired because their hazard can no longer be written:
+
+* RL012 (cache-key fencing): every serve cache key is built by
+  :meth:`repro.serve.cache.Fence.key`, so a key missing a freshness
+  component cannot be written (``tests/test_layering.py`` guards the
+  construction);
+* RL014 (wire input to a sink): every value ``repro.serve.http_server``
+  hands the service comes out of a typed parser (guarded in
+  ``tests/test_layering.py``, fuzzed in ``tests/serve/test_wire.py``);
+* RL006 and RL016 (literal / computed rates and damping out of range):
+  ``check_damping`` refuses a damping outside (0, 1) at every Eq. 4 and
+  Eq. 10 entry and ``AuthorityTransferSchemaGraph`` refuses a negative or
+  non-finite rate, both before any iteration
+  (``tests/properties/test_range_check_properties.py``).
 
 RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007–RL009 are
 flow-sensitive — they consume the per-function CFGs of
 :mod:`repro_lint.cfg` through the fixpoint solver of
-:mod:`repro_lint.dataflow`.  RL010, RL011, RL013, RL014 and
-RL016 are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
-runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
+:mod:`repro_lint.dataflow`.  RL010, RL011 and RL013 are *interprocedural*
+(:class:`~repro_lint.base.ProjectChecker`) — the runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
 bottom-up :mod:`~repro_lint.summaries`) and runs them once over the
 whole file set, serially, after the per-file phase.  RL015 and RL017 are
 per-file instances of the abstract interpreter
@@ -64,11 +67,9 @@ from repro_lint.checkers.float_equality import FloatEqualityChecker
 from repro_lint.checkers.index_bounds import IndexBoundsChecker
 from repro_lint.checkers.interprocedural_locks import InterproceduralLockChecker
 from repro_lint.checkers.lockset_discipline import LocksetDisciplineChecker
-from repro_lint.checkers.numeric_ranges import NumericRangeChecker
 from repro_lint.checkers.param_mutation import ParamMutationChecker
 from repro_lint.checkers.resource_lifecycle import ResourceLifecycleChecker
 from repro_lint.checkers.use_after_invalidate import UseAfterInvalidateChecker
-from repro_lint.checkers.wire_taint import WireTaintChecker
 from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
 
 __all__ = [
@@ -80,10 +81,8 @@ __all__ = [
     "IndexBoundsChecker",
     "InterproceduralLockChecker",
     "LocksetDisciplineChecker",
-    "NumericRangeChecker",
     "ParamMutationChecker",
     "ResourceLifecycleChecker",
     "UseAfterInvalidateChecker",
-    "WireTaintChecker",
     "ZeroDenominatorChecker",
 ]

@@ -32,13 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro_lint.absint import (
-    _ARRAY_CALL_TAILS,
-    _OFFSET_ARG_TAILS,
-    _len_key,
-    states_before_items,
-    value_solution,
-)
+from repro_lint.absint import _len_key, states_before_items, value_solution
 from repro_lint.base import (
     Checker,
     SourceFile,
@@ -49,6 +43,11 @@ from repro_lint.base import (
 from repro_lint.cfg import item_roots
 from repro_lint.domains import state_get
 from repro_lint.findings import Finding
+
+#: Call tails whose argument at the given position is a file/buffer offset.
+_OFFSET_ARG_TAILS = {"seek": 0, "unpack_from": 1}
+#: Numpy-ish constructors: subscripts of their results are array indexing.
+_ARRAY_CALL_TAILS = {"frombuffer", "zeros", "empty", "ones", "arange", "array"}
 
 
 @register

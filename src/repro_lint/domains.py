@@ -1,30 +1,22 @@
 """Abstract domains for the :mod:`repro_lint.absint` interpreter.
 
-Two join-semilattices live here, kept free of any AST knowledge so the
-property suite can exercise them algebraically:
+The value domain lives here, kept free of any AST knowledge so the
+property suite can exercise it algebraically: :class:`Interval`, the
+classic interval lattice over the extended reals, with *open-bound* flags
+so a branch refinement like ``total > 0`` really excludes zero (the fact
+RL015 needs to prove a normalization guard present).  A degenerate closed
+interval (``lo == hi``) doubles as the constant-propagation lattice:
+:meth:`Interval.as_constant` recovers the value.  ``join`` is the interval
+hull, ``meet`` the intersection (``None`` when empty — an infeasible
+path), and every transfer the interpreter applies is monotone, so the
+solver's ``WIDENING_CAP`` is the only termination device needed (a
+counting loop that keeps ascending is reported ``converged=False`` and its
+function is skipped, never mis-judged).
 
-* :class:`Interval` — the classic interval lattice over the extended reals,
-  with *open-bound* flags so a branch refinement like ``total > 0`` really
-  excludes zero (the fact RL015 needs to prove a normalization guard
-  present).  A degenerate closed interval (``lo == hi``) doubles as the
-  constant-propagation lattice: :meth:`Interval.as_constant` recovers the
-  value.  ``join`` is the interval hull, ``meet`` the intersection
-  (``None`` when empty — an infeasible path), and every transfer the
-  interpreter applies is monotone, so the solver's ``WIDENING_CAP`` is the
-  only termination device needed (a counting loop that keeps ascending is
-  reported ``converged=False`` and its function is skipped, never
-  mis-judged).
-
-* taint label sets — plain frozensets of opaque labels.  The interpreter
-  uses *symbolic* labels (``("param", i)`` and ``("call", site)``), which
-  the summary engine resolves bottom-up against callee summaries; the
-  helpers here are just the lattice operations and the state
-  representation shared with the value domain.
-
-Both domains represent a per-program-point state as a frozenset of
-``(name, fact)`` pairs (missing name = ⊤/no information), because the
-generic solver compares states with ``==`` — frozensets give structural
-equality and hashing for free and keep joins allocation-cheap.
+A per-program-point state is a frozenset of ``(name, Interval)`` pairs
+(missing name = ⊤/no information), because the generic solver compares
+states with ``==`` — frozensets give structural equality and hashing for
+free and keep joins allocation-cheap.
 """
 
 from __future__ import annotations
@@ -235,8 +227,6 @@ class Interval:
 TOP = Interval(-_INF, _INF)
 #: Every non-negative real — what ``len()`` and ``abs()`` guarantee.
 NON_NEGATIVE = Interval(0.0, _INF)
-#: The unit interval — valid transfer-rate range, damping's closure.
-UNIT = Interval(0.0, 1.0)
 
 
 def _ext_add(a: float, b: float, on_conflict: float) -> float:
@@ -256,10 +246,8 @@ def _ext_mul(a: float, b: float) -> float:
 
 # -- name -> fact states ------------------------------------------------------
 #
-# Both abstract problems represent a state as ``frozenset`` of (name, fact)
-# pairs.  For the value domain the fact is an Interval and each name has AT
-# MOST one pair (the transfer functions maintain that invariant); for the
-# taint domain the fact is a label and a name may carry many.
+# A state is a ``frozenset`` of (name, Interval) pairs with AT MOST one pair
+# per name (the transfer functions maintain that invariant).
 
 
 def state_get(state: frozenset, name: str):
@@ -280,11 +268,6 @@ def state_set(state: frozenset, name: str, fact) -> frozenset:
 
 def state_kill(state: frozenset, name: str) -> frozenset:
     return frozenset(pair for pair in state if pair[0] != name)
-
-
-def state_labels(state: frozenset, name: str) -> frozenset:
-    """All facts for ``name`` in a many-facts-per-name (taint) state."""
-    return frozenset(fact for pair_name, fact in state if pair_name == name)
 
 
 def join_value_states(left: frozenset, right: frozenset) -> frozenset:

@@ -27,6 +27,10 @@ What a summary carries (the facts RL010, RL011 and RL013 consume):
 * **exceptions** — exception names raised directly and the transitive
   propagated set (an over-approximation: handlers are not subtracted).
 
+Value ranges and wire taint are not summarised: the value domain is
+intraprocedural (:func:`repro_lint.absint.value_solution`), and wire input
+is typed where it enters (``repro.serve.http_server``).
+
 Unknown callees contribute nothing: every fact here is a *may* fact whose
 absence keeps a checker quiet, so unresolved calls under-approximate and
 never invent findings (RL010's escape analysis handles ownership transfer
@@ -38,12 +42,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro_lint.absint import (
-    TaintFacts,
-    gather_taint_facts,
-    resolve_labels,
-)
-from repro_lint.base import call_name, literal_number
+from repro_lint.base import call_name
 from repro_lint.callgraph import (
     CallSite,
     FunctionInfo,
@@ -159,24 +158,6 @@ class FunctionSummary:
     raises: frozenset = frozenset()
     #: Transitive raised set (handlers not subtracted — over-approximate).
     propagates: frozenset = frozenset()
-    #: Concrete taint the return value may carry (``{"wire"}`` or empty).
-    returns_taint: frozenset = frozenset()
-    #: Parameter indices whose taint may flow into the return value.
-    taint_param_to_return: frozenset = frozenset()
-    #: param index -> sink kind its value may reach unsanitized (here or in
-    #: a transitively resolved callee).
-    sink_params: dict = field(default_factory=dict)
-    #: param index -> call chain to the sink (frozen at first discovery).
-    sink_witness: dict = field(default_factory=dict)
-    #: ``(kind, line)`` -> ``(chain, detail)`` for sinks reached by concrete
-    #: wire taint inside this function — RL014's finding material.
-    wire_sinks: dict = field(default_factory=dict)
-    #: Parameter indices flowing into a transfer-rate/damping position.
-    requires_unit_interval: frozenset = frozenset()
-    #: param index -> chain to the rate position (frozen at first discovery).
-    unit_interval_witness: dict = field(default_factory=dict)
-    #: Interval of the return value when provable (round-independent).
-    return_range: object = None
 
 
 class SummaryIndex:
@@ -229,10 +210,6 @@ class _Facts:
     #: var -> first call assigned to it (returns-resource resolution).
     assign_calls: dict
     return_stmts: list
-    #: Frozen intraprocedural taint groundwork (one solve, reused per round).
-    taint: TaintFacts
-    #: Interval of the return value when provable, else ``None``.
-    return_range: object
 
 
 def _qualify(info: FunctionInfo, lock: str) -> str:
@@ -325,47 +302,6 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
         release_calls=release_calls,
         assign_calls=assign_calls,
         return_stmts=return_stmts,
-        taint=gather_taint_facts(info, sites),
-        return_range=_return_range(info, return_stmts),
-    )
-
-
-def _return_range(info: FunctionInfo, return_stmts: list):
-    """The joined interval over every return value, when it proves anything.
-
-    Gated on a cheap syntactic scan — most functions return nothing
-    numeric, and a value-domain solve per function would dominate the
-    summary phase otherwise.
-    """
-    values = [stmt.value for stmt in return_stmts]
-    if not values or not all(_numericish(value) for value in values):
-        return None
-    from repro_lint.absint import value_solution
-
-    solution = value_solution(info.source, info.node)
-    if not solution.converged:
-        return None
-    problem = solution.problem
-    wanted = {id(stmt) for stmt in return_stmts}
-    result = None
-    for block in info.cfg().blocks:
-        states = solution.states_through(block)
-        for item, state in zip(block.body, states):
-            if id(item) not in wanted or state is None:
-                continue
-            interval = problem.eval(item.value, state)
-            result = interval if result is None else result.join(interval)
-    if result is None or result.is_top():
-        return None
-    return result
-
-
-def _numericish(value: ast.expr | None) -> bool:
-    """Whether a return expression could yield a provable interval."""
-    if value is None:
-        return False
-    return literal_number(value) is not None or isinstance(
-        value, (ast.Name, ast.BinOp, ast.UnaryOp, ast.IfExp)
     )
 
 
@@ -635,7 +571,6 @@ def _update_summary(
                             ) + tail
 
     returns_resource = _returned_resource(fact, summaries)
-    taint_fields = _update_taint_fields(function_id, fact, facts, summaries, old)
 
     new = FunctionSummary(
         function=function_id,
@@ -655,8 +590,6 @@ def _update_summary(
         releases_params=frozenset(releases),
         raises=fact.raises,
         propagates=frozenset(propagates),
-        return_range=fact.return_range,
-        **taint_fields,
     )
     # Always store (held_calls and the other round-independent fields are
     # only present on the recomputed record); the change flag that drives
@@ -665,122 +598,6 @@ def _update_summary(
     # repro-lint: ignore[RL004] shared accumulator across SCC rounds
     summaries[function_id] = new
     return not _fixpoint_fields_equal(old, new)
-
-
-def _update_taint_fields(
-    function_id: str, fact: _Facts, facts: dict, summaries: dict, old: FunctionSummary
-) -> dict:
-    """One round of taint/rate summary fields from current callee summaries.
-
-    All witness chains follow the freeze-at-first-discovery discipline of
-    the lock/blocking fields above; every set grows monotonically, so the
-    SCC fixpoint still converges.
-    """
-    taint = fact.taint
-    memo: dict = {}
-
-    def summary_of(callee_id: str):
-        return summaries.get(callee_id)
-
-    def params_of(callee_id: str) -> tuple:
-        callee_fact = facts.get(callee_id)
-        return callee_fact.taint.param_names if callee_fact is not None else ()
-
-    def resolve(labels: frozenset) -> frozenset:
-        return resolve_labels(labels, taint, summary_of, params_of, memo)
-
-    resolved_return = resolve(taint.return_labels)
-    returns_taint = frozenset(
-        label for label in resolved_return if label == "wire"
-    )
-    taint_param_to_return = frozenset(
-        label[1]
-        for label in resolved_return
-        if isinstance(label, tuple) and label[0] == "param"
-    )
-
-    sink_params = dict(old.sink_params)
-    sink_witness = dict(old.sink_witness)
-    wire_sinks = dict(old.wire_sinks)
-    requires_unit = set(old.requires_unit_interval)
-    unit_witness = dict(old.unit_interval_witness)
-
-    def note_sink(kind, resolved, here_chain, tail_chain, detail) -> None:
-        if "wire" in resolved:
-            wire_sinks.setdefault(
-                (kind, here_chain[0][1]), (here_chain + tail_chain, detail)
-            )
-        for label in resolved:
-            if isinstance(label, tuple) and label[0] == "param":
-                sink_params.setdefault(label[1], kind)
-                sink_witness.setdefault(label[1], here_chain + tail_chain)
-
-    for sink in taint.sinks:
-        note_sink(
-            sink.kind,
-            resolve(sink.labels),
-            ((function_id, sink.line),),
-            (),
-            sink.detail,
-        )
-
-    for call_key, position, keyword, line in taint.rate_args:
-        call_taint = taint.calls.get(call_key)
-        if call_taint is None:
-            continue
-        labels = (
-            call_taint.pos[position]
-            if position is not None and position < len(call_taint.pos)
-            else call_taint.kw_labels(keyword)
-        )
-        for label in resolve(labels):
-            if isinstance(label, tuple) and label[0] == "param":
-                requires_unit.add(label[1])
-                unit_witness.setdefault(label[1], ((function_id, line),))
-
-    # Cross-function step: arguments at resolved call sites inherit the
-    # callee's sink/rate parameter facts.
-    for site in fact.held_calls:
-        call_taint = taint.calls.get(id(site.node))
-        if call_taint is None:
-            continue
-        for callee_id in site.callees:
-            callee = summaries.get(callee_id)
-            if callee is None:
-                continue
-            callee_params = params_of(callee_id)
-            for index, kind in callee.sink_params.items():
-                resolved = resolve(
-                    call_taint.labels_for_param(index, callee_params)
-                )
-                note_sink(
-                    kind,
-                    resolved,
-                    ((function_id, site.line),),
-                    callee.sink_witness.get(index, ()),
-                    f"{call_taint.name}()",
-                )
-            for index in callee.requires_unit_interval:
-                resolved = resolve(
-                    call_taint.labels_for_param(index, callee_params)
-                )
-                tail = callee.unit_interval_witness.get(index, ())
-                for label in resolved:
-                    if isinstance(label, tuple) and label[0] == "param":
-                        requires_unit.add(label[1])
-                        unit_witness.setdefault(
-                            label[1], ((function_id, site.line),) + tail
-                        )
-
-    return {
-        "returns_taint": returns_taint,
-        "taint_param_to_return": taint_param_to_return,
-        "sink_params": sink_params,
-        "sink_witness": sink_witness,
-        "wire_sinks": wire_sinks,
-        "requires_unit_interval": frozenset(requires_unit),
-        "unit_interval_witness": unit_witness,
-    }
 
 
 def _fixpoint_fields_equal(
@@ -797,13 +614,6 @@ def _fixpoint_fields_equal(
         and left.returns_resource == right.returns_resource
         and left.releases_params == right.releases_params
         and left.propagates == right.propagates
-        and left.returns_taint == right.returns_taint
-        and left.taint_param_to_return == right.taint_param_to_return
-        and left.sink_params == right.sink_params
-        and left.sink_witness == right.sink_witness
-        and left.wire_sinks == right.wire_sinks
-        and left.requires_unit_interval == right.requires_unit_interval
-        and left.unit_interval_witness == right.unit_interval_witness
     )
 
 

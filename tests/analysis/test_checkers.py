@@ -10,7 +10,6 @@ import textwrap
 import pytest
 
 from repro_lint import SourceFile, all_checkers, checker_codes
-from tests.analysis.test_absint_checkers import one_module
 
 
 def lint_snippet(code: str, snippet: str):
@@ -25,18 +24,19 @@ def codes_of(findings):
 
 
 class TestRegistry:
-    def test_all_fourteen_rules_registered(self):
+    def test_all_twelve_rules_registered(self):
         assert checker_codes() == [
             "RL001", "RL002", "RL004", "RL005", "RL007", "RL008",
-            "RL009", "RL010", "RL011", "RL013", "RL014", "RL015",
-            "RL016", "RL017",
+            "RL009", "RL010", "RL011", "RL013", "RL015", "RL017",
         ]
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers(["RL999"])
 
-    @pytest.mark.parametrize("retired", ["RL003", "RL006", "RL012"])
+    @pytest.mark.parametrize(
+        "retired", ["RL003", "RL006", "RL012", "RL014", "RL016"]
+    )
     def test_retired_code_rejected_like_any_unknown_code(self, retired):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers([retired])
@@ -455,105 +455,6 @@ class TestRL005FloatEquality:
             def check(total):
                 if total <= 0.0:
                     raise ValueError("empty")
-            """,
-        )
-        assert findings == []
-
-
-class TestRL006RateInvariants:
-    """The retired RL006's fixtures: RL016 gives each the same verdict."""
-
-    def test_detects_negative_literal_rate(self):
-        findings = one_module(
-            "RL016",
-            """
-            from repro.graph.authority import AuthorityTransferSchemaGraph
-
-            def build(schema, edge):
-                return AuthorityTransferSchemaGraph(schema, rates={edge: -0.3})
-            """,
-        )
-        assert codes_of(findings) == ["RL016"]
-        assert findings[0].line == 5
-        assert "[-0.3, -0.3]" in findings[0].message
-        assert "[0, 1]" in findings[0].message
-
-    def test_detects_unnormalized_rate_above_one(self):
-        findings = one_module(
-            "RL016",
-            """
-            def build(schema, edge):
-                return AuthorityTransferSchemaGraph(schema, rates={edge: 1.5})
-            """,
-        )
-        assert codes_of(findings) == ["RL016"]
-        assert findings[0].line == 3
-        assert "[1.5, 1.5]" in findings[0].message
-        assert "normalize" in findings[0].suggestion
-
-    def test_detects_negative_set_rate(self):
-        findings = one_module(
-            "RL016",
-            """
-            def poke(schema, edge):
-                schema.set_rate(edge, -1.0)
-            """,
-        )
-        assert codes_of(findings) == ["RL016"]
-
-    def test_detects_negative_vector_element(self):
-        findings = one_module(
-            "RL016",
-            """
-            def retrain(transfer):
-                return transfer.with_vector([0.5, -0.2])
-            """,
-        )
-        assert codes_of(findings) == ["RL016"]
-        assert "with_vector()" in findings[0].message
-
-    def test_negative_normalized_scope_allows_above_one(self):
-        """A >1 literal on its way into scaled_to_convergent is legitimate."""
-        findings = one_module(
-            "RL016",
-            """
-            def build(schema, edge):
-                raw = AuthorityTransferSchemaGraph(schema, rates={edge: 1.5})
-                return raw.scaled_to_convergent()
-            """,
-        )
-        assert findings == []
-
-    def test_normalized_scope_still_flags_negative_rate(self):
-        findings = one_module(
-            "RL016",
-            """
-            def build(schema, edge):
-                raw = AuthorityTransferSchemaGraph(schema, {edge: -0.5})
-                return raw.scaled_to_convergent()
-            """,
-        )
-        assert codes_of(findings) == ["RL016"]
-
-    def test_negative_valid_rates_are_clean(self):
-        findings = one_module(
-            "RL016",
-            """
-            def build(schema, forward, backward):
-                return AuthorityTransferSchemaGraph(
-                    schema, rates={forward: 0.7, backward: 0.0}, epsilon=1e-9
-                )
-            """,
-        )
-        assert findings == []
-
-    def test_negative_computed_rates_not_judged(self):
-        """An unbounded rate expression is out of static reach — no guess."""
-        findings = one_module(
-            "RL016",
-            """
-            def build(schema, edge, learned):
-                return AuthorityTransferSchemaGraph(schema, rates={edge: learned})
             """,
         )
         assert findings == []

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.explain import adjust_flows, build_explaining_subgraph, explain
+from repro.errors import ParameterError
+from repro.explain import (
+    adjust_flows,
+    batched_adjust_flows,
+    batched_build_explaining_subgraphs,
+    build_explaining_subgraph,
+    explain,
+)
 from repro.explain.flows import original_edge_flows
 
 
@@ -172,3 +179,21 @@ class TestIterationBudget:
                 max_iterations=max_iterations,
                 raise_on_divergence=raise_on_divergence,
             )
+
+
+class TestDampingRange:
+    @pytest.mark.parametrize("damping", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_a_damping_outside_the_unit_interval_is_refused(
+        self, figure1_graph, olap_base, olap_result, damping
+    ):
+        """Eq. 10 runs at the damping of Eq. 4: 1.5 or -0.5 used to run to
+        "converged", and 0.0 to a ``ZeroDivisionError`` in the adjusted
+        scores."""
+        subgraph = build_explaining_subgraph(figure1_graph, olap_base, "v4")
+        with pytest.raises(ParameterError, match="damping"):
+            adjust_flows(subgraph, olap_result.scores, damping=damping)
+        (batched,) = batched_build_explaining_subgraphs(
+            figure1_graph, olap_base, ["v4"], None
+        )
+        with pytest.raises(ParameterError, match="damping"):
+            batched_adjust_flows([batched], olap_result.scores, damping=damping)

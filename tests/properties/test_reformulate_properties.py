@@ -2,10 +2,10 @@
 
 import dataclasses
 
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.datasets import dblp_transfer_schema
+from repro.datasets import biological_transfer_schema, dblp_transfer_schema
 from repro.explain import (
     adjust_flows,
     batched_adjust_flows,
@@ -26,6 +26,8 @@ from tests.ranking.reference import objectrank
 from tests.reformulate.reference import (
     reference_flow_by_edge_type,
     reference_reformulate,
+    reference_scaled_to_convergent,
+    reference_structure_reformulate,
     reference_term_weights,
 )
 
@@ -38,15 +40,74 @@ def _explanation(atdg, target_index):
     return adjust_flows(subgraph, result.scores, 0.85, tolerance=1e-12)
 
 
-@given(dblp_transfer_graphs(), st.integers(0, 50), st.floats(0.05, 1.0))
-@settings(max_examples=20, deadline=None)
-def test_structure_result_always_convergent(atdg, target_index, cf):
-    explanation = _explanation(atdg, target_index)
-    after = StructureReformulator(cf).reformulate(
-        dblp_transfer_schema(), [explanation]
+#: Rate floors: every schema below has at most four outgoing types per
+#: label, so ``k * epsilon <= 1`` and a convergent schema always exists.
+EPSILONS = st.sampled_from([0.0, 1e-6, 1e-5, 1e-3, 0.05])
+
+
+@st.composite
+def floored_schemas(draw):
+    """A DBLP or biological transfer schema under an epsilon floor, with
+    random rates in [0, 2] (outgoing sums well above 1 included)."""
+    build = draw(st.sampled_from([dblp_transfer_schema, biological_transfer_schema]))
+    schema = build(epsilon=draw(EPSILONS))
+    size = len(schema.edge_types())
+    return schema.with_vector(
+        draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size))
     )
+
+
+@dataclasses.dataclass
+class _Flows:
+    """An explanation reduced to what Equation 13 reads: ``F(e_S)``."""
+
+    factors: dict
+
+    def flow_by_edge_type(self) -> dict:
+        return self.factors
+
+
+def _floored(schema) -> bool:
+    return all(rate >= schema.epsilon for rate in schema.as_vector())
+
+
+@given(floored_schemas())
+@settings(max_examples=200, deadline=None)
+def test_scaled_to_convergent_result_always_convergent(schema):
+    """Dividing by the sum and re-flooring at epsilon left sums above 1."""
+    after = schema.scaled_to_convergent()
     assert after.is_convergent()
-    assert all(rate >= 0 for rate in after.as_vector())
+    assert _floored(after)
+    for label in schema.schema.labels:
+        if schema.outgoing_rate_sum(label) <= 1.0:
+            for edge_type in schema.outgoing_types(label):
+                assert after.rate(edge_type) == schema.rate(edge_type)
+    if schema.epsilon == 0.0:
+        expected = reference_scaled_to_convergent(schema)
+        assert after.as_vector() == expected.as_vector()
+
+
+@given(floored_schemas(), st.data(), st.floats(0.05, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_structure_result_always_convergent(schema, data, cf):
+    """Equation 13 from a convergent schema under any epsilon floor and any
+    flow factors stays convergent (step 4 of the normalisation)."""
+    before = schema.scaled_to_convergent()
+    assume(before.is_convergent())
+    edge_types = before.edge_types()
+    flows = data.draw(
+        st.lists(st.floats(0.0, 10.0), min_size=len(edge_types), max_size=len(edge_types))
+    )
+    explanation = _Flows(dict(zip(edge_types, flows)))
+    reformulator = StructureReformulator(cf)
+    after = reformulator.reformulate(before, [explanation])
+    assert after.is_convergent()
+    assert _floored(after)
+    if before.epsilon == 0.0:
+        expected = reference_structure_reformulate(
+            reformulator, before, explanation.factors
+        )
+        assert after.as_vector() == expected.as_vector()
 
 
 @given(dblp_transfer_graphs(), st.integers(0, 50))

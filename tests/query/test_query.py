@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ParameterError
 from repro.query import KeywordQuery, QueryVector
 
 
@@ -42,6 +43,14 @@ class TestQueryVector:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             QueryVector({"olap": -1.0})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        """NaN passes ``weight < 0``; JSON bodies can carry NaN and Infinity."""
+        with pytest.raises(ParameterError, match="finite"):
+            QueryVector({"olap": weight})
+        with pytest.raises(ParameterError):
+            QueryVector({"olap": 1.0}).add_weight("olap", weight)
 
     def test_add_weight_inserts_and_accumulates(self):
         vector = QueryVector({"olap": 1.0})

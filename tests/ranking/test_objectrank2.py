@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EmptyBaseSetError
+from repro.errors import EmptyBaseSetError, ParameterError
 from repro.ir import UniformScorer
 from repro.query import KeywordQuery, QueryVector
 from repro.ranking import objectrank2, weighted_base_set
@@ -23,6 +23,14 @@ class TestWeightedBaseSet:
             figure1_scorer, KeywordQuery(["olap", "cubes"]).vector()
         )
         assert base["v4"] > base["v1"]
+
+    def test_an_overflowing_total_is_refused(self, figure1_scorer):
+        """Two finite weights near the float limit overflow the base-set
+        total: every jump probability would be NaN and the ranking would
+        run to its iteration cap without converging."""
+        vector = QueryVector({"olap": 1e308, "cubes": 1e308})
+        with pytest.raises(ParameterError, match="too large"):
+            weighted_base_set(figure1_scorer, vector)
 
     def test_zero_weight_terms_ignored(self, figure1_scorer):
         vector = QueryVector({"olap": 1.0, "multidimensional": 0.0})

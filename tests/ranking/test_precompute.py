@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets import dblp_transfer_schema
-from repro.errors import EmptyBaseSetError, PrecomputedCoverageError
+from repro.errors import EmptyBaseSetError, ParameterError, PrecomputedCoverageError
 from repro.query import QueryVector
 from repro.ranking import PrecomputedRanker
 from repro.ranking.objectrank import keyword_objectranks
@@ -146,6 +146,12 @@ class TestDegenerateZeroWeight:
         tiny = ranker.rank(QueryVector({"olap": 1e-300}))
         full = ranker.rank(QueryVector({"olap": 1.0}))
         assert tiny.top_k(3) == pytest.approx(full.top_k(3))
+
+    def test_an_overflowing_weight_total_is_refused(self, ranker):
+        """The upper end: finite weights whose blend total overflows would
+        divide every score to NaN (a bare ``NaN`` on the wire)."""
+        with pytest.raises(ParameterError, match="too large"):
+            ranker.rank(QueryVector({"olap": 1e308, "multidimensional": 1e308}))
 
     def test_zero_weight_terms_do_not_poison_positive_ones(self, ranker):
         mixed = ranker.rank(QueryVector({"olap": 1.0, "multidimensional": 0.0}))

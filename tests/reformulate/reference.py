@@ -1,10 +1,13 @@
-"""Reference loops for Equations 11 and 15 — the test oracle.
+"""Reference loops for Equations 11 and 15 and the rate normalisation —
+the test oracle.
 
 The per-node / per-edge Python loops the array-native reformulation
 replaced, kept verbatim so the vectorised code can be checked ``==``
 against them (tests/properties/test_reformulate_properties.py, and the
-``dblp_top`` feedback session in tests/core/test_system.py).  Nothing in
-``src`` calls these.
+``dblp_top`` feedback session in tests/core/test_system.py).  Likewise the
+divide-by-the-sum normalisations that scaling only the mass above the
+epsilon floor replaced: at ``epsilon = 0`` the two must agree bit for bit.
+Nothing in ``src`` calls these.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 from dataclasses import fields
 
 from repro.explain.adjustment import FlowExplanation
-from repro.reformulate import ContentReformulator, Reformulator
+from repro.graph.authority import AuthorityTransferSchemaGraph
+from repro.reformulate import ContentReformulator, Reformulator, StructureReformulator
 
 
 def reference_flow_by_edge_type(explanation: FlowExplanation) -> dict:
@@ -75,3 +79,53 @@ def reference_reformulate(
         transfer_schema,
         [_as(_ReferenceExplanation, e) for e in explanations],
     )
+
+
+def reference_scaled_to_convergent(
+    schema: AuthorityTransferSchemaGraph,
+) -> AuthorityTransferSchemaGraph:
+    """Every over-full label's rates divided by its outgoing sum."""
+    copy = schema.copy()
+    for label in schema.schema.labels:
+        total = copy.outgoing_rate_sum(label)
+        if total > 1.0:
+            for edge_type in copy.outgoing_types(label):
+                copy.set_rate(edge_type, copy.rate(edge_type) / total)
+    return copy
+
+
+def reference_structure_reformulate(
+    reformulator: StructureReformulator,
+    transfer_schema: AuthorityTransferSchemaGraph,
+    factors: dict,
+) -> AuthorityTransferSchemaGraph:
+    """Equation 13 and the four normalisation steps, step 4 dividing every
+    rate by the largest outgoing sum."""
+    maximum_factor = max(factors.values(), default=0.0)
+    if maximum_factor <= 0.0:
+        return transfer_schema.copy()
+    edge_types = transfer_schema.edge_types()
+    rates = {
+        edge_type: (
+            1.0
+            + reformulator.adjustment_factor
+            * factors.get(edge_type, 0.0)
+            / maximum_factor
+        )
+        * transfer_schema.rate(edge_type)
+        for edge_type in edge_types
+    }
+    maximum_rate = max(rates.values())
+    if maximum_rate > 0.0:
+        rates = {t: r / maximum_rate for t, r in rates.items()}
+    adjusted = transfer_schema.with_vector([rates[t] for t in edge_types], edge_types)
+    worst = max(
+        (adjusted.outgoing_rate_sum(label) for label in adjusted.schema.labels),
+        default=0.0,
+    )
+    if worst > 1.0:
+        rates = {t: r / worst for t, r in rates.items()}
+        adjusted = transfer_schema.with_vector(
+            [rates[t] for t in edge_types], edge_types
+        )
+    return adjusted

@@ -781,15 +781,17 @@ def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
 
 
-def test_the_registry_holds_fourteen_rules():
-    """RL003 folded into RL007 and RL006 into RL016, and RL012's hazard is
-    unwritable since every serve cache key comes from ``Fence.key``; the
-    three codes stay unknown."""
+def test_the_registry_holds_twelve_rules():
+    """RL003 folded into RL007; RL012's hazard is unwritable since every
+    serve cache key comes from ``Fence.key``, RL014's since every value the
+    HTTP layer hands the service comes out of a typed parser, and RL006's
+    and RL016's since damping and rates are range-checked where they enter
+    a fixpoint.  The five codes stay unknown."""
     from repro_lint import checker_codes
 
     codes = checker_codes()
-    assert len(codes) == 14
-    assert not {"RL003", "RL006", "RL012"} & set(codes)
+    assert len(codes) == 12
+    assert not {"RL003", "RL006", "RL012", "RL014", "RL016"} & set(codes)
 
 
 # -- one Eq. 4 loop: the numpy step and the compiled single-vector step ----------
@@ -1065,3 +1067,193 @@ def test_the_guard_sees_a_stopwatch_outside_the_harness(tmp_path):
     (tmp_path / "bench_a.py").write_text("from time import perf_counter\n")
     (tmp_path / "bench_b.py").write_text("import timeit, datetime\n")
     assert clock_readers(tmp_path) == ["bench_a.py", "sub/deep.py"]
+
+
+# -- one value solve per function: only value_solution builds a ValueProblem --------
+
+
+def value_problem_builders(lint: Path) -> list[str]:
+    """``ValueProblem(...)`` calls under ``lint`` outside
+    ``absint.value_solution``, the cached solve RL015 and RL017 share."""
+    offenders = []
+    for path in sorted(lint.rglob("*.py")):
+        name = path.relative_to(lint).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if name == "absint.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "value_solution":
+                    allowed = {id(inner) for inner in ast.walk(node)}
+        offenders += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rsplit(".", 1)[-1] == "ValueProblem"
+            and id(node) not in allowed
+        ]
+    return offenders
+
+
+def test_each_function_has_one_value_solve():
+    assert value_problem_builders(LINT) == []
+
+
+def test_the_guard_sees_a_second_value_solve(tmp_path):
+    (tmp_path / "absint.py").write_text(
+        "class ValueProblem:\n"
+        "    pass\n"
+        "def value_solution(source, func):\n"
+        "    return ValueProblem(source)\n"
+        "def callee_ranges(source):\n"
+        "    return ValueProblem(source)\n"
+    )
+    (tmp_path / "checker.py").write_text(
+        "from absint import ValueProblem\n"
+        "import absint\n"
+        "def solve(source):\n"
+        "    return absint.ValueProblem(source)\n"
+    )
+    assert value_problem_builders(tmp_path) == ["absint.py:6", "checker.py:4"]
+
+
+# -- the typed wire boundary: raw request values never reach the service ----------
+
+#: Raw reads of a request: the JSON body's ``get``/subscript and the
+#: query-string accessor of the old GET route.
+RAW_BODY_NAMES = {"body", "params"}
+RAW_ACCESSORS = {"one"}
+#: Builtin casts: they bound the type at best (``bool("false")`` is True).
+CASTS = {"bool", "int", "float", "str", "list", "tuple"}
+
+
+def _raw_read(node: ast.AST) -> bool:
+    """``body.get(...)``, ``body[...]`` or ``one(...)``, bare or cast."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Name) and node.value.id in RAW_BODY_NAMES
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id in CASTS:
+        return len(node.args) == 1 and _raw_read(node.args[0])
+    if isinstance(func, ast.Name):
+        return func.id in RAW_ACCESSORS
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "get"
+        and isinstance(func.value, ast.Name)
+        and func.value.id in RAW_BODY_NAMES
+    )
+
+
+def raw_service_arguments(source: str) -> list[str]:
+    """Arguments of ``self.service.<endpoint>(...)`` calls that are a raw
+    read, or a local assigned from one, as ``line:endpoint``."""
+    offenders = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        raw_locals = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                values = (
+                    node.value.elts
+                    if isinstance(node.value, ast.Tuple)
+                    else [node.value] * len(node.targets)
+                )
+                targets = (
+                    node.targets[0].elts
+                    if len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple)
+                    else node.targets
+                )
+                for target, value in zip(targets, values):
+                    if isinstance(target, ast.Name) and _raw_read(value):
+                        raw_locals.add(target.id)
+        for node in ast.walk(function):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) == "self.service"
+            ):
+                continue
+            arguments = list(node.args) + [keyword.value for keyword in node.keywords]
+            for argument in arguments:
+                if _raw_read(argument) or (
+                    isinstance(argument, ast.Name) and argument.id in raw_locals
+                ):
+                    offenders.append(f"{node.lineno}:{node.func.attr}")
+    return offenders
+
+
+def wire_readers(serve: Path) -> list[str]:
+    """``parse_qs`` / ``.rfile`` outside ``http_server.py``, and ``json.loads``
+    in ``http_server.py`` outside ``_read_json_body``."""
+    offenders = []
+    for path in sorted(serve.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside_body_reader = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_read_json_body":
+                inside_body_reader |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            said = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            line = getattr(node, "lineno", 0)
+            if said in ("parse_qs", "rfile") and path.name != "http_server.py":
+                offenders.append(f"{path.name}:{line} {said}")
+            if (
+                path.name == "http_server.py"
+                and isinstance(node, ast.Attribute)
+                and ast.unparse(node) == "json.loads"
+                and id(node) not in inside_body_reader
+            ):
+                offenders.append(f"{path.name}:{line} json.loads")
+    return offenders
+
+
+def test_every_value_the_service_gets_comes_out_of_a_typed_parser():
+    """A raw ``body.get(...)`` handed to the service is how a list-valued
+    ``dataset`` became a 500 and ``"apply": "false"`` applied the rates."""
+    source = (SRC / "serve" / "http_server.py").read_text(encoding="utf-8")
+    assert raw_service_arguments(source) == []
+
+
+def test_the_request_is_read_only_by_the_wire_layer():
+    assert wire_readers(SRC / "serve") == []
+
+
+def test_the_guards_see_a_raw_argument_and_a_second_reader(tmp_path):
+    planted = (
+        "def _explain(self, body):\n"
+        "    target = body['target']\n"
+        "    dataset, query = body.get('dataset'), _query(body)\n"
+        "    return self.service.explain(\n"
+        "        dataset, query, target,\n"
+        "        mode=body.get('mode'),\n"
+        "        max_edges=_optional_int(body, 'max_edges'),\n"
+        "        apply=bool(body.get('apply', True)),\n"
+        "    )\n"
+        "def _search(self, parsed):\n"
+        "    return self.service.search(one('dataset'), one('q'))\n"
+    )
+    assert raw_service_arguments(planted) == [
+        "4:explain", "4:explain", "4:explain", "4:explain", "11:search", "11:search",
+    ]
+    (tmp_path / "http_server.py").write_text(
+        "import json\n"
+        "def _read_json_body(self):\n"
+        "    return json.loads(self.read_body())\n"
+        "def _other(self, data):\n"
+        "    return json.loads(data)\n"
+    )
+    (tmp_path / "cluster.py").write_text(
+        "from urllib.parse import parse_qs\n"
+        "def peek(self):\n"
+        "    return self.rfile.read(1)\n"
+    )
+    assert wire_readers(tmp_path) == [
+        "cluster.py:1 parse_qs", "cluster.py:3 rfile", "http_server.py:5 json.loads",
+    ]
