@@ -71,7 +71,6 @@ def run_comparison(dataset):
     for name in ("rocchio+ir", "rocchio+or2", "content-or2", "structure-or2"):
         per_query = []
         for query in QUERIES:
-            engine.graph.set_transfer_rates(initial_rates)
             if name == "rocchio+ir":
                 per_query.append(_session_rocchio(engine, user, query, False))
             elif name == "rocchio+or2":

@@ -94,7 +94,6 @@ class AuthorityTransferSchemaGraph:
         """
         self._schema = schema
         self._rates: dict[EdgeType, float] = {}
-        self._fingerprint: tuple | None = None
         self.epsilon = float(epsilon)
         for schema_edge in schema.edges:
             for direction in _DIRECTIONS:
@@ -107,6 +106,9 @@ class AuthorityTransferSchemaGraph:
             unknown = set(rates) - set(self._rates)
             if unknown:
                 raise RateError(f"rates given for unknown edge types: {sorted(map(str, unknown))}")
+        self._fingerprint = tuple(
+            round(rate, FINGERPRINT_DIGITS) for rate in self._rates.values()
+        )
 
     # -- basic access --------------------------------------------------------
 
@@ -123,22 +125,13 @@ class AuthorityTransferSchemaGraph:
             raise RateError(f"unknown edge type: {edge_type}")
         return self._rates[edge_type]
 
-    def set_rate(self, edge_type: EdgeType, rate: float) -> None:
-        if edge_type not in self._rates:
-            raise RateError(f"unknown edge type: {edge_type}")
-        self._set(edge_type, rate)
-
     def _set(self, edge_type: EdgeType, rate: float) -> None:
         if rate < 0 or not math.isfinite(rate):
             raise RateError(f"invalid rate {rate!r} for edge type {edge_type}")
         self._rates[edge_type] = max(float(rate), self.epsilon)
-        self._fingerprint = None
 
     def fingerprint(self) -> tuple:
-        """The rounded rates in canonical order, memoised until a rate is set."""
-        if self._fingerprint is None:
-            rates = self._rates.values()
-            self._fingerprint = tuple(round(rate, FINGERPRINT_DIGITS) for rate in rates)
+        """The rounded rates in canonical order (fixed at construction)."""
         return self._fingerprint
 
     # -- vector view (for training / cosine similarity) -----------------------
@@ -151,19 +144,18 @@ class AuthorityTransferSchemaGraph:
     def with_vector(
         self, vector: list[float], order: list[EdgeType] | None = None
     ) -> "AuthorityTransferSchemaGraph":
-        """A copy of this graph with rates replaced by ``vector``."""
+        """A new graph with the rates of ``order`` replaced by ``vector``."""
         keys = order if order is not None else self.edge_types()
         if len(vector) != len(keys):
             raise RateError(f"rate vector has length {len(vector)}, expected {len(keys)}")
-        copy = self.copy()
-        for edge_type, rate in zip(keys, vector):
-            copy.set_rate(edge_type, rate)
-        return copy
+        return self._with_rates(dict(zip(keys, vector)))
 
-    def copy(self) -> "AuthorityTransferSchemaGraph":
-        clone = AuthorityTransferSchemaGraph(self._schema, epsilon=self.epsilon)
-        clone._rates = dict(self._rates)
-        return clone
+    def _with_rates(self, changed: dict[EdgeType, float]) -> "AuthorityTransferSchemaGraph":
+        """A new graph over the same schema and floor, ``changed`` replacing
+        this graph's rates, built (and checked) by the constructor."""
+        return AuthorityTransferSchemaGraph(
+            self._schema, {**self._rates, **changed}, epsilon=self.epsilon
+        )
 
     # -- structural helpers ----------------------------------------------------
 
@@ -207,18 +199,19 @@ class AuthorityTransferSchemaGraph:
         return epsilon + (self.rate(edge_type) - epsilon) * spare / mass
 
     def scaled_to_convergent(self) -> "AuthorityTransferSchemaGraph":
-        """A copy where labels with outgoing sum > 1 are scaled down to sum 1.
+        """A new graph where labels with outgoing sum > 1 are scaled down to
+        sum 1.
 
         Only the mass above the epsilon floor is scaled (:meth:`headroom`),
         so re-flooring cannot lift a sum back above 1.
         """
-        copy = self.copy()
+        shrunk = {}
         for label in self._schema.labels:
             spare, mass = self.headroom(label)
             if mass > spare:
                 for edge_type in self.outgoing_types(label):
-                    copy.set_rate(edge_type, self.shrunk_rate(edge_type, spare, mass))
-        return copy
+                    shrunk[edge_type] = self.shrunk_rate(edge_type, spare, mass)
+        return self._with_rates(shrunk)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AuthorityTransferSchemaGraph):

@@ -21,10 +21,13 @@ numpy edge arrays, and splits what it derives from them by what can change:
   (:class:`CsrPattern` — which edge fills which CSR slot) — plus, built on
   the first live run, its row-interleaved copy (:class:`SellLayout`);
 * **per rate setting** (a structure-based reformulation, Section 5.2,
-  changes the schema-level rates and nothing else): ``edge_rate`` — one
-  O(edges) division — and, lazily, the transition matrix — one gather of
-  ``edge_rate`` through the pattern — the same values in the interleaved
-  layout (:class:`SellMatrix`) and the positive-rate incidence.
+  changes the schema-level rates and nothing else), held by one
+  :class:`RateSetting` that views under equal rates share: ``edge_rate``
+  — one O(edges) division — and, lazily, the transition matrix — one
+  gather of ``edge_rate`` through the pattern — the same values in the
+  interleaved layout (:class:`SellMatrix`) and the positive-rate
+  incidence.  Rates are values: a graph never changes its rates, a view
+  under new rates is a new graph.
 """
 
 from __future__ import annotations
@@ -222,19 +225,15 @@ class AuthorityTransferDataGraph:
         )
 
         self._transfer_schema = transfer_schema
-        self.edge_rate = np.zeros(self.num_edges, dtype=np.float64)
-        self._matrix: sparse.csr_matrix | None = None
-        self._positive_incidence: tuple[Incidence, Incidence] | None = None
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         self._csr_pattern = csr_pattern(self.edge_source, self._in_index, self.num_nodes)
         #: The pattern's :class:`SellLayout`, built by the first
         #: :meth:`sell_matrix` of any view and shared by all of them.
         self._sell_layout: BuildCache = BuildCache(1)
-        self._sell_matrix: SellMatrix | None = None
         self._node_degrees: np.ndarray | None = None
         self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
-        self._recompute_rates()
+        self._per_rate = RateSetting(self)
 
     # -- node id <-> dense index ------------------------------------------
 
@@ -277,27 +276,10 @@ class AuthorityTransferDataGraph:
     def transfer_schema(self) -> AuthorityTransferSchemaGraph:
         return self._transfer_schema
 
-    def set_transfer_rates(self, transfer_schema: AuthorityTransferSchemaGraph) -> None:
-        """Swap in new schema-level rates and recompute all edge rates.
-
-        The new graph must be over the same schema (same canonical edge-type
-        list); only the rate values may differ.  This is the cheap operation
-        that makes iterative structure-based reformulation practical.
-        """
-        if transfer_schema.edge_types() != self.edge_types:
-            raise GraphError("new transfer schema has different edge types")
-        self._transfer_schema = transfer_schema
-        self._recompute_rates()
-
-    def _recompute_rates(self) -> None:
-        alphas = np.asarray(
-            [self._transfer_schema.rate(t) for t in self.edge_types], dtype=np.float64
-        )
-        if self.num_edges:
-            self.edge_rate = alphas[self.edge_type_index] / self._edge_out_degree
-        self._matrix = None
-        self._sell_matrix = None
-        self._positive_incidence = None
+    @property
+    def edge_rate(self) -> np.ndarray:
+        """Equation 1's rate of every transfer edge (read-only)."""
+        return self._per_rate.edge_rate
 
     def with_rates(
         self, transfer_schema: AuthorityTransferSchemaGraph
@@ -318,12 +300,11 @@ class AuthorityTransferDataGraph:
         cache) with this graph, so concurrent sessions with different
         learned rates can rank against one materialized graph without
         mutating it.  What it costs depends on the rates alone: under *new*
-        rates the view gets its own ``edge_rate`` (one O(edges) division,
-        the price of :meth:`set_transfer_rates`) and builds its matrix, SELL
-        values and positive-rate incidence on first use; under *unchanged*
-        rates — every content-only ingest refresh — it keeps this graph's
-        ``edge_rate``, matrix, SELL values and positive-rate incidence
-        outright and computes nothing.
+        rates the view gets its own :class:`RateSetting` — its own
+        ``edge_rate`` (one O(edges) division), and its own matrix, SELL
+        values and positive-rate incidence, each built on first use; under
+        *unchanged* rates — every content-only ingest refresh — it shares
+        this graph's :class:`RateSetting` outright and computes nothing.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -334,7 +315,7 @@ class AuthorityTransferDataGraph:
         view.data_graph = data_graph
         view._transfer_schema = transfer_schema
         if transfer_schema != self._transfer_schema:
-            view._recompute_rates()
+            view._per_rate = RateSetting(view)
         return view
 
     # -- matrix + adjacency views --------------------------------------------
@@ -349,26 +330,7 @@ class AuthorityTransferDataGraph:
         ``edge_rate``, plus one add per extra parallel edge.  ``indices`` and
         ``indptr`` are the pattern's own (read-only) arrays.
         """
-        if self._matrix is None:
-            pattern = self._csr_pattern
-            matrix = sparse.csr_matrix(
-                (self._csr_data(), pattern.indices, pattern.indptr),
-                shape=(self.num_nodes, self.num_nodes),
-            )
-            # Sorted and duplicate-free by construction: scipy need neither
-            # check nor, on the shared arrays, ever sort in place.
-            matrix.has_canonical_format = True
-            self._matrix = matrix
-        return self._matrix
-
-    def _csr_data(self) -> np.ndarray:
-        """The transition matrix's ``data``: one gather of ``edge_rate``
-        through the :class:`CsrPattern`, plus one add per parallel edge."""
-        pattern = self._csr_pattern
-        data = self.edge_rate[pattern.slot_edge]
-        for slots, edges in pattern.parallel:
-            data[slots] += self.edge_rate[edges]
-        return data
+        return self._per_rate.matrix()
 
     def sell_matrix(self) -> SellMatrix:
         """:meth:`matrix` in the topology's :class:`SellLayout` (same floats).
@@ -376,16 +338,9 @@ class AuthorityTransferDataGraph:
         The layout is built by the first call on any view of this topology
         (≈ 5 ms at 15 531 nodes) and shared; the values are filled per rate
         setting from ``edge_rate`` exactly as the matrix's are — so a view
-        only ranked live never builds a CSR matrix — and dropped with it
-        when rates change.
+        only ranked live never builds a CSR matrix.
         """
-        if self._sell_matrix is None:
-            pattern = self._csr_pattern
-            layout = self._sell_layout.get(
-                None, lambda: sell_layout(pattern.indptr, pattern.indices)
-            )
-            self._sell_matrix = SellMatrix(layout, self._csr_data())
-        return self._sell_matrix
+        return self._per_rate.sell_matrix()
 
     def positive_incidence(self) -> tuple[Incidence, Incidence]:
         """``(in, out)`` incidence over strictly positive-rate edges only.
@@ -393,16 +348,9 @@ class AuthorityTransferDataGraph:
         Explaining-subgraph construction traverses nothing else (a zero-rate
         edge carries no authority), so its BFS passes skip the rate test.
         Built lazily per rate setting — the full incidence filtered by the
-        rate mask, which keeps each node's edges in ascending edge-id order —
-        and dropped whenever the rates change, like :meth:`matrix`.
+        rate mask, which keeps each node's edges in ascending edge-id order.
         """
-        if self._positive_incidence is None:
-            positive = self.edge_rate > 0.0
-            self._positive_incidence = (
-                _filter_incidence(self._in_index, positive),
-                _filter_incidence(self._out_index, positive),
-            )
-        return self._positive_incidence
+        return self._per_rate.positive_incidence()
 
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """``build()``, computed once per data-graph version and ``key``.
@@ -463,6 +411,76 @@ class AuthorityTransferDataGraph:
             f"AuthorityTransferDataGraph(nodes={self.num_nodes}, "
             f"transfer_edges={self.num_edges})"
         )
+
+
+class RateSetting:
+    """What one rate setting derives over one topology.
+
+    ``edge_rate`` — Equation 1, one O(edges) division, frozen read-only —
+    is computed on construction; the transition matrix, its SELL values and
+    the positive-rate incidence are each built on first use.  A setting is
+    never updated: a view under new rates gets a new one, and views under
+    equal rates share one, so nothing built here is ever reset.
+    """
+
+    def __init__(self, graph: AuthorityTransferDataGraph) -> None:
+        alphas = np.asarray(
+            [graph.transfer_schema.rate(t) for t in graph.edge_types], dtype=np.float64
+        )
+        if graph.num_edges:
+            edge_rate = alphas[graph.edge_type_index] / graph._edge_out_degree
+        else:
+            edge_rate = np.zeros(0, dtype=np.float64)
+        edge_rate.setflags(write=False)
+        self.edge_rate = edge_rate
+        # The per-topology structures the lazy builds read, shared by every
+        # view of the topology (never the view itself, which pins a data graph).
+        self._num_nodes = graph.num_nodes
+        self._pattern: CsrPattern = graph._csr_pattern
+        self._sell_layout: BuildCache = graph._sell_layout
+        self._incidence = (graph._in_index, graph._out_index)
+        self._matrix: sparse.csr_matrix | None = None
+        self._sell_matrix: SellMatrix | None = None
+        self._positive_incidence: tuple[Incidence, Incidence] | None = None
+
+    def matrix(self) -> sparse.csr_matrix:
+        if self._matrix is None:
+            pattern = self._pattern
+            matrix = sparse.csr_matrix(
+                (self._csr_data(), pattern.indices, pattern.indptr),
+                shape=(self._num_nodes, self._num_nodes),
+            )
+            # Sorted and duplicate-free by construction: scipy need neither
+            # check nor, on the shared arrays, ever sort in place.
+            matrix.has_canonical_format = True
+            self._matrix = matrix
+        return self._matrix
+
+    def _csr_data(self) -> np.ndarray:
+        """The transition matrix's ``data``: one gather of ``edge_rate``
+        through the :class:`CsrPattern`, plus one add per parallel edge."""
+        pattern = self._pattern
+        data = self.edge_rate[pattern.slot_edge]
+        for slots, edges in pattern.parallel:
+            data[slots] += self.edge_rate[edges]
+        return data
+
+    def sell_matrix(self) -> SellMatrix:
+        if self._sell_matrix is None:
+            pattern = self._pattern
+            layout = self._sell_layout.get(
+                None, lambda: sell_layout(pattern.indptr, pattern.indices)
+            )
+            self._sell_matrix = SellMatrix(layout, self._csr_data())
+        return self._sell_matrix
+
+    def positive_incidence(self) -> tuple[Incidence, Incidence]:
+        if self._positive_incidence is None:
+            positive = self.edge_rate > 0.0
+            self._positive_incidence = tuple(
+                _filter_incidence(incidence, positive) for incidence in self._incidence
+            )
+        return self._positive_incidence
 
 
 def gather_rows(indptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -588,9 +589,19 @@ def _compile() -> ctypes.CDLL | None:
 
     The ranking steps and the explain kernels are two translation units,
     compiled side by side and linked into one library, so on two cores the
-    explain kernels build while the ranking steps do.
+    explain kernels build while the ranking steps do.  The directory is
+    removed on every path: a mapped library outlives its file.
     """
     build_dir = tempfile.mkdtemp(prefix="repro-native-")
+    try:
+        return _build_in(build_dir)
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
+def _build_in(build_dir: str) -> ctypes.CDLL | None:
+    """The kernels compiled and linked in ``build_dir`` and mapped, or
+    ``None`` when no compiler and flag variant produces a loadable one."""
     units = []
     for name, source, extra in (
         ("ranking", f"#define SELL_LANES {SELL_LANES}\n{_SOURCE}", []),

@@ -81,7 +81,7 @@ class KeywordVectors:
         self.build_iterations = int(build_iterations)
         self.node_ids = graph.node_ids
         self.graph_version = graph.data_graph.version
-        self.rates_snapshot = graph.transfer_schema.copy()
+        self.rates_snapshot = graph.transfer_schema
         self._scorer = BM25Scorer(index)
         self._vectors = dict(vectors)
 

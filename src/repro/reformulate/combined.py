@@ -81,7 +81,7 @@ class Reformulator:
         unchanged.
         """
         if not explanations:
-            return ReformulatedQuery(query_vector.copy(), transfer_schema.copy())
+            return ReformulatedQuery(query_vector.copy(), transfer_schema)
         new_vector = (
             self.content.reformulate(query_vector, explanations)
             if self.uses_content
@@ -90,6 +90,6 @@ class Reformulator:
         new_schema = (
             self.structure.reformulate(transfer_schema, explanations)
             if self.uses_structure
-            else transfer_schema.copy()
+            else transfer_schema
         )
         return ReformulatedQuery(new_vector, new_schema)

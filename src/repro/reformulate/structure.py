@@ -66,7 +66,7 @@ class StructureReformulator:
         factors = self.flow_factors(explanations)
         maximum_factor = max(factors.values(), default=0.0)
         if maximum_factor <= 0.0:
-            return transfer_schema.copy()
+            return transfer_schema
 
         edge_types = transfer_schema.edge_types()
         # Steps 1 + 2: normalize factors, apply Equation 13.

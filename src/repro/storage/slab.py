@@ -34,8 +34,10 @@ on this guarantee.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -48,10 +50,16 @@ MAGIC = b"REPROSLB"
 FORMAT_VERSION = 1
 SECTION_ALIGNMENT = 64
 _FIXED_HEADER = struct.Struct("<8sIIII")
+_DTYPE_STR = re.compile(r"[<>|][biufcmMSUV][0-9]+")
 
 
 class SlabFormatError(ReproError):
     """The file is not a readable slab (wrong magic, corrupt, truncated...)."""
+
+
+def _is_count(value: object) -> bool:
+    """Whether a header JSON value is a non-negative integer (not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _align(offset: int) -> int:
@@ -179,15 +187,47 @@ class SlabFile:
             raise SlabFormatError(
                 f"{self.path!r}: malformed header JSON: {error}"
             ) from None
-        for section in self._sections.values():
-            end = section["offset"] + section["nbytes"]
-            if section["offset"] < 0 or end > size:
-                raise SlabFormatError(
-                    f"{self.path!r}: section {section['name']!r} "
-                    f"[{section['offset']}, {end}) exceeds file size {size}"
-                )
+        if not isinstance(self.meta, dict):
+            raise SlabFormatError(f"{self.path!r}: header meta is not an object")
+        #: Per section: its dtype and element count, as checked at open.
+        self._layout = {
+            name: self._checked(name, section, size)
+            for name, section in self._sections.items()
+        }
         if verify:
             self.verify()
+
+    def _checked(self, name, section: dict, size: int) -> tuple[np.dtype, int]:
+        """``section``'s dtype and element count, once every field of its
+        entry is shown to describe bytes inside this file."""
+        def fail(problem: str) -> SlabFormatError:
+            return SlabFormatError(f"{self.path!r}: section {name!r}: {problem}")
+
+        if not isinstance(name, str):
+            raise fail("name is not a string")
+        offset, nbytes = section.get("offset"), section.get("nbytes")
+        shape, crc = section.get("shape"), section.get("crc32")
+        for field, value in (("offset", offset), ("nbytes", nbytes), ("crc32", crc)):
+            if not _is_count(value):
+                raise fail(f"{field} {value!r} is not a non-negative integer")
+        spelled = section.get("dtype")
+        try:
+            # Only the writer's own spelling (``dtype.str``) is read back.
+            if not isinstance(spelled, str) or not _DTYPE_STR.fullmatch(spelled):
+                raise TypeError("not a byte-order, kind and size")
+            dtype = np.dtype(spelled)
+            if dtype.str != spelled or dtype.hasobject or not dtype.itemsize:
+                raise TypeError("not a plain array dtype")
+        except (TypeError, ValueError) as error:
+            raise fail(f"dtype {spelled!r}: {error}") from None
+        if not isinstance(shape, list) or not all(map(_is_count, shape)):
+            raise fail(f"shape {shape!r} is not a list of non-negative integers")
+        count = math.prod(shape)
+        if count * dtype.itemsize != nbytes:
+            raise fail(f"shape {shape} of {dtype.str} does not fill {nbytes} bytes")
+        if offset + nbytes > size:
+            raise fail(f"[{offset}, {offset + nbytes}) exceeds file size {size}")
+        return dtype, count
 
     # -- access -------------------------------------------------------------
 
@@ -202,11 +242,9 @@ class SlabFile:
         section = self._sections.get(name)
         if section is None:
             raise SlabFormatError(f"{self.path!r}: no section named {name!r}")
+        dtype, count = self._layout[name]
         view = np.frombuffer(
-            self._mmap,
-            dtype=np.dtype(section["dtype"]),
-            count=int(np.prod(section["shape"], dtype=np.int64)) if section["shape"] else 1,
-            offset=section["offset"],
+            self._mmap, dtype=dtype, count=count, offset=section["offset"]
         ).reshape(section["shape"])
         view.flags.writeable = False
         return view

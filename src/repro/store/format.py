@@ -56,11 +56,16 @@ def _pack_strings(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """The strings :func:`_pack_strings` packed; ``ValueError`` unless
+    ``offsets`` start at 0, never decrease and end at the blob's length,
+    and every slice decodes as UTF-8."""
     raw = blob.tobytes()
-    return [
-        raw[offsets[i] : offsets[i + 1]].decode("utf-8")
-        for i in range(len(offsets) - 1)
-    ]
+    bounds = offsets.tolist()
+    if not bounds or bounds[0] != 0 or bounds[-1] != len(raw):
+        raise ValueError(f"offsets do not span the {len(raw)}-byte blob")
+    if any(start > end for start, end in zip(bounds, bounds[1:])):
+        raise ValueError("offsets decrease")
+    return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
 def write_score_store(
@@ -134,53 +139,81 @@ class ScoreStore:
     #: version is opt-in (see :meth:`PrecomputedRanker.is_stale`).
     graph = None
 
-    _REQUIRED = (
-        "scores", "idf", "keyword_blob", "keyword_offsets",
-        "node_blob", "node_offsets", "rates",
-    )
+    #: Every section and the one dtype it is read as (``scores`` is 2-D,
+    #: the rest 1-D).
+    _SECTIONS = {
+        "scores": np.float64, "idf": np.float64, "rates": np.float64,
+        "keyword_blob": np.uint8, "keyword_offsets": np.int64,
+        "node_blob": np.uint8, "node_offsets": np.int64,
+    }
+    #: Every meta field read and the JSON types it may hold (``bool`` is
+    #: refused separately: JSON ``true`` is not a count).
+    _META = {
+        "dataset": (str,), "generation": (int,), "damping": (float, int),
+        "num_keywords": (int,), "num_nodes": (int,), "edge_types": (list,),
+        "build_iterations": (int,), "graph_version": (int,),
+    }
 
     def __init__(self, path: str | os.PathLike, verify: bool = True) -> None:
         try:
-            self._slab = SlabFile(path, verify=verify)
+            slab = SlabFile(path, verify=verify)
         except SlabFormatError as error:
             raise StoreError(str(error)) from None
-        meta = self._slab.meta
-        if meta.get("kind") != KIND:
-            raise StoreError(
-                f"{os.fspath(path)!r} is a slab but not a score store "
-                f"(kind={meta.get('kind')!r})"
-            )
-        for name in self._REQUIRED:
-            if name not in self._slab:
-                raise StoreError(f"{os.fspath(path)!r}: missing section {name!r}")
-        self.path = self._slab.path
-        self.dataset: str = meta["dataset"]
-        self.generation: int = int(meta["generation"])
-        self.damping: float = float(meta["damping"])
-        self.build_iterations: int = int(meta.get("build_iterations", 0))
+        self._slab = slab
+        self.path = slab.path
+
+        def malformed(problem: str) -> StoreError:
+            return StoreError(f"{self.path!r}: {problem}")
+
         # Stores written before graph versioning carry no counter; 0 matches
         # an unmutated graph's version, so old stores read as fresh.
-        self.graph_version: int = int(meta.get("graph_version", 0))
+        meta = {"build_iterations": 0, "graph_version": 0, **slab.meta}
+        if meta.get("kind") != KIND:
+            raise malformed(f"is a slab but not a score store (kind={meta.get('kind')!r})")
+        for field, types in self._META.items():
+            if not isinstance(meta.get(field), types) or isinstance(meta[field], bool):
+                raise malformed(f"meta {field!r} is {meta.get(field)!r}")
+        if not all(isinstance(name, str) for name in meta["edge_types"]):
+            raise malformed("meta 'edge_types' holds a non-string")
+        arrays = {}
+        for name, dtype in self._SECTIONS.items():
+            if name not in slab:
+                raise malformed(f"missing section {name!r}")
+            array = arrays[name] = slab.array(name)
+            if array.dtype != dtype or array.ndim != (2 if name == "scores" else 1):
+                raise malformed(f"section {name!r} is {array.dtype} {array.shape}")
+        try:
+            self.keywords: list[str] = _unpack_strings(
+                arrays["keyword_blob"], arrays["keyword_offsets"]
+            )
+            self.node_ids: list[str] = _unpack_strings(
+                arrays["node_blob"], arrays["node_offsets"]
+            )
+        except ValueError as error:  # UnicodeDecodeError included
+            raise malformed(f"string table: {error}") from None
+        self.dataset: str = meta["dataset"]
+        self.generation: int = meta["generation"]
+        self.damping: float = meta["damping"]
+        self.build_iterations: int = meta["build_iterations"]
+        self.graph_version: int = meta["graph_version"]
         self.edge_types: list[str] = list(meta["edge_types"])
-        self.scores: np.ndarray = self._slab.array("scores")
-        self.idf: np.ndarray = self._slab.array("idf")
-        self.rates: np.ndarray = self._slab.array("rates")
-        self.keywords: list[str] = _unpack_strings(
-            self._slab.array("keyword_blob"), self._slab.array("keyword_offsets")
-        )
-        self.node_ids: list[str] = _unpack_strings(
-            self._slab.array("node_blob"), self._slab.array("node_offsets")
-        )
-        if self.scores.shape != (len(self.keywords), len(self.node_ids)):
-            raise StoreError(
-                f"{self.path!r}: scores shape {self.scores.shape} does not "
-                f"match {len(self.keywords)} keywords x "
-                f"{len(self.node_ids)} nodes"
+        self.scores: np.ndarray = arrays["scores"]
+        self.idf: np.ndarray = arrays["idf"]
+        self.rates: np.ndarray = arrays["rates"]
+        counts = (len(self.keywords), len(self.node_ids))
+        if (meta["num_keywords"], meta["num_nodes"]) != counts:
+            raise malformed(
+                f"meta counts {meta['num_keywords']} x {meta['num_nodes']} do not "
+                f"match {counts[0]} keywords x {counts[1]} nodes"
+            )
+        if self.scores.shape != counts or self.idf.shape != counts[:1]:
+            raise malformed(
+                f"scores shape {self.scores.shape} / idf shape {self.idf.shape} "
+                f"do not match {counts[0]} keywords x {counts[1]} nodes"
             )
         if len(self.rates) != len(self.edge_types):
-            raise StoreError(
-                f"{self.path!r}: {len(self.rates)} rates for "
-                f"{len(self.edge_types)} edge types"
+            raise malformed(
+                f"{len(self.rates)} rates for {len(self.edge_types)} edge types"
             )
         self._column: dict[str, int] = {
             keyword: row for row, keyword in enumerate(self.keywords)

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import StoreError
+from repro.errors import ParameterError, StoreError
 from repro.ranking.precompute import PrecomputedRanker
 from repro.store.format import ScoreStore, write_score_store
 
@@ -124,8 +124,7 @@ def prune_generations(root: str | os.PathLike, keep: int = 2) -> list[int]:
     Safe against live readers: an unlinked file's mapping stays valid in
     every process that has it open, so pruning can run right after a swap.
     """
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
+    _check_keep(keep)
     manifest = read_manifest(root)
     current = manifest.generation if manifest is not None else None
     generations = list_generations(root)
@@ -138,6 +137,11 @@ def prune_generations(root: str | os.PathLike, keep: int = 2) -> list[int]:
     return doomed
 
 
+def _check_keep(keep: int) -> None:
+    if keep < 1:
+        raise ParameterError(f"keep must be >= 1, got {keep}")
+
+
 def build_and_publish(
     root: str | os.PathLike,
     ranker: PrecomputedRanker,
@@ -145,7 +149,12 @@ def build_and_publish(
     keep: int = 2,
     fsync: bool = True,
 ) -> Manifest:
-    """Write the next generation from ``ranker`` and flip the manifest."""
+    """Write the next generation from ``ranker`` and flip the manifest.
+
+    ``keep`` (the generations :func:`prune_generations` leaves) is checked
+    before anything is written.
+    """
+    _check_keep(keep)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     generation = next_generation(root)

@@ -8,8 +8,8 @@ Every silent-correctness bug fixed in PR 2 — the last-write-wins fancy
 indexing of a restart vector (``uniform_restarts`` builds them now), the ``transfer_view`` build-once
 latch, the shared-rates mutation in ``SearchEngine`` — belongs to a
 statically detectable pattern class.  This package encodes those classes as
-AST checkers (RL001, RL002, RL004, RL005) and, since PR 5, *flow-sensitive* checkers
-(RL007–RL009, see :mod:`repro_lint.checkers`) that reason over
+AST checkers (RL001, RL002, RL004, RL005) and, since PR 5, a *flow-sensitive* checker
+(RL007, see :mod:`repro_lint.checkers`) that reasons over
 per-function control-flow graphs — so the next occurrence is caught in
 review, not in production rankings.
 

@@ -5,9 +5,9 @@ One instance of the generic :mod:`repro_lint.dataflow` solver,
 lattice of :mod:`repro_lint.domains`, with transfer functions for
 arithmetic, ``len()`` facts for sequences, and comparison refinement
 through ``refine_edge`` (a ``total > 0`` guard really narrows ``total``
-to ``(0, +inf)`` on the true edge).  RL015 and RL017 read its states
-through :func:`value_solution`, the one place a :class:`ValueProblem` is
-built, so each function is solved once per run.
+to ``(0, +inf)`` on the true edge).  RL015 reads its states through
+:func:`value_solution`, the one place a :class:`ValueProblem` is built,
+so each function is solved once per run.
 
 The wire-taint domain and the callee-range solve that RL014 and RL016 read
 are gone with those rules: the typed parsers of

@@ -38,7 +38,7 @@ class SourceFile:
     #: function instead of rebuilding it per rule.
     _cfgs: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-domain dataflow solution caches (same lifetime/idiom as ``_cfgs``)
-    #: so RL015 and RL017 share one value-domain solve per function.
+    #: so each function is solved once per domain (locksets, RL015's values).
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
     #: :func:`repro_lint.lockset.lock_attributes`, which the summaries

@@ -1,4 +1,4 @@
-"""Built-in checkers; importing this package registers the twelve rules.
+"""Built-in checkers; importing this package registers the nine rules.
 
 ============ ========================== =====================================
 Code         Name                       Hazard class
@@ -13,10 +13,6 @@ Code         Name                       Hazard class
                                         literals in numeric code
 ``RL007``    lockset-discipline         guarded attribute accessed where the
                                         computed lockset lacks its lock
-``RL008``    unbounded-fixpoint-loop    residual-testing ``while`` loops with
-                                        no iteration cap on any path
-``RL009``    use-after-invalidate       cached attribute read on a path after
-                                        ``None``/clear with no rebuild
 ``RL010``    resource-lifecycle         file/mmap/socket acquired on a path
                                         that can exit without release
 ``RL011``    interprocedural-lock-order lock-order deadlock cycles (within
@@ -27,12 +23,10 @@ Code         Name                       Hazard class
                                         solve reachable while a lock is held
 ``RL015``    zero-denominator           division by an accumulated total or
                                         ``len()`` not provably non-zero
-``RL017``    index-out-of-bounds        index/offset into slab/array storage
-                                        provably negative or past the length
 ============ ========================== =====================================
 
 RL003 (lexical lock discipline) is retired: RL007 reports its findings.
-Four more are retired because their hazard can no longer be written:
+Seven more are retired because their hazard can no longer be written:
 
 * RL012 (cache-key fencing): every serve cache key is built by
   :meth:`repro.serve.cache.Fence.key`, so a key missing a freshness
@@ -45,44 +39,50 @@ Four more are retired because their hazard can no longer be written:
   ``check_damping`` refuses a damping outside (0, 1) at every Eq. 4 and
   Eq. 10 entry and ``AuthorityTransferSchemaGraph`` refuses a negative or
   non-finite rate, both before any iteration
-  (``tests/properties/test_range_check_properties.py``).
+  (``tests/properties/test_range_check_properties.py``);
+* RL008 (unbounded fixpoint loop): ``check_max_iterations`` runs at every
+  fixpoint entry and every residual ``while`` tests ``max_iterations``
+  (guarded in ``tests/test_layering.py``, pinned under ``Tolerance(0.0)``
+  by ``tests/properties/test_fixpoint_cap_properties.py``);
+* RL009 (use after invalidate): rates are values — no setter resets a
+  lazily built structure, a view under new rates owns new ones
+  (``tests/test_layering.py`` refuses a ``None`` reset of a latch,
+  ``tests/properties/test_graph_properties.py`` pins the views);
+* RL017 (index out of bounds): the store reader checks every section
+  entry, meta field and offsets array it maps, and raw buffer access stays
+  in the storage modules (``tests/test_layering.py``,
+  ``tests/properties/test_store_fault_properties.py``).
 
-RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007–RL009 are
-flow-sensitive — they consume the per-function CFGs of
+RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007 is
+flow-sensitive — it consumes the per-function CFGs of
 :mod:`repro_lint.cfg` through the fixpoint solver of
 :mod:`repro_lint.dataflow`.  RL010, RL011 and RL013 are *interprocedural*
 (:class:`~repro_lint.base.ProjectChecker`) — the runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
 bottom-up :mod:`~repro_lint.summaries`) and runs them once over the
-whole file set, serially, after the per-file phase.  RL015 and RL017 are
-per-file instances of the abstract interpreter
-(:mod:`repro_lint.absint`): they share one value-domain solve per
-function through :meth:`~repro_lint.base.SourceFile.solution_cache`.
+whole file set, serially, after the per-file phase.  RL015 is the
+per-file instance of the abstract interpreter (:mod:`repro_lint.absint`):
+one cached value-domain solve per function
+(:meth:`~repro_lint.base.SourceFile.solution_cache`).
 """
 
 from repro_lint.checkers.blocking_under_lock import BlockingUnderLockChecker
 from repro_lint.checkers.cache_latch import CacheLatchChecker
 from repro_lint.checkers.duplicate_index import DuplicateIndexWriteChecker
-from repro_lint.checkers.fixpoint_loops import FixpointLoopChecker
 from repro_lint.checkers.float_equality import FloatEqualityChecker
-from repro_lint.checkers.index_bounds import IndexBoundsChecker
 from repro_lint.checkers.interprocedural_locks import InterproceduralLockChecker
 from repro_lint.checkers.lockset_discipline import LocksetDisciplineChecker
 from repro_lint.checkers.param_mutation import ParamMutationChecker
 from repro_lint.checkers.resource_lifecycle import ResourceLifecycleChecker
-from repro_lint.checkers.use_after_invalidate import UseAfterInvalidateChecker
 from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
 
 __all__ = [
     "BlockingUnderLockChecker",
     "CacheLatchChecker",
     "DuplicateIndexWriteChecker",
-    "FixpointLoopChecker",
     "FloatEqualityChecker",
-    "IndexBoundsChecker",
     "InterproceduralLockChecker",
     "LocksetDisciplineChecker",
     "ParamMutationChecker",
     "ResourceLifecycleChecker",
-    "UseAfterInvalidateChecker",
     "ZeroDenominatorChecker",
 ]

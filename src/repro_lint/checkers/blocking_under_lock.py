@@ -13,7 +13,8 @@ conditionally-held locks are handled path-sensitively:
   (``time.sleep``, ``subprocess.run``, ``open``, ``sock.accept``…);
 * a **callee that may block**, transitively, via its summary — the witness
   call chain down to the primitive lands in ``metadata["call_chain"]``;
-* a **residual-testing fixpoint loop** (RL008's shape — convergence solves
+* a **residual-testing fixpoint loop**
+  (:func:`repro_lint.summaries.is_fixpoint_while` — convergence solves
   are the most expensive thing this codebase does) in the region.
 
 ``self.<cond>.wait()`` on a held condition variable is exempt — waiting

@@ -48,8 +48,8 @@ class DataflowProblem:
     in execution order — the solver folds it over a block's body) and
     optionally ``transfer_test`` (the block's branch condition, evaluated
     after the body).  ``refine_edge`` lets a forward problem split state by
-    branch outcome (``true``/``false`` edge labels) — how RL009 learns that
-    an attribute cannot be ``None`` on the false edge of ``is None``.
+    branch outcome (``true``/``false`` edge labels) — how RL015's value
+    domain learns that ``total`` is positive on the true edge of ``total > 0``.
     """
 
     direction: str = "forward"

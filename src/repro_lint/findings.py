@@ -27,8 +27,8 @@ class Finding:
     column: int = field(default=0, compare=False)
     #: The stripped source line the finding points at (fingerprint input).
     source_line: str = field(default="", compare=False)
-    #: Rule-specific extras (RL007: the lock name; RL008: the loop's line
-    #: span) — reporters may surface it, but it is deliberately *not* part
+    #: Rule-specific extras (RL007: the lock name; RL013: the call chain)
+    #: — reporters may surface it, but it is deliberately *not* part
     #: of :meth:`fingerprint`, so richer metadata never invalidates an
     #: existing baseline entry.
     metadata: dict = field(default_factory=dict, compare=False, hash=False)

@@ -40,6 +40,7 @@ to unknown callees separately, at the call site).
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 
 from repro_lint.base import call_name
@@ -351,18 +352,77 @@ def _guarded_accesses_in(source, item, guarded: dict) -> list[ast.Attribute]:
     ]
 
 
-def is_fixpoint_while(source, node: ast.While) -> bool:
-    """Whether a ``while`` is a residual-testing fixpoint loop (RL008 shape)."""
-    from repro_lint.checkers.fixpoint_loops import (
-        _is_while_true,
-        _residual_break_in,
-        _residual_compare_in,
-    )
+#: Names that smell like a convergence residual or tolerance.
+_RESIDUAL_NAME = re.compile(
+    r"(?:^|_)(residual|resid|tol|tolerance|eps|epsilon|delta|diff|difference|"
+    r"err|error|change|gap|norm)(?:$|_|\d)",
+    re.IGNORECASE,
+)
 
+#: Call targets whose result is residual-like when compared (``abs(x - y)``).
+_RESIDUAL_CALLS = {"abs"}
+
+_COMPARISONS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def is_fixpoint_while(source, node: ast.While) -> bool:
+    """Whether a ``while`` is a residual-testing fixpoint loop: its test
+    orders a residual/tolerance-named value, or it is a ``while True``
+    whose body breaks on such a test."""
     residual = _residual_compare_in(source, node.test)
     if residual is None and _is_while_true(node.test):
         residual = _residual_break_in(source, node.body)
     return residual is not None
+
+
+def _is_while_true(test: ast.expr) -> bool:
+    return isinstance(test, ast.Constant) and bool(test.value)
+
+
+def _residual_compare_in(source, expr: ast.expr) -> ast.Compare | None:
+    """The first residual-style ordering comparison inside ``expr``."""
+    for node in source.walk(expr):
+        if (
+            isinstance(node, ast.Compare)
+            and len(node.ops) == 1
+            and isinstance(node.ops[0], _COMPARISONS)
+            and any(
+                _is_residual_operand(side)
+                for side in (node.left, node.comparators[0])
+            )
+        ):
+            return node
+    return None
+
+
+def _residual_break_in(source, body: list[ast.stmt]) -> ast.Compare | None:
+    """A residual comparison guarding a ``break`` in a ``while True`` body."""
+    for stmt in body:
+        for node in source.walk(stmt):
+            if not isinstance(node, ast.If):
+                continue
+            compare = _residual_compare_in(source, node.test)
+            if compare is None:
+                continue
+            if any(
+                isinstance(inner, ast.Break)
+                for branch_stmt in node.body
+                for inner in source.walk(branch_stmt)
+            ):
+                return compare
+    return None
+
+
+def _is_residual_operand(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        return bool(_RESIDUAL_NAME.search(node.id))
+    if isinstance(node, ast.Attribute):
+        return bool(_RESIDUAL_NAME.search(node.attr))
+    if isinstance(node, ast.Call):
+        name = call_name(node)
+        short = name.rsplit(".", 1)[-1]
+        return short in _RESIDUAL_CALLS or bool(_RESIDUAL_NAME.search(short))
+    return False
 
 
 def _find_fixpoint_loop(source, node) -> int:

@@ -1,6 +1,6 @@
-"""Fixture tests for the abstract-interpretation rules RL015 and RL017.
+"""Fixture tests for the abstract-interpretation rule RL015.
 
-Each rule gets a known-positive corpus pinned at the exact finding line
+The rule gets a known-positive corpus pinned at the exact finding line
 (the acceptance criterion of the abstract-interpretation PR) plus
 negative fixtures showing the *proof obligations* that silence it:
 emptiness/zero guards and branch refinement in the value domain.
@@ -104,101 +104,5 @@ class TestRL015ZeroDenominator:
                 for step in range(steps):
                     out.append(sum(r[step] for r in kept) / n)
                 return out
-            """,
-        ) == []
-
-
-class TestRL017IndexBounds:
-    def test_literal_index_past_known_length(self):
-        findings = lint_snippet(
-            "RL017",
-            """
-            def pick():
-                xs = [1, 2, 3]
-                return xs[3]
-            """,
-        )
-        assert codes_of(findings) == ["RL017"]
-        assert findings[0].line == 4
-        assert findings[0].metadata["index"] == 3
-        assert findings[0].metadata["length"] == 3
-
-    def test_computed_negative_index_into_array(self):
-        findings = lint_snippet(
-            "RL017",
-            """
-            import numpy as np
-
-            def head(values, n):
-                arr = np.zeros(n)
-                start = 0 - 1
-                return arr[start]
-            """,
-        )
-        assert codes_of(findings) == ["RL017"]
-        assert findings[0].line == 7
-
-    def test_provably_negative_seek_offset(self):
-        findings = lint_snippet(
-            "RL017",
-            """
-            def rewind(handle, size):
-                position = 0 - 8
-                handle.seek(position)
-            """,
-        )
-        assert codes_of(findings) == ["RL017"]
-        assert findings[0].line == 4
-
-    def test_literal_tail_index_is_idiomatic(self):
-        """arr[-1] is the accepted Python idiom — never flagged without a
-        provable length contradiction."""
-        assert lint_snippet(
-            "RL017",
-            """
-            import numpy as np
-
-            def tail(values, n):
-                arr = np.zeros(n)
-                return arr[-1]
-            """,
-        ) == []
-
-    def test_seek_with_whence_allows_negative(self):
-        assert lint_snippet(
-            "RL017",
-            """
-            def back(handle):
-                position = 0 - 8
-                handle.seek(position, 2)
-            """,
-        ) == []
-
-    def test_guard_makes_index_safe(self):
-        assert lint_snippet(
-            "RL017",
-            """
-            import numpy as np
-
-            def read(values, n, i):
-                arr = np.zeros(n)
-                if i < 0:
-                    raise ValueError("negative index")
-                return arr[i]
-            """,
-        ) == []
-
-    def test_range_loop_index_is_quiet(self):
-        assert lint_snippet(
-            "RL017",
-            """
-            import numpy as np
-
-            def walk(n):
-                arr = np.zeros(n)
-                total = 0.0
-                for i in range(4):
-                    total += arr[i]
-                return total
             """,
         ) == []

@@ -1,4 +1,4 @@
-"""Fixture tests for the flow-sensitive rules RL007–RL009.
+"""Fixture tests for the flow-sensitive rule RL007.
 
 The RL007 corpus test is the PR's acceptance criterion made executable: a
 copy of ``src/repro/serve/service.py`` with one ``with self._rates_lock:``
@@ -119,158 +119,3 @@ class TestRL007ServiceCorpus:
             f.line == access_line and f.metadata.get("lock") == "_rates_lock"
             for f in findings
         ), [(f.line, f.metadata) for f in findings]
-
-
-class TestRL008FixpointLoops:
-    def test_unbounded_residual_loop_flagged_with_span(self):
-        findings = lint_snippet(
-            "RL008",
-            """
-            def iterate(x, tol):
-                residual = 1.0
-                while residual > tol:
-                    x, residual = step(x)
-                return x
-            """,
-        )
-        assert codes_of(findings) == ["RL008"]
-        span = findings[0].metadata["loop_span"]
-        assert span[0] == 4 and span[1] >= 5
-
-    def test_while_true_with_residual_break_flagged(self):
-        findings = lint_snippet(
-            "RL008",
-            """
-            def iterate(x, tol):
-                while True:
-                    x, residual = step(x)
-                    if residual < tol:
-                        break
-                return x
-            """,
-        )
-        assert codes_of(findings) == ["RL008"]
-
-    def test_counter_in_the_condition_is_accepted(self):
-        assert lint_snippet(
-            "RL008",
-            """
-            def iterate(x, tol, max_iterations):
-                residual, iterations = 1.0, 0
-                while residual > tol and iterations < max_iterations:
-                    x, residual = step(x)
-                    iterations += 1
-                return x
-            """,
-        ) == []
-
-    def test_counted_break_guard_is_accepted(self):
-        assert lint_snippet(
-            "RL008",
-            """
-            def iterate(x, tol, cap):
-                residual, iterations = 1.0, 0
-                while residual > tol:
-                    x, residual = step(x)
-                    iterations = iterations + 1
-                    if iterations >= cap:
-                        break
-                return x
-            """,
-        ) == []
-
-    def test_counter_that_never_bounds_anything_still_flags(self):
-        findings = lint_snippet(
-            "RL008",
-            """
-            def iterate(x, tol):
-                residual, iterations = 1.0, 0
-                while residual > tol:
-                    x, residual = step(x)
-                    iterations += 1
-                return x
-            """,
-        )
-        assert codes_of(findings) == ["RL008"]
-
-    def test_non_residual_loops_are_ignored(self):
-        assert lint_snippet(
-            "RL008",
-            """
-            def drain(queue):
-                while queue.size() > 0:
-                    queue.pop()
-            """,
-        ) == []
-
-
-class TestRL009UseAfterInvalidate:
-    def test_partial_rebuild_flagged_with_invalidation_lines(self):
-        findings = lint_snippet(
-            "RL009",
-            """
-            class Cache:
-                def refresh(self, precompute):
-                    self._view = None
-                    if precompute:
-                        self._view = build()
-                    return self._view.render()
-            """,
-        )
-        assert codes_of(findings) == ["RL009"]
-        assert findings[0].metadata["invalidated_at"] == [4]
-
-    def test_lazy_rebuild_idiom_is_clean(self):
-        assert lint_snippet(
-            "RL009",
-            """
-            class Cache:
-                def invalidate(self):
-                    self._view = None
-
-                def view(self):
-                    if self._view is None:
-                        self._view = build()
-                    return self._view
-            """,
-        ) == []
-
-    def test_rebuild_on_every_path_is_clean(self):
-        assert lint_snippet(
-            "RL009",
-            """
-            class Cache:
-                def refresh(self, precompute):
-                    self._view = None
-                    if precompute:
-                        self._view = build()
-                    else:
-                        self._view = build_cheap()
-                    return self._view.render()
-            """,
-        ) == []
-
-    def test_clear_call_counts_as_invalidation(self):
-        findings = lint_snippet(
-            "RL009",
-            """
-            class Cache:
-                def reset(self):
-                    self._entries.clear()
-                    return self._entries.popitem()
-            """,
-        )
-        assert codes_of(findings) == ["RL009"]
-
-    def test_truthiness_guard_is_recognised(self):
-        assert lint_snippet(
-            "RL009",
-            """
-            class Cache:
-                def view(self):
-                    self._view = None
-                    if not self._view:
-                        self._view = build()
-                    return self._view
-            """,
-        ) == []

@@ -105,7 +105,7 @@ class TestPositiveRateIncidence:
             0.0 if t == zeroed_type else figure1.transfer_schema.rate(t)
             for t in graph.edge_types
         ]
-        graph.set_transfer_rates(
+        graph = graph.with_rates(
             figure1.transfer_schema.with_vector(rates, graph.edge_types)
         )
         (after,) = batched_build_explaining_subgraphs(graph, olap_base, ["v4"])

@@ -54,7 +54,9 @@ class TestRates:
     def test_negative_rate_rejected(self, dblp_atsg):
         edge_type = dblp_atsg.edge_types()[0]
         with pytest.raises(RateError):
-            dblp_atsg.set_rate(edge_type, -0.1)
+            dblp_atsg.with_vector([-0.1], [edge_type])
+        with pytest.raises(RateError):
+            AuthorityTransferSchemaGraph(dblp_atsg.schema, {edge_type: -0.1})
 
     def test_unknown_edge_type_rejected(self):
         schema = SchemaGraph()
@@ -74,15 +76,18 @@ class TestRates:
         atsg = AuthorityTransferSchemaGraph(schema, epsilon=1e-6)
         assert all(rate >= 1e-6 for rate in atsg.as_vector())
 
-    def test_copy_is_independent(self, dblp_atsg):
-        clone = dblp_atsg.copy()
-        edge_type = clone.edge_types()[0]
-        clone.set_rate(edge_type, 0.123)
-        assert dblp_atsg.rate(edge_type) != 0.123
-        assert clone != dblp_atsg
-
     def test_equality_is_rate_based(self, dblp_atsg):
-        assert dblp_atsg == dblp_atsg.copy()
+        assert dblp_atsg == dblp_atsg.with_vector(dblp_atsg.as_vector())
+
+    def test_rates_are_values(self, dblp_atsg):
+        """No setter and no copy: a new rate is a new graph, whose
+        fingerprint is its own while the original's stays put."""
+        assert not hasattr(dblp_atsg, "copy")
+        assert not [name for name in dir(dblp_atsg) if name.startswith("set")]
+        before = dblp_atsg.fingerprint()
+        changed = dblp_atsg.with_vector([0.123], dblp_atsg.edge_types()[:1])
+        assert changed != dblp_atsg and changed.fingerprint() != before
+        assert dblp_atsg.fingerprint() is before
 
 
 class TestConvergenceChecks:

@@ -88,26 +88,18 @@ class TestMatrix:
     def test_matrix_cached_and_invalidated(self, figure1_atdg):
         first = figure1_atdg.matrix()
         assert figure1_atdg.matrix() is first
-        figure1_atdg.set_transfer_rates(dblp_transfer_schema())
-        assert figure1_atdg.matrix() is not first
+        view = figure1_atdg.with_rates(dblp_transfer_schema([0.1] * 8))
+        assert view.matrix() is not first
+        assert figure1_atdg.matrix() is first
 
 
 class TestRateSwap:
-    def test_set_transfer_rates_recomputes(self, figure1_atdg):
-        new_rates = dblp_transfer_schema([0.1] * 8)
-        figure1_atdg.set_transfer_rates(new_rates)
-        v4 = figure1_atdg.index_of("v4")
-        v6 = figure1_atdg.index_of("v6")
-        assert figure1_atdg.matrix().toarray()[v6, v4] == pytest.approx(0.1)
-        # restore for other tests using the fixture instance
-        figure1_atdg.set_transfer_rates(dblp_transfer_schema())
-
     def test_swap_requires_same_edge_types(self, figure1_atdg):
         other_schema = SchemaGraph()
         other_schema.add_label("X")
         other_schema.add_edge("X", "X", "loops")
         with pytest.raises(GraphError):
-            figure1_atdg.set_transfer_rates(AuthorityTransferSchemaGraph(other_schema))
+            figure1_atdg.with_rates(AuthorityTransferSchemaGraph(other_schema))
 
 
 class TestIncidence:
@@ -159,6 +151,13 @@ class TestEdgeCases:
             AuthorityTransferDataGraph(graph, AuthorityTransferSchemaGraph(schema))
 
 
+def _equal_rates(rates):
+    """A schema equal to ``rates`` but not the same object."""
+    equal = rates.with_vector(rates.as_vector())
+    assert equal == rates and equal is not rates
+    return equal
+
+
 def _positive_rows(graph, incidence):
     """Per node: the positive-rate edge ids an incidence lists for it."""
     indptr, edge_ids = incidence
@@ -180,16 +179,16 @@ class TestPositiveIncidence:
     def test_cached_until_the_rates_change(self, figure1_atdg):
         first = figure1_atdg.positive_incidence()
         assert figure1_atdg.positive_incidence() is first
-        figure1_atdg.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
-        rebuilt = figure1_atdg.positive_incidence()
+        view = figure1_atdg.with_rates(dblp_transfer_schema([0.1] * 8))
+        rebuilt = view.positive_incidence()
         assert rebuilt is not first
         # The default rates zero the "cited" direction; 0.1 everywhere does not.
-        assert len(rebuilt[0][1]) == figure1_atdg.num_edges > len(first[0][1])
+        assert len(rebuilt[0][1]) == view.num_edges > len(first[0][1])
 
     def test_view_never_shares_the_parents_incidence(self, figure1_atdg):
         parent = figure1_atdg.positive_incidence()
         view = figure1_atdg.with_rates(dblp_transfer_schema([0.1] * 8))
-        assert view._positive_incidence is None  # starts cold, not inherited
+        assert view._per_rate._positive_incidence is None  # starts cold, not inherited
         assert len(view.positive_incidence()[0][1]) == view.num_edges
         assert figure1_atdg.positive_incidence() is parent
 
@@ -297,9 +296,9 @@ class TestMatrixAgainstCoordinateForm:
         assert rebound.data_graph is copy
         assert_reference_matrix(rebound)
 
-        graph.set_transfer_rates(rates.with_vector(third))
-        assert_reference_matrix(graph)
-        assert graph.matrix().data.tolist() == rebound.matrix().data.tolist()
+        fresh = AuthorityTransferDataGraph(data_graph, rates.with_vector(third))
+        assert_reference_matrix(fresh)
+        assert fresh.matrix().data.tolist() == rebound.matrix().data.tolist()
 
         # One pattern per topology, by identity, and its very memory under
         # every matrix built from it.
@@ -311,8 +310,8 @@ class TestMatrixAgainstCoordinateForm:
         # ... and rates of its own: matrices under different rates never
         # alias each other's data (under equal rates a view may keep its
         # source's matrix outright).
-        if second != third:
-            for other in (graph, rebound):
+        for other in (graph, rebound):
+            if other.transfer_schema != view.transfer_schema:
                 assert not np.shares_memory(view.matrix().data, other.matrix().data)
 
     @pytest.mark.parametrize("name", ["dblp_tiny", "bio_tiny"])
@@ -353,7 +352,7 @@ class TestReboundUnderUnchangedRates:
         matrix, incidence = graph.matrix(), graph.positive_incidence()
         copy = graph.data_graph.copy()
         copy.update_attributes("v7", {"title": "rewritten"})
-        same_rates = graph.transfer_schema.copy()  # equal, not identical
+        same_rates = _equal_rates(graph.transfer_schema)
         view = graph.rebound(copy, same_rates)
         assert view.data_graph is copy
         assert view.transfer_schema is same_rates  # bound to what was asked
@@ -361,19 +360,9 @@ class TestReboundUnderUnchangedRates:
         assert view.matrix() is matrix
         assert view.positive_incidence() is incidence
 
-    def test_a_later_rate_change_on_either_side_stays_private(self, figure1_atdg):
-        graph = figure1_atdg
-        before = graph.matrix().data.tolist()
-        view = graph.rebound(graph.data_graph, graph.transfer_schema)
-        view.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
-        assert view.matrix() is not graph.matrix()
-        assert graph.matrix().data.tolist() == before
-        assert_reference_matrix(view)
-        assert_reference_matrix(graph)
-
     def test_cold_source_leaves_the_view_to_build_its_own(self, figure1_atdg):
         view = figure1_atdg.rebound(figure1_atdg.data_graph, figure1_atdg.transfer_schema)
-        assert figure1_atdg._matrix is None and view._matrix is None
+        assert figure1_atdg._per_rate._matrix is None and view._per_rate._matrix is None
         assert_reference_matrix(view)
 
 
@@ -426,14 +415,14 @@ class TestSellLayout:
         graph = figure1_atdg
         before = graph.sell_matrix()
         assert graph.sell_matrix() is before
-        graph.set_transfer_rates(dblp_transfer_schema([0.1] * 8))
-        after = graph.sell_matrix()
+        after = graph.with_rates(dblp_transfer_schema([0.1] * 8)).sell_matrix()
         assert after is not before and after.layout is before.layout
         assert after.values.tolist() != before.values.tolist()
+        assert graph.sell_matrix() is before
 
     def test_rebound_under_equal_rates_keeps_the_values(self, figure1_atdg):
         graph = figure1_atdg
         sell = graph.sell_matrix()
         copy = graph.data_graph.copy()
         copy.update_attributes("v7", {"title": "rewritten"})
-        assert graph.rebound(copy, graph.transfer_schema.copy()).sell_matrix() is sell
+        assert graph.rebound(copy, _equal_rates(graph.transfer_schema)).sell_matrix() is sell

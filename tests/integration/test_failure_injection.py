@@ -61,12 +61,12 @@ class TestBadInputs:
     def test_nan_rate_rejected(self):
         schema = dblp_transfer_schema()
         with pytest.raises(RateError):
-            schema.set_rate(schema.edge_types()[0], float("nan"))
+            schema.with_vector([float("nan")], schema.edge_types()[:1])
 
     def test_infinite_rate_rejected(self):
         schema = dblp_transfer_schema()
         with pytest.raises(RateError):
-            schema.set_rate(schema.edge_types()[0], float("inf"))
+            schema.with_vector([float("inf")], schema.edge_types()[:1])
 
     def test_empty_query_raises_not_crashes(self, dblp_tiny_engine):
         with pytest.raises(EmptyBaseSetError):

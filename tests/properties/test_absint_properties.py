@@ -1,6 +1,6 @@
 """Property-based tests for the abstract-interpretation layer.
 
-Two guarantees the RL015 and RL017 checkers lean on, exercised over random
+Two guarantees the RL015 checker leans on, exercised over random
 inputs rather than hand-picked fixtures:
 
 * **branch refinement is a narrowing** — for any value state and any

@@ -1,7 +1,11 @@
 """Property-based tests for the graph substrate (Equation 1 invariants)."""
 
+import operator
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import dblp_transfer_schema
 from repro.graph import AuthorityTransferDataGraph
@@ -44,19 +48,82 @@ def test_matrix_column_sums_bounded(graph):
 @given(dblp_graphs(), rate_vectors())
 @settings(max_examples=30, deadline=None)
 def test_rate_swap_equals_fresh_build(graph, vector):
-    """set_transfer_rates must produce exactly the graph a fresh build with
-    those rates would."""
+    """A ``with_rates`` view must be exactly the graph a fresh build with
+    those rates would be."""
     from repro.datasets import dblp_edge_order, dblp_schema
 
     order = dblp_edge_order(dblp_schema())
     base = dblp_transfer_schema()
     new_rates = base.with_vector(vector, dblp_edge_order(base.schema))
 
-    swapped = AuthorityTransferDataGraph(graph, base)
-    swapped.set_transfer_rates(new_rates)
+    swapped = AuthorityTransferDataGraph(graph, base).with_rates(new_rates)
     fresh = AuthorityTransferDataGraph(graph, new_rates)
     assert np.allclose(swapped.edge_rate, fresh.edge_rate)
     assert (swapped.matrix() != fresh.matrix()).nnz == 0
+
+
+def _per_rate(graph) -> list:
+    """Every structure one rate setting derives, built now: the edge
+    rates, the CSR matrix, the SELL values and the positive incidence."""
+    incoming, outgoing = graph.positive_incidence()
+    return [graph.edge_rate, graph.matrix(), graph.sell_matrix(), incoming, outgoing]
+
+
+def _floats(graph) -> list[bytes]:
+    """The bytes of every array in :func:`_per_rate`."""
+    edge_rate, matrix, sell, incoming, outgoing = _per_rate(graph)
+    arrays = [edge_rate, matrix.data, matrix.indices, matrix.indptr, sell.values]
+    return [array.tobytes() for array in (*arrays, *incoming, *outgoing)]
+
+
+def _new_rates(vector):
+    from repro.datasets import dblp_edge_order
+
+    base = dblp_transfer_schema()
+    return base, base.with_vector(vector, dblp_edge_order(base.schema))
+
+
+@given(dblp_graphs(), rate_vectors(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_view_under_new_rates_owns_a_fresh_build(graph, vector, warm_parent):
+    """Rates are values: a view's per-rate structures are those of a fresh
+    build under its rates, and building them touches nothing of the
+    parent's — warm or cold."""
+    base, new_rates = _new_rates(vector)
+    parent = AuthorityTransferDataGraph(graph, base)
+    parent_before = _per_rate(parent) if warm_parent else None
+    view = parent.with_rates(new_rates)
+    assert _floats(view) == _floats(AuthorityTransferDataGraph(graph, new_rates))
+    if new_rates != base:
+        assert not any(
+            ours is theirs for ours, theirs in zip(_per_rate(view), _per_rate(parent))
+        )
+    if warm_parent:
+        assert all(map(operator.is_, _per_rate(parent), parent_before))
+    assert _floats(parent) == _floats(AuthorityTransferDataGraph(graph, base))
+
+
+@given(dblp_graphs(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_view_under_equal_rates_shares_the_parents_structures(graph, warm_parent):
+    base = dblp_transfer_schema()
+    parent = AuthorityTransferDataGraph(graph, base)
+    parent_before = _floats(parent) if warm_parent else None
+    equal = base.with_vector(base.as_vector())
+    view = parent.rebound(graph.copy(), equal)
+    assert all(map(operator.is_, _per_rate(view), _per_rate(parent)))
+    if warm_parent:
+        assert _floats(parent) == parent_before
+
+
+@given(dblp_graphs(), rate_vectors())
+@settings(max_examples=20, deadline=None)
+def test_edge_rates_are_read_only(graph, vector):
+    base, new_rates = _new_rates(vector)
+    parent = AuthorityTransferDataGraph(graph, base)
+    for built in (parent, parent.with_rates(new_rates), parent.rebound(graph.copy(), base)):
+        with pytest.raises(ValueError):
+            built.edge_rate[...] = 0.5
 
 
 @given(dblp_graphs())

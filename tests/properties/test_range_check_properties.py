@@ -84,7 +84,7 @@ def test_a_negative_or_non_finite_rate_is_refused(rate, position):
     with pytest.raises(RateError):
         AuthorityTransferSchemaGraph(schema.schema, default_rate=rate)
     with pytest.raises(RateError):
-        schema.copy().set_rate(edge_type, rate)
+        schema.with_vector([rate], [edge_type])
     vector = schema.as_vector()
     vector[position] = rate
     with pytest.raises(RateError):

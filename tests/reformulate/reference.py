@@ -85,13 +85,13 @@ def reference_scaled_to_convergent(
     schema: AuthorityTransferSchemaGraph,
 ) -> AuthorityTransferSchemaGraph:
     """Every over-full label's rates divided by its outgoing sum."""
-    copy = schema.copy()
+    divided = {}
     for label in schema.schema.labels:
-        total = copy.outgoing_rate_sum(label)
+        total = schema.outgoing_rate_sum(label)
         if total > 1.0:
-            for edge_type in copy.outgoing_types(label):
-                copy.set_rate(edge_type, copy.rate(edge_type) / total)
-    return copy
+            for edge_type in schema.outgoing_types(label):
+                divided[edge_type] = schema.rate(edge_type) / total
+    return schema.with_vector(list(divided.values()), list(divided))
 
 
 def reference_structure_reformulate(
@@ -103,7 +103,7 @@ def reference_structure_reformulate(
     rate by the largest outgoing sum."""
     maximum_factor = max(factors.values(), default=0.0)
     if maximum_factor <= 0.0:
-        return transfer_schema.copy()
+        return transfer_schema
     edge_types = transfer_schema.edge_types()
     rates = {
         edge_type: (

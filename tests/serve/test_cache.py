@@ -189,22 +189,21 @@ class TestKeying:
             dblp_transfer_schema()
         )
 
-    def test_set_rate_after_a_fingerprint_was_taken_changes_the_key(self):
-        """The fingerprint is memoised per rates *state*, not per object."""
+    def test_new_rates_change_the_key_and_the_old_rates_keep_theirs(self):
+        """Rates are values: the fingerprint is fixed per object, and new
+        rates are a new object with a key of its own."""
         vector = QueryVector({"olap": 1.0})
         rates = dblp_transfer_schema()
         before = fence("dblp", vector, rates).key(10)
         assert rates_fingerprint(rates) is rates_fingerprint(rates)  # memoised
-        clone = rates.copy()
         edge_type = rates.edge_types()[0]
-        rates.set_rate(edge_type, rates.rate(edge_type) / 2)
-        assert fence("dblp", vector, rates).key(10) != before
-        assert rates_fingerprint(rates) == tuple(
-            round(rate, 12) for rate in rates.as_vector()
+        changed = rates.with_vector([rates.rate(edge_type) / 2], [edge_type])
+        assert fence("dblp", vector, changed).key(10) != before
+        assert rates_fingerprint(changed) == tuple(
+            round(rate, 12) for rate in changed.as_vector()
         )
-        # A copy taken earlier keeps the state — and the key — it was taken in.
-        assert fence("dblp", vector, clone).key(10) == before
-        restored = rates.with_vector(clone.as_vector())
+        assert fence("dblp", vector, rates).key(10) == before
+        restored = changed.with_vector(rates.as_vector())
         assert fence("dblp", vector, restored).key(10) == before
 
     def test_top_k_and_dataset_key(self):

@@ -138,9 +138,10 @@ class TestRebuild:
     ):
         _publish(store_root, store_service)
         runtime = store_service.runtime("fig1")
-        changed = runtime.rates.copy()
-        edge_type = changed.edge_types()[0]
-        changed.set_rate(edge_type, changed.rate(edge_type) / 2 + 0.05)
+        edge_type = runtime.rates.edge_types()[0]
+        changed = runtime.rates.with_vector(
+            [runtime.rates.rate(edge_type) / 2 + 0.05], [edge_type]
+        )
         runtime.apply_rates(changed)
         response = store_service.search("fig1", "OLAP")
         assert response["served_from"] == "live"

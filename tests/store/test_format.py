@@ -51,9 +51,9 @@ class TestExport:
 
     def test_changed_rates_do_not_match(self, store_file, figure1):
         store = ScoreStore(store_file)
-        changed = figure1.transfer_schema.copy()
-        edge_type = changed.edge_types()[0]
-        changed.set_rate(edge_type, changed.rate(edge_type) / 2 + 0.01)
+        same = figure1.transfer_schema
+        edge_type = same.edge_types()[0]
+        changed = same.with_vector([same.rate(edge_type) / 2 + 0.01], [edge_type])
         assert not store.matches_rates(changed)
 
     def test_unknown_keyword_raises(self, store_file):
@@ -66,6 +66,19 @@ class TestExport:
     def test_context_manager_and_verify(self, store_file):
         with ScoreStore(store_file) as store:
             store.verify()
+
+
+def _rewritten(tmp_path, store_file, edit, **meta):
+    """``store_file`` written again with its arrays passed through ``edit``
+    and ``meta`` over its meta: damage under intact checksums."""
+    from repro.storage.slab import SlabFile
+
+    slab = SlabFile(store_file)
+    arrays = {name: np.array(slab.array(name)) for name in slab.names()}
+    edit(arrays)
+    broken = tmp_path / "broken.slab"
+    write_slab(broken, arrays, meta={**slab.meta, **meta})
+    return broken
 
 
 class TestValidation:
@@ -98,6 +111,40 @@ class TestValidation:
         store_file.write_bytes(raw)
         with pytest.raises(StoreError, match="checksum"):
             ScoreStore(store_file)
+
+    @pytest.mark.parametrize(
+        "name, edit, problem",
+        [
+            ("keyword_offsets", lambda o: o + 1, "span"),  # does not start at 0
+            ("keyword_offsets", lambda o: o[:-1], "span"),  # stops short of the blob
+            ("node_offsets", lambda o: o[:0], "span"),  # not even the 0
+            # Never decreasing: swap two inner bounds, first and last kept.
+            ("node_offsets", lambda o: o[[0, 2, 1, *range(3, len(o))]], "decrease"),
+        ],
+    )
+    def test_malformed_offsets_rejected(self, tmp_path, store_file, name, edit, problem):
+        def damage(arrays):
+            arrays[name] = edit(arrays[name])
+
+        with pytest.raises(StoreError, match=problem):
+            ScoreStore(_rewritten(tmp_path, store_file, damage))
+
+    def test_blob_that_is_not_utf8_rejected(self, tmp_path, store_file):
+        def damage(arrays):
+            arrays["node_blob"][0] = 0xFF  # never a UTF-8 byte
+
+        with pytest.raises(StoreError, match="utf-8"):
+            ScoreStore(_rewritten(tmp_path, store_file, damage))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("damping", "0.85"), ("generation", True), ("dataset", None),
+         ("edge_types", [1]), ("num_nodes", 7.0), ("graph_version", [])],
+    )
+    def test_malformed_meta_rejected(self, tmp_path, store_file, field, value):
+        broken = _rewritten(tmp_path, store_file, lambda arrays: None, **{field: value})
+        with pytest.raises(StoreError, match=field):
+            ScoreStore(broken)
 
     def test_shape_mismatch_rejected(self, tmp_path, store_file):
         from repro.storage.slab import SlabFile

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import ParameterError, StoreError
 from repro.query import KeywordQuery
 from repro.ranking.precompute import PrecomputedRanker
 from repro.store import (
@@ -82,6 +82,20 @@ class TestManifest:
     def test_prune_requires_positive_keep(self, tmp_path):
         with pytest.raises(ValueError):
             prune_generations(tmp_path, keep=0)
+
+    @pytest.mark.parametrize("keep", [0, -1])
+    def test_a_keep_below_one_is_refused_before_anything_is_written(
+        self, tmp_path, ranker, keep
+    ):
+        """Regression: the slab was written and ``CURRENT`` flipped before
+        pruning refused the ``keep`` with an untyped ``ValueError``."""
+        root = tmp_path / "store"
+        with pytest.raises(ParameterError, match="keep"):
+            build_and_publish(root, ranker, "fig1", keep=keep)
+        with pytest.raises(ParameterError, match="keep"):
+            StoreManager(root).publish(ranker, "fig1", keep=keep)
+        assert list_generations(root) == [] and read_manifest(root) is None
+        assert not root.exists() or list(root.iterdir()) == []
 
 
 class TestStoreManager:

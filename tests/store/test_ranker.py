@@ -82,9 +82,8 @@ class TestBitIdentity:
 class TestRouting:
     def test_staleness_matches_in_memory_discriminator(self, both, figure1):
         same = figure1.transfer_schema
-        changed = same.copy()
-        edge_type = changed.edge_types()[0]
-        changed.set_rate(edge_type, changed.rate(edge_type) / 2 + 0.05)
+        edge_type = same.edge_types()[0]
+        changed = same.with_vector([same.rate(edge_type) / 2 + 0.05], [edge_type])
         for name, candidate in both.items():
             assert not candidate.is_stale(same), name
             assert candidate.is_stale(changed), name

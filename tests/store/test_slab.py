@@ -14,6 +14,7 @@ from repro.storage.slab import (
     SlabFormatError,
     write_slab,
 )
+from tests.store.slab_headers import with_header_field
 
 
 @pytest.fixture
@@ -156,6 +157,37 @@ class TestRejection:
         lax = SlabFile(path, verify=False)  # opens: header still intact
         with pytest.raises(SlabFormatError, match="checksum mismatch"):
             lax.verify()
+
+
+class TestSectionEntries:
+    """A header whose checksum holds but whose section entry does not
+    describe bytes of the file is refused at open, before any view."""
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("offset", -64, "offset"),
+            ("offset", 1.5, "offset"),
+            ("offset", 10**12, "exceeds file size"),
+            ("nbytes", "40", "nbytes"),
+            ("nbytes", True, "nbytes"),
+            ("crc32", None, "crc32"),
+            ("dtype", "<f9", "dtype"),
+            ("dtype", "|O8", "dtype"),
+            ("dtype", "f8", "dtype"),
+            ("dtype", ["<f8"], "dtype"),
+            ("shape", [4], "does not fill"),
+            ("shape", [2, 3], "does not fill"),
+            ("shape", [-5], "shape"),
+            ("shape", 5, "shape"),
+        ],
+    )
+    def test_malformed_entry_refused(self, tmp_path, arrays, field, value, problem):
+        path = tmp_path / "test.slab"
+        write_slab(path, arrays)
+        path.write_bytes(with_header_field(path.read_bytes(), "idf", field, value))
+        with pytest.raises(SlabFormatError, match=problem):
+            SlabFile(path, verify=False)
 
 
 class TestCrashSafety:

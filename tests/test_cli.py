@@ -70,6 +70,14 @@ class TestCommands:
         assert main(["search", "nope", "olap"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_store_build_with_keep_below_one_fails_cleanly(self, tmp_path, capsys):
+        """Regression: a generation was published before ``--keep 0`` died
+        with a traceback."""
+        argv = ["store", "build", "dblp_tiny", "--store", str(tmp_path), "--keep", "0"]
+        assert main(argv) == 2
+        assert "error: keep must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "dblp_tiny").exists()
+
     def test_search_unmatched_keywords_fails_cleanly(self, capsys):
         assert main(["search", "dblp_tiny", "zzznotaword"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -781,17 +781,20 @@ def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
 
 
-def test_the_registry_holds_twelve_rules():
+def test_the_registry_holds_nine_rules():
     """RL003 folded into RL007; RL012's hazard is unwritable since every
     serve cache key comes from ``Fence.key``, RL014's since every value the
-    HTTP layer hands the service comes out of a typed parser, and RL006's
-    and RL016's since damping and rates are range-checked where they enter
-    a fixpoint.  The five codes stay unknown."""
+    HTTP layer hands the service comes out of a typed parser, RL006's and
+    RL016's since damping and rates are range-checked where they enter a
+    fixpoint, RL008's since every fixpoint is capped at its entry, RL009's
+    since rates are values and no latch is reset, and RL017's since the
+    store reader checks what it maps.  The eight codes stay unknown."""
     from repro_lint import checker_codes
 
     codes = checker_codes()
-    assert len(codes) == 12
-    assert not {"RL003", "RL006", "RL012", "RL014", "RL016"} & set(codes)
+    assert len(codes) == 9
+    retired = {"RL003", "RL006", "RL008", "RL009", "RL012", "RL014", "RL016", "RL017"}
+    assert not retired & set(codes)
 
 
 # -- one Eq. 4 loop: the numpy step and the compiled single-vector step ----------
@@ -1074,7 +1077,7 @@ def test_the_guard_sees_a_stopwatch_outside_the_harness(tmp_path):
 
 def value_problem_builders(lint: Path) -> list[str]:
     """``ValueProblem(...)`` calls under ``lint`` outside
-    ``absint.value_solution``, the cached solve RL015 and RL017 share."""
+    ``absint.value_solution``, the cached solve RL015 reads."""
     offenders = []
     for path in sorted(lint.rglob("*.py")):
         name = path.relative_to(lint).as_posix()
@@ -1256,4 +1259,216 @@ def test_the_guards_see_a_raw_argument_and_a_second_reader(tmp_path):
     )
     assert wire_readers(tmp_path) == [
         "cluster.py:1 parse_qs", "cluster.py:3 rfile", "http_server.py:5 json.loads",
+    ]
+
+
+# -- rates are values: no lazily built structure is ever reset -----------------
+
+
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _lazy_latches(tree: ast.AST) -> set[str]:
+    """Attributes built lazily: ``if self.X is None:`` around ``self.X = ...``."""
+    found = set()
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if not (
+            isinstance(node, ast.If)
+            and isinstance(test, ast.Compare)
+            and isinstance(test.ops[0], ast.Is)
+            and _is_none(test.comparators[0])
+            and ast.unparse(test.left).startswith("self.")
+        ):
+            continue
+        latch = ast.unparse(test.left)
+        if any(
+            isinstance(inner, ast.Assign)
+            and latch in {ast.unparse(target) for target in inner.targets}
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+        ):
+            found.add(test.left.attr)
+    return found
+
+
+def latch_resets(src: Path) -> list[str]:
+    """``file:line target`` for every ``<obj>.X = None`` outside ``__init__``
+    / ``__post_init__`` where ``X`` is a lazily built attribute anywhere
+    under ``src``.  A reset is how a view inherited its parent's structure
+    and then had to forget it; ``.clear()`` on a ``BuildCache`` /
+    ``ResultCache`` is not one (their reads rebuild or miss)."""
+    trees = {
+        path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(src.rglob("*.py"))
+    }
+    latches = set().union(*map(_lazy_latches, trees.values()))
+    offenders = []
+    for name, tree in trees.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef) or function.name in (
+                "__init__", "__post_init__",
+            ):
+                continue
+            offenders += [
+                f"{name}:{node.lineno} {ast.unparse(target)}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and _is_none(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Attribute) and target.attr in latches
+            ]
+    return sorted(set(offenders))
+
+
+def test_no_lazily_built_structure_is_reset():
+    """Rates are values: a view under new rates owns new per-rate
+    structures, so nothing built on first use is ever dropped again."""
+    assert latch_resets(SRC) == []
+
+
+def test_the_guard_sees_a_reset_latch(tmp_path):
+    (tmp_path / "graph.py").write_text(
+        "class Graph:\n"
+        "    def __init__(self):\n"
+        "        self._matrix = None\n"
+        "        self._cache = BuildCache(1)\n"
+        "    def matrix(self):\n"
+        "        if self._matrix is None:\n"
+        "            self._matrix = build()\n"
+        "        return self._matrix\n"
+        "    def _recompute_rates(self):\n"
+        "        self._cache.clear()\n"
+        "        self._matrix = None\n"
+    )
+    (tmp_path / "view.py").write_text(
+        "def rebound(graph, view):\n"
+        "    view._matrix = None\n"
+        "    view._other = None\n"
+    )
+    assert latch_resets(tmp_path) == [
+        "graph.py:11 self._matrix", "view.py:2 view._matrix",
+    ]
+
+
+# -- every fixpoint is capped: a residual loop tests max_iterations ------------
+
+_RESIDUAL_NAMES = ("residual", "tolerance", "converged")
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    return {
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    }
+
+
+def uncapped_residual_loops(src: Path) -> list[str]:
+    """``file:line`` of every ``while`` whose test or body reads a
+    residual, tolerance or ``converged`` name without ``max_iterations``
+    in its test."""
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.While):
+                continue
+            read = set().union(*map(_names_in, [node.test, *node.body]))
+            if any(word in name for name in read for word in _RESIDUAL_NAMES) and (
+                "max_iterations" not in _names_in(node.test)
+            ):
+                offenders.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+    return offenders
+
+
+def test_every_residual_loop_is_capped_in_its_test():
+    """With ``check_max_iterations`` at every entry, a capped test is what
+    makes each fixpoint end when the update stops contracting."""
+    assert uncapped_residual_loops(SRC) == []
+
+
+def test_the_guard_sees_an_uncapped_residual_loop(tmp_path):
+    (tmp_path / "loop.py").write_text(
+        "def iterate(x, tolerance, max_iterations):\n"
+        "    residual = 1.0\n"
+        "    while residual > tolerance:\n"
+        "        x, residual = step(x)\n"
+        "    steps = 0\n"
+        "    while steps < max_iterations and residual > tolerance:\n"
+        "        x, residual = step(x)\n"
+        "        steps += 1\n"
+        "    while frontier:\n"
+        "        frontier = expand(frontier)\n"
+        "    return x\n"
+    )
+    assert uncapped_residual_loops(tmp_path) == ["loop.py:3"]
+
+
+# -- raw buffer access stays in the storage modules ----------------------------
+
+_RAW_BUFFER = {"frombuffer", "mmap", "struct", "seek"}
+
+#: Where raw buffers may be read: the slab container, the score store's
+#: string packing, and the hugepage slab allocator of the native kernels.
+_RAW_BUFFER_HOMES = {
+    "storage/slab.py": None,
+    "store/format.py": None,
+    "ranking/_native.py": "slab_empty",
+}
+
+
+def raw_buffer_users(src: Path) -> list[str]:
+    """``file:line name`` of every ``np.frombuffer``, ``mmap``, ``struct``
+    or ``.seek`` use outside :data:`_RAW_BUFFER_HOMES` (a home naming a
+    function allows it there only)."""
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if name in _RAW_BUFFER_HOMES:
+            home = _RAW_BUFFER_HOMES[name]
+            allowed = {
+                id(inner)
+                for node in ast.walk(tree)
+                if home is None
+                or isinstance(node, ast.FunctionDef) and node.name == home
+                for inner in ast.walk(node)
+            }
+        for node in ast.walk(tree):
+            used = {
+                ast.Attribute: lambda n: {n.attr},
+                ast.Name: lambda n: {n.id},
+                ast.Import: lambda n: {a.name.split(".")[0] for a in n.names},
+                ast.ImportFrom: lambda n: {(n.module or "").split(".")[0]}
+                | {a.name for a in n.names},
+            }.get(type(node), lambda n: set())(node) & _RAW_BUFFER
+            if used and id(node) not in allowed:
+                offenders += [f"{name}:{node.lineno} {word}" for word in sorted(used)]
+    return offenders
+
+
+def test_raw_buffer_access_stays_in_the_storage_modules():
+    """Every offset the process maps is checked where it is read
+    (``SlabFile`` and ``ScoreStore``); nothing else slices raw bytes."""
+    assert raw_buffer_users(SRC) == []
+
+
+def test_the_guard_sees_a_frombuffer_in_serve(tmp_path):
+    (tmp_path / "serve").mkdir()
+    (tmp_path / "serve" / "peek.py").write_text(
+        "import numpy as np\n"
+        "def peek(blob):\n"
+        "    return np.frombuffer(blob, dtype=np.uint8)\n"
+    )
+    (tmp_path / "ranking").mkdir()
+    (tmp_path / "ranking" / "_native.py").write_text(
+        "def slab_empty(shape):\n"
+        "    import mmap\n"
+        "    return mmap.mmap(-1, 64)\n"
+        "def other(handle):\n"
+        "    handle.seek(0)\n"
+    )
+    assert raw_buffer_users(tmp_path) == [
+        "ranking/_native.py:5 seek", "serve/peek.py:3 frombuffer",
     ]
