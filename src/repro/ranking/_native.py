@@ -18,12 +18,12 @@ numpy's and the caller's residual is numpy's own sum over them.  A
 **Block step** (:func:`blocked_step`).  scipy's ``csr_matvecs`` walks the
 matrix with a scalar inner loop and writes every partial sum back to memory,
 which makes a blocked multiplication cost as much per column as ``k``
-separate matrix–vector products.  This module compiles (once per process,
-with the system C compiler) a kernel that keeps each row's ``k``
-accumulators in registers, prefetches the gathered rows of
-``X`` (the CSR column indices tell us which rows are needed several nonzeros
-ahead), and fuses the damping/jump update and the per-column residual sums,
-computing
+separate matrix–vector products.  This module builds (with the system C
+compiler, once per source, flags, compiler and CPU — see below) a kernel
+that keeps each row's ``k`` accumulators in registers, prefetches the
+gathered rows of ``X`` (the CSR column indices tell us which rows are
+needed several nonzeros ahead), and fuses the damping/jump update and the
+per-column residual sums, computing
 
     Y = damping * (A @ X) + jump        and        r_c = sum_i |Y_ic - X_ic|
 
@@ -60,23 +60,44 @@ and adds ``rate * h[column]`` in CSR order, scipy's ``csr_matvec`` sequence
 row's tail), ``h[target] = 1.0``, and the residual is an exact max — floats,
 traces and iteration counts are numpy's.
 
-All four kernels are compiled into one library (the explain kernels as a
-second translation unit, built beside the ranking steps) and probed
-together, and best-effort: if no C compiler is available, compilation
-fails, or a runtime probe shows a kernel is *not* bitwise-identical to the
-scipy/numpy sequence (an unexpected toolchain quirk), every caller silently
-falls back to the scipy/numpy path.  Set ``REPRO_NO_NATIVE=1`` to force the
-fallback.
+**Build and load.**  The C sources are package data,
+``kernels/ranking.c`` and ``kernels/explain.c``, two translation units
+linked into one library.  A build is keyed by sha256 over the sources,
+every flag variant, ``SELL_LANES``, the compilers found on ``PATH`` (real
+path, size, mtime) and the CPU (machine and feature flags: a
+``-march=native`` build must never be loaded on another CPU), and is
+published as ``$XDG_CACHE_HOME/repro/kernels/<key>-<size>.so`` (default
+``~/.cache/repro/kernels``; delete the directory to clear it).  The first
+process to need the kernels compiles them (about a second); every later
+one maps the published build (milliseconds) if the file holds the number
+of bytes its name says, and it and the directory are this user's and no
+one else may write them.  The bitwise probe runs in every process either
+way.  A cached build that fails any of this is rebuilt and republished
+once; if the cache cannot be written, or others may write it, the build
+happens in a temporary directory that is removed once the library is
+mapped.
+
+All of it is best-effort: if no C compiler is available, compilation
+fails, or the probe shows a kernel is *not* bitwise-identical to the
+scipy/numpy sequence (an unexpected toolchain quirk), every caller
+silently falls back to the scipy/numpy path.  Set ``REPRO_NO_NATIVE=1`` to
+force the fallback; it never reads or writes the cache.  :func:`status`
+says which path this process is on without triggering a build.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import platform
+import re
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -96,416 +117,6 @@ MAX_WIDTH = 512
 #: callers that control their chunking should prefer these.
 SPECIALIZED_WIDTHS = (2, 4, 8, 16, 32, 64)
 
-_SOURCE = r"""
-#include <stdint.h>
-#include <math.h>
-
-/* One step of blocked power iteration over a CSR matrix:
- *
- *     Y = damping * (A @ X) + jump,    resid[c] = sum_i |Y[i,c] - X[i,c]|
- *
- * X and Y are (n_row, width) C-contiguous.  The jump term is row-compacted:
- * jump_rows lists (sorted, ascending) the rows with any jump mass and jump
- * holds those rows' values as an (n_jump, width) slab — restart vectors are
- * sparse, and not streaming an (n_row, width) slab of mostly zeros is worth
- * more than the branch.  Rows not listed skip the add entirely, which is
- * bitwise-identical to adding 0.0 unless the accumulator is -0.0.
- *
- * Per column the accumulation order matches scipy's csr_matvec (sequential
- * over each row's nonzeros, starting from 0), and the update is `multiply
- * then add`, so with FMA contraction disabled Y is bit-for-bit what width
- * separate scipy matvecs (plus a jump add on listed rows) would produce.
- * The resid sums are in sequential row order (approximate relative to
- * numpy's pairwise sum by ~n*eps).
- *
- * DEFINE_STEP stamps out a width-specialized body: with W a compile-time
- * constant the accumulator array becomes SIMD registers and the inner loops
- * fully unroll.  The gathered rows of X are software-prefetched a few
- * nonzeros ahead (every cache line of the row); CSR gathers are
- * latency-bound on this access pattern.
- */
-
-#define PREFETCH_DISTANCE 12
-
-#define STEP_BODY(W)                                                         \
-    int64_t jp = 0;                                                          \
-    for (int64_t i = 0; i < n_row; i++) {                                    \
-        double acc[W];                                                       \
-        for (int64_t c = 0; c < W; c++) acc[c] = 0.0;                        \
-        const int32_t row_end = indptr[i + 1];                               \
-        for (int32_t jj = indptr[i]; jj < row_end; jj++) {                   \
-            if (jj + PREFETCH_DISTANCE < row_end) {                          \
-                const double *pf =                                           \
-                    x + (int64_t)indices[jj + PREFETCH_DISTANCE] * W;        \
-                for (int64_t l = 0; l < W; l += 8)                           \
-                    __builtin_prefetch(pf + l, 0, 1);                        \
-            }                                                                \
-            const double a = data[jj];                                       \
-            const double *xr = x + (int64_t)indices[jj] * W;                 \
-            for (int64_t c = 0; c < W; c++) acc[c] += a * xr[c];             \
-        }                                                                    \
-        double *yr = y + i * W;                                              \
-        const double *xo = x + i * W;                                        \
-        if (jp < n_jump && jump_rows[jp] == i) {                             \
-            const double *jr = jump + jp * W;                                \
-            jp++;                                                            \
-            for (int64_t c = 0; c < W; c++) {                                \
-                const double v = damping * acc[c] + jr[c];                   \
-                yr[c] = v;                                                   \
-                resid[c] += fabs(v - xo[c]);                                 \
-            }                                                                \
-        } else {                                                             \
-            for (int64_t c = 0; c < W; c++) {                                \
-                const double v = damping * acc[c];                           \
-                yr[c] = v;                                                   \
-                resid[c] += fabs(v - xo[c]);                                 \
-            }                                                                \
-        }                                                                    \
-    }
-
-#define DEFINE_STEP(W)                                                       \
-static void step_##W(const int64_t n_row,                                    \
-                     const int32_t *indptr, const int32_t *indices,          \
-                     const double *data, const double *x,                    \
-                     const int64_t n_jump, const int32_t *jump_rows,         \
-                     const double *jump, const double damping,               \
-                     double *y, double *resid)                               \
-{                                                                            \
-    STEP_BODY(W)                                                             \
-}
-
-DEFINE_STEP(2)
-DEFINE_STEP(4)
-DEFINE_STEP(8)
-DEFINE_STEP(16)
-DEFINE_STEP(32)
-DEFINE_STEP(64)
-
-static void step_generic(const int64_t n_row, const int64_t width,
-                         const int32_t *indptr, const int32_t *indices,
-                         const double *data, const double *x,
-                         const int64_t n_jump, const int32_t *jump_rows,
-                         const double *jump, const double damping,
-                         double *y, double *resid)
-{
-    const int64_t W = width;
-    double acc[512];
-    STEP_BODY(W)
-}
-
-void blocked_step(const int64_t n_row,
-                  const int64_t width,
-                  const int32_t *indptr,
-                  const int32_t *indices,
-                  const double *data,
-                  const double *x,
-                  const int64_t n_jump,
-                  const int32_t *jump_rows,
-                  const double *jump,
-                  const double damping,
-                  double *y,
-                  double *resid)
-{
-    for (int64_t c = 0; c < width; c++) resid[c] = 0.0;
-    switch (width) {
-    case 2:  step_2(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 4:  step_4(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 8:  step_8(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 16: step_16(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 32: step_32(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 64: step_64(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    default:
-        step_generic(n_row, width, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid);
-    }
-}
-
-/* One step of single-vector power iteration over a SELL matrix:
- *
- *     y = damping * (A @ x) + jump,    diff = |y - x|
- *
- * Rows come in groups of L = SELL_LANES (rows[L*g .. L*g + L-1]) whose
- * entries are stored interleaved in [offsets[g], offsets[g+1]): slot
- * offsets[g] + L*j + l holds the j-th entry of lane l's row.  A row's sum is
- * one chain of dependent adds, so one row at a time is bound by add latency;
- * L chains side by side are not.  Each lane starts from 0.0 and adds its
- * row's products in CSR order, like scipy's csr_matvec; padding adds
- * 0.0 * x[n_row] = +0.0, which leaves every accumulator unchanged (one that
- * starts at +0.0 never becomes -0.0).  The update is `multiply then add`
- * with FMA contraction disabled, so y and diff are bit for bit numpy's.
- * x (and y) hold n_row + 1 doubles, the last one 0.0; the kernel never
- * writes y[n_row].
- */
-void sell_step(const int64_t n_row,
-               const int64_t *offsets,
-               const int32_t *columns,
-               const double *values,
-               const int32_t *rows,
-               const double *x,
-               const double *jump,
-               const double damping,
-               double *y,
-               double *diff)
-{
-    const int64_t n_group = (n_row + SELL_LANES - 1) / SELL_LANES;
-    for (int64_t g = 0; g < n_group; g++) {
-        double acc[SELL_LANES];
-        for (int l = 0; l < SELL_LANES; l++) acc[l] = 0.0;
-        for (int64_t k = offsets[g]; k < offsets[g + 1]; k += SELL_LANES) {
-            for (int l = 0; l < SELL_LANES; l++)
-                acc[l] += values[k + l] * x[columns[k + l]];
-        }
-        const int64_t first = SELL_LANES * g;
-        const int64_t lanes =
-            n_row - first < SELL_LANES ? n_row - first : SELL_LANES;
-        for (int64_t l = 0; l < lanes; l++) {
-            const int32_t r = rows[first + l];
-            const double v = damping * acc[l] + jump[r];
-            y[r] = v;
-            diff[r] = fabs(v - x[r]);
-        }
-    }
-}
-
-"""
-
-#: The explain kernels, a second translation unit (see :func:`_compile`).
-_EXPLAIN_SOURCE = r"""
-#include <stdint.h>
-#include <math.h>
-
-/* Explaining-subgraph extraction over the positive-rate incidence, in two
- * calls: subgraph_mark stamps the two BFS passes and counts, subgraph_emit
- * reads the subgraph off the stamps into arrays sized by those counts.
- *
- * Backward pass: FIFO BFS from the target over the in-incidence; a source
- * enters when unstamped and allowed[s], at its parent's depth + 1, and nodes
- * at depth >= radius are not expanded (radius < 0: no limit).  FIFO order
- * discovers every node at its shortest distance, so the set and the depths
- * are the level-synchronous pass's.  Forward pass: FIFO BFS from the base
- * nodes inside that set, along out-edges whose head is inside it; every
- * such edge out of a reached node is a subgraph edge.  counts gets
- * (reached nodes, subgraph edges, roots counted with multiplicity).
- */
-void subgraph_mark(const int64_t *in_indptr, const int64_t *in_edges,
-                   const int64_t *out_indptr, const int64_t *out_edges,
-                   const int64_t *edge_source, const int64_t *edge_target,
-                   const uint8_t *allowed,
-                   const int64_t n_base, const int64_t *base,
-                   const int64_t target, const int64_t radius,
-                   const int64_t epoch, int64_t *tag, int64_t *depth,
-                   int64_t *reach, int64_t *queue, int64_t *counts)
-{
-    int64_t head = 0, tail = 0;
-    tag[target] = epoch;
-    depth[target] = 0;
-    queue[tail++] = target;
-    while (head < tail) {
-        const int64_t v = queue[head++];
-        const int64_t next = depth[v] + 1;
-        if (radius >= 0 && next > radius) break;  /* FIFO: the rest are as deep */
-        for (int64_t k = in_indptr[v]; k < in_indptr[v + 1]; k++) {
-            const int64_t s = edge_source[in_edges[k]];
-            if (tag[s] != epoch && allowed[s]) {
-                tag[s] = epoch;
-                depth[s] = next;
-                queue[tail++] = s;
-            }
-        }
-    }
-    int64_t roots = 0, edges = 0;
-    head = tail = 0;
-    for (int64_t i = 0; i < n_base; i++) {
-        const int64_t b = base[i];
-        if (tag[b] != epoch) continue;
-        roots++;
-        if (reach[b] != epoch) {
-            reach[b] = epoch;
-            queue[tail++] = b;
-        }
-    }
-    while (head < tail) {
-        const int64_t u = queue[head++];
-        for (int64_t k = out_indptr[u]; k < out_indptr[u + 1]; k++) {
-            const int64_t d = edge_target[out_edges[k]];
-            if (tag[d] != epoch) continue;
-            edges++;
-            if (reach[d] != epoch) {
-                reach[d] = epoch;
-                queue[tail++] = d;
-            }
-        }
-    }
-    counts[0] = tail;
-    counts[1] = edges;
-    counts[2] = roots;
-}
-
-/* The stamped subgraph as arrays.  out (int64) receives, back to back:
- * nodes[n] (ascending), their depths[n], roots[r] (base order and
- * multiplicity), the Equation 10 operator's indptr[n + 1] and indices[m]
- * (rows = nodes, each row's edges in out-incidence order, i.e. ascending
- * edge id), edge_ids[m] (ascending), their local sources[m] and targets[m],
- * and the target's local index; rates (float64) gets the operator's m
- * rates.  Nodes are read off the stamps in index order, edge ids off a byte
- * mark per edge that the final scan clears again: nothing is sorted.
- * n_reached == 0 is the target alone, with no edge.  local (per graph
- * node) is scratch.
- */
-void subgraph_emit(const int64_t num_nodes, const int64_t num_edges,
-                   const int64_t *out_indptr, const int64_t *out_edges,
-                   const int64_t *edge_source, const int64_t *edge_target,
-                   const double *edge_rate,
-                   const int64_t n_base, const int64_t *base,
-                   const int64_t target, const int64_t epoch,
-                   const int64_t *tag, const int64_t *depth,
-                   const int64_t *reach, int64_t *local, uint8_t *edge_mark,
-                   const int64_t n_reached, const int64_t n_edges,
-                   const int64_t n_roots, int64_t *out, double *rates)
-{
-    const int64_t n = n_reached ? n_reached : 1;
-    int64_t *nodes = out, *depths = nodes + n, *roots = depths + n;
-    int64_t *indptr = roots + n_roots, *indices = indptr + n + 1;
-    int64_t *edge_ids = indices + n_edges, *sources = edge_ids + n_edges;
-    int64_t *targets = sources + n_edges;
-    int64_t count = 0;
-    for (int64_t v = 0; v < num_nodes; v++) {
-        if (reach[v] != epoch) continue;
-        local[v] = count;
-        nodes[count] = v;
-        depths[count] = depth[v];
-        count++;
-    }
-    if (!n_reached) {
-        local[target] = 0;
-        nodes[0] = target;
-        depths[0] = 0;
-    }
-    targets[n_edges] = local[target];
-    count = 0;
-    for (int64_t i = 0; i < n_base; i++)
-        if (tag[base[i]] == epoch) roots[count++] = base[i];
-    count = 0;
-    indptr[0] = 0;
-    for (int64_t i = 0; i < n_reached; i++) {
-        const int64_t u = nodes[i];
-        for (int64_t k = out_indptr[u]; k < out_indptr[u + 1]; k++) {
-            const int64_t e = out_edges[k];
-            const int64_t d = edge_target[e];
-            if (tag[d] != epoch) continue;
-            indices[count] = local[d];
-            rates[count] = edge_rate[e];
-            edge_mark[e] = 1;
-            count++;
-        }
-        indptr[i + 1] = count;
-    }
-    if (!n_reached) indptr[1] = 0;
-    if (!n_edges) return;
-    count = 0;
-    for (int64_t e = 0; e < num_edges; e++) {
-        if (!edge_mark[e]) continue;
-        edge_mark[e] = 0;
-        edge_ids[count] = e;
-        sources[count] = local[edge_source[e]];
-        targets[count] = local[edge_target[e]];
-        count++;
-    }
-}
-
-/* out = A @ h for one Equation 10 operator in CSR form.  Each row's sum
- * starts from 0.0 and adds rate * h[column] in CSR order, scipy's
- * csr_matvec sequence.  A row's sum is one chain of dependent adds, so four
- * consecutive rows run side by side up to the shortest of the four, then
- * each finishes its own tail: every row keeps its order.
- */
-static void flow_sweep(const int64_t n, const int64_t *indptr,
-                       const int64_t *indices, const double *rates,
-                       const double *h, double *out)
-{
-    int64_t u = 0;
-    for (; u + 4 <= n; u += 4) {
-        const int64_t s0 = indptr[u], s1 = indptr[u + 1], s2 = indptr[u + 2],
-                      s3 = indptr[u + 3], e3 = indptr[u + 4];
-        int64_t shortest = s1 - s0;
-        if (s2 - s1 < shortest) shortest = s2 - s1;
-        if (s3 - s2 < shortest) shortest = s3 - s2;
-        if (e3 - s3 < shortest) shortest = e3 - s3;
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-        for (int64_t j = 0; j < shortest; j++) {
-            a0 += rates[s0 + j] * h[indices[s0 + j]];
-            a1 += rates[s1 + j] * h[indices[s1 + j]];
-            a2 += rates[s2 + j] * h[indices[s2 + j]];
-            a3 += rates[s3 + j] * h[indices[s3 + j]];
-        }
-        for (int64_t j = s0 + shortest; j < s1; j++) a0 += rates[j] * h[indices[j]];
-        for (int64_t j = s1 + shortest; j < s2; j++) a1 += rates[j] * h[indices[j]];
-        for (int64_t j = s2 + shortest; j < s3; j++) a2 += rates[j] * h[indices[j]];
-        for (int64_t j = s3 + shortest; j < e3; j++) a3 += rates[j] * h[indices[j]];
-        out[u] = a0;
-        out[u + 1] = a1;
-        out[u + 2] = a2;
-        out[u + 3] = a3;
-    }
-    for (; u < n; u++) {
-        double a = 0.0;
-        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) a += rates[j] * h[indices[j]];
-        out[u] = a;
-    }
-}
-
-/* The Equation 10 fixpoint for n_segment independent operators, one after
- * the other: h = 1, then h' = A @ h, h'[target] = 1.0, residual = max |h' -
- * h| (an exact max, order-free; a NaN difference makes it NaN, as numpy's
- * maximum does), until residual < tolerance or max_iterations (>= 1).
- * Segment s reads its CSR triple from the addresses indptrs[s],
- * indices[s], rates[s]; its factors land in h at the running offset of
- * sizes, its residual trace in residuals[s * max_iterations ...], its
- * count and flag in iterations[s] and converged[s].  scratch holds the
- * largest segment.
- */
-void flow_fixpoint(const int64_t n_segment, const int64_t *sizes,
-                   const int64_t *targets, const uintptr_t *indptrs,
-                   const uintptr_t *indices, const uintptr_t *rates,
-                   const double tolerance, const int64_t max_iterations,
-                   double *h, double *scratch, double *residuals,
-                   int64_t *iterations, uint8_t *converged)
-{
-    for (int64_t s = 0; s < n_segment; s++) {
-        const int64_t n = sizes[s];
-        const int64_t *ip = (const int64_t *)indptrs[s];
-        const int64_t *ix = (const int64_t *)indices[s];
-        const double *rt = (const double *)rates[s];
-        double *trace = residuals + s * max_iterations;
-        double *cur = h, *next = scratch;
-        for (int64_t i = 0; i < n; i++) cur[i] = 1.0;
-        int64_t it = 0;
-        int done = 0;
-        while (!done && it < max_iterations) {
-            flow_sweep(n, ip, ix, rt, cur, next);
-            next[targets[s]] = 1.0;
-            double worst = 0.0;
-            int nan = 0;
-            for (int64_t i = 0; i < n; i++) {
-                const double d = fabs(next[i] - cur[i]);
-                if (d != d) nan = 1;
-                else if (d > worst) worst = d;
-            }
-            if (nan) worst = NAN;
-            trace[it++] = worst;
-            double *swap = cur;
-            cur = next;
-            next = swap;
-            done = worst < tolerance;
-        }
-        if (cur != h)
-            for (int64_t i = 0; i < n; i++) h[i] = cur[i];
-        iterations[s] = it;
-        converged[s] = (uint8_t)done;
-        h += n;
-    }
-}
-"""
-
 _BASE_CFLAGS = ["-O3", "-fPIC", "-ffp-contract=off", "-funroll-loops"]
 
 #: Tried in order until one compiles: full tuning, then without the x86-only
@@ -521,9 +132,32 @@ _CFLAG_VARIANTS = [
 #: fast at -O2 without unrolling, and compile in half the time.
 _EXPLAIN_CFLAGS = ["-O2", "-fno-unroll-loops"]
 
+#: The C sources, package data beside this module: one translation unit
+#: each, with the flags appended for it to every variant.
+_KERNELS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels")
+_UNITS = (
+    ("ranking", [f"-DSELL_LANES={SELL_LANES}"]),
+    ("explain", _EXPLAIN_CFLAGS),
+)
+
+#: Tried in order for every flag variant; each one found is in the cache key.
+_COMPILERS = ("cc", "gcc")
+
+
+class _Outcome(NamedTuple):
+    """How this process came by its kernels: ``library`` is ``None`` when
+    they are unavailable, ``build`` is ``cached``, ``compiled`` or
+    ``temporary`` when they are not, and ``reason`` says why they are
+    unavailable or why a build could not be published."""
+
+    library: ctypes.CDLL | None
+    build: str | None = None
+    reason: str | None = None
+
+
 _lock = threading.Lock()
-_kernel = None
-_unavailable = False
+#: Set once per process by :func:`_ensure`, read by :func:`status`.
+_outcome: _Outcome | None = None
 
 _HUGE_PAGE = 2 << 20
 _libc = None
@@ -584,48 +218,192 @@ def hugepage_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     )
 
 
-def _compile() -> ctypes.CDLL | None:
-    """Compile the kernels into a per-process temp dir; None on any failure.
+def _cache_dir() -> str:
+    """Where published builds live: ``$XDG_CACHE_HOME/repro/kernels``, by
+    default ``~/.cache/repro/kernels``."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # the XDG rule: a relative path is ignored
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "repro", "kernels")
+
+
+def _cpu_identity() -> str:
+    """The machine and the CPU's feature list.  A ``-march=native`` build
+    dies of SIGILL on a CPU without its features, before the probe can
+    refuse it, so a build is only ever loaded on the CPU it was built for."""
+    features = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                # x86 lists its features as "flags", ARM as "Features".
+                if line.startswith(("flags", "Features")):
+                    features = line.strip()
+                    break
+    except OSError:
+        pass
+    return f"{platform.machine()}\n{features}"
+
+
+def _build_key(compilers: list[str]) -> str:
+    """sha256 over what a build's bytes depend on: the sources, every flag
+    variant and per-unit flag (``SELL_LANES`` among them), each compiler
+    found (real path, size, mtime) and the CPU.  Starts no subprocess."""
+    sources = []
+    for unit, _flags in _UNITS:
+        with open(os.path.join(_KERNELS, f"{unit}.c"), "rb") as handle:
+            sources.append(handle.read())
+    binaries = []
+    for compiler in compilers:
+        real = os.path.realpath(compiler)
+        info = os.stat(real)
+        binaries.append((real, info.st_size, info.st_mtime_ns))
+    identity = (sources, _UNITS, _CFLAG_VARIANTS, binaries, _cpu_identity())
+    return hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()
+
+
+def _private(info: os.stat_result) -> bool:
+    """Whether the file ``info`` describes is this user's and no one else
+    may write it."""
+    return info.st_uid == os.getuid() and not info.st_mode & (
+        stat.S_IWGRP | stat.S_IWOTH
+    )
+
+
+def _published(cache: str, key: str) -> list[str]:
+    """The builds published under ``key`` that may be loaded: regular files
+    named ``<key>-<size>.so`` that hold exactly ``size`` bytes and are
+    :func:`_private`, in a directory that is :func:`_private` too (or
+    another user could rename a library over a checked one before
+    ``dlopen`` runs its constructors).  The size in the name is what the
+    publisher wrote, fsynced before the rename, so a truncated file is
+    never mapped: ``dlopen`` of one dies of SIGBUS before anything could
+    refuse it."""
+    try:
+        info = os.lstat(cache)
+        if not (stat.S_ISDIR(info.st_mode) and _private(info)):
+            return []
+        names = sorted(os.listdir(cache))
+    except OSError:
+        return []
+    found = []
+    for name in names:
+        match = re.fullmatch(rf"{key}-([0-9]+)\.so", name)
+        if match is None:
+            continue
+        path = os.path.join(cache, name)
+        try:
+            info = os.lstat(path)
+        except OSError:
+            continue
+        if (
+            stat.S_ISREG(info.st_mode)
+            and _private(info)
+            and info.st_size == int(match.group(1))
+        ):
+            found.append(path)
+    return found
+
+
+def _build_directory(cache: str) -> tuple[str, str | None]:
+    """A fresh ``repro-native-*`` directory inside ``cache`` (created 0700)
+    and ``None``; or, when the cache cannot be written or is not private to
+    this user, one from ``tempfile.mkdtemp`` and the reason."""
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        info = os.lstat(cache)
+        if stat.S_ISDIR(info.st_mode) and _private(info):
+            return tempfile.mkdtemp(prefix="repro-native-", dir=cache), None
+        note = f"kernel cache {cache} not private to this user"
+    except OSError as error:
+        note = f"kernel cache {cache} unwritable ({error.strerror})"
+    return tempfile.mkdtemp(prefix="repro-native-"), note
+
+
+def _load() -> _Outcome:
+    """The probed kernels for these sources, this compiler and this CPU.
+
+    A build :func:`_published` in :func:`_cache_dir` is loaded if it maps
+    and passes the bitwise probe, which runs in every process: the probe is
+    the correctness gate, and a stored verdict would let a tampered file
+    skip it.  Otherwise the kernels are built in a temporary directory
+    inside the cache, loaded and probed from there, and published with
+    ``os.replace``: two processes starting cold together each load their
+    own build, the last rename wins, and nothing else is left.  If the
+    cache cannot be written the build happens in a ``tempfile.mkdtemp``
+    directory instead and is not kept.
+    """
+    compilers = [found for found in map(shutil.which, _COMPILERS) if found]
+    if not compilers:
+        return _Outcome(None, reason="no C compiler on PATH")
+    cache = _cache_dir()
+    try:
+        key = _build_key(compilers)
+    except OSError as error:
+        return _Outcome(None, reason=f"kernel sources unreadable ({error})")
+    for path in _published(cache, key):
+        library = _bind(path)
+        if library is not None and _probe_bitwise(library):
+            return _Outcome(library, "cached")
+    directory, note = _build_directory(cache)
+    stem = None if note else os.path.join(cache, key)
+    return _fresh(compilers, directory, stem, note)
+
+
+def _fresh(
+    compilers: list[str], directory: str, stem: str | None, note: str | None
+) -> _Outcome:
+    """Build the kernels in ``directory``, load and probe them, and publish
+    the library as ``<stem>-<size>.so`` (``stem`` ``None``: keep it
+    nowhere).  The directory is removed on every path: a mapped library
+    outlives its file."""
+    try:
+        path = _compile(compilers, directory)
+        if path is None:
+            return _Outcome(None, reason="no compiler and flag variant built them")
+        library = _bind(path)
+        if library is None:
+            return _Outcome(None, reason="the built library did not load")
+        if not _probe_bitwise(library):
+            return _Outcome(None, reason="probe mismatch: not bit-identical to numpy")
+        if stem is None:
+            return _Outcome(library, "temporary", note)
+        try:
+            os.chmod(path, 0o700)  # whatever the umask: see _published
+            handle = os.open(path, os.O_RDONLY)
+            try:
+                os.fsync(handle)  # every byte on disk before the name is
+            finally:
+                os.close(handle)
+            os.replace(path, f"{stem}-{os.path.getsize(path)}.so")
+        except OSError as error:
+            note = f"build not published ({error.strerror})"
+            return _Outcome(library, "temporary", note)
+        return _Outcome(library, "compiled")
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def _compile(compilers: list[str], directory: str) -> str | None:
+    """The path of the kernels compiled and linked in ``directory``, or
+    ``None`` when no compiler and flag variant builds them.
 
     The ranking steps and the explain kernels are two translation units,
     compiled side by side and linked into one library, so on two cores the
-    explain kernels build while the ranking steps do.  The directory is
-    removed on every path: a mapped library outlives its file.
+    explain kernels build while the ranking steps do.
     """
-    build_dir = tempfile.mkdtemp(prefix="repro-native-")
-    try:
-        return _build_in(build_dir)
-    finally:
-        shutil.rmtree(build_dir, ignore_errors=True)
-
-
-def _build_in(build_dir: str) -> ctypes.CDLL | None:
-    """The kernels compiled and linked in ``build_dir`` and mapped, or
-    ``None`` when no compiler and flag variant produces a loadable one."""
-    units = []
-    for name, source, extra in (
-        ("ranking", f"#define SELL_LANES {SELL_LANES}\n{_SOURCE}", []),
-        ("explain", _EXPLAIN_SOURCE, _EXPLAIN_CFLAGS),
-    ):
-        path = os.path.join(build_dir, f"{name}.c")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(source)
-        units.append((path, extra))
     for variant, cflags in enumerate(_CFLAG_VARIANTS):
-        library = os.path.join(build_dir, f"kernels{variant}.so")
-        objects = [f"{path[:-2]}{variant}.o" for path, _ in units]
-        for compiler in ("cc", "gcc"):
+        library = os.path.join(directory, f"kernels{variant}.so")
+        objects = [os.path.join(directory, f"{unit}{variant}.o") for unit, _ in _UNITS]
+        for compiler in compilers:
             compiles = [
-                [compiler, *cflags, *extra, "-c", "-o", obj, path]
-                for (path, extra), obj in zip(units, objects)
+                [compiler, *cflags, *extra, "-c", "-o", obj,
+                 os.path.join(_KERNELS, f"{unit}.c")]
+                for (unit, extra), obj in zip(_UNITS, objects)
             ]
             if _side_by_side(compiles) and _side_by_side(
                 [[compiler, "-shared", "-o", library, *objects]]
             ):
-                try:
-                    return ctypes.CDLL(library)
-                except OSError:
-                    return None
+                return library
     return None
 
 
@@ -649,53 +427,55 @@ def _side_by_side(commands: list[list[str]]) -> bool:
                 process.wait()
 
 
-def _load() -> ctypes.CDLL | None:
-    lib = _compile()
-    if lib is None:
-        return None
-    lib.blocked_step.restype = None
-    lib.blocked_step.argtypes = [
-        ctypes.c_int64,
-        ctypes.c_int64,
+_pointer, _count = ctypes.c_void_p, ctypes.c_int64
+
+#: ``argtypes`` of the exported kernels, in the order of their C prototypes
+#: (``tests/ranking/test_kernel_sources.py`` checks them against the
+#: sources).  Every kernel returns void.
+_SIGNATURES = {
+    "blocked_step": [
+        _count,
+        _count,
         np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        ctypes.c_int64,
+        _count,
         np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
         ctypes.c_double,
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-    ]
+    ],
     # Raw addresses: SellStep checks every buffer and binds them once per run.
-    lib.sell_step.restype = None
-    lib.sell_step.argtypes = [
-        ctypes.c_int64,
-        *[ctypes.c_void_p] * 6,
-        ctypes.c_double,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-    ]
+    "sell_step": [_count, *[_pointer] * 6, ctypes.c_double, _pointer, _pointer],
     # The explain kernels take raw addresses too: their wrappers check every
     # buffer first.
-    pointer, count = ctypes.c_void_p, ctypes.c_int64
-    lib.subgraph_mark.restype = None
-    lib.subgraph_mark.argtypes = [
-        *[pointer] * 7, count, pointer, count, count, count, *[pointer] * 5,
-    ]
-    lib.subgraph_emit.restype = None
-    lib.subgraph_emit.argtypes = [
-        count, count, *[pointer] * 5, count, pointer, count, count,
-        *[pointer] * 5, count, count, count, pointer, pointer,
-    ]
-    lib.flow_fixpoint.restype = None
-    lib.flow_fixpoint.argtypes = [
-        count, *[pointer] * 5, ctypes.c_double, count, *[pointer] * 5,
-    ]
-    if not _probe_bitwise(lib):
+    "subgraph_mark": [
+        *[_pointer] * 7, _count, _pointer, _count, _count, _count, *[_pointer] * 5,
+    ],
+    "subgraph_emit": [
+        _count, _count, *[_pointer] * 5, _count, _pointer, _count, _count,
+        *[_pointer] * 5, _count, _count, _count, _pointer, _pointer,
+    ],
+    "flow_fixpoint": [
+        _count, *[_pointer] * 5, ctypes.c_double, _count, *[_pointer] * 5,
+    ],
+}
+
+
+def _bind(path: str) -> ctypes.CDLL | None:
+    """The library at ``path`` with every kernel's signature declared, or
+    ``None`` when it does not map or lacks a kernel."""
+    try:
+        library = ctypes.CDLL(path)
+        for name, argtypes in _SIGNATURES.items():
+            function = getattr(library, name)
+            function.restype = None
+            function.argtypes = argtypes
+    except (OSError, AttributeError):
         return None
-    return lib
+    return library
 
 
 def _call(lib, matrix, block, jump_rows, jump, damping, out, resid) -> None:
@@ -854,24 +634,43 @@ def _probe_subgraph(lib: ctypes.CDLL) -> bool:
 
 
 def _ensure() -> ctypes.CDLL | None:
-    """Lazily compile+probe the kernel once per process; None if unusable."""
-    global _kernel, _unavailable
-    if _unavailable:
-        return None
-    if _kernel is None:
+    """The kernels, found or built and probed once per process; ``None``
+    when unusable (always under ``REPRO_NO_NATIVE``, which never touches
+    the cache)."""
+    global _outcome
+    if _outcome is None:
         with _lock:
-            if _kernel is None and not _unavailable:
+            if _outcome is None:
                 if os.environ.get("REPRO_NO_NATIVE"):
-                    _unavailable = True
+                    _outcome = _Outcome(None, reason="REPRO_NO_NATIVE is set")
                 else:
-                    _kernel = _load()
-                    _unavailable = _kernel is None
-    return _kernel
+                    try:
+                        _outcome = _load()
+                    except Exception as error:  # recorded once, not per call
+                        reason = f"kernel load failed ({error!r})"
+                        _outcome = _Outcome(None, reason=reason)
+    return _outcome.library
 
 
 def available() -> bool:
     """Whether the compiled kernel is usable (triggers the one-time build)."""
     return _ensure() is not None
+
+
+def status() -> dict[str, str | None]:
+    """Which path this process is on, without triggering a build: ``state``
+    is ``loaded``, ``unavailable`` or ``not_loaded`` (nothing has asked for
+    a kernel yet); ``build`` is ``cached``, ``compiled`` or ``temporary``
+    once loaded; ``reason`` says why the kernels are unavailable or why a
+    loaded build was not published."""
+    outcome = _outcome
+    if outcome is None:
+        return {"state": "not_loaded", "build": None, "reason": None}
+    return {
+        "state": "unavailable" if outcome.library is None else "loaded",
+        "build": outcome.build,
+        "reason": outcome.reason,
+    }
 
 
 def blocked_step(
@@ -904,7 +703,8 @@ def blocked_step(
     pages through the allocator and the resulting page faults can cost more
     than the kernel itself.  Mismatched buffers are silently replaced.
     """
-    if _ensure() is None:
+    lib = _ensure()
+    if lib is None:
         return None
     if (
         block.shape[1] > MAX_WIDTH
@@ -934,7 +734,7 @@ def blocked_step(
         or not resid.flags.c_contiguous
     ):
         resid = np.empty(block.shape[1])
-    _call(_kernel, matrix, block, jump_rows, jump, damping, out, resid)
+    _call(lib, matrix, block, jump_rows, jump, damping, out, resid)
     return out, resid
 
 

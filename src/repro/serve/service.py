@@ -44,6 +44,7 @@ from repro.graph.data_graph import DataGraph
 from repro.ingest.engine import IngestEngine
 from repro.query.engine import SearchEngine, SearchResult, select_top
 from repro.query.query import KeywordQuery, QueryVector
+from repro.ranking import _native
 from repro.ranking.convergence import RankedResult
 from repro.ranking.precompute import PrecomputedRanker
 from repro.reformulate.combined import Reformulator
@@ -1142,6 +1143,8 @@ class QueryService:
                 "max_entries": stats.max_entries,
                 "hit_rate": stats.hit_rate,
             },
+            # Read only: polling /healthz must never start a kernel build.
+            "native": _native.status(),
         }
         if self.config.store_dir is not None:
             payload["store"] = {
@@ -1170,6 +1173,10 @@ class QueryService:
             "repro_explain_cache_entries",
             "Entries currently held by the explanation cache",
         ).set(self.explain_cache.stats().size)
+        self.metrics.gauge(
+            "repro_native_available",
+            "Whether this process has loaded the compiled kernels (0/1)",
+        ).set(int(_native.status()["state"] == "loaded"))
         if self.config.store_dir is not None:
             with self._runtimes_lock:
                 runtimes = dict(self._runtimes)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ObjectRankSystem
 from repro.errors import ReproError
+from repro.ranking import _native
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 
 
@@ -326,6 +327,41 @@ class TestHealthAndMetrics:
         assert health["status"] == "ok"
         assert health["datasets"]["loaded"] == ["fig1"]
         assert health["cache"]["size"] == 1
+
+    def test_health_and_metrics_report_loaded_kernels(self, live_service):
+        live_service.search("fig1", "OLAP")
+        if not _native.available():
+            pytest.skip("no compiled kernel in this process")
+        native = live_service.health()["native"]
+        assert native["state"] == "loaded"
+        assert native["build"] in ("cached", "compiled", "temporary")
+        assert "repro_native_available 1" in live_service.metrics_text()
+
+    def test_health_and_metrics_report_missing_kernels(
+        self, live_service, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setattr(_native, "_outcome", None)
+        live_service.search("fig1", "OLAP")
+        assert live_service.health()["native"] == {
+            "state": "unavailable", "build": None, "reason": "REPRO_NO_NATIVE is set",
+        }
+        assert "repro_native_available 0" in live_service.metrics_text()
+
+    def test_health_and_metrics_never_build_the_kernels(self, figure1, monkeypatch):
+        def refuse():
+            raise AssertionError("reading /healthz or /metrics built the kernels")
+
+        monkeypatch.setattr(_native, "_outcome", None)
+        monkeypatch.setattr(_native, "_load", refuse)
+        service = QueryService(
+            ServeConfig(datasets=("fig1",), precompute=False),
+            datasets={"fig1": figure1},
+        )
+        assert service.health()["native"] == {
+            "state": "not_loaded", "build": None, "reason": None,
+        }
+        assert "repro_native_available 0" in service.metrics_text()
 
     def test_metrics_text_is_prometheus_format(self, live_service):
         live_service.search("fig1", "OLAP")
