@@ -14,6 +14,7 @@ redistributable, so this generator synthesizes a graph with the same shape:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ class BiologicalConfig:
     def __post_init__(self) -> None:
         if min(self.num_genes, self.num_publications, self.num_omim) < 1:
             raise DatasetError("biological generator sizes must be positive")
+        for name in ("proteins_per_gene", "nucleotides_per_gene", "publications_per_gene"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DatasetError(f"{name} must be finite and non-negative")
 
 
 def generate_biological(

@@ -15,7 +15,6 @@ from collections import deque
 from repro.datasets.base import Dataset
 from repro.errors import DatasetError
 from repro.graph.data_graph import DataGraph
-from repro.ir.index import InvertedIndex
 from repro.ir.tokenize import DEFAULT_ANALYZER, Analyzer
 
 
@@ -37,14 +36,16 @@ def keyword_subset(
     if hops < 0:
         raise DatasetError(f"hops must be non-negative, got {hops}")
     source = dataset.data_graph
-    index = InvertedIndex.from_graph(source, analyzer)
     term = analyzer.terms(keyword)
     if not term:
         raise DatasetError(f"keyword {keyword!r} has no indexable term")
+    # The term's postings over the node text an index would hold, in the
+    # same (graph) order, without indexing every other term of the corpus.
     seeds = [
-        doc_id
-        for doc_id in index.documents_with_term(term[0])
-        if seed_labels is None or source.node(doc_id).label in seed_labels
+        node.node_id
+        for node in source.nodes()
+        if (seed_labels is None or node.label in seed_labels)
+        and term[0] in analyzer.terms(node.text())
     ]
     if not seeds:
         raise DatasetError(f"no node matches keyword {keyword!r}")

@@ -93,10 +93,16 @@ class DataGraph:
         return node
 
     def add_edge(self, source: str, target: str, role: str | None = None) -> DataEdge:
-        for node_id in (source, target):
-            if node_id not in self._nodes:
-                raise UnknownNodeError(node_id)
-        edge = DataEdge(source, target, role)
+        nodes = self._nodes
+        source_node = nodes.get(source)
+        if source_node is None:
+            raise UnknownNodeError(source)
+        target_node = nodes.get(target)
+        if target_node is None:
+            raise UnknownNodeError(target)
+        # The edge holds the nodes' own id strings, not the caller's equal
+        # copies: a million-edge graph then stores each id once.
+        edge = DataEdge(source_node.node_id, target_node.node_id, role)
         self._edges.append(edge)
         self._out[source].append(edge)
         self._in[target].append(edge)

@@ -9,7 +9,7 @@ referential integrity to catch generator bugs, and nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import StorageError
 
@@ -48,11 +48,12 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
+        self._columns = frozenset(schema.columns)
         self._rows: dict[Any, dict[str, Any]] = {}
 
     def insert(self, row: dict[str, Any]) -> Any:
-        unknown = set(row) - set(self.schema.columns)
-        if unknown:
+        if not self._columns.issuperset(row):
+            unknown = set(row) - self._columns
             raise StorageError(f"table {self.schema.name!r}: unknown columns {sorted(unknown)}")
         if self.schema.primary_key not in row:
             raise StorageError(
@@ -76,6 +77,10 @@ class Table:
     def rows(self) -> Iterator[dict[str, Any]]:
         for row in self._rows.values():
             yield dict(row)
+
+    def stored_rows(self) -> Iterable[Mapping[str, Any]]:
+        """The rows themselves, uncopied, in insertion order: read, never edit."""
+        return self._rows.values()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -110,7 +115,8 @@ class Database:
         table = self.table(table_name)
         for fk in table.schema.foreign_keys:
             value = row.get(fk.column)
-            if value is not None and not self.table(fk.references).has(value):
+            # create_table checked that the referenced table exists.
+            if value is not None and not self.tables[fk.references].has(value):
                 raise StorageError(
                     f"table {table_name!r}: foreign key {fk.column!r}={value!r} has no "
                     f"matching row in {fk.references!r}"

@@ -79,7 +79,7 @@ def shred_to_graph(database: Database, spec: ShredSpec) -> DataGraph:
         table = database.table(node_table.table)
         for fk in table.schema.foreign_keys:
             referenced_table[(node_table.table, fk.column)] = fk.references
-        for row in table.rows():
+        for row in table.stored_rows():
             key = row[table.schema.primary_key]
             attributes = {
                 column: str(row[column])
@@ -95,7 +95,7 @@ def shred_to_graph(database: Database, spec: ShredSpec) -> DataGraph:
             raise StorageError(
                 f"{fk_edge.table}.{fk_edge.column} is not a declared foreign key"
             )
-        for row in table.rows():
+        for row in table.stored_rows():
             value = row.get(fk_edge.column)
             if value is None:
                 continue
@@ -108,7 +108,7 @@ def shred_to_graph(database: Database, spec: ShredSpec) -> DataGraph:
 
     for edge_table in spec.edge_tables:
         table = database.table(edge_table.table)
-        for row in table.rows():
+        for row in table.stored_rows():
             source = node_id(edge_table.source_table, row[edge_table.source_column])
             target = node_id(edge_table.target_table, row[edge_table.target_column])
             graph.add_edge(source, target, edge_table.role)

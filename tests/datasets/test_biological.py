@@ -1,5 +1,7 @@
 """Unit tests for the synthetic biological generator."""
 
+import math
+
 import pytest
 
 from repro.datasets import BiologicalConfig, generate_biological
@@ -67,3 +69,16 @@ class TestValidation:
     def test_positive_sizes(self):
         with pytest.raises(DatasetError):
             BiologicalConfig(num_genes=0)
+
+    @pytest.mark.parametrize(
+        "rate", ["proteins_per_gene", "nucleotides_per_gene", "publications_per_gene"]
+    )
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_per_gene_rates_finite_and_non_negative(self, rate, value):
+        with pytest.raises(DatasetError, match=rate):
+            BiologicalConfig(**{rate: value})
+
+    def test_zero_rates_allowed(self):
+        BiologicalConfig(
+            proteins_per_gene=0.0, nucleotides_per_gene=0.0, publications_per_gene=0.0
+        )

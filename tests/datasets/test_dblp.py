@@ -1,5 +1,7 @@
 """Unit tests for the synthetic DBLP generator."""
 
+import math
+
 import pytest
 
 from repro.datasets import DblpConfig, generate_dblp
@@ -90,3 +92,16 @@ class TestValidation:
     def test_topic_coherence_bounds(self):
         with pytest.raises(DatasetError):
             DblpConfig(topic_coherence=1.5)
+
+    def test_at_least_one_author_per_paper(self):
+        with pytest.raises(DatasetError, match="max_authors_per_paper"):
+            DblpConfig(max_authors_per_paper=0)
+
+    @pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf])
+    def test_mean_citations_finite_and_non_negative(self, mean):
+        with pytest.raises(DatasetError, match="mean_citations"):
+            DblpConfig(mean_citations=mean)
+
+    def test_zero_mean_citations_generates_no_citations(self):
+        dataset = generate_dblp(DblpConfig(num_papers=30, num_authors=10, mean_citations=0.0))
+        assert not any(e.role == "cites" for e in dataset.data_graph.edges())

@@ -62,10 +62,19 @@ class TestNodes:
 
 class TestEdges:
     def test_edge_endpoints_must_exist(self, small):
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(UnknownNodeError, match="nope"):
             small.add_edge("p1", "nope")
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(UnknownNodeError, match="nope"):
             small.add_edge("nope", "p1")
+        assert small.num_edges == 2
+
+    def test_edges_share_the_nodes_id_strings(self, small):
+        source, target = "".join(["p", "2"]), "".join(["a", "1"])
+        assert source is not small.node("p2").node_id
+        edge = small.add_edge(source, target, "by")
+        assert edge.source is small.node("p2").node_id
+        assert edge.target is small.node("a1").node_id
+        assert small.out_edges("p2") == [edge] and small.in_edges("a1")[-1] == edge
 
     def test_degrees(self, small):
         assert small.out_degree("p1") == 2
