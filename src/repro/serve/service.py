@@ -204,6 +204,7 @@ class DatasetRuntime:
         self._rates_lock = threading.Lock()
         self._precompute_lock = threading.Lock()
         self._two_stage: TwoStageEngine | None = None
+        #: guarded by self._precompute_lock
         self._precomputed: PrecomputedRanker | None = None
         # Store-backed serving: the manager polls the dataset's CURRENT
         # manifest and swaps generations between requests; ``None`` keeps
@@ -457,6 +458,7 @@ class QueryService:
         )
         self.reformulator = Reformulator()
         self._preloaded = dict(datasets) if datasets else {}
+        #: guarded by self._runtimes_lock
         self._runtimes: dict[str, DatasetRuntime] = {}
         self._runtimes_lock = threading.Lock()
         self._started_at = time.monotonic()

@@ -8,10 +8,10 @@ Every silent-correctness bug fixed in PR 2 — the last-write-wins fancy
 indexing of a restart vector (``uniform_restarts`` builds them now), the ``transfer_view`` build-once
 latch, the shared-rates mutation in ``SearchEngine`` — belongs to a
 statically detectable pattern class.  This package encodes those classes as
-AST checkers (RL001, RL002, RL004, RL005) and, since PR 5, a *flow-sensitive* checker
-(RL007, see :mod:`repro_lint.checkers`) that reasons over
-per-function control-flow graphs — so the next occurrence is caught in
-review, not in production rankings.
+AST checkers (RL001, RL002, RL004, RL005) and checkers that reason over
+per-function control-flow graphs and the project call graph (RL010, RL013,
+RL015; see :mod:`repro_lint.checkers`) — so the next occurrence is caught
+in review, not in production rankings.
 
 Layers:
 
@@ -22,12 +22,11 @@ Layers:
 * :mod:`repro_lint.cfg` — intraprocedural CFG construction;
 * :mod:`repro_lint.dataflow` — the worklist fixpoint solver plus the
   reaching-definitions / live-variables reference instances;
-* :mod:`repro_lint.lockset` — lock-to-attribute binding and the
-  must-held-lockset analysis RL007, RL011 and RL013 run;
+* :mod:`repro_lint.lockset` — the must-held-lockset analysis RL013 runs;
 * :mod:`repro_lint.callgraph` — the module-resolution project call
-  graph behind the interprocedural checkers RL010, RL011 and RL013;
+  graph behind the interprocedural checkers RL010 and RL013;
 * :mod:`repro_lint.summaries` — bottom-up SCC-ordered function
-  summaries (locks, blocking, resources, exceptions);
+  summaries (held locks, blocking, resources, exceptions);
 * :mod:`repro_lint.pragmas` — ``# repro-lint: ignore[RL001]`` inline
   suppressions;
 * :mod:`repro_lint.baseline` — the ``.repro-lint-baseline.json``

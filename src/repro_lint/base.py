@@ -42,7 +42,7 @@ class SourceFile:
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
     #: :func:`repro_lint.lockset.lock_attributes`, which the summaries
-    #: and lock checkers ask about once per *method*.
+    #: and RL013 ask about once per *method*.
     _class_locks: dict = field(default_factory=dict, repr=False, compare=False)
     #: Traversals by root node (the key keeps the node alive, so its id is
     #: never reused for another node): ``ast.walk`` and

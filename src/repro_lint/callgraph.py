@@ -5,7 +5,7 @@ invariants that matter most in the serving tier — lock ordering across the
 serve/cluster/store call chains, resource lifetimes threaded through
 helpers — span them.  :class:`Project` parses the whole tree once and
 :func:`build_call_graph` resolves every call site it can prove, so the
-interprocedural checkers (RL010, RL011, RL013) and the summary engine in
+interprocedural checkers (RL010, RL013) and the summary engine in
 :mod:`repro_lint.summaries` reason over real callee bodies instead of
 guessing.
 

@@ -2,7 +2,7 @@
 
 :func:`build_cfg` turns one function body into a :class:`ControlFlowGraph`
 of :class:`BasicBlock`\\ s connected by labeled :class:`Edge`\\ s.  The graph
-is what the flow-sensitive checker (RL007) and the generic solver in
+is what the lockset analysis, the value domain and the generic solver in
 :mod:`repro_lint.dataflow` consume; the per-node visitors (RL001, RL002,
 RL004, RL005) never need it, which is why
 :meth:`repro_lint.base.SourceFile.cfg_for` builds CFGs lazily, per

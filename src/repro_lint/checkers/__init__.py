@@ -1,4 +1,4 @@
-"""Built-in checkers; importing this package registers the nine rules.
+"""Built-in checkers; importing this package registers the seven rules.
 
 ============ ========================== =====================================
 Code         Name                       Hazard class
@@ -11,21 +11,21 @@ Code         Name                       Hazard class
                                         parameters that were never copied
 ``RL005``    float-equality             exact ``==``/``!=`` against float
                                         literals in numeric code
-``RL007``    lockset-discipline         guarded attribute accessed where the
-                                        computed lockset lacks its lock
 ``RL010``    resource-lifecycle         file/mmap/socket acquired on a path
                                         that can exit without release
-``RL011``    interprocedural-lock-order lock-order deadlock cycles (within
-                                        a method or across call chains),
-                                        self-deadlock re-acquisition and
-                                        unheld ``*_locked`` helpers
 ``RL013``    blocking-under-lock        I/O, subprocess, sleep or fixpoint
                                         solve reachable while a lock is held
 ``RL015``    zero-denominator           division by an accumulated total or
                                         ``len()`` not provably non-zero
 ============ ========================== =====================================
 
-RL003 (lexical lock discipline) is retired: RL007 reports its findings.
+RL003 (lexical lock discipline), RL007 (flow-sensitive lock discipline) and
+RL011 (lock order, re-acquisition, unheld ``*_locked`` helpers) are retired:
+the test suite's lockdep (``tests/lockdep.py``) checks every lock under
+``repro.`` where it runs — each acquire against one global lock-order graph
+and the thread's held locks, each access to a ``#: guarded by`` attribute
+against the lock it names — and ``tests/test_layering.py`` requires every
+lock in ``src/repro`` to be a ``threading.Lock()`` it can reach.
 Seven more are retired because their hazard can no longer be written:
 
 * RL012 (cache-key fencing): every serve cache key is built by
@@ -53,13 +53,12 @@ Seven more are retired because their hazard can no longer be written:
   in the storage modules (``tests/test_layering.py``,
   ``tests/properties/test_store_fault_properties.py``).
 
-RL001, RL002, RL004 and RL005 are per-node AST visitors; RL007 is
-flow-sensitive — it consumes the per-function CFGs of
-:mod:`repro_lint.cfg` through the fixpoint solver of
-:mod:`repro_lint.dataflow`.  RL010, RL011 and RL013 are *interprocedural*
-(:class:`~repro_lint.base.ProjectChecker`) — the runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
-bottom-up :mod:`~repro_lint.summaries`) and runs them once over the
-whole file set, serially, after the per-file phase.  RL015 is the
+RL001, RL002, RL004 and RL005 are per-node AST visitors.  RL010 and RL013
+are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
+runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
+bottom-up :mod:`~repro_lint.summaries`) and runs them once over the whole
+file set, serially, after the per-file phase; RL013 reads the must-held
+locksets of :mod:`repro_lint.lockset` at each call site.  RL015 is the
 per-file instance of the abstract interpreter (:mod:`repro_lint.absint`):
 one cached value-domain solve per function
 (:meth:`~repro_lint.base.SourceFile.solution_cache`).
@@ -69,8 +68,6 @@ from repro_lint.checkers.blocking_under_lock import BlockingUnderLockChecker
 from repro_lint.checkers.cache_latch import CacheLatchChecker
 from repro_lint.checkers.duplicate_index import DuplicateIndexWriteChecker
 from repro_lint.checkers.float_equality import FloatEqualityChecker
-from repro_lint.checkers.interprocedural_locks import InterproceduralLockChecker
-from repro_lint.checkers.lockset_discipline import LocksetDisciplineChecker
 from repro_lint.checkers.param_mutation import ParamMutationChecker
 from repro_lint.checkers.resource_lifecycle import ResourceLifecycleChecker
 from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
@@ -80,8 +77,6 @@ __all__ = [
     "CacheLatchChecker",
     "DuplicateIndexWriteChecker",
     "FloatEqualityChecker",
-    "InterproceduralLockChecker",
-    "LocksetDisciplineChecker",
     "ParamMutationChecker",
     "ResourceLifecycleChecker",
     "ZeroDenominatorChecker",

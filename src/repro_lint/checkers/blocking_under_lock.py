@@ -6,7 +6,7 @@ the filesystem/network, or runs a power-iteration fixpoint while holding
 one stalls every request thread behind it — the latency cliff appears only
 under load, never in unit tests.
 
-Three shapes, all over the must-lockset from RL007's analysis so
+Three shapes, all over the must-lockset of :mod:`repro_lint.lockset` so
 conditionally-held locks are handled path-sensitively:
 
 * a **blocking primitive called directly** under a held lock

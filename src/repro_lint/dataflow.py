@@ -10,8 +10,8 @@ the paper's Theorem 1 imposes on the authority-flow fixpoints this package
 audits — a convergence loop must either contract or be cut off.
 
 Two classic instances ship here because the flow-sensitive checkers need
-them: :class:`ReachingDefinitions` (RL007 resolves ``lock = self._x_lock``
-aliases through it) and :class:`LiveVariables` (backward direction's
+them: :class:`ReachingDefinitions` (the lockset analysis resolves
+``lock = self._x_lock`` aliases through it) and :class:`LiveVariables` (backward direction's
 reference instance, exercised by the property suite).
 """
 
@@ -220,7 +220,7 @@ class ReachingDefinitions(DataflowProblem):
     ``for``/``with`` target, import, nested ``def``); function parameters
     are synthetic definitions at entry.  States are frozensets of
     ``(name, def_id)`` pairs; ``definition(def_id)`` recovers the defining
-    item so clients (the RL007 alias resolver) can inspect its right-hand
+    item so clients (the lockset alias resolver) can inspect its right-hand
     side.
     """
 

@@ -1,6 +1,6 @@
 """Lockset computation over the CFG: which ``self`` locks are held where.
 
-The Eraser-style core of the lock rules: a forward *must* analysis whose state is the
+The Eraser-style core of RL013: a forward *must* analysis whose state is the
 set of instance locks certainly held at a program point — ``None`` stands
 for ⊤ (unreachable-so-far), join is set intersection, and the
 :class:`~repro_lint.cfg.WithEnter`/:class:`~repro_lint.cfg.WithExit`
@@ -20,36 +20,21 @@ of ``lock`` reaching the ``with`` is an assignment from that same lock
 attribute; a name with mixed reaching definitions resolves to nothing and
 the region conservatively guards nothing.
 
-:func:`analyze_method_locksets` also records the **acquisition order**
-edges (held-lock, acquired-lock) that RL011 merges into one global order
-graph for deadlock-cycle detection.
-
-Which attribute a lock guards is decided here too, two ways:
-
-* **naming convention** — a lock ``self._<stem>_lock`` (assigned from
-  ``threading.Lock()`` / ``RLock()`` / ``Condition()``) guards every
-  underscore attribute of the class whose name starts with ``_<stem>``
-  (``self._view_lock`` guards ``self._views`` and ``self._view_builds``);
-* **annotation** — a ``#: guarded by self.<lock>`` comment on the attribute's
-  ``__init__`` assignment (same line, or the line directly above) binds it
-  explicitly; this is the only way to bind to a bare ``self._lock``.
-
+Which attribute a lock guards, lock order and re-acquisition are checked at
+run time by the test suite's lockdep (``tests/lockdep.py``), not here.
 Constructors (:data:`CONSTRUCTORS`) run before concurrent aliases exist, so
-every lock rule exempts them.
+RL013 exempts them.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro_lint.base import SourceFile, call_name, is_self_attribute
 from repro_lint.cfg import (
-    BasicBlock,
     BlockItem,
     ControlFlowGraph,
-    Header,
     WithEnter,
     WithExit,
 )
@@ -70,19 +55,6 @@ _LOCK_FACTORIES = {
     "RLock",
     "Condition",
 }
-
-_GUARD_COMMENT = re.compile(r"#:\s*guarded by self\.(\w+)")
-
-_NAMED_LOCK = re.compile(r"^_(?P<stem>\w+?)_lock$")
-
-
-@dataclass(frozen=True)
-class OrderEdge:
-    """``acquired`` was taken while ``held`` was already in the lockset."""
-
-    held: str
-    acquired: str
-    node: ast.expr
 
 
 class LocksetProblem(DataflowProblem):
@@ -128,12 +100,10 @@ class LocksetProblem(DataflowProblem):
 
 @dataclass
 class MethodLocksets:
-    """Everything the lock rules need about one method's lock behaviour."""
+    """Everything RL013 needs about one method's lock behaviour."""
 
     cfg: ControlFlowGraph
     solution: Solution
-    resolved: dict[int, str]
-    order_edges: list[OrderEdge] = field(default_factory=list)
 
     def held_at_items(self):
         """Yield ``(block, item, lockset_before_item)`` across the method."""
@@ -141,10 +111,6 @@ class MethodLocksets:
             states = self.solution.states_through(block)
             for item, state in zip(block.body, states):
                 yield block, item, state
-
-    def held_at_test(self, block: BasicBlock) -> frozenset | None:
-        """The lockset when ``block.test`` is evaluated (after the body)."""
-        return self.solution.state_out_of(block)
 
 
 def analyze_method_locksets(
@@ -154,8 +120,8 @@ def analyze_method_locksets(
 ) -> MethodLocksets:
     """Solve the lockset analysis for one method against ``locks``.
 
-    Cached on ``source`` like the other solutions: the summaries, RL007,
-    RL011 and RL013 all ask about the same methods with the same locks.
+    Cached on ``source`` like the other solutions: the summaries and RL013
+    ask about the same methods with the same locks.
     """
     cache = source.solution_cache("locksets")
     key = (id(method), frozenset(locks))
@@ -166,23 +132,7 @@ def analyze_method_locksets(
     resolved = _resolve_with_markers(cfg, locks, source.walk)
     problem = LocksetProblem(resolved)
     solution = solve(cfg, problem)
-    result = cache[key] = MethodLocksets(
-        cfg=cfg, solution=solution, resolved=resolved
-    )
-    for _block, item, state in result.held_at_items():
-        if not isinstance(item, WithEnter) or state is None:
-            continue
-        acquired = resolved.get(id(item))
-        if acquired is None:
-            continue
-        for held in sorted(state - {acquired}):
-            result.order_edges.append(
-                OrderEdge(
-                    held=held,
-                    acquired=acquired,
-                    node=item.item.context_expr,
-                )
-            )
+    result = cache[key] = MethodLocksets(cfg=cfg, solution=solution)
     return result
 
 
@@ -276,43 +226,11 @@ def _assigned_lock_attr(
     return None
 
 
-def self_attribute_accesses(
-    source: SourceFile, item: BlockItem
-) -> list[ast.Attribute]:
-    """``self.<attr>`` accesses an item performs, header-aware.
-
-    ``if``/``while`` headers contribute nothing here — their test
-    expressions live on the condition blocks' ``test`` and are checked
-    against the end-of-block lockset separately.  ``with`` headers
-    contribute their context expressions (the lock attribute itself is a
-    legitimate unguarded read, but a *guarded* attribute inside a context
-    expression is still an access).
-    """
-    if isinstance(item, Header):
-        stmt = item.stmt
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            roots: list[ast.AST] = [stmt.iter, stmt.target]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            roots = [with_item.context_expr for with_item in stmt.items]
-        else:
-            return []
-    elif isinstance(item, (WithEnter, WithExit)):
-        return []
-    else:
-        roots = [item]
-    accesses = []
-    for root in roots:
-        for node in source.walk(root):
-            if is_self_attribute(node):
-                accesses.append(node)
-    return accesses
-
-
 def lock_attributes(source: SourceFile, class_def: ast.ClassDef) -> frozenset[str]:
     """Attributes assigned from a lock factory anywhere in the class.
 
     One walk of the class per ``source`` (cached on it): the summaries and
-    the lock checkers ask once per method.
+    RL013 ask once per method.
     """
     locks = source._class_locks.get(id(class_def))
     if locks is None:
@@ -326,55 +244,3 @@ def lock_attributes(source: SourceFile, class_def: ast.ClassDef) -> frozenset[st
         locks = source._class_locks[id(class_def)] = frozenset(found)
     return locks
 
-
-def guarded_attributes(
-    source: SourceFile, class_def: ast.ClassDef, locks: frozenset[str]
-) -> dict[str, str]:
-    """attribute name -> lock name, from naming convention + annotations."""
-    guarded: dict[str, str] = {}
-
-    # Naming convention: self._<stem>_lock guards self._<stem>*.
-    stems = []
-    for lock in locks:
-        match = _NAMED_LOCK.match(lock)
-        if match is not None:
-            stems.append((f"_{match.group('stem')}", lock))
-    if stems:
-        for attr in _all_self_attributes(source, class_def):
-            if attr in locks:
-                continue
-            for prefix, lock in stems:
-                if attr.startswith(prefix):
-                    guarded[attr] = lock
-                    break
-
-    # Annotations: "#: guarded by self.<lock>" on or above an assignment.
-    for node in source.walk(class_def):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if not is_self_attribute(target):
-                continue
-            lock = _annotation_for(source, node.lineno)
-            if lock is not None and lock in locks:
-                guarded[target.attr] = lock  # type: ignore[union-attr]
-    return guarded
-
-
-def _annotation_for(source: SourceFile, lineno: int) -> str | None:
-    for candidate in (lineno, lineno - 1):
-        match = _GUARD_COMMENT.search(source.line_at(candidate))
-        if match is not None:
-            return match.group(1)
-    return None
-
-
-def _all_self_attributes(
-    source: SourceFile, class_def: ast.ClassDef
-) -> set[str]:
-    attrs: set[str] = set()
-    for node in source.walk(class_def):
-        if is_self_attribute(node):
-            attrs.add(node.attr)  # type: ignore[union-attr]
-    return attrs

@@ -217,7 +217,7 @@ def _sarif_result(
 def _sarif_code_flow(chain: list) -> dict:
     """A codeFlow whose single threadFlow walks the witness call chain.
 
-    Interprocedural findings (RL010, RL011, RL013) attach the caller→callee chain
+    RL013 findings attach the caller→callee chain
     that reaches the violating call as ``metadata["call_chain"]`` — a list
     of ``{"function", "file", "line"}`` steps.  SARIF viewers render this
     as a step-through trace, which is the whole point of carrying the

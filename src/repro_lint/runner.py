@@ -34,8 +34,9 @@ class LintReport:
     elapsed_seconds: float = 0.0
     checker_codes: list[str] = field(default_factory=list)
     #: Wall time per phase: ``files`` (read + parse + per-file checkers),
-    #: ``project-build`` (call graph + summaries over the same parsed
-    #: files) and ``project-check`` (interprocedural checkers) when any ran.
+    #: then, when an interprocedural checker ran, ``callgraph`` (the call
+    #: graph over the same parsed files), ``summaries`` (the bottom-up
+    #: function summaries) and ``project-check`` (the checkers themselves).
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -203,10 +204,11 @@ def _run_project_phase(
         for path, display in files
     ]
     project = Project([source for source in sources if source is not None])
+    report.phase_seconds["callgraph"] = time.perf_counter() - phase_started
+
+    phase_started = time.perf_counter()
     project.summaries()
-    report.phase_seconds["project-build"] = (
-        time.perf_counter() - phase_started
-    )
+    report.phase_seconds["summaries"] = time.perf_counter() - phase_started
 
     phase_started = time.perf_counter()
     pragma_index: dict[str, object] = {}

@@ -9,13 +9,10 @@ processed; members of one SCC (recursion, mutual recursion) iterate to a
 local fixpoint, which terminates because every summary field is a finite
 set growing monotonically.
 
-What a summary carries (the facts RL010, RL011 and RL013 consume):
+What a summary carries (the facts RL010 and RL013 consume):
 
-* **locks** — which instance locks the function acquires (directly and
-  transitively, qualified ``module.Class.lock``), which locks are *held* at
-  each call site (from the must-lockset analysis), and which locks a
-  ``*_locked`` helper *requires* its caller to hold (the guarded attributes
-  it touches without acquiring the lock itself);
+* **locks** — which instance locks are *held* at each call site (from the
+  must-lockset analysis);
 * **blocking** — whether the function may block: a direct primitive
   (``time.sleep``, ``subprocess.run``, socket/file I/O) or a
   residual-testing fixpoint loop, or any resolved callee that may block;
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro_lint.base import call_name
 from repro_lint.callgraph import (
@@ -51,13 +48,7 @@ from repro_lint.callgraph import (
     calls_in_function,
     calls_in_item,
 )
-from repro_lint.cfg import Header, WithEnter
-from repro_lint.lockset import (
-    analyze_method_locksets,
-    guarded_attributes,
-    lock_attributes,
-    self_attribute_accesses,
-)
+from repro_lint.lockset import analyze_method_locksets, lock_attributes
 
 #: Hard cap on fixpoint rounds inside one SCC — the lattice is finite so
 #: real projects converge in 2–3 rounds; the cap only guards a logic bug.
@@ -130,17 +121,6 @@ class FunctionSummary:
     """Everything the interprocedural checkers know about one function."""
 
     function: str
-    #: Qualified (``module.Class.lock``) locks acquired in the body itself.
-    locks_acquired: frozenset = frozenset()
-    #: Locks acquired here or in any transitively resolved callee.
-    locks_acquired_transitive: frozenset = frozenset()
-    #: qualified lock -> call chain from this function to its acquisition.
-    acquire_witness: dict = field(default_factory=dict)
-    #: Local lock names a ``*_locked`` helper needs its caller to hold
-    #: (empty for other functions — RL007 owns their direct violations).
-    locks_required: frozenset = frozenset()
-    #: local lock -> chain to the guarded access that needs it.
-    required_witness: dict = field(default_factory=dict)
     held_calls: tuple = ()
     #: (description, line) of direct blocking primitive calls.
     blocking_sites: tuple = ()
@@ -191,19 +171,12 @@ class SummaryIndex:
 class _Facts:
     """Per-function groundwork shared by the summary fixpoint rounds."""
 
-    info: FunctionInfo
-    locks: set
-    guarded: dict
     site_by_call: dict
     held_calls: list
     blocking_sites: list
     has_fixpoint_loop: bool
     fixpoint_line: int
     raises: frozenset
-    #: (local lock, access line) pairs for guarded attrs touched unheld.
-    direct_required: list
-    #: local lock -> first acquisition line (witness anchor).
-    acquire_lines: dict
     param_names: tuple
     direct_releases: set
     #: (callee ids, [(position, param name passed)]) for release closure.
@@ -211,11 +184,6 @@ class _Facts:
     #: var -> first call assigned to it (returns-resource resolution).
     assign_calls: dict
     return_stmts: list
-
-
-def _qualify(info: FunctionInfo, lock: str) -> str:
-    owner = info.class_name or info.qualname
-    return f"{info.module}.{owner}.{lock}"
 
 
 def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
@@ -227,35 +195,20 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
         if info.class_node is not None
         else frozenset()
     )
-    guarded = (
-        guarded_attributes(source, info.class_node, locks)
-        if locks
-        else {}
-    )
 
     held_calls: list[HeldCall] = []
-    direct_required: list[tuple[str, int]] = []
-    acquire_lines: dict[str, int] = {}
     if locks:
         model = analyze_method_locksets(source, node, locks)
-        for block, item, state in model.held_at_items():
-            if isinstance(item, WithEnter):
-                lock = model.resolved.get(id(item))
-                if lock is not None:
-                    acquire_lines.setdefault(lock, item.item.context_expr.lineno)
+        for _block, item, state in model.held_at_items():
             if state is None:
                 continue  # unreachable: the call never executes
             for call in calls_in_item(source, item):
                 held_calls.append(_held_call(call, site_by_call, state))
-            if guarded:
-                for access in _guarded_accesses_in(source, item, guarded):
-                    lock = guarded[access.attr]
-                    if lock not in state:
-                        direct_required.append((lock, access.lineno))
         for block in model.cfg.blocks:
             if block.test is None:
                 continue
-            state = model.held_at_test(block)
+            # the test runs after the body: the block's out-state
+            state = model.solution.state_out_of(block)
             if state is None:
                 continue
             for call in calls_in_item(source, block.test):
@@ -285,9 +238,6 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
             return_stmts.append(inner)
 
     return _Facts(
-        info=info,
-        locks=locks,
-        guarded=guarded,
         site_by_call=site_by_call,
         held_calls=held_calls,
         blocking_sites=[
@@ -296,8 +246,6 @@ def _gather_facts(info: FunctionInfo, sites: list[CallSite]) -> _Facts:
         has_fixpoint_loop=fixpoint_line > 0,
         fixpoint_line=fixpoint_line,
         raises=raises,
-        direct_required=direct_required,
-        acquire_lines=acquire_lines,
         param_names=param_names,
         direct_releases=direct_releases,
         release_calls=release_calls,
@@ -342,14 +290,6 @@ def is_blocking_call(call: ast.Call, name: str, held: frozenset) -> bool:
         ):
             return False
     return True
-
-
-def _guarded_accesses_in(source, item, guarded: dict) -> list[ast.Attribute]:
-    return [
-        access
-        for access in self_attribute_accesses(source, item)
-        if access.attr in guarded
-    ]
 
 
 #: Names that smell like a convergence residual or tolerance.
@@ -545,24 +485,13 @@ def _update_summary(
 ) -> bool:
     """Recompute one function's summary from current callee summaries."""
     fact = facts[function_id]
-    info = fact.info
     old = summaries[function_id]
 
-    # Witness chains are FROZEN at first discovery: inside an SCC, a chain
-    # rebuilt every round can route through a member whose chain routes
-    # back, prepending one step per round and never converging.  A frozen
-    # chain stays a valid witness (its (function, line) steps don't move),
-    # and freezing keeps every compared field monotone.
-    locks_acquired = frozenset(
-        _qualify(info, lock) for lock in fact.acquire_lines
-    )
-    acquire_witness = dict(old.acquire_witness)
-    for lock, line in sorted(fact.acquire_lines.items()):
-        acquire_witness.setdefault(
-            _qualify(info, lock), ((function_id, line),)
-        )
-    transitive = set(locks_acquired)
-
+    # The blocking chain is FROZEN at first discovery: inside an SCC, a
+    # chain rebuilt every round can route through a member whose chain
+    # routes back, prepending one step per round and never converging.  A
+    # frozen chain stays a valid witness (its (function, line) steps don't
+    # move), and freezing keeps every compared field monotone.
     may_block = bool(fact.blocking_sites) or fact.has_fixpoint_loop
     blocking_chain: tuple = ()
     blocking_reason = ""
@@ -577,16 +506,6 @@ def _update_summary(
         may_block = True
         blocking_chain = old.blocking_chain
         blocking_reason = old.blocking_reason
-
-    # Requirements only propagate out of *_locked helpers: other methods'
-    # direct violations belong to RL007, and constructors are exempt.
-    exports_requirements = info.name.endswith("_locked")
-    required: set = set()
-    required_witness: dict = dict(old.required_witness)  # frozen, as above
-    if exports_requirements:
-        for lock, line in fact.direct_required:
-            required.add(lock)
-            required_witness.setdefault(lock, ((function_id, line),))
 
     releases = set(fact.direct_releases)
     for callee_ids, passed in fact.release_calls:
@@ -610,35 +529,15 @@ def _update_summary(
             if callee is None:
                 continue
             propagates |= callee.propagates
-            for lock in callee.locks_acquired_transitive:
-                if lock not in transitive:
-                    transitive.add(lock)
-                if lock not in acquire_witness:
-                    tail = callee.acquire_witness.get(lock, ())
-                    acquire_witness[lock] = ((function_id, site.line),) + tail
             if callee.may_block and not may_block:
                 may_block = True
                 blocking_chain = ((function_id, site.line),) + callee.blocking_chain
                 blocking_reason = callee.blocking_reason
-            if exports_requirements:
-                for lock in callee.locks_required:
-                    if lock not in site.held and lock not in required:
-                        required.add(lock)
-                        if lock not in required_witness:
-                            tail = callee.required_witness.get(lock, ())
-                            required_witness[lock] = (
-                                (function_id, site.line),
-                            ) + tail
 
     returns_resource = _returned_resource(fact, summaries)
 
     new = FunctionSummary(
         function=function_id,
-        locks_acquired=locks_acquired,
-        locks_acquired_transitive=frozenset(transitive),
-        acquire_witness=acquire_witness,
-        locks_required=frozenset(required),
-        required_witness=required_witness,
         held_calls=tuple(fact.held_calls),
         blocking_sites=tuple(fact.blocking_sites),
         has_fixpoint_loop=fact.has_fixpoint_loop,
@@ -664,12 +563,7 @@ def _fixpoint_fields_equal(
     left: FunctionSummary, right: FunctionSummary
 ) -> bool:
     return (
-        left.locks_acquired == right.locks_acquired
-        and left.locks_acquired_transitive == right.locks_acquired_transitive
-        and left.acquire_witness == right.acquire_witness
-        and left.locks_required == right.locks_required
-        and left.required_witness == right.required_witness
-        and left.may_block == right.may_block
+        left.may_block == right.may_block
         and left.blocking_chain == right.blocking_chain
         and left.returns_resource == right.returns_resource
         and left.releases_params == right.releases_params

@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 from repro_lint import SourceFile, all_checkers, checker_codes
+from tests import lockdep
 
 
 def lint_snippet(code: str, snippet: str):
@@ -24,10 +25,9 @@ def codes_of(findings):
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert checker_codes() == [
-            "RL001", "RL002", "RL004", "RL005", "RL007",
-            "RL010", "RL011", "RL013", "RL015",
+            "RL001", "RL002", "RL004", "RL005", "RL010", "RL013", "RL015",
         ]
 
     def test_unknown_code_rejected(self):
@@ -36,7 +36,10 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "retired",
-        ["RL003", "RL006", "RL008", "RL009", "RL012", "RL014", "RL016", "RL017"],
+        [
+            "RL003", "RL006", "RL007", "RL008", "RL009", "RL011", "RL012",
+            "RL014", "RL016", "RL017",
+        ],
     )
     def test_retired_code_rejected_like_any_unknown_code(self, retired):
         with pytest.raises(ValueError, match="unknown rule codes"):
@@ -212,29 +215,11 @@ class TestRL002CacheLatch:
 
 
 class TestRL003LockDiscipline:
-    """The retired RL003's fixtures: RL007 gives each the same verdict."""
-
-    def test_detects_naming_convention_violation(self):
-        findings = lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class Service:
-                def __init__(self):
-                    self._views_lock = threading.Lock()
-                    self._views = {}
-
-                def get(self, key):
-                    return self._views.get(key)
-            """,
-        )
-        assert codes_of(findings) == ["RL007"]
-        assert "_views_lock" in findings[0].message
+    """The retired RL003's fixtures: lockdep gives each the same verdict at
+    run time (RL007, which reported them before, is retired too)."""
 
     def test_detects_annotation_violation(self):
-        findings = lint_snippet(
-            "RL007",
+        counter = lockdep.toy(
             """
             import threading
 
@@ -246,70 +231,48 @@ class TestRL003LockDiscipline:
 
                 def inc(self):
                     self._value += 1.0
-            """,
-        )
-        assert codes_of(findings) == ["RL007"]
-        assert "written" in findings[0].message
+            """
+        ).Counter()
+        with lockdep.raises(match="Counter._value is guarded by self._lock"):
+            counter.inc()
+
+    SERVICE = """
+        import threading
+
+        class Service:
+            def __init__(self):
+                self._views_lock = threading.Lock()
+                #: guarded by self._views_lock
+                self._views = {}
+                self._views["warm"] = 1
+
+            def get(self, key):
+                with self._views_lock:
+                    return self._views.get(key)
+
+            def _evict_locked(self):
+                self._views.clear()
+
+            def evict(self):
+                with self._views_lock:
+                    self._evict_locked()
+    """
 
     def test_negative_with_block_access_is_clean(self):
-        findings = lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class Service:
-                def __init__(self):
-                    self._views_lock = threading.Lock()
-                    self._views = {}
-
-                def get(self, key):
-                    with self._views_lock:
-                        return self._views.get(key)
-            """,
-        )
-        assert findings == []
+        assert lockdep.toy(self.SERVICE).Service().get("warm") == 1
 
     def test_negative_locked_suffix_helper_exempt(self):
         """``*_locked`` names the caller-holds-the-lock convention."""
-        findings = lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class Service:
-                def __init__(self):
-                    self._views_lock = threading.Lock()
-                    self._views = {}
-
-                def _evict_locked(self):
-                    self._views.clear()
-
-                def evict(self):
-                    with self._views_lock:
-                        self._evict_locked()
-            """,
-        )
-        assert findings == []
+        service = lockdep.toy(self.SERVICE).Service()
+        service.evict()
+        assert service.get("warm") is None
 
     def test_negative_constructor_exempt(self):
-        findings = lint_snippet(
-            "RL007",
-            """
-            import threading
-
-            class Service:
-                def __init__(self):
-                    self._views_lock = threading.Lock()
-                    self._views = {}
-                    self._views["warm"] = 1
-            """,
-        )
-        assert findings == []
+        lockdep.toy(self.SERVICE).Service()
 
     def test_negative_unannotated_bare_lock_not_bound(self):
         """A bare ``_lock`` guards nothing without an annotation."""
-        findings = lint_snippet(
-            "RL007",
+        loose = lockdep.toy(
             """
             import threading
 
@@ -320,9 +283,9 @@ class TestRL003LockDiscipline:
 
                 def read(self):
                     return self._value
-            """,
-        )
-        assert findings == []
+            """
+        ).Loose()
+        assert loose.read() == 0
 
 
 class TestRL004ParamMutation:

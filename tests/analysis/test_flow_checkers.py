@@ -1,25 +1,17 @@
-"""Fixture tests for the flow-sensitive rule RL007.
+"""The retired RL007's cases, now answered at run time by lockdep.
 
-The RL007 corpus test is the PR's acceptance criterion made executable: a
-copy of ``src/repro/serve/service.py`` with one ``with self._rates_lock:``
-removed must light up at the exact line of the now-unguarded access —
-the pre-annotation snapshot of the serving layer is the known-positive.
+RL007 checked statically that every access to a ``#: guarded by``
+attribute happens where its lock is held.  ``tests/lockdep.py`` checks the
+same thing at each real access, so each lint fixture below became a toy
+class that runs: a violating case must raise a ``LockdepError``, a clean
+one must run through.  The corpus case monkeypatches the shipped
+``DatasetRuntime`` instead of editing a copy of its source.
 """
 
-import re
-from pathlib import Path
+import threading
 
-from tests.analysis.test_checkers import codes_of, lint_snippet
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SERVICE_PY = REPO_ROOT / "src" / "repro" / "serve" / "service.py"
-
-
-def lint_text(code: str, text: str, name: str = "<snippet>"):
-    from repro_lint import SourceFile, all_checkers
-
-    (checker,) = all_checkers([code])
-    return list(checker.check(SourceFile.parse(name, text)))
+from repro.serve.service import DatasetRuntime, ServeConfig
+from tests import lockdep
 
 
 class TestRL007Lockset:
@@ -29,45 +21,51 @@ class TestRL007Lockset:
         class Runtime:
             def __init__(self):
                 self._rates_lock = threading.Lock()
+                #: guarded by self._rates_lock
                 self._rates = {{}}
 
             def {method}
     """
 
-    def _lint(self, method_lines: str):
+    def _runtime(self, method_lines: str):
         body = self.GUARDED_CLASS.format(method=method_lines.strip())
-        return lint_snippet("RL007", body)
+        return lockdep.toy(body).Runtime()
 
     def test_unguarded_read_flagged_with_lock_metadata(self):
-        findings = self._lint(
+        runtime = self._runtime(
             """peek(self):
                 return self._rates
             """
         )
-        assert codes_of(findings) == ["RL007"]
-        assert findings[0].metadata == {"lock": "_rates_lock"}
-        assert "no lock is held there" in findings[0].message
+        with lockdep.raises(match="guarded by self._rates_lock") as caught:
+            runtime.peek()
+        assert "read in Runtime.peek" in caught.value.summary
+        assert caught.value.here[-1].name == "peek"
+        (binding,) = caught.value.there
+        assert binding.name == "Runtime._rates guarded by self._rates_lock"
 
     def test_access_under_the_lock_is_clean(self):
-        assert self._lint(
+        runtime = self._runtime(
             """peek(self):
                 with self._rates_lock:
                     return self._rates
             """
-        ) == []
+        )
+        assert runtime.peek() == {}
 
     def test_alias_through_a_local_still_counts_as_held(self):
-        """The gap lexical ``with self.<lock>:`` matching cannot close."""
-        assert self._lint(
+        """The gap lexical ``with self.<lock>:`` matching could not close."""
+        runtime = self._runtime(
             """peek(self):
                 lock = self._rates_lock
                 with lock:
                     return self._rates
             """
-        ) == []
+        )
+        assert runtime.peek() == {}
 
     def test_partially_guarded_path_is_flagged(self):
-        findings = self._lint(
+        runtime = self._runtime(
             """peek(self, fast):
                 if fast:
                     return self._rates
@@ -75,47 +73,51 @@ class TestRL007Lockset:
                     return self._rates
             """
         )
-        assert codes_of(findings) == ["RL007"]
+        assert runtime.peek(False) == {}
+        with lockdep.raises() as caught:
+            runtime.peek(True)
         # The unlocked fast-path read, not the later guarded one.
-        assert "fast" not in findings[0].source_line
-        assert findings[0].line == 11
+        access = caught.value.here[-1]
+        assert (access.lineno, access.line) == (12, "return self._rates")
 
     def test_locked_suffix_methods_are_exempt(self):
-        assert self._lint(
+        """A ``*_locked`` helper runs clean when its caller holds the lock;
+        called without it, its access raises (RL011's case)."""
+        runtime = self._runtime(
             """peek_locked(self):
                 return self._rates
             """
-        ) == []
+        )
+        with runtime._rates_lock:
+            assert runtime.peek_locked() == {}
 
 
 class TestRL007ServiceCorpus:
-    """The acceptance criterion: de-guard service.py, expect the exact line."""
+    """The shipped service under lockdep: clean, and caught once de-guarded."""
 
-    def _broken_service_text(self) -> tuple[str, int]:
-        """service.py with the rates property's with-block removed."""
-        text = SERVICE_PY.read_text(encoding="utf-8")
-        pattern = re.compile(
-            r"( *)with self\._rates_lock:\n( *)return self\.current_rates"
-        )
-        match = pattern.search(text)
-        assert match is not None, "rates property changed shape; update test"
-        indent = match.group(1)
-        broken = pattern.sub(f"{indent}return self.current_rates", text, count=1)
-        access_line = broken[: broken.index("return self.current_rates")].count(
-            "\n"
-        ) + 1
-        return broken, access_line
+    def _runtime(self, figure1) -> DatasetRuntime:
+        return DatasetRuntime(figure1, ServeConfig(precompute=False))
 
-    def test_shipped_service_is_clean(self):
-        findings = lint_text(
-            "RL007", SERVICE_PY.read_text(encoding="utf-8"), "service.py"
-        )
-        assert findings == []
+    def test_shipped_service_is_clean(self, figure1):
+        runtime = self._runtime(figure1)
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(runtime.rates))
+        reader.start()
+        runtime.apply_rates(runtime.rates)
+        reader.join(10.0)
+        assert seen == [figure1.transfer_schema]
 
-    def test_removing_the_rates_guard_is_caught_at_the_exact_line(self):
-        broken, access_line = self._broken_service_text()
-        findings = lint_text("RL007", broken, "service_broken.py")
-        assert any(
-            f.line == access_line and f.metadata.get("lock") == "_rates_lock"
-            for f in findings
-        ), [(f.line, f.metadata) for f in findings]
+    def test_removing_the_rates_guard_is_caught_at_the_exact_line(
+        self, figure1, monkeypatch
+    ):
+        runtime = self._runtime(figure1)
+
+        def rates(self):
+            return self.current_rates
+
+        monkeypatch.setattr(DatasetRuntime, "rates", property(rates))
+        with lockdep.raises(
+            match="current_rates is guarded by self._rates_lock"
+        ) as caught:
+            runtime.rates
+        assert caught.value.here[-1].lineno == rates.__code__.co_firstlineno + 1

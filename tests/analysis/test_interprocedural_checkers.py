@@ -1,9 +1,12 @@
-"""Fixture tests for the interprocedural rules RL010, RL011 and RL013."""
+"""Fixture tests for the interprocedural rules RL010 and RL013, and the
+retired RL011's cases under lockdep."""
 
 import textwrap
+import threading
 
 from repro_lint import SourceFile, all_checkers
 from repro_lint.callgraph import Project
+from tests import lockdep
 
 
 def lint_project(code: str, files: dict):
@@ -154,57 +157,111 @@ LOCKED_CLASS = """
 
 
 class TestRL011InterproceduralLocks:
-    def test_unheld_locked_helper_flagged_with_chain(self):
-        findings = one_module(
-            "RL011",
-            LOCKED_CLASS
-            % """def bump_locked(self):
-            self._state["x"] = 1
+    """The retired RL011's cases, now answered at run time by lockdep.
 
-        def outer(self):
-            self.bump_locked()
-        """,
+    Each lint fixture became a toy class that runs (``tests/lockdep.py``):
+    a lock-order cycle, a re-acquisition or an unheld ``*_locked`` helper
+    raises a ``LockdepError`` at the acquire or access that commits it.
+    """
+
+    SERVICE = """
+        import threading
+
+        class Service:
+            def __init__(self):
+                self._state_lock = threading.Lock()
+                self._extra_lock = threading.Lock()
+                #: guarded by self._state_lock
+                self._state = {}
+
+            %s
+    """
+
+    TWO_LOCKS = """
+        import threading
+
+        class TwoLocks:
+            def __init__(self):
+                self._a_lock = threading.Lock()
+                self._b_lock = threading.Lock()
+
+            def forward(self):
+                with self._a_lock:
+                    with self._b_lock:
+                        pass
+
+            def %s(self):
+                with self.%s:
+                    with self.%s:
+                        pass
+    """
+
+    def _service(self, methods: str):
+        return lockdep.toy(self.SERVICE % methods).Service()
+
+    def test_unheld_locked_helper_flagged_with_chain(self):
+        service = self._service(
+            """def bump_locked(self):
+                self._state["x"] = 1
+
+            def outer(self):
+                self.bump_locked()
+            """
         )
-        assert codes_of(findings) == ["RL011"]
-        assert "_state_lock" in findings[0].message
-        chain = findings[0].metadata["call_chain"]
-        assert [step["function"] for step in chain] == [
-            "repro.m:Service.outer",
-            "repro.m:Service.bump_locked",
+        with lockdep.raises(match="guarded by self._state_lock") as caught:
+            service.outer()
+        assert [frame.name for frame in caught.value.here[-2:]] == [
+            "outer",
+            "bump_locked",
         ]
 
     def test_held_locked_helper_is_clean(self):
-        assert one_module(
-            "RL011",
-            LOCKED_CLASS
-            % """def bump_locked(self):
-            self._state["x"] = 1
-
-        def outer(self):
-            with self._state_lock:
-                self.bump_locked()
-        """,
-        ) == []
-
-    def test_reacquisition_self_deadlock(self):
-        findings = one_module(
-            "RL011",
-            LOCKED_CLASS
-            % """def refresh(self):
-            with self._state_lock:
+        service = self._service(
+            """def bump_locked(self):
                 self._state["x"] = 1
 
-        def outer(self):
-            with self._state_lock:
-                self.refresh()
-        """,
+            def outer(self):
+                with self._state_lock:
+                    self.bump_locked()
+            """
         )
-        assert codes_of(findings) == ["RL011"]
-        assert "not reentrant" in findings[0].message
+        service.outer()
+
+    def test_reacquisition_self_deadlock(self):
+        """Raises in the acquiring thread instead of hanging it."""
+        service = self._service(
+            """def refresh(self):
+                with self._state_lock:
+                    self._state["x"] = 1
+
+            def outer(self):
+                with self._state_lock:
+                    self.refresh()
+            """
+        )
+        outcome = []
+
+        def run():
+            try:
+                service.outer()
+            except lockdep.LockdepError as error:
+                outcome.append(error)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        (error,) = outcome
+        lockdep.violations.remove(error)
+        assert "re-acquired by the thread that holds it" in error.summary
+        assert [error.here[-1].name, error.there[-1].name] == [
+            "refresh",
+            "outer",
+        ]
 
     def test_rlock_reacquisition_is_clean(self):
-        assert one_module(
-            "RL011",
+        """Only ``threading.Lock`` is tracked: an RLock re-enters as usual."""
+        service = lockdep.toy(
             """
             import threading
 
@@ -220,109 +277,82 @@ class TestRL011InterproceduralLocks:
                 def outer(self):
                     with self._state_lock:
                         self.refresh()
-            """,
-        ) == []
+            """
+        ).Service()
+        service.outer()
+        assert service._state == {"x": 1}
 
     def test_cross_call_order_cycle(self):
-        findings = one_module(
-            "RL011",
-            LOCKED_CLASS
-            % """def take_extra(self):
-            with self._extra_lock:
-                self._state["y"] = 1
+        service = self._service(
+            """def take_extra(self):
+                with self._extra_lock:
+                    pass
 
-        def take_state(self):
-            with self._state_lock:
-                self._state["x"] = 1
+            def take_state(self):
+                with self._state_lock:
+                    self._state["x"] = 1
 
-        def forward(self):
-            with self._state_lock:
-                self.take_extra()
+            def forward(self):
+                with self._state_lock:
+                    self.take_extra()
 
-        def backward(self):
-            with self._extra_lock:
-                self.take_state()
-        """,
+            def backward(self):
+                with self._extra_lock:
+                    self.take_state()
+            """
         )
-        assert "RL011" in codes_of(findings)
-        assert any("deadlock" in f.message for f in findings)
+        service.forward()
+        with lockdep.raises(match="lock order cycle") as caught:
+            service.backward()
+        assert [frame.name for frame in caught.value.here[-2:]] == [
+            "backward",
+            "take_state",
+        ]
+        assert [frame.name for frame in caught.value.there[-2:]] == [
+            "forward",
+            "take_extra",
+        ]
 
     def test_opposite_acquisition_orders_flag_a_deadlock_cycle(self):
-        findings = one_module(
-            "RL011",
-            """
-            import threading
-
-            class TwoLocks:
-                def __init__(self):
-                    self._a_lock = threading.Lock()
-                    self._b_lock = threading.Lock()
-
-                def forward(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-
-                def backward(self):
-                    with self._b_lock:
-                        with self._a_lock:
-                            pass
-            """,
+        module = lockdep.toy(self.TWO_LOCKS % ("backward", "_b_lock", "_a_lock"))
+        two = module.TwoLocks()
+        two.forward()
+        with lockdep.raises() as caught:
+            two.backward()
+        lock = f"{module.__name__}.TwoLocks"
+        assert caught.value.summary == (
+            f"lock order cycle: {lock}._a_lock acquired while holding "
+            f"{lock}._b_lock, but the order {lock}._a_lock -> {lock}._b_lock "
+            "was recorded there"
         )
-        assert codes_of(findings) == ["RL011", "RL011"]
-        assert [f.line for f in findings] == [11, 16]
-        assert findings[0].message == (
-            "'self._b_lock' is acquired while 'self._a_lock' is held in "
-            "'TwoLocks.forward', but the class also acquires these locks in "
-            "the opposite order — a lock-ordering cycle that can deadlock."
-        )
-        held = {(f.metadata["held"], f.metadata["acquired"]) for f in findings}
-        assert held == {
-            ("repro.m.TwoLocks._a_lock", "repro.m.TwoLocks._b_lock"),
-            ("repro.m.TwoLocks._b_lock", "repro.m.TwoLocks._a_lock"),
-        }
-        assert [len(f.metadata["call_chain"]) for f in findings] == [1, 1]
+        assert [caught.value.here[-1].lineno, caught.value.there[-1].lineno] == [
+            16,
+            11,
+        ]
 
     def test_consistent_acquisition_order_is_clean(self):
-        assert one_module(
-            "RL011",
-            """
-            import threading
-
-            class TwoLocks:
-                def __init__(self):
-                    self._a_lock = threading.Lock()
-                    self._b_lock = threading.Lock()
-
-                def one(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-
-                def two(self):
-                    with self._a_lock:
-                        with self._b_lock:
-                            pass
-            """,
-        ) == []
+        two = lockdep.toy(self.TWO_LOCKS % ("again", "_a_lock", "_b_lock")).TwoLocks()
+        two.forward()
+        two.again()
+        two.forward()
 
     def test_consistent_order_is_clean(self):
-        assert one_module(
-            "RL011",
-            LOCKED_CLASS
-            % """def take_extra(self):
-            with self._extra_lock:
-                self._state["y"] = 1
+        service = self._service(
+            """def take_extra(self):
+                with self._extra_lock:
+                    pass
 
-        def one(self):
-            with self._state_lock:
-                self.take_extra()
+            def one(self):
+                with self._state_lock:
+                    self.take_extra()
 
-        def two(self):
-            with self._state_lock:
-                self.take_extra()
-        """,
-        ) == []
+            def two(self):
+                with self._state_lock:
+                    self.take_extra()
+            """
+        )
+        service.one()
+        service.two()
 
 
 class TestRL013BlockingUnderLock:

@@ -44,80 +44,6 @@ LOCKED_CLASS = """
 
 
 class TestLocks:
-    def test_direct_acquisition_is_qualified(self):
-        index = one_module(
-            LOCKED_CLASS
-            % """def touch(self):
-            with self._state_lock:
-                self._state["x"] = 1
-        """
-        )
-        summary = index["repro.m:Service.touch"]
-        assert summary.locks_acquired == {"repro.m.Service._state_lock"}
-        assert summary.locks_acquired_transitive == summary.locks_acquired
-
-    def test_transitive_acquisition_with_witness_chain(self):
-        index = one_module(
-            LOCKED_CLASS
-            % """def touch(self):
-            with self._state_lock:
-                self._state["x"] = 1
-
-        def outer(self):
-            self.touch()
-        """
-        )
-        summary = index["repro.m:Service.outer"]
-        assert summary.locks_acquired == frozenset()
-        assert summary.locks_acquired_transitive == {
-            "repro.m.Service._state_lock"
-        }
-        chain = summary.acquire_witness["repro.m.Service._state_lock"]
-        assert [step[0] for step in chain] == [
-            "repro.m:Service.outer",
-            "repro.m:Service.touch",
-        ]
-
-    def test_locked_helper_exports_requirement(self):
-        index = one_module(
-            LOCKED_CLASS
-            % """def bump_locked(self):
-            self._state["x"] = 1
-        """
-        )
-        summary = index["repro.m:Service.bump_locked"]
-        assert summary.locks_required == {"_state_lock"}
-        (step,) = summary.required_witness["_state_lock"]
-        assert step[0] == "repro.m:Service.bump_locked"
-
-    def test_plain_method_exports_no_requirement(self):
-        """Direct unguarded access is RL007's finding, not a requirement."""
-        index = one_module(
-            LOCKED_CLASS
-            % """def bump(self):
-            self._state["x"] = 1
-        """
-        )
-        assert index["repro.m:Service.bump"].locks_required == frozenset()
-
-    def test_requirement_propagates_through_locked_callers(self):
-        index = one_module(
-            LOCKED_CLASS
-            % """def bump_locked(self):
-            self._state["x"] = 1
-
-        def outer_locked(self):
-            self.bump_locked()
-        """
-        )
-        outer = index["repro.m:Service.outer_locked"]
-        assert outer.locks_required == {"_state_lock"}
-        chain = outer.required_witness["_state_lock"]
-        assert [step[0] for step in chain] == [
-            "repro.m:Service.outer_locked",
-            "repro.m:Service.bump_locked",
-        ]
-
     def test_held_calls_record_the_lockset(self):
         index = one_module(
             LOCKED_CLASS
@@ -290,12 +216,6 @@ class TestFixpoint:
         assert index.converged
         assert max(index.scc_rounds) <= 4
         assert max(index.scc_rounds) < MAX_SCC_ROUNDS
-        both = {
-            "repro.m.Service._state_lock",
-            "repro.m.Service._extra_lock",
-        }
-        assert index["repro.m:Service.ping"].locks_acquired_transitive == both
-        assert index["repro.m:Service.pong"].locks_acquired_transitive == both
 
     def test_every_function_has_a_summary(self):
         index = one_module(

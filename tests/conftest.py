@@ -8,12 +8,28 @@ from __future__ import annotations
 
 import pytest
 
+from tests import lockdep
+
+# Before the first ``repro`` import: a lock built earlier would be a real one.
+lockdep.install()
+
 from repro.datasets import load_dataset
 from repro.datasets.figure1 import figure1_dataset
 from repro.graph import AuthorityTransferDataGraph
 from repro.ir import BM25Scorer, InvertedIndex
 from repro.query import KeywordQuery, SearchEngine
 from repro.ranking import objectrank2
+
+
+@pytest.fixture(autouse=True)
+def no_lockdep_violation():
+    """Fail a test that left a lock violation behind, even one a server
+    thread caught and turned into an error response."""
+    yield
+    if lockdep.violations:
+        left = list(lockdep.violations)
+        lockdep.violations.clear()
+        pytest.fail("\n\n".join(str(error) for error in left))
 
 
 @pytest.fixture(scope="session")

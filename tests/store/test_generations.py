@@ -211,6 +211,40 @@ class TestConcurrentSwap:
             reader.join(timeout=10.0)
         assert outcomes == [("ok", [1, 2]), ("ok", [1, 2])]
 
+    def test_swap_under_concurrent_reader_threads(self, tmp_path, ranker, ranker_b):
+        """Threads sharing one manager each see generation 1, then 2, and
+        never a ranker labelled with the other generation's scores; the
+        swap is counted once, whichever thread performs it."""
+        vector = KeywordQuery(["OLAP"]).vector()
+        expected = {
+            ranker.rank(vector).scores.tobytes(): 1,
+            ranker_b.rank(vector).scores.tobytes(): 2,
+        }
+        manager = StoreManager(tmp_path)
+        build_and_publish(tmp_path, ranker, "fig1")
+        assert manager.ranker().source.generation == 1
+        outcomes = []
+
+        def read():
+            seen = set()
+            deadline = time.monotonic() + 20.0
+            while len(seen) < 2 and time.monotonic() < deadline:
+                current = manager.ranker()
+                generation = current.source.generation
+                if expected.get(current.rank(vector).scores.tobytes()) != generation:
+                    break
+                seen.add(generation)
+            outcomes.append((sorted(seen), manager.swaps, manager.load_errors))
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for reader in readers:
+            reader.start()
+        build_and_publish(tmp_path, ranker_b, "fig1")
+        for reader in readers:
+            reader.join(30.0)
+        assert outcomes == [([1, 2], 1, 0)] * 3
+        assert manager.generation == 2
+
     def test_a_slow_open_never_swaps_back(self, tmp_path, ranker, monkeypatch):
         """Generation 2's open is held until a concurrent refresh has
         installed 3; when it finishes, the manager stays on 3."""

@@ -781,20 +781,91 @@ def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
 
 
-def test_the_registry_holds_nine_rules():
-    """RL003 folded into RL007; RL012's hazard is unwritable since every
+def test_the_registry_holds_seven_rules():
+    """RL003 folded into RL007, and RL007 and RL011 into the test suite's
+    lockdep, which checks lock order, re-acquisition and every guarded
+    access where the locks run; RL012's hazard is unwritable since every
     serve cache key comes from ``Fence.key``, RL014's since every value the
     HTTP layer hands the service comes out of a typed parser, RL006's and
     RL016's since damping and rates are range-checked where they enter a
     fixpoint, RL008's since every fixpoint is capped at its entry, RL009's
     since rates are values and no latch is reset, and RL017's since the
-    store reader checks what it maps.  The eight codes stay unknown."""
+    store reader checks what it maps.  The ten codes stay unknown."""
     from repro_lint import checker_codes
 
     codes = checker_codes()
-    assert len(codes) == 9
-    retired = {"RL003", "RL006", "RL008", "RL009", "RL012", "RL014", "RL016", "RL017"}
+    assert len(codes) == 7
+    retired = {
+        "RL003", "RL006", "RL007", "RL008", "RL009", "RL011", "RL012",
+        "RL014", "RL016", "RL017",
+    }
     assert not retired & set(codes)
+
+
+# -- every lock is one lockdep can reach: a call to threading.Lock() ------------
+
+#: Names that build a lock without going through ``threading.Lock``.
+LOCK_CONSTRUCTORS = {"Lock", "RLock", "allocate_lock"}
+
+
+def _dotted(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def unreachable_locks(src: Path) -> list[str]:
+    """``file:line spelling`` for every lock built other than by a call to
+    ``threading.Lock()`` — the one name the test suite's lockdep patches."""
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "threading",
+                "_thread",
+            ):
+                spelled = [
+                    f"from {node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name in LOCK_CONSTRUCTORS
+                ]
+            elif isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                spelled = (
+                    [f"{name}()"]
+                    if name.rsplit(".", 1)[-1] in LOCK_CONSTRUCTORS
+                    and name != "threading.Lock"
+                    else []
+                )
+            else:
+                spelled = []
+            offenders.extend(
+                f"{path.relative_to(src).as_posix()}:{node.lineno} {text}"
+                for text in spelled
+            )
+    return offenders
+
+
+def test_every_lock_is_a_threading_lock_call():
+    assert unreachable_locks(SRC) == []
+
+
+def test_the_guard_sees_every_other_way_to_build_a_lock(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import _thread\n"
+        "import threading\n"
+        "from threading import Lock\n"
+        "GOOD = threading.Lock()\n"
+        "BARE = Lock()\n"
+        "RAW = _thread.allocate_lock()\n"
+        "REENTRANT = threading.RLock()\n"
+    )
+    assert unreachable_locks(tmp_path) == [
+        "a.py:3 from threading import Lock",
+        "a.py:5 Lock()",
+        "a.py:6 _thread.allocate_lock()",
+        "a.py:7 threading.RLock()",
+    ]
 
 
 # -- one Eq. 4 loop: the numpy step and the compiled single-vector step ----------
