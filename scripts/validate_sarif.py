@@ -4,9 +4,8 @@ CI generates ``repro-lint.sarif`` and uploads it to code scanning; an
 upload that the ingestion endpoint rejects fails *silently* (the job step
 succeeds, the findings just never appear).  This validator pins the
 subset of the SARIF 2.1.0 spec the upload actually depends on — schema
-pointer, version, run/tool/rule shape, result locations, rule cross
-references, and the ``codeFlows`` thread RL013 (the only rule that emits
-one) attaches — without any network access or third-party schema library.
+pointer, version, run/tool/rule shape, result locations and rule cross
+references — without any network access or third-party schema library.
 
 Usage::
 
@@ -102,34 +101,6 @@ def _validate_result(result: object, rule_ids: set, where: str) -> list[str]:
         errors.extend(
             _validate_location(location, f"{where}.locations[{loc_index}]")
         )
-    for flow_index, flow in enumerate(result.get("codeFlows", [])):
-        flow_where = f"{where}.codeFlows[{flow_index}]"
-        threads = flow.get("threadFlows") if isinstance(flow, dict) else None
-        if not isinstance(threads, list) or not threads:
-            errors.append(f"{flow_where}.threadFlows: expected a non-empty array")
-            continue
-        for thread_index, thread in enumerate(threads):
-            steps = (
-                thread.get("locations")
-                if isinstance(thread, dict)
-                else None
-            )
-            thread_where = f"{flow_where}.threadFlows[{thread_index}]"
-            if not isinstance(steps, list) or not steps:
-                errors.append(
-                    f"{thread_where}.locations: expected a non-empty array"
-                )
-                continue
-            for step_index, step in enumerate(steps):
-                inner = (
-                    step.get("location") if isinstance(step, dict) else None
-                )
-                errors.extend(
-                    _validate_location(
-                        inner,
-                        f"{thread_where}.locations[{step_index}].location",
-                    )
-                )
     return errors
 
 
@@ -158,7 +129,8 @@ def main(argv: list[str]) -> int:
         print("usage: validate_sarif.py <log.sarif>", file=sys.stderr)
         return 2
     try:
-        payload = json.loads(open(argv[0], "rb").read())
+        with open(argv[0], "rb") as log:
+            payload = json.load(log)
     except (OSError, ValueError) as error:
         print(f"{argv[0]}: unreadable SARIF log: {error}", file=sys.stderr)
         return 1

@@ -732,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Listed for --help only: main() hands `repro lint ...` to repro_lint
     # before this parser runs, so no other command imports the linter.
-    sub.add_parser("lint", help="run the nine invariant checkers")
+    sub.add_parser("lint", help="run the invariant checkers")
     return parser
 
 

@@ -155,6 +155,7 @@ class _Outcome(NamedTuple):
     reason: str | None = None
 
 
+#: may block: kernel-cache stat/open/listdir, and the compile on a cold cache
 _lock = threading.Lock()
 #: Set once per process by :func:`_ensure`, read by :func:`status`.
 _outcome: _Outcome | None = None

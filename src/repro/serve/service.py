@@ -202,6 +202,7 @@ class DatasetRuntime:
         #: guarded by self._rates_lock
         self.reformulations_applied = 0
         self._rates_lock = threading.Lock()
+        #: may block: the lazy precompute fixpoint
         self._precompute_lock = threading.Lock()
         self._two_stage: TwoStageEngine | None = None
         #: guarded by self._precompute_lock
@@ -220,6 +221,7 @@ class DatasetRuntime:
         # serving continues on the last adopted snapshot; refresh_ingest
         # swaps snapshots and republishes the precomputed ranker.
         self.ingest: IngestEngine | None = None
+        #: may block: the refresh fixpoint, and the slab and manifest fsyncs
         self._ingest_lock = threading.Lock()
         #: guarded by self._ingest_lock
         self._ingest_epoch = 0
@@ -302,7 +304,6 @@ class DatasetRuntime:
                     # fast-path fence: request threads never take it, and
                     # publishing inside it is what guarantees epoch N's slab
                     # is on disk before epoch N is announced.
-                    # repro-lint: ignore[RL013] deliberate publish-in-refresh
                     self.store.publish(result.ranker, self.name)
                 else:
                     with self._precompute_lock:

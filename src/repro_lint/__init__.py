@@ -9,9 +9,9 @@ indexing of a restart vector (``uniform_restarts`` builds them now), the ``trans
 latch, the shared-rates mutation in ``SearchEngine`` — belongs to a
 statically detectable pattern class.  This package encodes those classes as
 AST checkers (RL001, RL002, RL004, RL005) and checkers that reason over
-per-function control-flow graphs and the project call graph (RL010, RL013,
-RL015; see :mod:`repro_lint.checkers`) — so the next occurrence is caught
-in review, not in production rankings.
+per-function control-flow graphs (RL010, RL015; see
+:mod:`repro_lint.checkers`) — so the next occurrence is caught in review,
+not in production rankings.  Every rule reads one file at a time.
 
 Layers:
 
@@ -22,11 +22,6 @@ Layers:
 * :mod:`repro_lint.cfg` — intraprocedural CFG construction;
 * :mod:`repro_lint.dataflow` — the worklist fixpoint solver plus the
   reaching-definitions / live-variables reference instances;
-* :mod:`repro_lint.lockset` — the must-held-lockset analysis RL013 runs;
-* :mod:`repro_lint.callgraph` — the module-resolution project call
-  graph behind the interprocedural checkers RL010 and RL013;
-* :mod:`repro_lint.summaries` — bottom-up SCC-ordered function
-  summaries (held locks, blocking, resources, exceptions);
 * :mod:`repro_lint.pragmas` — ``# repro-lint: ignore[RL001]`` inline
   suppressions;
 * :mod:`repro_lint.baseline` — the ``.repro-lint-baseline.json``
@@ -39,24 +34,10 @@ Layers:
 
 from repro_lint.base import (
     Checker,
-    ProjectChecker,
     SourceFile,
     all_checkers,
-    call_chain_metadata,
     checker_codes,
     register,
-)
-from repro_lint.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    Project,
-    build_call_graph,
-)
-from repro_lint.summaries import (
-    FunctionSummary,
-    SummaryIndex,
-    compute_summaries,
 )
 from repro_lint.cfg import (
     BasicBlock,
@@ -88,20 +69,10 @@ from repro_lint.runner import LintReport, discover_files, lint_source, run_lint
 
 __all__ = [
     "Checker",
-    "ProjectChecker",
     "SourceFile",
     "all_checkers",
-    "call_chain_metadata",
     "checker_codes",
     "register",
-    "CallGraph",
-    "CallSite",
-    "FunctionInfo",
-    "Project",
-    "build_call_graph",
-    "FunctionSummary",
-    "SummaryIndex",
-    "compute_summaries",
     "BasicBlock",
     "ControlFlowGraph",
     "Edge",

@@ -8,9 +8,9 @@ set (optionally filtered by code) for a run.
 
 The framework hands every checker a :class:`SourceFile` — the path, raw
 text, split lines and parsed AST — so checkers can combine tree-level
-analysis with line-level context (e.g. the lock rules read their
-``#: guarded by self._lock`` annotations from comments the AST does not
-carry).  A rule never walks a tree itself: it reads
+analysis with line-level context (a finding quotes its source line, and
+pragmas are comments the AST does not carry).  A rule never calls
+``ast.walk`` itself: it reads
 :meth:`SourceFile.walk` / :meth:`SourceFile.walk_in_scope`, which traverse
 each root node once per run and hand every later caller the same tuple.
 """
@@ -38,12 +38,8 @@ class SourceFile:
     #: function instead of rebuilding it per rule.
     _cfgs: dict = field(default_factory=dict, repr=False, compare=False)
     #: Per-domain dataflow solution caches (same lifetime/idiom as ``_cfgs``)
-    #: so each function is solved once per domain (locksets, RL015's values).
+    #: so each function is solved once per domain (RL015's values).
     _solutions: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Per-class lock-attribute sets, keyed by ``id(class_node)`` — filled by
-    #: :func:`repro_lint.lockset.lock_attributes`, which the summaries
-    #: and RL013 ask about once per *method*.
-    _class_locks: dict = field(default_factory=dict, repr=False, compare=False)
     #: Traversals by root node (the key keeps the node alive, so its id is
     #: never reused for another node): ``ast.walk`` and
     #: :func:`walk_in_scope` each run once per root per lint run, however
@@ -130,58 +126,6 @@ class Checker:
             source_line=source.line_at(lineno),
             metadata=dict(metadata) if metadata else {},
         )
-
-
-class ProjectChecker(Checker):
-    """Base class for interprocedural rules needing whole-project context.
-
-    The runner parses every file once, runs the per-file phase, builds one
-    :class:`~repro_lint.callgraph.Project` (call graph + function
-    summaries) from the same parsed files and then calls
-    :meth:`check_project` once.  :meth:`Checker.check` is a no-op so a
-    project checker accidentally run per-file yields nothing rather than
-    crashing.
-    """
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings over a :class:`~repro_lint.callgraph.Project`."""
-        raise NotImplementedError
-
-    def finding_in(
-        self,
-        project,
-        function_info,
-        node: ast.AST,
-        message: str,
-        suggestion: str = "",
-        metadata: dict | None = None,
-    ) -> Finding:
-        """A finding anchored at ``node`` inside ``function_info``'s module."""
-        return self.finding(
-            function_info.source, node, message, suggestion, metadata
-        )
-
-
-def call_chain_metadata(project, chain) -> list:
-    """Render a summary witness chain for finding metadata / SARIF codeFlows.
-
-    ``chain`` is a tuple of ``(function_id, line)`` steps, outermost caller
-    first; each becomes ``{"function", "file", "line"}``.
-    """
-    rendered = []
-    for function_id, line in chain:
-        info = project.graph.functions.get(function_id)
-        rendered.append(
-            {
-                "function": function_id,
-                "file": info.source.path if info is not None else "",
-                "line": line,
-            }
-        )
-    return rendered
 
 
 _REGISTRY: dict[str, Type[Checker]] = {}

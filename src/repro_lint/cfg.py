@@ -2,8 +2,8 @@
 
 :func:`build_cfg` turns one function body into a :class:`ControlFlowGraph`
 of :class:`BasicBlock`\\ s connected by labeled :class:`Edge`\\ s.  The graph
-is what the lockset analysis, the value domain and the generic solver in
-:mod:`repro_lint.dataflow` consume; the per-node visitors (RL001, RL002,
+is what RL010's resource tracking, the value domain and the generic solver
+in :mod:`repro_lint.dataflow` consume; the per-node visitors (RL001, RL002,
 RL004, RL005) never need it, which is why
 :meth:`repro_lint.base.SourceFile.cfg_for` builds CFGs lazily, per
 function, on first request.
@@ -16,8 +16,8 @@ Shape of the graph
   represented by one :class:`Header` marker in exactly one block — the point
   where its test/iterator/context expressions are evaluated;
 * ``with`` bodies are bracketed by :class:`WithEnter`/:class:`WithExit`
-  markers (one pair per ``with`` item) so lock-region analyses see acquire
-  and release as ordinary transfer points — including the synthetic releases
+  markers (one pair per ``with`` item) so a flow analysis sees entry and
+  exit as ordinary transfer points — including the synthetic exits
   emitted on ``break``/``continue``/``return``/``raise`` paths that leave the
   ``with`` early;
 * boolean short-circuit tests are decomposed: ``if a and b:`` becomes two

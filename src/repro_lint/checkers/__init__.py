@@ -1,4 +1,4 @@
-"""Built-in checkers; importing this package registers the seven rules.
+"""Built-in checkers; importing this package registers the six rules.
 
 ============ ========================== =====================================
 Code         Name                       Hazard class
@@ -13,19 +13,19 @@ Code         Name                       Hazard class
                                         literals in numeric code
 ``RL010``    resource-lifecycle         file/mmap/socket acquired on a path
                                         that can exit without release
-``RL013``    blocking-under-lock        I/O, subprocess, sleep or fixpoint
-                                        solve reachable while a lock is held
 ``RL015``    zero-denominator           division by an accumulated total or
                                         ``len()`` not provably non-zero
 ============ ========================== =====================================
 
-RL003 (lexical lock discipline), RL007 (flow-sensitive lock discipline) and
-RL011 (lock order, re-acquisition, unheld ``*_locked`` helpers) are retired:
-the test suite's lockdep (``tests/lockdep.py``) checks every lock under
-``repro.`` where it runs — each acquire against one global lock-order graph
-and the thread's held locks, each access to a ``#: guarded by`` attribute
-against the lock it names — and ``tests/test_layering.py`` requires every
-lock in ``src/repro`` to be a ``threading.Lock()`` it can reach.
+RL003 (lexical lock discipline), RL007 (flow-sensitive lock discipline),
+RL011 (lock order, re-acquisition, unheld ``*_locked`` helpers) and RL013
+(blocking work under a lock) are retired: the test suite's lockdep
+(``tests/lockdep.py``) checks every lock under ``repro.`` where it runs —
+each acquire against one global lock-order graph and the thread's held
+locks, each access to a ``#: guarded by`` attribute against the lock it
+names, each blocking primitive and fixpoint entry against the held locks
+not annotated ``#: may block`` — and ``tests/test_layering.py`` requires
+every lock in ``src/repro`` to be a ``threading.Lock()`` it can reach.
 Seven more are retired because their hazard can no longer be written:
 
 * RL012 (cache-key fencing): every serve cache key is built by
@@ -53,18 +53,14 @@ Seven more are retired because their hazard can no longer be written:
   in the storage modules (``tests/test_layering.py``,
   ``tests/properties/test_store_fault_properties.py``).
 
-RL001, RL002, RL004 and RL005 are per-node AST visitors.  RL010 and RL013
-are *interprocedural* (:class:`~repro_lint.base.ProjectChecker`) — the
-runner builds one :class:`~repro_lint.callgraph.Project` (call graph +
-bottom-up :mod:`~repro_lint.summaries`) and runs them once over the whole
-file set, serially, after the per-file phase; RL013 reads the must-held
-locksets of :mod:`repro_lint.lockset` at each call site.  RL015 is the
-per-file instance of the abstract interpreter (:mod:`repro_lint.absint`):
-one cached value-domain solve per function
-(:meth:`~repro_lint.base.SourceFile.solution_cache`).
+RL001, RL002, RL004 and RL005 are per-node AST visitors.  RL010 follows
+each acquisition through its function's CFG
+(:meth:`~repro_lint.base.SourceFile.cfg_for`); no rule needs more than the
+one file it reads.  RL015 is the per-file instance of the abstract
+interpreter (:mod:`repro_lint.absint`): one cached value-domain solve per
+function (:meth:`~repro_lint.base.SourceFile.solution_cache`).
 """
 
-from repro_lint.checkers.blocking_under_lock import BlockingUnderLockChecker
 from repro_lint.checkers.cache_latch import CacheLatchChecker
 from repro_lint.checkers.duplicate_index import DuplicateIndexWriteChecker
 from repro_lint.checkers.float_equality import FloatEqualityChecker
@@ -73,7 +69,6 @@ from repro_lint.checkers.resource_lifecycle import ResourceLifecycleChecker
 from repro_lint.checkers.zero_denominator import ZeroDenominatorChecker
 
 __all__ = [
-    "BlockingUnderLockChecker",
     "CacheLatchChecker",
     "DuplicateIndexWriteChecker",
     "FloatEqualityChecker",

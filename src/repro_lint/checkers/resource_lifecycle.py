@@ -6,16 +6,15 @@ writes generation files.  A helper that opens one and loses it on an early
 ``return`` or an exception edge leaks a descriptor per call — invisible in
 tests, fatal under sustained traffic.
 
-The rule tracks each acquisition — a call to a known primitive (``open``,
-``mmap.mmap``, ``socket.socket``…) *or* to a project helper whose summary
-says it returns a fresh resource — forward through the CFG from the
-assignment.  A path that reaches the function exit while the resource is
-still live is a finding.  Ownership transfers end tracking conservatively:
+The rule tracks each acquisition — a call to a primitive in
+:data:`ACQUIRE_CALLS` (``open``, ``mmap.mmap``, ``socket.socket``…) bound
+to a name — forward through the function's CFG from the assignment.  A
+path that reaches the function exit while the resource is still live is a
+finding.  Ownership transfers end tracking conservatively:
 
-* ``var.close()`` / ``os.close(var)`` / ``with var:`` / passing ``var`` to a
-  callee that releases that parameter -> **released**;
+* ``var.close()`` / ``os.close(var)`` / ``with var:`` -> **released**;
 * returning/raising/yielding ``var``, storing it into an attribute,
-  container or another name, or passing it to any other call -> **escaped**
+  container or another name, or passing it to any call -> **escaped**
   (someone else owns it now; not this function's leak);
 * rebinding ``var`` -> tracking stops (the old value's fate is unknowable
   without heap modelling, and guessing would invent findings).
@@ -24,6 +23,10 @@ Method calls *on* the resource (``sock.bind(...)``, ``handle.seek(...)``)
 are plain uses and keep it live.  Exception edges count as exits — the
 ``try/finally`` or ``with`` shape that actually protects the resource
 changes the CFG and satisfies the rule structurally, not via annotations.
+
+The rule is per function: no helper in ``src/repro`` returns a fresh
+resource (``tests/test_layering.py`` keeps it so), so an acquisition is
+always one of these primitives.
 """
 
 from __future__ import annotations
@@ -31,77 +34,80 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro_lint.base import ProjectChecker, SourceFile, call_name, register
-from repro_lint.callgraph import Project
+from repro_lint.base import Checker, SourceFile, call_name, register
 from repro_lint.cfg import ControlFlowGraph, Header, WithEnter, WithExit
 from repro_lint.findings import Finding
-from repro_lint.summaries import (
-    ACQUIRE_CALLS,
-    RELEASE_CALLS,
-    RELEASE_TAILS,
-    acquired_call_kind,
-)
+
+#: Acquisition primitives, dotted name -> resource kind.
+ACQUIRE_CALLS = {
+    "open": "file",
+    "os.fdopen": "file",
+    "mmap.mmap": "mmap",
+    "socket.socket": "socket",
+    "socket.create_server": "socket",
+    "socket.create_connection": "socket",
+    "tempfile.NamedTemporaryFile": "file",
+    "tempfile.TemporaryFile": "file",
+}
+#: A method of the resource, or a function of it, that releases it.
+RELEASE_TAILS = {"close"}
+RELEASE_CALLS = {"os.close"}
 
 
 @register
-class ResourceLifecycleChecker(ProjectChecker):
+class ResourceLifecycleChecker(Checker):
     code = "RL010"
     name = "resource-lifecycle"
     summary = (
         "file/mmap/socket acquired on a path that can exit without release"
     )
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        summaries = project.summaries()
-        graph = project.graph
-        def params_of(callee_id: str) -> tuple:
-            info = graph.functions.get(callee_id)
-            if info is None:
-                return ()
-            from repro_lint.summaries import _positional_params
-
-            return tuple(arg.arg for arg in _positional_params(info.node))
-
-        for function_id in sorted(graph.functions):
-            info = graph.functions[function_id]
-            site_by_call = {
-                id(site.node): site
-                for site in graph.calls.get(function_id, [])
-            }
-            cfg = info.cfg()
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        qualnames: dict[int, str] = {}
+        for function in source.functions():
+            cfg = source.cfg_for(function)
             for block in cfg.blocks:
                 for position, item in enumerate(block.body):
-                    acquired = _acquisition(item, site_by_call, summaries.by_id)
+                    acquired = _acquisition(item)
                     if acquired is None:
                         continue
                     var, kind = acquired
-                    if _leaks(
-                        info.source, cfg, block.index, position + 1, var,
-                        site_by_call, summaries.by_id, params_of,
-                    ):
-                        helper = ""
-                        if call_name(item.value) not in _PRIMITIVE_NAMES:
-                            helper = (
-                                f" (acquired via '{call_name(item.value)}')"
-                            )
-                        yield self.finding_in(
-                            project,
-                            info,
-                            item,
-                            f"'{var}' holds a fresh {kind}{helper} but some "
-                            f"path through '{info.qualname}' reaches the "
-                            "function exit without releasing it.",
-                            f"close '{var}' in a 'finally:' (or hold it in a "
-                            "'with' block), or hand ownership to the caller "
-                            "explicitly.",
-                            metadata={"resource": kind, "variable": var},
-                        )
+                    if not _leaks(source, cfg, block.index, position + 1, var):
+                        continue
+                    if not qualnames:
+                        qualnames = _qualnames(source.tree)
+                    yield self.finding(
+                        source,
+                        item,
+                        f"'{var}' holds a fresh {kind} but some path through "
+                        f"'{qualnames[id(function)]}' reaches the function "
+                        "exit without releasing it.",
+                        f"close '{var}' in a 'finally:' (or hold it in a "
+                        "'with' block), or hand ownership to the caller "
+                        "explicitly.",
+                        metadata={"resource": kind, "variable": var},
+                    )
 
 
-_PRIMITIVE_NAMES = frozenset(ACQUIRE_CALLS)
+def _qualnames(tree: ast.Module) -> dict[int, str]:
+    """``Class.method`` / ``outer.<locals>.inner`` by function node id."""
+    names: dict[int, str] = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names[id(child)] = f"{prefix}{child.name}"
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return names
 
 
-def _acquisition(item, site_by_call, summaries):
+def _acquisition(item) -> tuple[str, str] | None:
     """``(variable, kind)`` when ``item`` binds a fresh resource to a name."""
     if (
         isinstance(item, ast.Assign)
@@ -109,7 +115,7 @@ def _acquisition(item, site_by_call, summaries):
         and isinstance(item.targets[0], ast.Name)
         and isinstance(item.value, ast.Call)
     ):
-        kind = acquired_call_kind(item.value, site_by_call, summaries)
+        kind = ACQUIRE_CALLS.get(call_name(item.value))
         if kind is not None:
             return item.targets[0].id, kind
     return None
@@ -121,9 +127,6 @@ def _leaks(
     start_block: int,
     start_position: int,
     var: str,
-    site_by_call: dict,
-    summaries: dict,
-    params_of,
 ) -> bool:
     """Whether some CFG path from the acquisition exits with ``var`` live."""
     work = [(start_block, start_position)]
@@ -133,9 +136,7 @@ def _leaks(
         block = cfg.blocks[block_index]
         status = "live"
         for item in block.body[position:]:
-            status = _transfer(
-                source, item, var, site_by_call, summaries, params_of
-            )
+            status = _transfer(source, item, var)
             if status != "live":
                 break
         if status != "live":
@@ -149,14 +150,7 @@ def _leaks(
     return False
 
 
-def _transfer(
-    source: SourceFile,
-    item,
-    var: str,
-    site_by_call: dict,
-    summaries: dict,
-    params_of,
-) -> str:
+def _transfer(source: SourceFile, item, var: str) -> str:
     """``live`` / ``released`` / ``escaped`` for one block item."""
     if isinstance(item, WithEnter):
         expr = item.item.context_expr
@@ -194,9 +188,7 @@ def _transfer(
         value = item.value
         if value is not None and _mentions(source, value, var):
             # Resource value stored somewhere else: new owner.
-            outcome = _call_transfer(
-                source, value, var, site_by_call, summaries, params_of
-            )
+            outcome = _call_transfer(source, value, var)
             if outcome is not None:
                 return outcome if not rebinds else "escaped"
             return "escaped"
@@ -204,9 +196,7 @@ def _transfer(
             return "escaped"  # old value's fate unknown: stop quietly
         return "live"
     if isinstance(item, ast.Expr):
-        outcome = _call_transfer(
-            source, item.value, var, site_by_call, summaries, params_of
-        )
+        outcome = _call_transfer(source, item.value, var)
         if outcome is not None:
             return outcome
         return "escaped" if _mentions(source, item.value, var) else "live"
@@ -215,18 +205,10 @@ def _transfer(
     return "live"
 
 
-def _call_transfer(
-    source: SourceFile,
-    expr,
-    var: str,
-    site_by_call: dict,
-    summaries: dict,
-    params_of,
-):
+def _call_transfer(source: SourceFile, expr, var: str):
     """Classify a call expression w.r.t. ``var``, or ``None`` if not a call."""
     if not isinstance(expr, ast.Call):
         return None
-    name = call_name(expr)
     func = expr.func
     # A method on the resource itself: release tails end it, others use it.
     if (
@@ -241,25 +223,12 @@ def _call_transfer(
         ) or any(_mentions(source, kw.value, var) for kw in expr.keywords)
         return "escaped" if args_touch else "live"
     if (
-        name in RELEASE_CALLS
+        call_name(expr) in RELEASE_CALLS
         and expr.args
         and isinstance(expr.args[0], ast.Name)
         and expr.args[0].id == var
     ):
         return "released"
-    # var passed positionally to a single resolved callee that releases it.
-    site = site_by_call.get(id(expr))
-    if site is not None and len(site.callees) == 1:
-        summary = summaries.get(site.callees[0])
-        if summary is not None:
-            for position, arg in enumerate(expr.args):
-                if isinstance(arg, ast.Name) and arg.id == var:
-                    params = params_of(site.callees[0])
-                    if (
-                        position < len(params)
-                        and params[position] in summary.releases_params
-                    ):
-                        return "released"
     if _mentions(source, expr, var):
         return "escaped"
     return "live"

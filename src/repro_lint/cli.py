@@ -51,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--changed", action="store_true",
-        help="lint only files with uncommitted git changes (interprocedural "
-        "rules still see the whole project; outside a git checkout this "
-        "falls back to a full run)",
+        help="lint only files with uncommitted git changes (outside a git "
+        "checkout this falls back to a full run)",
     )
     return lint
 

@@ -9,10 +9,9 @@ its states as unusable rather than wrong.  That discipline is the same one
 the paper's Theorem 1 imposes on the authority-flow fixpoints this package
 audits — a convergence loop must either contract or be cut off.
 
-Two classic instances ship here because the flow-sensitive checkers need
-them: :class:`ReachingDefinitions` (the lockset analysis resolves
-``lock = self._x_lock`` aliases through it) and :class:`LiveVariables` (backward direction's
-reference instance, exercised by the property suite).
+Two classic instances ship here as the solver's reference instances,
+exercised by the tests: :class:`ReachingDefinitions` (forward) and
+:class:`LiveVariables` (backward).
 """
 
 from __future__ import annotations
@@ -220,8 +219,7 @@ class ReachingDefinitions(DataflowProblem):
     ``for``/``with`` target, import, nested ``def``); function parameters
     are synthetic definitions at entry.  States are frozensets of
     ``(name, def_id)`` pairs; ``definition(def_id)`` recovers the defining
-    item so clients (the lockset alias resolver) can inspect its right-hand
-    side.
+    item so a client can inspect its right-hand side.
     """
 
     direction = "forward"

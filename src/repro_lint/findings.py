@@ -27,7 +27,7 @@ class Finding:
     column: int = field(default=0, compare=False)
     #: The stripped source line the finding points at (fingerprint input).
     source_line: str = field(default="", compare=False)
-    #: Rule-specific extras (RL010: the resource; RL013: the call chain)
+    #: Rule-specific extras (RL010: the resource and its variable)
     #: — reporters may surface it, but it is deliberately *not* part
     #: of :meth:`fingerprint`, so richer metadata never invalidates an
     #: existing baseline entry.

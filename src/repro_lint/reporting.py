@@ -10,8 +10,7 @@ All four render a :class:`~repro_lint.runner.LintReport`:
   extra action or upload step;
 * ``sarif`` — a SARIF 2.1.0 log for code-scanning uploads
   (``github/codeql-action/upload-sarif``): rule metadata from the checker
-  registry, ``partialFingerprints`` from the baseline fingerprint,
-  ``codeFlows`` from interprocedural findings' witness call chains, and
+  registry, ``partialFingerprints`` from the baseline fingerprint, and
   baselined/pragma-suppressed findings carried as suppressed results so the
   scanning UI can audit them instead of losing them.
 """
@@ -203,37 +202,11 @@ def _sarif_result(
     }
     if finding.code in rule_index:
         result["ruleIndex"] = rule_index[finding.code]
-    metadata = dict(finding.metadata) if finding.metadata else {}
-    chain = metadata.pop("call_chain", None)
-    if chain:
-        result["codeFlows"] = [_sarif_code_flow(chain)]
-    if metadata:
-        result["properties"] = metadata
+    if finding.metadata:
+        result["properties"] = dict(finding.metadata)
     if suppression is not None:
         result["suppressions"] = [{"kind": suppression}]
     return result
-
-
-def _sarif_code_flow(chain: list) -> dict:
-    """A codeFlow whose single threadFlow walks the witness call chain.
-
-    RL013 findings attach the caller→callee chain
-    that reaches the violating call as ``metadata["call_chain"]`` — a list
-    of ``{"function", "file", "line"}`` steps.  SARIF viewers render this
-    as a step-through trace, which is the whole point of carrying the
-    witness: 'blocking under lock' is unreviewable without the path that
-    gets there.
-    """
-    locations = []
-    for step in chain:
-        location = _sarif_location(
-            step.get("file", ""), step.get("line"), None
-        )
-        function = step.get("function")
-        if function:
-            location["message"] = {"text": function}
-        locations.append({"location": location})
-    return {"threadFlows": [{"locations": locations}]}
 
 
 def _sarif_location(path: str, line: int | None, column: int | None) -> dict:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro_lint.base import Checker, ProjectChecker, SourceFile, all_checkers
+from repro_lint.base import Checker, SourceFile, all_checkers
 from repro_lint.baseline import Baseline
 from repro_lint.findings import Finding
 from repro_lint.pragmas import parse_pragmas
@@ -33,10 +33,8 @@ class LintReport:
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     checker_codes: list[str] = field(default_factory=list)
-    #: Wall time per phase: ``files`` (read + parse + per-file checkers),
-    #: then, when an interprocedural checker ran, ``callgraph`` (the call
-    #: graph over the same parsed files), ``summaries`` (the bottom-up
-    #: function summaries) and ``project-check`` (the checkers themselves).
+    #: Wall time per phase; the one phase is ``files`` (read + parse +
+    #: checkers).
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -118,24 +116,16 @@ def run_lint(
     given) — baselines store those names, so runs from the repo root and
     runs from elsewhere agree as long as ``root`` points at the repo.
 
-    Every file is read and parsed once.  The per-file checkers run on that
-    :class:`~repro_lint.base.SourceFile`; interprocedural checkers
-    (:class:`~repro_lint.base.ProjectChecker`) then run in a second
-    phase over one :class:`~repro_lint.callgraph.Project` built from the
-    *same* objects, so the traversals, CFGs and abstract-domain solutions
-    the first phase cached on them are reused: summaries are computed
-    bottom-up, then each project checker runs once.
+    Every file is read and parsed once, and every checker runs on that
+    :class:`~repro_lint.base.SourceFile`, so the traversals, CFGs and
+    abstract-domain solutions one rule caches on it serve the others.
 
     ``scope`` (display names, as findings carry them) restricts which files
-    are *linted and reported* — ``repro lint --changed`` uses it — while the
-    project phase still parses everything, so summaries of unchanged
-    helpers stay visible to the checkers.  Nothing is read but the sources:
-    every run recomputes the summaries.
+    are read, linted and reported — ``repro lint --changed`` uses it.
+    Nothing is read but the sources, and nothing is written.
     """
     started = time.perf_counter()
     active = checkers if checkers is not None else all_checkers()
-    file_checkers = [c for c in active if not isinstance(c, ProjectChecker)]
-    project_checkers = [c for c in active if isinstance(c, ProjectChecker)]
     accepted = baseline if baseline is not None else Baseline()
     report = LintReport(checker_codes=[checker.code for checker in active])
 
@@ -145,89 +135,29 @@ def run_lint(
         for file_path in discover_files(paths)
     ]
 
-    def keep(finding: Finding) -> None:
-        if accepted.contains(finding):
-            report.baselined.append(finding)
-        else:
-            report.findings.append(finding)
-
     phase_started = time.perf_counter()
-    parsed: dict[Path, SourceFile | None] = {}
     for path, display in files:
         if scope is not None and display not in scope:
             continue
         source, error = _parse(path, display)
-        parsed[path] = source
         if source is None:
             report.parse_errors.append((display, error))
             continue
         report.files_scanned += 1
-        kept, suppressed = lint_source(source, file_checkers)
+        kept, suppressed = lint_source(source, active)
         report.suppressed.extend(suppressed)
         for finding in kept:
-            keep(finding)
+            if accepted.contains(finding):
+                report.baselined.append(finding)
+            else:
+                report.findings.append(finding)
     report.phase_seconds["files"] = time.perf_counter() - phase_started
-
-    if project_checkers:
-        _run_project_phase(report, files, parsed, scope, project_checkers, keep)
 
     report.findings.sort()
     report.baselined.sort()
     report.suppressed.sort()
     report.elapsed_seconds = time.perf_counter() - started
     return report
-
-
-def _run_project_phase(
-    report: LintReport,
-    files: list[tuple[Path, str]],
-    parsed: dict[Path, SourceFile | None],
-    scope: set[str] | None,
-    project_checkers: list[Checker],
-    keep,
-) -> None:
-    """Build the whole-program context and run the interprocedural checkers.
-
-    The project is every parseable file: the ones the file phase already
-    ``parsed`` as they are, the out-of-scope rest parsed here.  Pragmas and
-    the baseline apply exactly as in the per-file phase; findings outside
-    ``scope`` are dropped (their files were not asked about), and files
-    whose first lines carry ``skip-file`` contribute no findings (their
-    *definitions* still feed the call graph — a skip-file pragma silences
-    findings in that file, it does not falsify summaries).
-    """
-    from repro_lint.callgraph import Project
-
-    phase_started = time.perf_counter()
-    sources = [
-        parsed[path] if path in parsed else _parse(path, display)[0]
-        for path, display in files
-    ]
-    project = Project([source for source in sources if source is not None])
-    report.phase_seconds["callgraph"] = time.perf_counter() - phase_started
-
-    phase_started = time.perf_counter()
-    project.summaries()
-    report.phase_seconds["summaries"] = time.perf_counter() - phase_started
-
-    phase_started = time.perf_counter()
-    pragma_index: dict[str, object] = {}
-    for source in project.sources:
-        pragma_index[source.path] = parse_pragmas(source.lines)
-    for checker in project_checkers:
-        for finding in checker.check_project(project):
-            if scope is not None and finding.file not in scope:
-                continue
-            pragmas = pragma_index.get(finding.file)
-            if pragmas is not None and pragmas.suppresses(
-                finding.line, finding.code
-            ):
-                report.suppressed.append(finding)
-            else:
-                keep(finding)
-    report.phase_seconds["project-check"] = (
-        time.perf_counter() - phase_started
-    )
 
 
 def _display_name(file_path: Path, root: Path | None) -> str:

@@ -5,6 +5,7 @@ each rule encodes — most importantly the pre-fix ``personalized_pagerank``
 fancy-indexing restart write for RL001.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -25,9 +26,9 @@ def codes_of(findings):
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_six_rules_registered(self):
         assert checker_codes() == [
-            "RL001", "RL002", "RL004", "RL005", "RL010", "RL013", "RL015",
+            "RL001", "RL002", "RL004", "RL005", "RL010", "RL015",
         ]
 
     def test_unknown_code_rejected(self):
@@ -38,12 +39,66 @@ class TestRegistry:
         "retired",
         [
             "RL003", "RL006", "RL007", "RL008", "RL009", "RL011", "RL012",
-            "RL014", "RL016", "RL017",
+            "RL013", "RL014", "RL016", "RL017",
         ],
     )
     def test_retired_code_rejected_like_any_unknown_code(self, retired):
         with pytest.raises(ValueError, match="unknown rule codes"):
             all_checkers([retired])
+
+
+class TestScopeWalk:
+    """``walk_in_scope``: a function's own body, nested scopes left out."""
+
+    @staticmethod
+    def _calls_in_scope(code: str) -> list[str]:
+        source = SourceFile.parse("src/repro/a.py", textwrap.dedent(code))
+        (func,) = source.tree.body
+        return [
+            node.func.id
+            for node in source.walk_in_scope(func)
+            if isinstance(node, ast.Call)
+        ]
+
+    def test_calls_in_function_excludes_nested_scopes(self):
+        assert self._calls_in_scope(
+            """
+            def outer():
+                inner_result = direct()
+
+                def nested():
+                    return hidden()
+
+                return inner_result
+            """
+        ) == ["direct"]
+
+    def test_nested_default_exprs_belong_to_enclosing_scope(self):
+        assert self._calls_in_scope(
+            """
+            def outer():
+                def nested(x=default()):
+                    return hidden()
+                return nested
+            """
+        ) == ["default"]
+
+    def test_walk_yields_nested_def_without_entering(self):
+        source = SourceFile.parse(
+            "src/repro/a.py",
+            textwrap.dedent(
+                """
+                def outer():
+                    def nested():
+                        return hidden()
+                    return nested
+                """
+            ),
+        )
+        (func,) = source.tree.body
+        kinds = [type(node).__name__ for node in source.walk_in_scope(func)]
+        assert "FunctionDef" in kinds  # the nested def itself is visible
+        assert "Call" not in kinds
 
 
 class TestRL001DuplicateIndexWrite:

@@ -1,27 +1,19 @@
-"""Fixture tests for the interprocedural rules RL010 and RL013, and the
-retired RL011's cases under lockdep."""
+"""Fixture tests for RL010, and the retired RL011's and RL013's cases
+under lockdep."""
 
 import textwrap
 import threading
 
+from repro.query import KeywordQuery
+from repro.ranking import objectrank2
 from repro_lint import SourceFile, all_checkers
-from repro_lint.callgraph import Project
 from tests import lockdep
 
 
-def lint_project(code: str, files: dict):
-    (checker,) = all_checkers([code])
-    project = Project(
-        [
-            SourceFile.parse(path, textwrap.dedent(text))
-            for path, text in files.items()
-        ]
-    )
-    return sorted(checker.check_project(project))
-
-
 def one_module(code: str, text: str):
-    return lint_project(code, {"src/repro/m.py": text})
+    (checker,) = all_checkers([code])
+    source = SourceFile.parse("src/repro/m.py", textwrap.dedent(text))
+    return sorted(checker.check(source))
 
 
 def codes_of(findings):
@@ -79,27 +71,8 @@ class TestRL010ResourceLifecycle:
             """,
         ) == []
 
-    def test_leak_through_helper_acquisition(self):
-        """A helper whose summary says it returns a resource taints callers."""
-        findings = one_module(
-            "RL010",
-            """
-            def open_log(path):
-                handle = open(path)
-                return handle
-
-            def consume(path, flag):
-                log = open_log(path)
-                if flag:
-                    return None
-                log.close()
-                return True
-            """,
-        )
-        assert codes_of(findings) == ["RL010"]
-        assert "acquired via 'open_log'" in findings[0].message
-
     def test_passing_to_releasing_callee_is_a_release(self):
+        """Passing the resource to any call hands it over: an escape."""
         assert one_module(
             "RL010",
             """
@@ -141,19 +114,6 @@ class TestRL010ResourceLifecycle:
         )
         assert codes_of(findings) == ["RL010"]
         assert findings[0].metadata["resource"] == "socket"
-
-
-LOCKED_CLASS = """
-    import threading
-
-    class Service:
-        def __init__(self):
-            self._state_lock = threading.Lock()
-            self._extra_lock = threading.Lock()
-            self._state = {}
-
-        %s
-"""
 
 
 class TestRL011InterproceduralLocks:
@@ -356,94 +316,116 @@ class TestRL011InterproceduralLocks:
 
 
 class TestRL013BlockingUnderLock:
+    """The retired RL013's cases, now answered at run time by lockdep.
+
+    A blocking primitive or a fixpoint entry raises a ``LockdepError`` while
+    the thread holds a lock not annotated ``#: may block: <reason>``; the
+    error carries the blocking stack and the acquire's.
+    """
+
+    SERVICE = """
+        import threading
+        import time
+
+        class Service:
+            def __init__(self):
+                self._state_lock = threading.Lock()
+                self._state = {}
+
+            %s
+    """
+
+    def _service(self, methods: str):
+        return lockdep.toy(self.SERVICE % methods).Service()
+
     def test_direct_sleep_under_lock(self):
-        findings = one_module(
-            "RL013",
-            LOCKED_CLASS
-            % """def refresh(self):
-            import time
-            with self._state_lock:
-                time.sleep(0.1)
-        """,
+        service = self._service(
+            """def refresh(self):
+                with self._state_lock:
+                    time.sleep(0)
+            """
         )
-        assert codes_of(findings) == ["RL013"]
-        assert findings[0].metadata["blocking"] == "time.sleep"
-
-    def test_transitive_blocking_callee_with_chain(self):
-        findings = one_module(
-            "RL013",
-            LOCKED_CLASS
-            % """def slow(self):
-            import time
-            time.sleep(0.1)
-
-        def refresh(self):
-            with self._state_lock:
-                self.slow()
-        """,
+        with lockdep.raises(match="time.sleep called while holding") as caught:
+            service.refresh()
+        assert caught.value.summary.split(", which")[0].endswith(
+            "Service._state_lock"
         )
-        assert codes_of(findings) == ["RL013"]
-        chain = findings[0].metadata["call_chain"]
-        assert [step["function"] for step in chain] == [
-            "repro.m:Service.refresh",
-            "repro.m:Service.slow",
+        assert [caught.value.here[-1].lineno, caught.value.there[-1].lineno] == [
+            12,
+            11,
         ]
 
-    def test_fixpoint_loop_under_lock(self):
-        findings = one_module(
-            "RL013",
-            LOCKED_CLASS
-            % """def solve(self, tol):
-            with self._state_lock:
-                residual = 1.0
-                while residual > tol:
-                    residual = residual / 2
-        """,
+    def test_transitive_blocking_callee_with_chain(self):
+        service = self._service(
+            """def slow(self):
+                time.sleep(0)
+
+            def refresh(self):
+                with self._state_lock:
+                    self.slow()
+            """
         )
-        assert any("fixpoint" in f.message for f in findings)
+        with lockdep.raises(match="time.sleep called while holding") as caught:
+            service.refresh()
+        assert [frame.name for frame in caught.value.here[-2:]] == [
+            "refresh",
+            "slow",
+        ]
+        assert caught.value.there[-1].name == "refresh"
+
+    def test_fixpoint_loop_under_lock(self, figure1_graph, figure1_scorer):
+        """A real Eq. 4 solve: its entry check is the fixpoint hook."""
+        service = self._service(
+            """def solve(self, run):
+                with self._state_lock:
+                    return run()
+            """
+        )
+        with lockdep.raises(match="a fixpoint entered") as caught:
+            service.solve(
+                lambda: objectrank2(
+                    figure1_graph, figure1_scorer, KeywordQuery(["OLAP"]).vector()
+                )
+            )
+        assert "solve" in [frame.name for frame in caught.value.here]
 
     def test_blocking_outside_the_lock_is_clean(self):
-        assert one_module(
-            "RL013",
-            LOCKED_CLASS
-            % """def refresh(self):
-            import time
-            time.sleep(0.1)
-            with self._state_lock:
-                self._state["x"] = 1
-        """,
-        ) == []
-
-    def test_constructors_are_exempt(self):
-        assert one_module(
-            "RL013",
+        service = self._service(
+            """def refresh(self):
+                time.sleep(0)
+                with self._state_lock:
+                    self._state["x"] = 1
+                time.sleep(0)
             """
-            import threading
-            import time
-
-            class Service:
-                def __init__(self, path):
-                    self._state_lock = threading.Lock()
-                    with self._state_lock:
-                        time.sleep(0.1)
-            """,
-        ) == []
+        )
+        service.refresh()
+        assert service._state == {"x": 1}
 
     def test_condition_wait_is_exempt(self):
         """Waiting on a held condition variable releases it — the idiom."""
-        assert one_module(
-            "RL013",
+        service = lockdep.toy(
             """
             import threading
 
             class Service:
                 def __init__(self):
-                    self._cond = threading.Condition()
+                    self._lock = threading.Lock()
+                    self._cond = threading.Condition(self._lock)
                     self._ready = False
 
                 def await_ready(self):
                     with self._cond:
                         while not self._ready:
                             self._cond.wait()
-            """,
-        ) == []
+
+                def set_ready(self):
+                    with self._cond:
+                        self._ready = True
+                        self._cond.notify_all()
+            """
+        ).Service()
+        assert isinstance(service._lock, lockdep.TrackedLock)
+        setter = threading.Timer(0.05, service.set_ready)
+        setter.start()
+        service.await_ready()
+        setter.join()

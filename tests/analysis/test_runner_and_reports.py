@@ -63,6 +63,19 @@ def project_tree(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def leak_tree(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "leak.py").write_text(
+        "def load(path, flag):\n"
+        "    handle = open(path)\n"
+        "    if flag:\n"
+        "        return None\n"
+        "    handle.close()\n"
+    )
+    return tmp_path
+
+
 class TestRunner:
     def test_discovers_and_partitions(self, messy_tree):
         report = run_lint([messy_tree / "pkg"], root=messy_tree)
@@ -98,6 +111,11 @@ class TestRunner:
     def test_counts_by_code(self, messy_tree):
         report = run_lint([messy_tree / "pkg"], root=messy_tree)
         assert report.counts_by_code() == {"RL004": 1}
+
+    def test_phase_timings_recorded(self, project_tree):
+        report = run_lint([project_tree / "pkg"], root=project_tree)
+        assert list(report.phase_seconds) == ["files"]
+        assert 0 <= report.phase_seconds["files"] <= report.elapsed_seconds
 
 
 class TestReporters:
@@ -159,8 +177,8 @@ class TestSingleParse:
     def test_each_file_is_parsed_exactly_once(
         self, project_tree, monkeypatch, scope
     ):
-        """The project phase reuses the file phase's ``SourceFile`` objects;
-        only out-of-scope files are parsed there."""
+        """Every rule reads the one ``SourceFile`` of a file; a scoped run
+        parses nothing outside its scope."""
         from repro_lint.base import SourceFile
 
         parsed = []
@@ -173,32 +191,12 @@ class TestSingleParse:
         monkeypatch.setattr(SourceFile, "parse", classmethod(counting))
         (project_tree / "pkg" / "broken.py").write_text("def f(:\n")
         report = run_lint([project_tree / "pkg"], root=project_tree, scope=scope)
-        assert sorted(parsed) == ["pkg/broken.py", "pkg/helper.py", "pkg/locked.py"]
-        assert [f.code for f in report.findings] == ["RL013"]
-
-    def test_project_phase_reuses_the_file_phase_caches(self, project_tree):
-        """A CFG built by a per-file checker is the one RL010-RL015 see."""
-        from repro_lint.base import Checker, ProjectChecker
-
-        seen = {}
-
-        class Warm(Checker):
-            code = "ZZ001"
-
-            def check(self, source):
-                seen.update({id(f): source.cfg_for(f) for f in source.functions()})
-                return iter(())
-
-        class Reuse(ProjectChecker):
-            code = "ZZ002"
-
-            def check_project(self, project):
-                for info in project.graph.functions.values():
-                    assert info.cfg() is seen[id(info.node)]
-                return iter(())
-
-        run_lint([project_tree / "pkg"], checkers=[Warm(), Reuse()], root=project_tree)
-        assert len(seen) == 3  # slow, Service.__init__, Service.refresh
+        assert sorted(parsed) == (
+            ["pkg/broken.py", "pkg/helper.py", "pkg/locked.py"]
+            if scope is None
+            else ["pkg/locked.py"]
+        )
+        assert report.findings == []
 
     def test_no_root_is_walked_twice(self, monkeypatch):
         """Traversal is owned by ``SourceFile``: linting the linter runs
@@ -233,9 +231,10 @@ class TestSingleParse:
     def test_reports_equal_the_recorded_ones_byte_for_byte(
         self, request, tree_name, fmt
     ):
-        """``golden_reports.json`` was rendered by the last commit that had
-        the per-file process pool and the second parse (timings and the
-        interpreter's syntax-error wording templated out)."""
+        """``golden_reports.json`` holds the reports as rendered when the
+        linter lost its call-graph phase (timings and the interpreter's
+        syntax-error wording templated out); the findings on the messy tree
+        go back to the last commit that had the per-file process pool."""
         golden = json.loads(
             (Path(__file__).parent / "golden_reports.json").read_text()
         )
@@ -277,11 +276,11 @@ class TestDiscovery:
         assert len(report.parse_errors) == 1
 
     def test_duplicate_spellings_do_not_duplicate_definitions(
-        self, project_tree, monkeypatch
+        self, leak_tree, monkeypatch
     ):
-        monkeypatch.chdir(project_tree)
-        report = run_lint(["pkg", project_tree / "pkg"], root=project_tree)
-        assert [f.code for f in report.findings] == ["RL013"]
+        monkeypatch.chdir(leak_tree)
+        report = run_lint(["pkg", leak_tree / "pkg"], root=leak_tree)
+        assert [f.code for f in report.findings] == ["RL010"]
 
 
 class TestSarifReporter:
@@ -297,7 +296,9 @@ class TestSarifReporter:
         assert driver["name"] == "repro-lint"
         codes = [rule["id"] for rule in driver["rules"]]
         assert codes == [
-            f"RL{i:03d}" for i in range(1, 16) if i not in (3, 6, 7, 8, 9, 11, 12, 14)
+            f"RL{i:03d}"
+            for i in range(1, 16)
+            if i not in (3, 6, 7, 8, 9, 11, 12, 13, 14)
         ]
         assert all(rule["shortDescription"]["text"] for rule in driver["rules"])
 
@@ -336,13 +337,11 @@ class TestSarifReporter:
         assert kinds["pkg/bad.py"] == ["external"]
         assert kinds["pkg/quiet.py"] == ["inSource"]
 
-    def test_metadata_surfaces_as_result_properties(self, project_tree):
-        report = run_lint([project_tree / "pkg"], root=project_tree)
+    def test_metadata_surfaces_as_result_properties(self, leak_tree):
+        report = run_lint([leak_tree / "pkg"], root=leak_tree)
         payload = json.loads(render(report, "sarif"))
-        (result,) = [
-            r for r in payload["runs"][0]["results"] if r["ruleId"] == "RL013"
-        ]
-        assert result["properties"] == {"locks": ["_state_lock"], "blocking": "time.sleep"}
+        (result,) = payload["runs"][0]["results"]
+        assert result["properties"] == {"resource": "file", "variable": "handle"}
 
 
 class TestBaselineMetadataStability:
@@ -361,11 +360,11 @@ class TestBaselineMetadataStability:
     def test_baseline_written_before_metadata_still_matches(self):
         from repro_lint.findings import Finding
 
-        old = Finding("f.py", 3, "RL013", "msg", source_line="slow()")
+        old = Finding("f.py", 3, "RL010", "msg", source_line="h = open(p)")
         baseline = Baseline.from_findings([old])
         new = Finding(
-            "f.py", 9, "RL013", "msg", source_line="slow()",
-            metadata={"locks": ["_state_lock"], "blocking": "time.sleep"},
+            "f.py", 9, "RL010", "msg", source_line="h = open(p)",
+            metadata={"resource": "file", "variable": "h"},
         )
         assert baseline.contains(new)  # line drift + new metadata: still known
 
@@ -381,10 +380,10 @@ class TestRepositorySelfLint:
 
     def test_src_is_clean_with_an_empty_baseline_and_all_rules(self, src_report):
         """The self-lint gate: nothing hides behind the baseline — the
-        interprocedural RL010, RL013 and the abstract-interpretation RL015
+        flow-sensitive RL010 and the abstract-interpretation RL015
         included."""
-        assert len(src_report.checker_codes) == 7
-        assert {"RL010", "RL013", "RL015"} <= set(src_report.checker_codes)
+        assert len(src_report.checker_codes) == 6
+        assert {"RL010", "RL015"} <= set(src_report.checker_codes)
         assert src_report.findings == [], render(src_report, "text")
 
     def test_one_pass_stays_inside_the_ci_budget(self, src_report):
@@ -392,7 +391,7 @@ class TestRepositorySelfLint:
         assert src_report.elapsed_seconds < 10.0, src_report.phase_seconds
 
     def test_serve_package_is_clean_without_any_baseline(self):
-        """RL013's audit target: repro.serve passes with an EMPTY baseline."""
+        """repro.serve passes with an EMPTY baseline."""
         report = run_lint(
             [REPO_ROOT / "src" / "repro" / "serve"],
             baseline=Baseline(),
@@ -428,89 +427,6 @@ class TestRepositorySelfLint:
         assert guarded.get("_runtimes") == "_runtimes_lock"
 
 
-class TestProjectPhase:
-    """The interprocedural phase: cross-file context, scope, pragmas."""
-
-    def test_cross_file_finding_with_call_chain(self, project_tree):
-        report = run_lint([project_tree / "pkg"], root=project_tree)
-        (finding,) = report.findings
-        assert finding.code == "RL013"
-        assert finding.file == "pkg/locked.py"
-        chain = finding.metadata["call_chain"]
-        assert [step["file"] for step in chain] == [
-            "pkg/locked.py",
-            "pkg/helper.py",
-        ]
-
-    def test_scope_keeps_cross_file_context(self, project_tree):
-        """Linting only locked.py still sees helper.py's blocking summary."""
-        report = run_lint(
-            [project_tree / "pkg"],
-            root=project_tree,
-            scope={"pkg/locked.py"},
-        )
-        assert [f.code for f in report.findings] == ["RL013"]
-        assert report.files_scanned == 1
-
-    def test_scope_drops_findings_in_unscoped_files(self, project_tree):
-        report = run_lint(
-            [project_tree / "pkg"],
-            root=project_tree,
-            scope={"pkg/helper.py"},
-        )
-        assert report.findings == []
-
-    def test_pragma_suppresses_a_project_finding(self, project_tree):
-        locked = project_tree / "pkg" / "locked.py"
-        text = locked.read_text().replace(
-            "            slow()",
-            "            # repro-lint: ignore[RL013] test fixture\n"
-            "            slow()",
-        )
-        locked.write_text(text)
-        report = run_lint([project_tree / "pkg"], root=project_tree)
-        assert report.findings == []
-        assert [f.code for f in report.suppressed] == ["RL013"]
-
-    def test_baseline_absorbs_project_findings(self, project_tree):
-        first = run_lint([project_tree / "pkg"], root=project_tree)
-        baseline = Baseline.from_findings(first.findings)
-        second = run_lint(
-            [project_tree / "pkg"], baseline=baseline, root=project_tree
-        )
-        assert second.findings == []
-        assert [f.code for f in second.baselined] == ["RL013"]
-        assert second.clean
-
-    def test_phase_timings_recorded(self, project_tree):
-        report = run_lint([project_tree / "pkg"], root=project_tree)
-        assert list(report.phase_seconds) == [
-            "files",
-            "callgraph",
-            "summaries",
-            "project-check",
-        ]
-        assert all(value >= 0 for value in report.phase_seconds.values())
-
-    def test_sarif_code_flows_from_the_call_chain(self, project_tree):
-        report = run_lint([project_tree / "pkg"], root=project_tree)
-        payload = json.loads(render(report, "sarif"))
-        (result,) = [
-            r for r in payload["runs"][0]["results"] if r["ruleId"] == "RL013"
-        ]
-        (flow,) = result["codeFlows"]
-        (thread_flow,) = flow["threadFlows"]
-        steps = thread_flow["locations"]
-        uris = [
-            step["location"]["physicalLocation"]["artifactLocation"]["uri"]
-            for step in steps
-        ]
-        assert uris == ["pkg/locked.py", "pkg/helper.py"]
-        assert all(step["location"]["message"]["text"] for step in steps)
-        # the chain was promoted out of properties: no duplication
-        assert "call_chain" not in result.get("properties", {})
-
-
 class TestSarifValidator:
     """``scripts/validate_sarif.py`` — the offline shape check CI runs
     before uploading the log to code scanning."""
@@ -532,17 +448,6 @@ class TestSarifValidator:
         return json.loads(render(report, "sarif"))
 
     def test_rendered_log_is_valid(self, payload):
-        assert self._validator().validate(payload) == []
-
-    def test_log_with_code_flows_is_valid(self, project_tree):
-        """RL013's call chain renders as a SARIF codeFlow."""
-        report = run_lint([project_tree / "pkg"], root=project_tree)
-        payload = json.loads(render(report, "sarif"))
-        assert any(
-            "codeFlows" in result
-            for run in payload["runs"]
-            for result in run["results"]
-        )
         assert self._validator().validate(payload) == []
 
     @pytest.mark.parametrize(

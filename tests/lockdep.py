@@ -19,13 +19,23 @@ Eraser (Savage et al., SOSP 1997), in the form this code base needs:
   accesses from other classes or modules are out of scope.  A ``*_locked``
   helper needs no special case: called without its lock, the guarded
   access inside it raises.
+* **blocking under a lock** — the run-time form of the kernel's
+  ``might_sleep``: a blocking primitive (sleep, subprocess, file, socket
+  and path I/O, ``mmap``, ``fsync``, a wait) or a fixpoint entry
+  (``check_max_iterations``, which every Eq. 4 and Eq. 10 solve calls
+  first) raises while the thread holds a lock not annotated ``#: may
+  block: <reason>`` (same line or the line above the assignment), and so
+  does acquiring an annotated lock while holding one that is not.
+  ``Condition.wait`` on the held lock is clean: waiting releases it.
 
 :func:`install` replaces ``threading.Lock`` with a factory that returns a
 :class:`TrackedLock` when the calling module is under ``repro.`` and a real
 lock otherwise, so the standard library (``Condition``, ``Event``,
-``queue``) keeps its own locks.  It then imports every ``repro`` module
-that carries an annotation and guards its classes; an annotation naming a
-lock its class never assigns fails there.
+``queue``) keeps its own locks, and wraps the blocking primitives in
+:data:`BLOCKING` and ``check_max_iterations``.  It then reads every
+``repro`` module that carries an annotation and guards its classes; a
+``guarded by`` annotation naming a lock its class never assigns, or a
+``may block`` annotation on a line that builds no lock, fails there.
 
 Every violation is also appended to :data:`violations`: a server thread may
 swallow the exception, so ``tests/conftest.py`` fails the test that left
@@ -37,21 +47,31 @@ its violations to stderr instead.
 from __future__ import annotations
 
 import ast
+import builtins
 import contextlib
+import functools
 import importlib
 import importlib.util
 import inspect
 import itertools
 import linecache
+import mmap
 import os
+import pathlib
 import re
+import select
+import socket
+import subprocess
 import sys
 import textwrap
 import threading
+import time
 import traceback
 import types
+import urllib.request
 from _thread import allocate_lock, get_ident
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -64,6 +84,7 @@ CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
 DEPTH = 8
 
 _GUARD = re.compile(r"#:\s*guarded by self\.(\w+)")
+_MAY_BLOCK = re.compile(r"#:\s*may block:\s*\S")
 
 #: Violations raised and not yet claimed by :func:`raises`.
 violations: list[LockdepError] = []
@@ -73,8 +94,11 @@ edges: dict[str, dict[str, traceback.StackSummary]] = {}
 _graph_lock = allocate_lock()
 #: thread ident -> the tracked locks it holds, in acquisition order.
 _held: dict[int, list[TrackedLock]] = {}
-#: source file -> line -> ``Class.attr`` of the lock built on that line.
-_sites: dict[str, dict[int, str]] = {}
+#: source file -> line -> the lock built on that line.
+_sites: dict[str, dict[int, LockSite]] = {}
+#: Threads capturing a witness stack: ``linecache`` reads source files,
+#: which is not the caller blocking under its lock.
+_capturing: set[int] = set()
 _toys = itertools.count()
 _forked = False
 
@@ -98,15 +122,34 @@ class LockdepError(AssertionError):
 
 
 def _violation(summary, here, there) -> LockdepError:
-    error = LockdepError(summary, here, there)
+    with _capture():  # formatting reads the witnesses' source lines
+        error = LockdepError(summary, here, there)
     violations.append(error)
     if _forked:  # no test fixture runs in a forked worker to report it
         print(error, file=sys.stderr, flush=True)
     return error
 
 
-def _stack(frame) -> traceback.StackSummary:
-    return traceback.extract_stack(frame, limit=DEPTH)
+@contextlib.contextmanager
+def _capture():
+    me = get_ident()
+    _capturing.add(me)
+    try:
+        yield
+    finally:
+        _capturing.discard(me)
+
+
+def _stack(frame, line: int | None = None) -> traceback.StackSummary:
+    """The stack from ``frame`` out, with ``frame`` at ``line`` if given."""
+    with _capture():
+        stack = traceback.extract_stack(frame, limit=DEPTH)
+        if line is not None:
+            innermost = stack[-1]
+            stack[-1] = traceback.FrameSummary(
+                innermost.filename, line, innermost.name
+            )
+    return stack
 
 
 def _site(filename: str, lineno: int, name: str) -> traceback.StackSummary:
@@ -114,14 +157,16 @@ def _site(filename: str, lineno: int, name: str) -> traceback.StackSummary:
 
 
 class TrackedLock:
-    """A ``threading.Lock`` that refuses order cycles and re-acquisition."""
+    """A ``threading.Lock`` that refuses order cycles, re-acquisition and,
+    unless ``may_block``, blocking work while it is held."""
 
-    __slots__ = ("name", "_lock", "_owner", "_where")
+    __slots__ = ("name", "may_block", "_lock", "_owner", "_where")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, may_block: bool = False) -> None:
         self.name = name
+        self.may_block = may_block
         self._lock = allocate_lock()
-        #: Ident of the holding thread, and the (code, line) that took it.
+        #: Ident of the holding thread, and the (frame, line) that took it.
         self._owner: int | None = None
         self._where: tuple | None = None
 
@@ -144,20 +189,21 @@ class TrackedLock:
         me = get_ident()
         if blocking:
             if self._owner == me:
-                code, line = self._where
                 raise _violation(
                     f"{self.name} re-acquired by the thread that holds it "
                     "(a plain Lock would hang here)",
                     _stack(frame),
-                    _site(code.co_filename, line, code.co_name),
+                    _stack(*self._where),
                 )
             held = _held.get(me)
             if held:
+                if self.may_block:
+                    _check_may_block(f"{self.name}, which may block, taken", frame)
                 _record_order(held, self, frame)
         if not self._lock.acquire(blocking, timeout):
             return False
         self._owner = me
-        self._where = (frame.f_code, frame.f_lineno)
+        self._where = (frame, frame.f_lineno)
         _held.setdefault(me, []).append(self)
         return True
 
@@ -166,6 +212,7 @@ class TrackedLock:
         if held is not None:
             held.remove(self)
         self._owner = None
+        self._where = None
         self._lock.release()
 
 
@@ -180,8 +227,7 @@ def _record_order(held: list[TrackedLock], lock: TrackedLock, frame) -> None:
                 if len(back) > 1:
                     there = edges[back[0]][back[1]]
                 else:  # a second lock of the same class
-                    code, line = other._where
-                    there = _site(code.co_filename, line, code.co_name)
+                    there = _stack(*other._where)
                 raise _violation(
                     f"lock order cycle: {lock.name} acquired while holding "
                     f"{other.name}, but the order {' -> '.join(back)} "
@@ -217,8 +263,104 @@ def _lock_factory():
     if sites is None:
         _parse(Path(filename).read_text(encoding="utf-8"), filename)
         sites = _sites[filename]
-    lock_class = sites.get(frame.f_lineno, f"<line {frame.f_lineno}>")
-    return TrackedLock(f"{module}.{lock_class}")
+    site = sites.get(frame.f_lineno, LockSite(f"<line {frame.f_lineno}>"))
+    return TrackedLock(f"{module}.{site.name}", site.may_block)
+
+
+# -- blocking under a lock ------------------------------------------------------
+
+
+def _check_may_block(what: str, frame, releases=None) -> None:
+    """Raise if this thread holds a lock, other than ``releases``, that is
+    not annotated ``#: may block``."""
+    me = get_ident()
+    held = _held.get(me)
+    if not held or me in _capturing:
+        return
+    for lock in held:
+        if not lock.may_block and lock is not releases:
+            raise _violation(
+                f"{what} while holding {lock.name}, which is not annotated "
+                "'#: may block: <reason>': every thread waiting for the "
+                "lock waits for this too",
+                _stack(frame),
+                _stack(*lock._where),
+            )
+
+
+def _blocking(function, what: str):
+    """``function`` behind the blocking-under-a-lock check."""
+
+    @functools.wraps(function)
+    def checked(*args, **kwargs):
+        _check_may_block(what, sys._getframe(1))
+        return function(*args, **kwargs)
+
+    return checked
+
+
+def _condition_wait(wait):
+    """``Condition.wait`` releases its own lock, so only the others count."""
+
+    @functools.wraps(wait)
+    def checked(self, *args, **kwargs):
+        _check_may_block("Condition.wait called", sys._getframe(1), self._lock)
+        return wait(self, *args, **kwargs)
+
+    return checked
+
+
+class _Mmap(mmap.mmap):
+    """``mmap.mmap`` behind the check (a subclass keeps ``isinstance``)."""
+
+    def __new__(cls, *args, **kwargs):
+        _check_may_block("mmap.mmap called", sys._getframe(1))
+        return super().__new__(cls, *args, **kwargs)
+
+
+#: (owner, attribute) of every primitive checked: RL013's blocking calls and
+#: attribute tails, ``os.fsync`` and ``Event.wait``.  ``subprocess.run``,
+#: ``call``, ``check_call`` and ``check_output`` all start a ``Popen``.
+BLOCKING = (
+    (time, "sleep"),
+    (builtins, "open"),
+    (os, "open"),
+    (os, "fdopen"),
+    (os, "fsync"),
+    (select, "select"),
+    (socket, "create_connection"),
+    (socket.socket, "accept"),
+    (socket.socket, "recv"),
+    (socket.socket, "recvfrom"),
+    (socket.socket, "sendall"),
+    (urllib.request, "urlopen"),
+    (subprocess.Popen, "__init__"),
+    (subprocess.Popen, "wait"),
+    (pathlib.Path, "read_text"),
+    (pathlib.Path, "read_bytes"),
+    (pathlib.Path, "write_text"),
+    (pathlib.Path, "write_bytes"),
+    (threading.Event, "wait"),
+)
+
+
+def _check_blocking() -> None:
+    for owner, attr in BLOCKING:
+        name = f"{owner.__name__}.{attr}".replace(".__init__", "")
+        called = f"{name.removeprefix('builtins.')} called"
+        setattr(owner, attr, _blocking(getattr(owner, attr), called))
+    threading.Condition.wait = _condition_wait(threading.Condition.wait)
+    mmap.mmap = _Mmap
+    # Every Eq. 4 and Eq. 10 fixpoint entry calls check_max_iterations first.
+    from repro.ranking import pagerank
+
+    original = pagerank.check_max_iterations
+    checked = _blocking(original, "a fixpoint entered (check_max_iterations)")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and vars(module).get(
+            "check_max_iterations"
+        ) is original:
+            module.check_max_iterations = checked
 
 
 def _after_fork() -> None:
@@ -329,10 +471,23 @@ def _targets(node: ast.Assign | ast.AnnAssign) -> list[ast.expr]:
     return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
-def lock_sites(tree: ast.Module) -> dict[int, str]:
-    """Line -> lock class below the module (``Class.attr``, or ``attr`` at
-    module level) for each assignment of a ``threading.Lock()`` call."""
-    sites: dict[int, str] = {}
+class LockSite(NamedTuple):
+    """A ``threading.Lock()`` assignment: the lock class below the module
+    (``Class.attr``, or ``attr`` at module level), and whether it carries
+    ``#: may block: <reason>`` on its line or the comment line above."""
+
+    name: str
+    may_block: bool = False
+
+
+def _comment_only(line: str) -> bool:
+    return line.lstrip().startswith("#")
+
+
+def lock_sites(tree: ast.Module, lines: list[str]) -> dict[int, LockSite]:
+    """Line -> the lock built there, for every line of each assignment of a
+    ``threading.Lock()`` call."""
+    sites: dict[int, LockSite] = {}
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -342,10 +497,17 @@ def lock_sites(tree: ast.Module) -> dict[int, str]:
             if isinstance(child, (ast.Assign, ast.AnnAssign)) and _is_lock_call(
                 child.value
             ):
+                span = range(child.lineno, child.end_lineno + 1)
+                above = lines[child.lineno - 2] if child.lineno > 1 else ""
+                may_block = any(
+                    _MAY_BLOCK.search(text)
+                    for text in [above if _comment_only(above) else ""]
+                    + [lines[line - 1] for line in span]
+                )
                 for target in _targets(child):
                     attr = getattr(target, "attr", getattr(target, "id", None))
-                    for line in range(child.lineno, child.end_lineno + 1):
-                        sites[line] = f"{scope}{attr}"
+                    for line in span:
+                        sites[line] = LockSite(f"{scope}{attr}", may_block)
             visit(child, scope)
 
     visit(tree, "")
@@ -353,9 +515,21 @@ def lock_sites(tree: ast.Module) -> dict[int, str]:
 
 
 def _parse(source: str, filename: str) -> ast.Module:
-    """Parse ``filename`` and record the lock class of each lock it builds."""
+    """Parse ``filename`` and record each lock it builds; raise on a ``may
+    block`` annotation that annotates no lock."""
     tree = ast.parse(source)
-    _sites[filename] = lock_sites(tree)
+    lines = source.splitlines()
+    sites = _sites[filename] = lock_sites(tree, lines)
+    for lineno, text in enumerate(lines, 1):
+        if _MAY_BLOCK.search(text) and not (
+            lineno in sites or (_comment_only(text) and lineno + 1 in sites)
+        ):
+            raise _violation(
+                f"'#: may block' on line {lineno} annotates no "
+                "threading.Lock() assignment",
+                _site(filename, lineno, "may block"),
+                _site(filename, lineno + 1, "the line it annotates"),
+            )
     return tree
 
 
@@ -365,7 +539,7 @@ def guard_module(
     """Install a :class:`GuardedAttribute` for every annotation in ``module``'s
     top-level classes; raise on one that names no lock of its class."""
     lines = source.splitlines()
-    lock_classes = set(_sites[filename].values())
+    lock_classes = {site.name for site in _sites[filename].values()}
     for class_def in tree.body:
         if not isinstance(class_def, ast.ClassDef):
             continue
@@ -402,14 +576,18 @@ def guard_module(
 
 
 def install() -> None:
-    """Track ``repro``'s locks and guard its annotated attributes."""
+    """Track ``repro``'s locks, check blocking under them and guard the
+    annotated attributes."""
     threading.Lock = _lock_factory
     os.register_at_fork(after_in_child=_after_fork)
+    _check_blocking()
     (root,) = importlib.util.find_spec("repro").submodule_search_locations
     for path in sorted(Path(root).rglob("*.py")):
         source = path.read_text(encoding="utf-8")
+        if "may block:" not in source and "guarded by self." not in source:
+            continue
+        tree = _parse(source, str(path))
         if "guarded by self." in source:
-            tree = _parse(source, str(path))
             parts = path.relative_to(Path(root).parent).with_suffix("").parts
             module = importlib.import_module(".".join(parts))
             guard_module(module, tree, source, str(path))

@@ -42,7 +42,8 @@ def _get(url: str) -> tuple[int, dict, dict]:
         with urllib.request.urlopen(url, timeout=30) as response:
             return response.status, json.loads(response.read()), dict(response.headers)
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), dict(error.headers)
+        with error:
+            return error.code, json.loads(error.read()), dict(error.headers)
 
 
 class TestDrainMechanics:

@@ -23,7 +23,8 @@ def _request(url: str, body: dict | None = None) -> tuple[int, dict]:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def _boot(service: QueryService):
@@ -223,7 +224,8 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_post_non_utf8_body_is_400(self, url):
         # Regression: the UnicodeDecodeError escaped as 500 internal_error.
@@ -234,8 +236,9 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"] == "bad_request"
+        with excinfo.value as error:
+            assert error.code == 400
+            assert json.loads(error.read())["error"] == "bad_request"
 
     def test_non_integer_content_length_is_400(self, server):
         # Regression: int("abc") escaped as 500 internal_error.

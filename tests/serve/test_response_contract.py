@@ -167,13 +167,17 @@ def test_a_refused_mutation_is_a_200_with_one_error_entry_and_serving_goes_on(se
     """A nonconforming insert, applied, would fail every later refresh."""
     server, _ = served
     connection = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
-    ingest = {"dataset": "fig1", "mutations": NONCONFORMING[:1]}
-    refused = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
-    assert (refused["applied"], len(refused["errors"])) == (0, 1)
-    assert "does not conform" in refused["errors"][0]["error"]
-    found = _check(*_call(connection, "GET", "/search?dataset=fig1&q=OLAP"), 200, [])
-    assert found["results"]
-    ingest = {"dataset": "fig1", "mutations": ADD_PAPER, "refresh": "force"}
-    forced = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
-    assert forced["errors"] == []
-    assert forced["refresh"]["pending_consumed"] == len(ADD_PAPER)
+    try:
+        ingest = {"dataset": "fig1", "mutations": NONCONFORMING[:1]}
+        refused = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
+        assert (refused["applied"], len(refused["errors"])) == (0, 1)
+        assert "does not conform" in refused["errors"][0]["error"]
+        search = "/search?dataset=fig1&q=OLAP"
+        found = _check(*_call(connection, "GET", search), 200, [])
+        assert found["results"]
+        ingest = {"dataset": "fig1", "mutations": ADD_PAPER, "refresh": "force"}
+        forced = _check(*_call(connection, "POST", "/ingest", ingest), 200, [])
+        assert forced["errors"] == []
+        assert forced["refresh"]["pending_consumed"] == len(ADD_PAPER)
+    finally:
+        connection.close()

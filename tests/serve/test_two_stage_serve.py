@@ -196,7 +196,8 @@ def _request(url: str, body: dict | None = None) -> tuple[int, dict]:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 @pytest.fixture(scope="module")

@@ -768,38 +768,105 @@ def checker_cross_imports(checkers_dir: Path) -> list[str]:
 
 
 def test_no_checker_imports_another_checker():
-    """Facts two rules need live in lockset.py, absint.py or summaries.py; a
-    checker importing a sibling is how a retired rule's helpers outlive it."""
+    """Facts two rules need live in a shared layer (``absint.py``); a checker
+    importing a sibling is how a retired rule's helpers outlive it."""
     assert checker_cross_imports(LINT / "checkers") == []
 
 
 def test_the_guard_sees_a_checker_importing_a_sibling(tmp_path):
     (tmp_path / "__init__.py").write_text(f"from {CHECKERS}.a import A\n")
-    (tmp_path / "a.py").write_text("from repro_lint.lockset import CONSTRUCTORS\n")
+    (tmp_path / "a.py").write_text("from repro_lint.absint import value_solution\n")
     (tmp_path / "b.py").write_text(f"from {CHECKERS}.a import helper\n")
     (tmp_path / "c.py").write_text(f"from {CHECKERS} import b\n")
     assert checker_cross_imports(tmp_path) == ["b -> a", "c -> b"]
 
 
-def test_the_registry_holds_seven_rules():
-    """RL003 folded into RL007, and RL007 and RL011 into the test suite's
-    lockdep, which checks lock order, re-acquisition and every guarded
-    access where the locks run; RL012's hazard is unwritable since every
-    serve cache key comes from ``Fence.key``, RL014's since every value the
-    HTTP layer hands the service comes out of a typed parser, RL006's and
-    RL016's since damping and rates are range-checked where they enter a
-    fixpoint, RL008's since every fixpoint is capped at its entry, RL009's
-    since rates are values and no latch is reset, and RL017's since the
-    store reader checks what it maps.  The ten codes stay unknown."""
+def test_the_registry_holds_six_rules():
+    """RL003 folded into RL007, and RL007, RL011 and RL013 into the test
+    suite's lockdep, which checks lock order, re-acquisition, every guarded
+    access and blocking work under a lock where the locks run; RL012's
+    hazard is unwritable since every serve cache key comes from
+    ``Fence.key``, RL014's since every value the HTTP layer hands the
+    service comes out of a typed parser, RL006's and RL016's since damping
+    and rates are range-checked where they enter a fixpoint, RL008's since
+    every fixpoint is capped at its entry, RL009's since rates are values
+    and no latch is reset, and RL017's since the store reader checks what
+    it maps.  The eleven codes stay unknown, and no rule reads more than
+    one file."""
     from repro_lint import checker_codes
 
     codes = checker_codes()
-    assert len(codes) == 7
+    assert len(codes) == 6
     retired = {
         "RL003", "RL006", "RL007", "RL008", "RL009", "RL011", "RL012",
-        "RL014", "RL016", "RL017",
+        "RL013", "RL014", "RL016", "RL017",
     }
     assert not retired & set(codes)
+    assert not hasattr(repro_lint.base, "ProjectChecker")
+
+
+# -- no helper hands out a fresh resource: RL010 stays per function -------------
+
+
+def resource_returns(src: Path) -> list[str]:
+    """``file:line function`` for each function that returns the result of
+    an RL010 acquisition primitive, directly or through a local."""
+    from repro_lint.base import call_name, walk_in_scope
+    from repro_lint.checkers.resource_lifecycle import ACQUIRE_CALLS
+
+    def acquires(node: ast.AST | None) -> bool:
+        return isinstance(node, ast.Call) and call_name(node) in ACQUIRE_CALLS
+
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = list(walk_in_scope(function))
+            fresh = {
+                target.id
+                for node in body
+                if isinstance(node, ast.Assign) and acquires(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            offenders.extend(
+                f"{path.relative_to(src).as_posix()}:{node.lineno} {function.name}"
+                for node in body
+                if isinstance(node, ast.Return)
+                and (
+                    acquires(node.value)
+                    or isinstance(node.value, ast.Name)
+                    and node.value.id in fresh
+                )
+            )
+    return offenders
+
+
+def test_no_function_returns_a_fresh_resource():
+    """RL010 reads one function: a helper returning what ``open``,
+    ``mmap.mmap`` or ``socket.socket`` gave it would hand its caller a
+    resource the rule cannot see acquired."""
+    assert resource_returns(SRC) == []
+
+
+def test_the_guard_sees_a_returned_resource(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import socket\n"
+        "\n"
+        "def direct(path):\n"
+        "    return open(path)\n"
+        "\n"
+        "def through_a_local():\n"
+        "    sock = socket.socket()\n"
+        "    return sock\n"
+        "\n"
+        "def read(path):\n"
+        "    with open(path) as handle:\n"
+        "        return handle.read()\n"
+    )
+    assert resource_returns(tmp_path) == ["a.py:4 direct", "a.py:8 through_a_local"]
 
 
 # -- every lock is one lockdep can reach: a call to threading.Lock() ------------
