@@ -23,6 +23,13 @@ ephemeral port, then asserts over HTTP:
 - a raw-socket ``POST`` with ``Expect: 100-continue`` gets its interim
   ``100 Continue`` before sending the body, then the answer.
 
+Then it boots ``python -m repro.cli serve dblp_tiny --ingest`` and POSTs two
+``/ingest`` batches with ``"refresh": "force"``: a title rewrite, then a new
+paper with its edges.  After each one the reply is 200 with
+``staleness.epoch`` one higher, a search for a term the batch added returns
+the node it went to, and the term the rewrite removed no longer matches the
+rewritten node.
+
 Exits non-zero on any failure, so a workflow can gate on it directly:
 
     PYTHONPATH=src python scripts/smoke_serve.py
@@ -30,6 +37,7 @@ Exits non-zero on any failure, so a workflow can gate on it directly:
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import select
@@ -190,11 +198,66 @@ def exercise_wire(base: str) -> None:
     print("smoke: Expect: 100-continue answered before the body, then 200")
 
 
-def main() -> int:
+def ranked_ids(base: str, term: str) -> list[str]:
+    page = call_json(base, f"/search?dataset={DATASET}&q={term}&top_k=10")
+    return [hit["id"] for hit in page["results"]]
+
+
+def exercise_ingest(base: str) -> None:
+    """Two forced refreshes: a content edit, then a topology batch."""
+    from repro.datasets import load_dataset
+    from repro.ir.index import InvertedIndex
+
+    graph = load_dataset(DATASET).data_graph
+    index = InvertedIndex.from_graph(graph)
+    # A paper holding a term no other document has: once the rewrite drops
+    # it, no search for it can reach the paper through its own text.
+    paper, removed = next(
+        (node, term)
+        for node in graph.nodes_with_label("Paper")
+        for term in index.terms_of_document(node.node_id)
+        if index.document_frequency(term) == 1
+    )
+    assert paper.node_id in ranked_ids(base, removed)
+    rewrite = {
+        "op": "update_node",
+        "node_id": paper.node_id,
+        "attributes": {**paper.attributes, "title": "quokka"},
+    }
+    (year,) = (e.source for e in graph.in_edges(paper.node_id) if e.role == "contains")
+    author = next(e.target for e in graph.out_edges(paper.node_id) if e.role == "by")
+    addition = [
+        {"op": "add_node", "node_id": "paper:smoke", "label": "Paper",
+         "attributes": {"title": "numbat"}},
+        {"op": "add_edge", "source": year, "target": "paper:smoke", "role": "contains"},
+        {"op": "add_edge", "source": "paper:smoke", "target": author, "role": "by"},
+    ]
+    epoch = 0
+    for mutations, added, node_id in (
+        ([rewrite], "quokka", paper.node_id),
+        (addition, "numbat", "paper:smoke"),
+    ):
+        reply = call_json(
+            base, "/ingest", {"dataset": DATASET, "mutations": mutations, "refresh": "force"}
+        )
+        assert reply["applied"] == len(mutations) and not reply["errors"], reply["errors"]
+        epoch += 1
+        assert reply["staleness"]["epoch"] == epoch, reply["staleness"]
+        assert node_id in ranked_ids(base, added), f"{added!r} does not find {node_id}"
+        assert paper.node_id not in ranked_ids(base, removed), f"{removed!r} still matches"
+        print(
+            f"smoke: /ingest epoch {epoch}: {added!r} finds {node_id}, "
+            f"{removed!r} no longer matches {paper.node_id}"
+        )
+
+
+@contextlib.contextmanager
+def serving(*flags: str):
+    """Boot ``repro serve`` with ``flags``; yield its base URL; stop it."""
     server = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro.cli", "serve", DATASET,
-            "--port", "0", "--no-precompute", "--quiet",
+            "--port", "0", "--quiet", *flags,
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -204,10 +267,8 @@ def main() -> int:
         line = server.stdout.readline() if ready else ""
         assert "listening on http://" in line, f"server did not start: {line!r}"
         base = line.split("listening on ")[1].split()[0]
-        print(f"smoke: serving on {base}")
-        exercise_two_stage(base)
-        exercise(base)
-        exercise_wire(base)
+        print(f"smoke: serving on {base} ({' '.join(flags)})")
+        yield base
     finally:
         server.terminate()
         try:
@@ -215,7 +276,17 @@ def main() -> int:
         except subprocess.TimeoutExpired:
             server.kill()
             server.wait()
+        server.stdout.close()
     assert server.returncode == 0, f"repro serve exited {server.returncode}"
+
+
+def main() -> int:
+    with serving("--no-precompute") as base:
+        exercise_two_stage(base)
+        exercise(base)
+        exercise_wire(base)
+    with serving("--ingest") as base:
+        exercise_ingest(base)
     print("smoke: OK")
     return 0
 

@@ -280,6 +280,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     ingest = IngestEngine(
         dataset.data_graph,
         dataset.transfer_schema,
+        engine.index,
         min_document_frequency=args.min_df,
     )
     applied, errors = ingest.apply_batch(raw)

@@ -71,6 +71,11 @@ class DataGraph:
         self._edges: list[DataEdge] = []
         self._out: dict[str, list[DataEdge]] = {}
         self._in: dict[str, list[DataEdge]] = {}
+        # ``None`` until :meth:`copy` shares the per-node edge lists with a
+        # clone; then the ids whose out- / in-list this side has copied (or
+        # created) since, the only lists it may write in place.
+        self._own_out: set[str] | None = None
+        self._own_in: set[str] | None = None
         self._version = 0
         self._topology_version = 0
         # (version, node_ids, label -> code, codes) of the last
@@ -88,6 +93,9 @@ class DataGraph:
         self._nodes[node_id] = node
         self._out[node_id] = []
         self._in[node_id] = []
+        if self._own_out is not None:
+            self._own_out.add(node_id)
+            self._own_in.add(node_id)
         self._version += 1
         self._topology_version += 1
         return node
@@ -104,8 +112,12 @@ class DataGraph:
         # copies: a million-edge graph then stores each id once.
         edge = DataEdge(source_node.node_id, target_node.node_id, role)
         self._edges.append(edge)
-        self._out[source].append(edge)
-        self._in[target].append(edge)
+        if self._own_out is None:
+            self._out[source].append(edge)
+            self._in[target].append(edge)
+        else:
+            self._edge_list(source, outgoing=True).append(edge)
+            self._edge_list(target, outgoing=False).append(edge)
         self._version += 1
         self._topology_version += 1
         return edge
@@ -139,10 +151,10 @@ class DataGraph:
             e for e in self._edges if e.source != node_id and e.target != node_id
         ]
         for source in sources - {node_id}:
-            edges = self._out[source]
+            edges = self._edge_list(source, outgoing=True)
             edges[:] = [e for e in edges if e.target != node_id]
         for target in targets - {node_id}:
-            edges = self._in[target]
+            edges = self._edge_list(target, outgoing=False)
             edges[:] = [e for e in edges if e.source != node_id]
         self._version += 1
         self._topology_version += 1
@@ -163,21 +175,43 @@ class DataGraph:
                 and (role is None or edge.role == role)
             ):
                 del self._edges[position]
-                self._out[source].remove(edge)
-                self._in[target].remove(edge)
+                self._edge_list(source, outgoing=True).remove(edge)
+                self._edge_list(target, outgoing=False).remove(edge)
                 self._version += 1
                 self._topology_version += 1
                 return edge
         wanted = f" [{role}]" if role is not None else ""
         raise GraphError(f"no edge {source!r} -> {target!r}{wanted} to remove")
 
+    def _edge_list(self, node_id: str, outgoing: bool) -> list[DataEdge]:
+        """``node_id``'s out- or in-list, safe to write in place: copied
+        first if this side has not copied it since the last :meth:`copy`."""
+        if outgoing:
+            lists, owned = self._out, self._own_out
+        else:
+            lists, owned = self._in, self._own_in
+        edges = lists[node_id]
+        if owned is not None and node_id not in owned:
+            edges = lists[node_id] = list(edges)
+            owned.add(node_id)
+        return edges
+
     def copy(self) -> "DataGraph":
-        """An independent copy (nodes are immutable and shared by reference)."""
+        """An independent copy, copy-on-write per node.
+
+        Costs a few flat container copies, not one per node: nodes are
+        immutable and shared by reference, and the per-node edge lists are
+        shared until either side first writes to one — each side then
+        copies that one list for itself.  A mutation of either graph is
+        never visible through the other.
+        """
         clone = DataGraph()
         clone._nodes = dict(self._nodes)
         clone._edges = list(self._edges)
-        clone._out = {nid: list(edges) for nid, edges in self._out.items()}
-        clone._in = {nid: list(edges) for nid, edges in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
+        self._own_out, self._own_in = set(), set()
+        clone._own_out, clone._own_in = set(), set()
         clone._version = self._version
         clone._topology_version = self._topology_version
         return clone

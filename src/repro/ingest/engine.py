@@ -9,10 +9,14 @@ produced — the serve tier swaps that snapshot in atomically and publishes
 its ranker through the generation-swap store protocol.
 
 Thread safety: every mutation and every state read runs under the engine's
-lock; :meth:`refresh` freezes the working state (graph copy, index copy,
-tracker snapshot) under the lock and runs the expensive fixpoint work
-outside it, so mutations keep landing while a refresh converges.  If the
-build fails, the frozen dirt is merged back so no invalidation is lost.
+lock; :meth:`refresh` freezes the working state under the lock and runs the
+expensive fixpoint work outside it, so mutations keep landing while a
+refresh converges.  The freeze is a tracker snapshot plus copy-on-write
+copies of the graph and index (:meth:`DataGraph.copy`,
+:meth:`InvertedIndex.copy`): a few flat dict copies, whatever the corpus
+size, after which each per-node edge list or per-term postings dict is
+copied only when the next mutation first writes to it.  If the build fails,
+the frozen dirt is merged back so no invalidation is lost.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from repro.ingest.mutations import (
 from repro.ingest.refresh import refreshed_keyword_vectors
 from repro.ingest.tracker import DirtyKeywordTracker
 from repro.ir.index import InvertedIndex
-from repro.ir.tokenize import DEFAULT_ANALYZER, Analyzer
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
@@ -101,15 +104,21 @@ class IngestEngine:
         self,
         data_graph: DataGraph,
         transfer_schema: AuthorityTransferSchemaGraph,
-        analyzer: Analyzer = DEFAULT_ANALYZER,
+        index: InvertedIndex | None = None,
         damping: float = DEFAULT_DAMPING,
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         min_document_frequency: int = 2,
         min_coverage: float = 1.0,
     ) -> None:
+        """Start from ``data_graph`` and ``index``, its inverted index.
+
+        The caller's index (a :class:`~repro.query.engine.SearchEngine`'s,
+        say) saves tokenising the corpus again; without one the engine
+        indexes the graph itself.  Both are taken as copy-on-write copies,
+        so the caller's objects never see a mutation.
+        """
         self.transfer_schema = transfer_schema
-        self.analyzer = analyzer
         self.damping = damping
         self.tolerance = tolerance
         self.max_iterations = max_iterations
@@ -119,7 +128,9 @@ class IngestEngine:
         #: guarded by self._lock
         self._data_graph = data_graph.copy()
         #: guarded by self._lock
-        self._index = InvertedIndex.from_graph(self._data_graph, analyzer)
+        self._index = (
+            InvertedIndex.from_graph(self._data_graph) if index is None else index.copy()
+        )
         #: guarded by self._lock
         self._tracker = DirtyKeywordTracker()
         #: guarded by self._lock
@@ -293,8 +304,9 @@ class IngestEngine:
     ) -> RefreshResult:
         """Produce a fresh serving snapshot from the working state.
 
-        Freezes the working graph/index and the accumulated dirt under the
-        lock, rebinds the last snapshot's transfer graph to the frozen copy
+        Freezes the working graph/index (copy-on-write copies, so the lock
+        is held for a few flat dict copies) and the accumulated dirt under
+        the lock, rebinds the last snapshot's transfer graph to the frozen copy
         when their ``topology_version`` agrees (builds one otherwise), then
         re-converges only the dirty columns (relative to
         ``previous``, which must be the ranker of the *last* refresh — any

@@ -86,6 +86,10 @@ class InvertedIndex:
         self._doc_terms: dict[str, dict[str, int]] = {}
         self._doc_length: dict[str, int] = {}
         self._total_length = 0
+        # ``None`` until :meth:`copy` shares the per-term postings dicts with
+        # a clone; then the terms whose dict this side has copied (or
+        # created) since, the only ones it may write in place.
+        self._owned: set[str] | None = None
         # The columnar view of the current state (:meth:`columns`), keyed by
         # a counter every mutation bumps: built on first use, and a mutation
         # retires it whole — ordinals are dense positions, a removal shifts
@@ -126,9 +130,16 @@ class InvertedIndex:
         self._total_length += dl
         terms: dict[str, int] = {}
         for term in self.analyzer.terms(text):
-            postings = self._postings.setdefault(term, {})
-            postings[doc_id] = postings.get(doc_id, 0) + 1
             terms[term] = terms.get(term, 0) + 1
+        postings_of, owned = self._postings, self._owned
+        for term, tf in terms.items():
+            postings = postings_of.get(term)
+            if postings is None or (owned is not None and term not in owned):
+                postings = {} if postings is None else dict(postings)
+                postings_of[term] = postings
+                if owned is not None:
+                    owned.add(term)
+            postings[doc_id] = tf
         self._doc_terms[doc_id] = terms
         self._version += 1
 
@@ -138,18 +149,19 @@ class InvertedIndex:
         Term and document iteration order (and therefore everything derived
         from it, e.g. precomputed-vocabulary order) is preserved, so a copy
         can stand in for the original in determinism-sensitive rebuilds.
-        The copy starts with no columnar view (:meth:`columns`) — it is the
-        working copy of a mutation batch, which would drop it anyway.
+        Costs a few flat dict copies, not one per term: the per-term
+        postings dicts are shared until either side first writes to one,
+        and each side then copies that one dict for itself (the per-document
+        term dicts are never written in place).  The copy starts with no
+        columnar view (:meth:`columns`) — it is the working copy of a
+        mutation batch, which would drop it anyway.
         """
         clone = InvertedIndex(self.analyzer)
-        clone._postings = {
-            term: dict(postings) for term, postings in self._postings.items()
-        }
-        clone._doc_terms = {
-            doc_id: dict(terms) for doc_id, terms in self._doc_terms.items()
-        }
+        clone._postings = dict(self._postings)
+        clone._doc_terms = dict(self._doc_terms)
         clone._doc_length = dict(self._doc_length)
         clone._total_length = self._total_length
+        self._owned, clone._owned = set(), set()
         return clone
 
     def remove_document(self, doc_id: str) -> None:
@@ -157,11 +169,16 @@ class InvertedIndex:
         if doc_id not in self._doc_length:
             return
         self._total_length -= self._doc_length.pop(doc_id)
+        owned = self._owned
         for term in self._doc_terms.pop(doc_id, ()):
             postings = self._postings[term]
-            del postings[doc_id]
-            if not postings:
+            if len(postings) == 1:
                 del self._postings[term]
+                continue
+            if owned is not None and term not in owned:
+                postings = self._postings[term] = dict(postings)
+                owned.add(term)
+            del postings[doc_id]
         self._version += 1
 
     # -- statistics ----------------------------------------------------------

@@ -231,6 +231,7 @@ class DatasetRuntime:
             self.ingest = IngestEngine(
                 dataset.data_graph,
                 dataset.transfer_schema,
+                self.engine.index,
                 min_document_frequency=config.precompute_min_document_frequency,
                 min_coverage=config.precompute_min_coverage,
             )

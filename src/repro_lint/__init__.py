@@ -20,8 +20,7 @@ Layers:
   :class:`SourceFile`, which owns every traversal (each root node is
   walked once per run, whichever rule asks first);
 * :mod:`repro_lint.cfg` — intraprocedural CFG construction;
-* :mod:`repro_lint.dataflow` — the worklist fixpoint solver plus the
-  reaching-definitions / live-variables reference instances;
+* :mod:`repro_lint.dataflow` — the worklist fixpoint solver;
 * :mod:`repro_lint.pragmas` — ``# repro-lint: ignore[RL001]`` inline
   suppressions;
 * :mod:`repro_lint.baseline` — the ``.repro-lint-baseline.json``
@@ -48,13 +47,7 @@ from repro_lint.cfg import (
     WithExit,
     build_cfg,
 )
-from repro_lint.dataflow import (
-    DataflowProblem,
-    LiveVariables,
-    ReachingDefinitions,
-    Solution,
-    solve,
-)
+from repro_lint.dataflow import DataflowProblem, Solution, solve
 from repro_lint.baseline import (
     DEFAULT_BASELINE_NAME,
     Baseline,
@@ -81,8 +74,6 @@ __all__ = [
     "WithExit",
     "build_cfg",
     "DataflowProblem",
-    "LiveVariables",
-    "ReachingDefinitions",
     "Solution",
     "solve",
     "Baseline",

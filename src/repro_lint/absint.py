@@ -79,8 +79,6 @@ class ValueProblem(DataflowProblem):
     visited predecessors does not destroy information.
     """
 
-    direction = "forward"
-
     def __init__(self, source=None) -> None:
         #: The file whose CFG is solved: its traversals serve the transfer
         #: functions (only :meth:`eval` and refinement run without one).

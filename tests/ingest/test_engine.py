@@ -1,5 +1,8 @@
 """Unit tests for IngestEngine: buffering, classification and refresh."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,13 @@ from repro.errors import ConformanceError, GraphError, IngestError, UnknownNodeE
 from repro.graph import AuthorityTransferDataGraph, DataGraph, find_violations
 from repro.graph import transfer_graph
 from repro.ingest import AddNode, IngestEngine, UpdateNode
+from repro.ir.index import InvertedIndex
 from repro.ranking import _native
 
 from tests.ranking.reference import objectrank
 from repro.ranking.precompute import PrecomputedRanker
 from tests.graph.reference import tricky_rates
+from tests.properties.test_copy_on_write_properties import graph_state, index_state
 
 
 @pytest.fixture
@@ -32,6 +37,97 @@ class TestWorkingCopyIsolation:
         result = ingest.refresh(precompute=False)
         ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
         assert not result.data_graph.has_node("p_new")
+
+    def test_the_working_index_is_the_callers_not_a_rebuild(self, dblp_tiny_engine):
+        """Started from the caller's index, the engine indexes exactly what
+        ``from_graph`` would — postings, lengths, term order — and shares
+        its postings dicts instead of tokenising the corpus again."""
+        engine = dblp_tiny_engine
+        ingest = IngestEngine(engine.data_graph, engine.transfer_schema, engine.index)
+        working = ingest.refresh(precompute=False).index
+        rebuilt = InvertedIndex.from_graph(engine.data_graph)
+        assert index_state(working) == index_state(rebuilt)
+        assert all(
+            working._postings[term] is postings
+            for term, postings in engine.index._postings.items()
+        )
+        ingest.update_node("paper:0", {"title": "copy on write"})
+        assert index_state(engine.index) == index_state(rebuilt)
+
+    def test_a_refresh_shares_what_the_next_rewrite_leaves_alone(self, dblp_tiny_engine):
+        """The freeze is copy-on-write.  After 4 title rewrites, the next
+        snapshot holds its own copy of the postings of every term the
+        rewrites removed or added, and shares every other postings dict and
+        every adjacency list with the snapshot before them."""
+        engine = dblp_tiny_engine
+        ingest = IngestEngine(engine.data_graph, engine.transfer_schema, engine.index)
+        before = ingest.refresh(precompute=False)
+        papers = [n.node_id for n in before.data_graph.nodes() if n.label == "Paper"]
+        touched = {"copy", "write", "rewrite"}
+        for node_id in papers[:4]:
+            touched.update(before.index.terms_of_document(node_id))
+            ingest.update_node(node_id, {"title": "copy on write rewrite"})
+        after = ingest.refresh(precompute=False)
+        for node_id in before.data_graph.node_ids():
+            assert after.data_graph._out[node_id] is before.data_graph._out[node_id]
+            assert after.data_graph._in[node_id] is before.data_graph._in[node_id]
+        for term, postings in before.index._postings.items():
+            shared = after.index._postings.get(term) is postings
+            assert shared == (term not in touched), term
+
+
+class TestSnapshotsUnderConcurrentMutation:
+    def test_readers_never_see_a_later_mutation(self, figure1):
+        """One writer mutates and refreshes while more readers than cores
+        re-read every snapshot it published: a write that reached a shared
+        edge list or postings dict in place would change a snapshot."""
+        ingest = IngestEngine(figure1.data_graph, figure1.transfer_schema)
+        snapshots = []
+        stop = threading.Event()
+        failures = []
+
+        def freeze():
+            result = ingest.refresh(precompute=False)
+            graph, index = result.data_graph, result.index
+            snapshots.append((graph, index, graph_state(graph), index_state(index)))
+
+        def write():
+            try:
+                for step in range(150):
+                    title = " ".join(["olap", "cube", "xml", "stream"][: step % 4 + 1])
+                    ingest.update_node("v7", {"title": title})
+                    ingest.add_node(f"p{step}", "Paper", {"title": title})
+                    ingest.add_edge(f"p{step}", "v7", "cites")
+                    if step % 3:
+                        ingest.remove_edge(f"p{step}", "v7", "cites")
+                    if step % 5 == 0:
+                        ingest.remove_node(f"p{step}")
+                    freeze()
+            finally:
+                stop.set()
+
+        def read():
+            while not stop.is_set():
+                for graph, index, graph_then, index_then in list(snapshots):
+                    if graph_state(graph) != graph_then or index_state(index) != index_then:
+                        failures.append(len(snapshots))
+                        return
+
+        freeze()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)]
+            threads += [threading.Thread(target=read) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(snapshots) == 151
+        assert failures == []
 
 
 class TestClassification:

@@ -48,6 +48,20 @@ def _targets(atdg, seed):
     return rotated[:5] + ["author:0", "conf:0"]
 
 
+def same_bits(left, right) -> bool:
+    """Whether two float sequences hold the same bit patterns.
+
+    What "bit-identical" means: stricter than ``==`` on ±0.0, and identical
+    NaNs match — an Eq. 10 fixpoint that overflows to ``nan`` the same way
+    on both paths agrees.
+    """
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    return left.shape == right.shape and np.array_equal(
+        left.view(np.uint64), right.view(np.uint64)
+    )
+
+
 def assert_bit_identical(serial, batched):
     sg, bg = serial.subgraph, batched.subgraph
     assert sg.target == bg.target
@@ -62,12 +76,13 @@ def assert_bit_identical(serial, batched):
     assert sg.target_local == bg.target_local
     for derived, filled in zip(sg.flow_operator, bg.flow_operator):
         assert np.array_equal(derived, filled)
-    assert np.array_equal(serial.original_flows, batched.original_flows)
-    assert np.array_equal(serial.flows, batched.flows)
-    assert serial.reduction == batched.reduction
+    assert same_bits(serial.original_flows, batched.original_flows)
+    assert same_bits(serial.flows, batched.flows)
+    assert list(serial.reduction) == list(batched.reduction)
+    assert same_bits(list(serial.reduction.values()), list(batched.reduction.values()))
     assert serial.iterations == batched.iterations
     assert serial.converged == batched.converged
-    assert serial.residuals == batched.residuals
+    assert same_bits(serial.residuals, batched.residuals)
 
 
 def _assert_pipeline_identical(

@@ -5,15 +5,16 @@ Extraction and the Equation 10 fixpoint run through
 index order and each target iterated to its own convergence must not move a
 node, an edge or a float: every subgraph field, the flows, the reduction
 factors, the residual trace, the iteration count and ``converged`` are
-``==`` the serial ``build_explaining_subgraph`` + ``adjust_flows``, with the
-kernels and with them forced off.
+bit-identical to the serial ``build_explaining_subgraph`` + ``adjust_flows``
+(a fixpoint that overflows to ``nan`` included), with the kernels and with
+them forced off.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import dblp_transfer_schema
@@ -24,7 +25,7 @@ from repro.explain import (
     build_explaining_subgraph,
 )
 from repro.explain import batch
-from repro.graph import AuthorityTransferDataGraph
+from repro.graph import AuthorityTransferDataGraph, DataGraph
 from repro.ranking import _native
 
 from tests.properties.strategies import dblp_graphs, rate_vectors
@@ -70,6 +71,39 @@ def explain_cases(draw):
         within=within,
         scores=scores,
         stopping=draw(st.sampled_from([(1e-10, 1000), (1e-3, 1000), (0.0, 5)])),
+    )
+
+
+def overflowing_case():
+    """Five nodes whose Eq. 10 fixpoint overflows to ``nan``.
+
+    Every rate is 1, so each paper passes on 4 times what reaches it (a
+    label's outgoing rates sum above 1, outside Theorem 1's premise) and the
+    reduction factors grow until they overflow; the residuals turn ``nan``
+    after it.  Both paths must report that run bit for bit, ``converged``
+    false included.  (At rate 0.25, where no label's rates sum above 1, the
+    same graph converges in 59 iterations.)
+    """
+    data = DataGraph()
+    data.add_node("conf:0", "Conference", {"name": "icde"})
+    data.add_node("year:0", "Year", {"name": "icde", "year": "1997"})
+    data.add_edge("conf:0", "year:0", "has")
+    data.add_node("author:0", "Author", {"name": "author0"})
+    for paper in ("paper:0", "paper:1"):
+        data.add_node(paper, "Paper", {"title": "olap"})
+        data.add_edge("year:0", paper, "contains")
+        data.add_edge(paper, "author:0", "by")
+    data.add_edge("paper:0", "paper:1", "cites")
+    data.add_edge("paper:1", "paper:0", "cites")
+    graph = AuthorityTransferDataGraph(data, dblp_transfer_schema([1.0] * 8))
+    return dict(
+        graph=graph,
+        base=["conf:0"],
+        targets=["conf:0"],
+        radius=None,
+        within=None,
+        scores=np.random.default_rng(0).random(graph.num_nodes),
+        stopping=(1e-10, 1000),
     )
 
 
@@ -127,6 +161,7 @@ def returns_of(name):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(case=explain_cases())
+@example(case=overflowing_case())
 def test_explanations_equal_the_serial_pipeline(path, case):
     bind_patch, bound = returns_of("bind_subgraph_kernel")
     fix_patch, fixed = returns_of("flow_fixpoints")
