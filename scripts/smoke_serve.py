@@ -6,8 +6,10 @@ ephemeral port, then asserts over HTTP:
 
 - ``/healthz`` answers 200 with ``status: ok``;
 - a ``mode=two_stage`` ``/search`` carries ``two_stage.subgraph_nodes`` /
-  ``subgraph_edges`` and a page equal to the in-process engine's, and one
-  naming the removed ``fusion`` / ``fusion_weight`` gets a 400 naming it;
+  ``subgraph_edges`` and a page equal to the in-process engine's, one
+  naming the removed ``fusion`` / ``fusion_weight`` gets a 400 naming it,
+  and an ``/explain`` naming the removed ``mode: two_stage`` gets a 400
+  naming it;
 - ``/search`` answers 200 with a non-empty ranked result list;
 - a repeated identical query is served from the cache, and the ``/metrics``
   hit counter proves it;
@@ -110,6 +112,17 @@ def exercise_two_stage(base: str) -> None:
         else:
             raise AssertionError(f"a /search naming {name} was answered")
     print("smoke: /search naming fusion or fusion_weight refused with 400")
+
+    top = served["results"][0]["id"]
+    body = {"dataset": DATASET, "query": "mining cube", "target": top, "mode": "two_stage"}
+    try:
+        call(base, "/explain", body)
+    except urllib.error.HTTPError as refused:
+        message = json.loads(refused.read())["message"]
+        assert refused.code == 400 and "'mode': 'two_stage' was removed" in message, message
+    else:
+        raise AssertionError("a two-stage /explain was answered")
+    print("smoke: /explain naming mode=two_stage refused with 400")
 
 
 def exercise(base: str) -> None:

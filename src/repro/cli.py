@@ -47,58 +47,49 @@ def _build_system(args: argparse.Namespace) -> tuple:
     from repro.datasets import load_dataset
 
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    # Only `repro search` exposes retrieval-mode flags; the other commands
-    # sharing this builder default to full retrieval.
-    config = SystemConfig(
-        top_k=args.top_k,
-        retrieval_mode=getattr(args, "mode", "full").replace("-", "_"),
-        **_two_stage_config(args),
-    )
+    config = SystemConfig(top_k=args.top_k)
     system = ObjectRankSystem(dataset.data_graph, dataset.transfer_schema, config)
     return dataset, system
 
 
-def _add_two_stage_flags(
-    parser: argparse.ArgumentParser, rerank: str, when: str
-) -> None:
-    """The two-stage flags of ``repro search`` and ``repro serve``.
-
-    ``rerank`` prefixes the neighborhood flags (``repro serve`` spells them
-    ``--rerank-horizon`` ...); ``when`` opens every help line.  No flag
-    carries a default: an unset one keeps the config's (see
-    :func:`_two_stage_config`), so the defaults live in one place.
-    """
+def _add_two_stage_flags(parser: argparse.ArgumentParser) -> None:
+    """``repro serve``'s defaults for ``mode=two_stage`` searches.  No flag
+    carries a default: an unset one keeps :class:`ServeConfig`'s (see
+    :func:`_two_stage_config`), so the defaults live in one place."""
+    when = "mode=two_stage default"
     parser.add_argument(
         "--candidates", type=int, metavar="N",
         help=f"{when}: stage-1 candidate-set size",
     )
     parser.add_argument(
-        f"--{rerank}horizon", type=int,
+        "--rerank-horizon", type=int,
         help=f"{when}: rerank neighborhood hops",
     )
     parser.add_argument(
-        f"--{rerank}expand-cap", type=int, metavar="D",
+        "--rerank-expand-cap", type=int, metavar="D",
         help=f"{when}: include but do not expand through nodes with "
         "transfer-edge degree above D (default: expand all)",
     )
     parser.add_argument(
-        f"--{rerank}node-budget", type=int, metavar="B",
+        "--rerank-node-budget", type=int, metavar="B",
         help=f"{when}: keep deepening past the horizon (up to "
-        f"--{rerank}max-horizon hops) while the neighborhood holds fewer "
+        "--rerank-max-horizon hops) while the neighborhood holds fewer "
         "than B nodes",
     )
     parser.add_argument(
-        f"--{rerank}max-horizon", type=int,
+        "--rerank-max-horizon", type=int,
         help=f"{when}: hop ceiling for node-budget deepening",
     )
 
 
-def _two_stage_config(args: argparse.Namespace, rerank: str = "") -> dict:
-    """The two-stage config fields the command line set, by field name."""
-    fields = {"candidates": getattr(args, "candidates", None)}
-    for name in ("horizon", "expand_cap", "node_budget", "max_horizon"):
-        fields[f"rerank_{name}"] = getattr(args, rerank + name, None)
-    return {name: value for name, value in fields.items() if value is not None}
+def _two_stage_config(args: argparse.Namespace) -> dict:
+    """The two-stage :class:`ServeConfig` fields the command line set."""
+    fields = ("candidates", "rerank_horizon", "rerank_expand_cap",
+              "rerank_node_budget", "rerank_max_horizon")
+    return {
+        name: getattr(args, name) for name in fields
+        if getattr(args, name) is not None
+    }
 
 
 def _print_results(dataset, result) -> None:
@@ -122,19 +113,8 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     """The ``repro search`` subcommand."""
-    from repro.retrieval.engine import TwoStageSearchResult
-
     dataset, system = _build_system(args)
-    result = system.query(" ".join(args.keywords))
-    _print_results(dataset, result)
-    if isinstance(result, TwoStageSearchResult) and result.stages is not None:
-        stages = result.stages
-        print(
-            f"(two-stage: {stages.num_candidates} candidates -> "
-            f"{stages.subgraph_nodes} nodes/{stages.subgraph_edges} edges "
-            f"reranked; stage1 {stages.stage1_seconds * 1000:.1f} ms, "
-            f"stage2 {stages.stage2_seconds * 1000:.1f} ms)"
-        )
+    _print_results(dataset, system.query(" ".join(args.keywords)))
     return 0
 
 
@@ -388,7 +368,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ingest=args.ingest,
         ingest_staleness_bound=args.staleness_bound,
         ingest_refresh_mode=args.refresh_mode,
-        **_two_stage_config(args, rerank="rerank_"),
+        **_two_stage_config(args),
     )
 
     if args.workers and args.workers > 1:
@@ -565,12 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run an ObjectRank2 query")
     common(search)
     search.add_argument("keywords", nargs="+")
-    search.add_argument(
-        "--mode", choices=["full", "two-stage"], default="full",
-        help="full runs ObjectRank2 over the whole graph; two-stage runs "
-        "top-N BM25 candidate generation + focused authority reranking",
-    )
-    _add_two_stage_flags(search, rerank="", when="with --mode two-stage")
     search.set_defaults(func=cmd_search)
 
     explain = sub.add_parser("explain", help="explain one result of a query")
@@ -699,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --ingest: dirty-column refresh mode (exact is "
         "bit-identical to a full rebuild; warm reuses previous fixpoints)",
     )
-    _add_two_stage_flags(serve, rerank="rerank-", when="mode=two_stage default")
+    _add_two_stage_flags(serve)
     serve.set_defaults(func=cmd_serve)
 
     store = sub.add_parser(

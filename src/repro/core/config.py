@@ -15,11 +15,8 @@ from repro.reformulate.content import (
     DEFAULT_NUM_TERMS,
 )
 from repro.reformulate.structure import DEFAULT_ADJUSTMENT_FACTOR
-from repro.retrieval.engine import DEFAULT_CANDIDATES, DEFAULT_RERANK_HORIZON
 
 DEFAULT_RADIUS = 3  # L; "a relatively small L (e.g., L=3) is adequate" (Section 4)
-
-RETRIEVAL_MODES = ("full", "two_stage")
 
 
 @dataclass(frozen=True)
@@ -46,20 +43,6 @@ class SystemConfig:
     # Section 6.2: "for the initial user query, we initialize every node in
     # D^A with their global ObjectRank values, to achieve faster convergence."
     global_warm_start: bool = True
-    #: "full" runs ObjectRank2 over the whole graph; "two_stage" runs top-N
-    #: BM25 candidate generation + focused authority reranking
-    #: (:mod:`repro.retrieval`), whose cost scales with the result page.
-    retrieval_mode: str = "full"
-    #: Two-stage stage-1 candidate-set size N.
-    candidates: int = DEFAULT_CANDIDATES
-    #: Hops of neighborhood expanded around the candidates for reranking.
-    rerank_horizon: int = DEFAULT_RERANK_HORIZON
-    #: Hub-expansion cap and adaptive-deepening budget of the rerank
-    #: neighborhood (see :func:`repro.ranking.focused.focused_neighborhood`);
-    #: ``None`` keeps the exact uncapped, fixed-horizon expansion.
-    rerank_expand_cap: int | None = None
-    rerank_node_budget: int | None = None
-    rerank_max_horizon: int | None = None
 
     @classmethod
     def content_only(cls, expansion_factor: float = 0.2, **overrides) -> "SystemConfig":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import RETRIEVAL_MODES, SystemConfig
+from repro.core.config import SystemConfig
 from repro.core.timing import (
     STAGE_ADJUST,
     STAGE_REFORMULATE,
@@ -47,7 +47,6 @@ from repro.query.query import KeywordQuery, QueryVector
 from repro.ranking.core import global_restarts, rank
 from repro.ranking.pagerank import Tolerance
 from repro.reformulate.combined import ReformulatedQuery, Reformulator
-from repro.retrieval.engine import TwoStageEngine, TwoStageSearchResult
 
 
 @dataclass
@@ -76,11 +75,6 @@ class ObjectRankSystem:
         engine: SearchEngine | None = None,
     ) -> None:
         self.config = config or SystemConfig()
-        if self.config.retrieval_mode not in RETRIEVAL_MODES:
-            raise ReproError(
-                f"unknown retrieval mode: {self.config.retrieval_mode!r} "
-                f"(choose from {RETRIEVAL_MODES})"
-            )
         self.engine = engine or SearchEngine(
             data_graph,
             transfer_schema,
@@ -105,7 +99,6 @@ class ObjectRankSystem:
         self._clock = StageClock()
         self._explaining_iterations: list[int] = []
         self._global_scores: np.ndarray | None = None
-        self._two_stage: TwoStageEngine | None = None
 
     # -- querying ------------------------------------------------------------
 
@@ -152,40 +145,6 @@ class ObjectRankSystem:
         self._clock = StageClock()
         self._explaining_iterations = []
 
-    def _search(self, init: np.ndarray | None) -> SearchResult:
-        """One retrieval run under the session's configured mode.
-
-        Two-stage retrieval builds its own restart from the candidates'
-        focused subgraph, so the warm-start vector only applies to full runs.
-        """
-        if self.config.retrieval_mode == "two_stage":
-            return self.two_stage_engine.search(
-                self.current_vector,
-                top_k=self.config.top_k,
-                rates=self.current_rates,
-            )
-        return self.engine.search(
-            self.current_vector,
-            top_k=self.config.top_k,
-            rates=self.current_rates,
-            init=init,
-        )
-
-    @property
-    def two_stage_engine(self) -> TwoStageEngine:
-        """The session's two-stage engine (built lazily from the config)."""
-        if self._two_stage is None:
-            self._two_stage = TwoStageEngine.from_config(self.engine, self.config)
-        return self._two_stage
-
-    def _explain_within(self) -> np.ndarray | None:
-        """Two-stage results explain within the candidate neighborhood only."""
-        if isinstance(self.last_result, TwoStageSearchResult):
-            stages = self.last_result.stages
-            if stages is not None:
-                return stages.neighborhood
-        return None
-
     def _run(self, label: str) -> SearchResult:
         """Search under the current vector and rates; close the iteration's
         timing row with whatever stages ran since the clock restarted."""
@@ -194,7 +153,12 @@ class ObjectRankSystem:
         clock = self._clock
         init = self._warm_start()
         with clock.stage(STAGE_SEARCH):
-            result = self._search(init)
+            result = self.engine.search(
+                self.current_vector,
+                top_k=self.config.top_k,
+                rates=self.current_rates,
+                init=init,
+            )
         self.last_result = result
         self.timings.append(
             IterationTiming(
@@ -259,7 +223,6 @@ class ObjectRankSystem:
                 list(self.last_result.ranked.base_weights),
                 node_ids,
                 self.config.radius,
-                within=self._explain_within(),
             )
         with self._clock.stage(STAGE_ADJUST):
             return batched_adjust_flows(

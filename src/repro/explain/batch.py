@@ -89,28 +89,17 @@ class _WorkArrays:
 
     ``tag[v] == epoch`` marks membership of the current target's backward
     set, ``reach[v] == epoch`` of its forward set; bumping the epoch resets
-    both in O(1).  ``allowed`` is the call's ``within`` restriction as a
-    mask, ``local`` where the subgraph's local ids are looked up.  One
-    instance per :meth:`SubgraphExtractor.extract_many` call — instances are
-    never shared concurrently.
+    both in O(1).  ``local`` is where the subgraph's local ids are looked
+    up.  One instance per :meth:`SubgraphExtractor.extract_many` call —
+    instances are never shared concurrently.
     """
 
-    def __init__(self, allowed: np.ndarray) -> None:
-        num_nodes = allowed.size
+    def __init__(self, num_nodes: int) -> None:
         self.tag = np.zeros(num_nodes, dtype=np.int64)
         self.depth = np.zeros(num_nodes, dtype=np.int64)
         self.reach = np.zeros(num_nodes, dtype=np.int64)
         self.local = np.zeros(num_nodes, dtype=np.int64)
-        self.allowed = allowed
         self.epoch = 0
-
-
-def _allowed(num_nodes: int, within: np.ndarray | None) -> np.ndarray:
-    """The ``within`` restriction as a bool mask over all nodes."""
-    allowed = np.full(num_nodes, within is None)
-    if within is not None:
-        allowed[np.asarray(within, dtype=np.int64)] = True
-    return allowed
 
 
 def _distinct(ids: np.ndarray, universe: int) -> np.ndarray:
@@ -151,14 +140,13 @@ class SubgraphExtractor:
 
         # Backward pass, level-synchronous: frontier ``L`` holds exactly the
         # nodes at BFS depth ``L``, so the depths equal the serial FIFO BFS's.
-        # The target seeds the pass, so a restriction never has to admit it.
         tag[target] = epoch
         depth[target] = 0
         frontier = np.asarray([target], dtype=np.int64)
         level = 0
         while frontier.size and (radius is None or level < radius):
             sources = graph.edge_source[gather_rows(*self._in_index, frontier)]
-            unseen = (tag[sources] != epoch) & work.allowed[sources]
+            unseen = tag[sources] != epoch
             fresh = _distinct(sources[unseen], num_nodes)
             level += 1
             tag[fresh] = epoch
@@ -220,15 +208,13 @@ class SubgraphExtractor:
         base_indices: np.ndarray,
         targets: Sequence[int],
         radius: int | None,
-        within: np.ndarray | None = None,
     ) -> list[ExplainingSubgraph]:
         """Extract a run of targets sequentially with shared scratch: through
         the compiled kernel when the process has it (same arrays), else
         through :meth:`extract`."""
-        allowed = _allowed(self.graph.num_nodes, within)
-        kernel = _native.bind_subgraph_kernel(self.graph, base_indices, allowed)
+        kernel = _native.bind_subgraph_kernel(self.graph, base_indices)
         if kernel is None:
-            work = _WorkArrays(allowed)
+            work = _WorkArrays(self.graph.num_nodes)
             return [self.extract(base_indices, t, radius, work) for t in targets]
         return [
             _subgraph(self.graph, t, radius, *kernel(t, radius)) for t in targets
@@ -272,7 +258,6 @@ def batched_build_explaining_subgraphs(
     target_ids: Sequence[str],
     radius: int | None = None,
     extractor: SubgraphExtractor | None = None,
-    within: np.ndarray | None = None,
 ) -> list[ExplainingSubgraph]:
     """``G_v^Q`` for every target, sharing one positive-rate adjacency.
 
@@ -280,18 +265,13 @@ def batched_build_explaining_subgraphs(
     :func:`repro.explain.build_explaining_subgraph` per target.  Pass a
     prebuilt ``extractor`` to reuse the filtered adjacency across batches
     under an unchanged rate setting.
-
-    ``within`` (node indices) confines every subgraph to those nodes — a
-    two-stage result explains within its candidate neighborhood only.  It is
-    one more mask beside the backward pass's visited stamp, so restricted
-    and unrestricted targets take the same path.
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
     targets = [graph.index_of(t) for t in target_ids]
     base_indices = graph.indices_of(list(base_node_ids))
     extractor = extractor or SubgraphExtractor(graph)
-    return extractor.extract_many(base_indices, targets, radius, within)
+    return extractor.extract_many(base_indices, targets, radius)
 
 
 # -- multi-target flow adjustment -------------------------------------------

@@ -193,26 +193,16 @@ def build_explaining_subgraph(
     base_node_ids: list[str],
     target_id: str,
     radius: int | None = None,
-    within: np.ndarray | None = None,
 ) -> ExplainingSubgraph:
     """Build ``G_v^Q`` for ``target_id`` given the query's base set.
 
     ``radius`` limits the backward pass to paths of at most that many edges
-    (the paper's ``L``); ``None`` means unbounded.  ``within`` (node indices)
-    confines both passes to the given nodes — two-stage results explain flow
-    through the candidate neighborhood only, matching the subgraph their
-    scores were actually computed on.
+    (the paper's ``L``); ``None`` means unbounded.
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
     target = graph.index_of(target_id)
     base_indices = [graph.index_of(nid) for nid in base_node_ids]
-    allowed: set[int] | None = None
-    if within is not None:
-        allowed = {int(index) for index in within}
-        # The target always belongs to its own explanation, even when it
-        # fell outside the restriction (an empty explanation still names it).
-        allowed.add(target)
 
     # Stage 1: backward BFS from the target; record depth-to-target.
     depth: dict[int, int] = {target: 0}
@@ -226,7 +216,7 @@ def build_explaining_subgraph(
             if graph.edge_rate[edge_id] <= 0.0:
                 continue
             source = int(graph.edge_source[edge_id])
-            if source not in depth and (allowed is None or source in allowed):
+            if source not in depth:
                 depth[source] = node_depth + 1
                 frontier.append(source)
 

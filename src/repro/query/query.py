@@ -115,7 +115,11 @@ class QueryVector:
         """``a_q`` of the Section 5.1 term-weight normalization."""
         if not self._weights:
             return 0.0
-        return sum(self._weights.values()) / len(self._weights)
+        count = len(self._weights)
+        total = sum(self._weights.values())
+        if math.isinf(total):  # finite weights whose sum overflows
+            return sum(weight / count for weight in self._weights.values())
+        return total / count
 
     def copy(self) -> "QueryVector":
         return QueryVector(self._weights)

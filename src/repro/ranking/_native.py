@@ -453,7 +453,7 @@ _SIGNATURES = {
     # The explain kernels take raw addresses too: their wrappers check every
     # buffer first.
     "subgraph_mark": [
-        *[_pointer] * 7, _count, _pointer, _count, _count, _count, *[_pointer] * 5,
+        *[_pointer] * 6, _count, _pointer, _count, _count, _count, *[_pointer] * 5,
     ],
     "subgraph_emit": [
         _count, _count, *[_pointer] * 5, _count, _pointer, _count, _count,
@@ -620,7 +620,7 @@ def _probe_subgraph(lib: ctypes.CDLL) -> bool:
 
     kernel = SubgraphKernel(
         lib, incidence(edge_target), incidence(edge_source), edge_source,
-        edge_target, np.asarray(rate), np.asarray([0, 5, 0]), np.ones(6, bool),
+        edge_target, np.asarray(rate), np.asarray([0, 5, 0]),
     )
     def listed(found):
         nodes, depths, roots, operator, *edges, target_local = found
@@ -819,7 +819,7 @@ def _address(array: np.ndarray) -> int:
 
 class SubgraphKernel:
     """Explaining-subgraph extraction bound to one graph's positive-rate
-    incidence, one base set and one ``within`` mask.
+    incidence and one base set.
 
     Owns the per-node stamps (epoch-tagged, so consecutive targets share
     them without a reset), the BFS queue and the per-edge mark, and binds
@@ -838,18 +838,16 @@ class SubgraphKernel:
         edge_target: np.ndarray,
         edge_rate: np.ndarray,
         base: np.ndarray,
-        allowed: np.ndarray,
     ) -> None:
-        num_nodes, num_edges = allowed.size, edge_source.size
+        num_nodes, num_edges = in_index[0].size - 1, edge_source.size
         tag, reach = np.zeros((2, num_nodes), dtype=np.int64)
         depth, local, queue = np.empty((3, num_nodes), dtype=np.int64)
         edge_mark = np.zeros(num_edges, dtype=np.uint8)
-        allowed = np.ascontiguousarray(allowed, dtype=bool).view(np.uint8)
         self._counts = np.zeros(3, dtype=np.int64)
         # The kernel reads these by address: keep them alive with the binding.
         self._arrays = (
             in_index, out_index, edge_source, edge_target, edge_rate, base,
-            allowed, tag, reach, depth, local, queue, edge_mark,
+            tag, reach, depth, local, queue, edge_mark,
         )
         edges = (
             _address(out_index[0]), _address(out_index[1]),
@@ -857,8 +855,7 @@ class SubgraphKernel:
         )
         based = (base.size, _address(base))
         self._mark_head = (
-            _address(in_index[0]), _address(in_index[1]), *edges,
-            _address(allowed), *based,
+            _address(in_index[0]), _address(in_index[1]), *edges, *based,
         )
         self._mark_tail = (
             _address(tag), _address(depth), _address(reach), _address(queue),
@@ -902,13 +899,12 @@ class SubgraphKernel:
 
 
 def bind_subgraph_kernel(
-    graph: AuthorityTransferDataGraph, base: np.ndarray, allowed: np.ndarray
+    graph: AuthorityTransferDataGraph, base: np.ndarray
 ) -> SubgraphKernel | None:
     """The compiled extraction of ``graph``'s explaining subgraphs from the
-    base-set indices ``base``, confined to the nodes ``allowed`` (a bool mask
-    per node), or ``None`` when the kernel is unavailable or an array is not
-    the int64 / float64 vector of the graph's size it needs (the caller then
-    extracts with numpy)."""
+    base-set indices ``base``, or ``None`` when the kernel is unavailable or
+    an array is not the int64 / float64 vector of the graph's size it needs
+    (the caller then extracts with numpy)."""
     lib = _ensure()
     if lib is None:
         return None
@@ -921,7 +917,6 @@ def bind_subgraph_kernel(
         and in_index[1].shape == out_index[1].shape
         and graph.edge_source.shape == graph.edge_target.shape
         == graph.edge_rate.shape == (m,)
-        and allowed.shape == (n,)
         and base.ndim == 1
         and all(array.dtype == np.int64 for array in integer)
         and graph.edge_rate.dtype == np.float64
@@ -931,7 +926,7 @@ def bind_subgraph_kernel(
         return None
     return SubgraphKernel(
         lib, in_index, out_index, graph.edge_source, graph.edge_target,
-        graph.edge_rate, base, allowed,
+        graph.edge_rate, base,
     )
 
 

@@ -11,8 +11,8 @@
  * reads the subgraph off the stamps into arrays sized by those counts.
  *
  * Backward pass: FIFO BFS from the target over the in-incidence; a source
- * enters when unstamped and allowed[s], at its parent's depth + 1, and nodes
- * at depth >= radius are not expanded (radius < 0: no limit).  FIFO order
+ * enters when unstamped, at its parent's depth + 1, and nodes at depth >=
+ * radius are not expanded (radius < 0: no limit).  FIFO order
  * discovers every node at its shortest distance, so the set and the depths
  * are the level-synchronous pass's.  Forward pass: FIFO BFS from the base
  * nodes inside that set, along out-edges whose head is inside it; every
@@ -22,7 +22,6 @@
 void subgraph_mark(const int64_t *in_indptr, const int64_t *in_edges,
                    const int64_t *out_indptr, const int64_t *out_edges,
                    const int64_t *edge_source, const int64_t *edge_target,
-                   const uint8_t *allowed,
                    const int64_t n_base, const int64_t *base,
                    const int64_t target, const int64_t radius,
                    const int64_t epoch, int64_t *tag, int64_t *depth,
@@ -38,7 +37,7 @@ void subgraph_mark(const int64_t *in_indptr, const int64_t *in_edges,
         if (radius >= 0 && next > radius) break;  /* FIFO: the rest are as deep */
         for (int64_t k = in_indptr[v]; k < in_indptr[v + 1]; k++) {
             const int64_t s = edge_source[in_edges[k]];
-            if (tag[s] != epoch && allowed[s]) {
+            if (tag[s] != epoch) {
                 tag[s] = epoch;
                 depth[s] = next;
                 queue[tail++] = s;

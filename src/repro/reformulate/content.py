@@ -19,6 +19,7 @@ current query vector's average weight and merged in:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +142,10 @@ class ContentReformulator:
             return []
         average = query_vector.average_weight() or 1.0
         scale = average / maximum
-        return [(term, weight * scale) for term, weight in top]
+        if math.isfinite(scale):
+            return [(term, weight * scale) for term, weight in top]
+        # A subnormal maximum overflows ``a_q / x``; each ``w / x`` is at most 1.
+        return [(term, (weight / maximum) * average) for term, weight in top]
 
     def reformulate(
         self, query_vector: QueryVector, explanations: list[FlowExplanation]

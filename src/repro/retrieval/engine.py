@@ -283,12 +283,8 @@ class TwoStageEngine:
 
     @classmethod
     def from_config(cls, engine: SearchEngine, config) -> "TwoStageEngine":
-        """An engine with a config's two-stage defaults.
-
-        ``config`` is a :class:`repro.core.config.SystemConfig` or a
-        :class:`repro.serve.service.ServeConfig` — both spell the rerank
-        knobs with a ``rerank_`` prefix.
-        """
+        """An engine with a :class:`repro.serve.service.ServeConfig`'s
+        two-stage defaults (the ``mode=two_stage`` ``/search`` defaults)."""
         return cls(
             engine,
             candidates=config.candidates,

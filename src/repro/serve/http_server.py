@@ -14,7 +14,8 @@ buffered socket file, one writer that sends each response whole.  Endpoints:
                                   "early_k", "expand_cap", "node_budget",
                                   "max_horizon"}``
 ``/explain``              POST    ``{"dataset", "query", "target",
-                                  "max_edges", "mode"}``
+                                  "max_edges"}`` (``"mode"`` may only be
+                                  ``"live"``)
 ``/feedback/reformulate`` POST    ``{"dataset", "query", "relevant_ids",
                                   "apply"}``
 ``/ingest``               POST    ``{"dataset", "mutations": [...],
@@ -442,13 +443,13 @@ class QueryRequestHandler(WireRequestHandler):
 
     def _explain_from_body(self, deadline: Deadline) -> dict:
         body = self._read_json_body()
+        _check_explain_mode(body)
         return self.service.explain(
             _required_text(body, "dataset"),
             _query(body),
             _required_text(body, "target"),
             max_edges=_optional_int(body, "max_edges") or 50,
             deadline=deadline,
-            mode=_text(body, "mode", "live"),
         )
 
     def _reformulate_from_body(self, deadline: Deadline) -> dict:
@@ -594,6 +595,19 @@ _TWO_STAGE_MINIMUM = {name: 1 for name in TWO_STAGE_PARAMETERS} | {"horizon": 0}
 #: authority scores.  A request naming one is refused rather than answered
 #: with something other than what it asked for.
 _REMOVED_WIRE = ("fusion", "fusion_weight")
+
+
+def _check_explain_mode(body: dict) -> None:
+    """``/explain`` explains live results only: its ``mode`` is absent or
+    ``"live"``, and the removed ``"two_stage"`` is refused by name."""
+    mode = _text(body, "mode", "live")
+    if mode == "two_stage":
+        raise _BadRequest(
+            "'mode': 'two_stage' was removed from /explain: it explains "
+            "live results only"
+        )
+    if mode != "live":
+        raise _BadRequest(f"unknown mode {mode!r}; /explain takes 'live' only")
 
 
 def _two_stage_overrides(body: dict) -> dict:

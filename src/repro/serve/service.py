@@ -60,8 +60,6 @@ from repro.store.generations import StoreManager
 
 SERVE_MODES = ("auto", "live", "precomputed", "two_stage")
 
-EXPLAIN_MODES = ("live", "two_stage")
-
 #: Entries the explanation cache holds (whole adjusted-flow explanations,
 #: one per query, rates and target).
 EXPLAIN_CACHE_ENTRIES = 256
@@ -158,21 +156,15 @@ class ServeConfig:
     #: their previous fixpoints (fewer iterations, tolerance-equal scores).
     ingest_refresh_mode: str = "exact"
 
-    def session_config(self, retrieval_mode: str) -> SystemConfig:
+    def session_config(self) -> SystemConfig:
         """The config of a request's :class:`ObjectRankSystem` session: the
-        service's page size, radius and two-stage knobs over the paper's
-        calibration defaults, without the global warm start (one whole
-        global ObjectRank per request to save a few iterations)."""
+        service's page size and radius over the paper's calibration
+        defaults, without the global warm start (one whole global
+        ObjectRank per request to save a few iterations)."""
         return SystemConfig(
             top_k=self.default_top_k,
             radius=self.radius,
             global_warm_start=False,
-            retrieval_mode=retrieval_mode,
-            candidates=self.candidates,
-            rerank_horizon=self.rerank_horizon,
-            rerank_expand_cap=self.rerank_expand_cap,
-            rerank_node_budget=self.rerank_node_budget,
-            rerank_max_horizon=self.rerank_max_horizon,
         )
 
 
@@ -824,7 +816,6 @@ class QueryService:
         target: str,
         max_edges: int = 50,
         deadline: Deadline | None = None,
-        mode: str = "live",
     ) -> dict:
         """Explain why ``target`` ranks for ``query``: adjusted flow edges.
 
@@ -839,21 +830,10 @@ class QueryService:
         the session starts from that run).  The flow-sorted edges are cached
         whole, as arrays; ``max_edges`` decides how many become response
         rows.
-
-        ``mode="two_stage"`` explains a *two-stage* result instead: the
-        session retrieves two-stage and confines the explaining subgraph to
-        the candidates' rerank neighborhood — flow a two-stage score never
-        saw cannot appear in its explanation.
         """
-        if mode not in EXPLAIN_MODES:
-            raise ReproError(
-                f"unknown mode {mode!r}; expected one of {EXPLAIN_MODES}"
-            )
         start = time.perf_counter()
         runtime, vector, rates, staleness, _, fence = self._begin(dataset, query)
-        # Two-stage explanations are a separate entry: same query, same
-        # rates, different scores and a restricted subgraph.
-        key = fence.key(target, self.config.radius, mode)
+        key = fence.key(target, self.config.radius)
         stored = self.explain_cache.get(key)
         if stored is not None:
             self._explain_cache_hits.inc()
@@ -862,7 +842,7 @@ class QueryService:
             self._explain_cache_misses.inc()
             if deadline is not None:
                 deadline.check("explanation")
-            stored = self._explain(runtime, vector, rates, fence, target, mode)
+            stored = self._explain(runtime, vector, rates, fence, target)
             self.explain_cache.put(key, stored)
             served_from = "live"
         summary, node_ids, sources, targets, flows = stored
@@ -883,36 +863,28 @@ class QueryService:
         vector: QueryVector,
         rates: AuthorityTransferSchemaGraph,
         fence: Fence,
-        mode: str = "live",
     ) -> ObjectRankSystem:
         """A request's short-lived loop session, its initial search done.
 
         :class:`ObjectRankSystem` owns search -> explain -> reformulate ->
-        re-run, including whether an explanation spans the full graph or a
-        two-stage result's neighborhood; the endpoints around it are
-        transport.  It works over the runtime's shared engine under the
-        request's serving ``rates`` and mutates neither, so concurrent
-        requests stay isolated.
+        re-run; the endpoints around it are transport.  It works over the
+        runtime's shared engine under the request's serving ``rates`` and
+        mutates neither, so concurrent requests stay isolated.
 
-        A full-graph session whose initial search some request already ran
-        — same fence, exact query vector, exact rates, over the node list
-        this session runs on — adopts that run from the score cache and
-        iterates nothing; any other runs the search itself and keeps it.  A
-        two-stage session always searches: its scores depend on the
-        candidate set.
+        A session whose initial search some request already ran — same
+        fence, exact query vector, exact rates, over the node list this
+        session runs on — adopts that run from the score cache and iterates
+        nothing; any other runs the search itself and keeps it.
         """
         session = ObjectRankSystem(
             runtime.data_graph,
             rates,
-            self.config.session_config("two_stage" if mode == "two_stage" else "full"),
+            self.config.session_config(),
             engine=runtime.engine,
         )
         # One reformulator for every session: ``service.reformulator`` stays
         # what feedback requests reformulate with.
         session.reformulator = self.reformulator
-        if mode == "two_stage":
-            self._or_iterations.inc(session.query(vector).iterations)
-            return session
         key = fence.key(*_exactly(vector, rates))
         ranked = self.score_cache.get(key)
         # A ranking indexes the node list it was computed over; one kept
@@ -937,20 +909,18 @@ class QueryService:
         rates: AuthorityTransferSchemaGraph,
         fence: Fence,
         target: str,
-        mode: str,
     ) -> tuple:
         """Compute one cacheable explanation: ``(summary, node ids, sources,
         targets, flows)`` — every response field but ``edges``, and the
         edges by descending flow as node-index and flow arrays (a response
         row is built only for the edges a request returns)."""
-        session = self._session(runtime, vector, rates, fence, mode)
+        session = self._session(runtime, vector, rates, fence)
         explanation = session.explain(target)
         subgraph = explanation.subgraph
         summary = {
             "dataset": runtime.name,
             "query": dict(vector.weights),
             "target": target,
-            "mode": mode,
             "target_caption": runtime.data_graph.caption(target),
             "target_inflow": explanation.target_inflow(),
             "adjustment_iterations": explanation.iterations,

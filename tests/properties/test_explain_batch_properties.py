@@ -9,8 +9,8 @@ empty base sets and targets with no positive-rate path from the base set.
 
 The second half pins the shapes a CSR row can get wrong — parallel edges
 inside one row, a zero-rate edge type, the target inside the base set, an
-unreachable target, an unbounded radius, a cut-off before convergence, a
-batch that freezes and compacts — and the ``within`` restriction.
+unreachable target, an unbounded radius, a cut-off before convergence and
+a batch that freezes and compacts.
 """
 
 from unittest import mock
@@ -86,20 +86,18 @@ def assert_bit_identical(serial, batched):
 
 
 def _assert_pipeline_identical(
-    atdg, base, targets, radius, within=None, tolerance=1e-10, max_iterations=1000
+    atdg, base, targets, radius, tolerance=1e-10, max_iterations=1000
 ):
     """Batched build + adjust ``==`` the serial pipeline for every target."""
     papers = [n for n in atdg.node_ids if n.startswith("paper:")]
     scores = objectrank(atdg, papers, damping=0.85, tolerance=1e-10).scores
-    subgraphs = batched_build_explaining_subgraphs(
-        atdg, base, targets, radius, within=within
-    )
+    subgraphs = batched_build_explaining_subgraphs(atdg, base, targets, radius)
     explanations = batched_adjust_flows(
         subgraphs, scores, 0.85, tolerance, max_iterations
     )
     for target, batched in zip(targets, explanations):
         serial = adjust_flows(
-            build_explaining_subgraph(atdg, base, target, radius, within=within),
+            build_explaining_subgraph(atdg, base, target, radius),
             scores,
             0.85,
             tolerance,
@@ -188,44 +186,6 @@ def test_batched_equals_serial_across_rates_and_cutoffs(
             assert explanation.subgraph.is_empty or (
                 explanation.iterations == 3 and not explanation.converged
             )
-
-
-@given(
-    dblp_transfer_graphs(),
-    _RADII,
-    st.integers(0, 100),
-    st.sampled_from(["random", "without_target", "without_base", "nothing"]),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=40, deadline=None)
-def test_batched_equals_serial_within(atdg, radius, seed, kind, rng):
-    """``within`` is one more mask: restricted targets equal the serial
-    builder field for field, also when the restriction leaves out the
-    target, every base node, or everything."""
-    papers = [n for n in atdg.node_ids if n.startswith("paper:")]
-    targets = _targets(atdg, seed)
-    excluded = {
-        "random": set(),
-        "without_target": {atdg.index_of(t) for t in targets},
-        "without_base": {atdg.index_of(p) for p in papers},
-        "nothing": set(range(atdg.num_nodes)),
-    }[kind]
-    within = np.asarray(
-        [
-            index
-            for index in range(atdg.num_nodes)
-            if index not in excluded and (kind != "random" or rng.random() < 0.6)
-        ],
-        dtype=np.int64,
-    )
-    explanations = _assert_pipeline_identical(
-        atdg, papers, targets, radius, within=within
-    )
-    if kind == "without_base":
-        assert all(
-            e.subgraph.is_empty or e.subgraph.target_id in papers
-            for e in explanations
-        )
 
 
 def test_freeze_and_compaction_both_run(dblp_tiny_engine):

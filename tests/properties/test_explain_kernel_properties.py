@@ -39,8 +39,8 @@ def explain_cases(draw):
     Random rates silence whole edge types; repeated citations are parallel
     edges; an author without papers is a dangling node and often an
     unreachable target.  The base set is a random multiset, a single node,
-    or empty; targets may sit inside it; the radius may be unbounded; a
-    ``within`` mask may leave out the target or the base.  The stopping rule
+    or empty; targets may sit inside it; the radius may be unbounded.  The
+    stopping rule
     makes some targets converge early, some late and some hit the cut-off.
     """
     graph = AuthorityTransferDataGraph(
@@ -57,10 +57,6 @@ def explain_cases(draw):
     targets = draw(st.lists(pick, min_size=1, max_size=6))
     if base and draw(st.booleans()):
         targets.append(base[0])
-    within = None
-    if draw(st.booleans()):
-        keep = draw(st.lists(st.booleans(), min_size=len(node_ids), max_size=len(node_ids)))
-        within = np.flatnonzero(keep).astype(np.int64)
     seed = draw(st.integers(0, 2**32 - 1))
     scores = np.random.default_rng(seed).random(graph.num_nodes)
     return dict(
@@ -68,7 +64,6 @@ def explain_cases(draw):
         base=base,
         targets=targets,
         radius=draw(st.one_of(st.none(), st.integers(1, 4))),
-        within=within,
         scores=scores,
         stopping=draw(st.sampled_from([(1e-10, 1000), (1e-3, 1000), (0.0, 5)])),
     )
@@ -101,7 +96,6 @@ def overflowing_case():
         base=["conf:0"],
         targets=["conf:0"],
         radius=None,
-        within=None,
         scores=np.random.default_rng(0).random(graph.num_nodes),
         stopping=(1e-10, 1000),
     )
@@ -121,8 +115,7 @@ def path(request):
 
 def explain_batch(case):
     subgraphs = batched_build_explaining_subgraphs(
-        case["graph"], case["base"], case["targets"], case["radius"],
-        within=case["within"],
+        case["graph"], case["base"], case["targets"], case["radius"]
     )
     tolerance, max_iterations = case["stopping"]
     return batched_adjust_flows(
@@ -133,9 +126,7 @@ def explain_batch(case):
 def explain_serially(case, target):
     tolerance, max_iterations = case["stopping"]
     return adjust_flows(
-        build_explaining_subgraph(
-            case["graph"], case["base"], target, case["radius"], within=case["within"]
-        ),
+        build_explaining_subgraph(case["graph"], case["base"], target, case["radius"]),
         case["scores"],
         0.85,
         tolerance,
@@ -184,7 +175,6 @@ def test_targets_stop_at_their_own_iteration(path, dblp_tiny_engine):
         base=list(result.ranked.base_weights),
         targets=[node_id for node_id, _ in result.top],
         radius=3,
-        within=None,
         scores=result.ranked.scores,
         stopping=(1e-4, 1000),
     )

@@ -44,8 +44,12 @@ from tests.properties.test_explain_batch_properties import same_bits
 from tests.properties.test_fixpoint_cap_properties import step  # the kernel/numpy fixture
 
 SUBNORMAL = st.floats(5e-324, sys.float_info.min, exclude_max=True)
-#: Scores, weights and rates: zeros, subnormals and ordinary magnitudes.
-VALUES = st.lists(st.one_of(st.just(0.0), SUBNORMAL, st.floats(1e-3, 1e3)), max_size=8)
+#: Two of these already overflow a sum.
+HUGE = st.floats(1e307, sys.float_info.max)
+#: Scores, weights and rates: zeros, subnormals, ordinary and huge magnitudes.
+VALUES = st.lists(
+    st.one_of(st.just(0.0), SUBNORMAL, st.floats(1e-3, 1e3), HUGE), max_size=8
+)
 SCHEMA = dblp_transfer_schema()
 TYPES = SCHEMA.edge_types()
 FIGURE1 = figure1_dataset()
@@ -124,9 +128,13 @@ def test_each_normaliser_keeps_its_answer_at_the_degenerate_edge(ranker):
         normalized_base_weights(["a", "b"], np.array([1e308, 1e308]))
     assert QueryVector().average_weight() == 0.0
     assert _query([0.0, 0.0]).average_weight() == 0.0
+    assert _query([1e308, 1e308]).average_weight() == 1e308  # the sum overflows
     assert _RawTerms().expansion_terms(_query([1.0]), {"x": 0.0}) == []
-    with pytest.raises(ParameterError):  # 1.0 / 5e-324 overflows the scale
-        _RawTerms().reformulate(_query([1.0]), {"x": 5e-324})
+    # 1.0 / 5e-324 overflows the scale; (5e-324 / 5e-324) * 1.0 does not.
+    assert _RawTerms().expansion_terms(_query([1.0]), {"x": 5e-324}) == [("x", 1.0)]
+    assert _RawTerms().reformulate(_query([1.0]), {"x": 5e-324}).weights == {
+        "olap": 1.0, "x": 0.5,
+    }
     assert StructureReformulator().reformulate(SCHEMA, []) is SCHEMA
     zero_flows = [_Flows(dict.fromkeys(TYPES, 0.0))]
     assert StructureReformulator().reformulate(SCHEMA, zero_flows) is SCHEMA

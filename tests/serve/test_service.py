@@ -154,7 +154,7 @@ class TestExplain:
         system = ObjectRankSystem(
             dataset.data_graph,
             dataset.transfer_schema,
-            ServeConfig().session_config("full"),
+            ServeConfig().session_config(),
         )
         target = system.query(query).top[0][0]
         expected = sorted(

@@ -23,9 +23,8 @@ from repro.errors import UnknownNodeError
 from repro.query.query import QueryVector
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 from repro.serve.cache import query_fingerprint
+from repro.serve.http_server import _BadRequest, _check_explain_mode
 from repro.serve.service import BASE_WEIGHT_BYTES, SCORE_CACHE_BYTES, DatasetRuntime
-
-CANDIDATES = 25
 
 CORPORA = {"figure1": "OLAP", "dblp_tiny": "improved study"}
 
@@ -38,41 +37,31 @@ def corpus(request):
 
 def make_service(dataset) -> QueryService:
     return QueryService(
-        ServeConfig(datasets=("ds",), precompute=False, candidates=CANDIDATES),
+        ServeConfig(datasets=("ds",), precompute=False),
         datasets={"ds": dataset},
     )
 
 
-def hand_driven(dataset, query, retrieval_mode="full") -> ObjectRankSystem:
+def hand_driven(dataset, query) -> ObjectRankSystem:
     """The reference: a session over its *own* engine, initial query run."""
     system = ObjectRankSystem(
         dataset.data_graph,
         dataset.transfer_schema,
-        SystemConfig(
-            global_warm_start=False,
-            retrieval_mode=retrieval_mode,
-            candidates=CANDIDATES,
-        ),
+        SystemConfig(global_warm_start=False),
     )
     system.query(query)
     return system
 
 
 class TestExplainEqualsSession:
-    @pytest.mark.parametrize("mode", ["live", "two_stage"])
-    def test_bit_identical_explanation(self, corpus, mode):
+    def test_bit_identical_explanation(self, corpus):
         dataset, query = corpus
-        system = hand_driven(
-            dataset, query, "two_stage" if mode == "two_stage" else "full"
-        )
+        system = hand_driven(dataset, query)
         target = system.last_result.top[0][0]
         expected = system.explain(target)
 
-        served = make_service(dataset).explain(
-            "ds", query, target, max_edges=10**6, mode=mode
-        )
+        served = make_service(dataset).explain("ds", query, target, max_edges=10**6)
         assert served["served_from"] == "live"
-        assert served["mode"] == mode
         assert served["target_inflow"] == expected.target_inflow()
         assert served["adjustment_iterations"] == expected.iterations
         assert served["converged"] == expected.converged
@@ -400,17 +389,23 @@ class TestScoreCacheMisses:
         assert counters(service)[:2] == (0, 1)
 
     def test_two_stage_explain_never_touches_the_score_cache(self, dblp_tiny):
+        """There is no two-stage explanation: ``/explain`` refuses the mode
+        at its body gate, before the service, so neither cache moves and the
+        live ranking the search kept still starts the next explanation."""
         query = CORPORA["dblp_tiny"]
         target = marked(dblp_tiny, query)[0]
-        expected = make_service(dblp_tiny).explain("ds", query, target, mode="two_stage")
+        expected = make_service(dblp_tiny).explain("ds", query, target)
         service = make_service(dblp_tiny)
         page = service.search("ds", query, mode="live")
-        served = service.explain("ds", query, target, mode="two_stage")
+        body = {"dataset": "ds", "query": query, "target": target, "mode": "two_stage"}
+        with pytest.raises(_BadRequest, match="'mode': 'two_stage' was removed"):
+            _check_explain_mode(body)
+        assert counters(service) == (0, 0, page["iterations"])
+        assert len(service.score_cache) == 1
+        assert len(service.explain_cache) == 0
+        served = service.explain("ds", query, target)
         assert answer(served) == answer(expected)
-        hits, misses, iterations = counters(service)
-        assert (hits, misses) == (0, 0)
-        assert iterations > page["iterations"]  # it ran its own search
-        assert len(service.score_cache) == 1  # and admitted nothing
+        assert counters(service) == (1, 0, page["iterations"])  # no search of its own
 
     def test_two_stage_search_admits_nothing(self, dblp_tiny):
         service = make_service(dblp_tiny)

@@ -3,8 +3,8 @@
 Boots the :class:`QueryService` over ``dblp_tiny`` and exercises
 ``mode="two_stage"`` end to end: the payload accounting block, cache
 cohorting by two-stage parameters, the override-rejection contract (removed
-fusion parameters included), the metric families on ``/metrics``, and the
-restricted two-stage explanations.
+fusion parameters and the removed two-stage ``/explain`` included), and the
+metric families on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -161,32 +161,6 @@ class TestServiceTwoStage:
         assert payload["results"] == []
 
 
-class TestServiceTwoStageExplain:
-    def test_two_stage_explanation_is_restricted(self, service):
-        search = service.search("tiny", QUERY, top_k=1, mode="two_stage")
-        target = search["results"][0]["id"]
-        live = service.explain("tiny", QUERY, target, mode="live")
-        restricted = service.explain("tiny", QUERY, target, mode="two_stage")
-        assert restricted["mode"] == "two_stage"
-        assert restricted["target"] == target
-        assert restricted["edges"]
-        # Restricted to the rerank neighborhood: never larger than live.
-        assert restricted["subgraph_nodes"] <= live["subgraph_nodes"]
-
-    def test_live_and_two_stage_are_separate_cache_cohorts(self, service):
-        search = service.search("tiny", QUERY, top_k=1, mode="two_stage")
-        target = search["results"][0]["id"]
-        service.explain("tiny", QUERY, target, mode="live")
-        first = service.explain("tiny", QUERY, target, mode="two_stage")
-        again = service.explain("tiny", QUERY, target, mode="two_stage")
-        assert first["served_from"] in ("live", "cache")
-        assert again["served_from"] == "cache"
-
-    def test_unknown_mode_rejected(self, service):
-        with pytest.raises(ReproError, match="unknown mode"):
-            service.explain("tiny", QUERY, "x", mode="precomputed")
-
-
 def _request(url: str, body: dict | None = None) -> tuple[int, dict]:
     data = json.dumps(body).encode() if body is not None else None
     request = urllib.request.Request(
@@ -296,20 +270,39 @@ class TestHTTPTwoStage:
         assert (status, payload["error"]) == (400, "bad_request")
 
     def test_post_explain_two_stage(self, url):
-        _, search = _request(
-            f"{url}/search?dataset=tiny&q=improved+study&mode=two_stage&top_k=1"
+        """Two-stage is a ``/search`` mode only: an ``/explain`` naming it is
+        refused by name before it reaches a cache or a session."""
+        before = _metrics_text(url)
+        status, payload = _request(
+            f"{url}/explain",
+            {"dataset": "tiny", "query": QUERY, "target": "x", "mode": "two_stage"},
         )
+        assert (status, payload["error"]) == (400, "bad_request")
+        assert "'mode': 'two_stage' was removed" in payload["message"]
+        after = _metrics_text(url)
+        for family in (
+            "repro_explain_cache_hits_total", "repro_explain_cache_misses_total",
+            "repro_score_cache_hits_total", "repro_score_cache_misses_total",
+        ):
+            assert _metric(after, family) == _metric(before, family), family
+
+    @pytest.mark.parametrize("mode", [{}, {"mode": "live"}])
+    def test_post_explain_live_is_answered(self, url, mode):
+        _, search = _request(f"{url}/search?dataset=tiny&q=improved+study&top_k=1")
         target = search["results"][0]["id"]
         status, payload = _request(
             f"{url}/explain",
-            {
-                "dataset": "tiny",
-                "query": QUERY,
-                "target": target,
-                "mode": "two_stage",
-                "max_edges": 5,
-            },
+            {"dataset": "tiny", "query": QUERY, "target": target, "max_edges": 5, **mode},
         )
         assert status == 200
-        assert payload["mode"] == "two_stage"
+        assert "mode" not in payload
+        assert payload["target"] == target
         assert 0 < len(payload["edges"]) <= 5
+
+    def test_post_explain_unknown_mode_is_400(self, url):
+        status, payload = _request(
+            f"{url}/explain",
+            {"dataset": "tiny", "query": QUERY, "target": "x", "mode": "precomputed"},
+        )
+        assert (status, payload["error"]) == (400, "bad_request")
+        assert "unknown mode 'precomputed'" in payload["message"]

@@ -7,6 +7,7 @@ slip past an ``import``-time check.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -216,8 +217,8 @@ def test_batched_explain_engine_neither_sorts_searches_nor_scatters():
     ]
     names = {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
     assert "build_explaining_subgraph" not in names, (
-        "restricted (`within`) targets go through the extractor's mask, "
-        "not the serial builder"
+        "the batched builder extracts every target itself, never through "
+        "the serial builder"
     )
 
 
@@ -381,6 +382,75 @@ def test_the_guard_sees_the_gate_and_the_knob_it_forbids():
     assert _fusion_knobs(knobs) == ["fusion", "fusion", "fusion_weight"]
     # Naming a removed parameter in order to refuse it is not a knob.
     assert _fusion_knobs(ast.parse("_REMOVED_WIRE = ('fusion', 'fusion_weight')")) == []
+
+
+# -- two-stage is a /search mode: the paper's loop never carries it --------------
+
+#: The packages of the paper's loop (Sections 4-5): the session and the
+#: explaining subgraph, neither of which explains a two-stage answer.
+LOOP_PACKAGES = ("core", "explain")
+
+#: ``SystemConfig`` names that would carry a retrieval mode into the session,
+#: besides any ``rerank_*`` field.
+TWO_STAGE_CONFIG_NAMES = {"candidates", "retrieval_mode"}
+
+
+def retrieval_importers(src: Path) -> list[str]:
+    """``file module`` of every import of :mod:`repro.retrieval` (at any
+    depth, ``from repro import retrieval`` included) under the loop's
+    packages."""
+    return sorted(
+        f"{path.relative_to(src).as_posix()} {module}"
+        for package in LOOP_PACKAGES
+        for path in (src / package).rglob("*.py")
+        for module, name in imports_of(path)
+        if module.split(".")[:2] == ["repro", "retrieval"]
+        or (module == "repro" and name == "retrieval")
+    )
+
+
+def two_stage_config_fields(config: type) -> list[str]:
+    return sorted(
+        field.name
+        for field in dataclasses.fields(config)
+        if field.name.startswith("rerank_") or field.name in TWO_STAGE_CONFIG_NAMES
+    )
+
+
+def test_the_loop_neither_imports_nor_configures_two_stage():
+    """Only ``/search`` runs two-stage: the session, its config and the
+    explaining subgraph know nothing of it."""
+    from repro.core.config import SystemConfig
+
+    assert retrieval_importers(SRC) == []
+    assert two_stage_config_fields(SystemConfig) == []
+
+
+def test_the_guard_sees_a_retrieval_import_and_a_two_stage_field(tmp_path):
+    for package in ("core", "explain/deep", "serve"):
+        (tmp_path / package).mkdir(parents=True)
+    (tmp_path / "core" / "system.py").write_text(
+        "from repro.retrieval.engine import TwoStageEngine\n"
+    )
+    (tmp_path / "explain" / "deep" / "lazy.py").write_text(
+        "def f():\n    from repro import retrieval\n"
+    )
+    (tmp_path / "serve" / "service.py").write_text("import repro.retrieval\n")
+    assert retrieval_importers(tmp_path) == [
+        "core/system.py repro.retrieval.engine", "explain/deep/lazy.py repro",
+    ]
+
+    @dataclasses.dataclass
+    class Planted:
+        radius: int = 3
+        retrieval_mode: str = "full"
+        candidates: int = 200
+        rerank_horizon: int = 2
+        reranked: bool = False
+
+    assert two_stage_config_fields(Planted) == [
+        "candidates", "rerank_horizon", "retrieval_mode",
+    ]
 
 
 # -- a feedback op pays for the click: one matrix path, one score-cache reader ----
@@ -1055,10 +1125,10 @@ def test_each_explain_stage_chooses_its_kernel_in_one_function():
 def test_the_guard_sees_a_second_chooser_and_a_split_choice():
     tree = ast.parse(
         "def extract_many(self, work):\n"
-        "    kernel = _native.bind_subgraph_kernel(self.graph, base, allowed)\n"
+        "    kernel = _native.bind_subgraph_kernel(self.graph, base)\n"
         "    return [self.extract(t, work) for t in targets] if kernel is None else []\n"
         "def explain_again(graph):\n"
-        "    return _native.bind_subgraph_kernel(graph, base, allowed)\n"
+        "    return _native.bind_subgraph_kernel(graph, base)\n"
         "def batched_adjust_flows(segments):\n"
         "    found = _native.flow_fixpoints(operators, targets, 1e-4, 100)\n"
         "def fallback(segments):\n"
