@@ -16,10 +16,13 @@ numpy edge arrays, and splits what it derives from them by what can change:
 * **per topology** (computed once by the constructor, shared read-only by
   every :meth:`~AuthorityTransferDataGraph.with_rates` /
   :meth:`~AuthorityTransferDataGraph.rebound` view): the node index, the
-  edge arrays, the out-degree counts of Equation 1, the in/out incidence
-  indices and the sparsity pattern of the ObjectRank transition matrix
-  (:class:`CsrPattern` — which edge fills which CSR slot) — plus, built on
-  the first live run, its row-interleaved copy (:class:`SellLayout`);
+  edge arrays, the out-degree counts of Equation 1 and the in/out incidence
+  indices;
+* **per topology and zero-rate type set** (built on first use, shared by
+  every view whose rates are zero on the same edge types): the sparsity
+  pattern of the ObjectRank transition matrix (:class:`CsrPattern` — which
+  edges fill which CSR slot), which leaves out every slot whose edges all
+  carry rate 0, and its row-interleaved copy (:class:`SellLayout`);
 * **per rate setting** (a structure-based reformulation, Section 5.2,
   changes the schema-level rates and nothing else), held by one
   :class:`RateSetting` that views under equal rates share: ``edge_rate``
@@ -55,9 +58,12 @@ _SOURCE, _TARGET, _ROLE = attrgetter("source"), attrgetter("target"), attrgetter
 class CsrPattern(NamedTuple):
     """Which transfer edge fills which slot of the CSR transition matrix.
 
-    Rate-independent, so computed once per topology (:func:`csr_pattern`)
-    and shared, read-only, by every view; the matrices of all views are
-    built over these very ``indices`` and ``indptr`` arrays.
+    Depends on the rates only through which edges carry rate 0
+    (:attr:`RateSetting.zero_types`): a slot whose edges all do would hold
+    an exact 0.0 and is left out (:func:`csr_pattern`).  Computed once per
+    topology and zero-rate type set and shared, read-only, by every view
+    with that set; their matrices are built over these very ``indices`` and
+    ``indptr`` arrays.
     """
 
     #: Edge id whose rate opens each CSR slot.
@@ -87,7 +93,8 @@ class SellLayout(NamedTuple):
     ``j``-th entry of each of its rows, then the ``j + 1``-th — padded to its
     longest row.  Each row keeps its CSR entry order.  Padding reads column
     ``n``, a slot the caller's vector holds at 0.0, with value 0.0.
-    Rate-independent: computed once per topology (:func:`sell_layout`).
+    Computed once per :class:`CsrPattern` (:func:`sell_layout`), so once per
+    topology and zero-rate type set.
     """
 
     #: ``int32`` row of each lane, group by group (``n`` entries).
@@ -167,6 +174,9 @@ class AuthorityTransferDataGraph:
     #: Rate-independent derived structures kept per topology
     #: (:meth:`derived`); entries of older data-graph versions age out.
     DERIVED_CACHE_SIZE = 4
+    #: Patterns and layouts kept per topology: a pattern and a layout for
+    #: each of two zero-rate type sets (:attr:`RateSetting.zero_types`).
+    STRUCTURE_CACHE_SIZE = 4
 
     def __init__(
         self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
@@ -223,14 +233,18 @@ class AuthorityTransferDataGraph:
         self._edge_out_degree = (
             counts[group_key] if self.num_edges else np.zeros(0, dtype=np.int64)
         )
+        #: Each edge type's largest OutDeg (at least 1): its smallest edge
+        #: rate is its alpha divided by this.
+        self._type_max_degree = counts.reshape(-1, num_types).max(axis=0, initial=1)
 
         self._transfer_schema = transfer_schema
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
-        self._csr_pattern = csr_pattern(self.edge_source, self._in_index, self.num_nodes)
-        #: The pattern's :class:`SellLayout`, built by the first
-        #: :meth:`sell_matrix` of any view and shared by all of them.
-        self._sell_layout: BuildCache = BuildCache(1)
+        #: ``("pattern" | "layout", zero_types)`` -> the :class:`CsrPattern`
+        #: and :class:`SellLayout` of views whose rates are zero on exactly
+        #: ``zero_types``, built by the first :meth:`matrix` or
+        #: :meth:`sell_matrix` of any such view and shared by all of them.
+        self._structure: BuildCache = BuildCache(self.STRUCTURE_CACHE_SIZE)
         self._node_degrees: np.ndarray | None = None
         self._derived: BuildCache = BuildCache(self.DERIVED_CACHE_SIZE)
         self._per_rate = RateSetting(self)
@@ -296,15 +310,17 @@ class AuthorityTransferDataGraph:
         an equal ``topology_version`` (same nodes and edges in the same
         order; attributes may differ).  The view shares every per-topology
         structure (node index, edge arrays, out-degree counts, incidence
-        indices, the CSR pattern and its SELL layout, the :meth:`derived`
-        cache) with this graph, so concurrent sessions with different
-        learned rates can rank against one materialized graph without
-        mutating it.  What it costs depends on the rates alone: under *new*
-        rates the view gets its own :class:`RateSetting` — its own
-        ``edge_rate`` (one O(edges) division), and its own matrix, SELL
-        values and positive-rate incidence, each built on first use; under
-        *unchanged* rates — every content-only ingest refresh — it shares
-        this graph's :class:`RateSetting` outright and computes nothing.
+        indices, the CSR pattern and SELL layout of each zero-rate type set,
+        the :meth:`derived` cache) with this graph, so concurrent sessions
+        with different learned rates can rank against one materialized
+        graph without mutating it.  What it costs depends on the rates
+        alone: under *new* rates the view gets its own :class:`RateSetting`
+        — its own ``edge_rate`` (one O(edges) division), and its own
+        matrix, SELL values and positive-rate incidence, each built on first
+        use (the pattern and layout too, if no view yet zeroes the same
+        types); under *unchanged* rates — every content-only ingest
+        refresh — it shares this graph's :class:`RateSetting` outright and
+        computes nothing.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -325,20 +341,25 @@ class AuthorityTransferDataGraph:
 
         With this orientation one authority-flow step is the matrix-vector
         product ``A @ r`` (Equation 4).  Parallel transfer edges between the
-        same node pair have their rates summed.  Built lazily per rate
-        setting by filling the topology's :class:`CsrPattern`: one gather of
-        ``edge_rate``, plus one add per extra parallel edge.  ``indices`` and
-        ``indptr`` are the pattern's own (read-only) arrays.
+        same node pair have their rates summed.  An entry whose edges all
+        carry rate 0 is not stored: it would add ``0.0 * r[i] = +0.0`` to a
+        sum that starts at +0.0 and never turns -0.0, which changes no bit
+        while ``r`` is finite (an ``inf`` would make it NaN).  Built lazily
+        per rate setting by filling the :class:`CsrPattern` of this topology
+        and zero-rate type set: one gather of ``edge_rate``, plus one add
+        per extra parallel edge.  ``indices`` and ``indptr`` are the
+        pattern's own (read-only) arrays.
         """
         return self._per_rate.matrix()
 
     def sell_matrix(self) -> SellMatrix:
-        """:meth:`matrix` in the topology's :class:`SellLayout` (same floats).
+        """:meth:`matrix` in its pattern's :class:`SellLayout` (same floats).
 
         The layout is built by the first call on any view of this topology
-        (≈ 5 ms at 15 531 nodes) and shared; the values are filled per rate
-        setting from ``edge_rate`` exactly as the matrix's are — so a view
-        only ranked live never builds a CSR matrix.
+        with the same zero-rate types (≈ 2 ms at 15 531 nodes) and shared;
+        the values are filled per rate setting from ``edge_rate`` exactly as
+        the matrix's are — so a view only ranked live never builds a CSR
+        matrix.
         """
         return self._per_rate.sell_matrix()
 
@@ -417,10 +438,11 @@ class RateSetting:
     """What one rate setting derives over one topology.
 
     ``edge_rate`` — Equation 1, one O(edges) division, frozen read-only —
-    is computed on construction; the transition matrix, its SELL values and
-    the positive-rate incidence are each built on first use.  A setting is
-    never updated: a view under new rates gets a new one, and views under
-    equal rates share one, so nothing built here is ever reset.
+    and ``zero_types`` are computed on construction; the transition matrix,
+    its SELL values and the positive-rate incidence are each built on first
+    use.  A setting is never updated: a view under new rates gets a new
+    one, and views under equal rates share one, so nothing built here is
+    ever reset.
     """
 
     def __init__(self, graph: AuthorityTransferDataGraph) -> None:
@@ -433,22 +455,45 @@ class RateSetting:
             edge_rate = np.zeros(0, dtype=np.float64)
         edge_rate.setflags(write=False)
         self.edge_rate = edge_rate
+        #: ``(index, alpha)`` of every edge type with an edge of rate 0.0:
+        #: the types whose alpha is 0 (``OutDeg >= 1``), and any whose alpha
+        #: is so small that dividing it by a large OutDeg underflows.  With
+        #: the topology this fixes which edges carry rate 0, so it picks the
+        #: pattern (and layout) this setting shares with every other that
+        #: has the same key.
+        lowest = alphas / graph._type_max_degree[: alphas.size]
+        self.zero_types = tuple(
+            (t, alphas[t].item()) for t in np.flatnonzero(lowest <= 0.0).tolist()
+        )
         # The per-topology structures the lazy builds read, shared by every
         # view of the topology (never the view itself, which pins a data graph).
-        self._num_nodes = graph.num_nodes
-        self._pattern: CsrPattern = graph._csr_pattern
-        self._sell_layout: BuildCache = graph._sell_layout
+        self._topology = (graph.edge_source, graph._in_index, graph.num_nodes)
+        self._structure: BuildCache = graph._structure
         self._incidence = (graph._in_index, graph._out_index)
+        self._pattern: CsrPattern | None = None
         self._matrix: sparse.csr_matrix | None = None
         self._sell_matrix: SellMatrix | None = None
         self._positive_incidence: tuple[Incidence, Incidence] | None = None
 
+    def pattern(self) -> CsrPattern:
+        """The :class:`CsrPattern` of this topology and ``zero_types``."""
+        if self._pattern is None:
+            self._pattern = self._structure.get(
+                ("pattern", self.zero_types), self._build_pattern
+            )
+        return self._pattern
+
+    def _build_pattern(self) -> CsrPattern:
+        # This setting's zero edges are those of every setting with its key.
+        zero = self.edge_rate <= 0.0 if self.zero_types else None
+        return csr_pattern(*self._topology, zero)
+
     def matrix(self) -> sparse.csr_matrix:
         if self._matrix is None:
-            pattern = self._pattern
+            pattern = self.pattern()
+            n = self._topology[2]
             matrix = sparse.csr_matrix(
-                (self._csr_data(), pattern.indices, pattern.indptr),
-                shape=(self._num_nodes, self._num_nodes),
+                (self._csr_data(), pattern.indices, pattern.indptr), shape=(n, n)
             )
             # Sorted and duplicate-free by construction: scipy need neither
             # check nor, on the shared arrays, ever sort in place.
@@ -459,7 +504,7 @@ class RateSetting:
     def _csr_data(self) -> np.ndarray:
         """The transition matrix's ``data``: one gather of ``edge_rate``
         through the :class:`CsrPattern`, plus one add per parallel edge."""
-        pattern = self._pattern
+        pattern = self.pattern()
         data = self.edge_rate[pattern.slot_edge]
         for slots, edges in pattern.parallel:
             data[slots] += self.edge_rate[edges]
@@ -467,9 +512,10 @@ class RateSetting:
 
     def sell_matrix(self) -> SellMatrix:
         if self._sell_matrix is None:
-            pattern = self._pattern
-            layout = self._sell_layout.get(
-                None, lambda: sell_layout(pattern.indptr, pattern.indices)
+            pattern = self.pattern()
+            layout = self._structure.get(
+                ("layout", self.zero_types),
+                lambda: sell_layout(pattern.indptr, pattern.indices),
             )
             self._sell_matrix = SellMatrix(layout, self._csr_data())
         return self._sell_matrix
@@ -506,9 +552,12 @@ def gather_rows(indptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> np.nd
 
 
 def csr_pattern(
-    edge_source: np.ndarray, in_index: Incidence, num_nodes: int
+    edge_source: np.ndarray,
+    in_index: Incidence,
+    num_nodes: int,
+    zero: np.ndarray | None = None,
 ) -> CsrPattern:
-    """The transition matrix's sparsity pattern and the edge behind each slot.
+    """The transition matrix's sparsity pattern and the edges behind each slot.
 
     Reproduces, over edge ids instead of rates, what ``scipy.sparse`` does to
     the coordinate form ``(rate, (edge_target, edge_source))``: group by row
@@ -517,6 +566,11 @@ def csr_pattern(
     order of three or more parallel edges, which float addition is
     sensitive to, is taken from it rather than assumed — and fold each run
     of equal columns into its first slot, left to right.
+
+    ``zero`` flags the edges known to carry rate 0.  The slots all of whose
+    edges are flagged are then dropped — after the sort, so every kept slot
+    sums its edges, flagged ones included, in the very order the full
+    pattern does.
     """
     indptr, by_target = in_index
     ordered = sparse.csr_matrix(
@@ -549,9 +603,34 @@ def csr_pattern(
             slots_before[indptr].astype(ordered.indptr.dtype),
             parallel,
         )
+    if zero is not None:
+        pattern = _without_zero_slots(pattern, zero)
     for array in (*pattern[:3], *(a for pair in pattern.parallel for a in pair)):
         array.setflags(write=False)
     return pattern
+
+
+def _without_zero_slots(pattern: CsrPattern, zero: np.ndarray) -> CsrPattern:
+    """``pattern`` without the slots whose edges are all flagged in ``zero``."""
+    keep = ~zero[pattern.slot_edge]
+    for slots, edges in pattern.parallel:
+        keep[slots] |= ~zero[edges]
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    # A kept slot keeps all of its parallel edges, so a level loses only
+    # whole slots, and the levels left empty are the deepest ones.
+    parallel = tuple(
+        (kept_before[slots[kept]], edges[kept])
+        for slots, edges in pattern.parallel
+        for kept in (keep[slots],)
+        if kept.any()
+    )
+    return CsrPattern(
+        pattern.slot_edge[keep],
+        pattern.indices[keep],
+        kept_before[pattern.indptr].astype(pattern.indptr.dtype),
+        parallel,
+    )
 
 
 def _filter_incidence(incidence: Incidence, keep: np.ndarray) -> Incidence:

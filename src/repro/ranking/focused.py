@@ -163,9 +163,10 @@ class RowOperator:
         return product
 
     def edge_count(self) -> int:
-        """The induced submatrix's ``nnz``: non-zero entries with both ends
-        in ``nodes`` (parallel edges merged), in one mask pass."""
+        """The induced submatrix's ``nnz``: entries with both ends in
+        ``nodes`` (parallel edges merged), in one mask pass.  The transition
+        matrix stores no zero-rate entry, so none is counted."""
         inside = np.zeros(self._scratch.size, dtype=bool)
         inside[self.nodes] = True
-        return int(np.count_nonzero(inside.take(self.indices) & (self.data != 0)))
+        return int(np.count_nonzero(inside.take(self.indices)))
 

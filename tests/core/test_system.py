@@ -5,6 +5,7 @@ import pytest
 from repro.core import ObjectRankSystem, SystemConfig
 from repro.datasets import load_dataset
 from repro.errors import ReproError
+from repro.graph import transfer_graph
 
 from tests.reformulate.reference import reference_reformulate
 
@@ -145,6 +146,24 @@ class TestFeedback:
         system.feedback(["v4"])
         labels = [t.label for t in system.timings]
         assert labels == ["initial", "reformulated-1", "reformulated-2"]
+
+    def test_a_round_reuses_the_pattern_and_the_layout(self, dblp_tiny, monkeypatch):
+        """Eq. 13 keeps a zero rate at zero, so the learned-rate view zeroes
+        the same types as the query's: the rerun fills the pattern and SELL
+        layout the query built, and builds neither."""
+        system = ObjectRankSystem(dblp_tiny.data_graph, dblp_tiny.transfer_schema)
+        result = system.query("olap")
+        builds = []
+        for name in ("csr_pattern", "sell_layout"):
+            build = getattr(transfer_graph, name)
+            monkeypatch.setattr(
+                transfer_graph, name,
+                lambda *args, name=name, build=build: builds.append(name) or build(*args),
+            )
+        outcome = system.feedback(result.hit_ids()[:1])
+        assert outcome.reformulated.transfer_schema != dblp_tiny.transfer_schema
+        assert outcome.result.iterations > 0
+        assert builds == []
 
     def test_dblp_top_session_reformulates_like_the_reference_loops(self):
         """Six rounds marking the top hit on ``dblp_top``: every step ``==``

@@ -1,5 +1,8 @@
 """Unit tests for the materialized authority transfer data graph (Eq. 1)."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,12 @@ from repro.graph import (
     SchemaGraph,
     transfer_graph,
 )
+from repro.ir.index import InvertedIndex
+from repro.ranking import PrecomputedRanker, Tolerance, _native, rank, uniform_restarts
+from repro.ranking.batch import batched_power_iteration
 from tests.graph.reference import reference_matrix, tricky_rates
+from tests.properties.test_explain_batch_properties import same_bits
+from tests.ranking.reference import reference_power_iteration
 
 
 @pytest.fixture
@@ -266,8 +274,10 @@ def multigraphs(draw):
 
 
 def assert_reference_matrix(graph) -> None:
-    """``indptr``, ``indices``, ``data`` (and their dtypes) ``==`` the oracle."""
+    """``indptr``, ``indices``, ``data`` (and their dtypes) ``==`` the oracle
+    without its explicit zeros."""
     matrix, expected = graph.matrix(), reference_matrix(graph)
+    expected.eliminate_zeros()
     assert matrix.shape == expected.shape
     assert matrix.has_canonical_format
     for name in ("indptr", "indices", "data"):
@@ -282,8 +292,8 @@ class TestMatrixAgainstCoordinateForm:
     def test_every_way_to_a_matrix(self, data_graph, first, second, third):
         rates = tricky_rates()
         graph = AuthorityTransferDataGraph(data_graph, rates.with_vector(first))
-        pattern = graph._csr_pattern
-        assert len(pattern.parallel) >= 2  # a0 -> b0 is at least a triple edge
+        full = transfer_graph.csr_pattern(graph.edge_source, graph._in_index, graph.num_nodes)
+        assert len(full.parallel) >= 2  # a0 -> b0 is at least a triple edge
         assert_reference_matrix(graph)
 
         view = graph.with_rates(rates.with_vector(second))
@@ -300,13 +310,18 @@ class TestMatrixAgainstCoordinateForm:
         assert_reference_matrix(fresh)
         assert fresh.matrix().data.tolist() == rebound.matrix().data.tolist()
 
-        # One pattern per topology, by identity, and its very memory under
-        # every matrix built from it.
-        for other in (view, rebound):
-            assert other._csr_pattern is pattern
-        for built in (graph, view, rebound):
-            assert np.shares_memory(built.matrix().indices, pattern.indices)
-            assert np.shares_memory(built.matrix().indptr, pattern.indptr)
+        # One pattern per topology and zero-rate type set, by identity, and
+        # its very memory under every matrix built from it.
+        built = (graph, view, rebound)
+        for one in built:
+            for other in built:
+                assert (one._per_rate.pattern() is other._per_rate.pattern()) == (
+                    one._per_rate.zero_types == other._per_rate.zero_types
+                )
+            pattern = one._per_rate.pattern()
+            if pattern.indices.size:  # all rates zero: nothing to share
+                assert np.shares_memory(one.matrix().indices, pattern.indices)
+            assert np.shares_memory(one.matrix().indptr, pattern.indptr)
         # ... and rates of its own: matrices under different rates never
         # alias each other's data (under equal rates a view may keep its
         # source's matrix outright).
@@ -326,7 +341,7 @@ class TestMatrixAgainstCoordinateForm:
         assert_reference_matrix(graph.with_rates(learned))
 
     def test_pattern_is_read_only(self, figure1_atdg):
-        pattern = figure1_atdg._csr_pattern
+        pattern = figure1_atdg._per_rate.pattern()
         arrays = [pattern.slot_edge, pattern.indices, pattern.indptr]
         arrays += [array for pair in pattern.parallel for array in pair]
         assert not any(array.flags.writeable for array in arrays)
@@ -342,6 +357,182 @@ class TestMatrixAgainstCoordinateForm:
         atdg = AuthorityTransferDataGraph(graph, AuthorityTransferSchemaGraph(schema))
         assert_reference_matrix(atdg)
         assert atdg.matrix().nnz == 0
+
+
+# -- zero-rate slots: left out, and no float moves -----------------------------
+
+_WORDS = ("olap", "cube", "mining", "xml")
+
+
+@st.composite
+def zeroed_rates(draw):
+    """Convergent rates over ``tricky_rates`` that zero one or more edge
+    types, one of them a type of the triple edge ``a0 -> b0`` (every type
+    from label A to label B is one); a positive rate may be subnormal, so
+    that it underflows to 0 on an edge whose OutDeg is 2 or more."""
+    rates = tricky_rates()
+    a_to_b = [
+        i for i, t in enumerate(rates.edge_types()) if (t.source, t.target) == ("A", "B")
+    ]
+    vector = draw(_RATE_VECTORS)
+    subnormal = draw(st.sampled_from([None, 5e-324, 1e-323]))
+    if subnormal is not None:
+        vector[draw(st.integers(0, len(vector) - 1))] = subnormal
+    vector[draw(st.sampled_from(a_to_b))] = 0.0
+    # Theorem 1's premise: every label's outgoing rates sum to at most 1.
+    return rates.with_vector(vector).scaled_to_convergent()
+
+
+def _kernel_modes():
+    """Rank through the compiled kernels (when this process has them), then
+    with them forced off."""
+    if _native.available():
+        yield contextlib.nullcontext()
+    yield mock.patch.object(_native, "_ensure", lambda: None)
+
+
+def assert_same_run(mine, theirs) -> None:
+    assert same_bits(mine.scores, theirs.scores)
+    assert same_bits(mine.residuals, theirs.residuals)
+    assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)
+
+
+class TestZeroRateSlots:
+    """The stored matrix leaves out every slot whose edges all carry rate 0;
+    each ranking path over it equals the reference loop over the coordinate
+    form, explicit zeros included, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        multigraphs(),
+        zeroed_rates(),
+        st.sampled_from([1e-4, 1e-9, 0.0]),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.data(),
+    )
+    def test_every_ranking_path_moves_no_bit(self, data_graph, rates, tolerance, seed, data):
+        graph = AuthorityTransferDataGraph(data_graph, rates)
+        assert graph._per_rate.zero_types
+        matrix, sell = graph.matrix(), graph.sell_matrix()
+        assert not (matrix.data == 0.0).any()
+        padding = sell.layout.columns == graph.num_nodes
+        assert ((sell.values == 0.0) == padding).all()
+        full = reference_matrix(graph)  # with its explicit zeros
+
+        init = None
+        if seed is not None:
+            init = np.random.default_rng(seed).random(graph.num_nodes)
+            init[init < 0.3] = 0.0
+        nodes = st.sampled_from(graph.node_ids)
+        bases = [
+            data.draw(st.lists(nodes, min_size=1, max_size=4, unique=True))
+            for _ in range(33)
+        ]
+
+        texts = data.draw(
+            st.lists(
+                st.sets(st.sampled_from(_WORDS), min_size=1),
+                min_size=graph.num_nodes,
+                max_size=graph.num_nodes,
+            )
+        )
+        index = InvertedIndex.from_documents(
+            (node, " ".join(sorted(words))) for node, words in zip(graph.node_ids, texts)
+        )
+
+        def reference(restart, init=init):
+            return reference_power_iteration(full, restart, 0.85, tolerance, 60, init)
+
+        for mode in _kernel_modes():
+            with mode:
+                for k in (1, 2, 33):
+                    restarts = uniform_restarts(graph, bases[:k])
+                    ranked = rank(
+                        graph, restarts, Tolerance(tolerance), max_iterations=60, init=init
+                    )
+                    if k == 1:  # the live path: SELL with the kernel, CSR without
+                        assert_same_run(ranked[0], reference(restarts.block[:, 0]))
+                        continue
+                    # The blocked engine sums its residuals in another order
+                    # than the serial loop: they match its own run over the
+                    # coordinate form.
+                    batch = batched_power_iteration(
+                        full, restarts.block, 0.85, tolerance, 60, init
+                    )
+                    for j, result in enumerate(ranked):
+                        theirs = reference(restarts.block[:, j])
+                        assert same_bits(result.scores, theirs.scores)
+                        assert result.iterations == theirs.iterations
+                        assert result.converged == theirs.converged
+                        assert same_bits(result.residuals, batch.column(j).residuals)
+
+                ranker = PrecomputedRanker(
+                    graph, index, min_document_frequency=1, tolerance=tolerance,
+                    max_iterations=60,
+                )
+                iterations = 0
+                for keyword in ranker.keywords:
+                    restart = uniform_restarts(graph, [index.documents_with_term(keyword)])
+                    theirs = reference(restart.block[:, 0], None)
+                    assert same_bits(ranker.vector(keyword), theirs.scores)
+                    iterations += theirs.iterations
+                assert ranker.keywords and ranker.build_iterations == iterations
+
+    def test_an_infinite_init_is_where_the_operators_part(self, figure1_atdg):
+        """``0.0 * inf`` is NaN: a stored zero turns an infinite score into a
+        NaN in the row that reads it, a left-out one does not.  No iterate
+        holds an inf while every label's outgoing rates sum to at most 1."""
+        graph = figure1_atdg
+        full = reference_matrix(graph).tocoo()
+        stored = graph.matrix()
+        zero = np.flatnonzero(full.data == 0.0)[0]
+        row, column = full.row[zero], full.col[zero]
+        assert column not in stored.indices[stored.indptr[row] : stored.indptr[row + 1]]
+        init = np.ones(graph.num_nodes)
+        init[column] = np.inf
+        restarts = uniform_restarts(graph, [["v1"]])
+        theirs = reference_power_iteration(
+            full.tocsr(), restarts.block[:, 0], max_iterations=1, init=init
+        )
+        assert np.isnan(theirs.scores[row])
+        for mode in _kernel_modes():
+            with mode:
+                (mine,) = rank(graph, restarts, Tolerance(), max_iterations=1, init=init)
+            assert not np.isnan(mine.scores[row])
+            assert_same_run(
+                mine,
+                reference_power_iteration(
+                    stored, restarts.block[:, 0], max_iterations=1, init=init
+                ),
+            )
+
+
+def _learned(rates, scale):
+    """``rates`` scaled by ``scale``: new rates, zero on the same types."""
+    return rates.with_vector([scale * rate for rate in rates.as_vector()])
+
+
+def _counting(monkeypatch, name):
+    """Every value ``transfer_graph.<name>`` builds from now on, in order."""
+    built = []
+    build = getattr(transfer_graph, name)
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(transfer_graph, name, counting)
+    return built
+
+
+@pytest.fixture
+def patterns(monkeypatch):
+    return _counting(monkeypatch, "csr_pattern")
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    return _counting(monkeypatch, "sell_layout")
 
 
 class TestReboundUnderUnchangedRates:
@@ -360,38 +551,52 @@ class TestReboundUnderUnchangedRates:
         assert view.matrix() is matrix
         assert view.positive_incidence() is incidence
 
-    def test_cold_source_leaves_the_view_to_build_its_own(self, figure1_atdg):
+    def test_cold_source_leaves_the_view_to_build_its_own(
+        self, figure1_atdg, patterns, layouts
+    ):
         view = figure1_atdg.rebound(figure1_atdg.data_graph, figure1_atdg.transfer_schema)
         assert figure1_atdg._per_rate._matrix is None and view._per_rate._matrix is None
         assert_reference_matrix(view)
+        # ... one pattern and one layout, which the source then finds built.
+        assert figure1_atdg.sell_matrix() is view.sell_matrix()
+        assert figure1_atdg.matrix() is view.matrix()
+        assert len(patterns) == len(layouts) == 1
 
 
 class TestSellLayout:
-    """The interleaved copy live runs iterate: layout per topology, values
-    per rate setting, built only when asked for."""
+    """The interleaved copy live runs iterate: one pattern and one layout per
+    topology and zero-rate type set, values per rate setting, built only
+    when asked for."""
 
-    @pytest.fixture
-    def layouts(self, monkeypatch):
-        built = []
-        build = transfer_graph.sell_layout
-
-        def counting(*args):
-            built.append(build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(transfer_graph, "sell_layout", counting)
-        return built
-
-    def test_one_layout_per_topology_shared_by_every_view(self, figure1_atdg, layouts):
+    def test_one_pattern_and_layout_per_zero_rate_type_set(
+        self, figure1_atdg, patterns, layouts
+    ):
         graph = figure1_atdg
-        view = graph.with_rates(dblp_transfer_schema([0.1] * 8))  # before the build
+        assert graph._per_rate.zero_types  # Figure 3 zeroes the "cited" direction
+        view = graph.with_rates(_learned(graph.transfer_schema, 0.5))  # before the build
         layout = graph.sell_matrix().layout
         copy = graph.data_graph.copy()
         copy.update_attributes("v7", {"title": "rewritten"})
-        rebound = graph.rebound(copy, dblp_transfer_schema([0.2] * 8))
-        for other in (view, rebound, graph.with_rates(dblp_transfer_schema([0.3] * 8))):
+        rebound = graph.rebound(copy, _learned(graph.transfer_schema, 0.8))
+        for other in (view, rebound):
+            assert other._per_rate.zero_types == graph._per_rate.zero_types
             assert other.sell_matrix().layout is layout
         assert layouts == [layout]
+        assert len(patterns) == 1
+        # Making the zero type positive costs exactly one more of each, which
+        # every view without zero rates then shares.
+        positive = graph.with_rates(dblp_transfer_schema([0.1] * 8))
+        assert positive._per_rate.zero_types == ()
+        second = positive.sell_matrix().layout
+        assert second is not layout
+        assert graph.with_rates(dblp_transfer_schema([0.3] * 8)).sell_matrix().layout is second
+        assert layouts == [layout, second]
+        assert len(patterns) == 2
+        assert positive.matrix().nnz > graph.matrix().nnz
+
+    def test_a_matrix_alone_builds_no_layout(self, figure1_atdg, patterns, layouts):
+        figure1_atdg.matrix()
+        assert len(patterns) == 1 and layouts == []
 
     def test_layout_holds_every_entry_once_in_row_order(self, figure1_atdg):
         matrix, sell = figure1_atdg.matrix(), figure1_atdg.sell_matrix()
@@ -415,7 +620,7 @@ class TestSellLayout:
         graph = figure1_atdg
         before = graph.sell_matrix()
         assert graph.sell_matrix() is before
-        after = graph.with_rates(dblp_transfer_schema([0.1] * 8)).sell_matrix()
+        after = graph.with_rates(_learned(graph.transfer_schema, 0.5)).sell_matrix()
         assert after is not before and after.layout is before.layout
         assert after.values.tolist() != before.values.tolist()
         assert graph.sell_matrix() is before

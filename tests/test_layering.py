@@ -482,8 +482,9 @@ def _sorts_or_sums_a_sparse_matrix(function: ast.FunctionDef) -> bool:
 
 
 def test_transition_matrix_is_filled_not_rebuilt():
-    """Sorting and duplicate-summing happen once per topology (the pattern),
-    never in ``matrix()``: new rates cost one gather."""
+    """Sorting and duplicate-summing happen once per topology and zero-rate
+    type set (the pattern, whose zero-rate slots are dropped by a filter,
+    not a second sort), never in ``matrix()``: new rates cost one gather."""
     functions = _functions(SRC / "graph" / "transfer_graph.py")
     payers = [f.name for f in functions if _sorts_or_sums_a_sparse_matrix(f)]
     assert payers == ["csr_pattern"]
