@@ -8,8 +8,9 @@ ephemeral port, then asserts over HTTP:
 - a ``mode=two_stage`` ``/search`` carries ``two_stage.subgraph_nodes`` /
   ``subgraph_edges`` and a page equal to the in-process engine's, one
   naming the removed ``fusion`` / ``fusion_weight`` gets a 400 naming it,
-  and an ``/explain`` naming the removed ``mode: two_stage`` gets a 400
-  naming it;
+  a ``/search`` with the removed ``mode=precomputed`` gets a
+  ``bad_request`` 400 naming the mode, and an ``/explain`` naming the
+  removed ``mode: two_stage`` gets a 400 naming it;
 - ``/search`` answers 200 with a non-empty ranked result list;
 - a repeated identical query is served from the cache, and the ``/metrics``
   hit counter proves it;
@@ -112,6 +113,16 @@ def exercise_two_stage(base: str) -> None:
         else:
             raise AssertionError(f"a /search naming {name} was answered")
     print("smoke: /search naming fusion or fusion_weight refused with 400")
+
+    try:
+        call(base, f"/search?dataset={DATASET}&q=mining+cube&mode=precomputed")
+    except urllib.error.HTTPError as refused:
+        payload = json.loads(refused.read())
+        assert refused.code == 400 and payload["error"] == "bad_request", payload
+        assert "mode 'precomputed' was removed" in payload["message"], payload
+    else:
+        raise AssertionError("a mode=precomputed /search was answered")
+    print("smoke: /search with mode=precomputed refused with 400")
 
     top = served["results"][0]["id"]
     body = {"dataset": DATASET, "query": "mining cube", "target": top, "mode": "two_stage"}

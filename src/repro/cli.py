@@ -360,7 +360,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         default_top_k=args.top_k,
         cache_max_entries=args.cache_size,
-        cache_ttl_seconds=args.cache_ttl,
         precompute=not args.no_precompute,
         max_concurrency=args.max_concurrency,
         deadline_seconds=args.deadline,
@@ -623,9 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--top-k", type=int, default=10)
     serve.add_argument("--cache-size", type=int, default=512, help="max cached results")
-    serve.add_argument(
-        "--cache-ttl", type=float, default=None, help="result TTL seconds (default: none)"
-    )
     serve.add_argument(
         "--max-concurrency", type=int, default=8, help="in-flight request limit (429 beyond)"
     )

@@ -91,24 +91,18 @@ class EmptyBaseSetError(ReproError):
 
 
 class PrecomputedCoverageError(EmptyBaseSetError):
-    """A precomputed cache covers too little of a query to answer it.
+    """A precomputed cache has no vector for some term of a query.
 
     Subclasses :class:`EmptyBaseSetError` so serving layers that already fall
-    back to live ObjectRank2 on an unanswerable cached query treat partial
-    coverage the same way instead of silently dropping the missing terms.
+    back to live ObjectRank2 on an unanswerable cached query treat a missing
+    term the same way instead of silently dropping it.
     """
 
-    def __init__(
-        self, missing: tuple[str, ...], coverage: float, threshold: float
-    ):
+    def __init__(self, missing: tuple[str, ...]):
         ReproError.__init__(
-            self,
-            f"precomputed vectors cover {coverage:.1%} of the query weight "
-            f"(threshold {threshold:.1%}); uncached terms: {missing!r}",
+            self, f"no precomputed vector for the query terms {missing!r}"
         )
         self.keywords = missing
-        self.coverage = coverage
-        self.threshold = threshold
 
 
 class ExplanationError(ReproError):

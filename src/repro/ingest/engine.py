@@ -109,7 +109,6 @@ class IngestEngine:
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         min_document_frequency: int = 2,
-        min_coverage: float = 1.0,
     ) -> None:
         """Start from ``data_graph`` and ``index``, its inverted index.
 
@@ -123,7 +122,6 @@ class IngestEngine:
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.min_document_frequency = min_document_frequency
-        self.min_coverage = min_coverage
         self._lock = threading.Lock()
         #: guarded by self._lock
         self._data_graph = data_graph.copy()
@@ -353,8 +351,7 @@ class IngestEngine:
                     KeywordVectors(
                         graph, index, outcome.vectors, self.damping,
                         outcome.iterations,
-                    ),
-                    self.min_coverage,
+                    )
                 )
                 recomputed, carried = outcome.recomputed, outcome.carried
                 iterations, full = outcome.iterations, outcome.full_rebuild

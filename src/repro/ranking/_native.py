@@ -38,7 +38,7 @@ Per column the accumulation order of ``Y`` is exactly scipy's sequential
 per-row order and the update is the serial engine's ``multiply then add``,
 compiled with ``-ffp-contract=off`` so no FMA contraction changes the
 rounding — the scores are bit-for-bit compatible with
-:func:`repro.ranking.pagerank.power_iteration`.  (Rows missing from the
+:func:`repro.ranking.pagerank.iterate`.  (Rows missing from the
 jump list skip the ``+ 0.0`` — identical for every value except a ``-0.0``
 accumulator, which nonnegative ranking iterates never produce.)  The fused
 residuals use a sequential row-order sum (numpy uses pairwise summation), so

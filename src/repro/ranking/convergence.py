@@ -61,10 +61,6 @@ class RankedResult:
     converged: bool
     base_weights: dict[str, float] = field(default_factory=dict)
     residuals: list[float] = field(default_factory=list)
-    #: Fraction of the query's positive term weight the ranking actually
-    #: used.  1.0 for exact runs; below 1.0 when a precomputed cache had no
-    #: vector for some query terms (see ``PrecomputedRanker.rank``).
-    coverage: float = 1.0
 
     def score_of(self, node_id: str) -> float:
         # O(n) lookup is fine for tests/examples; hot paths use the array.

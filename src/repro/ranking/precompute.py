@@ -20,6 +20,11 @@ disjoint and per-document IR scores are constant per keyword, close
 otherwise).  The trade-off is the classic one: instant queries, approximate
 scores, rates frozen at precomputation time (a structure-based reformulation
 invalidates the cache — :meth:`PrecomputedRanker.is_stale` detects that).
+
+A query is blended only when every positive-weight term has a column; any
+other query is refused with :class:`~repro.errors.PrecomputedCoverageError`
+before anything is blended, and the serving layer runs it live.  No answer
+from the store ever drops a query term.
 """
 
 from __future__ import annotations
@@ -45,12 +50,6 @@ from repro.ranking.pagerank import (
 
 if TYPE_CHECKING:
     from repro.store.format import ScoreStore
-
-
-def _valid_coverage(min_coverage: float) -> float:
-    if not 0.0 <= min_coverage <= 1.0:
-        raise ValueError(f"min_coverage must be in [0, 1], got {min_coverage}")
-    return min_coverage
 
 
 class KeywordVectors:
@@ -116,15 +115,14 @@ class PrecomputedRanker:
     offline build and serves it from memory (a :class:`KeywordVectors`),
     :meth:`over` serves vectors that already exist — an incremental refresh's
     :class:`KeywordVectors` or a mapped
-    :class:`~repro.store.format.ScoreStore` — through the same ``coverage`` /
-    ``is_stale`` / ``rank``, so every provider answers with identical floats.
+    :class:`~repro.store.format.ScoreStore` — through the same ``is_stale`` /
+    ``rank``, so every provider answers with identical floats.
 
     ``keywords=None`` precomputes every index term whose document frequency
     is at least ``min_document_frequency`` (rare terms are cheap to run
-    on the fly and bloat the cache).  ``min_coverage`` is the fraction of a query's
-    positive term weight that must be cached for :meth:`rank` to answer —
-    below it the ranker raises instead of silently dropping the uncached
-    terms (the default ``1.0`` answers only fully covered queries).
+    on the fly and bloat the cache).  :meth:`rank` answers a query only when
+    every positive-weight term is cached, and raises otherwise instead of
+    silently dropping the uncached terms.
 
     Instances are immutable after construction and safe to share across
     threads; one over a store pins the store's mapping, so an in-flight
@@ -140,40 +138,27 @@ class PrecomputedRanker:
         damping: float = DEFAULT_DAMPING,
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        min_coverage: float = 1.0,
     ) -> None:
-        _valid_coverage(min_coverage)  # fail before the build, not after it
         if keywords is None:
             keywords = index.vocabulary(min_document_frequency)
         built = keyword_objectranks(
             graph, index, keywords, damping, tolerance, max_iterations
         )
-        self._serve(
-            KeywordVectors(
-                graph,
-                index,
-                {keyword: result.scores for keyword, result in built.items()},
-                damping,
-                sum(result.iterations for result in built.values()),
-            ),
-            min_coverage,
+        #: Where the vectors, idf weights and fingerprints are read from.
+        self.source = KeywordVectors(
+            graph,
+            index,
+            {keyword: result.scores for keyword, result in built.items()},
+            damping,
+            sum(result.iterations for result in built.values()),
         )
 
     @classmethod
-    def over(
-        cls, source: "KeywordVectors | ScoreStore", min_coverage: float = 1.0
-    ) -> "PrecomputedRanker":
+    def over(cls, source: "KeywordVectors | ScoreStore") -> "PrecomputedRanker":
         """A ranker over already-computed vectors, skipping the build."""
         ranker = cls.__new__(cls)
-        ranker._serve(source, min_coverage)
+        ranker.source = source
         return ranker
-
-    def _serve(
-        self, source: "KeywordVectors | ScoreStore", min_coverage: float
-    ) -> None:
-        #: Where the vectors, idf weights and fingerprints are read from.
-        self.source = source
-        self.min_coverage = _valid_coverage(min_coverage)
 
     # -- cache inspection ------------------------------------------------------
 
@@ -202,21 +187,6 @@ class PrecomputedRanker:
     def vector(self, keyword: str) -> np.ndarray:
         """The precomputed authority vector of one cached keyword."""
         return self.source.vector(keyword)
-
-    def coverage(self, query_vector: QueryVector) -> float:
-        """Fraction of the query's positive term weight that is cached."""
-        considered = [
-            (term, query_vector.weight(term))
-            for term in query_vector.terms
-            if query_vector.weight(term) > 0
-        ]
-        total = sum(weight for _, weight in considered)
-        if total <= 0:
-            return 0.0
-        cached = sum(
-            weight for term, weight in considered if self.source.has_keyword(term)
-        )
-        return cached / total
 
     def is_stale(
         self,
@@ -260,16 +230,14 @@ class PrecomputedRanker:
     # -- query answering ---------------------------------------------------------
 
     def rank(self, query_vector: QueryVector) -> RankedResult:
-        """Blend precomputed vectors for the query's cached keywords.
+        """Blend the precomputed vectors of the query's terms.
 
-        If no positive-weight keyword is cached the query cannot be answered
-        at all and :class:`~repro.errors.EmptyBaseSetError` is raised; if the
-        cached fraction of the query weight is positive but below
-        ``min_coverage`` (e.g. content-based reformulation added expansion
-        terms the cache never saw), :class:`~repro.errors.PrecomputedCoverageError`
-        is raised instead of silently ignoring the uncached terms.  Callers
-        fall back to on-the-fly ObjectRank2 in both cases.  The achieved
-        coverage fraction is reported on the result.
+        Every positive-weight term must be cached: if one is not (a df = 1
+        term below ``min_document_frequency``, an expansion term a
+        content-based reformulation added), :class:`~repro.errors.PrecomputedCoverageError`
+        names the missing terms before anything is blended; a query with no
+        positive weight raises :class:`~repro.errors.EmptyBaseSetError`.
+        Callers fall back to on-the-fly ObjectRank2 in both cases.
 
         The blend iterates the query terms in their canonical order,
         multiplies by the provider's idf (a store freezes the exact float
@@ -278,44 +246,33 @@ class PrecomputedRanker:
         ranker it was exported from.
         """
         source = self.source
+        weighted = [
+            (term, weight) for term, weight in query_vector.weights.items() if weight > 0
+        ]
+        missing = tuple(term for term, _ in weighted if not source.has_keyword(term))
+        if missing:
+            raise PrecomputedCoverageError(missing)
         blended = np.zeros(len(source.node_ids))
         total_weight = 0.0
+        query_weight = 0.0
         matched: dict[str, float] = {}
-        missing: list[str] = []
-        considered_weight = 0.0
-        covered_weight = 0.0
-        for term in query_vector.terms:
-            weight = query_vector.weight(term)
-            if weight <= 0:
-                continue
-            considered_weight += weight
-            if not source.has_keyword(term):
-                missing.append(term)
-                continue
-            covered_weight += weight
+        for term, weight in weighted:
+            query_weight += weight
             blend_weight = weight * max(source.idf_of(term), 1e-6)
             blended += blend_weight * source.vector(term)
             total_weight += blend_weight
             matched[term] = blend_weight
         # total_weight accumulates strictly positive blend weights, so "no
-        # cached keyword matched" is exactly total_weight <= 0.0 — an exact
+        # positive-weight term" is exactly total_weight <= 0.0 — an exact
         # == 0.0 would miss a (theoretical) underflow-to-subnormal sum and
-        # then divide by it below.  considered_weight can only be zero when
-        # total_weight is (a term contributes to the latter only after the
-        # former), so the second disjunct never changes behavior — it makes
-        # the coverage division's guard locally checkable.
-        if total_weight <= 0.0 or considered_weight <= 0.0:
+        # then divide by it below.
+        if total_weight <= 0.0:
             raise EmptyBaseSetError(tuple(query_vector.terms))
-        if math.isinf(total_weight) or math.isinf(considered_weight):
-            # Finite weights near the float limit: every blended score
-            # would divide to NaN or zero.
+        if math.isinf(total_weight) or math.isinf(query_weight):
+            # Finite weights near the float limit: every blended score would
+            # divide to NaN or zero, and the live path refuses them too.
             raise ParameterError(
-                f"query weights sum to {considered_weight}: too large to blend"
-            )
-        coverage = covered_weight / considered_weight
-        if coverage < self.min_coverage:
-            raise PrecomputedCoverageError(
-                tuple(missing), coverage, self.min_coverage
+                f"query weights sum to {query_weight}: too large to blend"
             )
         blended /= total_weight
         return RankedResult(
@@ -324,5 +281,4 @@ class PrecomputedRanker:
             iterations=0,  # query time does no power iteration
             converged=True,
             base_weights={t: w / total_weight for t, w in matched.items()},
-            coverage=coverage,
         )

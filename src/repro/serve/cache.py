@@ -1,4 +1,4 @@
-"""Thread-safe LRU + TTL caches for the query service, and their one key.
+"""Thread-safe LRU caches for the query service, and their one key.
 
 A cached answer is valid only under what it was computed under: the
 dataset, the query vector, the transfer rates (the paper's loop changes
@@ -11,22 +11,21 @@ one of the components.  The rate fingerprint makes learned-rate sessions
 self-keying, but the service still invalidates a dataset's entries
 *explicitly* when it applies a reformulation or adopts an ingest snapshot,
 both to free memory and so operators can see the invalidation in
-``/metrics``.
+``/metrics``.  Nothing expires by age: an entry is dropped only by LRU
+eviction or invalidation, because the fence, not the clock, is what makes
+an answer stale.
 
 The cache is deliberately value-agnostic: it stores whatever the service
 built (JSON-ready payloads; for the score cache, converged rankings) and is
-told by the caller what an entry weighs when it is bounded in bytes.  Expiry
-uses a monotonic clock injected at construction time so tests can drive time
-by hand.
+told by the caller what an entry weighs when it is bounded in bytes.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.graph.authority import FINGERPRINT_DIGITS, AuthorityTransferSchemaGraph
 from repro.query.query import QueryVector
@@ -100,7 +99,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    expirations: int
     invalidations: int
     size: int
     max_entries: int | None
@@ -112,22 +110,19 @@ class CacheStats:
 
 
 class ResultCache:
-    """An LRU cache with optional TTL, safe for concurrent get/put.
+    """An LRU cache, safe for concurrent get/put.
 
     ``max_entries`` and ``max_bytes`` bound memory (``None`` lifts either;
     bytes are what callers declare per :meth:`put`); least-recently-*used*
     entries are evicted on overflow, so an entry heavier than ``max_bytes``
-    is never held.  ``ttl_seconds=None`` disables expiry.  All operations
-    take one short critical section — the cache never computes under its
-    lock.  Keys must come from :meth:`Fence.key`; any other raises
-    ``TypeError``.
+    is never held.  All operations take one short critical section — the
+    cache never computes under its lock.  Keys must come from
+    :meth:`Fence.key`; any other raises ``TypeError``.
     """
 
     def __init__(
         self,
         max_entries: int | None = 512,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
         max_bytes: int | None = None,
     ) -> None:
         if max_entries is None and max_bytes is None:
@@ -136,16 +131,12 @@ class ResultCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive or None, got {ttl_seconds}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
-        # key -> (value, stored at, declared bytes)
+        # key -> (value, declared bytes)
         #: guarded by self._lock
-        self._entries: OrderedDict[FenceKey, tuple[Any, float, int]] = OrderedDict()
+        self._entries: OrderedDict[FenceKey, tuple[Any, int]] = OrderedDict()
         #: guarded by self._lock
         self._bytes = 0
         #: guarded by self._lock
@@ -155,8 +146,6 @@ class ResultCache:
         #: guarded by self._lock
         self._evictions = 0
         #: guarded by self._lock
-        self._expirations = 0
-        #: guarded by self._lock
         self._invalidations = 0
 
     def __len__(self) -> int:
@@ -164,23 +153,16 @@ class ResultCache:
             return len(self._entries)
 
     def get(self, key: FenceKey) -> Any | None:
-        """The cached value, or ``None`` on miss/expiry (which counts a miss)."""
+        """The cached value, or ``None`` on a miss (which is counted)."""
         _check_key(key)
-        now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
                 return None
-            value, stored_at, _ = entry
-            if self.ttl_seconds is not None and now - stored_at > self.ttl_seconds:
-                self._drop_locked(key)
-                self._expirations += 1
-                self._misses += 1
-                return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return value
+            return entry[0]
 
     def put(self, key: FenceKey, value: Any, nbytes: int = 0) -> None:
         """Insert (or refresh) an entry, evicting LRU entries on overflow.
@@ -188,11 +170,10 @@ class ResultCache:
         ``nbytes`` is what the entry counts against ``max_bytes``.
         """
         _check_key(key)
-        now = self._clock()
         with self._lock:
             if key in self._entries:
                 self._drop_locked(key)
-            self._entries[key] = (value, now, nbytes)
+            self._entries[key] = (value, nbytes)
             self._bytes += nbytes
             while self._entries and (
                 (self.max_entries is not None and len(self._entries) > self.max_entries)
@@ -203,7 +184,7 @@ class ResultCache:
 
     def _drop_locked(self, key: FenceKey) -> None:
         """Remove one entry and its bytes.  Caller holds the lock."""
-        self._bytes -= self._entries.pop(key)[2]
+        self._bytes -= self._entries.pop(key)[1]
 
     def invalidate(self, dataset: str | None = None) -> int:
         """Drop every entry (or only one dataset's entries); returns the count.
@@ -232,7 +213,6 @@ class ResultCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 invalidations=self._invalidations,
                 size=len(self._entries),
                 max_entries=self.max_entries,

@@ -8,11 +8,13 @@ buffered socket file, one writer that sends each response whole.  Endpoints:
 ``/search``               GET     ``?dataset=&q=&top_k=&mode=&labels=`` plus
                                   ``candidates=&horizon=&early_k=&
                                   expand_cap=&node_budget=&max_horizon=``
-                                  under ``mode=two_stage``
+                                  under ``mode=two_stage``; ``mode`` is
+                                  ``auto``, ``live`` or ``two_stage``
+                                  (the removed ``precomputed`` is a 400)
 ``/search``               POST    ``{"dataset", "query", "top_k", "mode",
                                   "labels", "candidates", "horizon",
                                   "early_k", "expand_cap", "node_budget",
-                                  "max_horizon"}``
+                                  "max_horizon"}``, ``"mode"`` as for GET
 ``/explain``              POST    ``{"dataset", "query", "target",
                                   "max_edges"}`` (``"mode"`` may only be
                                   ``"live"``)
@@ -435,7 +437,7 @@ class QueryRequestHandler(WireRequestHandler):
             _required_text(body, "dataset"),
             _query(body, ("query", "q")),
             top_k=_optional_int(body, "top_k"),
-            mode=_text(body, "mode", "auto"),
+            mode=_search_mode(body),
             labels=tuple(labels) if labels else None,
             deadline=deadline,
             **_two_stage_overrides(body),
@@ -595,6 +597,19 @@ _TWO_STAGE_MINIMUM = {name: 1 for name in TWO_STAGE_PARAMETERS} | {"horizon": 0}
 #: authority scores.  A request naming one is refused rather than answered
 #: with something other than what it asked for.
 _REMOVED_WIRE = ("fusion", "fusion_weight")
+
+
+def _search_mode(body: dict) -> str:
+    """``/search``'s ``mode``, with the removed ``"precomputed"`` refused by
+    name: ``auto`` already answers from the precomputed vectors whenever
+    they hold every query term."""
+    mode = _text(body, "mode", "auto")
+    if mode == "precomputed":
+        raise _BadRequest(
+            "mode 'precomputed' was removed from /search: mode 'auto' answers "
+            "from the precomputed vectors whenever they cover every query term"
+        )
+    return mode
 
 
 def _check_explain_mode(body: dict) -> None:

@@ -8,8 +8,10 @@ deployed system answers from the cheapest source that is still correct:
    :class:`~repro.serve.cache.Fence` — dataset, query vector, transfer
    rates, ingest epoch, store generation — and the same ``top_k``);
 2. the **precomputed ranker** (per-keyword [BHP04] vectors blended at query
-   time), used only while it is *fresh* — a structure-based reformulation
-   that changes the serving rates makes it stale and routes traffic back to
+   time), used only while it is *fresh* and only for a query whose every
+   term has a vector — a structure-based reformulation that changes the
+   serving rates makes it stale; a stale ranker or a term without a
+   vector routes traffic to
 3. **live ObjectRank2** over the shared engine, through the per-call
    transfer-rate views of :meth:`repro.query.engine.SearchEngine.search`
    (no shared-graph mutation, so concurrent sessions stay isolated).
@@ -38,7 +40,7 @@ from repro.core.config import DEFAULT_RADIUS, SystemConfig
 from repro.core.system import ObjectRankSystem
 from repro.datasets import load_dataset
 from repro.datasets.base import Dataset
-from repro.errors import EmptyBaseSetError, PrecomputedCoverageError, ReproError
+from repro.errors import EmptyBaseSetError, ReproError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.data_graph import DataGraph
 from repro.ingest.engine import IngestEngine
@@ -58,7 +60,7 @@ from repro.serve.cache import Fence, ResultCache
 from repro.serve.metrics import MetricsRegistry
 from repro.store.generations import StoreManager
 
-SERVE_MODES = ("auto", "live", "precomputed", "two_stage")
+SERVE_MODES = ("auto", "live", "two_stage")
 
 #: Entries the explanation cache holds (whole adjusted-flow explanations,
 #: one per query, rates and target).
@@ -112,7 +114,6 @@ class ServeConfig:
     default_top_k: int = 10
     radius: int | None = DEFAULT_RADIUS
     cache_max_entries: int = 512
-    cache_ttl_seconds: float | None = None
     #: Two-stage retrieval defaults for ``mode=two_stage`` requests (each
     #: overridable per request): stage-1 candidate-set size and rerank
     #: neighborhood horizon (see :mod:`repro.retrieval`).
@@ -126,14 +127,6 @@ class ServeConfig:
     rerank_max_horizon: int | None = None
     precompute: bool = True
     precompute_min_document_frequency: int = 2
-    precompute_keywords: tuple[str, ...] | None = None
-    #: Fraction of a query's term weight the precomputed cache must cover to
-    #: answer it; below this the request falls back to live ObjectRank2.
-    precompute_min_coverage: float = 1.0
-    #: Rebuild the per-keyword vectors under the learned rates after an
-    #: applied reformulation (blocks the reformulation request, restores the
-    #: precomputed fast path for everyone else).
-    precompute_rebuild: bool = False
     #: Root directory of on-disk score stores (one subdirectory per dataset,
     #: see :mod:`repro.store`).  When set, the precomputed fast path serves
     #: zero-copy from the mmap'd store's published generation instead of
@@ -206,7 +199,6 @@ class DatasetRuntime:
         if config.store_dir is not None:
             self.store = StoreManager(
                 Path(config.store_dir) / self.name,
-                min_coverage=config.precompute_min_coverage,
                 refresh_seconds=config.store_refresh_seconds,
             )
         # Ingest: mutations buffer in the engine's working copies while
@@ -225,7 +217,6 @@ class DatasetRuntime:
                 dataset.transfer_schema,
                 self.engine.index,
                 min_document_frequency=config.precompute_min_document_frequency,
-                min_coverage=config.precompute_min_coverage,
             )
 
     @property
@@ -354,7 +345,11 @@ class DatasetRuntime:
             return None
         with self._precompute_lock:
             if self._precomputed is None:
-                self._precomputed = self._build_precomputed(self.engine.graph)
+                self._precomputed = PrecomputedRanker(
+                    self.engine.graph,
+                    self.engine.index,
+                    min_document_frequency=self.config.precompute_min_document_frequency,
+                )
             return self._precomputed
 
     def built_ranker(self) -> PrecomputedRanker | None:
@@ -370,45 +365,6 @@ class DatasetRuntime:
         if self.store is None:
             return None
         return self.store.generation
-
-    def rebuild_precomputed(self) -> PrecomputedRanker | None:
-        """Rebuild the per-keyword vectors under the current serving rates.
-
-        A structure-based reformulation leaves the precomputed cache stale;
-        rebuilding it (one blocked run over the vocabulary, see
-        :mod:`repro.ranking.batch`) restores the precomputed fast path
-        instead of routing all traffic to live ObjectRank2 forever.  The
-        rebuild happens outside the lock — readers keep using the stale
-        ranker's staleness check (and the live path) until the swap.
-
-        Store-backed runtimes instead *publish a new generation* under the
-        learned rates: the builder writes ``store.gen-K``, flips the
-        manifest, and every worker process of the cluster picks the new
-        generation up between requests — serving never blocks on a rebuild.
-        """
-        if self.store is None and not self.config.precompute:
-            return None
-        ranker = self._build_precomputed(self.engine.transfer_view(self.rates))
-        if self.store is not None:
-            self.store.publish(ranker, self.name)
-            return self.store.ranker()
-        with self._precompute_lock:
-            self._precomputed = ranker
-        return ranker
-
-    def _build_precomputed(self, graph) -> PrecomputedRanker:
-        keywords = (
-            list(self.config.precompute_keywords)
-            if self.config.precompute_keywords is not None
-            else None
-        )
-        return PrecomputedRanker(
-            graph,
-            self.engine.index,
-            keywords=keywords,
-            min_document_frequency=self.config.precompute_min_document_frequency,
-            min_coverage=self.config.precompute_min_coverage,
-        )
 
 
 class QueryService:
@@ -428,28 +384,18 @@ class QueryService:
     ) -> None:
         self.config = config or ServeConfig()
         self.metrics = registry or MetricsRegistry()
-        self.cache = ResultCache(
-            max_entries=self.config.cache_max_entries,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
+        self.cache = ResultCache(max_entries=self.config.cache_max_entries)
         # Explanations are cached separately from search results: they carry
         # full adjusted-flow edge lists, are keyed per target, and answering
         # one from cache skips an entire live ObjectRank2 run.  The rate
         # fingerprint in the fence makes reformulated sessions self-keying.
-        self.explain_cache = ResultCache(
-            max_entries=EXPLAIN_CACHE_ENTRIES,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
+        self.explain_cache = ResultCache(max_entries=EXPLAIN_CACHE_ENTRIES)
         # Converged cold-start, full-graph live rankings, kept so the loop's
         # later steps reuse the scores of the search before them.  Written
         # by the live branch of ``_execute`` and by ``_session``; read only
         # by ``_session``.  Nothing warm-started, two-stage or blended is
         # admitted, so a hit is bit-for-bit the run it replaces.
-        self.score_cache = ResultCache(
-            max_entries=None,
-            max_bytes=SCORE_CACHE_BYTES,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
+        self.score_cache = ResultCache(max_entries=None, max_bytes=SCORE_CACHE_BYTES)
         self.reformulator = Reformulator()
         self._preloaded = dict(datasets) if datasets else {}
         #: guarded by self._runtimes_lock
@@ -646,13 +592,14 @@ class QueryService:
     ) -> dict:
         """Answer one search request, routed cache -> precomputed -> live.
 
-        ``mode`` forces an execution path: ``"auto"`` (default) consults the
-        cache and the precomputed ranker before falling back to live
-        ObjectRank2; ``"precomputed"`` and ``"live"`` bypass the cache read
-        and force their path (useful for benchmarking and debugging);
-        ``"two_stage"`` runs top-N candidate generation + focused authority
-        reranking (:mod:`repro.retrieval`), consulting the cache under a key
-        extended with the two-stage parameters.  All modes still
+        ``mode`` picks an execution path: ``"auto"`` (default) consults the
+        cache, then the precomputed ranker when it is fresh and has a vector
+        for every query term, before falling back to live ObjectRank2;
+        ``"live"`` bypasses the cache read and forces live ObjectRank2
+        (useful for benchmarking and debugging); ``"two_stage"`` runs top-N
+        candidate generation + focused authority reranking
+        (:mod:`repro.retrieval`), consulting the cache under a key extended
+        with the two-stage parameters.  All modes still
         populate the cache.  ``two_stage`` may name any of
         :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS` to override the
         configured defaults per request; they are rejected outside
@@ -680,10 +627,7 @@ class QueryService:
                 deadline.check("ranking")
             ranked, top, stages, served_from = self._execute(plan)
             payload = _render_search(plan, ranked, top, stages)
-            # A forced-precomputed request the ranker could not answer yields
-            # an empty payload auto traffic would answer live: never cache it.
-            if ranked.node_ids or served_from not in ("precomputed", "store"):
-                self.cache.put(key, payload)
+            self.cache.put(key, payload)
         response = self._respond(payload, start, served_from, plan.staleness)
         self._search_latency.observe(response["elapsed_seconds"])
         return response
@@ -708,7 +652,7 @@ class QueryService:
             dataset, query
         )
         ranker = None
-        if mode in ("auto", "precomputed"):
+        if mode == "auto":
             # A store-backed runtime answers from the generation its fence
             # names.  An in-process one builds its ranker here, on first
             # use: ``_begin`` cannot, as explain and feedback requests would
@@ -724,7 +668,6 @@ class QueryService:
             vector=vector,
             rates=rates,
             k=top_k if top_k is not None else self.config.default_top_k,
-            mode=mode,
             labels=labels or None,
             ranker=ranker,
             two_stage=(
@@ -778,34 +721,18 @@ class QueryService:
     def _rank_precomputed(self, plan: "_SearchPlan") -> RankedResult | None:
         """The precomputed blend, or ``None`` when live must answer.
 
-        ``mode="precomputed"`` never falls back: an unavailable, stale or
-        under-covering ranker is an error, an unmatched query an empty
-        ranking.
+        Live answers when the plan has no ranker (every mode but ``auto``),
+        when the ranker is stale, and when it refuses the query: a term
+        without a vector (:class:`~repro.errors.PrecomputedCoverageError`)
+        or no positive weight at all.
         """
-        if plan.mode not in ("auto", "precomputed"):
-            return None
-        forced = plan.mode == "precomputed"
         ranker = plan.ranker
-        fresh = ranker is not None and not ranker.is_stale(plan.rates)
-        if not fresh:
-            if forced:
-                raise ReproError(
-                    "precomputed mode unavailable: "
-                    + ("ranker disabled" if ranker is None else "ranker is stale")
-                )
+        if ranker is None or ranker.is_stale(plan.rates):
             return None
         try:
             return ranker.rank(plan.vector)
-        except PrecomputedCoverageError as error:
-            if forced:
-                raise ReproError(f"precomputed mode unavailable: {error}") from error
-            # auto: partial coverage falls back to live ObjectRank2, which
-            # ranks with *every* query term.
-            return None
         except EmptyBaseSetError:
-            # auto: fall through to live, which may still match (or raise
-            # the same error, mapped to an empty payload).
-            return _empty_ranking() if forced else None
+            return None
 
     # -- explanation -------------------------------------------------------
 
@@ -1041,7 +968,8 @@ class QueryService:
         dataset's serving rates, which *invalidates* the dataset's result
         cache entries and leaves the precomputed ranker stale (subsequent
         queries route to live ObjectRank2 until the rates return to the
-        precomputed snapshot or the ranker is rebuilt).  ``apply=False`` is a
+        precomputed snapshot, or a store-backed runtime picks up a
+        generation published under the learned rates).  ``apply=False`` is a
         what-if: the reformulation and its reranked results are returned but
         serving state is untouched.
         """
@@ -1059,10 +987,6 @@ class QueryService:
         if applied:
             runtime.apply_rates(reformulated.transfer_schema)
             invalidated = self._invalidate(dataset)
-            if self.config.precompute_rebuild:
-                # One blocked run over the vocabulary restores the
-                # precomputed fast path under the learned rates.
-                runtime.rebuild_precomputed()
 
         if deadline is not None:
             deadline.check("reformulated search")
@@ -1141,9 +1065,6 @@ class QueryService:
             "repro_cache_evictions", "LRU evictions since startup"
         ).set(stats.evictions)
         self.metrics.gauge(
-            "repro_cache_expirations", "TTL expirations since startup"
-        ).set(stats.expirations)
-        self.metrics.gauge(
             "repro_explain_cache_entries",
             "Entries currently held by the explanation cache",
         ).set(self.explain_cache.stats().size)
@@ -1181,9 +1102,8 @@ class _SearchPlan:
     vector: QueryVector
     rates: AuthorityTransferSchemaGraph
     k: int
-    mode: str
     labels: tuple[str, ...] | None
-    #: Resolved under ``auto``/``precomputed`` only; ``None`` elsewhere.
+    #: Resolved under ``auto`` only; ``None`` elsewhere.
     ranker: PrecomputedRanker | None
     #: The resolved two-stage parameters; ``None`` outside ``two_stage``.
     two_stage: dict | None
@@ -1219,7 +1139,6 @@ def _render_search(
         "results": _result_rows(plan.runtime.data_graph, top),
         "iterations": ranked.iterations,
         "converged": ranked.converged,
-        "coverage": ranked.coverage,
     }
     if plan.fence.generation is not None:
         payload["store_generation"] = plan.fence.generation

@@ -3,8 +3,8 @@
 The serving tier's read-mostly asset — the [BHP04]-style precomputed
 keyword→score matrix — exported to a versioned, checksummed on-disk slab
 that N worker processes mmap read-only and slice zero-copy, plus the
-generation-numbered swap protocol that lets rebuilds and applied
-reformulations go live without blocking serving or tearing a reader.
+generation-numbered swap protocol that lets rebuilds and ingest
+refreshes go live without blocking serving or tearing a reader.
 
 Typical flow::
 

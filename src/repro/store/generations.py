@@ -183,12 +183,10 @@ class StoreManager:
     def __init__(
         self,
         root: str | os.PathLike,
-        min_coverage: float = 1.0,
         refresh_seconds: float = 0.0,
         clock=time.monotonic,
     ) -> None:
         self.root = Path(root)
-        self.min_coverage = min_coverage
         self.refresh_seconds = refresh_seconds
         self._clock = clock
         self._lock = threading.Lock()
@@ -259,7 +257,7 @@ class StoreManager:
             return False
         try:
             store = ScoreStore(self.root / manifest.filename)
-            ranker = PrecomputedRanker.over(store, self.min_coverage)
+            ranker = PrecomputedRanker.over(store)
         except StoreError:
             with self._lock:
                 self._load_errors += 1

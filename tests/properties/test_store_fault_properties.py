@@ -9,7 +9,9 @@ each damaged file either raises :class:`~repro.errors.StoreError` or opens
 a store whose keywords, node ids and vectors agree in shape — no other
 exception.  Published as the next generation, it leaves
 ``StoreManager.ranker()`` answering exactly as the previous generation
-did, with ``load_errors`` up by one when it could not be opened.
+did, with ``load_errors`` up by one when it could not be opened.  The
+queries are drawn from the good build's keywords, so each is covered and
+every answer compared is a blend.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from repro.store import (
 )
 from tests.store.slab_headers import read_header, with_header_field
 
-_QUERIES = (("olap",), ("mining", "data"), ("cube", "olap", "query"))
-
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -50,7 +50,7 @@ JSON_VALUES = st.recursive(
 
 @pytest.fixture(scope="module")
 def published(tmp_path_factory, dblp_tiny_engine):
-    """The good store's bytes, its header and the answers it gives."""
+    """The good store's bytes, its header and its in-memory build."""
     engine = dblp_tiny_engine
     ranker = PrecomputedRanker(engine.graph, engine.index)
     root = tmp_path_factory.mktemp("store")
@@ -58,15 +58,20 @@ def published(tmp_path_factory, dblp_tiny_engine):
     write_score_store(path, ranker, dataset="dblp_tiny", generation=1, fsync=False)
     good = path.read_bytes()
     header = read_header(good)
-    answers = _answers(PrecomputedRanker.over(ScoreStore(path), min_coverage=0.0))
-    return good, header, answers, tmp_path_factory.mktemp("faults"), itertools.count()
+    return good, header, ranker, tmp_path_factory.mktemp("faults"), itertools.count()
 
 
-def _answers(ranker) -> list[bytes]:
-    """The score bytes of each query in :data:`_QUERIES`."""
+def covered_queries(ranker):
+    """One to three queries of one to three of ``ranker``'s keywords."""
+    terms = st.lists(st.sampled_from(ranker.keywords), min_size=1, max_size=3, unique=True)
+    return st.lists(terms, min_size=1, max_size=3)
+
+
+def _answers(ranker, queries) -> list[bytes]:
+    """The score bytes of each query."""
     return [
         ranker.rank(QueryVector({term: 1.0 for term in terms})).scores.tobytes()
-        for terms in _QUERIES
+        for terms in queries
     ]
 
 
@@ -146,16 +151,18 @@ def test_a_damaged_store_raises_store_error_or_opens_consistent(published, data)
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_a_damaged_generation_never_changes_an_answer(published, data):
-    good, _header, answers, directory, counter = published
+    good, _header, built, directory, counter = published
+    queries = data.draw(covered_queries(built))
+    answers = _answers(built, queries)
     root = directory / f"root-{next(counter)}"
     root.mkdir()
     store_path(root, 1).write_bytes(good)
     publish_manifest(root, 1, store_path(root, 1).name, fsync=False)
-    manager = StoreManager(root, min_coverage=0.0)
-    assert _answers(manager.ranker()) == answers
+    manager = StoreManager(root)
+    assert _answers(manager.ranker(), queries) == answers
     store_path(root, 2).write_bytes(damage(published, data.draw(damages(published))))
     publish_manifest(root, 2, store_path(root, 2).name, fsync=False)
     refused = _open(store_path(root, 2)) is None
-    assert _answers(manager.ranker()) == answers
+    assert _answers(manager.ranker(), queries) == answers
     assert manager.load_errors == int(refused)
     assert manager.generation == (1 if refused else 2)

@@ -22,7 +22,7 @@ from repro.store.format import (
     write_score_store,
 )
 
-from .strategies import _WORDS, dblp_graphs
+from .strategies import dblp_graphs
 
 _DTYPES = (np.float64, np.float32, np.int64, np.int32, np.uint8)
 
@@ -109,47 +109,46 @@ def test_string_packing_round_trips(values):
     assert _unpack_strings(blob, offsets) == values
 
 
-@given(
-    dblp_graphs(min_papers=3, max_papers=6),
-    st.dictionaries(
-        st.sampled_from(_WORDS + ("zzzabsent",)),
-        st.floats(0.0, 4.0, allow_nan=False),
-        min_size=1,
-        max_size=4,
-    ),
-    st.sampled_from([0.0, 0.5, 1.0]),
-)
+@given(dblp_graphs(min_papers=3, max_papers=6), st.data())
 @settings(max_examples=15, deadline=None)
-def test_ranker_answers_identically_over_both_providers(
-    tmp_path_factory, graph, weights, min_coverage
-):
-    """Scores, base weights, coverage and errors do not depend on whether
-    ``PrecomputedRanker`` reads the in-memory build or its mapped export."""
+def test_ranker_answers_identically_over_both_providers(tmp_path_factory, graph, data):
+    """Scores, base weights and errors do not depend on whether
+    ``PrecomputedRanker`` reads the in-memory build or its mapped export.
+
+    Queries are drawn from the build's own keywords, so every one is covered
+    and a positive weight is always answered by a blend; all-zero weights
+    raise.  A term without a column is refused the same way by both
+    providers (``tests/store/test_ranker.py``)."""
     transfer = AuthorityTransferDataGraph(graph, dblp_transfer_schema())
     built = PrecomputedRanker(
         transfer, InvertedIndex.from_graph(graph), min_document_frequency=1
     )
+    weights = data.draw(
+        st.dictionaries(
+            st.sampled_from(built.keywords),
+            st.floats(0.0, 4.0, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        )
+    )
     path = tmp_path_factory.mktemp("stores") / "store.gen-1.slab"
     write_score_store(path, built, dataset="prop", generation=1, fsync=False)
     with ScoreStore(path) as store:
-        rankers = [
-            PrecomputedRanker.over(source, min_coverage)
-            for source in (built.source, store)
-        ]
+        rankers = [PrecomputedRanker.over(source) for source in (built.source, store)]
         vector = QueryVector(weights)
-        assert rankers[0].coverage(vector) == rankers[1].coverage(vector)
         assert not any(r.is_stale(transfer.transfer_schema) for r in rankers)
         outcomes = []
         for ranker in rankers:
             try:
                 outcomes.append(ranker.rank(vector))
-            except EmptyBaseSetError as error:  # incl. PrecomputedCoverageError
+            except EmptyBaseSetError as error:
                 outcomes.append((type(error), str(error)))
         memory, mapped = outcomes
         if isinstance(memory, tuple):
+            assert memory[0] is EmptyBaseSetError
+            assert not any(weight > 0 for weight in weights.values())
             assert mapped == memory
         else:
             assert mapped.node_ids == memory.node_ids
             assert mapped.scores.tobytes() == memory.scores.tobytes()
             assert mapped.base_weights == memory.base_weights
-            assert mapped.coverage == memory.coverage

@@ -72,14 +72,29 @@ class TestQueryAnswering:
 
 class TestCoverage:
     """Regression: uncached terms must not be silently dropped (e.g. the
-    expansion terms a content-based reformulation adds)."""
+    expansion terms a content-based reformulation adds, or a df = 1 term
+    below ``min_document_frequency``): a query is blended only when every
+    positive-weight term has a column."""
 
     def test_partial_coverage_raises_by_default(self, figure1_graph, figure1_index):
         ranker = PrecomputedRanker(figure1_graph, figure1_index, keywords=["olap"])
         with pytest.raises(PrecomputedCoverageError) as excinfo:
             ranker.rank(QueryVector({"olap": 1.0, "multidimensional": 1.0}))
         assert excinfo.value.keywords == ("multidimensional",)
-        assert excinfo.value.coverage == pytest.approx(0.5)
+
+    def test_every_missing_term_is_named_and_a_zero_weight_one_is_not(
+        self, figure1_graph, figure1_index
+    ):
+        """The default ``min_df = 2`` leaves the df = 1 terms without a
+        column; the refusal names all of them, in query order."""
+        ranker = PrecomputedRanker(figure1_graph, figure1_index)
+        assert ranker.has_keyword("olap")
+        query = QueryVector(
+            {"cube": 1.0, "olap": 5.0, "sarawagi": 0.5, "multidimensional": 0.0}
+        )
+        with pytest.raises(PrecomputedCoverageError) as excinfo:
+            ranker.rank(query)
+        assert excinfo.value.keywords == ("cube", "sarawagi")
 
     def test_partial_coverage_error_is_empty_base_set_error(
         self, figure1_graph, figure1_index
@@ -88,31 +103,6 @@ class TestCoverage:
         ranker = PrecomputedRanker(figure1_graph, figure1_index, keywords=["olap"])
         with pytest.raises(EmptyBaseSetError):
             ranker.rank(QueryVector({"olap": 1.0, "multidimensional": 1.0}))
-
-    def test_threshold_admits_partial_coverage(self, figure1_graph, figure1_index):
-        ranker = PrecomputedRanker(
-            figure1_graph, figure1_index, keywords=["olap"], min_coverage=0.5
-        )
-        result = ranker.rank(QueryVector({"olap": 2.0, "multidimensional": 1.0}))
-        assert result.coverage == pytest.approx(2 / 3)
-
-    def test_full_coverage_reports_one(self, ranker):
-        result = ranker.rank(QueryVector({"olap": 1.0}))
-        assert result.coverage == 1.0
-
-    def test_coverage_helper(self, figure1_graph, figure1_index):
-        ranker = PrecomputedRanker(figure1_graph, figure1_index, keywords=["olap"])
-        assert ranker.coverage(QueryVector({"olap": 1.0})) == 1.0
-        assert ranker.coverage(
-            QueryVector({"olap": 1.0, "multidimensional": 3.0})
-        ) == pytest.approx(0.25)
-        assert ranker.coverage(QueryVector({"olap": 0.0})) == 0.0
-
-    def test_invalid_threshold_rejected(self, figure1_graph, figure1_index):
-        with pytest.raises(ValueError):
-            PrecomputedRanker(
-                figure1_graph, figure1_index, keywords=["olap"], min_coverage=1.5
-            )
 
     def test_fully_uncached_query_still_empty_base_set(self, ranker):
         """A query with no cached term at all keeps the original error."""
@@ -157,7 +147,7 @@ class TestDegenerateZeroWeight:
         mixed = ranker.rank(QueryVector({"olap": 1.0, "multidimensional": 0.0}))
         pure = ranker.rank(QueryVector({"olap": 1.0}))
         assert mixed.scores == pytest.approx(pure.scores)
-        assert mixed.coverage == 1.0  # zero-weight terms are not "considered"
+        assert mixed.base_weights == pure.base_weights  # and are not blended
 
 
 class TestStaleness:

@@ -1,4 +1,4 @@
-"""Unit tests for the serving result cache: LRU, TTL, keying, concurrency."""
+"""Unit tests for the serving result cache: LRU, keying, concurrency."""
 
 from __future__ import annotations
 
@@ -24,19 +24,6 @@ def fence(dataset="ds", vector=None, rates=None) -> Fence:
 
 #: ``KEY("a")`` is entry ``"a"``'s key under one fixed fence.
 KEY = fence().key
-
-
-class FakeClock:
-    """A hand-cranked monotonic clock for TTL tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestLruEviction:
@@ -72,8 +59,6 @@ class TestLruEviction:
     def test_rejects_non_positive_bounds(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_seconds=0)
         with pytest.raises(ValueError):
             ResultCache(max_bytes=0)
         with pytest.raises(ValueError):
@@ -114,54 +99,20 @@ class TestByteBound:
         assert cache.get(KEY("a")) == 2 and cache.get(KEY("b")) == 3
         assert cache._bytes == 90
 
-    def test_expiry_and_invalidation_give_the_bytes_back(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=None, max_bytes=100, ttl_seconds=10, clock=clock)
+    def test_invalidation_gives_the_bytes_back(self):
+        cache = ResultCache(max_entries=None, max_bytes=100)
         cache.put(fence("ds").key("a"), 1, nbytes=50)
         cache.put(fence("other").key("b"), 2, nbytes=30)
         assert cache.invalidate("ds") == 1
         assert cache._bytes == 30
-        clock.advance(11)
-        assert cache.get(fence("other").key("b")) is None
-        assert cache._bytes == 0
         cache.put(fence("ds").key("c"), 3, nbytes=70)
-        assert cache.invalidate() == 1 and cache._bytes == 0
+        assert cache.invalidate() == 2 and cache._bytes == 0
 
     def test_both_bounds_hold_together(self):
         cache = ResultCache(max_entries=2, max_bytes=100)
         for key in ("a", "b", "c"):
             cache.put(KEY(key), key, nbytes=10)
         assert len(cache) == 2 and cache.get(KEY("a")) is None
-
-
-class TestTtlExpiry:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put(KEY("a"), "A")
-        clock.advance(9.9)
-        assert cache.get(KEY("a")) == "A"
-        clock.advance(0.2)
-        assert cache.get(KEY("a")) is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.size == 0
-
-    def test_put_resets_the_clock(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put(KEY("a"), "old")
-        clock.advance(8.0)
-        cache.put(KEY("a"), "new")
-        clock.advance(8.0)
-        assert cache.get(KEY("a")) == "new"
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, ttl_seconds=None, clock=clock)
-        cache.put(KEY("a"), "A")
-        clock.advance(1e9)
-        assert cache.get(KEY("a")) == "A"
 
 
 class TestKeying:

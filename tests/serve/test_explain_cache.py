@@ -47,7 +47,7 @@ class TestExplainCache:
         assert served["edges"] == everything["edges"][:max_edges]
         assert list(served) == list(everything)  # same fields, same order
         # What the cache holds is arrays, not one dict per subgraph edge.
-        ((stored, _, _),) = service.explain_cache._entries.values()
+        ((stored, _),) = service.explain_cache._entries.values()
         summary, node_ids, sources, targets, flows = stored
         assert "edges" not in summary
         assert node_ids is service.runtime("fig1").engine.graph.node_ids

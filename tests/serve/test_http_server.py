@@ -202,6 +202,22 @@ class TestErrorMapping:
         status, payload = _request(f"{url}/search?dataset=fig1&q=OLAP&top_k=zero")
         assert (status, payload["error"]) == (400, "bad_request")
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_removed_precomputed_mode_is_400_naming_it(self, url, method):
+        """``mode=auto`` is the one way to the precomputed vectors; the
+        removed forced mode is refused by name, not as an unknown mode."""
+        if method == "GET":
+            status, payload = _request(f"{url}/search?dataset=fig1&q=OLAP&mode=precomputed")
+        else:
+            status, payload = _request(
+                f"{url}/search", {"dataset": "fig1", "query": "OLAP", "mode": "precomputed"}
+            )
+        assert (status, payload["error"]) == (400, "bad_request")
+        assert "mode 'precomputed' was removed" in payload["message"]
+        for mode in ("auto", "live", "two_stage"):
+            status, _ = _request(f"{url}/search?dataset=fig1&q=OLAP&mode={mode}")
+            assert status == 200, mode
+
     def test_unknown_dataset_is_404(self, url):
         status, payload = _request(f"{url}/search?dataset=missing&q=OLAP")
         assert (status, payload["error"]) == (404, "repro_error")

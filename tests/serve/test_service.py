@@ -7,6 +7,8 @@ import pytest
 from repro.core import ObjectRankSystem
 from repro.errors import ReproError
 from repro.ranking import _native
+from repro.ranking.objectrank import keyword_objectranks
+from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 
 
@@ -57,18 +59,11 @@ class TestRouting:
         forced = live_service.search("fig1", "OLAP", mode="live")
         assert forced["served_from"] == "live"
 
-    def test_precomputed_mode_reports_exact_source(self, service):
-        response = service.search("fig1", "OLAP", mode="precomputed")
-        assert response["served_from"] == "precomputed"
-        assert response["iterations"] == 0
-
-    def test_precomputed_mode_without_ranker_raises(self, live_service):
-        with pytest.raises(ReproError, match="disabled"):
-            live_service.search("fig1", "OLAP", mode="precomputed")
-
     def test_unknown_mode_raises(self, service):
         with pytest.raises(ReproError, match="unknown mode"):
             service.search("fig1", "OLAP", mode="turbo")
+        with pytest.raises(ReproError, match="unknown mode"):
+            service.search("fig1", "OLAP", mode="precomputed")
 
     def test_unknown_dataset_raises(self, service):
         with pytest.raises(ReproError, match="not served"):
@@ -102,15 +97,20 @@ class TestRouting:
         )
 
     def test_unanswerable_precomputed_query_is_not_cached(self, figure1):
-        service = QueryService(
-            ServeConfig(datasets=("fig1",), precompute_keywords=("databases",)),
-            datasets={"fig1": figure1},
+        """A df = 1 term has no column under the default ``min_df = 2``: the
+        ranker's refusal is never cached, the live answer that replaces it
+        is."""
+        service = QueryService(ServeConfig(datasets=("fig1",)), datasets={"fig1": figure1})
+        assert not service.runtime("fig1").precomputed_ranker().has_keyword(
+            "multidimensional"
         )
-        forced = service.search("fig1", "OLAP", mode="precomputed")
-        assert forced["results"] == []
-        after = service.search("fig1", "OLAP")
-        assert after["served_from"] == "live"
-        assert after["results"]
+        first = service.search("fig1", "multidimensional")
+        assert first["served_from"] == "live"
+        assert first["results"] and first["iterations"] > 0
+        again = service.search("fig1", "multidimensional")
+        assert again["served_from"] == "cache"
+        assert again["results"] == first["results"]
+        assert service.metrics.snapshot()["repro_served_precomputed_total"] == 0
 
 
 class TestDeadline:
@@ -230,83 +230,63 @@ class TestReformulationInvalidation:
 
 class TestCoverageFallback:
     """Regression: a precomputed answer must never silently drop uncached
-    query terms — partial coverage routes auto traffic back to live."""
+    query terms — a term without a column routes auto traffic back to live.
+    Under the default ``min_df = 2``, Figure 1's "olap" has a column and the
+    df = 1 "multidimensional" has none: the case production traffic hits."""
 
     @pytest.fixture
     def partial_service(self, figure1):
-        return QueryService(
-            ServeConfig(datasets=("fig1",), precompute_keywords=("olap",)),
-            datasets={"fig1": figure1},
-        )
+        return QueryService(ServeConfig(datasets=("fig1",)), datasets={"fig1": figure1})
 
     def test_auto_falls_back_to_live_on_partial_coverage(self, partial_service):
         response = partial_service.search("fig1", "OLAP multidimensional")
         assert response["served_from"] == "live"
         assert response["iterations"] > 0
-        assert response["coverage"] == 1.0  # live ranks with every term
-
-    def test_forced_precomputed_reports_partial_coverage(self, partial_service):
-        with pytest.raises(ReproError, match="cover"):
-            partial_service.search(
-                "fig1", "OLAP multidimensional", mode="precomputed"
-            )
-
-    def test_threshold_admits_partial_coverage(self, figure1):
-        service = QueryService(
-            ServeConfig(
-                datasets=("fig1",),
-                precompute_keywords=("olap",),
-                precompute_min_coverage=0.5,
-            ),
-            datasets={"fig1": figure1},
-        )
-        response = service.search("fig1", "OLAP multidimensional")
-        assert response["served_from"] == "precomputed"
-        assert response["coverage"] == pytest.approx(0.5)
+        engine = partial_service.runtime("fig1").engine
+        expected = engine.search("OLAP multidimensional", top_k=10)
+        assert [(r["id"], r["score"]) for r in response["results"]] == expected.top
 
     def test_fully_covered_query_stays_precomputed(self, partial_service):
         response = partial_service.search("fig1", "OLAP")
         assert response["served_from"] == "precomputed"
-        assert response["coverage"] == 1.0
+        assert "coverage" not in response
 
 
 class TestPrecomputeRebuild:
-    """With ``precompute_rebuild`` on, an applied reformulation rebuilds the
-    per-keyword vectors under the learned rates instead of abandoning the
-    precomputed fast path."""
+    """An applied reformulation leaves the in-process vectors stale and
+    nothing in the service rebuilds them: the dataset's traffic runs live
+    under the learned rates.  A store-backed service picks up a generation
+    a builder publishes under them instead."""
 
-    @pytest.fixture
-    def rebuild_service(self, figure1):
-        return QueryService(
+    def test_rebuilt_vectors_use_learned_rates(self, figure1, tmp_path):
+        service = QueryService(
             ServeConfig(
                 datasets=("fig1",),
                 precompute_min_document_frequency=1,
-                precompute_rebuild=True,
+                store_dir=str(tmp_path),
+                store_refresh_seconds=0.0,
             ),
             datasets={"fig1": figure1},
         )
-
-    def test_reformulation_restores_precomputed_path(self, rebuild_service):
-        assert rebuild_service.search("fig1", "OLAP")["served_from"] == "precomputed"
-        outcome = rebuild_service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        assert outcome["applied"] is True
-        assert outcome["precomputed_stale"] is False
-
-        after = rebuild_service.search("fig1", "OLAP")
-        assert after["served_from"] == "precomputed"
-        assert after["iterations"] == 0
-
-    def test_rebuilt_vectors_use_learned_rates(self, rebuild_service, figure1):
-        before = rebuild_service.search("fig1", "OLAP")
-        rebuild_service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        after = rebuild_service.search("fig1", "OLAP")
-        runtime = rebuild_service.runtime("fig1")
+        runtime = service.runtime("fig1")
+        engine = runtime.engine
+        runtime.store.publish(
+            PrecomputedRanker(engine.graph, engine.index, min_document_frequency=1),
+            "fig1",
+        )
+        before = service.search("fig1", "OLAP")
+        assert before["served_from"] == "store"
+        service.feedback_reformulate("fig1", "OLAP", ["v4"])
         assert runtime.rates != figure1.transfer_schema
+        assert service.search("fig1", "OLAP")["served_from"] == "live"
 
-        from repro.ranking.objectrank import keyword_objectranks
-
-        view = runtime.engine.transfer_view(runtime.rates)
-        exact = keyword_objectranks(view, runtime.engine.index, ["olap"])["olap"]
+        view = engine.transfer_view(runtime.rates)
+        runtime.store.publish(
+            PrecomputedRanker(view, engine.index, min_document_frequency=1), "fig1"
+        )
+        after = service.search("fig1", "OLAP")
+        assert (after["served_from"], after["store_generation"]) == ("store", 2)
+        exact = keyword_objectranks(view, engine.index, ["olap"])["olap"]
         expected = exact.top_k(len(after["results"]))
         assert [r["id"] for r in after["results"]] == [nid for nid, _ in expected]
         assert [r["score"] for r in after["results"]] == pytest.approx(

@@ -24,7 +24,8 @@ from repro.query.query import QueryVector
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 from repro.serve.cache import query_fingerprint
 from repro.serve.http_server import _BadRequest, _check_explain_mode
-from repro.serve.service import BASE_WEIGHT_BYTES, SCORE_CACHE_BYTES, DatasetRuntime
+import repro.serve.service as service_module
+from repro.serve.service import BASE_WEIGHT_BYTES, SCORE_CACHE_BYTES
 
 CORPORA = {"figure1": "OLAP", "dblp_tiny": "improved study"}
 
@@ -122,13 +123,13 @@ def test_feedback_never_builds_the_precomputed_matrix(figure1, monkeypatch):
     ``precomputed_ranker()``, which on a fresh non-store service ran the whole
     per-keyword precompute inside the first feedback request."""
     builds = []
-    real = DatasetRuntime._build_precomputed
+    real = service_module.PrecomputedRanker
 
-    def counting(self, graph):
+    def counting(graph, *args, **kwargs):
         builds.append(graph)
-        return real(self, graph)
+        return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(DatasetRuntime, "_build_precomputed", counting)
+    monkeypatch.setattr(service_module, "PrecomputedRanker", counting)
     service = QueryService(
         ServeConfig(datasets=("fig1",), precompute_min_document_frequency=1),
         datasets={"fig1": figure1},
@@ -284,7 +285,7 @@ class TestLoopStartsFromTheLiveSearch:
     def test_kept_scores_are_read_only(self, figure1):
         service = make_service(figure1)
         service.search("ds", "OLAP", mode="live")
-        ((ranked, _, _),) = service.score_cache._entries.values()
+        ((ranked, _),) = service.score_cache._entries.values()
         assert not ranked.scores.flags.writeable
         with pytest.raises(ValueError):
             ranked.scores[0] = 1.0
@@ -354,7 +355,7 @@ class TestScoreCacheMisses:
         refresh racing its request indexes a node list nobody serves."""
         service = make_service(figure1)
         service.search("ds", "OLAP", mode="live")
-        ((ranked, _, _),) = service.score_cache._entries.values()
+        ((ranked, _),) = service.score_cache._entries.values()
         ranked.node_ids = list(ranked.node_ids)  # equal, not the served list
         service.explain("ds", "OLAP", "v7")
         assert counters(service)[:2] == (0, 1)
@@ -450,7 +451,7 @@ class TestScoreCacheBound:
         assert service.score_cache.max_entries is None
         assert service.score_cache.max_bytes == SCORE_CACHE_BYTES
         service.search("ds", CORPORA["dblp_tiny"], mode="live")
-        ((ranked, _, nbytes),) = service.score_cache._entries.values()
+        ((ranked, nbytes),) = service.score_cache._entries.values()
         nodes = service.runtime("ds").engine.graph.num_nodes
         assert nbytes == 8 * nodes + BASE_WEIGHT_BYTES * len(ranked.base_weights)
         assert len(ranked.base_weights) > 1
@@ -458,7 +459,7 @@ class TestScoreCacheBound:
     def test_least_recently_used_rankings_leave_when_the_bytes_run_out(self, dblp_tiny):
         service = make_service(dblp_tiny)
         service.search("ds", "improved", mode="live")
-        ((_, _, nbytes),) = service.score_cache._entries.values()
+        ((_, nbytes),) = service.score_cache._entries.values()
         service.score_cache.max_bytes = 2 * nbytes + nbytes // 2
         for query in ("study", "improved study", "improved"):
             service.search("ds", query, mode="live")

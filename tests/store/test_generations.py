@@ -255,11 +255,11 @@ class TestConcurrentSwap:
         opening, release = threading.Event(), threading.Event()
         over = PrecomputedRanker.over.__func__
 
-        def held_over(cls, source, min_coverage=1.0):
+        def held_over(cls, source):
             if source.generation == 2:
                 opening.set()
                 assert release.wait(10.0)
-            return over(cls, source, min_coverage)
+            return over(cls, source)
 
         monkeypatch.setattr(PrecomputedRanker, "over", classmethod(held_over))
         outcome = []

@@ -1,11 +1,11 @@
 """The one ranker over both providers: mapped store vs in-memory vectors.
 
-``PrecomputedRanker`` owns ``coverage`` / ``is_stale`` / ``rank``; the
-providers (``KeywordVectors`` in memory, ``ScoreStore`` over an mmap'd slab)
-only hand out vectors, idf weights and fingerprints.  Every test runs the
-same query through a ranker over each provider and demands identical
-answers — bit-identical scores, equal ``base_weights`` and ``coverage``,
-the same errors, the same staleness verdicts.
+``PrecomputedRanker`` owns ``is_stale`` / ``rank``; the providers
+(``KeywordVectors`` in memory, ``ScoreStore`` over an mmap'd slab) only hand
+out vectors, idf weights and fingerprints.  Every test runs the same query
+through a ranker over each provider and demands identical answers —
+bit-identical scores, equal ``base_weights``, the same errors, the same
+staleness verdicts.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class TestBitIdentity:
         assert actual.node_ids == expected.node_ids
         assert actual.scores.tobytes() == expected.scores.tobytes()
         assert actual.base_weights == expected.base_weights
-        assert actual.coverage == expected.coverage
         assert actual.iterations == 0 and actual.converged
 
     def test_top_k_order_matches(self, ranker, mmap_ranker):
@@ -99,10 +98,9 @@ class TestRouting:
             mmap_ranker.is_stale()
 
     def test_unknown_terms_raise_empty_base_set(self, both):
-        for name, candidate in both.items():
+        for candidate in both.values():
             with pytest.raises(EmptyBaseSetError):
                 candidate.rank(_vector("zzznotaterm"))
-            assert candidate.coverage(_vector("zzznotaterm")) == 0.0, name
 
     def test_partial_coverage_raises_under_full_threshold(self, both):
         vector = _vector("OLAP", "zzznotaterm")
@@ -112,25 +110,3 @@ class TestRouting:
                 candidate.rank(vector)
             errors[name] = str(caught.value)
         assert errors["store"] == errors["memory"]
-
-    def test_partial_coverage_admitted_under_loose_threshold(self, both):
-        vector = _vector("OLAP", "zzznotaterm")
-        loose = {
-            name: PrecomputedRanker.over(candidate.source, min_coverage=0.4)
-            for name, candidate in both.items()
-        }
-        expected = loose["memory"].rank(vector)
-        actual = loose["store"].rank(vector)
-        assert actual.scores.tobytes() == expected.scores.tobytes()
-        assert actual.base_weights == expected.base_weights
-        assert actual.coverage == expected.coverage < 1.0
-
-    def test_coverage_fraction_matches(self, ranker, mmap_ranker):
-        for terms in (("OLAP", "data"), ("OLAP", "zzznotaterm")):
-            vector = _vector(*terms)
-            assert mmap_ranker.coverage(vector) == ranker.coverage(vector)
-
-    def test_min_coverage_is_validated_for_every_provider(self, both):
-        for candidate in both.values():
-            with pytest.raises(ValueError, match="min_coverage"):
-                PrecomputedRanker.over(candidate.source, min_coverage=1.5)

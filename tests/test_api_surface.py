@@ -2,12 +2,16 @@
 
 * every name exported through ``__all__`` must resolve;
 * every public module, class and function must carry a docstring;
-* package ``__all__`` lists must be sorted (scan-friendly).
+* package ``__all__`` lists must be sorted (scan-friendly);
+* every Sphinx cross-reference to a ``repro.`` dotted name in the source
+  must resolve by import.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +81,59 @@ def test_public_callables_documented(module_name):
         if not inspect.getdoc(obj):
             undocumented.append(name)
     assert not undocumented, f"{module_name}: undocumented public items {undocumented}"
+
+
+#: A Sphinx Python-role reference to a ``repro.`` dotted name, ``~`` or not.
+CROSS_REFERENCE = re.compile(
+    r":(?:func|class|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`"
+)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path inside the
+    longest importable module prefix of it."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(found, name):
+                return False
+            found = getattr(found, name)
+        return True
+    return False
+
+
+def unresolved_references(root: Path) -> list[str]:
+    """``file:line name`` of every cross-reference under ``root`` that does
+    not resolve."""
+    broken = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in CROSS_REFERENCE.finditer(text):
+            if not resolves(match.group(1)):
+                line = text.count("\n", 0, match.start()) + 1
+                where = f"{path.relative_to(root).as_posix()}:{line}"
+                broken.append(f"{where} {match.group(1)}")
+    return broken
+
+
+def test_every_cross_reference_resolves():
+    """A docstring that cites a renamed or deleted function sends its reader
+    nowhere."""
+    assert unresolved_references(Path(repro.__file__).parent) == []
+
+
+def test_the_guard_sees_a_dangling_reference(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        '"""See :func:`repro.ranking.pagerank.iterate` and\n'
+        ':mod:`repro.ranking`, not :func:`~repro.ranking.pagerank.power_iteration`\n'
+        'or :class:`repro.nowhere.Thing`."""\n'
+    )
+    assert unresolved_references(tmp_path) == [
+        "pkg/mod.py:2 repro.ranking.pagerank.power_iteration",
+        "pkg/mod.py:3 repro.nowhere.Thing",
+    ]

@@ -8,6 +8,8 @@ slip past an ``import``-time check.
 
 import ast
 import dataclasses
+import fnmatch
+import inspect
 import os
 import subprocess
 import sys
@@ -450,6 +452,76 @@ def test_the_guard_sees_a_retrieval_import_and_a_two_stage_field(tmp_path):
 
     assert two_stage_config_fields(Planted) == [
         "candidates", "rerank_horizon", "retrieval_mode",
+    ]
+
+
+# -- the precomputed path has one policy: every query term has a column ------------
+
+#: ``ServeConfig`` fields that would choose another precomputed policy: a
+#: coverage threshold, an expiry, a rebuild switch, a hand-picked keyword list.
+POLICY_FIELD_PATTERNS = ("*coverage*", "*ttl*", "precompute_rebuild", "precompute_keywords")
+
+
+def precomputed_policy_knobs(config: type, constructors: dict, modes) -> list[str]:
+    """Every way left to pick another precomputed policy: a matching config
+    field, a ``min_coverage`` parameter on one of ``constructors`` (name ->
+    callable), and a forced ``"precomputed"`` mode."""
+    knobs = [
+        f"field {field.name}"
+        for field in dataclasses.fields(config)
+        if any(fnmatch.fnmatchcase(field.name, p) for p in POLICY_FIELD_PATTERNS)
+    ]
+    knobs += [
+        f"parameter {name}(min_coverage)"
+        for name, constructor in constructors.items()
+        if "min_coverage" in inspect.signature(constructor).parameters
+    ]
+    knobs += [f"mode {mode}" for mode in modes if mode == "precomputed"]
+    return knobs
+
+
+def test_the_precomputed_path_has_one_policy():
+    """A query is blended from the store when every positive-weight term has
+    a column and runs live otherwise; nothing configures a second answer."""
+    from repro.ingest.engine import IngestEngine
+    from repro.ranking.precompute import PrecomputedRanker
+    from repro.serve.service import SERVE_MODES, ServeConfig
+    from repro.store.generations import StoreManager
+
+    constructors = {
+        "PrecomputedRanker.__init__": PrecomputedRanker.__init__,
+        "PrecomputedRanker.over": PrecomputedRanker.over,
+        "StoreManager": StoreManager,
+        "IngestEngine": IngestEngine,
+    }
+    assert precomputed_policy_knobs(ServeConfig, constructors, SERVE_MODES) == []
+
+
+def test_the_guard_sees_every_second_precomputed_policy():
+    @dataclasses.dataclass
+    class Planted:
+        precompute: bool = True
+        precompute_min_document_frequency: int = 2
+        precompute_min_coverage: float = 1.0
+        cache_ttl_seconds: float | None = None
+        precompute_rebuild: bool = False
+        precompute_keywords: tuple = ()
+
+    def ranker(graph, index, min_coverage=1.0):
+        pass
+
+    def manager(root, refresh_seconds=0.0):
+        pass
+
+    assert precomputed_policy_knobs(
+        Planted, {"ranker": ranker, "manager": manager}, ("auto", "precomputed")
+    ) == [
+        "field precompute_min_coverage",
+        "field cache_ttl_seconds",
+        "field precompute_rebuild",
+        "field precompute_keywords",
+        "parameter ranker(min_coverage)",
+        "mode precomputed",
     ]
 
 

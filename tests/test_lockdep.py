@@ -63,7 +63,7 @@ def test_every_annotation_in_the_package_is_guarded():
         for attr, member in vars(cls).items()
         if isinstance(member, lockdep.GuardedAttribute)
     }
-    assert len(guarded) == 36
+    assert len(guarded) == 35
 
 
 def test_every_lock_of_the_serving_objects_is_tracked(figure1, tmp_path):
