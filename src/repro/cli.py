@@ -17,7 +17,7 @@ equivalent surface.  Subcommands:
 * ``repro serve [datasets...]`` — concurrent HTTP query service with result
   caching, admission control and Prometheus metrics (see ``repro.serve``);
   ``--ingest`` adds the ``/ingest`` mutation endpoint with staleness-bounded
-  online precompute maintenance (``--staleness-bound``, ``--refresh-mode``);
+  online precompute maintenance (``--staleness-bound``);
 * ``repro ingest <dataset> --mutations FILE`` — apply a JSON mutation batch
   offline and re-converge only the dirty precomputed columns
   (``repro.ingest``); ``--store DIR`` publishes the refreshed matrix as the
@@ -273,10 +273,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         + (" (topology change: all columns dirty)" if staleness.topology_dirty else "")
     )
 
-    result = ingest.refresh(previous=previous, mode=args.mode)
+    result = ingest.refresh(previous=previous)
     print(
-        f"incremental refresh ({result.mode}): recomputed "
-        f"{len(result.recomputed)} columns, carried {len(result.carried)}, "
+        f"incremental refresh: recomputed {len(result.recomputed)} columns, "
+        f"carried {len(result.carried)}, "
         f"{result.iterations} power-iteration steps, "
         f"{result.elapsed_seconds:.2f}s"
     )
@@ -366,7 +366,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store_dir=args.store,
         ingest=args.ingest,
         ingest_staleness_bound=args.staleness_bound,
-        ingest_refresh_mode=args.refresh_mode,
         **_two_stage_config(args),
     )
 
@@ -590,11 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "\"add_edge\" | \"remove_edge\", ...})",
     )
     ingest.add_argument(
-        "--mode", choices=["exact", "warm"], default="exact",
-        help="exact recomputes dirty columns cold (bit-identical to a full "
-        "rebuild); warm restarts them from the previous fixpoints",
-    )
-    ingest.add_argument(
         "--compare-full", action="store_true",
         help="also run the from-scratch precompute and verify bit-identity",
     )
@@ -663,11 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--staleness-bound", type=int, default=0, metavar="N",
         help="with --ingest: serve at most N pending mutations before a "
         "synchronous refresh (default 0: refresh before the next query)",
-    )
-    serve.add_argument(
-        "--refresh-mode", choices=["exact", "warm"], default="exact",
-        help="with --ingest: dirty-column refresh mode (exact is "
-        "bit-identical to a full rebuild; warm reuses previous fixpoints)",
     )
     _add_two_stage_flags(serve)
     serve.set_defaults(func=cmd_serve)

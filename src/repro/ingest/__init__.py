@@ -6,8 +6,7 @@ citation or author; rewrite attributes) apply to a working copy of the
 graph, a :class:`~repro.ingest.tracker.DirtyKeywordTracker` maps each one to
 the precomputed columns it invalidates, and
 :meth:`~repro.ingest.engine.IngestEngine.refresh` re-converges *only those
-columns* — bit-identical to a from-scratch precompute in ``"exact"`` mode,
-warm-started from the previous fixpoints in ``"warm"`` mode.  The serve
+columns* — bit-identical to a from-scratch precompute.  The serve
 tier layers ``/ingest`` and staleness-bounded serving on top
 (:mod:`repro.serve.service`) and publishes refreshed snapshots through the
 generation-swap store protocol (:mod:`repro.store.generations`).
@@ -23,11 +22,7 @@ from repro.ingest.mutations import (
     UpdateNode,
     mutation_from_json,
 )
-from repro.ingest.refresh import (
-    REFRESH_MODES,
-    RefreshedVectors,
-    refreshed_keyword_vectors,
-)
+from repro.ingest.refresh import RefreshedVectors, refreshed_keyword_vectors
 from repro.ingest.tracker import DirtyKeywordTracker
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "IngestEngine",
     "IngestStaleness",
     "Mutation",
-    "REFRESH_MODES",
     "RefreshResult",
     "RefreshedVectors",
     "RemoveEdge",

@@ -74,7 +74,8 @@ class RefreshResult:
     ``ranker`` is ``None`` when the refresh ran with ``precompute=False``
     (live-only serving).  ``recomputed``/``carried`` report the incremental
     split; ``full_rebuild`` flags the degenerate cases (first build, rate
-    change, mismatched previous ranker) where nothing could be carried.
+    change, a previous ranker of another snapshot) where nothing could be
+    carried.
     """
 
     ranker: PrecomputedRanker | None
@@ -82,7 +83,6 @@ class RefreshResult:
     data_graph: DataGraph
     index: InvertedIndex
     epoch: int
-    mode: str
     full_rebuild: bool
     recomputed: tuple[str, ...]
     carried: tuple[str, ...]
@@ -135,6 +135,9 @@ class IngestEngine:
         self._epoch = 0
         #: guarded by self._lock; the last successful refresh's transfer graph
         self._last_graph: AuthorityTransferDataGraph | None = None
+        #: guarded by self._lock; the ``version`` of the snapshot the
+        #: tracker's dirt is relative to (the last frozen one)
+        self._dirt_base = self._data_graph.version
 
     # -- mutations ---------------------------------------------------------
 
@@ -297,7 +300,6 @@ class IngestEngine:
         self,
         previous: PrecomputedRanker | None = None,
         rates: AuthorityTransferSchemaGraph | None = None,
-        mode: str = "exact",
         precompute: bool = True,
     ) -> RefreshResult:
         """Produce a fresh serving snapshot from the working state.
@@ -306,12 +308,13 @@ class IngestEngine:
         is held for a few flat dict copies) and the accumulated dirt under
         the lock, rebinds the last snapshot's transfer graph to the frozen copy
         when their ``topology_version`` agrees (builds one otherwise), then
-        re-converges only the dirty columns (relative to
-        ``previous``, which must be the ranker of the *last* refresh — any
-        other pairing forces a full rebuild via the rate/graph-version
-        staleness check rather than silently carrying wrong columns).
-        Mutations arriving during the build land in the next refresh.  On a
-        build failure the frozen dirt is merged back into the tracker.
+        re-converges only the dirty columns relative to ``previous``.  The
+        dirt is relative to the last frozen snapshot, so ``previous`` is
+        carried from only when its ``graph_version`` is that snapshot's and
+        its rates are ``rates``; any other ranker forces a full rebuild
+        rather than silently carrying wrong columns.  Mutations arriving
+        during the build land in the next refresh.  On a build failure the
+        frozen dirt is merged back into the tracker.
         """
         started = time.perf_counter()
         with self._lock:
@@ -321,9 +324,12 @@ class IngestEngine:
             # A fresh tracker (not .clear()) so a failed build can merge the
             # frozen dirt into whatever newer mutations accumulated meanwhile.
             self._tracker = DirtyKeywordTracker()
+            base, self._dirt_base = self._dirt_base, data_graph.version
             last = self._last_graph
         if rates is None:
             rates = self.transfer_schema
+        if previous is not None and previous.graph_version != base:
+            previous = None
         try:
             # Topology is carried when the frozen copy has the node and edge
             # set the last snapshot was built over, whatever the tracker says.
@@ -345,7 +351,6 @@ class IngestEngine:
                     damping=self.damping,
                     tolerance=self.tolerance,
                     max_iterations=self.max_iterations,
-                    mode=mode,
                 )
                 ranker = PrecomputedRanker.over(
                     KeywordVectors(
@@ -362,6 +367,10 @@ class IngestEngine:
         except BaseException:
             with self._lock:
                 self._tracker.merge(dirty, topology, pending)
+                # Unless a later refresh froze meanwhile, the merged dirt
+                # is relative to the snapshot ours was.
+                if self._dirt_base == data_graph.version:
+                    self._dirt_base = base
             raise
         with self._lock:
             self._epoch += 1
@@ -373,7 +382,6 @@ class IngestEngine:
             data_graph=data_graph,
             index=index,
             epoch=epoch,
-            mode=mode,
             full_rebuild=full,
             recomputed=recomputed,
             carried=carried,

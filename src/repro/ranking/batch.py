@@ -298,8 +298,8 @@ def batched_power_iteration(
     """Iterate ``R <- d A R + (1 - d) S`` with per-column convergence.
 
     ``restarts`` is ``(n, k)`` — one restart distribution per column.
-    ``init`` seeds every column (``(n,)`` broadcast, or ``(n, k)`` per
-    column); the default is the serial engine's uniform ``1/n`` start.
+    ``init`` is one ``(n,)`` start broadcast to every column; the default
+    is the serial engine's uniform ``1/n`` start.
     Columns are processed in chunks of :data:`DEFAULT_BLOCK_WIDTH` so the
     matrix and the working slab stay cache-resident; converged columns are
     dropped from a chunk's active block.
@@ -328,14 +328,9 @@ def batched_power_iteration(
         scores = None  # each chunk fills its own uniform 1/n slab
     else:
         init = np.asarray(init, dtype=np.float64)
-        if init.ndim == 1:
-            if init.shape != (n,):
-                raise ValueError(f"init has shape {init.shape}, expected ({n},)")
-            scores = np.repeat(init[:, None], k, axis=1)
-        elif init.shape == (n, k):
-            scores = init.copy()
-        else:
-            raise ValueError(f"init has shape {init.shape}, expected ({n},) or ({n}, {k})")
+        if init.shape != (n,):
+            raise ValueError(f"init has shape {init.shape}, expected ({n},)")
+        scores = np.repeat(init[:, None], k, axis=1)
 
     if k == 0:
         return BatchedPowerIterationResult(

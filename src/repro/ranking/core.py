@@ -126,10 +126,9 @@ def rank(
     ``stop`` ends each column's iteration; :class:`TopKStable` needs a
     single column.  ``damping`` must be in ``(0, 1)`` and ``max_iterations``
     at least 1 (:class:`~repro.errors.ParameterError` otherwise, under every
-    stop).  ``init`` seeds the iteration — ``(n,)`` shared by every column,
-    or ``(n, k)`` one per column; the previous query's scores are the
-    warm-start trick of Section 6.2, which cuts the iteration count for
-    reformulated queries.
+    stop).  ``init`` is one ``(n,)`` start shared by every column; the
+    previous query's scores are the warm-start trick of Section 6.2, which
+    cuts the iteration count for reformulated queries.
 
     ``support`` (sorted node indices, single column only) runs the fixpoint
     on the subgraph those nodes induce, through
@@ -142,8 +141,6 @@ def rank(
     k = block.shape[1]
     if k == 1:
         restart = block[:, 0]
-        if init is not None and np.ndim(init) == 2:
-            init = init[:, 0]
         if support is None:
             operator = live_operator(graph)
         else:

@@ -35,7 +35,6 @@ def keyword_objectranks(
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    init: dict[str, np.ndarray] | None = None,
 ) -> dict[str, RankedResult]:
     """Per-keyword ObjectRank for every keyword with a non-empty base set.
 
@@ -43,34 +42,19 @@ def keyword_objectranks(
     whole keyword family, one uniform restart column per keyword (the
     blocked engine advances them together).  Keywords that match no
     document are skipped (they have no authority vector), a repeated keyword
-    is ranked once.  ``init`` optionally maps keywords to ``(n,)``
-    warm-start vectors (incremental refresh seeds dirty columns with their
-    previous fixpoints); keywords not in the map start at the default
-    uniform ``1/n``, exactly as with no ``init`` at all.
+    is ranked once.  Every column starts at the uniform ``1/n``.
     """
     matched = [
         (keyword, index.documents_with_term(keyword))
         for keyword in dict.fromkeys(keywords)
     ]
     matched = [(keyword, base) for keyword, base in matched if base]
-    block_init: np.ndarray | None = None
-    if init is not None and matched:
-        n = graph.num_nodes
-        # Explicit uniform fill for unmapped columns is bit-identical to the
-        # engine's own default start (`block[:] = scores` writes the same
-        # floats `block.fill(1/n)` would).
-        block_init = np.full((n, len(matched)), 1.0 / n if n else 0.0)
-        for j, (keyword, _) in enumerate(matched):
-            seed = init.get(keyword)
-            if seed is not None:
-                block_init[:, j] = seed
     results = rank(
         graph,
         uniform_restarts(graph, [base for _, base in matched]),
         Tolerance(tolerance),
         damping=damping,
         max_iterations=max_iterations,
-        init=block_init,
     )
     return {keyword: result for (keyword, _), result in zip(matched, results)}
 

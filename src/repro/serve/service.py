@@ -144,10 +144,6 @@ class ServeConfig:
     #: Pending mutations tolerated before a search/explain request forces a
     #: synchronous refresh (0 = never serve with pending mutations).
     ingest_staleness_bound: int = 0
-    #: Dirty-column refresh mode: ``"exact"`` re-converges dirty columns
-    #: cold (bit-identical to a full precompute), ``"warm"`` seeds them from
-    #: their previous fixpoints (fewer iterations, tolerance-equal scores).
-    ingest_refresh_mode: str = "exact"
 
     def session_config(self) -> SystemConfig:
         """The config of a request's :class:`ObjectRankSystem` session: the
@@ -243,11 +239,7 @@ class DatasetRuntime:
         info["epoch"] = self.ingest_epoch
         return info
 
-    def refresh_ingest(
-        self,
-        mode: str | None = None,
-        force: bool = False,
-    ) -> dict | None:
+    def refresh_ingest(self, force: bool = False) -> dict | None:
         """Synchronously refresh + adopt + publish; ``None`` when a no-op.
 
         Re-converges the dirty columns (incremental against the last
@@ -273,7 +265,6 @@ class DatasetRuntime:
             result = self.ingest.refresh(
                 previous=previous,
                 rates=self.rates,
-                mode=mode if mode is not None else self.config.ingest_refresh_mode,
                 precompute=self.config.precompute or self.store is not None,
             )
             self.engine.adopt(
@@ -297,7 +288,6 @@ class DatasetRuntime:
             epoch = self._ingest_epoch
         return {
             "epoch": epoch,
-            "mode": result.mode,
             "full_rebuild": result.full_rebuild,
             "recomputed_columns": len(result.recomputed),
             "carried_columns": len(result.carried),
@@ -595,12 +585,12 @@ class QueryService:
         ``mode`` picks an execution path: ``"auto"`` (default) consults the
         cache, then the precomputed ranker when it is fresh and has a vector
         for every query term, before falling back to live ObjectRank2;
-        ``"live"`` bypasses the cache read and forces live ObjectRank2
-        (useful for benchmarking and debugging); ``"two_stage"`` runs top-N
+        ``"live"`` forces live ObjectRank2 and neither reads nor writes the
+        result cache, whose entries ``auto`` answers from (useful for
+        benchmarking and debugging); ``"two_stage"`` runs top-N
         candidate generation + focused authority reranking
         (:mod:`repro.retrieval`), consulting the cache under a key extended
-        with the two-stage parameters.  All modes still
-        populate the cache.  ``two_stage`` may name any of
+        with the two-stage parameters.  ``two_stage`` may name any of
         :data:`repro.retrieval.engine.TWO_STAGE_PARAMETERS` to override the
         configured defaults per request; they are rejected outside
         ``mode="two_stage"``.
@@ -615,7 +605,7 @@ class QueryService:
             None if plan.two_stage is None else tuple(sorted(plan.two_stage.items())),
         )
         cached = None
-        if mode in ("auto", "two_stage"):
+        if mode != "live":
             cached = self.cache.get(key)
             if cached is None:
                 self._cache_misses.inc()
@@ -627,7 +617,8 @@ class QueryService:
                 deadline.check("ranking")
             ranked, top, stages, served_from = self._execute(plan)
             payload = _render_search(plan, ranked, top, stages)
-            self.cache.put(key, payload)
+            if mode != "live":
+                self.cache.put(key, payload)
         response = self._respond(payload, start, served_from, plan.staleness)
         self._search_latency.observe(response["elapsed_seconds"])
         return response

@@ -147,20 +147,20 @@ def build_and_publish(
     ranker: PrecomputedRanker,
     dataset: str,
     keep: int = 2,
-    fsync: bool = True,
 ) -> Manifest:
     """Write the next generation from ``ranker`` and flip the manifest.
 
     ``keep`` (the generations :func:`prune_generations` leaves) is checked
-    before anything is written.
+    before anything is written.  The slab and the manifest are fsynced
+    before the manifest names them.
     """
     _check_keep(keep)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     generation = next_generation(root)
     path = store_path(root, generation)
-    write_score_store(path, ranker, dataset=dataset, generation=generation, fsync=fsync)
-    manifest = publish_manifest(root, generation, path.name, fsync=fsync)
+    write_score_store(path, ranker, dataset=dataset, generation=generation)
+    manifest = publish_manifest(root, generation, path.name)
     prune_generations(root, keep=keep)
     return manifest
 
@@ -274,18 +274,9 @@ class StoreManager:
     # -- write side ----------------------------------------------------------
 
     def publish(
-        self, ranker: PrecomputedRanker, dataset: str, keep: int = 2,
-        fsync: bool = True,
+        self, ranker: PrecomputedRanker, dataset: str, keep: int = 2
     ) -> Manifest:
-        """Build-and-publish the next generation, then pick it up locally.
-
-        ``fsync=False`` skips durability barriers — high-frequency ingest
-        republishing (and benchmarks) can trade crash-durability of the
-        newest generation for publish latency; the atomic-rename swap
-        protocol itself does not depend on fsync for reader consistency.
-        """
-        manifest = build_and_publish(
-            self.root, ranker, dataset, keep=keep, fsync=fsync
-        )
+        """Build-and-publish the next generation, then pick it up locally."""
+        manifest = build_and_publish(self.root, ranker, dataset, keep=keep)
         self.refresh(force=True)
         return manifest

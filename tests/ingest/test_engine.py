@@ -263,11 +263,31 @@ class TestRefresh:
         assert second.full_rebuild
         assert second.carried == ()
 
-    def test_failed_refresh_merges_dirt_back(self, ingest):
+    def test_a_previous_ranker_of_another_snapshot_is_not_carried(self, ingest):
+        # The dirt of the third refresh is relative to r1, so r0's columns
+        # for the terms v1 lost (gupta, olap, 1997) must not be carried.
+        r0 = ingest.refresh()
+        ingest.update_node("v1", {"title": "Index Selection"})
+        ingest.refresh(previous=r0.ranker)
+        ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
+        result = ingest.refresh(previous=r0.ranker)
+        assert result.full_rebuild
+        assert result.carried == ()
+        expected = PrecomputedRanker(result.graph, result.index, min_document_frequency=1)
+        assert result.ranker.keywords == expected.keywords
+        for keyword in expected.keywords:
+            assert np.array_equal(result.ranker.vector(keyword), expected.vector(keyword))
+
+    def test_failed_refresh_merges_dirt_back(self, ingest, monkeypatch):
         ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
         dirty_before = ingest.dirty_keywords
-        with pytest.raises(ValueError, match="mode must be one of"):
-            ingest.refresh(mode="lukewarm")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected column-build failure")
+
+        monkeypatch.setattr("repro.ingest.engine.refreshed_keyword_vectors", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            ingest.refresh()
         assert ingest.pending_mutations == 1
         assert ingest.dirty_keywords == dirty_before
 

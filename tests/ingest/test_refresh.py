@@ -90,55 +90,3 @@ class TestIncrementalCarry:
         )
         for keyword, vector in outcome.vectors.items():
             assert np.array_equal(vector, previous.vector(keyword))
-
-    def test_warm_mode_matches_within_tolerance(
-        self, figure1_graph, figure1_index, previous
-    ):
-        outcome = refreshed_keyword_vectors(
-            figure1_graph,
-            figure1_index,
-            previous,
-            frozenset(),
-            True,  # topology dirt: recompute everything, warm-started
-            min_document_frequency=1,
-            mode="warm",
-        )
-        for keyword, vector in outcome.vectors.items():
-            # Warm mode is tolerance-equal, not bit-identical: the restart
-            # begins inside the convergence ball and stops within it.
-            assert np.allclose(vector, previous.vector(keyword), atol=1e-5)
-
-    def test_warm_mode_saves_iterations(
-        self, figure1_graph, figure1_index, previous
-    ):
-        exact = refreshed_keyword_vectors(
-            figure1_graph, figure1_index, previous, frozenset(), True,
-            min_document_frequency=1, mode="exact",
-        )
-        warm = refreshed_keyword_vectors(
-            figure1_graph, figure1_index, previous, frozenset(), True,
-            min_document_frequency=1, mode="warm",
-        )
-        assert warm.iterations <= exact.iterations
-
-
-class TestValidation:
-    def test_unknown_mode_rejected(self, figure1_graph, figure1_index):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            refreshed_keyword_vectors(
-                figure1_graph, figure1_index, None, frozenset(), False,
-                mode="lukewarm",
-            )
-
-    def test_explicit_keyword_list_deduplicated(
-        self, figure1_graph, figure1_index
-    ):
-        outcome = refreshed_keyword_vectors(
-            figure1_graph,
-            figure1_index,
-            None,
-            frozenset(),
-            False,
-            keywords=["olap", "olap", "cube"],
-        )
-        assert list(outcome.vectors) == ["olap", "cube"]

@@ -94,7 +94,7 @@ def test_no_entry_point_changes_what_its_caller_owns(
     unchanged(lambda b: weighted_restarts(atdg, [b]), result.base_weights)
     restarts = unchanged(lambda i: uniform_restarts(atdg, [i, i[:1]]), ids)
     unchanged(
-        lambda r, i: rank(atdg, r, Tolerance(), init=i), restarts, rng.random((atdg.num_nodes, 2))
+        lambda r, i: rank(atdg, r, Tolerance(), init=i), restarts, rng.random(atdg.num_nodes)
     )
     ranker = PrecomputedRanker(atdg, index, min_document_frequency=1)
     unchanged(ranker.rank, vector)

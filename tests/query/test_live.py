@@ -5,8 +5,7 @@ single mutation path is now :class:`repro.ingest.IngestEngine` (mutations
 buffer in a working copy, :meth:`~repro.ingest.IngestEngine.refresh` freezes
 a snapshot the :class:`~repro.query.engine.SearchEngine` adopts), so every
 test drives that: same mutations, same expectations about what a search sees
-afterwards, the pending-mutation counter, and the warm-start carry of
-:mod:`repro.ingest.refresh`.
+afterwards, the pending-mutation counter, and the scores a refresh carries.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.ingest import IngestEngine
-from repro.ingest.refresh import _warm_start_inits
 from repro.query.engine import SearchEngine
 
 TOLERANCE = 1e-8
@@ -175,58 +173,50 @@ class TestPendingUpdateAccounting:
 
 
 class TestWarmStartAcrossUpdates:
-    """The carry of :func:`repro.ingest.refresh._warm_start_inits`."""
+    """Scores kept across a refresh: the clean columns the exact refresh
+    carries, and the Section 6.2 warm start of a search after an update."""
 
     def test_carry_over_preserves_surviving_scores(self, live):
         first = live.refresh()
-        live.ingest.add_node("p_new", "Paper", {"title": "Fresh OLAP work"})
-        second = live.refresh(previous=first.ranker, mode="warm")
-        graph = second.graph
-        carried = _warm_start_inits(graph, first.ranker, ["olap"])["olap"]
-        # Carried mass is renormalized to a distribution; surviving nodes
-        # keep their score up to the common scale, new nodes get the
-        # uniform prior up to the same scale.
-        assert carried.sum() == pytest.approx(1.0)
-        v7 = graph.index_of("v7")
-        fresh = graph.index_of("p_new")
-        old_v7 = first.ranker.vector("olap")[first.graph.index_of("v7")]
-        expected_ratio = old_v7 / (1.0 / graph.num_nodes)
-        assert carried[v7] / carried[fresh] == pytest.approx(expected_ratio)
+        live.ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
+        second = live.refresh(previous=first.ranker)
+        assert second.carried and "olap" in second.carried
+        for keyword in second.carried:
+            assert second.ranker.vector(keyword) is first.ranker.vector(keyword)
 
     def test_carry_over_none_without_previous(self, live):
-        # Nothing to carry from: a warm refresh degrades to the cold build.
-        warm = live.refresh(previous=None, mode="warm")
-        assert warm.full_rebuild and warm.carried == ()
-        cold = Live().refresh(previous=None, mode="exact")
+        # Nothing to carry from: the refresh is a full build.
+        result = live.refresh(previous=None)
+        assert result.full_rebuild and result.carried == ()
+        cold = Live().refresh(previous=None)
+        assert result.ranker.keywords == cold.ranker.keywords
         for keyword in cold.ranker.keywords:
             assert np.array_equal(
-                warm.ranker.vector(keyword), cold.ranker.vector(keyword)
+                result.ranker.vector(keyword), cold.ranker.vector(keyword)
             )
-        assert _warm_start_inits(warm.graph, warm.ranker, ["zzznotaterm"]) == {}
 
     def test_warm_search_converges_faster_after_insert(self, live):
-        other = Live()
-        first = live.refresh()
-        for engine in (live.ingest, other.ingest):
-            engine.add_node("p_new", "Paper", {"title": "More OLAP cubes"})
-            engine.add_edge("p_new", "v7", "cites")
-        cold = other.refresh(previous=first.ranker, mode="exact")
-        warm = live.refresh(previous=first.ranker, mode="warm")
-        vector = live.engine.query_vector("OLAP")
-        assert (
-            warm.ranker.rank(vector).ranking() == cold.ranker.rank(vector).ranking()
-        )
+        live.refresh()
+        before = live.search("OLAP")
+        # An inserted edge keeps the node set, so the last answer's scores
+        # are a start for the next search over the updated graph.
+        live.ingest.add_edge("v4", "v1", "cites")
+        live.refresh(precompute=False)
+        cold = live.engine.search("OLAP")
+        warm = live.engine.search("OLAP", init=before.ranked.scores)
+        assert warm.hit_ids() == cold.hit_ids()
         assert warm.iterations <= cold.iterations
 
     def test_same_fixpoint_with_and_without_carry(self, live):
         other = Live()
         first = live.refresh()
         for engine in (live.ingest, other.ingest):
-            engine.add_node("p_new", "Paper", {"title": "OLAP again"})
-        cold = other.refresh(previous=first.ranker, mode="exact")
-        warm = live.refresh(previous=first.ranker, mode="warm")
-        assert warm.ranker.keywords == cold.ranker.keywords
-        for keyword in cold.ranker.keywords:
-            assert warm.ranker.vector(keyword) == pytest.approx(
-                cold.ranker.vector(keyword), abs=1e-5
+            engine.update_node("v5", {"title": "OLAP again"})
+        carried = live.refresh(previous=first.ranker)
+        rebuilt = other.refresh(previous=None)
+        assert carried.carried and not rebuilt.carried
+        assert carried.ranker.keywords == rebuilt.ranker.keywords
+        for keyword in rebuilt.ranker.keywords:
+            assert np.array_equal(
+                carried.ranker.vector(keyword), rebuilt.ranker.vector(keyword)
             )

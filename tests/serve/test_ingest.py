@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -289,6 +290,33 @@ class TestStoreIntegration:
         assert fresh["served_from"] == "store"
         assert fresh["store_generation"] == 2
         assert "p_new" in [r["id"] for r in fresh["results"]]
+
+    def test_the_refresh_after_a_failed_publish_equals_a_full_build(
+        self, figure1, tmp_path, monkeypatch
+    ):
+        service = _service(figure1, store_dir=str(tmp_path / "stores"))
+        runtime = service.runtime("fig1")
+        update = [{"op": "update_node", "node_id": "v5", "attributes": {"title": "x"}}]
+        service.ingest("fig1", update, refresh="force")
+
+        def fail(*args, **kwargs):
+            raise OSError("injected publish failure")
+
+        update[0].update(node_id="v1", attributes={"title": "Index Selection"})
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime.store, "publish", fail)
+            with pytest.raises(OSError, match="injected"):
+                service.ingest("fig1", update, refresh="force")
+        update[0].update(node_id="v7", attributes={"title": "Data Cube"})
+        out = service.ingest("fig1", update, refresh="force")
+        assert out["refresh"]["full_rebuild"]
+        served = runtime.built_ranker()
+        expected = PrecomputedRanker(
+            runtime.engine.graph, runtime.engine.index, min_document_frequency=1
+        )
+        assert served.keywords == expected.keywords
+        for keyword in expected.keywords:
+            assert np.array_equal(served.vector(keyword), expected.vector(keyword))
 
     def test_published_generation_reaches_a_concurrent_reader(
         self, figure1, tmp_path

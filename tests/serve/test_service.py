@@ -11,6 +11,8 @@ from repro.ranking.objectrank import keyword_objectranks
 from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 
+from tests.properties.test_explain_batch_properties import same_bits
+
 
 @pytest.fixture
 def service(figure1):
@@ -58,6 +60,20 @@ class TestRouting:
         live_service.search("fig1", "OLAP")
         forced = live_service.search("fig1", "OLAP", mode="live")
         assert forced["served_from"] == "live"
+
+    def test_a_live_answer_is_never_served_to_auto(self, figure1, service):
+        # Live and auto share a cache key, but a live run is not the blend
+        # auto answers with: auto after live must be a fresh service's auto.
+        service.search("fig1", "OLAP", mode="live")
+        after = service.search("fig1", "OLAP")
+        fresh = QueryService(service.config, datasets={"fig1": figure1})
+        expected = fresh.search("fig1", "OLAP")
+        assert after["served_from"] == expected["served_from"] == "precomputed"
+        assert [r["id"] for r in after["results"]] == [r["id"] for r in expected["results"]]
+        assert same_bits(
+            [r["score"] for r in after["results"]],
+            [r["score"] for r in expected["results"]],
+        )
 
     def test_unknown_mode_raises(self, service):
         with pytest.raises(ReproError, match="unknown mode"):

@@ -296,7 +296,7 @@ class TestScoreCacheMisses:
 
     def test_applied_rates_are_another_key(self, figure1):
         service = make_service(figure1)
-        service.search("ds", "OLAP", mode="live")
+        service.search("ds", "OLAP")  # runs live: precompute is off
         first = service.feedback_reformulate("ds", "OLAP", ["v4"], apply=True)
         assert first["applied"] and counters(service)[:2] == (1, 0)
         # The applied reformulation dropped the kept scores with the rest,

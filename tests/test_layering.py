@@ -6,6 +6,7 @@ Checked on the AST, not by importing: a lazy import inside a function would
 slip past an ``import``-time check.
 """
 
+import argparse
 import ast
 import dataclasses
 import fnmatch
@@ -522,6 +523,89 @@ def test_the_guard_sees_every_second_precomputed_policy():
         "field precompute_keywords",
         "parameter ranker(min_coverage)",
         "mode precomputed",
+    ]
+
+
+# -- the ingest refresh has one mode: exact, from the uniform start ---------------
+
+
+def ingest_refresh_modes(parameters, config: type, parser) -> list[str]:
+    """Every way left to pick a second refresh: a forbidden parameter on one
+    of ``parameters`` (``(name, callable, parameter)`` triples), a
+    ``*refresh_mode*`` config field, and a ``--refresh-mode`` flag or an
+    ``ingest --mode`` flag on ``parser``'s subcommands."""
+    modes = [
+        f"parameter {name}({parameter})"
+        for name, function, parameter in parameters
+        if parameter in inspect.signature(function).parameters
+    ]
+    modes += [
+        f"field {field.name}"
+        for field in dataclasses.fields(config)
+        if fnmatch.fnmatchcase(field.name, "*refresh_mode*")
+    ]
+    commands = [
+        (command, sub)
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for command, sub in action.choices.items()
+    ]
+    for command, sub in commands:
+        flags = {flag for option in sub._actions for flag in option.option_strings}
+        if "--refresh-mode" in flags:
+            modes.append(f"flag {command} --refresh-mode")
+        if command == "ingest" and "--mode" in flags:
+            modes.append("flag ingest --mode")
+    return modes
+
+
+def test_the_ingest_refresh_has_one_mode():
+    """Dirty columns re-converge from the uniform start, bit-identical to a
+    full build; nothing configures a second, warm-started refresh."""
+    from repro.cli import build_parser
+    from repro.ingest.engine import IngestEngine
+    from repro.ingest.refresh import refreshed_keyword_vectors
+    from repro.ranking.objectrank import keyword_objectranks
+    from repro.serve.service import DatasetRuntime, ServeConfig
+
+    parameters = [
+        ("refreshed_keyword_vectors", refreshed_keyword_vectors, "mode"),
+        ("IngestEngine.refresh", IngestEngine.refresh, "mode"),
+        ("DatasetRuntime.refresh_ingest", DatasetRuntime.refresh_ingest, "mode"),
+        ("keyword_objectranks", keyword_objectranks, "init"),
+    ]
+    assert ingest_refresh_modes(parameters, ServeConfig, build_parser()) == []
+
+
+def test_the_guard_sees_every_second_refresh_mode():
+    @dataclasses.dataclass
+    class Planted:
+        ingest: bool = False
+        ingest_staleness_bound: int = 0
+        ingest_refresh_mode: str = "exact"
+
+    def refresh(previous=None, mode="exact"):
+        pass
+
+    def columns(graph, index, keywords, init=None):
+        pass
+
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    sub.add_parser("serve").add_argument("--refresh-mode")
+    sub.add_parser("ingest").add_argument("--mode")
+    sub.add_parser("search").add_argument("--mode")
+    parameters = [
+        ("refresh", refresh, "mode"),
+        ("columns", columns, "init"),
+        ("columns", columns, "mode"),
+    ]
+    assert ingest_refresh_modes(parameters, Planted, parser) == [
+        "parameter refresh(mode)",
+        "parameter columns(init)",
+        "field ingest_refresh_mode",
+        "flag serve --refresh-mode",
+        "flag ingest --mode",
     ]
 
 
