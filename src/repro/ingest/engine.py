@@ -135,9 +135,9 @@ class IngestEngine:
         self._epoch = 0
         #: guarded by self._lock; the last successful refresh's transfer graph
         self._last_graph: AuthorityTransferDataGraph | None = None
-        #: guarded by self._lock; the ``version`` of the snapshot the
-        #: tracker's dirt is relative to (the last frozen one)
-        self._dirt_base = self._data_graph.version
+        #: guarded by self._lock; the snapshot the tracker's dirt is
+        #: relative to (the last frozen one)
+        self._dirt_base = self._data_graph.copy()
 
     # -- mutations ---------------------------------------------------------
 
@@ -310,11 +310,12 @@ class IngestEngine:
         when their ``topology_version`` agrees (builds one otherwise), then
         re-converges only the dirty columns relative to ``previous``.  The
         dirt is relative to the last frozen snapshot, so ``previous`` is
-        carried from only when its ``graph_version`` is that snapshot's and
-        its rates are ``rates``; any other ranker forces a full rebuild
-        rather than silently carrying wrong columns.  Mutations arriving
-        during the build land in the next refresh.  On a build failure the
-        frozen dirt is merged back into the tracker.
+        carried from only when its ``graph_version`` and ``node_ids`` are
+        that snapshot's and its rates are ``rates``; any other ranker (one
+        read from a store published over another corpus, say) forces a
+        full rebuild rather than silently carrying wrong columns.  Mutations
+        arriving during the build land in the next refresh.  On a build
+        failure the frozen dirt is merged back into the tracker.
         """
         started = time.perf_counter()
         with self._lock:
@@ -324,11 +325,14 @@ class IngestEngine:
             # A fresh tracker (not .clear()) so a failed build can merge the
             # frozen dirt into whatever newer mutations accumulated meanwhile.
             self._tracker = DirtyKeywordTracker()
-            base, self._dirt_base = self._dirt_base, data_graph.version
+            base, self._dirt_base = self._dirt_base, data_graph
             last = self._last_graph
         if rates is None:
             rates = self.transfer_schema
-        if previous is not None and previous.graph_version != base:
+        if previous is not None and (
+            previous.graph_version != base.version
+            or previous.node_ids != base.node_ids()
+        ):
             previous = None
         try:
             # Topology is carried when the frozen copy has the node and edge
@@ -369,7 +373,7 @@ class IngestEngine:
                 self._tracker.merge(dirty, topology, pending)
                 # Unless a later refresh froze meanwhile, the merged dirt
                 # is relative to the snapshot ours was.
-                if self._dirt_base == data_graph.version:
+                if self._dirt_base.version == data_graph.version:
                     self._dirt_base = base
             raise
         with self._lock:

@@ -113,9 +113,11 @@ from repro.graph.transfer_graph import (
 MAX_WIDTH = 512
 
 #: Widths with a fully-unrolled, register-resident fast path.  Other widths
-#: run through a runtime-width body that is correct but roughly half as fast;
-#: callers that control their chunking should prefer these.
-SPECIALIZED_WIDTHS = (2, 4, 8, 16, 32, 64)
+#: run through a runtime-width body that is correct but slower per column
+#: (on ``dblp_complete`` x 0.5: 1.79x at 7 against 8 wide, 1.23x at 15
+#: against 16, 1.67x at 31 against 32); callers that control their chunking
+#: should prefer these.  The engine's chunks are at most 32 wide.
+SPECIALIZED_WIDTHS = (2, 4, 8, 16, 32)
 
 _BASE_CFLAGS = ["-O3", "-fPIC", "-ffp-contract=off", "-funroll-loops"]
 
@@ -159,65 +161,6 @@ class _Outcome(NamedTuple):
 _lock = threading.Lock()
 #: Set once per process by :func:`_ensure`, read by :func:`status`.
 _outcome: _Outcome | None = None
-
-_HUGE_PAGE = 2 << 20
-_libc = None
-
-
-def slab_empty(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """``np.empty`` backed by transparent hugepages when the slab is large.
-
-    The blocked engine gathers rows of its multi-MB slabs at effectively
-    random offsets, so on 4K pages the slab spans thousands of TLB entries
-    and a large fraction of gathers pay a page walk.  A 2MB-aligned
-    anonymous mapping with ``MADV_HUGEPAGE`` covers the same slab with a
-    handful of entries (measured ~15-25% off the kernel step).  Falls back
-    to a plain ``np.empty`` for small slabs and on any platform refusal.
-    """
-    global _libc
-    count = int(np.prod(shape))
-    nbytes = count * np.dtype(dtype).itemsize
-    if nbytes < _HUGE_PAGE:
-        return np.empty(shape, dtype)
-    try:
-        import mmap as _mmap
-
-        size = (nbytes + _HUGE_PAGE - 1) & ~(_HUGE_PAGE - 1)
-        buf = _mmap.mmap(-1, size + _HUGE_PAGE)
-        address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-        aligned = (address + _HUGE_PAGE - 1) & ~(_HUGE_PAGE - 1)
-        if _libc is None:
-            _libc = ctypes.CDLL(None, use_errno=True)
-        _libc.madvise(  # MADV_HUGEPAGE; refusal leaves ordinary pages
-            ctypes.c_void_p(aligned), ctypes.c_size_t(size), 14
-        )
-        array = np.frombuffer(
-            buf, dtype=dtype, count=count, offset=aligned - address
-        )
-        return array.reshape(shape)
-    except Exception:
-        return np.empty(shape, dtype)
-
-
-def hugepage_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Copy of ``matrix`` whose arrays sit on hugepage-backed slabs.
-
-    The CSR data/index streams are re-read every iteration; moving them onto
-    hugepages removes their share of TLB pressure too.  Returns the input
-    unchanged when the kernel is unavailable (the scipy path gains nothing).
-    """
-    if not available():
-        return matrix
-    data = slab_empty(matrix.data.shape)
-    data[:] = matrix.data
-    indices = slab_empty(matrix.indices.shape, matrix.indices.dtype)
-    indices[:] = matrix.indices
-    indptr = slab_empty(matrix.indptr.shape, matrix.indptr.dtype)
-    indptr[:] = matrix.indptr
-    return sparse.csr_matrix(
-        (data, indices, indptr), shape=matrix.shape, copy=False
-    )
-
 
 def _cache_dir() -> str:
     """Where published builds live: ``$XDG_CACHE_HOME/repro/kernels``, by

@@ -14,9 +14,9 @@ the ``k`` restart vectors into an ``(n, k)`` block ``S`` and iterates
 
 so one pass over the matrix advances every column at once (the classic
 blocked fixpoint of topic-sensitive PageRank precomputation).  Columns
-converge independently: a converged column is *frozen* (its scores stop
-changing and it leaves the residual check) and dropped from the active
-block so late stragglers don't pay for finished columns.
+converge independently: a converged column's scores are captured at its
+convergence iteration and it leaves the residual check, then coasts in the
+block until the chunk's last column converges.
 
 This is a performance change, not an approximation: per column, the blocked
 engine performs bit-for-bit the same floating-point operations in the same
@@ -139,10 +139,11 @@ _EXACT_CHECK_BAND = 1e-6
 def _padded_width(k: int) -> int:
     """Next specialized kernel width, when padding beats the generic body.
 
-    The compiled kernel's runtime-width fallback runs at roughly half the
-    per-column speed of its unrolled widths, so a near-miss chunk (e.g. the
-    29-column tail of a vocabulary) is cheaper to pad up to the next
-    specialized width than to run as-is.  Only pads within 25% extra work.
+    The compiled kernel's runtime-width fallback is 1.2-1.8x slower per
+    column than its unrolled widths (see :data:`_native.SPECIALIZED_WIDTHS`),
+    so a near-miss chunk (e.g. the 29-column tail of a vocabulary) is
+    cheaper to pad up to the next specialized width than to run as-is.
+    Only pads within 25% extra work.
     """
     if k in _native.SPECIALIZED_WIDTHS:
         return k
@@ -165,22 +166,22 @@ def _iterate_block(
     ``scores`` may be ``None`` for the default uniform ``1/n`` start — the
     chunk fills its own slab instead of the caller materializing a
     full-width init.
-    Residuals for all active columns come fused out of the kernel's matrix
+    Residuals for all columns come fused out of the kernel's matrix
     pass (or from one vectorized ``|new - old|`` pass on the scipy
-    fallback); a column whose fast residual lands inside
+    fallback); a live column whose fast residual lands inside
     ``_EXACT_CHECK_BAND`` of the tolerance is re-reduced over a contiguous
     copy — the serial engine's pairwise summation — so iteration counts
     match serial bit-for-bit.
 
-    A converged column's scores are captured into ``out`` immediately; the
-    column then *coasts* in the block (its values keep refining harmlessly)
-    until amortized compaction drops it, instead of paying a block copy per
-    convergence event or a masked write per iteration.
+    A converged column's scores are captured into ``out`` at its
+    convergence iteration; the column then *coasts* in the block (its values
+    keep refining harmlessly, out of the residual check) until the last
+    column converges.  The block keeps its width: narrowing it as columns
+    finish measured no faster (DESIGN §5).
     """
     n, k = restarts.shape
     requested = k
-    use_native = _native.available()
-    padded = _padded_width(k) if use_native else k
+    padded = _padded_width(k) if _native.available() else k
     if padded != k:
         # Pad with copies of column 0 so the extra columns trace exactly the
         # same (already-sparse) iteration sequence as a real column instead
@@ -195,43 +196,33 @@ def _iterate_block(
             )
         k = padded
 
-    def alloc(shape: tuple[int, int]) -> np.ndarray:
-        # Kernel slabs go on hugepage-backed memory (TLB relief); the scipy
-        # path allocates its own outputs, so plain buffers suffice there.
-        return _native.slab_empty(shape) if use_native else np.empty(shape)
-
     jump = (1.0 - damping) * restarts
     out = np.empty((n, k), dtype=np.float64)
     iterations = np.full(k, max_iterations, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
 
-    active = np.arange(k)  # original column ids still in the block
     live = np.ones(k, dtype=bool)  # not yet converged
-    block = alloc((n, k))
+    block = np.empty((n, k))
     if scores is None:
         block.fill(1.0 / n if n else 0.0)
     else:
         block[:] = scores
-    block_jump = jump
     # Restart mass sits on a few base-set rows; the kernel takes the jump
     # term row-compacted so the mostly-zero dense slab is never streamed.
     jump_rows = np.flatnonzero(restarts.any(axis=1)).astype(np.int32)
-    packed_jump = np.ascontiguousarray(block_jump[jump_rows])
+    packed_jump = np.ascontiguousarray(jump[jump_rows])
     # Kernel result buffers, ping-ponged with `block`: a fresh multi-MB
     # allocation per step costs more in page faults than the step itself.
-    spare: np.ndarray | None = None
-    resid_buf: np.ndarray | None = None
-    # Per-iteration (active ids, live mask, residuals); the per-column trace
-    # lists are filled from this after the loop so the hot path stays
-    # vectorized instead of appending k python floats per iteration.
-    trace: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    spare: np.ndarray | None = None  # the kernel allocates it on step one
+    resid_buf = np.empty(k)
+    # Per-iteration (live mask, residuals); the per-column trace lists are
+    # filled from this after the loop so the hot path stays vectorized
+    # instead of appending k python floats per iteration.
+    trace: list[tuple[np.ndarray, np.ndarray]] = []
     for iteration in range(1, max_iterations + 1):
-        if active.size == 0 or not live[active].any():
+        if not live.any():
             break
-        if spare is None or spare.shape != block.shape:
-            spare = alloc(block.shape)
-            resid_buf = np.empty(block.shape[1])
         step = _native.blocked_step(
             matrix, block, jump_rows, packed_jump, damping,
             out=spare, resid=resid_buf,
@@ -242,41 +233,27 @@ def _iterate_block(
         else:  # no compiled kernel: same score ops through scipy
             new_block = matrix @ block
             new_block *= damping
-            new_block += block_jump
+            new_block += jump
             delta = new_block - block
             np.abs(delta, out=delta)
             fast_residuals = delta.sum(axis=0)
-        live_local = live[active]
         res = fast_residuals.copy()  # resid_buf is recycled next step
         near = np.abs(res - tolerance) <= _EXACT_CHECK_BAND * (res + tolerance)
-        for local in np.flatnonzero(near & live_local):
-            res[local] = np.abs(new_block[:, local] - block[:, local]).sum()
-        trace.append((active, live_local, res))
-        newly = np.flatnonzero(live_local & (res < tolerance))
+        for col in np.flatnonzero(near & live):
+            res[col] = np.abs(new_block[:, col] - block[:, col]).sum()
+        trace.append((live.copy(), res))
+        newly = np.flatnonzero(live & (res < tolerance))
         if newly.size:
-            cols = active[newly]
-            out[:, cols] = new_block[:, newly]
-            live[cols] = False
-            iterations[cols] = iteration
-            converged[cols] = True
+            out[:, newly] = new_block[:, newly]
+            live[newly] = False
+            iterations[newly] = iteration
+            converged[newly] = True
         block = new_block
-        dead = ~live[active]
-        if dead.any() and 4 * int(dead.sum()) >= active.size:
-            keep = ~dead
-            active = active[keep]
-            narrowed = alloc((n, int(active.size)))
-            narrowed[:] = block[:, keep]
-            block = narrowed
-            block_jump = np.ascontiguousarray(block_jump[:, keep])
-            packed_jump = np.ascontiguousarray(block_jump[jump_rows])
-            spare = None  # width changed; reallocated next step
 
-    for local, col in enumerate(active):
-        if not converged[col]:
-            out[:, col] = block[:, local]
-    for active_ids, live_mask, res in trace:
-        for local in np.flatnonzero(live_mask):
-            residuals[active_ids[local]].append(float(res[local]))
+    out[:, live] = block[:, live]
+    for live_mask, res in trace:
+        for col in np.flatnonzero(live_mask):
+            residuals[col].append(float(res[col]))
     if k != requested:
         return (
             out[:, :requested],
@@ -301,8 +278,8 @@ def batched_power_iteration(
     ``init`` is one ``(n,)`` start broadcast to every column; the default
     is the serial engine's uniform ``1/n`` start.
     Columns are processed in chunks of :data:`DEFAULT_BLOCK_WIDTH` so the
-    matrix and the working slab stay cache-resident; converged columns are
-    dropped from a chunk's active block.
+    matrix and the working slab stay cache-resident; a converged column
+    coasts in its chunk until the chunk's last column converges.
 
     Each column's scores and iteration count are identical to a serial
     :func:`~repro.ranking.pagerank.iterate` run with the same
@@ -318,11 +295,6 @@ def batched_power_iteration(
             f"matrix has {matrix.shape[0]} rows, restart block has {n}"
         )
     matrix = matrix.tocsr()
-    if _native.available():
-        # The CSR streams are re-read every iteration of every chunk; one
-        # upfront copy onto hugepage-backed arrays cuts TLB pressure for
-        # the whole run (a few ms against seconds of iteration).
-        matrix = _native.hugepage_csr(matrix)
 
     if init is None:
         scores = None  # each chunk fills its own uniform 1/n slab

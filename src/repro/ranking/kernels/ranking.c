@@ -90,7 +90,6 @@ DEFINE_STEP(4)
 DEFINE_STEP(8)
 DEFINE_STEP(16)
 DEFINE_STEP(32)
-DEFINE_STEP(64)
 
 static void step_generic(const int64_t n_row, const int64_t width,
                          const int32_t *indptr, const int32_t *indices,
@@ -123,7 +122,6 @@ void blocked_step(const int64_t n_row,
     case 8:  step_8(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
     case 16: step_16(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
     case 32: step_32(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
-    case 64: step_64(n_row, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid); break;
     default:
         step_generic(n_row, width, indptr, indices, data, x, n_jump, jump_rows, jump, damping, y, resid);
     }

@@ -256,7 +256,12 @@ class DatasetRuntime:
             if self.ingest.pending_mutations == 0 and not force:
                 return None
             previous = self._ingest_ranker
-            if previous is None and self.store is None and self.config.precompute:
+            if previous is None and self.store is not None:
+                # Seed the first incremental refresh from the published
+                # generation; the engine drops it unless it was built over
+                # the snapshot the working copy started from.
+                previous = self.store.ranker()
+            elif previous is None and self.config.precompute:
                 with self._precompute_lock:
                     # Seed the first incremental refresh from the lazily
                     # built startup ranker (same snapshot the working copy

@@ -26,9 +26,8 @@ Sections (``KIND = "repro-score-store"`` in the slab meta):
 
 The meta object carries ``dataset``, ``generation``, ``damping``,
 ``edge_types`` (canonical ``str(EdgeType)`` names matching ``rates``) and
-``build_iterations``.  Scores are assembled on hugepage-backed slabs
-(:func:`repro.ranking._native.slab_empty`) before the write — the same
-aligned-buffer builder the blocked kernel uses.
+``build_iterations``.  Scores are assembled into one ``(num_keywords,
+num_nodes)`` array before the write.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 
 from repro.errors import StoreError
 from repro.graph.authority import AuthorityTransferSchemaGraph
-from repro.ranking._native import slab_empty
 from repro.ranking.precompute import PrecomputedRanker
 from repro.storage.slab import SlabFile, SlabFormatError, write_slab
 
@@ -85,9 +83,7 @@ def write_score_store(
     source = ranker.source
     keywords = source.keywords
     num_nodes = len(source.node_ids)
-    # Hugepage-backed assembly slab: the write streams it once, and builds
-    # at paper scale (1e6 nodes x 1e4 keywords) touch it row-by-row first.
-    scores = slab_empty((len(keywords), num_nodes))
+    scores = np.empty((len(keywords), num_nodes))
     idf = np.empty(len(keywords))
     for row, keyword in enumerate(keywords):
         scores[row] = source.vector(keyword)

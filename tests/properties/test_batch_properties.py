@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from repro.ranking import Tolerance, rank, uniform_restarts
 from repro.ranking.batch import batched_power_iteration
 
+from tests.graph.test_transfer_graph import _kernel_modes
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.properties.test_explain_batch_properties import same_bits
 from tests.ranking.reference import objectrank, reference_power_iteration
 
 
@@ -75,3 +77,52 @@ def test_batched_objectrank_matches_serial(atdg, data):
         assert result.converged == serial.converged
         assert np.abs(result.scores - serial.scores).max() <= 1e-12
         assert result.base_weights == serial.base_weights
+
+
+@st.composite
+def graphs_with_uneven_base_sets(draw):
+    """A random transfer graph, 1..40 uniform restart columns over base sets
+    of different sizes, and a shared start: uniform, or one column's own
+    fixpoint, which that column leaves within an iteration or two while the
+    others run on — the columns converge iterations apart.
+
+    The width crosses the compiled kernel's padding (7 -> 8, 29 -> 32) and
+    the 32-column chunk boundary."""
+    atdg = draw(dblp_transfer_graphs())
+    n = atdg.num_nodes
+    k = draw(st.integers(1, 40))
+    restarts = np.zeros((n, k))
+    for j in range(k):
+        size = draw(st.integers(1, n))
+        base = draw(st.permutations(range(n)))[:size]
+        restarts[base, j] = 1.0 / size
+    init = None
+    warm = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    if warm is not None:
+        init = reference_power_iteration(
+            atdg.matrix(), restarts[:, warm], tolerance=1e-12
+        ).scores
+    return atdg, restarts, init
+
+
+@given(graphs_with_uneven_base_sets())
+@settings(max_examples=25, deadline=None)
+def test_every_block_width_moves_no_bit(case):
+    atdg, restarts, init = case
+    matrix = atdg.matrix()
+    serial = [
+        reference_power_iteration(matrix, restarts[:, j], tolerance=1e-8, init=init)
+        for j in range(restarts.shape[1])
+    ]
+    for mode in _kernel_modes():
+        with mode:
+            batch = batched_power_iteration(
+                matrix, restarts, tolerance=1e-8, init=init
+            )
+        for j, expected in enumerate(serial):
+            column = batch.column(j)
+            assert same_bits(column.scores, expected.scores)
+            assert column.iterations == expected.iterations
+            assert column.converged == expected.converged
+            assert len(column.residuals) == len(expected.residuals)
+            assert np.allclose(column.residuals, expected.residuals, rtol=1e-9)

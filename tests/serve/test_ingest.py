@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.graph.data_graph import DataGraph
+from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ir.index import InvertedIndex
 from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import QueryService, ServeConfig
 from repro.store import build_and_publish, read_manifest
+
+from tests.properties.test_explain_batch_properties import same_bits
 
 
 def _service(figure1, **overrides):
@@ -317,6 +322,53 @@ class TestStoreIntegration:
         assert served.keywords == expected.keywords
         for keyword in expected.keywords:
             assert np.array_equal(served.vector(keyword), expected.vector(keyword))
+
+    def _refresh_over_published(self, figure1, tmp_path, data_graph):
+        """Publish a ranker built over ``data_graph`` as generation 1 of a
+        store-backed runtime, then rewrite one title and refresh."""
+        store_root = tmp_path / "stores"
+        service = _service(figure1, store_dir=str(store_root))
+        runtime = service.runtime("fig1")
+        graph = AuthorityTransferDataGraph(data_graph, figure1.transfer_schema)
+        seed = PrecomputedRanker(
+            graph, InvertedIndex.from_graph(data_graph), min_document_frequency=1
+        )
+        build_and_publish(store_root / "fig1", seed, "fig1")
+        update = [{"op": "update_node", "node_id": "v7", "attributes": {"title": "x"}}]
+        refresh = service.ingest("fig1", update, refresh="force")["refresh"]
+        served = runtime.built_ranker()
+        expected = PrecomputedRanker(
+            runtime.engine.graph, runtime.engine.index, min_document_frequency=1
+        )
+        assert served.keywords == expected.keywords
+        for keyword in expected.keywords:
+            assert same_bits(served.vector(keyword), expected.vector(keyword))
+        return refresh
+
+    def test_the_first_refresh_carries_from_the_published_generation(
+        self, figure1, tmp_path
+    ):
+        refresh = self._refresh_over_published(figure1, tmp_path, figure1.data_graph)
+        assert not refresh["full_rebuild"]
+        assert refresh["carried_columns"] > refresh["recomputed_columns"] > 0
+
+    def test_a_published_generation_over_other_nodes_is_not_carried(
+        self, figure1, tmp_path
+    ):
+        # The same objects and links added in reverse: the same
+        # graph_version, but every column indexed by another node order.
+        source = figure1.data_graph
+        reordered = DataGraph()
+        for node_id in reversed(source.node_ids()):
+            node = source.node(node_id)
+            reordered.add_node(node_id, node.label, node.attributes)
+        for edge in source.edges():
+            reordered.add_edge(edge.source, edge.target, edge.role)
+        assert reordered.version == source.version
+        assert reordered.node_ids() != source.node_ids()
+        refresh = self._refresh_over_published(figure1, tmp_path, reordered)
+        assert refresh["full_rebuild"]
+        assert refresh["carried_columns"] == 0
 
     def test_published_generation_reaches_a_concurrent_reader(
         self, figure1, tmp_path

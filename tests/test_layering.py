@@ -1730,20 +1730,19 @@ def test_the_guard_sees_an_uncapped_residual_loop(tmp_path):
 
 # -- raw buffer access stays in the storage modules ----------------------------
 
-_RAW_BUFFER = {"frombuffer", "mmap", "struct", "seek"}
+_RAW_BUFFER = {"frombuffer", "mmap", "madvise", "struct", "seek"}
 
-#: Where raw buffers may be read: the slab container, the score store's
-#: string packing, and the hugepage slab allocator of the native kernels.
+#: Where raw buffers may be read: the slab container and the score store's
+#: string packing.
 _RAW_BUFFER_HOMES = {
     "storage/slab.py": None,
     "store/format.py": None,
-    "ranking/_native.py": "slab_empty",
 }
 
 
 def raw_buffer_users(src: Path) -> list[str]:
-    """``file:line name`` of every ``np.frombuffer``, ``mmap``, ``struct``
-    or ``.seek`` use outside :data:`_RAW_BUFFER_HOMES` (a home naming a
+    """``file:line name`` of every ``np.frombuffer``, ``mmap``, ``madvise``,
+    ``struct`` or ``.seek`` use outside :data:`_RAW_BUFFER_HOMES` (a home naming a
     function allows it there only)."""
     offenders = []
     for path in sorted(src.rglob("*.py")):
@@ -1787,12 +1786,13 @@ def test_the_guard_sees_a_frombuffer_in_serve(tmp_path):
     )
     (tmp_path / "ranking").mkdir()
     (tmp_path / "ranking" / "_native.py").write_text(
-        "def slab_empty(shape):\n"
-        "    import mmap\n"
-        "    return mmap.mmap(-1, 64)\n"
-        "def other(handle):\n"
-        "    handle.seek(0)\n"
+        "def slab_empty(size):\n"
+        "    buf = mmap(-1, size)\n"
+        "    libc.madvise(buf, size, 14)\n"
+        "    return buf\n"
     )
     assert raw_buffer_users(tmp_path) == [
-        "ranking/_native.py:5 seek", "serve/peek.py:3 frombuffer",
+        "ranking/_native.py:2 mmap",
+        "ranking/_native.py:3 madvise",
+        "serve/peek.py:3 frombuffer",
     ]
