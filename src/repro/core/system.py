@@ -220,7 +220,7 @@ class ObjectRankSystem:
                 # rates — never a mutation of the engine's graph, so
                 # concurrent sessions over one engine stay isolated.
                 self.engine.transfer_view(self.current_rates),
-                list(self.last_result.ranked.base_weights),
+                self.last_result.ranked.base_indices,
                 node_ids,
                 self.config.radius,
             )

@@ -9,7 +9,6 @@ from repro.explain.batch import (
     batched_explain,
 )
 from repro.explain.flows import (
-    grouped_flow_totals,
     local_node_outgoing_flow,
     node_incoming_flow,
     node_outgoing_flow,
@@ -17,11 +16,8 @@ from repro.explain.flows import (
 )
 from repro.explain.paths import FlowPath, top_paths
 from repro.explain.render import to_dot, to_text
-from repro.explain.subgraph import (
-    ExplainingSubgraph,
-    NodeValueView,
-    build_explaining_subgraph,
-)
+from repro.explain.subgraph import ExplainingSubgraph, build_explaining_subgraph
+from repro.graph.node_values import NodeValueView
 
 __all__ = [
     "ExplainingSubgraph",
@@ -34,7 +30,6 @@ __all__ = [
     "batched_build_explaining_subgraphs",
     "batched_explain",
     "build_explaining_subgraph",
-    "grouped_flow_totals",
     "local_node_outgoing_flow",
     "node_incoming_flow",
     "node_outgoing_flow",

@@ -26,13 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.explain.flows import (
-    grouped_flow_totals,
-    local_node_outgoing_flow,
-    original_edge_flows,
-)
-from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
+from repro.explain.flows import local_node_outgoing_flow, original_edge_flows
+from repro.explain.subgraph import ExplainingSubgraph
 from repro.graph.authority import EdgeType
+from repro.graph.node_values import NodeValueView, first_occurrences
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_TOLERANCE,
@@ -50,7 +47,7 @@ class FlowExplanation:
     ``edge_ids`` are ids into the underlying transfer graph's edge arrays;
     ``flows`` / ``original_flows`` are aligned with them.  ``reduction`` holds
     the converged ``h`` factors for every graph node in the subgraph (a
-    :class:`~repro.explain.subgraph.NodeValueView` over the fixpoint's
+    :class:`~repro.graph.node_values.NodeValueView` over the fixpoint's
     array unless the subgraph is empty).
     """
 
@@ -113,20 +110,28 @@ class FlowExplanation:
         scores[self.subgraph.target] = self.target_inflow() / self.damping
         return scores
 
-    def flow_by_edge_type(self) -> dict[EdgeType, float]:
-        """``F(e_S)``: total adjusted flow per edge type (Section 5.2).
+    def type_flows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``F(e_S)`` over every edge type of the graph (Section 5.2).
 
-        Holds the types present in the subgraph, in first-seen edge order,
-        each total accumulated in edge order.
+        ``(totals, present)``, both indexed like ``graph.edge_types``: one
+        ``np.bincount`` adds each type's adjusted flows in edge order from
+        0.0, and ``present`` marks the types the subgraph has.
         """
+        types = self.graph.edge_type_index[self.edge_ids]
+        num_types = len(self.graph.edge_types)
+        present = np.zeros(num_types, dtype=bool)
+        present[types] = True
+        return np.bincount(types, weights=self.flows, minlength=num_types), present
+
+    def flow_by_edge_type(self) -> dict[EdgeType, float]:
+        """:meth:`type_flows` as ``edge type -> total``, for the types
+        present in the subgraph in first-seen edge order."""
         edge_types = self.graph.edge_types
-        present, totals = grouped_flow_totals(
-            self.graph.edge_type_index[self.edge_ids], self.flows, len(edge_types)
+        totals, _ = self.type_flows()
+        order = first_occurrences(self.graph.edge_type_index[self.edge_ids])
+        return dict(
+            zip(map(edge_types.__getitem__, order.tolist()), totals[order].tolist())
         )
-        return {
-            edge_types[index]: total
-            for index, total in zip(present.tolist(), totals.tolist())
-        }
 
     def edge_flow_arrays(
         self, by_flow: bool = False

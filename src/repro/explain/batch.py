@@ -68,7 +68,8 @@ from scipy import sparse
 from repro.errors import ConvergenceError, ExplanationError
 from repro.explain.adjustment import DEFAULT_ADJUSTMENT_MAX_ITERATIONS, FlowExplanation
 from repro.explain.flows import original_edge_flows
-from repro.explain.subgraph import ExplainingSubgraph, NodeValueView
+from repro.explain.subgraph import ExplainingSubgraph
+from repro.graph.node_values import NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph, gather_rows
 from repro.ranking import _native
 from repro.ranking.pagerank import (
@@ -254,24 +255,27 @@ def _subgraph(
 
 def batched_build_explaining_subgraphs(
     graph: AuthorityTransferDataGraph,
-    base_node_ids: list[str],
+    base: np.ndarray | Sequence[str],
     target_ids: Sequence[str],
     radius: int | None = None,
     extractor: SubgraphExtractor | None = None,
 ) -> list[ExplainingSubgraph]:
     """``G_v^Q`` for every target, sharing one positive-rate adjacency.
 
-    Field-for-field identical to calling
-    :func:`repro.explain.build_explaining_subgraph` per target.  Pass a
-    prebuilt ``extractor`` to reuse the filtered adjacency across batches
-    under an unchanged rate setting.
+    ``base`` is the base set as node indices (an int array, e.g.
+    :attr:`RankedResult.base_indices <repro.ranking.convergence.RankedResult.base_indices>`)
+    or as node ids, looked up one by one.  Field-for-field identical to
+    calling :func:`repro.explain.build_explaining_subgraph` per target.
+    Pass a prebuilt ``extractor`` to reuse the filtered adjacency across
+    batches under an unchanged rate setting.
     """
     if radius is not None and radius < 1:
         raise ExplanationError(f"radius must be at least 1, got {radius}")
     targets = [graph.index_of(t) for t in target_ids]
-    base_indices = graph.indices_of(list(base_node_ids))
+    if not (isinstance(base, np.ndarray) and base.dtype.kind in "iu"):
+        base = graph.indices_of(list(base))
     extractor = extractor or SubgraphExtractor(graph)
-    return extractor.extract_many(base_indices, targets, radius)
+    return extractor.extract_many(base, targets, radius)
 
 
 # -- multi-target flow adjustment -------------------------------------------

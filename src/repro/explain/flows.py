@@ -74,21 +74,3 @@ def local_node_outgoing_flow(
     return np.bincount(
         subgraph.edge_src_local, weights=flows, minlength=subgraph.num_nodes
     )
-
-
-def grouped_flow_totals(
-    groups: np.ndarray, flows: np.ndarray, num_groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total of ``flows`` per group id: ``(groups present, their totals)``.
-
-    The array form of the accumulation loop ``totals[g] = totals.get(g, 0.0)
-    + flow``: ``np.bincount`` adds each bin's weights in input order starting
-    from 0.0, so every total is bit-identical to the loop's, and the groups
-    come back in first-seen order, which is the loop's dict insertion order.
-    """
-    totals = np.bincount(groups, weights=flows, minlength=num_groups)
-    first_seen = np.full(totals.size, groups.size, dtype=np.int64)
-    np.minimum.at(first_seen, groups, np.arange(groups.size, dtype=np.int64))
-    present = np.flatnonzero(first_seen < groups.size)
-    present = present[np.argsort(first_seen[present], kind="stable")]
-    return present, totals[present]

@@ -20,47 +20,13 @@ edges (e.g. DBLP's "cited" direction with rate 0.0) carry no authority.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ExplanationError
 from repro.graph.transfer_graph import AuthorityTransferDataGraph, build_incidence
-
-
-class NodeValueView(Mapping):
-    """A read-only ``node index -> value`` mapping over two aligned arrays.
-
-    The batched explain engine produces per-node values (depths, reduction
-    factors) as arrays; most requests never look one up by node.  The view
-    compares equal to the ``dict`` it stands for and builds that dict only
-    on first keyed access, so array consumers pay nothing for it.
-    """
-
-    __slots__ = ("nodes", "values_array", "_dict")
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray) -> None:
-        self.nodes = nodes
-        self.values_array = values
-        self._dict: dict | None = None
-
-    def _materialized(self) -> dict:
-        if self._dict is None:
-            self._dict = dict(zip(self.nodes.tolist(), self.values_array.tolist()))
-        return self._dict
-
-    def __getitem__(self, node: int):
-        return self._materialized()[node]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._materialized())
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __repr__(self) -> str:
-        return f"NodeValueView({self._materialized()!r})"
 
 
 @dataclass
@@ -72,7 +38,8 @@ class ExplainingSubgraph:
     content-based reformulation (Equation 11); :attr:`depth_array` is the
     same aligned with ``nodes``.  The batched engine passes every array
     form filled — sorted nodes, depths, per-edge local endpoints and the
-    Equation 10 operator, with a :class:`NodeValueView` over the depths; the
+    Equation 10 operator, with a
+    :class:`~repro.graph.node_values.NodeValueView` over the depths; the
     serial builder passes a plain dict and the arrays are derived on demand.
     """
 

@@ -120,7 +120,8 @@ def train_transfer_rates(
     initial_ranked = rank(
         graph,
         weighted_restarts(
-            graph, [weighted_base_set(engine.scorer, v) for v in query_vectors]
+            graph,
+            [weighted_base_set(engine.scorer, v, graph) for v in query_vectors],
         ),
         Tolerance(engine.tolerance),
         damping=engine.damping,

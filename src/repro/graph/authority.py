@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import RateError
+from repro.fold import left_sum
 from repro.graph.schema import SchemaEdge, SchemaGraph
 
 
@@ -170,7 +171,7 @@ class AuthorityTransferSchemaGraph:
         label (step 4 of the Section 5.2 normalization enforces it after a
         structure-based reformulation).
         """
-        return sum(self.rate(t) for t in self.outgoing_types(label))
+        return left_sum(self.rate(t) for t in self.outgoing_types(label))
 
     def is_convergent(self, tolerance: float = 1e-9) -> bool:
         """Whether every label's outgoing rate sum is at most 1."""

@@ -35,6 +35,7 @@ numpy edge arrays, and splits what it derives from them by what can change:
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
@@ -46,6 +47,7 @@ from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeT
 from repro.graph.build_cache import BuildCache
 from repro.graph.conformance import find_violations
 from repro.graph.data_graph import DataGraph
+from repro.graph.node_values import NodeValueView
 
 T = TypeVar("T")
 
@@ -268,18 +270,64 @@ class AuthorityTransferDataGraph:
         except KeyError as error:
             raise UnknownNodeError(error.args[0]) from None
 
+    def base_set(self, weights: Mapping[str, float]) -> NodeValueView:
+        """``weights`` (node id -> value) on dense node indices, in order.
+
+        The form a restart builder lays out: ``nodes`` and ``values_array``
+        are the base set's arrays, keyed by node id.  One lookup per id, for
+        callers that hold ids; the ranking paths reach node indices from
+        index ordinals instead (:meth:`document_nodes`).  A view over this
+        graph's nodes is returned as it is.
+        """
+        if isinstance(weights, NodeValueView) and weights.ids is self.node_ids:
+            return weights
+        return NodeValueView(
+            self.indices_of(weights),
+            np.fromiter(weights.values(), dtype=np.float64, count=len(weights)),
+            self.node_ids,
+        )
+
     def restart_vector(self, weights: Mapping[str, float]) -> np.ndarray:
         """``weights`` (node id -> value) laid out by dense node index.
 
         The restart vector ``s`` of Equation 4 from a base set; zeros
-        everywhere else.  The one place a base-set dict becomes an array.
+        everywhere else.
         """
+        base = self.base_set(weights)
         restart = np.zeros(self.num_nodes)
-        # Dict keys are distinct, so are the indices: plain assignment is exact.
-        restart[self.indices_of(weights)] = np.fromiter(
-            weights.values(), dtype=np.float64, count=len(weights)
-        )
+        # Mapping keys are distinct, so are the indices: assignment is exact.
+        restart[base.nodes] = base.values_array
         return restart
+
+    def document_nodes(self, columns, ordinals: np.ndarray) -> np.ndarray:
+        """Node index of each document of ``columns`` that ``ordinals`` names.
+
+        ``columns`` is an index's columnar view
+        (:class:`~repro.ir.index.PostingColumns`); its ordinal -> node
+        table is built once per data-graph version and view
+        (:meth:`derived`), so a base set reaches node indices by one gather,
+        without a document id.  Raises
+        :class:`~repro.errors.UnknownNodeError` naming the first document,
+        in ``ordinals`` order, that is no node of this graph.
+        """
+        table, complete = self.derived(
+            ("document_nodes", columns), lambda: self._document_table(columns)
+        )
+        nodes = table[ordinals]
+        if not complete and nodes.size and nodes.min() < 0:
+            missing = ordinals[np.argmax(nodes < 0)]
+            raise UnknownNodeError(columns.doc_ids[missing])
+        return nodes
+
+    def _document_table(self, columns) -> tuple[np.ndarray, bool]:
+        """Node index per document ordinal (-1: no such node), and whether
+        every document has one."""
+        table = np.fromiter(
+            map(self._node_index.get, columns.doc_ids, repeat(-1)),
+            dtype=np.int64,
+            count=len(columns.doc_ids),
+        )
+        return table, not (table < 0).any()
 
     def label_of(self, index: int) -> str:
         return self.data_graph.node(self.node_ids[index]).label

@@ -24,6 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import EmptyBaseSetError
+from repro.ir.index import PostingColumns
 from repro.ir.scoring import Scorer
 
 
@@ -31,10 +32,17 @@ from repro.ir.scoring import Scorer
 class ScoredPostings:
     """IR scores of every document of ``S(Q)``."""
 
-    #: Document ids (object array) in first-hit order.
-    doc_ids: np.ndarray
-    #: ``scorer.score`` of each, aligned with ``doc_ids``.
+    #: The columnar view the ordinals index (:meth:`InvertedIndex.columns`).
+    columns: PostingColumns
+    #: Document ordinals into ``columns``, in first-hit order.
+    ordinals: np.ndarray
+    #: ``scorer.score`` of each, aligned with ``ordinals``.
     scores: np.ndarray
+
+    @property
+    def doc_ids(self) -> np.ndarray:
+        """Document ids (object array), aligned with ``ordinals``."""
+        return self.columns.doc_ids[self.ordinals]
 
 
 def _scalar_contributions(
@@ -84,4 +92,4 @@ def score_postings(
     if not first_hits:
         raise EmptyBaseSetError(tuple(term for term, _ in terms))
     scored = np.concatenate(first_hits)
-    return ScoredPostings(doc_ids=columns.doc_ids[scored], scores=accumulated[scored])
+    return ScoredPostings(columns, scored, accumulated[scored])

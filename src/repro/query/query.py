@@ -12,6 +12,7 @@ import math
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ParameterError
+from repro.fold import left_sum
 from repro.ir.tokenize import QUERY_ANALYZER, Analyzer
 
 
@@ -116,9 +117,9 @@ class QueryVector:
         if not self._weights:
             return 0.0
         count = len(self._weights)
-        total = sum(self._weights.values())
+        total = left_sum(self._weights.values())
         if math.isinf(total):  # finite weights whose sum overflows
-            return sum(weight / count for weight in self._weights.values())
+            return left_sum(weight / count for weight in self._weights.values())
         return total / count
 
     def copy(self) -> "QueryVector":

@@ -8,6 +8,7 @@ returns its iteration count and residual trace alongside the scores.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,18 @@ class RankedResult:
     scores: np.ndarray
     iterations: int
     converged: bool
-    base_weights: dict[str, float] = field(default_factory=dict)
+    #: Node id -> restart weight, in base-set order.  On every path that
+    #: ranks from a base set of nodes this is a
+    #: :class:`~repro.graph.node_values.NodeValueView` over the base set's
+    #: node indices and weights (:attr:`base_indices`); the store's blend
+    #: keeps its query terms' blend weights here instead.
+    base_weights: Mapping[str, float] = field(default_factory=dict)
     residuals: list[float] = field(default_factory=list)
+
+    @property
+    def base_indices(self) -> np.ndarray:
+        """The base set's node indices, in base-set order."""
+        return self.base_weights.nodes
 
     def score_of(self, node_id: str) -> float:
         # O(n) lookup is fine for tests/examples; hot paths use the array.

@@ -8,7 +8,8 @@ in the base-set vector ``s``.  So every variant here is two steps:
    ``(n, k)`` block, together with each column's base weights, both read off
    one accumulation — :func:`uniform_restarts` (0/1 base sets, one per
    keyword for the precompute), :func:`weighted_restarts` (IR-weighted base
-   sets, :func:`repro.ranking.objectrank2.weighted_base_set`) and
+   sets, :func:`repro.ranking.objectrank2.weighted_base_set`, laid out from
+   node-index arrays) and
    :func:`global_restarts` (every node);
 2. :func:`rank` iterates the block under a stop rule — a value,
    :class:`~repro.ranking.pagerank.Tolerance` or
@@ -27,11 +28,12 @@ ulps, :mod:`repro.ranking.batch`).
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import EmptyBaseSetError, ParameterError
+from repro.graph.node_values import NodeValueView, first_occurrences
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ranking.batch import batched_power_iteration
 from repro.ranking.convergence import RankedResult
@@ -49,12 +51,13 @@ from repro.ranking.topk import TopKStable
 
 
 class Restarts(NamedTuple):
-    """An ``(n, k)`` restart block and each column's base weights."""
+    """An ``(n, k)`` restart block and each column's base set."""
 
     #: Column ``j`` is the restart distribution ``s`` of base set ``j``.
     block: np.ndarray
-    #: Column ``j``'s non-zero entries as node id -> weight, in base-set order.
-    base_weights: list[dict[str, float]]
+    #: Column ``j``'s non-zero entries, in base-set order: its node indices
+    #: and weights (``nodes``, ``values_array``) seen as node id -> weight.
+    base_weights: list[NodeValueView]
 
 
 def uniform_restarts(
@@ -79,26 +82,35 @@ def uniform_restarts(
         np.add.at(row, indices, 1.0)
         row /= row.sum()
         # A repeated id keeps its first position and its (one) column value.
-        base_weights.append(dict(zip(ids, row[indices].tolist())))
+        nodes = first_occurrences(indices)
+        base_weights.append(NodeValueView(nodes, row[nodes], graph.node_ids))
     return Restarts(transposed.T, base_weights)
 
 
 def weighted_restarts(
-    graph: AuthorityTransferDataGraph, bases: Sequence[Mapping[str, float]]
+    graph: AuthorityTransferDataGraph, bases: Sequence[NodeValueView]
 ) -> Restarts:
-    """One restart column per weighted base set (node id -> jump probability,
-    already normalized: :func:`~repro.ranking.objectrank2.weighted_base_set`).
+    """One restart column per weighted base set on ``graph``'s nodes
+    (already normalized: :func:`~repro.ranking.objectrank2.weighted_base_set`
+    with the graph, or :meth:`~AuthorityTransferDataGraph.base_set` of a
+    node id -> weight mapping).
 
-    The columns are the dicts laid out by node index
-    (:meth:`~AuthorityTransferDataGraph.restart_vector`), and the dicts are
-    the base weights.  An empty base set raises
-    :class:`~repro.errors.EmptyBaseSetError`.
+    Each column is its base set's weights scattered to its node indices,
+    and the base sets are the base weights.  An empty base set raises
+    :class:`~repro.errors.EmptyBaseSetError`; one over another graph's
+    nodes (or over index ordinals) a :class:`~repro.errors.ParameterError`.
     """
     transposed = np.zeros((len(bases), graph.num_nodes))
     for row, base in zip(transposed, bases):
         if not base:
             raise EmptyBaseSetError(())
-        row[:] = graph.restart_vector(base)
+        if base.ids is not graph.node_ids:
+            raise ParameterError(
+                "a base set must be over this graph's node indices "
+                "(weighted_base_set with the graph, or graph.base_set)"
+            )
+        # A base set lists each node once: plain assignment is exact.
+        row[base.nodes] = base.values_array
     return Restarts(transposed.T, list(bases))
 
 

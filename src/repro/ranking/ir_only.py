@@ -10,6 +10,7 @@ first.
 
 from __future__ import annotations
 
+from repro.graph.node_values import NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
@@ -30,7 +31,11 @@ def ir_only_rank(
     the authority-flow rankers' contract.
     """
     scored = score_postings(scorer, query_vector.weights)
-    base = dict(zip(scored.doc_ids.tolist(), scored.scores.tolist()))
+    base = NodeValueView(
+        graph.document_nodes(scored.columns, scored.ordinals),
+        scored.scores,
+        graph.node_ids,
+    )
     return RankedResult(
         node_ids=graph.node_ids,
         scores=graph.restart_vector(base),

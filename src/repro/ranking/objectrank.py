@@ -119,5 +119,5 @@ def multi_keyword_objectrank(
         scores=combined,
         iterations=iterations,
         converged=converged,
-        base_weights=base_weights,
+        base_weights=graph.base_set(base_weights),
     )

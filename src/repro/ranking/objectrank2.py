@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import EmptyBaseSetError, ParameterError
+from repro.fold import left_sum
+from repro.graph.node_values import NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.accumulate import score_postings
 from repro.ir.scoring import Scorer
@@ -32,23 +34,25 @@ from repro.ranking.pagerank import (
 )
 
 
-def normalized_base_weights(doc_ids: list[str], raw: np.ndarray) -> dict[str, float]:
+def normalized_base_weights(raw: np.ndarray) -> np.ndarray:
     """Raw IR scores -> jump probabilities, in the order given (Equation 4).
 
     Scores that degenerate to zero (e.g. a term present in every document)
     are lifted to the smallest positive score, so the base set never silently
     shrinks below ``S(Q)``; then everything is divided by the total.  The
-    total is builtin ``sum`` over the adjusted floats in order — the one
-    reduction here whose order and algorithm (compensated from Python 3.12
-    on) the floats depend on.  Returns ``{}`` when there is nothing to
-    normalize, and raises :class:`ParameterError` when the total is not
-    finite (query weights near the float limit overflow it, and every
-    weight would divide to NaN or zero).
+    total is one explicit left fold over the adjusted floats in order
+    (:func:`~repro.fold.left_sum`), the same floats on every Python version.
+    Returns an empty array when there is nothing to normalize, and raises
+    :class:`ParameterError` when the total is not finite (query weights near
+    the float limit overflow it, and every weight would divide to NaN or
+    zero).
     """
-    positive = raw[raw > 0]
-    floor = positive.min() if positive.size else 1.0
-    adjusted = np.where(raw > 0, raw, floor)
-    total = sum(adjusted.tolist())
+    adjusted = raw
+    if not (raw.size and raw.min() > 0):  # a score to lift, or none at all
+        lifted = raw > 0
+        floor = raw[lifted].min() if lifted.any() else 1.0
+        adjusted = np.where(lifted, raw, floor)
+    total = left_sum(adjusted)
     if not math.isfinite(total):
         raise ParameterError(
             f"the base-set weights sum to {total}: query weights too large"
@@ -57,11 +61,15 @@ def normalized_base_weights(doc_ids: list[str], raw: np.ndarray) -> dict[str, fl
     # set the sum is too; ``<= 0.0`` keeps the (theoretical) subnormal
     # underflow from dividing below, same guard as PrecomputedRanker.
     if total <= 0.0:
-        return {}
-    return dict(zip(doc_ids, (adjusted / total).tolist()))
+        return np.zeros(0)
+    return adjusted / total
 
 
-def weighted_base_set(scorer: Scorer, query_vector: QueryVector) -> dict[str, float]:
+def weighted_base_set(
+    scorer: Scorer,
+    query_vector: QueryVector,
+    graph: AuthorityTransferDataGraph | None = None,
+) -> NodeValueView:
     """The IR-weighted base set: node id -> normalized jump probability.
 
     Nodes enter the base set when they contain at least one positive-weight
@@ -70,12 +78,23 @@ def weighted_base_set(scorer: Scorer, query_vector: QueryVector) -> dict[str, fl
     (:func:`repro.ir.accumulate.score_postings`), and the weights are
     normalized to sum to one (:func:`normalized_base_weights`).  Keys are in
     ``S(Q)`` first-hit order.
+
+    The mapping is a view over arrays: with ``graph``, over ``graph``'s node
+    indices (what :func:`~repro.ranking.core.weighted_restarts` lays out),
+    reached from the document ordinals by one gather
+    (:meth:`~AuthorityTransferDataGraph.document_nodes`, which raises
+    :class:`~repro.errors.UnknownNodeError` for a document with no node);
+    without, over the index's document ordinals.
     """
     scored = score_postings(scorer, query_vector.weights)
-    base = normalized_base_weights(scored.doc_ids.tolist(), scored.scores)
-    if not base:
+    weights = normalized_base_weights(scored.scores)
+    if not weights.size:
         raise EmptyBaseSetError(tuple(query_vector.terms))
-    return base
+    if graph is None:
+        return NodeValueView(scored.ordinals, weights, scored.columns.doc_ids)
+    return NodeValueView(
+        graph.document_nodes(scored.columns, scored.ordinals), weights, graph.node_ids
+    )
 
 
 def objectrank2(
@@ -93,10 +112,9 @@ def objectrank2(
     (Section 6.2); the benchmarks for Figures 14b-17b use it to reproduce the
     iteration-count drop for reformulated queries.
     """
-    base = weighted_base_set(scorer, query_vector)
     return rank(
         graph,
-        weighted_restarts(graph, [base]),
+        weighted_restarts(graph, [weighted_base_set(scorer, query_vector, graph)]),
         Tolerance(tolerance),
         damping=damping,
         max_iterations=max_iterations,

@@ -1,6 +1,6 @@
 """Query reformulation from relevance feedback (Section 5)."""
 
-from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
+from repro.reformulate.aggregation import AGGREGATORS, aggregate_arrays, top_weights
 from repro.reformulate.combined import ReformulatedQuery, Reformulator
 from repro.reformulate.content import (
     DEFAULT_DECAY,
@@ -22,6 +22,7 @@ __all__ = [
     "ReformulatedQuery",
     "Reformulator",
     "StructureReformulator",
-    "aggregate_maps",
+    "aggregate_arrays",
     "node_term_table",
+    "top_weights",
 ]

@@ -18,17 +18,17 @@ current query vector's average weight and merged in:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.explain.adjustment import FlowExplanation
-from repro.explain.flows import grouped_flow_totals, local_node_outgoing_flow
+from repro.explain.flows import local_node_outgoing_flow
+from repro.graph.node_values import first_occurrences
 from repro.ir.tokenize import Analyzer
 from repro.query.query import QueryVector
-from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
+from repro.reformulate.aggregation import AGGREGATORS, aggregate_arrays, top_weights
 from repro.reformulate.terms import node_term_table
 
 DEFAULT_DECAY = 0.5  # C_d, "typically set to 0.5" (Section 5.1)
@@ -66,16 +66,19 @@ class ContentReformulator:
 
     # -- Equation 11 ---------------------------------------------------------
 
-    def term_weights(self, explanation: FlowExplanation) -> dict[str, float]:
-        """Raw expansion-term weights for one feedback object's explanation.
+    def _term_flows(
+        self, explanation: FlowExplanation
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Equation 11's addends: ``(term ids, addends, vocabulary)``.
 
-        Stopwords are ignored, as Section 5.1 prescribes.  One reduction
-        over the cached node-term table (:mod:`repro.reformulate.terms`):
-        each node's contribution ``C_d^D(v_k) * outflow`` is added to its
-        terms in node order, so every weight is bit-identical to a per-node
-        accumulation loop over the tokenised node text.
+        Stopwords are ignored, as Section 5.1 prescribes.  Each contributing
+        node's ``C_d^D(v_k) * outflow`` is repeated over its terms, read off
+        the cached node-term table (:mod:`repro.reformulate.terms`) in node
+        order; summing them per term in that order is the per-node
+        accumulation loop over the tokenised node text, bit for bit.
         """
         subgraph = explanation.subgraph
+        table = node_term_table(explanation.graph, self.analyzer)
         outflow = local_node_outgoing_flow(subgraph, explanation.flows)
         # The target's "outgoing flow is not specified in G_v^Q": use
         # d * (incoming flow) instead.
@@ -84,7 +87,7 @@ class ContentReformulator:
         )
         contributing = np.flatnonzero(outflow > 0.0)
         if contributing.size == 0:
-            return {}
+            return np.zeros(0, dtype=np.int64), np.zeros(0), table.vocabulary
         depths = subgraph.depth_array[contributing]
         # One Python ``float ** int`` per distinct depth: numpy's vectorised
         # pow may round the last bit differently, and the weights are pinned
@@ -93,29 +96,58 @@ class ContentReformulator:
             [self.decay**depth for depth in range(int(depths.max()) + 1)]
         )
         contributions = decay_powers[depths] * outflow[contributing]
-
-        table = node_term_table(explanation.graph, self.analyzer)
         term_ids, counts = table.gather(subgraph.nodes_array[contributing])
-        terms, weights = grouped_flow_totals(
-            term_ids, np.repeat(contributions, counts), len(table.vocabulary)
+        return term_ids, np.repeat(contributions, counts), table.vocabulary
+
+    def term_weight_arrays(
+        self, explanation: FlowExplanation
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Equation 11 over the whole node-term vocabulary: ``(weights,
+        present)``, one ``np.bincount`` (each term's addends summed from
+        0.0 in node order) and the mask of the terms the subgraph has."""
+        term_ids, addends, vocabulary = self._term_flows(explanation)
+        present = np.zeros(len(vocabulary), dtype=bool)
+        present[term_ids] = True
+        weights = np.bincount(term_ids, weights=addends, minlength=len(vocabulary))
+        return weights, present
+
+    def term_weights(self, explanation: FlowExplanation) -> dict[str, float]:
+        """:meth:`term_weight_arrays`' weights as ``term -> weight``, in the
+        order the subgraph's nodes first name the terms."""
+        term_ids, addends, vocabulary = self._term_flows(explanation)
+        weights = np.bincount(term_ids, weights=addends, minlength=len(vocabulary))
+        order = first_occurrences(term_ids)
+        return dict(
+            zip(map(vocabulary.__getitem__, order.tolist()), weights[order].tolist())
         )
-        vocabulary = table.vocabulary
-        return {
-            vocabulary[term]: weight
-            for term, weight in zip(terms.tolist(), weights.tolist())
-        }
+
+    def aggregated_terms(
+        self, explanations: list[FlowExplanation]
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Term weights combined across feedback objects (Equation 14).
+
+        ``(weights, term ids, vocabulary)``: the aggregated weight of every
+        term some explanation has, by vocabulary id.  The paper uses
+        summation in its surveys; min/max/avg are the other monotone
+        aggregation functions Section 5.3 names
+        (:func:`~repro.reformulate.aggregation.aggregate_arrays`).
+        """
+        if not explanations:
+            return np.zeros(0), np.zeros(0, dtype=np.int64), []
+        vocabulary = node_term_table(explanations[0].graph, self.analyzer).vocabulary
+        rows = [self.term_weight_arrays(e) for e in explanations]
+        present = np.stack([has for _, has in rows])
+        keys = np.flatnonzero(present.any(axis=0))
+        stack = np.stack([weights[keys] for weights, _ in rows])
+        weights = aggregate_arrays(stack, present[:, keys], self.aggregation)
+        return weights, keys, vocabulary
 
     def aggregate_term_weights(
         self, explanations: list[FlowExplanation]
     ) -> dict[str, float]:
-        """Combine term weights across feedback objects (Equation 14).
-
-        The paper uses summation in its surveys; min/max/avg are the other
-        monotone aggregation functions Section 5.3 names.
-        """
-        return aggregate_maps(
-            [self.term_weights(e) for e in explanations], self.aggregation
-        )
+        """:meth:`aggregated_terms` as ``term -> weight``, by vocabulary id."""
+        weights, keys, vocabulary = self.aggregated_terms(explanations)
+        return dict(zip(map(vocabulary.__getitem__, keys.tolist()), weights.tolist()))
 
     # -- top-Z selection + normalization + Equation 12 --------------------------
 
@@ -127,16 +159,14 @@ class ContentReformulator:
         Normalization (Section 5.1): let ``a_q`` be the average weight of the
         current query vector and ``x`` the maximum raw expansion weight; all
         expansion weights are scaled by ``a_q / x`` so the strongest new term
-        weighs as much as an average current term.
+        weighs as much as an average current term.  The top ``Z`` come
+        straight off the aggregated arrays (:func:`top_weights`), by
+        descending weight and then term, as a sort of every term would list
+        them.
         """
-        raw = self.aggregate_term_weights(explanations)
-        if not raw:
+        top = top_weights(*self.aggregated_terms(explanations), self.num_terms)
+        if not top:
             return []
-        # ``nsmallest`` is documented as ``sorted(...)[:n]``: the same terms in
-        # the same order, without sorting the whole aggregated vocabulary.
-        top = heapq.nsmallest(
-            self.num_terms, raw.items(), key=lambda item: (-item[1], item[0])
-        )
         maximum = top[0][1]
         if maximum <= 0.0:
             return []

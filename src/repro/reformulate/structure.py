@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.explain.adjustment import FlowExplanation
 from repro.graph.authority import AuthorityTransferSchemaGraph, EdgeType
-from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
+from repro.reformulate.aggregation import AGGREGATORS, aggregate_arrays
 
 DEFAULT_ADJUSTMENT_FACTOR = 0.5  # C_f, "typically set to 0.5" (Section 5.2)
 
@@ -52,9 +54,22 @@ class StructureReformulator:
             )
 
     def flow_factors(self, explanations: list[FlowExplanation]) -> dict[EdgeType, float]:
-        """``F(e_S)`` aggregated across feedback objects (Equation 15)."""
-        return aggregate_maps(
-            [e.flow_by_edge_type() for e in explanations], self.aggregation
+        """``F(e_S)`` aggregated across feedback objects (Equation 15).
+
+        Each explanation's per-type totals are one array over the graph's
+        edge types (:meth:`FlowExplanation.type_flows`), combined column by
+        column (:func:`~repro.reformulate.aggregation.aggregate_arrays`);
+        the factors are listed in edge-type order.
+        """
+        if not explanations:
+            return {}
+        totals, present = zip(*(e.type_flows() for e in explanations))
+        present = np.stack(present)
+        factors = aggregate_arrays(np.stack(totals), present, self.aggregation)
+        edge_types = explanations[0].graph.edge_types
+        kept = np.flatnonzero(present.any(axis=0))
+        return dict(
+            zip(map(edge_types.__getitem__, kept.tolist()), factors[kept].tolist())
         )
 
     def reformulate(

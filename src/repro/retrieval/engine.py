@@ -184,10 +184,10 @@ def restricted_base_set(candidate_set: CandidateSet) -> dict[str, float]:
     the two are bit-identical.
     """
     ordered = [candidate_set.candidates[i] for i in candidate_set.first_hit_order]
-    return normalized_base_weights(
-        [candidate.doc_id for candidate in ordered],
-        np.array([candidate.score for candidate in ordered], dtype=np.float64),
+    weights = normalized_base_weights(
+        np.array([candidate.score for candidate in ordered], dtype=np.float64)
     )
+    return dict(zip([candidate.doc_id for candidate in ordered], weights.tolist()))
 
 
 def two_stage_rank(
@@ -235,7 +235,7 @@ def two_stage_rank(
     )
     (ranked,) = rank(
         graph,
-        weighted_restarts(graph, [restricted_base_set(candidate_set)]),
+        weighted_restarts(graph, [graph.base_set(restricted_base_set(candidate_set))]),
         Tolerance(tolerance) if early_k is None else TopKStable(early_k),
         damping=damping,
         max_iterations=max_iterations,

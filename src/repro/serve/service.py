@@ -66,11 +66,9 @@ SERVE_MODES = ("auto", "live", "two_stage")
 #: one per query, rates and target).
 EXPLAIN_CACHE_ENTRIES = 256
 #: Memory the score cache may hold, per process: a kept ranking is charged
-#: its score vector (8 bytes per graph node) plus its base-weight map.
+#: its score vector (8 bytes per graph node) plus its base set's node-index
+#: and weight arrays (16 bytes per base-set node).
 SCORE_CACHE_BYTES = 4 * 2**20
-#: What one base-set node of a kept ranking is charged: a dict slot and a
-#: float (the key is the graph's own id string).
-BASE_WEIGHT_BYTES = 100
 
 
 class DeadlineExceededError(ReproError):
@@ -1118,7 +1116,7 @@ def _kept(ranked: RankedResult) -> tuple[RankedResult, int]:
     """``ranked`` as the score cache holds it — scores frozen, since the
     requests that share it only ever read — and the bytes it is charged."""
     ranked.scores.setflags(write=False)
-    return ranked, ranked.scores.nbytes + BASE_WEIGHT_BYTES * len(ranked.base_weights)
+    return ranked, ranked.scores.nbytes + ranked.base_weights.nbytes
 
 
 def _render_search(

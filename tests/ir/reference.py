@@ -10,6 +10,9 @@ test_read_path_properties.py``).  They score through the scalar
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from repro.errors import EmptyBaseSetError
@@ -27,7 +30,8 @@ def reference_weighted_base_set(scorer, query_vector) -> dict[str, float]:
     positive = [w for w in raw.values() if w > 0]
     floor = min(positive) if positive else 1.0
     adjusted = {doc_id: (w if w > 0 else floor) for doc_id, w in raw.items()}
-    total = sum(adjusted.values())
+    # A plain left fold on every Python (builtin ``sum`` compensates from 3.12).
+    total = functools.reduce(operator.add, adjusted.values())
     if total <= 0.0:
         raise EmptyBaseSetError(tuple(terms))
     return {doc_id: w / total for doc_id, w in adjusted.items()}

@@ -13,9 +13,10 @@ from repro.ranking import (
     weighted_base_set,
     weighted_restarts,
 )
-from repro.reformulate.aggregation import AGGREGATORS, aggregate_maps
+from repro.reformulate.aggregation import AGGREGATORS
 
 from tests.properties.strategies import dblp_transfer_graphs
+from tests.reformulate.reference import aggregate_maps
 from tests.ranking.reference import focused_objectrank2
 
 
@@ -62,7 +63,7 @@ def test_topk_agrees_with_exact_on_top_set(atdg, k):
     if vector is None:
         return
     exact = objectrank2(atdg, scorer, vector, tolerance=1e-10)
-    base = weighted_base_set(scorer, vector)
+    base = weighted_base_set(scorer, vector, atdg)
     (fast,) = rank(atdg, weighted_restarts(atdg, [base]), TopKStable(k))
     exact_ids = {i for i, _ in exact.top_k(k)}
     fast_ids = {i for i, _ in fast.top_k(k)}

@@ -42,6 +42,7 @@ from repro.reformulate import ContentReformulator, StructureReformulator
 from tests.properties.strategies import dblp_transfer_graphs
 from tests.properties.test_explain_batch_properties import same_bits
 from tests.properties.test_fixpoint_cap_properties import step  # the kernel/numpy fixture
+from tests.reformulate.reference import FlowsByType
 
 SUBNORMAL = st.floats(5e-324, sys.float_info.min, exclude_max=True)
 #: Two of these already overflow a sum.
@@ -59,21 +60,18 @@ PROPERTY = settings(
 )
 
 
-class _Flows:
+def _Flows(flows):
     """An explanation as Eq. 13 reads it: adjusted flow per edge type."""
-
-    def __init__(self, flows):
-        self.flows = flows
-
-    def flow_by_edge_type(self):
-        return self.flows
+    return FlowsByType(flows, TYPES)
 
 
 class _RawTerms(ContentReformulator):
     """Eq. 12 over given raw term weights in place of Eq. 11's."""
 
-    def aggregate_term_weights(self, raw):
-        return raw
+    def aggregated_terms(self, raw):
+        names = list(raw)
+        weights = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
+        return weights, np.arange(len(names)), names
 
 
 def _query(values):
@@ -92,8 +90,8 @@ def _blend(ranker, a, b):
 #: Normaliser -> its answer's floats for two drawn value lists.
 NORMALISERS = {
     "normalized_base_weights": lambda ranker, a, b: normalized_base_weights(
-        [f"v{i}" for i in range(len(a))], np.asarray(a, dtype=float)
-    ).values(),
+        np.asarray(a, dtype=float)
+    ),
     "average_weight": lambda ranker, a, b: [_query(a).average_weight()],
     "content_scale": lambda ranker, a, b: _RawTerms()
     .reformulate(_query(a), {f"x{i}": w for i, w in enumerate(b)})
@@ -123,9 +121,9 @@ def test_a_normaliser_answers_finite_values_or_a_typed_error(ranker, normaliser,
 
 
 def test_each_normaliser_keeps_its_answer_at_the_degenerate_edge(ranker):
-    assert normalized_base_weights([], np.zeros(0)) == {}
+    assert normalized_base_weights(np.zeros(0)).size == 0
     with pytest.raises(ParameterError):
-        normalized_base_weights(["a", "b"], np.array([1e308, 1e308]))
+        normalized_base_weights(np.array([1e308, 1e308]))
     assert QueryVector().average_weight() == 0.0
     assert _query([0.0, 0.0]).average_weight() == 0.0
     assert _query([1e308, 1e308]).average_weight() == 1e308  # the sum overflows
@@ -173,6 +171,7 @@ def test_a_repeated_node_keeps_every_occurrences_restart_mass(step, graph, picks
     assert same_bits(restarts.block[:, 0], graph.restart_vector(shares))
     assert list(restarts.base_weights[0].items()) == list(shares.items())
     (listed,) = rank(graph, restarts, Tolerance(1e-12))
-    (merged,) = rank(graph, weighted_restarts(graph, [shares]), Tolerance(1e-12))
+    merged_restarts = weighted_restarts(graph, [graph.base_set(shares)])
+    (merged,) = rank(graph, merged_restarts, Tolerance(1e-12))
     assert same_bits(listed.scores, merged.scores)
     assert (listed.iterations, listed.converged) == (merged.iterations, merged.converged)

@@ -24,6 +24,7 @@ from repro.reformulate import (
 from tests.properties.strategies import dblp_transfer_graphs, rate_vectors
 from tests.ranking.reference import objectrank
 from tests.reformulate.reference import (
+    FlowsByType,
     reference_flow_by_edge_type,
     reference_reformulate,
     reference_scaled_to_convergent,
@@ -57,16 +58,6 @@ def floored_schemas(draw):
     )
 
 
-@dataclasses.dataclass
-class _Flows:
-    """An explanation reduced to what Equation 13 reads: ``F(e_S)``."""
-
-    factors: dict
-
-    def flow_by_edge_type(self) -> dict:
-        return self.factors
-
-
 def _floored(schema) -> bool:
     return all(rate >= schema.epsilon for rate in schema.as_vector())
 
@@ -98,7 +89,7 @@ def test_structure_result_always_convergent(schema, data, cf):
     flows = data.draw(
         st.lists(st.floats(0.0, 10.0), min_size=len(edge_types), max_size=len(edge_types))
     )
-    explanation = _Flows(dict(zip(edge_types, flows)))
+    explanation = FlowsByType(dict(zip(edge_types, flows)), edge_types)
     reformulator = StructureReformulator(cf)
     after = reformulator.reformulate(before, [explanation])
     assert after.is_convergent()

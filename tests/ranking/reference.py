@@ -170,7 +170,7 @@ def focused_objectrank2(
     full-length scores, exactly 0.0 outside the subgraph."""
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    base = weighted_base_set(scorer, query_vector)
+    base = weighted_base_set(scorer, query_vector, graph)
     if not base:
         raise EmptyBaseSetError(tuple(query_vector.terms))
     nodes = focused_neighborhood(graph, graph.indices_of(base), horizon)

@@ -198,7 +198,9 @@ class TestGraphLevelBatching:
             QueryVector({"cube": 1.0}),
         ]
         init = np.full(figure1_graph.num_nodes, 1.0 / figure1_graph.num_nodes)
-        bases = [weighted_base_set(figure1_scorer, vector) for vector in vectors]
+        bases = [
+            weighted_base_set(figure1_scorer, vector, figure1_graph) for vector in vectors
+        ]
         batched = rank(
             figure1_graph, weighted_restarts(figure1_graph, bases), Tolerance(1e-10),
             init=init,

@@ -49,7 +49,8 @@ def build(engine, builder, k):
         return uniform_restarts(graph, [engine.index.documents_with_term(t) for t in terms])
     if builder == "weighted":
         return weighted_restarts(
-            graph, [weighted_base_set(engine.scorer, QueryVector({t: 1.0})) for t in terms]
+            graph,
+            [weighted_base_set(engine.scorer, QueryVector({t: 1.0}), graph) for t in terms],
         )
     return global_restarts(graph)
 

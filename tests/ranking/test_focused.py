@@ -217,7 +217,8 @@ def multigraph_run(draw):
 def test_row_operator_run_equals_reference_induced_matrix_run(case, early_k):
     graph, nodes, base = case
     stop = Tolerance() if early_k is None else TopKStable(early_k)
-    (ranked,) = rank(graph, weighted_restarts(graph, [base]), stop, support=nodes)
+    restarts = weighted_restarts(graph, [graph.base_set(base)])
+    (ranked,) = rank(graph, restarts, stop, support=nodes)
     edge_count = RowOperator(graph.matrix(), nodes).edge_count()
     outcome, reference_edge_count = reference_induced_objectrank(
         graph, nodes, base, early_k=early_k

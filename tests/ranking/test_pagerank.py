@@ -132,7 +132,7 @@ class TestPersonalized:
         are exactly the columns' non-zero entries."""
         built = [
             uniform_restarts(figure1_graph, [["v1", "v4"], ["v5", "v5", "v2"]]),
-            weighted_restarts(figure1_graph, [{"v1": 0.25, "v4": 0.75}]),
+            weighted_restarts(figure1_graph, [figure1_graph.base_set({"v1": 0.25, "v4": 0.75})]),
             global_restarts(figure1_graph),
         ]
         for restarts in built:
@@ -145,7 +145,7 @@ class TestPersonalized:
         with pytest.raises(EmptyBaseSetError):
             uniform_restarts(figure1_graph, [["v1"], []])
         with pytest.raises(EmptyBaseSetError):
-            weighted_restarts(figure1_graph, [{}])
+            weighted_restarts(figure1_graph, [figure1_graph.base_set({})])
 
     def test_duplicate_uniform_restarts_accumulate(self, figure1_graph):
         """Regression: uniform base weights gave every listed id 1/len, so

@@ -19,7 +19,7 @@ from tests.ranking.reference import reference_topk_power_iteration
 
 def objectrank2_topk(graph, scorer, vector, k, init=None):
     """ObjectRank2's restart under the top-k stop."""
-    base = weighted_base_set(scorer, vector)
+    base = weighted_base_set(scorer, vector, graph)
     (result,) = rank(graph, weighted_restarts(graph, [base]), TopKStable(k), init=init)
     return result
 
@@ -80,7 +80,9 @@ class TestTopK:
             TopKStable(0)
         with pytest.raises(TypeError):
             TopKStable(3, stable_iterations=0)  # the window is a constant
-        base = weighted_base_set(figure1_scorer, KeywordQuery(["olap"]).vector())
+        base = weighted_base_set(
+            figure1_scorer, KeywordQuery(["olap"]).vector(), figure1_graph
+        )
         with pytest.raises(ParameterError, match="one restart column"):
             rank(figure1_graph, weighted_restarts(figure1_graph, [base, base]), TopKStable(3))
 

@@ -1,22 +1,57 @@
-"""Reference loops for Equations 11 and 15 and the rate normalisation —
-the test oracle.
+"""Reference loops for Equations 11-15 and the rate normalisation — the
+test oracle.
 
 The per-node / per-edge Python loops the array-native reformulation
 replaced, kept verbatim so the vectorised code can be checked ``==``
 against them (tests/properties/test_reformulate_properties.py, and the
-``dblp_top`` feedback session in tests/core/test_system.py).  Likewise the
-divide-by-the-sum normalisations that scaling only the mass above the
-epsilon floor replaced: at ``epsilon = 0`` the two must agree bit for bit.
-Nothing in ``src`` calls these.
+``dblp_top`` feedback session in tests/core/test_system.py): Equation 11's
+term weights, Equation 15's per-type flows, the dict aggregation of
+Section 5.3 (:func:`aggregate_maps`) and the top-Z by ``heapq.nsmallest``
+over the aggregated dict.  Likewise the divide-by-the-sum normalisations
+that scaling only the mass above the epsilon floor replaced: at
+``epsilon = 0`` the two must agree bit for bit.  Nothing in ``src`` calls
+these.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import fields
+from types import SimpleNamespace
+from typing import Hashable, Mapping, TypeVar
+
+import numpy as np
 
 from repro.explain.adjustment import FlowExplanation
 from repro.graph.authority import AuthorityTransferSchemaGraph
-from repro.reformulate import ContentReformulator, Reformulator, StructureReformulator
+from repro.reformulate import (
+    AGGREGATORS,
+    ContentReformulator,
+    Reformulator,
+    StructureReformulator,
+)
+
+K = TypeVar("K", bound=Hashable)
+
+
+def aggregate_maps(maps: list[Mapping[K, float]], how: str = "sum") -> dict[K, float]:
+    """Combine several key -> weight maps with the named aggregator.
+
+    Keys missing from a map are treated as absent, not zero: ``min`` over
+    {a: 1} and {a: 2, b: 3} gives {a: 1, b: 3}.  (Treating absence as zero
+    would make ``min`` discard every key not present in *all* explanations,
+    which is never what feedback aggregation wants.)
+    """
+    try:
+        combine = AGGREGATORS[how]
+    except KeyError:
+        raise ValueError(f"unknown aggregation {how!r}; known: {sorted(AGGREGATORS)}") from None
+    collected: dict[K, list[float]] = {}
+    for mapping in maps:
+        for key, value in mapping.items():
+            collected.setdefault(key, []).append(value)
+    return {key: combine(values) for key, values in collected.items()}
 
 
 def reference_flow_by_edge_type(explanation: FlowExplanation) -> dict:
@@ -52,12 +87,69 @@ def reference_term_weights(
     return weights
 
 
-class _ReferenceExplanation(FlowExplanation):
-    flow_by_edge_type = reference_flow_by_edge_type
+def reference_top_terms(raw: dict[str, float], count: int) -> list[tuple[str, float]]:
+    """The top-``count`` of an aggregated term dict by ``(-weight, term)``."""
+    return heapq.nsmallest(count, raw.items(), key=lambda item: (-item[1], item[0]))
+
+
+def reference_expansion_terms(
+    reformulator: ContentReformulator, query_vector, explanations
+) -> list[tuple[str, float]]:
+    """Equations 11 and 14 by the loops, top-Z by ``heapq.nsmallest``, and
+    Section 5.1's normalisation."""
+    raw = aggregate_maps(
+        [reference_term_weights(reformulator, e) for e in explanations],
+        reformulator.aggregation,
+    )
+    if not raw:
+        return []
+    top = reference_top_terms(raw, reformulator.num_terms)
+    maximum = top[0][1]
+    if maximum <= 0.0:
+        return []
+    average = query_vector.average_weight() or 1.0
+    scale = average / maximum
+    if math.isfinite(scale):
+        return [(term, weight * scale) for term, weight in top]
+    return [(term, (weight / maximum) * average) for term, weight in top]
+
+
+def reference_flow_factors(
+    reformulator: StructureReformulator, explanations
+) -> dict:
+    """Equation 15 by walking every edge of every explanation."""
+    return aggregate_maps(
+        [reference_flow_by_edge_type(e) for e in explanations],
+        reformulator.aggregation,
+    )
+
+
+class FlowsByType:
+    """An explanation reduced to what Equation 13 reads: ``F(e_S)``.
+
+    ``factors`` (edge type -> flow) over ``edge_types``, a transfer schema's
+    canonical order, which is the order a transfer graph lists them in.
+    """
+
+    def __init__(self, factors: dict, edge_types) -> None:
+        self.factors = factors
+        self.graph = SimpleNamespace(edge_types=list(edge_types))
+
+    def type_flows(self) -> tuple[np.ndarray, np.ndarray]:
+        types = self.graph.edge_types
+        totals = np.array([self.factors.get(t, 0.0) for t in types], dtype=np.float64)
+        return totals, np.array([t in self.factors for t in types], dtype=bool)
+
+    def flow_by_edge_type(self) -> dict:
+        return dict(self.factors)
 
 
 class _ReferenceContent(ContentReformulator):
-    term_weights = reference_term_weights
+    expansion_terms = reference_expansion_terms
+
+
+class _ReferenceStructure(StructureReformulator):
+    flow_factors = reference_flow_factors
 
 
 def _as(cls, instance):
@@ -68,17 +160,14 @@ def _as(cls, instance):
 def reference_reformulate(
     reformulator: Reformulator, query_vector, transfer_schema, explanations
 ):
-    """``Reformulator.reformulate`` with both loops swapped in; aggregation,
-    top-Z, normalisation and Equations 12-13 are the production code."""
+    """``Reformulator.reformulate`` with Equations 11, 14 and 15 and the
+    top-Z swapped for the loops; Equations 12-13 and the rate
+    normalisation are the production code."""
     reference = Reformulator(
         content=_as(_ReferenceContent, reformulator.content),
-        structure=reformulator.structure,
+        structure=_as(_ReferenceStructure, reformulator.structure),
     )
-    return reference.reformulate(
-        query_vector,
-        transfer_schema,
-        [_as(_ReferenceExplanation, e) for e in explanations],
-    )
+    return reference.reformulate(query_vector, transfer_schema, explanations)
 
 
 def reference_scaled_to_convergent(

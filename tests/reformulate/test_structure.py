@@ -12,6 +12,8 @@ from repro.explain import adjust_flows, build_explaining_subgraph
 from repro.graph.authority import Direction, EdgeType
 from repro.reformulate import StructureReformulator
 
+from tests.reformulate.reference import FlowsByType
+
 
 @pytest.fixture
 def explanation(figure1_graph, olap_result):
@@ -96,11 +98,8 @@ class TestExample2Regression:
         pp = order[0]
         pa = order[2]
 
-        class _FakeExplanation:
-            def flow_by_edge_type(self):
-                return {pa: 1.0, pp: 0.392}
-
-        after = StructureReformulator(0.5).reformulate(before, [_FakeExplanation()])
+        flows = FlowsByType({pa: 1.0, pp: 0.392}, before.edge_types())
+        after = StructureReformulator(0.5).reformulate(before, [flows])
         result = after.as_vector(order)
         expected = [0.67, 0.0, 0.24, 0.16, 0.24, 0.24, 0.24, 0.08]
         assert result == pytest.approx(expected, abs=0.01)
@@ -111,11 +110,8 @@ class TestExample2Regression:
         before = dblp_transfer_schema()
         pp, pa = order[0], order[2]
 
-        class _FakeExplanation:
-            def flow_by_edge_type(self):
-                return {pa: 1.0, pp: 0.392}
-
-        after = StructureReformulator(0.5).reformulate(before, [_FakeExplanation()])
+        flows = FlowsByType({pa: 1.0, pp: 0.392}, before.edge_types())
+        after = StructureReformulator(0.5).reformulate(before, [flows])
         vec = after.as_vector(order)
         assert vec[2] > 0.2  # PA up
         assert vec[3] < 0.2  # AP down

@@ -25,7 +25,7 @@ from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConf
 from repro.serve.cache import query_fingerprint
 from repro.serve.http_server import _BadRequest, _check_explain_mode
 import repro.serve.service as service_module
-from repro.serve.service import BASE_WEIGHT_BYTES, SCORE_CACHE_BYTES
+from repro.serve.service import SCORE_CACHE_BYTES
 
 CORPORA = {"figure1": "OLAP", "dblp_tiny": "improved study"}
 
@@ -453,7 +453,7 @@ class TestScoreCacheBound:
         service.search("ds", CORPORA["dblp_tiny"], mode="live")
         ((ranked, nbytes),) = service.score_cache._entries.values()
         nodes = service.runtime("ds").engine.graph.num_nodes
-        assert nbytes == 8 * nodes + BASE_WEIGHT_BYTES * len(ranked.base_weights)
+        assert nbytes == 8 * nodes + 16 * len(ranked.base_weights)
         assert len(ranked.base_weights) > 1
 
     def test_least_recently_used_rankings_leave_when_the_bytes_run_out(self, dblp_tiny):

@@ -1796,3 +1796,96 @@ def test_the_guard_sees_a_frombuffer_in_serve(tmp_path):
         "ranking/_native.py:3 madvise",
         "serve/peek.py:3 frombuffer",
     ]
+
+
+# -- the paper's loop stays in arrays: no id bounce on the request path ----------
+
+#: The request-path functions of Equations 2-4 and 11-14, by source file and
+#: dotted scope.  Their base sets and term weights are arrays; none of them
+#: turns one into ids and back.
+ARRAY_PATH = {
+    "ranking/objectrank2.py": {"objectrank2"},
+    "ranking/core.py": {"weighted_restarts"},
+    "reformulate/content.py": {"ContentReformulator.expansion_terms"},
+}
+#: Calls that bounce through ids or Python lists: a lookup per id, a dict
+#: laid out by id, an array to a list, a dict zipped from two sequences.
+ID_BOUNCES = {"indices_of", "restart_vector", "tolist"}
+
+
+def id_bounces(tree: ast.AST, functions: set[str]) -> list[str]:
+    """``scope -> call`` for every id bounce inside one of ``functions``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and any(
+                scope == f or scope.startswith(f"{f}.") for f in functions
+            ):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ID_BOUNCES:
+                    found.append(f"{scope} -> {name}")
+                elif name == "dict" and any(
+                    isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "zip"
+                    for arg in child.args
+                ):
+                    found.append(f"{scope} -> dict(zip)")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_the_loop_never_bounces_through_ids():
+    """Direction 19: ordinals -> node indices -> restart column, and the
+    aggregated term arrays -> top-Z, with no id dict in between."""
+    offenders = []
+    for path, functions in ARRAY_PATH.items():
+        tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+        defined = set(_scopes(tree))
+        assert functions <= defined, f"{path} no longer defines {functions - defined}"
+        offenders += [f"{path}:{call}" for call in id_bounces(tree, functions)]
+    assert offenders == []
+
+
+def _scopes(tree: ast.AST) -> list[str]:
+    scopes = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                scopes.append(inner)
+                visit(child, inner)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_the_guard_sees_every_id_bounce():
+    tree = ast.parse(
+        "def weighted_restarts(graph, bases):\n"
+        "    for base in bases:\n"
+        "        row = graph.restart_vector(base)\n"
+        "        nodes = graph.indices_of(list(base))\n"
+        "class ContentReformulator:\n"
+        "    def expansion_terms(self, vector, explanations):\n"
+        "        def name(ids):\n"
+        "            return [vocabulary[i] for i in ids.tolist()]\n"
+        "        raw = dict(zip(name(keys), weights))\n"
+        "    def term_weights(self, explanation):\n"
+        "        return dict(zip(terms, weights.tolist()))\n"
+        "def objectrank2(graph, scorer, vector):\n"
+        "    return dict(zip(ids, weights))\n"
+    )
+    functions = {"objectrank2", "weighted_restarts", "ContentReformulator.expansion_terms"}
+    assert id_bounces(tree, functions) == [
+        "ContentReformulator.expansion_terms -> dict(zip)",
+        "ContentReformulator.expansion_terms.name -> tolist",
+        "objectrank2 -> dict(zip)",
+        "weighted_restarts -> indices_of",
+        "weighted_restarts -> restart_vector",
+    ]
