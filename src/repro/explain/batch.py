@@ -263,8 +263,8 @@ def batched_build_explaining_subgraphs(
     """``G_v^Q`` for every target, sharing one positive-rate adjacency.
 
     ``base`` is the base set as node indices (an int array, e.g.
-    :attr:`RankedResult.base_indices <repro.ranking.convergence.RankedResult.base_indices>`)
-    or as node ids, looked up one by one.  Field-for-field identical to
+    :attr:`~repro.ranking.convergence.RankedResult.base_indices`) or as
+    node ids, looked up one by one.  Field-for-field identical to
     calling :func:`repro.explain.build_explaining_subgraph` per target.
     Pass a prebuilt ``extractor`` to reuse the filtered adjacency across
     batches under an unchanged rate setting.

@@ -147,15 +147,14 @@ def top_n_candidates(
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     scored = score_postings(scorer, query_vector.weights)
-    keep = np.lexsort((scored.doc_ids, -scored.scores))[:n]
+    doc_ids = scored.doc_ids
+    keep = np.lexsort((doc_ids, -scored.scores))[:n]
     return CandidateSet(
         candidates=[
             Candidate(doc_id, score)
-            for doc_id, score in zip(
-                scored.doc_ids[keep].tolist(), scored.scores[keep].tolist()
-            )
+            for doc_id, score in zip(doc_ids[keep].tolist(), scored.scores[keep].tolist())
         ],
-        evaluated=int(scored.doc_ids.size),
+        evaluated=int(doc_ids.size),
         first_hit_order=np.argsort(keep).tolist(),
     )
 
