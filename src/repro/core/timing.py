@@ -24,15 +24,12 @@ STAGE_SUBGRAPH = "explaining_subgraph_creation"
 STAGE_ADJUST = "explaining_objectrank2_execution"
 STAGE_REFORMULATE = "query_reformulation"
 
-ALL_STAGES = (STAGE_SEARCH, STAGE_SUBGRAPH, STAGE_ADJUST, STAGE_REFORMULATE)
-
 
 @dataclass
 class StageClock:
     """Accumulates per-stage wall-clock seconds."""
 
     totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -42,18 +39,9 @@ class StageClock:
         finally:
             elapsed = time.perf_counter() - start
             self.totals[name] = self.totals.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
 
     def total(self, name: str) -> float:
         return self.totals.get(name, 0.0)
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()
-
-    def snapshot(self) -> dict[str, float]:
-        """Current per-stage totals; missing stages read as 0.0."""
-        return {name: self.totals.get(name, 0.0) for name in ALL_STAGES}
 
 
 @dataclass(frozen=True)
@@ -67,12 +55,3 @@ class IterationTiming:
     adjust_seconds: float
     reformulate_seconds: float
     objectrank_iterations: int
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.search_seconds
-            + self.subgraph_seconds
-            + self.adjust_seconds
-            + self.reformulate_seconds
-        )

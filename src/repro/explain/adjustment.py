@@ -28,8 +28,7 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.explain.flows import local_node_outgoing_flow, original_edge_flows
 from repro.explain.subgraph import ExplainingSubgraph
-from repro.graph.authority import EdgeType
-from repro.graph.node_values import NodeValueView, first_occurrences
+from repro.graph.node_values import NodeValueView
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_TOLERANCE,
@@ -93,8 +92,10 @@ class FlowExplanation:
 
     def target_inflow(self) -> float:
         """Total adjusted authority reaching the target — the explanation's
-        headline number ("the total authority that v receives")."""
-        return self.incoming_flow(self.subgraph.target)
+        headline number ("the total authority that v receives"):
+        :meth:`incoming_flow` of the target, masked on local indices."""
+        subgraph = self.subgraph
+        return float(self.flows[subgraph.edge_dst_local == subgraph.target_local].sum())
 
     def adjusted_scores(self) -> dict[int, float]:
         """Adjusted node scores ``r~(v_k) = O(v_k) / d`` (Equation 8).
@@ -122,16 +123,6 @@ class FlowExplanation:
         present = np.zeros(num_types, dtype=bool)
         present[types] = True
         return np.bincount(types, weights=self.flows, minlength=num_types), present
-
-    def flow_by_edge_type(self) -> dict[EdgeType, float]:
-        """:meth:`type_flows` as ``edge type -> total``, for the types
-        present in the subgraph in first-seen edge order."""
-        edge_types = self.graph.edge_types
-        totals, _ = self.type_flows()
-        order = first_occurrences(self.graph.edge_type_index[self.edge_ids])
-        return dict(
-            zip(map(edge_types.__getitem__, order.tolist()), totals[order].tolist())
-        )
 
     def edge_flow_arrays(
         self, by_flow: bool = False

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.fold import left_sum
+
 
 def precision_at_k(retrieved: Sequence[str], relevant: set[str], k: int) -> float:
     """Fraction of the first ``k`` retrieved items that are relevant."""
@@ -61,9 +63,9 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
+    dot = left_sum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(left_sum(x * x for x in a))
+    norm_b = math.sqrt(left_sum(y * y for y in b))
     # Norms are non-negative by construction; <= states that, and catches a
     # denormal-underflow zero the exact == comparison was never going to.
     if norm_a <= 0.0 or norm_b <= 0.0:

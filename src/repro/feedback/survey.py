@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.core.system import ObjectRankSystem
 from repro.feedback.residual import ResidualCollection
 from repro.feedback.simulated_user import SimulatedUser
+from repro.fold import left_sum
 from repro.query.query import KeywordQuery
 
 
@@ -75,5 +76,5 @@ def average_precision_curve(traces: list[SessionTrace]) -> list[float]:
         return []
     length = min(len(t.precisions) for t in traces)
     return [
-        sum(t.precisions[i] for t in traces) / len(traces) for i in range(length)
+        left_sum(t.precisions[i] for t in traces) / len(traces) for i in range(length)
     ]

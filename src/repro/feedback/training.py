@@ -24,6 +24,7 @@ from repro.datasets.base import Dataset
 from repro.feedback.metrics import cosine_similarity
 from repro.feedback.residual import ResidualCollection
 from repro.feedback.simulated_user import SimulatedUser
+from repro.fold import left_sum
 from repro.graph.authority import AuthorityTransferSchemaGraph, EdgeType
 from repro.query.engine import SearchEngine, SearchResult
 from repro.ranking.core import global_restarts, rank, weighted_restarts
@@ -156,11 +157,11 @@ def train_transfer_rates(
     num_sessions = len(session_vectors)
     for step in range(iterations + 1):
         mean_vector = [
-            sum(vectors[step][i] for vectors in session_vectors) / num_sessions
+            left_sum(vectors[step][i] for vectors in session_vectors) / num_sessions
             for i in range(len(order))
         ]
         curve.rate_vectors.append(mean_vector)
-        similarity = sum(
+        similarity = left_sum(
             cosine_similarity(vectors[step], truth_vector) for vectors in session_vectors
         ) / num_sessions
         curve.similarities.append(similarity)

@@ -2,11 +2,13 @@
 
 Builtin ``sum`` over floats is a plain left-to-right fold up to Python 3.11
 and Neumaier-compensated from 3.12 on, so the same inputs can sum to
-different floats on two interpreters.  The reductions the paper's loop
-depends on — Equation 4's base-set total, Equation 12's ``a_q``, Equation
-13's outgoing rate sums and the ``sum``/``avg`` aggregation of Section 5.3 —
-go through :func:`left_sum` instead, which adds plainly in input order on
-every version.
+different floats on two interpreters.  Every float sum of the paper's
+loop and of its evaluation goes through :func:`left_sum` instead, which
+adds plainly in input order on every version: Equation 4's base-set total,
+Equation 12's ``a_q``, the per-label outgoing rate sums of Equation 13
+(``AuthorityTransferSchemaGraph.label_sums``), the ``sum``/``avg``
+aggregation of Section 5.3, Figure 11's cosine similarity and mean rate
+vectors, and the mean precision curves of Figures 10 and 12.
 """
 
 from __future__ import annotations

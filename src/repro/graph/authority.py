@@ -12,8 +12,10 @@ not make a paper important, hence the DBLP "cited" rate of 0.0).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import RateError
 from repro.fold import left_sum
@@ -54,7 +56,7 @@ class EdgeType:
     def role(self) -> str:
         return self.schema_edge.role
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         arrow = "->" if self.direction is Direction.FORWARD else "<-"
         return f"{self.schema_edge.source}-[{self.role}]{arrow}{self.schema_edge.target}"
 
@@ -73,9 +75,12 @@ class AuthorityTransferSchemaGraph:
 
     The rates are the quantities a domain expert had to set manually in
     ObjectRank [BHP04] and which Section 5.2 of the paper learns from user
-    feedback.  :meth:`as_vector` / :meth:`with_vector` expose them in a fixed
-    canonical order so that training curves (Figure 11) can compare a learned
-    vector against a ground-truth vector with cosine similarity.
+    feedback.  They are one vector, :attr:`vector` (read-only float64), in
+    the canonical order of :attr:`types`: the vector Equation 13 rescales
+    and Figure 11 compares with cosine similarity.  What the schema fixes —
+    the types, their positions, names and label codes — is built by the
+    constructor and shared by every graph :meth:`with_vector` and
+    :meth:`scaled_to_convergent` derive.
     """
 
     def __init__(
@@ -94,22 +99,59 @@ class AuthorityTransferSchemaGraph:
         convergence of the explaining fixpoint (Theorem 1).
         """
         self._schema = schema
-        self._rates: dict[EdgeType, float] = {}
         self.epsilon = float(epsilon)
-        for schema_edge in schema.edges:
-            for direction in _DIRECTIONS:
-                edge_type = EdgeType(schema_edge, direction)
-                rate = default_rate
-                if rates is not None and edge_type in rates:
-                    rate = rates[edge_type]
-                self._set(edge_type, rate)
-        if rates is not None:
-            unknown = set(rates) - set(self._rates)
-            if unknown:
-                raise RateError(f"rates given for unknown edge types: {sorted(map(str, unknown))}")
-        self._fingerprint = tuple(
-            round(rate, FINGERPRINT_DIGITS) for rate in self._rates.values()
+        self.types = tuple(EdgeType(e, d) for e in schema.edges for d in _DIRECTIONS)
+        self._position = {edge_type: i for i, edge_type in enumerate(self.types)}
+        #: ``str(edge_type)`` per position: the store's ``edge_types``
+        #: section and the ``learned_rates`` keys.
+        self.names = tuple(map(str, self.types))
+        self._label_code = {label: i for i, label in enumerate(schema.labels)}
+        self._label_of_type = label_of_type = np.array(
+            [self._label_code[t.source] for t in self.types], dtype=np.int64
         )
+        #: Each label's outgoing types, in canonical order.
+        self._members = [np.flatnonzero(label_of_type == c) for c in self._label_code.values()]
+        self._type_counts = np.array([len(m) for m in self._members], dtype=np.float64)
+        self._set_checked([default_rate] * len(self.types), (rates or {}).items())
+
+    def _set_checked(self, values, changed=()) -> None:
+        """Hold ``values`` (canonical order) with ``changed``'s ``(edge
+        type, rate)`` pairs written over them, checked and floored; then
+        refuse the pairs naming a type this schema does not have."""
+        unknown = []
+        if changed:
+            values = list(values)
+            for edge_type, rate in changed:
+                index = self._position.get(edge_type)
+                if index is None:
+                    unknown.append(edge_type)
+                else:
+                    values[index] = rate
+        self.vector = self.checked(values)
+        self.vector.setflags(write=False)
+        #: The rates as Python floats: a hashable key, equal exactly when
+        #: ``==`` is for graphs over one edge-type order.
+        self.key: tuple[float, ...] = tuple(self.vector.tolist())
+        self._fingerprint = tuple(round(rate, FINGERPRINT_DIGITS) for rate in self.key)
+        if unknown:
+            raise RateError(f"rates given for unknown edge types: {sorted(map(str, unknown))}")
+
+    def checked(self, values) -> np.ndarray:
+        """``values`` (canonical order) as the float64 array a graph holds:
+        a negative or non-finite rate raises :class:`RateError` naming the
+        first such type, a value that is no number raises it too (numpy
+        would parse the string ``"0.5"``), and every rate is floored at
+        ``epsilon``."""
+        raw = np.asarray(values)
+        if raw.dtype.kind not in "biuf":
+            raise RateError(f"rates must be numbers, got an array of {raw.dtype}")
+        vector = raw.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(vector) | (vector < 0.0))
+        if bad.size:
+            rate = values[bad[0]]
+            rate = rate.item() if isinstance(rate, np.generic) else rate  # repr as a float
+            raise RateError(f"invalid rate {rate!r} for edge type {self.types[bad[0]]}")
+        return np.where(self.epsilon > vector, self.epsilon, vector)  # max(rate, epsilon)
 
     # -- basic access --------------------------------------------------------
 
@@ -119,17 +161,13 @@ class AuthorityTransferSchemaGraph:
 
     def edge_types(self) -> list[EdgeType]:
         """All edge types in canonical (deterministic) order."""
-        return list(self._rates)
+        return list(self.types)
 
     def rate(self, edge_type: EdgeType) -> float:
-        if edge_type not in self._rates:
+        index = self._position.get(edge_type)
+        if index is None:
             raise RateError(f"unknown edge type: {edge_type}")
-        return self._rates[edge_type]
-
-    def _set(self, edge_type: EdgeType, rate: float) -> None:
-        if rate < 0 or not math.isfinite(rate):
-            raise RateError(f"invalid rate {rate!r} for edge type {edge_type}")
-        self._rates[edge_type] = max(float(rate), self.epsilon)
+        return self.key[index]
 
     def fingerprint(self) -> tuple:
         """The rounded rates in canonical order (fixed at construction)."""
@@ -139,30 +177,32 @@ class AuthorityTransferSchemaGraph:
 
     def as_vector(self, order: list[EdgeType] | None = None) -> list[float]:
         """Rates as a flat vector, in ``order`` (default: canonical order)."""
-        keys = order if order is not None else self.edge_types()
-        return [self.rate(k) for k in keys]
+        return list(self.key) if order is None else [self.rate(k) for k in order]
 
     def with_vector(
-        self, vector: list[float], order: list[EdgeType] | None = None
+        self, vector: Sequence[float] | np.ndarray, order: list[EdgeType] | None = None
     ) -> "AuthorityTransferSchemaGraph":
-        """A new graph with the rates of ``order`` replaced by ``vector``."""
-        keys = order if order is not None else self.edge_types()
-        if len(vector) != len(keys):
-            raise RateError(f"rate vector has length {len(vector)}, expected {len(keys)}")
-        return self._with_rates(dict(zip(keys, vector)))
+        """A new graph with the rates of ``order`` (default: every type, in
+        canonical order) replaced by ``vector``."""
+        expected = len(self.key) if order is None else len(order)
+        if len(vector) != expected:
+            raise RateError(f"rate vector has length {len(vector)}, expected {expected}")
+        graph = object.__new__(AuthorityTransferSchemaGraph)
+        graph.__dict__.update(self.__dict__)
+        if order is None:
+            graph._set_checked(vector)
+        else:
+            graph._set_checked(self.key, zip(order, vector))
+        return graph
 
-    def _with_rates(self, changed: dict[EdgeType, float]) -> "AuthorityTransferSchemaGraph":
-        """A new graph over the same schema and floor, ``changed`` replacing
-        this graph's rates, built (and checked) by the constructor."""
-        return AuthorityTransferSchemaGraph(
-            self._schema, {**self._rates, **changed}, epsilon=self.epsilon
-        )
+    # -- per-label sums (Theorem 1's convergence condition) -------------------
 
-    # -- structural helpers ----------------------------------------------------
-
-    def outgoing_types(self, label: str) -> list[EdgeType]:
-        """Edge types whose transfer edges leave nodes labeled ``label``."""
-        return [t for t in self._rates if t.source == label]
+    def label_sums(self, vector: np.ndarray | None = None) -> np.ndarray:
+        """Each schema label's outgoing rate sum over ``vector`` (default:
+        this graph's rates): one :func:`~repro.fold.left_sum` per label in
+        canonical order, 0.0 for a label with no outgoing type."""
+        rates = self.vector if vector is None else vector
+        return np.array([left_sum(rates[m]) for m in self._members], dtype=np.float64)
 
     def outgoing_rate_sum(self, label: str) -> float:
         """Sum of transfer rates leaving ``label`` in the schema.
@@ -171,53 +211,53 @@ class AuthorityTransferSchemaGraph:
         label (step 4 of the Section 5.2 normalization enforces it after a
         structure-based reformulation).
         """
-        return left_sum(self.rate(t) for t in self.outgoing_types(label))
+        code = self._label_code.get(label)
+        return 0.0 if code is None else float(self.label_sums()[code])
 
     def is_convergent(self, tolerance: float = 1e-9) -> bool:
         """Whether every label's outgoing rate sum is at most 1."""
-        return all(
-            self.outgoing_rate_sum(label) <= 1.0 + tolerance for label in self._schema.labels
-        )
+        return bool((self.label_sums() <= 1.0 + tolerance).all())
 
-    def headroom(self, label: str) -> tuple[float, float]:
-        """``(spare, mass)`` of ``label``'s k outgoing types: the outgoing sum
-        the epsilon floor leaves room for, ``1 - k*epsilon`` (never below 0),
-        and the rate mass above the floor, ``sum - k*epsilon``.
+    def headroom(self, vector: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(spare, mass)`` per label over ``vector`` (default: this
+        graph's rates): for k outgoing types, the sum the epsilon floor
+        leaves room for, ``max(1 - k*epsilon, 0)``, and the rate mass above
+        the floor, ``sum - k*epsilon``.
 
-        The label is over-full exactly when ``mass > spare``.  Scaling only
-        the mass above the floor by ``spare / mass`` then brings the outgoing
-        sum to 1 with every rate still at or above the floor, whenever
-        ``k*epsilon <= 1`` (:meth:`shrunk_rate`).  At ``epsilon = 0`` that
-        is dividing every rate by the sum.
+        A label is over-full exactly when ``mass > spare``; taking each of
+        its rates ``r`` to ``epsilon + (r - epsilon) * spare / mass`` brings
+        its sum to 1 with every rate still at or above the floor, whenever
+        ``k*epsilon <= 1``.  At ``epsilon = 0`` that divides by the sum.
         """
-        floor = len(self.outgoing_types(label)) * self.epsilon
-        return max(1.0 - floor, 0.0), self.outgoing_rate_sum(label) - floor
-
-    def shrunk_rate(self, edge_type: EdgeType, spare: float, mass: float) -> float:
-        """``edge_type``'s rate with its mass above the floor scaled by
-        ``spare / mass`` (see :meth:`headroom`)."""
-        epsilon = self.epsilon
-        return epsilon + (self.rate(edge_type) - epsilon) * spare / mass
+        sums = self.label_sums(vector)
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor = self._type_counts * self.epsilon
+            spare = 1.0 - floor
+            return np.where(0.0 > spare, 0.0, spare), sums - floor
 
     def scaled_to_convergent(self) -> "AuthorityTransferSchemaGraph":
-        """A new graph where labels with outgoing sum > 1 are scaled down to
-        sum 1.
+        """A graph where labels with outgoing sum > 1 are scaled down to
+        sum 1 (this one when none is).
 
         Only the mass above the epsilon floor is scaled (:meth:`headroom`),
         so re-flooring cannot lift a sum back above 1.
         """
-        shrunk = {}
-        for label in self._schema.labels:
-            spare, mass = self.headroom(label)
-            if mass > spare:
-                for edge_type in self.outgoing_types(label):
-                    shrunk[edge_type] = self.shrunk_rate(edge_type, spare, mass)
-        return self._with_rates(shrunk)
+        spare, mass = self.headroom()
+        over = (mass > spare)[self._label_of_type]
+        if not over.any():
+            return self
+        label = self._label_of_type[over]
+        rates, epsilon = self.vector.copy(), self.epsilon
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates[over] = epsilon + (rates[over] - epsilon) * spare[label] / mass[label]
+        return self.with_vector(rates)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AuthorityTransferSchemaGraph):
             return NotImplemented
-        return self._rates == other._rates
+        if self.types == other.types:
+            return self.key == other.key
+        return dict(zip(self.types, self.key)) == dict(zip(other.types, other.key))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AuthorityTransferSchemaGraph(edge_types={len(self._rates)})"
+        return f"AuthorityTransferSchemaGraph(edge_types={len(self.key)})"

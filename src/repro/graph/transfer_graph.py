@@ -494,9 +494,7 @@ class RateSetting:
     """
 
     def __init__(self, graph: AuthorityTransferDataGraph) -> None:
-        alphas = np.asarray(
-            [graph.transfer_schema.rate(t) for t in graph.edge_types], dtype=np.float64
-        )
+        alphas = graph.transfer_schema.vector
         if graph.num_edges:
             edge_rate = alphas[graph.edge_type_index] / graph._edge_out_degree
         else:

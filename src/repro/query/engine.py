@@ -150,9 +150,10 @@ class SearchEngine:
         Returns the engine's own graph when ``rates`` is ``None`` or equals
         the engine's schema rates; otherwise a cached
         :meth:`~repro.graph.transfer_graph.AuthorityTransferDataGraph.with_rates`
-        view.  Views are keyed by the canonical rate vector and kept in a
-        small LRU so repeated queries of the same feedback session (or the
-        same cached serving session) reuse one transition matrix.
+        view.  Views are keyed by the rates' ``key`` (their floats, fixed at
+        construction) and kept in a small LRU so repeated queries of the
+        same feedback session (or the same cached serving session) reuse one
+        transition matrix.
 
         Concurrent misses on the same key are deduplicated by the cache's
         per-key build latch (:class:`~repro.graph.build_cache.BuildCache`):
@@ -163,9 +164,7 @@ class SearchEngine:
         graph = self.graph
         if rates is None or rates == graph.transfer_schema:
             return graph
-        return self._views.get(
-            tuple(rates.as_vector()), lambda: graph.with_rates(rates)
-        )
+        return self._views.get(rates.key, lambda: graph.with_rates(rates))
 
     def query_vector(self, query: KeywordQuery | QueryVector | str) -> QueryVector:
         """Normalize any accepted query form into a weighted query vector."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.explain.adjustment import FlowExplanation
-from repro.graph.authority import AuthorityTransferSchemaGraph, EdgeType
+from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.reformulate.aggregation import AGGREGATORS, aggregate_arrays
 
 DEFAULT_ADJUSTMENT_FACTOR = 0.5  # C_f, "typically set to 0.5" (Section 5.2)
@@ -53,24 +53,21 @@ class StructureReformulator:
                 f"known: {sorted(AGGREGATORS)}"
             )
 
-    def flow_factors(self, explanations: list[FlowExplanation]) -> dict[EdgeType, float]:
+    def flow_factors(self, explanations: list[FlowExplanation]) -> np.ndarray:
         """``F(e_S)`` aggregated across feedback objects (Equation 15).
 
-        Each explanation's per-type totals are one array over the graph's
-        edge types (:meth:`FlowExplanation.type_flows`), combined column by
-        column (:func:`~repro.reformulate.aggregation.aggregate_arrays`);
-        the factors are listed in edge-type order.
+        One array over the graph's edge types (canonical order): each
+        explanation's per-type totals (:meth:`FlowExplanation.type_flows`)
+        combined column by column
+        (:func:`~repro.reformulate.aggregation.aggregate_arrays`), 0.0
+        where no explanation has the type.
         """
         if not explanations:
-            return {}
+            return np.zeros(0)
         totals, present = zip(*(e.type_flows() for e in explanations))
         present = np.stack(present)
         factors = aggregate_arrays(np.stack(totals), present, self.aggregation)
-        edge_types = explanations[0].graph.edge_types
-        kept = np.flatnonzero(present.any(axis=0))
-        return dict(
-            zip(map(edge_types.__getitem__, kept.tolist()), factors[kept].tolist())
-        )
+        return np.where(present.any(axis=0), factors, 0.0)
 
     def reformulate(
         self,
@@ -79,42 +76,32 @@ class StructureReformulator:
     ) -> AuthorityTransferSchemaGraph:
         """Produce a new transfer schema with adjusted, normalized rates."""
         factors = self.flow_factors(explanations)
-        maximum_factor = max(factors.values(), default=0.0)
+        maximum_factor = factors.max(initial=0.0)
         if maximum_factor <= 0.0:
             return transfer_schema
 
-        edge_types = transfer_schema.edge_types()
-        # Steps 1 + 2: normalize factors, apply Equation 13.
-        rates = {
-            edge_type: (
-                1.0
-                + self.adjustment_factor * factors.get(edge_type, 0.0) / maximum_factor
-            )
-            * transfer_schema.rate(edge_type)
-            for edge_type in edge_types
-        }
+        # As Python floats do, overflow to inf and inf / inf to NaN silently;
+        # a NaN rate is refused by ``checked`` below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Steps 1 + 2: normalize factors, apply Equation 13.
+            boost = 1.0 + self.adjustment_factor * factors / maximum_factor
+            rates = boost * transfer_schema.vector
 
-        # Step 3: scale so the maximum rate is 1.
-        maximum_rate = max(rates.values())
-        if maximum_rate > 0.0:
-            rates = {t: r / maximum_rate for t, r in rates.items()}
+            # Step 3: scale so the maximum rate is 1 (``fmax`` passes over
+            # a NaN, which ``checked`` then refuses, naming its type).
+            maximum_rate = np.fmax.reduce(rates)
+            if maximum_rate > 0.0:
+                rates = rates / maximum_rate
 
-        # Step 4: one global factor so every label's outgoing sum is <= 1.
-        # The factor scales the mass above the epsilon floor only, by the
-        # smallest ``spare / mass`` of an over-full label (the largest sum
-        # when epsilon is 0), so re-flooring cannot push a sum back over 1.
-        adjusted = transfer_schema.with_vector(
-            [rates[t] for t in edge_types], edge_types
-        )
-        over = [
-            (spare, mass)
-            for spare, mass in map(adjusted.headroom, adjusted.schema.labels)
-            if mass > spare
-        ]
-        if over:
-            spare, mass = min(over, key=lambda pair: (pair[0] / pair[1], -pair[1]))
-            adjusted = transfer_schema.with_vector(
-                [adjusted.shrunk_rate(t, spare, mass) for t in edge_types],
-                edge_types,
-            )
-        return adjusted
+            # Step 4: one global factor so every label's outgoing sum is <= 1.
+            # The factor scales the mass above the epsilon floor only, by the
+            # smallest ``spare / mass`` of an over-full label (the largest sum
+            # when epsilon is 0), so re-flooring cannot push a sum back over 1.
+            rates = transfer_schema.checked(rates)
+            spare, mass = transfer_schema.headroom(rates)
+            over = np.flatnonzero(mass > spare)
+            if over.size:
+                worst = over[np.lexsort((-mass[over], spare[over] / mass[over]))[0]]
+                epsilon = transfer_schema.epsilon
+                rates = epsilon + (rates - epsilon) * spare[worst] / mass[worst]
+        return transfer_schema.with_vector(rates)

@@ -1000,10 +1000,9 @@ class QueryService:
                 ranker.is_stale(runtime.rates) if ranker is not None else None
             ),
             "reformulated_query": dict(reformulated.query_vector.weights),
-            "learned_rates": {
-                str(edge_type): reformulated.transfer_schema.rate(edge_type)
-                for edge_type in reformulated.transfer_schema.edge_types()
-            },
+            "learned_rates": dict(
+                zip(reformulated.transfer_schema.names, reformulated.transfer_schema.key)
+            ),
             "results": _result_rows(runtime.data_graph, rerun.top),
             "iterations": rerun.iterations,
         }
@@ -1109,7 +1108,7 @@ def _exactly(vector: QueryVector, rates: AuthorityTransferSchemaGraph) -> tuple:
     """What makes a score-cache key exact, past its fence: a kept ranking
     stands in for a run bit for bit, so weights or rates that differ past
     ``FINGERPRINT_DIGITS``, or terms in another order, are another key."""
-    return tuple(vector.weights.items()), tuple(rates.as_vector())
+    return tuple(vector.weights.items()), rates.key
 
 
 def _kept(ranked: RankedResult) -> tuple[RankedResult, int]:

@@ -91,7 +91,7 @@ def write_score_store(
     keyword_blob, keyword_offsets = _pack_strings(keywords)
     node_blob, node_offsets = _pack_strings(list(source.node_ids))
     snapshot = source.rates_snapshot
-    rates = np.asarray(snapshot.as_vector(), dtype=np.float64)
+    rates = snapshot.vector
     meta = {
         "kind": KIND,
         "dataset": dataset,
@@ -99,7 +99,7 @@ def write_score_store(
         "damping": source.damping,
         "num_keywords": len(keywords),
         "num_nodes": num_nodes,
-        "edge_types": [str(edge_type) for edge_type in snapshot.edge_types()],
+        "edge_types": list(snapshot.names),
         "build_iterations": source.build_iterations,
         "graph_version": source.graph_version,
     }
@@ -192,7 +192,7 @@ class ScoreStore:
         self.damping: float = meta["damping"]
         self.build_iterations: int = meta["build_iterations"]
         self.graph_version: int = meta["graph_version"]
-        self.edge_types: list[str] = list(meta["edge_types"])
+        self.edge_types: tuple[str, ...] = tuple(meta["edge_types"])
         self.scores: np.ndarray = arrays["scores"]
         self.idf: np.ndarray = arrays["idf"]
         self.rates: np.ndarray = arrays["rates"]
@@ -242,11 +242,9 @@ class ScoreStore:
         — the same discriminator the in-memory provider's schema equality
         applies, so store-backed and in-memory serving route identically.
         """
-        names = [str(edge_type) for edge_type in rates.edge_types()]
-        if names != self.edge_types:
-            return False
-        current = np.asarray(rates.as_vector(), dtype=np.float64)
-        return bool(np.array_equal(current, self.rates))
+        return rates.names == self.edge_types and bool(
+            np.array_equal(rates.vector, self.rates)
+        )
 
     def verify(self) -> None:
         """Recompute every section checksum against the mapped bytes."""

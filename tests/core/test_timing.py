@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.timing import (
-    ALL_STAGES,
-    STAGE_SEARCH,
-    STAGE_SUBGRAPH,
-    IterationTiming,
-    StageClock,
-)
+from repro.core.timing import STAGE_SEARCH, STAGE_SUBGRAPH, StageClock
 
 
 class TestStageClock:
@@ -16,39 +10,18 @@ class TestStageClock:
         clock = StageClock()
         with clock.stage(STAGE_SEARCH):
             pass
+        once = clock.total(STAGE_SEARCH)
         with clock.stage(STAGE_SEARCH):
             pass
-        assert clock.counts[STAGE_SEARCH] == 2
-        assert clock.total(STAGE_SEARCH) > 0
+        assert clock.total(STAGE_SEARCH) > once > 0
 
     def test_missing_stage_reads_zero(self):
         clock = StageClock()
         assert clock.total(STAGE_SUBGRAPH) == 0.0
-
-    def test_snapshot_covers_all_stages(self):
-        clock = StageClock()
-        with clock.stage(STAGE_SEARCH):
-            pass
-        snapshot = clock.snapshot()
-        assert set(snapshot) == set(ALL_STAGES)
 
     def test_records_even_on_exception(self):
         clock = StageClock()
         with pytest.raises(RuntimeError):
             with clock.stage(STAGE_SEARCH):
                 raise RuntimeError("boom")
-        assert clock.counts[STAGE_SEARCH] == 1
-
-    def test_reset(self):
-        clock = StageClock()
-        with clock.stage(STAGE_SEARCH):
-            pass
-        clock.reset()
-        assert clock.totals == {}
-
-
-class TestIterationTiming:
-    def test_total(self):
-        timing = IterationTiming("x", 1.0, 0.5, 0.25, 0.25, 7)
-        assert timing.total_seconds == 2.0
-        assert timing.objectrank_iterations == 7
+        assert STAGE_SEARCH in clock.totals

@@ -128,8 +128,9 @@ class TestAggregates:
             assert by_node[node] == pytest.approx(explanation.outgoing_flow(node))
 
     def test_flow_by_edge_type_totals(self, explanation):
-        by_type = explanation.flow_by_edge_type()
-        assert sum(by_type.values()) == pytest.approx(float(explanation.flows.sum()))
+        totals, present = explanation.type_flows()
+        assert totals[present].sum() == pytest.approx(float(explanation.flows.sum()))
+        assert not totals[~present].any()
 
     def test_adjusted_scores_equation8(self, explanation, figure1_graph):
         scores = explanation.adjusted_scores()

@@ -58,6 +58,13 @@ class TestRates:
         with pytest.raises(RateError):
             AuthorityTransferSchemaGraph(dblp_atsg.schema, {edge_type: -0.1})
 
+    @pytest.mark.parametrize("rate", ["0.5", None, object()])
+    def test_a_rate_that_is_no_number_is_rejected(self, dblp_atsg, rate):
+        with pytest.raises(RateError):
+            dblp_atsg.with_vector([rate] * len(dblp_atsg.key))
+        with pytest.raises(RateError):
+            AuthorityTransferSchemaGraph(dblp_atsg.schema, {dblp_atsg.types[0]: rate})
+
     def test_unknown_edge_type_rejected(self):
         schema = SchemaGraph()
         schema.add_label("A")
@@ -79,6 +86,26 @@ class TestRates:
     def test_equality_is_rate_based(self, dblp_atsg):
         assert dblp_atsg == dblp_atsg.with_vector(dblp_atsg.as_vector())
 
+    def test_the_vector_is_read_only_and_the_key_its_floats(self, dblp_atsg):
+        assert not dblp_atsg.vector.flags.writeable
+        assert dblp_atsg.key == tuple(dblp_atsg.as_vector())
+        with pytest.raises(ValueError):
+            dblp_atsg.vector[0] = 1.0
+
+    def test_names_are_the_canonical_type_strings(self, dblp_atsg):
+        """``str(EdgeType)`` names the store's ``edge_types`` section and
+        the ``learned_rates`` keys: DBLP's, pinned."""
+        assert dblp_atsg.names == tuple(map(str, dblp_atsg.edge_types())) == (
+            "Paper-[cites]->Paper",
+            "Paper-[cites]<-Paper",
+            "Paper-[by]->Author",
+            "Paper-[by]<-Author",
+            "Conference-[has]->Year",
+            "Conference-[has]<-Year",
+            "Year-[contains]->Paper",
+            "Year-[contains]<-Paper",
+        )
+
     def test_rates_are_values(self, dblp_atsg):
         """No setter and no copy: a new rate is a new graph, whose
         fingerprint is its own while the original's stays put."""
@@ -96,12 +123,23 @@ class TestConvergenceChecks:
         assert dblp_atsg.outgoing_rate_sum("Paper") == pytest.approx(1.0)
         assert dblp_atsg.is_convergent()
 
-    def test_outgoing_types_by_label(self, dblp_atsg):
-        sources = {t.source for t in dblp_atsg.outgoing_types("Year")}
-        assert sources == {"Year"}
-        # Year sends: has-backward (Year->Conference) + contains-forward.
-        roles = sorted(t.role for t in dblp_atsg.outgoing_types("Year"))
-        assert roles == ["contains", "has"]
+    def test_label_sums_fold_each_labels_outgoing_types(self, dblp_atsg):
+        """One sum per schema label, in the schema's label order: Year
+        sends has-backward (Year->Conference) and contains-forward."""
+        sums = dict(zip(dblp_atsg.schema.labels, dblp_atsg.label_sums().tolist()))
+        year = [t for t in dblp_atsg.edge_types() if t.source == "Year"]
+        assert sorted(t.role for t in year) == ["contains", "has"]
+        assert sums["Year"] == dblp_atsg.rate(year[0]) + dblp_atsg.rate(year[1])
+        assert sums == {label: dblp_atsg.outgoing_rate_sum(label) for label in sums}
+        assert dblp_atsg.outgoing_rate_sum("NoSuchLabel") == 0.0
+
+    def test_headroom_is_per_label(self):
+        schema = dblp_schema()
+        atsg = AuthorityTransferSchemaGraph(schema, default_rate=0.5, epsilon=0.1)
+        spare, mass = atsg.headroom()
+        counts = [sum(t.source == label for t in atsg.edge_types()) for label in schema.labels]
+        assert spare.tolist() == [max(1.0 - k * 0.1, 0.0) for k in counts]
+        assert mass.tolist() == [s - k * 0.1 for s, k in zip(atsg.label_sums().tolist(), counts)]
 
     def test_scaled_to_convergent(self):
         schema = dblp_schema()

@@ -22,6 +22,7 @@ from repro.reformulate import (
 )
 
 from tests.properties.strategies import dblp_transfer_graphs, rate_vectors
+from tests.properties.test_explain_batch_properties import same_bits
 from tests.ranking.reference import objectrank
 from tests.reformulate.reference import (
     FlowsByType,
@@ -69,10 +70,9 @@ def test_scaled_to_convergent_result_always_convergent(schema):
     after = schema.scaled_to_convergent()
     assert after.is_convergent()
     assert _floored(after)
-    for label in schema.schema.labels:
-        if schema.outgoing_rate_sum(label) <= 1.0:
-            for edge_type in schema.outgoing_types(label):
-                assert after.rate(edge_type) == schema.rate(edge_type)
+    for edge_type in schema.edge_types():
+        if schema.outgoing_rate_sum(edge_type.source) <= 1.0:
+            assert after.rate(edge_type) == schema.rate(edge_type)
     if schema.epsilon == 0.0:
         expected = reference_scaled_to_convergent(schema)
         assert after.as_vector() == expected.as_vector()
@@ -118,7 +118,7 @@ def test_structure_preserves_zero_rates(atdg, target_index):
 @settings(max_examples=20, deadline=None)
 def test_max_flow_type_gets_max_relative_boost(atdg, target_index):
     explanation = _explanation(atdg, target_index)
-    factors = explanation.flow_by_edge_type()
+    factors = reference_flow_by_edge_type(explanation)
     if not factors or max(factors.values()) <= 0:
         return
     before = dblp_transfer_schema()
@@ -206,6 +206,19 @@ def _same_items(got: dict, expected: dict) -> None:
     assert list(got.items()) == list(expected.items())
 
 
+def _same_type_flows(explanation) -> None:
+    """``type_flows`` over every edge type == the per-edge loop's dict:
+    present exactly where the loop has the type, bit-equal totals there,
+    0.0 elsewhere."""
+    totals, present = explanation.type_flows()
+    expected = reference_flow_by_edge_type(explanation)
+    edge_types = explanation.graph.edge_types
+    assert [t for i, t in enumerate(edge_types) if present[i]] == sorted(
+        expected, key=edge_types.index
+    )
+    assert same_bits(totals, [expected.get(t, 0.0) for t in edge_types])
+
+
 @seed(14)
 @given(
     dblp_transfer_graphs(words=_NOISY_WORDS),
@@ -228,10 +241,7 @@ def test_term_weights_equal_reference_loop(atdg, seed_value, decay, analyzer):
 @settings(max_examples=40, deadline=None)
 def test_flow_by_edge_type_equals_reference_loop(atdg, seed_value):
     for explanation in _batched_explanations(atdg, seed_value, 3):
-        _same_items(
-            explanation.flow_by_edge_type(),
-            reference_flow_by_edge_type(explanation),
-        )
+        _same_type_flows(explanation)
 
 
 @seed(14)
@@ -254,7 +264,7 @@ def test_zero_flow_nodes_contribute_no_terms(atdg, seed_value, data):
         reformulator.term_weights(zeroed),
         reference_term_weights(reformulator, zeroed),
     )
-    _same_items(zeroed.flow_by_edge_type(), reference_flow_by_edge_type(zeroed))
+    _same_type_flows(zeroed)
 
 
 @seed(14)
@@ -279,3 +289,17 @@ def test_reformulate_equals_reference_loops(atdg, seed_value, count, aggregation
     assert got == expected
     _same_items(got.query_vector.weights, expected.query_vector.weights)
     assert got.transfer_schema.as_vector() == expected.transfer_schema.as_vector()
+
+
+@seed(14)
+@given(dblp_transfer_graphs(words=_NOISY_WORDS), st.integers(0, 100))
+@settings(max_examples=40, deadline=None)
+def test_target_inflow_equals_the_global_mask(atdg, seed_value):
+    """``target_inflow`` masks the subgraph-local endpoints: the same flows
+    in the same order as ``incoming_flow(target)``'s mask over the global
+    edge targets, so the same bits — for batched explanations (target-only
+    subgraphs included) and a serial one."""
+    explanations = _batched_explanations(atdg, seed_value, 3)
+    for explanation in [*explanations, _explanation(atdg, seed_value)]:
+        target = explanation.subgraph.target
+        assert same_bits([explanation.target_inflow()], [explanation.incoming_flow(target)])

@@ -9,8 +9,13 @@ term weights, Equation 15's per-type flows, the dict aggregation of
 Section 5.3 (:func:`aggregate_maps`) and the top-Z by ``heapq.nsmallest``
 over the aggregated dict.  Likewise the divide-by-the-sum normalisations
 that scaling only the mass above the epsilon floor replaced: at
-``epsilon = 0`` the two must agree bit for bit.  Nothing in ``src`` calls
-these.
+``epsilon = 0`` the two must agree bit for bit.  And the rates as a dict:
+:class:`DictTransferSchema` is the ``edge type -> rate`` schema graph the
+one-vector :class:`~repro.graph.authority.AuthorityTransferSchemaGraph`
+replaced, with its per-label loops (``outgoing_types``, ``headroom``,
+``shrunk_rate``, ``scaled_to_convergent``), and
+:func:`reference_structure_step` is Equation 13 over it, epsilon floor
+included.  Nothing in ``src`` calls these.
 """
 
 from __future__ import annotations
@@ -18,13 +23,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import fields
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 from typing import Hashable, Mapping, TypeVar
 
 import numpy as np
 
+from repro.errors import RateError
 from repro.explain.adjustment import FlowExplanation
-from repro.graph.authority import AuthorityTransferSchemaGraph
+from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
 from repro.reformulate import (
     AGGREGATORS,
     ContentReformulator,
@@ -140,8 +148,121 @@ class FlowsByType:
         totals = np.array([self.factors.get(t, 0.0) for t in types], dtype=np.float64)
         return totals, np.array([t in self.factors for t in types], dtype=bool)
 
-    def flow_by_edge_type(self) -> dict:
-        return dict(self.factors)
+
+class DictTransferSchema:
+    """The rates as an ``edge type -> rate`` dict, with the per-label loops
+    over it: the schema graph the one-vector form replaced, verbatim."""
+
+    def __init__(self, schema, rates=None, default_rate=0.0, epsilon=0.0) -> None:
+        self.schema = schema
+        self._rates: dict[EdgeType, float] = {}
+        self.epsilon = float(epsilon)
+        for schema_edge in schema.edges:
+            for direction in (Direction.FORWARD, Direction.BACKWARD):
+                edge_type = EdgeType(schema_edge, direction)
+                rate = default_rate
+                if rates is not None and edge_type in rates:
+                    rate = rates[edge_type]
+                self._set(edge_type, rate)
+        if rates is not None:
+            unknown = set(rates) - set(self._rates)
+            if unknown:
+                raise RateError(f"rates given for unknown edge types: {sorted(map(str, unknown))}")
+
+    @classmethod
+    def of(cls, graph: AuthorityTransferSchemaGraph) -> "DictTransferSchema":
+        rates = dict(zip(graph.edge_types(), graph.as_vector()))
+        return cls(graph.schema, rates, epsilon=graph.epsilon)
+
+    def edge_types(self) -> list[EdgeType]:
+        return list(self._rates)
+
+    def rate(self, edge_type: EdgeType) -> float:
+        if edge_type not in self._rates:
+            raise RateError(f"unknown edge type: {edge_type}")
+        return self._rates[edge_type]
+
+    def _set(self, edge_type: EdgeType, rate: float) -> None:
+        if rate < 0 or not math.isfinite(rate):
+            raise RateError(f"invalid rate {rate!r} for edge type {edge_type}")
+        self._rates[edge_type] = max(float(rate), self.epsilon)
+
+    def as_vector(self, order=None) -> list[float]:
+        keys = order if order is not None else self.edge_types()
+        return [self.rate(k) for k in keys]
+
+    def with_vector(self, vector, order=None) -> "DictTransferSchema":
+        keys = order if order is not None else self.edge_types()
+        if len(vector) != len(keys):
+            raise RateError(f"rate vector has length {len(vector)}, expected {len(keys)}")
+        return self._with_rates(dict(zip(keys, vector)))
+
+    def _with_rates(self, changed: dict) -> "DictTransferSchema":
+        return DictTransferSchema(self.schema, {**self._rates, **changed}, epsilon=self.epsilon)
+
+    def outgoing_types(self, label: str) -> list[EdgeType]:
+        return [t for t in self._rates if t.source == label]
+
+    def outgoing_rate_sum(self, label: str) -> float:
+        """A plain left fold, ``0.0`` for no types (``repro.fold.left_sum``)."""
+        rates = [self.rate(t) for t in self.outgoing_types(label)]
+        return reduce(add, rates) if rates else 0.0
+
+    def is_convergent(self, tolerance: float = 1e-9) -> bool:
+        return all(
+            self.outgoing_rate_sum(label) <= 1.0 + tolerance for label in self.schema.labels
+        )
+
+    def headroom(self, label: str) -> tuple[float, float]:
+        floor = len(self.outgoing_types(label)) * self.epsilon
+        return max(1.0 - floor, 0.0), self.outgoing_rate_sum(label) - floor
+
+    def shrunk_rate(self, edge_type: EdgeType, spare: float, mass: float) -> float:
+        epsilon = self.epsilon
+        return epsilon + (self.rate(edge_type) - epsilon) * spare / mass
+
+    def scaled_to_convergent(self) -> "DictTransferSchema":
+        shrunk = {}
+        for label in self.schema.labels:
+            spare, mass = self.headroom(label)
+            if mass > spare:
+                for edge_type in self.outgoing_types(label):
+                    shrunk[edge_type] = self.shrunk_rate(edge_type, spare, mass)
+        return self._with_rates(shrunk)
+
+
+def reference_structure_step(
+    reformulator: StructureReformulator, transfer_schema: DictTransferSchema, factors: dict
+) -> DictTransferSchema:
+    """Equation 13 and the four normalisation steps over the dict rates,
+    step 4 scaling the mass above the epsilon floor by one global factor."""
+    maximum_factor = max(factors.values(), default=0.0)
+    if maximum_factor <= 0.0:
+        return transfer_schema
+    edge_types = transfer_schema.edge_types()
+    rates = {
+        edge_type: (
+            1.0
+            + reformulator.adjustment_factor * factors.get(edge_type, 0.0) / maximum_factor
+        )
+        * transfer_schema.rate(edge_type)
+        for edge_type in edge_types
+    }
+    maximum_rate = max(rates.values())
+    if maximum_rate > 0.0:
+        rates = {t: r / maximum_rate for t, r in rates.items()}
+    adjusted = transfer_schema.with_vector([rates[t] for t in edge_types], edge_types)
+    over = [
+        (spare, mass)
+        for spare, mass in map(adjusted.headroom, adjusted.schema.labels)
+        if mass > spare
+    ]
+    if over:
+        spare, mass = min(over, key=lambda pair: (pair[0] / pair[1], -pair[1]))
+        adjusted = transfer_schema.with_vector(
+            [adjusted.shrunk_rate(t, spare, mass) for t in edge_types], edge_types
+        )
+    return adjusted
 
 
 class _ReferenceContent(ContentReformulator):
@@ -149,7 +270,10 @@ class _ReferenceContent(ContentReformulator):
 
 
 class _ReferenceStructure(StructureReformulator):
-    flow_factors = reference_flow_factors
+    def reformulate(self, transfer_schema, explanations):
+        factors = reference_flow_factors(self, explanations)
+        stepped = reference_structure_step(self, DictTransferSchema.of(transfer_schema), factors)
+        return transfer_schema.with_vector(stepped.as_vector())
 
 
 def _as(cls, instance):
@@ -160,9 +284,9 @@ def _as(cls, instance):
 def reference_reformulate(
     reformulator: Reformulator, query_vector, transfer_schema, explanations
 ):
-    """``Reformulator.reformulate`` with Equations 11, 14 and 15 and the
-    top-Z swapped for the loops; Equations 12-13 and the rate
-    normalisation are the production code."""
+    """``Reformulator.reformulate`` with Equations 11, 13, 14 and 15, the
+    top-Z and the rate normalisation swapped for the loops; Equation 12 is
+    the production code."""
     reference = Reformulator(
         content=_as(_ReferenceContent, reformulator.content),
         structure=_as(_ReferenceStructure, reformulator.structure),
@@ -178,8 +302,9 @@ def reference_scaled_to_convergent(
     for label in schema.schema.labels:
         total = schema.outgoing_rate_sum(label)
         if total > 1.0:
-            for edge_type in schema.outgoing_types(label):
-                divided[edge_type] = schema.rate(edge_type) / total
+            for edge_type in schema.edge_types():
+                if edge_type.source == label:
+                    divided[edge_type] = schema.rate(edge_type) / total
     return schema.with_vector(list(divided.values()), list(divided))
 
 

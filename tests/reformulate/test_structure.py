@@ -5,6 +5,7 @@ paper's reformulated rate vector [0.67, 0.0, 0.24, 0.16, 0.24, 0.24, 0.24,
 0.08] from the stated inputs.
 """
 
+import numpy as np
 import pytest
 
 from repro.datasets import dblp_edge_order, dblp_transfer_schema
@@ -27,12 +28,19 @@ class TestFlowFactors:
         reformulator = StructureReformulator(0.5)
         single = reformulator.flow_factors([explanation])
         double = reformulator.flow_factors([explanation, explanation])
-        for edge_type, factor in single.items():
-            assert double[edge_type] == pytest.approx(2 * factor)
+        assert double == pytest.approx(2 * single)
 
     def test_factors_match_explanation_totals(self, explanation):
+        """One factor per edge type of the graph, 0.0 where the subgraph
+        has no edge of the type."""
         reformulator = StructureReformulator(0.5)
-        assert reformulator.flow_factors([explanation]) == explanation.flow_by_edge_type()
+        factors = reformulator.flow_factors([explanation])
+        totals, present = explanation.type_flows()
+        assert len(factors) == len(explanation.graph.edge_types)
+        assert np.array_equal(factors, np.where(present, totals, 0.0))
+
+    def test_no_explanations_give_no_factors(self):
+        assert StructureReformulator().flow_factors([]).size == 0
 
 
 class TestReformulation:

@@ -40,3 +40,15 @@ def test_a_stack_folds_each_column_down_its_rows():
     assert columns.tolist() == [
         functools.reduce(operator.add, column) for column in stack.T.tolist()
     ]
+
+
+def test_the_figure_metrics_fold_left():
+    """Fig. 11's cosine and Fig. 10/12's mean precision add with
+    :func:`left_sum`: on the cancelling input a compensated sum would give
+    a positive cosine (a dot product of 2.0) and a mean of 0.5."""
+    from repro.feedback.metrics import cosine_similarity
+    from repro.feedback.survey import SessionTrace, average_precision_curve
+
+    assert cosine_similarity(CANCELLING, [1.0] * 4) == 0.0
+    traces = [SessionTrace("q", precisions=[value]) for value in CANCELLING]
+    assert average_precision_curve(traces) == [0.0]

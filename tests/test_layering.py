@@ -1811,10 +1811,22 @@ ARRAY_PATH = {
 #: Calls that bounce through ids or Python lists: a lookup per id, a dict
 #: laid out by id, an array to a list, a dict zipped from two sequences.
 ID_BOUNCES = {"indices_of", "restart_vector", "tolist"}
+#: Eq. 13 and the store's rate check read the rate vector and the names
+#: computed once per schema ...
+RATE_VECTOR_PATH = {
+    "reformulate/structure.py": {
+        "StructureReformulator.reformulate",
+        "StructureReformulator.flow_factors",
+    },
+    "store/format.py": {"ScoreStore.matches_rates"},
+}
+#: ... and never turn them back into per-type lookups, lists or strings.
+RATE_BOUNCES = {"rate", "edge_types", "as_vector", "str", "tolist"}
 
 
-def id_bounces(tree: ast.AST, functions: set[str]) -> list[str]:
-    """``scope -> call`` for every id bounce inside one of ``functions``."""
+def id_bounces(tree: ast.AST, functions: set[str], calls=ID_BOUNCES) -> list[str]:
+    """``scope -> call`` for every id bounce (a call named in ``calls``, or
+    ``dict(zip(...))``) inside one of ``functions``."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -1826,7 +1838,7 @@ def id_bounces(tree: ast.AST, functions: set[str]) -> list[str]:
                 scope == f or scope.startswith(f"{f}.") for f in functions
             ):
                 name = getattr(child.func, "attr", getattr(child.func, "id", None))
-                if name in ID_BOUNCES:
+                if name in calls:
                     found.append(f"{scope} -> {name}")
                 elif name == "dict" and any(
                     isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "zip"
@@ -1839,16 +1851,52 @@ def id_bounces(tree: ast.AST, functions: set[str]) -> list[str]:
     return sorted(found)
 
 
-def test_the_loop_never_bounces_through_ids():
-    """Direction 19: ordinals -> node indices -> restart column, and the
-    aggregated term arrays -> top-Z, with no id dict in between."""
+def _bounces(paths: dict[str, set[str]], calls: set[str]) -> list[str]:
     offenders = []
-    for path, functions in ARRAY_PATH.items():
+    for path, functions in paths.items():
         tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
         defined = set(_scopes(tree))
         assert functions <= defined, f"{path} no longer defines {functions - defined}"
-        offenders += [f"{path}:{call}" for call in id_bounces(tree, functions)]
-    assert offenders == []
+        offenders += [f"{path}:{call}" for call in id_bounces(tree, functions, calls)]
+    return offenders
+
+
+def test_the_loop_never_bounces_through_ids():
+    """Direction 19: ordinals -> node indices -> restart column, and the
+    aggregated term arrays -> top-Z, with no id dict in between."""
+    assert _bounces(ARRAY_PATH, ID_BOUNCES) == []
+
+
+def test_the_rates_stay_one_vector():
+    """Eq. 13's steps and the store's rate check are array expressions over
+    ``AuthorityTransferSchemaGraph.vector``: no per-type ``rate`` lookup, no
+    ``edge_types``/``as_vector`` list, no ``str`` of an edge type."""
+    assert _bounces(RATE_VECTOR_PATH, RATE_BOUNCES) == []
+
+
+def test_the_guard_sees_every_rate_bounce():
+    tree = ast.parse(
+        "class StructureReformulator:\n"
+        "    def flow_factors(self, explanations):\n"
+        "        return dict(zip(types, factors.tolist()))\n"
+        "    def reformulate(self, schema, explanations):\n"
+        "        rates = [schema.rate(t) for t in schema.edge_types()]\n"
+        "        return schema.with_vector(schema.as_vector())\n"
+        "class ScoreStore:\n"
+        "    def matches_rates(self, rates):\n"
+        "        return [str(t) for t in rates.types] == self.edge_types\n"
+        "def elsewhere(schema):\n"
+        "    return schema.as_vector()\n"
+    )
+    functions = set().union(*RATE_VECTOR_PATH.values())
+    assert id_bounces(tree, functions, RATE_BOUNCES) == [
+        "ScoreStore.matches_rates -> str",
+        "StructureReformulator.flow_factors -> dict(zip)",
+        "StructureReformulator.flow_factors -> tolist",
+        "StructureReformulator.reformulate -> as_vector",
+        "StructureReformulator.reformulate -> edge_types",
+        "StructureReformulator.reformulate -> rate",
+    ]
 
 
 def _scopes(tree: ast.AST) -> list[str]:
