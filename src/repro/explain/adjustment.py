@@ -190,17 +190,20 @@ def adjust_flows(
     residuals: list[float] = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        contributions = h[edge_dst_local] * rates
-        new_h = np.zeros(num_local)
-        np.add.at(new_h, edge_src_local, contributions)
-        new_h[target_local] = 1.0
-        residual = float(np.abs(new_h - h).max())
-        residuals.append(residual)
-        h = new_h
-        if residual < tolerance:
-            converged = True
-            break
+    # Rates summing above 1 grow ``h`` past the float range; like the
+    # Python-float loop, numpy must turn that into inf and NaN quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iterations + 1):
+            contributions = h[edge_dst_local] * rates
+            new_h = np.zeros(num_local)
+            np.add.at(new_h, edge_src_local, contributions)
+            new_h[target_local] = 1.0
+            residual = float(np.abs(new_h - h).max())
+            residuals.append(residual)
+            h = new_h
+            if residual < tolerance:
+                converged = True
+                break
     if not converged and raise_on_divergence:
         raise ConvergenceError("explaining flow adjustment", iterations, residuals[-1])
 

@@ -428,41 +428,44 @@ def _iterate_segments(
     h = np.ones(packed.operator.shape[0])
     live = len(active)
     iteration = 0
-    while live and iteration < max_iterations:
-        iteration += 1
-        new_h = packed.operator @ h
-        new_h[packed.target_pos] = 1.0
-        diff = np.abs(new_h - h)
-        seg_residuals = np.maximum.reduceat(diff, packed.node_bounds[:-1])
-        h = new_h
-        finished = False
-        for local, segment in enumerate(active):
-            if segment.converged:
-                continue  # coasting until compaction
-            residual = float(seg_residuals[local])
-            segment.residuals.append(residual)
-            if residual < tolerance:
-                bounds = packed.node_bounds[local : local + 2]
-                segment.h = h[bounds[0] : bounds[1]].copy()
-                segment.iterations = iteration
-                segment.converged = True
-                live -= 1
-                finished = True
-        if (
-            finished
-            and live
-            and _COMPACT_FRACTION * (len(active) - live) >= len(active)
-        ):
-            bounds = packed.node_bounds
-            h = np.concatenate(
-                [
-                    h[bounds[i] : bounds[i + 1]]
-                    for i, s in enumerate(active)
-                    if not s.converged
-                ]
-            )
-            active = [s for s in active if not s.converged]
-            packed = _pack(active)
+    # Rates summing above 1 grow ``h`` past the float range: inf and NaN,
+    # quietly, as in the serial loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live and iteration < max_iterations:
+            iteration += 1
+            new_h = packed.operator @ h
+            new_h[packed.target_pos] = 1.0
+            diff = np.abs(new_h - h)
+            seg_residuals = np.maximum.reduceat(diff, packed.node_bounds[:-1])
+            h = new_h
+            finished = False
+            for local, segment in enumerate(active):
+                if segment.converged:
+                    continue  # coasting until compaction
+                residual = float(seg_residuals[local])
+                segment.residuals.append(residual)
+                if residual < tolerance:
+                    bounds = packed.node_bounds[local : local + 2]
+                    segment.h = h[bounds[0] : bounds[1]].copy()
+                    segment.iterations = iteration
+                    segment.converged = True
+                    live -= 1
+                    finished = True
+            if (
+                finished
+                and live
+                and _COMPACT_FRACTION * (len(active) - live) >= len(active)
+            ):
+                bounds = packed.node_bounds
+                h = np.concatenate(
+                    [
+                        h[bounds[i] : bounds[i + 1]]
+                        for i, s in enumerate(active)
+                        if not s.converged
+                    ]
+                )
+                active = [s for s in active if not s.converged]
+                packed = _pack(active)
 
     for local, segment in enumerate(active):
         if not segment.converged:

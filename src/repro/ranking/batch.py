@@ -7,16 +7,20 @@ the *same* fixpoint
     r = d A r + (1 - d) s                                   (Equation 4 shape)
 
 over the *same* CSR matrix, varying only the restart vector ``s``.  Running
-them one at a time re-streams the matrix once per vector.  This module stacks
-the ``k`` restart vectors into an ``(n, k)`` block ``S`` and iterates
+them one at a time re-streams the matrix once per vector.  This module takes
+the ``k`` base sets (node indices and weights) behind an ``(n, k)`` restart
+block ``S`` and iterates
 
     R <- d · A @ R + (1 - d) · S
 
 so one pass over the matrix advances every column at once (the classic
-blocked fixpoint of topic-sensitive PageRank precomputation).  Columns
+blocked fixpoint of topic-sensitive PageRank precomputation).  ``S`` itself
+is never laid out: its mass sits on the base-set rows, which each chunk packs
+into a row-compacted jump term.  Columns
 converge independently: a converged column's scores are captured at its
-convergence iteration and it leaves the residual check, then coasts in the
-block until the chunk's last column converges.
+convergence iteration, copied out as its own contiguous array, and it leaves
+the residual check, then coasts in the block until the chunk's last column
+converges.
 
 This is a performance change, not an approximation: per column, the blocked
 engine performs bit-for-bit the same floating-point operations in the same
@@ -36,17 +40,20 @@ Columns are processed in cache-sized chunks (``DEFAULT_BLOCK_WIDTH`` = 32),
 one after the other in this process, rather than one giant block: the CSR
 matrix and a ~32-column slab stay resident in cache while a full-vocabulary
 block would stream from DRAM every iteration and lose to the serial loop
-outright.  When a C compiler is
+outright.  Every chunk reuses the same two slabs, so a run holds its
+output plus two ``n × 32`` slabs, however many columns it has.  When a C
+compiler is
 available, each chunk step runs through a width-specialized compiled kernel
 (:mod:`repro.ranking._native`) that keeps the per-row accumulators in
 registers and fuses the residual sums into the matrix pass.
 
-:func:`repro.ranking.core.rank` is the one caller: it runs a block of two or
-more restart columns here and checks ``damping`` and ``max_iterations``
-first.
+:func:`repro.ranking.core.rank` is the one caller: it hands two or more base
+sets here and checks ``damping`` and ``max_iterations`` first.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -63,62 +70,35 @@ from repro.ranking.pagerank import (
 class BatchedPowerIterationResult:
     """Per-column outcomes of one blocked power-iteration run.
 
-    ``scores`` is ``(n, k)`` — column ``j`` is the fixpoint of restart column
-    ``j``.  ``iterations``/``converged`` are per-column, matching what the
+    ``columns[j]`` is the fixpoint of base set ``j``, one contiguous ``(n,)``
+    array handed out when its chunk ended (no chunk slab outlives its
+    chunk).  ``iterations``/``converged`` are per-column, matching what the
     serial engine would have reported for that restart vector alone.
-
-    After a chunked run the scores live in per-chunk slabs; :meth:`column`
-    serves a column straight from its owning chunk (one copy) and the full
-    ``(n, k)`` matrix is only assembled — once, lazily — if ``scores`` is
-    actually read.  :func:`repro.ranking.core.rank`, which fans the block
-    back out into per-column results, never pays for the big scatter.
     """
 
     def __init__(
         self,
-        scores: np.ndarray | None,
+        columns: list[np.ndarray],
         iterations: np.ndarray,
         converged: np.ndarray,
         residuals: list[list[float]],
-        *,
-        parts: list[tuple[int, np.ndarray]] | None = None,
-        num_rows: int = 0,
     ) -> None:
+        self.columns = columns
         self.iterations = iterations
         self.converged = converged
         self.residuals = residuals
-        self._scores = scores
-        self._parts = parts  # [(first column id, (n, chunk) scores)]
-        self._num_rows = int(scores.shape[0]) if scores is not None else num_rows
-
-    @property
-    def scores(self) -> np.ndarray:
-        if self._scores is None:
-            assembled = np.empty((self._num_rows, len(self.iterations)))
-            for first, part in self._parts or []:
-                assembled[:, first : first + part.shape[1]] = part
-            self._scores = assembled
-        return self._scores
 
     @property
     def num_columns(self) -> int:
         return len(self.iterations)
 
     def column(self, j: int) -> PowerIterationResult:
-        """Column ``j`` repackaged as a serial-engine result."""
-        scores = None
-        if self._scores is None and self._parts is not None:
-            for first, part in self._parts:
-                if first <= j < first + part.shape[1]:
-                    scores = np.ascontiguousarray(part[:, j - first])
-                    break
-        if scores is None:
-            scores = np.ascontiguousarray(self.scores[:, j])
+        """Column ``j`` as a serial-engine result (its scores, not a copy)."""
         return PowerIterationResult(
-            scores=scores,
+            scores=self.columns[j],
             iterations=int(self.iterations[j]),
             converged=bool(self.converged[j]),
-            residuals=list(self.residuals[j]) if self.residuals else [],
+            residuals=list(self.residuals[j]),
         )
 
 
@@ -153,19 +133,21 @@ def _padded_width(k: int) -> int:
     return k
 
 
-def _iterate_block(
+def _iterate_chunk(
     matrix: sparse.csr_matrix,
-    restarts: np.ndarray,
-    scores: np.ndarray | None,
+    bases: list[tuple[np.ndarray, np.ndarray]],
+    width: int,
+    slabs: tuple[np.ndarray, np.ndarray],
+    init: np.ndarray | None,
     damping: float,
     tolerance: float,
     max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
-    """Run the blocked fixpoint on one ``(n, k)`` block.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[list[float]]]:
+    """Run the blocked fixpoint on one chunk of base sets, ``width`` wide.
 
-    ``scores`` may be ``None`` for the default uniform ``1/n`` start — the
-    chunk fills its own slab instead of the caller materializing a
-    full-width init.
+    The chunk's block and the kernel's output ping-pong between the two
+    flat ``slabs``, shared by every chunk of the run.  ``init`` may be
+    ``None`` for the default uniform ``1/n`` start.
     Residuals for all columns come fused out of the kernel's matrix
     pass (or from one vectorized ``|new - old|`` pass on the scipy
     fallback); a live column whose fast residual lands inside
@@ -173,49 +155,40 @@ def _iterate_block(
     copy — the serial engine's pairwise summation — so iteration counts
     match serial bit-for-bit.
 
-    A converged column's scores are captured into ``out`` at its
+    A converged column's scores are copied out, contiguous, at its
     convergence iteration; the column then *coasts* in the block (its values
     keep refining harmlessly, out of the residual check) until the last
     column converges.  The block keeps its width: narrowing it as columns
     finish measured no faster (DESIGN §5).
     """
-    n, k = restarts.shape
-    requested = k
-    padded = _padded_width(k) if _native.available() else k
-    if padded != k:
-        # Pad with copies of column 0 so the extra columns trace exactly the
-        # same (already-sparse) iteration sequence as a real column instead
-        # of adding new jump rows or a slow-converging straggler.
-        extra = padded - k
-        restarts = np.concatenate(
-            [restarts, np.repeat(restarts[:, :1], extra, axis=1)], axis=1
-        )
-        if scores is not None:
-            scores = np.concatenate(
-                [scores, np.repeat(scores[:, :1], extra, axis=1)], axis=1
-            )
-        k = padded
+    n = matrix.shape[0]
+    k = len(bases)
+    # Pad with copies of base set 0 so the extra columns trace exactly the
+    # same (already-sparse) iteration sequence as a real column instead of
+    # adding new jump rows or a slow-converging straggler.
+    bases = bases + bases[:1] * (width - k)
 
-    jump = (1.0 - damping) * restarts
-    out = np.empty((n, k), dtype=np.float64)
-    iterations = np.full(k, max_iterations, dtype=np.int64)
-    converged = np.zeros(k, dtype=bool)
+    # Restart mass sits on a few base-set rows; the kernel takes the jump
+    # term row-compacted, built straight from the base sets, so no dense
+    # restart slab exists.
+    jump_rows = np.unique(np.concatenate([nodes for nodes, _ in bases]))
+    jump_rows = jump_rows.astype(np.int32)
+    packed_jump = np.zeros((jump_rows.size, width))
+    for col, (nodes, weights) in enumerate(bases):
+        packed_jump[np.searchsorted(jump_rows, nodes), col] = (1.0 - damping) * weights
+
+    columns: list = [None] * k
+    iterations = np.full(width, max_iterations, dtype=np.int64)
+    converged = np.zeros(width, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
 
-    live = np.ones(k, dtype=bool)  # not yet converged
-    block = np.empty((n, k))
-    if scores is None:
+    live = np.ones(width, dtype=bool)  # not yet converged
+    block, spare = (slab[: n * width].reshape(n, width) for slab in slabs)
+    if init is None:
         block.fill(1.0 / n if n else 0.0)
     else:
-        block[:] = scores
-    # Restart mass sits on a few base-set rows; the kernel takes the jump
-    # term row-compacted so the mostly-zero dense slab is never streamed.
-    jump_rows = np.flatnonzero(restarts.any(axis=1)).astype(np.int32)
-    packed_jump = np.ascontiguousarray(jump[jump_rows])
-    # Kernel result buffers, ping-ponged with `block`: a fresh multi-MB
-    # allocation per step costs more in page faults than the step itself.
-    spare: np.ndarray | None = None  # the kernel allocates it on step one
-    resid_buf = np.empty(k)
+        block[:] = init[:, None]
+    resid_buf = np.empty(width)
     # Per-iteration (live mask, residuals); the per-column trace lists are
     # filled from this after the loop so the hot path stays vectorized
     # instead of appending k python floats per iteration.
@@ -229,44 +202,57 @@ def _iterate_block(
         )
         if step is not None:
             new_block, fast_residuals = step
-            spare = block  # recycled as the next step's output buffer
         else:  # no compiled kernel: same score ops through scipy
-            new_block = matrix @ block
+            new_block = spare
+            np.copyto(new_block, matrix @ block)  # kept in the slab, not a new block
             new_block *= damping
-            new_block += jump
+            new_block[jump_rows] += packed_jump
             delta = new_block - block
             np.abs(delta, out=delta)
             fast_residuals = delta.sum(axis=0)
+        spare = block  # recycled as the next step's output buffer
         res = fast_residuals.copy()  # resid_buf is recycled next step
         near = np.abs(res - tolerance) <= _EXACT_CHECK_BAND * (res + tolerance)
         for col in np.flatnonzero(near & live):
             res[col] = np.abs(new_block[:, col] - block[:, col]).sum()
         trace.append((live.copy(), res))
         newly = np.flatnonzero(live & (res < tolerance))
-        if newly.size:
-            out[:, newly] = new_block[:, newly]
-            live[newly] = False
-            iterations[newly] = iteration
-            converged[newly] = True
+        for col in newly[newly < k]:
+            columns[col] = new_block[:, col].copy()
+        live[newly] = False
+        iterations[newly] = iteration
+        converged[newly] = True
         block = new_block
 
-    out[:, live] = block[:, live]
+    for col in np.flatnonzero(live[:k]):
+        columns[col] = block[:, col].copy()
     for live_mask, res in trace:
-        for col in np.flatnonzero(live_mask):
+        for col in np.flatnonzero(live_mask[:k]):
             residuals[col].append(float(res[col]))
-    if k != requested:
-        return (
-            out[:, :requested],
-            iterations[:requested],
-            converged[:requested],
-            residuals[:requested],
+    return columns, iterations[:k], converged[:k], residuals
+
+
+def _base_set(nodes, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One base set as ``(node indices, float64 weights)``, its zero
+    weights left out: a row carries jump mass only where a weight does."""
+    nodes = np.asarray(nodes)
+    weights = np.asarray(weights, dtype=np.float64)
+    if nodes.ndim != 1 or nodes.shape != weights.shape:
+        raise ValueError(
+            f"a base set is two aligned 1-D arrays, got shapes "
+            f"{nodes.shape} and {weights.shape}"
         )
-    return out, iterations, converged, residuals
+    if nodes.size and (nodes.dtype.kind not in "iu" or nodes.min() < 0 or nodes.max() >= n):
+        raise ValueError(f"base-set node indices must be integers in [0, {n})")
+    listed = weights != 0
+    if not listed.all():
+        nodes, weights = nodes[listed], weights[listed]
+    return nodes, weights
 
 
 def batched_power_iteration(
     matrix: sparse.spmatrix,
-    restarts: np.ndarray,
+    bases: Sequence[tuple[np.ndarray, np.ndarray]],
     damping: float = DEFAULT_DAMPING,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
@@ -274,77 +260,56 @@ def batched_power_iteration(
 ) -> BatchedPowerIterationResult:
     """Iterate ``R <- d A R + (1 - d) S`` with per-column convergence.
 
-    ``restarts`` is ``(n, k)`` — one restart distribution per column.
+    ``bases`` holds one base set per column: ``(nodes, weights)``, node
+    indices (each listed once) and the restart weights on them.  Column
+    ``j`` of ``S`` is base set ``j``'s weights on its nodes and zero
+    elsewhere; it is never laid out.
     ``init`` is one ``(n,)`` start broadcast to every column; the default
     is the serial engine's uniform ``1/n`` start.
     Columns are processed in chunks of :data:`DEFAULT_BLOCK_WIDTH` so the
-    matrix and the working slab stay cache-resident; a converged column
-    coasts in its chunk until the chunk's last column converges.
+    matrix and the working slab stay cache-resident; every chunk reuses the
+    same two slabs, and a converged column coasts in its chunk until the
+    chunk's last column converges.
 
     Each column's scores and iteration count are identical to a serial
     :func:`~repro.ranking.pagerank.iterate` run with the same
     restart column and init; the residual trace matches to ``O(n·eps)``
     relative (see :data:`_EXACT_CHECK_BAND`).
     """
-    restarts = np.asarray(restarts, dtype=np.float64)
-    if restarts.ndim != 2:
-        raise ValueError(f"restarts must be (n, k), got shape {restarts.shape}")
-    n, k = restarts.shape
-    if matrix.shape[0] != n:
-        raise ValueError(
-            f"matrix has {matrix.shape[0]} rows, restart block has {n}"
-        )
     matrix = matrix.tocsr()
-
-    if init is None:
-        scores = None  # each chunk fills its own uniform 1/n slab
-    else:
+    n = matrix.shape[0]
+    bases = [_base_set(nodes, weights, n) for nodes, weights in bases]
+    if init is not None:
         init = np.asarray(init, dtype=np.float64)
         if init.shape != (n,):
             raise ValueError(f"init has shape {init.shape}, expected ({n},)")
-        scores = np.repeat(init[:, None], k, axis=1)
-
-    if k == 0:
-        return BatchedPowerIterationResult(
-            scores=np.empty((n, 0)),
-            iterations=np.zeros(0, dtype=np.int64),
-            converged=np.zeros(0, dtype=bool),
-            residuals=[],
-        )
-
-    chunks = _column_chunks(k)
-    if len(chunks) == 1:
-        out, iterations, converged, residuals = _iterate_block(
-            matrix, restarts, scores, damping, tolerance, max_iterations
-        )
-        return BatchedPowerIterationResult(out, iterations, converged, residuals)
 
     # Column independence makes any chunking exact: each chunk runs its own
     # blocked iteration, one after the other.
-    iterations = np.empty(k, dtype=np.int64)
-    converged = np.empty(k, dtype=bool)
-    residuals: list[list[float]] = [[] for _ in range(k)]
-    score_parts: list[tuple[int, np.ndarray]] = []
-    for columns in chunks:
-        part_scores, part_iters, part_conv, part_res = _iterate_block(
-            matrix,
-            np.ascontiguousarray(restarts[:, columns]),
-            None if scores is None else np.ascontiguousarray(scores[:, columns]),
-            damping,
-            tolerance,
-            max_iterations,
+    chunks = _column_chunks(len(bases))
+    kernel = _native.available()
+    widths = [_padded_width(len(chunk)) if kernel else len(chunk) for chunk in chunks]
+    # The block and the kernel's result buffer, ping-ponged by every chunk: a
+    # fresh multi-MB allocation per step (or per chunk) costs more in page
+    # faults than the step itself, and it would hold a second slab per chunk.
+    capacity = n * max(widths, default=0)
+    slabs = (np.empty(capacity), np.empty(capacity))
+    columns: list[np.ndarray] = []
+    iterations = [np.zeros(0, dtype=np.int64)]
+    converged = [np.zeros(0, dtype=bool)]
+    residuals: list[list[float]] = []
+    for chunk, width in zip(chunks, widths):
+        part = _iterate_chunk(
+            matrix, [bases[j] for j in chunk], width, slabs,
+            init, damping, tolerance, max_iterations,
         )
-        iterations[columns] = part_iters
-        converged[columns] = part_conv
-        for local, col in enumerate(columns):
-            residuals[col] = part_res[local]
-        score_parts.append((int(columns[0]), part_scores))
-    # Chunk scores stay in their slabs; the (n, k) matrix assembles lazily.
+        columns += part[0]
+        iterations.append(part[1])
+        converged.append(part[2])
+        residuals += part[3]
     return BatchedPowerIterationResult(
-        None, iterations, converged, residuals, parts=score_parts, num_rows=n
+        columns, np.concatenate(iterations), np.concatenate(converged), residuals
     )
-
-
 def _column_chunks(k: int) -> list[np.ndarray]:
     """Split ``k`` column indices into cache-sized contiguous chunks.
 

@@ -1,26 +1,26 @@
-"""One ranking core: a restart block, a stop rule and one ``rank`` call.
+"""One ranking core: restarts, a stop rule and one ``rank`` call.
 
 Section 3 of the paper: ObjectRank [BHP04], global ObjectRank and ObjectRank2
 all compute the Equation 4 fixpoint ``r = d A r + (1 - d) s`` and differ only
 in the base-set vector ``s``.  So every variant here is two steps:
 
-1. a **restart builder** lays out ``s`` for one or more base sets as an
-   ``(n, k)`` block, together with each column's base weights, both read off
-   one accumulation — :func:`uniform_restarts` (0/1 base sets, one per
-   keyword for the precompute), :func:`weighted_restarts` (IR-weighted base
-   sets, :func:`repro.ranking.objectrank2.weighted_base_set`, laid out from
-   node-index arrays) and
-   :func:`global_restarts` (every node);
-2. :func:`rank` iterates the block under a stop rule — a value,
+1. a **restart builder** gives ``s`` for one or more base sets as each
+   base set's node indices and weights (:class:`Restarts`), never as a
+   dense block — :func:`uniform_restarts` (0/1 base sets, one per keyword
+   for the precompute), :func:`weighted_restarts` (IR-weighted base sets,
+   :func:`repro.ranking.objectrank2.weighted_base_set`, over node-index
+   arrays) and :func:`global_restarts` (every node);
+2. :func:`rank` iterates every restart column under a stop rule — a value,
    :class:`~repro.ranking.pagerank.Tolerance` or
    :class:`~repro.ranking.topk.TopKStable` — and is the one place a
    :class:`RankedResult` is assembled.
 
-``rank`` picks the loop from the block's width, which it can see: one column
-runs the single-vector loop (:func:`repro.ranking.pagerank.iterate`) on the
-live operator, or on the gathered rows of a ``support`` for the two-stage
-rerank; more columns run the blocked engine
-(:func:`repro.ranking.batch.batched_power_iteration`).  Per column both give
+``rank`` picks the loop from the number of base sets, which it can see: one
+runs the single-vector loop (:func:`repro.ranking.pagerank.iterate`) on its
+one dense restart column over the live operator, or on the gathered rows of
+a ``support`` for the two-stage rerank; more go, as base sets, to the
+blocked engine (:func:`repro.ranking.batch.batched_power_iteration`), which
+lays out no restart block.  Per column both give
 the same scores, iteration counts and convergence flags; only the recorded
 residual traces of the blocked engine are summed in another order (a few
 ulps, :mod:`repro.ranking.batch`).
@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import EmptyBaseSetError, ParameterError
-from repro.graph.node_values import NodeValueView, first_occurrences
+from repro.graph.node_values import NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ranking.batch import batched_power_iteration
 from repro.ranking.convergence import RankedResult
@@ -51,10 +51,8 @@ from repro.ranking.topk import TopKStable
 
 
 class Restarts(NamedTuple):
-    """An ``(n, k)`` restart block and each column's base set."""
+    """Each restart column's base set; the ``(n, k)`` block is never laid out."""
 
-    #: Column ``j`` is the restart distribution ``s`` of base set ``j``.
-    block: np.ndarray
     #: Column ``j``'s non-zero entries, in base-set order: its node indices
     #: and weights (``nodes``, ``values_array``) seen as node id -> weight.
     base_weights: list[NodeValueView]
@@ -65,26 +63,23 @@ def uniform_restarts(
 ) -> Restarts:
     """One uniform (0/1, normalized) restart column per set of node ids.
 
-    A node id listed twice accumulates twice the weight (``np.add.at``, not
-    fancy assignment, which would keep one), and its base weight is read
-    back from the same column, so the weights always sum to one.  An empty
-    id set raises :class:`~repro.errors.EmptyBaseSetError`.
+    A node id listed twice accumulates twice the weight (as ``np.add.at``
+    would into a dense column, not fancy assignment, which would keep one)
+    and keeps its first position, so the weights always sum to one.  An
+    empty id set raises :class:`~repro.errors.EmptyBaseSetError`.
     """
-    # Built transposed (one contiguous row per column) so each write is a
-    # contiguous fill; the blocked engine's per-chunk column slices then read
-    # contiguous rows of this F-ordered view.
-    transposed = np.zeros((len(id_sets), graph.num_nodes))
     base_weights = []
-    for row, ids in zip(transposed, id_sets):
+    for ids in id_sets:
         if not ids:
             raise EmptyBaseSetError(())
         indices = graph.indices_of(ids)
-        np.add.at(row, indices, 1.0)
-        row /= row.sum()
-        # A repeated id keeps its first position and its (one) column value.
-        nodes = first_occurrences(indices)
-        base_weights.append(NodeValueView(nodes, row[nodes], graph.node_ids))
-    return Restarts(transposed.T, base_weights)
+        nodes, first, counts = np.unique(indices, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        # Each weight is its count over the id total, the exact (integer)
+        # sum a dense column of counts would have been divided by.
+        weights = counts[order] / len(indices)
+        base_weights.append(NodeValueView(nodes[order], weights, graph.node_ids))
+    return Restarts(base_weights)
 
 
 def weighted_restarts(
@@ -95,13 +90,11 @@ def weighted_restarts(
     with the graph, or :meth:`~AuthorityTransferDataGraph.base_set` of a
     node id -> weight mapping).
 
-    Each column is its base set's weights scattered to its node indices,
-    and the base sets are the base weights.  An empty base set raises
+    The base sets are the restarts, as they are.  An empty base set raises
     :class:`~repro.errors.EmptyBaseSetError`; one over another graph's
     nodes (or over index ordinals) a :class:`~repro.errors.ParameterError`.
     """
-    transposed = np.zeros((len(bases), graph.num_nodes))
-    for row, base in zip(transposed, bases):
+    for base in bases:
         if not base:
             raise EmptyBaseSetError(())
         if base.ids is not graph.node_ids:
@@ -109,9 +102,7 @@ def weighted_restarts(
                 "a base set must be over this graph's node indices "
                 "(weighted_base_set with the graph, or graph.base_set)"
             )
-        # A base set lists each node once: plain assignment is exact.
-        row[base.nodes] = base.values_array
-    return Restarts(transposed.T, list(bases))
+    return Restarts(list(bases))
 
 
 def global_restarts(graph: AuthorityTransferDataGraph) -> Restarts:
@@ -149,10 +140,10 @@ def rank(
     """
     check_damping(damping)
     check_max_iterations(max_iterations)
-    block = restarts.block
-    k = block.shape[1]
+    bases = restarts.base_weights
+    k = len(bases)
     if k == 1:
-        restart = block[:, 0]
+        restart = graph.restart_vector(bases[0])
         if support is None:
             operator = live_operator(graph)
         else:
@@ -173,7 +164,12 @@ def rank(
         return []
     else:
         batch = batched_power_iteration(
-            graph.matrix(), block, damping, stop.tolerance, max_iterations, init
+            graph.matrix(),
+            [(base.nodes, base.values_array) for base in bases],
+            damping,
+            stop.tolerance,
+            max_iterations,
+            init,
         )
         outcomes = [batch.column(j) for j in range(k)]
     return [
@@ -185,6 +181,6 @@ def rank(
             base_weights=weights,
             residuals=outcome.residuals,
         )
-        for outcome, weights in zip(outcomes, restarts.base_weights)
+        for outcome, weights in zip(outcomes, bases)
     ]
 

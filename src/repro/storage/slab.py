@@ -41,6 +41,7 @@ import re
 import struct
 import tempfile
 import zlib
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,20 +67,59 @@ def _align(offset: int) -> int:
     return (offset + SECTION_ALIGNMENT - 1) & ~(SECTION_ALIGNMENT - 1)
 
 
-def write_slab(path: str | os.PathLike, arrays: dict[str, np.ndarray],
+class Rows(NamedTuple):
+    """A section given as its rows: equal-shape arrays stacked along a new
+    first axis on disk, written one after another.  The stacked array is
+    never assembled, so writing a section costs no copy of it."""
+
+    rows: Sequence[np.ndarray]
+    row_shape: tuple[int, ...]
+    dtype: np.dtype = np.dtype(np.float64)
+
+
+def _pieces(section: np.ndarray | Rows) -> Iterator[np.ndarray]:
+    """The flat byte views whose concatenation is the section's payload."""
+    if not isinstance(section, Rows):
+        yield section.reshape(-1).view(np.uint8)
+        return
+    for row in section.rows:
+        row = np.ascontiguousarray(row, dtype=section.dtype)
+        if row.shape != tuple(section.row_shape):
+            raise ValueError(f"a row of shape {row.shape}, expected {section.row_shape}")
+        yield row.reshape(-1).view(np.uint8)
+
+
+def write_slab(path: str | os.PathLike, arrays: dict[str, np.ndarray | Rows],
                meta: dict | None = None, fsync: bool = True) -> int:
     """Write ``arrays`` + ``meta`` as one slab file; returns the byte size.
 
-    Arrays are stored C-contiguous (converted if needed).  The write is
-    crash-safe: the data goes to a temp file in the target directory, is
-    fsynced, and only then renamed over ``path`` (followed by a directory
-    fsync), so readers either see the complete file or the previous one.
+    Arrays are stored C-contiguous (converted if needed); a :class:`Rows`
+    section is written row by row.  Each section's crc32 is one pass over
+    its own buffer (chained across rows), and the buffer itself is what is
+    written: no section is copied.  The write is crash-safe: the data goes
+    to a temp file in the target directory, is fsynced, and only then
+    renamed over ``path`` (followed by a directory fsync), so readers
+    either see the complete file or the previous one.
     """
-    prepared: list[tuple[str, np.ndarray]] = []
+    prepared: list[tuple[str, np.ndarray | Rows, dict]] = []
     for name, array in arrays.items():
         if not isinstance(name, str) or not name:
             raise ValueError(f"section names must be non-empty strings, got {name!r}")
-        prepared.append((name, np.ascontiguousarray(array)))
+        if isinstance(array, Rows):
+            dtype = np.dtype(array.dtype)
+            shape = [len(array.rows), *map(int, array.row_shape)]
+        else:
+            array = np.ascontiguousarray(array)
+            dtype, shape = array.dtype, list(array.shape)
+        crc = 0
+        for piece in _pieces(array):
+            crc = zlib.crc32(piece, crc)
+        prepared.append((name, array, {
+            "nbytes": math.prod(shape) * dtype.itemsize,
+            "dtype": dtype.str,
+            "shape": shape,
+            "crc32": crc & 0xFFFFFFFF,
+        }))
 
     sections = []
     # Header length depends on the JSON, whose offsets depend on the header
@@ -89,17 +129,10 @@ def write_slab(path: str | os.PathLike, arrays: dict[str, np.ndarray],
     for _pass in range(4):
         sections = []
         offset = payload_base
-        for name, array in prepared:
+        for name, _array, entry in prepared:
             offset = _align(offset)
-            sections.append({
-                "name": name,
-                "offset": offset,
-                "nbytes": int(array.nbytes),
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "crc32": zlib.crc32(array.tobytes()) & 0xFFFFFFFF,
-            })
-            offset += array.nbytes
+            sections.append({"name": name, "offset": offset, **entry})
+            offset += entry["nbytes"]
         header = json.dumps(
             {"sections": sections, "meta": meta or {}}, sort_keys=True
         ).encode("utf-8")
@@ -118,9 +151,10 @@ def write_slab(path: str | os.PathLike, arrays: dict[str, np.ndarray],
                 zlib.crc32(header) & 0xFFFFFFFF, 0,
             ))
             handle.write(header)
-            for section, (_name, array) in zip(sections, prepared):
+            for section, (_name, array, _entry) in zip(sections, prepared):
                 handle.seek(section["offset"])
-                handle.write(array.tobytes())
+                for piece in _pieces(array):
+                    handle.write(piece)
             handle.truncate(total)
             handle.flush()
             if fsync:
@@ -160,6 +194,17 @@ class SlabFile:
                 self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError) as error:
             raise SlabFormatError(f"cannot map {self.path!r}: {error}") from None
+        try:
+            self._read_header()
+            if verify:
+                self.verify()
+        except SlabFormatError:
+            self.close()  # a refused slab leaves no mapping behind
+            raise
+
+    def _read_header(self) -> None:
+        """Parse the fixed header and the header JSON, and check every
+        section entry against the file; raises :class:`SlabFormatError`."""
         size = len(self._mmap)
         if size < _FIXED_HEADER.size:
             raise SlabFormatError(f"{self.path!r}: truncated fixed header")
@@ -174,9 +219,7 @@ class SlabFile:
             )
         if _FIXED_HEADER.size + header_len > size:
             raise SlabFormatError(f"{self.path!r}: truncated header JSON")
-        raw_header = bytes(
-            self._mmap[_FIXED_HEADER.size : _FIXED_HEADER.size + header_len]
-        )
+        raw_header = self._mmap[_FIXED_HEADER.size : _FIXED_HEADER.size + header_len]
         if zlib.crc32(raw_header) & 0xFFFFFFFF != header_crc:
             raise SlabFormatError(f"{self.path!r}: header checksum mismatch")
         try:
@@ -194,8 +237,6 @@ class SlabFile:
             name: self._checked(name, section, size)
             for name, section in self._sections.items()
         }
-        if verify:
-            self.verify()
 
     def _checked(self, name, section: dict, size: int) -> tuple[np.dtype, int]:
         """``section``'s dtype and element count, once every field of its
@@ -250,16 +291,23 @@ class SlabFile:
         return view
 
     def verify(self) -> None:
-        """Recompute every section checksum; raises on any mismatch."""
-        for section in self._sections.values():
-            start, end = section["offset"], section["offset"] + section["nbytes"]
-            actual = zlib.crc32(self._mmap[start:end]) & 0xFFFFFFFF
-            if actual != section["crc32"]:
-                raise SlabFormatError(
-                    f"{self.path!r}: checksum mismatch in section "
-                    f"{section['name']!r} (stored {section['crc32']:#010x}, "
-                    f"actual {actual:#010x})"
-                )
+        """Recompute every section checksum; raises on any mismatch.
+
+        Each checksum reads the mapped pages through a memoryview (slicing
+        the mapping itself would copy the section); every view is released
+        before this returns or raises, so :meth:`close` can unmap.
+        """
+        with memoryview(self._mmap) as mapped:
+            for section in self._sections.values():
+                start, end = section["offset"], section["offset"] + section["nbytes"]
+                with mapped[start:end] as payload:
+                    actual = zlib.crc32(payload) & 0xFFFFFFFF
+                if actual != section["crc32"]:
+                    raise SlabFormatError(
+                        f"{self.path!r}: checksum mismatch in section "
+                        f"{section['name']!r} (stored {section['crc32']:#010x}, "
+                        f"actual {actual:#010x})"
+                    )
 
     def close(self) -> None:
         """Best-effort unmap; a no-op while exported views are alive."""

@@ -26,8 +26,10 @@ Sections (``KIND = "repro-score-store"`` in the slab meta):
 
 The meta object carries ``dataset``, ``generation``, ``damping``,
 ``edge_types`` (canonical ``str(EdgeType)`` names matching ``rates``) and
-``build_iterations``.  Scores are assembled into one ``(num_keywords,
-num_nodes)`` array before the write.
+``build_iterations``.  The scores section is streamed from the provider's
+per-keyword vectors (:class:`repro.storage.slab.Rows`, a chained crc32 then
+one write per row), so the publisher never assembles the ``(num_keywords,
+num_nodes)`` array: writing a store costs no second copy of it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from repro.errors import StoreError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.ranking.precompute import PrecomputedRanker
-from repro.storage.slab import SlabFile, SlabFormatError, write_slab
+from repro.storage.slab import Rows, SlabFile, SlabFormatError, write_slab
 
 KIND = "repro-score-store"
 
@@ -56,14 +58,15 @@ def _pack_strings(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
     """The strings :func:`_pack_strings` packed; ``ValueError`` unless
     ``offsets`` start at 0, never decrease and end at the blob's length,
-    and every slice decodes as UTF-8."""
-    raw = blob.tobytes()
+    and every slice decodes as UTF-8.  Each string is decoded straight from
+    the (mapped) blob; the blob is not copied."""
     bounds = offsets.tolist()
-    if not bounds or bounds[0] != 0 or bounds[-1] != len(raw):
-        raise ValueError(f"offsets do not span the {len(raw)}-byte blob")
+    if not bounds or bounds[0] != 0 or bounds[-1] != len(blob):
+        raise ValueError(f"offsets do not span the {len(blob)}-byte blob")
     if any(start > end for start, end in zip(bounds, bounds[1:])):
         raise ValueError("offsets decrease")
-    return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
+    with memoryview(blob) as raw:
+        return [str(raw[start:end], "utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
 def write_score_store(
@@ -77,17 +80,14 @@ def write_score_store(
 
     The exported vectors, idf weights and rate vector are byte-exact copies
     of the ranker's in-memory state, so ``PrecomputedRanker.over`` the mapped
-    store answers bit-identically to the ranker itself.  Returns the file
-    size.
+    store answers bit-identically to the ranker itself.  The vectors are
+    written row by row from the ranker's own arrays.  Returns the file size.
     """
     source = ranker.source
     keywords = source.keywords
     num_nodes = len(source.node_ids)
-    scores = np.empty((len(keywords), num_nodes))
-    idf = np.empty(len(keywords))
-    for row, keyword in enumerate(keywords):
-        scores[row] = source.vector(keyword)
-        idf[row] = source.idf_of(keyword)
+    scores = Rows([source.vector(keyword) for keyword in keywords], (num_nodes,))
+    idf = np.array([source.idf_of(keyword) for keyword in keywords], dtype=np.float64)
     keyword_blob, keyword_offsets = _pack_strings(keywords)
     node_blob, node_offsets = _pack_strings(list(source.node_ids))
     snapshot = source.rates_snapshot

@@ -451,16 +451,19 @@ class TestZeroRateSlots:
                         graph, restarts, Tolerance(tolerance), max_iterations=60, init=init
                     )
                     if k == 1:  # the live path: SELL with the kernel, CSR without
-                        assert_same_run(ranked[0], reference(restarts.block[:, 0]))
+                        (base,) = restarts.base_weights
+                        assert_same_run(ranked[0], reference(graph.restart_vector(base)))
                         continue
                     # The blocked engine sums its residuals in another order
                     # than the serial loop: they match its own run over the
                     # coordinate form.
                     batch = batched_power_iteration(
-                        full, restarts.block, 0.85, tolerance, 60, init
+                        full,
+                        [(b.nodes, b.values_array) for b in restarts.base_weights],
+                        0.85, tolerance, 60, init,
                     )
                     for j, result in enumerate(ranked):
-                        theirs = reference(restarts.block[:, j])
+                        theirs = reference(graph.restart_vector(restarts.base_weights[j]))
                         assert same_bits(result.scores, theirs.scores)
                         assert result.iterations == theirs.iterations
                         assert result.converged == theirs.converged
@@ -473,7 +476,7 @@ class TestZeroRateSlots:
                 iterations = 0
                 for keyword in ranker.keywords:
                     restart = uniform_restarts(graph, [index.documents_with_term(keyword)])
-                    theirs = reference(restart.block[:, 0], None)
+                    theirs = reference(graph.restart_vector(*restart.base_weights), None)
                     assert same_bits(ranker.vector(keyword), theirs.scores)
                     iterations += theirs.iterations
                 assert ranker.keywords and ranker.build_iterations == iterations
@@ -492,7 +495,8 @@ class TestZeroRateSlots:
         init[column] = np.inf
         restarts = uniform_restarts(graph, [["v1"]])
         theirs = reference_power_iteration(
-            full.tocsr(), restarts.block[:, 0], max_iterations=1, init=init
+            full.tocsr(), graph.restart_vector(*restarts.base_weights),
+            max_iterations=1, init=init,
         )
         assert np.isnan(theirs.scores[row])
         for mode in _kernel_modes():
@@ -502,7 +506,8 @@ class TestZeroRateSlots:
             assert_same_run(
                 mine,
                 reference_power_iteration(
-                    stored, restarts.block[:, 0], max_iterations=1, init=init
+                    stored, graph.restart_vector(*restarts.base_weights),
+                    max_iterations=1, init=init,
                 ),
             )
 

@@ -93,7 +93,8 @@ def assert_base_set_and_restart(graph, scorer, vector) -> None:
     base = weighted_base_set(scorer, vector, graph)
     assert _items_same(base, expected)
     restart = reference_restart_vector(graph, expected)
-    assert same_bits(weighted_restarts(graph, [base]).block[:, 0], restart)
+    (weighted,) = weighted_restarts(graph, [base]).base_weights
+    assert same_bits(graph.restart_vector(weighted), restart)
     ranked = objectrank2(graph, scorer, vector)
     reference = reference_power_iteration(graph.matrix(), restart)
     assert same_bits(ranked.scores, reference.scores)

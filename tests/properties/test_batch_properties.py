@@ -20,7 +20,11 @@ from repro.ranking.batch import batched_power_iteration
 from tests.graph.test_transfer_graph import _kernel_modes
 from tests.properties.strategies import dblp_transfer_graphs
 from tests.properties.test_explain_batch_properties import same_bits
-from tests.ranking.reference import objectrank, reference_power_iteration
+from tests.ranking.reference import (
+    column_base_sets,
+    objectrank,
+    reference_power_iteration,
+)
 
 
 @st.composite
@@ -48,7 +52,7 @@ def graphs_with_restart_blocks(draw):
 def test_blocked_matches_serial_column_by_column(graph_and_block):
     atdg, restarts = graph_and_block
     matrix = atdg.matrix()
-    batch = batched_power_iteration(matrix, restarts, tolerance=1e-8)
+    batch = batched_power_iteration(matrix, column_base_sets(restarts), tolerance=1e-8)
     for j in range(restarts.shape[1]):
         serial = reference_power_iteration(matrix, restarts[:, j], tolerance=1e-8)
         column = batch.column(j)
@@ -117,7 +121,7 @@ def test_every_block_width_moves_no_bit(case):
     for mode in _kernel_modes():
         with mode:
             batch = batched_power_iteration(
-                matrix, restarts, tolerance=1e-8, init=init
+                matrix, column_base_sets(restarts), tolerance=1e-8, init=init
             )
         for j, expected in enumerate(serial):
             column = batch.column(j)

@@ -168,7 +168,7 @@ def test_a_repeated_node_keeps_every_occurrences_restart_mass(step, graph, picks
         ids += index.documents_with_term(vocabulary[keyword % len(vocabulary)])
     shares = {node: count / len(ids) for node, count in Counter(ids).items()}
     restarts = uniform_restarts(graph, [ids])
-    assert same_bits(restarts.block[:, 0], graph.restart_vector(shares))
+    assert same_bits(graph.restart_vector(*restarts.base_weights), graph.restart_vector(shares))
     assert list(restarts.base_weights[0].items()) == list(shares.items())
     (listed,) = rank(graph, restarts, Tolerance(1e-12))
     merged_restarts = weighted_restarts(graph, [graph.base_set(shares)])

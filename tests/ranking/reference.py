@@ -10,8 +10,10 @@ operator and the shared loop can be checked ``==`` against them
 the degenerate two-stage configuration, every document of ``S(Q)`` a
 candidate — is kept here as the function the two-stage engine must
 collapse onto, and uniform-base-set ObjectRank as the ranking the
-explanation and reformulation properties start from.  Nothing in ``src``
-calls these.
+explanation and reformulation properties start from.  The blocked engine as
+it stood over a dense ``(n, k)`` restart block, with the dense uniform
+builder that fed it, is the oracle of the base-set engine
+(``tests/ranking/test_batch.py``).  Nothing in ``src`` calls these.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.ranking import (
     weighted_base_set,
     weighted_restarts,
 )
+from repro.ranking import _native
+from repro.ranking.batch import DEFAULT_BLOCK_WIDTH, _EXACT_CHECK_BAND, _padded_width
 from repro.ranking.convergence import PowerIterationResult
 from repro.ranking.focused import FocusedResult, RowOperator, focused_neighborhood
 
@@ -180,3 +184,134 @@ def focused_objectrank2(
     )
     edge_count = RowOperator(graph.matrix(), nodes).edge_count()
     return FocusedResult(ranked, nodes, edge_count, horizon)
+
+
+def column_base_sets(block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column of a dense ``(n, k)`` restart block as the base set the
+    blocked engine takes: its non-zero rows and their weights."""
+    block = np.asarray(block, dtype=np.float64)
+    columns = []
+    for j in range(block.shape[1]):
+        nodes = np.flatnonzero(block[:, j])
+        columns.append((nodes, block[nodes, j]))
+    return columns
+
+
+def dense_uniform_restarts(graph, id_sets) -> np.ndarray:
+    """The ``(n, k)`` block ``uniform_restarts`` laid out when a restart
+    carried a dense block: one ``np.add.at`` column per id set."""
+    transposed = np.zeros((len(id_sets), graph.num_nodes))
+    for row, ids in zip(transposed, id_sets):
+        if not ids:
+            raise EmptyBaseSetError(())
+        np.add.at(row, graph.indices_of(ids), 1.0)
+        row /= row.sum()
+    return transposed.T
+
+
+def dense_batched_power_iteration(
+    matrix, restarts, damping=0.85, tolerance=0.0001, max_iterations=500, init=None
+) -> list[PowerIterationResult]:
+    """The blocked engine over a dense ``(n, k)`` restart block, one result
+    per column: chunks of ``DEFAULT_BLOCK_WIDTH`` columns, each padded, run
+    and kept whole until its columns are read."""
+    restarts = np.asarray(restarts, dtype=np.float64)
+    n, k = restarts.shape
+    matrix = matrix.tocsr()
+    scores = None if init is None else np.repeat(np.asarray(init)[:, None], k, axis=1)
+    results = []
+    for first in range(0, k, DEFAULT_BLOCK_WIDTH):
+        columns = np.arange(first, min(first + DEFAULT_BLOCK_WIDTH, k))
+        out, iterations, converged, residuals = _dense_iterate_block(
+            matrix,
+            np.ascontiguousarray(restarts[:, columns]),
+            None if scores is None else np.ascontiguousarray(scores[:, columns]),
+            damping,
+            tolerance,
+            max_iterations,
+        )
+        results.extend(
+            PowerIterationResult(
+                np.ascontiguousarray(out[:, j]),
+                int(iterations[j]),
+                bool(converged[j]),
+                residuals[j],
+            )
+            for j in range(len(columns))
+        )
+    return results
+
+
+def _dense_iterate_block(matrix, restarts, scores, damping, tolerance, max_iterations):
+    """One chunk of :func:`dense_batched_power_iteration`."""
+    n, k = restarts.shape
+    requested = k
+    padded = _padded_width(k) if _native.available() else k
+    if padded != k:
+        extra = padded - k
+        restarts = np.concatenate(
+            [restarts, np.repeat(restarts[:, :1], extra, axis=1)], axis=1
+        )
+        if scores is not None:
+            scores = np.concatenate(
+                [scores, np.repeat(scores[:, :1], extra, axis=1)], axis=1
+            )
+        k = padded
+
+    jump = (1.0 - damping) * restarts
+    out = np.empty((n, k), dtype=np.float64)
+    iterations = np.full(k, max_iterations, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    residuals: list[list[float]] = [[] for _ in range(k)]
+
+    live = np.ones(k, dtype=bool)
+    block = np.empty((n, k))
+    if scores is None:
+        block.fill(1.0 / n if n else 0.0)
+    else:
+        block[:] = scores
+    jump_rows = np.flatnonzero(restarts.any(axis=1)).astype(np.int32)
+    packed_jump = np.ascontiguousarray(jump[jump_rows])
+    spare = None
+    resid_buf = np.empty(k)
+    trace = []
+    for iteration in range(1, max_iterations + 1):
+        if not live.any():
+            break
+        step = _native.blocked_step(
+            matrix, block, jump_rows, packed_jump, damping,
+            out=spare, resid=resid_buf,
+        )
+        if step is not None:
+            new_block, fast_residuals = step
+            spare = block
+        else:
+            new_block = matrix @ block
+            new_block *= damping
+            new_block += jump
+            delta = new_block - block
+            np.abs(delta, out=delta)
+            fast_residuals = delta.sum(axis=0)
+        res = fast_residuals.copy()
+        near = np.abs(res - tolerance) <= _EXACT_CHECK_BAND * (res + tolerance)
+        for col in np.flatnonzero(near & live):
+            res[col] = np.abs(new_block[:, col] - block[:, col]).sum()
+        trace.append((live.copy(), res))
+        newly = np.flatnonzero(live & (res < tolerance))
+        if newly.size:
+            out[:, newly] = new_block[:, newly]
+            live[newly] = False
+            iterations[newly] = iteration
+            converged[newly] = True
+        block = new_block
+
+    out[:, live] = block[:, live]
+    for live_mask, res in trace:
+        for col in np.flatnonzero(live_mask):
+            residuals[col].append(float(res[col]))
+    return (
+        out[:, :requested],
+        iterations[:requested],
+        converged[:requested],
+        residuals[:requested],
+    )

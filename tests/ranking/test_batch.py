@@ -18,7 +18,15 @@ from repro.ranking import (
 from repro.ranking.batch import batched_power_iteration
 from repro.ranking.objectrank import keyword_objectranks
 
-from tests.ranking.reference import objectrank, reference_power_iteration
+from tests.graph.test_transfer_graph import _kernel_modes
+from tests.properties.test_explain_batch_properties import same_bits
+from tests.ranking.reference import (
+    column_base_sets,
+    dense_batched_power_iteration,
+    dense_uniform_restarts,
+    objectrank,
+    reference_power_iteration,
+)
 
 
 def random_substochastic(n: int, seed: int, density: float = 0.25) -> sparse.csr_matrix:
@@ -54,7 +62,7 @@ class TestBlockedEngine:
     def test_matches_serial_column_by_column(self):
         matrix = random_substochastic(50, seed=3)
         restarts = random_restarts(50, 6, seed=4)
-        batch = batched_power_iteration(matrix, restarts, tolerance=1e-10)
+        batch = batched_power_iteration(matrix, column_base_sets(restarts), tolerance=1e-10)
         assert_matches_serial(matrix, restarts, batch, tolerance=1e-10)
 
     def test_columns_converge_independently(self):
@@ -64,7 +72,7 @@ class TestBlockedEngine:
         one_hot = np.zeros(60)
         one_hot[0] = 1.0
         restarts = np.stack([uniform, one_hot], axis=1)
-        batch = batched_power_iteration(matrix, restarts, tolerance=1e-10)
+        batch = batched_power_iteration(matrix, column_base_sets(restarts), tolerance=1e-10)
         assert batch.iterations[0] != batch.iterations[1]
         assert batch.converged.all()
 
@@ -72,7 +80,7 @@ class TestBlockedEngine:
         matrix = random_substochastic(30, seed=8)
         restarts = random_restarts(30, 3, seed=9)
         batch = batched_power_iteration(
-            matrix, restarts, tolerance=0.0, max_iterations=4
+            matrix, column_base_sets(restarts), tolerance=0.0, max_iterations=4
         )
         assert (batch.iterations == 4).all()
         assert not batch.converged.any()
@@ -84,7 +92,9 @@ class TestBlockedEngine:
         matrix = random_substochastic(30, seed=10)
         restarts = random_restarts(30, 4, seed=11)
         init = np.linspace(0.0, 1.0, 30)
-        batch = batched_power_iteration(matrix, restarts, tolerance=1e-9, init=init)
+        batch = batched_power_iteration(
+            matrix, column_base_sets(restarts), tolerance=1e-9, init=init
+        )
         for j in range(4):
             serial = reference_power_iteration(
                 matrix, restarts[:, j], tolerance=1e-9, init=init
@@ -98,34 +108,44 @@ class TestBlockedEngine:
         restarts = random_restarts(20, 2, seed=13)
         init = random_restarts(20, 2, seed=14)
         with pytest.raises(ValueError, match=r"expected \(20,\)"):
-            batched_power_iteration(matrix, restarts, tolerance=1e-9, init=init)
+            batched_power_iteration(
+                matrix, column_base_sets(restarts), tolerance=1e-9, init=init
+            )
 
     def test_more_columns_than_one_chunk_matches_serial(self):
-        """Two full chunks and a tail: columns served from per-chunk slabs."""
+        """Two full chunks and a tail: every column handed out contiguous."""
         from repro.ranking.batch import DEFAULT_BLOCK_WIDTH
 
         k = 2 * DEFAULT_BLOCK_WIDTH + 5
         matrix = random_substochastic(40, seed=15)
         restarts = random_restarts(40, k, seed=16)
-        batch = batched_power_iteration(matrix, restarts, tolerance=1e-9)
+        batch = batched_power_iteration(matrix, column_base_sets(restarts), tolerance=1e-9)
         assert_matches_serial(matrix, restarts, batch, tolerance=1e-9)
-        assert batch.scores.shape == (40, k)
-        assert np.array_equal(batch.scores[:, k - 1], batch.column(k - 1).scores)
+        assert len(batch.columns) == k
+        for column in batch.columns:
+            assert column.shape == (40,) and column.flags.c_contiguous
+            assert column.base is None  # its own array, not a view of a slab
+        assert batch.column(k - 1).scores is batch.columns[k - 1]
 
     def test_empty_block(self):
         matrix = random_substochastic(10, seed=17)
-        batch = batched_power_iteration(matrix, np.empty((10, 0)))
+        batch = batched_power_iteration(matrix, [])
         assert batch.num_columns == 0
-        assert batch.scores.shape == (10, 0)
+        assert batch.columns == []
 
     def test_validation_errors(self, figure1_graph):
         matrix = random_substochastic(10, seed=18)
+        one = (np.array([1, 4]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            batched_power_iteration(matrix, np.zeros(10))  # 1-D block
+            batched_power_iteration(matrix, [one, (np.array([1, 4]), np.ones(3))])
         with pytest.raises(ValueError):
-            batched_power_iteration(matrix, np.zeros((4, 2)))  # wrong n
+            batched_power_iteration(matrix, [one, (np.array([10]), np.ones(1))])  # past n
         with pytest.raises(ValueError):
-            batched_power_iteration(matrix, np.zeros((10, 2)), init=np.zeros(3))
+            batched_power_iteration(matrix, [one, (np.array([-1]), np.ones(1))])
+        with pytest.raises(ValueError):
+            batched_power_iteration(matrix, [one, (np.array([0.0]), np.ones(1))])
+        with pytest.raises(ValueError):
+            batched_power_iteration(matrix, [one, one], init=np.zeros(3))
         # Damping and the iteration cap are checked once, by ``rank``.
         two = uniform_restarts(figure1_graph, [["v1"], ["v4"]])
         with pytest.raises(ParameterError):
@@ -212,3 +232,57 @@ class TestGraphLevelBatching:
             assert result.iterations == serial.iterations
             assert np.array_equal(result.scores, serial.scores)
             assert result.base_weights == serial.base_weights
+
+
+class TestDenseSlabOracle:
+    """The base-set engine equals the engine that laid out a dense ``(n, k)``
+    restart block (``tests/ranking/reference.py``): scores bit for bit,
+    iterations, flags and residual traces ``==``, with the kernel and
+    without."""
+
+    def id_sets(self, graph, k):
+        rng = np.random.default_rng(k)
+        ids = graph.node_ids
+        sets = []
+        for j in range(k):
+            picks = rng.integers(0, len(ids), size=1 + j % 7)
+            sets.append([ids[i] for i in picks] + [ids[picks[0]]])  # a repeat
+        return sets
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_every_width_up_to_forty(self, dblp_tiny_engine, warm):
+        graph = dblp_tiny_engine.graph
+        init = np.random.default_rng(3).random(graph.num_nodes) if warm else None
+        for mode in _kernel_modes():
+            for k in range(1, 41):
+                id_sets = self.id_sets(graph, k)
+                restarts = uniform_restarts(graph, id_sets)
+                block = dense_uniform_restarts(graph, id_sets)
+                for j in range(k):
+                    assert same_bits(graph.restart_vector(restarts.base_weights[j]), block[:, j])
+                with mode:
+                    theirs = dense_batched_power_iteration(
+                        graph.matrix(), block, tolerance=1e-9, init=init
+                    )
+                    mine = batched_power_iteration(
+                        graph.matrix(),
+                        [(b.nodes, b.values_array) for b in restarts.base_weights],
+                        tolerance=1e-9,
+                        init=init,
+                    )
+                    ranked = rank(graph, restarts, Tolerance(1e-9), init=init)
+                for j, expected in enumerate(theirs):
+                    column = mine.column(j)
+                    assert same_bits(column.scores, expected.scores)
+                    assert column.iterations == expected.iterations
+                    assert column.converged == expected.converged
+                    assert column.residuals == expected.residuals
+                    if k > 1:
+                        assert same_bits(ranked[j].scores, expected.scores)
+                        assert ranked[j].residuals == expected.residuals
+
+    def test_an_empty_base_set_still_raises(self, figure1_graph):
+        with pytest.raises(EmptyBaseSetError):
+            uniform_restarts(figure1_graph, [["v1", "v1"], []])
+        with pytest.raises(EmptyBaseSetError):
+            dense_uniform_restarts(figure1_graph, [["v1", "v1"], []])

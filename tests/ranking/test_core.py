@@ -63,12 +63,13 @@ def test_tolerance_stop_equals_the_reference_loop(step, dblp_tiny_engine, builde
         pytest.skip("the global restart is one column")
     graph = dblp_tiny_engine.graph
     restarts = build(dblp_tiny_engine, builder, k)
-    assert restarts.block.shape == (graph.num_nodes, k)
+    assert len(restarts.base_weights) == k
     init = np.random.default_rng(k).random(graph.num_nodes) if warm else None
     ranked = rank(graph, restarts, Tolerance(), init=init)
     assert len(ranked) == k
     for j, result in enumerate(ranked):
-        theirs = reference_power_iteration(graph.matrix(), restarts.block[:, j], init=init)
+        restart = graph.restart_vector(restarts.base_weights[j])
+        theirs = reference_power_iteration(graph.matrix(), restart, init=init)
         assert np.array_equal(result.scores, theirs.scores)
         assert (result.iterations, result.converged) == (theirs.iterations, theirs.converged)
         assert result.base_weights is restarts.base_weights[j]
@@ -83,7 +84,8 @@ def test_top_k_stop_equals_the_reference_loop(step, dblp_tiny_engine, builder):
     graph = dblp_tiny_engine.graph
     restarts = build(dblp_tiny_engine, builder, 1)
     (result,) = rank(graph, restarts, TopKStable(10))
-    theirs = reference_topk_power_iteration(graph.matrix(), restarts.block[:, 0], 10)
+    restart = graph.restart_vector(*restarts.base_weights)
+    theirs = reference_topk_power_iteration(graph.matrix(), restart, 10)
     assert np.array_equal(result.scores, theirs.scores)
     assert (result.iterations, result.converged) == (theirs.iterations, theirs.converged)
     assert result.residuals == theirs.residuals

@@ -16,7 +16,7 @@ from repro.ranking import (
 )
 from repro.ranking.pagerank import iterate
 
-from tests.ranking.reference import reference_power_iteration
+from tests.ranking.reference import dense_uniform_restarts, reference_power_iteration
 
 
 def cycle_matrix(n: int) -> sparse.csr_matrix:
@@ -128,18 +128,15 @@ class TestPersonalized:
         assert result.scores[0] == result.scores.max()
 
     def test_weights_normalized(self, figure1_graph):
-        """Every builder's columns are distributions, and its base weights
-        are exactly the columns' non-zero entries."""
+        """Every builder's base sets are distributions."""
         built = [
             uniform_restarts(figure1_graph, [["v1", "v4"], ["v5", "v5", "v2"]]),
             weighted_restarts(figure1_graph, [figure1_graph.base_set({"v1": 0.25, "v4": 0.75})]),
             global_restarts(figure1_graph),
         ]
         for restarts in built:
-            for j, weights in enumerate(restarts.base_weights):
-                column = restarts.block[:, j]
-                assert column.sum() == pytest.approx(1.0)
-                assert np.array_equal(figure1_graph.restart_vector(weights), column)
+            for weights in restarts.base_weights:
+                assert figure1_graph.restart_vector(weights).sum() == pytest.approx(1.0)
 
     def test_empty_restart_rejected(self, figure1_graph):
         with pytest.raises(EmptyBaseSetError):
@@ -156,7 +153,8 @@ class TestPersonalized:
         assert list(weights) == ["v1", "v4"]
         assert sum(weights.values()) == pytest.approx(1.0)
         assert np.array_equal(
-            figure1_graph.restart_vector(weights), restarts.block[:, 0]
+            figure1_graph.restart_vector(weights),
+            dense_uniform_restarts(figure1_graph, [["v1", "v1", "v4"]])[:, 0],
         )
 
 
@@ -171,7 +169,7 @@ class TestSharedStep:
         init = np.random.default_rng(5).random(graph.num_nodes) if warm else None
         (mine,) = rank(graph, restarts, Tolerance(), init=init)
         theirs = reference_power_iteration(
-            graph.matrix(), restarts.block[:, 0], init=init
+            graph.matrix(), graph.restart_vector(*restarts.base_weights), init=init
         )
         assert np.array_equal(mine.scores, theirs.scores)
         assert (mine.iterations, mine.converged) == (theirs.iterations, theirs.converged)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.storage.slab import (
     MAGIC,
     SECTION_ALIGNMENT,
+    Rows,
     SlabFile,
     SlabFormatError,
     write_slab,
@@ -146,6 +148,23 @@ class TestRejection:
         with pytest.raises(SlabFormatError, match="cannot map"):
             SlabFile(tmp_path / "missing.slab")
 
+    def test_a_refused_slab_unmaps(self, tmp_path, arrays):
+        """``verify`` leaves no exported buffer behind when it refuses a
+        section, so ``close`` unmaps the file."""
+        path = self._write(tmp_path, arrays)
+        slab = SlabFile(path)
+        offset = slab._sections["scores"]["offset"] + 8
+        slab.close()
+        assert slab._mmap.closed
+        raw = bytearray(path.read_bytes())
+        raw[offset] ^= 0x10
+        path.write_bytes(raw)
+        lax = SlabFile(path, verify=False)
+        with pytest.raises(SlabFormatError, match="checksum mismatch"):
+            lax.verify()
+        lax.close()
+        assert lax._mmap.closed
+
     def test_verify_false_skips_payload_check(self, tmp_path, arrays):
         path = self._write(tmp_path, arrays)
         slab = SlabFile(path)
@@ -208,3 +227,50 @@ class TestCrashSafety:
 
     def test_magic_is_the_documented_constant(self):
         assert MAGIC == b"REPROSLB"
+
+
+def golden_arrays():
+    return {
+        "floats": np.arange(12, dtype=np.float64).reshape(3, 4) / 7,
+        "strided": np.arange(48, dtype=">i4").reshape(6, 8)[::2, 1::3],
+        "flags": np.array([True, False, True]),
+        "complex": np.array([1 + 2j, -0.0 - 1j], dtype="<c16"),
+        "empty": np.zeros(0, dtype=np.int64),
+        "blob": np.frombuffer(b"alpha beta", dtype=np.uint8),
+    }
+
+
+#: A 31-byte pad makes the header one whose second layout pass moves the
+#: payload again, so the writer's fixed point takes a third pass.
+GOLDEN_META = {"kind": "golden", "pad": "x" * 31}
+GOLDEN_SHA256 = "dc0336839a491b1e0c8bd3f132fc04e439b0ba0dd113710362f49fa0ce3823ab"
+
+
+class TestGoldenBytes:
+    """The writer's bytes are pinned: several dtypes (big-endian, bool,
+    complex), a strided input, an empty section and a header that needs a
+    re-run of the layout pass."""
+
+    def test_fixed_arrays_write_the_pinned_bytes(self, tmp_path):
+        path = tmp_path / "golden.slab"
+        write_slab(path, golden_arrays(), meta=GOLDEN_META, fsync=False)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    def test_a_section_written_as_rows_is_the_stacked_array(self, tmp_path):
+        arrays = golden_arrays()
+        floats = arrays["floats"]
+        arrays["floats"] = Rows([row.tolist() for row in floats], (4,))
+        path = tmp_path / "rows.slab"
+        write_slab(path, arrays, meta=GOLDEN_META, fsync=False)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    def test_rows_of_no_rows_and_of_the_wrong_shape(self, tmp_path):
+        path = tmp_path / "rows.slab"
+        write_slab(path, {"none": Rows([], (5,), np.dtype(np.int32))}, fsync=False)
+        with SlabFile(path) as slab:
+            empty = slab.array("none")
+            assert (empty.shape, empty.dtype) == ((0, 5), np.dtype(np.int32))
+        with pytest.raises(ValueError, match="shape"):
+            write_slab(path, {"bad": Rows([np.zeros(4), np.zeros(3)], (4,))})
+        with SlabFile(path) as slab:
+            assert slab.names() == ["none"]  # the failed write left it

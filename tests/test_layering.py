@@ -1798,6 +1798,71 @@ def test_the_guard_sees_a_frombuffer_in_serve(tmp_path):
     ]
 
 
+# -- the store path copies no section ------------------------------------------
+
+#: The packages whose arrays are store-sized: the slab container and the
+#: score store.
+_STORE_PACKAGES = ("storage", "store")
+
+
+def section_copies(src: Path) -> list[str]:
+    """``file:line`` of every ``.tobytes()`` call and every ``zlib.crc32``
+    over a subscript under :data:`_STORE_PACKAGES`.  Either one copies what
+    it reads: a slice of an mmap is ``bytes``, ``tobytes`` is a copy by
+    definition.  A plain slice of the mapping (the fixed header, the header
+    JSON) is not flagged: its size is the header's, not a section's."""
+    offenders = []
+    for package in _STORE_PACKAGES:
+        for path in sorted((src / package).rglob("*.py")):
+            name = path.relative_to(src).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call) or not isinstance(
+                    node.func, ast.Attribute
+                ):
+                    continue
+                if node.func.attr == "tobytes":
+                    offenders.append((name, node.lineno, "tobytes"))
+                elif node.func.attr == "crc32" and any(
+                    isinstance(inner, ast.Subscript)
+                    for argument in node.args[:1]
+                    for inner in ast.walk(argument)
+                ):
+                    offenders.append((name, node.lineno, "crc32 over a subscript"))
+    return [f"{name}:{line} {what}" for name, line, what in sorted(offenders)]
+
+
+def test_the_store_path_copies_no_section():
+    """``verify`` checksums a memoryview of the mapping and ``write_slab``
+    the array's own buffer; nothing under storage/ or store/ copies one."""
+    assert section_copies(SRC) == []
+
+
+def test_the_guard_sees_a_section_copy(tmp_path):
+    for package in (*_STORE_PACKAGES, "serve"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "storage" / "slab.py").write_text(
+        "import zlib\n"
+        "def verify(self, start, end):\n"
+        "    header = self._mmap[:24]\n"
+        "    crc = zlib.crc32(header)\n"
+        "    return zlib.crc32(self._mmap[start:end]) == crc\n"
+    )
+    (tmp_path / "store" / "format.py").write_text(
+        "def write(handle, array):\n"
+        "    handle.write(array.tobytes())\n"
+        "    return zlib.crc32(bytes(array[1:]))\n"
+    )
+    (tmp_path / "serve" / "wire.py").write_text(
+        "def body(array):\n"
+        "    return array.tobytes()\n"
+    )
+    assert section_copies(tmp_path) == [
+        "storage/slab.py:5 crc32 over a subscript",
+        "store/format.py:2 tobytes",
+        "store/format.py:3 crc32 over a subscript",
+    ]
+
+
 # -- the paper's loop stays in arrays: no id bounce on the request path ----------
 
 #: The request-path functions of Equations 2-4 and 11-14, by source file and
