@@ -275,7 +275,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     result = ingest.refresh(previous=previous)
     print(
-        f"incremental refresh: recomputed {len(result.recomputed)} columns, "
+        f"incremental refresh: graph {result.graph_path}, "
+        f"recomputed {len(result.recomputed)} columns, "
         f"carried {len(result.carried)}, "
         f"{result.iterations} power-iteration steps, "
         f"{result.elapsed_seconds:.2f}s"

@@ -11,6 +11,8 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 from typing import Iterator
 
 import numpy as np
@@ -235,6 +237,32 @@ class DataGraph:
         so everything derived from topology alone carries over to it.
         """
         return self._topology_version
+
+    def extends(self, other: "DataGraph") -> bool:
+        """Whether this graph is ``other`` with nodes and edges appended.
+
+        True when ``other``'s nodes are this graph's first ones, in order
+        and with the same labels, and ``other``'s edges are this graph's
+        first ones; attributes may differ.  Everything derived from topology
+        alone over ``other`` is then a prefix of the same over this graph.
+        A removal since ``other`` was copied shifts what follows it (a node
+        or edge added back goes on the end), so it fails the check unless
+        the shifted sequence happens to be equal value for value.  Compares
+        references first: a copy shares its nodes and edges until one is
+        replaced.
+        """
+        mine, theirs = self._nodes, other._nodes
+        if len(theirs) > len(mine) or len(other._edges) > len(self._edges):
+            return False
+        if self._edges[: len(other._edges)] != other._edges:
+            return False
+        changed = compress(
+            zip(mine.values(), theirs.values()),
+            map(is_not, mine.values(), theirs.values()),
+        )
+        return all(
+            a.node_id == b.node_id and a.label == b.label for a, b in changed
+        )
 
     # -- inspection --------------------------------------------------------
 

@@ -207,27 +207,42 @@ class AuthorityTransferDataGraph:
             (node_label[source] * len(labels) + node_label[target]) * len(roles) + role,
             return_inverse=True,
         )
-        resolved = []
+        resolved = {}
         for triple in triples.tolist():
             pair, r = divmod(triple, len(roles))
             u, v = divmod(pair, len(labels))
-            resolved.append(schema.resolve_edge(labels[u], labels[v], roles[r]))
-        if None in resolved or not all(map(schema.has_label, labels)):
+            key = labels[u], labels[v], roles[r]
+            resolved[key] = schema.resolve_edge(*key)
+        if None in resolved.values() or not all(map(schema.has_label, labels)):
             # Slow path: the per-edge walk is the message oracle.
             raise ConformanceError(find_violations(data_graph, schema))
-        type_index = {t: i for i, t in enumerate(self.edge_types)}
-        forward_backward = (Direction.FORWARD, Direction.BACKWARD)
-        types = np.array(
-            [[type_index[EdgeType(e, d)] for d in forward_backward] for e in resolved],
-            dtype=np.int64,
-        ).reshape(-1, 2)
+        #: ``(source label, target label, role)`` -> the ``(forward,
+        #: backward)`` edge-type indices of its schema edge, for every triple
+        #: an edge has: what :meth:`extended` looks an appended edge up in.
+        self._triple_types = dict(zip(resolved, self._type_pairs(resolved.values())))
+        types = np.array(list(self._triple_types.values()), dtype=np.int64).reshape(-1, 2)
 
         # Data edge k -> transfer edges 2k (forward) and 2k + 1 (backward).
         self.edge_source = np.column_stack((source, target)).ravel()
         self.edge_target = np.column_stack((target, source)).ravel()
         self.edge_type_index = types[triple_of_edge].ravel()
         self.num_edges = len(self.edge_source)
+        self._transfer_schema = transfer_schema
+        self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
+        self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
+        self._count_out_degrees()
 
+    def _type_pairs(self, schema_edges: Iterable) -> list[tuple[int, int]]:
+        """The ``(forward, backward)`` edge-type index of each schema edge."""
+        position = {t: i for i, t in enumerate(self.edge_types)}
+        return [
+            (position[EdgeType(e, Direction.FORWARD)], position[EdgeType(e, Direction.BACKWARD)])
+            for e in schema_edges
+        ]
+
+    def _count_out_degrees(self) -> None:
+        """Equation 1's OutDeg per edge and each type's largest, from the
+        edge arrays; then every structure built on first use starts empty."""
         # OutDeg(u, edge_type): count transfer edges grouped by (source, type).
         num_types = max(len(self.edge_types), 1)
         group_key = self.edge_source * num_types + self.edge_type_index
@@ -238,10 +253,6 @@ class AuthorityTransferDataGraph:
         #: Each edge type's largest OutDeg (at least 1): its smallest edge
         #: rate is its alpha divided by this.
         self._type_max_degree = counts.reshape(-1, num_types).max(axis=0, initial=1)
-
-        self._transfer_schema = transfer_schema
-        self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
-        self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         #: ``("pattern" | "layout", zero_types)`` -> the :class:`CsrPattern`
         #: and :class:`SellLayout` of views whose rates are zero on exactly
         #: ``zero_types``, built by the first :meth:`matrix` or
@@ -381,6 +392,85 @@ class AuthorityTransferDataGraph:
         if transfer_schema != self._transfer_schema:
             view._per_rate = RateSetting(view)
         return view
+
+    def extended(
+        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
+    ) -> "AuthorityTransferDataGraph":
+        """This topology with the nodes and edges ``data_graph`` appended.
+
+        ``data_graph`` must extend this graph's data graph
+        (:meth:`DataGraph.extends`: the same nodes and edges first, in the
+        same order, then more); every array is then the one the constructor
+        would build over ``data_graph``.  The caller checks that (it costs a
+        pass over the nodes and edges); only a smaller graph is refused
+        here, as :meth:`rebound` refuses another ``topology_version``.
+        Only the appended edges are read:
+        their endpoints are looked up, their ``(label, label, role)``
+        triples resolved against the schema where no edge of this graph has
+        the triple (and the appended nodes' labels checked — a graph that
+        does not conform raises the constructor's
+        :class:`~repro.errors.ConformanceError`), and they go on the end of
+        the edge arrays.  The out-degrees and type maxima are recounted by
+        one ``bincount``; the incidences are merged
+        (:func:`extend_incidence`), not sorted again.  Everything built per
+        topology on first use (pattern, layout, node degrees, derived
+        tables) starts empty.
+        """
+        if transfer_schema.edge_types() != self.edge_types:
+            raise GraphError("new transfer schema has different edge types")
+        if (
+            data_graph.num_nodes < self.num_nodes
+            or 2 * data_graph.num_edges < self.num_edges
+        ):
+            raise GraphError("data graph is smaller than this graph's")
+        schema = transfer_schema.schema
+        node_ids = data_graph.node_ids()
+        new_ids = node_ids[self.num_nodes :]
+        first_edge = self.num_edges // 2
+        edges = data_graph.edges()[first_edge:]
+        label = attrgetter("label")
+        new_labels = map(label, map(data_graph.node, new_ids))
+        triples = [
+            (label(data_graph.node(e.source)), label(data_graph.node(e.target)), e.role)
+            for e in edges
+        ]
+        unknown = [t for t in dict.fromkeys(triples) if t not in self._triple_types]
+        resolved = [schema.resolve_edge(*triple) for triple in unknown]
+        if None in resolved or not all(map(schema.has_label, new_labels)):
+            raise ConformanceError(find_violations(data_graph, schema))
+
+        graph = object.__new__(AuthorityTransferDataGraph)
+        graph.data_graph = data_graph
+        graph.node_ids = node_ids
+        graph._node_index = dict(self._node_index)
+        graph._node_index.update(zip(new_ids, range(self.num_nodes, len(node_ids))))
+        graph.num_nodes = len(node_ids)
+        graph.edge_types = self.edge_types
+        graph._triple_types = {
+            **self._triple_types, **dict(zip(unknown, self._type_pairs(resolved)))
+        }
+        index_of = graph._node_index.__getitem__
+        count = len(edges)
+        source = np.fromiter(map(index_of, map(_SOURCE, edges)), np.int64, count)
+        target = np.fromiter(map(index_of, map(_TARGET, edges)), np.int64, count)
+        types = np.array(
+            list(map(graph._triple_types.__getitem__, triples)), dtype=np.int64
+        ).ravel()
+        appended_source = np.column_stack((source, target)).ravel()
+        appended_target = np.column_stack((target, source)).ravel()
+        graph.edge_source = np.concatenate((self.edge_source, appended_source))
+        graph.edge_target = np.concatenate((self.edge_target, appended_target))
+        graph.edge_type_index = np.concatenate((self.edge_type_index, types))
+        graph.num_edges = len(graph.edge_source)
+        graph._transfer_schema = transfer_schema
+        graph._out_index = extend_incidence(
+            self._out_index, appended_source, self.num_edges, graph.num_nodes
+        )
+        graph._in_index = extend_incidence(
+            self._in_index, appended_target, self.num_edges, graph.num_nodes
+        )
+        graph._count_out_degrees()
+        return graph
 
     # -- matrix + adjacency views --------------------------------------------
 
@@ -699,3 +789,25 @@ def build_incidence(
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, order
+
+
+def extend_incidence(
+    incidence: Incidence, endpoint: np.ndarray, first: int, num_nodes: int
+) -> Incidence:
+    """``incidence`` with edges ``first, first + 1, ...`` added by ``endpoint``.
+
+    ``incidence`` groups edges ``[0, first)`` of fewer (or as many) nodes;
+    the result is :func:`build_incidence` of all of them over ``num_nodes``.
+    A stable sort puts each node's new edges, all from ``first`` on, after
+    its old ones, so the new ones are inserted, in the order a stable sort
+    of ``endpoint`` gives them, where their node's old run ends.
+    """
+    indptr, order = incidence
+    counts = np.bincount(endpoint, minlength=num_nodes)
+    counts[: indptr.size - 1] += np.diff(indptr)
+    merged_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=merged_indptr[1:])
+    added = np.argsort(endpoint, kind="stable")
+    # np.insert keeps the given order among equal positions.
+    ends = indptr[np.minimum(endpoint[added] + 1, indptr.size - 1)]
+    return merged_indptr, np.insert(order, ends, added + first)

@@ -82,6 +82,11 @@ class RefreshResult:
     graph: AuthorityTransferDataGraph
     data_graph: DataGraph
     index: InvertedIndex
+    #: How ``graph`` came about: ``"rebound"`` (the last snapshot's topology
+    #: over new text), ``"extended"`` (the last one's with nodes and edges
+    #: appended) or ``"built"`` (from scratch: the first refresh, or a
+    #: batch that removed something).
+    graph_path: str
     epoch: int
     full_rebuild: bool
     recomputed: tuple[str, ...]
@@ -307,8 +312,10 @@ class IngestEngine:
         Freezes the working graph/index (copy-on-write copies, so the lock
         is held for a few flat dict copies) and the accumulated dirt under
         the lock, rebinds the last snapshot's transfer graph to the frozen copy
-        when their ``topology_version`` agrees (builds one otherwise), then
-        re-converges only the dirty columns relative to ``previous``.  The
+        when their ``topology_version`` agrees, extends it when the frozen
+        copy only appended nodes and edges (:meth:`DataGraph.extends`), and
+        builds one otherwise; then re-converges only the dirty columns
+        relative to ``previous``.  The
         dirt is relative to the last frozen snapshot, so ``previous`` is
         carried from only when its ``graph_version`` and ``node_ids`` are
         that snapshot's and its rates are ``rates``; any other ranker (one
@@ -336,14 +343,17 @@ class IngestEngine:
             previous = None
         try:
             # Topology is carried when the frozen copy has the node and edge
-            # set the last snapshot was built over, whatever the tracker says.
+            # set the last snapshot was built over, whatever the tracker says,
+            # and extended when it only has more of them.
             if (
                 last is not None
                 and last.data_graph.topology_version == data_graph.topology_version
             ):
-                graph = last.rebound(data_graph, rates)
+                graph, graph_path = last.rebound(data_graph, rates), "rebound"
+            elif last is not None and data_graph.extends(last.data_graph):
+                graph, graph_path = last.extended(data_graph, rates), "extended"
             else:
-                graph = AuthorityTransferDataGraph(data_graph, rates)
+                graph, graph_path = AuthorityTransferDataGraph(data_graph, rates), "built"
             if precompute:
                 outcome = refreshed_keyword_vectors(
                     graph,
@@ -385,6 +395,7 @@ class IngestEngine:
             graph=graph,
             data_graph=data_graph,
             index=index,
+            graph_path=graph_path,
             epoch=epoch,
             full_rebuild=full,
             recomputed=recomputed,

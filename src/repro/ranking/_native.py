@@ -44,7 +44,10 @@ accumulator, which nonnegative ranking iterates never produce.)  The fused
 residuals use a sequential row-order sum (numpy uses pairwise summation), so
 they agree with the numpy value only to ~n·eps relative; the engine treats
 them as the fast approximate residual and recomputes exactly near the
-tolerance boundary.
+tolerance boundary.  The engine binds the step once per chunk
+(:func:`bind_blocked_step`): every buffer is checked then, and each step
+passes the bound addresses; :func:`blocked_step` is the checked per-call
+form the probe and the test oracle use.
 
 **Explain kernels** (:func:`bind_subgraph_kernel` and :func:`flow_fixpoints`,
 driven only by :mod:`repro.explain.batch`).  Extraction runs the backward BFS
@@ -377,21 +380,12 @@ _pointer, _count = ctypes.c_void_p, ctypes.c_int64
 #: (``tests/ranking/test_kernel_sources.py`` checks them against the
 #: sources).  Every kernel returns void.
 _SIGNATURES = {
+    # Raw addresses, like every kernel's: BlockedStep and SellStep check
+    # every buffer and bind them once per run.
     "blocked_step": [
-        _count,
-        _count,
-        np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        _count,
-        np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        ctypes.c_double,
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+        _count, _count, *[_pointer] * 4, _count, _pointer, _pointer,
+        ctypes.c_double, _pointer, _pointer,
     ],
-    # Raw addresses: SellStep checks every buffer and binds them once per run.
     "sell_step": [_count, *[_pointer] * 6, ctypes.c_double, _pointer, _pointer],
     # The explain kernels take raw addresses too: their wrappers check every
     # buffer first.
@@ -422,21 +416,14 @@ def _bind(path: str) -> ctypes.CDLL | None:
     return library
 
 
+def _bound_address(array: np.ndarray) -> ctypes.c_void_p:
+    """``array``'s buffer as an argument a bound step passes on every call."""
+    return ctypes.c_void_p(array.ctypes.data)
+
+
 def _call(lib, matrix, block, jump_rows, jump, damping, out, resid) -> None:
-    lib.blocked_step(
-        matrix.shape[0],
-        block.shape[1],
-        matrix.indptr,
-        matrix.indices,
-        matrix.data,
-        block,
-        jump_rows.shape[0],
-        jump_rows,
-        jump,
-        damping,
-        out,
-        resid,
-    )
+    """One block step over checked buffers (:func:`_blocked_inputs_fit`)."""
+    BlockedStep(lib, matrix, (block, out), jump_rows, jump, damping, resid)()
 
 
 def _probe_bitwise(lib: ctypes.CDLL) -> bool:
@@ -648,38 +635,112 @@ def blocked_step(
     than the kernel itself.  Mismatched buffers are silently replaced.
     """
     lib = _ensure()
-    if lib is None:
+    if lib is None or not _blocked_inputs_fit(matrix, block, jump_rows, jump):
         return None
-    if (
-        block.shape[1] > MAX_WIDTH
-        or matrix.indices.dtype != np.int32
-        or matrix.indptr.dtype != np.int32
-        or matrix.data.dtype != np.float64
-        or block.dtype != np.float64
-        or jump.dtype != np.float64
-        or jump_rows.dtype != np.int32
-        or jump.shape != (jump_rows.shape[0], block.shape[1])
-        or not block.flags.c_contiguous
-        or not jump.flags.c_contiguous
-        or not jump_rows.flags.c_contiguous
-    ):
-        return None
-    if (
-        out is None
-        or out.shape != block.shape
-        or out.dtype != np.float64
-        or not out.flags.c_contiguous
-    ):
+    if not _is_float_buffer(out, block.shape):
         out = np.empty_like(block)
-    if (
-        resid is None
-        or resid.shape != (block.shape[1],)
-        or resid.dtype != np.float64
-        or not resid.flags.c_contiguous
-    ):
+    if not _is_float_buffer(resid, (block.shape[1],)):
         resid = np.empty(block.shape[1])
     _call(lib, matrix, block, jump_rows, jump, damping, out, resid)
     return out, resid
+
+
+def _is_float_buffer(array: np.ndarray | None, shape: tuple) -> bool:
+    return (
+        array is not None
+        and array.shape == shape
+        and array.dtype == np.float64
+        and array.flags.c_contiguous
+    )
+
+
+def _blocked_inputs_fit(matrix, block, jump_rows, jump) -> bool:
+    """Whether the block kernel takes these inputs as they are: a square
+    CSR matrix of ``int32`` indices over ``float64`` data, contiguous, and a
+    contiguous ``float64`` block at most :data:`MAX_WIDTH` wide with a jump
+    term of its width."""
+    n, width = block.shape
+    return (
+        width <= MAX_WIDTH
+        and matrix.shape == (n, n)
+        and matrix.indptr.shape == (n + 1,)
+        and matrix.indices.dtype == matrix.indptr.dtype == jump_rows.dtype == np.int32
+        and matrix.data.dtype == np.float64
+        and jump.shape == (jump_rows.shape[0], width)
+        and _is_float_buffer(block, (n, width))
+        and _is_float_buffer(jump, jump.shape)
+        and all(
+            array.flags.c_contiguous
+            for array in (matrix.indptr, matrix.indices, matrix.data, jump_rows)
+        )
+    )
+
+
+class BlockedStep:
+    """One blocked power-iteration run bound to the CSR block kernel.
+
+    Binds the matrix, the row-compacted jump term, the two ``(n, width)``
+    buffers the block ping-pongs between and a residual buffer once: each
+    call runs one step from the current buffer into the other and returns
+    ``(scores, residuals)``, views valid until the next call overwrites
+    them.  A call passes prepared arguments and converts no array.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        matrix: sparse.csr_matrix,
+        buffers: tuple[np.ndarray, np.ndarray],
+        jump_rows: np.ndarray,
+        jump: np.ndarray,
+        damping: float,
+        resid: np.ndarray | None = None,
+    ) -> None:
+        n, width = buffers[0].shape
+        self._buffers = buffers
+        self._resid = np.empty(width) if resid is None else resid
+        # The kernel reads these by address: keep them alive with the run.
+        self._arrays = (matrix.indptr, matrix.indices, matrix.data, jump_rows, jump)
+        address = _bound_address
+        shared = (
+            _count(n), _count(width), address(matrix.indptr),
+            address(matrix.indices), address(matrix.data),
+        )
+        jumps = (
+            _count(jump_rows.shape[0]), address(jump_rows), address(jump),
+            ctypes.c_double(damping),
+        )
+        self._calls = [
+            (*shared, address(x), *jumps, address(y), address(self._resid))
+            for x, y in (buffers, buffers[::-1])
+        ]
+        self._function = lib.blocked_step
+        self._turn = 0
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        self._function(*self._calls[self._turn])
+        self._turn ^= 1
+        return self._buffers[self._turn], self._resid
+
+
+def bind_blocked_step(
+    matrix: sparse.csr_matrix,
+    buffers: tuple[np.ndarray, np.ndarray],
+    jump_rows: np.ndarray,
+    jump: np.ndarray,
+    damping: float,
+) -> BlockedStep | None:
+    """The compiled step of ``R <- damping * (matrix @ R) + jump`` from
+    ``buffers[0]`` (see :func:`blocked_step` for the jump term), or ``None``
+    when the kernel is unavailable or an input is not what it takes (the
+    caller then steps with scipy)."""
+    lib = _ensure()
+    if lib is None or not (
+        _blocked_inputs_fit(matrix, buffers[0], jump_rows, jump)
+        and _is_float_buffer(buffers[1], buffers[0].shape)
+    ):
+        return None
+    return BlockedStep(lib, matrix, buffers, jump_rows, jump, damping)
 
 
 class SellStep:
@@ -708,10 +769,7 @@ class SellStep:
         self._views = tuple(buffer[:n] for buffer in buffers)
         # The kernel reads these by address: keep them alive with the run.
         self._arrays = (layout, matrix.values, jump, buffers)
-
-        def address(array: np.ndarray) -> ctypes.c_void_p:
-            return ctypes.c_void_p(array.ctypes.data)
-
+        address = _bound_address
         shared = (
             ctypes.c_int64(n), address(layout.offsets), address(layout.columns),
             address(matrix.values), address(layout.rows),

@@ -170,17 +170,22 @@ def _iterate_chunk(
 
     # Restart mass sits on a few base-set rows; the kernel takes the jump
     # term row-compacted, built straight from the base sets, so no dense
-    # restart slab exists.
-    jump_rows = np.unique(np.concatenate([nodes for nodes, _ in bases]))
-    jump_rows = jump_rows.astype(np.int32)
+    # restart slab exists.  A row mask lists the rows, a row -> slot map
+    # places every base set's weights in one scatter.
+    nodes = np.concatenate([nodes for nodes, _ in bases])
+    listed = np.zeros(n, dtype=bool)
+    listed[nodes] = True
+    jump_rows = np.flatnonzero(listed).astype(np.int32)
+    slot = np.empty(n, dtype=np.intp)
+    slot[jump_rows] = np.arange(jump_rows.size)
     packed_jump = np.zeros((jump_rows.size, width))
-    for col, (nodes, weights) in enumerate(bases):
-        packed_jump[np.searchsorted(jump_rows, nodes), col] = (1.0 - damping) * weights
+    packed_jump[slot[nodes], np.repeat(np.arange(width), [b.size for b, _ in bases])] = (
+        1.0 - damping
+    ) * np.concatenate([weights for _, weights in bases])
 
     columns: list = [None] * k
     iterations = np.full(width, max_iterations, dtype=np.int64)
     converged = np.zeros(width, dtype=bool)
-    residuals: list[list[float]] = [[] for _ in range(k)]
 
     live = np.ones(width, dtype=bool)  # not yet converged
     block, spare = (slab[: n * width].reshape(n, width) for slab in slabs)
@@ -188,20 +193,20 @@ def _iterate_chunk(
         block.fill(1.0 / n if n else 0.0)
     else:
         block[:] = init[:, None]
-    resid_buf = np.empty(width)
-    # Per-iteration (live mask, residuals); the per-column trace lists are
-    # filled from this after the loop so the hot path stays vectorized
-    # instead of appending k python floats per iteration.
-    trace: list[tuple[np.ndarray, np.ndarray]] = []
+    step = _native.bind_blocked_step(matrix, (block, spare), jump_rows, packed_jump, damping)
+    # Row i - 1 holds iteration i's residuals.  A column is live up to and
+    # including the iteration it converges on, so its trace is the first
+    # ``iterations[col]`` entries of its column: no per-iteration live mask.
+    trace = np.empty((min(max_iterations, 64), width))
     for iteration in range(1, max_iterations + 1):
         if not live.any():
             break
-        step = _native.blocked_step(
-            matrix, block, jump_rows, packed_jump, damping,
-            out=spare, resid=resid_buf,
-        )
+        if iteration > trace.shape[0]:
+            trace = np.concatenate((trace, np.empty_like(trace)))
+        res = trace[iteration - 1]
         if step is not None:
-            new_block, fast_residuals = step
+            new_block, fast_residuals = step()
+            res[:] = fast_residuals
         else:  # no compiled kernel: same score ops through scipy
             new_block = spare
             np.copyto(new_block, matrix @ block)  # kept in the slab, not a new block
@@ -209,13 +214,11 @@ def _iterate_chunk(
             new_block[jump_rows] += packed_jump
             delta = new_block - block
             np.abs(delta, out=delta)
-            fast_residuals = delta.sum(axis=0)
-        spare = block  # recycled as the next step's output buffer
-        res = fast_residuals.copy()  # resid_buf is recycled next step
+            delta.sum(axis=0, out=res)
+            spare = block  # recycled as the next step's output buffer
         near = np.abs(res - tolerance) <= _EXACT_CHECK_BAND * (res + tolerance)
         for col in np.flatnonzero(near & live):
             res[col] = np.abs(new_block[:, col] - block[:, col]).sum()
-        trace.append((live.copy(), res))
         newly = np.flatnonzero(live & (res < tolerance))
         for col in newly[newly < k]:
             columns[col] = new_block[:, col].copy()
@@ -226,9 +229,7 @@ def _iterate_chunk(
 
     for col in np.flatnonzero(live[:k]):
         columns[col] = block[:, col].copy()
-    for live_mask, res in trace:
-        for col in np.flatnonzero(live_mask[:k]):
-            residuals[col].append(float(res[col]))
+    residuals = [trace[: iterations[col], col].tolist() for col in range(k)]
     return columns, iterations[:k], converged[:k], residuals
 
 

@@ -6,10 +6,12 @@ in the base-set vector ``s``.  So every variant here is two steps:
 
 1. a **restart builder** gives ``s`` for one or more base sets as each
    base set's node indices and weights (:class:`Restarts`), never as a
-   dense block — :func:`uniform_restarts` (0/1 base sets, one per keyword
-   for the precompute), :func:`weighted_restarts` (IR-weighted base sets,
-   :func:`repro.ranking.objectrank2.weighted_base_set`, over node-index
-   arrays) and :func:`global_restarts` (every node);
+   dense block — :func:`uniform_restarts` (0/1 base sets of node ids),
+   :func:`weighted_restarts` (base sets already on node indices: the
+   IR-weighted ones of :func:`repro.ranking.objectrank2.weighted_base_set`,
+   and the precompute's per-keyword 0/1 sets, which
+   :func:`repro.ranking.objectrank.keyword_objectranks` reads off the
+   index) and :func:`global_restarts` (every node);
 2. :func:`rank` iterates every restart column under a stop rule — a value,
    :class:`~repro.ranking.pagerank.Tolerance` or
    :class:`~repro.ranking.topk.TopKStable` — and is the one place a

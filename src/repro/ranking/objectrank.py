@@ -16,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import EmptyBaseSetError
+from repro.graph.node_values import NodeValueView
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
 from repro.ranking.convergence import RankedResult
-from repro.ranking.core import rank, uniform_restarts
+from repro.ranking.core import rank, weighted_restarts
 from repro.ranking.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
@@ -43,20 +44,28 @@ def keyword_objectranks(
     blocked engine advances them together).  Keywords that match no
     document are skipped (they have no authority vector), a repeated keyword
     is ranked once.  Every column starts at the uniform ``1/n``.
+
+    The index lists a document once per term, so a keyword's base set is
+    its documents' node indices, each weighted ``1/|S|`` — bit for bit the
+    weight :func:`~repro.ranking.core.uniform_restarts` gives a set without
+    repeats, without its per-column merge of repeated ids.
     """
-    matched = [
-        (keyword, index.documents_with_term(keyword))
-        for keyword in dict.fromkeys(keywords)
-    ]
-    matched = [(keyword, base) for keyword, base in matched if base]
+    matched, bases = [], []
+    for keyword in dict.fromkeys(keywords):
+        documents = index.documents_with_term(keyword)
+        if documents:
+            nodes = graph.indices_of(documents)
+            weights = np.full(nodes.size, 1.0 / nodes.size)
+            matched.append(keyword)
+            bases.append(NodeValueView(nodes, weights, graph.node_ids))
     results = rank(
         graph,
-        uniform_restarts(graph, [base for _, base in matched]),
+        weighted_restarts(graph, bases),
         Tolerance(tolerance),
         damping=damping,
         max_iterations=max_iterations,
     )
-    return {keyword: result for (keyword, _), result in zip(matched, results)}
+    return dict(zip(matched, results))
 
 
 def normalizing_exponent(base_set_size: int) -> float:

@@ -292,6 +292,7 @@ class DatasetRuntime:
         return {
             "epoch": epoch,
             "full_rebuild": result.full_rebuild,
+            "graph": result.graph_path,
             "recomputed_columns": len(result.recomputed),
             "carried_columns": len(result.carried),
             "iterations": result.iterations,

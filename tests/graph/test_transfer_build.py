@@ -26,14 +26,18 @@ from tests.graph.reference import (
     reference_transfer_arrays,
     tricky_rates,
 )
+from tests.properties.test_explain_batch_properties import same_bits
 
 
 def same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
     return actual.dtype == expected.dtype and np.array_equal(actual, expected)
 
 
-def assert_matches_reference(data_graph, transfer_schema) -> None:
-    graph = AuthorityTransferDataGraph(data_graph, transfer_schema)
+def assert_matches_reference(data_graph, transfer_schema, graph=None) -> None:
+    """``graph`` (by default, a fresh build) holds the per-edge loop's arrays
+    over ``data_graph`` and ``transfer_schema``."""
+    if graph is None:
+        graph = AuthorityTransferDataGraph(data_graph, transfer_schema)
     expected = reference_transfer_arrays(data_graph, transfer_schema)
     assert graph.node_ids == expected.node_ids
     assert graph.edge_types == expected.edge_types
@@ -52,6 +56,7 @@ def assert_matches_reference(data_graph, transfer_schema) -> None:
     matrix, expected_matrix = graph.matrix(), reference_matrix(graph)
     expected_matrix.eliminate_zeros()  # the transition matrix stores no zero rate
     assert same_array(matrix.data, expected_matrix.data)
+    assert same_bits(matrix.data, expected_matrix.data)
     assert same_array(matrix.indices, expected_matrix.indices)
     assert same_array(matrix.indptr, expected_matrix.indptr)
 

@@ -380,19 +380,32 @@ class TestTopologyIsCarried:
     def test_content_refresh_builds_nothing_topology_refresh_builds_once(
         self, ingest, builds
     ):
+        """A content batch rebinds, an append-only topology batch extends,
+        and only a batch with a removal builds a transfer graph again."""
         first = ingest.refresh()
         assert len(builds) == 1
+        assert first.graph_path == "built"
         ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
         second = ingest.refresh(previous=first.ranker)
         assert len(builds) == 1
+        assert second.graph_path == "rebound"
         assert second.graph is not first.graph
         assert second.graph.data_graph is second.data_graph
         assert second.graph.edge_source is first.graph.edge_source
         assert second.data_graph.node("v7").attributes["title"].endswith("Sketch")
         ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
+        ingest.add_edge("p_new", "v7", "cites")
         third = ingest.refresh(previous=second.ranker)
-        assert len(builds) == 2
+        assert len(builds) == 1
+        assert third.graph_path == "extended"
+        assert third.graph.data_graph is third.data_graph
         assert third.graph.num_nodes == first.graph.num_nodes + 1
+        assert third.graph.num_edges == first.graph.num_edges + 2
+        ingest.remove_edge("p_new", "v7", "cites")
+        fourth = ingest.refresh(previous=third.ranker)
+        assert len(builds) == 2
+        assert fourth.graph_path == "built"
+        assert fourth.graph.num_edges == first.graph.num_edges
 
     def test_refresh_leaves_the_sell_layout_to_the_first_live_query(
         self, ingest, monkeypatch

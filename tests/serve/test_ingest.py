@@ -17,10 +17,12 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
 from repro.ranking.precompute import PrecomputedRanker
-from repro.serve import QueryService, ServeConfig
+from repro.serve import QueryService, ServeConfig, http_server
+from repro.serve.service import Deadline
 from repro.store import build_and_publish, read_manifest
 
 from tests.properties.test_explain_batch_properties import same_bits
+from tests.serve.test_http_server import _boot, _request
 
 
 def _service(figure1, **overrides):
@@ -256,6 +258,66 @@ class TestNonconformingMutations:
             assert "p_new" in [r["id"] for r in hits]
         forced = service.ingest("fig1", [], refresh="force")
         assert forced["errors"] == [] and forced["refresh"] is not None
+
+
+class TestGraphPath:
+    def test_the_refresh_block_names_how_the_graph_came_about(self, figure1):
+        service = _service(figure1)
+        update = [{"op": "update_node", "node_id": "v5", "attributes": {"title": "x"}}]
+        removal = [{"op": "remove_edge", "source": "v7", "target": "p_new",
+                    "role": "cites"}]
+        paths = [
+            service.ingest("fig1", batch, refresh="force")["refresh"]["graph"]
+            for batch in (update, update, ADD_PAPER, removal)
+        ]
+        # The first refresh has no snapshot to start from.
+        assert paths == ["built", "rebound", "extended", "built"]
+
+
+class TestDeadline:
+    def test_an_expired_forced_ingest_leaves_its_batch_pending(
+        self, figure1, monkeypatch
+    ):
+        """The deadline runs out after the batch applied, before the refresh:
+        503, the batch stays pending, and the next refresh consumes it."""
+        service = _service(figure1, ingest_staleness_bound=1_000)
+        runtime = service.runtime("fig1")
+        engine = runtime.ingest
+        service.search("fig1", "OLAP")  # the precompute the refresh carries from
+
+        def clock() -> float:
+            # Time passes only once the batch is in the working copy.
+            return 60.0 if engine.pending_mutations else 0.0
+
+        monkeypatch.setattr(
+            http_server, "Deadline", lambda seconds: Deadline(seconds, clock=clock)
+        )
+        server, thread = _boot(service)
+        try:
+            status, payload = _request(
+                f"{server.url}/ingest",
+                {"dataset": "fig1", "mutations": ADD_PAPER, "refresh": "force"},
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert (status, payload["error"]) == (503, "deadline_exceeded")
+        assert "ingest refresh" in payload["message"]
+        assert engine.pending_mutations == len(ADD_PAPER)
+        assert (engine.epoch, runtime.ingest_epoch) == (0, 0)
+
+        refresh = service.ingest("fig1", [], refresh="force")["refresh"]
+        assert refresh["pending_consumed"] == len(ADD_PAPER)
+        assert engine.pending_mutations == 0
+        served = runtime.built_ranker()
+        expected = PrecomputedRanker(
+            runtime.engine.graph, runtime.engine.index, min_document_frequency=1
+        )
+        assert "p_new" in served.node_ids
+        assert served.keywords == expected.keywords
+        for keyword in expected.keywords:
+            assert same_bits(served.vector(keyword), expected.vector(keyword))
 
 
 class TestMetrics:

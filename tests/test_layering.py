@@ -1128,6 +1128,75 @@ def test_the_guard_sees_the_steps_it_forbids():
     assert eq4_steps(tree) == {"fast": ["bind_sell_step"], "flipped": ["numpy"]}
 
 
+# -- the blocked engine binds its kernel once per chunk, not per step -----------
+
+#: What converts arrays for the block kernel on every call: the checked
+#: per-call wrapper and ctypes' own conversions.
+PER_CALL_KERNEL = {"blocked_step", "ndpointer", "ctypes", "from_param"}
+
+
+def per_step_conversions(tree: ast.AST) -> list[str]:
+    """``function: name`` for every per-call kernel entry a function names,
+    and for every ``bind_blocked_step`` inside a loop of the function."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        looped = {
+            id(node)
+            for loop in ast.walk(function)
+            if isinstance(loop, (ast.For, ast.While))
+            for statement in loop.body
+            for node in ast.walk(statement)
+        }
+        for node in ast.walk(function):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in PER_CALL_KERNEL:
+                found.append(f"{function.name}: {name}")
+            elif name == "bind_blocked_step" and id(node) in looped:
+                found.append(f"{function.name}: {name} per step")
+    return found
+
+
+def test_the_blocked_engine_converts_no_array_per_step():
+    """The engine binds the kernel's addresses once per chunk and steps it;
+    the kernel's signature has no ``ndpointer`` to convert through."""
+    from repro.ranking import _native
+
+    batch = SRC / "ranking" / "batch.py"
+    assert per_step_conversions(ast.parse(batch.read_text(encoding="utf-8"))) == []
+    assert "bind_blocked_step" in batch.read_text(encoding="utf-8")
+    assert not [
+        argtype for argtype in _native._SIGNATURES["blocked_step"]
+        if hasattr(argtype, "_dtype_")
+    ]
+
+
+def test_the_guard_sees_a_per_step_conversion():
+    tree = ast.parse(
+        "def wrapped(matrix, block, jump):\n"
+        "    for _ in range(9):\n"
+        "        _native.blocked_step(matrix, block, rows, jump, 0.85)\n"
+        "def rebound(matrix, buffers):\n"
+        "    while live.any():\n"
+        "        step = _native.bind_blocked_step(matrix, buffers, rows, jump, d)\n"
+        "        step()\n"
+        "def converted(block):\n"
+        "    return block.ctypes.data\n"
+        "def bound(matrix, buffers):\n"
+        "    step = _native.bind_blocked_step(matrix, buffers, rows, jump, d)\n"
+        "    for _ in range(9):\n"
+        "        step()\n"
+    )
+    assert per_step_conversions(tree) == [
+        "wrapped: blocked_step",
+        "rebound: bind_blocked_step per step",
+        "converted: ctypes",
+    ]
+
+
 # -- one ranking core: a restart block, a stop and one rank() call ---------------
 
 #: The two Eq. 4 loops: the single-vector one and the blocked engine.
