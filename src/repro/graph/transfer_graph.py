@@ -13,8 +13,10 @@ type at ``u`` (and 0-outdegree means rate 0, vacuously).
 This module materializes ``D^A`` with dense integer node indices and flat
 numpy edge arrays, and splits what it derives from them by what can change:
 
-* **per topology** (computed once by the constructor, shared read-only by
-  every :meth:`~AuthorityTransferDataGraph.with_rates` /
+* **per topology** (computed once by the constructor, or from the last
+  topology's by :meth:`~AuthorityTransferDataGraph.extended` when nodes and
+  edges were only appended, and shared read-only by every
+  :meth:`~AuthorityTransferDataGraph.with_rates` /
   :meth:`~AuthorityTransferDataGraph.rebound` view): the node index, the
   edge arrays, the out-degree counts of Equation 1 and the in/out incidence
   indices;
@@ -230,7 +232,7 @@ class AuthorityTransferDataGraph:
         self._transfer_schema = transfer_schema
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
-        self._count_out_degrees()
+        self._finish_topology()
 
     def _type_pairs(self, schema_edges: Iterable) -> list[tuple[int, int]]:
         """The ``(forward, backward)`` edge-type index of each schema edge."""
@@ -240,9 +242,9 @@ class AuthorityTransferDataGraph:
             for e in schema_edges
         ]
 
-    def _count_out_degrees(self) -> None:
-        """Equation 1's OutDeg per edge and each type's largest, from the
-        edge arrays; then every structure built on first use starts empty."""
+    def _finish_topology(self) -> None:
+        """From the edge arrays: Equation 1's OutDeg per edge and each
+        type's largest; and empty caches for what is built on first use."""
         # OutDeg(u, edge_type): count transfer edges grouped by (source, type).
         num_types = max(len(self.edge_types), 1)
         group_key = self.edge_source * num_types + self.edge_type_index
@@ -404,14 +406,14 @@ class AuthorityTransferDataGraph:
         would build over ``data_graph``.  The caller checks that (it costs a
         pass over the nodes and edges); only a smaller graph is refused
         here, as :meth:`rebound` refuses another ``topology_version``.
-        Only the appended edges are read:
-        their endpoints are looked up, their ``(label, label, role)``
-        triples resolved against the schema where no edge of this graph has
-        the triple (and the appended nodes' labels checked — a graph that
-        does not conform raises the constructor's
-        :class:`~repro.errors.ConformanceError`), and they go on the end of
-        the edge arrays.  The out-degrees and type maxima are recounted by
-        one ``bincount``; the incidences are merged
+
+        Only the appended edges are read: their endpoints are looked up,
+        their ``(label, label, role)`` triples resolved against the schema
+        where no edge of this graph has the triple (and the appended nodes'
+        labels checked — a graph that does not conform raises the
+        constructor's :class:`~repro.errors.ConformanceError`), and they go
+        on the end of the edge arrays.  The out-degrees and type maxima are
+        recounted by one ``bincount``; the incidences are merged
         (:func:`extend_incidence`), not sorted again.  Everything built per
         topology on first use (pattern, layout, node degrees, derived
         tables) starts empty.
@@ -469,7 +471,7 @@ class AuthorityTransferDataGraph:
         graph._in_index = extend_incidence(
             self._in_index, appended_target, self.num_edges, graph.num_nodes
         )
-        graph._count_out_degrees()
+        graph._finish_topology()
         return graph
 
     # -- matrix + adjacency views --------------------------------------------

@@ -421,11 +421,6 @@ def _bound_address(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _call(lib, matrix, block, jump_rows, jump, damping, out, resid) -> None:
-    """One block step over checked buffers (:func:`_blocked_inputs_fit`)."""
-    BlockedStep(lib, matrix, (block, out), jump_rows, jump, damping, resid)()
-
-
 def _probe_bitwise(lib: ctypes.CDLL) -> bool:
     """Verify the compiled code reproduces the scipy sequence bit-for-bit.
 
@@ -456,10 +451,9 @@ def _probe_bitwise(lib: ctypes.CDLL) -> bool:
                 )
             out = np.empty((n, width))
             resid = np.empty(width)
-            try:
-                _call(lib, probe, block, jump_rows, jump, damping, out, resid)
-            except (ctypes.ArgumentError, ValueError):
+            if not _blocked_inputs_fit(probe, block, jump_rows, jump):
                 return False
+            BlockedStep(lib, probe, (block, out), jump_rows, jump, damping, resid)()
             dense_jump = np.zeros((n, width))
             dense_jump[jump_rows] = jump
             expected = np.empty((n, width))
@@ -641,7 +635,7 @@ def blocked_step(
         out = np.empty_like(block)
     if not _is_float_buffer(resid, (block.shape[1],)):
         resid = np.empty(block.shape[1])
-    _call(lib, matrix, block, jump_rows, jump, damping, out, resid)
+    BlockedStep(lib, matrix, (block, out), jump_rows, jump, damping, resid)()
     return out, resid
 
 

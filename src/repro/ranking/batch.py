@@ -172,16 +172,17 @@ def _iterate_chunk(
     # term row-compacted, built straight from the base sets, so no dense
     # restart slab exists.  A row mask lists the rows, a row -> slot map
     # places every base set's weights in one scatter.
-    nodes = np.concatenate([nodes for nodes, _ in bases])
+    rows = np.concatenate([nodes for nodes, _ in bases])
+    cols = np.repeat(np.arange(width), [nodes.size for nodes, _ in bases])
     listed = np.zeros(n, dtype=bool)
-    listed[nodes] = True
+    listed[rows] = True
     jump_rows = np.flatnonzero(listed).astype(np.int32)
     slot = np.empty(n, dtype=np.intp)
     slot[jump_rows] = np.arange(jump_rows.size)
     packed_jump = np.zeros((jump_rows.size, width))
-    packed_jump[slot[nodes], np.repeat(np.arange(width), [b.size for b, _ in bases])] = (
-        1.0 - damping
-    ) * np.concatenate([weights for _, weights in bases])
+    packed_jump[slot[rows], cols] = (1.0 - damping) * np.concatenate(
+        [weights for _, weights in bases]
+    )
 
     columns: list = [None] * k
     iterations = np.full(width, max_iterations, dtype=np.int64)
