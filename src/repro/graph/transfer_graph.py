@@ -229,10 +229,11 @@ class AuthorityTransferDataGraph:
         self.edge_target = np.column_stack((target, source)).ravel()
         self.edge_type_index = types[triple_of_edge].ravel()
         self.num_edges = len(self.edge_source)
+        self._count_out_degrees()
         self._transfer_schema = transfer_schema
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
-        self._finish_topology()
+        self._start_caches()
 
     def _type_pairs(self, schema_edges: Iterable) -> list[tuple[int, int]]:
         """The ``(forward, backward)`` edge-type index of each schema edge."""
@@ -242,9 +243,9 @@ class AuthorityTransferDataGraph:
             for e in schema_edges
         ]
 
-    def _finish_topology(self) -> None:
-        """From the edge arrays: Equation 1's OutDeg per edge and each
-        type's largest; and empty caches for what is built on first use."""
+    def _count_out_degrees(self) -> None:
+        """Equation 1's OutDeg per edge and each type's largest, from the
+        edge arrays."""
         # OutDeg(u, edge_type): count transfer edges grouped by (source, type).
         num_types = max(len(self.edge_types), 1)
         group_key = self.edge_source * num_types + self.edge_type_index
@@ -255,6 +256,10 @@ class AuthorityTransferDataGraph:
         #: Each edge type's largest OutDeg (at least 1): its smallest edge
         #: rate is its alpha divided by this.
         self._type_max_degree = counts.reshape(-1, num_types).max(axis=0, initial=1)
+
+    def _start_caches(self) -> None:
+        """Empty caches for what a topology builds on first use, and the
+        rate setting over the finished arrays."""
         #: ``("pattern" | "layout", zero_types)`` -> the :class:`CsrPattern`
         #: and :class:`SellLayout` of views whose rates are zero on exactly
         #: ``zero_types``, built by the first :meth:`matrix` or
@@ -464,6 +469,7 @@ class AuthorityTransferDataGraph:
         graph.edge_target = np.concatenate((self.edge_target, appended_target))
         graph.edge_type_index = np.concatenate((self.edge_type_index, types))
         graph.num_edges = len(graph.edge_source)
+        graph._count_out_degrees()
         graph._transfer_schema = transfer_schema
         graph._out_index = extend_incidence(
             self._out_index, appended_source, self.num_edges, graph.num_nodes
@@ -471,7 +477,7 @@ class AuthorityTransferDataGraph:
         graph._in_index = extend_incidence(
             self._in_index, appended_target, self.num_edges, graph.num_nodes
         )
-        graph._finish_topology()
+        graph._start_caches()
         return graph
 
     # -- matrix + adjacency views --------------------------------------------
