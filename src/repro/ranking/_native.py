@@ -380,8 +380,8 @@ _pointer, _count = ctypes.c_void_p, ctypes.c_int64
 #: (``tests/ranking/test_kernel_sources.py`` checks them against the
 #: sources).  Every kernel returns void.
 _SIGNATURES = {
-    # Raw addresses, like every kernel's: BlockedStep and SellStep check
-    # every buffer and bind them once per run.
+    # Raw addresses, like every kernel's: bind_blocked_step and
+    # bind_sell_step check every buffer, and the step binds them once per run.
     "blocked_step": [
         _count, _count, *[_pointer] * 4, _count, _pointer, _pointer,
         ctypes.c_double, _pointer, _pointer,
