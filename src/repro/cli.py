@@ -258,6 +258,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         dataset.data_graph,
         dataset.transfer_schema,
         engine.index,
+        engine.graph,
         min_document_frequency=args.min_df,
     )
     applied, errors = ingest.apply_batch(raw)

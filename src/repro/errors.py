@@ -109,6 +109,15 @@ class ExplanationError(ReproError):
     """The explaining subgraph could not be built for a target object."""
 
 
+class TermTableError(ReproError):
+    """An inverted index cannot supply Equation 11's node-term table.
+
+    Either it is not the index of the graph's node text (a node has no
+    document in it), or its analyzer drops terms that Section 5.1's
+    expansion rule keeps.
+    """
+
+
 class DatasetError(ReproError):
     """A named dataset is unknown or a generator received invalid parameters."""
 

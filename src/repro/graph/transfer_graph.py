@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -50,6 +50,9 @@ from repro.graph.build_cache import BuildCache
 from repro.graph.conformance import find_violations
 from repro.graph.data_graph import DataGraph
 from repro.graph.node_values import NodeValueView
+
+if TYPE_CHECKING:
+    from repro.ir.index import InvertedIndex
 
 T = TypeVar("T")
 
@@ -173,6 +176,13 @@ class AuthorityTransferDataGraph:
     ``edge_rate``.  Edge ids are positions into these arrays; data edge ``k``
     of the data graph produces transfer edges ``2k`` (forward) and ``2k + 1``
     (backward).
+
+    ``index``, where the caller builds one beside the graph (a
+    :class:`~repro.query.engine.SearchEngine`, an ingest refresh), is the
+    inverted index over the same data graph: :attr:`index` hands it to
+    whoever holds only the graph, such as Equation 11's node-term table
+    (:mod:`repro.reformulate.terms`), so graph and index always come from
+    one snapshot.
     """
 
     #: Rate-independent derived structures kept per topology
@@ -183,9 +193,13 @@ class AuthorityTransferDataGraph:
     STRUCTURE_CACHE_SIZE = 4
 
     def __init__(
-        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
+        self,
+        data_graph: DataGraph,
+        transfer_schema: AuthorityTransferSchemaGraph,
+        index: InvertedIndex | None = None,
     ) -> None:
         self.data_graph = data_graph
+        self._link_index(index)
         self.node_ids: list[str] = data_graph.node_ids()
         self._node_index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         self.num_nodes = len(self.node_ids)
@@ -234,6 +248,21 @@ class AuthorityTransferDataGraph:
         self._out_index = build_incidence(self.edge_source, self.num_nodes, self.num_edges)
         self._in_index = build_incidence(self.edge_target, self.num_nodes, self.num_edges)
         self._start_caches()
+
+    def _link_index(self, index: InvertedIndex | None) -> None:
+        #: ``(data_graph.version, index)``: the inverted index built beside
+        #: this graph over its data graph's node text, at that version.
+        self._index_link = None if index is None else (self.data_graph.version, index)
+
+    @property
+    def index(self) -> InvertedIndex | None:
+        """The inverted index over this graph's node text, if one was
+        built with it: ``None`` when none was, or when the data graph has
+        been mutated in place since (the index then describes older text)."""
+        link = self._index_link
+        if link is None or link[0] != self.data_graph.version:
+            return None
+        return link[1]
 
     def _type_pairs(self, schema_edges: Iterable) -> list[tuple[int, int]]:
         """The ``(forward, backward)`` edge-type index of each schema edge."""
@@ -364,11 +393,17 @@ class AuthorityTransferDataGraph:
     def with_rates(
         self, transfer_schema: AuthorityTransferSchemaGraph
     ) -> "AuthorityTransferDataGraph":
-        """:meth:`rebound` over this graph's own data graph: new rates only."""
-        return self.rebound(self.data_graph, transfer_schema)
+        """:meth:`rebound` over this graph's own data graph and index: new
+        rates only."""
+        view = self.rebound(self.data_graph, transfer_schema)
+        view._index_link = self._index_link
+        return view
 
     def rebound(
-        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
+        self,
+        data_graph: DataGraph,
+        transfer_schema: AuthorityTransferSchemaGraph,
+        index: InvertedIndex | None = None,
     ) -> "AuthorityTransferDataGraph":
         """A lightweight view of this topology over ``data_graph`` and rates.
 
@@ -386,7 +421,8 @@ class AuthorityTransferDataGraph:
         use (the pattern and layout too, if no view yet zeroes the same
         types); under *unchanged* rates — every content-only ingest
         refresh — it shares this graph's :class:`RateSetting` outright and
-        computes nothing.
+        computes nothing.  ``index`` is ``data_graph``'s inverted index, as
+        for the constructor.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -395,13 +431,17 @@ class AuthorityTransferDataGraph:
         view = object.__new__(AuthorityTransferDataGraph)
         view.__dict__.update(self.__dict__)
         view.data_graph = data_graph
+        view._link_index(index)
         view._transfer_schema = transfer_schema
         if transfer_schema != self._transfer_schema:
             view._per_rate = RateSetting(view)
         return view
 
     def extended(
-        self, data_graph: DataGraph, transfer_schema: AuthorityTransferSchemaGraph
+        self,
+        data_graph: DataGraph,
+        transfer_schema: AuthorityTransferSchemaGraph,
+        index: InvertedIndex | None = None,
     ) -> "AuthorityTransferDataGraph":
         """This topology with the nodes and edges ``data_graph`` appended.
 
@@ -421,7 +461,8 @@ class AuthorityTransferDataGraph:
         recounted by one ``bincount``; the incidences are merged
         (:func:`extend_incidence`), not sorted again.  Everything built per
         topology on first use (pattern, layout, node degrees, derived
-        tables) starts empty.
+        tables) starts empty.  ``index`` is ``data_graph``'s inverted index,
+        as for the constructor.
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
@@ -448,6 +489,7 @@ class AuthorityTransferDataGraph:
 
         graph = object.__new__(AuthorityTransferDataGraph)
         graph.data_graph = data_graph
+        graph._link_index(index)
         graph.node_ids = node_ids
         graph._node_index = dict(self._node_index)
         graph._node_index.update(zip(new_ids, range(self.num_nodes, len(node_ids))))
@@ -524,11 +566,11 @@ class AuthorityTransferDataGraph:
 
         For index-time structures over node text or topology that request
         paths would otherwise redo per call (the reformulator's node-term
-        table).  The cache is shared by every :meth:`with_rates` view, so
-        ``build`` must not depend on the rates; keying on
-        ``data_graph.version`` means any mutation of the data graph is a
-        miss, so the view a content-only ingest refresh rebinds to new text
-        starts cold for it.  Concurrent first uses build once
+        table, read off :attr:`index`).  The cache is shared by every
+        :meth:`with_rates` view, so ``build`` must not depend on the rates;
+        keying on ``data_graph.version`` means any mutation of the data
+        graph is a miss, so the view a content-only ingest refresh rebinds
+        to new text starts cold for it.  Concurrent first uses build once
         (:class:`~repro.graph.build_cache.BuildCache`).
         """
         return self._derived.get((self.data_graph.version, key), build)

@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import ConformanceError, IngestError, ReproError
+from repro.errors import ConformanceError, GraphError, IngestError, ReproError
 from repro.graph.authority import AuthorityTransferSchemaGraph
 from repro.graph.conformance import edge_violation, node_violation
 from repro.graph.data_graph import DataEdge, DataGraph, DataNode
@@ -110,17 +110,22 @@ class IngestEngine:
         data_graph: DataGraph,
         transfer_schema: AuthorityTransferSchemaGraph,
         index: InvertedIndex | None = None,
+        graph: AuthorityTransferDataGraph | None = None,
         damping: float = DEFAULT_DAMPING,
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         min_document_frequency: int = 2,
     ) -> None:
-        """Start from ``data_graph`` and ``index``, its inverted index.
+        """Start from ``data_graph``, ``index``, its inverted index, and
+        ``graph``, its transfer graph.
 
         The caller's index (a :class:`~repro.query.engine.SearchEngine`'s,
         say) saves tokenising the corpus again; without one the engine
         indexes the graph itself.  Both are taken as copy-on-write copies,
-        so the caller's objects never see a mutation.
+        so the caller's objects never see a mutation.  The caller's transfer
+        graph lets the first refresh rebind or extend it instead of building
+        one; it must be built over ``data_graph`` itself (else
+        :class:`~repro.errors.GraphError`) and is only read.
         """
         self.transfer_schema = transfer_schema
         self.damping = damping
@@ -138,11 +143,17 @@ class IngestEngine:
         self._tracker = DirtyKeywordTracker()
         #: guarded by self._lock
         self._epoch = 0
-        #: guarded by self._lock; the last successful refresh's transfer graph
-        self._last_graph: AuthorityTransferDataGraph | None = None
         #: guarded by self._lock; the snapshot the tracker's dirt is
         #: relative to (the last frozen one)
         self._dirt_base = self._data_graph.copy()
+        if graph is not None:
+            if graph.data_graph is not data_graph:
+                raise GraphError("the transfer graph is over another data graph")
+            # Over the snapshot the working copy starts from: the caller's
+            # own data graph may still change.
+            graph = graph.rebound(self._dirt_base, graph.transfer_schema)
+        #: guarded by self._lock; the last successful refresh's transfer graph
+        self._last_graph = graph
 
     # -- mutations ---------------------------------------------------------
 
@@ -349,11 +360,12 @@ class IngestEngine:
                 last is not None
                 and last.data_graph.topology_version == data_graph.topology_version
             ):
-                graph, graph_path = last.rebound(data_graph, rates), "rebound"
+                graph, graph_path = last.rebound(data_graph, rates, index), "rebound"
             elif last is not None and data_graph.extends(last.data_graph):
-                graph, graph_path = last.extended(data_graph, rates), "extended"
+                graph, graph_path = last.extended(data_graph, rates, index), "extended"
             else:
-                graph, graph_path = AuthorityTransferDataGraph(data_graph, rates), "built"
+                graph = AuthorityTransferDataGraph(data_graph, rates, index)
+                graph_path = "built"
             if precompute:
                 outcome = refreshed_keyword_vectors(
                     graph,

@@ -9,7 +9,7 @@ by the scorers in :mod:`repro.ir.scoring`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, KeysView
 
 import numpy as np
 
@@ -209,6 +209,13 @@ class InvertedIndex:
     def terms_of_document(self, doc_id: str) -> dict[str, int]:
         """Forward view: term -> tf for one document (empty if unknown)."""
         return dict(self._doc_terms.get(doc_id, {}))
+
+    def document_terms(self, doc_id: str) -> KeysView[str] | None:
+        """One document's distinct terms in first-occurrence order, without
+        a copy (its term dict is never written in place); ``None`` if
+        ``doc_id`` is not indexed."""
+        terms = self._doc_terms.get(doc_id)
+        return None if terms is None else terms.keys()
 
     def postings(self, term: str) -> list[Posting]:
         return [Posting(d, tf) for d, tf in self._postings.get(term, {}).items()]

@@ -53,13 +53,6 @@ class Analyzer:
         tokens = tokenize(text)
         return [t for t in tokens if self._keep(t)]
 
-    def unique_terms(self, text: str) -> list[str]:
-        """Distinct index terms of ``text``, in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for term in self.terms(text):
-            seen.setdefault(term)
-        return list(seen)
-
     def is_stopword(self, term: str) -> bool:
         return term in self.stopwords
 

@@ -19,14 +19,13 @@ current query vector's average weight and merged in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.explain.adjustment import FlowExplanation
 from repro.explain.flows import local_node_outgoing_flow
 from repro.graph.node_values import first_occurrences
-from repro.ir.tokenize import Analyzer
 from repro.query.query import QueryVector
 from repro.reformulate.aggregation import AGGREGATORS, aggregate_arrays, top_weights
 from repro.reformulate.terms import node_term_table
@@ -34,11 +33,6 @@ from repro.reformulate.terms import node_term_table
 DEFAULT_DECAY = 0.5  # C_d, "typically set to 0.5" (Section 5.1)
 DEFAULT_EXPANSION_FACTOR = 0.5  # C_e
 DEFAULT_NUM_TERMS = 5  # Z, the paper's "top-k terms"; Example 2 uses 5
-
-# Expansion terms come from node text that includes author initials ("R.
-# Agrawal"); single letters are never useful query terms, so the expansion
-# analyzer requires at least two characters.
-_EXPANSION_ANALYZER = Analyzer(min_token_length=2)
 
 
 @dataclass
@@ -48,7 +42,6 @@ class ContentReformulator:
     decay: float = DEFAULT_DECAY
     expansion_factor: float = DEFAULT_EXPANSION_FACTOR
     num_terms: int = DEFAULT_NUM_TERMS
-    analyzer: Analyzer = field(default_factory=lambda: _EXPANSION_ANALYZER)
     aggregation: str = "sum"
 
     def __post_init__(self) -> None:
@@ -73,12 +66,13 @@ class ContentReformulator:
 
         Stopwords are ignored, as Section 5.1 prescribes.  Each contributing
         node's ``C_d^D(v_k) * outflow`` is repeated over its terms, read off
-        the cached node-term table (:mod:`repro.reformulate.terms`) in node
-        order; summing them per term in that order is the per-node
-        accumulation loop over the tokenised node text, bit for bit.
+        the cached node-term table (:mod:`repro.reformulate.terms`, from the
+        inverted index) in node order; summing them per term in that order
+        is the per-node accumulation loop over the tokenised node text, bit
+        for bit.
         """
         subgraph = explanation.subgraph
-        table = node_term_table(explanation.graph, self.analyzer)
+        table = node_term_table(explanation.graph)
         outflow = local_node_outgoing_flow(subgraph, explanation.flows)
         # The target's "outgoing flow is not specified in G_v^Q": use
         # d * (incoming flow) instead.
@@ -134,7 +128,7 @@ class ContentReformulator:
         """
         if not explanations:
             return np.zeros(0), np.zeros(0, dtype=np.int64), []
-        vocabulary = node_term_table(explanations[0].graph, self.analyzer).vocabulary
+        vocabulary = node_term_table(explanations[0].graph).vocabulary
         rows = [self.term_weight_arrays(e) for e in explanations]
         present = np.stack([has for _, has in rows])
         keys = np.flatnonzero(present.any(axis=0))

@@ -210,6 +210,7 @@ class DatasetRuntime:
                 dataset.data_graph,
                 dataset.transfer_schema,
                 self.engine.index,
+                self.engine.graph,
                 min_document_frequency=config.precompute_min_document_frequency,
             )
 

@@ -438,3 +438,66 @@ class TestTopologyIsCarried:
         second = ingest.refresh(precompute=False)
         assert second.graph.derived("probe", lambda: "second") == "second"
         assert first.graph.derived("probe", lambda: "rebuilt") == "first"
+
+
+class TestSeededWithTheCallersGraph:
+    """Given the caller's transfer graph, the first refresh rebinds or
+    extends it; each snapshot's graph carries the snapshot's index."""
+
+    @pytest.fixture
+    def seeded(self, figure1):
+        index = InvertedIndex.from_graph(figure1.data_graph)
+        graph = AuthorityTransferDataGraph(
+            figure1.data_graph, figure1.transfer_schema, index
+        )
+        return graph, IngestEngine(
+            figure1.data_graph, figure1.transfer_schema, index, graph,
+            min_document_frequency=1,
+        )
+
+    def test_the_first_content_refresh_rebinds(self, seeded):
+        graph, ingest = seeded
+        ingest.update_node("v7", {"title": "Data Cube: A Relational Sketch"})
+        result = ingest.refresh(precompute=False)
+        assert result.graph_path == "rebound"
+        assert result.graph.edge_source is graph.edge_source
+        assert result.graph.index is result.index
+        assert graph.index is not result.index
+
+    def test_the_first_appending_refresh_extends(self, seeded, figure1):
+        graph, ingest = seeded
+        ingest.add_node("p_new", "Paper", {"title": "Streaming OLAP"})
+        ingest.add_edge("p_new", "v7", "cites")
+        result = ingest.refresh(precompute=False)
+        assert result.graph_path == "extended"
+        assert result.graph.index is result.index
+        built = AuthorityTransferDataGraph(result.data_graph, figure1.transfer_schema)
+        assert np.array_equal(result.graph.edge_source, built.edge_source)
+        assert np.array_equal(result.graph.edge_type_index, built.edge_type_index)
+
+    def test_a_later_edit_of_the_callers_data_graph_is_not_the_engines(self, figure1):
+        """The seed is pinned to the snapshot the working copy started from:
+        the caller's own edit, with an equal ``topology_version``, does not
+        make the engine rebind a graph over other nodes."""
+        data_graph = figure1.data_graph.copy()
+        graph = AuthorityTransferDataGraph(data_graph, figure1.transfer_schema)
+        ingest = IngestEngine(data_graph, figure1.transfer_schema, graph=graph)
+        data_graph.add_node("theirs", "Paper", {"title": "elsewhere"})
+        ingest.add_node("ours", "Paper", {"title": "here"})
+        result = ingest.refresh(precompute=False)
+        assert result.graph_path == "extended"
+        assert result.graph.node_ids[-1] == "ours"
+        assert "theirs" not in result.graph.node_ids
+
+    def test_a_graph_over_another_data_graph_is_refused(self, figure1):
+        """Even one with as many nodes and edges: the version counters of
+        two unrelated graphs say nothing about their nodes."""
+        renamed = DataGraph()
+        for node in figure1.data_graph.nodes():
+            renamed.add_node(node.node_id + "x", node.label, node.attributes)
+        for edge in figure1.data_graph.edges():
+            renamed.add_edge(edge.source + "x", edge.target + "x", edge.role)
+        graph = AuthorityTransferDataGraph(renamed, figure1.transfer_schema)
+        assert renamed.topology_version == figure1.data_graph.topology_version
+        with pytest.raises(GraphError, match="another data graph"):
+            IngestEngine(figure1.data_graph, figure1.transfer_schema, graph=graph)

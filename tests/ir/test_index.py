@@ -63,6 +63,11 @@ class TestLookup:
     def test_terms_of_document(self, index):
         assert index.terms_of_document("d2") == {"olap": 2, "indexing": 1}
 
+    def test_document_terms_are_distinct_in_first_occurrence_order(self):
+        index = InvertedIndex.from_documents([("d", "cube olap cube olap xml")])
+        assert list(index.document_terms("d")) == ["cube", "olap", "xml"]
+        assert index.document_terms("absent") is None
+
     def test_contains(self, index):
         assert "olap" in index
         assert "nope" not in index

@@ -35,12 +35,6 @@ class TestAnalyzer:
         analyzer = Analyzer(min_token_length=3)
         assert analyzer.terms("R. Agrawal on OLAP") == ["agrawal", "olap"]
 
-    def test_unique_terms_preserves_first_occurrence_order(self):
-        analyzer = Analyzer()
-        assert analyzer.unique_terms("cube olap cube olap xml") == [
-            "cube", "olap", "xml",
-        ]
-
     def test_is_stopword(self):
         analyzer = Analyzer()
         assert analyzer.is_stopword("the")

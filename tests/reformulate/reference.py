@@ -4,8 +4,10 @@ test oracle.
 The per-node / per-edge Python loops the array-native reformulation
 replaced, kept verbatim so the vectorised code can be checked ``==``
 against them (tests/properties/test_reformulate_properties.py, and the
-``dblp_top`` feedback session in tests/core/test_system.py): Equation 11's
-term weights, Equation 15's per-type flows, the dict aggregation of
+``dblp_top`` feedback session in tests/core/test_system.py): the node-term
+table by tokenising every node's text with the expansion analyzer
+(:func:`build_node_term_table`, which the table read off the inverted index
+replaced), Equation 11's term weights, Equation 15's per-type flows, the dict aggregation of
 Section 5.3 (:func:`aggregate_maps`) and the top-Z by ``heapq.nsmallest``
 over the aggregated dict.  Likewise the divide-by-the-sum normalisations
 that scaling only the mass above the epsilon floor replaced: at
@@ -33,12 +35,19 @@ import numpy as np
 from repro.errors import RateError
 from repro.explain.adjustment import FlowExplanation
 from repro.graph.authority import AuthorityTransferSchemaGraph, Direction, EdgeType
+from repro.graph.transfer_graph import AuthorityTransferDataGraph
+from repro.ir.tokenize import Analyzer
 from repro.reformulate import (
     AGGREGATORS,
     ContentReformulator,
+    NodeTermTable,
     Reformulator,
     StructureReformulator,
 )
+
+#: Section 5.1's expansion rule as an analyzer: at least two characters
+#: (author initials are never useful query terms), no stopwords.
+EXPANSION_ANALYZER = Analyzer(min_token_length=2)
 
 K = TypeVar("K", bound=Hashable)
 
@@ -71,6 +80,26 @@ def reference_flow_by_edge_type(explanation: FlowExplanation) -> dict:
     return totals
 
 
+def unique_expansion_terms(text: str) -> list[str]:
+    """Distinct expansion terms of ``text``, in first-occurrence order."""
+    return list(dict.fromkeys(EXPANSION_ANALYZER.terms(text)))
+
+
+def build_node_term_table(graph: AuthorityTransferDataGraph) -> NodeTermTable:
+    """Tokenise every node of ``graph`` once with the expansion analyzer."""
+    data_graph = graph.data_graph
+    vocabulary: dict[str, int] = {}
+    term_ids: list[int] = []
+    indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    for index, node_id in enumerate(graph.node_ids):
+        for term in unique_expansion_terms(data_graph.node(node_id).text()):
+            term_ids.append(vocabulary.setdefault(term, len(vocabulary)))
+        indptr[index + 1] = len(term_ids)
+    return NodeTermTable(
+        indptr, np.asarray(term_ids, dtype=np.int64), list(vocabulary)
+    )
+
+
 def reference_term_weights(
     reformulator: ContentReformulator, explanation: FlowExplanation
 ) -> dict[str, float]:
@@ -88,9 +117,7 @@ def reference_term_weights(
         depth = subgraph.depth_to_target.get(node_index, 0)
         contribution = (reformulator.decay**depth) * flow
         node = graph.data_graph.node(graph.node_id_of(node_index))
-        for term in reformulator.analyzer.unique_terms(node.text()):
-            if reformulator.analyzer.is_stopword(term):
-                continue
+        for term in unique_expansion_terms(node.text()):
             weights[term] = weights.get(term, 0.0) + contribution
     return weights
 

@@ -159,14 +159,14 @@ def test_concurrent_first_reformulations_build_one_term_table(figure1, monkeypat
     from repro.reformulate import terms
 
     builds = []
-    real = terms.build_node_term_table
+    real = terms.table_from_index
 
-    def slow_build(graph, analyzer):
-        builds.append(analyzer)
+    def slow_build(node_ids, index):
+        builds.append(index)
         time.sleep(0.2)
-        return real(graph, analyzer)
+        return real(node_ids, index)
 
-    monkeypatch.setattr(terms, "build_node_term_table", slow_build)
+    monkeypatch.setattr(terms, "table_from_index", slow_build)
     service = QueryService(
         ServeConfig(datasets=("fig1",), precompute=False), datasets={"fig1": figure1}
     )

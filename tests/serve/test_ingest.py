@@ -16,6 +16,7 @@ from repro.errors import ReproError
 from repro.graph.data_graph import DataGraph
 from repro.graph.transfer_graph import AuthorityTransferDataGraph
 from repro.ir.index import InvertedIndex
+from repro.ir.tokenize import Analyzer
 from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import QueryService, ServeConfig, http_server
 from repro.serve.service import Deadline
@@ -268,10 +269,77 @@ class TestGraphPath:
                     "role": "cites"}]
         paths = [
             service.ingest("fig1", batch, refresh="force")["refresh"]["graph"]
-            for batch in (update, update, ADD_PAPER, removal)
+            for batch in (update, ADD_PAPER, removal, update)
         ]
-        # The first refresh has no snapshot to start from.
-        assert paths == ["built", "rebound", "extended", "built"]
+        # The first refresh starts from the engine's own graph.
+        assert paths == ["rebound", "extended", "built", "rebound"]
+
+
+class TestTokenisesOnce:
+    def test_feedback_tokenises_no_node_text_before_or_after_a_refresh(
+        self, figure1, monkeypatch
+    ):
+        """Eq. 11's node-term table is read off the served index: a warmed
+        ``/feedback/reformulate`` runs the analyzer on no node text, and
+        neither does the first one after a content-only ``/ingest`` refresh,
+        which builds the new version's table.  Query keywords may be
+        tokenised; the refresh itself indexes the rewritten title."""
+        title = "Zebrafish OLAP cubes"
+        update = [{"op": "update_node", "node_id": "v4", "attributes": {"title": title}}]
+        service = _service(figure1)
+        calls: list[list[str]] = [[]]
+        real = Analyzer.terms
+        monkeypatch.setattr(
+            Analyzer,
+            "terms",
+            lambda self, text: calls[-1].append(text) or real(self, text),
+        )
+        body = {"dataset": "fig1", "query": "OLAP", "relevant_ids": ["v4"], "apply": False}
+        server, thread = _boot(service)
+        try:
+            replies = [_request(f"{server.url}/feedback/reformulate", body)]
+            for route, payload in (
+                ("feedback/reformulate", body),
+                ("ingest", {"dataset": "fig1", "mutations": update, "refresh": "force"}),
+                ("feedback/reformulate", body),
+            ):
+                calls.append([])
+                replies.append(_request(f"{server.url}/{route}", payload))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert [status for status, _ in replies] == [200] * 4
+        _, warmed, refreshed, after = calls
+        node_texts = {node.text() for node in figure1.data_graph.nodes()}
+        node_texts |= {node.text() for node in service.runtime("fig1").data_graph.nodes()}
+        assert any(title in text for text in refreshed)  # the hook sees the index
+        assert not node_texts & set(warmed)
+        assert not node_texts & set(after)
+        assert "zebrafish" in replies[-1][1]["reformulated_query"]
+        assert "zebrafish" not in replies[1][1]["reformulated_query"]
+
+
+    def test_no_superseded_index_stays_alive(self, figure1):
+        """A graph carries its snapshot's index, and every content refresh
+        rebinds the last graph: once adopted over, an index is released,
+        whatever the node-term tables and views built over it."""
+        import gc
+        import weakref
+
+        service = _service(figure1)
+        runtime = service.runtime("fig1")
+        body = ("fig1", "OLAP", ["v4"])
+        indexes = []
+        for title in ("OLAP cubes", "OLAP lattices", "OLAP views"):
+            service.feedback_reformulate(*body, apply=True)
+            indexes.append(weakref.ref(runtime.engine.index))
+            update = [{"op": "update_node", "node_id": "v4", "attributes": {"title": title}}]
+            service.ingest("fig1", update, refresh="force")
+        service.feedback_reformulate(*body, apply=False)
+        gc.collect()
+        assert [ref() is None for ref in indexes] == [True, True, True]
+        assert runtime.engine.graph.index is runtime.engine.index
 
 
 class TestDeadline:

@@ -119,3 +119,34 @@ class TestCommands:
     def test_precompute_unknown_dataset_fails_cleanly(self, capsys):
         assert main(["precompute", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_ingest_extends_the_engines_graph_for_an_appending_batch(tmp_path, capsys):
+    """``repro ingest`` seeds its ingest engine with the search engine's
+    transfer graph, so an append-only batch extends it instead of building."""
+    import json
+
+    mutations = tmp_path / "m.json"
+    mutations.write_text(
+        json.dumps(
+            [
+                {
+                    "op": "add_node",
+                    "node_id": "paper:appended",
+                    "label": "Paper",
+                    "attributes": {"title": "olap cube maintenance"},
+                },
+                {
+                    "op": "add_edge",
+                    "source": "paper:appended",
+                    "target": "paper:0",
+                    "role": "cites",
+                },
+            ]
+        )
+    )
+    argv = ["ingest", "dblp_top", "--scale", "0.25", "--mutations", str(mutations)]
+    assert main([*argv, "--compare-full"]) == 0
+    out = capsys.readouterr().out
+    assert "incremental refresh: graph extended," in out
+    assert "bit-identical to the full rebuild" in out

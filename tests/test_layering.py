@@ -2071,3 +2071,62 @@ def test_the_guard_sees_every_id_bounce():
         "weighted_restarts -> indices_of",
         "weighted_restarts -> restart_vector",
     ]
+
+
+# -- node text is tokenised once, by the inverted index --------------------------
+
+#: The analyzer's entry points.
+TOKENISERS = {"terms", "unique_terms", "tokenize"}
+#: The modules that may call them, and what each tokenises.
+TOKENISER_HOMES = {
+    "ir/index.py": "node text, once per document: every term table reads it",
+    "ir/tokenize.py": "the analyzer itself",
+    "query/query.py": "query keywords, not node text",
+    "datasets/subset.py": "a keyword's seed nodes while a corpus is derived, "
+    "before the corpus has an index",
+}
+
+
+def tokenising_calls(src: Path) -> list[str]:
+    """``module:line name`` of every call to a tokeniser outside its homes."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        if module in TOKENISER_HOMES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in TOKENISERS:
+                    found.append(f"{module}:{node.lineno} {name}")
+    return found
+
+
+def test_only_the_index_tokenises_node_text():
+    """Eq. 11's node-term table is read off the index
+    (``repro.reformulate.terms``): nothing under ``reformulate`` — or
+    anywhere else outside the listed homes — runs the analyzer."""
+    assert tokenising_calls(SRC) == []
+    assert (SRC / "reformulate").is_dir()
+
+
+def test_the_guard_sees_a_tokenising_reformulator(tmp_path):
+    (tmp_path / "reformulate").mkdir()
+    (tmp_path / "ir").mkdir()
+    (tmp_path / "reformulate" / "terms.py").write_text(
+        "def build(graph, analyzer):\n"
+        "    for node in graph.nodes():\n"
+        "        yield analyzer.unique_terms(node.text())\n"
+        "        yield tokenize(node.text())\n"
+    )
+    (tmp_path / "reformulate" / "content.py").write_text(
+        "def weights(self, text):\n    return self.analyzer.terms(text)\n"
+    )
+    (tmp_path / "ir" / "index.py").write_text(
+        "def add(self, text):\n    return self.analyzer.terms(text)\n"
+    )
+    assert tokenising_calls(tmp_path) == [
+        "reformulate/content.py:2 terms",
+        "reformulate/terms.py:3 unique_terms",
+        "reformulate/terms.py:4 tokenize",
+    ]
