@@ -17,9 +17,9 @@ ephemeral port, then asserts over HTTP:
 - ``POST /explain`` for the top hit answers 200 with flows sorted descending
   and a positive ``target_inflow``;
 - ``POST /feedback/reformulate`` answers 200 with a non-empty re-ranked page
-  under ``apply=false`` (serving state untouched: the next search is still
-  a cache hit) and under ``apply=true`` (``applied`` flips and the next
-  identical search is no longer served from the cache);
+  under ``apply=false`` and with ``apply`` absent, and the next identical
+  search after either is still a cache hit (learned rates never become
+  serving rates); the removed ``apply=true`` gets a 400 naming it;
 - over one keep-alive connection, a refused ``POST`` (its body never read) is
   answered ``Connection: close`` and the ``GET`` after it still succeeds —
   the body is not parsed as the next request line;
@@ -160,25 +160,29 @@ def exercise(base: str) -> None:
     print(f"smoke: /explain 200, {len(flows)} flow edges into {top}")
 
     feedback = {**query, "relevant_ids": [top]}
-    what_if = call_json(base, "/feedback/reformulate", {**feedback, "apply": False})
-    assert what_if["results"], "what-if reformulation returned no results"
-    assert what_if["applied"] is False
-    assert call_json(base, SEARCH)["served_from"] == "cache"
-    # The loop ran on the scores of the first (live) search: explain and
-    # feedback each started from them, neither searched again.
+    for body in ({**feedback, "apply": False}, feedback):
+        reformulated = call_json(base, "/feedback/reformulate", body)
+        assert reformulated["results"], "reformulation returned no results"
+        assert reformulated["learned_rates"], "reformulation learned no rates"
+        after = call_json(base, SEARCH)
+        assert after["served_from"] == "cache", "a feedback moved the next search"
+    # The loop ran on the scores of the first (live) search: the explain and
+    # both feedbacks each started from them, none searched again.
     _, metrics = call(base, "/metrics")
-    assert b"repro_score_cache_hits_total 2" in metrics, "loop re-ran its search"
+    assert b"repro_score_cache_hits_total 3" in metrics, "loop re-ran its search"
     assert b"repro_score_cache_misses_total 0" in metrics, "loop re-ran its search"
-    print("smoke: explain and feedback reused the live search's scores (2 hits)")
+    print("smoke: explain and feedback reused the live search's scores (3 hits)")
 
-    applied = call_json(base, "/feedback/reformulate", {**feedback, "apply": True})
-    assert applied["results"], "applied reformulation returned no results"
-    assert applied["applied"] is True
-    after = call_json(base, SEARCH)
-    assert after["served_from"] != "cache", "stale cache entry survived apply"
+    try:
+        call(base, "/feedback/reformulate", {**feedback, "apply": True})
+    except urllib.error.HTTPError as refused:
+        message = json.loads(refused.read())["message"]
+        assert refused.code == 400 and "'apply' was removed" in message, message
+    else:
+        raise AssertionError("an apply=true /feedback/reformulate was answered")
     print(
-        "smoke: /feedback/reformulate 200, apply=false left the cache alone, "
-        f"apply=true invalidated it (next search served {after['served_from']})"
+        "smoke: /feedback/reformulate 200 twice, the next search a cache hit "
+        "each time; apply=true refused with 400"
     )
 
 

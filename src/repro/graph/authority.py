@@ -65,10 +65,6 @@ class EdgeType:
 # backward for each schema edge, schema edges in insertion order.
 _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
-#: Rounding applied to floating-point fingerprint components, so that rates
-#: or weights recomputed through an equivalent arithmetic path still hit.
-FINGERPRINT_DIGITS = 12
-
 
 class AuthorityTransferSchemaGraph:
     """A schema graph whose edges carry per-direction authority transfer rates.
@@ -132,7 +128,6 @@ class AuthorityTransferSchemaGraph:
         #: The rates as Python floats: a hashable key, equal exactly when
         #: ``==`` is for graphs over one edge-type order.
         self.key: tuple[float, ...] = tuple(self.vector.tolist())
-        self._fingerprint = tuple(round(rate, FINGERPRINT_DIGITS) for rate in self.key)
         if unknown:
             raise RateError(f"rates given for unknown edge types: {sorted(map(str, unknown))}")
 
@@ -168,10 +163,6 @@ class AuthorityTransferSchemaGraph:
         if index is None:
             raise RateError(f"unknown edge type: {edge_type}")
         return self.key[index]
-
-    def fingerprint(self) -> tuple:
-        """The rounded rates in canonical order (fixed at construction)."""
-        return self._fingerprint
 
     # -- vector view (for training / cosine similarity) -----------------------
 

@@ -79,7 +79,9 @@ class DataGraph:
         self._own_out: set[str] | None = None
         self._own_in: set[str] | None = None
         self._version = 0
-        self._topology_version = 0
+        # This node and edge set's token (see :attr:`topology`): replaced by
+        # every topology mutation, shared by :meth:`copy`.
+        self._topology = object()
         # (version, node_ids, label -> code, codes) of the last
         # :meth:`label_codes` call; replaced whole, never edited.
         self._label_codes: tuple | None = None
@@ -99,7 +101,7 @@ class DataGraph:
             self._own_out.add(node_id)
             self._own_in.add(node_id)
         self._version += 1
-        self._topology_version += 1
+        self._topology = object()
         return node
 
     def add_edge(self, source: str, target: str, role: str | None = None) -> DataEdge:
@@ -121,7 +123,7 @@ class DataGraph:
             self._edge_list(source, outgoing=True).append(edge)
             self._edge_list(target, outgoing=False).append(edge)
         self._version += 1
-        self._topology_version += 1
+        self._topology = object()
         return edge
 
     # -- mutation ----------------------------------------------------------
@@ -159,7 +161,7 @@ class DataGraph:
             edges = self._edge_list(target, outgoing=False)
             edges[:] = [e for e in edges if e.source != node_id]
         self._version += 1
-        self._topology_version += 1
+        self._topology = object()
         return node
 
     def remove_edge(
@@ -180,7 +182,7 @@ class DataGraph:
                 self._edge_list(source, outgoing=True).remove(edge)
                 self._edge_list(target, outgoing=False).remove(edge)
                 self._version += 1
-                self._topology_version += 1
+                self._topology = object()
                 return edge
         wanted = f" [{role}]" if role is not None else ""
         raise GraphError(f"no edge {source!r} -> {target!r}{wanted} to remove")
@@ -215,7 +217,7 @@ class DataGraph:
         self._own_out, self._own_in = set(), set()
         clone._own_out, clone._own_in = set(), set()
         clone._version = self._version
-        clone._topology_version = self._topology_version
+        clone._topology = self._topology
         return clone
 
     @property
@@ -229,14 +231,18 @@ class DataGraph:
         return self._version
 
     @property
-    def topology_version(self) -> int:
-        """A counter bumped by every mutation of the node or edge set.
+    def topology(self) -> object:
+        """A token for this graph's node and edge set, compared by identity.
 
-        :meth:`update_attributes` leaves it alone: a copy with an equal
-        ``topology_version`` has the same nodes and edges in the same order,
-        so everything derived from topology alone carries over to it.
+        Every mutation of the node or edge set replaces it and
+        :meth:`update_attributes` leaves it alone; a :meth:`copy` shares it
+        until either side replaces it.  So two graphs holding one token have
+        the same nodes and edges in the same order, and everything derived
+        from topology alone carries over between them.  A count of topology
+        mutations could not say that: a graph built on its own, or a sibling
+        copy that made another edit, can count as many.
         """
-        return self._topology_version
+        return self._topology
 
     def extends(self, other: "DataGraph") -> bool:
         """Whether this graph is ``other`` with nodes and edges appended.

@@ -407,12 +407,13 @@ class AuthorityTransferDataGraph:
     ) -> "AuthorityTransferDataGraph":
         """A lightweight view of this topology over ``data_graph`` and rates.
 
-        ``data_graph`` must be this graph's data graph or a copy of it with
-        an equal ``topology_version`` (same nodes and edges in the same
-        order; attributes may differ).  The view shares every per-topology
-        structure (node index, edge arrays, out-degree counts, incidence
-        indices, the CSR pattern and SELL layout of each zero-rate type set,
-        the :meth:`derived` cache) with this graph, so concurrent sessions
+        ``data_graph`` must be this graph's data graph or a copy of it that
+        holds its :attr:`~repro.graph.data_graph.DataGraph.topology` token
+        (same nodes and edges in the same order; attributes may differ).
+        The view shares every per-topology structure (node index, edge
+        arrays, out-degree counts, incidence indices, the CSR pattern and
+        SELL layout of each zero-rate type set, the :meth:`derived` cache)
+        with this graph, so concurrent sessions
         with different learned rates can rank against one materialized
         graph without mutating it.  What it costs depends on the rates
         alone: under *new* rates the view gets its own :class:`RateSetting`
@@ -426,7 +427,7 @@ class AuthorityTransferDataGraph:
         """
         if transfer_schema.edge_types() != self.edge_types:
             raise GraphError("new transfer schema has different edge types")
-        if data_graph.topology_version != self.data_graph.topology_version:
+        if data_graph.topology is not self.data_graph.topology:
             raise GraphError("data graph has a different topology")
         view = object.__new__(AuthorityTransferDataGraph)
         view.__dict__.update(self.__dict__)
@@ -450,7 +451,7 @@ class AuthorityTransferDataGraph:
         same order, then more); every array is then the one the constructor
         would build over ``data_graph``.  The caller checks that (it costs a
         pass over the nodes and edges); only a smaller graph is refused
-        here, as :meth:`rebound` refuses another ``topology_version``.
+        here, as :meth:`rebound` refuses another ``topology`` token.
 
         Only the appended edges are read: their endpoints are looked up,
         their ``(label, label, role)`` triples resolved against the schema

@@ -323,7 +323,7 @@ class IngestEngine:
         Freezes the working graph/index (copy-on-write copies, so the lock
         is held for a few flat dict copies) and the accumulated dirt under
         the lock, rebinds the last snapshot's transfer graph to the frozen copy
-        when their ``topology_version`` agrees, extends it when the frozen
+        when they hold one ``topology`` token, extends it when the frozen
         copy only appended nodes and edges (:meth:`DataGraph.extends`), and
         builds one otherwise; then re-converges only the dirty columns
         relative to ``previous``.  The
@@ -358,7 +358,7 @@ class IngestEngine:
             # and extended when it only has more of them.
             if (
                 last is not None
-                and last.data_graph.topology_version == data_graph.topology_version
+                and last.data_graph.topology is data_graph.topology
             ):
                 graph, graph_path = last.rebound(data_graph, rates, index), "rebound"
             elif last is not None and data_graph.extends(last.data_graph):

@@ -195,9 +195,11 @@ class PrecomputedRanker:
     ) -> bool:
         """Whether the cache no longer matches the rates *or* the graph.
 
-        Structure-based reformulation changes the transfer rates, which the
-        precomputed vectors baked in; a graph mutation (node or edge added,
-        removed or updated) changes the fixpoints themselves.  Either makes
+        The vectors bake in the transfer rates they were built under, so a
+        ranker built under other rates than the caller serves (a store
+        published under trained rates, say) is stale; a graph mutation
+        (node or edge added, removed or updated) changes the fixpoints
+        themselves.  Either makes
         the cache stale.  The graph check compares ``graph_version`` (or,
         when omitted, the live data graph's current version) against the
         version snapshotted at build time — rates alone used to be checked

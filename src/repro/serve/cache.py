@@ -1,19 +1,20 @@
 """Thread-safe LRU caches for the query service, and their one key.
 
 A cached answer is valid only under what it was computed under: the
-dataset, the query vector, the transfer rates (the paper's loop changes
-them between searches, Eq. 13), the ingest epoch (ingest changes the
-topology) and the store generation (a rebuild publishes new vectors).  A
-:class:`Fence` holds all of them for one request, read once at its start,
-and :meth:`Fence.key` is the only way to build a cache key: a
-:class:`ResultCache` refuses any other, so no cache can be keyed without
-one of the components.  The rate fingerprint makes learned-rate sessions
-self-keying, but the service still invalidates a dataset's entries
-*explicitly* when it applies a reformulation or adopts an ingest snapshot,
-both to free memory and so operators can see the invalidation in
-``/metrics``.  Nothing expires by age: an entry is dropped only by LRU
-eviction or invalidation, because the fence, not the clock, is what makes
-an answer stale.
+dataset, the query vector, the ingest epoch (ingest changes the topology)
+and the store generation (a rebuild publishes new vectors).  The transfer
+rates are not among them: a dataset's serving rates are fixed for the life
+of its runtime (the rates a feedback session learns, Eq. 13, rank only
+that session's re-run and are never cached).  A :class:`Fence` holds all
+of them for one request, read once at its start, and :meth:`Fence.key` is
+the only way to build a cache key: a :class:`ResultCache` refuses any
+other, so no cache can be keyed without one of the components.  The epoch
+makes adopted snapshots self-keying, but the service still invalidates a
+dataset's entries *explicitly* when it adopts an ingest snapshot, both to
+free memory and so operators can see the invalidation in ``/metrics``.
+Nothing expires by age: an entry is dropped only by LRU eviction or
+invalidation, because the fence, not the clock, is what makes an answer
+stale.
 
 The cache is deliberately value-agnostic: it stores whatever the service
 built (JSON-ready payloads; for the score cache, converged rankings) and is
@@ -27,8 +28,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.graph.authority import FINGERPRINT_DIGITS, AuthorityTransferSchemaGraph
 from repro.query.query import QueryVector
+
+#: Rounding applied to a query fingerprint's weights, so that weights
+#: recomputed through an equivalent arithmetic path still hit.
+FINGERPRINT_DIGITS = 12
 
 
 def query_fingerprint(vector: QueryVector) -> tuple:
@@ -40,11 +44,6 @@ def query_fingerprint(vector: QueryVector) -> tuple:
             if weight > 0
         )
     )
-
-
-def rates_fingerprint(rates: AuthorityTransferSchemaGraph) -> tuple:
-    """Fingerprint of the transfer rates in their canonical edge-type order."""
-    return rates.fingerprint()
 
 
 class FenceKey(tuple):
@@ -63,24 +62,21 @@ class Fence:
     """What every cached answer of one request is valid under.
 
     Built once per request, before any cache is consulted: the dataset, the
-    query and rate fingerprints, the ingest epoch (``None`` with ingest
-    off) and the store generation of the ranker that answers (``None`` off
+    query fingerprint, the ingest epoch (``None`` with ingest off) and the store generation of the ranker that answers (``None`` off
     the store).  Together they prefix every key.
     """
 
-    __slots__ = ("dataset", "query", "rates", "epoch", "generation")
+    __slots__ = ("dataset", "query", "epoch", "generation")
 
     def __init__(
         self,
         dataset: str,
         vector: QueryVector,
-        rates: AuthorityTransferSchemaGraph,
         epoch: int | None,
         generation: int | None,
     ) -> None:
         self.dataset = dataset
         self.query = query_fingerprint(vector)
-        self.rates = rates_fingerprint(rates)
         self.epoch = epoch
         self.generation = generation
 
@@ -88,7 +84,7 @@ class Fence:
         """The fenced key of one cached value: the fence, then ``parts``
         (what else the value depends on — ``top_k``, a target, ...)."""
         return FenceKey(
-            (self.dataset, self.query, self.rates, self.epoch, self.generation, *parts)
+            (self.dataset, self.query, self.epoch, self.generation, *parts)
         )
 
 
@@ -189,9 +185,8 @@ class ResultCache:
     def invalidate(self, dataset: str | None = None) -> int:
         """Drop every entry (or only one dataset's entries); returns the count.
 
-        The service calls this when a structure-based reformulation changes a
-        dataset's serving rates or an ingest refresh adopts a snapshot — the
-        fence already keys those entries out, but dropping them reclaims
+        The service calls this when an ingest refresh adopts a snapshot —
+        the fence already keys those entries out, but dropping them reclaims
         memory immediately and makes the invalidation observable.
         """
         with self._lock:

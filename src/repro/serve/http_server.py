@@ -18,8 +18,8 @@ buffered socket file, one writer that sends each response whole.  Endpoints:
 ``/explain``              POST    ``{"dataset", "query", "target",
                                   "max_edges"}`` (``"mode"`` may only be
                                   ``"live"``)
-``/feedback/reformulate`` POST    ``{"dataset", "query", "relevant_ids",
-                                  "apply"}``
+``/feedback/reformulate`` POST    ``{"dataset", "query", "relevant_ids"}``
+                                  (``"apply"`` may only be ``false``)
 ``/ingest``               POST    ``{"dataset", "mutations": [...],
                                   "refresh"}`` (requires ``--ingest``)
 ``/healthz``              GET     liveness + cache summary (never throttled)
@@ -463,7 +463,7 @@ class QueryRequestHandler(WireRequestHandler):
             _required_text(body, "dataset"),
             _query(body),
             relevant,
-            apply=_flag(body, "apply", True),
+            apply=_flag(body, "apply", False),
             deadline=deadline,
         )
 

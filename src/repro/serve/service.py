@@ -5,23 +5,27 @@ on-the-fly ObjectRank2 is "clearly too long for exploratory searching", so a
 deployed system answers from the cheapest source that is still correct:
 
 1. the **result cache** (exact answers computed earlier under the same
-   :class:`~repro.serve.cache.Fence` — dataset, query vector, transfer
-   rates, ingest epoch, store generation — and the same ``top_k``);
+   :class:`~repro.serve.cache.Fence` — dataset, query vector, ingest epoch,
+   store generation — and the same ``top_k``);
 2. the **precomputed ranker** (per-keyword [BHP04] vectors blended at query
    time), used only while it is *fresh* and only for a query whose every
-   term has a vector — a structure-based reformulation that changes the
-   serving rates makes it stale; a stale ranker or a term without a
-   vector routes traffic to
+   term has a vector — a store generation published under other rates
+   than the dataset's serving rates is stale; a stale ranker or a term
+   without a vector routes traffic to
 3. **live ObjectRank2** over the shared engine, through the per-call
    transfer-rate views of :meth:`repro.query.engine.SearchEngine.search`
    (no shared-graph mutation, so concurrent sessions stay isolated).
+
+A dataset's serving rates are fixed for the life of its runtime: the rates
+a ``/feedback/reformulate`` session learns (Eq. 13) rank that session's
+re-run and are returned to the client, never served to anyone else.
 
 The paper's loop (Section 5) is stateful — explain and reformulate *from the
 scores the search already has* — and the endpoints are not, so the service
 keeps what the loop would have kept: the converged ranking of every cold,
 full-graph live ObjectRank2 run goes into the **score cache**, and a later
-``/explain`` or ``/feedback/reformulate`` for the same query under the same
-rates starts its session from it instead of searching again.
+``/explain`` or ``/feedback/reformulate`` for the same query starts its
+session from it instead of searching again.
 
 All responses are JSON-ready dicts; the HTTP layer in
 :mod:`repro.serve.http_server` only adds transport concerns.
@@ -63,7 +67,7 @@ from repro.store.generations import StoreManager
 SERVE_MODES = ("auto", "live", "two_stage")
 
 #: Entries the explanation cache holds (whole adjusted-flow explanations,
-#: one per query, rates and target).
+#: one per query and target).
 EXPLAIN_CACHE_ENTRIES = 256
 #: Memory the score cache may hold, per process: a kept ranking is charged
 #: its score vector (8 bytes per graph node) plus its base set's node-index
@@ -158,12 +162,11 @@ class ServeConfig:
 class DatasetRuntime:
     """Everything the service holds per dataset: engine, rates, precompute.
 
-    ``current_rates`` is the dataset's *serving* rate schema — the initial
-    expert rates until a structure-based reformulation is applied, the
-    learned rates afterwards.  The precomputed ranker is built lazily on
-    first use (it runs one ObjectRank per index keyword) and is consulted
-    only while :meth:`PrecomputedRanker.is_stale` says it matches the
-    serving rates.
+    ``rates`` is the dataset's *serving* rate schema, its expert rates, set
+    once here: no request changes it.  The precomputed ranker is built
+    lazily on first use (it runs one ObjectRank per index keyword) and is
+    consulted only while :meth:`PrecomputedRanker.is_stale` says it matches
+    the serving rates (a mapped store may have been built under others).
     """
 
     def __init__(
@@ -176,11 +179,7 @@ class DatasetRuntime:
         #: loaded dataset's own name when preloaded under an alias.
         self.name = name if name is not None else dataset.name
         self.engine = SearchEngine(dataset.data_graph, dataset.transfer_schema)
-        #: guarded by self._rates_lock
-        self.current_rates: AuthorityTransferSchemaGraph = dataset.transfer_schema
-        #: guarded by self._rates_lock
-        self.reformulations_applied = 0
-        self._rates_lock = threading.Lock()
+        self.rates: AuthorityTransferSchemaGraph = dataset.transfer_schema
         #: may block: the lazy precompute fixpoint
         self._precompute_lock = threading.Lock()
         self._two_stage: TwoStageEngine | None = None
@@ -314,17 +313,6 @@ class DatasetRuntime:
             self._two_stage = TwoStageEngine.from_config(self.engine, self.config)
         return self._two_stage
 
-    @property
-    def rates(self) -> AuthorityTransferSchemaGraph:
-        with self._rates_lock:
-            return self.current_rates
-
-    def apply_rates(self, rates: AuthorityTransferSchemaGraph) -> None:
-        """Swap in learned serving rates (reformulation wiring calls this)."""
-        with self._rates_lock:
-            self.current_rates = rates
-            self.reformulations_applied += 1
-
     def precomputed_ranker(self) -> PrecomputedRanker | None:
         """The precomputed fast-path ranker; ``None`` if unavailable.
 
@@ -347,14 +335,6 @@ class DatasetRuntime:
                 )
             return self._precomputed
 
-    def built_ranker(self) -> PrecomputedRanker | None:
-        """The ranker if one is store-published or already built, else
-        ``None`` — unlike :meth:`precomputed_ranker` this never builds."""
-        if self.store is not None:
-            return self.store.ranker()
-        with self._precompute_lock:
-            return self._precomputed
-
     def store_generation(self) -> int | None:
         """The published store generation in use; ``None`` off the store."""
         if self.store is None:
@@ -365,10 +345,9 @@ class DatasetRuntime:
 class QueryService:
     """Concurrent query serving over one or more datasets.
 
-    Thread-safe: request handling mutates only the cache, the metrics and
-    (under ``/feedback/reformulate``) a runtime's serving rates, each behind
-    its own lock.  Dataset loading and engine construction happen at most
-    once per dataset name.
+    Thread-safe: request handling mutates only the caches and the metrics,
+    each behind its own lock.  Dataset loading and engine construction
+    happen at most once per dataset name.
     """
 
     def __init__(
@@ -382,8 +361,7 @@ class QueryService:
         self.cache = ResultCache(max_entries=self.config.cache_max_entries)
         # Explanations are cached separately from search results: they carry
         # full adjusted-flow edge lists, are keyed per target, and answering
-        # one from cache skips an entire live ObjectRank2 run.  The rate
-        # fingerprint in the fence makes reformulated sessions self-keying.
+        # one from cache skips an entire live ObjectRank2 run.
         self.explain_cache = ResultCache(max_entries=EXPLAIN_CACHE_ENTRIES)
         # Converged cold-start, full-graph live rankings, kept so the loop's
         # later steps reuse the scores of the search before them.  Written
@@ -449,7 +427,7 @@ class QueryService:
         )
         self._invalidations = m.counter(
             "repro_cache_invalidations_total",
-            "Cache entries dropped by reformulation-driven invalidation",
+            "Cache entries dropped when an ingest refresh adopts a snapshot",
         )
         self._ingest_mutations = m.counter(
             "repro_ingest_mutations_total",
@@ -530,7 +508,7 @@ class QueryService:
         Counts the request, brings the runtime within the ingest staleness
         bound (a synchronous refresh when too many mutations are pending),
         and only then reads, once, what the answer depends on: ``(runtime,
-        query vector, serving rates, staleness block, store ranker, fence)``.
+        query vector, staleness block, store ranker, fence)``.
         The store ranker is the published generation this request pins
         (refreshed first; ``None`` off the store or before a publish), and
         the fence takes its generation from that ranker's own store — a
@@ -541,19 +519,17 @@ class QueryService:
         runtime = self.runtime(dataset)
         self._ingest_maybe_refresh(runtime)
         vector = runtime.engine.query_vector(query)
-        rates = runtime.rates
         staleness = runtime.staleness_info()
         store_ranker = runtime.store.ranker() if runtime.store is not None else None
         fence = Fence(
             runtime.name,
             vector,
-            rates,
             epoch=None if staleness is None else staleness["epoch"],
             generation=(
                 None if store_ranker is None else store_ranker.source.generation
             ),
         )
-        return runtime, vector, rates, staleness, store_ranker, fence
+        return runtime, vector, staleness, store_ranker, fence
 
     def _respond(
         self,
@@ -644,7 +620,7 @@ class QueryService:
             raise ReproError(
                 "two-stage parameters require mode='two_stage'"
             )
-        runtime, vector, rates, staleness, store_ranker, fence = self._begin(
+        runtime, vector, staleness, store_ranker, fence = self._begin(
             dataset, query
         )
         ranker = None
@@ -662,7 +638,6 @@ class QueryService:
         return _SearchPlan(
             runtime=runtime,
             vector=vector,
-            rates=rates,
             k=top_k if top_k is not None else self.config.default_top_k,
             labels=labels or None,
             ranker=ranker,
@@ -688,17 +663,17 @@ class QueryService:
         try:
             if plan.two_stage is not None:
                 result = runtime.two_stage.search(
-                    plan.vector, top_k=plan.k, rates=plan.rates,
+                    plan.vector, top_k=plan.k, rates=runtime.rates,
                     labels=plan.labels, **plan.two_stage,
                 )
                 stages = result.stages
             else:
                 result = runtime.engine.search(
-                    plan.vector, top_k=plan.k, rates=plan.rates, labels=plan.labels
+                    plan.vector, top_k=plan.k, rates=runtime.rates, labels=plan.labels
                 )
                 # The ranking does not depend on the page (top_k, labels):
                 # whatever this user asks about next starts from it.
-                key = plan.fence.key(*_exactly(plan.vector, plan.rates))
+                key = plan.fence.key(_exactly(plan.vector))
                 self.score_cache.put(key, *_kept(result.ranked))
             ranked, top = result.ranked, result.top
         except EmptyBaseSetError:
@@ -723,7 +698,7 @@ class QueryService:
         or no positive weight at all.
         """
         ranker = plan.ranker
-        if ranker is None or ranker.is_stale(plan.rates):
+        if ranker is None or ranker.is_stale(plan.runtime.rates):
             return None
         try:
             return ranker.rank(plan.vector)
@@ -743,10 +718,10 @@ class QueryService:
         """Explain why ``target`` ranks for ``query``: adjusted flow edges.
 
         Consults the explanation cache first — entries are keyed on the
-        request's fence (dataset, query and rate fingerprints, ingest epoch,
-        store generation) and the target, so a repeat request skips the live
-        ObjectRank2 run entirely and a reformulation that changes the rates
-        can never be answered stale.  On a miss a request session
+        request's fence (dataset, query fingerprint, ingest epoch, store
+        generation) and the target, so a repeat request skips the live
+        ObjectRank2 run entirely and an adopted ingest snapshot can never be
+        answered stale.  On a miss a request session
         (:meth:`_session`) searches and explains: explanations need the full
         converged score vector, which cached top-k payloads do not carry
         (the score cache does: after a live ``/search`` of the same query
@@ -755,7 +730,7 @@ class QueryService:
         rows.
         """
         start = time.perf_counter()
-        runtime, vector, rates, staleness, _, fence = self._begin(dataset, query)
+        runtime, vector, staleness, _, fence = self._begin(dataset, query)
         key = fence.key(target, self.config.radius)
         stored = self.explain_cache.get(key)
         if stored is not None:
@@ -765,7 +740,7 @@ class QueryService:
             self._explain_cache_misses.inc()
             if deadline is not None:
                 deadline.check("explanation")
-            stored = self._explain(runtime, vector, rates, fence, target)
+            stored = self._explain(runtime, vector, fence, target)
             self.explain_cache.put(key, stored)
             served_from = "live"
         summary, node_ids, sources, targets, flows = stored
@@ -784,31 +759,30 @@ class QueryService:
         self,
         runtime: DatasetRuntime,
         vector: QueryVector,
-        rates: AuthorityTransferSchemaGraph,
         fence: Fence,
     ) -> ObjectRankSystem:
         """A request's short-lived loop session, its initial search done.
 
         :class:`ObjectRankSystem` owns search -> explain -> reformulate ->
         re-run; the endpoints around it are transport.  It works over the
-        runtime's shared engine under the request's serving ``rates`` and
+        runtime's shared engine under its serving rates and
         mutates neither, so concurrent requests stay isolated.
 
         A session whose initial search some request already ran — same
-        fence, exact query vector, exact rates, over the node list this
-        session runs on — adopts that run from the score cache and iterates
+        fence, exact query vector, over the node list this session runs
+        on — adopts that run from the score cache and iterates
         nothing; any other runs the search itself and keeps it.
         """
         session = ObjectRankSystem(
             runtime.data_graph,
-            rates,
+            runtime.rates,
             self.config.session_config(),
             engine=runtime.engine,
         )
         # One reformulator for every session: ``service.reformulator`` stays
         # what feedback requests reformulate with.
         session.reformulator = self.reformulator
-        key = fence.key(*_exactly(vector, rates))
+        key = fence.key(_exactly(vector))
         ranked = self.score_cache.get(key)
         # A ranking indexes the node list it was computed over; one kept
         # across a topology refresh that raced this request is not ours.
@@ -829,7 +803,6 @@ class QueryService:
         self,
         runtime: DatasetRuntime,
         vector: QueryVector,
-        rates: AuthorityTransferSchemaGraph,
         fence: Fence,
         target: str,
     ) -> tuple:
@@ -837,7 +810,7 @@ class QueryService:
         targets, flows)`` — every response field but ``edges``, and the
         edges by descending flow as node-index and flow arrays (a response
         row is built only for the edges a request returns)."""
-        session = self._session(runtime, vector, rates, fence)
+        session = self._session(runtime, vector, fence)
         explanation = session.explain(target)
         subgraph = explanation.subgraph
         summary = {
@@ -925,7 +898,9 @@ class QueryService:
         """Run one refresh cycle and account for it (metrics + caches).
 
         The epoch in the cache keys already fences stale entries off; the
-        explicit invalidation here just reclaims their memory promptly.
+        explicit invalidation here just reclaims their memory promptly.  The
+        invalidation counter counts the answers dropped; kept scores are
+        working state of the loop, not answers, and are not in the figure.
         """
         summary = runtime.refresh_ingest(force=force)
         if summary is None:
@@ -933,20 +908,12 @@ class QueryService:
         self._ingest_refreshes.inc()
         self._ingest_recomputed.inc(summary["recomputed_columns"])
         self._ingest_carried.inc(summary["carried_columns"])
-        self._invalidate(runtime.name)
+        self._invalidations.inc(
+            self.cache.invalidate(runtime.name)
+            + self.explain_cache.invalidate(runtime.name)
+        )
+        self.score_cache.invalidate(runtime.name)
         return summary
-
-    def _invalidate(self, dataset: str) -> int:
-        """Drop a dataset's result, explanation and score cache entries.
-
-        Returns (and counts) the answers dropped; kept scores are working
-        state of the loop, not answers, and are not in the figure.
-        """
-        invalidated = self.cache.invalidate(dataset)
-        invalidated += self.explain_cache.invalidate(dataset)
-        self._invalidations.inc(invalidated)
-        self.score_cache.invalidate(dataset)
-        return invalidated
 
     # -- feedback / reformulation ------------------------------------------
 
@@ -955,52 +922,39 @@ class QueryService:
         dataset: str,
         query: str | KeywordQuery | QueryVector,
         relevant_ids: list[str],
-        apply: bool = True,
+        apply: bool = False,
         deadline: Deadline | None = None,
     ) -> dict:
-        """Reformulate from marked-relevant results; optionally apply rates.
+        """Reformulate from marked-relevant results and re-rank under them.
 
-        With ``apply=True`` (default) the learned transfer rates become the
-        dataset's serving rates, which *invalidates* the dataset's result
-        cache entries and leaves the precomputed ranker stale (subsequent
-        queries route to live ObjectRank2 until the rates return to the
-        precomputed snapshot, or a store-backed runtime picks up a
-        generation published under the learned rates).  ``apply=False`` is a
-        what-if: the reformulation and its reranked results are returned but
-        serving state is untouched.
+        The reformulated query and the learned transfer rates (Eq. 11–13)
+        rank this request's re-run and are returned; serving state is never
+        touched, so the dataset's caches and precomputed ranker stay valid.
+        ``apply`` survives only so ``apply=False`` is still accepted:
+        ``apply=True``, which made the learned rates every later request's
+        serving rates, was removed and is refused.
         """
+        if apply:
+            raise ReproError(
+                "'apply' was removed from /feedback/reformulate: learned rates "
+                "rank the request's own re-run and never become serving rates"
+            )
         start = time.perf_counter()
-        runtime, vector, rates, staleness, _, fence = self._begin(dataset, query)
+        runtime, vector, staleness, _, fence = self._begin(dataset, query)
         if deadline is not None:
             deadline.check("feedback search")
-        session = self._session(runtime, vector, rates, fence)
+        session = self._session(runtime, vector, fence)
         if deadline is not None:
             deadline.check("feedback explanations")
-        explanations, reformulated = session.reformulate(relevant_ids)
-
-        applied = bool(apply and explanations)
-        invalidated = 0
-        if applied:
-            runtime.apply_rates(reformulated.transfer_schema)
-            invalidated = self._invalidate(dataset)
-
+        _, reformulated = session.reformulate(relevant_ids)
         if deadline is not None:
             deadline.check("reformulated search")
         rerun = session.rerun()
         self._or_iterations.inc(rerun.iterations)
-
-        # Reported, never paid for: a ranker nobody built yet is not built
-        # here (that would be a whole precompute inside a feedback request).
-        ranker = runtime.built_ranker()
         payload = {
             "dataset": dataset,
             "query": dict(vector.weights),
             "relevant_ids": list(relevant_ids),
-            "applied": applied,
-            "invalidated_cache_entries": invalidated,
-            "precomputed_stale": (
-                ranker.is_stale(runtime.rates) if ranker is not None else None
-            ),
             "reformulated_query": dict(reformulated.query_vector.weights),
             "learned_rates": dict(
                 zip(reformulated.transfer_schema.names, reformulated.transfer_schema.key)
@@ -1095,7 +1049,6 @@ class _SearchPlan:
 
     runtime: DatasetRuntime
     vector: QueryVector
-    rates: AuthorityTransferSchemaGraph
     k: int
     labels: tuple[str, ...] | None
     #: Resolved under ``auto`` only; ``None`` elsewhere.
@@ -1106,11 +1059,12 @@ class _SearchPlan:
     fence: Fence
 
 
-def _exactly(vector: QueryVector, rates: AuthorityTransferSchemaGraph) -> tuple:
+def _exactly(vector: QueryVector) -> tuple:
     """What makes a score-cache key exact, past its fence: a kept ranking
-    stands in for a run bit for bit, so weights or rates that differ past
-    ``FINGERPRINT_DIGITS``, or terms in another order, are another key."""
-    return tuple(vector.weights.items()), rates.key
+    stands in for a run bit for bit, so weights that differ past
+    ``FINGERPRINT_DIGITS``, or terms in another order, are another key.  The
+    rates need no part: a dataset's serving rates never change."""
+    return tuple(vector.weights.items())
 
 
 def _kept(ranked: RankedResult) -> tuple[RankedResult, int]:

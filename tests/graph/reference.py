@@ -126,7 +126,7 @@ def reference_remove_node(graph: DataGraph, node_id: str) -> None:
     for edges in graph._in.values():
         edges[:] = [e for e in edges if e.source != node_id]
     graph._version += 1
-    graph._topology_version += 1
+    graph._topology = object()
 
 
 def tricky_rates() -> AuthorityTransferSchemaGraph:

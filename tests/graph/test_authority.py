@@ -107,14 +107,14 @@ class TestRates:
         )
 
     def test_rates_are_values(self, dblp_atsg):
-        """No setter and no copy: a new rate is a new graph, whose
-        fingerprint is its own while the original's stays put."""
+        """No setter and no copy: a new rate is a new graph, whose key is
+        its own while the original's stays put."""
         assert not hasattr(dblp_atsg, "copy")
         assert not [name for name in dir(dblp_atsg) if name.startswith("set")]
-        before = dblp_atsg.fingerprint()
+        before = dblp_atsg.key
         changed = dblp_atsg.with_vector([0.123], dblp_atsg.edge_types()[:1])
-        assert changed != dblp_atsg and changed.fingerprint() != before
-        assert dblp_atsg.fingerprint() is before
+        assert changed != dblp_atsg and changed.key != before
+        assert dblp_atsg.key is before
 
 
 class TestConvergenceChecks:

@@ -108,7 +108,8 @@ class TestEdges:
 
 
 class TestTopologyVersion:
-    """Bumped by every node/edge mutation, left alone by a content rewrite."""
+    """The topology token: replaced by every node/edge mutation, left alone
+    by a content rewrite, shared by a copy until either side replaces it."""
 
     @pytest.mark.parametrize(
         ("mutate", "bumps"),
@@ -122,26 +123,29 @@ class TestTopologyVersion:
         ids=["add_node", "add_edge", "remove_edge", "remove_node", "update_attributes"],
     )
     def test_each_mutator(self, small, mutate, bumps):
-        topology, version = small.topology_version, small.version
+        token, version = small.topology, small.version
         mutate(small)
         assert small.version == version + 1
-        assert small.topology_version == topology + (1 if bumps else 0)
+        assert (small.topology is not token) is bumps
 
     def test_failed_mutation_bumps_nothing(self, small):
-        topology = small.topology_version
+        token, version = small.topology, small.version
         with pytest.raises(UnknownNodeError):
             small.add_edge("p1", "zz")
         with pytest.raises(UnknownNodeError):
             small.remove_node("zz")
-        assert small.topology_version == topology
+        assert (small.topology, small.version) == (token, version)
 
     def test_copy_preserves_it_and_then_diverges(self, small):
         clone = small.copy()
-        assert clone.topology_version == small.topology_version
+        assert clone.topology is small.topology
         clone.update_attributes("p1", {"title": "rewritten"})
-        assert clone.topology_version == small.topology_version
+        assert clone.topology is small.topology
         clone.add_node("p3", "Paper")
-        assert clone.topology_version == small.topology_version + 1
+        assert clone.topology is not small.topology
+        sibling = small.copy()
+        sibling.add_node("p3", "Paper")
+        assert sibling.topology is not clone.topology
 
 
 def adjacency(graph: DataGraph) -> tuple:
@@ -151,7 +155,6 @@ def adjacency(graph: DataGraph) -> tuple:
         {node_id: graph.out_edges(node_id) for node_id in graph.node_ids()},
         {node_id: graph.in_edges(node_id) for node_id in graph.node_ids()},
         graph.version,
-        graph.topology_version,
     )
 
 

@@ -110,6 +110,43 @@ class TestRateSwap:
             figure1_atdg.with_rates(AuthorityTransferSchemaGraph(other_schema))
 
 
+class TestReboundRefusesAnotherTopology:
+    """Graphs over other nodes can count as many topology mutations; the
+    topology token they do not share is what is compared."""
+
+    def test_a_graph_rebuilt_under_other_ids(self, figure1_atdg):
+        original = figure1_atdg.data_graph
+        renamed = DataGraph()
+        for node in original.nodes():
+            renamed.add_node(node.node_id + "x", node.label, node.attributes)
+        for edge in original.edges():
+            renamed.add_edge(edge.source + "x", edge.target + "x", edge.role)
+        assert (renamed.num_nodes, renamed.num_edges) == (
+            original.num_nodes, original.num_edges
+        )
+        with pytest.raises(GraphError, match="different topology"):
+            figure1_atdg.rebound(renamed, figure1_atdg.transfer_schema)
+
+    def test_sibling_copies_that_appended_different_nodes(self, figure1_atdg):
+        graph = figure1_atdg.rebound(
+            figure1_atdg.data_graph.copy(), figure1_atdg.transfer_schema
+        )
+        ours, theirs = graph.data_graph, figure1_atdg.data_graph.copy()
+        ours.add_node("ours", "Paper", {"title": "here"})
+        theirs.add_node("theirs", "Paper", {"title": "elsewhere"})
+        assert theirs.version == ours.version
+        with pytest.raises(GraphError, match="different topology"):
+            graph.rebound(theirs, graph.transfer_schema)
+
+    def test_a_copy_holds_the_token_until_it_changes_topology(self, figure1_atdg):
+        copy = figure1_atdg.data_graph.copy()
+        copy.update_attributes("v7", {"title": "rewritten"})
+        assert copy.topology is figure1_atdg.data_graph.topology
+        assert figure1_atdg.rebound(copy, figure1_atdg.transfer_schema).data_graph is copy
+        copy.add_edge("v7", "v4", "cites")
+        assert copy.topology is not figure1_atdg.data_graph.topology
+
+
 class TestIncidence:
     def test_out_in_edge_ids_partition_edges(self, figure1_atdg):
         total_out = sum(

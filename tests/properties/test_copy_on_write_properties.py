@@ -30,7 +30,6 @@ def graph_state(graph: DataGraph) -> tuple:
         graph.edges(),
         [(n, graph.out_edges(n), graph.in_edges(n)) for n in graph.node_ids()],
         graph.version,
-        graph.topology_version,
     )
 
 

@@ -107,10 +107,10 @@ def test_a_malformed_value_is_a_400(server, case):
 def test_a_string_apply_is_a_400_that_leaves_the_serving_rates_alone(server):
     """``bool("false")`` is True: a what-if request once applied the learned
     rates for every user and invalidated the dataset's caches."""
-    before = server.service.runtime("fig1").current_rates.fingerprint()
+    before = server.service.runtime("fig1").rates
     status, _ = _post(server, "/feedback/reformulate", {**FEEDBACK, "apply": "false"})
     assert status == 400
-    assert server.service.runtime("fig1").current_rates.fingerprint() == before
+    assert server.service.runtime("fig1").rates is before
 
 
 @pytest.mark.parametrize(

@@ -6,17 +6,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.datasets import dblp_transfer_schema
 from repro.query.query import QueryVector
-from repro.serve.cache import Fence, ResultCache, query_fingerprint, rates_fingerprint
+from repro.serve.cache import Fence, ResultCache, query_fingerprint
 
 
-def fence(dataset="ds", vector=None, rates=None) -> Fence:
+def fence(dataset="ds", vector=None) -> Fence:
     """A fence over ``dataset`` (ingest and store off)."""
     return Fence(
         dataset,
         vector if vector is not None else QueryVector({"olap": 1.0}),
-        rates if rates is not None else dblp_transfer_schema(),
         epoch=None,
         generation=None,
     )
@@ -117,9 +115,8 @@ class TestByteBound:
 
 class TestKeying:
     def test_same_query_same_key(self):
-        rates = dblp_transfer_schema()
-        a = fence("dblp", QueryVector({"olap": 1.0, "cube": 2.0}), rates).key(10)
-        b = fence("dblp", QueryVector({"cube": 2.0, "olap": 1.0}), rates).key(10)
+        a = fence("dblp", QueryVector({"olap": 1.0, "cube": 2.0})).key(10)
+        b = fence("dblp", QueryVector({"cube": 2.0, "olap": 1.0})).key(10)
         assert a == b  # term order is canonicalized
 
     def test_zero_weight_terms_are_ignored(self):
@@ -127,41 +124,10 @@ class TestKeying:
             QueryVector({"olap": 1.0, "dead": 0.0})
         ) == query_fingerprint(QueryVector({"olap": 1.0}))
 
-    def test_different_rates_different_key(self):
-        vector = QueryVector({"olap": 1.0})
-        initial = dblp_transfer_schema()
-        learned = dblp_transfer_schema([0.5, 0.0, 0.2, 0.2, 0.3, 0.3, 0.3, 0.1])
-        assert fence("dblp", vector, initial).key(10) != fence(
-            "dblp", vector, learned
-        ).key(10)
-
-    def test_equal_rates_from_different_objects_share_key(self):
-        assert rates_fingerprint(dblp_transfer_schema()) == rates_fingerprint(
-            dblp_transfer_schema()
-        )
-
-    def test_new_rates_change_the_key_and_the_old_rates_keep_theirs(self):
-        """Rates are values: the fingerprint is fixed per object, and new
-        rates are a new object with a key of its own."""
-        vector = QueryVector({"olap": 1.0})
-        rates = dblp_transfer_schema()
-        before = fence("dblp", vector, rates).key(10)
-        assert rates_fingerprint(rates) is rates_fingerprint(rates)  # memoised
-        edge_type = rates.edge_types()[0]
-        changed = rates.with_vector([rates.rate(edge_type) / 2], [edge_type])
-        assert fence("dblp", vector, changed).key(10) != before
-        assert rates_fingerprint(changed) == tuple(
-            round(rate, 12) for rate in changed.as_vector()
-        )
-        assert fence("dblp", vector, rates).key(10) == before
-        restored = changed.with_vector(rates.as_vector())
-        assert fence("dblp", vector, restored).key(10) == before
-
     def test_top_k_and_dataset_key(self):
         vector = QueryVector({"olap": 1.0})
-        rates = dblp_transfer_schema()
-        assert fence("a", vector, rates).key(10) != fence("a", vector, rates).key(20)
-        assert fence("a", vector, rates).key(10) != fence("b", vector, rates).key(10)
+        assert fence("a", vector).key(10) != fence("a", vector).key(20)
+        assert fence("a", vector).key(10) != fence("b", vector).key(10)
 
 
 class TestFence:
@@ -176,11 +142,8 @@ class TestFence:
 
     def test_every_component_prefixes_the_key(self):
         vector = QueryVector({"olap": 1.0})
-        rates = dblp_transfer_schema()
-        key = Fence("ds", vector, rates, epoch=3, generation=7).key("x")
-        assert key == (
-            "ds", query_fingerprint(vector), rates_fingerprint(rates), 3, 7, "x"
-        )
+        key = Fence("ds", vector, epoch=3, generation=7).key("x")
+        assert key == ("ds", query_fingerprint(vector), 3, 7, "x")
         assert isinstance(key, tuple) and key.dataset == "ds"
         assert hash(key) == hash(tuple(key))
 

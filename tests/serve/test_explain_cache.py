@@ -66,15 +66,6 @@ class TestExplainCache:
         other = service.explain("fig1", "Index", "v7")
         assert other["served_from"] == "live"
 
-    def test_applied_reformulation_invalidates(self, service):
-        service.explain("fig1", "OLAP", "v7")
-        service.feedback_reformulate("fig1", "OLAP", ["v7"], apply=True)
-        after = service.explain("fig1", "OLAP", "v7")
-        # The serving rates changed, so the old entry is both evicted and —
-        # thanks to the rate fingerprint in the key — unreachable anyway.
-        assert after["served_from"] == "live"
-        assert "repro_explain_cache_entries 1" in service.metrics_text()
-
     def test_what_if_reformulation_keeps_cache(self, service):
         service.explain("fig1", "OLAP", "v7")
         service.feedback_reformulate("fig1", "OLAP", ["v7"], apply=False)

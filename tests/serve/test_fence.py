@@ -1,7 +1,8 @@
 """Every serve cache is fenced by what its answers were computed under.
 
-A request's :class:`~repro.serve.cache.Fence` holds the query and rate
-fingerprints, the ingest epoch and the store generation.  Each test here
+A request's :class:`~repro.serve.cache.Fence` holds the query fingerprint,
+the ingest epoch and the store generation (not the transfer rates: a
+dataset's serving rates never change).  Each test here
 changes exactly one of them *without* the service's explicit invalidation,
 so the only thing standing between the request and a stale answer is that
 component of the fence.  (The node list a kept ranking must index is not in
@@ -34,33 +35,6 @@ def live_service(figure1, **overrides) -> QueryService:
         ServeConfig(datasets=("fig1",), precompute=False, **overrides),
         datasets={"fig1": figure1},
     )
-
-
-class TestRateFingerprint:
-    @pytest.fixture
-    def service(self, figure1):
-        service = live_service(figure1)
-        runtime = service.runtime("fig1")
-        self.rates = runtime.rates
-        vector = self.rates.as_vector()
-        self.learned = self.rates.with_vector([vector[0] / 2] + vector[1:])
-        return service
-
-    def test_search_under_other_rates_misses(self, service):
-        before = service.search("fig1", "OLAP", top_k=7)
-        assert service.search("fig1", "OLAP", top_k=7)["served_from"] == "cache"
-        service.runtime("fig1").apply_rates(self.learned)
-        after = service.search("fig1", "OLAP", top_k=7)
-        assert after["served_from"] == "live"
-        assert after["results"] != before["results"]
-
-    def test_explain_under_other_rates_misses(self, service):
-        service.explain("fig1", "OLAP", "v7")
-        assert service.explain("fig1", "OLAP", "v7")["served_from"] == "cache"
-        service.runtime("fig1").apply_rates(self.learned)
-        assert service.explain("fig1", "OLAP", "v7")["served_from"] == "live"
-        service.runtime("fig1").apply_rates(self.rates)
-        assert service.explain("fig1", "OLAP", "v7")["served_from"] == "cache"
 
 
 class TestIngestEpoch:

@@ -121,9 +121,11 @@ class TestEndpoints:
             {"dataset": "fig1", "query": "OLAP", "relevant_ids": ["v4"]},
         )
         assert status == 200
-        assert payload["applied"] is True
         assert payload["results"]
         assert payload["learned_rates"]
+        assert not {"applied", "invalidated_cache_entries", "precomputed_stale"} & set(
+            payload
+        )
 
 
     def test_duplicate_relevant_ids_count_once(self, url):
@@ -217,6 +219,16 @@ class TestErrorMapping:
         for mode in ("auto", "live", "two_stage"):
             status, _ = _request(f"{url}/search?dataset=fig1&q=OLAP&mode={mode}")
             assert status == 200, mode
+
+    def test_removed_apply_is_400_naming_it(self, url):
+        """Learned rates never become serving rates: ``"apply": true`` is
+        refused by name, and ``"apply": false`` is still accepted."""
+        body = {"dataset": "fig1", "query": "OLAP", "relevant_ids": ["v4"]}
+        status, payload = _request(f"{url}/feedback/reformulate", {**body, "apply": True})
+        assert (status, payload["error"]) == (400, "repro_error")
+        assert "'apply' was removed" in payload["message"]
+        status, _ = _request(f"{url}/feedback/reformulate", {**body, "apply": False})
+        assert status == 200
 
     def test_unknown_dataset_is_404(self, url):
         status, payload = _request(f"{url}/search?dataset=missing&q=OLAP")

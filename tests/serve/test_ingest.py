@@ -332,7 +332,7 @@ class TestTokenisesOnce:
         body = ("fig1", "OLAP", ["v4"])
         indexes = []
         for title in ("OLAP cubes", "OLAP lattices", "OLAP views"):
-            service.feedback_reformulate(*body, apply=True)
+            service.feedback_reformulate(*body)
             indexes.append(weakref.ref(runtime.engine.index))
             update = [{"op": "update_node", "node_id": "v4", "attributes": {"title": title}}]
             service.ingest("fig1", update, refresh="force")
@@ -378,7 +378,7 @@ class TestDeadline:
         refresh = service.ingest("fig1", [], refresh="force")["refresh"]
         assert refresh["pending_consumed"] == len(ADD_PAPER)
         assert engine.pending_mutations == 0
-        served = runtime.built_ranker()
+        served = runtime.precomputed_ranker()
         expected = PrecomputedRanker(
             runtime.engine.graph, runtime.engine.index, min_document_frequency=1
         )
@@ -445,7 +445,7 @@ class TestStoreIntegration:
         update[0].update(node_id="v7", attributes={"title": "Data Cube"})
         out = service.ingest("fig1", update, refresh="force")
         assert out["refresh"]["full_rebuild"]
-        served = runtime.built_ranker()
+        served = runtime.precomputed_ranker()
         expected = PrecomputedRanker(
             runtime.engine.graph, runtime.engine.index, min_document_frequency=1
         )
@@ -466,7 +466,7 @@ class TestStoreIntegration:
         build_and_publish(store_root / "fig1", seed, "fig1")
         update = [{"op": "update_node", "node_id": "v7", "attributes": {"title": "x"}}]
         refresh = service.ingest("fig1", update, refresh="force")["refresh"]
-        served = runtime.built_ranker()
+        served = runtime.precomputed_ranker()
         expected = PrecomputedRanker(
             runtime.engine.graph, runtime.engine.index, min_document_frequency=1
         )

@@ -7,7 +7,6 @@ import pytest
 from repro.core import ObjectRankSystem
 from repro.errors import ReproError
 from repro.ranking import _native
-from repro.ranking.objectrank import keyword_objectranks
 from repro.ranking.precompute import PrecomputedRanker
 from repro.serve import Deadline, DeadlineExceededError, QueryService, ServeConfig
 
@@ -188,40 +187,30 @@ class TestExplain:
 
 
 class TestReformulationInvalidation:
-    """The stale path: applying structure-based reformulation must invalidate
-    both the result cache and the precomputed vectors."""
-
-    def test_apply_invalidates_cache_and_stales_precompute(self, service):
-        warm = service.search("fig1", "OLAP")
-        assert warm["served_from"] in ("precomputed", "live")
-        service.search("fig1", "OLAP")  # populate + prove cache works
-        runtime = service.runtime("fig1")
-        ranker = runtime.precomputed_ranker()
-        assert not ranker.is_stale(runtime.rates)
-
-        outcome = service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        assert outcome["applied"] is True
-        assert outcome["invalidated_cache_entries"] >= 1
-        assert outcome["precomputed_stale"] is True
-
-        # Both caches are gone: no entry for the dataset, ranker stale.
-        assert len(service.cache) == 0
-        assert ranker.is_stale(runtime.rates)
-
-        # Subsequent identical traffic routes to live ObjectRank2.
-        after = service.search("fig1", "OLAP")
-        assert after["served_from"] == "live"
-        assert after["iterations"] > 0
+    """A reformulation invalidates nothing: its learned rates rank its own
+    re-run, and the dataset's caches and precomputed vectors stay valid."""
 
     def test_what_if_reformulation_leaves_serving_state_alone(self, service):
         service.search("fig1", "OLAP")
         runtime = service.runtime("fig1")
         rates_before = runtime.rates
+        ranker = runtime.precomputed_ranker()
         outcome = service.feedback_reformulate("fig1", "OLAP", ["v4"], apply=False)
-        assert outcome["applied"] is False
-        assert outcome["invalidated_cache_entries"] == 0
+        assert outcome["learned_rates"]
         assert runtime.rates is rates_before
+        assert not ranker.is_stale(runtime.rates)
         assert len(service.cache) == 1
+        assert service.search("fig1", "OLAP")["served_from"] == "cache"
+        assert service.search("fig1", "OLAP", top_k=3)["served_from"] == "precomputed"
+
+    def test_apply_is_refused_before_anything_runs(self, service):
+        """``apply=True`` once made the learned rates every later request's
+        serving rates; it is refused by name and counts no request."""
+        service.search("fig1", "OLAP")
+        with pytest.raises(ReproError, match="'apply' was removed"):
+            service.feedback_reformulate("fig1", "OLAP", ["v4"], apply=True)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["repro_requests_total"] == 1
         assert service.search("fig1", "OLAP")["served_from"] == "cache"
 
     def test_learned_rates_differ_from_initial(self, service, figure1):
@@ -231,17 +220,6 @@ class TestReformulationInvalidation:
             for t in figure1.transfer_schema.edge_types()
         }
         assert outcome["learned_rates"] != initial
-
-    def test_invalidation_only_hits_the_reformulated_dataset(self, figure1, bio_tiny):
-        service = QueryService(
-            ServeConfig(datasets=("fig1", "bio"), precompute=False),
-            datasets={"fig1": figure1, "bio": bio_tiny},
-        )
-        service.search("fig1", "OLAP")
-        service.search("bio", "cancer")
-        service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        assert service.search("bio", "cancer")["served_from"] == "cache"
-        assert service.search("fig1", "OLAP")["served_from"] == "live"
 
 
 class TestCoverageFallback:
@@ -269,12 +247,13 @@ class TestCoverageFallback:
 
 
 class TestPrecomputeRebuild:
-    """An applied reformulation leaves the in-process vectors stale and
-    nothing in the service rebuilds them: the dataset's traffic runs live
-    under the learned rates.  A store-backed service picks up a generation
-    a builder publishes under them instead."""
+    """Feedback rebuilds nothing and serving adopts no learned rates: a
+    query routes after a feedback as it did before, and vectors a builder
+    rebuilds under the learned rates are not the serving rates' vectors."""
 
     def test_rebuilt_vectors_use_learned_rates(self, figure1, tmp_path):
+        """A generation rebuilt under a feedback's learned rates is stale:
+        the query runs live under the serving rates, bit for bit."""
         service = QueryService(
             ServeConfig(
                 datasets=("fig1",),
@@ -286,34 +265,35 @@ class TestPrecomputeRebuild:
         )
         runtime = service.runtime("fig1")
         engine = runtime.engine
+        outcome = service.feedback_reformulate("fig1", "OLAP", ["v4"])
+        rates = runtime.rates
+        learned = rates.with_vector([outcome["learned_rates"][n] for n in rates.names])
+        assert learned != rates and runtime.rates is figure1.transfer_schema
         runtime.store.publish(
-            PrecomputedRanker(engine.graph, engine.index, min_document_frequency=1),
+            PrecomputedRanker(
+                engine.transfer_view(learned), engine.index, min_document_frequency=1
+            ),
             "fig1",
         )
-        before = service.search("fig1", "OLAP")
-        assert before["served_from"] == "store"
-        service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        assert runtime.rates != figure1.transfer_schema
-        assert service.search("fig1", "OLAP")["served_from"] == "live"
-
-        view = engine.transfer_view(runtime.rates)
-        runtime.store.publish(
-            PrecomputedRanker(view, engine.index, min_document_frequency=1), "fig1"
-        )
         after = service.search("fig1", "OLAP")
-        assert (after["served_from"], after["store_generation"]) == ("store", 2)
-        exact = keyword_objectranks(view, engine.index, ["olap"])["olap"]
-        expected = exact.top_k(len(after["results"]))
-        assert [r["id"] for r in after["results"]] == [nid for nid, _ in expected]
-        assert [r["score"] for r in after["results"]] == pytest.approx(
-            [score for _, score in expected], abs=1e-8
-        )
-        assert before["results"] != after["results"]
+        assert (after["served_from"], after["store_generation"]) == ("live", 1)
+        expected = engine.search("OLAP", top_k=10)
+        assert [(r["id"], r["score"]) for r in after["results"]] == expected.top
 
-    def test_without_rebuild_flag_path_stays_live(self, service):
-        service.search("fig1", "OLAP")
-        service.feedback_reformulate("fig1", "OLAP", ["v4"])
-        assert service.search("fig1", "OLAP")["served_from"] == "live"
+    def test_without_rebuild_flag_path_stays_live(self, figure1):
+        """A query the vectors do not cover stays live after a feedback on
+        it, and one they cover stays precomputed."""
+        service = QueryService(ServeConfig(datasets=("fig1",)), datasets={"fig1": figure1})
+
+        def paths(top_k):
+            return [
+                service.search("fig1", query, top_k=top_k)["served_from"]
+                for query in ("OLAP multidimensional", "OLAP")
+            ]
+
+        assert paths(10) == ["live", "precomputed"]
+        service.feedback_reformulate("fig1", "OLAP multidimensional", ["v4"])
+        assert paths(5) == ["live", "precomputed"]
 
 
 class TestHealthAndMetrics:

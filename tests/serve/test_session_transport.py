@@ -8,7 +8,7 @@ the request deadline still fences each stage of the loop, and the feedback
 path never builds the precomputed matrix on its own.  The second half pins
 the score cache: a session that starts from the ranking an earlier live
 search kept answers the same bytes as one that searched, and nothing but a
-cold, full-graph run under the exact same vector, rates and epoch is reused.
+cold, full-graph run under the exact same vector and epoch is reused.
 """
 
 from __future__ import annotations
@@ -83,16 +83,15 @@ class TestExplainEqualsSession:
 
 
 class TestFeedbackEqualsSession:
-    @pytest.mark.parametrize("apply", [True, False])
     @pytest.mark.parametrize("marked", [0, 1, 3])
-    def test_bit_identical_reformulation(self, corpus, apply, marked):
+    def test_bit_identical_reformulation(self, corpus, marked):
         dataset, query = corpus
         system = hand_driven(dataset, query)
         relevant = system.last_result.hit_ids()[:marked]
         outcome = system.feedback(relevant)
 
         service = make_service(dataset)
-        served = service.feedback_reformulate("ds", query, relevant, apply=apply)
+        served = service.feedback_reformulate("ds", query, relevant)
         assert [(r["id"], r["score"]) for r in served["results"]] == outcome.result.top
         assert served["iterations"] == outcome.result.iterations
         assert served["reformulated_query"] == outcome.reformulated.query_vector.weights
@@ -101,11 +100,8 @@ class TestFeedbackEqualsSession:
             str(edge_type): schema.rate(edge_type) for edge_type in schema.edge_types()
         }
         assert served["relevant_ids"] == relevant
-        # Nothing marked is never an applied reformulation.
-        assert served["applied"] is (apply and marked > 0)
-        assert served["precomputed_stale"] is None  # no ranker was ever built
-        rates = service.runtime("ds").rates
-        assert (rates == schema) if served["applied"] else (rates is dataset.transfer_schema)
+        # The learned rates are the response's, never the dataset's.
+        assert service.runtime("ds").rates is dataset.transfer_schema
 
     def test_unknown_id_is_the_sessions_error(self, corpus):
         dataset, query = corpus
@@ -119,9 +115,8 @@ class TestFeedbackEqualsSession:
 
 
 def test_feedback_never_builds_the_precomputed_matrix(figure1, monkeypatch):
-    """Regression: ``precomputed_stale`` used to be filled through
-    ``precomputed_ranker()``, which on a fresh non-store service ran the whole
-    per-keyword precompute inside the first feedback request."""
+    """A feedback request never reads the precomputed ranker, so on a fresh
+    non-store service it never runs the whole per-keyword precompute."""
     builds = []
     real = service_module.PrecomputedRanker
 
@@ -135,16 +130,13 @@ def test_feedback_never_builds_the_precomputed_matrix(figure1, monkeypatch):
         datasets={"fig1": figure1},
     )
     assert service.search("fig1", "OLAP", mode="live")["served_from"] == "live"
-    outcome = service.feedback_reformulate("fig1", "OLAP", ["v4"])
-    assert outcome["applied"] is True
-    assert outcome["precomputed_stale"] is None
+    service.feedback_reformulate("fig1", "OLAP", ["v4"])
     assert builds == []
 
-    # Once auto traffic has built it, staleness is reported from it.
-    service.search("fig1", "OLAP")
-    assert len(builds) == 1
-    again = service.feedback_reformulate("fig1", "OLAP", ["v4"], apply=False)
-    assert again["precomputed_stale"] is True
+    # Auto traffic builds it once, and the feedback between leaves it fresh.
+    assert service.search("fig1", "OLAP")["served_from"] == "precomputed"
+    service.feedback_reformulate("fig1", "OLAP", ["v4"])
+    assert service.search("fig1", "OLAP", top_k=5)["served_from"] == "precomputed"
     assert len(builds) == 1
 
 
@@ -180,12 +172,9 @@ class TestDeadlineFencesEveryStage:
         assert str(raised.value) == f"deadline of 5.000s exceeded before {stage}"
         assert deadline.passed == self.FEEDBACK_STAGES[:position]
         # Work stops at the fence: no search before the first, exactly the
-        # initial one before the other two; learned rates are published
-        # before the re-run is admitted, as they always were.
+        # initial one before the other two.
         iterations = service.metrics.snapshot()["repro_objectrank_iterations_total"]
         assert (iterations > 0) is (position > 0)
-        applied = service.runtime("ds").reformulations_applied
-        assert applied == (1 if position == 2 else 0)
 
     def test_explanation_stage(self, service):
         deadline = _ExpiresBefore("explanation")
@@ -293,36 +282,6 @@ class TestLoopStartsFromTheLiveSearch:
 
 class TestScoreCacheMisses:
     """Everything that must *not* be answered from a kept ranking."""
-
-    def test_applied_rates_are_another_key(self, figure1):
-        service = make_service(figure1)
-        service.search("ds", "OLAP")  # runs live: precompute is off
-        first = service.feedback_reformulate("ds", "OLAP", ["v4"], apply=True)
-        assert first["applied"] and counters(service)[:2] == (1, 0)
-        # The applied reformulation dropped the kept scores with the rest,
-        # without counting them among the answers it invalidated.
-        assert first["invalidated_cache_entries"] == 1  # the /search page
-        assert len(service.score_cache) == 0
-
-        again = service.feedback_reformulate("ds", "OLAP", ["v4"], apply=False)
-        assert counters(service)[:2] == (1, 1)
-        # ... and equals a service that was started under the learned rates.
-        learned = service.runtime("ds").rates
-        reference = make_service(figure1)
-        reference.runtime("ds").apply_rates(learned)
-        expected = reference.feedback_reformulate("ds", "OLAP", ["v4"], apply=False)
-        assert answer(again) == answer(expected)
-
-    def test_rates_that_differ_past_the_fingerprint_are_another_key(self, figure1):
-        service = make_service(figure1)
-        service.search("ds", "OLAP", mode="live")
-        rates = service.runtime("ds").rates
-        vector = rates.as_vector()
-        nudged = rates.with_vector([vector[0] + 1e-15] + vector[1:])
-        assert nudged.fingerprint() == rates.fingerprint() and nudged != rates
-        service.runtime("ds").apply_rates(nudged)
-        service.explain("ds", "OLAP", "v7")
-        assert counters(service)[:2] == (0, 1)
 
     @pytest.mark.parametrize("refresh", ["topology", "content"])
     def test_ingest_refresh_bumps_the_epoch(self, figure1, refresh):

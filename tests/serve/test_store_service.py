@@ -101,15 +101,26 @@ class TestRebuild:
     def test_stale_store_routes_live_until_republished(
         self, store_service, store_root
     ):
-        _publish(store_root, store_service)
+        """A generation published under other rates than the dataset serves
+        (one built under trained rates, say) is stale: ``is_stale``'s rate
+        check routes around it until one built under the serving rates."""
         runtime = store_service.runtime("fig1")
         edge_type = runtime.rates.edge_types()[0]
         changed = runtime.rates.with_vector(
             [runtime.rates.rate(edge_type) / 2 + 0.05], [edge_type]
         )
-        runtime.apply_rates(changed)
+        other = PrecomputedRanker(
+            runtime.engine.transfer_view(changed),
+            runtime.engine.index,
+            min_document_frequency=1,
+        )
+        build_and_publish(store_root / "fig1", other, "fig1")
         response = store_service.search("fig1", "OLAP")
-        assert response["served_from"] == "live"
+        assert (response["served_from"], response["store_generation"]) == ("live", 1)
+        assert runtime.precomputed_ranker().is_stale(runtime.rates)
+        _publish(store_root, store_service)
+        response = store_service.search("fig1", "OLAP")
+        assert (response["served_from"], response["store_generation"]) == ("store", 2)
 
 
 class TestIntrospection:

@@ -2130,3 +2130,73 @@ def test_the_guard_sees_a_tokenising_reformulator(tmp_path):
         "reformulate/terms.py:3 unique_terms",
         "reformulate/terms.py:4 tokenize",
     ]
+
+
+# -- serving rates are set once: no request changes a runtime's rates ------------
+
+
+def _names_rates(name: str) -> bool:
+    return name == "rates" or name.endswith("_rates")
+
+
+def rates_writes(serve: Path) -> list[str]:
+    """``file:line`` of every write to an attribute named ``rates`` or
+    ``*_rates`` under ``serve`` (an assignment, augmented or annotated, an
+    unpacking target or a ``setattr``), except ``self.rates = ...`` in
+    ``DatasetRuntime.__init__``: the rates a feedback session learns stay in
+    its response."""
+    offenders = []
+    for path in sorted(serve.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(target)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "DatasetRuntime"
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for target in ast.walk(init)
+            if isinstance(target, ast.Attribute)
+            and ast.unparse(target.value) == "self"
+        }
+        lines = []
+        for node in ast.walk(tree):
+            written = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _names_rates(node.attr)
+                and id(node) not in allowed
+            ) or (
+                isinstance(node, ast.Call)
+                and _dotted(node.func) in ("setattr", "delattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and _names_rates(str(node.args[1].value))
+            )
+            if written:
+                lines.append(node.lineno)
+        module = path.relative_to(serve).as_posix()
+        offenders.extend(f"{module}:{line}" for line in sorted(lines))
+    return offenders
+
+
+def test_only_the_runtime_constructor_sets_the_serving_rates():
+    assert rates_writes(SRC / "serve") == []
+
+
+def test_the_guard_sees_a_feedback_handler_that_serves_learned_rates(tmp_path):
+    (tmp_path / "service.py").write_text(
+        "class DatasetRuntime:\n"
+        "    def __init__(self, dataset):\n"
+        "        self.rates = dataset.transfer_schema\n"
+        "    def apply_rates(self, learned):\n"
+        "        self.current_rates = learned\n"
+        "class QueryService:\n"
+        "    def feedback_reformulate(self, runtime, learned):\n"
+        "        runtime.rates = learned\n"
+        "        runtime.rates, other = learned, None\n"
+        "        setattr(runtime, 'rates', learned)\n"
+        "        plan.rates: object = learned\n"
+    )
+    assert rates_writes(tmp_path) == [
+        "service.py:5", "service.py:8", "service.py:9", "service.py:10", "service.py:11",
+    ]

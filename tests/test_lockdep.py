@@ -63,7 +63,7 @@ def test_every_annotation_in_the_package_is_guarded():
         for attr, member in vars(cls).items()
         if isinstance(member, lockdep.GuardedAttribute)
     }
-    assert len(guarded) == 35
+    assert len(guarded) == 33
 
 
 def test_every_lock_of_the_serving_objects_is_tracked(figure1, tmp_path):
@@ -86,7 +86,6 @@ def test_every_lock_of_the_serving_objects_is_tracked(figure1, tmp_path):
         "BuildCache._lock",
         "DatasetRuntime._ingest_lock",
         "DatasetRuntime._precompute_lock",
-        "DatasetRuntime._rates_lock",
         "IngestEngine._lock",
         "QueryService._runtimes_lock",
         "ResultCache._lock",
@@ -371,9 +370,9 @@ class TestRL007Lockset:
 
         class Runtime:
             def __init__(self):
-                self._rates_lock = threading.Lock()
-                #: guarded by self._rates_lock
-                self._rates = {{}}
+                self._precompute_lock = threading.Lock()
+                #: guarded by self._precompute_lock
+                self._precomputed = {{}}
 
             def {method}
     """
@@ -385,21 +384,21 @@ class TestRL007Lockset:
     def test_unguarded_read_flagged_with_lock_metadata(self):
         runtime = self._runtime(
             """peek(self):
-                return self._rates
+                return self._precomputed
             """
         )
-        with lockdep.raises(match="guarded by self._rates_lock") as caught:
+        with lockdep.raises(match="guarded by self._precompute_lock") as caught:
             runtime.peek()
         assert "read in Runtime.peek" in caught.value.summary
         assert caught.value.here[-1].name == "peek"
         (binding,) = caught.value.there
-        assert binding.name == "Runtime._rates guarded by self._rates_lock"
+        assert binding.name == "Runtime._precomputed guarded by self._precompute_lock"
 
     def test_access_under_the_lock_is_clean(self):
         runtime = self._runtime(
             """peek(self):
-                with self._rates_lock:
-                    return self._rates
+                with self._precompute_lock:
+                    return self._precomputed
             """
         )
         assert runtime.peek() == {}
@@ -408,9 +407,9 @@ class TestRL007Lockset:
         """The gap lexical ``with self.<lock>:`` matching could not close."""
         runtime = self._runtime(
             """peek(self):
-                lock = self._rates_lock
+                lock = self._precompute_lock
                 with lock:
-                    return self._rates
+                    return self._precomputed
             """
         )
         assert runtime.peek() == {}
@@ -419,9 +418,9 @@ class TestRL007Lockset:
         runtime = self._runtime(
             """peek(self, fast):
                 if fast:
-                    return self._rates
-                with self._rates_lock:
-                    return self._rates
+                    return self._precomputed
+                with self._precompute_lock:
+                    return self._precomputed
             """
         )
         assert runtime.peek(False) == {}
@@ -429,17 +428,17 @@ class TestRL007Lockset:
             runtime.peek(True)
         # The unlocked fast-path read, not the later guarded one.
         access = caught.value.here[-1]
-        assert (access.lineno, access.line) == (12, "return self._rates")
+        assert (access.lineno, access.line) == (12, "return self._precomputed")
 
     def test_locked_suffix_methods_are_exempt(self):
         """A ``*_locked`` helper runs clean when its caller holds the lock;
         called without it, its access raises (RL011's case)."""
         runtime = self._runtime(
             """peek_locked(self):
-                return self._rates
+                return self._precomputed
             """
         )
-        with runtime._rates_lock:
+        with runtime._precompute_lock:
             assert runtime.peek_locked() == {}
 
 
@@ -447,31 +446,38 @@ class TestRL007ServiceCorpus:
     """The shipped service under lockdep: clean, and caught once de-guarded."""
 
     def _runtime(self, figure1) -> DatasetRuntime:
-        return DatasetRuntime(figure1, ServeConfig(precompute=False))
+        return DatasetRuntime(
+            figure1, ServeConfig(precompute_min_document_frequency=1)
+        )
 
     def test_shipped_service_is_clean(self, figure1):
         runtime = self._runtime(figure1)
         seen = []
-        reader = threading.Thread(target=lambda: seen.append(runtime.rates))
+        reader = threading.Thread(
+            target=lambda: seen.append(runtime.precomputed_ranker())
+        )
         reader.start()
-        runtime.apply_rates(runtime.rates)
+        built = runtime.precomputed_ranker()
         reader.join(10.0)
-        assert seen == [figure1.transfer_schema]
+        assert seen == [built] and built is not None
 
-    def test_removing_the_rates_guard_is_caught_at_the_exact_line(
+    def test_removing_the_precompute_guard_is_caught_at_its_line(
         self, figure1, monkeypatch
     ):
         runtime = self._runtime(figure1)
 
-        def rates(self):
-            return self.current_rates
+        def precomputed_ranker(self):
+            return self._precomputed
 
-        monkeypatch.setattr(DatasetRuntime, "rates", property(rates))
+        monkeypatch.setattr(DatasetRuntime, "precomputed_ranker", precomputed_ranker)
         with lockdep.raises(
-            match="current_rates is guarded by self._rates_lock"
+            match="_precomputed is guarded by self._precompute_lock"
         ) as caught:
-            runtime.rates
-        assert caught.value.here[-1].lineno == rates.__code__.co_firstlineno + 1
+            runtime.precomputed_ranker()
+        assert (
+            caught.value.here[-1].lineno
+            == precomputed_ranker.__code__.co_firstlineno + 1
+        )
 
 
 class TestRL011InterproceduralLocks:
